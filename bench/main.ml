@@ -9,6 +9,9 @@
 open Bechamel
 open Toolkit
 
+(* the serving and cluster sections build their servers over this *)
+let declare_standard = Gp_standard.Standard.declare
+
 (* ------------------------------------------------------------------ *)
 (* Timing helpers                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -724,14 +727,6 @@ let s1 () =
   section "S1" "gp_service throughput: cold vs warm caches under a Zipf \
                 workload";
   let open Gp_service in
-  let declare_standard reg =
-    Gp_concepts.(ignore (reg : Registry.t));
-    Gp_algebra.Decls.declare reg;
-    Gp_sequence.Decls.declare reg;
-    Gp_graph.Decls.declare reg;
-    Gp_linalg.Decls.declare reg;
-    Gp_structla.Decls.declare reg
-  in
   let n = if !quota < 0.5 then 150 else 600 in
   let seed = 42 in
   let reqs = Workload.generate ~seed ~n () in
@@ -1092,14 +1087,6 @@ let s4 () =
   let open Gp_service in
   let module Tel = Gp_telemetry.Tel in
   let module Recorder = Gp_telemetry.Recorder in
-  let declare_standard reg =
-    Gp_concepts.(ignore (reg : Registry.t));
-    Gp_algebra.Decls.declare reg;
-    Gp_sequence.Decls.declare reg;
-    Gp_graph.Decls.declare reg;
-    Gp_linalg.Decls.declare reg;
-    Gp_structla.Decls.declare reg
-  in
   let quick = !quota < 0.5 in
   let n = if quick then 60 else 200 in
   let seed = 11 in
@@ -1200,13 +1187,6 @@ let s5 () =
   section "S5" "gp_cluster: sharded/replicated serving under deterministic \
                 failure injection";
   let open Gp_cluster in
-  let declare_standard reg =
-    Gp_algebra.Decls.declare reg;
-    Gp_sequence.Decls.declare reg;
-    Gp_graph.Decls.declare reg;
-    Gp_linalg.Decls.declare reg;
-    Gp_structla.Decls.declare reg
-  in
   let n = 240 in
   let seed = 11 in
   let reqs =
@@ -1447,14 +1427,6 @@ let s7 () =
      baseline vs direct cursor parse + buffer render + streaming digest";
   let open Gp_service in
   let module Recorder = Gp_telemetry.Recorder in
-  let declare_standard reg =
-    Gp_concepts.(ignore (reg : Registry.t));
-    Gp_algebra.Decls.declare reg;
-    Gp_sequence.Decls.declare reg;
-    Gp_graph.Decls.declare reg;
-    Gp_linalg.Decls.declare reg;
-    Gp_structla.Decls.declare reg
-  in
   let n = 300 in
   let seed = 42 in
   (* the s1 mixed workload plus the s6 numeric kinds, so the wire path
@@ -1651,13 +1623,6 @@ let s9 () =
                 tail-latency attribution";
   let open Gp_cluster in
   let open Gp_tracing in
-  let declare_standard reg =
-    Gp_algebra.Decls.declare reg;
-    Gp_sequence.Decls.declare reg;
-    Gp_graph.Decls.declare reg;
-    Gp_linalg.Decls.declare reg;
-    Gp_structla.Decls.declare reg
-  in
   let n = 240 in
   let seed = 11 in
   let reqs = Gp_service.Workload.generate ~seed ~n () |> Array.of_list in
@@ -1760,13 +1725,6 @@ let s10 () =
                  million simulated users";
   let open Gp_cluster in
   let open Gp_scenario in
-  let declare_standard reg =
-    Gp_algebra.Decls.declare reg;
-    Gp_sequence.Decls.declare reg;
-    Gp_graph.Decls.declare reg;
-    Gp_linalg.Decls.declare reg;
-    Gp_structla.Decls.declare reg
-  in
   let seed = 1 in
   let scenario name =
     match Scenario.find name with

@@ -19,17 +19,7 @@
 open Cmdliner
 
 (* The "standard world": every registry declaration the libraries ship. *)
-let standard_declare reg =
-  Gp_algebra.Decls.declare reg;
-  Gp_sequence.Decls.declare reg;
-  Gp_graph.Decls.declare reg;
-  Gp_linalg.Decls.declare reg;
-  Gp_structla.Decls.declare reg
-
-let standard_registry () =
-  let reg = Gp_concepts.Registry.create () in
-  standard_declare reg;
-  reg
+module Standard = Gp_standard.Standard
 
 (* ------------------------------------------------------------------ *)
 (* gp check                                                            *)
@@ -71,7 +61,7 @@ let check_cmd =
   in
   let run concept types nominal defs =
     let open Gp_concepts in
-    let reg = standard_registry () in
+    let reg = Standard.registry () in
     if not (load_defs reg defs) then 2
     else begin
       let mode = if nominal then Check.Nominal else Check.Structural in
@@ -122,7 +112,7 @@ let parse_cmd =
 let concepts_cmd =
   let run () =
     let open Gp_concepts in
-    let reg = standard_registry () in
+    let reg = Standard.registry () in
     Fmt.pr "concepts:@.";
     List.iter
       (fun (c : Concept.t) ->
@@ -495,7 +485,7 @@ let serve_cmd =
         Some (Gp_telemetry.Tel.install ~trace_capacity:65536 ())
       else None
     in
-    let server = Server.create ~config ~declare_standard:standard_declare () in
+    let server = Server.create ~config ~declare_standard:Standard.declare () in
     let served =
       match file with
       | None -> Server.serve_channel server stdin stdout
@@ -620,7 +610,7 @@ let workload_cmd =
     let config =
       server_config ~no_cache ~cache_capacity ~queue ~max_steps ~timeout
     in
-    let server = Server.create ~config ~declare_standard:standard_declare () in
+    let server = Server.create ~config ~declare_standard:Standard.declare () in
     let t0 = Unix.gettimeofday () in
     let responses = Server.process server reqs in
     let dt = Unix.gettimeofday () -. t0 in
@@ -672,11 +662,12 @@ let trace_cmd =
              (enum
                 [ ("all", `All); ("check", `Check); ("closure", `Closure);
                   ("lint", `Lint); ("optimize", `Optimize);
-                  ("elect", `Elect) ])
+                  ("elect", `Elect); ("serve", `Serve) ])
              `All
          & info [] ~docv:"PIPELINE"
              ~doc:"Which pipeline to trace: all, check, closure, lint, \
-                   optimize or elect.")
+                   optimize, elect or serve (a seeded request mix through \
+                   one server, so the service stages get spans too).")
   in
   let out =
     Arg.(value
@@ -708,7 +699,7 @@ let trace_cmd =
     let sink =
       Gp_telemetry.Tel.install ~trace_capacity:65536 ~profile:gc ()
     in
-    let reg = standard_registry () in
+    let reg = Standard.registry () in
     let do_check () =
       let open Gp_concepts in
       List.iter
@@ -751,13 +742,20 @@ let trace_cmd =
       ignore (Algorithms.Lcr.run ~uids (Topology.ring_unidirectional 16));
       ignore (Algorithms.Hs.run ~uids (Topology.ring 16))
     in
+    let do_serve () =
+      let open Gp_service in
+      let server = Server.create ~declare_standard:Standard.declare () in
+      ignore (Server.process server (Workload.generate ~seed:42 ~n:300 ()))
+    in
     (match pipeline with
     | `All ->
       do_check ();
       do_closure ();
       do_lint ();
       do_optimize ();
-      do_elect ()
+      do_elect ();
+      do_serve ()
+    | `Serve -> do_serve ()
     | `Check -> do_check ()
     | `Closure -> do_closure ()
     | `Lint -> do_lint ()
@@ -806,7 +804,7 @@ let replay_cmd =
       Fmt.epr "%s@." m;
       2
     | Ok ds -> (
-      match Flight.replay ~declare_standard:standard_declare ds with
+      match Flight.replay ~declare_standard:Standard.declare ds with
       | Error m ->
         Fmt.epr "%s@." m;
         2
@@ -987,7 +985,7 @@ let cluster_run_cmd =
           | Some max_delay -> Gp_distsim.Engine.Asynchronous { max_delay });
         trace = trace_out <> None || fleet }
     in
-    let r = Cluster.run ~config ~declare_standard:standard_declare reqs in
+    let r = Cluster.run ~config ~declare_standard:Standard.declare reqs in
     Fmt.pr "%a" Cluster.pp_summary r;
     (match out with
     | None -> ()
@@ -1000,7 +998,7 @@ let cluster_run_cmd =
     let audit_failed =
       do_audit
       && begin
-           let a = Cluster.audit ~declare_standard:standard_declare r in
+           let a = Cluster.audit ~declare_standard:Standard.declare r in
            Fmt.pr "%a" Cluster.pp_audit a;
            not (Cluster.audit_ok a)
          end
@@ -1022,7 +1020,7 @@ let cluster_audit_cmd =
   let run path =
     let open Gp_cluster in
     let doc = In_channel.with_open_text path In_channel.input_all in
-    match Cluster.audit_dump ~declare_standard:standard_declare doc with
+    match Cluster.audit_dump ~declare_standard:Standard.declare doc with
     | Error m ->
       Fmt.epr "%s: %s@." path m;
       2
@@ -1176,7 +1174,7 @@ let scenario_run_cmd =
         (fun s ->
           let o =
             Scenario.run ~quick ~seed ~audit:do_audit
-              ~declare_standard:standard_declare s
+              ~declare_standard:Standard.declare s
           in
           Fmt.pr "%a" Scenario.pp_outcome o;
           if not (Scenario.ok o) then incr failed)
@@ -1213,7 +1211,7 @@ let structla_cmd =
       exit 2
     end;
     let open Gp_structla in
-    let reg = standard_registry () in
+    let reg = Standard.registry () in
     let sel = Select.create () in
     Fmt.pr
       "structure-aware dispatch at n=%d seed=%d (exact step counts vs \

@@ -30,9 +30,29 @@ type t = {
   mutable models : model list;
   mutable refinement_edges : (string * string) list;
   mutable generation : int;
+  base : base option;  (** [Some] for a registry made by {!fork} *)
 }
 
+and base
+(** What a fork extends: its parent, and its own lookup index. *)
+
 val create : unit -> t
+
+val fork : t -> t
+(** A child registry in O(1): it starts out sharing the parent's
+    declaration lists and generation, so it answers every lookup as the
+    parent does. Declarations made in the child go to the child only,
+    and its generation continues from the parent's — a fork of the
+    standard world plus some declarations is indistinguishable from a
+    fresh standard world plus the same declarations, generations
+    included.
+
+    The child indexes only its own declarations; lookups that miss fall
+    through to the parent's index, so forking and declaring costs the
+    size of the declarations, not of the parent. Forks keep their index
+    to themselves and never displace a root registry's cached index. If
+    the parent is mutated after the fork, the child indexes its lists
+    whole instead. *)
 
 val generation : t -> int
 (** Monotone counter bumped by every declaration (and by {!touch}).

@@ -9,6 +9,7 @@
    obligation — so over-budget behaviour is deterministic. *)
 
 open Gp_concepts
+module Tel = Gp_telemetry.Tel
 
 type caches = {
   closures : string list Lru.t;
@@ -68,8 +69,8 @@ let clear_caches c =
   Lru.clear c.numerics
 
 type t = {
-  registry : Registry.t; (* the shared standard world; never mutated here *)
-  declare_standard : Registry.t -> unit; (* to build per-request sandboxes *)
+  registry : Registry.t;
+      (* the shared standard world; never mutated here — sandboxes fork it *)
   insts : Gp_simplicissimus.Instances.t;
   rules : Gp_simplicissimus.Rules.t list;
   select : Gp_structla.Select.t; (* the three numeric overload generics *)
@@ -80,7 +81,6 @@ let create ~declare_standard ~cache_capacity () =
   let registry = Registry.create () in
   declare_standard registry;
   { registry;
-    declare_standard;
     insts = Gp_simplicissimus.Instances.standard ();
     rules =
       Gp_simplicissimus.Rules.builtin
@@ -122,6 +122,15 @@ let certifications t ~caching ~budget =
 (* Handlers                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* A [Check] carrying defs runs against its own scope: a fork of the
+   shared standard registry with the defs loaded into it. Forking is
+   O(1) and the fork indexes only the defs, so the sandbox costs the
+   size of the defs, not of the standard world. *)
+let sandbox t items =
+  let reg = Registry.fork t.registry in
+  Lang.load_items reg items;
+  reg
+
 let handle_check t ~caching ~budget ~concept ~types ~nominal ~defs =
   let sandbox_result =
     match defs with
@@ -129,11 +138,13 @@ let handle_check t ~caching ~budget ~concept ~types ~nominal ~defs =
     | Some source -> (
       match parsed_defs t ~caching ~budget source with
       | items, hit -> (
-        let reg = Registry.create () in
-        t.declare_standard reg;
         Budget.spend budget (List.length items);
-        match Lang.load_items reg items with
-        | () -> Ok (reg, hit)
+        match
+          if Tel.is_enabled () then
+            Tel.with_span ~name:"service.sandbox" (fun () -> sandbox t items)
+          else sandbox t items
+        with
+        | reg -> Ok (reg, hit)
         | exception Registry.Duplicate what ->
           Error ({ Request.code = Request.Parse_failure;
                    detail = "duplicate declaration of " ^ what }, hit))

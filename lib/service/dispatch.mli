@@ -6,7 +6,8 @@
     names and rewrite non-termination become structured errors; budget
     exhaustion escapes as {!Budget.Exhausted} for the server to convert.
     The shared standard registry is never mutated — [Check] requests
-    carrying extra [.gpc] declarations get a per-request sandbox. *)
+    carrying extra [.gpc] declarations get a per-request sandbox, a fork
+    of the shared registry. *)
 
 type caches = {
   closures : string list Lru.t;
@@ -43,9 +44,10 @@ val create :
   cache_capacity:int ->
   unit ->
   t
-(** [declare_standard] populates a fresh registry with the standard
-    world; it is called once for the shared registry and once per
-    sandboxed [Check] request carrying defs. *)
+(** [declare_standard] populates the shared registry with the standard
+    world, once. A [Check] request carrying defs loads them into a
+    {!Gp_concepts.Registry.fork} of the shared registry, inside a
+    [service.sandbox] span when telemetry is on. *)
 
 val registry : t -> Gp_concepts.Registry.t
 val caches : t -> caches

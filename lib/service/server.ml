@@ -417,19 +417,18 @@ let process_burst t reqs =
         | _ -> assert false (* drain returns FIFO, ids match *)))
     submitted
 
-(* Steady-state processing: drain whenever the queue fills, so every
-   request is eventually served. This is the workload driver's path. *)
+(* Steady-state processing: drain before a submit would find the queue
+   full, so every request is admitted once and served. This is the
+   workload driver's path. *)
 let process t reqs =
   let out = ref [] in
   List.iter
     (fun req ->
+      if Queue.length t.queue >= t.config.queue_capacity then
+        out := List.rev_append (drain t) !out;
       match submit t req with
       | `Admitted _ -> ()
-      | `Rejected _ ->
-        out := List.rev_append (drain t) !out;
-        (match submit t req with
-        | `Admitted _ -> ()
-        | `Rejected rsp -> out := rsp :: !out))
+      | `Rejected rsp -> out := rsp :: !out (* only with no queue at all *))
     reqs;
   out := List.rev_append (drain t) !out;
   List.rev !out

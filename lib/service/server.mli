@@ -86,8 +86,10 @@ val process_burst : t -> Request.t list -> Request.response list
     this is the admission-control test path. *)
 
 val process : t -> Request.t list -> Request.response list
-(** Steady-state driver: drains whenever the queue fills, so every
-    request is served; responses in request order. *)
+(** Steady-state driver: drains before a submit would find the queue
+    full, so every request is admitted exactly once and served —
+    responses in request order, ids consecutive, and no [Queue_full]
+    (unless [queue_capacity] is 0, which rejects everything). *)
 
 val serve_line : t -> string -> Request.response option
 (** Decode and serve one wire line ([None] for a blank line). *)

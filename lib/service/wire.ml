@@ -68,13 +68,13 @@ let strbuf = Buffer.create 256
    function with free variables is a fresh closure allocation per call,
    which matters on a path that runs for every escaped string. *)
 let rec escaped_chars_into buf c =
-  if not (has c) then fail "unterminated string"
+  if not (has c) then fail "at %d: unterminated string" c.pos
   else
     match cur c with
     | '"' -> advance c
     | '\\' ->
       advance c;
-      if not (has c) then fail "unterminated escape";
+      if not (has c) then fail "at %d: unterminated escape" c.pos;
       let ch = cur c in
       advance c;
       (match ch with
@@ -88,7 +88,8 @@ let rec escaped_chars_into buf c =
         | 'f' -> Buffer.add_char buf '\012'
         | 'u' ->
           (* \uXXXX: decode the BMP code point to UTF-8 *)
-          if c.pos + 4 > String.length c.src then fail "truncated \\u escape";
+          if c.pos + 4 > String.length c.src then
+            fail "at %d: truncated \\u escape" c.pos;
           let hex = String.sub c.src c.pos 4 in
           let cp =
             try int_of_string ("0x" ^ hex)
@@ -183,7 +184,7 @@ let parse_literal c word value =
 
 let rec parse_value c =
   skip_ws c;
-  if not (has c) then fail "unexpected end of input"
+  if not (has c) then fail "at %d: unexpected end of input" c.pos
   else
     match cur c with
     | '"' ->

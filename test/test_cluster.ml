@@ -9,11 +9,7 @@ open Gp_cluster
 
 let qtest = QCheck_alcotest.to_alcotest
 
-let declare_standard reg =
-  Gp_algebra.Decls.declare reg;
-  Gp_sequence.Decls.declare reg;
-  Gp_graph.Decls.declare reg;
-  Gp_linalg.Decls.declare reg
+let declare_standard = Gp_standard.Standard.declare
 
 let workload ?(n = 60) seed =
   Array.of_list (Workload.generate ~seed ~n ())

@@ -606,6 +606,279 @@ let telemetry_transparent_prop =
          off = on))
 
 (* ------------------------------------------------------------------ *)
+(* Forks                                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* A fork of a random world, mutated like the index property above
+   (ops, models, a refining concept, a shadowing direct [types] write),
+   answers exactly as list scans over its own lists, and leaves its
+   parent's lists, generation and answers untouched. *)
+let fork_random_world_prop =
+  qtest
+    (QCheck.Test.make ~name:"fork lookups == list scans; parent untouched"
+       ~count:200
+       (QCheck.pair world_arb world_arb)
+       (fun (w1, w2) ->
+         let parent = build_registry w1 in
+         let before = parent.Registry.generation in
+         let types = parent.Registry.types and ops = parent.Registry.ops in
+         (* indexed before the fork, as the shared registry is *)
+         ignore (registry_lookups_agree w1 parent);
+         let child = Registry.fork parent in
+         mutate_registry child w2;
+         registry_lookups_agree w2 child
+         && registry_lookups_agree w1 parent
+         && parent.Registry.generation = before
+         && parent.Registry.types == types
+         && parent.Registry.ops == ops))
+
+(* Random .gpc worlds over the standard world. Each item is named by its
+   position, so names are fresh unless an item means to collide. *)
+type fork_item =
+  | Fnew_concept of int list * bool (* refined concepts; with an op *)
+  | Fdup_concept of int * int (* re-declares a name; refines another *)
+  | Fnew_type of int (* number of associated types *)
+  | Fredeclare_type of int (* adds an associated type to an old type *)
+  | Fshared_op of int * bool (* a standard op's name and params *)
+  | Fnew_op of int * int
+  | Fmodel of int * int (* concept, argument type *)
+
+let fork_items_gen =
+  let open QCheck.Gen in
+  let k = int_bound 10_000 in
+  list_size (int_range 1 10)
+    (frequency
+       [ (3, map2 (fun rs op -> Fnew_concept (rs, op))
+                (list_size (int_range 0 2) k) bool);
+         (2, map2 (fun i r -> Fdup_concept (i, r)) k k);
+         (2, map (fun i -> Fnew_type (i mod 3)) k);
+         (2, map (fun i -> Fredeclare_type i) k);
+         (2, map2 (fun i b -> Fshared_op (i, b)) k bool);
+         (1, map2 (fun i j -> Fnew_op (i, j)) k k);
+         (3, map2 (fun i j -> Fmodel (i, j)) k k) ])
+
+let standard = lazy (Gp_standard.Standard.registry ())
+
+(* Materialize specs against the standard world. Concept picks lean on
+   the concepts declared so far and on "Ghost", undeclared until a
+   duplicate-concept item declares it: refining it before that leaves
+   an edge to a name a later fork may give edges of its own. *)
+let fork_items specs =
+  let std = Lazy.force standard in
+  let std_concepts = List.rev_map fst std.Registry.concepts in
+  let std_types = List.rev_map fst std.Registry.types in
+  let std_ops = Array.of_list std.Registry.ops in
+  let arity name =
+    match Registry.find_concept std name with
+    | Some c -> List.length c.Concept.params
+    | None -> 1
+  in
+  let pick l i = List.nth l (i mod List.length l) in
+  let concepts = ref [] and types = ref [] in
+  let items =
+    List.mapi
+      (fun i spec ->
+        let cpick r =
+          match (r mod 4, !concepts) with
+          | 0, _ -> "Ghost"
+          | 1, (_ :: _ as mine) -> pick mine (r / 4)
+          | _ -> pick std_concepts (r / 4)
+        in
+        let tpool () = std_types @ List.rev !types in
+        match spec with
+        | Fnew_concept (rs, with_op) ->
+          let name = Printf.sprintf "N%d" i in
+          let refines =
+            List.map
+              (fun r ->
+                let c = cpick r in
+                (c, List.init (arity c) (fun _ -> Ctype.Var "T")))
+              rs
+          in
+          let reqs =
+            Concept.assoc_type "elem"
+            ::
+            (if with_op then
+               [ Concept.Operation
+                   { Concept.op_name = Printf.sprintf "op%d" i;
+                     op_params = [ Ctype.Var "T" ];
+                     op_return = Ctype.Assoc (Ctype.Var "T", "elem");
+                     op_doc = "" } ]
+             else [])
+          in
+          concepts := name :: !concepts;
+          Lang.Iconcept (Concept.make ~params:[ "T" ] ~refines name reqs)
+        | Fdup_concept (j, r) ->
+          let c = cpick r in
+          Lang.Iconcept
+            (Concept.make ~params:[ "T" ]
+               ~refines:[ (c, List.init (arity c) (fun _ -> Ctype.Var "T")) ]
+               (cpick j)
+               [ Concept.axiom "t" "true" ])
+        | Fnew_type nassoc ->
+          let name = Printf.sprintf "t%d" i in
+          types := name :: !types;
+          Lang.Itype
+            { name;
+              assoc =
+                List.init nassoc (fun a ->
+                    (Printf.sprintf "a%d" a, n (pick std_types (i + a)))) }
+        | Fredeclare_type j ->
+          Lang.Itype
+            { name = pick (tpool ()) j;
+              assoc = [ ("elem", n "int"); (Printf.sprintf "x%d" i, n "bool") ] }
+        | Fshared_op (j, same_ret) ->
+          let s = std_ops.(j mod Array.length std_ops) in
+          Lang.Iop
+            { name = s.Concept.op_name; params = s.Concept.op_params;
+              ret = (if same_ret then s.Concept.op_return else n "int") }
+        | Fnew_op (j, t) ->
+          Lang.Iop
+            { name = Printf.sprintf "f%d" (j mod 3);
+              params = [ n (pick (tpool ()) t) ];
+              ret = n (pick (tpool ()) (t + 1)) }
+        | Fmodel (c, t) ->
+          let concept = cpick c in
+          Lang.Imodel
+            { concept;
+              args =
+                List.init (arity concept) (fun a -> n (pick (tpool ()) (t + a)));
+              axioms = [] })
+      specs
+  in
+  (items, List.rev !concepts, List.rev !types)
+
+let load reg items =
+  match Lang.load_items reg items with
+  | () -> None
+  | exception Registry.Duplicate what -> Some what
+
+let report reg concept args =
+  match Check.check reg concept args with
+  | r -> Fmt.str "%a" Check.pp_report r
+  | exception e -> "raised " ^ Printexc.to_string e
+
+(* Every answer a registry gives over the names [items] mention and the
+   whole standard world, rendered to comparable values. *)
+let registry_answers reg (items, concepts, types) =
+  let std = Lazy.force standard in
+  let names =
+    List.rev_map fst std.Registry.concepts @ concepts @ [ "Ghost"; "nope" ]
+  in
+  let tnames = List.rev_map fst std.Registry.types @ types @ [ "nope" ] in
+  let models =
+    List.filter_map
+      (function Lang.Imodel { concept; args; _ } -> Some (concept, args)
+              | _ -> None)
+      items
+  in
+  ( Registry.generation reg,
+    List.map (fun c -> (Registry.find_concept reg c, Registry.refinement_depth reg c)) names,
+    List.concat_map
+      (fun a -> List.filter (Registry.refines reg a) names)
+      names,
+    List.map (Registry.find_type reg) tnames,
+    List.map
+      (fun (s : Concept.signature) ->
+        Registry.find_ops reg s.Concept.op_name s.Concept.op_params)
+      reg.Registry.ops,
+    List.map
+      (fun (c, args) -> Registry.find_model reg c args)
+      (models
+      @ List.map (fun m -> (m.Registry.mo_concept, m.Registry.mo_args))
+          reg.Registry.models),
+    List.map (fun (c, args) -> report reg c args) models
+    @ List.concat_map
+        (fun c ->
+          List.map
+            (fun t -> report reg c [ n t ])
+            (types @ [ "int"; "vector<int>" ]))
+        (concepts @ [ "Monoid"; "Container" ]) )
+
+(* Load [specs] into a fresh standard world, and in two halves through
+   a fork of a fork of the shared one: same Duplicate, same lists, same
+   answers. *)
+let fork_matches_fresh specs =
+  let ((items, _, _) as world) = fork_items specs in
+  let fresh = Gp_standard.Standard.registry () in
+  let fresh_outcome = load fresh items in
+  let cut = List.length items / 2 in
+  let first = List.filteri (fun i _ -> i < cut) items in
+  let rest = List.filteri (fun i _ -> i >= cut) items in
+  let f1 = Registry.fork (Lazy.force standard) in
+  let forked, fork_outcome =
+    match load f1 first with
+    | Some _ as dup -> (f1, dup)
+    | None ->
+      let f2 = Registry.fork f1 in
+      (f2, load f2 rest)
+  in
+  if fork_outcome <> fresh_outcome then
+    QCheck.Test.fail_reportf "Duplicate: fork %s, fresh %s"
+      (Option.value ~default:"none" fork_outcome)
+      (Option.value ~default:"none" fresh_outcome);
+  forked.Registry.types = fresh.Registry.types
+  && forked.Registry.models = fresh.Registry.models
+  && registry_answers forked world = registry_answers fresh world
+
+let fork_equiv_prop =
+  qtest
+    (QCheck.Test.make
+       ~name:"fork + load == fresh standard world + load (random .gpc)"
+       ~count:150
+       (QCheck.make fork_items_gen)
+       fork_matches_fresh)
+
+(* The inner fork gives edges to a name the outer fork's concept only
+   refined: N0 refines Ghost, then Ghost refines a standard concept. *)
+let test_fork_extends_parent_closure () =
+  Alcotest.(check bool) "N0's closure reaches through Ghost" true
+    (fork_matches_fresh [ Fnew_concept ([ 0 ], false); Fdup_concept (0, 2) ])
+
+(* Forking never touches the parent: after many forks, each loaded with
+   random declarations, the shared standard world still has its
+   generation and lists, and answers as a fresh one does. *)
+let test_fork_leaves_parent () =
+  let std = Lazy.force standard in
+  let gen = std.Registry.generation and concepts = std.Registry.concepts in
+  let types = std.Registry.types and ops = std.Registry.ops in
+  let rand = Random.State.make [| 12 |] in
+  for _ = 1 to 60 do
+    let items, _, _ = fork_items (QCheck.Gen.generate1 ~rand fork_items_gen) in
+    ignore (load (Registry.fork std) items)
+  done;
+  Alcotest.(check int) "generation" gen std.Registry.generation;
+  Alcotest.(check bool) "lists physically unchanged" true
+    (std.Registry.concepts == concepts && std.Registry.types == types
+    && std.Registry.ops == ops);
+  let world = ([], [], []) in
+  Alcotest.(check bool) "answers as a fresh standard world" true
+    (registry_answers std world
+    = registry_answers (Gp_standard.Standard.registry ()) world)
+
+(* A parent mutated after the fork: the fork must not see the parent's
+   later declarations through its fall-through lookups. *)
+let test_fork_of_mutated_parent () =
+  let parent = Gp_standard.Standard.registry () in
+  let items, concepts, types =
+    fork_items [ Fnew_concept ([ 0 ], true); Fnew_type 1; Fmodel (0, 0) ]
+  in
+  let child = Registry.fork parent in
+  ignore (load child items);
+  let world = (items, "Late" :: concepts, types) in
+  let before = registry_answers child world in
+  Registry.declare_concept parent
+    (Concept.make ~params:[ "T" ] ~refines:[ ("N0", [ Ctype.Var "T" ]) ]
+       "Late" []);
+  Registry.declare_op parent "f0" [ n "int" ] (n "int");
+  Alcotest.(check bool) "child answers unchanged" true
+    (registry_answers child world = before);
+  let oracle = Gp_standard.Standard.registry () in
+  ignore (load oracle items);
+  Alcotest.(check bool) "child answers as a fresh rebuild" true
+    (registry_answers child world = registry_answers oracle world)
+
+(* ------------------------------------------------------------------ *)
 (* Archetypes                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -938,6 +1211,14 @@ let () =
       ("registry index",
         [ registry_equiv_prop; closure_equiv_prop;
           telemetry_transparent_prop ]);
+      ( "registry fork",
+        [ fork_random_world_prop; fork_equiv_prop;
+          Alcotest.test_case "fork of a fork extends a closure" `Quick
+            test_fork_extends_parent_closure;
+          Alcotest.test_case "parent untouched by forks" `Quick
+            test_fork_leaves_parent;
+          Alcotest.test_case "parent mutated after fork" `Quick
+            test_fork_of_mutated_parent ] );
       ( "archetype",
         [
           Alcotest.test_case "models own concept" `Quick

@@ -7,12 +7,7 @@ open Gp_scenario
 
 let qtest = QCheck_alcotest.to_alcotest
 
-let declare_standard reg =
-  Gp_algebra.Decls.declare reg;
-  Gp_sequence.Decls.declare reg;
-  Gp_graph.Decls.declare reg;
-  Gp_linalg.Decls.declare reg;
-  Gp_structla.Decls.declare reg
+let declare_standard = Gp_standard.Standard.declare
 
 let run ?(quick = true) ?(seed = 1) ?(audit = false) t =
   Scenario.run ~quick ~seed ~audit ~declare_standard t

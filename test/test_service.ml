@@ -7,12 +7,7 @@ open Gp_service
 
 let qtest = QCheck_alcotest.to_alcotest
 
-let declare_standard reg =
-  Gp_algebra.Decls.declare reg;
-  Gp_sequence.Decls.declare reg;
-  Gp_graph.Decls.declare reg;
-  Gp_linalg.Decls.declare reg;
-  Gp_structla.Decls.declare reg
+let declare_standard = Gp_standard.Standard.declare
 
 let mkserver ?config () = Server.create ?config ~declare_standard ()
 
@@ -245,6 +240,13 @@ let test_wire_hardening () =
   expect_parse_error {|{"a":1,"a":2}|} {|at 7: duplicate key "a" in object|};
   expect_parse_error {|{"a":1} x|} "at 8: trailing x after value";
   expect_parse_error {|[1,2]]|} "at 5: trailing ] after value";
+  (* truncation: the end of input is a position like any other *)
+  expect_parse_error "" "at 0: unexpected end of input";
+  expect_parse_error {|{"a":|} "at 5: unexpected end of input";
+  expect_parse_error {|[1,|} "at 3: unexpected end of input";
+  expect_parse_error {|"abc|} "at 4: unterminated string";
+  expect_parse_error {|"a\|} "at 3: unterminated escape";
+  expect_parse_error {|"\u12|} "at 3: truncated \\u escape";
   let expect_line_error line msg =
     match Wire.request_of_line line with
     | Error m -> Alcotest.(check string) line msg m
@@ -273,6 +275,7 @@ let test_wire_parser_agreement () =
       {|{"kind":"parse","kind":"lint","source":"s"}|};
       {|{"kind":"parse","source":"s"}!|};
       {|{"kind":"parse","source":"s"}   |};
+      {|{"kind":|}; {|{"kind":"pa|}; {|{"kind":"parse","source":["s",|};
       {|{"kind":"optimize","expr":"x","certified_only":"yes"}|};
       {|{"kind":"matvec","structure":"diagonal","n":"big","seed":0}|};
       {|{"kind":"solve","structure":"banded","n":8,"seed":1}|} ]
@@ -543,6 +546,34 @@ let test_queue_full () =
     (List.length (List.filter Request.ok rsps));
   assert_alive server
 
+(* The steady-state driver admits each request exactly once: with more
+   requests than queue slots, the server counts one request per
+   response, hands out ids 1..n without gaps, and records no Queue_full
+   error that no client ever saw. *)
+let test_process_accounting () =
+  let config = { Server.default_config with queue_capacity = 4 } in
+  let server = mkserver ~config () in
+  let n = 30 in
+  let rsps = Server.process server (Workload.generate ~seed:5 ~n ()) in
+  Alcotest.(check int) "one response per request" n (List.length rsps);
+  Alcotest.(check int) "requests counted = responses produced"
+    (List.length rsps)
+    (Metrics.requests (Server.metrics server));
+  Alcotest.(check (list int)) "ids run 1..n without gaps"
+    (List.init n (fun i -> i + 1))
+    (List.map (fun r -> r.Request.rsp_id) rsps);
+  let queue_full =
+    List.fold_left
+      (fun acc (labels, v) ->
+        if List.assoc_opt "code" labels = Some "queue-full" then acc +. v
+        else acc)
+      0.0
+      (Gp_telemetry.Metrics.counter_series
+         (Metrics.registry (Server.metrics server))
+         "gp_request_errors_total")
+  in
+  Alcotest.(check (float 0.0)) "no Queue_full errors recorded" 0.0 queue_full
+
 let test_metrics_accounting () =
   let server = mkserver () in
   ignore (Server.handle server good_request);
@@ -584,8 +615,7 @@ let transparency_prop =
 (* The service answers exactly what the libraries answer directly. *)
 let test_direct_library_equivalence () =
   let server = mkserver () in
-  let reg = Gp_concepts.Registry.create () in
-  declare_standard reg;
+  let reg = Gp_standard.Standard.registry () in
   List.iter
     (fun (concept, types) ->
       let rsp = Server.handle server (Request.Closure { concept; types }) in
@@ -646,6 +676,38 @@ let test_direct_library_equivalence () =
     Alcotest.(check int) "group int[+]: four theorems" 4 checked;
     Alcotest.(check int) "group int[+]: none fail" 0 failed
   | _ -> Alcotest.fail "prove did not succeed"
+
+(* Sandboxed checks fork the shared standard registry: serving many of
+   them never displaces the shared registry's index from the registry
+   side cache, so the shared registry never pays an index rebuild. *)
+let test_sandbox_keeps_shared_index () =
+  let server = mkserver () in
+  let check ?defs concept types =
+    match
+      (Server.handle server
+         (Request.Check { concept; types; nominal = false; defs }))
+        .Request.rsp_result
+    with
+    | Ok (Request.Checked { ok = true; _ }) -> ()
+    | _ -> Alcotest.failf "check %s failed" concept
+  in
+  (* builds the shared registry's index *)
+  check "Container" [ "vector<int>" ];
+  Gp_telemetry.Tel.with_installed (fun sink ->
+      for k = 1 to 100 do
+        check
+          ~defs:
+            (Printf.sprintf
+               "concept W%d<T> { f%d : T -> T; }\ntype w%d { }\n\
+                op f%d : w%d -> w%d;\n"
+               k k k k k k)
+          (Printf.sprintf "W%d" k)
+          [ Printf.sprintf "w%d" k ]
+      done;
+      check "Container" [ "vector<int>" ];
+      Alcotest.(check (float 0.0)) "shared index never rebuilt" 0.0
+        (Gp_telemetry.Metrics.total sink.Gp_telemetry.Tel.metrics
+           "gp_registry_index_rebuilds_total"))
 
 let test_cache_off_reports_zero () =
   let server =
@@ -753,8 +815,7 @@ let test_workload_validation () =
 
 let test_propagate_closure_with () =
   let open Gp_concepts in
-  let reg = Registry.create () in
-  declare_standard reg;
+  let reg = Gp_standard.Standard.registry () in
   List.iter
     (fun (concept, types) ->
       let args = List.map (fun x -> Ctype.Named x) types in
@@ -783,8 +844,7 @@ let test_registry_generation () =
 
 let test_request_key_tracks_generation () =
   let open Gp_concepts in
-  let reg = Registry.create () in
-  declare_standard reg;
+  let reg = Gp_standard.Standard.registry () in
   let args = [ Ctype.Named "vector<int>" ] in
   let k1 = Propagate.request_key reg "Container" args in
   Alcotest.(check string) "stable while the registry is unchanged" k1
@@ -1053,8 +1113,7 @@ let test_numeric_dispatch () =
     Alcotest.(check int) "steps are the diagonal count" 32 steps;
     (* bit-exact against the same generate -> classify -> select path
        run outside the server *)
-    let reg = Gp_concepts.Registry.create () in
-    declare_standard reg;
+    let reg = Gp_standard.Standard.registry () in
     let d =
       Option.get (Mat.generate_dense ~structure:"diagonal" ~n:32 ~seed:1)
     in
@@ -1168,6 +1227,8 @@ let () =
           Alcotest.test_case "over budget" `Quick test_over_budget;
           Alcotest.test_case "timeout" `Quick test_timeout;
           Alcotest.test_case "queue full" `Quick test_queue_full;
+          Alcotest.test_case "process admits each request once" `Quick
+            test_process_accounting;
           Alcotest.test_case "metrics accounting" `Quick
             test_metrics_accounting;
           Alcotest.test_case "gc counters in stats report" `Quick
@@ -1175,6 +1236,8 @@ let () =
       ( "transparency",
         [ Alcotest.test_case "direct library equivalence" `Quick
             test_direct_library_equivalence;
+          Alcotest.test_case "sandboxes keep the shared index" `Quick
+            test_sandbox_keeps_shared_index;
           Alcotest.test_case "cache off reports zero" `Quick
             test_cache_off_reports_zero;
           Alcotest.test_case "cache hits on replay" `Quick

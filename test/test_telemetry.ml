@@ -772,16 +772,10 @@ let test_service_report_json () =
 
 let test_server_slow_log_and_json () =
   let open Gp_service in
-  let declare_standard reg =
-    Gp_algebra.Decls.declare reg;
-    Gp_sequence.Decls.declare reg;
-    Gp_graph.Decls.declare reg;
-    Gp_linalg.Decls.declare reg
-  in
   let server =
     Server.create
       ~config:{ Server.default_config with slow_log = 2 }
-      ~declare_standard ()
+      ~declare_standard:Gp_standard.Standard.declare ()
   in
   let req =
     match Wire.request_of_line {|{"kind":"optimize","expr":"x*1 + 0"}|} with

@@ -30,9 +30,12 @@ let read_file path =
 (* Chrome trace                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* [gp trace all] must name every instrumented stage, the serving path's
+   sandbox build included *)
 let required_spans =
   [ "concepts.check"; "concepts.closure"; "stllint.check";
-    "simplicissimus.rewrite"; "distsim.run" ]
+    "simplicissimus.rewrite"; "distsim.run"; "service.request";
+    "service.sandbox" ]
 
 (* Shared structural checks: every event is either a complete (ph:X)
    event with sane ts/dur or a process_name metadata (ph:M) event, and

@@ -21,10 +21,7 @@ module Fleet = Gp_tracing.Fleet
 
 let qtest = QCheck_alcotest.to_alcotest
 
-let declare_standard reg =
-  Gp_algebra.Decls.declare reg;
-  Gp_sequence.Decls.declare reg;
-  Gp_graph.Decls.declare reg
+let declare_standard = Gp_standard.Standard.declare
 
 let run ?(n = 30) ?(seed = 7) ?(replicas = 3) ?(failures = []) () =
   let reqs = Gp_service.Workload.generate ~seed ~n () |> Array.of_list in
