@@ -1344,6 +1344,21 @@ let s6 () =
   Fmt.pr "@.acceptance: diagonal %.0fx >= 10x, banded %.1fx >= 5x (exact \
           matvec steps) — ok@."
     (step_ratio "diagonal") (step_ratio "banded");
+  (* Resolution allocation: minor words per resolve over a fixed loop
+     after one warm-up resolve, an exact count under --quick too *)
+  let resolve_words =
+    get "diagonal" (fun _ m ->
+        let loops = 1000 in
+        ignore (Sys.opaque_identity (Select.resolve reg sel Select.Matvec m));
+        let w0 = Gc.minor_words () in
+        for _ = 1 to loops do
+          ignore (Sys.opaque_identity (Select.resolve reg sel Select.Matvec m))
+        done;
+        (Gc.minor_words () -. w0) /. float_of_int loops)
+  in
+  Fmt.pr "dispatch resolve alone (diagonal matvec): %.1f minor words@."
+    resolve_words;
+  record ~experiment:"s6" "resolve_matvec_minor_words" resolve_words;
   (* wall-clock confirmation + dispatch overhead, full runs only *)
   let wall_metrics =
     [ "matvec_dense_ns"; "matvec_diagonal_ns"; "matvec_banded_ns";

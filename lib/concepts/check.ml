@@ -127,10 +127,6 @@ let axiom_key concept axiom args =
     axiom,
     String.concat "," (List.map Ctype.to_string args) )
 
-let certify_axiom ~concept ~axiom ~args =
-  let key = axiom_key concept axiom args in
-  if not (List.mem key !certified) then certified := key :: !certified
-
 let axiom_certified ~concept ~axiom ~args =
   List.mem (axiom_key concept axiom args) !certified
 
@@ -372,32 +368,121 @@ and check_constraints ~mode ~visited reg env cs =
   in
   (List.concat_map fst results, List.concat_map snd results)
 
+(* ------------------------------------------------------------------ *)
+(* Verdict memo                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* A verdict is a pure function of (concept, args, mode), the registry's
+   declarations and the certification table. A root registry keeps its
+   verdicts in a small side cache keyed by physical identity — the
+   policy of the registry's own index cache — stamped with the
+   generation they were derived at, so any declaration or [touch]
+   empties the table on the next check, and a certification empties
+   every table. Forks compute directly. A table is emptied when it
+   reaches [memo_capacity], so wire-supplied names cannot grow it. *)
+module Memo_tbl = Hashtbl.Make (struct
+  type t = string * Ctype.t list * mode
+
+  let equal (c1, a1, m1) (c2, a2, m2) =
+    String.equal c1 c2 && m1 = m2 && List.equal Ctype.equal a1 a2
+
+  let hash = Hashtbl.hash
+end)
+
+type memo = { mutable m_generation : int; m_reports : report Memo_tbl.t }
+
+let memo_capacity = 1024
+let memo_cache : (Registry.t * memo) option array = Array.make 8 None
+let memo_clock = ref 0
+
+let memo_of reg =
+  match reg.Registry.base with
+  | Some _ -> None
+  | None ->
+    let slots = Array.length memo_cache in
+    let rec scan i =
+      if i = slots then begin
+        let m =
+          { m_generation = Registry.generation reg;
+            m_reports = Memo_tbl.create 64 }
+        in
+        memo_cache.(!memo_clock mod slots) <- Some (reg, m);
+        incr memo_clock;
+        m
+      end
+      else
+        match memo_cache.(i) with
+        | Some (r, m) when r == reg ->
+          if m.m_generation <> Registry.generation reg then begin
+            Memo_tbl.reset m.m_reports;
+            m.m_generation <- Registry.generation reg
+          end;
+          m
+        | Some _ | None -> scan (i + 1)
+    in
+    Some (scan 0)
+
+let memo_entries reg =
+  Array.fold_left
+    (fun n -> function
+      | Some (r, m) when r == reg && m.m_generation = Registry.generation reg
+        ->
+        Memo_tbl.length m.m_reports
+      | Some _ | None -> n)
+    0 memo_cache
+
+let certify_axiom ~concept ~axiom ~args =
+  let key = axiom_key concept axiom args in
+  if not (List.mem key !certified) then begin
+    certified := key :: !certified;
+    Array.fill memo_cache 0 (Array.length memo_cache) None
+  end
+
+let compute mode reg concept args =
+  let failures, warnings = check_concept ~mode ~visited:[] reg concept args in
+  {
+    rep_concept = concept;
+    rep_args = args;
+    rep_failures = failures;
+    rep_warnings = warnings;
+  }
+
+(* The verdict, from the memo when there is one, and whether it hit. *)
+let verdict mode reg concept args =
+  match memo_of reg with
+  | None -> (compute mode reg concept args, false)
+  | Some m -> (
+    let key = (concept, args, mode) in
+    match Memo_tbl.find_opt m.m_reports key with
+    | Some r -> (r, true)
+    | None ->
+      let r = compute mode reg concept args in
+      if Memo_tbl.length m.m_reports >= memo_capacity then
+        Memo_tbl.reset m.m_reports;
+      Memo_tbl.add m.m_reports key r;
+      (r, false))
+
 (* Public entry point: check whether ground types [args] model [concept]. *)
 let check ?(mode = Structural) reg concept args =
-  Gp_telemetry.Tel.with_span ~name:"concepts.check"
-    ~attrs:(fun () ->
-      [
-        ( "mode",
-          match mode with Structural -> "structural" | Nominal -> "nominal" );
-        ("concept", concept);
-      ])
-    (fun () ->
-      let failures, warnings =
-        check_concept ~mode ~visited:[] reg concept args
-      in
-      let module Tel = Gp_telemetry.Tel in
-      if Tel.is_enabled () then begin
-        let outcome = if failures = [] then "ok" else "failed" in
+  let module Tel = Gp_telemetry.Tel in
+  if not (Tel.is_enabled ()) then fst (verdict mode reg concept args)
+  else
+    Tel.with_span ~name:"concepts.check"
+      ~attrs:(fun () ->
+        [
+          ( "mode",
+            match mode with Structural -> "structural" | Nominal -> "nominal"
+          );
+          ("concept", concept);
+        ])
+      (fun () ->
+        let report, hit = verdict mode reg concept args in
+        let outcome = if report.rep_failures = [] then "ok" else "failed" in
         Tel.count ~labels:[ ("outcome", outcome) ] "gp_checks_total" 1;
-        Tel.count "gp_check_failures_total" (List.length failures);
-        Tel.count "gp_check_warnings_total" (List.length warnings);
-        Tel.attr "outcome" outcome
-      end;
-      {
-        rep_concept = concept;
-        rep_args = args;
-        rep_failures = failures;
-        rep_warnings = warnings;
-      })
+        if hit then Tel.count "gp_check_memo_hits_total" 1;
+        Tel.count "gp_check_failures_total" (List.length report.rep_failures);
+        Tel.count "gp_check_warnings_total" (List.length report.rep_warnings);
+        Tel.attr "outcome" outcome;
+        report)
 
 let models ?mode reg concept args = ok (check ?mode reg concept args)

@@ -53,7 +53,23 @@ type mode = Structural | Nominal
 
 val check : ?mode:mode -> Registry.t -> string -> Ctype.t list -> report
 (** [check reg concept args]: do the ground types [args] model
-    [concept]? Defaults to {!Structural}. *)
+    [concept]? Defaults to {!Structural}.
+
+    On a root registry the report is memoised per [(concept, args,
+    mode)] and stamped with {!Registry.generation}: every declaration or
+    {!Registry.touch}, and every {!certify_axiom}, invalidates it, so a
+    repeated check is a table lookup and never a stale verdict. Forks
+    ({!Registry.fork}) compute every check. With telemetry on, a memo
+    hit records the same [concepts.check] span and counters as a
+    computed check, and also counts [gp_check_memo_hits_total]. *)
+
+val memo_capacity : int
+(** The bound on one registry's memo: a table that reaches it is
+    emptied before the next insertion. *)
+
+val memo_entries : Registry.t -> int
+(** Verdicts currently memoised for the registry at its current
+    generation (0 for a fork). *)
 
 val models : ?mode:mode -> Registry.t -> string -> Ctype.t list -> bool
 

@@ -36,6 +36,15 @@ let create gen_name = { gen_name; candidates = [] }
 let add_candidate g ~name ~guard impl =
   g.candidates <- g.candidates @ [ { cand_name = name; cand_guard = guard; cand_impl = impl } ]
 
+(* The leading arguments a candidate's guard concept takes. *)
+let guard_args reg c args =
+  match Registry.find_concept reg c.cand_guard with
+  | Some con ->
+    let arity = List.length con.Concept.params in
+    if List.length args > arity then List.filteri (fun i _ -> i < arity) args
+    else args
+  | None -> args
+
 (* Resolve against the actual argument types. A candidate matches when
    [args] model its guard concept. The default mode is Nominal: purely
    semantic refinements (Forward vs Input iterators) are invisible to
@@ -47,17 +56,7 @@ let resolve ?(mode = Check.Nominal) reg g args =
   let reports =
     List.map
       (fun c ->
-        let concept_arity =
-          match Registry.find_concept reg c.cand_guard with
-          | Some con -> List.length con.Concept.params
-          | None -> List.length args
-        in
-        let guard_args =
-          if List.length args >= concept_arity then
-            List.filteri (fun i _ -> i < concept_arity) args
-          else args
-        in
-        (c, Check.check ~mode reg c.cand_guard guard_args))
+        (c, Check.check ~mode reg c.cand_guard (guard_args reg c args)))
       g.candidates
   in
   let matches = List.filter (fun (_, r) -> Check.ok r) reports in
@@ -86,17 +85,7 @@ let resolve_first_match ?(mode = Check.Nominal) reg g args =
   let matching =
     List.find_opt
       (fun c ->
-        let concept_arity =
-          match Registry.find_concept reg c.cand_guard with
-          | Some con -> List.length con.Concept.params
-          | None -> List.length args
-        in
-        let guard_args =
-          if List.length args >= concept_arity then
-            List.filteri (fun i _ -> i < concept_arity) args
-          else args
-        in
-        Check.ok (Check.check ~mode reg c.cand_guard guard_args))
+        Check.ok (Check.check ~mode reg c.cand_guard (guard_args reg c args)))
       g.candidates
   in
   match matching with

@@ -56,15 +56,17 @@ val fork : t -> t
 
 val generation : t -> int
 (** Monotone counter bumped by every declaration (and by {!touch}).
-    Memo caches over registry-dependent queries — e.g.
-    {!Propagate.closure} — include it in their keys, so mutating the
-    registry invalidates cached answers without any notification
-    machinery. *)
+    Memo caches over registry-dependent queries — {!Propagate.closure}'s
+    request keys, the lookup index, and {!Check.check}'s verdict memo —
+    are stamped with it, so mutating the registry invalidates cached
+    answers without any notification machinery. *)
 
 val touch : t -> unit
 (** Bump {!generation}. Call after mutating the record fields directly
     (as {!Lang.load_items} and {!Archetype} do for associated-type
-    refinement) so caches observe the change. *)
+    refinement) so caches observe the change: without it the lookup
+    index and {!Check.check} would go on answering from the old
+    declarations. *)
 
 exception Duplicate of string
 

@@ -319,12 +319,16 @@ let prove_plan theory instance =
 
 let handle_prove t ~caching ~budget ~theory ~instance =
   let open Gp_athena in
-  match prove_plan theory instance with
+  let key = "prove|" ^ theory ^ "|" ^ Option.value ~default:"*" instance in
+  (* Only a valid plan ever fills a proofs entry, so a cached key needs
+     neither the plan nor its name checks: build it on a miss only. *)
+  let plan =
+    if caching && Lru.mem t.caches.proofs key then Ok []
+    else prove_plan theory instance
+  in
+  match plan with
   | Error detail -> (err Request.Unknown_name detail, false)
   | Ok plan -> (
-    let key =
-      "prove|" ^ theory ^ "|" ^ Option.value ~default:"*" instance
-    in
     match
       Lru.find_or_compute t.caches.proofs ~enabled:caching key (fun () ->
           List.concat_map

@@ -879,6 +879,199 @@ let test_fork_of_mutated_parent () =
     (registry_answers child world = registry_answers oracle world)
 
 (* ------------------------------------------------------------------ *)
+(* Verdict memo                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Mutations of a loaded world, interleaved with rounds of checks. *)
+type memo_mutation =
+  | Mmodel of int * int (* concept, argument type *)
+  | Mtype of int (* a fresh type with an associated type *)
+  | Mwrite of int (* Lang.load_items-style [types] write, then [touch] *)
+  | Mtouch
+
+let memo_mutations_gen =
+  let open QCheck.Gen in
+  let k = int_bound 10_000 in
+  list_size (int_range 1 5)
+    (frequency
+       [ (3, map2 (fun c t -> Mmodel (c, t)) k k);
+         (2, map (fun i -> Mtype i) k);
+         (2, map (fun i -> Mwrite i) k);
+         (1, return Mtouch) ])
+
+(* The concept and type names a round of checks covers: the world's own,
+   a few standard ones, and names nobody declared. *)
+let memo_pools (_, concepts, types) =
+  ( concepts @ [ "Monoid"; "Container"; "Regular"; "Ghost"; "nope" ],
+    types @ [ "int"; "string"; "vector<int>"; "nope" ] )
+
+let apply_mutation reg (concepts, types) step m =
+  let pick l i = List.nth l (i mod List.length l) in
+  match m with
+  | Mmodel (c, t) ->
+    Registry.declare_model reg (pick concepts c) [ n (pick types t) ]
+  | Mtype t ->
+    Registry.declare_type reg (Printf.sprintf "memo%d" step)
+      ~assoc:[ ("elem", n (pick types t)) ]
+  | Mwrite t -> (
+    let name = pick types t in
+    match Registry.find_type reg name with
+    | None -> Registry.touch reg
+    | Some td ->
+      reg.Registry.types <-
+        ( name,
+          { td with
+            Registry.td_assoc = ("elem", n "int") :: td.Registry.td_assoc } )
+        :: List.remove_assoc name reg.Registry.types;
+      Registry.touch reg)
+  | Mtouch -> Registry.touch reg
+
+let verdicts reg (concepts, types) =
+  List.concat_map
+    (fun mode ->
+      List.concat_map
+        (fun c ->
+          List.map
+            (fun t ->
+              match Check.check ~mode reg c [ n t ] with
+              | r -> Ok r
+              | exception e -> Error (Printexc.to_string e))
+            types)
+        concepts)
+    [ Check.Structural; Check.Nominal ]
+
+(* A memoised root registry, checked before and after every mutation,
+   answers every check as a fresh rebuild of the same declarations,
+   whose checks are all computed. *)
+let memo_matches_fresh (specs, mutations) =
+  let ((items, _, _) as world) = fork_items specs in
+  let concepts, types = memo_pools world in
+  let types =
+    types @ List.init (List.length mutations) (Printf.sprintf "memo%d")
+  in
+  let pools = (concepts, types) in
+  let fresh applied =
+    let reg = Gp_standard.Standard.registry () in
+    ignore (load reg items);
+    List.iteri (fun i m -> apply_mutation reg pools i m) applied;
+    verdicts reg pools
+  in
+  let reg = Gp_standard.Standard.registry () in
+  ignore (load reg items);
+  let agrees applied =
+    let first = verdicts reg pools in
+    let memoised = Check.memo_entries reg > 0 in
+    let again = verdicts reg pools in
+    memoised && first = again && first = fresh applied
+  in
+  agrees []
+  && List.for_all Fun.id
+       (List.mapi
+          (fun i m ->
+            apply_mutation reg pools i m;
+            agrees (List.filteri (fun j _ -> j <= i) mutations))
+          mutations)
+
+let memo_equiv_prop =
+  qtest
+    (QCheck.Test.make
+       ~name:"memoised check == fresh rebuild (random .gpc, mutations, both \
+              modes)"
+       ~count:60
+       (QCheck.make
+          (QCheck.Gen.pair fork_items_gen memo_mutations_gen))
+       memo_matches_fresh)
+
+let test_memo_failing_verdict_flips () =
+  let reg = Registry.create () in
+  Registry.declare_concept reg hashable;
+  Registry.declare_type reg "key";
+  Registry.declare_op reg "hash" [ n "key" ] (n "int");
+  let nominal () =
+    Check.models ~mode:Check.Nominal reg "Hashable" [ n "key" ]
+  in
+  Alcotest.(check bool) "fails without a model" false (nominal ());
+  Alcotest.(check int) "memoised" 1 (Check.memo_entries reg);
+  Alcotest.(check bool) "memo hit still fails" false (nominal ());
+  Registry.declare_model reg "Hashable" [ n "key" ];
+  Alcotest.(check bool) "holds once the model is declared" true (nominal ())
+
+(* Certification changes verdicts without touching any registry: it
+   must invalidate memoised ones too. *)
+let test_memo_certification () =
+  let reg = Registry.create () in
+  Gp_algebra.Decls.declare reg;
+  let args = [ n "int[*]" ] in
+  let warned () =
+    List.exists
+      (function
+        | Check.Axiom_asserted_not_proved { axiom = "associativity"; _ } -> true
+        | _ -> false)
+      (Check.check reg "Semigroup" args).Check.rep_warnings
+  in
+  Alcotest.(check bool) "warned before" true (warned ());
+  Alcotest.(check bool) "memo hit still warns" true (warned ());
+  Check.certify_axiom ~concept:"Semigroup" ~axiom:"associativity" ~args;
+  Alcotest.(check bool) "certification clears the memoised warning" false
+    (warned ())
+
+let test_memo_bounded () =
+  let reg = Gp_standard.Standard.registry () in
+  let peak = ref 0 in
+  for i = 1 to 10_000 do
+    let r = Check.check reg "Monoid" [ n (Printf.sprintf "unknown%d" i) ] in
+    assert (not (Check.ok r));
+    peak := max !peak (Check.memo_entries reg)
+  done;
+  Alcotest.(check bool) "memo used" true (!peak > 0);
+  Alcotest.(check bool) "memo within its cap" true
+    (!peak <= Check.memo_capacity)
+
+(* Memo hits are invisible to telemetry: the same queries, repeated on a
+   root registry (memoised) and on a fork of it (always computed),
+   record the same spans and check counters; only the memo-hit counter
+   tells them apart, and hits + computed checks = checks. *)
+let test_memo_telemetry () =
+  let module Tel = Gp_telemetry.Tel in
+  let module Metrics = Gp_telemetry.Metrics in
+  let queries =
+    List.concat_map
+      (fun c -> List.map (fun t -> (c, [ n t ])) [ "int"; "string"; "nope" ])
+      [ "Monoid"; "Regular"; "Container"; "nope" ]
+  in
+  let run reg =
+    Tel.with_installed (fun sink ->
+        for _ = 1 to 3 do
+          List.iter (fun (c, args) -> ignore (Check.check reg c args)) queries
+        done;
+        let spans =
+          List.filter
+            (fun sp ->
+              String.equal sp.Gp_telemetry.Trace.sp_name "concepts.check")
+            (Gp_telemetry.Trace.spans sink.Tel.trace)
+        in
+        let m = sink.Tel.metrics in
+        ( List.length spans,
+          Metrics.counter_series m "gp_checks_total",
+          Metrics.total m "gp_check_failures_total",
+          Metrics.total m "gp_check_warnings_total",
+          Metrics.total m "gp_check_memo_hits_total" ))
+  in
+  let root = Gp_standard.Standard.registry () in
+  let spans, checks, failures, warnings, hits = run root in
+  let fspans, fchecks, ffailures, fwarnings, fhits = run (Registry.fork root) in
+  let total = 3 * List.length queries in
+  Alcotest.(check int) "one span per check" total spans;
+  Alcotest.(check int) "same spans" fspans spans;
+  Alcotest.(check bool) "same gp_checks_total series" true (checks = fchecks);
+  Alcotest.(check (float 0.0)) "same failures" ffailures failures;
+  Alcotest.(check (float 0.0)) "same warnings" fwarnings warnings;
+  Alcotest.(check (float 0.0)) "fork never hits" 0.0 fhits;
+  Alcotest.(check (float 0.0)) "hits + computed = checks"
+    (float_of_int (total - List.length queries))
+    hits
+
+(* ------------------------------------------------------------------ *)
 (* Archetypes                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -1219,6 +1412,15 @@ let () =
             test_fork_leaves_parent;
           Alcotest.test_case "parent mutated after fork" `Quick
             test_fork_of_mutated_parent ] );
+      ( "verdict memo",
+        [ memo_equiv_prop;
+          Alcotest.test_case "failing verdict flips on declaration" `Quick
+            test_memo_failing_verdict_flips;
+          Alcotest.test_case "certification invalidates" `Quick
+            test_memo_certification;
+          Alcotest.test_case "bounded by its cap" `Quick test_memo_bounded;
+          Alcotest.test_case "telemetry unchanged by hits" `Quick
+            test_memo_telemetry ] );
       ( "archetype",
         [
           Alcotest.test_case "models own concept" `Quick

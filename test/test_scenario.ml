@@ -131,30 +131,42 @@ let test_determinism () =
    every seed), and no protected tenant (a, b) is served a smaller
    fraction of its traffic than the flooding tenant c — the shed cost
    lands on the tenant that caused it. *)
+let flooder_bears_shedding seed =
+  match Scenario.find "tenants" with
+  | None -> false
+  | Some t ->
+    let o = run ~seed t in
+    let stat name =
+      List.find
+        (fun s -> String.equal s.Scenario.tn_name name)
+        o.Scenario.o_tenants
+    in
+    let a = stat "a" and b = stat "b" and c = stat "c" in
+    List.for_all
+      (fun s ->
+        s.Scenario.tn_served + s.Scenario.tn_shed = s.Scenario.tn_requests)
+      [ a; b; c ]
+    && o.Scenario.o_shed > 0
+    && a.Scenario.tn_ratio >= c.Scenario.tn_ratio
+    && b.Scenario.tn_ratio >= c.Scenario.tn_ratio
+
 let fairness_prop =
   qtest
     (QCheck.Test.make ~name:"tenants: the flooder bears the shedding"
        ~count:6
        QCheck.(int_range 1 1000)
-       (fun seed ->
-         match Scenario.find "tenants" with
-         | None -> false
-         | Some t ->
-           let o = run ~seed t in
-           let stat name =
-             List.find
-               (fun s -> String.equal s.Scenario.tn_name name)
-               o.Scenario.o_tenants
-           in
-           let a = stat "a" and b = stat "b" and c = stat "c" in
-           List.for_all
-             (fun s ->
-               s.Scenario.tn_served + s.Scenario.tn_shed
-               = s.Scenario.tn_requests)
-             [ a; b; c ]
-           && o.Scenario.o_shed > 0
-           && a.Scenario.tn_ratio >= c.Scenario.tn_ratio
-           && b.Scenario.tn_ratio >= c.Scenario.tn_ratio))
+       flooder_bears_shedding)
+
+(* Seeds whose quick burst once held too few of tenant c's requests to
+   fill the queue: the door never shed. *)
+let test_fairness_pinned_seeds () =
+  List.iter
+    (fun seed ->
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d sheds, and c bears it" seed)
+        true
+        (flooder_bears_shedding seed))
+    [ 315; 333; 401 ]
 
 let () =
   Alcotest.run "gp_scenario"
@@ -168,5 +180,8 @@ let () =
             test_catalog_audited;
           Alcotest.test_case "determinism" `Quick test_determinism;
         ] );
-      ("fairness", [ fairness_prop ]);
+      ( "fairness",
+        [ fairness_prop;
+          Alcotest.test_case "pinned seeds shed" `Quick
+            test_fairness_pinned_seeds ] );
     ]

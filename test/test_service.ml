@@ -677,6 +677,39 @@ let test_direct_library_equivalence () =
     Alcotest.(check int) "group int[+]: none fail" 0 failed
   | _ -> Alcotest.fail "prove did not succeed"
 
+(* A prove cache hit skips building the plan, but not the accounting:
+   one miss then one hit for a valid request, while unknown names
+   answer Unknown_name every time and never reach the cache. *)
+let test_prove_hit_accounting () =
+  let server = mkserver () in
+  let prove theory instance =
+    (Server.handle server (Request.Prove { theory; instance }))
+      .Request.rsp_result
+  in
+  let proofs () =
+    List.find
+      (fun s -> String.equal s.Lru.st_name "proofs")
+      (Server.cache_stats server)
+  in
+  let first = prove "group" None in
+  let again = prove "group" None in
+  Alcotest.(check bool) "same verdicts" true (first = again);
+  (match first with
+  | Ok (Request.Proved _) -> ()
+  | _ -> Alcotest.fail "prove group did not succeed");
+  List.iter
+    (fun (theory, instance) ->
+      for _ = 1 to 2 do
+        match prove theory instance with
+        | Error { Request.code = Request.Unknown_name; _ } -> ()
+        | _ -> Alcotest.failf "prove %s: expected Unknown_name" theory
+      done)
+    [ ("astrology", None); ("group", Some "quaternion[?]") ];
+  let s = proofs () in
+  Alcotest.(check int) "one miss" 1 s.Lru.st_misses;
+  Alcotest.(check int) "one hit" 1 s.Lru.st_hits;
+  Alcotest.(check int) "one entry" 1 s.Lru.st_size
+
 (* Sandboxed checks fork the shared standard registry: serving many of
    them never displaces the shared registry's index from the registry
    side cache, so the shared registry never pays an index rebuild. *)
@@ -1238,6 +1271,8 @@ let () =
             test_direct_library_equivalence;
           Alcotest.test_case "sandboxes keep the shared index" `Quick
             test_sandbox_keeps_shared_index;
+          Alcotest.test_case "prove hit accounting" `Quick
+            test_prove_hit_accounting;
           Alcotest.test_case "cache off reports zero" `Quick
             test_cache_off_reports_zero;
           Alcotest.test_case "cache hits on replay" `Quick
