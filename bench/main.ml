@@ -1308,7 +1308,7 @@ let s6 () =
   List.iter
     (fun (structure, d, m) ->
       let kernel, y = kernel_of (Select.matvec reg sel m x) in
-      assert (Mat.vec_close ~eps:1e-6 y (Kernels.matvec_reference d x));
+      assert (Mat.vec_close ~eps:1e-6 y (Oracles.matvec_reference d x));
       row ~op:"matvec" ~structure ~kernel ~steps:(Kernels.matvec_steps m)
         ~dense_steps:(Kernels.matvec_steps (Mat.Dense d)))
     reps;
@@ -1318,7 +1318,7 @@ let s6 () =
       let kernel, p = kernel_of (Select.matmul reg sel m m) in
       assert
         (Mat.dense_close ~eps:1e-6 (Mat.to_dense p)
-           (Kernels.matmul_reference d d));
+           (Oracles.matmul_reference d d));
       row ~op:"matmul" ~structure ~kernel ~steps:(Kernels.matmul_steps m)
         ~dense_steps:(Kernels.matmul_steps (Mat.Dense d)))
     reps;
@@ -1326,7 +1326,7 @@ let s6 () =
   List.iter
     (fun (structure, d, m) ->
       let kernel, y = kernel_of (Select.solve reg sel m x) in
-      assert (Mat.vec_close ~eps:1e-5 y (Kernels.solve_reference d x));
+      assert (Mat.vec_close ~eps:1e-5 y (Oracles.solve_reference d x));
       row ~op:"solve" ~structure ~kernel ~steps:(Kernels.solve_steps m)
         ~dense_steps:(Kernels.solve_steps (Mat.Dense d)))
     reps;
@@ -1359,6 +1359,44 @@ let s6 () =
   Fmt.pr "dispatch resolve alone (diagonal matvec): %.1f minor words@."
     resolve_words;
   record ~experiment:"s6" "resolve_matvec_minor_words" resolve_words;
+  (* One full numeric miss as the dispatcher serves it — generate,
+     classify, step count, select, kernel, checksum — over every
+     structure and op at a fixed order, after one warm-up pass: minor
+     words per miss, an exact count under --quick too *)
+  let miss_n = 40 in
+  let ok = function Ok (_, r) -> r | Error e -> failwith e in
+  let miss structure op =
+    let d = Option.get (Mat.generate_dense ~structure ~n:miss_n ~seed) in
+    let m = Detect.classify d in
+    let x () = Mat.generate_vec ~n:miss_n ~seed in
+    match op with
+    | Select.Matvec ->
+      ( Kernels.matvec_steps m,
+        Mat.checksum_vec (ok (Select.matvec reg sel m (x ()))) )
+    | Select.Matmul ->
+      ( Kernels.matmul_steps m,
+        Mat.checksum_dense (Mat.to_dense (ok (Select.matmul reg sel m m))) )
+    | Select.Solve ->
+      ( Kernels.solve_steps m,
+        Mat.checksum_vec (ok (Select.solve reg sel m (x ()))) )
+  in
+  let misses =
+    List.concat_map
+      (fun s -> List.map (fun op -> (s, op)) Select.[ Matvec; Matmul; Solve ])
+      Mat.structure_names
+  in
+  let miss_pass () =
+    List.iter (fun (s, op) -> ignore (Sys.opaque_identity (miss s op))) misses
+  in
+  miss_pass ();
+  let w0 = Gc.minor_words () in
+  miss_pass ();
+  let miss_words =
+    (Gc.minor_words () -. w0) /. float_of_int (List.length misses)
+  in
+  Fmt.pr "numeric miss at n=%d (generate -> checksum, %d shapes): %.1f minor \
+          words per miss@." miss_n (List.length misses) miss_words;
+  record ~experiment:"s6" "numeric_miss_minor_words" miss_words;
   (* wall-clock confirmation + dispatch overhead, full runs only *)
   let wall_metrics =
     [ "matvec_dense_ns"; "matvec_diagonal_ns"; "matvec_banded_ns";

@@ -1227,14 +1227,18 @@ let structla_cmd =
         | Some d -> (
           let m = Detect.classify d in
           let x = Mat.generate_vec ~n ~seed in
-          match Select.matvec reg sel m x with
-          | Error e ->
+          (* the selected kernel must agree with the forced-dense one,
+             whose step count the last columns compare against *)
+          match
+            (Select.matvec reg sel m x, Select.matvec reg sel (Mat.Dense d) x)
+          with
+          | Error e, _ | _, Error e ->
             ok := false;
             Fmt.pr "%-10s resolution failed: %s@." structure e
-          | Ok (kernel, y) ->
-            if not (Mat.vec_close y (Kernels.matvec_reference d x)) then begin
+          | Ok (kernel, y), Ok (_, y_dense) ->
+            if not (Mat.vec_close y y_dense) then begin
               ok := false;
-              Fmt.pr "%-10s MISMATCH vs dense oracle@." structure
+              Fmt.pr "%-10s MISMATCH vs forced dense@." structure
             end
             else begin
               let steps = Kernels.matvec_steps m in

@@ -18,16 +18,18 @@ type profile = {
 }
 
 let profile (m : Mat.dense) =
-  let n = m.Mat.n_rows in
+  let n = m.Mat.n_rows and nc = m.Mat.n_cols and d = m.Mat.d in
   let lo = ref 0 and hi = ref 0 and nnz = ref 0 and sym = ref true in
   for i = 0 to n - 1 do
-    for j = 0 to m.Mat.n_cols - 1 do
-      let x = Mat.dense_get m i j in
+    let row = i * nc in
+    for j = 0 to nc - 1 do
+      let x = d.(row + j) in
       if x <> 0.0 then begin
         incr nnz;
-        if i > j then lo := max !lo (i - j) else hi := max !hi (j - i)
+        if i > j then lo := Mat.imax !lo (i - j)
+        else hi := Mat.imax !hi (j - i)
       end;
-      if j < n && j < i && x <> Mat.dense_get m j i then sym := false
+      if j < n && j < i && x <> d.((j * nc) + i) then sym := false
     done
   done;
   { pr_lo = !lo; pr_hi = !hi; pr_nnz = !nnz;

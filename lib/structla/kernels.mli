@@ -1,25 +1,18 @@
-(** The structure-specialised kernels and their dense oracles.
+(** The structure-specialised kernels and their exact step counts.
 
     Each specialised kernel computes exactly what the corresponding
-    dense reference computes (up to floating-point association in the
-    symmetric and solve cases — the qcheck suites compare with a small
-    epsilon), while touching only the stored part of its packed
-    representation. The [*_steps] functions return the exact inner-loop
-    trip count of the kernel that would run for that representation —
-    the quota-independent numbers bench s6 gates on and the dispatcher
-    charges against request budgets.
+    naive dense computation does (up to floating-point association in
+    the symmetric and solve cases — the qcheck suites compare with a
+    small epsilon), while touching only the stored part of its packed
+    representation. The dense kernels keep the naive operation order,
+    so their results are bit-identical to it. The [*_steps] functions
+    return the exact inner-loop trip count of the kernel that would run
+    for that representation — the quota-independent numbers bench s6
+    gates on and the dispatcher charges against request budgets.
 
     All dimension errors raise [Invalid_argument] naming the actual
-    shapes, e.g. ["matvec: 3x4 * 5"] or ["matmul: 3x3 * 4x4"]. *)
-
-(** {2 Dense references (equivalence oracles)} *)
-
-val matvec_reference : Mat.dense -> float array -> float array
-val matmul_reference : Mat.dense -> Mat.dense -> Mat.dense
-
-val solve_reference : Mat.dense -> float array -> float array
-(** Gaussian elimination with partial pivoting. Raises
-    [Invalid_argument] on a non-square or singular system. *)
+    shapes, e.g. ["matvec: 3x4 * 5"] or ["matmul: 3x3 * 4x4"]; a
+    malformed {!Mat.dense} raises [Invalid_argument] too. *)
 
 (** {2 Specialised matvec} *)
 
@@ -42,6 +35,9 @@ val matmul_banded : Mat.banded -> Mat.banded -> Mat.banded
 (** {2 Specialised solve} *)
 
 val solve_dense : Mat.dense -> float array -> float array
+(** Gaussian elimination with partial pivoting. Raises
+    [Invalid_argument] on a non-square or singular system. *)
+
 val solve_diagonal : Mat.diagonal -> float array -> float array
 
 val solve_triangular : Mat.triangular -> float array -> float array

@@ -48,6 +48,21 @@ type t =
 (* Dense basics                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* The hot-loop rule for this library: without flambda a per-element
+   closure boxes every float it returns, and [Stdlib.min]/[max] on ints
+   compare polymorphically through a C call. The miss path (generate,
+   detect, pack, expand, checksum and the kernels) therefore runs as
+   plain loops over hoisted arrays with these int-typed bounds. Indexing
+   stays checked. *)
+let imin (a : int) b = if a < b then a else b
+let imax (a : int) b = if a > b then a else b
+
+let dense_check op m =
+  if Array.length m.d <> m.n_rows * m.n_cols then
+    invalid_arg
+      (Printf.sprintf "%s: %dx%d matrix holds %d entries" op m.n_rows m.n_cols
+         (Array.length m.d))
+
 let dense_create n_rows n_cols =
   { n_rows; n_cols; d = Array.make (n_rows * n_cols) 0.0 }
 
@@ -118,104 +133,152 @@ let nnz_csr m = m.cs_ptr.(m.cs_rows)
 let to_dense = function
   | Dense m -> m
   | Diagonal { dg_n = n; dg } ->
-    dense_init n n (fun i j -> if i = j then dg.(i) else 0.0)
+    let m = dense_create n n in
+    let d = m.d in
+    for i = 0 to n - 1 do
+      d.((i * n) + i) <- dg.(i)
+    done;
+    m
   | Banded { bd_n = n; bd_lo = lo; bd_hi = hi; bd } ->
     let w = lo + hi + 1 in
-    dense_init n n (fun i j ->
-        if j >= i - lo && j <= i + hi then bd.((i * w) + (j - i + lo))
-        else 0.0)
+    let m = dense_create n n in
+    let d = m.d in
+    for i = 0 to n - 1 do
+      let row = i * n and band = (i * w) - i + lo in
+      for j = imax 0 (i - lo) to imin (n - 1) (i + hi) do
+        d.(row + j) <- bd.(band + j)
+      done
+    done;
+    m
   | Triangular { tr_n = n; tr; _ } ->
-    dense_init n n (fun i j -> tr.((i * n) + j))
+    { n_rows = n; n_cols = n; d = Array.sub tr 0 (n * n) }
   | Symmetric { sy_n = n; sy } ->
-    dense_init n n (fun i j ->
-        let i, j = if i >= j then (i, j) else (j, i) in
-        sy.((i * (i + 1) / 2) + j))
+    let m = dense_create n n in
+    let d = m.d in
+    for i = 0 to n - 1 do
+      let packed = i * (i + 1) / 2 in
+      for j = 0 to i do
+        let x = sy.(packed + j) in
+        d.((i * n) + j) <- x;
+        d.((j * n) + i) <- x
+      done
+    done;
+    m
   | Csr { cs_rows; cs_cols; cs_ptr; cs_idx; cs_val } ->
     let m = dense_create cs_rows cs_cols in
+    let d = m.d in
     for i = 0 to cs_rows - 1 do
+      let row = i * cs_cols in
       for p = cs_ptr.(i) to cs_ptr.(i + 1) - 1 do
-        m.d.((i * cs_cols) + cs_idx.(p)) <- cs_val.(p)
+        d.(row + cs_idx.(p)) <- cs_val.(p)
       done
     done;
     m
 
 (* Packers: [None] when the dense source does not satisfy the structure
-   exactly — the detector's contract depends on this strictness. *)
+   exactly — the detector's contract depends on this strictness. Every
+   packer scans the whole matrix, so each claim is re-verified. *)
 
 let pack_diagonal m =
+  dense_check "pack_diagonal" m;
   if m.n_rows <> m.n_cols then None
   else
-    let n = m.n_rows in
+    let n = m.n_rows and d = m.d in
     let ok = ref true in
     for i = 0 to n - 1 do
+      let row = i * n in
       for j = 0 to n - 1 do
-        if i <> j && dense_get m i j <> 0.0 then ok := false
+        if i <> j && d.(row + j) <> 0.0 then ok := false
       done
     done;
     if not !ok then None
-    else Some { dg_n = n; dg = Array.init n (fun i -> dense_get m i i) }
+    else begin
+      let dg = Array.make n 0.0 in
+      for i = 0 to n - 1 do
+        dg.(i) <- d.((i * n) + i)
+      done;
+      Some { dg_n = n; dg }
+    end
 
 let pack_banded ~lo ~hi m =
+  dense_check "pack_banded" m;
   if m.n_rows <> m.n_cols || lo < 0 || hi < 0 then None
   else
-    let n = m.n_rows in
+    let n = m.n_rows and d = m.d in
     let w = lo + hi + 1 in
     let bd = Array.make (n * w) 0.0 in
     let ok = ref true in
     for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        let x = dense_get m i j in
-        if j >= i - lo && j <= i + hi then bd.((i * w) + (j - i + lo)) <- x
-        else if x <> 0.0 then ok := false
+      let row = i * n and band = (i * w) - i + lo in
+      let j0 = imax 0 (i - lo) and j1 = imin (n - 1) (i + hi) in
+      for j = 0 to j0 - 1 do
+        if d.(row + j) <> 0.0 then ok := false
+      done;
+      for j = j0 to j1 do
+        bd.(band + j) <- d.(row + j)
+      done;
+      for j = j1 + 1 to n - 1 do
+        if d.(row + j) <> 0.0 then ok := false
       done
     done;
     if !ok then Some { bd_n = n; bd_lo = lo; bd_hi = hi; bd } else None
 
 let pack_triangular m =
+  dense_check "pack_triangular" m;
   if m.n_rows <> m.n_cols then None
   else
-    let n = m.n_rows in
+    let n = m.n_rows and d = m.d in
     let zero_below = ref true and zero_above = ref true in
     for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        if i > j && dense_get m i j <> 0.0 then zero_below := false;
-        if i < j && dense_get m i j <> 0.0 then zero_above := false
+      let row = i * n in
+      for j = 0 to i - 1 do
+        if d.(row + j) <> 0.0 then zero_below := false
+      done;
+      for j = i + 1 to n - 1 do
+        if d.(row + j) <> 0.0 then zero_above := false
       done
     done;
     if !zero_below || !zero_above then
-      Some { tr_n = n; tr_upper = !zero_below; tr = Array.copy m.d }
+      Some { tr_n = n; tr_upper = !zero_below; tr = Array.copy d }
     else None
 
 let pack_symmetric m =
+  dense_check "pack_symmetric" m;
   if m.n_rows <> m.n_cols then None
   else
-    let n = m.n_rows in
+    let n = m.n_rows and d = m.d in
     let ok = ref true in
     for i = 0 to n - 1 do
+      let row = i * n in
       for j = 0 to i - 1 do
-        if dense_get m i j <> dense_get m j i then ok := false
+        if d.(row + j) <> d.((j * n) + i) then ok := false
       done
     done;
     if not !ok then None
-    else
+    else begin
       let sy = Array.make (n * (n + 1) / 2) 0.0 in
       for i = 0 to n - 1 do
-        for j = 0 to i do
-          sy.((i * (i + 1) / 2) + j) <- dense_get m i j
-        done
+        Array.blit d (i * n) sy (i * (i + 1) / 2) (i + 1)
       done;
       Some { sy_n = n; sy }
+    end
 
 (* Always succeeds: any matrix has a CSR form. *)
 let pack_csr m =
-  let nnz = Array.fold_left (fun a x -> if x <> 0.0 then a + 1 else a) 0 m.d in
-  let cs_ptr = Array.make (m.n_rows + 1) 0 in
-  let cs_idx = Array.make (max nnz 1) 0 in
-  let cs_val = Array.make (max nnz 1) 0.0 in
+  dense_check "pack_csr" m;
+  let d = m.d and rows = m.n_rows and cols = m.n_cols in
+  let nnz = ref 0 in
+  for k = 0 to Array.length d - 1 do
+    if d.(k) <> 0.0 then incr nnz
+  done;
+  let cs_ptr = Array.make (rows + 1) 0 in
+  let cs_idx = Array.make (imax !nnz 1) 0 in
+  let cs_val = Array.make (imax !nnz 1) 0.0 in
   let p = ref 0 in
-  for i = 0 to m.n_rows - 1 do
-    for j = 0 to m.n_cols - 1 do
-      let x = dense_get m i j in
+  for i = 0 to rows - 1 do
+    let row = i * cols in
+    for j = 0 to cols - 1 do
+      let x = d.(row + j) in
       if x <> 0.0 then begin
         cs_idx.(!p) <- j;
         cs_val.(!p) <- x;
@@ -224,7 +287,7 @@ let pack_csr m =
     done;
     cs_ptr.(i + 1) <- !p
   done;
-  { cs_rows = m.n_rows; cs_cols = m.n_cols; cs_ptr; cs_idx; cs_val }
+  { cs_rows = rows; cs_cols = cols; cs_ptr; cs_idx; cs_val }
 
 (* Conversions the overload candidates use: a kernel guarded by a
    concept may legitimately receive any representation whose carrier
@@ -243,11 +306,13 @@ let as_banded = function
     let d = to_dense m in
     if d.n_rows <> d.n_cols then None
     else
+      let n = d.n_rows and a = d.d in
       let lo = ref 0 and hi = ref 0 in
-      for i = 0 to d.n_rows - 1 do
-        for j = 0 to d.n_cols - 1 do
-          if dense_get d i j <> 0.0 then
-            if i > j then lo := max !lo (i - j) else hi := max !hi (j - i)
+      for i = 0 to n - 1 do
+        let row = i * n in
+        for j = 0 to n - 1 do
+          if a.(row + j) <> 0.0 then
+            if i > j then lo := imax !lo (i - j) else hi := imax !hi (j - i)
         done
       done;
       pack_banded ~lo:!lo ~hi:!hi d
@@ -272,50 +337,78 @@ let as_csr = function Csr m -> m | m -> pack_csr (to_dense m)
    requests without a singularity caveat. *)
 
 let dominate m =
-  let n = min m.n_rows m.n_cols in
-  for i = 0 to n - 1 do
+  let nc = m.n_cols and d = m.d in
+  for i = 0 to imin m.n_rows nc - 1 do
+    let row = i * nc in
     let s = ref 0.0 in
-    for j = 0 to m.n_cols - 1 do
-      if j <> i then s := !s +. Float.abs (dense_get m i j)
+    for j = 0 to nc - 1 do
+      if j <> i then s := !s +. Float.abs d.(row + j)
     done;
-    dense_set m i i (!s +. 1.0)
+    d.(row + i) <- !s +. 1.0
   done;
   m
 
 let rand st = (Random.State.float st 2.0) -. 1.0
 
+(* Each structure draws exactly where, and in the row-major order in
+   which, an element-wise initialiser would: the matrices (and so every
+   checksum) are fixed by (structure, n, seed). *)
 let generate_dense ~structure ~n ~seed =
   if n < 1 then invalid_arg (Printf.sprintf "Mat.generate: n=%d < 1" n);
   let st = Random.State.make [| 0x57ac; seed; n; Hashtbl.hash structure |] in
   let bw = 4 in
+  let m = dense_create n n in
+  let d = m.d in
   match structure with
-  | "dense" -> Some (dominate (dense_init n n (fun _ _ -> rand st)))
+  | "dense" ->
+    for k = 0 to (n * n) - 1 do
+      d.(k) <- rand st
+    done;
+    Some (dominate m)
   | "diagonal" ->
-    Some (dense_init n n (fun i j -> if i = j then 1.0 +. Float.abs (rand st) else 0.0))
+    for i = 0 to n - 1 do
+      d.((i * n) + i) <- 1.0 +. Float.abs (rand st)
+    done;
+    Some m
   | "banded" ->
-    Some
-      (dominate
-         (dense_init n n (fun i j ->
-              if abs (i - j) <= bw then rand st else 0.0)))
+    for i = 0 to n - 1 do
+      for j = imax 0 (i - bw) to imin (n - 1) (i + bw) do
+        d.((i * n) + j) <- rand st
+      done
+    done;
+    Some (dominate m)
   | "triangular" ->
-    Some (dominate (dense_init n n (fun i j -> if j >= i then rand st else 0.0)))
+    for i = 0 to n - 1 do
+      for j = i to n - 1 do
+        d.((i * n) + j) <- rand st
+      done
+    done;
+    Some (dominate m)
   | "symmetric" ->
-    let half = dense_init n n (fun i j -> if j <= i then rand st else 0.0) in
-    Some
-      (dominate
-         (dense_init n n (fun i j ->
-              if j <= i then dense_get half i j else dense_get half j i)))
+    (* draws the lower triangle row by row, mirroring each draw *)
+    for i = 0 to n - 1 do
+      for j = 0 to i do
+        let x = rand st in
+        d.((i * n) + j) <- x;
+        d.((j * n) + i) <- x
+      done
+    done;
+    Some (dominate m)
   | "csr" ->
     (* ~5% fill plus the dominant diagonal: sparse at every n >= 24 *)
-    Some
-      (dominate
-         (dense_init n n (fun _ _ ->
-              if Random.State.int st 20 = 0 then rand st else 0.0)))
+    for k = 0 to (n * n) - 1 do
+      if Random.State.int st 20 = 0 then d.(k) <- rand st
+    done;
+    Some (dominate m)
   | _ -> None
 
 let generate_vec ~n ~seed =
   let st = Random.State.make [| 0xb0b; seed; n |] in
-  Array.init n (fun _ -> rand st)
+  let v = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    v.(i) <- rand st
+  done;
+  v
 
 (* ------------------------------------------------------------------ *)
 (* Checksums                                                           *)
@@ -325,9 +418,9 @@ let generate_vec ~n ~seed =
    give replay-stable checksums. *)
 let checksum_vec v =
   let b = Bytes.create (8 * Array.length v) in
-  Array.iteri
-    (fun i x -> Bytes.set_int64_le b (8 * i) (Int64.bits_of_float x))
-    v;
+  for i = 0 to Array.length v - 1 do
+    Bytes.set_int64_le b (8 * i) (Int64.bits_of_float v.(i))
+  done;
   Digest.to_hex (Digest.bytes b)
 
 let checksum_dense m = checksum_vec m.d

@@ -40,6 +40,16 @@ type t =
 
 (** {2 Dense basics} *)
 
+val dense_check : string -> dense -> unit
+(** [dense_check op m] raises [Invalid_argument] unless [m.d] holds
+    exactly [n_rows * n_cols] entries. The packers and the dense kernels
+    call it once per call, before their loops. *)
+
+val imin : int -> int -> int
+val imax : int -> int -> int
+(** Int-typed [min] and [max] for loop bounds: [Stdlib.min] and [max]
+    compare polymorphically, through a C call. *)
+
 val dense_create : int -> int -> dense
 val dense_init : int -> int -> (int -> int -> float) -> dense
 val dense_get : dense -> int -> int -> float
@@ -68,7 +78,8 @@ val to_dense : t -> dense
 
 val pack_diagonal : dense -> diagonal option
 (** [None] unless the matrix is exactly diagonal; same strictness for
-    the other packers. *)
+    the other packers. Every packer raises [Invalid_argument] on a
+    malformed [dense] (see {!dense_check}). *)
 
 val pack_banded : lo:int -> hi:int -> dense -> banded option
 val pack_triangular : dense -> triangular option

@@ -1160,6 +1160,403 @@ let test_numeric_dispatch () =
   | Ok _ -> Alcotest.fail "expected a Computed payload"
   | Error _ -> Alcotest.fail "matvec request failed"
 
+(* Numeric answers pinned across commits: (op, structure, n, seed) ->
+   (kernel, detected, kernel_steps, checksum), as served by the
+   closure-based generators and kernels the current loops replaced.
+   Every (op, structure) at n in {1, 7, 24, 40}, plus 64 for matvec and
+   solve and 96 for matvec, at seeds {0, 5}; then three spot cases. A
+   changed checksum means a changed bit in some result. *)
+let numeric_pins =
+  [
+    ("matvec", "dense", 1, 0,
+     "matvec.diagonal", "diagonal", 1, "3ecb4a5482d2c03e3a5855036b4e1094");
+    ("matvec", "dense", 1, 5,
+     "matvec.diagonal", "diagonal", 1, "52b81d5f02d2047dada4f5793a2ad7fa");
+    ("matvec", "dense", 7, 0,
+     "matvec.dense", "dense", 49, "05f0270f7163d0ae1c35cefaa1953d46");
+    ("matvec", "dense", 7, 5,
+     "matvec.dense", "dense", 49, "cc24c207e3640d503fd8ead52757f770");
+    ("matvec", "dense", 24, 0,
+     "matvec.dense", "dense", 576, "db5a13227320fc7d7616a602d8a73f9b");
+    ("matvec", "dense", 24, 5,
+     "matvec.dense", "dense", 576, "c28f024c302bcbd9a5020119e98c55e5");
+    ("matvec", "dense", 40, 0,
+     "matvec.dense", "dense", 1600, "aa6cf04bf6885ab3478cbdf534b1924c");
+    ("matvec", "dense", 40, 5,
+     "matvec.dense", "dense", 1600, "3e9ebd1c6ec65003d19a1827a27647d7");
+    ("matvec", "dense", 64, 0,
+     "matvec.dense", "dense", 4096, "40eb731422dfade3adacb422b12704e0");
+    ("matvec", "dense", 64, 5,
+     "matvec.dense", "dense", 4096, "0985e51d47392e8ba177302e3ffa9d3e");
+    ("matvec", "dense", 96, 0,
+     "matvec.dense", "dense", 9216, "0a69daa55822f9707a122c3bd6f398d0");
+    ("matvec", "dense", 96, 5,
+     "matvec.dense", "dense", 9216, "d5dcac75e667b72d2c1516722b17ac1f");
+    ("matvec", "diagonal", 1, 0,
+     "matvec.diagonal", "diagonal", 1, "5a8b49f35d3215074f63adf6a96a4006");
+    ("matvec", "diagonal", 1, 5,
+     "matvec.diagonal", "diagonal", 1, "c58730684471a6a8f1b54899b2ad7b46");
+    ("matvec", "diagonal", 7, 0,
+     "matvec.diagonal", "diagonal", 7, "d1da3eedd63ac300a045acaff1e079d3");
+    ("matvec", "diagonal", 7, 5,
+     "matvec.diagonal", "diagonal", 7, "ede9575e5396533efc7bacff47605254");
+    ("matvec", "diagonal", 24, 0,
+     "matvec.diagonal", "diagonal", 24, "e8d3366b55ec4b1d056520ac22ebfe6d");
+    ("matvec", "diagonal", 24, 5,
+     "matvec.diagonal", "diagonal", 24, "260f9abea820f5cd0ea36b5ebede6e7c");
+    ("matvec", "diagonal", 40, 0,
+     "matvec.diagonal", "diagonal", 40, "a3bd3218b0496e1aa90a26b1b376a748");
+    ("matvec", "diagonal", 40, 5,
+     "matvec.diagonal", "diagonal", 40, "6b98e8cad7efffb87f3b42815cc4dac2");
+    ("matvec", "diagonal", 64, 0,
+     "matvec.diagonal", "diagonal", 64, "d8cd1ba56775205f4e9375db1fbd6359");
+    ("matvec", "diagonal", 64, 5,
+     "matvec.diagonal", "diagonal", 64, "ce1654666de36fa51cc0316002fa70fe");
+    ("matvec", "diagonal", 96, 0,
+     "matvec.diagonal", "diagonal", 96, "9b18ccc3669b907ca9027b921ec94a88");
+    ("matvec", "diagonal", 96, 5,
+     "matvec.diagonal", "diagonal", 96, "8be7aa3e78ed204b7f4549c27883a71c");
+    ("matvec", "banded", 1, 0,
+     "matvec.diagonal", "diagonal", 1, "3ecb4a5482d2c03e3a5855036b4e1094");
+    ("matvec", "banded", 1, 5,
+     "matvec.diagonal", "diagonal", 1, "52b81d5f02d2047dada4f5793a2ad7fa");
+    ("matvec", "banded", 7, 0,
+     "matvec.dense", "dense", 49, "ae6b3f6aae6d585e13f7cec23a1c9bb0");
+    ("matvec", "banded", 7, 5,
+     "matvec.dense", "dense", 49, "5edcea6497dda3c7cda5b734798793ac");
+    ("matvec", "banded", 24, 0,
+     "matvec.banded", "banded", 196, "0fa71aae484a39f4aa21529e49531d57");
+    ("matvec", "banded", 24, 5,
+     "matvec.banded", "banded", 196, "ef7de04960caee15e444a44089d1b0a3");
+    ("matvec", "banded", 40, 0,
+     "matvec.banded", "banded", 340, "ddcd1e0dade75b7a58041d1b38d79077");
+    ("matvec", "banded", 40, 5,
+     "matvec.banded", "banded", 340, "c23f319ec788b8f327c020e5ce3f7ae9");
+    ("matvec", "banded", 64, 0,
+     "matvec.banded", "banded", 556, "6a3caf53a6252a77ca48a5f2e1d79e25");
+    ("matvec", "banded", 64, 5,
+     "matvec.banded", "banded", 556, "4fd9fcf66dacaac942f63621a1fbc8c5");
+    ("matvec", "banded", 96, 0,
+     "matvec.banded", "banded", 844, "6c3777dd45dd04a3580a1ad469019a8a");
+    ("matvec", "banded", 96, 5,
+     "matvec.banded", "banded", 844, "8fe6932ebf03ddcfb78307da02390b7c");
+    ("matvec", "triangular", 1, 0,
+     "matvec.diagonal", "diagonal", 1, "3ecb4a5482d2c03e3a5855036b4e1094");
+    ("matvec", "triangular", 1, 5,
+     "matvec.diagonal", "diagonal", 1, "52b81d5f02d2047dada4f5793a2ad7fa");
+    ("matvec", "triangular", 7, 0,
+     "matvec.triangular", "triangular", 28, "e98632dd145d0a31ce6ea4b957e6b695");
+    ("matvec", "triangular", 7, 5,
+     "matvec.triangular", "triangular", 28, "c0d3432f8ae8e3e10ea8408ae771e20d");
+    ("matvec", "triangular", 24, 0,
+     "matvec.triangular", "triangular", 300, "401bfeb37cad1d791aeb92761e9f3c42");
+    ("matvec", "triangular", 24, 5,
+     "matvec.triangular", "triangular", 300, "80e8cc3615d918bc670d50af9ca83f10");
+    ("matvec", "triangular", 40, 0,
+     "matvec.triangular", "triangular", 820, "e5428cab5196ba2d36281f26212415fe");
+    ("matvec", "triangular", 40, 5,
+     "matvec.triangular", "triangular", 820, "795976d171f96e949fd96222285e51a2");
+    ("matvec", "triangular", 64, 0,
+     "matvec.triangular", "triangular", 2080, "11b321e7450637d768e792a66384f7e0");
+    ("matvec", "triangular", 64, 5,
+     "matvec.triangular", "triangular", 2080, "e701bcfd93b072c12d338f1ec51e758b");
+    ("matvec", "triangular", 96, 0,
+     "matvec.triangular", "triangular", 4656, "f8bf4a295c4a6dc77f368569f4ba002d");
+    ("matvec", "triangular", 96, 5,
+     "matvec.triangular", "triangular", 4656, "19fca15bc678d75325a850178a4bd53c");
+    ("matvec", "symmetric", 1, 0,
+     "matvec.diagonal", "diagonal", 1, "3ecb4a5482d2c03e3a5855036b4e1094");
+    ("matvec", "symmetric", 1, 5,
+     "matvec.diagonal", "diagonal", 1, "52b81d5f02d2047dada4f5793a2ad7fa");
+    ("matvec", "symmetric", 7, 0,
+     "matvec.symmetric", "symmetric", 28, "952d27b4e761368e172efbf9d4526a80");
+    ("matvec", "symmetric", 7, 5,
+     "matvec.symmetric", "symmetric", 28, "5c3338a67e9e27d56055b51cc877fc2a");
+    ("matvec", "symmetric", 24, 0,
+     "matvec.symmetric", "symmetric", 300, "526be7f79afea1a7ecb549f1ae7f53f9");
+    ("matvec", "symmetric", 24, 5,
+     "matvec.symmetric", "symmetric", 300, "752f4e5c52b7b03f2b6e45fcf466e3f2");
+    ("matvec", "symmetric", 40, 0,
+     "matvec.symmetric", "symmetric", 820, "9795ccc436b68fa78b3946a0be0b948c");
+    ("matvec", "symmetric", 40, 5,
+     "matvec.symmetric", "symmetric", 820, "9ed2d46a7e926b4bf529d421391bbba2");
+    ("matvec", "symmetric", 64, 0,
+     "matvec.symmetric", "symmetric", 2080, "1b0c5cd753a2954104bdb86c7f88e747");
+    ("matvec", "symmetric", 64, 5,
+     "matvec.symmetric", "symmetric", 2080, "4c8dff161d8f6a3146d801d8b98b0ba5");
+    ("matvec", "symmetric", 96, 0,
+     "matvec.symmetric", "symmetric", 4656, "9a39ad31261417d1aa66423ed76b79b9");
+    ("matvec", "symmetric", 96, 5,
+     "matvec.symmetric", "symmetric", 4656, "1a85aa367d863f29f7ab6d00aec7276e");
+    ("matvec", "csr", 1, 0,
+     "matvec.diagonal", "diagonal", 1, "3ecb4a5482d2c03e3a5855036b4e1094");
+    ("matvec", "csr", 1, 5,
+     "matvec.diagonal", "diagonal", 1, "52b81d5f02d2047dada4f5793a2ad7fa");
+    ("matvec", "csr", 7, 0,
+     "matvec.triangular", "triangular", 28, "1cc30eb5943ff90ad9d88e3d390f7da5");
+    ("matvec", "csr", 7, 5,
+     "matvec.triangular", "triangular", 28, "a702d6106f72fb61f4883ede245608ac");
+    ("matvec", "csr", 24, 0,
+     "matvec.csr", "csr", 56, "464d5055cebf57a833d27ee79bb0e144");
+    ("matvec", "csr", 24, 5,
+     "matvec.csr", "csr", 51, "a67af4111663155f597ae51879b3e293");
+    ("matvec", "csr", 40, 0,
+     "matvec.csr", "csr", 118, "852607d9f924e64fdd3ffffb8f0d908c");
+    ("matvec", "csr", 40, 5,
+     "matvec.csr", "csr", 138, "6398c9ef67ddda0a3811dfbad1108d25");
+    ("matvec", "csr", 64, 0,
+     "matvec.csr", "csr", 256, "7e45c759548e6760ede78da043241b27");
+    ("matvec", "csr", 64, 5,
+     "matvec.csr", "csr", 284, "4033b7a48841995dea67240864f11adb");
+    ("matvec", "csr", 96, 0,
+     "matvec.csr", "csr", 568, "af11fe380e5966da280827d59d701635");
+    ("matvec", "csr", 96, 5,
+     "matvec.csr", "csr", 553, "8217919febfc81dd58a22d1bded8d610");
+    ("matmul", "dense", 1, 0,
+     "matmul.diagonal", "diagonal", 1, "e02e0d84c1f7b647c18ab9646d57ec89");
+    ("matmul", "dense", 1, 5,
+     "matmul.diagonal", "diagonal", 1, "e02e0d84c1f7b647c18ab9646d57ec89");
+    ("matmul", "dense", 7, 0,
+     "matmul.dense", "dense", 343, "9ec3dd5eb3a913141b6e62b2258fa2d9");
+    ("matmul", "dense", 7, 5,
+     "matmul.dense", "dense", 343, "6a5538ce7a2a29b7f6f72e5e531721bb");
+    ("matmul", "dense", 24, 0,
+     "matmul.dense", "dense", 13824, "2ecbba6d749124a08a1a8745b749e86f");
+    ("matmul", "dense", 24, 5,
+     "matmul.dense", "dense", 13824, "a73f4959ae4e083c8d7d0a8a5e9830a4");
+    ("matmul", "dense", 40, 0,
+     "matmul.dense", "dense", 64000, "bad169969b56b984b6ac6ee68f74bf19");
+    ("matmul", "dense", 40, 5,
+     "matmul.dense", "dense", 64000, "c355e35d012c7243ea6ea61de1e66921");
+    ("matmul", "diagonal", 1, 0,
+     "matmul.diagonal", "diagonal", 1, "1ae1386b5783dfb9bfdb22e66e924ffd");
+    ("matmul", "diagonal", 1, 5,
+     "matmul.diagonal", "diagonal", 1, "2645a79c383601573e54e6c65400d82c");
+    ("matmul", "diagonal", 7, 0,
+     "matmul.diagonal", "diagonal", 7, "b5d820489c17bc6ab9795363e0572598");
+    ("matmul", "diagonal", 7, 5,
+     "matmul.diagonal", "diagonal", 7, "01b72afcc9ef8634ee5321e5642acce7");
+    ("matmul", "diagonal", 24, 0,
+     "matmul.diagonal", "diagonal", 24, "f116f35106d5d6fad978586ac441f0de");
+    ("matmul", "diagonal", 24, 5,
+     "matmul.diagonal", "diagonal", 24, "53c86189a2030121bbe69585a144d12a");
+    ("matmul", "diagonal", 40, 0,
+     "matmul.diagonal", "diagonal", 40, "a799dcafb30162d92239c1e50635cb8d");
+    ("matmul", "diagonal", 40, 5,
+     "matmul.diagonal", "diagonal", 40, "d4af67acd01e3312e80a207737b85fff");
+    ("matmul", "banded", 1, 0,
+     "matmul.diagonal", "diagonal", 1, "e02e0d84c1f7b647c18ab9646d57ec89");
+    ("matmul", "banded", 1, 5,
+     "matmul.diagonal", "diagonal", 1, "e02e0d84c1f7b647c18ab9646d57ec89");
+    ("matmul", "banded", 7, 0,
+     "matmul.dense", "dense", 343, "d401562934cdbf1053e5618502c32fb0");
+    ("matmul", "banded", 7, 5,
+     "matmul.dense", "dense", 343, "824bb2e3413d770f53f12bb7c80b5094");
+    ("matmul", "banded", 24, 0,
+     "matmul.banded", "banded", 1644, "7c450b70237b39d98b711d2dfd48518b");
+    ("matmul", "banded", 24, 5,
+     "matmul.banded", "banded", 1644, "fb309758e3b9d7ded815d4222de07023");
+    ("matmul", "banded", 40, 0,
+     "matmul.banded", "banded", 2940, "fd5ff753a9d125831064e616d5160ac4");
+    ("matmul", "banded", 40, 5,
+     "matmul.banded", "banded", 2940, "e9567d3dc287de869b49607c2b9f58c9");
+    ("matmul", "triangular", 1, 0,
+     "matmul.diagonal", "diagonal", 1, "e02e0d84c1f7b647c18ab9646d57ec89");
+    ("matmul", "triangular", 1, 5,
+     "matmul.diagonal", "diagonal", 1, "e02e0d84c1f7b647c18ab9646d57ec89");
+    ("matmul", "triangular", 7, 0,
+     "matmul.dense", "triangular", 343, "91b3498cb0320d2f2ecfc662a6a31700");
+    ("matmul", "triangular", 7, 5,
+     "matmul.dense", "triangular", 343, "8ec36688b6323ce856364978534ed466");
+    ("matmul", "triangular", 24, 0,
+     "matmul.dense", "triangular", 13824, "582132eec9eaa2f787d829a236ad5838");
+    ("matmul", "triangular", 24, 5,
+     "matmul.dense", "triangular", 13824, "6371d83fd2b236cdbe913020b2a4f0d6");
+    ("matmul", "triangular", 40, 0,
+     "matmul.dense", "triangular", 64000, "a4b5fb00370440a913d75c76418f2ad0");
+    ("matmul", "triangular", 40, 5,
+     "matmul.dense", "triangular", 64000, "a208bb6e90b5575201987413c2a136ce");
+    ("matmul", "symmetric", 1, 0,
+     "matmul.diagonal", "diagonal", 1, "e02e0d84c1f7b647c18ab9646d57ec89");
+    ("matmul", "symmetric", 1, 5,
+     "matmul.diagonal", "diagonal", 1, "e02e0d84c1f7b647c18ab9646d57ec89");
+    ("matmul", "symmetric", 7, 0,
+     "matmul.dense", "symmetric", 343, "56d1ab50731b1c38f05083fc2c6420ab");
+    ("matmul", "symmetric", 7, 5,
+     "matmul.dense", "symmetric", 343, "67ab77943ac731b3f89f2aa9bd304198");
+    ("matmul", "symmetric", 24, 0,
+     "matmul.dense", "symmetric", 13824, "94d4dbe586840119958206dd269b7f2e");
+    ("matmul", "symmetric", 24, 5,
+     "matmul.dense", "symmetric", 13824, "4d882bb952b39b2b6b4aa83386f2fa26");
+    ("matmul", "symmetric", 40, 0,
+     "matmul.dense", "symmetric", 64000, "591b654ca3be492f4edbb9ea01e557fa");
+    ("matmul", "symmetric", 40, 5,
+     "matmul.dense", "symmetric", 64000, "f1c8b4c8176df7d1ae9d3dc3565faa7a");
+    ("matmul", "csr", 1, 0,
+     "matmul.diagonal", "diagonal", 1, "e02e0d84c1f7b647c18ab9646d57ec89");
+    ("matmul", "csr", 1, 5,
+     "matmul.diagonal", "diagonal", 1, "e02e0d84c1f7b647c18ab9646d57ec89");
+    ("matmul", "csr", 7, 0,
+     "matmul.dense", "triangular", 343, "ca6caf1cf44afc8006ebb0954e4124b8");
+    ("matmul", "csr", 7, 5,
+     "matmul.dense", "triangular", 343, "6fd8499809f103078762c0f1d19f82d2");
+    ("matmul", "csr", 24, 0,
+     "matmul.dense", "csr", 13824, "92efd48593725ae2d9335c16c5c02979");
+    ("matmul", "csr", 24, 5,
+     "matmul.dense", "csr", 13824, "e3291b104f56436e2772c4aabc7810e8");
+    ("matmul", "csr", 40, 0,
+     "matmul.dense", "csr", 64000, "4d055c57c87bbe11c1c8ee0198f15619");
+    ("matmul", "csr", 40, 5,
+     "matmul.dense", "csr", 64000, "cdb8fa76a23ea41e667fa2cc63b77a33");
+    ("solve", "dense", 1, 0,
+     "solve.diagonal", "diagonal", 1, "3ecb4a5482d2c03e3a5855036b4e1094");
+    ("solve", "dense", 1, 5,
+     "solve.diagonal", "diagonal", 1, "52b81d5f02d2047dada4f5793a2ad7fa");
+    ("solve", "dense", 7, 0,
+     "solve.dense", "dense", 163, "168a2b7498616a46c5ba5d08d8409198");
+    ("solve", "dense", 7, 5,
+     "solve.dense", "dense", 163, "72b697734000bf98ea579ba096156375");
+    ("solve", "dense", 24, 0,
+     "solve.dense", "dense", 5184, "b4c278429fd3bdc9d9ae63eba9bfb209");
+    ("solve", "dense", 24, 5,
+     "solve.dense", "dense", 5184, "a1ca17774e6d96529da911e2bff2c0c3");
+    ("solve", "dense", 40, 0,
+     "solve.dense", "dense", 22933, "af7ceb14a3a3cc6430e4a486c94c80b9");
+    ("solve", "dense", 40, 5,
+     "solve.dense", "dense", 22933, "9658958a6031163da9623cc1ee037d28");
+    ("solve", "dense", 64, 0,
+     "solve.dense", "dense", 91477, "026b304bfe59b160bc10ba68b4ebc02f");
+    ("solve", "dense", 64, 5,
+     "solve.dense", "dense", 91477, "5052954f5bc841f9982823e7ce60463a");
+    ("solve", "diagonal", 1, 0,
+     "solve.diagonal", "diagonal", 1, "b825e5dd0a8e70118d00619d9321e780");
+    ("solve", "diagonal", 1, 5,
+     "solve.diagonal", "diagonal", 1, "779aa85ae82c9bc877bae43af3eab602");
+    ("solve", "diagonal", 7, 0,
+     "solve.diagonal", "diagonal", 7, "6a299fc44cd92f645a3257f8ffd21497");
+    ("solve", "diagonal", 7, 5,
+     "solve.diagonal", "diagonal", 7, "deb7b4331af13d73741261a0a77fb5f5");
+    ("solve", "diagonal", 24, 0,
+     "solve.diagonal", "diagonal", 24, "79312ccf194f478feba00db38b9e84bd");
+    ("solve", "diagonal", 24, 5,
+     "solve.diagonal", "diagonal", 24, "b7969c471fddcb03a8eca8e290e0bcf4");
+    ("solve", "diagonal", 40, 0,
+     "solve.diagonal", "diagonal", 40, "7a69384022b0cb374a8f50268dfe6e51");
+    ("solve", "diagonal", 40, 5,
+     "solve.diagonal", "diagonal", 40, "dde5a3fad781088aff4134e87b0bbcf0");
+    ("solve", "diagonal", 64, 0,
+     "solve.diagonal", "diagonal", 64, "8b9ea81b331c9d1550f776ec790af84f");
+    ("solve", "diagonal", 64, 5,
+     "solve.diagonal", "diagonal", 64, "f88d2b3115820c17b7885db6d62d891c");
+    ("solve", "banded", 1, 0,
+     "solve.diagonal", "diagonal", 1, "3ecb4a5482d2c03e3a5855036b4e1094");
+    ("solve", "banded", 1, 5,
+     "solve.diagonal", "diagonal", 1, "52b81d5f02d2047dada4f5793a2ad7fa");
+    ("solve", "banded", 7, 0,
+     "solve.dense", "dense", 163, "64c73f27a1938a35e902bb8dca28601c");
+    ("solve", "banded", 7, 5,
+     "solve.dense", "dense", 163, "fc173c1f56aadf1301a1d1af703ad8cf");
+    ("solve", "banded", 24, 0,
+     "solve.dense", "banded", 5184, "66ba9089a29ce2bdad0272a9846b5c60");
+    ("solve", "banded", 24, 5,
+     "solve.dense", "banded", 5184, "37fec8e66b23c1a1374a42f2ccc4fb9c");
+    ("solve", "banded", 40, 0,
+     "solve.dense", "banded", 22933, "e4b3a962aed25632289f49eb2aee3dca");
+    ("solve", "banded", 40, 5,
+     "solve.dense", "banded", 22933, "0fc03f3d31f101629e3a963955994dfa");
+    ("solve", "banded", 64, 0,
+     "solve.dense", "banded", 91477, "42120966ba5f1028ba30f790b5df034c");
+    ("solve", "banded", 64, 5,
+     "solve.dense", "banded", 91477, "6625ada6c02ed33057ef75167608e4ec");
+    ("solve", "triangular", 1, 0,
+     "solve.diagonal", "diagonal", 1, "3ecb4a5482d2c03e3a5855036b4e1094");
+    ("solve", "triangular", 1, 5,
+     "solve.diagonal", "diagonal", 1, "52b81d5f02d2047dada4f5793a2ad7fa");
+    ("solve", "triangular", 7, 0,
+     "solve.triangular", "triangular", 28, "e4e1553c141a1dc7f822a6e82ceabaf1");
+    ("solve", "triangular", 7, 5,
+     "solve.triangular", "triangular", 28, "04dda88f83a1a8ef73a77c79c11560dc");
+    ("solve", "triangular", 24, 0,
+     "solve.triangular", "triangular", 300, "98acf1cfb54991e88e6811ffe4676b06");
+    ("solve", "triangular", 24, 5,
+     "solve.triangular", "triangular", 300, "90ee5126634521d9b623e5650e95cf09");
+    ("solve", "triangular", 40, 0,
+     "solve.triangular", "triangular", 820, "1dcfa052279ce9132ea076c17da3d4ff");
+    ("solve", "triangular", 40, 5,
+     "solve.triangular", "triangular", 820, "a589e01a9d6d9a9f20440b669d935e16");
+    ("solve", "triangular", 64, 0,
+     "solve.triangular", "triangular", 2080, "9b162033b6683dce071bb16eaadaf976");
+    ("solve", "triangular", 64, 5,
+     "solve.triangular", "triangular", 2080, "0c63dca565c82b722730ffab55f7bdd6");
+    ("solve", "symmetric", 1, 0,
+     "solve.diagonal", "diagonal", 1, "3ecb4a5482d2c03e3a5855036b4e1094");
+    ("solve", "symmetric", 1, 5,
+     "solve.diagonal", "diagonal", 1, "52b81d5f02d2047dada4f5793a2ad7fa");
+    ("solve", "symmetric", 7, 0,
+     "solve.dense", "symmetric", 163, "70ca6ed2d8245b8b098ed90635b3419e");
+    ("solve", "symmetric", 7, 5,
+     "solve.dense", "symmetric", 163, "129f97f16228a696360c808f9b2599ce");
+    ("solve", "symmetric", 24, 0,
+     "solve.dense", "symmetric", 5184, "415bbd2ea62f96ca0f249cf0f0b45e47");
+    ("solve", "symmetric", 24, 5,
+     "solve.dense", "symmetric", 5184, "47260056b457e070edc0f6ec25506be7");
+    ("solve", "symmetric", 40, 0,
+     "solve.dense", "symmetric", 22933, "ba63b83b86cfc4212762d291750ba3cd");
+    ("solve", "symmetric", 40, 5,
+     "solve.dense", "symmetric", 22933, "5e980433b5f14bddc8d5f0e0bc495d6c");
+    ("solve", "symmetric", 64, 0,
+     "solve.dense", "symmetric", 91477, "9c6ec9532329b69bdad9c864f1998624");
+    ("solve", "symmetric", 64, 5,
+     "solve.dense", "symmetric", 91477, "172900ae48ffc8f3092a393a88220c91");
+    ("solve", "csr", 1, 0,
+     "solve.diagonal", "diagonal", 1, "3ecb4a5482d2c03e3a5855036b4e1094");
+    ("solve", "csr", 1, 5,
+     "solve.diagonal", "diagonal", 1, "52b81d5f02d2047dada4f5793a2ad7fa");
+    ("solve", "csr", 7, 0,
+     "solve.triangular", "triangular", 28, "33034bc83a1e6be50ea7ed1f277a4592");
+    ("solve", "csr", 7, 5,
+     "solve.triangular", "triangular", 28, "a3edb7bb7692cf06cc8eb94618ccd807");
+    ("solve", "csr", 24, 0,
+     "solve.dense", "csr", 5184, "9c21411a44688f77fefdaa5c408b7908");
+    ("solve", "csr", 24, 5,
+     "solve.dense", "csr", 5184, "a788ba5d08c5c8080ec8b5c1fa2f4fbc");
+    ("solve", "csr", 40, 0,
+     "solve.dense", "csr", 22933, "db674e48481f695e59808108b106a4cf");
+    ("solve", "csr", 40, 5,
+     "solve.dense", "csr", 22933, "ba211d57304368fa0ffb9d54271bd56e");
+    ("solve", "csr", 64, 0,
+     "solve.dense", "csr", 91477, "69f17d8d1137e4fd528a78bc3eab6cf8");
+    ("solve", "csr", 64, 5,
+     "solve.dense", "csr", 91477, "10361aadcf65fd09acc4d6527a21d7b5");
+    ("matmul", "banded", 24, 2,
+     "matmul.banded", "banded", 1644, "f54e561241b7c45264a451ef7df9e2e0");
+    ("solve", "symmetric", 64, 5,
+     "solve.dense", "symmetric", 91477, "172900ae48ffc8f3092a393a88220c91");
+    ("matmul", "triangular", 40, 3,
+     "matmul.dense", "triangular", 64000, "02f1b6133fcd51a5ea95504fc7ae2b50");
+  ]
+
+let test_numeric_pinned () =
+  let server = mkserver () in
+  List.iter
+    (fun (op, structure, n, seed, kernel, detected, steps, checksum) ->
+      let req =
+        match op with
+        | "matvec" -> Request.Matvec { structure; n; seed }
+        | "matmul" -> Request.Matmul { structure; n; seed }
+        | _ -> Request.Solve { structure; n; seed }
+      in
+      let case = Printf.sprintf "%s %s n=%d seed=%d" op structure n seed in
+      match (Server.handle server req).Request.rsp_result with
+      | Ok (Request.Computed c) ->
+        Alcotest.(check string) (case ^ " kernel") kernel c.kernel;
+        Alcotest.(check string) (case ^ " detected") detected c.detected;
+        Alcotest.(check int) (case ^ " kernel_steps") steps c.steps;
+        Alcotest.(check string) (case ^ " checksum") checksum c.checksum
+      | Ok _ -> Alcotest.failf "%s: expected a Computed payload" case
+      | Error _ -> Alcotest.failf "%s: request failed" case)
+    numeric_pins
+
 let test_numeric_cache_and_budget () =
   (* generous budget: the replayed request is cache-served, same payload *)
   let server = mkserver () in
@@ -1293,6 +1690,8 @@ let () =
             test_numeric_dispatch;
           Alcotest.test_case "cache and budget independence" `Quick
             test_numeric_cache_and_budget;
+          Alcotest.test_case "answers pinned across commits" `Quick
+            test_numeric_pinned;
           Alcotest.test_case "validation and wire defaults" `Quick
             test_numeric_validation;
           Alcotest.test_case "numeric workload mix" `Quick

@@ -1,6 +1,7 @@
 (* Tests for gp_structla: representations, detection soundness, the
-   concept taxonomy, most-refined-wins kernel selection, and qcheck
-   equivalence of every specialised kernel against the dense oracles. *)
+   concept taxonomy, most-refined-wins kernel selection, qcheck
+   equivalence of every specialised kernel against the dense oracles,
+   and bit-for-bit agreement of the served dense kernels with them. *)
 
 open Gp_concepts
 module Mat = Gp_structla.Mat
@@ -209,7 +210,7 @@ let matvec_equiv_prop =
              let v = Mat.generate_vec ~n:sz ~seed in
              match Select.matvec reg sel m v with
              | Ok (_, y) ->
-               Mat.vec_close ~eps:1e-6 y (Kernels.matvec_reference d v)
+               Mat.vec_close ~eps:1e-6 y (Oracles.matvec_reference d v)
              | Error e -> QCheck.Test.fail_report e)))
 
 let matmul_equiv_prop =
@@ -220,7 +221,7 @@ let matmul_equiv_prop =
              match Select.matmul reg sel m m with
              | Ok (_, c) ->
                Mat.dense_close ~eps:1e-6 (Mat.to_dense c)
-                 (Kernels.matmul_reference d d)
+                 (Oracles.matmul_reference d d)
              | Error e -> QCheck.Test.fail_report e)))
 
 let solve_equiv_prop =
@@ -231,7 +232,7 @@ let solve_equiv_prop =
              let b = Mat.generate_vec ~n:sz ~seed:(seed + 1) in
              match Select.solve reg sel m b with
              | Ok (_, x) ->
-               Mat.vec_close ~eps:1e-6 x (Kernels.solve_reference d b)
+               Mat.vec_close ~eps:1e-6 x (Oracles.solve_reference d b)
              | Error e -> QCheck.Test.fail_report e)))
 
 (* The solution actually solves the system (the solve_inverts axiom). *)
@@ -247,6 +248,25 @@ let solve_inverts_prop =
                | Ok (_, b') -> Mat.vec_close ~eps:1e-5 b' b
                | Error e -> QCheck.Test.fail_report e)
              | Error e -> QCheck.Test.fail_report e)))
+
+(* The served dense kernels keep the oracles' operation order, so they
+   agree bit for bit, not just within an epsilon. *)
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+let dense_kernels_bit_exact_prop =
+  qtest
+    (QCheck.Test.make ~name:"dense kernels == oracles, bit for bit" ~count:100
+       case_arb (fun (s, sz, seed) ->
+         let d = gen s ~n:sz ~seed in
+         let v = Mat.generate_vec ~n:sz ~seed in
+         same_bits (Kernels.matvec_dense d v) (Oracles.matvec_reference d v)
+         && same_bits (Kernels.matmul_dense d d).Mat.d
+              (Oracles.matmul_reference d d).Mat.d
+         && same_bits (Kernels.solve_dense d v) (Oracles.solve_reference d v)))
 
 (* ------------------------------------------------------------------ *)
 (* Exact step counts                                                   *)
@@ -305,19 +325,47 @@ let test_dimension_messages () =
   let m52 = Mat.dense_init 5 2 (fun _ _ -> 1.0) in
   Alcotest.check_raises "matvec names shapes"
     (Invalid_argument "matvec: 3x4 * 5") (fun () ->
-      ignore (Kernels.matvec_reference m34 (Array.make 5 0.0)));
+      ignore (Oracles.matvec_reference m34 (Array.make 5 0.0)));
   Alcotest.check_raises "matmul names shapes"
     (Invalid_argument "matmul: 3x4 * 5x2") (fun () ->
-      ignore (Kernels.matmul_reference m34 m52));
+      ignore (Oracles.matmul_reference m34 m52));
   Alcotest.check_raises "solve names shapes"
     (Invalid_argument "solve: 3x4 not square") (fun () ->
-      ignore (Kernels.solve_reference m34 (Array.make 4 0.0)));
+      ignore (Oracles.solve_reference m34 (Array.make 4 0.0)));
+  Alcotest.check_raises "served dense matvec names shapes"
+    (Invalid_argument "matvec: 3x4 * 5") (fun () ->
+      ignore (Kernels.matvec_dense m34 (Array.make 5 0.0)));
+  Alcotest.check_raises "served dense matmul names shapes"
+    (Invalid_argument "matmul: 3x4 * 5x2") (fun () ->
+      ignore (Kernels.matmul_dense m34 m52));
+  Alcotest.check_raises "served dense solve names shapes"
+    (Invalid_argument "solve: 3x4 not square") (fun () ->
+      ignore (Kernels.solve_dense m34 (Array.make 4 0.0)));
   Alcotest.check_raises "diagonal kernels too"
     (Invalid_argument "matvec: 6x6 * 4") (fun () ->
       ignore
         (Kernels.matvec_diagonal
            { Mat.dg_n = 6; dg = Array.make 6 1.0 }
            (Array.make 4 0.0)))
+
+(* A dense whose storage is shorter than rows x cols is refused by every
+   dense kernel and packer, never read past its end or half-packed. *)
+let test_malformed_dense () =
+  let bad = { Mat.n_rows = 4; n_cols = 4; d = Array.make 10 0.0 } in
+  let v = Array.make 4 1.0 in
+  let raises name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s accepted a malformed dense" name
+  in
+  raises "matvec_dense" (fun () -> ignore (Kernels.matvec_dense bad v));
+  raises "matmul_dense" (fun () -> ignore (Kernels.matmul_dense bad bad));
+  raises "solve_dense" (fun () -> ignore (Kernels.solve_dense bad v));
+  raises "pack_diagonal" (fun () -> ignore (Mat.pack_diagonal bad));
+  raises "pack_banded" (fun () -> ignore (Mat.pack_banded ~lo:1 ~hi:1 bad));
+  raises "pack_triangular" (fun () -> ignore (Mat.pack_triangular bad));
+  raises "pack_symmetric" (fun () -> ignore (Mat.pack_symmetric bad));
+  raises "pack_csr" (fun () -> ignore (Mat.pack_csr bad))
 
 (* ------------------------------------------------------------------ *)
 
@@ -345,6 +393,7 @@ let () =
           matmul_equiv_prop;
           solve_equiv_prop;
           solve_inverts_prop;
+          dense_kernels_bit_exact_prop;
         ] );
       ( "steps",
         [
@@ -356,5 +405,7 @@ let () =
         [
           Alcotest.test_case "dimension messages" `Quick
             test_dimension_messages;
+          Alcotest.test_case "malformed dense refused" `Quick
+            test_malformed_dense;
         ] );
     ]
