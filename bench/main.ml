@@ -1565,6 +1565,24 @@ let s7 () =
       lines
   in
   let serve_bytes, serve_minor = measure serve in
+  (* the text front ends: minor words of one parse, averaged over the
+     perfbench payload shapes (lint programs and .gpc defs) *)
+  let parse_minor parse srcs =
+    let pass () =
+      Array.iter (fun src -> ignore (Sys.opaque_identity (parse src))) srcs
+    in
+    pass ();
+    let m0 = Gc.minor_words () in
+    pass ();
+    (Gc.minor_words () -. m0) /. float_of_int (Array.length srcs)
+  in
+  let shapes f = Array.init Perf_shapes.period f in
+  let lint_parse_minor =
+    parse_minor Gp_stllint.Parser.parse_program (shapes Perf_shapes.lint_source)
+  in
+  let gpc_parse_minor =
+    parse_minor Gp_concepts.Lang.parse_string (shapes Perf_shapes.gpc_source)
+  in
   Fmt.pr "@.%-44s %16s %14s@." "wire phase (parse + render + digest)"
     "bytes/request" "minor w/req";
   let row name b m = Fmt.pr "%-44s %16.1f %14.1f@." name b m in
@@ -1575,6 +1593,10 @@ let s7 () =
   assert (reduction >= 5.0);
   Fmt.pr "@.%-44s %16.1f %14.1f@."
     "end-to-end serve_line, warm caches" serve_bytes serve_minor;
+  Fmt.pr "@.%-44s %14s@." "text front end, one parse" "minor words";
+  Fmt.pr "%-44s %14.1f@." "STLlint program (perfbench lint shapes)"
+    lint_parse_minor;
+  Fmt.pr "%-44s %14.1f@." ".gpc defs (perfbench defs shape)" gpc_parse_minor;
   (* replay the recorded pass from cold caches: the streaming
      fingerprints must match the dossiers bit-for-bit *)
   let outcome =
@@ -1595,6 +1617,8 @@ let s7 () =
   record ~experiment:"s7" "wire_direct_minor_words" direct_minor;
   record ~experiment:"s7" "serve_bytes_per_request" serve_bytes;
   record ~experiment:"s7" "serve_minor_words" serve_minor;
+  record ~experiment:"s7" "lint_parse_minor_words" lint_parse_minor;
+  record ~experiment:"s7" "gpc_parse_minor_words" gpc_parse_minor;
   record ~experiment:"s7" "replay_diverged_pct"
     (100.0
     *. float_of_int (List.length outcome.Flight.rep_diverged)

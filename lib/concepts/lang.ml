@@ -58,102 +58,98 @@ let error st fmt =
       raise (Parse_error { line = st.line; col = st.col; message }))
     fmt
 
-let peek_char st =
-  if st.pos < String.length st.src then Some st.src.[st.pos] else None
-
-let advance st =
-  (match peek_char st with
-  | Some '\n' ->
-    st.line <- st.line + 1;
-    st.col <- 1
-  | Some _ -> st.col <- st.col + 1
-  | None -> ());
-  st.pos <- st.pos + 1
+(* The lexer scans [src] in place. An identifier, integer or string is
+   one [String.sub]. [col] counts bytes, a newline resetting it to 1. *)
+let is_digit c = c >= '0' && c <= '9'
 
 let is_id_char c =
-  (c >= 'a' && c <= 'z')
-  || (c >= 'A' && c <= 'Z')
-  || (c >= '0' && c <= '9')
-  || c = '_'
+  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || is_digit c || c = '_'
 
+(* Advance over [len] bytes that hold no newline. *)
+let skip st len =
+  st.pos <- st.pos + len;
+  st.col <- st.col + len
+
+let take st len tok =
+  skip st len;
+  tok
+
+let rec to_eol src i =
+  if i < String.length src && src.[i] <> '\n' then to_eol src (i + 1) else i
+
+(* Blanks and [// ...] comments; a comment stops in front of its
+   newline. *)
 let rec skip_ws st =
-  match peek_char st with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-    advance st;
-    skip_ws st
-  | Some '/' when st.pos + 1 < String.length st.src && st.src.[st.pos + 1] = '/'
-    ->
-    let rec to_eol () =
-      match peek_char st with
-      | Some '\n' | None -> ()
-      | Some _ ->
-        advance st;
-        to_eol ()
-    in
-    to_eol ();
-    skip_ws st
-  | _ -> ()
+  let src = st.src and i = st.pos in
+  if i < String.length src then
+    match src.[i] with
+    | '\n' ->
+      st.pos <- i + 1;
+      st.line <- st.line + 1;
+      st.col <- 1;
+      skip_ws st
+    | ' ' | '\t' | '\r' ->
+      skip st 1;
+      skip_ws st
+    | '/' when i + 1 < String.length src && src.[i + 1] = '/' ->
+      skip st (to_eol src i - i);
+      skip_ws st
+    | _ -> ()
+
+let rec scan_end p src i =
+  if i < String.length src && p src.[i] then scan_end p src (i + 1) else i
+
+(* One-character punctuation as shared tokens, indexed by the character
+   ([Teof] for any other character). *)
+let punct =
+  Array.init 256 (fun code ->
+      let c = Char.chr code in
+      if String.contains "<>{}(),;:.^+=" c then Tpunct (String.make 1 c)
+      else Teof)
+
+(* A string literal opening at [i]; its body may span lines. *)
+let string_literal st i =
+  let src = st.src in
+  let j =
+    Option.value ~default:(String.length src)
+      (String.index_from_opt src (i + 1) '"')
+  in
+  for k = i to j - 1 do
+    if src.[k] = '\n' then begin
+      st.line <- st.line + 1;
+      st.col <- 1
+    end
+    else st.col <- st.col + 1
+  done;
+  st.pos <- j;
+  if j = String.length src then error st "unterminated string literal";
+  take st 1 (Tstring (String.sub src (i + 1) (j - i - 1)))
 
 let next_token st =
   skip_ws st;
-  match peek_char st with
-  | None -> Teof
-  | Some '"' ->
-    advance st;
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek_char st with
-      | Some '"' -> advance st
-      | Some c ->
-        Buffer.add_char buf c;
-        advance st;
-        go ()
-      | None -> error st "unterminated string literal"
-    in
-    go ();
-    Tstring (Buffer.contents buf)
-  | Some c when (c >= '0' && c <= '9') ->
-    let buf = Buffer.create 4 in
-    let rec go () =
-      match peek_char st with
-      | Some c when c >= '0' && c <= '9' ->
-        Buffer.add_char buf c;
-        advance st;
-        go ()
-      | _ -> ()
-    in
-    go ();
-    Tint (int_of_string (Buffer.contents buf))
-  | Some c when is_id_char c ->
-    let buf = Buffer.create 8 in
-    let rec go () =
-      match peek_char st with
-      | Some c when is_id_char c ->
-        Buffer.add_char buf c;
-        advance st;
-        go ()
-      | _ -> ()
-    in
-    go ();
-    Tid (Buffer.contents buf)
-  | Some '-' when st.pos + 1 < String.length st.src && st.src.[st.pos + 1] = '>'
-    ->
-    advance st;
-    advance st;
-    Tpunct "->"
-  | Some '=' when st.pos + 1 < String.length st.src && st.src.[st.pos + 1] = '='
-    ->
-    advance st;
-    advance st;
-    Tpunct "=="
-  | Some '=' ->
-    advance st;
-    Tpunct "="
-  | Some (( '<' | '>' | '{' | '}' | '(' | ')' | ',' | ';' | ':' | '.' | '^'
-          | '+' ) as c) ->
-    advance st;
-    Tpunct (String.make 1 c)
-  | Some c -> error st "unexpected character %c" c
+  let src = st.src and i = st.pos in
+  if i >= String.length src then Teof
+  else
+    match src.[i] with
+    | '"' -> string_literal st i
+    | '0' .. '9' -> (
+      let j = scan_end is_digit src i in
+      let text = String.sub src i (j - i) in
+      match int_of_string_opt text with
+      | Some k -> take st (j - i) (Tint k)
+      | None -> error st "integer literal %s is out of range" text)
+    | c when is_id_char c ->
+      let j = scan_end is_id_char src i in
+      take st (j - i) (Tid (String.sub src i (j - i)))
+    | c -> (
+      let c2 = if i + 1 < String.length src then src.[i + 1] else ' ' in
+      match (c, c2) with
+      | '-', '>' -> take st 2 (Tpunct "->")
+      | '=', '=' -> take st 2 (Tpunct "==")
+      | _ -> (
+        match punct.(Char.code c) with
+        | Teof -> error st "unexpected character %c" c
+        | tok -> take st 1 tok))
 
 (* A one-token-lookahead stream. *)
 type stream = { lex : lexer_state; mutable tok : token }

@@ -64,10 +64,15 @@ let tokenize src =
         incr i
       done;
       let text = String.sub src start (!i - start) in
-      toks :=
-        (if String.contains text '.' then Tfloat (float_of_string text)
-         else Tint (int_of_string text))
-        :: !toks
+      let tok =
+        match
+          if String.contains text '.' then Tfloat (float_of_string text)
+          else Tint (int_of_string text)
+        with
+        | tok -> tok
+        | exception Failure _ -> fail "malformed number %s" text
+      in
+      toks := tok :: !toks
     | c when is_id c ->
       let start = !i in
       while (match peek () with Some c -> is_id c | None -> false) do

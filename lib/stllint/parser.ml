@@ -44,82 +44,87 @@ type token =
   | Tp of string (* punctuation *)
   | Teof
 
-type lexer = { src : string; mutable pos : int; mutable line : int }
+(* The lexer scans [src] in place: [pos] is the next unread byte and
+   [start] the first byte of the token last returned. An identifier or
+   integer is one [String.sub]. *)
+type lexer = {
+  src : string;
+  mutable pos : int;
+  mutable line : int;
+  mutable start : int;
+}
 
 let error lx fmt =
   Fmt.kstr (fun message -> raise (Parse_error { line = lx.line; message })) fmt
 
-let peek lx = if lx.pos < String.length lx.src then Some lx.src.[lx.pos] else None
-
-let advance lx =
-  (match peek lx with Some '\n' -> lx.line <- lx.line + 1 | _ -> ());
-  lx.pos <- lx.pos + 1
+let is_digit c = c >= '0' && c <= '9'
 
 let is_id c =
-  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
-  || c = '_'
+  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || is_digit c || c = '_'
 
+let rec to_eol src i =
+  if i < String.length src && src.[i] <> '\n' then to_eol src (i + 1) else i
+
+(* Blanks and [// ...] comments, counting newlines; a comment stops in
+   front of its newline. *)
 let rec skip_ws lx =
-  match peek lx with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-    advance lx;
-    skip_ws lx
-  | Some '/' when lx.pos + 1 < String.length lx.src && lx.src.[lx.pos + 1] = '/'
-    ->
-    while peek lx <> None && peek lx <> Some '\n' do
-      advance lx
-    done;
-    skip_ws lx
-  | _ -> ()
+  let src = lx.src and i = lx.pos in
+  if i < String.length src then
+    match src.[i] with
+    | '\n' ->
+      lx.line <- lx.line + 1;
+      lx.pos <- i + 1;
+      skip_ws lx
+    | ' ' | '\t' | '\r' ->
+      lx.pos <- i + 1;
+      skip_ws lx
+    | '/' when i + 1 < String.length src && src.[i + 1] = '/' ->
+      lx.pos <- to_eol src (i + 2);
+      skip_ws lx
+    | _ -> ()
 
-let two_char lx a b =
-  peek lx = Some a
-  && lx.pos + 1 < String.length lx.src
-  && lx.src.[lx.pos + 1] = b
+let rec scan_end p src i =
+  if i < String.length src && p src.[i] then scan_end p src (i + 1) else i
+
+(* One-character punctuation as shared tokens, indexed by the character
+   ([Teof] for any other character). *)
+let punct =
+  Array.init 256 (fun code ->
+      let c = Char.chr code in
+      if String.contains "(){},;*=.<>" c then Tp (String.make 1 c) else Teof)
+
+let take lx len tok =
+  lx.pos <- lx.pos + len;
+  tok
 
 let next lx =
   skip_ws lx;
-  match peek lx with
-  | None -> Teof
-  | Some c when c >= '0' && c <= '9' ->
-    let b = Buffer.create 4 in
-    while (match peek lx with Some c when c >= '0' && c <= '9' -> true | _ -> false) do
-      Buffer.add_char b (Option.get (peek lx));
-      advance lx
-    done;
-    Tint (int_of_string (Buffer.contents b))
-  | Some c when is_id c ->
-    let b = Buffer.create 8 in
-    while (match peek lx with Some c when is_id c -> true | _ -> false) do
-      Buffer.add_char b (Option.get (peek lx));
-      advance lx
-    done;
-    Tid (Buffer.contents b)
-  | Some _ when two_char lx '+' '+' ->
-    advance lx;
-    advance lx;
-    Tp "++"
-  | Some _ when two_char lx '-' '-' ->
-    advance lx;
-    advance lx;
-    Tp "--"
-  | Some _ when two_char lx '!' '=' ->
-    advance lx;
-    advance lx;
-    Tp "!="
-  | Some _ when two_char lx '=' '=' ->
-    advance lx;
-    advance lx;
-    Tp "=="
-  | Some _ when two_char lx '.' '.' ->
-    advance lx;
-    advance lx;
-    Tp ".."
-  | Some (( '(' | ')' | '{' | '}' | ',' | ';' | '*' | '=' | '.' | '<' | '>' ) as c)
-    ->
-    advance lx;
-    Tp (String.make 1 c)
-  | Some c -> error lx "unexpected character %c" c
+  let src = lx.src and i = lx.pos in
+  lx.start <- i;
+  if i >= String.length src then Teof
+  else
+    match src.[i] with
+    | '0' .. '9' -> (
+      let j = scan_end is_digit src i in
+      let text = String.sub src i (j - i) in
+      match int_of_string_opt text with
+      | Some k -> take lx (j - i) (Tint k)
+      | None -> error lx "integer literal %s is out of range" text)
+    | c when is_id c ->
+      let j = scan_end is_id src i in
+      take lx (j - i) (Tid (String.sub src i (j - i)))
+    | c -> (
+      let c2 = if i + 1 < String.length src then src.[i + 1] else ' ' in
+      match (c, c2) with
+      | '+', '+' -> take lx 2 (Tp "++")
+      | '-', '-' -> take lx 2 (Tp "--")
+      | '!', '=' -> take lx 2 (Tp "!=")
+      | '=', '=' -> take lx 2 (Tp "==")
+      | '.', '.' -> take lx 2 (Tp "..")
+      | _ -> (
+        match punct.(Char.code c) with
+        | Teof -> error lx "unexpected character %c" c
+        | tok -> take lx 1 tok))
 
 type stream = {
   lx : lexer;
@@ -129,7 +134,7 @@ type stream = {
 }
 
 let mk src =
-  let lx = { src; pos = 0; line = 1 } in
+  let lx = { src; pos = 0; line = 1; start = 0 } in
   { lx; tok = next lx; containers = []; iters = [] }
 
 let shift s = s.tok <- next s.lx
@@ -155,22 +160,38 @@ let ident s =
 
 (* One token of extra lookahead, without consuming. *)
 let peek_ahead s =
-  let save_pos = s.lx.pos and save_line = s.lx.line in
-  let t = next s.lx in
-  s.lx.pos <- save_pos;
-  s.lx.line <- save_line;
+  let lx = s.lx in
+  let pos = lx.pos and line = lx.line and start = lx.start in
+  let t = next lx in
+  lx.pos <- pos;
+  lx.line <- line;
+  lx.start <- start;
   t
 
+(* the blanks [String.trim] removes *)
+let is_blank = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+let rec skip_blank src i stop =
+  if i < stop && is_blank src.[i] then skip_blank src (i + 1) stop else i
+
+let rec trim_blank src i j =
+  if j > i && is_blank src.[j - 1] then trim_blank src i (j - 1) else j
+
 (* Source text for labels: the first line of the statement, trimmed, so a
-   compound statement's diagnostic points at its head. *)
-let label_of lx start stop =
-  let text = String.trim (String.sub lx.src start (stop - start)) in
-  let head =
-    match String.index_opt text '\n' with
-    | Some i -> String.sub text 0 i
-    | None -> text
-  in
-  String.trim head
+   compound statement's diagnostic points at its head. Found in place:
+   only the label itself is copied. *)
+let label_of src start stop =
+  let i = skip_blank src start stop in
+  let j = trim_blank src i (min stop (to_eol src i)) in
+  String.sub src i (j - i)
+
+let rec is_iter x = function
+  | [] -> false
+  | y :: rest -> String.equal x y || is_iter x rest
+
+let rec is_container x = function
+  | [] -> false
+  | (y, _) :: rest -> String.equal x y || is_container x rest
 
 (* ------------------------------------------------------------------ *)
 (* Expressions                                                         *)
@@ -206,7 +227,7 @@ let rec parse_expr s =
 
 let parse_cond s =
   match s.tok with
-  | Tid a when List.mem a s.iters -> (
+  | Tid a when is_iter a s.iters -> (
     let a = ident s in
     if accept s "!=" then Ast.Iter_ne (a, ident s)
     else if accept s "==" then Ast.Iter_eq (a, ident s)
@@ -230,8 +251,8 @@ let parse_arg s =
     if accept s ".." then
       let y = ident s in
       Ast.A_range (Ast.R_iters (x, y))
-    else if List.mem_assoc x s.containers then Ast.A_range (Ast.R_container x)
-    else if List.mem x s.iters then Ast.A_iter x
+    else if is_container x s.containers then Ast.A_range (Ast.R_container x)
+    else if is_iter x s.iters then Ast.A_iter x
     else Ast.A_pred x
   | _ -> error s.lx "expected an argument"
 
@@ -269,7 +290,7 @@ let parse_rhs s ~result_name =
   | Tid "singular" ->
     shift s;
     `Init Ast.Singular_init
-  | Tid x when List.mem_assoc x s.containers -> (
+  | Tid x when is_container x s.containers -> (
     shift s;
     expect s ".";
     let m = ident s in
@@ -295,7 +316,7 @@ let parse_rhs s ~result_name =
       expect s ")";
       `Stmt (Ast.Insert { container = x; at; value = v; result = Some result_name })
     | _ -> error s.lx "container %s has no member %s usable here" x m)
-  | Tid x when List.mem x s.iters ->
+  | Tid x when is_iter x s.iters ->
     shift s;
     `Init (Ast.Copy_of x)
   | Tid algo -> (
@@ -308,13 +329,11 @@ let parse_rhs s ~result_name =
   | _ -> error s.lx "expected an iterator initialiser"
 
 let rec parse_stmt s =
-  let start = s.lx.pos - (match s.tok with Tid x -> String.length x | _ -> 0) in
-  let finish node =
-    let stop = s.lx.pos in
-    { Ast.label = label_of s.lx (max 0 start) stop; node }
-  in
+  let start = s.lx.start in
+  let finish node = { Ast.label = label_of s.lx.src start s.lx.pos; node } in
   match s.tok with
-  | Tid kw when container_kind_of kw <> None ->
+  | Tid kw when Option.is_some (container_kind_of kw) ->
+    let kind = Option.get (container_kind_of kw) in
     shift s;
     (* optional template argument: vector<int> *)
     if accept s "<" then begin
@@ -324,10 +343,8 @@ let rec parse_stmt s =
     let name = ident s in
     let sorted = (match s.tok with Tid "sorted" -> shift s; true | _ -> false) in
     expect s ";";
-    s.containers <- (name, Option.get (container_kind_of kw)) :: s.containers;
-    finish
-      (Ast.Decl_container
-         { name; kind = Option.get (container_kind_of kw); sorted })
+    s.containers <- (name, kind) :: s.containers;
+    finish (Ast.Decl_container { name; kind; sorted })
   | Tid "iter" when not (match peek_ahead s with Tp "=" -> true | _ -> false) -> (
     (* 'iter' introduces a declaration unless the next token is '=', in
        which case it is an ordinary variable named iter (as in the
@@ -389,7 +406,7 @@ let rec parse_stmt s =
       expect s ";";
       finish (Ast.Deref_read x)
     end)
-  | Tid x when List.mem_assoc x s.containers -> (
+  | Tid x when is_container x s.containers -> (
     shift s;
     expect s ".";
     let m = ident s in
@@ -419,7 +436,7 @@ let rec parse_stmt s =
       expect s ";";
       finish (Ast.Insert { container = x; at; value = v; result = None })
     | _ -> error s.lx "unknown container member %s" m)
-  | Tid x when List.mem x s.iters ->
+  | Tid x when is_iter x s.iters ->
     (* iterator reassignment *)
     shift s;
     expect s "=";

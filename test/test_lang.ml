@@ -173,6 +173,86 @@ let test_unterminated_string () =
   | _ -> Alcotest.fail "expected a parse error"
   | exception Lang.Parse_error _ -> ()
 
+(* Golden .gpc table: the item count of a parse, or the Parse_error's
+   line, column and message. *)
+let gpc_golden_inputs =
+  [
+    ("perfbench defs", Perf_shapes.gpc_source 7);
+    ("unterminated string", "type \"oops");
+    ("unterminated string across lines", "concept C<T> {\n  axiom a(x): \"ab\ncd");
+    ("error after a string across lines", "concept C<T> {\n  axiom a(x): \"ab\n  cd\" ~\n}");
+    ("bad character after a comment", "// a comment\n  type t; @");
+    ("bad character after a trailing comment", "type t; // fine\n\t#");
+    ("literal at end of file", "concept C<T> { complexity f O(n^2");
+    ("one at end of file", "concept C<T> { complexity f O(1");
+    ("bare literal at end of file", "type t;\n42");
+    ("type without semicolon", "type t\nop f : t -> t;");
+    ("missing return type", "concept Broken<T> {\n  op : T, T -> ;\n}");
+    ("crlf", "concept C<T> {\r\n  f : T -> ;\r\n}");
+    ("tabs", "concept C<T> {\n\tf : T -> T\n}");
+    ("lone dash", "op f : a - b;");
+    ("lone slash", "type t; /");
+    ("equals in type fields", "type t { a = b; c == d; }");
+    ("bad exponent", "concept C<T> { complexity f O(n^x); }");
+    ("unknown item", "\n\n   thing x;");
+    ("empty", "");
+    ("comment only", "// nothing here");
+  ]
+
+let gpc_digest src =
+  match Lang.parse_string src with
+  | items -> Printf.sprintf "ok %d items" (List.length items)
+  | exception Lang.Parse_error { line; col; message } ->
+    Printf.sprintf "%d:%d: %s" line col message
+
+(* Recorded with the lexer that scanned through per-character options
+   and buffers; the in-place lexer must reproduce it exactly. *)
+let gpc_golden_expected =
+  [
+    ("perfbench defs", "ok 3 items");
+    ("unterminated string", "1:11: unterminated string literal");
+    ("unterminated string across lines", "3:3: unterminated string literal");
+    ("error after a string across lines", "3:7: unexpected character ~");
+    ("bad character after a comment", "2:11: unexpected character @");
+    ("bad character after a trailing comment", "2:2: unexpected character #");
+    ("literal at end of file", "1:34: expected ')'");
+    ("one at end of file", "1:32: expected ')'");
+    ("bare literal at end of file", "2:3: expected 'concept', 'type', 'op' or 'model'");
+    ("type without semicolon", "ok 2 items");
+    ("missing return type", "2:17: expected a type");
+    ("crlf", "2:13: expected a type");
+    ("tabs", "3:2: expected ';'");
+    ("lone dash", "1:10: unexpected character -");
+    ("lone slash", "1:9: unexpected character /");
+    ("equals in type fields", "1:21: expected '='");
+    ("bad exponent", "1:34: expected an exponent");
+    ("unknown item", "3:9: expected 'concept', 'type', 'op' or 'model'");
+    ("empty", "ok 0 items");
+    ("comment only", "ok 0 items");
+  ]
+
+let test_gpc_golden () =
+  Alcotest.(check int) "every input has an entry"
+    (List.length gpc_golden_inputs) (List.length gpc_golden_expected);
+  List.iter
+    (fun (name, src) ->
+      Alcotest.(check string) name (List.assoc name gpc_golden_expected)
+        (gpc_digest src))
+    gpc_golden_inputs
+
+(* An out-of-range literal is a Parse_error at the literal, on any line. *)
+let test_literal_out_of_range () =
+  List.iter
+    (fun (src, expected) ->
+      Alcotest.(check string) src expected (gpc_digest src))
+    [ ( "concept C<T> { f : T -> T; complexity f O(n^99999999999999999999); }",
+        "1:45: integer literal 99999999999999999999 is out of range" );
+      ( "concept C<T> {\n  complexity f O(4611686018427387904);\n}",
+        "2:18: integer literal 4611686018427387904 is out of range" ) ];
+  Alcotest.(check string) "max_int still lexes"
+    "1:50: expected a complexity factor"
+    (gpc_digest "concept C<T> { complexity f O(4611686018427387903) }")
+
 let test_roundtrip () =
   let reg = Registry.create () in
   Lang.load_string reg monoid_src;
@@ -308,6 +388,9 @@ let () =
           Alcotest.test_case "position" `Quick test_parse_error_position;
           Alcotest.test_case "unterminated string" `Quick
             test_unterminated_string;
+          Alcotest.test_case "golden positions" `Quick test_gpc_golden;
+          Alcotest.test_case "literal out of range" `Quick
+            test_literal_out_of_range;
         ] );
       ("roundtrip", [ Alcotest.test_case "monoid" `Quick test_roundtrip ]);
       ( "surface details",

@@ -480,6 +480,29 @@ let test_malformed_corpus () =
        (Request.Prove { theory = "group"; instance = Some "quaternion[?]" }));
   assert_alive server
 
+(* An out-of-range or malformed numeric literal is a parse failure in
+   every text front end, reported on the wire like any other. *)
+let test_numeric_literals_are_parse_failures () =
+  let server = mkserver () in
+  List.iter
+    (fun (name, line) ->
+      match Server.serve_line server line with
+      | Some rsp ->
+        check_code name Request.Parse_failure rsp;
+        Alcotest.(check bool) (name ^ " on the wire") true
+          (contains (Wire.response_to_line rsp) {|"parse-failure"|})
+      | None -> Alcotest.failf "%s: no response" name)
+    [ ( "lint literal",
+        {|{"kind":"lint","source":"vector<int> v;\niter i = v.begin();\n*i = 99999999999999999999;"}|} );
+      ( "check defs literal",
+        {|{"kind":"check","concept":"C","types":["t"],"nominal":false,"defs":"concept C<T> { f : T -> T; complexity f O(n^99999999999999999999); }"}|} );
+      ( "parse literal",
+        {|{"kind":"parse","source":"concept C<T> { f : T -> T; complexity f O(n^99999999999999999999); }"}|} );
+      ( "optimize integer",
+        {|{"kind":"optimize","expr":"x + 99999999999999999999999"}|} );
+      ("optimize float", {|{"kind":"optimize","expr":"x * 1.2.3"}|}) ];
+  assert_alive server
+
 (* gp serve --stats-json ships GC counter totals next to the request
    metrics, so a stats scrape shows allocation trends. *)
 let test_report_json_gc () =
@@ -1654,6 +1677,8 @@ let () =
           qtest wire_response_stream_prop ] );
       ( "robustness",
         [ Alcotest.test_case "malformed corpus" `Quick test_malformed_corpus;
+          Alcotest.test_case "numeric literals are parse failures" `Quick
+            test_numeric_literals_are_parse_failures;
           Alcotest.test_case "over budget" `Quick test_over_budget;
           Alcotest.test_case "timeout" `Quick test_timeout;
           Alcotest.test_case "queue full" `Quick test_queue_full;

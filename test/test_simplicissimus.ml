@@ -251,6 +251,22 @@ let test_sparser_type_mismatch () =
       | exception Sparser.Parse_error _ -> ())
     [ "x + 1.0"; "x:float + 1"; "b:bool + 1"; "x + "; "(x"; "x ~ y" ]
 
+(* an out-of-range integer or a malformed float is a Parse_error naming
+   the literal, never a Failure from the number conversion *)
+let test_sparser_numeric_literals () =
+  List.iter
+    (fun (src, literal) ->
+      match Sparser.parse src with
+      | e -> Alcotest.failf "accepted %S as %s" src (Expr.to_string e)
+      | exception Sparser.Parse_error m ->
+        Alcotest.(check string) src ("malformed number " ^ literal) m)
+    [ ("x + 99999999999999999999999", "99999999999999999999999");
+      ("x * 1.2.3", "1.2.3");
+      ("f:float * 1.0.", "1.0.");
+      ("4611686018427387904 * y", "4611686018427387904") ];
+  Alcotest.(check string) "max_int still parses" "(4611686018427387903 * y)"
+    (Expr.to_string (Sparser.parse "4611686018427387903 * y"))
+
 let test_sparser_pipeline () =
   (* parse, rewrite, evaluate end-to-end *)
   let e = Sparser.parse "(x*1 + 0) + (0 - x)" in
@@ -661,6 +677,8 @@ let () =
           Alcotest.test_case "basics" `Quick test_sparser_basics;
           Alcotest.test_case "type mismatch" `Quick
             test_sparser_type_mismatch;
+          Alcotest.test_case "numeric literals" `Quick
+            test_sparser_numeric_literals;
           Alcotest.test_case "pipeline" `Quick test_sparser_pipeline;
         ] );
       ( "certification",
