@@ -950,7 +950,7 @@ let s2 () =
        "Root"
        [ Concept.axiom "t" "true" ]);
   let obs = Propagate.closure preg "Root" [ n "P" ] in
-  let obs_ref = Propagate.closure_reference preg "Root" [ n "P" ] in
+  let obs_ref = Oracles.closure_reference preg "Root" [ n "P" ] in
   assert (
     List.length obs = List.length obs_ref
     && List.for_all2 Propagate.obligation_equal obs obs_ref);
@@ -962,13 +962,13 @@ let s2 () =
   in
   let t_prop_ref =
     time_ns "closure (quadratic reference)" (fun () ->
-        Sys.opaque_identity (Propagate.closure_reference preg "Root" [ n "P" ]))
+        Sys.opaque_identity (Oracles.closure_reference preg "Root" [ n "P" ]))
   in
   (* -------- cold rewrite throughput -------------------------------- *)
   let open Gp_simplicissimus in
   let insts2, rules2, e, nentries = rewrite_world ~quick in
   let r_ix = Engine.rewrite ~rules:rules2 ~insts:insts2 e in
-  let r_ref = Engine.rewrite_reference ~rules:rules2 ~insts:insts2 e in
+  let r_ref = Oracles.rewrite_reference ~rules:rules2 ~insts:insts2 e in
   assert (Expr.equal r_ix.Engine.output r_ref.Engine.output);
   assert (List.length r_ix.Engine.steps = List.length r_ref.Engine.steps);
   Fmt.pr
@@ -983,7 +983,7 @@ let s2 () =
   let t_rw_ref =
     time_ns "cold rewrite (linear reference)" (fun () ->
         Sys.opaque_identity
-          (Engine.rewrite_reference ~rules:rules2 ~insts:insts2 e))
+          (Oracles.rewrite_reference ~rules:rules2 ~insts:insts2 e))
   in
   (* -------- table + machine-readable record ------------------------ *)
   Fmt.pr "@.%-36s %13s %13s %9s@." "hot path" "linear scan" "indexed"
@@ -1530,10 +1530,10 @@ let s7 () =
   let legacy () =
     Array.iter
       (fun (line, rsp) ->
-        (match Wire.request_of_line_ast line with
+        (match Oracles.request_of_line_ast line with
         | Ok r -> ignore (Sys.opaque_identity r)
         | Error e -> failwith e);
-        ignore (Sys.opaque_identity (Wire.response_to_line_ast rsp));
+        ignore (Sys.opaque_identity (Oracles.response_to_line_ast rsp));
         ignore
           (Sys.opaque_identity
              (Digest.string (Request.response_canonical rsp))))

@@ -403,13 +403,19 @@ let taxonomy_cmd =
 (* gp serve / gp workload                                               *)
 (* ------------------------------------------------------------------ *)
 
-let server_config ~no_cache ~cache_capacity ~queue ~max_steps ~timeout =
-  { Gp_service.Server.default_config with
-    Gp_service.Server.caching = not no_cache;
-    cache_capacity;
-    queue_capacity = queue;
-    max_steps;
-    timeout }
+let server_config ~no_cache ~cache_capacity ~max_steps ~timeout =
+  match
+    Gp_service.Server.validate_config
+      { Gp_service.Server.default_config with
+        Gp_service.Server.caching = not no_cache;
+        cache_capacity;
+        max_steps;
+        timeout }
+  with
+  | Ok config -> config
+  | Error m ->
+    Fmt.epr "bad config: %s@." m;
+    exit 2
 
 let no_cache_arg =
   Arg.(value & flag
@@ -418,10 +424,6 @@ let no_cache_arg =
 let cache_capacity_arg =
   Arg.(value & opt int 256
        & info [ "cache-capacity" ] ~doc:"Entries per LRU cache.")
-
-let queue_arg =
-  Arg.(value & opt int 64
-       & info [ "queue" ] ~doc:"Admission-queue capacity.")
 
 let max_steps_arg =
   Arg.(value & opt int 100_000
@@ -474,12 +476,10 @@ let serve_cmd =
                    file ($(b,gp replay) input). Installs a telemetry sink \
                    like $(b,--trace) so dossiers carry span trees.")
   in
-  let run file no_cache cache_capacity queue max_steps timeout metrics
+  let run file no_cache cache_capacity max_steps timeout metrics
       stats_json trace_file flight_file =
     let open Gp_service in
-    let config =
-      server_config ~no_cache ~cache_capacity ~queue ~max_steps ~timeout
-    in
+    let config = server_config ~no_cache ~cache_capacity ~max_steps ~timeout in
     let sink =
       if trace_file <> None || flight_file <> None then
         Some (Gp_telemetry.Tel.install ~trace_capacity:65536 ())
@@ -516,7 +516,7 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Serve JSONL-ish toolchain requests from a file or stdin")
-    Term.(const run $ file $ no_cache_arg $ cache_capacity_arg $ queue_arg
+    Term.(const run $ file $ no_cache_arg $ cache_capacity_arg
           $ max_steps_arg $ timeout_arg $ metrics_arg $ stats_json
           $ trace_file $ flight_file)
 
@@ -578,7 +578,7 @@ let workload_cmd =
   let solve_w = numeric_weight "solve" in
   let run n seed mix_spec zipf keyspace quick print_responses errors emit
       matvec_w matmul_w solve_w
-      no_cache cache_capacity queue max_steps timeout =
+      no_cache cache_capacity max_steps timeout =
     let open Gp_service in
     let mix =
       match mix_spec with
@@ -607,9 +607,7 @@ let workload_cmd =
       List.iter (fun req -> print_endline (Wire.request_to_line req)) reqs;
       exit 0
     end;
-    let config =
-      server_config ~no_cache ~cache_capacity ~queue ~max_steps ~timeout
-    in
+    let config = server_config ~no_cache ~cache_capacity ~max_steps ~timeout in
     let server = Server.create ~config ~declare_standard:Standard.declare () in
     let t0 = Unix.gettimeofday () in
     let responses = Server.process server reqs in
@@ -644,8 +642,8 @@ let workload_cmd =
        ~doc:"Generate and serve a seeded synthetic workload, then report")
     Term.(const run $ n_arg $ seed $ mix_arg $ zipf $ keyspace $ quick
           $ print_responses $ errors_arg $ emit $ matvec_w $ matmul_w
-          $ solve_w $ no_cache_arg $ cache_capacity_arg $ queue_arg
-          $ max_steps_arg $ timeout_arg)
+          $ solve_w $ no_cache_arg $ cache_capacity_arg $ max_steps_arg
+          $ timeout_arg)
 
 (* ------------------------------------------------------------------ *)
 (* gp trace                                                            *)

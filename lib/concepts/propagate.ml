@@ -35,9 +35,9 @@ let obligation_equal a b =
 
    Implemented as an explicit worklist with a hashed seen-set (the seed's
    [List.exists obligation_equal] dedup was quadratic in the closure
-   size; see [closure_with_reference] below for that oracle). Children
-   are pushed as a block ahead of the remaining work, so the emission
-   order is exactly the reference's depth-first pre-order. *)
+   size; it survives as the test oracle). Children are pushed as a block
+   ahead of the remaining work, so the emission order is exactly the
+   recursive descent's depth-first pre-order. *)
 module Ob_tbl = Hashtbl.Make (struct
   type t = string * Ctype.t list
 
@@ -114,58 +114,8 @@ let closure_with ?(max_depth = 8) ~lookup concept args =
       end;
       obs)
 
-(* The seed implementation, retained verbatim as the oracle the qcheck
-   equivalence suite and the s2 bench compare against: dedup by linear
-   scan of the accumulator, recursive descent. *)
-let closure_with_reference ?(max_depth = 8) ~lookup concept args =
-  let acc = ref [] in
-  let add ob =
-    if not (List.exists (obligation_equal ob) !acc) then (
-      acc := ob :: !acc;
-      true)
-    else false
-  in
-  let rec go depth concept args =
-    if depth > max_depth then ()
-    else
-      let ob = { ob_concept = concept; ob_args = args } in
-      if add ob then
-        match lookup concept with
-        | None -> ()
-        | Some con ->
-          let env = List.combine con.Concept.params args in
-          List.iter
-            (fun (rname, rargs) ->
-              go (depth + 1) rname (List.map (Ctype.subst env) rargs))
-            con.Concept.refines;
-          List.iter
-            (fun req ->
-              let constraints =
-                match req with
-                | Concept.Assoc_type { at_constraints; _ } -> at_constraints
-                | Concept.Constraint c -> [ c ]
-                | Concept.Operation _ | Concept.Axiom _
-                | Concept.Complexity_guarantee _ ->
-                  []
-              in
-              List.iter
-                (function
-                  | Concept.Models (cname, cargs) ->
-                    go (depth + 1) cname (List.map (Ctype.subst env) cargs)
-                  | Concept.Same_type _ -> ())
-                constraints)
-            con.Concept.requirements
-  in
-  go 0 concept args;
-  List.rev !acc
-
 let closure ?max_depth reg concept args =
   closure_with ?max_depth ~lookup:(Registry.find_concept reg) concept args
-
-let closure_reference ?max_depth reg concept args =
-  closure_with_reference ?max_depth
-    ~lookup:(Registry.find_concept reg)
-    concept args
 
 (* Canonical cache key for a closure query. The registry's generation
    counter stands in for the lookup function: any declaration bumps it, so

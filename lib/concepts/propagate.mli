@@ -24,24 +24,9 @@ val closure_with :
     {!Registry.generation} plus the query). [max_depth] bounds recursion
     through associated types (container/iterator cycles are legal). *)
 
-val closure_with_reference :
-  ?max_depth:int ->
-  lookup:(string -> Concept.t option) ->
-  string ->
-  Ctype.t list ->
-  obligation list
-(** The seed implementation of {!closure_with} (linear-scan dedup,
-    quadratic in the closure size), retained as the oracle the qcheck
-    equivalence suite and the s2 bench compare the hashed worklist
-    against. Same obligations, same order, different complexity. *)
-
 val closure :
   ?max_depth:int -> Registry.t -> string -> Ctype.t list -> obligation list
 (** [closure_with] over [Registry.find_concept reg]. *)
-
-val closure_reference :
-  ?max_depth:int -> Registry.t -> string -> Ctype.t list -> obligation list
-(** [closure_with_reference] over [Registry.find_concept reg]. *)
 
 val request_key :
   ?max_depth:int -> Registry.t -> string -> Ctype.t list -> string

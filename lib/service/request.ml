@@ -182,7 +182,6 @@ type error_code =
   | Unknown_name (* unknown concept, theory or instance *)
   | Over_budget (* per-request step budget exhausted *)
   | Timeout (* per-request deadline exceeded *)
-  | Queue_full (* admission control rejected the request *)
   | Internal (* unexpected exception; the server survives and reports it *)
 
 let error_code_name = function
@@ -191,7 +190,6 @@ let error_code_name = function
   | Unknown_name -> "unknown-name"
   | Over_budget -> "over-budget"
   | Timeout -> "timeout"
-  | Queue_full -> "queue-full"
   | Internal -> "internal"
 
 type error = { code : error_code; detail : string }

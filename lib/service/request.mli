@@ -58,7 +58,6 @@ type error_code =
   | Unknown_name
   | Over_budget
   | Timeout
-  | Queue_full
   | Internal
 
 val error_code_name : error_code -> string

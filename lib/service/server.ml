@@ -1,12 +1,11 @@
-(* The serving engine: admission control, per-request budgets, dispatch,
-   metrics.
+(* The serving engine: per-request budgets, dispatch, metrics.
 
-   Single-threaded and deterministic: requests are admitted into a bounded
-   queue (overflow yields a structured Queue_full response immediately) and
-   drained in FIFO order. The clock is injectable, so the timeout path and
-   every latency number are reproducible under test. No request — however
-   malformed — escapes as an exception: the last-resort handler maps
-   anything unexpected to an Internal error response and the server keeps
+   Single-threaded and deterministic: each request is served to completion
+   before the next one starts (overload control lives in the cluster
+   router). The clock is injectable, so the timeout path and every latency
+   number are reproducible under test. No request — however malformed —
+   escapes as an exception: the last-resort handler maps anything
+   unexpected to an Internal error response and the server keeps
    serving. *)
 
 module Tel = Gp_telemetry.Tel
@@ -16,7 +15,6 @@ module Recorder = Gp_telemetry.Recorder
 type config = {
   caching : bool;
   cache_capacity : int; (* entries per LRU *)
-  queue_capacity : int;
   max_steps : int; (* per-request step budget *)
   timeout : float option; (* per-request deadline, seconds *)
   now : unit -> float; (* injectable clock, seconds *)
@@ -28,7 +26,6 @@ type config = {
 let default_config =
   { caching = true;
     cache_capacity = 256;
-    queue_capacity = 64;
     max_steps = 100_000;
     timeout = None;
     now = Unix.gettimeofday;
@@ -45,7 +42,6 @@ let config_to_line c =
     (Wire.Obj
        [ ("caching", Wire.Bool c.caching);
          ("cache_capacity", Wire.Int c.cache_capacity);
-         ("queue_capacity", Wire.Int c.queue_capacity);
          ("max_steps", Wire.Int c.max_steps);
          ( "timeout",
            match c.timeout with
@@ -56,6 +52,25 @@ let config_to_line c =
          ("flight_slowest", Wire.Int c.flight_slowest) ])
 
 let config_fingerprint c = Digest.to_hex (Digest.string (config_to_line c))
+
+(* The one range check: [create] refuses what it rejects, [config_of_line]
+   applies it to recorded configs, and the CLI to its flags. *)
+let validate_config c =
+  let negative =
+    List.find_opt
+      (fun (_, v) -> v < 0)
+      [ ("max_steps", c.max_steps); ("slow_log", c.slow_log);
+        ("flight_capacity", c.flight_capacity);
+        ("flight_slowest", c.flight_slowest) ]
+  in
+  if c.cache_capacity < 1 then
+    Error (Printf.sprintf "cache_capacity must be >= 1, got %d" c.cache_capacity)
+  else
+    match (negative, c.timeout) with
+    | Some (name, v), _ -> Error (Printf.sprintf "%s must be >= 0, got %d" name v)
+    | None, Some s when not (Float.is_finite s && s >= 0.0) ->
+      Error (Printf.sprintf "timeout must be a finite number >= 0, got %g" s)
+    | None, _ -> Ok c
 
 let config_of_line line =
   match Wire.parse line with
@@ -75,7 +90,6 @@ let config_of_line line =
       | Some _ -> Error "config field \"caching\" must be a boolean"
     in
     let* cache_capacity = int_field "cache_capacity" default_config.cache_capacity in
-    let* queue_capacity = int_field "queue_capacity" default_config.queue_capacity in
     let* max_steps = int_field "max_steps" default_config.max_steps in
     let* timeout =
       match List.assoc_opt "timeout" fields with
@@ -87,10 +101,12 @@ let config_of_line line =
     let* slow_log = int_field "slow_log" default_config.slow_log in
     let* flight_capacity = int_field "flight_capacity" default_config.flight_capacity in
     let* flight_slowest = int_field "flight_slowest" default_config.flight_slowest in
-    Ok
-      { default_config with
-        caching; cache_capacity; queue_capacity; max_steps; timeout;
-        slow_log; flight_capacity; flight_slowest }
+    Result.map_error
+      (fun m -> "bad config: " ^ m)
+      (validate_config
+         { default_config with
+           caching; cache_capacity; max_steps; timeout; slow_log;
+           flight_capacity; flight_slowest })
   | _ -> Error "bad config line: expected a JSON object"
 
 type slow_entry = {
@@ -104,7 +120,6 @@ type t = {
   config : config;
   dispatch : Dispatch.t;
   metrics : Metrics.t;
-  queue : (int * Request.t) Queue.t;
   recorder : Recorder.t option; (* flight recorder; None when disabled *)
   config_line : string; (* precomputed: every dossier carries both *)
   config_fp : string;
@@ -116,12 +131,14 @@ type t = {
 }
 
 let create ?(config = default_config) ~declare_standard () =
+  (match validate_config config with
+  | Ok _ -> ()
+  | Error m -> invalid_arg ("Server.create: " ^ m));
   { config;
     dispatch =
       Dispatch.create ~declare_standard
         ~cache_capacity:config.cache_capacity ();
     metrics = Metrics.create ();
-    queue = Queue.create ();
     recorder =
       (if config.flight_capacity > 0 then
          Some
@@ -143,7 +160,6 @@ let registry t = Dispatch.registry t.dispatch
 let caches t = Dispatch.caches t.dispatch
 let cache_stats t = Dispatch.cache_stats (caches t)
 let clear_caches t = Dispatch.clear_caches (caches t)
-let queue_length t = Queue.length t.queue
 
 let fresh_id t =
   t.next_id <- t.next_id + 1;
@@ -368,70 +384,10 @@ let reject_invalid ?(line = "") t detail =
     ~cache_chain:[] ~metric_deltas:[] rsp;
   rsp
 
-(* ------------------------------------------------------------------ *)
-(* Admission queue                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let submit t req =
-  if Queue.length t.queue >= t.config.queue_capacity then begin
-    let id = fresh_id t in
-    let t0 = t.config.now () in
-    `Rejected
-      (observe t ~kind:(Some (Request.kind req)) ~id ~t0
-         (Error
-            { Request.code = Request.Queue_full;
-              detail =
-                Printf.sprintf "queue full (capacity %d)"
-                  t.config.queue_capacity })
-         ~cached:false ~steps:0)
-  end
-  else begin
-    let id = fresh_id t in
-    Queue.add (id, req) t.queue;
-    `Admitted id
-  end
-
-let drain t =
-  let rec go acc =
-    match Queue.take_opt t.queue with
-    | None -> List.rev acc
-    | Some (id, req) -> go (handle ~id t req :: acc)
-  in
-  go []
-
-(* Submit a burst, then drain: exercises admission control — requests past
-   the queue capacity are rejected with Queue_full. *)
-let process_burst t reqs =
-  let submitted = List.map (fun req -> submit t req) reqs in
-  let processed = drain t in
-  let processed = ref processed in
-  List.map
-    (fun outcome ->
-      match outcome with
-      | `Rejected rsp -> rsp
-      | `Admitted id -> (
-        match !processed with
-        | rsp :: rest when rsp.Request.rsp_id = id ->
-          processed := rest;
-          rsp
-        | _ -> assert false (* drain returns FIFO, ids match *)))
-    submitted
-
-(* Steady-state processing: drain before a submit would find the queue
-   full, so every request is admitted once and served. This is the
-   workload driver's path. *)
-let process t reqs =
-  let out = ref [] in
-  List.iter
-    (fun req ->
-      if Queue.length t.queue >= t.config.queue_capacity then
-        out := List.rev_append (drain t) !out;
-      match submit t req with
-      | `Admitted _ -> ()
-      | `Rejected rsp -> out := rsp :: !out (* only with no queue at all *))
-    reqs;
-  out := List.rev_append (drain t) !out;
-  List.rev !out
+(* Serve each request to completion, in order: responses come back in
+   request order with consecutive ids. This is the workload driver's
+   path. *)
+let process t reqs = List.map (fun req -> handle t req) reqs
 
 (* ------------------------------------------------------------------ *)
 (* Line-oriented serving                                               *)

@@ -1,16 +1,16 @@
-(** The serving engine: bounded admission queue, per-request budgets and
-    deadlines, dispatch through the memo caches, metrics.
+(** The serving engine: per-request budgets and deadlines, dispatch
+    through the memo caches, metrics.
 
-    Single-threaded and deterministic: requests drain in FIFO order and
-    the clock is injectable, so timeout behaviour and latency accounting
-    reproduce exactly under test. Total over arbitrary input — a
+    Single-threaded and deterministic: each request is served to
+    completion before the next (overload control lives in the cluster
+    router), and the clock is injectable, so timeout behaviour and
+    latency accounting reproduce exactly under test. Total over arbitrary input — a
     malformed or exploding request yields a structured error response,
     never a crash. *)
 
 type config = {
   caching : bool;
   cache_capacity : int;  (** entries per LRU cache *)
-  queue_capacity : int;
   max_steps : int;  (** per-request step budget *)
   timeout : float option;  (** per-request deadline, seconds *)
   now : unit -> float;  (** injectable clock, seconds *)
@@ -20,7 +20,7 @@ type config = {
 }
 
 val default_config : config
-(** caching on, 256-entry caches, queue of 64, 100k steps, no timeout,
+(** caching on, 256-entry caches, 100k steps, no timeout,
     [Unix.gettimeofday], 5-entry slow log, 512-dossier flight ring with
     slowest-k of 8. *)
 
@@ -30,9 +30,16 @@ val config_to_line : config -> string
     is what dossiers embed, so [gp replay] can rebuild the exact
     server a request ran under. *)
 
+val validate_config : config -> (config, string) result
+(** The range check every entry point applies: [cache_capacity >= 1];
+    [max_steps], [slow_log], [flight_capacity] and [flight_slowest]
+    [>= 0]; a [timeout] finite and [>= 0]. [Error] names the field. *)
+
 val config_of_line : string -> (config, string) result
 (** Inverse of {!config_to_line}; missing fields take their
-    {!default_config} values and [now] is always the default clock. *)
+    {!default_config} values, unknown fields are ignored, and [now] is
+    always the default clock. A config {!validate_config} rejects is an
+    [Error]. *)
 
 val config_fingerprint : config -> string
 (** Digest of {!config_to_line} — dossiers carry it as [config_fp]. *)
@@ -42,7 +49,8 @@ type t
 val create :
   ?config:config -> declare_standard:(Gp_concepts.Registry.t -> unit) -> unit -> t
 (** [declare_standard] populates the server's shared registry (and any
-    per-request sandbox) with the standard world. *)
+    per-request sandbox) with the standard world. Raises
+    [Invalid_argument] on a config {!validate_config} rejects. *)
 
 val config : t -> config
 val metrics : t -> Metrics.t
@@ -51,20 +59,17 @@ val flight : t -> Gp_telemetry.Recorder.t option
 (** The flight recorder, when [config.flight_capacity > 0]. Every
     request served — including unparseable lines — leaves a dossier;
     error/over-budget/timeout and slowest-k dossiers additionally retain
-    their span tree and metric deltas. Queue-full rejections are
-    admission events, not served requests, and leave no dossier. *)
+    their span tree and metric deltas. *)
 
 val registry : t -> Gp_concepts.Registry.t
 val caches : t -> Dispatch.caches
 val cache_stats : t -> Lru.stats list
 val clear_caches : t -> unit
-val queue_length : t -> int
 
 val handle :
   ?id:int -> ?context:Gp_telemetry.Context.t -> t -> Request.t ->
   Request.response
-(** Process one request to completion, bypassing the queue. Never
-    raises. When a telemetry sink is installed
+(** Process one request to completion. Never raises. When a telemetry sink is installed
     ([Gp_telemetry.Tel.install]) each request runs under a
     [service.request] root span and feeds the slow-request log; the
     response is identical either way. [context], when given and
@@ -73,23 +78,9 @@ val handle :
     attributes so this node's service trace joins the cluster-wide
     tree. *)
 
-val submit : t -> Request.t -> [ `Admitted of int | `Rejected of Request.response ]
-(** Admission control: a full queue rejects with a [Queue_full]
-    response immediately. *)
-
-val drain : t -> Request.response list
-(** Serve everything queued, FIFO. *)
-
-val process_burst : t -> Request.t list -> Request.response list
-(** Submit the whole list as one burst, then drain; responses in request
-    order. Requests beyond the queue capacity come back [Queue_full] —
-    this is the admission-control test path. *)
-
 val process : t -> Request.t list -> Request.response list
-(** Steady-state driver: drains before a submit would find the queue
-    full, so every request is admitted exactly once and served —
-    responses in request order, ids consecutive, and no [Queue_full]
-    (unless [queue_capacity] is 0, which rejects everything). *)
+(** Serve each request with {!handle}, in order: responses in request
+    order, ids consecutive. *)
 
 val serve_line : t -> string -> Request.response option
 (** Decode and serve one wire line ([None] for a blank line). *)

@@ -333,122 +333,20 @@ let to_string v =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* Requests                                                            *)
+(* Requests: cursor -> typed IR, no AST                                *)
 (* ------------------------------------------------------------------ *)
 
-let field fields name = List.assoc_opt name fields
+(* The decoder parses known request shapes straight from the cursor into
+   [Request.t], touching one reused slot record instead of materializing
+   a [json] tree. Steady-state allocation is limited to the strings the
+   request must own (field payloads) and the final record.
 
-let str_field fields name =
-  match field fields name with
-  | Some (Str s) -> Ok s
-  | Some _ -> Result.error (Printf.sprintf "field %S must be a string" name)
-  | None -> Result.error (Printf.sprintf "missing field %S" name)
-
-let opt_str_field fields name =
-  match field fields name with
-  | Some (Str s) -> Ok (Some s)
-  | None | Some Null -> Ok None
-  | Some _ -> Result.error (Printf.sprintf "field %S must be a string" name)
-
-let bool_field ~default fields name =
-  match field fields name with
-  | Some (Bool b) -> Ok b
-  | None -> Ok default
-  | Some _ -> Result.error (Printf.sprintf "field %S must be a boolean" name)
-
-let int_field ?default fields name =
-  match (field fields name, default) with
-  | Some (Int i), _ -> Ok i
-  | None, Some d -> Ok d
-  | None, None -> Result.error (Printf.sprintf "missing field %S" name)
-  | Some _, _ -> Result.error (Printf.sprintf "field %S must be an integer" name)
-
-let str_list_field fields name =
-  match field fields name with
-  | Some (Arr vs) ->
-    List.fold_left
-      (fun acc v ->
-        match (acc, v) with
-        | Ok xs, Str s -> Ok (xs @ [ s ])
-        | Ok _, _ ->
-          Result.error
-            (Printf.sprintf "field %S must be an array of strings" name)
-        | (Error _ as e), _ -> e)
-      (Ok []) vs
-  | Some _ ->
-    Result.error (Printf.sprintf "field %S must be an array of strings" name)
-  | None -> Result.error (Printf.sprintf "missing field %S" name)
-
-let ( let* ) = Result.bind
-
-let request_of_fields fields =
-  let* kind = str_field fields "kind" in
-  match Request.kind_of_name kind with
-  | None -> Result.error (Printf.sprintf "unknown request kind %S" kind)
-  | Some Request.Kcheck ->
-    let* concept = str_field fields "concept" in
-    let* types = str_list_field fields "types" in
-    let* nominal = bool_field ~default:false fields "nominal" in
-    let* defs = opt_str_field fields "defs" in
-    Ok (Request.Check { concept; types; nominal; defs })
-  | Some Request.Kparse ->
-    let* source = str_field fields "source" in
-    Ok (Request.Parse { source })
-  | Some Request.Klint ->
-    let* source = str_field fields "source" in
-    Ok (Request.Lint { source })
-  | Some Request.Koptimize ->
-    let* expr = str_field fields "expr" in
-    let* certified_only = bool_field ~default:false fields "certified_only" in
-    Ok (Request.Optimize { expr; certified_only })
-  | Some Request.Kprove ->
-    let* theory = str_field fields "theory" in
-    let* instance = opt_str_field fields "instance" in
-    Ok (Request.Prove { theory; instance })
-  | Some Request.Kclosure ->
-    let* concept = str_field fields "concept" in
-    let* types = str_list_field fields "types" in
-    Ok (Request.Closure { concept; types })
-  | Some (Request.Kmatvec | Request.Kmatmul | Request.Ksolve) ->
-    let* structure = str_field fields "structure" in
-    let* n = int_field fields "n" in
-    let* seed = int_field ~default:0 fields "seed" in
-    Ok
-      (match Request.kind_of_name kind with
-      | Some Request.Kmatvec -> Request.Matvec { structure; n; seed }
-      | Some Request.Kmatmul -> Request.Matmul { structure; n; seed }
-      | _ -> Request.Solve { structure; n; seed })
-
-(* The AST decode path: parse the full [json] tree, then validate fields.
-   Retained as the qcheck oracle for the direct parser below, and as the
-   cold path for non-object lines (identical error messages for free). *)
-let request_of_line_ast line =
-  match parse line with
-  | exception Error m -> Result.error ("bad request line: " ^ m)
-  | Obj fields -> (
-    let id =
-      match field fields "id" with Some (Int i) -> Some i | _ -> None
-    in
-    match request_of_fields fields with
-    | Ok req -> Ok (id, req)
-    | Error m -> Result.error ("bad request: " ^ m))
-  | _ -> Result.error "bad request line: expected a JSON object"
-
-(* ------------------------------------------------------------------ *)
-(* Direct request parsing: cursor -> typed IR, no AST                  *)
-(* ------------------------------------------------------------------ *)
-
-(* The hot decode path parses known request shapes straight from the
-   cursor into [Request.t], touching one reused slot record instead of
-   materializing a [json] tree. Steady-state allocation is limited to the
-   strings the request must own (field payloads) and the final record.
-
-   Behavioural parity with the AST path is a hard requirement — same
-   accepted lines, same [Error] messages (the qcheck round-trip and the
-   malformed-line corpus compare both). Wrong-typed values in fields a
-   kind does not consume are therefore tolerated exactly like the AST
-   path tolerates them: the value is parsed generically and the type
-   error is only raised if the kind actually reads that field. *)
+   It accepts and rejects exactly what "parse the line, then validate
+   the object's fields" would (the test oracle that does so is compared
+   on every qcheck round trip and on the malformed-line corpus).
+   Wrong-typed values in fields a kind does not consume are therefore
+   tolerated: the value is parsed generically and the type error is only
+   raised if the kind actually reads that field. *)
 
 (* known field indices; bit i of the masks below tracks field i *)
 let f_id = 0
@@ -553,7 +451,7 @@ let find_field src pos len = find_field_from src pos len 0
 
 (* Parse an int value if the token is a plain integer; anything else —
    including floats and overflowing digit runs — falls back to
-   [parse_number] so malformed numbers keep their AST error messages.
+   [parse_number] so malformed numbers keep its error messages.
    Returns [None] when the value was valid JSON but not an [Int]. *)
 let parse_int_value c =
   let src = c.src in
@@ -591,8 +489,8 @@ let parse_int_value c =
     match parse_number c with Int v -> Some v | _ -> None
 
 (* Generic skip for values we do not decode (unknown keys, wrong-typed
-   values): reuse the AST parser so malformed content fails with exactly
-   the AST messages. Allocates, but only off the happy path. *)
+   values): reuse the generic parser so malformed content fails with
+   exactly its messages. Allocates, but only off the happy path. *)
 let skip_value c = ignore (parse_value c)
 
 let parse_direct_string c idx set =
@@ -657,7 +555,7 @@ let parse_direct_int c idx set =
     skip_value c
   end
 
-(* "id" mirrors the AST path: a non-integer id is silently ignored. *)
+(* A non-integer "id" is silently ignored. *)
 let parse_direct_id c =
   skip_ws c;
   if has c && is_int_start (cur c) then begin
@@ -810,8 +708,8 @@ let parse_direct_object c =
   skip_ws c;
   if has c && cur c = '}' then advance c else parse_direct_members c
 
-(* Slot -> field validation, mirroring the AST field helpers' messages
-   and evaluation order exactly. *)
+(* Slot -> field validation: the messages, checked in the order each
+   kind reads its fields. *)
 let slot_str idx name k =
   if seen idx then k ()
   else if bad idx then
@@ -907,8 +805,10 @@ let request_of_line line =
       | exception Error m -> Result.error ("bad request line: " ^ m)
     end
     else
-      (* non-object line: the cold AST path owns the error wording *)
-      request_of_line_ast line
+      (* not an object: the generic parser positions any syntax error *)
+      match parse line with
+      | exception Error m -> Result.error ("bad request line: " ^ m)
+      | _ -> Result.error "bad request line: expected a JSON object"
   in
   c.src <- "";
   reset_slots ();
@@ -951,64 +851,14 @@ let request_to_line ?id req =
   to_string (Obj (base @ fields))
 
 (* ------------------------------------------------------------------ *)
-(* Responses                                                           *)
+(* Responses: typed IR -> caller's buffer, no AST                      *)
 (* ------------------------------------------------------------------ *)
 
-let payload_fields = function
-  | Request.Checked { ok; failures; warnings; report } ->
-    [ ("ok", Bool ok); ("failures", Int failures); ("warnings", Int warnings);
-      ("report", Str report) ]
-  | Request.Parsed { items; concepts; models } ->
-    [ ("items", Int items); ("concepts", Int concepts); ("models", Int models) ]
-  | Request.Linted { errors; warnings; suggestions; messages } ->
-    [ ("errors", Int errors); ("warnings", Int warnings);
-      ("suggestions", Int suggestions);
-      ("messages", Arr (List.map (fun m -> Str m) messages)) ]
-  (* "rewrite_steps", not "steps": the envelope already has a "steps"
-     field for the budget charge *)
-  | Request.Optimized { output; steps; ops_before; ops_after } ->
-    [ ("output", Str output); ("rewrite_steps", Int steps);
-      ("ops_before", Int ops_before); ("ops_after", Int ops_after) ]
-  | Request.Proved { checked; failed } ->
-    [ ("checked", Int checked); ("failed", Int failed) ]
-  | Request.Closed { size; obligations } ->
-    [ ("size", Int size);
-      ("obligations", Arr (List.map (fun o -> Str o) obligations)) ]
-  (* "kernel_steps" for the same reason as "rewrite_steps" above *)
-  | Request.Computed { kernel; detected; n; steps; checksum } ->
-    [ ("kernel", Str kernel); ("detected", Str detected); ("n", Int n);
-      ("kernel_steps", Int steps); ("checksum", Str checksum) ]
-
-(* The AST response renderer: build the [json] tree, print it. Retained
-   as the qcheck oracle for [response_into] below. *)
-let response_to_line_ast (r : Request.response) =
-  let status_fields =
-    match r.Request.rsp_result with
-    | Ok payload -> ("status", Str "ok") :: payload_fields payload
-    | Error e ->
-      [ ("status", Str "error");
-        ("error", Str (Request.error_code_name e.Request.code));
-        ("detail", Str e.Request.detail) ]
-  in
-  to_string
-    (Obj
-       ([ ("id", Int r.Request.rsp_id);
-          ( "kind",
-            match r.Request.rsp_kind with
-            | Some k -> Str (Request.kind_name k)
-            | None -> Null ) ]
-       @ status_fields
-       @ [ ("cached", Bool r.Request.rsp_cached);
-           ("steps", Int r.Request.rsp_steps) ]))
-
-(* ------------------------------------------------------------------ *)
-(* Direct response rendering: typed IR -> caller's buffer, no AST      *)
-(* ------------------------------------------------------------------ *)
-
-(* Byte-identical to [response_to_line_ast], but written straight into a
-   (typically per-server, reused) buffer: no field lists, no [json]
-   nodes, no intermediate strings. The buffer is owned by the caller;
-   this function only appends. *)
+(* Byte-identical to printing the response's [json] tree with
+   [to_string], but written straight into a (typically per-server,
+   reused) buffer: no field lists, no [json] nodes, no intermediate
+   strings. The buffer is owned by the caller; this function only
+   appends. *)
 
 let add_str_field buf name s =
   Buffer.add_string buf ",\"";

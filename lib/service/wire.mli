@@ -31,16 +31,11 @@ val request_of_line : string -> (int option * Request.t, string) result
     request. [Error] carries a human-readable reason — the server turns
     it into a structured [Bad_request] response, never an exception.
 
-    This is the hot decode path: known request shapes are parsed directly
-    from the cursor into the typed IR without materializing a {!json}
-    tree, so steady-state allocation is limited to the strings the
-    request must own. Accepted lines and error messages are identical to
-    {!request_of_line_ast}. *)
-
-val request_of_line_ast : string -> (int option * Request.t, string) result
-(** The retained oracle: parse the full {!json} AST, then validate
-    fields. Same observable behaviour as {!request_of_line}; the qcheck
-    round-trip suite compares the two on every generated request. *)
+    Known request shapes are parsed directly from the line into the
+    typed IR without materializing a {!json} tree, so steady-state
+    allocation is limited to the strings the request must own. Accepted
+    lines and error messages are those of {!parse} followed by field
+    validation. *)
 
 val request_to_line : ?id:int -> Request.t -> string
 (** Encode a request; [request_of_line (request_to_line r)] round-trips. *)
@@ -48,11 +43,8 @@ val request_to_line : ?id:int -> Request.t -> string
 val response_into : Buffer.t -> Request.response -> unit
 (** Append one response line (without the trailing newline) to [buf].
     The buffer is owned by the caller — the server keeps one per
-    connection loop and reuses it — and the bytes are identical to
-    {!response_to_line_ast}. *)
+    connection loop and reuses it — and the bytes are those {!to_string}
+    prints for the response's {!json} tree. *)
 
 val response_to_line : Request.response -> string
 (** [response_into] into a fresh buffer; convenience for cold paths. *)
-
-val response_to_line_ast : Request.response -> string
-(** The retained oracle renderer: build the {!json} tree, print it. *)

@@ -84,6 +84,7 @@ let try_rule insts ~only_certified ~guard_memo ~stats (r : Rules.t) ~ty ~op
       Some (Rules.instantiate insts ~ty ~op bindings r.Rules.rhs)
     | None -> None
 
+(* rule applications one rewrite may make before it gives up *)
 let max_steps = 10_000
 
 exception
@@ -250,108 +251,6 @@ let rewrite ?only_certified ~rules ~insts expr =
         Tel.attr "ops_before" (string_of_int r.ops_before);
         Tel.attr "ops_after" (string_of_int r.ops_after);
         r)
-
-(* ------------------------------------------------------------------ *)
-(* The seed linear-scan engine, retained as the equivalence oracle      *)
-(* ------------------------------------------------------------------ *)
-
-(* Everything below reproduces the pre-index engine: candidate carriers
-   by scanning the whole entry list at every node, every rule tried at
-   every node, no guard memo. The qcheck equivalence suite checks
-   [rewrite] against it on random worlds; bench s2 times both. *)
-
-let carriers_reference insts (node : Expr.t) =
-  match node with
-  | Expr.Op (o, t, _) ->
-    let own = [ (t, o) ] in
-    let via_inverse =
-      List.filter_map
-        (fun (e : Instances.entry) ->
-          if
-            String.equal e.Instances.e_type t
-            && e.Instances.e_inverse = Some o
-          then Some (t, e.Instances.e_op)
-          else None)
-        (Instances.entries insts)
-    in
-    own @ via_inverse
-  | Expr.Var _ | Expr.Lit _ | Expr.Ident _ -> []
-
-let try_rule_reference insts ~only_certified (r : Rules.t) ~ty ~op node =
-  let guard_ok =
-    match r.Rules.user_type with
-    | Some ut ->
-      String.equal ut ty
-      && (match r.Rules.user_op with
-         | Some uo -> String.equal uo op
-         | None -> true)
-    | None ->
-      Instances.models insts ~ty ~op ~required:r.Rules.guard
-      && ((not r.Rules.requires_ring)
-         || Instances.ring_for insts ~ty ~op <> None)
-      && ((not only_certified) || !(r.Rules.certified))
-  in
-  if not guard_ok then None
-  else
-    match Rules.match_pattern insts ~ty ~op r.Rules.lhs node with
-    | Some bindings ->
-      Some (Rules.instantiate insts ~ty ~op bindings r.Rules.rhs)
-    | None -> None
-
-let rewrite_reference ?(only_certified = false) ~rules ~insts expr =
-  let steps = ref [] in
-  let budget = ref max_steps in
-  let exhausted = ref false in
-  let rec at_root node =
-    if !exhausted then node
-    else
-      let fired =
-        List.find_map
-          (fun r ->
-            List.find_map
-              (fun (ty, op) ->
-                match try_rule_reference insts ~only_certified r ~ty ~op node with
-                | Some after ->
-                  Some
-                    {
-                      st_rule = r.Rules.rule_name;
-                      st_carrier = (ty, op);
-                      st_before = node;
-                      st_after = after;
-                    }
-                | None -> None)
-              (carriers_reference insts node))
-          rules
-      in
-      match fired with
-      | Some step ->
-        decr budget;
-        if !budget <= 0 then begin
-          exhausted := true;
-          node
-        end
-        else begin
-          steps := step :: !steps;
-          normalize step.st_after
-        end
-      | None -> node
-  and normalize node =
-    match node with
-    | Expr.Var _ | Expr.Lit _ | Expr.Ident _ -> at_root node
-    | Expr.Op (o, t, args) -> at_root (Expr.Op (o, t, List.map normalize args))
-  in
-  let output = normalize expr in
-  if !exhausted then
-    raise
-      (Did_not_terminate
-         { dnt_input = expr; dnt_partial = output; dnt_steps = List.rev !steps });
-  {
-    input = expr;
-    output;
-    steps = List.rev !steps;
-    ops_before = Expr.op_count expr;
-    ops_after = Expr.op_count output;
-  }
 
 let pp_step ppf s =
   Fmt.pf ppf "%a  --[%s @@ (%s,%s)]-->  %a" Expr.pp s.st_before s.st_rule

@@ -26,6 +26,10 @@ val carriers : Instances.t -> Expr.t -> (string * string) list
     whose inverse operation is the node's op (so inv(inv x) finds its
     owner). *)
 
+val max_steps : int
+(** The step budget of one {!rewrite}: the rule application that would
+    be the [max_steps]-th raises {!Did_not_terminate} instead. *)
+
 exception
   Did_not_terminate of {
     dnt_input : Expr.t;  (** the expression rewriting started from *)
@@ -54,8 +58,8 @@ val rewrite :
     Internally the rule list is indexed by what each rule's LHS root can
     match ({!Rules.head}), so a node only ever tries rules that could
     possibly fire at it; guard checks are memoised per (carrier, level)
-    across the whole call. Firing order is identical to
-    {!rewrite_reference}.
+    across the whole call. Firing order is that of trying every rule, in
+    list order, at every node (the test oracle does exactly that).
 
     When a telemetry sink is installed ([Gp_telemetry.Tel.install]) each
     call opens a [simplicissimus.rewrite] span and emits step, guard-memo
@@ -73,18 +77,6 @@ val rewrite_uninstrumented :
 (** The bare indexed engine with no telemetry wrapper at all — the
     honest baseline bench s3 compares {!rewrite} against. Semantically
     identical to {!rewrite}. *)
-
-val rewrite_reference :
-  ?only_certified:bool ->
-  rules:Rules.t list ->
-  insts:Instances.t ->
-  Expr.t ->
-  result
-(** The seed linear-scan engine, retained as an equivalence oracle: every
-    rule tried at every node, candidate carriers recomputed by scanning
-    the whole entry list per rule, no guard memo. Semantically identical
-    to {!rewrite} (the qcheck suite checks this on random worlds); bench
-    s2 measures the gap. *)
 
 val pp_step : Format.formatter -> step -> unit
 val pp_result : Format.formatter -> result -> unit

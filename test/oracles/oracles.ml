@@ -1,6 +1,13 @@
-(* The naive dense references the structla kernels are checked
-   against: straightforward index arithmetic and element-wise
-   initialisers, with nothing hoisted, so they stay obviously right. *)
+(* The equivalence oracles the tests and benches check the libraries
+   against: the plain first implementations of what the libraries now do
+   faster, kept obviously right and out of the library APIs. *)
+
+(* ------------------------------------------------------------------ *)
+(* Dense structla kernels                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Straightforward index arithmetic and element-wise initialisers, with
+   nothing hoisted. *)
 
 module Mat = Gp_structla.Mat
 
@@ -81,3 +88,316 @@ let solve_reference (m : Mat.dense) b =
     x.(i) <- !s /. a.((i * n) + i)
   done;
   x
+
+(* ------------------------------------------------------------------ *)
+(* Constraint propagation                                              *)
+(* ------------------------------------------------------------------ *)
+
+module Propagate = Gp_concepts.Propagate
+module Concept = Gp_concepts.Concept
+module Ctype = Gp_concepts.Ctype
+
+(* The seed closure: recursive descent, dedup by linear scan of the
+   accumulator (quadratic in the closure size). *)
+let closure_with_reference ?(max_depth = 8) ~lookup concept args =
+  let acc = ref [] in
+  let add ob =
+    if not (List.exists (Propagate.obligation_equal ob) !acc) then (
+      acc := ob :: !acc;
+      true)
+    else false
+  in
+  let rec go depth concept args =
+    if depth > max_depth then ()
+    else
+      let ob = { Propagate.ob_concept = concept; ob_args = args } in
+      if add ob then
+        match lookup concept with
+        | None -> ()
+        | Some con ->
+          let env = List.combine con.Concept.params args in
+          List.iter
+            (fun (rname, rargs) ->
+              go (depth + 1) rname (List.map (Ctype.subst env) rargs))
+            con.Concept.refines;
+          List.iter
+            (fun req ->
+              let constraints =
+                match req with
+                | Concept.Assoc_type { at_constraints; _ } -> at_constraints
+                | Concept.Constraint c -> [ c ]
+                | Concept.Operation _ | Concept.Axiom _
+                | Concept.Complexity_guarantee _ ->
+                  []
+              in
+              List.iter
+                (function
+                  | Concept.Models (cname, cargs) ->
+                    go (depth + 1) cname (List.map (Ctype.subst env) cargs)
+                  | Concept.Same_type _ -> ())
+                constraints)
+            con.Concept.requirements
+  in
+  go 0 concept args;
+  List.rev !acc
+
+let closure_reference ?max_depth reg concept args =
+  closure_with_reference ?max_depth
+    ~lookup:(Gp_concepts.Registry.find_concept reg)
+    concept args
+
+(* ------------------------------------------------------------------ *)
+(* Concept-guarded rewriting                                           *)
+(* ------------------------------------------------------------------ *)
+
+module Engine = Gp_simplicissimus.Engine
+module Expr = Gp_simplicissimus.Expr
+module Instances = Gp_simplicissimus.Instances
+module Rules = Gp_simplicissimus.Rules
+
+(* The seed linear-scan engine: candidate carriers by scanning the whole
+   entry list at every node, every rule tried at every node, no guard
+   memo. *)
+let carriers_reference insts (node : Expr.t) =
+  match node with
+  | Expr.Op (o, t, _) ->
+    let own = [ (t, o) ] in
+    let via_inverse =
+      List.filter_map
+        (fun (e : Instances.entry) ->
+          if
+            String.equal e.Instances.e_type t
+            && e.Instances.e_inverse = Some o
+          then Some (t, e.Instances.e_op)
+          else None)
+        (Instances.entries insts)
+    in
+    own @ via_inverse
+  | Expr.Var _ | Expr.Lit _ | Expr.Ident _ -> []
+
+let try_rule_reference insts ~only_certified (r : Rules.t) ~ty ~op node =
+  let guard_ok =
+    match r.Rules.user_type with
+    | Some ut ->
+      String.equal ut ty
+      && (match r.Rules.user_op with
+         | Some uo -> String.equal uo op
+         | None -> true)
+    | None ->
+      Instances.models insts ~ty ~op ~required:r.Rules.guard
+      && ((not r.Rules.requires_ring)
+         || Instances.ring_for insts ~ty ~op <> None)
+      && ((not only_certified) || !(r.Rules.certified))
+  in
+  if not guard_ok then None
+  else
+    match Rules.match_pattern insts ~ty ~op r.Rules.lhs node with
+    | Some bindings ->
+      Some (Rules.instantiate insts ~ty ~op bindings r.Rules.rhs)
+    | None -> None
+
+let rewrite_reference ?(only_certified = false) ~rules ~insts expr =
+  let steps = ref [] in
+  let budget = ref Engine.max_steps in
+  let exhausted = ref false in
+  let rec at_root node =
+    if !exhausted then node
+    else
+      let fired =
+        List.find_map
+          (fun r ->
+            List.find_map
+              (fun (ty, op) ->
+                match try_rule_reference insts ~only_certified r ~ty ~op node with
+                | Some after ->
+                  Some
+                    {
+                      Engine.st_rule = r.Rules.rule_name;
+                      st_carrier = (ty, op);
+                      st_before = node;
+                      st_after = after;
+                    }
+                | None -> None)
+              (carriers_reference insts node))
+          rules
+      in
+      match fired with
+      | Some step ->
+        decr budget;
+        if !budget <= 0 then begin
+          exhausted := true;
+          node
+        end
+        else begin
+          steps := step :: !steps;
+          normalize step.Engine.st_after
+        end
+      | None -> node
+  and normalize node =
+    match node with
+    | Expr.Var _ | Expr.Lit _ | Expr.Ident _ -> at_root node
+    | Expr.Op (o, t, args) -> at_root (Expr.Op (o, t, List.map normalize args))
+  in
+  let output = normalize expr in
+  if !exhausted then
+    raise
+      (Engine.Did_not_terminate
+         { dnt_input = expr; dnt_partial = output; dnt_steps = List.rev !steps });
+  {
+    Engine.input = expr;
+    output;
+    steps = List.rev !steps;
+    ops_before = Expr.op_count expr;
+    ops_after = Expr.op_count output;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* The wire format                                                     *)
+(* ------------------------------------------------------------------ *)
+
+module Wire = Gp_service.Wire
+module Request = Gp_service.Request
+
+(* The AST paths: parse the whole [Wire.json] tree, then validate
+   fields; build the response's tree, then print it. *)
+
+let field fields name = List.assoc_opt name fields
+
+let str_field fields name =
+  match field fields name with
+  | Some (Wire.Str s) -> Ok s
+  | Some _ -> Result.error (Printf.sprintf "field %S must be a string" name)
+  | None -> Result.error (Printf.sprintf "missing field %S" name)
+
+let opt_str_field fields name =
+  match field fields name with
+  | Some (Wire.Str s) -> Ok (Some s)
+  | None | Some Wire.Null -> Ok None
+  | Some _ -> Result.error (Printf.sprintf "field %S must be a string" name)
+
+let bool_field ~default fields name =
+  match field fields name with
+  | Some (Wire.Bool b) -> Ok b
+  | None -> Ok default
+  | Some _ -> Result.error (Printf.sprintf "field %S must be a boolean" name)
+
+let int_field ?default fields name =
+  match (field fields name, default) with
+  | Some (Wire.Int i), _ -> Ok i
+  | None, Some d -> Ok d
+  | None, None -> Result.error (Printf.sprintf "missing field %S" name)
+  | Some _, _ -> Result.error (Printf.sprintf "field %S must be an integer" name)
+
+let str_list_field fields name =
+  match field fields name with
+  | Some (Wire.Arr vs) ->
+    List.fold_left
+      (fun acc v ->
+        match (acc, v) with
+        | Ok xs, Wire.Str s -> Ok (xs @ [ s ])
+        | Ok _, _ ->
+          Result.error
+            (Printf.sprintf "field %S must be an array of strings" name)
+        | (Error _ as e), _ -> e)
+      (Ok []) vs
+  | Some _ ->
+    Result.error (Printf.sprintf "field %S must be an array of strings" name)
+  | None -> Result.error (Printf.sprintf "missing field %S" name)
+
+let ( let* ) = Result.bind
+
+let request_of_fields fields =
+  let* kind = str_field fields "kind" in
+  match Request.kind_of_name kind with
+  | None -> Result.error (Printf.sprintf "unknown request kind %S" kind)
+  | Some Request.Kcheck ->
+    let* concept = str_field fields "concept" in
+    let* types = str_list_field fields "types" in
+    let* nominal = bool_field ~default:false fields "nominal" in
+    let* defs = opt_str_field fields "defs" in
+    Ok (Request.Check { concept; types; nominal; defs })
+  | Some Request.Kparse ->
+    let* source = str_field fields "source" in
+    Ok (Request.Parse { source })
+  | Some Request.Klint ->
+    let* source = str_field fields "source" in
+    Ok (Request.Lint { source })
+  | Some Request.Koptimize ->
+    let* expr = str_field fields "expr" in
+    let* certified_only = bool_field ~default:false fields "certified_only" in
+    Ok (Request.Optimize { expr; certified_only })
+  | Some Request.Kprove ->
+    let* theory = str_field fields "theory" in
+    let* instance = opt_str_field fields "instance" in
+    Ok (Request.Prove { theory; instance })
+  | Some Request.Kclosure ->
+    let* concept = str_field fields "concept" in
+    let* types = str_list_field fields "types" in
+    Ok (Request.Closure { concept; types })
+  | Some ((Request.Kmatvec | Request.Kmatmul | Request.Ksolve) as k) ->
+    let* structure = str_field fields "structure" in
+    let* n = int_field fields "n" in
+    let* seed = int_field ~default:0 fields "seed" in
+    Ok
+      (match k with
+      | Request.Kmatvec -> Request.Matvec { structure; n; seed }
+      | Request.Kmatmul -> Request.Matmul { structure; n; seed }
+      | _ -> Request.Solve { structure; n; seed })
+
+let request_of_line_ast line =
+  match Wire.parse line with
+  | exception Wire.Error m -> Result.error ("bad request line: " ^ m)
+  | Wire.Obj fields -> (
+    let id =
+      match field fields "id" with Some (Wire.Int i) -> Some i | _ -> None
+    in
+    match request_of_fields fields with
+    | Ok req -> Ok (id, req)
+    | Error m -> Result.error ("bad request: " ^ m))
+  | _ -> Result.error "bad request line: expected a JSON object"
+
+let strs ss = Wire.Arr (List.map (fun s -> Wire.Str s) ss)
+
+(* "rewrite_steps" and "kernel_steps", not "steps": the envelope already
+   has a "steps" field for the budget charge *)
+let payload_fields = function
+  | Request.Checked { ok; failures; warnings; report } ->
+    [ ("ok", Wire.Bool ok); ("failures", Wire.Int failures);
+      ("warnings", Wire.Int warnings); ("report", Wire.Str report) ]
+  | Request.Parsed { items; concepts; models } ->
+    [ ("items", Wire.Int items); ("concepts", Wire.Int concepts);
+      ("models", Wire.Int models) ]
+  | Request.Linted { errors; warnings; suggestions; messages } ->
+    [ ("errors", Wire.Int errors); ("warnings", Wire.Int warnings);
+      ("suggestions", Wire.Int suggestions); ("messages", strs messages) ]
+  | Request.Optimized { output; steps; ops_before; ops_after } ->
+    [ ("output", Wire.Str output); ("rewrite_steps", Wire.Int steps);
+      ("ops_before", Wire.Int ops_before); ("ops_after", Wire.Int ops_after) ]
+  | Request.Proved { checked; failed } ->
+    [ ("checked", Wire.Int checked); ("failed", Wire.Int failed) ]
+  | Request.Closed { size; obligations } ->
+    [ ("size", Wire.Int size); ("obligations", strs obligations) ]
+  | Request.Computed { kernel; detected; n; steps; checksum } ->
+    [ ("kernel", Wire.Str kernel); ("detected", Wire.Str detected);
+      ("n", Wire.Int n); ("kernel_steps", Wire.Int steps);
+      ("checksum", Wire.Str checksum) ]
+
+let response_to_line_ast (r : Request.response) =
+  let status_fields =
+    match r.Request.rsp_result with
+    | Ok payload -> ("status", Wire.Str "ok") :: payload_fields payload
+    | Error e ->
+      [ ("status", Wire.Str "error");
+        ("error", Wire.Str (Request.error_code_name e.Request.code));
+        ("detail", Wire.Str e.Request.detail) ]
+  in
+  Wire.to_string
+    (Wire.Obj
+       ([ ("id", Wire.Int r.Request.rsp_id);
+          ( "kind",
+            match r.Request.rsp_kind with
+            | Some k -> Wire.Str (Request.kind_name k)
+            | None -> Wire.Null ) ]
+       @ status_fields
+       @ [ ("cached", Wire.Bool r.Request.rsp_cached);
+           ("steps", Wire.Int r.Request.rsp_steps) ]))

@@ -317,6 +317,34 @@ let test_dump_malformed () =
   Alcotest.(check bool) "foreign header rejected" true
     (bad "{\"flight\": 1}\n")
 
+(* The header's server_config goes through the server's one range check:
+   an out-of-range value is the loader's [bad server_config] error, not an
+   exception from the audit server. *)
+let test_dump_server_config () =
+  let d = Cluster.dump (run (workload ~n:20 3)) in
+  (* replace the first occurrence of [from], which lies in the header *)
+  let swap ~from ~to_ =
+    let n = String.length from in
+    let rec find i =
+      if i + n > String.length d then Alcotest.failf "%S not in dump" from
+      else if String.sub d i n = from then i
+      else find (i + 1)
+    in
+    let at = find 0 in
+    String.sub d 0 at ^ to_ ^ String.sub d (at + n) (String.length d - at - n)
+  in
+  List.iter
+    (fun (from, to_) ->
+      match Cluster.audit_dump ~declare_standard (swap ~from ~to_) with
+      | Ok _ -> Alcotest.failf "header with %s accepted" to_
+      | Error e ->
+        Alcotest.(check bool) (to_ ^ " is a bad server_config") true
+          (String.starts_with ~prefix:"bad server_config:" e)
+      | exception ex ->
+        Alcotest.failf "header with %s raised %s" to_ (Printexc.to_string ex))
+    [ ("\"cache_capacity\":256", "\"cache_capacity\":0");
+      ("\"max_steps\":100000", "\"max_steps\":-3") ]
+
 (* ------------------------------------------------------------------ *)
 (* Elasticity and overload control                                     *)
 (* ------------------------------------------------------------------ *)
@@ -500,6 +528,8 @@ let () =
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "dump round-trip" `Quick test_dump_roundtrip;
           Alcotest.test_case "malformed dump" `Quick test_dump_malformed;
+          Alcotest.test_case "out-of-range server_config rejected" `Quick
+            test_dump_server_config;
           Alcotest.test_case "malformed scenario fields" `Quick
             test_dump_malformed_scenario_fields;
         ] );

@@ -556,7 +556,7 @@ let closures_agree reg =
   List.for_all
     (fun i ->
       Propagate.closure reg (cname i) [ n (tyname 0) ]
-      = Propagate.closure_reference reg (cname i) [ n (tyname 0) ])
+      = Oracles.closure_reference reg (cname i) [ n (tyname 0) ])
     idxs
 
 let registry_equiv_prop =

@@ -290,7 +290,7 @@ let test_wire_parser_agreement () =
   List.iter
     (fun line ->
       Alcotest.(check string) line
-        (show (Wire.request_of_line_ast line))
+        (show (Oracles.request_of_line_ast line))
         (show (Wire.request_of_line line)))
     corpus
 
@@ -338,7 +338,7 @@ let wire_roundtrip_prop =
        QCheck.Gen.(pair (opt small_nat) gen_request))
     (fun (id, r) ->
       let line = Wire.request_to_line ?id r in
-      match (Wire.request_of_line line, Wire.request_of_line_ast line) with
+      match (Wire.request_of_line line, Oracles.request_of_line_ast line) with
       | Ok (id1, r1), Ok (id2, r2) ->
         if not (id1 = id && r1 = r) then
           QCheck.Test.fail_reportf "direct parse drifted on %s" line;
@@ -392,7 +392,7 @@ let gen_response =
       (fun code detail -> { Request.code; detail })
       (oneofl
          Request.[ Bad_request; Parse_failure; Unknown_name; Over_budget;
-                   Timeout; Queue_full; Internal ])
+                   Timeout; Internal ])
       str
   in
   let result =
@@ -422,7 +422,7 @@ let wire_response_stream_prop =
         Request.response_fingerprint r
         <> Digest.to_hex (Digest.string canonical)
       then QCheck.Test.fail_reportf "streaming digest diverged on %s" canonical;
-      if Wire.response_to_line r <> Wire.response_to_line_ast r then
+      if Wire.response_to_line r <> Oracles.response_to_line_ast r then
         QCheck.Test.fail_reportf "renderers diverged on %s" canonical;
       let stripped =
         { r with
@@ -550,32 +550,16 @@ let test_timeout () =
   ticking := false;
   assert_alive server
 
-let test_queue_full () =
-  let config = { Server.default_config with queue_capacity = 2 } in
-  let server = mkserver ~config () in
-  let rsps = Server.process_burst server (List.init 5 (fun _ -> good_request)) in
-  Alcotest.(check int) "every request answered" 5 (List.length rsps);
-  Alcotest.(check int) "queue capacity admitted" 2
-    (List.length (List.filter Request.ok rsps));
-  List.iteri
-    (fun i rsp ->
-      if i >= 2 then
-        check_code (Printf.sprintf "overflow %d rejected" i) Request.Queue_full
-          rsp)
-    rsps;
-  (* the steady-state driver drains instead of dropping *)
-  let rsps = Server.process server (List.init 7 (fun _ -> good_request)) in
-  Alcotest.(check int) "process serves everything" 7
-    (List.length (List.filter Request.ok rsps));
-  assert_alive server
+let error_series server =
+  Gp_telemetry.Metrics.counter_series
+    (Metrics.registry (Server.metrics server))
+    "gp_request_errors_total"
 
-(* The steady-state driver admits each request exactly once: with more
-   requests than queue slots, the server counts one request per
-   response, hands out ids 1..n without gaps, and records no Queue_full
-   error that no client ever saw. *)
+(* The workload driver serves each request exactly once: the server
+   counts one request per response, hands out ids 1..n without gaps, and
+   records no error that no client ever saw. *)
 let test_process_accounting () =
-  let config = { Server.default_config with queue_capacity = 4 } in
-  let server = mkserver ~config () in
+  let server = mkserver () in
   let n = 30 in
   let rsps = Server.process server (Workload.generate ~seed:5 ~n ()) in
   Alcotest.(check int) "one response per request" n (List.length rsps);
@@ -585,17 +569,28 @@ let test_process_accounting () =
   Alcotest.(check (list int)) "ids run 1..n without gaps"
     (List.init n (fun i -> i + 1))
     (List.map (fun r -> r.Request.rsp_id) rsps);
-  let queue_full =
-    List.fold_left
-      (fun acc (labels, v) ->
-        if List.assoc_opt "code" labels = Some "queue-full" then acc +. v
-        else acc)
-      0.0
-      (Gp_telemetry.Metrics.counter_series
-         (Metrics.registry (Server.metrics server))
-         "gp_request_errors_total")
-  in
-  Alcotest.(check (float 0.0)) "no Queue_full errors recorded" 0.0 queue_full
+  Alcotest.(check int) "no error series recorded" 0
+    (List.length (error_series server))
+
+(* [process] is [handle] in order and nothing more: on two fresh servers
+   it gives the same response bytes, ids and request/error counts as
+   mapping [handle] over the stream, error-injected streams included. *)
+let process_is_map_handle_prop =
+  QCheck.Test.make ~name:"process = List.map handle" ~count:25
+    QCheck.(pair (int_bound 10_000) (int_range 0 3))
+    (fun (seed, tenths) ->
+      let errors = float_of_int tenths /. 10.0 in
+      let reqs = Workload.generate ~errors ~seed ~n:40 () in
+      let config = { Server.default_config with max_steps = 2500 } in
+      let s = mkserver ~config () and s' = mkserver ~config () in
+      let lines rsps = List.map Wire.response_to_line rsps in
+      let a = Server.process s reqs in
+      let b = List.map (Server.handle s') reqs in
+      if lines a <> lines b then
+        QCheck.Test.fail_reportf "responses differ (seed %d)" seed;
+      Metrics.requests (Server.metrics s) = Metrics.requests (Server.metrics s')
+      && Metrics.errors (Server.metrics s) = Metrics.errors (Server.metrics s')
+      && error_series s = error_series s')
 
 let test_metrics_accounting () =
   let server = mkserver () in
@@ -967,14 +962,13 @@ module Recorder = Gp_telemetry.Recorder
 let test_config_line_roundtrip () =
   let config =
     { Server.default_config with caching = false; cache_capacity = 17;
-      queue_capacity = 5; max_steps = 2500; timeout = Some 1.5;
+      max_steps = 2500; timeout = Some 1.5;
       slow_log = 3; flight_capacity = 99; flight_slowest = 2 }
   in
   (match Server.config_of_line (Server.config_to_line config) with
   | Ok c ->
     Alcotest.(check bool) "caching" false c.Server.caching;
     Alcotest.(check int) "cache_capacity" 17 c.Server.cache_capacity;
-    Alcotest.(check int) "queue_capacity" 5 c.Server.queue_capacity;
     Alcotest.(check int) "max_steps" 2500 c.Server.max_steps;
     Alcotest.(check (option (float 1e-9))) "timeout" (Some 1.5)
       c.Server.timeout;
@@ -995,6 +989,66 @@ let test_config_line_roundtrip () =
     (Result.is_error (Server.config_of_line "[1,2"));
   Alcotest.(check bool) "bad field type rejected" true
     (Result.is_error (Server.config_of_line {|{"max_steps":"many"}|}))
+
+(* Out-of-range configs are refused where they enter — a recorded config
+   line, a server built from a record — instead of crashing later in
+   [Lru.create] or in [Budget.create] under [Server.handle]. *)
+let test_config_ranges () =
+  let rejected name line =
+    match Server.config_of_line line with
+    | Ok _ -> Alcotest.failf "%s: %s accepted" name line
+    | Error m ->
+      Alcotest.(check bool) (name ^ " says bad config") true
+        (contains m "bad config")
+  in
+  rejected "cache_capacity 0" {|{"cache_capacity":0}|};
+  rejected "max_steps -3" {|{"max_steps":-3}|};
+  rejected "timeout -1" {|{"timeout":-1}|};
+  rejected "timeout -0.5" {|{"timeout":-0.5}|};
+  rejected "slow_log -1" {|{"slow_log":-1}|};
+  rejected "flight_capacity -1" {|{"flight_capacity":-1}|};
+  rejected "flight_slowest -1" {|{"flight_slowest":-1}|};
+  let d = Server.default_config in
+  List.iter
+    (fun (name, c) ->
+      Alcotest.(check bool) (name ^ " rejected") true
+        (Result.is_error (Server.validate_config c));
+      match mkserver ~config:c () with
+      | _ -> Alcotest.failf "%s: server created" name
+      | exception Invalid_argument m ->
+        Alcotest.(check bool) (name ^ ": create names the check") true
+          (contains m "Server.create"))
+    [ ("cache_capacity 0", { d with cache_capacity = 0 });
+      ("max_steps -5", { d with max_steps = -5 });
+      ("timeout -1", { d with timeout = Some (-1.0) });
+      ("timeout nan", { d with timeout = Some Float.nan });
+      ("timeout infinity", { d with timeout = Some Float.infinity });
+      ("slow_log -1", { d with slow_log = -1 });
+      ("flight_capacity -1", { d with flight_capacity = -1 });
+      ("flight_slowest -1", { d with flight_slowest = -1 }) ];
+  Alcotest.(check bool) "the edges stay legal" true
+    (Result.is_ok
+       (Server.validate_config
+          { d with cache_capacity = 1; max_steps = 0; timeout = Some 0.0;
+            slow_log = 0; flight_capacity = 0; flight_slowest = 0 }))
+
+(* A flight dump whose config line is out of range is a replay error,
+   not an exception. *)
+let test_replay_bad_config () =
+  let server = mkserver () in
+  ignore (Server.serve_line server {|{"kind":"optimize","expr":"x*1+0"}|});
+  let d = List.hd (Recorder.dossiers (Option.get (Server.flight server))) in
+  List.iter
+    (fun bad ->
+      let d = { d with Recorder.do_config = bad } in
+      match Flight.replay ~declare_standard [ d ] with
+      | Ok _ -> Alcotest.failf "replayed under %s" bad
+      | Error m ->
+        Alcotest.(check bool) "replay reports a bad config" true
+          (contains m "bad config")
+      | exception e ->
+        Alcotest.failf "replay raised %s under %s" (Printexc.to_string e) bad)
+    [ {|{"cache_capacity":0}|}; {|{"max_steps":-3}|} ]
 
 let test_slow_log_rendering () =
   let server =
@@ -1681,9 +1735,9 @@ let () =
             test_numeric_literals_are_parse_failures;
           Alcotest.test_case "over budget" `Quick test_over_budget;
           Alcotest.test_case "timeout" `Quick test_timeout;
-          Alcotest.test_case "queue full" `Quick test_queue_full;
           Alcotest.test_case "process admits each request once" `Quick
             test_process_accounting;
+          qtest process_is_map_handle_prop;
           Alcotest.test_case "metrics accounting" `Quick
             test_metrics_accounting;
           Alcotest.test_case "gc counters in stats report" `Quick
@@ -1724,6 +1778,10 @@ let () =
       ( "flight",
         [ Alcotest.test_case "config line roundtrip" `Quick
             test_config_line_roundtrip;
+          Alcotest.test_case "out-of-range configs rejected" `Quick
+            test_config_ranges;
+          Alcotest.test_case "replay reports a bad config" `Quick
+            test_replay_bad_config;
           Alcotest.test_case "slow log renders span trees" `Quick
             test_slow_log_rendering;
           Alcotest.test_case "dossier capture" `Quick test_flight_dossiers;

@@ -425,7 +425,7 @@ let test_budget_exhaustion () =
     Alcotest.failf "unexpected partial term %s" (Expr.to_string other));
   (* the reference engine exhausts identically *)
   let _, ref_partial, ref_steps =
-    run (fun ~rules ~insts e -> Engine.rewrite_reference ~rules ~insts e)
+    run (fun ~rules ~insts e -> Oracles.rewrite_reference ~rules ~insts e)
   in
   Alcotest.(check int) "reference steps" (List.length steps)
     (List.length ref_steps);
@@ -544,7 +544,7 @@ let engines_agree ~rules ~insts e =
       Error (dnt_partial, List.length dnt_steps)
   in
   let a = run (fun () -> Engine.rewrite ~rules ~insts e) in
-  let b = run (fun () -> Engine.rewrite_reference ~rules ~insts e) in
+  let b = run (fun () -> Oracles.rewrite_reference ~rules ~insts e) in
   match a, b with
   | Ok ra, Ok rb ->
     Expr.equal ra.Engine.output rb.Engine.output
