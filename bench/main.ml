@@ -1277,8 +1277,8 @@ let s6 () =
   let reps =
     List.map
       (fun structure ->
-        match Mat.generate_dense ~structure ~n ~seed with
-        | Some d -> (structure, d, Detect.classify_quiet d)
+        match Mat.generate ~structure ~n ~seed with
+        | Some g -> (structure, Mat.to_dense g, Detect.classify g)
         | None -> assert false)
       Mat.structure_names
   in
@@ -1359,44 +1359,39 @@ let s6 () =
   Fmt.pr "dispatch resolve alone (diagonal matvec): %.1f minor words@."
     resolve_words;
   record ~experiment:"s6" "resolve_matvec_minor_words" resolve_words;
-  (* One full numeric miss as the dispatcher serves it — generate,
-     classify, step count, select, kernel, checksum — over every
-     structure and op at a fixed order, after one warm-up pass: minor
-     words per miss, an exact count under --quick too *)
+  (* One full numeric miss as the dispatcher serves it (Select.miss:
+     generate, classify, step count, select, kernel, checksum) over
+     every structure and op at a fixed order, after one warm-up pass:
+     minor and major words per miss, counts that repeat exactly (minor)
+     or to within 0.1 % (major) under --quick too *)
   let miss_n = 40 in
-  let ok = function Ok (_, r) -> r | Error e -> failwith e in
-  let miss structure op =
-    let d = Option.get (Mat.generate_dense ~structure ~n:miss_n ~seed) in
-    let m = Detect.classify d in
-    let x () = Mat.generate_vec ~n:miss_n ~seed in
-    match op with
-    | Select.Matvec ->
-      ( Kernels.matvec_steps m,
-        Mat.checksum_vec (ok (Select.matvec reg sel m (x ()))) )
-    | Select.Matmul ->
-      ( Kernels.matmul_steps m,
-        Mat.checksum_dense (Mat.to_dense (ok (Select.matmul reg sel m m))) )
-    | Select.Solve ->
-      ( Kernels.solve_steps m,
-        Mat.checksum_vec (ok (Select.solve reg sel m (x ()))) )
-  in
   let misses =
     List.concat_map
       (fun s -> List.map (fun op -> (s, op)) Select.[ Matvec; Matmul; Solve ])
       Mat.structure_names
   in
   let miss_pass () =
-    List.iter (fun (s, op) -> ignore (Sys.opaque_identity (miss s op))) misses
+    List.iter
+      (fun (structure, op) ->
+        match Select.miss reg sel ~op ~structure ~n:miss_n ~seed with
+        | Ok m -> ignore (Sys.opaque_identity m)
+        | Error e -> failwith e)
+      misses
   in
   miss_pass ();
-  let w0 = Gc.minor_words () in
+  (* Gc.counters leaves out the minor words of the live minor heap;
+     Gc.minor_words counts them *)
+  let minor0 = Gc.minor_words () and _, _, major0 = Gc.counters () in
   miss_pass ();
-  let miss_words =
-    (Gc.minor_words () -. w0) /. float_of_int (List.length misses)
-  in
+  let minor1 = Gc.minor_words () and _, _, major1 = Gc.counters () in
+  let per_miss w = w /. float_of_int (List.length misses) in
+  let miss_words = per_miss (minor1 -. minor0)
+  and miss_major = per_miss (major1 -. major0) in
   Fmt.pr "numeric miss at n=%d (generate -> checksum, %d shapes): %.1f minor \
-          words per miss@." miss_n (List.length misses) miss_words;
+          and %.1f major words per miss@." miss_n (List.length misses)
+    miss_words miss_major;
   record ~experiment:"s6" "numeric_miss_minor_words" miss_words;
+  record ~experiment:"s6" "numeric_miss_major_words" miss_major;
   (* wall-clock confirmation + dispatch overhead, full runs only *)
   let wall_metrics =
     [ "matvec_dense_ns"; "matvec_diagonal_ns"; "matvec_banded_ns";

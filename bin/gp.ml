@@ -1220,10 +1220,11 @@ let structla_cmd =
     let ok = ref true in
     List.iter
       (fun structure ->
-        match Mat.generate_dense ~structure ~n ~seed with
+        match Mat.generate ~structure ~n ~seed with
         | None -> ok := false
-        | Some d -> (
-          let m = Detect.classify d in
+        | Some g -> (
+          let d = Mat.to_dense g in
+          let m = Detect.classify g in
           let x = Mat.generate_vec ~n ~seed in
           (* the selected kernel must agree with the forced-dense one,
              whose step count the last columns compare against *)
@@ -1249,10 +1250,10 @@ let structla_cmd =
     Fmt.pr "@.matmul / solve selections (most refined guard wins):@.";
     List.iter
       (fun structure ->
-        match Mat.generate_dense ~structure ~n ~seed with
+        match Mat.generate ~structure ~n ~seed with
         | None -> ()
-        | Some d ->
-          let m = Detect.classify d in
+        | Some g ->
+          let m = Detect.classify g in
           let show op =
             match Select.resolve reg sel op m with
             | Gp_concepts.Overload.Selected (c, _) ->
@@ -1357,9 +1358,10 @@ let complexity_cmd =
 (* The perf-regression guard over two `bench --json` result files.
    Metric names carry their own direction: the _speedup suffix is
    higher-better as a ratio, _pct is lower-better in additive percentage
-   points, _bytes_per_request and _minor_words are lower-better as
-   ratios (allocation counts — deterministic, so regressions here are
-   real even under --quick quotas), _fitted_degree must match exactly
+   points, _bytes_per_request, _minor_words and _major_words are
+   lower-better as ratios (allocation counts — deterministic, or within
+   0.1 % for major words after a warm-up, so regressions here are real
+   even under --quick quotas), _fitted_degree must match exactly
    (a fitted complexity class has no tolerance: growing from O(n) to
    O(n log n) is the regression s8 exists to catch — and an improvement
    means the declared bound should be tightened, deliberately),
@@ -1459,6 +1461,7 @@ let bench_diff_cmd =
                     else if
                       ends_with "_bytes_per_request" name
                       || ends_with "_minor_words" name
+                      || ends_with "_major_words" name
                     then
                       (* allocation counters: lower-better, and unlike
                          the _ns times they don't depend on quotas or

@@ -6,18 +6,14 @@ module C = Gp_concepts.Complexity
 (* ------------------------------------------------------------------ *)
 
 let mat structure n =
-  match Gp_structla.Mat.generate_dense ~structure ~n ~seed:7 with
-  | Some d -> (
-    match structure with
-    | "banded" -> (
-      (* pack the generated band explicitly: the op under test is the
-         banded kernel's O(n·b) bound, and at tiny n the detector
-         prefers denser classifications for a width-9 band, which
-         would silently swap the kernel (and its bound) mid-sweep *)
-      match Gp_structla.Mat.pack_banded ~lo:4 ~hi:4 d with
-      | Some b -> Gp_structla.Mat.Banded b
-      | None -> Gp_structla.Detect.classify_quiet d)
-    | _ -> Gp_structla.Detect.classify_quiet d)
+  match Gp_structla.Mat.generate ~structure ~n ~seed:7 with
+  | Some (Gp_structla.Mat.Banded _ as b) ->
+    (* keep the generated band (half-width 4 on every rung): the op
+       under test is the banded kernel's O(n·b) bound, and at tiny n the
+       detector prefers denser classifications for a width-9 band, which
+       would silently swap the kernel (and its bound) mid-sweep *)
+    b
+  | Some g -> Gp_structla.Detect.classify g
   | None -> invalid_arg ("Catalog: unknown structure " ^ structure)
 
 let kernel_steps kind structure n =
@@ -38,6 +34,20 @@ let band_width n =
 let csr_nnz n =
   float_of_int
     (Gp_structla.Mat.nnz_csr (Gp_structla.Mat.as_csr (mat "csr" n)))
+
+(* The served numeric miss end to end (Select.miss, as Dispatch runs
+   it): elements touched — generator writes, detector reads and kernel
+   steps. A diagonal miss stores n entries, so the whole miss is O(n);
+   generating or scanning an n*n array on the way would make it n^2. *)
+let served_miss_cells op structure n =
+  let reg = Gp_concepts.Registry.create () in
+  Gp_structla.Decls.declare reg;
+  match
+    Gp_structla.Select.miss reg (Gp_structla.Select.create ()) ~op ~structure
+      ~n ~seed:7
+  with
+  | Ok m -> float_of_int m.Gp_structla.Select.ms_cells
+  | Error e -> invalid_arg ("Catalog: " ^ e)
 
 (* ------------------------------------------------------------------ *)
 (* concept engine: rewrite/guard counters via telemetry               *)
@@ -194,6 +204,9 @@ let ops () =
       (kernel_steps `Solve "triangular");
     op ~category:"structla" ~declared:(C.cubic "n") "solve_dense"
       (kernel_steps `Solve "dense");
+    op ~category:"service" ~declared:(C.linear "n")
+      "served_matvec_diagonal_miss"
+      (served_miss_cells Gp_structla.Select.Matvec "diagonal");
     op ~category:"engine" ~declared:(C.linear "n") "rewrite_steps"
       (rewrite_counter "gp_engine_steps_total");
     op ~category:"engine" ~declared:(C.linear "n") "rewrite_guard_probes"

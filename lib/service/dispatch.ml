@@ -365,9 +365,10 @@ let handle_closure t ~caching ~budget ~concept ~types =
     Budget.spend budget (if hit then 1 else 1 + List.length obligations);
     (Ok (Request.Closed { size = List.length obligations; obligations }), hit)
 
-(* Structure-aware numerics: regenerate the matrix from the request's
-   (structure, n, seed) triple, classify it, and let concept-guided
-   overload resolution pick the kernel. The exact kernel step count is
+(* Structure-aware numerics: a miss is Select.miss — regenerate the
+   matrix from the request's (structure, n, seed) triple in its packed
+   storage, classify it, and let concept-guided overload resolution pick
+   the kernel. The exact kernel step count is
    the budget charge, levied after the cache probe on hit and miss alike
    — like the optimizer's rewrite steps — so Over_budget outcomes are
    cache-independent, which deterministic replay requires. *)
@@ -392,32 +393,16 @@ let handle_numeric t ~caching ~budget ~op ~structure ~n ~seed =
     in
     let payload, hit =
       Lru.find_or_compute t.caches.numerics ~enabled:caching key (fun () ->
-          let d = Option.get (Mat.generate_dense ~structure ~n ~seed) in
-          let m = Detect.classify d in
-          let steps, outcome =
-            match op with
-            | Select.Matvec ->
-              ( Kernels.matvec_steps m,
-                Result.map
-                  (fun (k, y) -> (k, Mat.checksum_vec y))
-                  (Select.matvec t.registry t.select m
-                     (Mat.generate_vec ~n ~seed)) )
-            | Select.Matmul ->
-              ( Kernels.matmul_steps m,
-                Result.map
-                  (fun (k, c) -> (k, Mat.checksum_dense (Mat.to_dense c)))
-                  (Select.matmul t.registry t.select m m) )
-            | Select.Solve ->
-              ( Kernels.solve_steps m,
-                Result.map
-                  (fun (k, x) -> (k, Mat.checksum_vec x))
-                  (Select.solve t.registry t.select m
-                     (Mat.generate_vec ~n ~seed)) )
-          in
-          match outcome with
-          | Ok (kernel, checksum) ->
+          match Select.miss t.registry t.select ~op ~structure ~n ~seed with
+          | Ok m ->
             Request.Computed
-              { kernel; detected = Mat.structure_name m; n; steps; checksum }
+              {
+                kernel = m.Select.ms_kernel;
+                detected = m.Select.ms_detected;
+                n;
+                steps = m.Select.ms_steps;
+                checksum = m.Select.ms_checksum;
+              }
           | Error diag ->
             (* every carrier has a dense fallback for all three generics,
                so a resolution failure here is a dispatcher bug: escape

@@ -53,7 +53,10 @@ type t =
    compare polymorphically through a C call. The miss path (generate,
    detect, pack, expand, checksum and the kernels) therefore runs as
    plain loops over hoisted arrays with these int-typed bounds. Indexing
-   stays checked. *)
+   stays checked. The miss path also stays in packed storage: generation,
+   detection and the checksum visit stored entries only, and a packed
+   matrix is expanded to n*n only where the result is dense-sized anyway
+   (a dense kernel, or a detection that lands on another structure). *)
 let imin (a : int) b = if a < b then a else b
 let imax (a : int) b = if a > b then a else b
 
@@ -125,6 +128,17 @@ let dims = function
   | Csr m -> (m.cs_rows, m.cs_cols)
 
 let nnz_csr m = m.cs_ptr.(m.cs_rows)
+
+let stored = function
+  | Dense m -> m.n_rows * m.n_cols
+  | Diagonal m -> m.dg_n
+  | Banded { bd_n = n; bd_lo; bd_hi; _ } ->
+    (* the diagonal plus each side's band, clipped at the corners *)
+    let lo = imin bd_lo (n - 1) and hi = imin bd_hi (n - 1) in
+    n + (n * lo) - (lo * (lo + 1) / 2) + (n * hi) - (hi * (hi + 1) / 2)
+  | Triangular m -> m.tr_n * m.tr_n
+  | Symmetric m -> m.sy_n * (m.sy_n + 1) / 2
+  | Csr m -> nnz_csr m
 
 (* ------------------------------------------------------------------ *)
 (* Expansion and packing                                               *)
@@ -334,7 +348,16 @@ let as_csr = function Csr m -> m | m -> pack_csr (to_dense m)
 (* All generated matrices are made strictly diagonally dominant
    (a_ii = |row| sum + 1), so every structure is also solve-safe: the
    same (structure, n, seed) triple backs matvec, matmul and solve
-   requests without a singularity caveat. *)
+   requests without a singularity caveat.
+
+   Each structure is generated straight into its own storage, drawing
+   exactly where, and in the row-major order in which, an element-wise
+   initialiser of the dense matrix would: the matrices (and so every
+   checksum) are fixed by (structure, n, seed), and a miss never builds
+   the n*n array a packed structure avoids. Row sums run over the
+   stored entries in column order; the unstored entries are +0.0, and
+   adding +0.0 leaves a non-negative sum unchanged, so every diagonal
+   has the bits a dense row sum gives. *)
 
 let dominate m =
   let nc = m.n_cols and d = m.d in
@@ -345,61 +368,142 @@ let dominate m =
       if j <> i then s := !s +. Float.abs d.(row + j)
     done;
     d.(row + i) <- !s +. 1.0
-  done;
-  m
+  done
 
 let rand st = (Random.State.float st 2.0) -. 1.0
 
-(* Each structure draws exactly where, and in the row-major order in
-   which, an element-wise initialiser would: the matrices (and so every
-   checksum) are fixed by (structure, n, seed). *)
-let generate_dense ~structure ~n ~seed =
+(* The CSR rows are drawn into a per-domain scratch that keeps its
+   largest size, then copied out at their exact length: the stored count
+   is known only after the last coin flip, and growing the result arrays
+   as the rows arrive would copy them over and over. *)
+type scratch = { mutable sc_idx : int array; mutable sc_val : float array }
+
+let csr_scratch =
+  Domain.DLS.new_key (fun () -> { sc_idx = [||]; sc_val = [||] })
+
+let reserve sc size =
+  if Array.length sc.sc_idx < size then begin
+    let cap = imax size (2 * Array.length sc.sc_idx) in
+    let idx = Array.make cap 0 and vals = Array.make cap 0.0 in
+    Array.blit sc.sc_idx 0 idx 0 (Array.length sc.sc_idx);
+    Array.blit sc.sc_val 0 vals 0 (Array.length sc.sc_val);
+    sc.sc_idx <- idx;
+    sc.sc_val <- vals
+  end
+
+(* ~5% fill plus the dominant diagonal: sparse at every n >= 24. Every
+   cell, the diagonal included, consumes its coin flip and, on success,
+   its draw; an off-diagonal draw of exactly 0.0 is not stored. *)
+let generate_csr st n =
+  let sc = Domain.DLS.get csr_scratch in
+  let cs_ptr = Array.make (n + 1) 0 in
+  let p = ref 0 in
+  for i = 0 to n - 1 do
+    reserve sc (!p + n);
+    let idx = sc.sc_idx and vals = sc.sc_val in
+    let start = !p and diag = ref 0 in
+    for j = 0 to n - 1 do
+      let x = if Random.State.int st 20 = 0 then rand st else 0.0 in
+      if j = i then begin
+        diag := !p;
+        idx.(!p) <- j;
+        incr p
+      end
+      else if x <> 0.0 then begin
+        idx.(!p) <- j;
+        vals.(!p) <- x;
+        incr p
+      end
+    done;
+    let s = ref 0.0 in
+    for q = start to !p - 1 do
+      if q <> !diag then s := !s +. Float.abs vals.(q)
+    done;
+    vals.(!diag) <- !s +. 1.0;
+    cs_ptr.(i + 1) <- !p
+  done;
+  {
+    cs_rows = n;
+    cs_cols = n;
+    cs_ptr;
+    cs_idx = Array.sub sc.sc_idx 0 !p;
+    cs_val = Array.sub sc.sc_val 0 !p;
+  }
+
+let generate ~structure ~n ~seed =
   if n < 1 then invalid_arg (Printf.sprintf "Mat.generate: n=%d < 1" n);
   let st = Random.State.make [| 0x57ac; seed; n; Hashtbl.hash structure |] in
-  let bw = 4 in
-  let m = dense_create n n in
-  let d = m.d in
   match structure with
   | "dense" ->
+    let m = dense_create n n in
+    let d = m.d in
     for k = 0 to (n * n) - 1 do
       d.(k) <- rand st
     done;
-    Some (dominate m)
+    dominate m;
+    Some (Dense m)
   | "diagonal" ->
+    let dg = Array.make n 0.0 in
     for i = 0 to n - 1 do
-      d.((i * n) + i) <- 1.0 +. Float.abs (rand st)
+      dg.(i) <- 1.0 +. Float.abs (rand st)
     done;
-    Some m
+    Some (Diagonal { dg_n = n; dg })
   | "banded" ->
+    (* half-bandwidth 4, clipped to the order: the same cells as the
+       dense band |i - j| <= 4 *)
+    let b = imin 4 (n - 1) in
+    let w = (2 * b) + 1 in
+    let bd = Array.make (n * w) 0.0 in
     for i = 0 to n - 1 do
-      for j = imax 0 (i - bw) to imin (n - 1) (i + bw) do
-        d.((i * n) + j) <- rand st
-      done
+      let band = (i * w) - i + b in
+      let j0 = imax 0 (i - b) and j1 = imin (n - 1) (i + b) in
+      for j = j0 to j1 do
+        bd.(band + j) <- rand st
+      done;
+      let s = ref 0.0 in
+      for j = j0 to j1 do
+        if j <> i then s := !s +. Float.abs bd.(band + j)
+      done;
+      bd.(band + i) <- !s +. 1.0
     done;
-    Some (dominate m)
+    Some (Banded { bd_n = n; bd_lo = b; bd_hi = b; bd })
   | "triangular" ->
+    let tr = Array.make (n * n) 0.0 in
     for i = 0 to n - 1 do
+      let row = i * n in
       for j = i to n - 1 do
-        d.((i * n) + j) <- rand st
-      done
+        tr.(row + j) <- rand st
+      done;
+      let s = ref 0.0 in
+      for j = i + 1 to n - 1 do
+        s := !s +. Float.abs tr.(row + j)
+      done;
+      tr.(row + i) <- !s +. 1.0
     done;
-    Some (dominate m)
+    Some (Triangular { tr_n = n; tr_upper = true; tr })
   | "symmetric" ->
-    (* draws the lower triangle row by row, mirroring each draw *)
+    (* the lower triangle row by row is the packed order *)
+    let sy = Array.make (n * (n + 1) / 2) 0.0 in
+    for k = 0 to Array.length sy - 1 do
+      sy.(k) <- rand st
+    done;
+    (* row i reads its lower part in place and its upper part from the
+       mirrored column i of the rows below; only diagonals change *)
     for i = 0 to n - 1 do
-      for j = 0 to i do
-        let x = rand st in
-        d.((i * n) + j) <- x;
-        d.((j * n) + i) <- x
-      done
+      let packed = i * (i + 1) / 2 in
+      let s = ref 0.0 in
+      for j = 0 to i - 1 do
+        s := !s +. Float.abs sy.(packed + j)
+      done;
+      let mirror = ref (packed + i + i + 1) in
+      for j = i + 1 to n - 1 do
+        s := !s +. Float.abs sy.(!mirror);
+        mirror := !mirror + j + 1
+      done;
+      sy.(packed + i) <- !s +. 1.0
     done;
-    Some (dominate m)
-  | "csr" ->
-    (* ~5% fill plus the dominant diagonal: sparse at every n >= 24 *)
-    for k = 0 to (n * n) - 1 do
-      if Random.State.int st 20 = 0 then d.(k) <- rand st
-    done;
-    Some (dominate m)
+    Some (Symmetric { sy_n = n; sy })
+  | "csr" -> Some (Csr (generate_csr st n))
   | _ -> None
 
 let generate_vec ~n ~seed =
@@ -424,6 +528,51 @@ let checksum_vec v =
   Digest.to_hex (Digest.bytes b)
 
 let checksum_dense m = checksum_vec m.d
+
+(* The same digest as [checksum_dense (to_dense m)]: the stored entries'
+   bits go straight to their row-major slots of a zeroed buffer, whose
+   zero bytes are the bits of the unstored +0.0 entries. *)
+let checksum = function
+  | Dense m -> checksum_dense m
+  | m ->
+    let r, c = dims m in
+    let b = Bytes.make (8 * r * c) '\000' in
+    (match m with
+    | Dense _ -> ()
+    | Diagonal { dg_n = n; dg } ->
+      for i = 0 to n - 1 do
+        Bytes.set_int64_le b (8 * ((i * n) + i)) (Int64.bits_of_float dg.(i))
+      done
+    | Banded { bd_n = n; bd_lo = lo; bd_hi = hi; bd } ->
+      let w = lo + hi + 1 in
+      for i = 0 to n - 1 do
+        let row = i * n and band = (i * w) - i + lo in
+        for j = imax 0 (i - lo) to imin (n - 1) (i + hi) do
+          Bytes.set_int64_le b (8 * (row + j)) (Int64.bits_of_float bd.(band + j))
+        done
+      done
+    | Triangular { tr_n = n; tr; _ } ->
+      for k = 0 to (n * n) - 1 do
+        Bytes.set_int64_le b (8 * k) (Int64.bits_of_float tr.(k))
+      done
+    | Symmetric { sy_n = n; sy } ->
+      for i = 0 to n - 1 do
+        let packed = i * (i + 1) / 2 in
+        for j = 0 to i do
+          let x = Int64.bits_of_float sy.(packed + j) in
+          Bytes.set_int64_le b (8 * ((i * n) + j)) x;
+          Bytes.set_int64_le b (8 * ((j * n) + i)) x
+        done
+      done
+    | Csr { cs_rows; cs_cols; cs_ptr; cs_idx; cs_val } ->
+      for i = 0 to cs_rows - 1 do
+        let row = i * cs_cols in
+        for p = cs_ptr.(i) to cs_ptr.(i + 1) - 1 do
+          Bytes.set_int64_le b (8 * (row + cs_idx.(p)))
+            (Int64.bits_of_float cs_val.(p))
+        done
+      done);
+    Digest.to_hex (Digest.bytes b)
 
 let pp ppf m =
   let r, c = dims m in

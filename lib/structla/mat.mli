@@ -4,9 +4,10 @@
     (dense, diagonal, banded, triangular, symmetric, sparse CSR).
     Packing is exact — {!to_dense} reproduces the packed source
     bit-for-bit — which makes detector soundness a checkable equality.
-    Generation is deterministic per [(structure, n, seed)], so the
-    serving layer ships only those scalars over the wire and the
-    replayer regenerates the identical matrix. *)
+    Generation is deterministic per [(structure, n, seed)] and writes
+    each structure's storage directly, so the serving layer ships only
+    those scalars over the wire, the replayer regenerates the identical
+    matrix, and a packed structure is never expanded on the way. *)
 
 type dense = { n_rows : int; n_cols : int; d : float array }
 (** Row-major. *)
@@ -72,6 +73,11 @@ val carrier : t -> string
 val dims : t -> int * int
 val nnz_csr : csr -> int
 
+val stored : t -> int
+(** Entries the representation stores, each visited once by a scan of
+    it: [r*c] dense, [n] diagonal, the in-range band cells, [n*n]
+    triangular (full storage), [n(n+1)/2] symmetric, [nnz] CSR. *)
+
 (** {2 Expansion and packing} *)
 
 val to_dense : t -> dense
@@ -96,10 +102,14 @@ val as_csr : t -> csr
 
 (** {2 Deterministic generation} *)
 
-val generate_dense : structure:string -> n:int -> seed:int -> dense option
-(** A dense matrix exhibiting the named structure (strictly diagonally
+val generate : structure:string -> n:int -> seed:int -> t option
+(** A matrix of order [n] exhibiting the named structure, generated
+    straight into that structure's representation (strictly diagonally
     dominant, so it is also solve-safe); [None] on an unknown structure
-    name. Raises [Invalid_argument] when [n < 1]. *)
+    name. Banded is stored with [lo = hi = min 4 (n-1)], triangular as
+    upper, CSR without explicit zeros. The values, and so [to_dense] of
+    the result, are fixed by [(structure, n, seed)]. Raises
+    [Invalid_argument] when [n < 1]. *)
 
 val generate_vec : n:int -> seed:int -> float array
 
@@ -109,4 +119,9 @@ val checksum_vec : float array -> string
 (** Digest of the exact IEEE bit patterns — replay-stable. *)
 
 val checksum_dense : dense -> string
+
+val checksum : t -> string
+(** [checksum m = checksum_dense (to_dense m)], computed from the stored
+    entries without expanding [m]. *)
+
 val pp : Format.formatter -> t -> unit

@@ -160,3 +160,55 @@ let solve reg t m b =
   | Error _ as e -> e
   | Ok (name, Dvec r) -> Ok (name, r)
   | Ok (name, _) -> Error (name ^ ": candidate returned a non-vector")
+
+(* One numeric miss, as the dispatcher serves it: generate the matrix in
+   its packed storage, classify it, count the exact kernel steps, run
+   the selected kernel and checksum the result. [ms_cells] counts the
+   elements the miss touches — the cells the generator writes, the
+   entries the detector reads (plus the dense cells it re-reads when it
+   converts) and the kernel steps — as a returned value, never through
+   Tel, so the served metrics and dumps keep their bytes. *)
+
+type miss = {
+  ms_kernel : string;
+  ms_detected : string;
+  ms_steps : int;
+  ms_checksum : string;
+  ms_cells : int;
+}
+
+let miss reg t ~op ~structure ~n ~seed =
+  let g =
+    match Mat.generate ~structure ~n ~seed with
+    | Some g -> g
+    | None -> invalid_arg ("Select.miss: unknown structure " ^ structure)
+  in
+  let m = Detect.classify g in
+  let steps, outcome =
+    match op with
+    | Matvec ->
+      ( Kernels.matvec_steps m,
+        Result.map
+          (fun (k, y) -> (k, Mat.checksum_vec y))
+          (matvec reg t m (Mat.generate_vec ~n ~seed)) )
+    | Matmul ->
+      ( Kernels.matmul_steps m,
+        Result.map (fun (k, c) -> (k, Mat.checksum c)) (matmul reg t m m) )
+    | Solve ->
+      ( Kernels.solve_steps m,
+        Result.map
+          (fun (k, x) -> (k, Mat.checksum_vec x))
+          (solve reg t m (Mat.generate_vec ~n ~seed)) )
+  in
+  let written = Mat.stored g in
+  let read = if m == g then written else written + (n * n) in
+  Result.map
+    (fun (kernel, checksum) ->
+      {
+        ms_kernel = kernel;
+        ms_detected = Mat.structure_name m;
+        ms_steps = steps;
+        ms_checksum = checksum;
+        ms_cells = written + read + steps;
+      })
+    outcome

@@ -43,3 +43,27 @@ val matmul :
 val solve :
   Gp_concepts.Registry.t -> t -> Mat.t -> float array ->
   (string * float array, string) result
+
+(** {2 The numeric miss} *)
+
+type miss = {
+  ms_kernel : string;  (** the selected candidate *)
+  ms_detected : string;  (** the structure {!Detect.classify} found *)
+  ms_steps : int;  (** exact kernel steps (the budget charge) *)
+  ms_checksum : string;  (** {!Mat.checksum_vec} or {!Mat.checksum} *)
+  ms_cells : int;
+      (** exact elements touched: the cells {!Mat.generate} writes
+          ({!Mat.stored}), the entries {!Detect.classify} reads (the
+          same, plus [n²] when it converts to another structure) and the
+          kernel steps *)
+}
+
+val miss :
+  Gp_concepts.Registry.t -> t -> op:op -> structure:string -> n:int ->
+  seed:int -> (miss, string) result
+(** One served numeric miss: {!Mat.generate}, {!Detect.classify}, the
+    step count, the selected kernel on {!Mat.generate_vec} (matvec,
+    solve) or on the matrix itself (matmul), and the result's checksum.
+    Emits the detect and kernel telemetry of the calls it makes and
+    nothing else. [Error] as for {!matvec}; raises [Invalid_argument]
+    on an unknown structure or [n < 1]. *)

@@ -90,6 +90,75 @@ let solve_reference (m : Mat.dense) b =
   x
 
 (* ------------------------------------------------------------------ *)
+(* Dense structla generation                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The first generator: every structure drawn into an n*n dense array,
+   then made strictly diagonally dominant over whole dense rows. The
+   packed generator draws the same values in the same order. *)
+
+let dominate (m : Mat.dense) =
+  let nc = m.Mat.n_cols and d = m.Mat.d in
+  for i = 0 to min m.Mat.n_rows nc - 1 do
+    let row = i * nc in
+    let s = ref 0.0 in
+    for j = 0 to nc - 1 do
+      if j <> i then s := !s +. Float.abs d.(row + j)
+    done;
+    d.(row + i) <- !s +. 1.0
+  done;
+  m
+
+let rand st = Random.State.float st 2.0 -. 1.0
+
+let generate_dense ~structure ~n ~seed =
+  if n < 1 then invalid_arg (Printf.sprintf "Mat.generate: n=%d < 1" n);
+  let st = Random.State.make [| 0x57ac; seed; n; Hashtbl.hash structure |] in
+  let bw = 4 in
+  let m = Mat.dense_create n n in
+  let d = m.Mat.d in
+  match structure with
+  | "dense" ->
+    for k = 0 to (n * n) - 1 do
+      d.(k) <- rand st
+    done;
+    Some (dominate m)
+  | "diagonal" ->
+    for i = 0 to n - 1 do
+      d.((i * n) + i) <- 1.0 +. Float.abs (rand st)
+    done;
+    Some m
+  | "banded" ->
+    for i = 0 to n - 1 do
+      for j = max 0 (i - bw) to min (n - 1) (i + bw) do
+        d.((i * n) + j) <- rand st
+      done
+    done;
+    Some (dominate m)
+  | "triangular" ->
+    for i = 0 to n - 1 do
+      for j = i to n - 1 do
+        d.((i * n) + j) <- rand st
+      done
+    done;
+    Some (dominate m)
+  | "symmetric" ->
+    for i = 0 to n - 1 do
+      for j = 0 to i do
+        let x = rand st in
+        d.((i * n) + j) <- x;
+        d.((j * n) + i) <- x
+      done
+    done;
+    Some (dominate m)
+  | "csr" ->
+    for k = 0 to (n * n) - 1 do
+      if Random.State.int st 20 = 0 then d.(k) <- rand st
+    done;
+    Some (dominate m)
+  | _ -> None
+
+(* ------------------------------------------------------------------ *)
 (* Constraint propagation                                              *)
 (* ------------------------------------------------------------------ *)
 

@@ -19,6 +19,14 @@ val solve_reference : Gp_structla.Mat.dense -> float array -> float array
 (** Gaussian elimination with partial pivoting. Raises
     [Invalid_argument] on a non-square or singular system. *)
 
+(** {2 Dense structla generation} *)
+
+val generate_dense :
+  structure:string -> n:int -> seed:int -> Gp_structla.Mat.dense option
+(** The first generator: each structure drawn into an n×n dense array
+    and made diagonally dominant over whole rows. [Mat.to_dense] of
+    {!Gp_structla.Mat.generate} equals it bit for bit. *)
+
 (** {2 Constraint propagation} *)
 
 val closure_with_reference :

@@ -1221,13 +1221,13 @@ let test_numeric_dispatch () =
     Alcotest.(check string) "detected structure" "diagonal" detected;
     Alcotest.(check int) "order echoed" 32 n;
     Alcotest.(check int) "steps are the diagonal count" 32 steps;
-    (* bit-exact against the same generate -> classify -> select path
+    (* bit-exact against the dense generate -> classify -> select path
        run outside the server *)
     let reg = Gp_standard.Standard.registry () in
     let d =
-      Option.get (Mat.generate_dense ~structure:"diagonal" ~n:32 ~seed:1)
+      Option.get (Oracles.generate_dense ~structure:"diagonal" ~n:32 ~seed:1)
     in
-    let m = Detect.classify_quiet d in
+    let m = Detect.classify (Mat.Dense d) in
     let x = Mat.generate_vec ~n:32 ~seed:1 in
     (match Select.matvec reg (Select.create ()) m x with
     | Ok (_, y) ->

@@ -18,10 +18,12 @@ let world () =
   Decls.declare reg;
   reg
 
-let gen s ~n ~seed =
-  match Mat.generate_dense ~structure:s ~n ~seed with
-  | Some d -> d
+let generate s ~n ~seed =
+  match Mat.generate ~structure:s ~n ~seed with
+  | Some g -> g
   | None -> Alcotest.fail ("unknown structure " ^ s)
+
+let gen s ~n ~seed = Mat.to_dense (generate s ~n ~seed)
 
 (* ------------------------------------------------------------------ *)
 (* Taxonomy: declared models check nominally                           *)
@@ -65,7 +67,7 @@ let kernel_of reg sel op m =
 let test_most_refined_wins () =
   let reg = world () in
   let sel = Select.create () in
-  let mat s = Detect.classify_quiet (gen s ~n:64 ~seed:1) in
+  let mat s = Detect.classify (generate s ~n:64 ~seed:1) in
   let expect op s name =
     let got, _ = kernel_of reg sel op (mat s) in
     Alcotest.(check string)
@@ -131,7 +133,7 @@ let test_classify_generated () =
       List.iter
         (fun seed ->
           let d = gen s ~n:64 ~seed in
-          let m = Detect.classify_quiet d in
+          let m = Detect.classify (generate s ~n:64 ~seed) in
           Alcotest.(check string)
             (Printf.sprintf "classify(generate %s, seed %d)" s seed)
             s (Mat.structure_name m);
@@ -145,11 +147,11 @@ let test_classify_priority () =
      the most refined one *)
   let d = gen "diagonal" ~n:32 ~seed:9 in
   Alcotest.(check string) "diagonal wins" "diagonal"
-    (Mat.structure_name (Detect.classify_quiet d));
+    (Mat.structure_name (Detect.classify (Mat.Dense d)));
   (* non-square: only CSR or dense can apply *)
   let r = Mat.dense_init 4 6 (fun i j -> if i = j then 1.0 else 0.0) in
   Alcotest.(check string) "non-square sparse is csr" "csr"
-    (Mat.structure_name (Detect.classify_quiet r))
+    (Mat.structure_name (Detect.classify (Mat.Dense r)))
 
 (* Soundness on arbitrary matrices: whatever the detector claims, the
    packed representation expands back bit-for-bit. *)
@@ -181,7 +183,264 @@ let classify_sound_prop =
   qtest
     (QCheck.Test.make ~name:"classify never misrepresents the matrix"
        ~count:500 arbitrary_dense_arb (fun d ->
-         Mat.dense_equal d (Mat.to_dense (Detect.classify_quiet d))))
+         Mat.dense_equal d (Mat.to_dense (Detect.classify (Mat.Dense d)))))
+
+(* ------------------------------------------------------------------ *)
+(* Packed generation, detection and checksums vs their dense forms     *)
+(* ------------------------------------------------------------------ *)
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+let generated_arb =
+  let open QCheck.Gen in
+  QCheck.make
+    ~print:(fun (s, n, seed) -> Printf.sprintf "%s n=%d seed=%d" s n seed)
+    ( oneofl Mat.structure_names >>= fun s ->
+      int_range 1 64 >>= fun n ->
+      int_range 0 99_999 >>= fun seed -> return (s, n, seed) )
+
+let generate_matches_dense_prop =
+  qtest
+    (QCheck.Test.make ~name:"to_dense (generate) == dense oracle, bit for bit"
+       ~count:400 generated_arb (fun (s, n, seed) ->
+         let o = Option.get (Oracles.generate_dense ~structure:s ~n ~seed) in
+         let d = gen s ~n ~seed in
+         d.Mat.n_rows = n && d.Mat.n_cols = n && same_bits d.Mat.d o.Mat.d))
+
+(* [classify m] depends only on what [m] stands for *)
+let classify_agrees m =
+  Detect.classify m = Detect.classify (Mat.Dense (Mat.to_dense m))
+
+let classify_generated_prop =
+  qtest
+    (QCheck.Test.make ~name:"classify (generate) == classify (dense)"
+       ~count:400 generated_arb (fun (s, n, seed) ->
+         classify_agrees (generate s ~n ~seed)))
+
+(* Hand-built packed inputs: explicit zeros, lower triangles, bands
+   wider than their content, symmetric content in CSR and band form,
+   non-square CSR. Entries are drawn with many exact zeros so that every
+   structure, and every priority between them, turns up. *)
+let packed_arb =
+  let open QCheck.Gen in
+  let entry =
+    frequency
+      [ (5, return 0.0); (2, return 1.5); (1, return (-0.0));
+        (1, return (-2.25)); (1, float_range (-4.0) 4.0) ]
+  in
+  let square_dense =
+    int_range 1 12 >>= fun n ->
+    bool >>= fun mirror ->
+    array_size (return (n * n)) entry >>= fun d ->
+    let m = { Mat.n_rows = n; n_cols = n; d } in
+    return
+      (if mirror then
+         Mat.dense_init n n (fun i j ->
+             if i >= j then Mat.dense_get m i j else Mat.dense_get m j i)
+       else m)
+  in
+  let g =
+    frequency
+      [
+        ( 1,
+          int_range 1 12 >>= fun n ->
+          array_size (return n) entry >>= fun dg ->
+          return (Mat.Diagonal { Mat.dg_n = n; dg }) );
+        ( 2,
+          int_range 1 14 >>= fun n ->
+          int_range 0 5 >>= fun lo ->
+          int_range 0 5 >>= fun hi ->
+          let w = lo + hi + 1 in
+          array_size (return (n * w)) entry >>= fun raw ->
+          (* zero the slots outside the matrix, as the packers leave
+             them, unless told to keep them *)
+          bool >>= fun keep_dead ->
+          let bd = Array.copy raw in
+          if not keep_dead then
+            for i = 0 to n - 1 do
+              for j = i - lo to i + hi do
+                if j < 0 || j >= n then bd.((i * w) - i + lo + j) <- 0.0
+              done
+            done;
+          bool >>= fun mirror ->
+          let b = { Mat.bd_n = n; bd_lo = lo; bd_hi = hi; bd } in
+          if mirror && lo = hi then
+            (* symmetric band content *)
+            return
+              (Mat.Banded
+                 (Option.get
+                    (Mat.pack_banded ~lo ~hi
+                       (let d = Mat.to_dense (Mat.Banded b) in
+                        Mat.dense_init n n (fun i j ->
+                            if i >= j then Mat.dense_get d i j
+                            else Mat.dense_get d j i)))))
+          else return (Mat.Banded b) );
+        ( 2,
+          square_dense >>= fun d ->
+          bool >>= fun upper ->
+          let n = d.Mat.n_rows in
+          let tr =
+            Array.init (n * n) (fun k ->
+                let i = k / n and j = k mod n in
+                if (upper && j < i) || ((not upper) && j > i) then 0.0
+                else d.Mat.d.(k))
+          in
+          return (Mat.Triangular { Mat.tr_n = n; tr_upper = upper; tr }) );
+        ( 2,
+          int_range 1 12 >>= fun n ->
+          array_size (return (n * (n + 1) / 2)) entry >>= fun sy ->
+          return (Mat.Symmetric { Mat.sy_n = n; sy }) );
+        ( 3,
+          int_range 1 12 >>= fun rows ->
+          frequency [ (3, return rows); (1, int_range 1 12) ] >>= fun cols ->
+          (* mostly zeros, so that sparse answers turn up too *)
+          bool >>= fun sparse ->
+          let cell = if sparse then frequency [ (8, return 0.0); (2, entry) ] else entry in
+          array_size (return (rows * cols)) cell >>= fun d ->
+          bool >>= fun mirror ->
+          let m = { Mat.n_rows = rows; n_cols = cols; d } in
+          let m =
+            if mirror && rows = cols then
+              Mat.dense_init rows cols (fun i j ->
+                  if i >= j then Mat.dense_get m i j else Mat.dense_get m j i)
+            else m
+          in
+          (* CSR of the pattern, keeping some zeros stored explicitly *)
+          bool >>= fun explicit_zeros ->
+          let ptr = Array.make (rows + 1) 0 in
+          let idx = ref [] and vals = ref [] in
+          for i = 0 to rows - 1 do
+            for j = 0 to cols - 1 do
+              let x = m.Mat.d.((i * cols) + j) in
+              if x <> 0.0 || (explicit_zeros && (i + j) mod 3 = 0) then begin
+                idx := j :: !idx;
+                vals := x :: !vals
+              end
+            done;
+            ptr.(i + 1) <- List.length !idx
+          done;
+          return
+            (Mat.Csr
+               {
+                 Mat.cs_rows = rows;
+                 cs_cols = cols;
+                 cs_ptr = ptr;
+                 cs_idx = Array.of_list (List.rev !idx);
+                 cs_val = Array.of_list (List.rev !vals);
+               }) );
+        (1, square_dense >>= fun d -> return (Mat.Dense d));
+      ]
+  in
+  QCheck.make
+    ~print:(fun m ->
+      Format.asprintf "%a: %s" Mat.pp m
+        (String.concat " "
+           (Array.to_list
+              (Array.map string_of_float (Mat.to_dense m).Mat.d))))
+    g
+
+let classify_packed_prop =
+  qtest
+    (QCheck.Test.make ~name:"classify (packed) == classify (dense)"
+       ~count:1000 packed_arb classify_agrees)
+
+let checksum_prop =
+  qtest
+    (QCheck.Test.make ~name:"checksum == checksum_dense (to_dense)"
+       ~count:500 packed_arb (fun m ->
+         String.equal (Mat.checksum m)
+           (Mat.checksum_dense (Mat.to_dense m))))
+
+let checksum_generated_prop =
+  qtest
+    (QCheck.Test.make ~name:"checksum (generate) == checksum_dense (oracle)"
+       ~count:200 generated_arb (fun (s, n, seed) ->
+         let g = generate s ~n ~seed in
+         let o = Option.get (Oracles.generate_dense ~structure:s ~n ~seed) in
+         String.equal (Mat.checksum g) (Mat.checksum_dense o)
+         && String.equal
+              (Mat.checksum (Detect.classify g))
+              (Mat.checksum_dense o)))
+
+(* Hand-picked cases the generators above reach only by chance. *)
+let test_classify_packed_cases () =
+  let check name m =
+    Alcotest.(check bool) name true (classify_agrees m)
+  in
+  (* past the small orders every generated matrix already is its
+     detected structure, so detection returns it uncopied *)
+  List.iter
+    (fun s ->
+      let g = generate s ~n:40 ~seed:3 in
+      Alcotest.(check bool) ("generated " ^ s ^ " comes back as it is") true
+        (Detect.classify g == g))
+    Mat.structure_names;
+  let b = generate "banded" ~n:40 ~seed:3 in
+  (* a band stored three wide around a diagonal matrix *)
+  check "wide band, diagonal content"
+    (Mat.Banded
+       { Mat.bd_n = 4; bd_lo = 1; bd_hi = 1;
+         bd = [| 0.; 1.; 0.; 0.; 2.; 0.; 0.; 3.; 0.; 0.; 4.; 0. |] });
+  (* a band stored wider than its content at an order where it stays
+     banded, and one with a stray entry in a dead slot *)
+  let d = Mat.to_dense b in
+  check "wide band, narrow content"
+    (Mat.Banded (Option.get (Mat.pack_banded ~lo:6 ~hi:5 d)));
+  let wide = Option.get (Mat.pack_banded ~lo:4 ~hi:4 d) in
+  let dead = { wide with Mat.bd = Array.copy wide.Mat.bd } in
+  dead.Mat.bd.(0) <- 7.0;
+  check "nonzero dead slot" (Mat.Banded dead);
+  check "lower triangular"
+    (Mat.Triangular
+       { Mat.tr_n = 3; tr_upper = false;
+         tr = [| 1.; 0.; 0.; 2.; 3.; 0.; 4.; 5.; 6. |] });
+  check "triangular marked upper, stored lower"
+    (Mat.Triangular
+       { Mat.tr_n = 3; tr_upper = true;
+         tr = [| 1.; 0.; 0.; 2.; 3.; 0.; 4.; 5.; 6. |] });
+  check "csr, explicit zeros only"
+    (Mat.Csr
+       { Mat.cs_rows = 3; cs_cols = 3; cs_ptr = [| 0; 1; 2; 3 |];
+         cs_idx = [| 0; 1; 2 |]; cs_val = [| 0.; 0.; 0. |] });
+  check "csr, empty"
+    (Mat.Csr
+       { Mat.cs_rows = 2; cs_cols = 5; cs_ptr = [| 0; 0; 0 |];
+         cs_idx = [| 0 |]; cs_val = [| 0. |] });
+  check "csr, slack storage"
+    (Mat.Csr
+       { Mat.cs_rows = 2; cs_cols = 5; cs_ptr = [| 0; 1; 1 |];
+         cs_idx = [| 3; 0; 0 |]; cs_val = [| 2.; 0.; 0. |] });
+  check "csr, an explicit zero"
+    (Mat.Csr
+       { Mat.cs_rows = 2; cs_cols = 5; cs_ptr = [| 0; 2; 2 |];
+         cs_idx = [| 1; 3 |]; cs_val = [| 0.; 2. |] });
+  (* lower entries mirrored, one upper entry beyond the lower band *)
+  check "band symmetric below, not above"
+    (Mat.Banded
+       { Mat.bd_n = 4; bd_lo = 1; bd_hi = 2;
+         bd =
+           [| 0.; 5.; 1.; 7.;
+              1.; 5.; 2.; 0.;
+              2.; 5.; 3.; 0.;
+              3.; 5.; 0.; 0. |] });
+  check "csr, unsorted row"
+    (Mat.Csr
+       { Mat.cs_rows = 2; cs_cols = 2; cs_ptr = [| 0; 2; 3 |];
+         cs_idx = [| 1; 0; 1 |]; cs_val = [| 2.; 1.; 3. |] });
+  check "symmetric with zero off-diagonal"
+    (Mat.Symmetric { Mat.sy_n = 3; sy = [| 1.; 0.; 2.; 0.; 0.; 3. |] });
+  (* NaN <> NaN, so a NaN pair is not symmetric; structural equality is
+     out with a NaN inside, so compare the structures *)
+  let nan_sym =
+    Mat.Symmetric { Mat.sy_n = 3; sy = [| 1.; Float.nan; 2.; 0.; 0.; 3. |] }
+  in
+  Alcotest.(check string) "NaN off the diagonal"
+    (Mat.structure_name (Detect.classify (Mat.Dense (Mat.to_dense nan_sym))))
+    (Mat.structure_name (Detect.classify nan_sym))
 
 (* ------------------------------------------------------------------ *)
 (* Kernel equivalence vs the dense oracles                             *)
@@ -197,7 +456,7 @@ let case_arb =
 
 let with_case (s, sz, seed) f =
   let d = gen s ~n:sz ~seed in
-  let m = Detect.classify_quiet d in
+  let m = Detect.classify (generate s ~n:sz ~seed) in
   let reg = world () in
   let sel = Select.create () in
   f reg sel d m
@@ -251,11 +510,6 @@ let solve_inverts_prop =
 
 (* The served dense kernels keep the oracles' operation order, so they
    agree bit for bit, not just within an epsilon. *)
-let same_bits a b =
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-       a b
 
 let dense_kernels_bit_exact_prop =
   qtest
@@ -273,18 +527,18 @@ let dense_kernels_bit_exact_prop =
 (* ------------------------------------------------------------------ *)
 
 let test_step_counts () =
-  let d = Detect.classify_quiet (gen "dense" ~n:8 ~seed:0) in
+  let d = Detect.classify (generate "dense" ~n:8 ~seed:0) in
   Alcotest.(check int) "dense matvec n^2" 64 (Kernels.matvec_steps d);
   Alcotest.(check int) "dense matmul n^3" 512 (Kernels.matmul_steps d);
-  let dg = Detect.classify_quiet (gen "diagonal" ~n:8 ~seed:0) in
+  let dg = Detect.classify (generate "diagonal" ~n:8 ~seed:0) in
   Alcotest.(check int) "diagonal matvec n" 8 (Kernels.matvec_steps dg);
   Alcotest.(check int) "diagonal solve n" 8 (Kernels.solve_steps dg);
-  let t = Detect.classify_quiet (gen "triangular" ~n:8 ~seed:0) in
+  let t = Detect.classify (generate "triangular" ~n:8 ~seed:0) in
   Alcotest.(check int) "triangular matvec n(n+1)/2" 36
     (Kernels.matvec_steps t);
   Alcotest.(check int) "triangular solve n(n+1)/2" 36 (Kernels.solve_steps t);
   (* banded n=10, bandwidth 4 generator: rows clipped at the edges *)
-  let b = Detect.classify_quiet (gen "banded" ~n:24 ~seed:0) in
+  let b = Detect.classify (generate "banded" ~n:24 ~seed:0) in
   (match b with
   | Mat.Banded { Mat.bd_lo = lo; bd_hi = hi; _ } ->
     Alcotest.(check int) "generator bandwidth" 8 (lo + hi)
@@ -292,7 +546,7 @@ let test_step_counts () =
   Alcotest.(check int) "banded matvec = sum of row widths"
     (9 * 24 - 2 * (4 + 3 + 2 + 1))
     (Kernels.matvec_steps b);
-  let c = Detect.classify_quiet (gen "csr" ~n:24 ~seed:0) in
+  let c = Detect.classify (generate "csr" ~n:24 ~seed:0) in
   match c with
   | Mat.Csr csr ->
     Alcotest.(check int) "csr matvec = nnz" (Mat.nnz_csr csr)
@@ -303,13 +557,13 @@ let test_step_counts () =
 let test_step_ratios_at_256 () =
   let n = 256 in
   let dense_steps =
-    Kernels.matvec_steps (Detect.classify_quiet (gen "dense" ~n ~seed:0))
+    Kernels.matvec_steps (Detect.classify (generate "dense" ~n ~seed:0))
   in
   let diag_steps =
-    Kernels.matvec_steps (Detect.classify_quiet (gen "diagonal" ~n ~seed:0))
+    Kernels.matvec_steps (Detect.classify (generate "diagonal" ~n ~seed:0))
   in
   let band_steps =
-    Kernels.matvec_steps (Detect.classify_quiet (gen "banded" ~n ~seed:0))
+    Kernels.matvec_steps (Detect.classify (generate "banded" ~n ~seed:0))
   in
   Alcotest.(check bool) "diagonal matvec >= 10x fewer steps" true
     (dense_steps >= 10 * diag_steps);
@@ -386,6 +640,16 @@ let () =
             test_classify_generated;
           Alcotest.test_case "priority" `Quick test_classify_priority;
           classify_sound_prop;
+        ] );
+      ( "packed",
+        [
+          generate_matches_dense_prop;
+          classify_generated_prop;
+          classify_packed_prop;
+          Alcotest.test_case "hand-built packed inputs" `Quick
+            test_classify_packed_cases;
+          checksum_prop;
+          checksum_generated_prop;
         ] );
       ( "kernels",
         [
