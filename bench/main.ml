@@ -1147,7 +1147,7 @@ let s4 () =
       (List.map (fun d -> Recorder.dossier_to_json d ^ "\n") dossiers)
   in
   let parsed =
-    match Flight.of_jsonl dump with Ok ds -> ds | Error m -> failwith m
+    match Recorder.of_jsonl dump with Ok ds -> ds | Error m -> failwith m
   in
   assert (List.length parsed = n);
   let outcome =

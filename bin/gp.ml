@@ -797,7 +797,7 @@ let replay_cmd =
   in
   let run path =
     let open Gp_service in
-    match Flight.load path with
+    match Gp_telemetry.Recorder.load path with
     | Error m ->
       Fmt.epr "%s@." m;
       2
@@ -1391,23 +1391,22 @@ let bench_diff_cmd =
                    noisy to gate on.")
   in
   let run old_path new_path tolerance quick =
-    let open Gp_service in
+    let module Json = Gp_telemetry.Json in
     let load path =
-      match
-        Wire.parse (In_channel.with_open_text path In_channel.input_all)
-      with
+      match In_channel.with_open_text path In_channel.input_all with
       | exception Sys_error m -> Error m
-      | exception Wire.Error m -> Error (path ^ ": " ^ m)
-      | Wire.Obj fields -> (
-        match List.assoc_opt "sections" fields with
-        | Some (Wire.Obj sections) -> Ok sections
-        | _ -> Error (path ^ ": no \"sections\" object"))
-      | _ -> Error (path ^ ": expected a JSON object")
+      | doc -> (
+        match Json.obj_field "sections" (Json.parse doc) with
+        | sections -> Ok sections
+        | exception Json.Error m -> Error (path ^ ": " ^ m))
     in
-    let num = function
-      | Wire.Int i -> Some (float_of_int i)
-      | Wire.Float x when not (Float.is_nan x) -> Some x
-      | _ -> None (* null = not measured in that run: skip *)
+    (* null = not measured in that run, and a non-number is no metric:
+       both are skipped *)
+    let metric name section =
+      match Json.num_field name section with
+      | v when Float.is_nan v -> None
+      | v -> Some v
+      | exception Json.Error _ -> None
     in
     let ends_with suffix s =
       String.length s >= String.length suffix
@@ -1425,12 +1424,10 @@ let bench_diff_cmd =
       List.iter
         (fun (sec, metrics) ->
           match (metrics, List.assoc_opt sec old_sections) with
-          | Wire.Obj metrics, Some (Wire.Obj old_metrics) ->
+          | Json.Obj names, Some old ->
             List.iter
-              (fun (name, v) ->
-                match
-                  (num v, Option.bind (List.assoc_opt name old_metrics) num)
-                with
+              (fun (name, _) ->
+                match (metric name metrics, metric name old) with
                 | Some nv, Some ov ->
                   incr compared;
                   let regressed, msg =
@@ -1477,7 +1474,7 @@ let bench_diff_cmd =
                     Fmt.pr "REGRESSION %s/%s: %s@." sec name msg
                   end
                 | _ -> () (* null or missing on either side: skip *))
-              metrics
+              names
           | _ -> () (* section absent from the old run: skip *))
         new_sections;
       if !compared = 0 then begin

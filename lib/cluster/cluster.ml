@@ -10,6 +10,7 @@ module Server = Gp_service.Server
 module Request = Gp_service.Request
 module Lru = Gp_service.Lru
 module Wire = Gp_service.Wire
+module Json = Gp_telemetry.Json
 
 type failure =
   | Drop of float
@@ -488,60 +489,56 @@ let pp_audit ppf a =
 let dump r =
   let buf = Buffer.create 4096 in
   let header =
-    Wire.Obj
+    Json.Obj
       [
-        ("gp_cluster", Wire.Int 1);
-        ("replicas", Wire.Int r.r_config.replicas);
-        ("vnodes", Wire.Int r.r_config.vnodes);
-        ("affinity", Wire.Bool r.r_config.affinity);
-        ("seed", Wire.Int r.r_config.seed);
-        ("n", Wire.Int (Array.length r.r_requests));
-        ("completed", Wire.Int r.r_completed);
-        ("elections", Wire.Int r.r_elections);
-        ("shed", Wire.Int (shed_total r));
-        ("promoted", Wire.Int r.r_promotions);
-        ("joined", Wire.Int r.r_joined);
-        ("left", Wire.Int r.r_left);
+        ("gp_cluster", Json.Int 1);
+        ("replicas", Json.Int r.r_config.replicas);
+        ("vnodes", Json.Int r.r_config.vnodes);
+        ("affinity", Json.Bool r.r_config.affinity);
+        ("seed", Json.Int r.r_config.seed);
+        ("n", Json.Int (Array.length r.r_requests));
+        ("completed", Json.Int r.r_completed);
+        ("elections", Json.Int r.r_elections);
+        ("shed", Json.Int (shed_total r));
+        ("promoted", Json.Int r.r_promotions);
+        ("joined", Json.Int r.r_joined);
+        ("left", Json.Int r.r_left);
         ("server_config",
-         Wire.parse (Server.config_to_line r.r_config.server_config));
+         Json.parse (Server.config_to_line r.r_config.server_config));
       ]
   in
-  Buffer.add_string buf (Wire.to_string header);
+  Buffer.add_string buf (Json.to_string header);
   Buffer.add_char buf '\n';
   Array.iter
     (function
       | None -> ()
       | Some rc ->
         let line =
-          Wire.Obj
+          Json.Obj
             ([
-              ("rid", Wire.Int rc.Node.rc_rid);
-              ("kind", Wire.Str (Request.kind_name rc.Node.rc_kind));
-              ("write", Wire.Bool rc.Node.rc_write);
-              ("replica", Wire.Int rc.Node.rc_replica);
-              ("fp", Wire.Str rc.Node.rc_fp);
-              ("ok", Wire.Bool rc.Node.rc_ok);
-              ("cached", Wire.Bool rc.Node.rc_cached);
-              ("attempts", Wire.Int rc.Node.rc_attempts);
-              ("arrive", Wire.Float rc.Node.rc_arrive);
+              ("rid", Json.Int rc.Node.rc_rid);
+              ("kind", Json.Str (Request.kind_name rc.Node.rc_kind));
+              ("write", Json.Bool rc.Node.rc_write);
+              ("replica", Json.Int rc.Node.rc_replica);
+              ("fp", Json.Str rc.Node.rc_fp);
+              ("ok", Json.Bool rc.Node.rc_ok);
+              ("cached", Json.Bool rc.Node.rc_cached);
+              ("attempts", Json.Int rc.Node.rc_attempts);
+              ("arrive", Json.Float rc.Node.rc_arrive);
             ]
-            @ (if rc.Node.rc_shed then [ ("shed", Wire.Bool true) ] else [])
+            @ (if rc.Node.rc_shed then [ ("shed", Json.Bool true) ] else [])
             @ [
-              ("done", Wire.Float rc.Node.rc_done);
+              ("done", Json.Float rc.Node.rc_done);
               ("req",
-               Wire.parse
+               Json.parse
                  (Wire.request_to_line ~id:rc.Node.rc_rid
                     r.r_requests.(rc.Node.rc_rid)));
             ])
         in
-        Buffer.add_string buf (Wire.to_string line);
+        Buffer.add_string buf (Json.to_string line);
         Buffer.add_char buf '\n')
     r.r_records;
   Buffer.contents buf
-
-let field name = function
-  | Wire.Obj kvs -> List.assoc_opt name kvs
-  | _ -> None
 
 (* Byte position of [name] inside the raw dump line, for the wire's
    positioned-error convention ("at <pos>: ..."). The field name always
@@ -556,17 +553,14 @@ let field_pos line name =
   go 0
 
 let malformed line name what =
-  raise
-    (Wire.Error
-       (Printf.sprintf "at %d: bad field %S (%s)" (field_pos line name) name
-          what))
+  Json.fail "at %d: bad field %S (%s)" (field_pos line name) name what
 
 (* An optional non-negative Int field: absent is fine (pre-scenario
    dumps), any other shape is a positioned rejection. *)
 let opt_count line obj name =
-  match field name obj with
+  match Json.field name obj with
   | None -> 0
-  | Some (Wire.Int i) when i >= 0 -> i
+  | Some (Json.Int i) when i >= 0 -> i
   | Some _ -> malformed line name "want a non-negative int"
 
 let audit_dump ~declare_standard doc =
@@ -578,15 +572,10 @@ let audit_dump ~declare_standard doc =
   | [] -> Error "empty dump"
   | header_line :: records -> (
     try
-      let header = Wire.parse header_line in
-      (match field "gp_cluster" header with
-       | Some (Wire.Int 1) -> ()
-       | _ -> raise (Wire.Error "not a gp_cluster dump (bad header)"));
-      let total =
-        match field "n" header with
-        | Some (Wire.Int n) -> n
-        | _ -> raise (Wire.Error "header missing workload size")
-      in
+      let header = Json.parse header_line in
+      if Json.field "gp_cluster" header <> Some (Json.Int 1) then
+        Json.fail "not a gp_cluster dump (bad header)";
+      let total = Json.int_field "n" header in
       (* validate the scenario header counters even though the audit
          recomputes shed from the records themselves *)
       let (_ : int) = opt_count header_line header "shed" in
@@ -594,45 +583,38 @@ let audit_dump ~declare_standard doc =
       let (_ : int) = opt_count header_line header "joined" in
       let (_ : int) = opt_count header_line header "left" in
       let server_config =
-        match field "server_config" header with
-        | Some obj -> (
-          match Server.config_of_line (Wire.to_string obj) with
-          | Ok c -> c
-          | Error e -> raise (Wire.Error ("bad server_config: " ^ e)))
-        | None -> raise (Wire.Error "header missing server_config")
+        match
+          Server.config_of_json
+            (Json.Obj (Json.obj_field "server_config" header))
+        with
+        | Ok c -> c
+        | Error e -> Json.fail "bad server_config: %s" e
       in
       let shed = ref 0 in
       let pairs =
         List.filter_map
           (fun line ->
-            let obj = Wire.parse line in
-            let rid =
-              match field "rid" obj with
-              | Some (Wire.Int i) -> i
-              | _ -> raise (Wire.Error "record missing rid")
-            in
+            let obj = Json.parse line in
+            let rid = Json.int_field "rid" obj in
             let is_shed =
-              match field "shed" obj with
+              match Json.field "shed" obj with
               | None -> false
-              | Some (Wire.Bool b) -> b
+              | Some (Json.Bool b) -> b
               | Some _ -> malformed line "shed" "want a bool"
             in
             if is_shed then (
               incr shed;
               None)
             else
-              let fp =
-                match field "fp" obj with
-                | Some (Wire.Str s) -> s
-                | _ -> raise (Wire.Error "record missing fp")
-              in
+              let fp = Json.str_field "fp" obj in
               let req =
-                match field "req" obj with
-                | Some obj -> (
-                  match Wire.request_of_line (Wire.to_string obj) with
-                  | Ok (_, req) -> req
-                  | Error e -> raise (Wire.Error ("bad request: " ^ e)))
-                | None -> raise (Wire.Error "record missing req")
+                match
+                  Wire.request_of_line
+                    (Json.to_string
+                       (Json.Obj (Json.obj_field "req" obj)))
+                with
+                | Ok (_, req) -> req
+                | Error e -> Json.fail "bad request: %s" e
               in
               Some (rid, req, fp))
           records
@@ -641,4 +623,4 @@ let audit_dump ~declare_standard doc =
         Server.create ~config:server_config ~declare_standard ()
       in
       Ok (audit_pairs ~server ~total ~shed:!shed pairs)
-    with Wire.Error e -> Error e)
+    with Json.Error e -> Error e)

@@ -102,7 +102,7 @@ type result = {
           [config.trace]): span ids are cluster-global, times are
           simulated units ×1e3, every span carries its trace id in the
           ["trace"] attribute — feed them to
-          [Gp_telemetry.Journey.assemble] / [Gp_tracing.Trace_set] *)
+          [Gp_tracing.Journey.assemble] / [Gp_tracing.Trace_set] *)
   r_node_metrics : (int * Gp_telemetry.Metrics.t) list;
       (** per-node metric registries ([[]] unless [config.trace]),
           merged cluster-wide by [Gp_tracing.Fleet] *)

@@ -1,4 +1,5 @@
 module Complexity = Gp_concepts.Complexity
+module Json = Gp_telemetry.Json
 
 type verdict = Pass | Violation
 
@@ -91,19 +92,6 @@ let table ppf entries =
     (List.length entries - List.length unexpected)
     (List.length unexpected)
 
-(* Minimal JSON rendering: every string we emit is an identifier or a
-   bound pretty-printing, so escaping only needs the basics. *)
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_float x =
   if Float.is_nan x then "null" else Printf.sprintf "%.6g" x
 
@@ -116,15 +104,15 @@ let to_json entries =
       if i > 0 then Buffer.add_string b ",\n";
       Buffer.add_string b
         (Printf.sprintf
-           "    {\"op\": \"%s\", \"subsystem\": \"%s\", \"declared\": \
-            \"%s\", \"best_fit\": \"%s\", \"coeff\": %s, \"residual\": %s, \
+           "    {\"op\": %s, \"subsystem\": %s, \"declared\": %s, \
+            \"best_fit\": %s, \"coeff\": %s, \"residual\": %s, \
             \"declared_residual\": %s, \"fitted_degree\": %s, \"slope\": %s, \
             \"wall_ns\": %s, \"verdict\": \"%s\", \"expected\": \"%s\", \
             \"points\": [%s]}"
-           (json_escape op.Sweep.op_name)
-           (json_escape op.Sweep.op_category)
-           (json_escape (Complexity.to_string op.Sweep.op_declared))
-           (json_escape e.e_best.Fit.f_label)
+           (Json.str op.Sweep.op_name)
+           (Json.str op.Sweep.op_category)
+           (Json.str (Complexity.to_string op.Sweep.op_declared))
+           (Json.str e.e_best.Fit.f_label)
            (json_float e.e_best.Fit.f_coeff)
            (json_float e.e_best.Fit.f_residual)
            (json_float e.e_declared.Fit.f_residual)

@@ -15,155 +15,9 @@
 
 module Recorder = Gp_telemetry.Recorder
 module Trace = Gp_telemetry.Trace
-module Profile = Gp_telemetry.Profile
 module Tel = Gp_telemetry.Tel
 
 let ( let* ) = Result.bind
-
-(* ------------------------------------------------------------------ *)
-(* Dossier JSONL decoding                                              *)
-(* ------------------------------------------------------------------ *)
-
-let str_field name fields =
-  match List.assoc_opt name fields with
-  | Some (Wire.Str s) -> Ok s
-  | _ -> Error (Printf.sprintf "field %S: expected a string" name)
-
-let int_field name fields =
-  match List.assoc_opt name fields with
-  | Some (Wire.Int i) -> Ok i
-  | _ -> Error (Printf.sprintf "field %S: expected an integer" name)
-
-let bool_field name fields =
-  match List.assoc_opt name fields with
-  | Some (Wire.Bool b) -> Ok b
-  | _ -> Error (Printf.sprintf "field %S: expected a boolean" name)
-
-(* Json.num renders integral floats without a decimal point (and nan as
-   null), so a recorded float can come back as any of the three. *)
-let num_field name fields =
-  match List.assoc_opt name fields with
-  | Some (Wire.Int i) -> Ok (float_of_int i)
-  | Some (Wire.Float f) -> Ok f
-  | Some Wire.Null -> Ok Float.nan
-  | _ -> Error (Printf.sprintf "field %S: expected a number" name)
-
-let list_field name fields =
-  match List.assoc_opt name fields with
-  | Some (Wire.Arr items) -> Ok items
-  | _ -> Error (Printf.sprintf "field %S: expected an array" name)
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-    let* y = f x in
-    let* ys = map_result f rest in
-    Ok (y :: ys)
-
-let span_of_json = function
-  | Wire.Obj f ->
-    let* id = int_field "id" f in
-    let* parent =
-      match List.assoc_opt "parent" f with
-      | Some Wire.Null | None -> Ok None
-      | Some (Wire.Int p) -> Ok (Some p)
-      | Some _ -> Error "field \"parent\": expected an integer or null"
-    in
-    let* name = str_field "name" f in
-    let* start_ns = num_field "start_ns" f in
-    let* dur_ns = num_field "dur_ns" f in
-    let* attrs =
-      match List.assoc_opt "attrs" f with
-      | Some (Wire.Obj kvs) ->
-        map_result
-          (function
-            | k, Wire.Str v -> Ok (k, v)
-            | k, _ -> Error (Printf.sprintf "attr %S: expected a string" k))
-          kvs
-      | None -> Ok []
-      | Some _ -> Error "field \"attrs\": expected an object"
-    in
-    let* gc =
-      match List.assoc_opt "gc" f with
-      | Some Wire.Null | None -> Ok None
-      | Some (Wire.Obj g) ->
-        let* alloc = num_field "alloc_bytes" g in
-        let* minor = int_field "minor" g in
-        let* major = int_field "major" g in
-        Ok
-          (Some
-             { Profile.pc_alloc_bytes = alloc; pc_minor = minor;
-               pc_major = major })
-      | Some _ -> Error "field \"gc\": expected an object or null"
-    in
-    Ok
-      { Trace.sp_id = id; sp_parent = parent; sp_name = name;
-        sp_start_ns = start_ns; sp_dur_ns = dur_ns; sp_attrs = attrs;
-        sp_gc = gc }
-  | _ -> Error "span: expected an object"
-
-let chain_of_json = function
-  | Wire.Obj f ->
-    let* cache = str_field "cache" f in
-    let* hits = int_field "hits" f in
-    let* misses = int_field "misses" f in
-    Ok (cache, hits, misses)
-  | _ -> Error "cache_chain entry: expected an object"
-
-let delta_of_json = function
-  | Wire.Obj f ->
-    let* name = str_field "name" f in
-    let* delta = num_field "delta" f in
-    Ok (name, delta)
-  | _ -> Error "metric_deltas entry: expected an object"
-
-let dossier_of_line line =
-  match Wire.parse line with
-  | exception Wire.Error m -> Error ("bad dossier line: " ^ m)
-  | Wire.Obj f ->
-    let* do_id = int_field "id" f in
-    let* do_kind = str_field "kind" f in
-    let* do_wire = str_field "wire" f in
-    let* do_generation = int_field "generation" f in
-    let* do_config = str_field "config" f in
-    let* do_config_fp = str_field "config_fp" f in
-    let* do_outcome = str_field "outcome" f in
-    let* do_detail = str_field "detail" f in
-    let* do_cached = bool_field "cached" f in
-    let* do_steps = int_field "steps" f in
-    let* do_dur_ns = num_field "dur_ns" f in
-    let* do_response_fp = str_field "response_fp" f in
-    let* chain = list_field "cache_chain" f in
-    let* do_cache_chain = map_result chain_of_json chain in
-    let* deltas = list_field "metric_deltas" f in
-    let* do_metric_deltas = map_result delta_of_json deltas in
-    let* spans = list_field "spans" f in
-    let* do_spans = map_result span_of_json spans in
-    Ok
-      { Recorder.do_id; do_kind; do_wire = Lazy.from_val do_wire;
-        do_generation; do_config; do_config_fp; do_outcome; do_detail;
-        do_cached; do_steps; do_dur_ns;
-        do_response_fp = Lazy.from_val do_response_fp; do_cache_chain;
-        do_spans; do_metric_deltas }
-  | _ -> Error "bad dossier line: expected a JSON object"
-
-let of_jsonl contents =
-  let lines = String.split_on_char '\n' contents in
-  let rec go lineno acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest ->
-      if String.trim line = "" then go (lineno + 1) acc rest
-      else (
-        match dossier_of_line line with
-        | Ok d -> go (lineno + 1) (d :: acc) rest
-        | Error m -> Error (Printf.sprintf "line %d: %s" lineno m))
-  in
-  go 1 [] lines
-
-let load path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | exception Sys_error m -> Error m
-  | contents -> of_jsonl contents
 
 (* ------------------------------------------------------------------ *)
 (* Replay                                                              *)

@@ -6,18 +6,7 @@
     fingerprint excludes ids, cache provenance and step accounting, so a
     cold-cache replay must reproduce a warm-cache recording bit-for-bit;
     a divergence means the service broke determinism (or the dump was
-    tampered with). *)
-
-val dossier_of_line : string -> (Gp_telemetry.Recorder.dossier, string) result
-(** Decode one JSONL dossier line ({!Gp_telemetry.Recorder.dossier_to_json}
-    inverse). *)
-
-val of_jsonl : string -> (Gp_telemetry.Recorder.dossier list, string) result
-(** Decode a whole dump; blank lines are skipped, errors carry the
-    1-based line number. *)
-
-val load : string -> (Gp_telemetry.Recorder.dossier list, string) result
-(** {!of_jsonl} on a file's contents; [Error] on I/O failure. *)
+    tampered with). The dump is read by {!Gp_telemetry.Recorder.load}. *)
 
 (** {2 Replay} *)
 

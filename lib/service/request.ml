@@ -6,6 +6,8 @@
    dispatcher never lets an exception escape, because a malformed request
    must not take the server down. *)
 
+module Json = Gp_telemetry.Json
+
 type t =
   | Check of {
       concept : string;
@@ -75,22 +77,6 @@ let kind_of_name = function
   | "solve" -> Some Ksolve
   | _ -> None
 
-(* Decimal int rendering without the [string_of_int] intermediate. The
-   digit loop is top-level: a local [let rec] capturing [b] would be a
-   fresh closure allocation per rendered int. *)
-let rec add_digits b n =
-  if n <> 0 then begin
-    add_digits b (n / 10);
-    Buffer.add_char b (Char.unsafe_chr (48 + abs (n mod 10)))
-  end
-
-let add_int b i =
-  if i = 0 then Buffer.add_char b '0'
-  else begin
-    if i < 0 then Buffer.add_char b '-';
-    add_digits b (if i > 0 then -i else i)
-  end
-
 let add_bool b v = Buffer.add_string b (if v then "true" else "false")
 
 (* A canonical one-line rendering. Long sources are represented by their
@@ -153,23 +139,23 @@ let key req =
     Buffer.add_string b "matvec|";
     Buffer.add_string b structure;
     Buffer.add_char b '|';
-    add_int b n;
+    Json.add_int b n;
     Buffer.add_char b '|';
-    add_int b seed
+    Json.add_int b seed
   | Matmul { structure; n; seed } ->
     Buffer.add_string b "matmul|";
     Buffer.add_string b structure;
     Buffer.add_char b '|';
-    add_int b n;
+    Json.add_int b n;
     Buffer.add_char b '|';
-    add_int b seed
+    Json.add_int b seed
   | Solve { structure; n; seed } ->
     Buffer.add_string b "solve|";
     Buffer.add_string b structure;
     Buffer.add_char b '|';
-    add_int b n;
+    Json.add_int b n;
     Buffer.add_char b '|';
-    add_int b seed);
+    Json.add_int b seed);
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
@@ -259,44 +245,44 @@ let response_canonical_into b (r : response) =
       Buffer.add_string b "checked|";
       add_bool b ok;
       Buffer.add_char b '|';
-      add_int b failures;
+      Json.add_int b failures;
       Buffer.add_char b '|';
-      add_int b warnings;
+      Json.add_int b warnings;
       Buffer.add_char b '|';
       Buffer.add_string b report
     | Parsed { items; concepts; models } ->
       Buffer.add_string b "parsed|";
-      add_int b items;
+      Json.add_int b items;
       Buffer.add_char b '|';
-      add_int b concepts;
+      Json.add_int b concepts;
       Buffer.add_char b '|';
-      add_int b models
+      Json.add_int b models
     | Linted { errors; warnings; suggestions; messages } ->
       Buffer.add_string b "linted|";
-      add_int b errors;
+      Json.add_int b errors;
       Buffer.add_char b '|';
-      add_int b warnings;
+      Json.add_int b warnings;
       Buffer.add_char b '|';
-      add_int b suggestions;
+      Json.add_int b suggestions;
       Buffer.add_char b '|';
       add_nl_list b messages
     | Optimized { output; steps; ops_before; ops_after } ->
       Buffer.add_string b "optimized|";
       Buffer.add_string b output;
       Buffer.add_char b '|';
-      add_int b steps;
+      Json.add_int b steps;
       Buffer.add_char b '|';
-      add_int b ops_before;
+      Json.add_int b ops_before;
       Buffer.add_char b '|';
-      add_int b ops_after
+      Json.add_int b ops_after
     | Proved { checked; failed } ->
       Buffer.add_string b "proved|";
-      add_int b checked;
+      Json.add_int b checked;
       Buffer.add_char b '|';
-      add_int b failed
+      Json.add_int b failed
     | Closed { size; obligations } ->
       Buffer.add_string b "closed|";
-      add_int b size;
+      Json.add_int b size;
       Buffer.add_char b '|';
       add_nl_list b obligations
     | Computed { kernel; detected; n; steps; checksum } ->
@@ -305,9 +291,9 @@ let response_canonical_into b (r : response) =
       Buffer.add_char b '|';
       Buffer.add_string b detected;
       Buffer.add_char b '|';
-      add_int b n;
+      Json.add_int b n;
       Buffer.add_char b '|';
-      add_int b steps;
+      Json.add_int b steps;
       Buffer.add_char b '|';
       Buffer.add_string b checksum)
   | Error e ->

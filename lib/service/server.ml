@@ -11,6 +11,7 @@
 module Tel = Gp_telemetry.Tel
 module Trace = Gp_telemetry.Trace
 module Recorder = Gp_telemetry.Recorder
+module Json = Gp_telemetry.Json
 
 type config = {
   caching : bool;
@@ -38,22 +39,22 @@ let default_config =
    The fingerprint digests this line; a dossier carries both, so replay
    can rebuild the server the dossier's request actually ran under. *)
 let config_to_line c =
-  Wire.to_string
-    (Wire.Obj
-       [ ("caching", Wire.Bool c.caching);
-         ("cache_capacity", Wire.Int c.cache_capacity);
-         ("max_steps", Wire.Int c.max_steps);
+  Json.to_string
+    (Json.Obj
+       [ ("caching", Json.Bool c.caching);
+         ("cache_capacity", Json.Int c.cache_capacity);
+         ("max_steps", Json.Int c.max_steps);
          ( "timeout",
            match c.timeout with
-           | None -> Wire.Null
-           | Some s -> Wire.Float s );
-         ("slow_log", Wire.Int c.slow_log);
-         ("flight_capacity", Wire.Int c.flight_capacity);
-         ("flight_slowest", Wire.Int c.flight_slowest) ])
+           | None -> Json.Null
+           | Some s -> Json.Float s );
+         ("slow_log", Json.Int c.slow_log);
+         ("flight_capacity", Json.Int c.flight_capacity);
+         ("flight_slowest", Json.Int c.flight_slowest) ])
 
 let config_fingerprint c = Digest.to_hex (Digest.string (config_to_line c))
 
-(* The one range check: [create] refuses what it rejects, [config_of_line]
+(* The one range check: [create] refuses what it rejects, [config_of_json]
    applies it to recorded configs, and the CLI to its flags. *)
 let validate_config c =
   let negative =
@@ -72,42 +73,40 @@ let validate_config c =
       Error (Printf.sprintf "timeout must be a finite number >= 0, got %g" s)
     | None, _ -> Ok c
 
+let config_of_json j =
+  let d = default_config in
+  let int name default =
+    Option.value ~default (Json.opt_field Json.int_field name j)
+  in
+  match j with
+  | Json.Obj _ -> (
+    match
+      let caching =
+        Option.value ~default:d.caching
+          (Json.opt_field Json.bool_field "caching" j)
+      in
+      let cache_capacity = int "cache_capacity" d.cache_capacity in
+      let max_steps = int "max_steps" d.max_steps in
+      let timeout =
+        match Json.field "timeout" j with
+        | None | Some Json.Null -> None
+        | Some _ -> Some (Json.num_field "timeout" j)
+      in
+      let slow_log = int "slow_log" d.slow_log in
+      let flight_capacity = int "flight_capacity" d.flight_capacity in
+      let flight_slowest = int "flight_slowest" d.flight_slowest in
+      validate_config
+        { d with caching; cache_capacity; max_steps; timeout; slow_log;
+                 flight_capacity; flight_slowest }
+    with
+    | r -> Result.map_error (fun m -> "bad config: " ^ m) r
+    | exception Json.Error m -> Error ("bad config: " ^ m))
+  | _ -> Error "bad config: expected a JSON object"
+
 let config_of_line line =
-  match Wire.parse line with
-  | exception Wire.Error m -> Error ("bad config line: " ^ m)
-  | Wire.Obj fields ->
-    let int_field name default =
-      match List.assoc_opt name fields with
-      | Some (Wire.Int i) -> Ok i
-      | None -> Ok default
-      | Some _ -> Error (Printf.sprintf "config field %S must be an int" name)
-    in
-    let ( let* ) = Result.bind in
-    let* caching =
-      match List.assoc_opt "caching" fields with
-      | Some (Wire.Bool b) -> Ok b
-      | None -> Ok default_config.caching
-      | Some _ -> Error "config field \"caching\" must be a boolean"
-    in
-    let* cache_capacity = int_field "cache_capacity" default_config.cache_capacity in
-    let* max_steps = int_field "max_steps" default_config.max_steps in
-    let* timeout =
-      match List.assoc_opt "timeout" fields with
-      | Some (Wire.Float s) -> Ok (Some s)
-      | Some (Wire.Int s) -> Ok (Some (float_of_int s))
-      | Some Wire.Null | None -> Ok None
-      | Some _ -> Error "config field \"timeout\" must be a number or null"
-    in
-    let* slow_log = int_field "slow_log" default_config.slow_log in
-    let* flight_capacity = int_field "flight_capacity" default_config.flight_capacity in
-    let* flight_slowest = int_field "flight_slowest" default_config.flight_slowest in
-    Result.map_error
-      (fun m -> "bad config: " ^ m)
-      (validate_config
-         { default_config with
-           caching; cache_capacity; max_steps; timeout; slow_log;
-           flight_capacity; flight_slowest })
-  | _ -> Error "bad config line: expected a JSON object"
+  match Json.parse line with
+  | exception Json.Error m -> Error ("bad config line: " ^ m)
+  | j -> config_of_json j
 
 type slow_entry = {
   se_id : int;

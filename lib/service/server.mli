@@ -35,11 +35,16 @@ val validate_config : config -> (config, string) result
     [max_steps], [slow_log], [flight_capacity] and [flight_slowest]
     [>= 0]; a [timeout] finite and [>= 0]. [Error] names the field. *)
 
-val config_of_line : string -> (config, string) result
-(** Inverse of {!config_to_line}; missing fields take their
+val config_of_json : Gp_telemetry.Json.t -> (config, string) result
+(** Decode a parsed config object: missing fields take their
     {!default_config} values, unknown fields are ignored, and [now] is
-    always the default clock. A config {!validate_config} rejects is an
-    [Error]. *)
+    always the default clock. A wrongly typed field or a config
+    {!validate_config} rejects is an [Error] starting ["bad config: "]. *)
+
+val config_of_line : string -> (config, string) result
+(** Inverse of {!config_to_line}: {!Gp_telemetry.Json.parse}, then
+    {!config_of_json}. A line that does not parse is an [Error] starting
+    ["bad config line: "]. *)
 
 val config_fingerprint : config -> string
 (** Digest of {!config_to_line} — dossiers carry it as [config_fp]. *)

@@ -1,7 +1,5 @@
-(* The wire format: one JSON object per line, hand-rolled against a small
-   JSON subset (objects, arrays, strings with escapes, integers, floats,
-   booleans, null). No JSON dependency ships in this tree, and the subset
-   keeps the malformed-input surface small enough to test exhaustively.
+(* The wire format: one JSON object per line, over the Gp_telemetry.Json
+   subset. This module holds only the request and response codecs.
 
    Requests:
      {"id":1,"kind":"check","concept":"Container","types":["varray<int>"]}
@@ -14,323 +12,16 @@
    Responses mirror the typed IR: id, kind, ok/error, payload fields,
    cached flag and step count. *)
 
-type json =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Float of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
+module Json = Gp_telemetry.Json
+open Json
 
-exception Error of string
-
-let fail fmt = Printf.ksprintf (fun m -> raise (Error m)) fmt
-
-(* ------------------------------------------------------------------ *)
-(* Parsing                                                             *)
-(* ------------------------------------------------------------------ *)
-
-type cursor = { mutable src : string; mutable pos : int }
-
-(* [has]/[cur] instead of an option-returning peek: the cursor helpers
-   sit under every character of every request, and a [Some ch] per call
-   is two words of garbage each — the single largest allocation on the
-   pre-refactor parse path. *)
+(* The cursor's field accessors, defined here so that they inline: dune's
+   dev profile compiles with -opaque, so a call into Json is never
+   inlined, and these run several times per request field. The lexing
+   itself is Json's. *)
 let has c = c.pos < String.length c.src
-
 let cur c = String.unsafe_get c.src c.pos
-
 let advance c = c.pos <- c.pos + 1
-
-let rec skip_ws c =
-  if has c then
-    match cur c with
-    | ' ' | '\t' | '\r' | '\n' ->
-      advance c;
-      skip_ws c
-    | _ -> ()
-
-let expect c ch =
-  if has c then begin
-    let x = cur c in
-    if x = ch then advance c
-    else fail "at %d: expected %c, found %c" c.pos ch x
-  end
-  else fail "at %d: expected %c, found end of input" c.pos ch
-
-(* One scratch buffer serves every string in a parse: string parsing never
-   nests (the contents are taken before the next token is touched), so the
-   buffer is always drained before it is reused. *)
-let strbuf = Buffer.create 256
-
-(* The loop is a top-level [let rec] on purpose: a local recursive
-   function with free variables is a fresh closure allocation per call,
-   which matters on a path that runs for every escaped string. *)
-let rec escaped_chars_into buf c =
-  if not (has c) then fail "at %d: unterminated string" c.pos
-  else
-    match cur c with
-    | '"' -> advance c
-    | '\\' ->
-      advance c;
-      if not (has c) then fail "at %d: unterminated escape" c.pos;
-      let ch = cur c in
-      advance c;
-      (match ch with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | '/' -> Buffer.add_char buf '/'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'r' -> Buffer.add_char buf '\r'
-        | 'b' -> Buffer.add_char buf '\b'
-        | 'f' -> Buffer.add_char buf '\012'
-        | 'u' ->
-          (* \uXXXX: decode the BMP code point to UTF-8 *)
-          if c.pos + 4 > String.length c.src then
-            fail "at %d: truncated \\u escape" c.pos;
-          let hex = String.sub c.src c.pos 4 in
-          let cp =
-            try int_of_string ("0x" ^ hex)
-            with _ -> fail "bad \\u escape %s" hex
-          in
-          c.pos <- c.pos + 4;
-          if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
-          else if cp < 0x800 then begin
-            Buffer.add_char buf (Char.chr (0xC0 lor (cp lsr 6)));
-            Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-          end
-          else begin
-            Buffer.add_char buf (Char.chr (0xE0 lor (cp lsr 12)));
-            Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-            Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-          end
-      | _ -> fail "bad escape \\%c" ch);
-      escaped_chars_into buf c
-    | ch ->
-      advance c;
-      Buffer.add_char buf ch;
-      escaped_chars_into buf c
-
-let parse_string_body_into buf c =
-  escaped_chars_into buf c;
-  Buffer.contents buf
-
-(* Escape-free strings — every string the server emits and virtually every
-   one it receives — are a single [String.sub] of the line; only strings
-   with escapes fall back to the scratch buffer. *)
-let parse_string_body c =
-  let src = c.src in
-  let n = String.length src in
-  let i = ref c.pos in
-  while
-    !i < n
-    &&
-    let ch = String.unsafe_get src !i in
-    ch <> '"' && ch <> '\\'
-  do
-    incr i
-  done;
-  if !i < n && String.unsafe_get src !i = '"' then begin
-    let s = String.sub src c.pos (!i - c.pos) in
-    c.pos <- !i + 1;
-    s
-  end
-  else begin
-    Buffer.clear strbuf;
-    Buffer.add_substring strbuf src c.pos (!i - c.pos);
-    c.pos <- !i;
-    parse_string_body_into strbuf c
-  end
-
-let is_num_char = function
-  | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-  | _ -> false
-
-let parse_number c =
-  let start = c.pos in
-  while has c && is_num_char (cur c) do
-    advance c
-  done;
-  let s = String.sub c.src start (c.pos - start) in
-  match int_of_string_opt s with
-  | Some i -> Int i
-  | None -> (
-    match float_of_string_opt s with
-    | Some f -> Float f
-    | None -> fail "bad number %S" s)
-
-(* Compare a region of [src] against [name] in place — no substring.
-   Shared by literal matching and the direct parser's key dispatch. *)
-let rec region_eq_from src pos name len i =
-  i = len
-  || String.unsafe_get src (pos + i) = String.unsafe_get name i
-     && region_eq_from src pos name len (i + 1)
-
-let region_equals src pos len name =
-  String.length name = len && region_eq_from src pos name len 0
-
-let parse_literal c word value =
-  let n = String.length word in
-  if
-    c.pos + n <= String.length c.src
-    && region_eq_from c.src c.pos word n 0
-  then begin
-    c.pos <- c.pos + n;
-    value
-  end
-  else fail "at %d: bad literal" c.pos
-
-let rec parse_value c =
-  skip_ws c;
-  if not (has c) then fail "at %d: unexpected end of input" c.pos
-  else
-    match cur c with
-    | '"' ->
-      advance c;
-      Str (parse_string_body c)
-    | '{' ->
-      advance c;
-      parse_obj c []
-    | '[' ->
-      advance c;
-      parse_arr c []
-    | 't' -> parse_literal c "true" (Bool true)
-    | 'f' -> parse_literal c "false" (Bool false)
-    | 'n' -> parse_literal c "null" Null
-    | '-' | '0' .. '9' -> parse_number c
-    | ch -> fail "at %d: unexpected %c" c.pos ch
-
-and parse_obj c acc =
-  skip_ws c;
-  if has c && cur c = '}' then begin
-    advance c;
-    Obj (List.rev acc)
-  end
-  else begin
-    skip_ws c;
-    let kpos = c.pos in
-    expect c '"';
-    let key = parse_string_body c in
-    if List.mem_assoc key acc then
-      fail "at %d: duplicate key %S in object" kpos key;
-    skip_ws c;
-    expect c ':';
-    let v = parse_value c in
-    skip_ws c;
-    if has c && cur c = ',' then begin
-      advance c;
-      parse_obj c ((key, v) :: acc)
-    end
-    else if has c && cur c = '}' then begin
-      advance c;
-      Obj (List.rev ((key, v) :: acc))
-    end
-    else fail "at %d: expected , or } in object" c.pos
-  end
-
-and parse_arr c acc =
-  skip_ws c;
-  if has c && cur c = ']' then begin
-    advance c;
-    Arr (List.rev acc)
-  end
-  else begin
-    let v = parse_value c in
-    skip_ws c;
-    if has c && cur c = ',' then begin
-      advance c;
-      parse_arr c (v :: acc)
-    end
-    else if has c && cur c = ']' then begin
-      advance c;
-      Arr (List.rev (v :: acc))
-    end
-    else fail "at %d: expected , or ] in array" c.pos
-  end
-
-let parse s =
-  let c = { src = s; pos = 0 } in
-  let v = parse_value c in
-  skip_ws c;
-  if has c then fail "at %d: trailing %c after value" c.pos (cur c);
-  v
-
-(* ------------------------------------------------------------------ *)
-(* Printing                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let hex_digits = "0123456789abcdef"
-
-(* An indexed [for] loop rather than [String.iter f]: the closure passed
-   to [iter] captures [buf] and is a fresh allocation per call on the
-   steady-state render path. *)
-let escape_into buf s =
-  for i = 0 to String.length s - 1 do
-    match String.unsafe_get s i with
-    | '"' -> Buffer.add_string buf "\\\""
-    | '\\' -> Buffer.add_string buf "\\\\"
-    | '\n' -> Buffer.add_string buf "\\n"
-    | '\t' -> Buffer.add_string buf "\\t"
-    | '\r' -> Buffer.add_string buf "\\r"
-    | c when Char.code c < 0x20 ->
-      (* "\u00xx" — written without sprintf to stay allocation-free *)
-      Buffer.add_string buf "\\u00";
-      Buffer.add_char buf hex_digits.[Char.code c lsr 4];
-      Buffer.add_char buf hex_digits.[Char.code c land 0xF]
-    | c -> Buffer.add_char buf c
-  done
-
-(* Decimal int rendering without the [string_of_int] intermediate. The
-   digits are emitted from a negative accumulator so [min_int] works;
-   the digit loop is top-level so no closure is allocated per int. *)
-let rec add_digits buf n =
-  if n <> 0 then begin
-    add_digits buf (n / 10);
-    Buffer.add_char buf (Char.unsafe_chr (48 + abs (n mod 10)))
-  end
-
-let add_int buf i =
-  if i = 0 then Buffer.add_char buf '0'
-  else begin
-    if i < 0 then Buffer.add_char buf '-';
-    add_digits buf (if i > 0 then -i else i)
-  end
-
-let rec print_into buf = function
-  | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (string_of_bool b)
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f -> Buffer.add_string buf (Printf.sprintf "%g" f)
-  | Str s ->
-    Buffer.add_char buf '"';
-    escape_into buf s;
-    Buffer.add_char buf '"'
-  | Arr vs ->
-    Buffer.add_char buf '[';
-    List.iteri
-      (fun i v ->
-        if i > 0 then Buffer.add_char buf ',';
-        print_into buf v)
-      vs;
-    Buffer.add_char buf ']'
-  | Obj fields ->
-    Buffer.add_char buf '{';
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_char buf '"';
-        escape_into buf k;
-        Buffer.add_string buf "\":";
-        print_into buf v)
-      fields;
-    Buffer.add_char buf '}'
-
-let to_string v =
-  let buf = Buffer.create 64 in
-  print_into buf v;
-  Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
 (* Requests: cursor -> typed IR, no AST                                *)
@@ -439,8 +130,8 @@ let mark_bad i = slots.s_bad <- slots.s_bad lor (1 lsl i)
 (* reused cursor for the direct path: zero per-line setup allocation *)
 let dcur = { src = ""; pos = 0 }
 
-(* Match the key in place against the known field names ([region_equals]
-   from the literal matcher above); top-level recursion, so the scan is
+(* Match the key in place against the known field names
+   ([Json.region_equals]); top-level recursion, so the scan is
    allocation-free. *)
 let rec find_field_from src pos len i =
   if i = Array.length known_fields then -1
@@ -451,7 +142,7 @@ let find_field src pos len = find_field_from src pos len 0
 
 (* Parse an int value if the token is a plain integer; anything else —
    including floats and overflowing digit runs — falls back to
-   [parse_number] so malformed numbers keep its error messages.
+   [Json.number] so malformed numbers keep its error messages.
    Returns [None] when the value was valid JSON but not an [Int]. *)
 let parse_int_value c =
   let src = c.src in
@@ -486,18 +177,18 @@ let parse_int_value c =
     Some (if neg then - !v else !v)
   end
   else
-    match parse_number c with Int v -> Some v | _ -> None
+    match number c with Int v -> Some v | _ -> None
 
 (* Generic skip for values we do not decode (unknown keys, wrong-typed
    values): reuse the generic parser so malformed content fails with
    exactly its messages. Allocates, but only off the happy path. *)
-let skip_value c = ignore (parse_value c)
+let skip_value c = ignore (value c)
 
 let parse_direct_string c idx set =
   skip_ws c;
   if has c && cur c = '"' then begin
     advance c;
-    set (parse_string_body c);
+    set (string_body c);
     mark_seen idx
   end
   else begin
@@ -509,11 +200,11 @@ let parse_direct_opt_string c idx set =
   skip_ws c;
   if has c && cur c = '"' then begin
     advance c;
-    set (Some (parse_string_body c));
+    set (Some (string_body c));
     mark_seen idx
   end
   else if has c && cur c = 'n' then begin
-    ignore (parse_literal c "null" Null);
+    literal c "null";
     set None;
     mark_seen idx
   end
@@ -525,12 +216,12 @@ let parse_direct_opt_string c idx set =
 let parse_direct_bool c idx set =
   skip_ws c;
   if has c && cur c = 't' then begin
-    ignore (parse_literal c "true" (Bool true));
+    literal c "true";
     set true;
     mark_seen idx
   end
   else if has c && cur c = 'f' then begin
-    ignore (parse_literal c "false" (Bool false));
+    literal c "false";
     set false;
     mark_seen idx
   end
@@ -574,7 +265,7 @@ let rec str_list_elems c ok acc =
     (skip_ws c;
      if !ok && has c && cur c = '"' then begin
        advance c;
-       acc := parse_string_body c :: !acc
+       acc := string_body c :: !acc
      end
      else begin
        ok := false;
@@ -668,7 +359,7 @@ let parse_direct_member c =
     end
     else begin
       (* escaped key: cold path via the scratch buffer *)
-      let key = parse_string_body c in
+      let key = string_body c in
       let rec find j =
         if j = Array.length known_fields then -1
         else if String.equal known_fields.(j) key then j
@@ -794,8 +485,7 @@ let request_of_line line =
       advance c;
       match
         parse_direct_object c;
-        skip_ws c;
-        if has c then fail "at %d: trailing %c after value" c.pos (cur c)
+        end_of_input c
       with
       | () -> (
         match build_direct_request () with

@@ -17,18 +17,12 @@ let is_none c = c.tc_trace = 0 && c.tc_span = 0
 let trace c = c.tc_trace
 let span c = c.tc_span
 
-(* Digits straight into the buffer; contexts are non-negative so the
-   sign branch never allocates. *)
-let rec add_int buf n =
-  if n >= 10 then add_int buf (n / 10);
-  Buffer.add_char buf (Char.chr (Char.code '0' + (n mod 10)))
-
 let render_into buf c =
   if c.tc_trace < 0 || c.tc_span < 0 then
     invalid_arg "Context.render_into: negative id";
-  add_int buf c.tc_trace;
+  Json.add_int buf c.tc_trace;
   Buffer.add_char buf '/';
-  add_int buf c.tc_span
+  Json.add_int buf c.tc_span
 
 let to_string c =
   let buf = Buffer.create 16 in
@@ -36,21 +30,22 @@ let to_string c =
   Buffer.contents buf
 
 (* Cursor parse: reads digits until the separator, no substring
-   allocation. Returns the context and the first position after it. *)
+   allocation. Returns the id and the first position after it; a digit
+   run past [max_int] is rejected, never wrapped. *)
 let parse_int s pos =
   let len = String.length s in
-  let i = ref pos and acc = ref 0 and seen = ref false in
+  let i = ref pos and acc = ref 0 in
   while
-    !i < len
+    !acc >= 0 && !i < len
     &&
     let ch = String.unsafe_get s !i in
     ch >= '0' && ch <= '9'
   do
-    acc := (!acc * 10) + (Char.code (String.unsafe_get s !i) - Char.code '0');
-    seen := true;
+    let d = Char.code (String.unsafe_get s !i) - Char.code '0' in
+    acc := if !acc > (max_int - d) / 10 then -1 else (!acc * 10) + d;
     incr i
   done;
-  if !seen then Some (!acc, !i) else None
+  if !i > pos && !acc >= 0 then Some (!acc, !i) else None
 
 let parse_at s ~pos =
   match parse_int s pos with

@@ -27,7 +27,8 @@ val to_string : t -> string
 
 val parse_at : string -> pos:int -> (t * int) option
 (** Cursor parse starting at [pos]: on success returns the context and
-    the position one past its last digit. *)
+    the position one past its last digit. A digit run past [max_int] is
+    rejected ([None]), never wrapped. *)
 
 val of_string : string -> t option
 (** [parse_at ~pos:0] requiring the whole string to be consumed. *)

@@ -288,10 +288,7 @@ let to_prometheus t =
 (* ------------------------------------------------------------------ *)
 
 let json_labels labels =
-  "{"
-  ^ String.concat ","
-      (List.map (fun (k, v) -> Json.str k ^ ":" ^ Json.str v) labels)
-  ^ "}"
+  Json.to_string (Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) labels))
 
 let to_json t =
   let buf = Buffer.create 1024 in

@@ -17,8 +17,9 @@
    ring is bounded, so the deferred work is too.
 
    The recorder is service-agnostic — dossier fields are strings and
-   spans — so it lives here in gp_telemetry; gp_service fills dossiers
-   in and owns the replay path (Flight). *)
+   spans — so it lives here in gp_telemetry, with both directions of the
+   dump format; gp_service fills dossiers in and owns the replay path
+   (Flight). *)
 
 type dossier = {
   do_id : int; (* the request id the server assigned *)
@@ -146,6 +147,75 @@ let to_jsonl t =
       Buffer.add_char buf '\n')
     (dossiers t);
   Buffer.contents buf
+
+(* ------------------------------------------------------------------ *)
+(* JSONL import                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let entries name decode j =
+  List.map
+    (function
+      | Json.Obj _ as e -> decode e
+      | _ -> Json.fail "%s entry: expected an object" name)
+    (Json.list_field name j)
+
+let dossier_of_line line =
+  match Json.parse line with
+  | exception Json.Error m -> Error ("bad dossier line: " ^ m)
+  | Json.Obj _ as j -> (
+    match
+      let do_id = Json.int_field "id" j in
+      let do_kind = Json.str_field "kind" j in
+      let do_wire = Json.str_field "wire" j in
+      let do_generation = Json.int_field "generation" j in
+      let do_config = Json.str_field "config" j in
+      let do_config_fp = Json.str_field "config_fp" j in
+      let do_outcome = Json.str_field "outcome" j in
+      let do_detail = Json.str_field "detail" j in
+      let do_cached = Json.bool_field "cached" j in
+      let do_steps = Json.int_field "steps" j in
+      let do_dur_ns = Json.num_field "dur_ns" j in
+      let do_response_fp = Json.str_field "response_fp" j in
+      let do_cache_chain =
+        entries "cache_chain"
+          (fun e ->
+            let cache = Json.str_field "cache" e in
+            let hits = Json.int_field "hits" e in
+            (cache, hits, Json.int_field "misses" e))
+          j
+      in
+      let do_metric_deltas =
+        entries "metric_deltas"
+          (fun e ->
+            let name = Json.str_field "name" e in
+            (name, Json.num_field "delta" e))
+          j
+      in
+      let do_spans = entries "spans" Trace.span_of_json j in
+      { do_id; do_kind; do_wire = Lazy.from_val do_wire; do_generation;
+        do_config; do_config_fp; do_outcome; do_detail; do_cached; do_steps;
+        do_dur_ns; do_response_fp = Lazy.from_val do_response_fp;
+        do_cache_chain; do_spans; do_metric_deltas }
+    with
+    | d -> Ok d
+    | exception Json.Error m -> Error m)
+  | _ -> Error "bad dossier line: expected a JSON object"
+
+let of_jsonl contents =
+  let rec go lineno acc = function
+    | [] -> Ok (List.rev acc)
+    | line :: rest when String.trim line = "" -> go (lineno + 1) acc rest
+    | line :: rest -> (
+      match dossier_of_line line with
+      | Ok d -> go (lineno + 1) (d :: acc) rest
+      | Error m -> Error (Printf.sprintf "line %d: %s" lineno m))
+  in
+  go 1 [] (String.split_on_char '\n' contents)
+
+let load path =
+  match In_channel.with_open_text path In_channel.input_all with
+  | exception Sys_error m -> Error m
+  | contents -> of_jsonl contents
 
 let pp_summary ppf t =
   let errors =

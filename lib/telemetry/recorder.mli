@@ -6,9 +6,9 @@
     slowest-k probe); the heavyweight payload — full span tree, metric
     deltas — is retained only for {e interesting} requests: any
     non-["ok"] outcome (errors, over-budget, timeout) and the slowest-k
-    seen so far. The recorder stores service-agnostic strings and spans;
-    [gp_service] fills dossiers in and owns replay
-    ([Gp_service.Flight]). *)
+    seen so far. The recorder stores service-agnostic strings and spans
+    and owns the dump format in both directions; [gp_service] fills
+    dossiers in and owns replay ([Gp_service.Flight]). *)
 
 type dossier = {
   do_id : int;  (** the request id the server assigned *)
@@ -76,5 +76,17 @@ val to_jsonl : t -> string
 (** Retained dossiers as JSONL (one {!dossier_to_json} line each),
     oldest first — the [gp serve --flight] dump and [gp replay] input
     format. *)
+
+val dossier_of_line : string -> (dossier, string) result
+(** Inverse of {!dossier_to_json}. [Error] names the first malformed
+    field, or carries the positioned syntax error after
+    ["bad dossier line: "]. *)
+
+val of_jsonl : string -> (dossier list, string) result
+(** Decode a whole dump; blank lines are skipped, errors carry the
+    1-based line number. *)
+
+val load : string -> (dossier list, string) result
+(** {!of_jsonl} on a file's contents; [Error] on I/O failure. *)
 
 val pp_summary : Format.formatter -> t -> unit

@@ -185,7 +185,7 @@ let to_chrome_json_lanes ?(dropped = 0) lanes =
           Buffer.add_string buf
             (Printf.sprintf
                "{\"name\":%s,\"ph\":\"X\",\"pid\":%d,\"tid\":1,\"ts\":%s,\
-                \"dur\":%s,\"args\":{"
+                \"dur\":%s,\"args\":"
                (Json.str sp.sp_name) pid
                (Json.num ((sp.sp_start_ns -. base) /. 1e3))
                (Json.num (sp.sp_dur_ns /. 1e3)));
@@ -203,12 +203,9 @@ let to_chrome_json_lanes ?(dropped = 0) lanes =
               | None -> [])
             @ sp.sp_attrs
           in
-          List.iteri
-            (fun j (k, v) ->
-              if j > 0 then Buffer.add_char buf ',';
-              Buffer.add_string buf (Json.str k ^ ":" ^ Json.str v))
-            args;
-          Buffer.add_string buf "}}")
+          Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) args)
+          |> Json.to_string |> Buffer.add_string buf;
+          Buffer.add_char buf '}')
         sps)
     lanes;
   Buffer.add_string buf
@@ -318,26 +315,53 @@ let folded ?(weight = `Dur) sps =
 let to_folded ?weight t = folded ?weight (spans t)
 
 (* ------------------------------------------------------------------ *)
-(* Per-span JSON (the flight recorder's dossier format)                *)
+(* Per-span JSON (the flight recorder's dossier format) and back       *)
 (* ------------------------------------------------------------------ *)
 
 let span_to_json sp =
-  let attrs =
-    String.concat ","
-      (List.map (fun (k, v) -> Json.str k ^ ":" ^ Json.str v) sp.sp_attrs)
-  in
+  let attrs = List.map (fun (k, v) -> (k, Json.Str v)) sp.sp_attrs in
   Printf.sprintf
     "{\"id\":%d,\"parent\":%s,\"name\":%s,\"start_ns\":%s,\"dur_ns\":%s,\
-     \"attrs\":{%s},\"gc\":%s}"
+     \"attrs\":%s,\"gc\":%s}"
     sp.sp_id
     (match sp.sp_parent with None -> "null" | Some p -> string_of_int p)
     (Json.str sp.sp_name)
     (Json.num sp.sp_start_ns)
     (Json.num sp.sp_dur_ns)
-    attrs
+    (Json.to_string (Json.Obj attrs))
     (match sp.sp_gc with
     | None -> "null"
     | Some g ->
       Printf.sprintf "{\"alloc_bytes\":%s,\"minor\":%d,\"major\":%d}"
         (Json.num g.Profile.pc_alloc_bytes)
         g.Profile.pc_minor g.Profile.pc_major)
+
+let span_of_json j =
+  let opt_int name =
+    match Json.field name j with
+    | None | Some Json.Null -> None
+    | Some _ -> Some (Json.int_field name j)
+  in
+  let sp_id = Json.int_field "id" j in
+  let sp_parent = opt_int "parent" in
+  let sp_name = Json.str_field "name" j in
+  let sp_start_ns = Json.num_field "start_ns" j in
+  let sp_dur_ns = Json.num_field "dur_ns" j in
+  let sp_attrs =
+    List.map
+      (function
+        | k, Json.Str v -> (k, v)
+        | k, _ -> Json.fail "attr %S: expected a string" k)
+      (Option.value ~default:[] (Json.opt_field Json.obj_field "attrs" j))
+  in
+  let sp_gc =
+    match Json.field "gc" j with
+    | None | Some Json.Null -> None
+    | Some _ ->
+      let g = Json.Obj (Json.obj_field "gc" j) in
+      let pc_alloc_bytes = Json.num_field "alloc_bytes" g in
+      let pc_minor = Json.int_field "minor" g in
+      let pc_major = Json.int_field "major" g in
+      Some { Profile.pc_alloc_bytes; pc_minor; pc_major }
+  in
+  { sp_id; sp_parent; sp_name; sp_start_ns; sp_dur_ns; sp_attrs; sp_gc }

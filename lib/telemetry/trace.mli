@@ -98,3 +98,8 @@ val span_to_json : span -> string
 (** One span as a JSON object ([id], [parent], [name], [start_ns],
     [dur_ns], [attrs], [gc]) — the representation flight-recorder
     dossiers embed. *)
+
+val span_of_json : Json.t -> span
+(** Inverse of {!span_to_json}: [parent] and [gc] may be [null] or
+    absent, [attrs] absent. Raises {!Json.Error} naming the first
+    malformed field. *)

@@ -10,7 +10,6 @@
    simulated units (ring values are sim ×1e3). *)
 
 module Trace = Gp_telemetry.Trace
-module Journey = Gp_telemetry.Journey
 
 type segments = {
   sg_rid : int;

@@ -28,10 +28,10 @@ val dominant : segments -> cause
 (** The largest segment; ties blame the mechanism before the work
     (queueing, then retry, then stall, then service). *)
 
-val of_journey : Gp_telemetry.Journey.journey -> segments option
+val of_journey : Journey.journey -> segments option
 (** [None] unless the journey has a single [cluster.request] root. *)
 
-val of_journeys : Gp_telemetry.Journey.journey list -> segments list
+val of_journeys : Journey.journey list -> segments list
 
 val slowest : ?k:int -> segments list -> segments list
 (** The [k] (default 10) largest totals, slowest first; rid breaks

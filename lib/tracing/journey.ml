@@ -9,6 +9,8 @@
    message that would have closed the parent was dropped — are surfaced
    on the journey, never silently attached to a root. *)
 
+module Trace = Gp_telemetry.Trace
+
 type tree = { t_node : int; t_span : Trace.span; t_children : tree list }
 
 type journey = {

@@ -4,6 +4,8 @@
     across node boundaries; simulated time is globally consistent, so
     interval checks are meaningful across nodes. *)
 
+module Trace = Gp_telemetry.Trace
+
 type tree = {
   t_node : int;  (** the node whose ring recorded the span *)
   t_span : Trace.span;

@@ -5,10 +5,8 @@
    the same parse-is-the-write-path discipline the request wire uses. *)
 
 module Trace = Gp_telemetry.Trace
-module Journey = Gp_telemetry.Journey
 module Context = Gp_telemetry.Context
 module Json = Gp_telemetry.Json
-module Wire = Gp_service.Wire
 module Cluster = Gp_cluster.Cluster
 
 type t = {
@@ -42,13 +40,11 @@ let span_line buf ~node sp =
     match Journey.trace_attr sp with Some tid -> tid | None -> 0
   in
   Buffer.add_string buf "{\"node\":";
-  Buffer.add_string buf (string_of_int node);
+  Json.add_int buf node;
   Buffer.add_string buf ",\"ctx\":\"";
   Context.render_into buf (Context.v ~trace ~span:sp.Trace.sp_id);
   Buffer.add_string buf "\",\"parent\":";
-  Buffer.add_string buf
-    (string_of_int
-       (match sp.Trace.sp_parent with Some p -> p | None -> 0));
+  Json.add_int buf (match sp.Trace.sp_parent with Some p -> p | None -> 0);
   Buffer.add_string buf ",\"name\":";
   Buffer.add_string buf (Json.str sp.Trace.sp_name);
   Buffer.add_string buf ",\"start\":";
@@ -56,18 +52,14 @@ let span_line buf ~node sp =
     (Printf.sprintf "%.6f" (sp.Trace.sp_start_ns /. 1e3));
   Buffer.add_string buf ",\"dur\":";
   Buffer.add_string buf (Printf.sprintf "%.6f" (sp.Trace.sp_dur_ns /. 1e3));
-  Buffer.add_string buf ",\"attrs\":{";
-  let first = ref true in
-  List.iter
-    (fun (k, v) ->
-      if not (String.equal k "trace") then begin
-        if !first then first := false else Buffer.add_char buf ',';
-        Buffer.add_string buf (Json.str k);
-        Buffer.add_char buf ':';
-        Buffer.add_string buf (Json.str v)
-      end)
-    sp.Trace.sp_attrs;
-  Buffer.add_string buf "}}\n"
+  let attrs =
+    List.filter_map
+      (fun (k, v) -> if k = "trace" then None else Some (k, Json.Str v))
+      sp.Trace.sp_attrs
+  in
+  Buffer.add_string buf ",\"attrs\":";
+  Buffer.add_string buf (Json.to_string (Json.Obj attrs));
+  Buffer.add_string buf "}\n"
 
 let dump ts =
   let buf = Buffer.create 65536 in
@@ -83,26 +75,6 @@ let dump ts =
     ts.ts_lanes;
   Buffer.contents buf
 
-let field name = function
-  | Wire.Obj kvs -> List.assoc_opt name kvs
-  | _ -> None
-
-let int_field name obj =
-  match field name obj with
-  | Some (Wire.Int i) -> i
-  | _ -> raise (Wire.Error ("trace dump: missing int field " ^ name))
-
-let num_field name obj =
-  match field name obj with
-  | Some (Wire.Int i) -> float_of_int i
-  | Some (Wire.Float f) -> f
-  | _ -> raise (Wire.Error ("trace dump: missing number field " ^ name))
-
-let str_field name obj =
-  match field name obj with
-  | Some (Wire.Str s) -> s
-  | _ -> raise (Wire.Error ("trace dump: missing string field " ^ name))
-
 let load doc =
   let lines =
     String.split_on_char '\n' doc
@@ -112,43 +84,39 @@ let load doc =
   | [] -> Error "empty trace dump"
   | header :: spans -> (
     try
-      let header = Wire.parse header in
-      (match field "gp_trace" header with
-       | Some (Wire.Int 1) -> ()
-       | _ -> raise (Wire.Error "not a gp_trace dump (bad header)"));
-      let replicas = int_field "replicas" header in
-      let n = int_field "n" header in
-      let seed = int_field "seed" header in
+      let header = Json.parse header in
+      if Json.field "gp_trace" header <> Some (Json.Int 1) then
+        Json.fail "not a gp_trace dump (bad header)";
+      let replicas = Json.int_field "replicas" header in
+      if replicas < 0 then Json.fail "trace dump: negative replicas";
+      let n = Json.int_field "n" header in
+      let seed = Json.int_field "seed" header in
       let lanes = Array.make (replicas + 1) [] in
       List.iter
         (fun line ->
-          let obj = Wire.parse line in
-          let node = int_field "node" obj in
+          let obj = Json.parse line in
+          let node = Json.int_field "node" obj in
           if node < 0 || node > replicas then
-            raise (Wire.Error "trace dump: node out of range");
+            Json.fail "trace dump: node out of range";
           let ctx =
-            match Context.of_string (str_field "ctx" obj) with
+            match Context.of_string (Json.str_field "ctx" obj) with
             | Some c -> c
-            | None -> raise (Wire.Error "trace dump: bad ctx")
+            | None -> Json.fail "trace dump: bad ctx"
           in
-          let parent = int_field "parent" obj in
+          let parent = Json.int_field "parent" obj in
           let attrs =
-            match field "attrs" obj with
-            | Some (Wire.Obj kvs) ->
-              List.map
-                (function
-                  | (k, Wire.Str v) -> (k, v)
-                  | (k, _) ->
-                    raise (Wire.Error ("trace dump: non-string attr " ^ k)))
-                kvs
-            | _ -> raise (Wire.Error "trace dump: missing attrs")
+            List.map
+              (function
+                | k, Json.Str v -> (k, v)
+                | k, _ -> Json.fail "trace dump: non-string attr %s" k)
+              (Json.obj_field "attrs" obj)
           in
           let sp =
             { Trace.sp_id = Context.span ctx;
               sp_parent = (if parent = 0 then None else Some parent);
-              sp_name = str_field "name" obj;
-              sp_start_ns = num_field "start" obj *. 1e3;
-              sp_dur_ns = num_field "dur" obj *. 1e3;
+              sp_name = Json.str_field "name" obj;
+              sp_start_ns = Json.num_field "start" obj *. 1e3;
+              sp_dur_ns = Json.num_field "dur" obj *. 1e3;
               sp_attrs =
                 ("trace", string_of_int (Context.trace ctx)) :: attrs;
               sp_gc = None }
@@ -161,7 +129,7 @@ let load doc =
           ts_seed = seed;
           ts_lanes =
             List.init (replicas + 1) (fun i -> (i, List.rev lanes.(i))) }
-    with Wire.Error e -> Error e)
+    with Json.Error e -> Error e)
 
 (* -------------------------------------------------------------- *)
 (* Chrome export: one pid lane per node                            *)

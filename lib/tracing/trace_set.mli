@@ -21,10 +21,10 @@ val of_result : Gp_cluster.Cluster.result -> t
 (** Wrap a traced run's [r_traces] (empty lanes when the run was not
     traced). *)
 
-val journeys : t -> Gp_telemetry.Journey.journey list
+val journeys : t -> Journey.journey list
 (** Assemble every trace, sorted by trace id. *)
 
-val request_journey : t -> int -> Gp_telemetry.Journey.journey option
+val request_journey : t -> int -> Journey.journey option
 (** The journey of one workload request, by rid. *)
 
 val is_request : t -> int -> bool
@@ -76,7 +76,7 @@ val pp_validation : Format.formatter -> validation -> unit
 
 (** {2 Tree view} *)
 
-val pp_journey : t -> Format.formatter -> Gp_telemetry.Journey.journey -> unit
+val pp_journey : t -> Format.formatter -> Journey.journey -> unit
 (** Render one journey as an indented tree: recording node, span name,
     simulated start/duration, attributes; orphans listed last with
     their missing parent id. *)

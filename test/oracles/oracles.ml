@@ -324,46 +324,46 @@ let rewrite_reference ?(only_certified = false) ~rules ~insts expr =
 (* The wire format                                                     *)
 (* ------------------------------------------------------------------ *)
 
-module Wire = Gp_service.Wire
+module Json = Gp_telemetry.Json
 module Request = Gp_service.Request
 
-(* The AST paths: parse the whole [Wire.json] tree, then validate
+(* The AST paths: parse the whole [Json.t] tree, then validate
    fields; build the response's tree, then print it. *)
 
 let field fields name = List.assoc_opt name fields
 
 let str_field fields name =
   match field fields name with
-  | Some (Wire.Str s) -> Ok s
+  | Some (Json.Str s) -> Ok s
   | Some _ -> Result.error (Printf.sprintf "field %S must be a string" name)
   | None -> Result.error (Printf.sprintf "missing field %S" name)
 
 let opt_str_field fields name =
   match field fields name with
-  | Some (Wire.Str s) -> Ok (Some s)
-  | None | Some Wire.Null -> Ok None
+  | Some (Json.Str s) -> Ok (Some s)
+  | None | Some Json.Null -> Ok None
   | Some _ -> Result.error (Printf.sprintf "field %S must be a string" name)
 
 let bool_field ~default fields name =
   match field fields name with
-  | Some (Wire.Bool b) -> Ok b
+  | Some (Json.Bool b) -> Ok b
   | None -> Ok default
   | Some _ -> Result.error (Printf.sprintf "field %S must be a boolean" name)
 
 let int_field ?default fields name =
   match (field fields name, default) with
-  | Some (Wire.Int i), _ -> Ok i
+  | Some (Json.Int i), _ -> Ok i
   | None, Some d -> Ok d
   | None, None -> Result.error (Printf.sprintf "missing field %S" name)
   | Some _, _ -> Result.error (Printf.sprintf "field %S must be an integer" name)
 
 let str_list_field fields name =
   match field fields name with
-  | Some (Wire.Arr vs) ->
+  | Some (Json.Arr vs) ->
     List.fold_left
       (fun acc v ->
         match (acc, v) with
-        | Ok xs, Wire.Str s -> Ok (xs @ [ s ])
+        | Ok xs, Json.Str s -> Ok (xs @ [ s ])
         | Ok _, _ ->
           Result.error
             (Printf.sprintf "field %S must be an array of strings" name)
@@ -414,59 +414,59 @@ let request_of_fields fields =
       | _ -> Request.Solve { structure; n; seed })
 
 let request_of_line_ast line =
-  match Wire.parse line with
-  | exception Wire.Error m -> Result.error ("bad request line: " ^ m)
-  | Wire.Obj fields -> (
+  match Json.parse line with
+  | exception Json.Error m -> Result.error ("bad request line: " ^ m)
+  | Json.Obj fields -> (
     let id =
-      match field fields "id" with Some (Wire.Int i) -> Some i | _ -> None
+      match field fields "id" with Some (Json.Int i) -> Some i | _ -> None
     in
     match request_of_fields fields with
     | Ok req -> Ok (id, req)
     | Error m -> Result.error ("bad request: " ^ m))
   | _ -> Result.error "bad request line: expected a JSON object"
 
-let strs ss = Wire.Arr (List.map (fun s -> Wire.Str s) ss)
+let strs ss = Json.Arr (List.map (fun s -> Json.Str s) ss)
 
 (* "rewrite_steps" and "kernel_steps", not "steps": the envelope already
    has a "steps" field for the budget charge *)
 let payload_fields = function
   | Request.Checked { ok; failures; warnings; report } ->
-    [ ("ok", Wire.Bool ok); ("failures", Wire.Int failures);
-      ("warnings", Wire.Int warnings); ("report", Wire.Str report) ]
+    [ ("ok", Json.Bool ok); ("failures", Json.Int failures);
+      ("warnings", Json.Int warnings); ("report", Json.Str report) ]
   | Request.Parsed { items; concepts; models } ->
-    [ ("items", Wire.Int items); ("concepts", Wire.Int concepts);
-      ("models", Wire.Int models) ]
+    [ ("items", Json.Int items); ("concepts", Json.Int concepts);
+      ("models", Json.Int models) ]
   | Request.Linted { errors; warnings; suggestions; messages } ->
-    [ ("errors", Wire.Int errors); ("warnings", Wire.Int warnings);
-      ("suggestions", Wire.Int suggestions); ("messages", strs messages) ]
+    [ ("errors", Json.Int errors); ("warnings", Json.Int warnings);
+      ("suggestions", Json.Int suggestions); ("messages", strs messages) ]
   | Request.Optimized { output; steps; ops_before; ops_after } ->
-    [ ("output", Wire.Str output); ("rewrite_steps", Wire.Int steps);
-      ("ops_before", Wire.Int ops_before); ("ops_after", Wire.Int ops_after) ]
+    [ ("output", Json.Str output); ("rewrite_steps", Json.Int steps);
+      ("ops_before", Json.Int ops_before); ("ops_after", Json.Int ops_after) ]
   | Request.Proved { checked; failed } ->
-    [ ("checked", Wire.Int checked); ("failed", Wire.Int failed) ]
+    [ ("checked", Json.Int checked); ("failed", Json.Int failed) ]
   | Request.Closed { size; obligations } ->
-    [ ("size", Wire.Int size); ("obligations", strs obligations) ]
+    [ ("size", Json.Int size); ("obligations", strs obligations) ]
   | Request.Computed { kernel; detected; n; steps; checksum } ->
-    [ ("kernel", Wire.Str kernel); ("detected", Wire.Str detected);
-      ("n", Wire.Int n); ("kernel_steps", Wire.Int steps);
-      ("checksum", Wire.Str checksum) ]
+    [ ("kernel", Json.Str kernel); ("detected", Json.Str detected);
+      ("n", Json.Int n); ("kernel_steps", Json.Int steps);
+      ("checksum", Json.Str checksum) ]
 
 let response_to_line_ast (r : Request.response) =
   let status_fields =
     match r.Request.rsp_result with
-    | Ok payload -> ("status", Wire.Str "ok") :: payload_fields payload
+    | Ok payload -> ("status", Json.Str "ok") :: payload_fields payload
     | Error e ->
-      [ ("status", Wire.Str "error");
-        ("error", Wire.Str (Request.error_code_name e.Request.code));
-        ("detail", Wire.Str e.Request.detail) ]
+      [ ("status", Json.Str "error");
+        ("error", Json.Str (Request.error_code_name e.Request.code));
+        ("detail", Json.Str e.Request.detail) ]
   in
-  Wire.to_string
-    (Wire.Obj
-       ([ ("id", Wire.Int r.Request.rsp_id);
+  Json.to_string
+    (Json.Obj
+       ([ ("id", Json.Int r.Request.rsp_id);
           ( "kind",
             match r.Request.rsp_kind with
-            | Some k -> Wire.Str (Request.kind_name k)
-            | None -> Wire.Null ) ]
+            | Some k -> Json.Str (Request.kind_name k)
+            | None -> Json.Null ) ]
        @ status_fields
-       @ [ ("cached", Wire.Bool r.Request.rsp_cached);
-           ("steps", Wire.Int r.Request.rsp_steps) ]))
+       @ [ ("cached", Json.Bool r.Request.rsp_cached);
+           ("steps", Json.Int r.Request.rsp_steps) ]))

@@ -64,10 +64,10 @@ val rewrite_reference :
 
 val request_of_line_ast :
   string -> (int option * Gp_service.Request.t, string) result
-(** Parse the full {!Gp_service.Wire.json} tree, then validate fields.
+(** Parse the full {!Gp_telemetry.Json.t} tree, then validate fields.
     Accepts, rejects and words its errors exactly as
     {!Gp_service.Wire.request_of_line}. *)
 
 val response_to_line_ast : Gp_service.Request.response -> string
-(** Build the response's {!Gp_service.Wire.json} tree and print it: the
+(** Build the response's {!Gp_telemetry.Json.t} tree and print it: the
     bytes {!Gp_service.Wire.response_into} writes. *)

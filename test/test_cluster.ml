@@ -334,16 +334,22 @@ let test_dump_server_config () =
     String.sub d 0 at ^ to_ ^ String.sub d (at + n) (String.length d - at - n)
   in
   List.iter
-    (fun (from, to_) ->
+    (fun (from, to_, why) ->
       match Cluster.audit_dump ~declare_standard (swap ~from ~to_) with
       | Ok _ -> Alcotest.failf "header with %s accepted" to_
       | Error e ->
-        Alcotest.(check bool) (to_ ^ " is a bad server_config") true
-          (String.starts_with ~prefix:"bad server_config:" e)
+        Alcotest.(check string) (to_ ^ " is a bad server_config")
+          ("bad server_config: bad config: " ^ why) e
       | exception ex ->
         Alcotest.failf "header with %s raised %s" to_ (Printexc.to_string ex))
-    [ ("\"cache_capacity\":256", "\"cache_capacity\":0");
-      ("\"max_steps\":100000", "\"max_steps\":-3") ]
+    [ ("\"cache_capacity\":256", "\"cache_capacity\":0",
+       "cache_capacity must be >= 1, got 0");
+      ("\"max_steps\":100000", "\"max_steps\":-3",
+       "max_steps must be >= 0, got -3");
+      (* decoded from the parsed header, not from a re-rendered line that
+         would print the overflowed timeout as inf *)
+      ("\"timeout\":null", "\"timeout\":1e999",
+       "timeout must be a finite number >= 0, got inf") ]
 
 (* ------------------------------------------------------------------ *)
 (* Elasticity and overload control                                     *)

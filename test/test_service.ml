@@ -4,6 +4,7 @@
    propagation-closure refactor that makes closures memoisable. *)
 
 open Gp_service
+module Json = Gp_telemetry.Json
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -166,15 +167,15 @@ let test_budget_deadline () =
 
 let test_wire_json_roundtrip () =
   let v =
-    Wire.Obj
-      [ ("a", Wire.Arr [ Wire.Int 1; Wire.Float 2.5; Wire.Null ]);
-        ("s", Wire.Str "a\"b\\c\nd\ttab");
-        ("t", Wire.Bool true); ("f", Wire.Bool false) ]
+    Json.Obj
+      [ ("a", Json.Arr [ Json.Int 1; Json.Float 2.5; Json.Null ]);
+        ("s", Json.Str "a\"b\\c\nd\ttab");
+        ("t", Json.Bool true); ("f", Json.Bool false) ]
   in
   Alcotest.(check bool) "parse inverts to_string" true
-    (Wire.parse (Wire.to_string v) = v);
+    (Json.parse (Json.to_string v) = v);
   Alcotest.(check bool) "unicode escape" true
-    (Wire.parse "\"\\u0041\"" = Wire.Str "A")
+    (Json.parse "\"\\u0041\"" = Json.Str "A")
 
 let request_samples =
   [ Request.Check
@@ -222,8 +223,8 @@ let test_wire_bad_lines () =
 let test_wire_response_encodes () =
   let server = mkserver () in
   let rsp = Server.handle server good_request in
-  match Wire.parse (Wire.response_to_line rsp) with
-  | Wire.Obj fields ->
+  match Json.parse (Wire.response_to_line rsp) with
+  | Json.Obj fields ->
     Alcotest.(check bool) "has status" true (List.mem_assoc "status" fields);
     Alcotest.(check bool) "has id" true (List.mem_assoc "id" fields)
   | _ -> Alcotest.fail "response line is not an object"
@@ -233,8 +234,8 @@ let test_wire_response_encodes () =
    AST oracle can never drift apart silently. *)
 let test_wire_hardening () =
   let expect_parse_error src msg =
-    match Wire.parse src with
-    | exception Wire.Error m -> Alcotest.(check string) src msg m
+    match Json.parse src with
+    | exception Json.Error m -> Alcotest.(check string) src msg m
     | _ -> Alcotest.failf "%S should not parse" src
   in
   expect_parse_error {|{"a":1,"a":2}|} {|at 7: duplicate key "a" in object|};
@@ -513,10 +514,10 @@ let test_report_json_gc () =
     (contains report {|"gc"|});
   Alcotest.(check bool) "gc object has minor_words" true
     (contains report {|"minor_words"|});
-  match Wire.parse report with
-  | Wire.Obj fields -> (
+  match Json.parse report with
+  | Json.Obj fields -> (
     match List.assoc_opt "gc" fields with
-    | Some (Wire.Obj gc) ->
+    | Some (Json.Obj gc) ->
       Alcotest.(check bool) "allocated_bytes present" true
         (List.mem_assoc "allocated_bytes" gc)
     | _ -> Alcotest.fail "\"gc\" is not an object")
@@ -1116,6 +1117,54 @@ let test_flight_dossiers () =
     (Option.is_none
        (Server.flight (mkserver ~config:{ config with flight_capacity = 0 } ())))
 
+(* load ∘ dump is the identity on the dump text: decoding a flight dump
+   and dumping the dossiers again gives the same bytes — over workloads
+   with injected errors, profiled spans (gc deltas, attrs) and, on some
+   dossiers, nan durations. *)
+let flight_dump_fixpoint_prop =
+  qtest
+    (QCheck.Test.make ~name:"flight dump is a fixpoint of load" ~count:15
+       QCheck.(pair (int_bound 10_000) (int_bound 3))
+       (fun (seed, nan_every) ->
+         let n = 30 in
+         let reqs = Workload.generate ~errors:0.25 ~seed ~n () in
+         let config = { Server.default_config with flight_slowest = n } in
+         let ds =
+           Tel.with_installed (fun _ ->
+               Gp_telemetry.Profile.with_profiling (fun () ->
+                   let server = mkserver ~config () in
+                   ignore (Server.process server reqs);
+                   Recorder.dossiers (Option.get (Server.flight server))))
+         in
+         let ds =
+           List.mapi
+             (fun i (d : Recorder.dossier) ->
+               if i mod (nan_every + 2) <> 0 then d
+               else
+                 { d with
+                   do_dur_ns = Float.nan;
+                   do_spans =
+                     List.map
+                       (fun sp ->
+                         { sp with Gp_telemetry.Trace.sp_dur_ns = Float.nan })
+                       d.do_spans })
+             ds
+         in
+         let to_jsonl ds =
+           let r = Recorder.create ~capacity:n ~slowest:n () in
+           List.iter (Recorder.record r) ds;
+           Recorder.to_jsonl r
+         in
+         let dump = to_jsonl ds in
+         match Recorder.of_jsonl dump with
+         | Ok ds' ->
+           (* the dump does carry what the property is about *)
+           contains dump {|"gc":{"alloc_bytes"|}
+           && contains dump {|"attrs":{"|}
+           && contains dump {|"dur_ns":null|}
+           && String.equal dump (to_jsonl ds')
+         | Error m -> QCheck.Test.fail_reportf "dump does not load: %s" m))
+
 let test_flight_replay () =
   let config =
     { Server.default_config with max_steps = 2500; flight_capacity = 256 }
@@ -1135,7 +1184,7 @@ let test_flight_replay () =
       (List.map (fun d -> Recorder.dossier_to_json d ^ "\n") dossiers)
   in
   let parsed =
-    match Flight.of_jsonl dump with
+    match Recorder.of_jsonl dump with
     | Ok ds -> ds
     | Error m -> Alcotest.failf "dump does not parse: %s" m
   in
@@ -1786,7 +1835,8 @@ let () =
             test_slow_log_rendering;
           Alcotest.test_case "dossier capture" `Quick test_flight_dossiers;
           Alcotest.test_case "replay matches recording" `Quick
-            test_flight_replay ] );
+            test_flight_replay;
+          flight_dump_fixpoint_prop ] );
       ( "propagate",
         [ Alcotest.test_case "closure_with agrees with closure" `Quick
             test_propagate_closure_with;

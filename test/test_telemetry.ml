@@ -249,7 +249,13 @@ let test_context_edges () =
     (fun s ->
       Alcotest.(check bool) ("rejects " ^ s) true
         (Context.of_string s = None))
-    [ ""; "/"; "1/"; "/2"; "a/b"; "1/2/3"; "1/2 "; "-1/2" ]
+    [ ""; "/"; "1/"; "/2"; "a/b"; "1/2/3"; "1/2 "; "-1/2";
+      (* digit runs past max_int: rejected, never wrapped *)
+      "9223372036854775808/7"; "99999999999999999999/7";
+      "4611686018427387904/1"; "7/9223372036854775808" ];
+  Alcotest.(check bool) "max_int parses" true
+    (Context.of_string (string_of_int max_int ^ "/1")
+     = Some (Context.v ~trace:max_int ~span:1))
 
 (* ------------------------------------------------------------------ *)
 (* Metrics registry                                                    *)
@@ -857,6 +863,101 @@ let test_metrics_merge_all () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* ------------------------------------------------------------------ *)
+(* The JSON module and the span codec                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Any byte string: quotes, backslashes, control characters and
+   non-ASCII bytes all go through the escaper and back. *)
+let gen_json_string =
+  QCheck.Gen.(
+    oneof
+      [ string_size ~gen:char (int_bound 12);
+        string_size ~gen:(oneofl [ '"'; '\\'; '\n'; '\t'; '\r'; '\001'; '\031'; 'a'; '/' ])
+          (int_bound 6) ])
+
+(* Values without Float (to_string prints floats with %g, which is not
+   lossless). Objects get distinct keys: the parser rejects repeats. *)
+let gen_json =
+  QCheck.Gen.(
+    sized
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [ return Json.Null; map (fun b -> Json.Bool b) bool;
+                 map (fun i -> Json.Int i)
+                   (oneof [ int; oneofl [ min_int; max_int; 0; -1 ] ]);
+                 map (fun s -> Json.Str s) gen_json_string ]
+           in
+           if n <= 0 then leaf
+           else
+             frequency
+               [ (2, leaf);
+                 (1, map (fun vs -> Json.Arr vs)
+                       (list_size (int_bound 4) (self (n / 3))));
+                 (1, map
+                       (fun kvs ->
+                         Json.Obj
+                           (List.sort_uniq
+                              (fun (a, _) (b, _) -> String.compare a b)
+                              kvs))
+                       (list_size (int_bound 4)
+                          (pair gen_json_string (self (n / 3)))));
+                 (* a deep chain of one-element arrays and objects *)
+                 (1, map2
+                       (fun depth v ->
+                         let rec wrap d v =
+                           if d = 0 then v
+                           else
+                             wrap (d - 1)
+                               (if d mod 2 = 0 then Json.Arr [ v ]
+                                else Json.Obj [ ("k", v) ])
+                         in
+                         wrap depth v)
+                       (int_bound 300) leaf) ]))
+
+let json_roundtrip_prop =
+  qtest
+    (QCheck.Test.make ~name:"json parse inverts to_string without floats"
+       ~count:500
+       (QCheck.make ~print:Json.to_string gen_json)
+       (fun v -> Json.parse (Json.to_string v) = v))
+
+let gen_span =
+  QCheck.Gen.(
+    let num = oneof [ float; return Float.nan; return 0.0; float_bound_inclusive 1e9 ] in
+    let* sp_id = int_bound 100_000 in
+    let* sp_parent = opt (int_bound 100_000) in
+    let* sp_name = gen_json_string in
+    let* sp_start_ns = num in
+    let* sp_dur_ns = num in
+    let* sp_attrs =
+      map
+        (List.sort_uniq (fun (a, _) (b, _) -> String.compare a b))
+        (list_size (int_bound 3) (pair gen_json_string gen_json_string))
+    in
+    let+ sp_gc =
+      opt
+        (let* pc_alloc_bytes = num in
+         let* pc_minor = int_bound 1000 in
+         let+ pc_major = int_bound 10 in
+         { Profile.pc_alloc_bytes; pc_minor; pc_major })
+    in
+    { Trace.sp_id; sp_parent; sp_name; sp_start_ns; sp_dur_ns; sp_attrs;
+      sp_gc })
+
+(* Decoding reads the six-digit floats the encoder wrote, so encoding
+   the decoded span must give back the same line. Attribute keys are
+   distinct, as the spans the tracer records have them. *)
+let span_fixpoint_prop =
+  qtest
+    (QCheck.Test.make ~name:"span json is a fixpoint of decode" ~count:500
+       (QCheck.make ~print:Trace.span_to_json gen_span)
+       (fun sp ->
+         let line = Trace.span_to_json sp in
+         String.equal line
+           (Trace.span_to_json (Trace.span_of_json (Json.parse line)))))
+
 let () =
   Alcotest.run "gp_telemetry"
     [
@@ -878,6 +979,8 @@ let () =
           Alcotest.test_case "merge_all edges" `Quick
             test_histogram_merge_all_edges;
         ] );
+      ( "json",
+        [ json_roundtrip_prop; span_fixpoint_prop ] );
       ( "context",
         [
           context_roundtrip_prop;

@@ -12,7 +12,7 @@
 
 module Cluster = Gp_cluster.Cluster
 module Engine = Gp_distsim.Engine
-module Journey = Gp_telemetry.Journey
+module Journey = Gp_tracing.Journey
 module Trace = Gp_telemetry.Trace
 module Metrics = Gp_telemetry.Metrics
 module Trace_set = Gp_tracing.Trace_set
@@ -187,7 +187,7 @@ let test_load_rejects_garbage () =
     (fun (name, doc) ->
       Alcotest.(check bool) name true
         (match Trace_set.load doc with Error _ -> true | Ok _ -> false))
-    [ ("empty", "");
+    ([ ("empty", "");
       ("not json", "hello\n");
       ("wrong header", "{\"foo\":1}\n");
       ( "bad ctx",
@@ -197,7 +197,18 @@ let test_load_rejects_garbage () =
       ( "node out of range",
         "{\"gp_trace\":1,\"replicas\":1,\"n\":1,\"seed\":0,\"spans\":1}\n\
          {\"node\":9,\"ctx\":\"0/1\",\"parent\":0,\"name\":\"a\",\
-         \"start\":0.0,\"dur\":1.0,\"attrs\":{}}\n" ) ]
+         \"start\":0.0,\"dur\":1.0,\"attrs\":{}}\n" );
+      ( "negative replicas",
+        "{\"gp_trace\":1,\"replicas\":-3,\"n\":1,\"seed\":0,\"spans\":0}\n" )
+    ]
+  @ List.map
+      (fun ctx ->
+        ( "overflowing ctx " ^ ctx,
+          "{\"gp_trace\":1,\"replicas\":1,\"n\":1,\"seed\":0,\"spans\":1}\n\
+           {\"node\":0,\"ctx\":\"" ^ ctx
+          ^ "\",\"parent\":0,\"name\":\"a\",\"start\":0.0,\"dur\":1.0,\
+             \"attrs\":{}}\n" ))
+      [ "9223372036854775808/7"; "99999999999999999999/7" ])
 
 (* ------------------------------------------------------------------ *)
 (* Attribution                                                         *)
