@@ -1554,12 +1554,45 @@ let s7 () =
   let reduction = legacy_bytes /. direct_bytes in
   (* end-to-end steady state: full serve_line loop (dispatch + caches +
      recorder included) against warm caches *)
-  let serve () =
+  let serve_lines srv lines () =
     List.iter
-      (fun line -> ignore (Sys.opaque_identity (Server.serve_line server line)))
+      (fun line -> ignore (Sys.opaque_identity (Server.serve_line srv line)))
       lines
   in
-  let serve_bytes, serve_minor = measure serve in
+  let serve_bytes, serve_minor = measure (serve_lines server lines) in
+  (* warm hits by kind: minor words of one served hit, wire parse to
+     dossier, recorder on — the cache key, the lookup and the answer it
+     hands back, with no rendering left on the path *)
+  let hit_minor keep =
+    let mine =
+      List.filter_map
+        (fun (r, line) -> if keep r then Some line else None)
+        (List.combine reqs lines)
+    in
+    let pass = serve_lines server mine in
+    pass ();
+    let m0 = Gc.minor_words () in
+    pass ();
+    (Gc.minor_words () -. m0) /. float_of_int (List.length mine)
+  in
+  let hit_optimize =
+    hit_minor (function Request.Optimize _ -> true | _ -> false)
+  in
+  let hit_check =
+    hit_minor (function Request.Check { defs = None; _ } -> true | _ -> false)
+  in
+  let hit_closure =
+    hit_minor (function Request.Closure _ -> true | _ -> false)
+  in
+  (* the recorder's share: the same warm pass on a server without one *)
+  let unrecorded =
+    Server.create
+      ~config:{ Server.default_config with flight_capacity = 0 }
+      ~declare_standard ()
+  in
+  (* [measure]'s own first pass warms the caches *)
+  let _, unrecorded_minor = measure (serve_lines unrecorded lines) in
+  let recorder_minor = serve_minor -. unrecorded_minor in
   (* the text front ends: minor words of one parse, averaged over the
      perfbench payload shapes (lint programs and .gpc defs) *)
   let parse_minor parse srcs =
@@ -1588,6 +1621,12 @@ let s7 () =
   assert (reduction >= 5.0);
   Fmt.pr "@.%-44s %16.1f %14.1f@."
     "end-to-end serve_line, warm caches" serve_bytes serve_minor;
+  Fmt.pr "%-44s %16s %14.1f@." "  of which the flight recorder" ""
+    recorder_minor;
+  Fmt.pr "@.%-44s %14s@." "warm hit, served (recorder on)" "minor words";
+  Fmt.pr "%-44s %14.1f@." "optimize" hit_optimize;
+  Fmt.pr "%-44s %14.1f@." "check (no defs)" hit_check;
+  Fmt.pr "%-44s %14.1f@." "closure" hit_closure;
   Fmt.pr "@.%-44s %14s@." "text front end, one parse" "minor words";
   Fmt.pr "%-44s %14.1f@." "STLlint program (perfbench lint shapes)"
     lint_parse_minor;
@@ -1612,6 +1651,10 @@ let s7 () =
   record ~experiment:"s7" "wire_direct_minor_words" direct_minor;
   record ~experiment:"s7" "serve_bytes_per_request" serve_bytes;
   record ~experiment:"s7" "serve_minor_words" serve_minor;
+  record ~experiment:"s7" "hit_minor_words_optimize" hit_optimize;
+  record ~experiment:"s7" "hit_minor_words_check" hit_check;
+  record ~experiment:"s7" "hit_minor_words_closure" hit_closure;
+  record ~experiment:"s7" "recorder_minor_words" recorder_minor;
   record ~experiment:"s7" "lint_parse_minor_words" lint_parse_minor;
   record ~experiment:"s7" "gpc_parse_minor_words" gpc_parse_minor;
   record ~experiment:"s7" "replay_diverged_pct"

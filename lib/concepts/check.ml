@@ -379,7 +379,10 @@ and check_constraints ~mode ~visited reg env cs =
    generation they were derived at, so any declaration or [touch]
    empties the table on the next check, and a certification empties
    every table. Forks compute directly. A table is emptied when it
-   reaches [memo_capacity], so wire-supplied names cannot grow it. *)
+   reaches [memo_capacity], so wire-supplied names cannot grow it.
+
+   An entry also carries the verdict's rendered report once someone has
+   asked for it ([check_rendered]), so a memo hit renders nothing. *)
 module Memo_tbl = Hashtbl.Make (struct
   type t = string * Ctype.t list * mode
 
@@ -389,7 +392,9 @@ module Memo_tbl = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
-type memo = { mutable m_generation : int; m_reports : report Memo_tbl.t }
+type entry = { e_report : report; mutable e_text : string option }
+
+type memo = { mutable m_generation : int; m_reports : entry Memo_tbl.t }
 
 let memo_capacity = 1024
 let memo_cache : (Registry.t * memo) option array = Array.make 8 None
@@ -441,10 +446,14 @@ let certify_axiom ~concept ~axiom ~args =
 let compute mode reg concept args =
   let failures, warnings = check_concept ~mode ~visited:[] reg concept args in
   {
-    rep_concept = concept;
-    rep_args = args;
-    rep_failures = failures;
-    rep_warnings = warnings;
+    e_report =
+      {
+        rep_concept = concept;
+        rep_args = args;
+        rep_failures = failures;
+        rep_warnings = warnings;
+      };
+    e_text = None;
   }
 
 (* The verdict, from the memo when there is one, and whether it hit. *)
@@ -454,16 +463,17 @@ let verdict mode reg concept args =
   | Some m -> (
     let key = (concept, args, mode) in
     match Memo_tbl.find_opt m.m_reports key with
-    | Some r -> (r, true)
+    | Some e -> (e, true)
     | None ->
-      let r = compute mode reg concept args in
+      let e = compute mode reg concept args in
       if Memo_tbl.length m.m_reports >= memo_capacity then
         Memo_tbl.reset m.m_reports;
-      Memo_tbl.add m.m_reports key r;
-      (r, false))
+      Memo_tbl.add m.m_reports key e;
+      (e, false))
 
-(* Public entry point: check whether ground types [args] model [concept]. *)
-let check ?(mode = Structural) reg concept args =
+(* The verdict's entry, under the [concepts.check] span when telemetry
+   is on. *)
+let check_entry mode reg concept args =
   let module Tel = Gp_telemetry.Tel in
   if not (Tel.is_enabled ()) then fst (verdict mode reg concept args)
   else
@@ -476,13 +486,27 @@ let check ?(mode = Structural) reg concept args =
           ("concept", concept);
         ])
       (fun () ->
-        let report, hit = verdict mode reg concept args in
+        let e, hit = verdict mode reg concept args in
+        let report = e.e_report in
         let outcome = if report.rep_failures = [] then "ok" else "failed" in
         Tel.count ~labels:[ ("outcome", outcome) ] "gp_checks_total" 1;
         if hit then Tel.count "gp_check_memo_hits_total" 1;
         Tel.count "gp_check_failures_total" (List.length report.rep_failures);
         Tel.count "gp_check_warnings_total" (List.length report.rep_warnings);
         Tel.attr "outcome" outcome;
-        report)
+        e)
+
+(* Public entry point: check whether ground types [args] model [concept]. *)
+let check ?(mode = Structural) reg concept args =
+  (check_entry mode reg concept args).e_report
+
+let check_rendered ?(mode = Structural) reg concept args =
+  let e = check_entry mode reg concept args in
+  match e.e_text with
+  | Some text -> (e.e_report, text)
+  | None ->
+    let text = Fmt.str "%a" pp_report e.e_report in
+    e.e_text <- Some text;
+    (e.e_report, text)
 
 let models ?mode reg concept args = ok (check ?mode reg concept args)

@@ -63,6 +63,12 @@ val check : ?mode:mode -> Registry.t -> string -> Ctype.t list -> report
     hit records the same [concepts.check] span and counters as a
     computed check, and also counts [gp_check_memo_hits_total]. *)
 
+val check_rendered :
+  ?mode:mode -> Registry.t -> string -> Ctype.t list -> report * string
+(** {!check} together with the report rendered by {!pp_report}. A
+    memoised verdict keeps its rendering, so a repeated check renders
+    nothing; on a fork every call renders. *)
+
 val memo_capacity : int
 (** The bound on one registry's memo: a table that reaches it is
     emptied before the next insertion. *)

@@ -119,11 +119,46 @@ let closure ?max_depth reg concept args =
 
 (* Canonical cache key for a closure query. The registry's generation
    counter stands in for the lookup function: any declaration bumps it, so
-   a stale closure can never be served after the world changes. *)
-let request_key ?(max_depth = 8) reg concept args =
-  Printf.sprintf "closure|g%d|d%d|%s<%s>" (Registry.generation reg) max_depth
-    concept
-    (String.concat "," (List.map Ctype.to_string args))
+   a stale closure can never be served after the world changes.
+
+   The query is encoded structurally, straight into the caller's
+   buffer: every name is length-prefixed and every type list
+   count-prefixed, so the encoding is prefix-free and no two queries
+   share a key — whatever commas or angle brackets the names contain. *)
+let add_name buf s =
+  Gp_telemetry.Json.add_int buf (String.length s);
+  Buffer.add_char buf ':';
+  Buffer.add_string buf s
+
+let rec add_ctype buf = function
+  | Ctype.Named s ->
+    Buffer.add_char buf 'N';
+    add_name buf s
+  | Ctype.Var s ->
+    Buffer.add_char buf 'V';
+    add_name buf s
+  | Ctype.Assoc (t, field) ->
+    Buffer.add_char buf 'A';
+    add_ctype buf t;
+    add_name buf field
+  | Ctype.App (f, args) ->
+    Buffer.add_char buf 'P';
+    add_name buf f;
+    add_ctypes buf args
+
+and add_ctypes buf ts =
+  Gp_telemetry.Json.add_int buf (List.length ts);
+  Buffer.add_char buf ':';
+  List.iter (add_ctype buf) ts
+
+let add_request_key ?(max_depth = 8) buf reg concept args =
+  Buffer.add_string buf "closure|g";
+  Gp_telemetry.Json.add_int buf (Registry.generation reg);
+  Buffer.add_string buf "|d";
+  Gp_telemetry.Json.add_int buf max_depth;
+  Buffer.add_char buf '|';
+  add_name buf concept;
+  add_ctypes buf args
 
 (* Number of constraints the programmer writes with propagation: just the
    root constraint. *)

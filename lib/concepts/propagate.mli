@@ -28,10 +28,12 @@ val closure :
   ?max_depth:int -> Registry.t -> string -> Ctype.t list -> obligation list
 (** [closure_with] over [Registry.find_concept reg]. *)
 
-val request_key :
-  ?max_depth:int -> Registry.t -> string -> Ctype.t list -> string
-(** Canonical content key for memoising a closure query: encodes the
-    registry generation, the depth bound, and the query. *)
+val add_request_key :
+  ?max_depth:int -> Buffer.t -> Registry.t -> string -> Ctype.t list -> unit
+(** Append the canonical content key for memoising a closure query: it
+    encodes the registry generation, the depth bound, and the query.
+    Names are length-prefixed and type lists count-prefixed, so distinct
+    queries never share a key. *)
 
 val declared_size : int
 (** Constraints written {e with} propagation: always 1 (the root). *)

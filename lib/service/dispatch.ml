@@ -10,6 +10,7 @@
 
 open Gp_concepts
 module Tel = Gp_telemetry.Tel
+module Json = Gp_telemetry.Json
 
 type caches = {
   closures : string list Lru.t;
@@ -21,7 +22,8 @@ type caches = {
   cert : Gp_simplicissimus.Certify.certification list Lru.t;
       (* certified rewrite rules *)
   proofs : (string * bool) list Lru.t; (* checked proof instantiations *)
-  rewrites : Gp_simplicissimus.Engine.result Lru.t; (* normal forms by expr *)
+  rewrites : Request.payload Lru.t;
+      (* Optimized payloads by typed expression, output pre-rendered *)
   numerics : Request.payload Lru.t; (* Computed payloads by (op,triple) *)
 }
 
@@ -75,6 +77,7 @@ type t = {
   rules : Gp_simplicissimus.Rules.t list;
   select : Gp_structla.Select.t; (* the three numeric overload generics *)
   caches : caches;
+  key_buf : Buffer.t; (* scratch for cache keys; see [key_buf] *)
 }
 
 let create ~declare_standard ~cache_capacity () =
@@ -86,7 +89,8 @@ let create ~declare_standard ~cache_capacity () =
       Gp_simplicissimus.Rules.builtin
       @ [ Gp_simplicissimus.Rules.lidia_inverse ];
     select = Gp_structla.Select.create ();
-    caches = create_caches ~capacity:cache_capacity }
+    caches = create_caches ~capacity:cache_capacity;
+    key_buf = Buffer.create 256 }
 
 let registry t = t.registry
 let caches t = t.caches
@@ -158,7 +162,7 @@ let handle_check t ~caching ~budget ~concept ~types ~nominal ~defs =
   | Ok (reg, hit) ->
     let mode = if nominal then Check.Nominal else Check.Structural in
     let args = List.map (fun ty -> Ctype.Named ty) types in
-    let report = Check.check ~mode reg concept args in
+    let report, text = Check.check_rendered ~mode reg concept args in
     Budget.spend budget
       (5
       + List.length report.Check.rep_failures
@@ -168,7 +172,7 @@ let handle_check t ~caching ~budget ~concept ~types ~nominal ~defs =
            { ok = Check.ok report;
              failures = List.length report.Check.rep_failures;
              warnings = List.length report.Check.rep_warnings;
-             report = Fmt.str "%a" Check.pp_report report }),
+             report = text }),
       hit )
 
 let handle_parse t ~caching ~budget ~source =
@@ -208,6 +212,84 @@ let handle_lint t ~caching ~budget ~source =
   | exception Parser.Parse_error { line; message } ->
     (err Request.Parse_failure (Printf.sprintf "program:%d: %s" line message), false)
 
+(* Cache keys are built straight into the dispatcher's one scratch
+   buffer: no Format, no digest, no intermediate strings, so a key
+   allocates only itself. Handlers never nest and a key is complete
+   before its value is computed, so one buffer serves them all. A key
+   encodes its content structurally, with every name length-prefixed,
+   so keys are equal exactly when contents are. *)
+let key_buf t =
+  Buffer.clear t.key_buf;
+  t.key_buf
+
+let add_name buf s =
+  Json.add_int buf (String.length s);
+  Buffer.add_char buf ':';
+  Buffer.add_string buf s
+
+let add_rational buf q =
+  Json.add_int buf (Gp_algebra.Rational.num q);
+  Buffer.add_char buf '/';
+  Json.add_int buf (Gp_algebra.Rational.den q);
+  Buffer.add_char buf ';'
+
+(* Every node's carrier type and every literal's exact bits: two
+   expressions that differ only in a variable's annotation, or in a float
+   literal's last digit, get different keys. *)
+let rec add_expr buf =
+  let open Gp_simplicissimus.Expr in
+  function
+  | Var (x, ty) ->
+    Buffer.add_char buf 'v';
+    add_name buf x;
+    add_name buf ty
+  | Ident (ty, op) ->
+    Buffer.add_char buf 'e';
+    add_name buf ty;
+    add_name buf op
+  | Op (op, ty, args) ->
+    Buffer.add_char buf 'o';
+    add_name buf op;
+    add_name buf ty;
+    Json.add_int buf (List.length args);
+    Buffer.add_char buf ':';
+    List.iter (add_expr buf) args
+  | Lit (VInt i) ->
+    Buffer.add_char buf 'i';
+    Json.add_int buf i;
+    Buffer.add_char buf ';'
+  | Lit (VFloat f) ->
+    let bits = Int64.bits_of_float f in
+    Buffer.add_char buf 'f';
+    Json.add_int buf (Int64.to_int (Int64.shift_right_logical bits 32));
+    Buffer.add_char buf '.';
+    Json.add_int buf (Int64.to_int (Int64.logand bits 0xffffffffL));
+    Buffer.add_char buf ';'
+  | Lit (VBool b) -> Buffer.add_string buf (if b then "T" else "F")
+  | Lit (VString s) ->
+    Buffer.add_char buf 's';
+    add_name buf s
+  | Lit (VRat q) ->
+    Buffer.add_char buf 'q';
+    add_rational buf q
+  | Lit (VMat m) ->
+    let module Q = Gp_algebra.Instances.Qmat in
+    let n = Q.dim m in
+    Buffer.add_char buf 'm';
+    Json.add_int buf n;
+    Buffer.add_char buf ':';
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        add_rational buf (Q.get m i j)
+      done
+    done
+
+let optimize_key t ~certified_only e =
+  let buf = key_buf t in
+  Buffer.add_string buf (if certified_only then "rw|true|" else "rw|false|");
+  add_expr buf e;
+  Buffer.contents buf
+
 let handle_optimize t ~caching ~budget ~expr ~certified_only =
   let open Gp_simplicissimus in
   match Sparser.parse expr with
@@ -216,24 +298,23 @@ let handle_optimize t ~caching ~budget ~expr ~certified_only =
     (* Certification is the expensive stage; the engine's only_certified
        mode reads the verdicts the certifier stamped on the rules. *)
     let _, cert_hit = certifications t ~caching ~budget in
-    let key =
-      (if certified_only then "rw|true|" else "rw|false|")
-      ^ Digest.to_hex (Digest.string (Expr.to_string e))
-    in
     match
-      Lru.find_or_compute t.caches.rewrites ~enabled:caching key (fun () ->
-          Engine.rewrite ~only_certified:certified_only ~rules:t.rules
-            ~insts:t.insts e)
+      Lru.find_or_compute t.caches.rewrites ~enabled:caching
+        (optimize_key t ~certified_only e) (fun () ->
+          let r =
+            Engine.rewrite ~only_certified:certified_only ~rules:t.rules
+              ~insts:t.insts e
+          in
+          Request.Optimized
+            { output = Expr.to_string r.Engine.output;
+              steps = List.length r.Engine.steps;
+              ops_before = r.Engine.ops_before;
+              ops_after = r.Engine.ops_after })
     with
-    | r, hit ->
-      Budget.spend budget (1 + List.length r.Engine.steps);
-      ( Ok
-          (Request.Optimized
-             { output = Expr.to_string r.Engine.output;
-               steps = List.length r.Engine.steps;
-               ops_before = r.Engine.ops_before;
-               ops_after = r.Engine.ops_after }),
-        hit && cert_hit )
+    | (Request.Optimized { steps; _ } as payload), hit ->
+      Budget.spend budget (1 + steps);
+      (Ok payload, hit && cert_hit)
+    | _, _ -> assert false (* the rewrites cache only ever stores [Optimized] *)
     | exception Engine.Did_not_terminate _ ->
       (err Request.Over_budget "rewriting exceeded its step budget", false))
 
@@ -319,7 +400,17 @@ let prove_plan theory instance =
 
 let handle_prove t ~caching ~budget ~theory ~instance =
   let open Gp_athena in
-  let key = "prove|" ^ theory ^ "|" ^ Option.value ~default:"*" instance in
+  let key =
+    let buf = key_buf t in
+    Buffer.add_string buf "prove|";
+    add_name buf theory;
+    (match instance with
+    | None -> Buffer.add_char buf '*'
+    | Some name ->
+      Buffer.add_char buf '=';
+      add_name buf name);
+    Buffer.contents buf
+  in
   (* Only a valid plan ever fills a proofs entry, so a cached key needs
      neither the plan nor its name checks: build it on a miss only. *)
   let plan =
@@ -351,9 +442,21 @@ let handle_prove t ~caching ~budget ~theory ~instance =
 let handle_closure t ~caching ~budget ~concept ~types =
   match Registry.find_concept t.registry concept with
   | None -> (err Request.Unknown_name ("unknown concept " ^ concept), false)
+  | Some con when List.length con.Concept.params <> List.length types ->
+    ( err Request.Bad_request
+        (Fmt.str "%a" Check.pp_failure
+           (Check.Arity_mismatch
+              { concept;
+                expected = List.length con.Concept.params;
+                got = List.length types })),
+      false )
   | Some _ ->
     let args = List.map (fun ty -> Ctype.Named ty) types in
-    let key = Propagate.request_key t.registry concept args in
+    let key =
+      let buf = key_buf t in
+      Propagate.add_request_key buf t.registry concept args;
+      Buffer.contents buf
+    in
     let obligations, hit =
       (* one rendered string per obligation, so lengths — and therefore
          the budget charge — match the unrendered closure exactly *)
@@ -388,8 +491,15 @@ let handle_numeric t ~caching ~budget ~op ~structure ~n ~seed =
       false )
   else begin
     let key =
-      "num|" ^ Select.op_name op ^ "|" ^ structure ^ "|" ^ string_of_int n
-      ^ "|" ^ string_of_int seed
+      let buf = key_buf t in
+      Buffer.add_string buf "num|";
+      Buffer.add_string buf (Select.op_name op);
+      Buffer.add_char buf '|';
+      add_name buf structure;
+      Json.add_int buf n;
+      Buffer.add_char buf '|';
+      Json.add_int buf seed;
+      Buffer.contents buf
     in
     let payload, hit =
       Lru.find_or_compute t.caches.numerics ~enabled:caching key (fun () ->

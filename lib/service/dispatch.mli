@@ -18,7 +18,8 @@ type caches = {
       (** [Linted] payloads by program hash, messages pre-rendered *)
   cert : Gp_simplicissimus.Certify.certification list Lru.t;
   proofs : (string * bool) list Lru.t;
-  rewrites : Gp_simplicissimus.Engine.result Lru.t;
+  rewrites : Request.payload Lru.t;
+      (** [Optimized] payloads by typed expression, output pre-rendered *)
   numerics : Request.payload Lru.t;
       (** [Computed] payloads keyed by (operation, structure, n, seed) *)
 }

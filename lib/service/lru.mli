@@ -1,7 +1,7 @@
 (** Content-keyed LRU memo cache with hit/miss accounting.
 
     Keys are canonical content strings ({!Request.key},
-    {!Gp_concepts.Propagate.request_key}), so cache identity is data
+    {!Gp_concepts.Propagate.add_request_key}), so cache identity is data
     identity: nothing is ever invalidated, only evicted by recency when
     the capacity bound is hit. *)
 

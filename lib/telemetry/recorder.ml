@@ -65,17 +65,23 @@ let recorded t = t.recorded
 let retained t = Int.min t.recorded t.capacity
 let dropped t = Int.max 0 (t.recorded - t.capacity)
 
-(* Would this duration rank among the k slowest recorded so far? *)
+(* Would this duration rank among the k slowest recorded so far? The
+   ranking is [Float.compare]'s, so a [nan] ranks below every number and
+   a tie with the fastest of a full list does not displace it. *)
 let qualifies_slowest t dur =
   t.slowest_k > 0
   && (List.length t.slow < t.slowest_k
-     || match t.slow with m :: _ -> dur > m | [] -> true)
+     || match t.slow with m :: _ -> Float.compare dur m > 0 | [] -> true)
 
+(* Insert a qualifying duration into the ascending list, dropping the
+   fastest when the list is full. *)
 let note_slow t dur =
-  if t.slowest_k > 0 then begin
-    let l = List.sort Float.compare (dur :: t.slow) in
-    t.slow <- (if List.length l > t.slowest_k then List.tl l else l)
-  end
+  let rec insert = function
+    | m :: rest when Float.compare m dur < 0 -> m :: insert rest
+    | l -> dur :: l
+  in
+  let l = insert t.slow in
+  t.slow <- (if List.length l > t.slowest_k then List.tl l else l)
 
 (* Will a dossier with this outcome and duration keep its heavyweight
    payload? Exposed so the filler can skip assembling spans and metric
@@ -83,14 +89,19 @@ let note_slow t dur =
 let wants_payload t ~ok ~dur_ns =
   (not ok) || qualifies_slowest t dur_ns
 
+let slowest t = t.slow
+
+(* The slowest-k list changes only when the duration qualifies, and a
+   dossier that carries no payload is stored as it is: the steady-state
+   path allocates nothing here. *)
 let record t d =
-  let interesting =
-    wants_payload t ~ok:(d.do_outcome = "ok") ~dur_ns:d.do_dur_ns
-  in
-  note_slow t d.do_dur_ns;
+  let slow = qualifies_slowest t d.do_dur_ns in
+  if slow then note_slow t d.do_dur_ns;
   let d =
-    if interesting then d
-    else { d with do_spans = []; do_metric_deltas = [] }
+    match (d.do_spans, d.do_metric_deltas) with
+    | [], [] -> d
+    | _ when slow || d.do_outcome <> "ok" -> d
+    | _ -> { d with do_spans = []; do_metric_deltas = [] }
   in
   t.ring.(t.recorded mod t.capacity) <- d;
   t.recorded <- t.recorded + 1

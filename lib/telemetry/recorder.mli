@@ -54,6 +54,11 @@ val wants_payload : t -> ok:bool -> dur_ns:float -> bool
     this outcome and duration? Lets the filler skip assembling spans
     and metric deltas that would only be stripped. *)
 
+val slowest : t -> float list
+(** The up-to-k slowest durations recorded so far, ascending: the k
+    largest under [Float.compare], which ranks [nan] below every
+    number. *)
+
 val dossiers : t -> dossier list
 (** Retained dossiers, oldest first. *)
 

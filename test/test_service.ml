@@ -787,6 +787,185 @@ let test_cache_hits_on_replay () =
     (fun s -> Alcotest.(check int) (s.Lru.st_name ^ ": cleared") 0 s.Lru.st_size)
     (Server.cache_stats server)
 
+(* A cache key must tell apart any two requests whose answers differ:
+   a caching server answers every stream as a cache-free one does. *)
+let answers ?(caching = true) reqs =
+  let server = mkserver ~config:{ Server.default_config with caching } () in
+  List.map (Server.handle server) reqs
+
+let check_transparent name reqs =
+  List.iter2
+    (fun cached direct ->
+      Alcotest.(check string) name
+        (Request.response_canonical direct)
+        (Request.response_canonical cached))
+    (answers reqs)
+    (answers ~caching:false reqs)
+
+(* The optimize key carries every node's carrier type: [x:float] and
+   the default-int [x] are different expressions with different normal
+   forms, in either order. *)
+let test_optimize_key_typed () =
+  let optimize expr = Request.Optimize { expr; certified_only = false } in
+  let output rsp =
+    match rsp.Request.rsp_result with
+    | Ok (Request.Optimized { output; _ }) -> output
+    | _ -> Alcotest.fail "optimize did not succeed"
+  in
+  List.iter
+    (fun ty ->
+      let typed = optimize (Printf.sprintf "x:%s * inv(x:%s)" ty ty) in
+      let plain = optimize "x * inv(x)" in
+      (match answers [ typed; plain ] with
+      | [ t; p ] ->
+        Alcotest.(check string) (ty ^ ": inverse cancels") "1" (output t);
+        Alcotest.(check string) "int: no inverse to cancel" "(x * inv(x))"
+          (output p)
+      | _ -> assert false);
+      check_transparent (ty ^ " then int") [ typed; plain ];
+      check_transparent ("int then " ^ ty) [ plain; typed ])
+    [ "float"; "rational" ]
+
+(* The closure key length-prefixes its names: ["cvec"; "complex"] and
+   ["cvec,complex"] are different queries, and the second has the wrong
+   arity — a bad request, cached or not. *)
+let test_closure_key_names () =
+  let closure types = Request.Closure { concept = "VectorSpace"; types } in
+  let pair = closure [ "cvec"; "complex" ]
+  and joined = closure [ "cvec,complex" ] in
+  check_transparent "closure names" [ pair; joined ];
+  List.iter
+    (fun caching ->
+      match answers ~caching [ pair; joined ] with
+      | [ p; j ] ->
+        Alcotest.(check bool) "two-type closure succeeds" true (Request.ok p);
+        check_code "arity mismatch" Request.Bad_request j;
+        (match j.Request.rsp_result with
+        | Error e ->
+          Alcotest.(check string) "Check's wording"
+            "concept VectorSpace expects 2 type argument(s), got 1"
+            e.Request.detail
+        | Ok _ -> assert false)
+      | _ -> assert false)
+    [ true; false ]
+
+(* The prove key tells "every instance" from an instance named "*":
+   the second is an unknown name, cached or not. *)
+let test_prove_key_wildcard () =
+  let all = Request.Prove { theory = "swo"; instance = None }
+  and star = Request.Prove { theory = "swo"; instance = Some "*" } in
+  check_transparent "prove instances" [ all; star ];
+  match answers [ all; star ] with
+  | [ _; s ] -> check_code "no instance *" Request.Unknown_name s
+  | _ -> assert false
+
+(* Streams built to collide under a printed key: one variable name under
+   different annotations, type names holding the separators a printed
+   list would use, and prove instances spelled like the key's
+   wildcard. *)
+let colliding_transparency_prop =
+  let open QCheck.Gen in
+  let ann = oneofl [ ""; ":int"; ":float"; ":rational"; ":bool" ] in
+  let optimize =
+    map3
+      (fun (shape, certified_only) a b ->
+        let expr =
+          match shape with
+          | 0 -> Printf.sprintf "x%s * inv(x%s)" a b
+          | 1 -> Printf.sprintf "x%s * 1 + 0" a
+          | 2 -> Printf.sprintf "x%s - x%s" a b
+          | _ -> Printf.sprintf "(x%s) * 1.0" a
+        in
+        Request.Optimize { expr; certified_only })
+      (pair (int_bound 3) bool) ann ann
+  in
+  let types =
+    list_size (int_range 1 3)
+      (oneofl
+         [ "cvec"; "complex"; "cvec,complex"; "vector<int>"; "vector<int";
+           "int>"; "list<int>,int"; "adjacency_list"; "<"; "," ])
+  in
+  let concept =
+    oneofl [ "VectorSpace"; "Container"; "IncidenceGraph"; "Sequence" ]
+  in
+  let closure =
+    map2 (fun concept types -> Request.Closure { concept; types }) concept types
+  in
+  let check =
+    map3
+      (fun concept types nominal ->
+        Request.Check { concept; types; nominal; defs = None })
+      concept types bool
+  in
+  (* an instance named "*" once shared the key of "every instance" *)
+  let prove =
+    map2
+      (fun theory instance -> Request.Prove { theory; instance })
+      (oneofl [ "swo"; "monoid"; "swo|int_lt" ])
+      (oneofl [ None; Some "*"; Some "int_lt"; Some "int_lt|*" ])
+  in
+  QCheck.Test.make ~name:"caching on = caching off on colliding payloads"
+    ~count:60
+    (QCheck.make
+       ~print:(fun reqs ->
+         String.concat "\n" (List.map (Wire.request_to_line ~id:0) reqs))
+       (list_size (int_range 1 25) (oneof [ optimize; closure; check; prove ])))
+    (fun reqs ->
+      let cached = mkserver () in
+      let cold = List.map (Server.handle cached) reqs in
+      let warm = List.map (Server.handle cached) reqs in
+      let direct = answers ~caching:false reqs in
+      List.for_all2 Request.result_equal cold direct
+      && List.for_all2 Request.result_equal warm direct)
+
+(* A warm hit costs its lookup: minor words of one served hit, wire parse
+   to dossier with the flight recorder on, per kind, and the recorder's
+   own share of a warm request. Allocation counts are deterministic, so
+   these are hard ceilings over the bench s7 workload; s7 records the
+   values as hit_minor_words_* and recorder_minor_words. The ceilings
+   sit at about twice the measured values and below the costs of
+   printed keys and per-request rendering. *)
+let test_warm_hit_allocation () =
+  let mix =
+    Workload.default_mix @ Request.[ (Kmatvec, 8); (Kmatmul, 4); (Ksolve, 4) ]
+  in
+  let reqs = Workload.generate ~mix ~seed:42 ~n:300 () in
+  let lines = List.mapi (fun i r -> (r, Wire.request_to_line ~id:i r)) reqs in
+  let words server keep =
+    let mine =
+      List.filter_map (fun (r, l) -> if keep r then Some l else None) lines
+    in
+    let pass () =
+      List.iter
+        (fun l -> ignore (Sys.opaque_identity (Server.serve_line server l)))
+        mine
+    in
+    pass ();
+    let m0 = Gc.minor_words () in
+    pass ();
+    (Gc.minor_words () -. m0) /. float_of_int (List.length mine)
+  in
+  let recorded = mkserver () in
+  let all = words recorded (fun _ -> true) in
+  let unrecorded =
+    mkserver ~config:{ Server.default_config with flight_capacity = 0 } ()
+  in
+  let recorder = all -. words unrecorded (fun _ -> true) in
+  List.iter
+    (fun (name, ceiling, measured) ->
+      if measured > ceiling then
+        Alcotest.failf "%s: %.1f minor words per request, ceiling %.0f" name
+          measured ceiling)
+    [ ("optimize hit", 800.0,
+       words recorded (function Request.Optimize _ -> true | _ -> false));
+      ("check hit (no defs)", 400.0,
+       words recorded (function
+         | Request.Check { defs = None; _ } -> true
+         | _ -> false));
+      ("closure hit", 400.0,
+       words recorded (function Request.Closure _ -> true | _ -> false));
+      ("flight recorder", 120.0, recorder) ]
+
 (* ------------------------------------------------------------------ *)
 (* Workload                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -898,12 +1077,16 @@ let test_request_key_tracks_generation () =
   let open Gp_concepts in
   let reg = Gp_standard.Standard.registry () in
   let args = [ Ctype.Named "vector<int>" ] in
-  let k1 = Propagate.request_key reg "Container" args in
+  let key () =
+    let buf = Buffer.create 64 in
+    Propagate.add_request_key buf reg "Container" args;
+    Buffer.contents buf
+  in
+  let k1 = key () in
   Alcotest.(check string) "stable while the registry is unchanged" k1
-    (Propagate.request_key reg "Container" args);
+    (key ());
   Registry.touch reg;
-  Alcotest.(check bool) "any mutation changes the key" true
-    (k1 <> Propagate.request_key reg "Container" args)
+  Alcotest.(check bool) "any mutation changes the key" true (k1 <> key ())
 
 (* A served closure must track registry mutations: the generation-keyed
    request key prevents the LRU from ever serving an answer computed
@@ -1802,7 +1985,16 @@ let () =
             test_cache_off_reports_zero;
           Alcotest.test_case "cache hits on replay" `Quick
             test_cache_hits_on_replay;
-          qtest transparency_prop ] );
+          qtest transparency_prop;
+          Alcotest.test_case "optimize key keeps carrier types" `Quick
+            test_optimize_key_typed;
+          Alcotest.test_case "closure key length-prefixes names" `Quick
+            test_closure_key_names;
+          Alcotest.test_case "prove key tells * from every instance" `Quick
+            test_prove_key_wildcard;
+          qtest colliding_transparency_prop;
+          Alcotest.test_case "warm hit allocation ceilings" `Quick
+            test_warm_hit_allocation ] );
       ( "workload",
         [ Alcotest.test_case "deterministic per seed" `Quick
             test_workload_determinism;

@@ -639,6 +639,57 @@ let test_recorder_slowest_k () =
       (err_d.Recorder.do_spans <> [])
   | l -> Alcotest.failf "expected 2 dossiers, got %d" (List.length l)
 
+(* Model: after any sequence, the slowest-k list is the k largest
+   durations under [Float.compare] (nan lowest), ascending; and an ok
+   dossier keeps its spans exactly when its duration ranked among the k
+   slowest seen up to and including it. Durations are drawn from a few
+   values, so ties are common, and [nan] is one of them. *)
+let recorder_slowest_model_prop =
+  let dur_gen =
+    QCheck.Gen.(
+      frequency
+        [ (1, return Float.nan); (6, map float_of_int (int_range 0 6)) ])
+  in
+  qtest
+    (QCheck.Test.make ~name:"slowest-k = k largest durations" ~count:300
+       QCheck.(
+         pair (int_range 0 4)
+           (make
+              ~print:Print.(list float)
+              Gen.(list_size (int_range 0 30) dur_gen)))
+       (fun (k, durs) ->
+         let r = Recorder.create ~capacity:64 ~slowest:k () in
+         let largest l =
+           List.rev
+             (List.filteri
+                (fun i _ -> i < k)
+                (List.sort (fun a b -> Float.compare b a) l))
+         in
+         let kept_ok =
+           List.for_all
+             (fun (i, d) ->
+               let before = largest (List.filteri (fun j _ -> j < i) durs) in
+               let expect_kept =
+                 k > 0
+                 && (List.length before < k
+                    || Float.compare d (List.hd before) > 0)
+               in
+               Recorder.record r
+                 (mk_dossier ~id:i ~dur:d ~spans:(some_spans ()) ());
+               let kept =
+                 match List.rev (Recorder.dossiers r) with
+                 | last :: _ -> last.Recorder.do_spans <> []
+                 | [] -> false
+               in
+               kept = expect_kept)
+             (List.mapi (fun i d -> (i, d)) durs)
+         in
+         let same a b =
+           List.length a = List.length b
+           && List.for_all2 (fun x y -> Float.compare x y = 0) a b
+         in
+         kept_ok && same (Recorder.slowest r) (largest durs)))
+
 let test_recorder_jsonl () =
   let r = Recorder.create ~capacity:8 ~slowest:0 () in
   Recorder.record r
@@ -1019,6 +1070,7 @@ let () =
             test_recorder_ring_eviction;
           Alcotest.test_case "slowest-k retention" `Quick
             test_recorder_slowest_k;
+          recorder_slowest_model_prop;
           Alcotest.test_case "jsonl export parses" `Quick test_recorder_jsonl;
         ] );
       ( "switchboard",
