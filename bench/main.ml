@@ -210,7 +210,7 @@ let f5 () =
   section "F5" "Simplicissimus: Fig. 5 rules, certification, rewrite payoff";
   let open Gp_simplicissimus in
   let insts = Instances.standard () in
-  let rules = Rules.builtin @ [ Rules.lidia_inverse ] in
+  let rules = Rules.standard in
   (* certification status *)
   let reports = Certify.certify_builtin () in
   List.iter (fun c -> Fmt.pr "%a@." Certify.pp_certification c) reports;

@@ -193,6 +193,16 @@ let lint_cmd =
 (* gp optimize                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* The demo expressions gp optimize rewrites without --expr, and gp trace
+   optimize traces. *)
+let optimize_demos =
+  let open Gp_simplicissimus.Expr in
+  [ binop "*" (binop "+" (ivar "x") (int 0)) (int 1);
+    binop "+" (ivar "x") (unop "neg" (ivar "x"));
+    binop "*" (ivar "x") (int 0);
+    binop "." (mvar "A") (Ident ("matrix", "."));
+    Op ("/", "bigfloat", [ float 1.0; Var ("f", "bigfloat") ]) ]
+
 let optimize_cmd =
   let certified_only =
     Arg.(value & flag
@@ -212,8 +222,6 @@ let optimize_cmd =
       (fun c -> Fmt.pr "%a@." Certify.pp_certification c)
       (Certify.certify_builtin ());
     let insts = Instances.standard () in
-    let rules = Rules.builtin @ [ Rules.lidia_inverse ] in
-    let open Expr in
     let demos =
       match expr_src with
       | Some src -> (
@@ -222,17 +230,15 @@ let optimize_cmd =
         | exception Sparser.Parse_error m ->
           Fmt.epr "parse error: %s@." m;
           exit 2)
-      | None ->
-        [ binop "*" (binop "+" (ivar "x") (int 0)) (int 1);
-          binop "+" (ivar "x") (unop "neg" (ivar "x"));
-          binop "*" (ivar "x") (int 0);
-          binop "." (mvar "A") (Ident ("matrix", "."));
-          Op ("/", "bigfloat", [ float 1.0; Var ("f", "bigfloat") ]) ]
+      | None -> optimize_demos
     in
     Fmt.pr "@.";
     List.iter
       (fun e ->
-        let r = Engine.rewrite ~only_certified:certified_only ~rules ~insts e in
+        let r =
+          Engine.rewrite ~only_certified:certified_only ~rules:Rules.standard
+            ~insts e
+        in
         Fmt.pr "%a@." Engine.pp_result r;
         List.iter (fun st -> Fmt.pr "  %a@." Engine.pp_step st) r.Engine.steps)
       demos;
@@ -248,73 +254,27 @@ let optimize_cmd =
 (* ------------------------------------------------------------------ *)
 
 let prove_cmd =
+  let catalogue = Gp_athena.Theorems.catalogue in
   let theory =
     Arg.(value
-         & opt
-             (enum
-                [ ("swo", `Swo); ("group", `Group); ("monoid", `Monoid);
-                  ("ring", `Ring); ("orders", `Orders) ])
-             `Swo
+         & opt (enum (List.map (fun (name, _) -> (name, name)) catalogue)) "swo"
          & info [ "theory" ]
-             ~doc:"Which theory to prove: swo, group, monoid, ring, orders.")
+             ~doc:(Printf.sprintf "Which theory to prove: %s."
+                     (String.concat ", " (List.map fst catalogue))))
   in
   let run theory =
     let open Gp_athena in
     let failures = ref 0 in
-    let show (thm : Theorems.theorem) verdict =
-      (match verdict with Deduction.Proved -> () | _ -> incr failures);
-      Fmt.pr "%-44s %a@." thm.Theorems.thm_name Deduction.pp_verdict verdict
-    in
-    (match theory with
-    | `Swo ->
-      List.iter
-        (fun lt ->
-          let axioms = Theory.strict_weak_order ~lt in
-          List.iter
-            (fun f ->
-              let thm = f ~lt in
-              show thm (Theorems.verify ~axioms thm))
-            [ Theorems.swo_e_reflexive; Theorems.swo_e_symmetric;
-              Theorems.swo_e_transitive; Theorems.swo_asymmetric ])
-        [ "int_lt"; "string_lt" ]
-    | `Group ->
-      List.iter
-        (fun m ->
-          List.iter
-            (fun f ->
-              let thm = f m in
-              show thm (Theorems.verify ~axioms:(Theory.group_minimal m) thm))
-            [ Theorems.group_right_inverse; Theorems.group_right_identity;
-              Theorems.group_double_inverse ])
-        Theory.group_instances
-    | `Monoid ->
-      List.iter
-        (fun m ->
-          List.iter
-            (fun f ->
-              let thm = f m in
-              show thm (Theorems.verify ~axioms:(Theory.monoid m) thm))
-            [ Theorems.monoid_right_identity; Theorems.monoid_identity_unique ])
-        Theory.monoid_instances
-    | `Ring ->
-      let rm =
-        { Theory.r_name = "int"; add = Theory.int_add; mul = Theory.int_mul }
-      in
-      List.iter
-        (fun f ->
-          let thm = f rm in
-          show thm (Theorems.verify ~axioms:(Theory.ring rm) thm))
-        [ Theorems.ring_mul_zero; Theorems.ring_zero_mul ]
-    | `Orders ->
-      List.iter
-        (fun leq ->
-          List.iter
-            (fun f ->
-              let thm = f ~leq in
-              show thm (Theorems.verify ~axioms:(Theory.total_order ~leq) thm))
-            [ Theorems.strict_irreflexive; Theorems.strict_transitive;
-              Theorems.strict_equiv_transitive ])
-        [ "int_le"; "string_le"; "rational_le" ]);
+    List.iter
+      (fun (_, axioms, theorems) ->
+        List.iter
+          (fun (thm : Theorems.theorem) ->
+            let verdict = Theorems.verify ~axioms thm in
+            (match verdict with Deduction.Proved -> () | _ -> incr failures);
+            Fmt.pr "%-44s %a@." thm.Theorems.thm_name Deduction.pp_verdict
+              verdict)
+          theorems)
+      ((List.assoc theory catalogue) ());
     if !failures > 0 then 1 else 0
   in
   Cmd.v
@@ -463,8 +423,9 @@ let serve_cmd =
          & info [ "trace" ]
              ~doc:"Trace every request (a service.request root span over \
                    the engine spans it triggers) and write Chrome \
-                   trace-event JSON to this file when the input ends. Also \
-                   enables the slow-request log.")
+                   trace-event JSON to this file when the input ends, then \
+                   print the flight recorder's slowest requests with their \
+                   span trees to stderr.")
   in
   let flight_file =
     Arg.(value
@@ -500,8 +461,9 @@ let serve_cmd =
     (match trace_file, sink with
     | Some path, Some sink ->
       write_file path (Gp_telemetry.Trace.to_chrome_json sink.trace);
-      Fmt.epr "%a@."
-        Server.pp_slow (Server.slow_requests server)
+      Option.iter
+        (Fmt.epr "%a@." Gp_telemetry.Recorder.pp_slowest)
+        (Server.flight server)
     | _ -> ());
     (match flight_file, Server.flight server with
     | Some path, Some recorder ->
@@ -724,15 +686,9 @@ let trace_cmd =
     let do_optimize () =
       let open Gp_simplicissimus in
       let insts = Instances.standard () in
-      let rules = Rules.builtin @ [ Rules.lidia_inverse ] in
-      let open Expr in
       List.iter
-        (fun e -> ignore (Engine.rewrite ~rules ~insts e))
-        [ binop "*" (binop "+" (ivar "x") (int 0)) (int 1);
-          binop "+" (ivar "x") (unop "neg" (ivar "x"));
-          binop "*" (ivar "x") (int 0);
-          binop "." (mvar "A") (Ident ("matrix", "."));
-          Op ("/", "bigfloat", [ float 1.0; Var ("f", "bigfloat") ]) ]
+        (fun e -> ignore (Engine.rewrite ~rules:Rules.standard ~insts e))
+        optimize_demos
     in
     let do_elect () =
       let open Gp_distsim in

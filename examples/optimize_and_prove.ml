@@ -25,7 +25,7 @@ let () =
   Fmt.pr "@.";
 
   let insts = Instances.standard () in
-  let rules = Rules.builtin @ [ Rules.lidia_inverse ] in
+  let rules = Rules.standard in
 
   (* 2. Regenerate the Fig. 5 instance table from the two generic rules:
      "additional instances can be generated from the two concept-based

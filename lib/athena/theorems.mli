@@ -77,3 +77,12 @@ val check_for_instances :
   Theory.mapping list ->
   (string * Deduction.verdict) list
 (** Check one generic theorem across many instance mappings. *)
+
+(** {2 The proof catalogue} *)
+
+val catalogue :
+  (string * (unit -> (string * Theory.axiom list * theorem list) list)) list
+(** Theory name → its instances, each as (instance name, the axioms it
+    is checked against, its theorems), in checking order: [swo], [group],
+    [monoid], [ring], [orders]. The one table behind [gp prove] and the
+    served [prove] kind. Applying an entry builds its proofs. *)

@@ -49,7 +49,6 @@ let default_config =
       { Server.default_config with
         timeout = None;
         now = (fun () -> 0.0); (* replaced by each node's simulated clock *)
-        slow_log = 0;
         flight_capacity = 0 };
     max_time = 100_000.0;
     max_events = 2_000_000;

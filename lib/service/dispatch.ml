@@ -85,9 +85,7 @@ let create ~declare_standard ~cache_capacity () =
   declare_standard registry;
   { registry;
     insts = Gp_simplicissimus.Instances.standard ();
-    rules =
-      Gp_simplicissimus.Rules.builtin
-      @ [ Gp_simplicissimus.Rules.lidia_inverse ];
+    rules = Gp_simplicissimus.Rules.standard;
     select = Gp_structla.Select.create ();
     caches = create_caches ~capacity:cache_capacity;
     key_buf = Buffer.create 256 }
@@ -318,75 +316,13 @@ let handle_optimize t ~caching ~budget ~expr ~certified_only =
     | exception Engine.Did_not_terminate _ ->
       (err Request.Over_budget "rewriting exceeded its step budget", false))
 
-(* The prove tables mirror bin/gp's prove command: a theory names its
-   instance mappings, per-instance axioms, and theorem builders. *)
+(* A theory's instances from the one proof catalogue, narrowed to
+   [instance] when one is named. *)
 let prove_plan theory instance =
-  let open Gp_athena in
-  let for_lts lts theorems axioms_of =
-    List.map
-      (fun lt ->
-        ( lt,
-          axioms_of lt,
-          List.map (fun f -> f ~lt) theorems ))
-      lts
-  in
-  let plan =
-    match theory with
-    | "swo" ->
-      Some
-        (for_lts [ "int_lt"; "string_lt" ]
-           [ Theorems.swo_e_reflexive; Theorems.swo_e_symmetric;
-             Theorems.swo_e_transitive; Theorems.swo_asymmetric ]
-           (fun lt -> Theory.strict_weak_order ~lt))
-    | "orders" ->
-      Some
-        (List.map
-           (fun leq ->
-             ( leq,
-               Theory.total_order ~leq,
-               List.map
-                 (fun f -> f ~leq)
-                 [ Theorems.strict_irreflexive; Theorems.strict_transitive;
-                   Theorems.strict_equiv_transitive ] ))
-           [ "int_le"; "string_le"; "rational_le" ])
-    | "monoid" ->
-      Some
-        (List.map
-           (fun m ->
-             ( Theory.map_name m,
-               Theory.monoid m,
-               List.map
-                 (fun f -> f m)
-                 [ Theorems.monoid_right_identity;
-                   Theorems.monoid_identity_unique ] ))
-           Theory.monoid_instances)
-    | "group" ->
-      Some
-        (List.map
-           (fun m ->
-             ( Theory.map_name m,
-               Theory.group_minimal m,
-               List.map
-                 (fun f -> f m)
-                 [ Theorems.group_right_inverse; Theorems.group_right_identity;
-                   Theorems.group_double_inverse;
-                   Theorems.group_left_cancellation ] ))
-           Theory.group_instances)
-    | "ring" ->
-      let rm =
-        { Theory.r_name = "int"; add = Theory.int_add; mul = Theory.int_mul }
-      in
-      Some
-        [ ( "int",
-            Theory.ring rm,
-            List.map
-              (fun f -> f rm)
-              [ Theorems.ring_mul_zero; Theorems.ring_zero_mul ] ) ]
-    | _ -> None
-  in
-  match plan with
+  match List.assoc_opt theory Gp_athena.Theorems.catalogue with
   | None -> Error ("unknown theory " ^ theory)
-  | Some all -> (
+  | Some build -> (
+    let all = build () in
     match instance with
     | None -> Ok all
     | Some name -> (

@@ -3,8 +3,9 @@
    Hashtbl for lookup, intrusive doubly-linked list for recency order.
    Capacity is a hard bound on entry count; insertion past it evicts the
    least-recently-used entry. Keys are canonical content strings (see
-   Request.key / Propagate.add_request_key), so cache identity is data
-   identity — there is nothing to invalidate, only to evict. *)
+   Dispatch's key builders / Propagate.add_request_key), so cache
+   identity is data identity — there is nothing to invalidate, only to
+   evict. *)
 
 type 'v node = {
   nd_key : string;

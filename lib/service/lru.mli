@@ -1,9 +1,9 @@
 (** Content-keyed LRU memo cache with hit/miss accounting.
 
-    Keys are canonical content strings ({!Request.key},
-    {!Gp_concepts.Propagate.add_request_key}), so cache identity is data
-    identity: nothing is ever invalidated, only evicted by recency when
-    the capacity bound is hit. *)
+    Keys are canonical content strings (the structural keys {!Dispatch}
+    builds, {!Gp_concepts.Propagate.add_request_key}, source digests),
+    so cache identity is data identity: nothing is ever invalidated, only
+    evicted by recency when the capacity bound is hit. *)
 
 type 'v t
 

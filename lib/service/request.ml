@@ -79,10 +79,10 @@ let kind_of_name = function
 
 let add_bool b v = Buffer.add_string b (if v then "true" else "false")
 
-(* A canonical one-line rendering. Long sources are represented by their
-   digest, which is exactly what the content-keyed caches want; it also
-   makes workload fingerprints cheap. Rendered through one reused scratch
-   buffer — [key] is on the per-request dispatch path. *)
+(* A one-line rendering for routing, hot-key tracking and workload
+   fingerprints. Long sources are represented by their digest. Not
+   injective (comma-joined names; instance "*" reads as none), so no
+   cache keys on it. Rendered through one reused scratch buffer. *)
 let key_buf = Buffer.create 128
 
 (* top-level loop rather than List.iter: no per-call closure *)

@@ -46,9 +46,12 @@ val kind_name : kind -> string
 val kind_of_name : string -> kind option
 
 val key : t -> string
-(** Canonical content key: embedded sources are digested, so equal keys
-    mean observably equal requests. Used by the memo caches and by
-    workload fingerprints. *)
+(** One-line content key with embedded sources digested: the cluster's
+    routing and hot-key key and the workload fingerprint's. It is not a
+    cache key: it does not tell [["a,b"]] from [["a"; "b"]] (names are
+    comma-joined), nor [instance "*"] from no instance. It stays as it
+    is because changing it would re-route the cluster and change every
+    dump. *)
 
 (** {2 Responses} *)
 

@@ -19,7 +19,6 @@ type config = {
   max_steps : int; (* per-request step budget *)
   timeout : float option; (* per-request deadline, seconds *)
   now : unit -> float; (* injectable clock, seconds *)
-  slow_log : int; (* slowest requests kept with their span trees *)
   flight_capacity : int; (* flight-recorder ring; 0 disables it *)
   flight_slowest : int; (* slowest-k dossiers kept with span trees *)
 }
@@ -30,7 +29,6 @@ let default_config =
     max_steps = 100_000;
     timeout = None;
     now = Unix.gettimeofday;
-    slow_log = 5;
     flight_capacity = 512;
     flight_slowest = 8 }
 
@@ -48,7 +46,6 @@ let config_to_line c =
            match c.timeout with
            | None -> Json.Null
            | Some s -> Json.Float s );
-         ("slow_log", Json.Int c.slow_log);
          ("flight_capacity", Json.Int c.flight_capacity);
          ("flight_slowest", Json.Int c.flight_slowest) ])
 
@@ -60,8 +57,7 @@ let validate_config c =
   let negative =
     List.find_opt
       (fun (_, v) -> v < 0)
-      [ ("max_steps", c.max_steps); ("slow_log", c.slow_log);
-        ("flight_capacity", c.flight_capacity);
+      [ ("max_steps", c.max_steps); ("flight_capacity", c.flight_capacity);
         ("flight_slowest", c.flight_slowest) ]
   in
   if c.cache_capacity < 1 then
@@ -92,12 +88,11 @@ let config_of_json j =
         | None | Some Json.Null -> None
         | Some _ -> Some (Json.num_field "timeout" j)
       in
-      let slow_log = int "slow_log" d.slow_log in
       let flight_capacity = int "flight_capacity" d.flight_capacity in
       let flight_slowest = int "flight_slowest" d.flight_slowest in
       validate_config
-        { d with caching; cache_capacity; max_steps; timeout; slow_log;
-                 flight_capacity; flight_slowest }
+        { d with caching; cache_capacity; max_steps; timeout; flight_capacity;
+                 flight_slowest }
     with
     | r -> Result.map_error (fun m -> "bad config: " ^ m) r
     | exception Json.Error m -> Error ("bad config: " ^ m))
@@ -107,13 +102,6 @@ let config_of_line line =
   match Json.parse line with
   | exception Json.Error m -> Error ("bad config line: " ^ m)
   | j -> config_of_json j
-
-type slow_entry = {
-  se_id : int;
-  se_kind : string;
-  se_ns : float;
-  se_spans : Trace.span list;
-}
 
 type t = {
   config : config;
@@ -125,8 +113,10 @@ type t = {
   out_buf : Buffer.t; (* reused response render buffer (serve_channel) *)
   cc_before : int array; (* reused cache-counter snapshots: hit/miss *)
   cc_after : int array; (* pairs per cache, Dispatch.cache_names order *)
+  latency_ns : float array;
+      (* one slot: the latency [observe] last measured, which an untraced
+         dossier reuses as its duration (a float array stores unboxed) *)
   mutable next_id : int;
-  mutable slow : slow_entry list; (* slowest first, <= config.slow_log *)
 }
 
 let create ?(config = default_config) ~declare_standard () =
@@ -149,8 +139,8 @@ let create ?(config = default_config) ~declare_standard () =
     out_buf = Buffer.create 1024;
     cc_before = Array.make (2 * Array.length Dispatch.cache_names) 0;
     cc_after = Array.make (2 * Array.length Dispatch.cache_names) 0;
-    next_id = 0;
-    slow = [] }
+    latency_ns = [| 0.0 |];
+    next_id = 0 }
 
 let config t = t.config
 let metrics t = t.metrics
@@ -164,9 +154,12 @@ let fresh_id t =
   t.next_id <- t.next_id + 1;
   t.next_id
 
+(* The request's one end reading of the clock: the latency goes to the
+   histogram and into [t.latency_ns] for the dossier. *)
 let observe t ~kind ~id ~t0 (result : (Request.payload, Request.error) result)
     ~cached ~steps =
   let ns = (t.config.now () -. t0) *. 1e9 in
+  t.latency_ns.(0) <- ns;
   Metrics.observe t.metrics
     ~kind:(match kind with Some k -> Request.kind_name k | None -> "invalid")
     ~ok:(Result.is_ok result)
@@ -179,9 +172,9 @@ let observe t ~kind ~id ~t0 (result : (Request.payload, Request.error) result)
     rsp_cached = cached; rsp_steps = steps }
 
 (* Handle one request to completion. Total: budget exhaustion and any
-   unexpected exception become structured errors. *)
-let handle_core ~id t req =
-  let t0 = t.config.now () in
+   unexpected exception become structured errors. [t0] is the request's
+   one start reading of the clock. *)
+let handle_core ~id ~t0 t req =
   let budget =
     Budget.create ~max_steps:t.config.max_steps
       ?deadline:(Option.map (fun s -> t0 +. s) t.config.timeout)
@@ -212,24 +205,6 @@ let handle_core ~id t req =
   in
   observe t ~kind:(Some (Request.kind req)) ~id ~t0 result ~cached
     ~steps:(Budget.used budget)
-
-(* Keep the [config.slow_log] slowest requests with the span trees their
-   root span covered. The duration ranking a request by is its root
-   span's, so the log is self-consistent with the trace export. *)
-let record_slow t ~id ~kind spans =
-  match List.rev spans with
-  | [] -> () (* ring dropped everything: nothing worth keeping *)
-  | root :: _ ->
-    let entry =
-      { se_id = id; se_kind = kind; se_ns = root.Trace.sp_dur_ns;
-        se_spans = spans }
-    in
-    let merged =
-      List.merge
-        (fun a b -> Float.compare b.se_ns a.se_ns)
-        [ entry ] t.slow
-    in
-    t.slow <- List.filteri (fun i _ -> i < t.config.slow_log) merged
 
 (* ------------------------------------------------------------------ *)
 (* Flight-recorder dossier assembly                                    *)
@@ -309,12 +284,12 @@ let handle_recorded ?id ?context ?wire t req =
   let id = match id with Some id -> id | None -> fresh_id t in
   let kind = Request.kind_name (Request.kind req) in
   let recording = Option.is_some t.recorder in
-  let wall0 = if recording then t.config.now () else 0.0 in
   if recording then
     Dispatch.cache_counters_into (Dispatch.caches t.dispatch) t.cc_before;
   let metrics_before = if recording then metric_totals () else [] in
+  let t0 = t.config.now () in
   let rsp, spans =
-    if not (Tel.is_enabled ()) then (handle_core ~id t req, [])
+    if not (Tel.is_enabled ()) then (handle_core ~id ~t0 t req, [])
     else begin
       let m = Tel.mark () in
       let rsp =
@@ -328,22 +303,20 @@ let handle_recorded ?id ?context ?wire t req =
                   string_of_int (Gp_telemetry.Context.span c))
               :: base
             | _ -> base)
-          (fun () -> handle_core ~id t req)
+          (fun () -> handle_core ~id ~t0 t req)
       in
-      let spans = Tel.spans_since m in
-      record_slow t ~id ~kind spans;
-      (rsp, spans)
+      (rsp, Tel.spans_since m)
     end
   in
   (match t.recorder with
   | None -> ()
   | Some recorder ->
     (* rank by the root span's duration when telemetry is on — the same
-       number the slow log and trace export show — else wall clock *)
+       number the trace export shows — else by the observed latency *)
     let dur_ns =
       match List.rev spans with
       | root :: _ -> root.Trace.sp_dur_ns
-      | [] -> (t.config.now () -. wall0) *. 1e9
+      | [] -> t.latency_ns.(0)
     in
     (* the after-snapshot and delta matter only when the recorder will
        keep the payload (non-ok outcome or slowest-k) — skip both on
@@ -379,8 +352,7 @@ let reject_invalid ?(line = "") t detail =
       ~cached:false ~steps:0
   in
   record_dossier t ~id ~kind:"invalid" ~wire:(Lazy.from_val line) ~spans:[]
-    ~dur_ns:((t.config.now () -. t0) *. 1e9)
-    ~cache_chain:[] ~metric_deltas:[] rsp;
+    ~dur_ns:t.latency_ns.(0) ~cache_chain:[] ~metric_deltas:[] rsp;
   rsp
 
 (* Serve each request to completion, in order: responses come back in
@@ -457,18 +429,3 @@ let gc_json () =
 
 let report_json t =
   Metrics.report_json ~cache_stats:(cache_stats t) ~gc:(gc_json ()) t.metrics
-
-let slow_requests t = t.slow
-
-let pp_slow ppf entries =
-  if entries = [] then
-    Fmt.string ppf "slow-request log: empty (telemetry disabled or no traffic)"
-  else begin
-    Fmt.pf ppf "@[<v>slowest requests";
-    List.iter
-      (fun e ->
-        Fmt.pf ppf "@,#%d %s  %a@,%a" e.se_id e.se_kind Trace.pp_dur e.se_ns
-          Trace.pp_tree e.se_spans)
-      entries;
-    Fmt.pf ppf "@]"
-  end

@@ -14,15 +14,13 @@ type config = {
   max_steps : int;  (** per-request step budget *)
   timeout : float option;  (** per-request deadline, seconds *)
   now : unit -> float;  (** injectable clock, seconds *)
-  slow_log : int;  (** slowest requests kept with their span trees *)
   flight_capacity : int;  (** flight-recorder dossier ring; 0 disables *)
   flight_slowest : int;  (** slowest-k dossiers kept with span trees *)
 }
 
 val default_config : config
 (** caching on, 256-entry caches, 100k steps, no timeout,
-    [Unix.gettimeofday], 5-entry slow log, 512-dossier flight ring with
-    slowest-k of 8. *)
+    [Unix.gettimeofday], 512-dossier flight ring with slowest-k of 8. *)
 
 val config_to_line : config -> string
 (** Canonical single-line JSON rendering of every behaviour-shaping
@@ -32,8 +30,7 @@ val config_to_line : config -> string
 
 val validate_config : config -> (config, string) result
 (** The range check every entry point applies: [cache_capacity >= 1];
-    [max_steps], [slow_log], [flight_capacity] and [flight_slowest]
-    [>= 0]; a [timeout] finite and [>= 0]. [Error] names the field. *)
+    [max_steps], [flight_capacity] and [flight_slowest] [>= 0]; a [timeout] finite and [>= 0]. [Error] names the field. *)
 
 val config_of_json : Gp_telemetry.Json.t -> (config, string) result
 (** Decode a parsed config object: missing fields take their
@@ -64,7 +61,8 @@ val flight : t -> Gp_telemetry.Recorder.t option
 (** The flight recorder, when [config.flight_capacity > 0]. Every
     request served — including unparseable lines — leaves a dossier;
     error/over-budget/timeout and slowest-k dossiers additionally retain
-    their span tree and metric deltas. *)
+    their span tree and metric deltas. This is the server's one record of
+    its slowest requests ({!Gp_telemetry.Recorder.slowest}). *)
 
 val registry : t -> Gp_concepts.Registry.t
 val caches : t -> Dispatch.caches
@@ -76,7 +74,8 @@ val handle :
   Request.response
 (** Process one request to completion. Never raises. When a telemetry sink is installed
     ([Gp_telemetry.Tel.install]) each request runs under a
-    [service.request] root span and feeds the slow-request log; the
+    [service.request] root span, and the flight recorder ranks the
+    request by that span's duration (else by its observed latency); the
     response is identical either way. [context], when given and
     non-{!Gp_telemetry.Context.none}, is the inbound distributed trace
     context — the root span is stamped with [trace]/[parent_span]
@@ -100,17 +99,3 @@ val report : t -> string
 val report_json : t -> string
 (** Machine-readable twin of {!report}: totals, cache stats, and the
     full metric-registry dump ({!Metrics.report_json}). *)
-
-type slow_entry = {
-  se_id : int;
-  se_kind : string;
-  se_ns : float;  (** root-span duration *)
-  se_spans : Gp_telemetry.Trace.span list;  (** the request's span tree *)
-}
-
-val slow_requests : t -> slow_entry list
-(** The [config.slow_log] slowest requests seen so far, slowest first.
-    Populated only while a telemetry sink is installed. *)
-
-val pp_slow : Format.formatter -> slow_entry list -> unit
-(** Render the slow-request log as indented span trees. *)

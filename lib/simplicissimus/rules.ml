@@ -205,6 +205,8 @@ let lidia_inverse =
     ~rhs:(T_exact ("Inverse", [ T_var "f" ]))
     ()
 
+let standard = builtin @ [ lidia_inverse ]
+
 let pp_level ppf l = Fmt.string ppf (Instances.level_name l)
 
 let pp ppf r =

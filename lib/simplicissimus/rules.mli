@@ -105,5 +105,9 @@ val lidia_inverse : t
 (** The Section 3.2 user rule: [1.0 / f -> Inverse(f)] on the "bigfloat"
     library type only. *)
 
+val standard : t list
+(** {!builtin} plus {!lidia_inverse}: the rule set the service, the CLI,
+    the bench and the examples rewrite with. *)
+
 val pp_level : Format.formatter -> Instances.level -> unit
 val pp : Format.formatter -> t -> unit

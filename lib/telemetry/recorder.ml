@@ -7,9 +7,10 @@
    cache hit/miss chain, and a digest of the canonical response. The
    heavyweight parts (the full span tree, metric deltas) are retained
    only for interesting requests: errors (including over-budget and
-   timeout) and the slowest-k seen so far; everything else is stored
-   stripped, so steady-state cost per request is O(1) ring writes plus
-   an O(k) top-k probe with small constant k.
+   timeout) and the slowest-k seen so far, which are also kept whole
+   outside the ring; everything else is stored stripped, so steady-state
+   cost per request is O(1) ring writes plus an O(k) top-k probe with
+   small constant k.
 
    The wire line and response digest are lazy: serializing a request
    and hashing a response are the two measurable per-request costs, and
@@ -32,7 +33,7 @@ type dossier = {
   do_detail : string; (* error detail, "" on ok *)
   do_cached : bool;
   do_steps : int;
-  do_dur_ns : float; (* root-span duration (wall when telemetry off) *)
+  do_dur_ns : float; (* root-span duration, else the observed latency *)
   do_response_fp : string Lazy.t; (* digest of the canonical response *)
   do_cache_chain : (string * int * int) list; (* cache, hits Δ, misses Δ *)
   do_spans : Trace.span list; (* full tree, interesting requests only *)
@@ -44,7 +45,7 @@ type t = {
   slowest_k : int;
   ring : dossier array;
   mutable recorded : int;
-  mutable slow : float list; (* up-to-k slowest durations, ascending *)
+  mutable slow : dossier list; (* up-to-k slowest dossiers, ascending *)
 }
 
 let empty_dossier =
@@ -71,14 +72,19 @@ let dropped t = Int.max 0 (t.recorded - t.capacity)
 let qualifies_slowest t dur =
   t.slowest_k > 0
   && (List.length t.slow < t.slowest_k
-     || match t.slow with m :: _ -> Float.compare dur m > 0 | [] -> true)
+     ||
+     match t.slow with
+     | m :: _ -> Float.compare dur m.do_dur_ns > 0
+     | [] -> true)
 
-(* Insert a qualifying duration into the ascending list, dropping the
-   fastest when the list is full. *)
-let note_slow t dur =
+(* Insert a qualifying dossier into the ascending list, dropping the
+   fastest when the list is full. The list lives outside the ring, so a
+   slow dossier keeps its span tree after the ring evicts it. *)
+let note_slow t d =
   let rec insert = function
-    | m :: rest when Float.compare m dur < 0 -> m :: insert rest
-    | l -> dur :: l
+    | m :: rest when Float.compare m.do_dur_ns d.do_dur_ns < 0 ->
+      m :: insert rest
+    | l -> d :: l
   in
   let l = insert t.slow in
   t.slow <- (if List.length l > t.slowest_k then List.tl l else l)
@@ -96,7 +102,7 @@ let slowest t = t.slow
    path allocates nothing here. *)
 let record t d =
   let slow = qualifies_slowest t d.do_dur_ns in
-  if slow then note_slow t d.do_dur_ns;
+  if slow then note_slow t d;
   let d =
     match (d.do_spans, d.do_metric_deltas) with
     | [], [] -> d
@@ -239,3 +245,17 @@ let pp_summary ppf t =
     "flight recorder: %d recorded, %d retained (%d dropped), %d error \
      dossier(s), %d with span trees"
     (recorded t) (retained t) (dropped t) errors with_spans
+
+(* Slowest first: the header, then [#id kind dur] and the span tree of
+   each of the k slowest dossiers. *)
+let pp_slowest ppf t =
+  match t.slow with
+  | [] -> Fmt.string ppf "slowest requests: empty (no traffic)"
+  | slow ->
+    Fmt.pf ppf "@[<v>slowest requests";
+    List.iter
+      (fun d ->
+        Fmt.pf ppf "@,#%d %s  %a@,%a" d.do_id d.do_kind Trace.pp_dur
+          d.do_dur_ns Trace.pp_tree d.do_spans)
+      (List.rev slow);
+    Fmt.pf ppf "@]"

@@ -6,7 +6,8 @@
     slowest-k probe); the heavyweight payload — full span tree, metric
     deltas — is retained only for {e interesting} requests: any
     non-["ok"] outcome (errors, over-budget, timeout) and the slowest-k
-    seen so far. The recorder stores service-agnostic strings and spans
+    seen so far, which {!slowest} also keeps whole after the ring evicts
+    them. The recorder stores service-agnostic strings and spans
     and owns the dump format in both directions; [gp_service] fills
     dossiers in and owns replay ([Gp_service.Flight]). *)
 
@@ -27,7 +28,8 @@ type dossier = {
   do_cached : bool;
   do_steps : int;
   do_dur_ns : float;
-      (** root-span duration; wall-clock when telemetry is off *)
+      (** root-span duration; when telemetry is off, the latency the
+          server observed into its histogram *)
   do_response_fp : string Lazy.t;
       (** digest of the canonical response (kind + result; ids, cache
           provenance and step accounting excluded) — what replay
@@ -54,10 +56,12 @@ val wants_payload : t -> ok:bool -> dur_ns:float -> bool
     this outcome and duration? Lets the filler skip assembling spans
     and metric deltas that would only be stripped. *)
 
-val slowest : t -> float list
-(** The up-to-k slowest durations recorded so far, ascending: the k
-    largest under [Float.compare], which ranks [nan] below every
-    number. *)
+val slowest : t -> dossier list
+(** The up-to-k slowest dossiers recorded so far, ascending by
+    [do_dur_ns]: the k largest under [Float.compare], which ranks [nan]
+    below every number. They are held outside the ring, whole, so their
+    span trees survive eviction; the dump ({!to_jsonl}) is the ring
+    only. *)
 
 val dossiers : t -> dossier list
 (** Retained dossiers, oldest first. *)
@@ -95,3 +99,7 @@ val load : string -> (dossier list, string) result
 (** {!of_jsonl} on a file's contents; [Error] on I/O failure. *)
 
 val pp_summary : Format.formatter -> t -> unit
+
+val pp_slowest : Format.formatter -> t -> unit
+(** The {!slowest} dossiers, slowest first: a [slowest requests] header,
+    then [#id kind duration] and the span tree of each. *)

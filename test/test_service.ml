@@ -671,9 +671,8 @@ let test_direct_library_equivalence () =
   let open Gp_simplicissimus in
   let expr = "x * 1 + 0" in
   let direct =
-    Engine.rewrite
-      ~rules:(Rules.builtin @ [ Rules.lidia_inverse ])
-      ~insts:(Instances.standard ()) (Sparser.parse expr)
+    Engine.rewrite ~rules:Rules.standard ~insts:(Instances.standard ())
+      (Sparser.parse expr)
   in
   (match
      (Server.handle server (Request.Optimize { expr; certified_only = false }))
@@ -1147,7 +1146,7 @@ let test_config_line_roundtrip () =
   let config =
     { Server.default_config with caching = false; cache_capacity = 17;
       max_steps = 2500; timeout = Some 1.5;
-      slow_log = 3; flight_capacity = 99; flight_slowest = 2 }
+      flight_capacity = 99; flight_slowest = 2 }
   in
   (match Server.config_of_line (Server.config_to_line config) with
   | Ok c ->
@@ -1156,7 +1155,6 @@ let test_config_line_roundtrip () =
     Alcotest.(check int) "max_steps" 2500 c.Server.max_steps;
     Alcotest.(check (option (float 1e-9))) "timeout" (Some 1.5)
       c.Server.timeout;
-    Alcotest.(check int) "slow_log" 3 c.Server.slow_log;
     Alcotest.(check int) "flight_capacity" 99 c.Server.flight_capacity;
     Alcotest.(check int) "flight_slowest" 2 c.Server.flight_slowest;
     Alcotest.(check string) "fingerprint stable"
@@ -1189,7 +1187,6 @@ let test_config_ranges () =
   rejected "max_steps -3" {|{"max_steps":-3}|};
   rejected "timeout -1" {|{"timeout":-1}|};
   rejected "timeout -0.5" {|{"timeout":-0.5}|};
-  rejected "slow_log -1" {|{"slow_log":-1}|};
   rejected "flight_capacity -1" {|{"flight_capacity":-1}|};
   rejected "flight_slowest -1" {|{"flight_slowest":-1}|};
   let d = Server.default_config in
@@ -1207,14 +1204,13 @@ let test_config_ranges () =
       ("timeout -1", { d with timeout = Some (-1.0) });
       ("timeout nan", { d with timeout = Some Float.nan });
       ("timeout infinity", { d with timeout = Some Float.infinity });
-      ("slow_log -1", { d with slow_log = -1 });
       ("flight_capacity -1", { d with flight_capacity = -1 });
       ("flight_slowest -1", { d with flight_slowest = -1 }) ];
   Alcotest.(check bool) "the edges stay legal" true
     (Result.is_ok
        (Server.validate_config
           { d with cache_capacity = 1; max_steps = 0; timeout = Some 0.0;
-            slow_log = 0; flight_capacity = 0; flight_slowest = 0 }))
+            flight_capacity = 0; flight_slowest = 0 }))
 
 (* A flight dump whose config line is out of range is a replay error,
    not an exception. *)
@@ -1236,21 +1232,90 @@ let test_replay_bad_config () =
 
 let test_slow_log_rendering () =
   let server =
-    mkserver ~config:{ Server.default_config with slow_log = 2 } ()
+    mkserver ~config:{ Server.default_config with flight_slowest = 2 } ()
   in
+  let recorder = Option.get (Server.flight server) in
   Alcotest.(check bool) "empty log renders as empty" true
-    (contains
-       (Fmt.str "%a" Server.pp_slow (Server.slow_requests server))
-       "empty");
+    (contains (Fmt.str "%a" Recorder.pp_slowest recorder) "empty");
   Tel.with_installed (fun _ ->
       for _ = 1 to 3 do
         ignore (Server.handle server good_request)
       done);
-  let rendered = Fmt.str "%a" Server.pp_slow (Server.slow_requests server) in
+  let rendered = Fmt.str "%a" Recorder.pp_slowest recorder in
   Alcotest.(check bool) "header" true (contains rendered "slowest requests");
   Alcotest.(check bool) "renders the root span" true
     (contains rendered "service.request");
-  Alcotest.(check bool) "renders the kind" true (contains rendered "parse")
+  Alcotest.(check bool) "renders the kind" true (contains rendered "parse");
+  let entries =
+    List.filter
+      (fun l -> String.length l > 0 && l.[0] = '#')
+      (String.split_on_char '\n' rendered)
+  in
+  Alcotest.(check int) "capped at k" 2 (List.length entries);
+  Alcotest.(check (list string)) "slowest first"
+    (List.rev_map
+       (fun d -> Printf.sprintf "#%d" d.Recorder.do_id)
+       (Recorder.slowest recorder))
+    (List.map (fun l -> List.hd (String.split_on_char ' ' l)) entries)
+
+(* The k slowest dossiers are kept whole outside the ring: request #3,
+   made the slowest by a clock that jumps while it runs, keeps its span
+   tree after the 4-dossier ring has moved on to #17..#20. *)
+let test_slowest_survives_eviction () =
+  let server =
+    mkserver ~config:{ Server.default_config with flight_capacity = 4 } ()
+  in
+  let recorder = Option.get (Server.flight server) in
+  let slow = ref false in
+  let now = ref 0.0 in
+  let clock () =
+    now := !now +. (if !slow then 1e6 else 10.0);
+    !now
+  in
+  Tel.with_installed ~clock (fun _ ->
+      for i = 1 to 20 do
+        slow := i = 3;
+        ignore (Server.handle server good_request)
+      done);
+  Alcotest.(check (list int)) "the ring holds the last four" [ 17; 18; 19; 20 ]
+    (List.map (fun d -> d.Recorder.do_id) (Recorder.dossiers recorder));
+  (match List.rev (Recorder.slowest recorder) with
+  | d :: _ ->
+    Alcotest.(check int) "#3 is the slowest" 3 d.Recorder.do_id;
+    Alcotest.(check bool) "#3 keeps its span tree" true
+      (List.exists
+         (fun sp -> sp.Gp_telemetry.Trace.sp_name = "service.request")
+         d.Recorder.do_spans)
+  | [] -> Alcotest.fail "no slowest dossiers");
+  let rendered = Fmt.str "%a" Recorder.pp_slowest recorder in
+  Alcotest.(check bool) "pp_slowest renders #3 first" true
+    (contains rendered "slowest requests\n#3 parse")
+
+(* Untraced, a request reads the clock once at the start and once at the
+   end: its dossier's duration is the latency the histogram observed. *)
+let test_untraced_duration_is_latency () =
+  let now = ref 0.0 in
+  let clock () =
+    now := !now +. 0.001;
+    !now
+  in
+  let server = mkserver ~config:{ Server.default_config with now = clock } () in
+  ignore (Server.handle server good_request);
+  ignore (Server.serve_line server "this is not json");
+  let reg = Metrics.registry (Server.metrics server) in
+  List.iter
+    (fun (d : Recorder.dossier) ->
+      match
+        Gp_telemetry.Metrics.find_histogram reg
+          ~labels:[ ("kind", d.Recorder.do_kind) ]
+          "gp_request_latency_ns"
+      with
+      | None -> Alcotest.failf "no latency series for %s" d.Recorder.do_kind
+      | Some h ->
+        Alcotest.(check (float 1e-6))
+          (d.Recorder.do_kind ^ ": dur_ns = observed latency")
+          (Gp_telemetry.Histogram.sum h) d.Recorder.do_dur_ns)
+    (Recorder.dossiers (Option.get (Server.flight server)))
 
 let test_flight_dossiers () =
   let config =
@@ -2028,7 +2093,11 @@ let () =
           Alcotest.test_case "dossier capture" `Quick test_flight_dossiers;
           Alcotest.test_case "replay matches recording" `Quick
             test_flight_replay;
-          flight_dump_fixpoint_prop ] );
+          flight_dump_fixpoint_prop;
+          Alcotest.test_case "slowest kept past ring eviction" `Quick
+            test_slowest_survives_eviction;
+          Alcotest.test_case "untraced dur_ns = observed latency" `Quick
+            test_untraced_duration_is_latency ] );
       ( "propagate",
         [ Alcotest.test_case "closure_with agrees with closure" `Quick
             test_propagate_closure_with;

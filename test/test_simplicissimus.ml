@@ -7,7 +7,7 @@ open Gp_simplicissimus
 let qtest = QCheck_alcotest.to_alcotest
 
 let insts = Instances.standard ()
-let rules = Rules.builtin @ [ Rules.lidia_inverse ]
+let rules = Rules.standard
 
 let rw e = (Engine.rewrite ~rules ~insts e).Engine.output
 
@@ -555,9 +555,8 @@ let engines_agree ~rules ~insts e =
   | Ok _, Error _ | Error _, Ok _ -> false
 
 let equiv_rules =
-  Rules.builtin
+  Rules.standard
   @ [
-      Rules.lidia_inverse;
       (* a user rule whose exact head symbol collides with a generated op *)
       Rules.make ~user_type:"t0" ~user_op:"op0" ~name:"u0-project"
         ~guard:Instances.Semigroup

@@ -639,8 +639,9 @@ let test_recorder_slowest_k () =
       (err_d.Recorder.do_spans <> [])
   | l -> Alcotest.failf "expected 2 dossiers, got %d" (List.length l)
 
-(* Model: after any sequence, the slowest-k list is the k largest
-   durations under [Float.compare] (nan lowest), ascending; and an ok
+(* Model: after any sequence, the slowest-k list holds dossiers that were
+   recorded, whole, and their durations are the k largest under
+   [Float.compare] (nan lowest), ascending; and an ok
    dossier keeps its spans exactly when its duration ranked among the k
    slowest seen up to and including it. Durations are drawn from a few
    values, so ties are common, and [nan] is one of them. *)
@@ -665,6 +666,7 @@ let recorder_slowest_model_prop =
                 (fun i _ -> i < k)
                 (List.sort (fun a b -> Float.compare b a) l))
          in
+         let recorded = ref [] in
          let kept_ok =
            List.for_all
              (fun (i, d) ->
@@ -674,8 +676,9 @@ let recorder_slowest_model_prop =
                  && (List.length before < k
                     || Float.compare d (List.hd before) > 0)
                in
-               Recorder.record r
-                 (mk_dossier ~id:i ~dur:d ~spans:(some_spans ()) ());
+               let dossier = mk_dossier ~id:i ~dur:d ~spans:(some_spans ()) () in
+               recorded := dossier :: !recorded;
+               Recorder.record r dossier;
                let kept =
                  match List.rev (Recorder.dossiers r) with
                  | last :: _ -> last.Recorder.do_spans <> []
@@ -688,7 +691,11 @@ let recorder_slowest_model_prop =
            List.length a = List.length b
            && List.for_all2 (fun x y -> Float.compare x y = 0) a b
          in
-         kept_ok && same (Recorder.slowest r) (largest durs)))
+         let slowest = Recorder.slowest r in
+         kept_ok
+         && List.for_all (fun d -> List.memq d !recorded) slowest
+         && same (List.map (fun d -> d.Recorder.do_dur_ns) slowest)
+              (largest durs)))
 
 let test_recorder_jsonl () =
   let r = Recorder.create ~capacity:8 ~slowest:0 () in
@@ -831,37 +838,48 @@ let test_server_slow_log_and_json () =
   let open Gp_service in
   let server =
     Server.create
-      ~config:{ Server.default_config with slow_log = 2 }
+      ~config:{ Server.default_config with flight_slowest = 2 }
       ~declare_standard:Gp_standard.Standard.declare ()
   in
+  let recorder = Option.get (Server.flight server) in
   let req =
     match Wire.request_of_line {|{"kind":"optimize","expr":"x*1 + 0"}|} with
     | Ok (_, r) -> r
     | Error e -> Alcotest.failf "wire: %s" e
   in
-  (* without a sink: no slow log entries *)
+  Alcotest.(check int) "slowest empty before traffic" 0
+    (List.length (Recorder.slowest recorder));
+  (* without a sink the dossier ranks by its latency and has no spans *)
   ignore (Server.handle server req);
-  Alcotest.(check int) "slow log empty when disabled" 0
-    (List.length (Server.slow_requests server));
+  (match Recorder.slowest recorder with
+  | [ d ] ->
+    Alcotest.(check bool) "untraced dossier has no spans" true
+      (d.Recorder.do_spans = [])
+  | l -> Alcotest.failf "expected 1 slowest dossier, got %d" (List.length l));
+  Recorder.clear recorder;
   Tel.with_installed (fun _ ->
       for _ = 1 to 5 do
         ignore (Server.handle server req)
       done);
-  let slow = Server.slow_requests server in
-  Alcotest.(check int) "slow log capped" 2 (List.length slow);
+  let slow = List.rev (Recorder.slowest recorder) in
+  Alcotest.(check int) "slowest capped" 2 (List.length slow);
   List.iter
-    (fun e ->
-      Alcotest.(check string) "kind" "optimize" e.Server.se_kind;
-      match e.Server.se_spans with
-      | root :: _ ->
+    (fun d ->
+      Alcotest.(check string) "kind" "optimize" d.Recorder.do_kind;
+      match
+        List.find_opt
+          (fun sp -> sp.Trace.sp_parent = None)
+          d.Recorder.do_spans
+      with
+      | Some root ->
         Alcotest.(check string) "root span" "service.request"
           root.Trace.sp_name
-      | [] -> Alcotest.fail "no spans captured")
+      | None -> Alcotest.fail "no spans captured")
     slow;
   (match slow with
   | a :: b :: _ ->
     Alcotest.(check bool) "sorted slowest first" true
-      (a.Server.se_ns >= b.Server.se_ns)
+      (a.Recorder.do_dur_ns >= b.Recorder.do_dur_ns)
   | _ -> ());
   match parse_json (Server.report_json server) with
   | exception Bad_json e ->

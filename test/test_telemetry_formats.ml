@@ -14,7 +14,10 @@
      field set, and at least one non-ok dossier must retain its span
      tree;
    - folded: every collapsed-stack line must be `stack<space>weight`
-     with a non-negative numeric weight.
+     with a non-negative numeric weight;
+   - slowest: the stderr of `gp serve --trace` must hold one `slowest
+     requests` block of 8 entries (the default flight_slowest), each
+     `#id kind duration` line followed by its `service.request` root.
 
    Exits non-zero with a diagnostic on the first violation. *)
 
@@ -338,9 +341,34 @@ let validate_folded path =
     lines;
   Printf.printf "folded ok: %s, %d stack lines\n" path (List.length lines)
 
+(* ------------------------------------------------------------------ *)
+(* Slowest-requests listing (gp serve --trace stderr)                  *)
+(* ------------------------------------------------------------------ *)
+
+let validate_slowest path =
+  let lines = String.split_on_char '\n' (read_file path) in
+  let headers = List.filter (fun l -> l = "slowest requests") lines in
+  if List.length headers <> 1 then
+    fail "%s: %d slowest-requests headers, expected 1" path
+      (List.length headers);
+  let rec entries n = function
+    | entry :: root :: rest when starts_with "#" entry ->
+      if not (starts_with "service.request " root) then
+        fail "%s: entry %S is not rooted at service.request" path entry;
+      entries (n + 1) rest
+    | entry :: _ when starts_with "#" entry ->
+      fail "%s: entry %S has no span tree" path entry
+    | _ :: rest -> entries n rest
+    | [] -> n
+  in
+  let n = entries 0 lines in
+  if n <> 8 then fail "%s: %d slowest entries, expected 8" path n;
+  Printf.printf "slowest ok: %s, %d entries\n" path n
+
 let usage () =
   prerr_endline
-    "usage: test_telemetry_formats (trace|lanes|prom|flight|folded) FILE ...";
+    "usage: test_telemetry_formats \
+     (trace|lanes|prom|flight|folded|slowest) FILE ...";
   exit 2
 
 let () =
@@ -351,6 +379,7 @@ let () =
     | "prom" :: file :: rest -> validate_prometheus file; go rest
     | "flight" :: file :: rest -> validate_flight file; go rest
     | "folded" :: file :: rest -> validate_folded file; go rest
+    | "slowest" :: file :: rest -> validate_slowest file; go rest
     | _ -> usage ()
   in
   match Array.to_list Sys.argv with
