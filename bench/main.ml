@@ -9,9 +9,6 @@
 open Bechamel
 open Toolkit
 
-(* the serving and cluster sections build their servers over this *)
-let declare_standard = Gp_standard.Standard.declare
-
 (* ------------------------------------------------------------------ *)
 (* Timing helpers                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -713,11 +710,23 @@ let a1 () =
         Sys.opaque_identity
           (Algorithms.fold ( + ) 0 (Varray.begin_ va, Varray.end_ va)))
   in
+  (* minor words per element of one fold, exact *)
+  let words_per_elem f =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    (Gc.minor_words () -. w0) /. float_of_int nitems
+  in
+  let w_raw = words_per_elem (fun () -> Array.fold_left ( + ) 0 arr) in
+  let w_iter =
+    words_per_elem (fun () ->
+        Algorithms.fold ( + ) 0 (Varray.begin_ va, Varray.end_ va))
+  in
   Fmt.pr "@.abstraction cost: summing %d ints@." nitems;
-  Fmt.pr "  raw array          %s@." (ns_str t_raw);
-  Fmt.pr "  checked iterators  %s  (%.1fx: the price of versioned, \
-          category-checked positions)@."
-    (ns_str t_iter) (t_iter /. t_raw)
+  Fmt.pr "  raw array          %s  %.1f minor words/elem@." (ns_str t_raw)
+    w_raw;
+  Fmt.pr "  checked iterators  %s  %.1f minor words/elem  (%.1fx: the price \
+          of versioned, category-checked positions)@."
+    (ns_str t_iter) w_iter (t_iter /. t_raw)
 
 (* ------------------------------------------------------------------ *)
 (* S1: service throughput — cold vs warm caches                        *)
@@ -746,13 +755,14 @@ let s1 () =
   (* no-cache baseline: every request recomputed from scratch *)
   let nocache =
     Server.create
-      ~config:{ Server.default_config with caching = false }
-      ~declare_standard ()
+      ~config:{ Server.default_config with caching = false } ()
   in
   let base_dt, base_rps, base_ok = run nocache in
-  (* cold: fresh caches, first pass pays every miss; warm: the same
-     server replays the identical stream against populated caches *)
-  let server = Server.create ~declare_standard () in
+  (* cold: the server's LRU caches start empty, so the first pass pays
+     every LRU miss (the process-wide verdict memo on the shared world
+     may already be warm); warm: the same server replays the identical
+     stream against populated caches *)
+  let server = Server.create () in
   let cold_dt, cold_rps, cold_ok = run server in
   let warm_dt, warm_rps, warm_ok = run server in
   Fmt.pr "@.%-10s %10s %12s %6s@." "pass" "wall" "req/s" "ok";
@@ -1105,13 +1115,13 @@ let s4 () =
      work. Caches warmed by a throwaway pass on each server. *)
   let t_off, t_on =
     Tel.with_installed ~trace_capacity:65536 (fun _sink ->
-        let off = Server.create ~config:base_config ~declare_standard () in
+        let off = Server.create ~config:base_config () in
         ignore (Server.process off reqs);
         let t_off =
           time_ns "serve stream (recorder off)" (fun () ->
               Sys.opaque_identity (Server.process off reqs))
         in
-        let on = Server.create ~config:on_config ~declare_standard () in
+        let on = Server.create ~config:on_config () in
         ignore (Server.process on reqs);
         let t_on =
           time_ns "serve stream (recorder on)" (fun () ->
@@ -1135,7 +1145,7 @@ let s4 () =
      re-executed from cold caches. Every fingerprint must match. *)
   let dossiers =
     Tel.with_installed ~trace_capacity:65536 (fun _sink ->
-        let server = Server.create ~config:on_config ~declare_standard () in
+        let server = Server.create ~config:on_config () in
         ignore (Server.process server reqs);
         match Server.flight server with
         | Some r -> Recorder.dossiers r
@@ -1151,7 +1161,7 @@ let s4 () =
   in
   assert (List.length parsed = n);
   let outcome =
-    match Flight.replay ~declare_standard parsed with
+    match Flight.replay parsed with
     | Ok o -> o
     | Error m -> failwith m
   in
@@ -1196,8 +1206,7 @@ let s5 () =
     seed;
   let run ?(failures = []) ?(affinity = true) replicas =
     Cluster.run
-      ~config:{ Cluster.default_config with replicas; affinity; failures }
-      ~declare_standard reqs
+      ~config:{ Cluster.default_config with replicas; affinity; failures } reqs
   in
   (* shard-count sweep: key affinity concentrates each key's repeats on
      one replica's caches; round-robin scatters them, so its hit ratio
@@ -1235,7 +1244,7 @@ let s5 () =
     | _ ->
       List.fold_left ( +. ) 0.0 fo_lats /. float_of_int (List.length fo_lats)
   in
-  let a = Cluster.audit ~declare_standard r in
+  let a = Cluster.audit r in
   Fmt.pr "%a" Cluster.pp_audit a;
   assert (Cluster.audit_ok a);
   assert (a.Cluster.au_compared = n);
@@ -1487,7 +1496,7 @@ let s7 () =
   Fmt.pr "workload: n=%d seed=%d (fixed regardless of quota) mix=[%a]@." n
     seed Workload.pp_mix mix;
   let config = { Server.default_config with flight_capacity = 2 * n } in
-  let server = Server.create ~config ~declare_standard () in
+  let server = Server.create ~config () in
   let lines = List.mapi (fun i r -> Wire.request_to_line ~id:i r) reqs in
   (* one served pass with the flight recorder on: yields the real
      (line, response) pairs for the wire phases, warms the caches for
@@ -1587,8 +1596,7 @@ let s7 () =
   (* the recorder's share: the same warm pass on a server without one *)
   let unrecorded =
     Server.create
-      ~config:{ Server.default_config with flight_capacity = 0 }
-      ~declare_standard ()
+      ~config:{ Server.default_config with flight_capacity = 0 } ()
   in
   (* [measure]'s own first pass warms the caches *)
   let _, unrecorded_minor = measure (serve_lines unrecorded lines) in
@@ -1634,7 +1642,7 @@ let s7 () =
   (* replay the recorded pass from cold caches: the streaming
      fingerprints must match the dossiers bit-for-bit *)
   let outcome =
-    match Flight.replay ~declare_standard dossiers with
+    match Flight.replay dossiers with
     | Ok o -> o
     | Error m -> failwith m
   in
@@ -1744,8 +1752,7 @@ let s9 () =
   let failures = [ Cluster.Drop 0.2; Cluster.Crash_leader { at = 40.0 } ] in
   let run ~trace () =
     Cluster.run
-      ~config:{ Cluster.default_config with replicas = 3; failures; trace }
-      ~declare_standard reqs
+      ~config:{ Cluster.default_config with replicas = 3; failures; trace } reqs
   in
   Fmt.pr "workload: n=%d seed=%d, 3 replicas, drop=0.2, leader crash @@40 \
           — the s5 failover scenario, traced@." n seed;
@@ -1857,8 +1864,7 @@ let s10 () =
   let reqs = Scenario.flood_reqs ~seed n in
   let arm promote =
     Cluster.run
-      ~config:(Scenario.flood_config ~quick:false ~seed ~promote n)
-      ~declare_standard reqs
+      ~config:(Scenario.flood_config ~quick:false ~seed ~promote n) reqs
   in
   Fmt.pr "hot-key flood, n=%d seed=%d: zipf reads behind a small LRU, \
           promotion on vs off@." n seed;
@@ -1891,9 +1897,7 @@ let s10 () =
   record ~experiment:"s10" "flood_miss_speedup" (miss_off /. miss_on);
 
   (* -- elastic join/leave: minimal movement -------------------------- *)
-  let eo =
-    Scenario.run ~seed ~audit:true ~declare_standard (scenario "elastic")
-  in
+  let eo = Scenario.run ~seed ~audit:true (scenario "elastic") in
   Fmt.pr "@.%a" Scenario.pp_outcome eo;
   assert (Scenario.ok eo);
   assert (eo.Scenario.o_moved <= eo.Scenario.o_moved_bound);
@@ -1908,9 +1912,7 @@ let s10 () =
     (float_of_int eo.Scenario.o_moved_bound);
 
   (* -- multi-tenant overload: shed, never hang ----------------------- *)
-  let t_o =
-    Scenario.run ~seed ~audit:true ~declare_standard (scenario "tenants")
-  in
+  let t_o = Scenario.run ~seed ~audit:true (scenario "tenants") in
   Fmt.pr "@.%a" Scenario.pp_outcome t_o;
   assert (Scenario.ok t_o);
   assert (t_o.Scenario.o_shed > 0);
@@ -1940,9 +1942,7 @@ let s10 () =
   Fmt.pr "@.million: 1e6 open-loop requests across 32 replicas, every \
           answer audited against a single node...@.";
   let t0 = Unix.gettimeofday () in
-  let mo =
-    Scenario.run ~seed ~audit:true ~declare_standard (scenario "million")
-  in
+  let mo = Scenario.run ~seed ~audit:true (scenario "million") in
   let wall = Unix.gettimeofday () -. t0 in
   Fmt.pr "%a" Scenario.pp_outcome mo;
   assert (Scenario.ok mo);

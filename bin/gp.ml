@@ -446,7 +446,7 @@ let serve_cmd =
         Some (Gp_telemetry.Tel.install ~trace_capacity:65536 ())
       else None
     in
-    let server = Server.create ~config ~declare_standard:Standard.declare () in
+    let server = Server.create ~config () in
     let served =
       match file with
       | None -> Server.serve_channel server stdin stdout
@@ -570,7 +570,7 @@ let workload_cmd =
       exit 0
     end;
     let config = server_config ~no_cache ~cache_capacity ~max_steps ~timeout in
-    let server = Server.create ~config ~declare_standard:Standard.declare () in
+    let server = Server.create ~config () in
     let t0 = Unix.gettimeofday () in
     let responses = Server.process server reqs in
     let dt = Unix.gettimeofday () -. t0 in
@@ -698,7 +698,7 @@ let trace_cmd =
     in
     let do_serve () =
       let open Gp_service in
-      let server = Server.create ~declare_standard:Standard.declare () in
+      let server = Server.create () in
       ignore (Server.process server (Workload.generate ~seed:42 ~n:300 ()))
     in
     (match pipeline with
@@ -758,7 +758,7 @@ let replay_cmd =
       Fmt.epr "%s@." m;
       2
     | Ok ds -> (
-      match Flight.replay ~declare_standard:Standard.declare ds with
+      match Flight.replay ds with
       | Error m ->
         Fmt.epr "%s@." m;
         2
@@ -939,7 +939,7 @@ let cluster_run_cmd =
           | Some max_delay -> Gp_distsim.Engine.Asynchronous { max_delay });
         trace = trace_out <> None || fleet }
     in
-    let r = Cluster.run ~config ~declare_standard:Standard.declare reqs in
+    let r = Cluster.run ~config reqs in
     Fmt.pr "%a" Cluster.pp_summary r;
     (match out with
     | None -> ()
@@ -952,7 +952,7 @@ let cluster_run_cmd =
     let audit_failed =
       do_audit
       && begin
-           let a = Cluster.audit ~declare_standard:Standard.declare r in
+           let a = Cluster.audit r in
            Fmt.pr "%a" Cluster.pp_audit a;
            not (Cluster.audit_ok a)
          end
@@ -974,7 +974,7 @@ let cluster_audit_cmd =
   let run path =
     let open Gp_cluster in
     let doc = In_channel.with_open_text path In_channel.input_all in
-    match Cluster.audit_dump ~declare_standard:Standard.declare doc with
+    match Cluster.audit_dump doc with
     | Error m ->
       Fmt.epr "%s: %s@." path m;
       2
@@ -1126,10 +1126,7 @@ let scenario_run_cmd =
       let failed = ref 0 in
       List.iter
         (fun s ->
-          let o =
-            Scenario.run ~quick ~seed ~audit:do_audit
-              ~declare_standard:Standard.declare s
-          in
+          let o = Scenario.run ~quick ~seed ~audit:do_audit s in
           Fmt.pr "%a" Scenario.pp_outcome o;
           if not (Scenario.ok o) then incr failed)
         targets;

@@ -131,7 +131,7 @@ let distinct_keys reqs =
     [] reqs
   |> List.rev
 
-let run ?(config = default_config) ~declare_standard reqs =
+let run ?(config = default_config) reqs =
   if config.replicas < 1 then invalid_arg "Cluster.run: replicas < 1";
   (match config.arrivals with
    | Some arr when Array.length arr < Array.length reqs ->
@@ -196,7 +196,6 @@ let run ?(config = default_config) ~declare_standard reqs =
       arrivals = config.arrivals;
       elastic;
       server_config = config.server_config;
-      declare_standard;
       servers = Array.make (n + 1) None;
       records = Array.make (Array.length reqs) None;
       completed = 0;
@@ -449,10 +448,8 @@ let audit_pairs ~server ~total ~shed pairs =
     au_divergences = List.rev !divergences;
   }
 
-let audit ~declare_standard r =
-  let server =
-    Server.create ~config:r.r_config.server_config ~declare_standard ()
-  in
+let audit r =
+  let server = Server.create ~config:r.r_config.server_config () in
   let shed = ref 0 in
   let pairs =
     List.filter_map
@@ -562,7 +559,7 @@ let opt_count line obj name =
   | Some (Json.Int i) when i >= 0 -> i
   | Some _ -> malformed line name "want a non-negative int"
 
-let audit_dump ~declare_standard doc =
+let audit_dump doc =
   let lines =
     String.split_on_char '\n' doc
     |> List.filter (fun l -> String.trim l <> "")
@@ -618,8 +615,6 @@ let audit_dump ~declare_standard doc =
               Some (rid, req, fp))
           records
       in
-      let server =
-        Server.create ~config:server_config ~declare_standard ()
-      in
+      let server = Server.create ~config:server_config () in
       Ok (audit_pairs ~server ~total ~shed:!shed pairs)
     with Json.Error e -> Error e)

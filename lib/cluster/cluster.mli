@@ -110,7 +110,6 @@ type result = {
 
 val run :
   ?config:config ->
-  declare_standard:(Gp_concepts.Registry.t -> unit) ->
   Gp_service.Request.t array ->
   result
 (** Simulate the full workload: requests arrive at the router on a
@@ -174,8 +173,7 @@ type audit = {
 val audit_ok : audit -> bool
 (** Nothing missing and nothing divergent. *)
 
-val audit :
-  declare_standard:(Gp_concepts.Registry.t -> unit) -> result -> audit
+val audit : result -> audit
 (** Replay the workload, in arrival order, on one bare
     {!Gp_service.Server} built from the same server template, and diff
     each completed record's fingerprint against the single-node
@@ -191,10 +189,7 @@ val dump : result -> string
     embedding the request wire object and the reply fingerprint.
     Deterministic — two same-seed runs dump identical bytes. *)
 
-val audit_dump :
-  declare_standard:(Gp_concepts.Registry.t -> unit) ->
-  string ->
-  (audit, string) Stdlib.result
+val audit_dump : string -> (audit, string) Stdlib.result
 (** Audit a {!dump} document offline: rebuild the server config from
     the header, re-serve each embedded request single-node, diff the
     fingerprints. Shed records are skipped (and counted in [au_shed]).

@@ -72,7 +72,6 @@ type world = {
   arrivals : float array option; (* open-loop arrival clock per rid *)
   elastic : elastic_event list; (* membership schedule, by time *)
   server_config : Server.config;
-  declare_standard : Gp_concepts.Registry.t -> unit;
   servers : Server.t option array;
   records : record option array;
   mutable completed : int;
@@ -876,9 +875,7 @@ let initial w (ctx : Proto.msg Engine.ctx) =
   end
   else begin
     let config = { w.server_config with Server.now = ctx.now } in
-    let server =
-      Server.create ~config ~declare_standard:w.declare_standard ()
-    in
+    let server = Server.create ~config () in
     w.servers.(ctx.self) <- Some server;
     let rep =
       { server; served = Hashtbl.create 64; busy_until = 0.0;

@@ -109,7 +109,6 @@ type world = {
   server_config : Gp_service.Server.config;
       (** template for each replica's server; its [now] field is
           replaced by the node's simulated clock *)
-  declare_standard : Gp_concepts.Registry.t -> unit;
   servers : Gp_service.Server.t option array;
       (** filled at node init, indexed by node id (0 stays [None]) *)
   records : record option array;  (** indexed by rid, filled on completion *)

@@ -462,10 +462,10 @@ let tenant_stats spec r =
         })
   end
 
-let run ?(quick = false) ?(seed = 1) ?(audit = false) ~declare_standard t =
+let run ?(quick = false) ?(seed = 1) ?(audit = false) t =
   let spec = t.build ~quick ~seed in
-  let r = Cluster.run ~config:spec.sp_config ~declare_standard spec.sp_reqs in
-  let au = if audit then Some (Cluster.audit ~declare_standard r) else None in
+  let r = Cluster.run ~config:spec.sp_config spec.sp_reqs in
+  let au = if audit then Some (Cluster.audit r) else None in
   let stats = tenant_stats spec r in
   let violations =
     (if r.Cluster.r_completed <> Array.length spec.sp_reqs then

@@ -69,7 +69,6 @@ val run :
   ?quick:bool ->
   ?seed:int ->
   ?audit:bool ->
-  declare_standard:(Gp_concepts.Registry.t -> unit) ->
   t ->
   outcome
 (** Execute the scenario. [quick] (default false) scales the workload

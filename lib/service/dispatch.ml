@@ -72,7 +72,8 @@ let clear_caches c =
 
 type t = {
   registry : Registry.t;
-      (* the shared standard world; never mutated here — sandboxes fork it *)
+      (* Standard.world (), shared by every server in the process; never
+         mutated here — sandboxes fork it *)
   insts : Gp_simplicissimus.Instances.t;
   rules : Gp_simplicissimus.Rules.t list;
   select : Gp_structla.Select.t; (* the three numeric overload generics *)
@@ -80,17 +81,14 @@ type t = {
   key_buf : Buffer.t; (* scratch for cache keys; see [key_buf] *)
 }
 
-let create ~declare_standard ~cache_capacity () =
-  let registry = Registry.create () in
-  declare_standard registry;
-  { registry;
+let create ~cache_capacity () =
+  { registry = Gp_standard.Standard.world ();
     insts = Gp_simplicissimus.Instances.standard ();
     rules = Gp_simplicissimus.Rules.standard;
     select = Gp_structla.Select.create ();
     caches = create_caches ~capacity:cache_capacity;
     key_buf = Buffer.create 256 }
 
-let registry t = t.registry
 let caches t = t.caches
 
 let err code detail = Error { Request.code; detail }

@@ -5,9 +5,10 @@
     Handlers are total over well-typed requests: parse errors, unknown
     names and rewrite non-termination become structured errors; budget
     exhaustion escapes as {!Budget.Exhausted} for the server to convert.
-    The shared standard registry is never mutated — [Check] requests
-    carrying extra [.gpc] declarations get a per-request sandbox, a fork
-    of the shared registry. *)
+    Every dispatcher serves the process's one standard world,
+    {!Gp_standard.Standard.world}, and never mutates it — [Check]
+    requests carrying extra [.gpc] declarations get a per-request
+    sandbox, a fork of that world. *)
 
 type caches = {
   closures : string list Lru.t;
@@ -40,17 +41,11 @@ val cache_counters_into : caches -> int array -> unit
 
 type t
 
-val create :
-  declare_standard:(Gp_concepts.Registry.t -> unit) ->
-  cache_capacity:int ->
-  unit ->
-  t
-(** [declare_standard] populates the shared registry with the standard
-    world, once. A [Check] request carrying defs loads them into a
-    {!Gp_concepts.Registry.fork} of the shared registry, inside a
+val create : cache_capacity:int -> unit -> t
+(** Fresh caches over {!Gp_standard.Standard.world}, which the first
+    dispatcher in the process builds. Sandboxes are loaded inside a
     [service.sandbox] span when telemetry is on. *)
 
-val registry : t -> Gp_concepts.Registry.t
 val caches : t -> caches
 
 val handle :

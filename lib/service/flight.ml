@@ -3,12 +3,13 @@
    A dossier carries everything a re-execution needs: the canonical wire
    line, the config line the server ran under, and a digest of the
    canonical response. Replay rebuilds a server from the recorded config
-   (fresh caches, fresh registry), re-serves each wire line in recorded
-   order under a fresh telemetry sink, and compares response
-   fingerprints. The fingerprint covers kind + full payload/error and
-   excludes ids, cache provenance and step accounting — so a replay from
-   cold caches must match a recording made with warm ones, which is
-   exactly the cache-transparency property the service guarantees.
+   (fresh caches over the process's standard world), re-serves each wire
+   line in recorded order under a fresh telemetry sink, and compares
+   response fingerprints. The fingerprint covers kind + full
+   payload/error and excludes ids, cache provenance and step accounting
+   — so a replay from cold caches must match a recording made with warm
+   ones, which is exactly the cache-transparency property the service
+   guarantees.
 
    Divergences are collected, not raised: the caller (gp replay, bench
    s4) decides whether to print span-tree diffs or fail hard. *)
@@ -44,7 +45,7 @@ let blank_line_response =
       Error { Request.code = Request.Bad_request; detail = "blank wire line" };
     rsp_cached = false; rsp_steps = 0 }
 
-let replay ?config ~declare_standard ds =
+let replay ?config ds =
   match ds with
   | [] -> Error "empty flight dump: nothing to replay"
   | first :: _ ->
@@ -58,11 +59,10 @@ let replay ?config ~declare_standard ds =
            budgets; its own flight ring stays off — we are reading a
            recording, not making one *)
         let server =
-          Server.create ~config:{ config with flight_capacity = 0 }
-            ~declare_standard ()
+          Server.create ~config:{ config with flight_capacity = 0 } ()
         in
         let generation =
-          Gp_concepts.Registry.generation (Server.registry server)
+          Gp_concepts.Registry.generation (Gp_standard.Standard.world ())
         in
         let mismatches = ref 0 in
         let matched = ref 0 in

@@ -1,12 +1,13 @@
 (** Deterministic replay of a flight-recorder dump.
 
     {!replay} rebuilds a server from a dossier's recorded config line —
-    fresh caches, fresh registry — re-serves each dossier's wire line in
-    recorded order, and compares {!Request.response_fingerprint}s. The
-    fingerprint excludes ids, cache provenance and step accounting, so a
-    cold-cache replay must reproduce a warm-cache recording bit-for-bit;
-    a divergence means the service broke determinism (or the dump was
-    tampered with). The dump is read by {!Gp_telemetry.Recorder.load}. *)
+    fresh caches over the process's standard world — re-serves each
+    dossier's wire line in recorded order, and compares
+    {!Request.response_fingerprint}s. The fingerprint excludes ids,
+    cache provenance and step accounting, so a cold-cache replay must
+    reproduce a warm-cache recording bit-for-bit; a divergence means the
+    service broke determinism (or the dump was tampered with). The dump
+    is read by {!Gp_telemetry.Recorder.load}. *)
 
 (** {2 Replay} *)
 
@@ -25,13 +26,13 @@ type outcome = {
   rep_matched : int;
   rep_generation_mismatches : int;
       (** dossiers recorded under a registry generation different from
-          the replay server's — reported as a warning, not a failure *)
+          the process's standard world's — reported as a warning, not
+          a failure *)
   rep_diverged : divergence list;  (** recorded order *)
 }
 
 val replay :
   ?config:Server.config ->
-  declare_standard:(Gp_concepts.Registry.t -> unit) ->
   Gp_telemetry.Recorder.dossier list ->
   (outcome, string) result
 (** Re-execute the dossiers in order against a freshly built server

@@ -119,14 +119,13 @@ type t = {
   mutable next_id : int;
 }
 
-let create ?(config = default_config) ~declare_standard () =
+let create ?(config = default_config) () =
   (match validate_config config with
   | Ok _ -> ()
   | Error m -> invalid_arg ("Server.create: " ^ m));
   { config;
     dispatch =
-      Dispatch.create ~declare_standard
-        ~cache_capacity:config.cache_capacity ();
+      Dispatch.create ~cache_capacity:config.cache_capacity ();
     metrics = Metrics.create ();
     recorder =
       (if config.flight_capacity > 0 then
@@ -145,7 +144,6 @@ let create ?(config = default_config) ~declare_standard () =
 let config t = t.config
 let metrics t = t.metrics
 let flight t = t.recorder
-let registry t = Dispatch.registry t.dispatch
 let caches t = Dispatch.caches t.dispatch
 let cache_stats t = Dispatch.cache_stats (caches t)
 let clear_caches t = Dispatch.clear_caches (caches t)
@@ -262,7 +260,8 @@ let record_dossier t ~id ~kind ~wire ~spans ~dur_ns ~cache_chain
       { Recorder.do_id = id;
         do_kind = kind;
         do_wire = wire;
-        do_generation = Gp_concepts.Registry.generation (registry t);
+        do_generation =
+          Gp_concepts.Registry.generation (Gp_standard.Standard.world ());
         do_config = t.config_line;
         do_config_fp = t.config_fp;
         do_outcome = outcome;

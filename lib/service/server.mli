@@ -48,11 +48,13 @@ val config_fingerprint : config -> string
 
 type t
 
-val create :
-  ?config:config -> declare_standard:(Gp_concepts.Registry.t -> unit) -> unit -> t
-(** [declare_standard] populates the server's shared registry (and any
-    per-request sandbox) with the standard world. Raises
-    [Invalid_argument] on a config {!validate_config} rejects. *)
+val create : ?config:config -> unit -> t
+(** A server with fresh caches, metrics and flight recorder. Every
+    server in the process serves the one standard world,
+    {!Gp_standard.Standard.world}, built on first use and never mutated:
+    a [check] carrying [.gpc] defs loads them into a per-request fork of
+    it. Raises [Invalid_argument] on a config {!validate_config}
+    rejects. *)
 
 val config : t -> config
 val metrics : t -> Metrics.t
@@ -64,7 +66,6 @@ val flight : t -> Gp_telemetry.Recorder.t option
     their span tree and metric deltas. This is the server's one record of
     its slowest requests ({!Gp_telemetry.Recorder.slowest}). *)
 
-val registry : t -> Gp_concepts.Registry.t
 val caches : t -> Dispatch.caches
 val cache_stats : t -> Lru.stats list
 val clear_caches : t -> unit

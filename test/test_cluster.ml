@@ -9,13 +9,11 @@ open Gp_cluster
 
 let qtest = QCheck_alcotest.to_alcotest
 
-let declare_standard = Gp_standard.Standard.declare
-
 let workload ?(n = 60) seed =
   Array.of_list (Workload.generate ~seed ~n ())
 
 let run ?(config = Cluster.default_config) reqs =
-  Cluster.run ~config ~declare_standard reqs
+  Cluster.run ~config reqs
 
 (* ------------------------------------------------------------------ *)
 (* Hash ring                                                           *)
@@ -167,10 +165,7 @@ let transparency_prop =
          let reqs = workload ~n seed in
          let config = { Cluster.default_config with replicas = 1 } in
          let r = run ~config reqs in
-         let server =
-           Server.create ~config:config.Cluster.server_config
-             ~declare_standard ()
-         in
+         let server = Server.create ~config:config.Cluster.server_config () in
          let bare = Server.process server (Array.to_list reqs) in
          r.Cluster.r_completed = n
          && List.for_all2
@@ -202,7 +197,7 @@ let test_healthy_run () =
   | l ->
     Alcotest.failf "expected one coordinator acceptance, got %d"
       (List.length l));
-  let a = Cluster.audit ~declare_standard r in
+  let a = Cluster.audit r in
   Alcotest.(check bool) "audit clean" true (Cluster.audit_ok a);
   Alcotest.(check int) "audit compared everything" (Array.length reqs)
     a.Cluster.au_compared
@@ -251,7 +246,7 @@ let test_leader_crash_failover () =
       (last <> 3)
   | [] -> Alcotest.fail "no coordinator ever accepted");
   Alcotest.(check bool) "consistency survives the crash" true
-    (Cluster.audit_ok (Cluster.audit ~declare_standard r))
+    (Cluster.audit_ok (Cluster.audit r))
 
 let test_partition_failover () =
   (* isolate the initial leader (replica 3) from everyone for a window:
@@ -269,7 +264,7 @@ let test_partition_failover () =
   Alcotest.(check bool) "partition triggered a re-election" true
     (r.Cluster.r_elections >= 2);
   Alcotest.(check bool) "answers stay consistent" true
-    (Cluster.audit_ok (Cluster.audit ~declare_standard r))
+    (Cluster.audit_ok (Cluster.audit r))
 
 let test_replicas_required () =
   Alcotest.check_raises "replicas < 1 rejected"
@@ -295,8 +290,8 @@ let test_determinism () =
 let test_dump_roundtrip () =
   let reqs = workload ~n:60 13 in
   let r = run ~config:faulty_config reqs in
-  let inline = Cluster.audit ~declare_standard r in
-  match Cluster.audit_dump ~declare_standard (Cluster.dump r) with
+  let inline = Cluster.audit r in
+  match Cluster.audit_dump (Cluster.dump r) with
   | Error e -> Alcotest.failf "offline audit failed: %s" e
   | Ok offline ->
     Alcotest.(check bool) "offline audit clean" true
@@ -308,7 +303,7 @@ let test_dump_roundtrip () =
 
 let test_dump_malformed () =
   let bad s =
-    match Cluster.audit_dump ~declare_standard s with
+    match Cluster.audit_dump s with
     | Error _ -> true
     | Ok _ -> false
   in
@@ -335,7 +330,7 @@ let test_dump_server_config () =
   in
   List.iter
     (fun (from, to_, why) ->
-      match Cluster.audit_dump ~declare_standard (swap ~from ~to_) with
+      match Cluster.audit_dump (swap ~from ~to_) with
       | Ok _ -> Alcotest.failf "header with %s accepted" to_
       | Error e ->
         Alcotest.(check string) (to_ ^ " is a bad server_config")
@@ -381,7 +376,7 @@ let test_elastic_run () =
   Alcotest.(check bool) "movement within the minimal bound" true
     (r.Cluster.r_moved_keys <= r.Cluster.r_moved_bound);
   Alcotest.(check bool) "audit clean" true
-    (Cluster.audit_ok (Cluster.audit ~declare_standard r))
+    (Cluster.audit_ok (Cluster.audit r))
 
 (* Slow serves behind a bounded router queue and a replica backlog
    limit: the cluster sheds typed verdicts instead of queueing without
@@ -406,7 +401,7 @@ let test_shed_roundtrip () =
     (Cluster.shed_total r > 0);
   Alcotest.(check bool) "the queue respected its bound" true
     (r.Cluster.r_peak_inflight <= 6);
-  match Cluster.audit_dump ~declare_standard (Cluster.dump r) with
+  match Cluster.audit_dump (Cluster.dump r) with
   | Error e -> Alcotest.failf "offline audit failed: %s" e
   | Ok a ->
     Alcotest.(check int) "offline shed column = run's shed total"
@@ -441,7 +436,7 @@ let test_dump_malformed_scenario_fields () =
   in
   let rebuild lines = String.concat "\n" lines in
   let expect_err doc want =
-    match Cluster.audit_dump ~declare_standard doc with
+    match Cluster.audit_dump doc with
     | Ok _ -> Alcotest.failf "tampered dump accepted (wanted %S)" want
     | Error e -> Alcotest.(check string) "positioned rejection" want e
   in

@@ -22,8 +22,6 @@ module Workload = Gp_service.Workload
 module Cluster = Gp_cluster.Cluster
 module Trace_set = Gp_tracing.Trace_set
 
-let declare_standard = Gp_standard.Standard.declare
-
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let stllint_corpus =
@@ -52,7 +50,7 @@ let config_corpus =
 
 let flight_dump =
   Tel.with_installed (fun _ ->
-      let server = Server.create ~declare_standard () in
+      let server = Server.create () in
       List.iter
         (fun line -> ignore (Server.serve_line server line))
         (request_corpus @ [ {|{"kind":"prove","theory":"nope"}|} ]);
@@ -63,7 +61,7 @@ let cluster_dump, trace_dump =
   let r =
     Cluster.run
       ~config:{ Cluster.default_config with replicas = 2; trace = true }
-      ~declare_standard (Array.of_list requests)
+      (Array.of_list requests)
   in
   (Cluster.dump r, Trace_set.dump (Trace_set.of_result r))
 
@@ -250,7 +248,7 @@ let () =
           fuzz ~json:true ~name:"cluster dump audit: nothing escapes"
             ~count:300 ~corpus:[ cluster_dump ] ~nestings:json_nestings
             ~parse:(fun src ->
-              ignore (Cluster.audit_dump ~declare_standard src))
+              ignore (Cluster.audit_dump src))
             ~documented:nothing ();
           fuzz ~name:"trace context: nothing escapes" ~corpus:context_corpus
             ~nestings:[] ~parse:(fun src -> ignore (Context.of_string src))

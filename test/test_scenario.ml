@@ -7,10 +7,8 @@ open Gp_scenario
 
 let qtest = QCheck_alcotest.to_alcotest
 
-let declare_standard = Gp_standard.Standard.declare
-
 let run ?(quick = true) ?(seed = 1) ?(audit = false) t =
-  Scenario.run ~quick ~seed ~audit ~declare_standard t
+  Scenario.run ~quick ~seed ~audit t
 
 (* ------------------------------------------------------------------ *)
 (* Arrival processes                                                   *)
@@ -168,6 +166,91 @@ let test_fairness_pinned_seeds () =
         (flooder_bears_shedding seed))
     [ 315; 333; 401 ]
 
+(* ------------------------------------------------------------------ *)
+(* One world per process                                               *)
+(* ------------------------------------------------------------------ *)
+
+module Cluster = Gp_cluster.Cluster
+module Server = Gp_service.Server
+module Request = Gp_service.Request
+
+let world_generation () =
+  Gp_concepts.Registry.generation (Gp_standard.Standard.world ())
+
+(* Every server in the process serves the one standard world: the nine
+   servers of an 8-replica run and its audit index it at most once, and
+   nothing the service does (sandboxed checks, elastic joins, replays,
+   offline audits) moves its generation. *)
+let test_one_world () =
+  let g0 = world_generation () in
+  let untouched what =
+    Alcotest.(check int) (what ^ " leaves the world untouched") g0
+      (world_generation ())
+  in
+  let reqs =
+    Array.of_list (Gp_service.Workload.generate ~seed:5 ~n:80 ())
+  in
+  let r =
+    Gp_telemetry.Tel.with_installed (fun sink ->
+        let r =
+          Cluster.run
+            ~config:{ Cluster.default_config with replicas = 8 }
+            reqs
+        in
+        Alcotest.(check bool) "audit clean" true
+          (Cluster.audit_ok (Cluster.audit r));
+        let rebuilds =
+          Gp_telemetry.Metrics.total sink.Gp_telemetry.Tel.metrics
+            "gp_registry_index_rebuilds_total"
+        in
+        if rebuilds > 1.0 then
+          Alcotest.failf "nine servers rebuilt the index %.0f times" rebuilds;
+        r)
+  in
+  untouched "an 8-replica run and its audit";
+  let server = Server.create () in
+  let check concept defs =
+    (Server.handle server
+       (Request.Check
+          { concept; types = [ "w" ]; nominal = false; defs = Some defs }))
+      .Request.rsp_result
+  in
+  for k = 1 to 20 do
+    match
+      check (Printf.sprintf "W%d" k)
+        (Printf.sprintf
+           "concept W%d<T> { f : T -> T; }\ntype w { }\nop f : w -> w;\n" k)
+    with
+    | Ok (Request.Checked { ok = true; _ }) -> ()
+    | _ -> Alcotest.failf "sandboxed check W%d failed" k
+  done;
+  (match check "Monoid" "concept Monoid<T> { f : T -> T; }\n" with
+  | Error { Request.code = Request.Parse_failure; _ } -> ()
+  | _ -> Alcotest.fail "redeclaring Monoid was not a duplicate");
+  untouched "a stream of sandboxed checks";
+  (match Scenario.find "elastic" with
+  | None -> Alcotest.fail "elastic scenario missing"
+  | Some t ->
+    let o = run ~audit:true t in
+    Alcotest.(check bool) "elastic joins a replica" true
+      (o.Scenario.o_result.Cluster.r_joined > 0);
+    Alcotest.(check bool) "elastic run passes" true (Scenario.ok o));
+  untouched "an elastic run with joins";
+  (match
+     Gp_service.Flight.replay
+       (Gp_telemetry.Recorder.dossiers (Option.get (Server.flight server)))
+   with
+  | Ok o ->
+    Alcotest.(check bool) "replay matches" true
+      (Gp_service.Flight.all_matched o)
+  | Error m -> Alcotest.failf "replay: %s" m);
+  untouched "a flight replay";
+  (match Cluster.audit_dump (Cluster.dump r) with
+  | Ok a ->
+    Alcotest.(check bool) "offline audit clean" true (Cluster.audit_ok a)
+  | Error m -> Alcotest.failf "offline audit: %s" m);
+  untouched "an offline audit"
+
 let () =
   Alcotest.run "gp_scenario"
     [
@@ -184,4 +267,7 @@ let () =
         [ fairness_prop;
           Alcotest.test_case "pinned seeds shed" `Quick
             test_fairness_pinned_seeds ] );
+      ( "world",
+        [ Alcotest.test_case "shared, indexed once, never mutated" `Quick
+            test_one_world ] );
     ]

@@ -8,9 +8,7 @@ module Json = Gp_telemetry.Json
 
 let qtest = QCheck_alcotest.to_alcotest
 
-let declare_standard = Gp_standard.Standard.declare
-
-let mkserver ?config () = Server.create ?config ~declare_standard ()
+let mkserver ?config () = Server.create ?config ()
 
 let code_name rsp =
   match rsp.Request.rsp_result with
@@ -1087,52 +1085,6 @@ let test_request_key_tracks_generation () =
   Registry.touch reg;
   Alcotest.(check bool) "any mutation changes the key" true (k1 <> key ())
 
-(* A served closure must track registry mutations: the generation-keyed
-   request key prevents the LRU from ever serving an answer computed
-   against the old world — which matters doubly now that the registry's
-   own lookups go through generation-keyed indexes. *)
-let test_closure_tracks_registry_mutation () =
-  let open Gp_concepts in
-  let server = mkserver () in
-  let closure_req name =
-    Request.Closure { concept = name; types = [ "int" ] }
-  in
-  check_code "unknown before declaration" Request.Unknown_name
-    (Server.handle server (closure_req "FreshConcept"));
-  let reg = Server.registry server in
-  Registry.declare_concept reg
-    (Concept.make ~params:[ "T" ] "FreshConcept" [ Concept.axiom "t" "true" ]);
-  (match
-     (Server.handle server (closure_req "FreshConcept")).Request.rsp_result
-   with
-  | Ok (Request.Closed { size; _ }) ->
-    Alcotest.(check int) "closure of a leaf concept" 1 size
-  | _ -> Alcotest.fail "closure after declaration should succeed");
-  Registry.declare_concept reg
-    (Concept.make ~params:[ "T" ]
-       ~refines:[ ("FreshConcept", [ Ctype.Var "T" ]) ]
-       "FresherConcept"
-       [ Concept.axiom "t" "true" ]);
-  (match
-     (Server.handle server (closure_req "FresherConcept")).Request.rsp_result
-   with
-  | Ok (Request.Closed { size; _ }) ->
-    Alcotest.(check int) "refining closure sees the refined" 2 size
-  | _ -> Alcotest.fail "closure of the refining concept should succeed");
-  let replay = Server.handle server (closure_req "FresherConcept") in
-  Alcotest.(check bool) "replay is served from cache" true
-    replay.Request.rsp_cached;
-  (* any further declaration bumps the generation: the same request must
-     recompute against the current world, not replay the cached answer *)
-  Registry.declare_type reg "fresh_probe";
-  let after = Server.handle server (closure_req "FresherConcept") in
-  Alcotest.(check bool) "mutation invalidates the cached closure" false
-    after.Request.rsp_cached;
-  (match after.Request.rsp_result with
-  | Ok (Request.Closed { size; _ }) ->
-    Alcotest.(check int) "recomputed answer is correct" 2 size
-  | _ -> Alcotest.fail "recomputed closure should succeed")
-
 (* ------------------------------------------------------------------ *)
 
 (* ------------------------------------------------------------------ *)
@@ -1221,7 +1173,7 @@ let test_replay_bad_config () =
   List.iter
     (fun bad ->
       let d = { d with Recorder.do_config = bad } in
-      match Flight.replay ~declare_standard [ d ] with
+      match Flight.replay [ d ] with
       | Ok _ -> Alcotest.failf "replayed under %s" bad
       | Error m ->
         Alcotest.(check bool) "replay reports a bad config" true
@@ -1341,7 +1293,7 @@ let test_flight_dossiers () =
     Alcotest.(check string) "config fp"
       (Server.config_fingerprint config) ok_d.Recorder.do_config_fp;
     Alcotest.(check int) "registry generation"
-      (Gp_concepts.Registry.generation (Server.registry server))
+      (Gp_concepts.Registry.generation (Gp_standard.Standard.world ()))
       ok_d.Recorder.do_generation;
     Alcotest.(check bool) "root-span duration positive" true
       (ok_d.Recorder.do_dur_ns > 0.0);
@@ -1439,7 +1391,7 @@ let test_flight_replay () =
   Alcotest.(check bool) "injected errors rode along" true
     (List.exists (fun d -> d.Recorder.do_outcome <> "ok") parsed);
   let o =
-    match Flight.replay ~declare_standard parsed with
+    match Flight.replay parsed with
     | Ok o -> o
     | Error m -> Alcotest.failf "replay: %s" m
   in
@@ -1457,7 +1409,7 @@ let test_flight_replay () =
         else d)
       parsed
   in
-  match Flight.replay ~declare_standard tampered with
+  match Flight.replay tampered with
   | Error m -> Alcotest.failf "tampered replay errored: %s" m
   | Ok o2 -> (
     Alcotest.(check int) "one divergence" 1 (List.length o2.Flight.rep_diverged);
@@ -2104,6 +2056,4 @@ let () =
           Alcotest.test_case "registry generation" `Quick
             test_registry_generation;
           Alcotest.test_case "request_key tracks generation" `Quick
-            test_request_key_tracks_generation;
-          Alcotest.test_case "served closure tracks mutations" `Quick
-            test_closure_tracks_registry_mutation ] ) ]
+            test_request_key_tracks_generation ] ) ]

@@ -838,8 +838,7 @@ let test_server_slow_log_and_json () =
   let open Gp_service in
   let server =
     Server.create
-      ~config:{ Server.default_config with flight_slowest = 2 }
-      ~declare_standard:Gp_standard.Standard.declare ()
+      ~config:{ Server.default_config with flight_slowest = 2 } ()
   in
   let recorder = Option.get (Server.flight server) in
   let req =

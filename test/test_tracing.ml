@@ -21,8 +21,6 @@ module Fleet = Gp_tracing.Fleet
 
 let qtest = QCheck_alcotest.to_alcotest
 
-let declare_standard = Gp_standard.Standard.declare
-
 let run ?(n = 30) ?(seed = 7) ?(replicas = 3) ?(failures = []) () =
   let reqs = Gp_service.Workload.generate ~seed ~n () |> Array.of_list in
   Cluster.run
@@ -30,7 +28,7 @@ let run ?(n = 30) ?(seed = 7) ?(replicas = 3) ?(failures = []) () =
       { Cluster.default_config with
         replicas; failures; seed; trace = true;
         max_time = 5000.0 }
-    ~declare_standard reqs
+    reqs
 
 (* ------------------------------------------------------------------ *)
 (* Random failure plans: the drop=/crash=/partition= grammar           *)
@@ -307,7 +305,7 @@ let test_fleet_merge_consistency () =
 
 let test_untraced_run_collects_nothing () =
   let reqs = Gp_service.Workload.generate ~seed:1 ~n:10 () |> Array.of_list in
-  let r = Cluster.run ~declare_standard reqs in
+  let r = Cluster.run reqs in
   Alcotest.(check bool) "no lanes" true (r.Cluster.r_traces = []);
   Alcotest.(check bool) "no registries" true (r.Cluster.r_node_metrics = []);
   Alcotest.(check bool) "fleet declines" true (Fleet.merged r = None)
