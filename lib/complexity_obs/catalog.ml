@@ -36,9 +36,11 @@ let csr_nnz n =
     (Gp_structla.Mat.nnz_csr (Gp_structla.Mat.as_csr (mat "csr" n)))
 
 (* The served numeric miss end to end (Select.miss, as Dispatch runs
-   it): elements touched — generator writes, detector reads and kernel
-   steps. A diagonal miss stores n entries, so the whole miss is O(n);
-   generating or scanning an n*n array on the way would make it n^2. *)
+   it): elements touched — generator writes, the entries the detector
+   actually reads, and kernel steps. A diagonal miss stores n entries,
+   so the whole miss is O(n); generating or scanning an n*n array on the
+   way would make it n^2. A dense or triangular miss is O(n^2) whatever
+   the detector stops early on: it writes n^2 cells. *)
 let served_miss_cells op structure n =
   let reg = Gp_concepts.Registry.create () in
   Gp_structla.Decls.declare reg;
@@ -207,6 +209,12 @@ let ops () =
     op ~category:"service" ~declared:(C.linear "n")
       "served_matvec_diagonal_miss"
       (served_miss_cells Gp_structla.Select.Matvec "diagonal");
+    op ~category:"service" ~declared:(C.quadratic "n")
+      "served_matvec_dense_miss"
+      (served_miss_cells Gp_structla.Select.Matvec "dense");
+    op ~category:"service" ~declared:(C.quadratic "n")
+      "served_matvec_triangular_miss"
+      (served_miss_cells Gp_structla.Select.Matvec "triangular");
     op ~category:"engine" ~declared:(C.linear "n") "rewrite_steps"
       (rewrite_counter "gp_engine_steps_total");
     op ~category:"engine" ~declared:(C.linear "n") "rewrite_guard_probes"

@@ -71,12 +71,18 @@ let expectation_name (op : Sweep.op) =
   if op.Sweep.op_expect_violation then "violation" else "pass"
 
 let table ppf entries =
-  Fmt.pf ppf "%-22s %-9s %-12s %-11s %8s %8s %6s  %s@." "operation" "subsystem"
-    "declared" "best fit" "resid" "decl-res" "slope" "verdict";
+  (* the operation column is as wide as the longest name *)
+  let w =
+    List.fold_left
+      (fun w e -> max w (String.length e.e_series.Sweep.sr_op.Sweep.op_name))
+      22 entries
+  in
+  Fmt.pf ppf "%-*s %-9s %-12s %-11s %8s %8s %6s  %s@." w "operation"
+    "subsystem" "declared" "best fit" "resid" "decl-res" "slope" "verdict";
   List.iter
     (fun e ->
       let op = e.e_series.Sweep.sr_op in
-      Fmt.pf ppf "%-22s %-9s %-12s %-11s %8.3f %8.3f %6.2f  %s%s@."
+      Fmt.pf ppf "%-*s %-9s %-12s %-11s %8.3f %8.3f %6.2f  %s%s@." w
         op.Sweep.op_name op.Sweep.op_category
         (Complexity.to_string op.Sweep.op_declared)
         ("O(" ^ e.e_best.Fit.f_label ^ ")")

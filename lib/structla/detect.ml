@@ -22,11 +22,14 @@ type profile = {
   pr_symmetric : bool;
 }
 
-let imax = Mat.imax
+(* Mat.imax, defined here so that the profile loops inline it: the dev
+   profile compiles with -opaque, which keeps a call into another module
+   a call. *)
+let imax (a : int) b = if a > b then a else b
 
 let profile_dense (m : Mat.dense) =
   let n = m.Mat.n_rows and nc = m.Mat.n_cols and d = m.Mat.d in
-  let lo = ref 0 and hi = ref 0 and nnz = ref 0 and sym = ref true in
+  let lo = ref 0 and hi = ref 0 and nnz = ref 0 and sym = ref (n = nc) in
   for i = 0 to n - 1 do
     let row = i * nc in
     for j = 0 to nc - 1 do
@@ -37,11 +40,10 @@ let profile_dense (m : Mat.dense) =
         else hi := imax !hi (j - i)
       end;
       (* the mirror is read only until the first asymmetry *)
-      if !sym && j < i && j < n && x <> d.((j * nc) + i) then sym := false
+      if !sym && j < i && x <> d.((j * nc) + i) then sym := false
     done
   done;
-  { pr_lo = !lo; pr_hi = !hi; pr_nnz = !nnz;
-    pr_symmetric = (!sym && m.Mat.n_rows = m.Mat.n_cols) }
+  { pr_lo = !lo; pr_hi = !hi; pr_nnz = !nnz; pr_symmetric = !sym }
 
 (* A CSR the profile can read entry by entry: pointers that start at 0
    and never fall, and strictly increasing in-range columns per row.
@@ -171,6 +173,86 @@ let target (rows, cols) p =
   else if p.pr_nnz * 4 <= rows * rows then To_csr
   else To_dense
 
+(* The profile of a square n*n matrix in full row-major storage (a Dense
+   or a Triangular's [d]), read only until its [target] is decided, with
+   the number of entries read. The order puts the entries that decide the
+   common answers first: the two off-diagonal corners (band and
+   symmetry in two reads), the strict lower triangle (what an upper
+   triangle needs all of), then the diagonal and the strict upper
+   triangle. The counters only grow, and symmetry only falls, so the
+   scan stops once no unread entry can change [target]:
+   - dense: lo > 0, hi > 0, symmetry refuted, the band wider than n/2
+     and nnz > n*n/4;
+   - upper triangular: the strict lower triangle read, all zero, and
+     hi > 0.
+   A scan cut short returns a partial profile with the exact one's
+   target; a scan that runs to the end returns the exact profile. *)
+(* Whether an n*n profile is past every bound [target] checks before
+   [To_dense]: no unread entry can make it anything else. *)
+let[@inline] dense_decided n nnz lo hi sym =
+  nnz * 4 > n * n && (not sym) && lo > 0 && hi > 0 && lo + hi + 1 > n / 2
+
+let scan_profile n (d : float array) =
+  let lo = ref 0 and hi = ref 0 and nnz = ref 0 and sym = ref true in
+  let reads = ref 0 and decided = ref false in
+  if n >= 2 then begin
+    let below = d.((n - 1) * n) and above = d.(n - 1) in
+    reads := 2;
+    if below <> 0.0 then begin
+      incr nnz;
+      lo := n - 1
+    end;
+    if above <> 0.0 then begin
+      incr nnz;
+      hi := n - 1
+    end;
+    if below <> above then sym := false
+  end;
+  (* the strict lower triangle, less the corner; the mirror is read only
+     until the first asymmetry *)
+  let i = ref 1 in
+  while (not !decided) && !i < n do
+    let row = !i * n in
+    let j = ref (if !i = n - 1 then 1 else 0) in
+    while (not !decided) && !j < !i do
+      let x = d.(row + !j) in
+      incr reads;
+      if x <> 0.0 then begin
+        incr nnz;
+        lo := imax !lo (!i - !j)
+      end;
+      if !sym then begin
+        incr reads;
+        if x <> d.((!j * n) + !i) then sym := false
+      end;
+      if dense_decided n !nnz !lo !hi !sym then decided := true;
+      incr j
+    done;
+    incr i
+  done;
+  (* the diagonal and the strict upper triangle, less the corner *)
+  let i = ref 0 in
+  while (not !decided) && !i < n do
+    let row = !i * n in
+    let last = if !i = 0 && n >= 2 then n - 2 else n - 1 in
+    let j = ref !i in
+    while (not !decided) && !j <= last do
+      if !lo = 0 && !hi > 0 then decided := true
+      else begin
+        let x = d.(row + !j) in
+        incr reads;
+        if x <> 0.0 then begin
+          incr nnz;
+          hi := imax !hi (!j - !i)
+        end;
+        if dense_decided n !nnz !lo !hi !sym then decided := true;
+        incr j
+      end
+    done;
+    incr i
+  done;
+  ({ pr_lo = !lo; pr_hi = !hi; pr_nnz = !nnz; pr_symmetric = !sym }, !reads)
+
 (* The packers re-verify every claim; one refusing the profile of the
    matrix it scans would be a detector bug. *)
 let packed what = function
@@ -222,20 +304,25 @@ let is_own target (m : Mat.t) p =
     && (nnz > 0 || (c.Mat.cs_idx.(0) = 0 && c.Mat.cs_val.(0) = 0.0))
   | _ -> false
 
-let classify m =
+let classify_reads m =
   Tel.with_span ~name:"structla.detect" @@ fun () ->
+  let p, reads =
+    match m with
+    | Mat.Dense { Mat.n_rows = n; n_cols; d } when n = n_cols ->
+      scan_profile n d
+    | Mat.Triangular { Mat.tr_n = n; tr; _ } -> scan_profile n tr
+    | _ -> (profile m, Mat.stored m)
+  in
+  let t = target (Mat.dims m) p in
   let r =
     match m with
-    | Mat.Dense d -> (
-      match target (Mat.dims m) (profile_dense d) with
-      | To_dense -> m
-      | t -> build t d)
-    | _ ->
-      let p = profile m in
-      let t = target (Mat.dims m) p in
-      if is_own t m p then m else build t (Mat.to_dense m)
+    | Mat.Dense d -> ( match t with To_dense -> m | t -> build t d)
+    | _ -> if is_own t m p then m else build t (Mat.to_dense m)
   in
   Tel.count "gp_structla_detect_total" 1
     ~labels:[ ("structure", Mat.structure_name r) ];
   Tel.attr "structure" (Mat.structure_name r);
-  r
+  let rows, cols = Mat.dims m in
+  (r, if r == m then reads else reads + (rows * cols))
+
+let classify m = fst (classify_reads m)

@@ -17,7 +17,14 @@
     whose own structure is the answer comes back physically unchanged:
     detecting a generated packed matrix costs O({!Mat.stored}), not
     O(n²). An input is expanded only when the answer is another
-    structure, which for generated matrices happens at small orders. *)
+    structure, which for generated matrices happens at small orders.
+
+    A square input in full storage ([Dense], [Triangular]) is read only
+    until its answer is decided: the two off-diagonal corners, then the
+    strict lower triangle, then the rest, stopping once no unread entry
+    can change the answer (a dense matrix after about a quarter of its
+    entries, an upper triangle after its lower half). The answer is the
+    one the full profile gives. *)
 
 type profile = {
   pr_lo : int;  (** max sub-diagonal distance of a nonzero *)
@@ -27,8 +34,15 @@ type profile = {
 }
 
 val profile : Mat.t -> profile
-(** The profile of [Mat.to_dense m], from the stored entries. *)
+(** The exact profile of [Mat.to_dense m], from every stored entry. *)
 
 val classify : Mat.t -> Mat.t
 (** Emits a [structla.detect] telemetry span and a
     [gp_structla_detect_total] counter labelled by result. *)
+
+val classify_reads : Mat.t -> Mat.t * int
+(** [classify] with the number of entries it read: the entries the full
+    storage scan reads until its answer is decided, or the stored entries
+    of a packed input, plus [rows * cols] when the answer is a new
+    representation (the packer's scan of the expansion). Same
+    telemetry. *)

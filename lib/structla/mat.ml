@@ -52,8 +52,10 @@ type t =
    closure boxes every float it returns, and [Stdlib.min]/[max] on ints
    compare polymorphically through a C call. The miss path (generate,
    detect, pack, expand, checksum and the kernels) therefore runs as
-   plain loops over hoisted arrays with these int-typed bounds. Indexing
-   stays checked. The miss path also stays in packed storage: generation,
+   plain loops over hoisted arrays with these int-typed bounds, and
+   generation runs its own draw step inline (see the draw stream below)
+   rather than a stdlib call per draw. Indexing stays checked. The miss
+   path also stays in packed storage: generation,
    detection and the checksum visit stored entries only, and a packed
    matrix is expanded to n*n only where the result is dense-sized anyway
    (a dense kernel, or a detection that lands on another structure). *)
@@ -342,6 +344,125 @@ let as_symmetric = function
 let as_csr = function Csr m -> m | m -> pack_csr (to_dense m)
 
 (* ------------------------------------------------------------------ *)
+(* The draw stream                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The generator draws from its own L64X128 LXM stream: the algorithm
+   behind the standard library's [Random] states, seeded the same way,
+   so the draws are the ones their [float st 2.0 -. 1.0] and [int st 20]
+   give (the tests hold the two streams equal). Owning the step lets the
+   drawing loop run it inline with the state in locals for a whole row:
+   no boxed float per draw, no call per draw.
+
+   The state is 32 bytes: the LCG increment [a] (odd), the LCG state [s]
+   and the two xoroshiro words [x0], [x1] (each nonzero), in the order
+   the stdlib serialises a [Random] state. *)
+type stream = Bytes.t
+
+let lcg_m = 0xd1342543de82ef95L
+let mix_m = 0xdaba0b6eb09322e3L
+
+(* The normalisation the stdlib applies to the four words of a state. *)
+let stream_of_words a s x0 x1 =
+  let st = Bytes.create 32 in
+  Bytes.set_int64_le st 0 (Int64.logor a 1L);
+  Bytes.set_int64_le st 8 s;
+  Bytes.set_int64_le st 16 (if Int64.equal x0 0L then 1L else x0);
+  Bytes.set_int64_le st 24 (if Int64.equal x1 0L then 2L else x1);
+  st
+
+let stream_of_state b =
+  if String.length b <> 32 then
+    invalid_arg
+      (Printf.sprintf "Mat.stream_of_state: %d bytes, not 32"
+         (String.length b));
+  stream_of_words (String.get_int64_le b 0) (String.get_int64_le b 8)
+    (String.get_int64_le b 16) (String.get_int64_le b 24)
+
+(* The stdlib's [make seed]: the seed's ints as little-endian 64-bit
+   words, digested twice with MD5 under the suffixes 1 and 2. *)
+let stream seed =
+  let n = Array.length seed in
+  let b = Bytes.create ((8 * n) + 1) in
+  Array.iteri (fun i x -> Bytes.set_int64_le b (8 * i) (Int64.of_int x)) seed;
+  Bytes.set b (8 * n) '\001';
+  let d1 = Digest.bytes b in
+  Bytes.set b (8 * n) '\002';
+  let d2 = Digest.bytes b in
+  stream_of_words (String.get_int64_le d1 0) (String.get_int64_le d1 8)
+    (String.get_int64_le d2 0) (String.get_int64_le d2 8)
+
+(* The one drawing loop. Each step mixes s + x0 into the output (Lea's
+   64-bit mixer), then advances the LCG and the xoroshiro128 halves. A
+   float draw keeps the output's top 53 bits and redraws on 0 (the
+   stdlib's rawfloat); they fit an [int], whose conversion to float is
+   one instruction where [Int64.to_float] is a C call. The stdlib scales
+   by 2^-53 and then by the bound 2.0; both products are exact, so one
+   scaling by 2^-52 gives the same bits. A coin keeps the low 30 bits
+   and redraws on the rejection zone of [int 20].
+
+   [draw st ~coins dst off len diag] fills [dst.(off .. off+len-1)] in
+   order: with uniform draws in [-1, 1), or with [coins], per cell a
+   1-in-20 coin and on success a uniform draw, 0.0 on failure. When
+   [diag >= 0] it leaves at [dst.(off+diag)] the sum of |x| over the
+   other cells, added up in cell order from +0.0: the row sum a strictly
+   dominant diagonal is made from. *)
+let draw st ~coins dst off len diag =
+  let a = Bytes.get_int64_le st 0 in
+  let s = ref (Bytes.get_int64_le st 8) in
+  let x0 = ref (Bytes.get_int64_le st 16) in
+  let x1 = ref (Bytes.get_int64_le st 24) in
+  (* whether the next output is the cell's value: always for uniform
+     draws, once its coin came up for coin cells *)
+  let value = ref (not coins) in
+  let sum = ref 0.0 and k = ref 0 in
+  while !k < len do
+    let z = Int64.add !s !x0 in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 32)) mix_m in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 32)) mix_m in
+    let z = Int64.logxor z (Int64.shift_right_logical z 32) in
+    s := Int64.add (Int64.mul !s lcg_m) a;
+    let q0 = !x0 in
+    let q1 = Int64.logxor !x1 q0 in
+    x0 :=
+      Int64.logxor
+        (Int64.logxor
+           (Int64.logor (Int64.shift_left q0 24)
+              (Int64.shift_right_logical q0 40))
+           q1)
+        (Int64.shift_left q1 16);
+    x1 :=
+      Int64.logor (Int64.shift_left q1 37) (Int64.shift_right_logical q1 27);
+    if !value then begin
+      let bits = Int64.to_int (Int64.shift_right_logical z 11) in
+      if bits <> 0 then begin
+        let x = (Float.of_int bits *. 0x1.p-52) -. 1.0 in
+        dst.(off + !k) <- x;
+        if !k <> diag then sum := !sum +. Float.abs x;
+        value := not coins;
+        incr k
+      end
+    end
+    else begin
+      let r = Int64.to_int z land 0x3FFF_FFFF in
+      let v = r mod 20 in
+      if r - v <= 0x3FFF_FFFF - 20 + 1 then
+        if v = 0 then value := true
+        else begin
+          dst.(off + !k) <- 0.0;
+          incr k
+        end
+    end
+  done;
+  if diag >= 0 then dst.(off + diag) <- !sum;
+  Bytes.set_int64_le st 8 !s;
+  Bytes.set_int64_le st 16 !x0;
+  Bytes.set_int64_le st 24 !x1
+
+let draw_uniform st dst = draw st ~coins:false dst 0 (Array.length dst) (-1)
+let draw_sparse st dst = draw st ~coins:true dst 0 (Array.length dst) (-1)
+
+(* ------------------------------------------------------------------ *)
 (* Deterministic generation                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -354,23 +475,12 @@ let as_csr = function Csr m -> m | m -> pack_csr (to_dense m)
    exactly where, and in the row-major order in which, an element-wise
    initialiser of the dense matrix would: the matrices (and so every
    checksum) are fixed by (structure, n, seed), and a miss never builds
-   the n*n array a packed structure avoids. Row sums run over the
-   stored entries in column order; the unstored entries are +0.0, and
-   adding +0.0 leaves a non-negative sum unchanged, so every diagonal
-   has the bits a dense row sum gives. *)
-
-let dominate m =
-  let nc = m.n_cols and d = m.d in
-  for i = 0 to imin m.n_rows nc - 1 do
-    let row = i * nc in
-    let s = ref 0.0 in
-    for j = 0 to nc - 1 do
-      if j <> i then s := !s +. Float.abs d.(row + j)
-    done;
-    d.(row + i) <- !s +. 1.0
-  done
-
-let rand st = (Random.State.float st 2.0) -. 1.0
+   the n*n array a packed structure avoids. Each row sum is added up by
+   the loop that draws the row, over the stored entries in column
+   order; the unstored entries are +0.0, and adding +0.0 leaves a
+   non-negative sum unchanged, so every diagonal has the bits a dense
+   row sum gives. Storage whose every cell is drawn is not zero-filled
+   first. *)
 
 (* The CSR rows are drawn into a per-domain scratch that keeps its
    largest size, then copied out at their exact length: the stored count
@@ -393,7 +503,9 @@ let reserve sc size =
 
 (* ~5% fill plus the dominant diagonal: sparse at every n >= 24. Every
    cell, the diagonal included, consumes its coin flip and, on success,
-   its draw; an off-diagonal draw of exactly 0.0 is not stored. *)
+   its draw. A row is drawn in full into the free end of the scratch and
+   compacted in place (each cell is read before a write can reach it);
+   an off-diagonal draw of exactly 0.0 is not stored. *)
 let generate_csr st n =
   let sc = Domain.DLS.get csr_scratch in
   let cs_ptr = Array.make (n + 1) 0 in
@@ -401,9 +513,11 @@ let generate_csr st n =
   for i = 0 to n - 1 do
     reserve sc (!p + n);
     let idx = sc.sc_idx and vals = sc.sc_val in
-    let start = !p and diag = ref 0 in
+    let start = !p in
+    draw st ~coins:true vals start n (-1);
+    let diag = ref 0 and s = ref 0.0 in
     for j = 0 to n - 1 do
-      let x = if Random.State.int st 20 = 0 then rand st else 0.0 in
+      let x = vals.(start + j) in
       if j = i then begin
         diag := !p;
         idx.(!p) <- j;
@@ -412,12 +526,9 @@ let generate_csr st n =
       else if x <> 0.0 then begin
         idx.(!p) <- j;
         vals.(!p) <- x;
+        s := !s +. Float.abs x;
         incr p
       end
-    done;
-    let s = ref 0.0 in
-    for q = start to !p - 1 do
-      if q <> !diag then s := !s +. Float.abs vals.(q)
     done;
     vals.(!diag) <- !s +. 1.0;
     cs_ptr.(i + 1) <- !p
@@ -432,20 +543,21 @@ let generate_csr st n =
 
 let generate ~structure ~n ~seed =
   if n < 1 then invalid_arg (Printf.sprintf "Mat.generate: n=%d < 1" n);
-  let st = Random.State.make [| 0x57ac; seed; n; Hashtbl.hash structure |] in
+  let st = stream [| 0x57ac; seed; n; Hashtbl.hash structure |] in
   match structure with
   | "dense" ->
-    let m = dense_create n n in
-    let d = m.d in
-    for k = 0 to (n * n) - 1 do
-      d.(k) <- rand st
-    done;
-    dominate m;
-    Some (Dense m)
-  | "diagonal" ->
-    let dg = Array.make n 0.0 in
+    let d = Array.create_float (n * n) in
     for i = 0 to n - 1 do
-      dg.(i) <- 1.0 +. Float.abs (rand st)
+      let row = i * n in
+      draw st ~coins:false d row n i;
+      d.(row + i) <- d.(row + i) +. 1.0
+    done;
+    Some (Dense { n_rows = n; n_cols = n; d })
+  | "diagonal" ->
+    let dg = Array.create_float n in
+    draw_uniform st dg;
+    for i = 0 to n - 1 do
+      dg.(i) <- 1.0 +. Float.abs dg.(i)
     done;
     Some (Diagonal { dg_n = n; dg })
   | "banded" ->
@@ -457,61 +569,44 @@ let generate ~structure ~n ~seed =
     for i = 0 to n - 1 do
       let band = (i * w) - i + b in
       let j0 = imax 0 (i - b) and j1 = imin (n - 1) (i + b) in
-      for j = j0 to j1 do
-        bd.(band + j) <- rand st
-      done;
-      let s = ref 0.0 in
-      for j = j0 to j1 do
-        if j <> i then s := !s +. Float.abs bd.(band + j)
-      done;
-      bd.(band + i) <- !s +. 1.0
+      draw st ~coins:false bd (band + j0) (j1 - j0 + 1) (i - j0);
+      bd.(band + i) <- bd.(band + i) +. 1.0
     done;
     Some (Banded { bd_n = n; bd_lo = b; bd_hi = b; bd })
   | "triangular" ->
     let tr = Array.make (n * n) 0.0 in
     for i = 0 to n - 1 do
-      let row = i * n in
-      for j = i to n - 1 do
-        tr.(row + j) <- rand st
-      done;
-      let s = ref 0.0 in
-      for j = i + 1 to n - 1 do
-        s := !s +. Float.abs tr.(row + j)
-      done;
-      tr.(row + i) <- !s +. 1.0
+      let diag = (i * n) + i in
+      draw st ~coins:false tr diag (n - i) 0;
+      tr.(diag) <- tr.(diag) +. 1.0
     done;
     Some (Triangular { tr_n = n; tr_upper = true; tr })
   | "symmetric" ->
-    (* the lower triangle row by row is the packed order *)
-    let sy = Array.make (n * (n + 1) / 2) 0.0 in
-    for k = 0 to Array.length sy - 1 do
-      sy.(k) <- rand st
-    done;
-    (* row i reads its lower part in place and its upper part from the
-       mirrored column i of the rows below; only diagonals change *)
+    (* the lower triangle row by row is the packed order. Row i's sum is
+       its lower part, left in its diagonal slot when the row is drawn,
+       then its upper part: the mirrored column i, added from each row
+       below as that row is drawn, in column order *)
+    let sy = Array.create_float (n * (n + 1) / 2) in
     for i = 0 to n - 1 do
       let packed = i * (i + 1) / 2 in
-      let s = ref 0.0 in
+      draw st ~coins:false sy packed (i + 1) i;
+      let diag_j = ref 0 in
       for j = 0 to i - 1 do
-        s := !s +. Float.abs sy.(packed + j)
-      done;
-      let mirror = ref (packed + i + i + 1) in
-      for j = i + 1 to n - 1 do
-        s := !s +. Float.abs sy.(!mirror);
-        mirror := !mirror + j + 1
-      done;
-      sy.(packed + i) <- !s +. 1.0
+        sy.(!diag_j) <- sy.(!diag_j) +. Float.abs sy.(packed + j);
+        diag_j := !diag_j + j + 2
+      done
+    done;
+    for i = 0 to n - 1 do
+      let diag = (i * (i + 3)) / 2 in
+      sy.(diag) <- sy.(diag) +. 1.0
     done;
     Some (Symmetric { sy_n = n; sy })
   | "csr" -> Some (Csr (generate_csr st n))
   | _ -> None
 
 let generate_vec ~n ~seed =
-  let st = Random.State.make [| 0xb0b; seed; n |] in
-  let v = Array.make n 0.0 in
-  for i = 0 to n - 1 do
-    v.(i) <- rand st
-  done;
+  let v = Array.create_float n in
+  draw_uniform (stream [| 0xb0b; seed; n |]) v;
   v
 
 (* ------------------------------------------------------------------ *)

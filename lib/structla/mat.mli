@@ -100,6 +100,31 @@ val as_csr : t -> csr
 (** Conversions the overload candidates use: a kernel guarded by a
     concept may receive any representation whose carrier models it. *)
 
+(** {2 The draw stream} *)
+
+type stream
+(** The generator's own L64X128 LXM stream: the algorithm behind the
+    standard library's [Random] states, seeded the same way, written
+    inline in the drawing loops so that a draw neither boxes a float nor
+    calls across a module. Mutable: each draw advances it. *)
+
+val stream : int array -> stream
+(** [stream seed] starts where the stdlib state [make seed] does. *)
+
+val stream_of_state : string -> stream
+(** From the 32 state bytes the stdlib's [to_binary_string] writes after
+    its 5-byte prefix, normalised as its [of_binary_string] normalises
+    them. Raises [Invalid_argument] on another length. *)
+
+val draw_uniform : stream -> float array -> unit
+(** Fills the array in index order with the draws the stdlib's
+    [float st 2.0 -. 1.0] gives. *)
+
+val draw_sparse : stream -> float array -> unit
+(** Fills each cell in index order with the stdlib's
+    [if int st 20 = 0 then float st 2.0 -. 1.0 else 0.0]: the CSR
+    generator's coin flip and draw. *)
+
 (** {2 Deterministic generation} *)
 
 val generate : structure:string -> n:int -> seed:int -> t option

@@ -88,7 +88,10 @@ let matmul_generic () =
   Overload.add_candidate g ~name:"matmul.dense" ~guard:"DenseMatrix"
     (fun args ->
       let a, b = mat_mat "matmul.dense" args in
-      Dmat (Mat.Dense (Kernels.matmul_dense (Mat.to_dense a) (Mat.to_dense b))));
+      (* a square, the served m * m, is expanded once *)
+      let da = Mat.to_dense a in
+      let db = if b == a then da else Mat.to_dense b in
+      Dmat (Mat.Dense (Kernels.matmul_dense da db)));
   g
 
 let solve_generic () =
@@ -165,9 +168,9 @@ let solve reg t m b =
    its packed storage, classify it, count the exact kernel steps, run
    the selected kernel and checksum the result. [ms_cells] counts the
    elements the miss touches — the cells the generator writes, the
-   entries the detector reads (plus the dense cells it re-reads when it
-   converts) and the kernel steps — as a returned value, never through
-   Tel, so the served metrics and dumps keep their bytes. *)
+   entries the detector actually reads (plus the dense cells it re-reads
+   when it converts) and the kernel steps — as a returned value, never
+   through Tel, so the served metrics and dumps keep their bytes. *)
 
 type miss = {
   ms_kernel : string;
@@ -183,7 +186,7 @@ let miss reg t ~op ~structure ~n ~seed =
     | Some g -> g
     | None -> invalid_arg ("Select.miss: unknown structure " ^ structure)
   in
-  let m = Detect.classify g in
+  let m, read = Detect.classify_reads g in
   let steps, outcome =
     match op with
     | Matvec ->
@@ -201,7 +204,6 @@ let miss reg t ~op ~structure ~n ~seed =
           (solve reg t m (Mat.generate_vec ~n ~seed)) )
   in
   let written = Mat.stored g in
-  let read = if m == g then written else written + (n * n) in
   Result.map
     (fun (kernel, checksum) ->
       {

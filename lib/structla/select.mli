@@ -53,9 +53,8 @@ type miss = {
   ms_checksum : string;  (** {!Mat.checksum_vec} or {!Mat.checksum} *)
   ms_cells : int;
       (** exact elements touched: the cells {!Mat.generate} writes
-          ({!Mat.stored}), the entries {!Detect.classify} reads (the
-          same, plus [n²] when it converts to another structure) and the
-          kernel steps *)
+          ({!Mat.stored}), the entries {!Detect.classify} reads (as
+          {!Detect.classify_reads} counts them) and the kernel steps *)
 }
 
 val miss :

@@ -159,6 +159,56 @@ let generate_dense ~structure ~n ~seed =
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
+(* The stdlib draw stream                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The draws Mat's own LXM stream replicates, made by the stdlib. *)
+
+let draw_uniform_reference st dst =
+  for k = 0 to Array.length dst - 1 do
+    dst.(k) <- rand st
+  done
+
+let draw_sparse_reference st dst =
+  for k = 0 to Array.length dst - 1 do
+    dst.(k) <- (if Random.State.int st 20 = 0 then rand st else 0.0)
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Structure detection                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The full-profile classify: every stored entry profiled, the fixed
+   priority applied, and the input kept exactly when the representation
+   the strict packers build from its expansion equals it. *)
+
+module Detect = Gp_structla.Detect
+
+let classify_reference (m : Mat.t) =
+  let p = Detect.profile m in
+  let rows, cols = Mat.dims m in
+  let sq = rows * cols in
+  let packed = function Some r -> r | None -> invalid_arg "packer refused" in
+  let d = Mat.to_dense m in
+  let built =
+    if rows <> cols then
+      if p.Detect.pr_nnz * 4 <= sq then Mat.Csr (Mat.pack_csr d)
+      else Mat.Dense d
+    else if p.Detect.pr_lo = 0 && p.Detect.pr_hi = 0 then
+      Mat.Diagonal (packed (Mat.pack_diagonal d))
+    else if p.Detect.pr_lo = 0 || p.Detect.pr_hi = 0 then
+      Mat.Triangular (packed (Mat.pack_triangular d))
+    else if p.Detect.pr_symmetric then
+      Mat.Symmetric (packed (Mat.pack_symmetric d))
+    else if p.Detect.pr_lo + p.Detect.pr_hi + 1 <= rows / 2 then
+      Mat.Banded
+        (packed (Mat.pack_banded ~lo:p.Detect.pr_lo ~hi:p.Detect.pr_hi d))
+    else if p.Detect.pr_nnz * 4 <= sq then Mat.Csr (Mat.pack_csr d)
+    else Mat.Dense d
+  in
+  if compare built m = 0 then m else built
+
+(* ------------------------------------------------------------------ *)
 (* Constraint propagation                                              *)
 (* ------------------------------------------------------------------ *)
 

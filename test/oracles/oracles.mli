@@ -27,6 +27,27 @@ val generate_dense :
     and made diagonally dominant over whole rows. [Mat.to_dense] of
     {!Gp_structla.Mat.generate} equals it bit for bit. *)
 
+(** {2 The stdlib draw stream} *)
+
+val draw_uniform_reference : Random.State.t -> float array -> unit
+(** Each cell, in index order, [Random.State.float st 2.0 -. 1.0]: the
+    draws {!Gp_structla.Mat.draw_uniform} makes from its own stream. *)
+
+val draw_sparse_reference : Random.State.t -> float array -> unit
+(** Each cell, in index order, [Random.State.int st 20 = 0] and on
+    success a draw as above, else [0.0]: the draws
+    {!Gp_structla.Mat.draw_sparse} makes. *)
+
+(** {2 Structure detection} *)
+
+val classify_reference : Gp_structla.Mat.t -> Gp_structla.Mat.t
+(** The first classify: the exact {!Gp_structla.Detect.profile} of every
+    input, the fixed priority, and the input itself when the strict
+    packers would build it again ([compare] equal), else what they
+    build. {!Gp_structla.Detect.classify} reads full storage only until
+    the answer is decided and returns the same matrix, physically the
+    input exactly when this does. *)
+
 (** {2 Constraint propagation} *)
 
 val closure_with_reference :

@@ -366,6 +366,132 @@ let checksum_generated_prop =
               (Mat.checksum (Detect.classify g))
               (Mat.checksum_dense o)))
 
+(* The early-stopping classify against the full-profile one, on full
+   storage built to sit on every decision boundary: NaN anywhere, -0.0,
+   a nonzero in a triangle's dead half, the smallest orders, non-square
+   shapes, and exactly a quarter (or one more) of the entries nonzero.
+   Equal structurally (with [compare], which holds NaN equal to itself)
+   and in physical identity. *)
+let full_storage_arb =
+  let open QCheck.Gen in
+  let entry =
+    frequency
+      [ (6, return 0.0); (1, return (-0.0)); (1, return Float.nan);
+        (1, return Float.infinity); (2, return 1.5); (1, return (-2.25));
+        (2, float_range (-4.0) 4.0) ]
+  in
+  let nonzero = frequency [ (4, return 1.5); (1, return Float.nan);
+                            (1, return (-0.5)) ] in
+  (* exactly n*n/4 nonzeros, or one more, anywhere, n even *)
+  let quarter =
+    int_range 1 6 >>= fun h ->
+    let n = 2 * h in
+    shuffle_l (List.init (n * n) Fun.id) >>= fun order ->
+    bool >>= fun one_more ->
+    array_size (return (n * n)) nonzero >>= fun vals ->
+    let count = (n * n / 4) + if one_more then 1 else 0 in
+    let d = Array.make (n * n) 0.0 in
+    List.iteri (fun q k -> if q < count then d.(k) <- vals.(q)) order;
+    return d
+  in
+  let square =
+    frequency [ (3, int_range 1 3); (3, int_range 4 12) ] >>= fun n ->
+    frequency
+      [
+        (2, array_size (return (n * n)) entry);
+        (* a mirrored matrix, with a chance of one broken pair *)
+        ( 1, array_size (return (n * n)) entry >>= fun d ->
+          bool >>= fun break ->
+          let d =
+            Array.init (n * n) (fun k ->
+                let i = k / n and j = k mod n in
+                if i >= j then d.(k) else d.((j * n) + i))
+          in
+          if break && n >= 2 then d.(n - 1) <- 3.0;
+          return d );
+        (* upper or lower triangle content, with a chance of a stray
+           entry in the dead half *)
+        ( 2, array_size (return (n * n)) entry >>= fun d ->
+          bool >>= fun upper ->
+          int_range 0 ((n * n) - 1) >>= fun stray ->
+          bool >>= fun keep_stray ->
+          return
+            (Array.mapi
+               (fun k x ->
+                 let i = k / n and j = k mod n in
+                 if (upper && j < i) || ((not upper) && j > i) then
+                   if keep_stray && k = stray then 5.0 else 0.0
+                 else x)
+               d) );
+        (1, quarter);
+      ]
+    >>= fun d ->
+    let n = int_of_float (Float.sqrt (float_of_int (Array.length d))) in
+    bool >>= fun as_tri ->
+    bool >>= fun upper ->
+    return
+      (if as_tri then Mat.Triangular { Mat.tr_n = n; tr_upper = upper; tr = d }
+       else Mat.Dense { Mat.n_rows = n; n_cols = n; d })
+  in
+  let rect =
+    int_range 1 8 >>= fun rows ->
+    int_range 1 8 >>= fun cols ->
+    array_size (return (rows * cols)) entry >>= fun d ->
+    return (Mat.Dense { Mat.n_rows = rows; n_cols = cols; d })
+  in
+  QCheck.make
+    ~print:(fun m ->
+      Format.asprintf "%a%s: %s" Mat.pp m
+        (match m with
+        | Mat.Triangular t -> if t.Mat.tr_upper then " (upper)" else " (lower)"
+        | _ -> "")
+        (String.concat " "
+           (Array.to_list (Array.map string_of_float (Mat.to_dense m).Mat.d))))
+    (frequency [ (5, square); (1, rect) ])
+
+let classify_exact m =
+  let r = Detect.classify m and o = Oracles.classify_reference m in
+  compare r o = 0 && (r == m) = (o == m)
+
+(* The reads classify reports: a generated dense matrix is decided once
+   past a quarter nonzero (the two corners, then the lower triangle), an
+   upper triangle once its strict lower half is read, a packed input
+   after its stored entries. *)
+let test_classify_reads () =
+  let n = 96 in
+  let reads s =
+    let g = generate s ~n ~seed:7 in
+    let r, k = Detect.classify_reads g in
+    Alcotest.(check bool) (s ^ " comes back as it is") true (r == g);
+    k
+  in
+  Alcotest.(check int) "dense: n*n/4 + 1" ((n * n / 4) + 1) (reads "dense");
+  Alcotest.(check int) "triangular: n(n-1)/2 + 1"
+    ((n * (n - 1) / 2) + 1)
+    (reads "triangular");
+  Alcotest.(check int) "diagonal: n stored" n (reads "diagonal");
+  (* a converted input adds the packer's n*n scan of its expansion *)
+  let d = Mat.dense_init 3 3 (fun i j -> if i = j then 2.0 else 0.0) in
+  let r, k = Detect.classify_reads (Mat.Dense d) in
+  Alcotest.(check string) "diagonal found" "diagonal" (Mat.structure_name r);
+  (* never decided early: 2 corners, 2 lower cells with their mirrors,
+     the 5 cells left, then the packer's 9 *)
+  Alcotest.(check int) "full scan of a diagonal, then its packing"
+    (2 + (2 * 2) + 5 + 9) k;
+  let one = Mat.dense_init 1 1 (fun _ _ -> 5.0) in
+  let _, k = Detect.classify_reads (Mat.Dense one) in
+  Alcotest.(check int) "1x1: its one cell, then its packing" 2 k
+
+let classify_early_prop =
+  qtest
+    (QCheck.Test.make ~name:"classify == reference (full storage)"
+       ~count:2000 full_storage_arb classify_exact)
+
+let classify_early_packed_prop =
+  qtest
+    (QCheck.Test.make ~name:"classify == reference (packed)"
+       ~count:500 packed_arb classify_exact)
+
 (* Hand-picked cases the generators above reach only by chance. *)
 let test_classify_packed_cases () =
   let check name m =
@@ -523,6 +649,193 @@ let dense_kernels_bit_exact_prop =
          && same_bits (Kernels.solve_dense d v) (Oracles.solve_reference d v)))
 
 (* ------------------------------------------------------------------ *)
+(* The draw stream: Mat's own LXM step against the stdlib's            *)
+(* ------------------------------------------------------------------ *)
+
+(* Both streams from one seed, then from one crafted state, compared bit
+   for bit; a second round checks that both states moved alike. *)
+let streams_agree ~sparse len make_mat make_std =
+  let draw_mat = if sparse then Mat.draw_sparse else Mat.draw_uniform in
+  let draw_std =
+    if sparse then Oracles.draw_sparse_reference
+    else Oracles.draw_uniform_reference
+  in
+  let ms = make_mat () and st = make_std () in
+  let round () =
+    let a = Array.make len 7.0 and b = Array.make len 7.0 in
+    draw_mat ms a;
+    draw_std st b;
+    same_bits a b
+  in
+  round () && round ()
+
+let seed_arb =
+  let open QCheck.Gen in
+  QCheck.make
+    ~print:(fun (sparse, len, seed) ->
+      Printf.sprintf "%s len=%d seed=[%s]"
+        (if sparse then "sparse" else "uniform")
+        len
+        (String.concat "; " (Array.to_list (Array.map string_of_int seed))))
+    ( bool >>= fun sparse ->
+      int_range 0 300 >>= fun len ->
+      array_size (int_range 0 5) int >>= fun seed ->
+      return (sparse, len, seed) )
+
+let draws_seeded_prop =
+  qtest
+    (QCheck.Test.make ~name:"seeded draws == Random.State draws" ~count:300
+       seed_arb (fun (sparse, len, seed) ->
+         streams_agree ~sparse len
+           (fun () -> Mat.stream seed)
+           (fun () -> Random.State.make seed)))
+
+(* Arbitrary state words, zero words included, go through the same
+   normalisation on both sides. *)
+let state_string words =
+  let b = Bytes.create 32 in
+  List.iteri (fun i w -> Bytes.set_int64_le b (8 * i) w) words;
+  Bytes.to_string b
+
+let std_of_state bytes = Random.State.of_binary_string ("lxm1:" ^ bytes)
+
+let state_arb =
+  let open QCheck.Gen in
+  let word = frequency [ (1, return 0L); (6, ui64) ] in
+  QCheck.make
+    ~print:(fun (sparse, len, words) ->
+      Printf.sprintf "%s len=%d [%s]"
+        (if sparse then "sparse" else "uniform")
+        len
+        (String.concat "; " (List.map Int64.to_string words)))
+    ( bool >>= fun sparse ->
+      int_range 0 100 >>= fun len ->
+      list_repeat 4 word >>= fun words -> return (sparse, len, words) )
+
+let draws_state_prop =
+  qtest
+    (QCheck.Test.make ~name:"state draws == Random.State draws"
+       ~count:300 state_arb (fun (sparse, len, words) ->
+         let bytes = state_string words in
+         streams_agree ~sparse len
+           (fun () -> Mat.stream_of_state bytes)
+           (fun () -> std_of_state bytes)))
+
+(* Crafting the next outputs. An output is mix (s + x0), and the mixer
+   (two multiply-xorshift rounds and a final xorshift) is a bijection,
+   so a wanted output z is reached from s = unmix z - x0. A second
+   wanted output is reached through the LCG increment a, which is free
+   but must be odd: the xoroshiro word x1 is tried with both low bits
+   until a comes out odd. *)
+let mix_m = 0xdaba0b6eb09322e3L
+let lcg_m = 0xd1342543de82ef95L
+
+let inv_mix_m =
+  (* Newton's iteration for the inverse modulo 2^64 of an odd number *)
+  let x = ref mix_m in
+  for _ = 1 to 6 do
+    x := Int64.mul !x (Int64.sub 2L (Int64.mul mix_m !x))
+  done;
+  !x
+
+let xs z = Int64.logxor z (Int64.shift_right_logical z 32)
+let unmix z = xs (Int64.mul (xs (Int64.mul (xs z) inv_mix_m)) inv_mix_m)
+let rotl x k =
+  Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+
+let craft ?next z =
+  let x0 = 0x0123456789abcdefL in
+  let s = Int64.sub (unmix z) x0 in
+  let with_x1 x1 =
+    match next with
+    | None -> Some [ 0x5555L; s; x0; x1 ]
+    | Some z2 ->
+      let q1 = Int64.logxor x1 x0 in
+      let x0' =
+        Int64.logxor (Int64.logxor (rotl x0 24) q1) (Int64.shift_left q1 16)
+      in
+      let a = Int64.sub (Int64.sub (unmix z2) x0') (Int64.mul s lcg_m) in
+      if Int64.logand a 1L = 1L then Some [ a; s; x0; x1 ] else None
+  in
+  match with_x1 0x0fedcba987654320L with
+  | Some words -> state_string words
+  | None -> state_string (Option.get (with_x1 0x0fedcba987654321L))
+
+let test_draw_retries () =
+  let outputs bytes k =
+    let st = std_of_state bytes in
+    List.init k (fun _ -> Random.State.bits64 st)
+  in
+  let agree name ~sparse bytes =
+    Alcotest.(check bool) name true
+      (streams_agree ~sparse 12
+         (fun () -> Mat.stream_of_state bytes)
+         (fun () -> std_of_state bytes))
+  in
+  (* a float draw whose top 53 bits are all zero is drawn again *)
+  let zero_float = craft 0x7ffL in
+  Alcotest.(check bool) "crafted: first output under 2^11" true
+    (Int64.unsigned_compare (List.hd (outputs zero_float 1)) 0x800L < 0);
+  agree "uniform redraws a zero float" ~sparse:false zero_float;
+  (* a coin whose low 30 bits fall in the rejection zone of [int 20]
+     (1073741820 and up) is flipped again *)
+  let rejected = craft 0x3FFF_FFFFL in
+  Alcotest.(check bool) "crafted: first output rejected by int 20" true
+    (Int64.to_int (List.hd (outputs rejected 1)) land 0x3FFF_FFFF
+     >= 1073741820);
+  agree "sparse reflips a rejected coin" ~sparse:true rejected;
+  (* heads (low 30 bits 0), then a zero float: both retries in one cell *)
+  let heads_zero = craft ~next:5L 0x4000_0000L in
+  (match outputs heads_zero 2 with
+  | [ z1; z2 ] ->
+    Alcotest.(check int) "crafted: heads" 0 (Int64.to_int z1 land 0x3FFF_FFFF);
+    Alcotest.(check bool) "crafted: then a zero float" true
+      (Int64.equal z2 5L)
+  | _ -> assert false);
+  agree "sparse redraws the zero float of a heads" ~sparse:true heads_zero;
+  agree "uniform from the same state" ~sparse:false heads_zero
+
+(* The blocked dense matmul against the reference on what generated
+   matrices never hold: zero patterns that leave a row any number of
+   nonzeros (every group-of-four remainder), -0.0, infinities and NaN,
+   and k <> n shapes. Bit for bit. *)
+let matmul_adversarial_arb =
+  let open QCheck.Gen in
+  (* a zero weight per matrix, from none (whole groups of four, and
+     C rows already nonzero when a group lands) to mostly zeros *)
+  let entry zeros =
+    frequency
+      [ (zeros, return 0.0); (1, return (-0.0)); (1, return Float.infinity);
+        (1, return Float.neg_infinity); (1, return Float.nan);
+        (1, return 1e308); (12, float_range (-3.0) 3.0) ]
+  in
+  let mat rows cols =
+    oneofl [ 0; 4; 16; 48 ] >>= fun zeros ->
+    array_size (return (rows * cols)) (entry zeros) >>= fun d ->
+    return { Mat.n_rows = rows; n_cols = cols; d }
+  in
+  QCheck.make
+    ~print:(fun (a, b) ->
+      let show (m : Mat.dense) =
+        Printf.sprintf "%dx%d [%s]" m.Mat.n_rows m.Mat.n_cols
+          (String.concat " "
+             (Array.to_list (Array.map string_of_float m.Mat.d)))
+      in
+      show a ^ " * " ^ show b)
+    ( int_range 1 6 >>= fun m ->
+      int_range 1 17 >>= fun k ->
+      int_range 1 7 >>= fun n ->
+      mat m k >>= fun a ->
+      mat k n >>= fun b -> return (a, b) )
+
+let matmul_adversarial_prop =
+  qtest
+    (QCheck.Test.make ~name:"matmul_dense == oracle, any entries"
+       ~count:1000 matmul_adversarial_arb (fun (a, b) ->
+         same_bits (Kernels.matmul_dense a b).Mat.d
+           (Oracles.matmul_reference a b).Mat.d))
+
+(* ------------------------------------------------------------------ *)
 (* Exact step counts                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -640,6 +953,9 @@ let () =
             test_classify_generated;
           Alcotest.test_case "priority" `Quick test_classify_priority;
           classify_sound_prop;
+          classify_early_prop;
+          classify_early_packed_prop;
+          Alcotest.test_case "reads until decided" `Quick test_classify_reads;
         ] );
       ( "packed",
         [
@@ -658,6 +974,13 @@ let () =
           solve_equiv_prop;
           solve_inverts_prop;
           dense_kernels_bit_exact_prop;
+          matmul_adversarial_prop;
+        ] );
+      ( "draws",
+        [
+          draws_seeded_prop;
+          draws_state_prop;
+          Alcotest.test_case "retry branches" `Quick test_draw_retries;
         ] );
       ( "steps",
         [
