@@ -16,8 +16,6 @@ let insert p t = if mem p t then t else { props = p :: t.props }
 
 let of_list ps = List.fold_left (fun t p -> insert p t) empty ps
 
-let assert_all ps t = List.fold_left (fun t p -> insert p t) t ps
-
 let size t = List.length t.props
 
 let to_list t = List.rev t.props

@@ -11,7 +11,6 @@ val empty : t
 val mem : Logic.prop -> t -> bool
 val insert : Logic.prop -> t -> t
 val of_list : Logic.prop list -> t
-val assert_all : Logic.prop list -> t -> t
 val size : t -> int
 val to_list : t -> Logic.prop list
 val pp : Format.formatter -> t -> unit

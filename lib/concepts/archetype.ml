@@ -59,13 +59,10 @@ and populate reg (con : Concept.t) args =
     | Some _ ->
       List.iter
         (fun (f, ty) ->
-          (* extend assoc bindings in place *)
+          (* extend the type's assoc bindings *)
           match Registry.find_type reg n with
           | Some td when not (List.mem_assoc f td.Registry.td_assoc) ->
-            reg.Registry.types <-
-              (n, { td with Registry.td_assoc = (f, ty) :: td.Registry.td_assoc })
-              :: List.remove_assoc n reg.Registry.types;
-            Registry.touch reg
+            Registry.set_assoc reg n ((f, ty) :: td.Registry.td_assoc)
           | _ -> ())
         assoc
     | None ->

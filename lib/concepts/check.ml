@@ -374,12 +374,11 @@ and check_constraints ~mode ~visited reg env cs =
 
 (* A verdict is a pure function of (concept, args, mode), the registry's
    declarations and the certification table. A root registry keeps its
-   verdicts in a small side cache keyed by physical identity — the
-   policy of the registry's own index cache — stamped with the
-   generation they were derived at, so any declaration or [touch]
-   empties the table on the next check, and a certification empties
-   every table. Forks compute directly. A table is emptied when it
-   reaches [memo_capacity], so wire-supplied names cannot grow it.
+   verdicts in its memo slot, stamped with the generation and the
+   certification list they were derived at, so any declaration, [touch]
+   or certification empties the table on the next check. Forks have no
+   slot and compute directly. A table is emptied when it reaches
+   [memo_capacity], so wire-supplied names cannot grow it.
 
    An entry also carries the verdict's rendered report once someone has
    asked for it ([check_rendered]), so a memo hit renders nothing. *)
@@ -394,54 +393,39 @@ end)
 
 type entry = { e_report : report; mutable e_text : string option }
 
-type memo = { mutable m_generation : int; m_reports : entry Memo_tbl.t }
+type memo = {
+  mutable m_generation : int;
+  mutable m_certified : (string * string * string) list;
+      (* [!certified] when stamped: certifying conses a new list *)
+  m_reports : entry Memo_tbl.t;
+}
+
+type Registry.memo += Verdicts of memo
 
 let memo_capacity = 1024
-let memo_cache : (Registry.t * memo) option array = Array.make 8 None
-let memo_clock = ref 0
+
+let new_memo () =
+  Verdicts
+    { m_generation = -1; m_certified = []; m_reports = Memo_tbl.create 64 }
 
 let memo_of reg =
-  match reg.Registry.base with
-  | Some _ -> None
-  | None ->
-    let slots = Array.length memo_cache in
-    let rec scan i =
-      if i = slots then begin
-        let m =
-          { m_generation = Registry.generation reg;
-            m_reports = Memo_tbl.create 64 }
-        in
-        memo_cache.(!memo_clock mod slots) <- Some (reg, m);
-        incr memo_clock;
-        m
-      end
-      else
-        match memo_cache.(i) with
-        | Some (r, m) when r == reg ->
-          if m.m_generation <> Registry.generation reg then begin
-            Memo_tbl.reset m.m_reports;
-            m.m_generation <- Registry.generation reg
-          end;
-          m
-        | Some _ | None -> scan (i + 1)
-    in
-    Some (scan 0)
+  match Registry.memo reg new_memo with
+  | Some (Verdicts m) ->
+    let g = Registry.generation reg in
+    if m.m_generation <> g || m.m_certified != !certified then begin
+      Memo_tbl.reset m.m_reports;
+      m.m_generation <- g;
+      m.m_certified <- !certified
+    end;
+    Some m
+  | Some _ | None -> None
 
 let memo_entries reg =
-  Array.fold_left
-    (fun n -> function
-      | Some (r, m) when r == reg && m.m_generation = Registry.generation reg
-        ->
-        Memo_tbl.length m.m_reports
-      | Some _ | None -> n)
-    0 memo_cache
+  match memo_of reg with Some m -> Memo_tbl.length m.m_reports | None -> 0
 
 let certify_axiom ~concept ~axiom ~args =
   let key = axiom_key concept axiom args in
-  if not (List.mem key !certified) then begin
-    certified := key :: !certified;
-    Array.fill memo_cache 0 (Array.length memo_cache) None
-  end
+  if not (List.mem key !certified) then certified := key :: !certified
 
 let compute mode reg concept args =
   let failures, warnings = check_concept ~mode ~visited:[] reg concept args in

@@ -56,10 +56,12 @@ val check : ?mode:mode -> Registry.t -> string -> Ctype.t list -> report
     [concept]? Defaults to {!Structural}.
 
     On a root registry the report is memoised per [(concept, args,
-    mode)] and stamped with {!Registry.generation}: every declaration or
-    {!Registry.touch}, and every {!certify_axiom}, invalidates it, so a
-    repeated check is a table lookup and never a stale verdict. Forks
-    ({!Registry.fork}) compute every check. With telemetry on, a memo
+    mode)] in the registry's {!Registry.memo} slot, stamped with
+    {!Registry.generation} and the certification list: every
+    declaration or {!Registry.touch}, and every {!certify_axiom},
+    invalidates it, so a repeated check is a table lookup and never a
+    stale verdict. The memo lives and dies with its registry. Forks
+    ({!Registry.fork}) compute every check and allocate no memo. With telemetry on, a memo
     hit records the same [concepts.check] span and counters as a
     computed check, and also counts [gp_check_memo_hits_total]. *)
 
@@ -75,7 +77,7 @@ val memo_capacity : int
 
 val memo_entries : Registry.t -> int
 (** Verdicts currently memoised for the registry at its current
-    generation (0 for a fork). *)
+    generation and certification list (0 for a fork). *)
 
 val models : ?mode:mode -> Registry.t -> string -> Ctype.t list -> bool
 

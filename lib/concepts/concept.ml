@@ -89,18 +89,6 @@ let complexity_guarantees t =
     (function Complexity_guarantee c -> Some c | _ -> None)
     t.requirements
 
-let direct_constraints t =
-  List.concat_map
-    (function
-      | Constraint c -> [ c ]
-      | Assoc_type { at_name; at_constraints } ->
-        (* a constraint on an associated type is phrased against the
-           projection from the first parameter *)
-        let _ = at_name in
-        at_constraints
-      | Operation _ | Axiom _ | Complexity_guarantee _ -> [])
-    t.requirements
-
 (* Is [t] syntactic only, or semantic (has axioms / complexity bounds)?
    Section 2: "A syntactic concept consists of just associated types and
    function signatures, whereas a semantic concept also includes semantic

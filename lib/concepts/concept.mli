@@ -71,7 +71,6 @@ val associated_types : t -> string list
 val operations : t -> signature list
 val axioms : t -> axiom list
 val complexity_guarantees : t -> complexity_guarantee list
-val direct_constraints : t -> type_constraint list
 
 val is_semantic : t -> bool
 (** A {e semantic} concept has axioms or complexity guarantees; a

@@ -518,16 +518,11 @@ let load_items reg items =
         match Registry.find_type reg name with
         | None -> Registry.declare_type reg name ~assoc
         | Some td ->
-          let merged =
-            td.Registry.td_assoc
+          Registry.set_assoc reg name
+            (td.Registry.td_assoc
             @ List.filter
                 (fun (f, _) -> not (List.mem_assoc f td.Registry.td_assoc))
-                assoc
-          in
-          reg.Registry.types <-
-            (name, { td with Registry.td_assoc = merged })
-            :: List.remove_assoc name reg.Registry.types;
-          Registry.touch reg)
+                assoc))
       | Iop { name; params; ret } -> Registry.declare_op reg name params ret
       | Imodel { concept; args; axioms } ->
         Registry.declare_model reg concept args ~axioms)

@@ -36,6 +36,8 @@ module Key2_tbl = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
+type memo = ..
+
 type t = {
   mutable concepts : (string * Concept.t) list;
   mutable types : (string * type_desc) list;
@@ -46,19 +48,21 @@ type t = {
   mutable generation : int;
       (* bumped on every declaration; memo caches key on it so a mutated
          registry can never serve a stale closure *)
-  base : base option; (* [Some] for a fork: the scope it extends *)
+  derived : derived;
 }
 
-(* A fork starts out sharing its parent's lists. Every mutation replaces
-   a list field (prepending, or [remove_assoc] + prepend for a
-   re-declared type) and never edits a cell, so while the parent stands
-   still its lists stay a physical suffix of the fork's, and the fork's
-   own declarations are the cells in front of them. *)
-and base = {
-  parent : t;
-  mutable local : index option;
-      (* the fork's index, held here: forks never enter the shared
-         side cache *)
+(* What the registry derives from its declarations, kept with it, so a
+   dropped registry takes its index and memo along.
+
+   A fork starts out sharing its parent's lists. Every mutation replaces
+   a list field (prepending, or [remove_assoc] + prepend in [set_assoc])
+   and never edits a cell, so while the parent stands still its lists
+   stay a physical suffix of the fork's, and the fork's own declarations
+   are the cells in front of them. *)
+and derived = {
+  parent : t option; (* [Some] for a fork: the scope it extends *)
+  mutable index : index option;
+  mutable memo : memo option; (* a root's only; see [memo] *)
 }
 
 and index = {
@@ -75,11 +79,22 @@ and index = {
          generation [g]: a miss falls through to [p] *)
 }
 
+let no_derived parent = { parent; index = None; memo = None }
+
 let create () =
   { concepts = []; types = []; ops = []; models = []; refinement_edges = [];
-    generation = 0; base = None }
+    generation = 0; derived = no_derived None }
 
-let fork p = { p with base = Some { parent = p; local = None } }
+let fork p = { p with derived = no_derived (Some p) }
+
+let memo t make =
+  match t.derived with
+  | { parent = Some _; _ } -> None
+  | { memo = Some _ as m; _ } -> m
+  | d ->
+    let m = Some (make ()) in
+    d.memo <- m;
+    m
 
 let generation t = t.generation
 let touch t = t.generation <- t.generation + 1
@@ -118,19 +133,24 @@ let declare_model ?(doc = "") ?(axioms = []) ?(complexity = []) t concept args
     :: t.models;
   touch t
 
+(* [remove_assoc] copies only the cells in front of the type's entry, so
+   a fork's list still ends in its parent's cells. *)
+let set_assoc t name assoc =
+  let td = List.assoc name t.types in
+  t.types <-
+    (name, { td with td_assoc = assoc }) :: List.remove_assoc name t.types;
+  touch t
+
 (* ------------------------------------------------------------------ *)
 (* Generation-keyed indexes                                            *)
 (* ------------------------------------------------------------------ *)
 
 (* Hot lookups (find_concept / find_type / find_model / find_ops /
    refines) go through hashtable indexes instead of scanning the
-   association lists. The record type is exposed transparently in the
-   .mli and callers such as Lang.load_items mutate its fields directly,
-   so a root registry's index lives in a small side cache keyed by
-   physical identity and is rebuilt lazily whenever the registry's
-   generation counter has moved past the one the index was built at. An
-   evicted slot merely costs one rebuild on next use. A fork keeps its
-   index in its own [base], indexing only its own declarations. *)
+   association lists. A registry keeps its index in [derived] and
+   rebuilds it lazily whenever its generation counter has moved past the
+   one the index was built at. A fork indexes only its own
+   declarations. *)
 
 let add_first tbl k v = if not (Hashtbl.mem tbl k) then Hashtbl.add tbl k v
 
@@ -184,41 +204,11 @@ let build_index t =
   { ix_generation = t.generation; ix_concepts; ix_types; ix_ops; ix_models;
     ix_reachable; ix_parent = None }
 
-let index_cache : (t * index) option array = Array.make 8 None
-let index_clock = ref 0
-
-(* A rebuild means the side cache missed: either the registry mutated
-   since the cached index (generation bump) or this registry was evicted
-   from the 8-slot cache. Counted so an operator can spot declare-heavy
-   workloads thrashing the index. *)
+(* A root registry's rebuild: its first lookup, or its first since the
+   generation moved. Counted so an operator can spot declare-heavy
+   workloads rebuilding the index. *)
 let count_rebuild () =
   Gp_telemetry.Tel.count "gp_registry_index_rebuilds_total" 1
-
-let root_index t =
-  let slots = Array.length index_cache in
-  let rec scan i =
-    if i = slots then None
-    else
-      match index_cache.(i) with
-      | Some (r, _) when r == t -> Some i
-      | Some _ | None -> scan (i + 1)
-  in
-  match scan 0 with
-  | Some i -> (
-    match index_cache.(i) with
-    | Some (_, ix) when ix.ix_generation = t.generation -> ix
-    | Some _ | None ->
-      count_rebuild ();
-      let ix = build_index t in
-      index_cache.(i) <- Some (t, ix);
-      ix)
-  | None ->
-    count_rebuild ();
-    let ix = build_index t in
-    let slot = !index_clock mod slots in
-    index_clock := !index_clock + 1;
-    index_cache.(slot) <- Some (t, ix);
-    ix
 
 (* A delta index for a fork: only the cells in front of the parent's
    current lists, with misses falling through to the parent. [None]
@@ -301,24 +291,25 @@ and delta_types t p ix_types =
   || List.for_all (fun (n, _) -> Hashtbl.mem ix_types n) p.types
 
 and index_of t =
-  match t.base with
-  | None -> root_index t
-  | Some b -> (
-    match b.local with
-    | Some ({ ix_parent = None; _ } as ix) when ix.ix_generation = t.generation
-      ->
-      ix
-    | Some ({ ix_parent = Some (p, g); _ } as ix)
-      when ix.ix_generation = t.generation && p.generation = g ->
-      ix
-    | Some _ | None ->
-      let ix =
-        match delta_index t b.parent with
-        | Some ix -> ix
-        | None -> build_index t
-      in
-      b.local <- Some ix;
-      ix)
+  let d = t.derived in
+  match d.index with
+  | Some ({ ix_parent = None; _ } as ix) when ix.ix_generation = t.generation
+    ->
+    ix
+  | Some ({ ix_parent = Some (p, g); _ } as ix)
+    when ix.ix_generation = t.generation && p.generation = g ->
+    ix
+  | Some _ | None ->
+    let ix =
+      match d.parent with
+      | None ->
+        count_rebuild ();
+        build_index t
+      | Some p -> (
+        match delta_index t p with Some ix -> ix | None -> build_index t)
+    in
+    d.index <- Some ix;
+    ix
 
 (* Ground operations matching name + parameter types. Several ops may
    share name and parameters but differ in return type (e.g. the nullary

@@ -23,6 +23,11 @@ type model = {
   mo_doc : string;
 }
 
+type memo = ..
+(** The one slot of derived state a client keeps with a root registry
+    ({!Check}'s verdict memo). Extensible, so the registry need not know
+    the client's types. *)
+
 type t = {
   mutable concepts : (string * Concept.t) list;
   mutable types : (string * type_desc) list;
@@ -30,11 +35,15 @@ type t = {
   mutable models : model list;
   mutable refinement_edges : (string * string) list;
   mutable generation : int;
-  base : base option;  (** [Some] for a registry made by {!fork} *)
+  derived : derived;
 }
+(** The fields are read freely; only this module writes them (tests
+    excepted, which build adversarial worlds and then {!touch}). *)
 
-and base
-(** What a fork extends: its parent, and its own lookup index. *)
+and derived
+(** What the registry derives and keeps with itself: its parent (for a
+    fork), its lookup index and its {!memo} slot. A dropped registry
+    takes all of it along. *)
 
 val create : unit -> t
 
@@ -49,24 +58,29 @@ val fork : t -> t
 
     The child indexes only its own declarations; lookups that miss fall
     through to the parent's index, so forking and declaring costs the
-    size of the declarations, not of the parent. Forks keep their index
-    to themselves and never displace a root registry's cached index. If
-    the parent is mutated after the fork, the child indexes its lists
-    whole instead. *)
+    size of the declarations, not of the parent. If the parent is
+    mutated after the fork, the child indexes its lists whole instead.
+    A fork keeps no {!memo}. *)
 
 val generation : t -> int
 (** Monotone counter bumped by every declaration (and by {!touch}).
-    Memo caches over registry-dependent queries — {!Propagate.closure}'s
+    Caches over registry-dependent queries — {!Propagate.closure}'s
     request keys, the lookup index, and {!Check.check}'s verdict memo —
     are stamped with it, so mutating the registry invalidates cached
-    answers without any notification machinery. *)
+    answers without any notification machinery. The index is rebuilt on
+    a root's first lookup after the generation moved, and each such
+    rebuild counts [gp_registry_index_rebuilds_total]. *)
 
 val touch : t -> unit
-(** Bump {!generation}. Call after mutating the record fields directly
-    (as {!Lang.load_items} and {!Archetype} do for associated-type
-    refinement) so caches observe the change: without it the lookup
-    index and {!Check.check} would go on answering from the old
-    declarations. *)
+(** Bump {!generation}. Every declaration and {!set_assoc} does; call
+    it after writing a record field directly, or the lookup index and
+    {!Check.check} go on answering from the old declarations. *)
+
+val memo : t -> (unit -> memo) -> memo option
+(** [memo t make] is [t]'s memo slot, filled by [make ()] on first use.
+    [None] on a fork: a fork is a short-lived scope (one sandboxed
+    request), so its clients compute directly and allocate nothing.
+    The slot is not stamped: its client checks {!generation} itself. *)
 
 exception Duplicate of string
 
@@ -88,6 +102,14 @@ val declare_model :
   string ->
   Ctype.t list ->
   unit
+
+val set_assoc : t -> string -> (string * Ctype.t) list -> unit
+(** [set_assoc t name assoc] replaces the associated-type bindings of
+    the declared type [name] with [assoc] (the caller merges them with
+    the old ones in its own order) and bumps {!generation}. Only the
+    list cells in front of [name]'s entry are copied, so a fork's list
+    stays an extension of its parent's. Raises [Not_found] if [name] is
+    not declared. *)
 
 (** {2 Lookup} *)
 

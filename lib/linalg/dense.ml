@@ -49,12 +49,6 @@ let rmat_init r_rows r_cols f =
 let cmat_get m i j =
   Complexf.make m.re.((i * m.cols) + j) m.im.((i * m.cols) + j)
 
-let cmat_set m i j z =
-  m.re.((i * m.cols) + j) <- Complexf.re z;
-  m.im.((i * m.cols) + j) <- Complexf.im z
-
-let rmat_get m i j = m.data.((i * m.r_cols) + j)
-
 let cmat_close ?(eps = 1e-9) a b =
   a.rows = b.rows && a.cols = b.cols
   && Array.for_all2 (fun x y -> Float.abs (x -. y) < eps) a.re b.re

@@ -18,8 +18,6 @@ val rmat_create : int -> int -> rmat
 val cmat_init : int -> int -> (int -> int -> Complexf.t) -> cmat
 val rmat_init : int -> int -> (int -> int -> float) -> rmat
 val cmat_get : cmat -> int -> int -> Complexf.t
-val cmat_set : cmat -> int -> int -> Complexf.t -> unit
-val rmat_get : rmat -> int -> int -> float
 val cmat_close : ?eps:float -> cmat -> cmat -> bool
 
 val gemm_mixed : cmat -> rmat -> cmat

@@ -252,12 +252,3 @@ let sort_generic () =
         Overload.Unit
       | _ -> invalid_arg "sort: expected a range argument");
   g
-
-(* The iterator type-language name for a runtime iterator over int
-   containers — links the dynamic world to the registry's static world. *)
-let iterator_type_name (it : int Iter.t) =
-  match it.Iter.cat with
-  | Iter.Random_access -> "vector<int>::iterator"
-  | Iter.Bidirectional | Iter.Forward -> "list<int>::iterator"
-  | Iter.Input -> "istream<int>::iterator"
-  | Iter.Output -> "ostream<int>::iterator"

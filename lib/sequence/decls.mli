@@ -47,6 +47,3 @@ type Gp_concepts.Overload.dyn += Int_range of int Iter.t * int Iter.t
 val sort_generic : unit -> Gp_concepts.Overload.generic
 (** Candidates: mergesort guarded by ForwardIterator, introsort guarded
     by RandomAccessIterator; resolution picks the most refined model. *)
-
-val iterator_type_name : int Iter.t -> string
-(** The registry type name a runtime iterator corresponds to. *)

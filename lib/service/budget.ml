@@ -36,5 +36,3 @@ let spend t n =
   check_deadline t;
   t.used <- t.used + n;
   if t.used > t.max_steps then raise (Exhausted Steps)
-
-let why_name = function Steps -> "steps" | Deadline -> "deadline"

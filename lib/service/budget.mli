@@ -25,4 +25,3 @@ val spend : t -> int -> unit
 val check_deadline : t -> unit
 val used : t -> int
 val remaining : t -> int
-val why_name : why -> string

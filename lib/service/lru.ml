@@ -106,11 +106,6 @@ let clear t =
   t.mru <- None;
   t.lru <- None
 
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0;
-  t.evictions <- 0
-
 let stats t =
   { st_name = t.name; st_capacity = t.capacity; st_size = size t;
     st_hits = t.hits; st_misses = t.misses; st_evictions = t.evictions }

@@ -38,9 +38,8 @@ val find_or_compute : 'v t -> enabled:bool -> string -> (unit -> 'v) -> 'v * boo
     reports all-zero tables. *)
 
 val clear : 'v t -> unit
-(** Drop all entries; stats are kept (see {!reset_stats}). *)
+(** Drop all entries; stats are kept. *)
 
-val reset_stats : _ t -> unit
 val stats : _ t -> stats
 val hit_ratio : stats -> float
 

@@ -258,27 +258,25 @@ let parse_direct_id c =
   end
   else skip_value c
 
+(* The elements after a non-empty array's '[' or a ',': a ']' right
+   after a comma is an error, as in [Json.parse]. *)
 let rec str_list_elems c ok acc =
   skip_ws c;
-  if has c && cur c = ']' then advance c
-  else begin
-    (skip_ws c;
-     if !ok && has c && cur c = '"' then begin
-       advance c;
-       acc := string_body c :: !acc
-     end
-     else begin
-       ok := false;
-       skip_value c
-     end);
-    skip_ws c;
-    if has c && cur c = ',' then begin
-      advance c;
-      str_list_elems c ok acc
-    end
-    else if has c && cur c = ']' then advance c
-    else fail "at %d: expected , or ] in array" c.pos
+  if !ok && has c && cur c = '"' then begin
+    advance c;
+    acc := string_body c :: !acc
   end
+  else begin
+    ok := false;
+    skip_value c
+  end;
+  skip_ws c;
+  if has c && cur c = ',' then begin
+    advance c;
+    str_list_elems c ok acc
+  end
+  else if has c && cur c = ']' then advance c
+  else fail "at %d: expected , or ] in array" c.pos
 
 let parse_direct_str_list c idx set =
   skip_ws c;
@@ -286,7 +284,8 @@ let parse_direct_str_list c idx set =
     advance c;
     let ok = ref true in
     let acc = ref [] in
-    str_list_elems c ok acc;
+    skip_ws c;
+    if has c && cur c = ']' then advance c else str_list_elems c ok acc;
     if !ok then begin
       set (List.rev !acc);
       mark_seen idx

@@ -18,7 +18,9 @@ val request_of_line : string -> (int option * Request.t, string) result
     typed IR without materializing a {!Gp_telemetry.Json.t} tree, so
     steady-state allocation is limited to the strings the request must
     own. Accepted lines and error messages are those of
-    {!Gp_telemetry.Json.parse} followed by field validation. *)
+    {!Gp_telemetry.Json.parse} followed by field validation; a trailing
+    comma, in the object or in a string list, is rejected with
+    [Json.parse]'s message. *)
 
 val request_to_line : ?id:int -> Request.t -> string
 (** Encode a request; [request_of_line (request_to_line r)] round-trips. *)

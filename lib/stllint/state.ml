@@ -38,13 +38,6 @@ let set_container t name st =
 
 let set_iter t name st = { t with iters = Smap.add name st t.iters }
 
-let category_of_iter t = function
-  | I_valid { c; _ } | I_end c -> (
-    match container t c with
-    | Some cs -> Some (Ast.kind_category cs.c_kind)
-    | None -> None)
-  | I_singular _ | I_invalid _ | I_top -> None
-
 (* Apply an invalidation effect on container [c]. *)
 let invalidate t ~container:c ~(effect : Spec.invalidation) ~erased_at =
   match effect with
@@ -126,11 +119,3 @@ let equal a b =
     a.containers b.containers
   && Smap.equal equal_istate a.iters b.iters
   && a.consumed_streams = b.consumed_streams
-
-let pp_istate ppf = function
-  | I_singular r -> Fmt.pf ppf "singular (%s)" r
-  | I_invalid r -> Fmt.pf ppf "invalid (%s)" r
-  | I_valid { c; maybe_end } ->
-    Fmt.pf ppf "valid in %s%s" c (if maybe_end then " (maybe end)" else "")
-  | I_end c -> Fmt.pf ppf "end of %s" c
-  | I_top -> Fmt.string ppf "unknown"

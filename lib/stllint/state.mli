@@ -29,7 +29,6 @@ val container : t -> string -> cstate option
 val iter : t -> string -> istate option
 val set_container : t -> string -> cstate -> t
 val set_iter : t -> string -> istate -> t
-val category_of_iter : t -> istate -> Gp_sequence.Iter.category option
 
 val invalidate :
   t -> container:string -> effect:Spec.invalidation -> erased_at:string option -> t
@@ -41,5 +40,3 @@ val join_sorted : sortedness -> sortedness -> sortedness
 val join_istate : istate -> istate -> istate
 val join : t -> t -> t
 val equal : t -> t -> bool
-
-val pp_istate : Format.formatter -> istate -> unit

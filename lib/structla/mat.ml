@@ -81,7 +81,6 @@ let dense_init n_rows n_cols f =
   m
 
 let dense_get m i j = m.d.((i * m.n_cols) + j)
-let dense_set m i j x = m.d.((i * m.n_cols) + j) <- x
 
 let dense_equal a b =
   a.n_rows = b.n_rows && a.n_cols = b.n_cols && a.d = b.d

@@ -54,7 +54,6 @@ val imax : int -> int -> int
 val dense_create : int -> int -> dense
 val dense_init : int -> int -> (int -> int -> float) -> dense
 val dense_get : dense -> int -> int -> float
-val dense_set : dense -> int -> int -> float -> unit
 val dense_equal : dense -> dense -> bool
 val dense_close : ?eps:float -> dense -> dense -> bool
 val vec_close : ?eps:float -> float array -> float array -> bool

@@ -7,8 +7,6 @@ type t = unit -> float (* nanoseconds since an arbitrary origin *)
 
 let wall () = Unix.gettimeofday () *. 1e9
 
-let frozen at () = at
-
 let manual ?(start = 0.0) ~step () =
   let t = ref (start -. step) in
   fun () ->

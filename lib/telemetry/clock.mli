@@ -8,9 +8,6 @@ type t = unit -> float
 val wall : t
 (** Wall-clock time via [Unix.gettimeofday], in ns. *)
 
-val frozen : float -> t
-(** Always returns the given instant (spans get zero duration). *)
-
 val manual : ?start:float -> step:float -> unit -> t
 (** A deterministic clock that advances by exactly [step] ns on every
     read, starting at [start] (default 0). The first read returns

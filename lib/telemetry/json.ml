@@ -178,62 +178,61 @@ let rec value c =
       Str (string_body c)
     | '{' ->
       advance c;
-      obj c []
+      skip_ws c;
+      if has c && cur c = '}' then begin
+        advance c;
+        Obj []
+      end
+      else obj c []
     | '[' ->
       advance c;
-      arr c []
+      skip_ws c;
+      if has c && cur c = ']' then begin
+        advance c;
+        Arr []
+      end
+      else arr c []
     | 't' -> literal c "true"; Bool true
     | 'f' -> literal c "false"; Bool false
     | 'n' -> literal c "null"; Null
     | '-' | '0' .. '9' -> number c
     | ch -> fail "at %d: unexpected %c" c.pos ch
 
+(* The members after a non-empty object's '{' or a ',': a closer right
+   after a comma is an error, never an empty member. *)
 and obj c acc =
   skip_ws c;
-  if has c && cur c = '}' then begin
+  let kpos = c.pos in
+  expect c '"';
+  let key = string_body c in
+  if List.mem_assoc key acc then
+    fail "at %d: duplicate key %S in object" kpos key;
+  skip_ws c;
+  expect c ':';
+  let v = value c in
+  skip_ws c;
+  if has c && cur c = ',' then begin
     advance c;
-    Obj (List.rev acc)
+    obj c ((key, v) :: acc)
   end
-  else begin
-    let kpos = c.pos in
-    expect c '"';
-    let key = string_body c in
-    if List.mem_assoc key acc then
-      fail "at %d: duplicate key %S in object" kpos key;
-    skip_ws c;
-    expect c ':';
-    let v = value c in
-    skip_ws c;
-    if has c && cur c = ',' then begin
-      advance c;
-      obj c ((key, v) :: acc)
-    end
-    else if has c && cur c = '}' then begin
-      advance c;
-      Obj (List.rev ((key, v) :: acc))
-    end
-    else fail "at %d: expected , or } in object" c.pos
+  else if has c && cur c = '}' then begin
+    advance c;
+    Obj (List.rev ((key, v) :: acc))
   end
+  else fail "at %d: expected , or } in object" c.pos
 
 and arr c acc =
+  let v = value c in
   skip_ws c;
-  if has c && cur c = ']' then begin
+  if has c && cur c = ',' then begin
     advance c;
-    Arr (List.rev acc)
+    arr c (v :: acc)
   end
-  else begin
-    let v = value c in
-    skip_ws c;
-    if has c && cur c = ',' then begin
-      advance c;
-      arr c (v :: acc)
-    end
-    else if has c && cur c = ']' then begin
-      advance c;
-      Arr (List.rev (v :: acc))
-    end
-    else fail "at %d: expected , or ] in array" c.pos
+  else if has c && cur c = ']' then begin
+    advance c;
+    Arr (List.rev (v :: acc))
   end
+  else fail "at %d: expected , or ] in array" c.pos
 
 let end_of_input c =
   skip_ws c;

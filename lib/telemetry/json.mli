@@ -25,7 +25,8 @@ val fail : ('a, unit, string, 'b) format4 -> 'a
 
 val parse : string -> t
 (** Exactly one value, with optional surrounding whitespace. A number
-    that fits an [int] is an [Int], any other a [Float]. *)
+    that fits an [int] is an [Int], any other a [Float]. A trailing comma
+    in an object or array ([{"a":1,}], [[1,]]) is an error. *)
 
 val to_string : t -> string
 (** One line, no whitespace. [parse (to_string v) = v] holds for values

@@ -33,10 +33,6 @@ let install ?clock ?trace_capacity ?(profile = false) () =
   if profile then Profile.enable ();
   s
 
-let install_sink s =
-  sink := Some s;
-  enabled := true
-
 let uninstall () =
   enabled := false;
   sink := None;

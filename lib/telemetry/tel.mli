@@ -20,8 +20,6 @@ val install : ?clock:Clock.t -> ?trace_capacity:int -> ?profile:bool -> unit -> 
     [~profile:true] also enables {!Profile}, so every span carries a
     GC/allocation delta. *)
 
-val install_sink : sink -> unit
-
 val uninstall : unit -> unit
 (** Back to the no-op default; also disables {!Profile}. *)
 

@@ -1071,6 +1071,40 @@ let test_memo_telemetry () =
     (float_of_int (total - List.length queries))
     hits
 
+(* Each root keeps its own index and memo, so checking more roots never
+   displaces the first one's: its verdict is still memoised, and a check
+   that misses the memo still finds the index current. *)
+let test_roots_keep_derived_state () =
+  let args = [ n "int[+]" ] in
+  let roots = List.init 9 (fun _ -> Gp_standard.Standard.registry ()) in
+  List.iter (fun reg -> ignore (Check.check reg "Monoid" args)) roots;
+  let first = List.hd roots in
+  Alcotest.(check bool) "first root's verdict still memoised" true
+    (Check.memo_entries first > 0);
+  let rebuilds =
+    Gp_telemetry.Tel.with_installed (fun sink ->
+        ignore (Check.check first "Monoid" args);
+        ignore (Check.check first "Regular" [ n "int" ]);
+        Gp_telemetry.Metrics.total sink.Gp_telemetry.Tel.metrics
+          "gp_registry_index_rebuilds_total")
+  in
+  Alcotest.(check (float 0.0)) "first root's index still current" 0.0
+    rebuilds
+
+(* Nothing outside a registry holds on to it: once dropped, an indexed
+   and checked root is collected along with its index and memo. *)
+let[@inline never] indexed_and_checked weak =
+  let reg = Gp_standard.Standard.registry () in
+  ignore (Registry.find_concept reg "Monoid");
+  ignore (Check.check reg "Monoid" [ n "int[+]" ]);
+  Weak.set weak 0 (Some reg)
+
+let test_dropped_root_collected () =
+  let weak = Weak.create 1 in
+  indexed_and_checked weak;
+  Gc.full_major ();
+  Alcotest.(check bool) "collected" false (Weak.check weak 0)
+
 (* ------------------------------------------------------------------ *)
 (* Archetypes                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -1420,7 +1454,11 @@ let () =
             test_memo_certification;
           Alcotest.test_case "bounded by its cap" `Quick test_memo_bounded;
           Alcotest.test_case "telemetry unchanged by hits" `Quick
-            test_memo_telemetry ] );
+            test_memo_telemetry;
+          Alcotest.test_case "roots keep their own index and memo" `Quick
+            test_roots_keep_derived_state;
+          Alcotest.test_case "a dropped root is collected" `Quick
+            test_dropped_root_collected ] );
       ( "archetype",
         [
           Alcotest.test_case "models own concept" `Quick

@@ -17,6 +17,7 @@ module Context = Gp_telemetry.Context
 module Recorder = Gp_telemetry.Recorder
 module Tel = Gp_telemetry.Tel
 module Wire = Gp_service.Wire
+module Request = Gp_service.Request
 module Server = Gp_service.Server
 module Workload = Gp_service.Workload
 module Cluster = Gp_cluster.Cluster
@@ -196,6 +197,28 @@ let fuzz ?(count = 3000) ?(json = false) ~name ~corpus ~nestings ~parse
 
 let json_nestings = [ ("[", "]"); ({|{"a":|}, "}") ]
 
+(* The direct request decoder and the AST oracle agree on every mutated
+   line: the same id and request, or the same error text. *)
+let decoders_agree =
+  let show = function
+    | Ok (id, r) ->
+      Printf.sprintf "Ok %s %s"
+        (match id with Some i -> string_of_int i | None -> "-")
+        (Request.key r)
+    | Error m -> "Error " ^ m
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:20_000
+       ~name:"request decoders: direct == AST (id, request, error text)"
+       (QCheck.make ~print:(Printf.sprintf "%S")
+          (mutate ~corpus:request_corpus ~nestings:json_nestings ~json:true))
+       (fun src ->
+         let direct = Wire.request_of_line src in
+         let ast = Oracles.request_of_line_ast src in
+         direct = ast
+         || QCheck.Test.fail_reportf "direct: %s@.AST:    %s" (show direct)
+              (show ast)))
+
 (* a boundary that answers with a result or an option: nothing escapes *)
 let nothing _ = false
 
@@ -233,6 +256,7 @@ let () =
             ~corpus:request_corpus ~nestings:json_nestings
             ~parse:(fun src -> ignore (Wire.request_of_line src))
             ~documented:nothing ();
+          decoders_agree;
           fuzz ~json:true ~name:"flight dump loader: nothing escapes"
             ~count:1000 ~corpus:[ flight_dump ] ~nestings:json_nestings
             ~parse:(fun src -> ignore (Recorder.of_jsonl src))

@@ -277,7 +277,9 @@ let test_wire_parser_agreement () =
       {|{"kind":|}; {|{"kind":"pa|}; {|{"kind":"parse","source":["s",|};
       {|{"kind":"optimize","expr":"x","certified_only":"yes"}|};
       {|{"kind":"matvec","structure":"diagonal","n":"big","seed":0}|};
-      {|{"kind":"solve","structure":"banded","n":8,"seed":1}|} ]
+      {|{"kind":"solve","structure":"banded","n":8,"seed":1}|};
+      {|{"kind":"prove","theory":"group",}|};
+      {|{"kind":"closure","concept":"Monoid","types":["int",]}|} ]
   in
   let show = function
     | Ok (id, r) ->
@@ -726,9 +728,9 @@ let test_prove_hit_accounting () =
   Alcotest.(check int) "one hit" 1 s.Lru.st_hits;
   Alcotest.(check int) "one entry" 1 s.Lru.st_size
 
-(* Sandboxed checks fork the shared standard registry: serving many of
-   them never displaces the shared registry's index from the registry
-   side cache, so the shared registry never pays an index rebuild. *)
+(* Sandboxed checks fork the shared standard registry: a fork indexes
+   only its own declarations and leaves the shared registry's index
+   alone, so the shared registry never pays an index rebuild. *)
 let test_sandbox_keeps_shared_index () =
   let server = mkserver () in
   let check ?defs concept types =
