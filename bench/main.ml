@@ -1593,6 +1593,12 @@ let s7 () =
   let hit_closure =
     hit_minor (function Request.Closure _ -> true | _ -> false)
   in
+  let hit_check_defs =
+    hit_minor (function
+      | Request.Check { defs = Some _; _ } -> true
+      | _ -> false)
+  in
+  let hit_lint = hit_minor (function Request.Lint _ -> true | _ -> false) in
   (* the recorder's share: the same warm pass on a server without one *)
   let unrecorded =
     Server.create
@@ -1635,6 +1641,8 @@ let s7 () =
   Fmt.pr "%-44s %14.1f@." "optimize" hit_optimize;
   Fmt.pr "%-44s %14.1f@." "check (no defs)" hit_check;
   Fmt.pr "%-44s %14.1f@." "closure" hit_closure;
+  Fmt.pr "%-44s %14.1f@." "check (sandboxed, with defs)" hit_check_defs;
+  Fmt.pr "%-44s %14.1f@." "lint" hit_lint;
   Fmt.pr "@.%-44s %14s@." "text front end, one parse" "minor words";
   Fmt.pr "%-44s %14.1f@." "STLlint program (perfbench lint shapes)"
     lint_parse_minor;
@@ -1662,6 +1670,8 @@ let s7 () =
   record ~experiment:"s7" "hit_minor_words_optimize" hit_optimize;
   record ~experiment:"s7" "hit_minor_words_check" hit_check;
   record ~experiment:"s7" "hit_minor_words_closure" hit_closure;
+  record ~experiment:"s7" "hit_minor_words_check_defs" hit_check_defs;
+  record ~experiment:"s7" "hit_minor_words_lint" hit_lint;
   record ~experiment:"s7" "recorder_minor_words" recorder_minor;
   record ~experiment:"s7" "lint_parse_minor_words" lint_parse_minor;
   record ~experiment:"s7" "gpc_parse_minor_words" gpc_parse_minor;

@@ -138,6 +138,18 @@ let standard_carriers =
     carrier ~elem:"invertible_matrix" ~label:"." ~concept:"Group";
   ]
 
+(* Reflexive-transitive refinement among [all_concepts], read from their
+   definitions. [declare] declares exactly these, so the registry would
+   answer the same; asking it between declarations would rebuild its
+   index each time. *)
+let rec refines a b =
+  String.equal a b
+  || List.exists
+       (fun (c : Concept.t) ->
+         String.equal c.Concept.name a
+         && List.exists (fun (r, _) -> refines r b) c.Concept.refines)
+       all_concepts
+
 (* Declare the whole algebraic world into [reg]: concepts, element types,
    carrier types with their ops, and checked model declarations. *)
 let declare reg =
@@ -154,14 +166,14 @@ let declare reg =
         ~doc:(Printf.sprintf "(%s) as a %s carrier" c.car_name c.car_concept);
       let t = n c.car_name in
       Registry.declare_op reg "op" [ t; t ] t;
-      if Registry.refines reg c.car_concept "Monoid" then
+      if refines c.car_concept "Monoid" then
         Registry.declare_op reg "id" [] t;
-      if Registry.refines reg c.car_concept "Group" then
+      if refines c.car_concept "Group" then
         Registry.declare_op reg "inverse" [ t ] t;
       (* declare models for the whole refinement chain, asserting axioms *)
       let chain =
         List.filter
-          (fun cc -> Registry.refines reg c.car_concept cc)
+          (fun cc -> refines c.car_concept cc)
           [ "Semigroup"; "Monoid"; "Group"; "AbelianGroup" ]
       in
       List.iter

@@ -373,12 +373,14 @@ and check_constraints ~mode ~visited reg env cs =
 (* ------------------------------------------------------------------ *)
 
 (* A verdict is a pure function of (concept, args, mode), the registry's
-   declarations and the certification table. A root registry keeps its
+   declarations and the certification table. A registry keeps its
    verdicts in its memo slot, stamped with the generation and the
    certification list they were derived at, so any declaration, [touch]
-   or certification empties the table on the next check. Forks have no
-   slot and compute directly. A table is emptied when it reaches
-   [memo_capacity], so wire-supplied names cannot grow it.
+   or certification empties the table on the next check. A fork's own
+   lists hold everything it answers from, and declaring into its parent
+   replaces the parent's lists, never the fork's, so the same stamp
+   serves a fork. A table is emptied when it reaches [memo_capacity],
+   so wire-supplied names cannot grow it.
 
    An entry also carries the verdict's rendered report once someone has
    asked for it ([check_rendered]), so a memo hit renders nothing. *)
@@ -406,22 +408,21 @@ let memo_capacity = 1024
 
 let new_memo () =
   Verdicts
-    { m_generation = -1; m_certified = []; m_reports = Memo_tbl.create 64 }
+    { m_generation = -1; m_certified = []; m_reports = Memo_tbl.create 8 }
 
 let memo_of reg =
   match Registry.memo reg new_memo with
-  | Some (Verdicts m) ->
+  | Verdicts m ->
     let g = Registry.generation reg in
     if m.m_generation <> g || m.m_certified != !certified then begin
       Memo_tbl.reset m.m_reports;
       m.m_generation <- g;
       m.m_certified <- !certified
     end;
-    Some m
-  | Some _ | None -> None
+    m
+  | _ -> assert false (* this module is the slot's only client *)
 
-let memo_entries reg =
-  match memo_of reg with Some m -> Memo_tbl.length m.m_reports | None -> 0
+let memo_entries reg = Memo_tbl.length (memo_of reg).m_reports
 
 let certify_axiom ~concept ~axiom ~args =
   let key = axiom_key concept axiom args in
@@ -442,18 +443,16 @@ let compute mode reg concept args =
 
 (* The verdict, from the memo when there is one, and whether it hit. *)
 let verdict mode reg concept args =
-  match memo_of reg with
-  | None -> (compute mode reg concept args, false)
-  | Some m -> (
-    let key = (concept, args, mode) in
-    match Memo_tbl.find_opt m.m_reports key with
-    | Some e -> (e, true)
-    | None ->
-      let e = compute mode reg concept args in
-      if Memo_tbl.length m.m_reports >= memo_capacity then
-        Memo_tbl.reset m.m_reports;
-      Memo_tbl.add m.m_reports key e;
-      (e, false))
+  let m = memo_of reg in
+  let key = (concept, args, mode) in
+  match Memo_tbl.find_opt m.m_reports key with
+  | Some e -> (e, true)
+  | None ->
+    let e = compute mode reg concept args in
+    if Memo_tbl.length m.m_reports >= memo_capacity then
+      Memo_tbl.reset m.m_reports;
+    Memo_tbl.add m.m_reports key e;
+    (e, false)
 
 (* The verdict's entry, under the [concepts.check] span when telemetry
    is on. *)

@@ -55,21 +55,23 @@ val check : ?mode:mode -> Registry.t -> string -> Ctype.t list -> report
 (** [check reg concept args]: do the ground types [args] model
     [concept]? Defaults to {!Structural}.
 
-    On a root registry the report is memoised per [(concept, args,
-    mode)] in the registry's {!Registry.memo} slot, stamped with
+    The report is memoised per [(concept, args, mode)] in the
+    registry's {!Registry.memo} slot, stamped with
     {!Registry.generation} and the certification list: every
     declaration or {!Registry.touch}, and every {!certify_axiom},
     invalidates it, so a repeated check is a table lookup and never a
-    stale verdict. The memo lives and dies with its registry. Forks
-    ({!Registry.fork}) compute every check and allocate no memo. With telemetry on, a memo
-    hit records the same [concepts.check] span and counters as a
-    computed check, and also counts [gp_check_memo_hits_total]. *)
+    stale verdict. The memo lives and dies with its registry. A fork
+    ({!Registry.fork}) keeps its own memo under the same stamp: its
+    verdicts depend on its own declaration lists, which declaring into
+    the parent never changes. With telemetry on, a memo hit records the
+    same [concepts.check] span and counters as a computed check, and
+    also counts [gp_check_memo_hits_total]. *)
 
 val check_rendered :
   ?mode:mode -> Registry.t -> string -> Ctype.t list -> report * string
 (** {!check} together with the report rendered by {!pp_report}. A
     memoised verdict keeps its rendering, so a repeated check renders
-    nothing; on a fork every call renders. *)
+    nothing. *)
 
 val memo_capacity : int
 (** The bound on one registry's memo: a table that reaches it is
@@ -77,7 +79,7 @@ val memo_capacity : int
 
 val memo_entries : Registry.t -> int
 (** Verdicts currently memoised for the registry at its current
-    generation and certification list (0 for a fork). *)
+    generation and certification list. *)
 
 val models : ?mode:mode -> Registry.t -> string -> Ctype.t list -> bool
 

@@ -62,7 +62,7 @@ type t = {
 and derived = {
   parent : t option; (* [Some] for a fork: the scope it extends *)
   mutable index : index option;
-  mutable memo : memo option; (* a root's only; see [memo] *)
+  mutable memo : memo option; (* see [memo] *)
 }
 
 and index = {
@@ -88,12 +88,12 @@ let create () =
 let fork p = { p with derived = no_derived (Some p) }
 
 let memo t make =
-  match t.derived with
-  | { parent = Some _; _ } -> None
-  | { memo = Some _ as m; _ } -> m
-  | d ->
-    let m = Some (make ()) in
-    d.memo <- m;
+  let d = t.derived in
+  match d.memo with
+  | Some m -> m
+  | None ->
+    let m = make () in
+    d.memo <- Some m;
     m
 
 let generation t = t.generation
@@ -353,6 +353,11 @@ let rec find_model t concept args =
     | None -> None)
 
 let concepts t = List.map snd t.concepts
+
+(* Read from the lists, so asking between declarations rebuilds no
+   index. *)
+let has_concept t name = List.mem_assoc name t.concepts
+let has_type t name = List.mem_assoc name t.types
 let models t = t.models
 
 (* Resolve a type expression to ground normal form: associated-type

@@ -24,7 +24,7 @@ type model = {
 }
 
 type memo = ..
-(** The one slot of derived state a client keeps with a root registry
+(** The one slot of derived state a client keeps with a registry
     ({!Check}'s verdict memo). Extensible, so the registry need not know
     the client's types. *)
 
@@ -59,8 +59,10 @@ val fork : t -> t
     The child indexes only its own declarations; lookups that miss fall
     through to the parent's index, so forking and declaring costs the
     size of the declarations, not of the parent. If the parent is
-    mutated after the fork, the child indexes its lists whole instead.
-    A fork keeps no {!memo}. *)
+    mutated after the fork, the child indexes its lists whole instead:
+    declaring into the parent replaces the parent's lists and never the
+    child's, so the child's answers depend on its own lists alone. The
+    child has its own {!memo} slot, empty at the fork. *)
 
 val generation : t -> int
 (** Monotone counter bumped by every declaration (and by {!touch}).
@@ -76,11 +78,11 @@ val touch : t -> unit
     it after writing a record field directly, or the lookup index and
     {!Check.check} go on answering from the old declarations. *)
 
-val memo : t -> (unit -> memo) -> memo option
+val memo : t -> (unit -> memo) -> memo
 (** [memo t make] is [t]'s memo slot, filled by [make ()] on first use.
-    [None] on a fork: a fork is a short-lived scope (one sandboxed
-    request), so its clients compute directly and allocate nothing.
-    The slot is not stamped: its client checks {!generation} itself. *)
+    A root and a fork each have one; a fork starts empty and never
+    reads its parent's. The slot is not stamped: its client checks
+    {!generation} itself, which suffices for a fork too (see {!fork}). *)
 
 exception Duplicate of string
 
@@ -117,6 +119,13 @@ val find_concept : t -> string -> Concept.t option
 val find_type : t -> string -> type_desc option
 val find_model : t -> string -> Ctype.t list -> model option
 val concepts : t -> Concept.t list
+
+val has_concept : t -> string -> bool
+val has_type : t -> string -> bool
+(** [find_concept t name <> None] and [find_type t name <> None],
+    answered from the declaration lists rather than the index: a
+    declarer that asks between declarations makes no rebuild. *)
+
 val models : t -> model list
 
 val resolve : t -> Ctype.t -> Ctype.t option

@@ -143,9 +143,7 @@ let declare_graph_type reg ~name ~with_matrix =
    Gp_sequence-style declarations or declares a minimal InputIterator if
    absent. *)
 let declare reg =
-  (match Registry.find_concept reg "InputIterator" with
-  | Some _ -> ()
-  | None ->
+  if not (Registry.has_concept reg "InputIterator") then
     Registry.declare_concept reg
       (Concept.make ~params:[ "I" ] "InputIterator"
          [
@@ -155,14 +153,11 @@ let declare reg =
            Concept.signature "succ" [ v "I" ] (v "I");
            Concept.signature "iter_eq" [ v "I"; v "I" ] (n "bool");
            Concept.axiom "single_pass" ~vars:[ "i" ] "single pass";
-         ]));
+         ]);
   List.iter (Registry.declare_concept reg) all_concepts;
-  (match Registry.find_type reg "vertex" with
-  | None -> Registry.declare_type reg "vertex"
-  | Some _ -> ());
-  (match Registry.find_type reg "int" with
-  | None -> Registry.declare_type reg "int"
-  | Some _ -> ());
+  if not (Registry.has_type reg "vertex") then
+    Registry.declare_type reg "vertex";
+  if not (Registry.has_type reg "int") then Registry.declare_type reg "int";
   declare_graph_type reg ~name:"adjacency_list" ~with_matrix:false;
   declare_graph_type reg ~name:"adjacency_matrix" ~with_matrix:true
 

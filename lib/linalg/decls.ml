@@ -53,9 +53,7 @@ let declare reg =
      two scalar fields *)
   List.iter
     (fun name ->
-      match Registry.find_type reg name with
-      | None -> Registry.declare_type reg name
-      | Some _ -> ())
+      if not (Registry.has_type reg name) then Registry.declare_type reg name)
     [ "cvec"; "complex"; "real" ];
   (* cvec is an additive abelian group *)
   Registry.declare_op reg "op" [ n "cvec"; n "cvec" ] (n "cvec");

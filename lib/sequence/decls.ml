@@ -200,9 +200,7 @@ let declare_container_type reg ~name ~elem ~iterator ~concepts
 (* Populate a registry with the whole sequence world over int elements. *)
 let declare reg =
   List.iter (Registry.declare_concept reg) all_concepts;
-  (match Registry.find_type reg "int" with
-  | None -> Registry.declare_type reg "int"
-  | Some _ -> ());
+  if not (Registry.has_type reg "int") then Registry.declare_type reg "int";
   declare_iterator_type reg ~name:"vector<int>::iterator" ~elem:"int"
     ~category:Iter.Random_access;
   declare_iterator_type reg ~name:"list<int>::iterator" ~elem:"int"

@@ -12,18 +12,32 @@ open Gp_concepts
 module Tel = Gp_telemetry.Tel
 module Json = Gp_telemetry.Json
 
+(* A .gpc source's parse, and the sandbox a [Check] runs in: a fork of
+   the shared world with the items loaded, or the duplicate declaration
+   that stopped the load. The first check that needs the sandbox builds
+   it; every later check with the same defs reuses it, verdict memo
+   included. *)
+type defs = {
+  items : Lang.item list;
+  mutable scope : (Registry.t, Request.error) result option;
+}
+
+(* Every key is content: the request text itself (defs, lint, optimize)
+   or a structural encoding of it, never a digest, so two keys are equal
+   exactly when the requests are. *)
 type caches = {
   closures : string list Lru.t;
       (* propagation closures, pre-rendered: the cache stores the
          obligation strings the payload ships, so a hit allocates no
          per-request rendering *)
-  defs : Lang.item list Lru.t; (* parsed .gpc declarations *)
-  lint : Request.payload Lru.t; (* Linted payloads by program hash *)
+  defs : defs Lru.t; (* parsed .gpc declarations and their sandbox *)
+  lint : Request.payload Lru.t; (* Linted payloads by program text *)
   cert : Gp_simplicissimus.Certify.certification list Lru.t;
       (* certified rewrite rules *)
   proofs : (string * bool) list Lru.t; (* checked proof instantiations *)
   rewrites : Request.payload Lru.t;
-      (* Optimized payloads by typed expression, output pre-rendered *)
+      (* Optimized payloads by mode and expression text, output
+         pre-rendered *)
   numerics : Request.payload Lru.t; (* Computed payloads by (op,triple) *)
 }
 
@@ -99,13 +113,12 @@ let err code detail = Error { Request.code; detail }
 
 (* Parse a .gpc source through the defs cache. *)
 let parsed_defs t ~caching ~budget source =
-  let key = "gpc|" ^ Digest.to_hex (Digest.string source) in
-  let items, hit =
-    Lru.find_or_compute t.caches.defs ~enabled:caching key (fun () ->
-        Lang.parse_string source)
+  let d, hit =
+    Lru.find_or_compute t.caches.defs ~enabled:caching source (fun () ->
+        { items = Lang.parse_string source; scope = None })
   in
-  Budget.spend budget (if hit then 1 else 1 + List.length items);
-  (items, hit)
+  Budget.spend budget (if hit then 1 else 1 + List.length d.items);
+  (d, hit)
 
 (* The certified-rule set, computed once (per eviction) and shared by
    every optimize request: each built-in rule's backing theorem runs
@@ -125,11 +138,30 @@ let certifications t ~caching ~budget =
 (* A [Check] carrying defs runs against its own scope: a fork of the
    shared standard registry with the defs loaded into it. Forking is
    O(1) and the fork indexes only the defs, so the sandbox costs the
-   size of the defs, not of the standard world. *)
+   size of the defs, not of the standard world; it is built once per
+   defs entry. *)
 let sandbox t items =
   let reg = Registry.fork t.registry in
   Lang.load_items reg items;
   reg
+
+let scope t d =
+  match d.scope with
+  | Some s -> s
+  | None ->
+    let s =
+      match
+        if Tel.is_enabled () then
+          Tel.with_span ~name:"service.sandbox" (fun () -> sandbox t d.items)
+        else sandbox t d.items
+      with
+      | reg -> Ok reg
+      | exception Registry.Duplicate what ->
+        Error { Request.code = Request.Parse_failure;
+                detail = "duplicate declaration of " ^ what }
+    in
+    d.scope <- Some s;
+    s
 
 let handle_check t ~caching ~budget ~concept ~types ~nominal ~defs =
   let sandbox_result =
@@ -137,17 +169,11 @@ let handle_check t ~caching ~budget ~concept ~types ~nominal ~defs =
     | None -> Ok (t.registry, false)
     | Some source -> (
       match parsed_defs t ~caching ~budget source with
-      | items, hit -> (
-        Budget.spend budget (List.length items);
-        match
-          if Tel.is_enabled () then
-            Tel.with_span ~name:"service.sandbox" (fun () -> sandbox t items)
-          else sandbox t items
-        with
-        | reg -> Ok (reg, hit)
-        | exception Registry.Duplicate what ->
-          Error ({ Request.code = Request.Parse_failure;
-                   detail = "duplicate declaration of " ^ what }, hit))
+      | d, hit -> (
+        Budget.spend budget (List.length d.items);
+        match scope t d with
+        | Ok reg -> Ok (reg, hit)
+        | Error e -> Error (e, hit))
       | exception Lang.Parse_error { line; col; message } ->
         Error ({ Request.code = Request.Parse_failure;
                  detail = Printf.sprintf ".gpc:%d:%d: %s" line col message },
@@ -173,7 +199,7 @@ let handle_check t ~caching ~budget ~concept ~types ~nominal ~defs =
 
 let handle_parse t ~caching ~budget ~source =
   match parsed_defs t ~caching ~budget source with
-  | items, hit ->
+  | { items; _ }, hit ->
     let count p = List.length (List.filter p items) in
     ( Ok
         (Request.Parsed
@@ -187,9 +213,8 @@ let handle_parse t ~caching ~budget ~source =
 
 let handle_lint t ~caching ~budget ~source =
   let open Gp_stllint in
-  let key = "lint|" ^ Digest.to_hex (Digest.string source) in
   match
-    Lru.find_or_compute t.caches.lint ~enabled:caching key (fun () ->
+    Lru.find_or_compute t.caches.lint ~enabled:caching source (fun () ->
         let program = Parser.parse_program source in
         Budget.spend budget (List.length program);
         let ds = Interp.check program in
@@ -223,80 +248,35 @@ let add_name buf s =
   Buffer.add_char buf ':';
   Buffer.add_string buf s
 
-let add_rational buf q =
-  Json.add_int buf (Gp_algebra.Rational.num q);
-  Buffer.add_char buf '/';
-  Json.add_int buf (Gp_algebra.Rational.den q);
-  Buffer.add_char buf ';'
-
-(* Every node's carrier type and every literal's exact bits: two
-   expressions that differ only in a variable's annotation, or in a float
-   literal's last digit, get different keys. *)
-let rec add_expr buf =
-  let open Gp_simplicissimus.Expr in
-  function
-  | Var (x, ty) ->
-    Buffer.add_char buf 'v';
-    add_name buf x;
-    add_name buf ty
-  | Ident (ty, op) ->
-    Buffer.add_char buf 'e';
-    add_name buf ty;
-    add_name buf op
-  | Op (op, ty, args) ->
-    Buffer.add_char buf 'o';
-    add_name buf op;
-    add_name buf ty;
-    Json.add_int buf (List.length args);
-    Buffer.add_char buf ':';
-    List.iter (add_expr buf) args
-  | Lit (VInt i) ->
-    Buffer.add_char buf 'i';
-    Json.add_int buf i;
-    Buffer.add_char buf ';'
-  | Lit (VFloat f) ->
-    let bits = Int64.bits_of_float f in
-    Buffer.add_char buf 'f';
-    Json.add_int buf (Int64.to_int (Int64.shift_right_logical bits 32));
-    Buffer.add_char buf '.';
-    Json.add_int buf (Int64.to_int (Int64.logand bits 0xffffffffL));
-    Buffer.add_char buf ';'
-  | Lit (VBool b) -> Buffer.add_string buf (if b then "T" else "F")
-  | Lit (VString s) ->
-    Buffer.add_char buf 's';
-    add_name buf s
-  | Lit (VRat q) ->
-    Buffer.add_char buf 'q';
-    add_rational buf q
-  | Lit (VMat m) ->
-    let module Q = Gp_algebra.Instances.Qmat in
-    let n = Q.dim m in
-    Buffer.add_char buf 'm';
-    Json.add_int buf n;
-    Buffer.add_char buf ':';
-    for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        add_rational buf (Q.get m i j)
-      done
-    done
-
-let optimize_key t ~certified_only e =
+(* The expression text decides the parse, so the text and the mode make
+   the key and a hit needs no parse. *)
+let optimize_key t ~certified_only expr =
   let buf = key_buf t in
-  Buffer.add_string buf (if certified_only then "rw|true|" else "rw|false|");
-  add_expr buf e;
+  Buffer.add_char buf (if certified_only then 'T' else 'F');
+  Buffer.add_string buf expr;
   Buffer.contents buf
 
 let handle_optimize t ~caching ~budget ~expr ~certified_only =
   let open Gp_simplicissimus in
-  match Sparser.parse expr with
+  let key = optimize_key t ~certified_only expr in
+  (* Only a parsed expression ever fills a rewrites entry, so a cached
+     key needs no parse: parse on a miss only. *)
+  match
+    if caching && Lru.mem t.caches.rewrites key then None
+    else Some (Sparser.parse expr)
+  with
   | exception Sparser.Parse_error m -> (err Request.Parse_failure m, false)
-  | e -> (
+  | parsed -> (
     (* Certification is the expensive stage; the engine's only_certified
        mode reads the verdicts the certifier stamped on the rules. *)
     let _, cert_hit = certifications t ~caching ~budget in
     match
-      Lru.find_or_compute t.caches.rewrites ~enabled:caching
-        (optimize_key t ~certified_only e) (fun () ->
+      Lru.find_or_compute t.caches.rewrites ~enabled:caching key (fun () ->
+          let e =
+            match parsed with
+            | Some e -> e
+            | None -> assert false (* probed present above *)
+          in
           let r =
             Engine.rewrite ~only_certified:certified_only ~rules:t.rules
               ~insts:t.insts e

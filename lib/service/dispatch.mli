@@ -7,20 +7,31 @@
     exhaustion escapes as {!Budget.Exhausted} for the server to convert.
     Every dispatcher serves the process's one standard world,
     {!Gp_standard.Standard.world}, and never mutates it — [Check]
-    requests carrying extra [.gpc] declarations get a per-request
-    sandbox, a fork of that world. *)
+    requests carrying extra [.gpc] declarations run in a sandbox, a fork
+    of that world, built once per [defs] cache entry.
+
+    Every cache key is content, never a digest: the request text itself
+    for [defs], [lint] and [rewrites], a structural encoding for the
+    others. *)
+
+type defs
+(** A [.gpc] source's parsed declarations, and the sandbox a [Check]
+    with those defs runs in (built by the first such check, with its
+    own verdict memo), or the duplicate-declaration error that stopped
+    it. *)
 
 type caches = {
   closures : string list Lru.t;
       (** pre-rendered obligation strings — what the [Closed] payload
           ships, so hits skip per-request rendering *)
-  defs : Gp_concepts.Lang.item list Lru.t;
+  defs : defs Lru.t;  (** by [.gpc] source text *)
   lint : Request.payload Lru.t;
-      (** [Linted] payloads by program hash, messages pre-rendered *)
+      (** [Linted] payloads by program text, messages pre-rendered *)
   cert : Gp_simplicissimus.Certify.certification list Lru.t;
   proofs : (string * bool) list Lru.t;
   rewrites : Request.payload Lru.t;
-      (** [Optimized] payloads by typed expression, output pre-rendered *)
+      (** [Optimized] payloads by mode and expression text, output
+          pre-rendered; a hit does not parse *)
   numerics : Request.payload Lru.t;
       (** [Computed] payloads keyed by (operation, structure, n, seed) *)
 }
@@ -43,7 +54,7 @@ type t
 
 val create : cache_capacity:int -> unit -> t
 (** Fresh caches over {!Gp_standard.Standard.world}, which the first
-    dispatcher in the process builds. Sandboxes are loaded inside a
+    dispatcher in the process builds. A sandbox is loaded inside a
     [service.sandbox] span when telemetry is on. *)
 
 val caches : t -> caches

@@ -1,7 +1,8 @@
 (** Content-keyed LRU memo cache with hit/miss accounting.
 
-    Keys are canonical content strings (the structural keys {!Dispatch}
-    builds, {!Gp_concepts.Propagate.add_request_key}, source digests),
+    Keys are canonical content strings (request texts and the
+    structural keys {!Dispatch} builds, such as
+    {!Gp_concepts.Propagate.add_request_key}),
     so cache identity is data identity: nothing is ever invalidated, only
     evicted by recency when the capacity bound is hit. *)
 

@@ -172,13 +172,11 @@ let axioms_of = function
   | _ -> []
 
 let declare reg =
-  match Registry.find_concept reg "DenseMatrix" with
-  | Some _ -> () (* already declared into this registry *)
-  | None ->
+  (* a no-op when already declared into this registry *)
+  if not (Registry.has_concept reg "DenseMatrix") then begin
     List.iter (Registry.declare_concept reg) concepts;
-    (match Registry.find_type reg "rvec" with
-    | None -> Registry.declare_type reg "rvec" ~doc:"real vector"
-    | Some _ -> ());
+    if not (Registry.has_type reg "rvec") then
+      Registry.declare_type reg "rvec" ~doc:"real vector";
     List.iter
       (fun c ->
         Registry.declare_type reg c;
@@ -194,3 +192,4 @@ let declare reg =
               ~axioms:(axioms_of concept) ~complexity)
           models)
       models_of_carrier
+  end

@@ -58,54 +58,65 @@ let expect c ch =
    buffer is always drained before it is reused. *)
 let strbuf = Buffer.create 256
 
-(* The loop is a top-level [let rec] on purpose: a local recursive
-   function with free variables is a fresh closure allocation per call,
-   which matters on a path that runs for every escaped string. *)
+(* The index of the first quote or backslash at or after [i], or [n]:
+   the end of a run of bytes that a string literal holds verbatim. *)
+let rec run_end src n i =
+  if i < n
+     &&
+     let ch = String.unsafe_get src i in
+     ch <> '"' && ch <> '\\'
+  then run_end src n (i + 1)
+  else i
+
+(* Each run between escapes is copied with one [add_substring]. The loop
+   is a top-level [let rec] on purpose: a local recursive function with
+   free variables is a fresh closure allocation per call, which matters
+   on a path that runs for every escaped string. *)
 let rec escaped_chars_into buf c =
+  let src = c.src in
+  let i = run_end src (String.length src) c.pos in
+  Buffer.add_substring buf src c.pos (i - c.pos);
+  c.pos <- i;
   if not (has c) then fail "at %d: unterminated string" c.pos
-  else
-    match cur c with
-    | '"' -> advance c
-    | '\\' ->
-      advance c;
-      if not (has c) then fail "at %d: unterminated escape" c.pos;
-      let ch = cur c in
-      advance c;
-      (match ch with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | '/' -> Buffer.add_char buf '/'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'r' -> Buffer.add_char buf '\r'
-        | 'b' -> Buffer.add_char buf '\b'
-        | 'f' -> Buffer.add_char buf '\012'
-        | 'u' ->
-          (* \uXXXX: decode the BMP code point to UTF-8 *)
-          if c.pos + 4 > String.length c.src then
-            fail "at %d: truncated \\u escape" c.pos;
-          let hex = String.sub c.src c.pos 4 in
-          let cp =
-            try int_of_string ("0x" ^ hex)
-            with _ -> fail "bad \\u escape %s" hex
-          in
-          c.pos <- c.pos + 4;
-          if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
-          else if cp < 0x800 then begin
-            Buffer.add_char buf (Char.chr (0xC0 lor (cp lsr 6)));
-            Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-          end
-          else begin
-            Buffer.add_char buf (Char.chr (0xE0 lor (cp lsr 12)));
-            Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-            Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-          end
-      | _ -> fail "bad escape \\%c" ch);
-      escaped_chars_into buf c
-    | ch ->
-      advance c;
-      Buffer.add_char buf ch;
-      escaped_chars_into buf c
+  else if cur c = '"' then advance c
+  else begin
+    (* a backslash *)
+    advance c;
+    if not (has c) then fail "at %d: unterminated escape" c.pos;
+    let ch = cur c in
+    advance c;
+    (match ch with
+    | '"' -> Buffer.add_char buf '"'
+    | '\\' -> Buffer.add_char buf '\\'
+    | '/' -> Buffer.add_char buf '/'
+    | 'n' -> Buffer.add_char buf '\n'
+    | 't' -> Buffer.add_char buf '\t'
+    | 'r' -> Buffer.add_char buf '\r'
+    | 'b' -> Buffer.add_char buf '\b'
+    | 'f' -> Buffer.add_char buf '\012'
+    | 'u' ->
+      (* \uXXXX: decode the BMP code point to UTF-8 *)
+      if c.pos + 4 > String.length c.src then
+        fail "at %d: truncated \\u escape" c.pos;
+      let hex = String.sub c.src c.pos 4 in
+      let cp =
+        try int_of_string ("0x" ^ hex)
+        with _ -> fail "bad \\u escape %s" hex
+      in
+      c.pos <- c.pos + 4;
+      if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
+      else if cp < 0x800 then begin
+        Buffer.add_char buf (Char.chr (0xC0 lor (cp lsr 6)));
+        Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
+      end
+      else begin
+        Buffer.add_char buf (Char.chr (0xE0 lor (cp lsr 12)));
+        Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
+        Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
+      end
+    | _ -> fail "bad escape \\%c" ch);
+    escaped_chars_into buf c
+  end
 
 (* Escape-free strings — every string the server emits and virtually every
    one it receives — are a single [String.sub] of the line; only strings
@@ -113,24 +124,16 @@ let rec escaped_chars_into buf c =
 let string_body c =
   let src = c.src in
   let n = String.length src in
-  let i = ref c.pos in
-  while
-    !i < n
-    &&
-    let ch = String.unsafe_get src !i in
-    ch <> '"' && ch <> '\\'
-  do
-    incr i
-  done;
-  if !i < n && String.unsafe_get src !i = '"' then begin
-    let s = String.sub src c.pos (!i - c.pos) in
-    c.pos <- !i + 1;
+  let i = run_end src n c.pos in
+  if i < n && String.unsafe_get src i = '"' then begin
+    let s = String.sub src c.pos (i - c.pos) in
+    c.pos <- i + 1;
     s
   end
   else begin
     Buffer.clear strbuf;
-    Buffer.add_substring strbuf src c.pos (!i - c.pos);
-    c.pos <- !i;
+    Buffer.add_substring strbuf src c.pos (i - c.pos);
+    c.pos <- i;
     escaped_chars_into strbuf c;
     Buffer.contents strbuf
   end
@@ -250,24 +253,37 @@ let parse s =
 
 let hex_digits = "0123456789abcdef"
 
-(* An indexed [for] loop rather than [String.iter f]: the closure passed
-   to [iter] captures [buf] and is a fresh allocation per call on the
+(* The bytes that need an escape; every other byte is copied as is. *)
+let needs_escape ch = ch = '"' || ch = '\\' || Char.code ch < 0x20
+
+let add_escape buf = function
+  | '"' -> Buffer.add_string buf "\\\""
+  | '\\' -> Buffer.add_string buf "\\\\"
+  | '\n' -> Buffer.add_string buf "\\n"
+  | '\t' -> Buffer.add_string buf "\\t"
+  | '\r' -> Buffer.add_string buf "\\r"
+  | c ->
+    (* "\u00xx" — written without sprintf to stay allocation-free *)
+    Buffer.add_string buf "\\u00";
+    Buffer.add_char buf hex_digits.[Char.code c lsr 4];
+    Buffer.add_char buf hex_digits.[Char.code c land 0xF]
+
+(* Each run between escapes is copied with one [add_substring]. A
+   top-level [let rec] rather than [String.iter f]: the closure passed to
+   [iter] captures [buf] and is a fresh allocation per call on the
    steady-state render path. *)
-let escape_into buf s =
-  for i = 0 to String.length s - 1 do
-    match String.unsafe_get s i with
-    | '"' -> Buffer.add_string buf "\\\""
-    | '\\' -> Buffer.add_string buf "\\\\"
-    | '\n' -> Buffer.add_string buf "\\n"
-    | '\t' -> Buffer.add_string buf "\\t"
-    | '\r' -> Buffer.add_string buf "\\r"
-    | c when Char.code c < 0x20 ->
-      (* "\u00xx" — written without sprintf to stay allocation-free *)
-      Buffer.add_string buf "\\u00";
-      Buffer.add_char buf hex_digits.[Char.code c lsr 4];
-      Buffer.add_char buf hex_digits.[Char.code c land 0xF]
-    | c -> Buffer.add_char buf c
-  done
+let rec escape_runs buf s n start i =
+  if i = n then Buffer.add_substring buf s start (n - start)
+  else
+    let ch = String.unsafe_get s i in
+    if needs_escape ch then begin
+      Buffer.add_substring buf s start (i - start);
+      add_escape buf ch;
+      escape_runs buf s n (i + 1) (i + 1)
+    end
+    else escape_runs buf s n start (i + 1)
+
+let escape_into buf s = escape_runs buf s (String.length s) 0 0
 
 let str s =
   let buf = Buffer.create (String.length s + 8) in

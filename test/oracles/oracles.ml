@@ -520,3 +520,74 @@ let response_to_line_ast (r : Request.response) =
        @ status_fields
        @ [ ("cached", Json.Bool r.Request.rsp_cached);
            ("steps", Json.Int r.Request.rsp_steps) ]))
+
+(* The first string escaper and unescaper: one [Buffer.add_char] per
+   byte. *)
+
+let escape_into_reference buf s =
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s
+
+let string_body_reference src pos =
+  let buf = Buffer.create 16 in
+  let n = String.length src in
+  let rec go pos =
+    if pos >= n then Json.fail "at %d: unterminated string" pos
+    else
+      match src.[pos] with
+      | '"' -> pos + 1
+      | '\\' ->
+        let pos = pos + 1 in
+        if pos >= n then Json.fail "at %d: unterminated escape" pos;
+        let ch = src.[pos] in
+        let pos = pos + 1 in
+        let simple c =
+          Buffer.add_char buf c;
+          go pos
+        in
+        (match ch with
+        | '"' -> simple '"'
+        | '\\' -> simple '\\'
+        | '/' -> simple '/'
+        | 'n' -> simple '\n'
+        | 't' -> simple '\t'
+        | 'r' -> simple '\r'
+        | 'b' -> simple '\b'
+        | 'f' -> simple '\012'
+        | 'u' ->
+          if pos + 4 > n then Json.fail "at %d: truncated \\u escape" pos;
+          let hex = String.sub src pos 4 in
+          let cp =
+            try int_of_string ("0x" ^ hex)
+            with _ -> Json.fail "bad \\u escape %s" hex
+          in
+          let byte b = Buffer.add_char buf (Char.chr b) in
+          if cp < 0x80 then byte cp
+          else if cp < 0x800 then begin
+            byte (0xC0 lor (cp lsr 6));
+            byte (0x80 lor (cp land 0x3F))
+          end
+          else begin
+            byte (0xE0 lor (cp lsr 12));
+            byte (0x80 lor ((cp lsr 6) land 0x3F));
+            byte (0x80 lor (cp land 0x3F))
+          end;
+          go (pos + 4)
+        | _ -> Json.fail "bad escape \\%c" ch)
+      | ch ->
+        Buffer.add_char buf ch;
+        go (pos + 1)
+  in
+  match go pos with
+  | stop -> Ok (Buffer.contents buf, stop)
+  | exception Json.Error m -> Error m

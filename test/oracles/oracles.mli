@@ -92,3 +92,14 @@ val request_of_line_ast :
 val response_to_line_ast : Gp_service.Request.response -> string
 (** Build the response's {!Gp_telemetry.Json.t} tree and print it: the
     bytes {!Gp_service.Wire.response_into} writes. *)
+
+val escape_into_reference : Buffer.t -> string -> unit
+(** The per-byte escaper: the bytes {!Gp_telemetry.Json.escape_into}
+    writes, one [add_char] or escape per input byte. *)
+
+val string_body_reference : string -> int -> (string * int, string) result
+(** [string_body_reference src pos] decodes, byte by byte, the string
+    literal whose body starts at [pos] (just past the opening quote):
+    its contents and the position just past the closing quote, or the
+    error text {!Gp_telemetry.Json.string_body} raises there, position
+    included. *)

@@ -1028,9 +1028,9 @@ let test_memo_bounded () =
     (!peak <= Check.memo_capacity)
 
 (* Memo hits are invisible to telemetry: the same queries, repeated on a
-   root registry (memoised) and on a fork of it (always computed),
-   record the same spans and check counters; only the memo-hit counter
-   tells them apart, and hits + computed checks = checks. *)
+   root registry and on a fork of it (each with its own memo), record
+   the same spans, check counters and memo hits, and hits + computed
+   checks = checks. *)
 let test_memo_telemetry () =
   let module Tel = Gp_telemetry.Tel in
   let module Metrics = Gp_telemetry.Metrics in
@@ -1066,10 +1066,57 @@ let test_memo_telemetry () =
   Alcotest.(check bool) "same gp_checks_total series" true (checks = fchecks);
   Alcotest.(check (float 0.0)) "same failures" ffailures failures;
   Alcotest.(check (float 0.0)) "same warnings" fwarnings warnings;
-  Alcotest.(check (float 0.0)) "fork never hits" 0.0 fhits;
+  Alcotest.(check (float 0.0)) "a fork hits as its root does" hits fhits;
   Alcotest.(check (float 0.0)) "hits + computed = checks"
     (float_of_int (total - List.length queries))
     hits
+
+(* A fork's memo survives declarations into its parent made after the
+   fork, and stays right: the fork's lists are its own, so its memoised
+   verdicts still equal those of a fresh standard world loaded with the
+   same items, computed without a memo hit. *)
+let fork_memo_after_parent_moves specs =
+  let ((items, _, _) as world) = fork_items specs in
+  let pools = memo_pools world in
+  let parent = Gp_standard.Standard.registry () in
+  let child = Registry.fork parent in
+  ignore (load child items);
+  let before = verdicts child pools in
+  let memoised = Check.memo_entries child in
+  Registry.declare_concept parent
+    (Concept.make ~params:[ "T" ] ~refines:[ ("Monoid", [ Ctype.Var "T" ]) ]
+       "Ghost" []);
+  Registry.declare_model parent "Monoid" [ n "nope" ];
+  Registry.declare_type parent "nope";
+  Registry.declare_op parent "op" [ n "nope"; n "nope" ] (n "nope");
+  let after = verdicts child pools in
+  let fresh = Gp_standard.Standard.registry () in
+  ignore (load fresh items);
+  memoised > 0
+  && Check.memo_entries child = memoised
+  && after = before
+  && after = verdicts fresh pools
+
+let fork_memo_prop =
+  qtest
+    (QCheck.Test.make
+       ~name:"fork memo == fresh compute after the parent moves" ~count:60
+       (QCheck.make fork_items_gen)
+       fork_memo_after_parent_moves)
+
+(* Building the standard world asks no lookup between declarations, so
+   its index is built once, by the first lookup after it. *)
+let test_world_indexed_once () =
+  let rebuilds =
+    Gp_telemetry.Tel.with_installed (fun sink ->
+        let reg = Gp_standard.Standard.registry () in
+        ignore (Registry.find_concept reg "Monoid");
+        Gp_telemetry.Metrics.total sink.Gp_telemetry.Tel.metrics
+          "gp_registry_index_rebuilds_total")
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f rebuilds <= 2" rebuilds)
+    true (rebuilds <= 2.0)
 
 (* Each root keeps its own index and memo, so checking more roots never
    displaces the first one's: its verdict is still memoised, and a check
@@ -1437,7 +1484,9 @@ let () =
         ] );
       ("registry index",
         [ registry_equiv_prop; closure_equiv_prop;
-          telemetry_transparent_prop ]);
+          telemetry_transparent_prop;
+          Alcotest.test_case "standard world indexed once" `Quick
+            test_world_indexed_once ]);
       ( "registry fork",
         [ fork_random_world_prop; fork_equiv_prop;
           Alcotest.test_case "fork of a fork extends a closure" `Quick
@@ -1458,7 +1507,8 @@ let () =
           Alcotest.test_case "roots keep their own index and memo" `Quick
             test_roots_keep_derived_state;
           Alcotest.test_case "a dropped root is collected" `Quick
-            test_dropped_root_collected ] );
+            test_dropped_root_collected;
+          fork_memo_prop ] );
       ( "archetype",
         [
           Alcotest.test_case "models own concept" `Quick

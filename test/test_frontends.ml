@@ -219,6 +219,72 @@ let decoders_agree =
          || QCheck.Test.fail_reportf "direct: %s@.AST:    %s" (show direct)
               (show ast)))
 
+(* String literals against the per-byte oracles: random bodies of plain
+   runs, quotes, backslashes, raw control bytes, UTF-8, valid, bad and
+   truncated escapes. The escaper writes the oracle's bytes; Json.parse
+   and the request decoder accept, reject and word their errors
+   (positions included) as the oracle's decoding implies. *)
+let string_pieces =
+  let open QCheck.Gen in
+  let hex = oneofl [ "0041"; "00e9"; "20AC"; "ffff"; "0000"; "001f"; "7ff0" ] in
+  oneof
+    [ map (fun n -> String.make n 'a') (int_range 1 30);
+      oneofl
+        [ " "; "\""; "\\"; "\\\""; "\\\\"; "\\/"; "\\n"; "\\t";
+          "\\r"; "\\b"; "\\f"; "\n"; "\t"; "\001"; "\031"; "\127";
+          "\xc3\xa9"; "\\q"; "\\u12g4"; "\\u_1_2"; "\\u+123"; "\\u12";
+          "\\u"; "\\" ];
+      map (fun h -> "\\u" ^ h) hex ]
+
+let string_literals =
+  let body =
+    QCheck.Gen.(map (String.concat "") (list_size (int_range 0 12) string_pieces))
+  in
+  let show r = match r with Ok v -> "Ok " ^ v | Error m -> "Error " ^ m in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:5_000
+       ~name:"string literals == per-byte oracle (escape, parse, wire)"
+       (QCheck.make ~print:(Printf.sprintf "%S") body)
+       (fun body ->
+         (* the escaper, over the raw body *)
+         let runs = Buffer.create 16 and bytes = Buffer.create 16 in
+         Json.escape_into runs body;
+         Oracles.escape_into_reference bytes body;
+         if Buffer.contents runs <> Buffer.contents bytes then
+           QCheck.Test.fail_reportf "escape: %S, oracle %S"
+             (Buffer.contents runs) (Buffer.contents bytes);
+         (* Json.parse over the body as a literal *)
+         let line = "\"" ^ body ^ "\"" in
+         let expected =
+           match Oracles.string_body_reference line 1 with
+           | Error m -> Error m
+           | Ok (s, stop) ->
+             let c = { Json.src = line; pos = stop } in
+             Json.skip_ws c;
+             if c.Json.pos = String.length line then Ok (Json.to_string (Json.Str s))
+             else
+               Error
+                 (Printf.sprintf "at %d: trailing %c after value" c.Json.pos
+                    line.[c.Json.pos])
+         in
+         let parsed =
+           match Json.parse line with
+           | v -> Ok (Json.to_string v)
+           | exception Json.Error m -> Error m
+         in
+         if parsed <> expected then
+           QCheck.Test.fail_reportf "parse: %s@.oracle: %s" (show parsed)
+             (show expected);
+         (* the request decoder, over the body as a lint source *)
+         let prefix = {|{"kind":"lint","source":"|} in
+         let line = prefix ^ body ^ {|"}|} in
+         let decoded = Wire.request_of_line line in
+         match Oracles.string_body_reference line (String.length prefix) with
+         | Error m -> decoded = Error ("bad request line: " ^ m)
+         | Ok (source, stop) when stop = String.length line - 1 ->
+           decoded = Ok (None, Request.Lint { source })
+         | Ok _ -> decoded = Oracles.request_of_line_ast line))
+
 (* a boundary that answers with a result or an option: nothing escapes *)
 let nothing _ = false
 
@@ -257,6 +323,7 @@ let () =
             ~parse:(fun src -> ignore (Wire.request_of_line src))
             ~documented:nothing ();
           decoders_agree;
+          string_literals;
           fuzz ~json:true ~name:"flight dump loader: nothing escapes"
             ~count:1000 ~corpus:[ flight_dump ] ~nestings:json_nestings
             ~parse:(fun src -> ignore (Recorder.of_jsonl src))
