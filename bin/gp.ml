@@ -491,8 +491,10 @@ let workload_cmd =
     Arg.(value
          & opt (some string) None
          & info [ "mix" ]
-             ~doc:"Kind mix as weights, e.g. \
-                   \"closure=3,lint=2,prove=1\".")
+             ~doc:"Kind mix as weights over any request kinds, the \
+                   numeric ones included, e.g. \
+                   \"closure=3,lint=2,prove=1,matvec=2\". Default: \
+                   the base mix, no numeric kinds.")
   in
   let zipf =
     Arg.(value & opt float 1.1
@@ -527,19 +529,7 @@ let workload_cmd =
                    wire format) instead of serving them — feeds a \
                    workload file to $(b,gp serve --file).")
   in
-  let numeric_weight name =
-    Arg.(value & opt int 0
-         & info [ name ]
-             ~doc:(Printf.sprintf
-                     "Weight of %s numeric requests added to the mix \
-                      (0 = none, the default — the base mix and its \
-                      fingerprints are untouched unless asked)." name))
-  in
-  let matvec_w = numeric_weight "matvec" in
-  let matmul_w = numeric_weight "matmul" in
-  let solve_w = numeric_weight "solve" in
   let run n seed mix_spec zipf keyspace quick print_responses errors emit
-      matvec_w matmul_w solve_w
       no_cache cache_capacity max_steps timeout =
     let open Gp_service in
     let mix =
@@ -556,13 +546,6 @@ let workload_cmd =
       Fmt.epr "bad --errors: %g outside [0,1]@." errors;
       exit 2
     end;
-    let mix =
-      mix
-      @ List.filter
-          (fun (_, w) -> w > 0)
-          [ (Request.Kmatvec, matvec_w); (Request.Kmatmul, matmul_w);
-            (Request.Ksolve, solve_w) ]
-    in
     let n, seed = if quick then (60, 7) else (n, seed) in
     let reqs = Workload.generate ~mix ~zipf ~keyspace ~errors ~seed ~n () in
     if emit then begin
@@ -603,9 +586,8 @@ let workload_cmd =
     (Cmd.info "workload"
        ~doc:"Generate and serve a seeded synthetic workload, then report")
     Term.(const run $ n_arg $ seed $ mix_arg $ zipf $ keyspace $ quick
-          $ print_responses $ errors_arg $ emit $ matvec_w $ matmul_w
-          $ solve_w $ no_cache_arg $ cache_capacity_arg $ max_steps_arg
-          $ timeout_arg)
+          $ print_responses $ errors_arg $ emit $ no_cache_arg
+          $ cache_capacity_arg $ max_steps_arg $ timeout_arg)
 
 (* ------------------------------------------------------------------ *)
 (* gp trace                                                            *)
@@ -1308,13 +1290,18 @@ let complexity_cmd =
 (* gp bench-diff                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* allocation counts are exact: the slack is for the rare major-words
+   wobble, not for noise *)
+let count_tolerance = 0.005
+
 (* The perf-regression guard over two `bench --json` result files.
    Metric names carry their own direction: the _speedup suffix is
    higher-better as a ratio, _pct is lower-better in additive percentage
-   points, _bytes_per_request, _minor_words and _major_words are
-   lower-better as ratios (allocation counts — deterministic, or within
-   0.1 % for major words after a warm-up, so regressions here are real
-   even under --quick quotas), _fitted_degree must match exactly
+   points, a name containing bytes_per_request, minor_words or
+   major_words is an allocation count (deterministic, or within 0.1 %
+   for major words after a warm-up, and quota-independent), held to a
+   fixed 0.5 % either way: a rise is a regression, a fall is a stale
+   baseline that must be re-recorded, _fitted_degree must match exactly
    (a fitted complexity class has no tolerance: growing from O(n) to
    O(n log n) is the regression s8 exists to catch — and an improvement
    means the declared bound should be tightened, deliberately),
@@ -1333,7 +1320,10 @@ let bench_diff_cmd =
          & info [ "tolerance" ]
              ~doc:"Allowed relative slack per metric (default 0.25 = 25%; \
                    for *_pct metrics, 100x this in additive points). Bench \
-                   numbers are noisy; keep this generous.")
+                   numbers are noisy; keep this generous. Allocation \
+                   counts (names containing minor_words, major_words or \
+                   bytes_per_request) ignore it: they fail on a move of \
+                   more than 0.5% either way.")
   in
   let quick =
     Arg.(value & flag
@@ -1367,6 +1357,15 @@ let bench_diff_cmd =
            (String.length suffix)
          = suffix
     in
+    let contains part s =
+      let n = String.length s and m = String.length part in
+      let rec go i = i + m <= n && (String.sub s i m = part || go (i + 1)) in
+      go 0
+    in
+    let is_count name =
+      contains "minor_words" name || contains "major_words" name
+      || contains "bytes_per_request" name
+    in
     match (load old_path, load new_path) with
     | Error m, _ | _, Error m ->
       Fmt.epr "%s@." m;
@@ -1374,6 +1373,7 @@ let bench_diff_cmd =
     | Ok old_sections, Ok new_sections ->
       let compared = ref 0 in
       let regressions = ref 0 in
+      let stale = ref 0 in
       List.iter
         (fun (sec, metrics) ->
           match (metrics, List.assoc_opt sec old_sections) with
@@ -1408,15 +1408,9 @@ let bench_diff_cmd =
                          a single moved key *)
                       ( nv > (ov +. 1.0) *. (1.0 +. tolerance),
                         Printf.sprintf "%.0f -> %.0f" ov nv )
-                    else if
-                      ends_with "_bytes_per_request" name
-                      || ends_with "_minor_words" name
-                      || ends_with "_major_words" name
-                    then
-                      (* allocation counters: lower-better, and unlike
-                         the _ns times they don't depend on quotas or
-                         machine load, so they gate even in CI *)
-                      ( nv > ov *. (1.0 +. tolerance),
+                    else if is_count name then
+                      (* a rise; a fall is caught as stale below *)
+                      ( nv > ov *. (1.0 +. count_tolerance),
                         Printf.sprintf "%.1f -> %.1f" ov nv )
                     else
                       ( nv > ov *. (1.0 +. tolerance),
@@ -1425,6 +1419,13 @@ let bench_diff_cmd =
                   if regressed then begin
                     incr regressions;
                     Fmt.pr "REGRESSION %s/%s: %s@." sec name msg
+                  end
+                  else if is_count name && nv < ov *. (1.0 -. count_tolerance)
+                  then begin
+                    incr stale;
+                    Fmt.pr "STALE %s/%s: %.1f -> %.1f (re-record the \
+                            baseline)@."
+                      sec name ov nv
                   end
                 | _ -> () (* null or missing on either side: skip *))
               names
@@ -1435,17 +1436,22 @@ let bench_diff_cmd =
         2
       end
       else begin
-        Fmt.pr "bench-diff: %d metric(s) compared, %d regression(s) \
+        let failed = !regressions + !stale > 0 in
+        Fmt.pr "bench-diff: %d metric(s) compared, %d regression(s)%s \
                 (tolerance %.0f%%)%s@."
-          !compared !regressions (tolerance *. 100.0)
-          (if quick && !regressions > 0 then " [quick: not gating]" else "");
-        if !regressions > 0 && not quick then 1 else 0
+          !compared !regressions
+          (if !stale > 0 then Printf.sprintf ", %d stale count(s)" !stale
+           else "")
+          (tolerance *. 100.0)
+          (if quick && failed then " [quick: not gating]" else "");
+        if failed && not quick then 1 else 0
       end
   in
   Cmd.v
     (Cmd.info "bench-diff"
        ~doc:"Compare two bench --json result files and fail (exit 1) on \
-             per-metric perf regressions beyond the tolerance")
+             per-metric perf regressions beyond the tolerance, or on \
+             allocation counts that fell (a stale baseline)")
     Term.(const run $ old_arg $ new_arg $ tolerance $ quick)
 
 let () =

@@ -10,6 +10,7 @@ module Server = Gp_service.Server
 module Request = Gp_service.Request
 module Lru = Gp_service.Lru
 module Wire = Gp_service.Wire
+module Flight = Gp_service.Flight
 module Json = Gp_telemetry.Json
 
 type failure =
@@ -406,52 +407,32 @@ let pp_summary ppf r =
 (* Consistency audit                                               *)
 (* -------------------------------------------------------------- *)
 
-type divergence = {
-  dv_rid : int;
-  dv_cluster_fp : string;
-  dv_single_fp : string;
-}
-
 type audit = {
   au_total : int;
   au_compared : int;
   au_missing : int;
   au_shed : int;
-  au_divergences : divergence list;
+  au_divergences : int Flight.divergence list;
 }
 
 let audit_ok a = a.au_missing = 0 && a.au_divergences = []
 
-(* Compare (rid, cluster fingerprint) pairs against a fresh single
-   server serving the same requests in rid (= arrival) order. Shed
-   verdicts carry no fingerprint and are excluded by construction —
-   [shed] keeps the accounting honest: compared + missing + shed =
-   total. Shared by the in-memory audit and the dump audit. *)
-let audit_pairs ~server ~total ~shed pairs =
-  let compared = ref 0 in
-  let divergences = ref [] in
-  List.iter
-    (fun (rid, req, cluster_fp) ->
-      incr compared;
-      let rsp = Server.handle ~id:rid server req in
-      let fp = Request.response_fingerprint rsp in
-      if not (String.equal fp cluster_fp) then
-        divergences :=
-          { dv_rid = rid; dv_cluster_fp = cluster_fp; dv_single_fp = fp }
-          :: !divergences)
-    pairs;
-  {
-    au_total = total;
-    au_compared = !compared;
-    au_missing = total - !compared - shed;
+(* Re-serve the compared (rid, request, cluster fingerprint) items on
+   one fresh single server, in rid (= arrival) order. Shed verdicts
+   carry no fingerprint and are excluded by construction — [shed]
+   keeps the accounting honest: compared + missing + shed = total. *)
+let audit_items ~config ~total ~shed items =
+  let (_ : int), divergences = Flight.re_serve config items in
+  let compared = List.length items in
+  { au_total = total;
+    au_compared = compared;
+    au_missing = total - compared - shed;
     au_shed = shed;
-    au_divergences = List.rev !divergences;
-  }
+    au_divergences = divergences }
 
 let audit r =
-  let server = Server.create ~config:r.r_config.server_config () in
   let shed = ref 0 in
-  let pairs =
+  let items =
     List.filter_map
       (function
         | None -> None
@@ -459,10 +440,12 @@ let audit r =
           incr shed;
           None
         | Some rc ->
-          Some (rc.Node.rc_rid, r.r_requests.(rc.Node.rc_rid), rc.Node.rc_fp))
+          let rid = rc.Node.rc_rid in
+          Some (rid, Flight.Decoded (rid, r.r_requests.(rid)), rc.Node.rc_fp))
       (Array.to_list r.r_records)
   in
-  audit_pairs ~server ~total:(Array.length r.r_requests) ~shed:!shed pairs
+  audit_items ~config:r.r_config.server_config
+    ~total:(Array.length r.r_requests) ~shed:!shed items
 
 let pp_audit ppf a =
   Fmt.pf ppf "audit: %d/%d compared, %d missing, %s%d divergent@." a.au_compared
@@ -471,8 +454,8 @@ let pp_audit ppf a =
     (List.length a.au_divergences);
   List.iter
     (fun d ->
-      Fmt.pf ppf "  rid %d: cluster %s vs single %s@." d.dv_rid
-        d.dv_cluster_fp d.dv_single_fp)
+      Fmt.pf ppf "  rid %d: cluster %s vs single %s@." d.Flight.dv_item
+        d.Flight.dv_recorded_fp d.Flight.dv_response_fp)
     a.au_divergences;
   if audit_ok a then
     Fmt.pf ppf "audit PASS: every replicated answer matches single-node@."
@@ -536,14 +519,16 @@ let dump r =
     r.r_records;
   Buffer.contents buf
 
-(* Byte position of [name] inside the raw dump line, for the wire's
-   positioned-error convention ("at <pos>: ..."). The field name always
-   occurs in the line the parse just consumed, so 0 is only a fallback. *)
+(* Byte position of field [name] inside the raw dump line (the first
+   character of the key, after its quote), for the wire's
+   positioned-error convention ("at <pos>: ..."). The key always occurs
+   in the line the parse just consumed, so 0 is only a fallback. *)
 let field_pos line name =
-  let n = String.length line and m = String.length name in
+  let key = "\"" ^ name ^ "\":" in
+  let n = String.length line and m = String.length key in
   let rec go i =
     if i + m > n then 0
-    else if String.sub line i m = name then i
+    else if String.sub line i m = key then i + 1
     else go (i + 1)
   in
   go 0
@@ -572,6 +557,7 @@ let audit_dump doc =
       if Json.field "gp_cluster" header <> Some (Json.Int 1) then
         Json.fail "not a gp_cluster dump (bad header)";
       let total = Json.int_field "n" header in
+      if total < 0 then malformed header_line "n" "want a non-negative int";
       (* validate the scenario header counters even though the audit
          recomputes shed from the records themselves *)
       let (_ : int) = opt_count header_line header "shed" in
@@ -586,12 +572,20 @@ let audit_dump doc =
         | Ok c -> c
         | Error e -> Json.fail "bad server_config: %s" e
       in
+      (* every record names a distinct request of the workload, so a
+         duplicated or foreign record cannot stand in for a missing one *)
+      let seen = Hashtbl.create 256 in
       let shed = ref 0 in
-      let pairs =
+      let items =
         List.filter_map
           (fun line ->
             let obj = Json.parse line in
             let rid = Json.int_field "rid" obj in
+            if rid < 0 || rid >= total then
+              malformed line "rid" (Printf.sprintf "want 0 <= rid < %d" total);
+            if Hashtbl.mem seen rid then
+              malformed line "rid" (Printf.sprintf "rid %d repeated" rid);
+            Hashtbl.add seen rid ();
             let is_shed =
               match Json.field "shed" obj with
               | None -> false
@@ -612,9 +606,8 @@ let audit_dump doc =
                 | Ok (_, req) -> req
                 | Error e -> Json.fail "bad request: %s" e
               in
-              Some (rid, req, fp))
+              Some (rid, Flight.Decoded (rid, req), fp))
           records
       in
-      let server = Server.create ~config:server_config () in
-      Ok (audit_pairs ~server ~total ~shed:!shed pairs)
+      Ok (audit_items ~config:server_config ~total ~shed:!shed items)
     with Json.Error e -> Error e)

@@ -153,12 +153,6 @@ val pp_summary : Format.formatter -> result -> unit
 
 (** {2 Consistency audit} *)
 
-type divergence = {
-  dv_rid : int;
-  dv_cluster_fp : string;
-  dv_single_fp : string;
-}
-
 type audit = {
   au_total : int;  (** workload size *)
   au_compared : int;  (** completed requests whose digests were diffed *)
@@ -167,17 +161,21 @@ type audit = {
       (** typed shed verdicts, excluded from comparison by construction
           (they carry no fingerprint). Always
           [au_compared + au_missing + au_shed = au_total]. *)
-  au_divergences : divergence list;  (** digest mismatches, by rid *)
+  au_divergences : int Gp_service.Flight.divergence list;
+      (** digest mismatches in record order, each tagged with its rid:
+          [dv_recorded_fp] is the cluster's reply, [dv_response_fp] the
+          single server's *)
 }
 
 val audit_ok : audit -> bool
 (** Nothing missing and nothing divergent. *)
 
 val audit : result -> audit
-(** Replay the workload, in arrival order, on one bare
-    {!Gp_service.Server} built from the same server template, and diff
-    each completed record's fingerprint against the single-node
-    response. *)
+(** Re-serve each completed, unshed record's request, in arrival order,
+    through {!Gp_service.Flight.re_serve}: one fresh server built from
+    the same server template, fed the decoded requests (no wire
+    render or parse, no telemetry sink), each record's fingerprint
+    diffed against the single-node response. *)
 
 val pp_audit : Format.formatter -> audit -> unit
 
@@ -191,9 +189,13 @@ val dump : result -> string
 
 val audit_dump : string -> (audit, string) Stdlib.result
 (** Audit a {!dump} document offline: rebuild the server config from
-    the header, re-serve each embedded request single-node, diff the
-    fingerprints. Shed records are skipped (and counted in [au_shed]).
-    [Error] describes a malformed document; malformed scenario fields
-    (a non-int header [shed]/[promoted]/[joined]/[left], a non-bool
-    record [shed]) are rejected with the wire's positioned convention,
-    e.g. ["at 42: bad field \"shed\" (want a bool)"]. *)
+    the header, re-serve each embedded request single-node through
+    {!Gp_service.Flight.re_serve}, diff the fingerprints. Shed records
+    are skipped (and counted in [au_shed]). [Error] describes a
+    malformed document. These are rejected with the wire's positioned
+    convention (the byte position of the field's key in its line),
+    e.g. ["at 42: bad field \"shed\" (want a bool)"]: a negative
+    header [n]; a non-int header [shed]/[promoted]/[joined]/[left]; a
+    record [rid] outside [[0, n)] or repeated from an earlier record (so
+    a duplicated record cannot hide a missing one); a non-bool record
+    [shed]. *)

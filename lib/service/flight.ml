@@ -1,18 +1,13 @@
-(* Deterministic replay of a flight-recorder dump.
-
-   A dossier carries everything a re-execution needs: the canonical wire
-   line, the config line the server ran under, and a digest of the
-   canonical response. Replay rebuilds a server from the recorded config
-   (fresh caches over the process's standard world), re-serves each wire
-   line in recorded order under a fresh telemetry sink, and compares
-   response fingerprints. The fingerprint covers kind + full
-   payload/error and excludes ids, cache provenance and step accounting
-   — so a replay from cold caches must match a recording made with warm
-   ones, which is exactly the cache-transparency property the service
-   guarantees.
-
-   Divergences are collected, not raised: the caller (gp replay, bench
-   s4) decides whether to print span-tree diffs or fail hard. *)
+(* The one replay engine: [re_serve] re-serves recorded requests on a
+   fresh server and compares response fingerprints. The fingerprint
+   covers kind + full payload/error and excludes ids, cache provenance
+   and step accounting — so a replay from cold caches must match a
+   recording made with warm ones, which is exactly the
+   cache-transparency property the service guarantees. [replay] runs it
+   over a flight-recorder dump; the cluster's audits run it over a
+   run's records. Divergences are collected, not raised: the caller
+   (gp replay, gp cluster audit, bench s4) decides whether to print
+   span-tree diffs or fail hard. *)
 
 module Recorder = Gp_telemetry.Recorder
 module Trace = Gp_telemetry.Trace
@@ -21,22 +16,17 @@ module Tel = Gp_telemetry.Tel
 let ( let* ) = Result.bind
 
 (* ------------------------------------------------------------------ *)
-(* Replay                                                              *)
+(* The re-serve loop                                                   *)
 (* ------------------------------------------------------------------ *)
 
-type divergence = {
-  dv_dossier : Recorder.dossier;
+type input = Wire of string | Decoded of int * Request.t
+
+type 'a divergence = {
+  dv_item : 'a;
+  dv_recorded_fp : string;
   dv_response : Request.response;
   dv_response_fp : string;
   dv_spans : Trace.span list;
-}
-
-type outcome = {
-  rep_config : Server.config;
-  rep_total : int;
-  rep_matched : int;
-  rep_generation_mismatches : int;
-  rep_diverged : divergence list;
 }
 
 let blank_line_response =
@@ -44,6 +34,46 @@ let blank_line_response =
     rsp_result =
       Error { Request.code = Request.Bad_request; detail = "blank wire line" };
     rsp_cached = false; rsp_steps = 0 }
+
+(* One fresh server, its own flight ring off — the loop reads a
+   recording, it does not make one. Spans are captured only when the
+   caller installed a sink, and kept only for divergent items. *)
+let re_serve config items =
+  let server = Server.create ~config:{ config with flight_capacity = 0 } () in
+  let matched = ref 0 in
+  let diverged = ref [] in
+  List.iter
+    (fun (item, input, recorded_fp) ->
+      let m = Tel.mark () in
+      let rsp =
+        match input with
+        | Decoded (id, req) -> Server.handle ~id server req
+        | Wire line -> (
+          match Server.serve_line server line with
+          | Some rsp -> rsp
+          | None -> blank_line_response)
+      in
+      let fp = Request.response_fingerprint rsp in
+      if String.equal fp recorded_fp then incr matched
+      else
+        diverged :=
+          { dv_item = item; dv_recorded_fp = recorded_fp; dv_response = rsp;
+            dv_response_fp = fp; dv_spans = Tel.spans_since m }
+          :: !diverged)
+    items;
+  (!matched, List.rev !diverged)
+
+(* ------------------------------------------------------------------ *)
+(* Flight-dump replay                                                  *)
+(* ------------------------------------------------------------------ *)
+
+type outcome = {
+  rep_config : Server.config;
+  rep_total : int;
+  rep_matched : int;
+  rep_generation_mismatches : int;
+  rep_diverged : Recorder.dossier divergence list;
+}
 
 let replay ?config ds =
   match ds with
@@ -54,44 +84,30 @@ let replay ?config ds =
       | Some c -> Ok c
       | None -> Server.config_of_line first.Recorder.do_config
     in
-    Tel.with_installed ~trace_capacity:65536 (fun _sink ->
-        (* the replay server serves the same requests under the same
-           budgets; its own flight ring stays off — we are reading a
-           recording, not making one *)
-        let server =
-          Server.create ~config:{ config with flight_capacity = 0 } ()
-        in
-        let generation =
-          Gp_concepts.Registry.generation (Gp_standard.Standard.world ())
-        in
-        let mismatches = ref 0 in
-        let matched = ref 0 in
-        let diverged = ref [] in
-        List.iter
-          (fun d ->
-            if d.Recorder.do_generation <> generation then incr mismatches;
-            let m = Tel.mark () in
-            let rsp =
-              match Server.serve_line server (Lazy.force d.Recorder.do_wire)
-              with
-              | Some rsp -> rsp
-              | None -> blank_line_response
-            in
-            let fp = Request.response_fingerprint rsp in
-            if String.equal fp (Lazy.force d.Recorder.do_response_fp) then
-              incr matched
-            else
-              diverged :=
-                { dv_dossier = d; dv_response = rsp; dv_response_fp = fp;
-                  dv_spans = Tel.spans_since m }
-                :: !diverged)
-          ds;
-        Ok
-          { rep_config = config;
-            rep_total = List.length ds;
-            rep_matched = !matched;
-            rep_generation_mismatches = !mismatches;
-            rep_diverged = List.rev !diverged })
+    let generation =
+      Gp_concepts.Registry.generation (Gp_standard.Standard.world ())
+    in
+    let items =
+      List.map
+        (fun d ->
+          ( d, Wire (Lazy.force d.Recorder.do_wire),
+            Lazy.force d.Recorder.do_response_fp ))
+        ds
+    in
+    let matched, diverged =
+      Tel.with_installed ~trace_capacity:65536 (fun _sink ->
+          re_serve config items)
+    in
+    Ok
+      { rep_config = config;
+        rep_total = List.length ds;
+        rep_matched = matched;
+        rep_generation_mismatches =
+          List.length
+            (List.filter
+               (fun d -> d.Recorder.do_generation <> generation)
+               ds);
+        rep_diverged = diverged }
 
 let all_matched o = o.rep_matched = o.rep_total
 
@@ -100,14 +116,13 @@ let all_matched o = o.rep_matched = o.rep_total
 (* ------------------------------------------------------------------ *)
 
 let pp_divergence ppf dv =
-  let d = dv.dv_dossier in
+  let d = dv.dv_item in
   Fmt.pf ppf "@[<v>dossier #%d (%s): %s@,wire: %s@,recorded: %s %s  fp %s@,\
               replayed: %a  fp %s"
     d.Recorder.do_id d.Recorder.do_kind
     "response fingerprint mismatch"
     (Lazy.force d.Recorder.do_wire)
-    d.Recorder.do_outcome d.Recorder.do_detail
-    (Lazy.force d.Recorder.do_response_fp)
+    d.Recorder.do_outcome d.Recorder.do_detail dv.dv_recorded_fp
     Request.pp_response dv.dv_response dv.dv_response_fp;
   if d.Recorder.do_spans <> [] then
     Fmt.pf ppf "@,recorded span tree:@,%a" Trace.pp_tree d.Recorder.do_spans;

@@ -86,11 +86,6 @@ val to_jsonl : t -> string
     oldest first — the [gp serve --flight] dump and [gp replay] input
     format. *)
 
-val dossier_of_line : string -> (dossier, string) result
-(** Inverse of {!dossier_to_json}. [Error] names the first malformed
-    field, or carries the positioned syntax error after
-    ["bad dossier line: "]. *)
-
 val of_jsonl : string -> (dossier list, string) result
 (** Decode a whole dump; blank lines are skipped, errors carry the
     1-based line number. *)

@@ -10,8 +10,8 @@
    Single global, not a context parameter: threading a telemetry handle
    through Check/Propagate/Engine/Interp/distsim would put an
    observability concern in every signature of the toolchain. The
-   process is single-threaded; tests install/uninstall around each
-   property (see test_telemetry). *)
+   process is single-threaded; tests install a sink around each
+   property with [with_installed] (see test_telemetry). *)
 
 type sink = {
   clock : Clock.t;
@@ -32,11 +32,6 @@ let install ?clock ?trace_capacity ?(profile = false) () =
   enabled := true;
   if profile then Profile.enable ();
   s
-
-let uninstall () =
-  enabled := false;
-  sink := None;
-  Profile.disable ()
 
 let is_enabled () = !enabled
 let current () = if !enabled then !sink else None

@@ -11,17 +11,10 @@ type sink = {
   metrics : Metrics.t;
 }
 
-val make_sink : ?clock:Clock.t -> ?trace_capacity:int -> unit -> sink
-(** Build a sink without installing it (defaults: wall clock, 4096-span
-    ring). *)
-
 val install : ?clock:Clock.t -> ?trace_capacity:int -> ?profile:bool -> unit -> sink
 (** Create a sink, install it globally, enable every call site.
     [~profile:true] also enables {!Profile}, so every span carries a
     GC/allocation delta. *)
-
-val uninstall : unit -> unit
-(** Back to the no-op default; also disables {!Profile}. *)
 
 val is_enabled : unit -> bool
 val current : unit -> sink option  (** [None] when disabled. *)

@@ -217,6 +217,37 @@ let to_chrome_json t =
   to_chrome_json_lanes ~dropped:(dropped t) [ (1, "gp", spans t) ]
 
 (* ------------------------------------------------------------------ *)
+(* The span forest                                                     *)
+(* ------------------------------------------------------------------ *)
+
+type 'a tree = { t_tag : 'a; t_span : span; t_children : 'a tree list }
+
+let compare_start a b =
+  let c = Float.compare a.sp_start_ns b.sp_start_ns in
+  if c <> 0 then c else Int.compare a.sp_id b.sp_id
+
+(* One pass indexes the window's ids, a second files each span under its
+   parent or among the roots; only sibling lists are sorted. *)
+let forest tagged =
+  let present = Hashtbl.create 64 and kids = Hashtbl.create 64 in
+  List.iter (fun (_, s) -> Hashtbl.replace present s.sp_id ()) tagged;
+  let is_root ((_, s) as e) =
+    match s.sp_parent with
+    | Some p when Hashtbl.mem present p -> Hashtbl.add kids p e; false
+    | _ -> true
+  in
+  let rec build (tag, s) =
+    { t_tag = tag; t_span = s;
+      t_children =
+        Hashtbl.find_all kids s.sp_id
+        |> List.sort (fun (_, a) (_, b) -> compare_start a b)
+        |> List.map build }
+  in
+  List.map build (List.filter is_root tagged)
+
+let untagged sps = forest (List.map (fun s -> ((), s)) sps)
+
+(* ------------------------------------------------------------------ *)
 (* Span-tree rendering                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -227,25 +258,9 @@ let pp_dur ppf ns =
   else if ns < 1e9 then Fmt.pf ppf "%.2fms" (ns /. 1e6)
   else Fmt.pf ppf "%.2fs" (ns /. 1e9)
 
-(* Render a list of completed spans as an indented forest. Roots are
-   spans whose parent is absent from the list (the list may be a window,
-   e.g. one request's spans). *)
 let pp_tree ppf sps =
-  let present = List.map (fun s -> s.sp_id) sps in
-  let children p =
-    List.filter (fun s -> s.sp_parent = Some p) sps
-    |> List.sort (fun a b -> Float.compare a.sp_start_ns b.sp_start_ns)
-  in
-  let roots =
-    List.filter
-      (fun s ->
-        match s.sp_parent with
-        | None -> true
-        | Some p -> not (List.mem p present))
-      sps
-    |> List.sort (fun a b -> Float.compare a.sp_start_ns b.sp_start_ns)
-  in
-  let rec pp_span depth s =
+  let rec pp_span depth t =
+    let s = t.t_span in
     Fmt.pf ppf "%s%-*s %a" (String.make (2 * depth) ' ')
       (Int.max 1 (30 - (2 * depth)))
       s.sp_name pp_dur s.sp_dur_ns;
@@ -256,9 +271,9 @@ let pp_tree ppf sps =
     | None -> ());
     List.iter (fun (k, v) -> Fmt.pf ppf " %s=%s" k v) s.sp_attrs;
     Fmt.pf ppf "@.";
-    List.iter (pp_span (depth + 1)) (children s.sp_id)
+    List.iter (pp_span (depth + 1)) t.t_children
   in
-  List.iter (pp_span 0) roots
+  List.iter (pp_span 0) (untagged sps)
 
 (* ------------------------------------------------------------------ *)
 (* Collapsed-stack ("folded") export                                   *)
@@ -266,8 +281,7 @@ let pp_tree ppf sps =
 
 (* One "a;b;c weight" line per span, weighted by the span's SELF cost
    (total minus the children's totals) so flamegraph tooling can re-sum
-   the hierarchy. Children are indexed by parent in one pass: the export
-   runs over full rings, where pp_tree's quadratic scan would hurt. *)
+   the hierarchy. *)
 let folded ?(weight = `Dur) sps =
   let weight_of s =
     match weight with
@@ -275,41 +289,20 @@ let folded ?(weight = `Dur) sps =
     | `Alloc -> (
       match s.sp_gc with Some g -> g.Profile.pc_alloc_bytes | None -> 0.0)
   in
-  let present = Hashtbl.create 256 in
-  List.iter (fun s -> Hashtbl.replace present s.sp_id ()) sps;
-  let kids = Hashtbl.create 256 in
-  List.iter
-    (fun s ->
-      match s.sp_parent with
-      | Some p when Hashtbl.mem present p ->
-        Hashtbl.replace kids p
-          (s :: (try Hashtbl.find kids p with Not_found -> []))
-      | _ -> ())
-    sps;
-  let children p =
-    (try List.rev (Hashtbl.find kids p) with Not_found -> [])
-    |> List.sort (fun a b -> Float.compare a.sp_start_ns b.sp_start_ns)
-  in
-  let roots =
-    List.filter
-      (fun s ->
-        match s.sp_parent with
-        | None -> true
-        | Some p -> not (Hashtbl.mem present p))
-      sps
-  in
   let buf = Buffer.create 4096 in
-  let rec go stack s =
-    let cs = children s.sp_id in
+  let rec go stack t =
+    let s = t.t_span in
     let self =
       Float.max 0.0
-        (weight_of s -. List.fold_left (fun a c -> a +. weight_of c) 0.0 cs)
+        (weight_of s
+        -. List.fold_left (fun a c -> a +. weight_of c.t_span) 0.0
+             t.t_children)
     in
     let stack = if stack = "" then s.sp_name else stack ^ ";" ^ s.sp_name in
     Buffer.add_string buf (Printf.sprintf "%s %.0f\n" stack self);
-    List.iter (go stack) cs
+    List.iter (go stack) t.t_children
   in
-  List.iter (go "") roots;
+  List.iter (go "") (untagged sps);
   Buffer.contents buf
 
 let to_folded ?weight t = folded ?weight (spans t)

@@ -79,17 +79,34 @@ val to_chrome_json : t -> string
     microseconds (ts rebased to the earliest retained span),
     span/parent ids and attrs in [args]. *)
 
+(** {2 The span forest} *)
+
+type 'a tree = {
+  t_tag : 'a;  (** what the caller paired with the span *)
+  t_span : span;
+  t_children : 'a tree list;  (** ordered by {!compare_start} *)
+}
+
+val compare_start : span -> span -> int
+(** Start time, then span id: the sibling order of {!forest}. *)
+
+val forest : ('a * span) list -> 'a tree list
+(** The window's spans as trees, each span once: the roots are the
+    spans whose parent is absent from the window, in window order;
+    children sort by {!compare_start}. Linear apart from the sibling
+    sorts; spans on a parent cycle are left out. *)
+
 val pp_dur : Format.formatter -> float -> unit
 
 val pp_tree : Format.formatter -> span list -> unit
-(** Render spans as an indented forest (roots = spans whose parent is
-    not in the list), with durations, GC deltas and attributes. *)
+(** Render the {!forest} of the spans as an indented tree, with
+    durations, GC deltas and attributes. *)
 
 val folded : ?weight:[ `Dur | `Alloc ] -> span list -> string
-(** Collapsed-stack ("folded") rendering for flamegraph tooling: one
-    [root;child;leaf weight] line per span, weighted by the span's
-    {e self} cost — duration in ns by default, or allocated bytes with
-    [`Alloc] (0 for spans recorded without profiling). *)
+(** Collapsed-stack ("folded") rendering of the {!forest} for flamegraph
+    tooling: one [root;child;leaf weight] line per span, weighted by the
+    span's {e self} cost — duration in ns by default, or allocated bytes
+    with [`Alloc] (0 for spans recorded without profiling). *)
 
 val to_folded : ?weight:[ `Dur | `Alloc ] -> t -> string
 (** {!folded} over the retained spans. *)

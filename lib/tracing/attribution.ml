@@ -46,13 +46,13 @@ let attr sp k = List.assoc_opt k sp.Trace.sp_attrs
 
 let of_journey (j : Journey.journey) =
   match j.Journey.j_roots with
-  | [ root ] when String.equal root.Journey.t_span.Trace.sp_name
+  | [ root ] when String.equal root.Trace.t_span.Trace.sp_name
                     "cluster.request" ->
-    let rsp = root.Journey.t_span in
+    let rsp = root.Trace.t_span in
     let sg =
       List.fold_left
         (fun sg (child : Journey.tree) ->
-          let sp = child.Journey.t_span in
+          let sp = child.Trace.t_span in
           let d = sp.Trace.sp_dur_ns /. 1e3 in
           match sp.Trace.sp_name with
           | "cluster.attempt" -> (
@@ -68,7 +68,7 @@ let of_journey (j : Journey.journey) =
           sg_total = rsp.Trace.sp_dur_ns /. 1e3;
           sg_queue = 0.0; sg_retry = 0.0; sg_stall = 0.0;
           sg_service = 0.0; sg_attempts = 0 }
-        root.Journey.t_children
+        root.Trace.t_children
     in
     Some
       { sg with

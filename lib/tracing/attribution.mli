@@ -28,10 +28,8 @@ val dominant : segments -> cause
 (** The largest segment; ties blame the mechanism before the work
     (queueing, then retry, then stall, then service). *)
 
-val of_journey : Journey.journey -> segments option
-(** [None] unless the journey has a single [cluster.request] root. *)
-
 val of_journeys : Journey.journey list -> segments list
+(** One entry per journey with a single [cluster.request] root. *)
 
 val slowest : ?k:int -> segments list -> segments list
 (** The [k] (default 10) largest totals, slowest first; rid breaks

@@ -11,7 +11,7 @@
 
 module Trace = Gp_telemetry.Trace
 
-type tree = { t_node : int; t_span : Trace.span; t_children : tree list }
+type tree = int Trace.tree
 
 type journey = {
   j_trace : int;
@@ -25,82 +25,40 @@ let trace_attr sp =
   | Some s -> int_of_string_opt s
   | None -> None
 
-(* Children sort by (start, id): id breaks ties deterministically for
-   zero-duration spans emitted at the same simulated instant. *)
-let span_order (_, a) (_, b) =
-  let c = Float.compare a.Trace.sp_start_ns b.Trace.sp_start_ns in
-  if c <> 0 then c else Int.compare a.Trace.sp_id b.Trace.sp_id
-
+(* Spans grouped by trace id in one pass over the lanes; each group is
+   node-tagged and handed to [Trace.forest], whose roots are split into
+   the parentless spans and the orphans. An orphan's own subtree is not
+   attached anywhere: the orphan is listed, its descendants are not. *)
 let assemble lanes =
-  let by_trace : (int, (int * Trace.span) list ref) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let trace_order = ref [] in
+  let by_trace = Hashtbl.create 64 in
   List.iter
     (fun (node, sps) ->
       List.iter
         (fun sp ->
           match trace_attr sp with
-          | None -> ()
-          | Some tid ->
-            let cell =
-              match Hashtbl.find_opt by_trace tid with
-              | Some c -> c
-              | None ->
-                let c = ref [] in
-                Hashtbl.add by_trace tid c;
-                trace_order := tid :: !trace_order;
-                c
-            in
-            cell := (node, sp) :: !cell)
+          | Some tid -> Hashtbl.add by_trace tid (node, sp)
+          | None -> ())
         sps)
     lanes;
+  let by_start a b = Trace.compare_start a.Trace.t_span b.Trace.t_span in
   let assemble_one tid =
-    let entries = List.rev !(Hashtbl.find by_trace tid) in
-    let present = Hashtbl.create 16 in
-    List.iter
-      (fun (_, sp) -> Hashtbl.replace present sp.Trace.sp_id ())
-      entries;
-    let kids = Hashtbl.create 16 in
-    List.iter
-      (fun ((_, sp) as e) ->
-        match sp.Trace.sp_parent with
-        | Some p when Hashtbl.mem present p ->
-          Hashtbl.replace kids p
-            (e :: (try Hashtbl.find kids p with Not_found -> []))
-        | _ -> ())
-      entries;
-    let children p =
-      (try List.rev (Hashtbl.find kids p) with Not_found -> [])
-      |> List.sort span_order
-    in
-    let rec build (node, sp) =
-      { t_node = node;
-        t_span = sp;
-        t_children = List.map build (children sp.Trace.sp_id) }
-    in
-    let roots =
-      List.filter (fun (_, sp) -> sp.Trace.sp_parent = None) entries
-      |> List.sort span_order
-    in
-    let orphans =
-      List.filter
-        (fun (_, sp) ->
-          match sp.Trace.sp_parent with
-          | None -> false
-          | Some p -> not (Hashtbl.mem present p))
-        entries
-      |> List.sort span_order
+    let entries = List.rev (Hashtbl.find_all by_trace tid) in
+    let roots, orphans =
+      List.partition
+        (fun t -> t.Trace.t_span.Trace.sp_parent = None)
+        (Trace.forest entries)
     in
     { j_trace = tid;
-      j_roots = List.map build roots;
-      j_orphans = orphans;
+      j_roots = List.sort by_start roots;
+      j_orphans =
+        List.map
+          (fun t -> (t.Trace.t_tag, t.Trace.t_span))
+          (List.sort by_start orphans);
       j_spans = List.length entries }
   in
-  List.rev_map assemble_one !trace_order
-  |> List.sort (fun a b -> Int.compare a.j_trace b.j_trace)
-
-let find journeys tid = List.find_opt (fun j -> j.j_trace = tid) journeys
+  List.of_seq (Hashtbl.to_seq_keys by_trace)
+  |> List.sort_uniq Int.compare
+  |> List.map assemble_one
 
 (* Well-formedness of an assembled journey:
    - exactly one root, and every parent resolved (no orphans);
@@ -134,19 +92,19 @@ let well_formed j =
            (match sp.Trace.sp_parent with Some p -> p | None -> -1))
   in
   let rec check parent t =
-    let sp = t.t_span in
+    let sp = t.Trace.t_span in
     let* () =
       match parent with
       | None -> Ok ()
       | Some p ->
-        let psp = p.t_span in
+        let psp = p.Trace.t_span in
         if sp.Trace.sp_start_ns +. eps < psp.Trace.sp_start_ns then
           Error
             (Printf.sprintf
                "trace %d: span %d (%s) starts before its parent %d"
                j.j_trace sp.Trace.sp_id sp.Trace.sp_name psp.Trace.sp_id)
         else if
-          t.t_node = p.t_node
+          t.Trace.t_tag = p.Trace.t_tag
           && sp.Trace.sp_start_ns +. sp.Trace.sp_dur_ns
              > psp.Trace.sp_start_ns +. psp.Trace.sp_dur_ns +. eps
         then
@@ -160,7 +118,7 @@ let well_formed j =
       (fun acc c ->
         let* () = acc in
         check (Some t) c)
-      (Ok ()) t.t_children
+      (Ok ()) t.Trace.t_children
   in
   List.fold_left
     (fun acc r ->
@@ -170,5 +128,5 @@ let well_formed j =
 
 let root_name j =
   match j.j_roots with
-  | { t_span; _ } :: _ -> Some t_span.Trace.sp_name
+  | { Trace.t_span; _ } :: _ -> Some t_span.Trace.sp_name
   | [] -> None

@@ -6,21 +6,22 @@
 
 module Trace = Gp_telemetry.Trace
 
-type tree = {
-  t_node : int;  (** the node whose ring recorded the span *)
-  t_span : Trace.span;
-  t_children : tree list;  (** start order, ids break ties *)
-}
+type tree = int Trace.tree
+(** A {!Trace.forest} tree tagged with the node whose ring recorded each
+    span; children in start order, ids break ties. *)
 
 type journey = {
   j_trace : int;
   j_roots : tree list;
-      (** trees under parentless spans, start order — a well-formed
-          journey has exactly one *)
+      (** trees under parentless spans, ordered by
+          {!Trace.compare_start} — a well-formed journey has exactly
+          one *)
   j_orphans : (int * Trace.span) list;
       (** [(node, span)] whose parent id was never recorded (e.g. the
-          message that would have closed the parent was dropped) —
-          surfaced here, never silently attached to a root *)
+          message that would have closed the parent was dropped),
+          ordered by {!Trace.compare_start} — listed here, never
+          silently attached to a root; an orphan's descendants appear
+          in no tree *)
   j_spans : int;  (** total spans grouped into this trace *)
 }
 
@@ -30,9 +31,9 @@ val trace_attr : Trace.span -> int option
 val assemble : (int * Trace.span list) list -> journey list
 (** [(node, spans)] per node in; one journey per distinct trace id out,
     sorted by trace id. Spans without a ["trace"] attribute are
-    ignored. *)
-
-val find : journey list -> int -> journey option
+    ignored. Each trace's spans, node-tagged, go through
+    {!Trace.forest}; its roots are split into [j_roots] (no parent)
+    and [j_orphans] (a parent id absent from the trace). *)
 
 val well_formed : journey -> (unit, string) result
 (** Single root, no orphans, and causal nesting: every child starts no

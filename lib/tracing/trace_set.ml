@@ -23,7 +23,8 @@ let of_result (r : Cluster.result) =
     ts_lanes = r.Cluster.r_traces }
 
 let journeys ts = Journey.assemble ts.ts_lanes
-let request_journey ts rid = Journey.find (journeys ts) rid
+let request_journey ts rid =
+  List.find_opt (fun j -> j.Journey.j_trace = rid) (journeys ts)
 let is_request ts tid = tid >= 0 && tid < ts.ts_n
 
 (* -------------------------------------------------------------- *)
@@ -223,9 +224,9 @@ let pp_journey ts ppf (j : Journey.journey) =
     j.Journey.j_spans
     (if j.Journey.j_spans = 1 then "" else "s");
   let rec pp_node depth (t : Journey.tree) =
-    let sp = t.Journey.t_span in
+    let sp = t.Trace.t_span in
     Fmt.pf ppf "  %-10s %s%-*s t=%-9.2f +%-8.2f"
-      (node_name ts t.Journey.t_node)
+      (node_name ts t.Trace.t_tag)
       (String.make (2 * depth) ' ')
       (Int.max 1 (24 - (2 * depth)))
       sp.Trace.sp_name
@@ -236,7 +237,7 @@ let pp_journey ts ppf (j : Journey.journey) =
         if not (String.equal k "trace") then Fmt.pf ppf " %s=%s" k v)
       sp.Trace.sp_attrs;
     Fmt.pf ppf "@.";
-    List.iter (pp_node (depth + 1)) t.Journey.t_children
+    List.iter (pp_node (depth + 1)) t.Trace.t_children
   in
   List.iter (pp_node 0) j.Journey.j_roots;
   List.iter

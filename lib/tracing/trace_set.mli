@@ -45,9 +45,6 @@ val load : string -> (t, string) result
 
 (** {2 Chrome export} *)
 
-val node_name : t -> int -> string
-(** ["router"] for node 0, ["replica-<i>"] otherwise. *)
-
 val to_chrome : t -> string
 (** Chrome [chrome://tracing] / Perfetto JSON with one process lane per
     node: a [process_name] metadata event names each lane, every span

@@ -486,6 +486,152 @@ let test_dump_malformed_scenario_fields () =
     expect_err doc
       (Printf.sprintf "at %d: bad field \"shed\" (want a bool)" p)
 
+(* ------------------------------------------------------------------ *)
+(* Record ids in an offline audit                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The [gp workload --quick] stream (seed 7, 60 requests) through a
+   failure-free cluster: every rid 0..59 has exactly one record. *)
+let quick_dump_lines () =
+  String.split_on_char '\n' (Cluster.dump (run (workload ~n:60 7)))
+  |> List.filter (fun l -> l <> "")
+
+(* byte position of a field's key in a line, as the audit reports it *)
+let key_pos line name =
+  let key = "\"" ^ name ^ "\":" in
+  let n = String.length line and m = String.length key in
+  let rec go i =
+    if i + m > n then Alcotest.failf "field %S not in %S" name line
+    else if String.sub line i m = key then i + 1
+    else go (i + 1)
+  in
+  go 0
+
+let expect_rejected doc want =
+  match Cluster.audit_dump doc with
+  | Ok a ->
+    Alcotest.failf "dump accepted (%d/%d compared, %d missing), wanted %S"
+      a.Cluster.au_compared a.Cluster.au_total a.Cluster.au_missing want
+  | Error e -> Alcotest.(check string) "positioned rejection" want e
+
+(* rid 0's record duplicated in place of rid 1's: the count of compared
+   records still reaches n, but request 1 was never answered *)
+let test_dump_repeated_rid () =
+  match quick_dump_lines () with
+  | header :: r0 :: _r1 :: rest ->
+    expect_rejected
+      (String.concat "\n" (header :: r0 :: r0 :: rest))
+      (Printf.sprintf "at %d: bad field \"rid\" (rid 0 repeated)"
+         (key_pos r0 "rid"))
+  | _ -> Alcotest.fail "short dump"
+
+let test_dump_rid_range () =
+  let replace_first line ~from ~to_ =
+    let at = key_pos line from - 1 in
+    let old = "\"" ^ from ^ "\":" in
+    let stop = ref (at + String.length old) in
+    while
+      !stop < String.length line
+      && (match line.[!stop] with '0' .. '9' | '-' -> true | _ -> false)
+    do
+      incr stop
+    done;
+    String.sub line 0 at ^ old ^ to_
+    ^ String.sub line !stop (String.length line - !stop)
+  in
+  match quick_dump_lines () with
+  | header :: records ->
+    (* a negative workload size *)
+    let bad_header = replace_first header ~from:"n" ~to_:"-5" in
+    expect_rejected
+      (String.concat "\n" (bad_header :: records))
+      (Printf.sprintf "at %d: bad field \"n\" (want a non-negative int)"
+         (key_pos bad_header "n"));
+    (* a record naming a request outside the workload *)
+    let last = List.nth records (List.length records - 1) in
+    let bad = replace_first last ~from:"rid" ~to_:"60" in
+    expect_rejected
+      (String.concat "\n"
+         (header :: List.map (fun l -> if l == last then bad else l) records))
+      (Printf.sprintf "at %d: bad field \"rid\" (want 0 <= rid < 60)"
+         (key_pos bad "rid"))
+  | [] -> Alcotest.fail "empty dump"
+
+(* ------------------------------------------------------------------ *)
+(* One tampered fingerprint, three re-serve paths                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The same stream recorded three ways — a flight dump, a cluster dump
+   and a cluster run's in-memory records — with one fingerprint
+   tampered in each. Flight.replay, Cluster.audit_dump and Cluster.audit
+   all run Flight.re_serve, and each reports exactly that request, with
+   the same re-served fingerprint. *)
+let test_one_tampered_fingerprint () =
+  let module Recorder = Gp_telemetry.Recorder in
+  let n = 60 and victim = 17 in
+  let fake = String.make 32 '0' in
+  let reqs = workload ~n 7 in
+  (* flight dump *)
+  let server =
+    Server.create
+      ~config:{ Server.default_config with flight_capacity = n } ()
+  in
+  ignore (Server.process server (Array.to_list reqs));
+  let ds = Recorder.dossiers (Option.get (Server.flight server)) in
+  let honest = Lazy.force (List.nth ds victim).Recorder.do_response_fp in
+  let dump =
+    String.concat ""
+      (List.mapi
+         (fun i d ->
+           Recorder.dossier_to_json
+             (if i = victim then
+                { d with Recorder.do_response_fp = Lazy.from_val fake }
+              else d)
+           ^ "\n")
+         ds)
+  in
+  (match Result.bind (Recorder.of_jsonl dump) Flight.replay with
+   | Error e -> Alcotest.failf "replay: %s" e
+   | Ok o -> (
+     Alcotest.(check int) "flight: all others match" (n - 1)
+       o.Flight.rep_matched;
+     match o.Flight.rep_diverged with
+     | [ dv ] ->
+       Alcotest.(check int) "flight: the tampered dossier" (victim + 1)
+         dv.Flight.dv_item.Recorder.do_id;
+       Alcotest.(check string) "flight: recorded" fake dv.Flight.dv_recorded_fp;
+       Alcotest.(check string) "flight: re-served" honest
+         dv.Flight.dv_response_fp
+     | dvs -> Alcotest.failf "flight: %d divergences" (List.length dvs)));
+  (* cluster records, in memory and dumped *)
+  let r = run reqs in
+  let tampered =
+    { r with
+      Cluster.r_records =
+        Array.mapi
+          (fun i rc ->
+            match rc with
+            | Some rc when i = victim -> Some { rc with Node.rc_fp = fake }
+            | rc -> rc)
+          r.Cluster.r_records }
+  in
+  let check_one what a =
+    Alcotest.(check int) (what ^ ": all compared") n a.Cluster.au_compared;
+    match a.Cluster.au_divergences with
+    | [ dv ] ->
+      Alcotest.(check int) (what ^ ": the tampered rid") victim
+        dv.Flight.dv_item;
+      Alcotest.(check string) (what ^ ": recorded") fake
+        dv.Flight.dv_recorded_fp;
+      Alcotest.(check string) (what ^ ": re-served") honest
+        dv.Flight.dv_response_fp
+    | dvs -> Alcotest.failf "%s: %d divergences" what (List.length dvs)
+  in
+  check_one "in-memory audit" (Cluster.audit tampered);
+  match Cluster.audit_dump (Cluster.dump tampered) with
+  | Error e -> Alcotest.failf "offline audit: %s" e
+  | Ok a -> check_one "offline audit" a
+
 let () =
   Alcotest.run "gp_cluster"
     [
@@ -533,5 +679,11 @@ let () =
             test_dump_server_config;
           Alcotest.test_case "malformed scenario fields" `Quick
             test_dump_malformed_scenario_fields;
+          Alcotest.test_case "repeated rid rejected" `Quick
+            test_dump_repeated_rid;
+          Alcotest.test_case "rid and n ranges rejected" `Quick
+            test_dump_rid_range;
+          Alcotest.test_case "one tampered fingerprint, three paths" `Quick
+            test_one_tampered_fingerprint;
         ] );
     ]

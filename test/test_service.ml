@@ -1595,10 +1595,63 @@ let test_flight_replay () =
     | [ dv ] ->
       Alcotest.(check int) "the tampered dossier diverged"
         (List.nth parsed 3).Recorder.do_id
-        dv.Flight.dv_dossier.Recorder.do_id;
+        dv.Flight.dv_item.Recorder.do_id;
       Alcotest.(check bool) "divergence report renders" true
         (contains (Fmt.str "%a" Flight.pp_outcome o2) "mismatch")
     | _ -> ())
+
+(* Reconciliation: the request counter, the responses and the flight
+   ring agree on how many requests were served, and each cache's own
+   hit/miss counters are exactly the sums of the per-request cache
+   chains the dossiers carry — over random streams with numeric kinds,
+   injected errors (some over budget) and small caches that evict. *)
+let reconciliation_prop =
+  qtest
+    (QCheck.Test.make
+       ~name:"requests = responses = recorded; cache chains sum to Lru.stats"
+       ~count:20
+       QCheck.(
+         pair
+           (triple (int_bound 10_000) (int_range 1 80) (int_bound 40))
+           (quad (int_bound 12) (int_bound 8) (int_bound 8) (int_range 1 24)))
+       (fun ((seed, n, errors_pct), (mv, mm, sv, capacity)) ->
+         let mix =
+           Workload.default_mix
+           @ List.filter
+               (fun (_, w) -> w > 0)
+               [ (Request.Kmatvec, mv); (Request.Kmatmul, mm);
+                 (Request.Ksolve, sv) ]
+         in
+         let errors = float_of_int errors_pct /. 100.0 in
+         let reqs = Workload.generate ~mix ~errors ~seed ~n () in
+         let server =
+           mkserver
+             ~config:
+               { Server.default_config with
+                 max_steps = 2500; cache_capacity = capacity;
+                 flight_capacity = n }
+             ()
+         in
+         let rsps = Server.process server reqs in
+         let recorder = Option.get (Server.flight server) in
+         let chains =
+           List.concat_map
+             (fun d -> d.Recorder.do_cache_chain)
+             (Recorder.dossiers recorder)
+         in
+         let sums name =
+           List.fold_left
+             (fun (h, m) (c, dh, dm) ->
+               if String.equal c name then (h + dh, m + dm) else (h, m))
+             (0, 0) chains
+         in
+         Metrics.requests (Server.metrics server) = List.length rsps
+         && List.length rsps = Recorder.recorded recorder
+         && Recorder.dropped recorder = 0
+         && List.for_all
+              (fun st ->
+                sums st.Lru.st_name = (st.Lru.st_hits, st.Lru.st_misses))
+              (Server.cache_stats server)))
 
 let test_workload_error_injection () =
   (* errors = 0.0 keeps the stream byte-identical to the pre-errors API *)
@@ -2230,6 +2283,7 @@ let () =
           Alcotest.test_case "replay matches recording" `Quick
             test_flight_replay;
           flight_dump_fixpoint_prop;
+          reconciliation_prop;
           Alcotest.test_case "slowest kept past ring eviction" `Quick
             test_slowest_survives_eviction;
           Alcotest.test_case "untraced dur_ns = observed latency" `Quick

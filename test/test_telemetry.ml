@@ -533,6 +533,93 @@ let test_folded_output () =
   Alcotest.(check string) "folded self-weights"
     "root 20\nroot;child 10\nsolo 10\n" (Trace.to_folded t)
 
+(* ------------------------------------------------------------------ *)
+(* The span forest                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* A random window: span ids 1..m with some dropped (so some parents are
+   missing), each parent a smaller id or none (so no cycles), start
+   times from a small range (so siblings tie), in shuffled order. Each
+   span is tagged with its window position. *)
+let window_gen =
+  QCheck.Gen.(
+    int_range 0 40 >>= fun m ->
+    list_repeat m (triple bool (int_bound 6) (int_bound 3)) >>= fun cells ->
+    let spans =
+      List.concat
+        (List.mapi
+           (fun i (keep, start, parent_gap) ->
+             let id = i + 1 in
+             if not keep then []
+             else
+               [ { Trace.sp_id = id;
+                   sp_parent =
+                     (if parent_gap = 0 || id - parent_gap < 1 then None
+                      else Some (id - parent_gap));
+                   sp_name = "s" ^ string_of_int id;
+                   sp_start_ns = float_of_int start;
+                   sp_dur_ns = 1.0;
+                   sp_attrs = [];
+                   sp_gc = None } ])
+           cells)
+    in
+    shuffle_l spans >|= List.mapi (fun i sp -> (i, sp)))
+
+let forest_prop =
+  qtest
+    (QCheck.Test.make
+       ~name:"forest: each span once, recorded edges, absent-parent roots, \
+              (start, id) siblings"
+       ~count:500
+       (QCheck.make
+          ~print:(fun w ->
+            String.concat " "
+              (List.map
+                 (fun (_, sp) ->
+                   Printf.sprintf "%d<%s@%g" sp.Trace.sp_id
+                     (match sp.Trace.sp_parent with
+                      | Some p -> string_of_int p
+                      | None -> "-")
+                     sp.Trace.sp_start_ns)
+                 w))
+          window_gen)
+       (fun window ->
+         let trees = Trace.forest window in
+         let rec nodes t = t :: List.concat_map nodes t.Trace.t_children in
+         let all = List.concat_map nodes trees in
+         let present id = List.exists (fun (_, s) -> s.Trace.sp_id = id) window in
+         let rec edges_ok t =
+           List.for_all
+             (fun c ->
+               c.Trace.t_span.Trace.sp_parent = Some t.Trace.t_span.Trace.sp_id
+               && edges_ok c)
+             t.Trace.t_children
+         in
+         let rec sorted = function
+           | a :: (b :: _ as rest) ->
+             Trace.compare_start a.Trace.t_span b.Trace.t_span < 0
+             && sorted rest
+           | _ -> true
+         in
+         let rec siblings_ok t =
+           sorted t.Trace.t_children && List.for_all siblings_ok t.Trace.t_children
+         in
+         (* every span exactly once, with its own tag *)
+         List.sort compare
+           (List.map (fun t -> (t.Trace.t_tag, t.Trace.t_span.Trace.sp_id)) all)
+         = List.sort compare
+             (List.map (fun (i, s) -> (i, s.Trace.sp_id)) window)
+         && List.for_all edges_ok trees
+         (* the roots, in window order, are the absent-parent spans *)
+         && List.map (fun t -> t.Trace.t_tag) trees
+            = List.filter_map
+                (fun (i, s) ->
+                  match s.Trace.sp_parent with
+                  | Some p when present p -> None
+                  | _ -> Some i)
+                window
+         && List.for_all siblings_ok trees))
+
 let test_folded_alloc_weight () =
   Tel.with_installed ~profile:true (fun sink ->
       Tel.with_span ~name:"outer" (fun () ->
@@ -1074,6 +1161,7 @@ let () =
           Alcotest.test_case "folded export" `Quick test_folded_output;
           Alcotest.test_case "folded alloc weight" `Quick
             test_folded_alloc_weight;
+          forest_prop;
         ] );
       ( "profile",
         [

@@ -119,8 +119,8 @@ let journeys_well_formed_prop =
                   inside it (assemble guarantees this structurally);
                   check orphans are disjoint from the trees *)
                let rec ids (t : Journey.tree) =
-                 t.Journey.t_span.Trace.sp_id
-                 :: List.concat_map ids t.Journey.t_children
+                 t.Trace.t_span.Trace.sp_id
+                 :: List.concat_map ids t.Trace.t_children
                in
                let tree_ids = List.concat_map ids j.Journey.j_roots in
                List.for_all
