@@ -1608,7 +1608,8 @@ let s7 () =
   let _, unrecorded_minor = measure (serve_lines unrecorded lines) in
   let recorder_minor = serve_minor -. unrecorded_minor in
   (* the text front ends: minor words of one parse, averaged over the
-     perfbench payload shapes (lint programs and .gpc defs) *)
+     perfbench payload shapes (lint programs, .gpc defs and optimize
+     expressions) *)
   let parse_minor parse srcs =
     let pass () =
       Array.iter (fun src -> ignore (Sys.opaque_identity (parse src))) srcs
@@ -1624,6 +1625,10 @@ let s7 () =
   in
   let gpc_parse_minor =
     parse_minor Gp_concepts.Lang.parse_string (shapes Perf_shapes.gpc_source)
+  in
+  let expr_parse_minor =
+    parse_minor Gp_simplicissimus.Sparser.parse
+      (shapes Perf_shapes.optimize_expr)
   in
   Fmt.pr "@.%-44s %16s %14s@." "wire phase (parse + render + digest)"
     "bytes/request" "minor w/req";
@@ -1647,6 +1652,8 @@ let s7 () =
   Fmt.pr "%-44s %14.1f@." "STLlint program (perfbench lint shapes)"
     lint_parse_minor;
   Fmt.pr "%-44s %14.1f@." ".gpc defs (perfbench defs shape)" gpc_parse_minor;
+  Fmt.pr "%-44s %14.1f@." "expression (perfbench optimize shapes)"
+    expr_parse_minor;
   (* replay the recorded pass from cold caches: the streaming
      fingerprints must match the dossiers bit-for-bit *)
   let outcome =
@@ -1675,6 +1682,7 @@ let s7 () =
   record ~experiment:"s7" "recorder_minor_words" recorder_minor;
   record ~experiment:"s7" "lint_parse_minor_words" lint_parse_minor;
   record ~experiment:"s7" "gpc_parse_minor_words" gpc_parse_minor;
+  record ~experiment:"s7" "expr_parse_minor_words" expr_parse_minor;
   record ~experiment:"s7" "replay_diverged_pct"
     (100.0
     *. float_of_int (List.length outcome.Flight.rep_diverged)

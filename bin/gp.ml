@@ -150,7 +150,7 @@ let lint_cmd =
     | ds ->
       Fmt.pr "%a@." Interp.pp_report ds;
       if Interp.errors ds <> [] then 1 else 0
-    | exception Parser.Parse_error { line; message } ->
+    | exception Parser.Parse_error { line; message; _ } ->
       Fmt.epr "%s:%d: %s@." path line message;
       2
   in
@@ -227,8 +227,8 @@ let optimize_cmd =
       | Some src -> (
         match Sparser.parse src with
         | e -> [ e ]
-        | exception Sparser.Parse_error m ->
-          Fmt.epr "parse error: %s@." m;
+        | exception Sparser.Parse_error { line; col; message } ->
+          Fmt.epr "expr:%d:%d: %s@." line col message;
           exit 2)
       | None -> optimize_demos
     in

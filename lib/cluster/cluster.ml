@@ -544,70 +544,76 @@ let opt_count line obj name =
   | Some (Json.Int i) when i >= 0 -> i
   | Some _ -> malformed line name "want a non-negative int"
 
+(* A dump header: the workload size and the server config. *)
+let dump_header line =
+  let header = Json.parse line in
+  if Json.field "gp_cluster" header <> Some (Json.Int 1) then
+    Json.fail "not a gp_cluster dump (bad header)";
+  let total = Json.int_field "n" header in
+  if total < 0 then malformed line "n" "want a non-negative int";
+  (* validate the scenario header counters even though the audit
+     recomputes shed from the records themselves *)
+  let (_ : int) = opt_count line header "shed" in
+  let (_ : int) = opt_count line header "promoted" in
+  let (_ : int) = opt_count line header "joined" in
+  let (_ : int) = opt_count line header "left" in
+  match
+    Server.config_of_json (Json.Obj (Json.obj_field "server_config" header))
+  with
+  | Ok c -> (total, c)
+  | Error e -> Json.fail "bad server_config: %s" e
+
+(* A dump record: [None] if shed, else the item to re-serve. [seen]
+   holds the rids of earlier records. *)
+let dump_record ~total ~seen line =
+  let obj = Json.parse line in
+  let rid = Json.int_field "rid" obj in
+  if rid < 0 || rid >= total then
+    malformed line "rid" (Printf.sprintf "want 0 <= rid < %d" total);
+  if Hashtbl.mem seen rid then
+    malformed line "rid" (Printf.sprintf "rid %d repeated" rid);
+  Hashtbl.add seen rid ();
+  let is_shed =
+    match Json.field "shed" obj with
+    | None -> false
+    | Some (Json.Bool b) -> b
+    | Some _ -> malformed line "shed" "want a bool"
+  in
+  if is_shed then None
+  else
+    let fp = Json.str_field "fp" obj in
+    let req =
+      match
+        Wire.request_of_line
+          (Json.to_string (Json.Obj (Json.obj_field "req" obj)))
+      with
+      | Ok (_, req) -> req
+      | Error e -> Json.fail "bad request: %s" e
+    in
+    Some (rid, Flight.Decoded (rid, req), fp)
+
+(* A rejection names its 1-based line in the document, blank lines
+   counted, as [Recorder.of_jsonl] does. *)
+let on_line (lineno, line) f =
+  try f line with Json.Error e -> Json.fail "line %d: %s" lineno e
+
 let audit_dump doc =
   let lines =
     String.split_on_char '\n' doc
-    |> List.filter (fun l -> String.trim l <> "")
+    |> List.mapi (fun i line -> (i + 1, line))
+    |> List.filter (fun (_, line) -> String.trim line <> "")
   in
   match lines with
   | [] -> Error "empty dump"
-  | header_line :: records -> (
+  | header :: records -> (
     try
-      let header = Json.parse header_line in
-      if Json.field "gp_cluster" header <> Some (Json.Int 1) then
-        Json.fail "not a gp_cluster dump (bad header)";
-      let total = Json.int_field "n" header in
-      if total < 0 then malformed header_line "n" "want a non-negative int";
-      (* validate the scenario header counters even though the audit
-         recomputes shed from the records themselves *)
-      let (_ : int) = opt_count header_line header "shed" in
-      let (_ : int) = opt_count header_line header "promoted" in
-      let (_ : int) = opt_count header_line header "joined" in
-      let (_ : int) = opt_count header_line header "left" in
-      let server_config =
-        match
-          Server.config_of_json
-            (Json.Obj (Json.obj_field "server_config" header))
-        with
-        | Ok c -> c
-        | Error e -> Json.fail "bad server_config: %s" e
-      in
+      let total, config = on_line header dump_header in
       (* every record names a distinct request of the workload, so a
          duplicated or foreign record cannot stand in for a missing one *)
       let seen = Hashtbl.create 256 in
-      let shed = ref 0 in
-      let items =
-        List.filter_map
-          (fun line ->
-            let obj = Json.parse line in
-            let rid = Json.int_field "rid" obj in
-            if rid < 0 || rid >= total then
-              malformed line "rid" (Printf.sprintf "want 0 <= rid < %d" total);
-            if Hashtbl.mem seen rid then
-              malformed line "rid" (Printf.sprintf "rid %d repeated" rid);
-            Hashtbl.add seen rid ();
-            let is_shed =
-              match Json.field "shed" obj with
-              | None -> false
-              | Some (Json.Bool b) -> b
-              | Some _ -> malformed line "shed" "want a bool"
-            in
-            if is_shed then (
-              incr shed;
-              None)
-            else
-              let fp = Json.str_field "fp" obj in
-              let req =
-                match
-                  Wire.request_of_line
-                    (Json.to_string
-                       (Json.Obj (Json.obj_field "req" obj)))
-                with
-                | Ok (_, req) -> req
-                | Error e -> Json.fail "bad request: %s" e
-              in
-              Some (rid, Flight.Decoded (rid, req), fp))
-          records
+      let records =
+        List.map (fun r -> on_line r (dump_record ~total ~seen)) records
       in
-      Ok (audit_items ~config:server_config ~total ~shed:!shed items)
+      let shed = List.length (List.filter Option.is_none records) in
+      Ok (audit_items ~config ~total ~shed (List.filter_map Fun.id records))
     with Json.Error e -> Error e)

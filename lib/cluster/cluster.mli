@@ -192,9 +192,11 @@ val audit_dump : string -> (audit, string) Stdlib.result
     the header, re-serve each embedded request single-node through
     {!Gp_service.Flight.re_serve}, diff the fingerprints. Shed records
     are skipped (and counted in [au_shed]). [Error] describes a
-    malformed document. These are rejected with the wire's positioned
-    convention (the byte position of the field's key in its line),
-    e.g. ["at 42: bad field \"shed\" (want a bool)"]: a negative
+    malformed document, prefixed with the 1-based number of the
+    offending line (blank lines counted). These are rejected with the
+    wire's positioned convention (the byte position of the field's key
+    in its line), e.g. ["line 3: at 42: bad field \"shed\" (want a
+    bool)"]: a negative
     header [n]; a non-int header [shed]/[promoted]/[joined]/[left]; a
     record [rid] outside [[0, n)] or repeated from an earlier record (so
     a duplicated record cannot hide a missing one); a non-bool record

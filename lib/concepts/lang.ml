@@ -29,162 +29,19 @@
    Type names containing special characters (["int[+]"],
    ["vector<int>::iterator"]) are written as double-quoted strings.
    Inside a concept body, identifiers matching a declared parameter are
-   parsed as parameters; everything else is a named type. Comments:
-   [// ...] to end of line. *)
+   parsed as parameters; everything else is a named type.
 
-(* ------------------------------------------------------------------ *)
-(* Lexer                                                               *)
-(* ------------------------------------------------------------------ *)
+   The tokens come from [Lex] under [syntax] below: string literals and
+   [// ...] comments, no floats. A [Parse_error] is [Lex]'s error, at
+   the lexer's line and column. *)
 
-type token =
-  | Tid of string
-  | Tstring of string
-  | Tint of int
-  | Tpunct of string (* < > { } ( ) , ; : == -> . ^ *)
-  | Teof
+open Lex
 
-type lexer_state = {
-  src : string;
-  mutable pos : int;
-  mutable line : int;
-  mutable col : int;
-}
+exception Parse_error = Lex.Error
 
-exception Parse_error of { line : int; col : int; message : string }
-
-let error st fmt =
-  Fmt.kstr
-    (fun message ->
-      raise (Parse_error { line = st.line; col = st.col; message }))
-    fmt
-
-(* The lexer scans [src] in place. An identifier, integer or string is
-   one [String.sub]. [col] counts bytes, a newline resetting it to 1. *)
-let is_digit c = c >= '0' && c <= '9'
-
-let is_id_char c =
-  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || is_digit c || c = '_'
-
-(* Advance over [len] bytes that hold no newline. *)
-let skip st len =
-  st.pos <- st.pos + len;
-  st.col <- st.col + len
-
-let take st len tok =
-  skip st len;
-  tok
-
-let rec to_eol src i =
-  if i < String.length src && src.[i] <> '\n' then to_eol src (i + 1) else i
-
-(* Blanks and [// ...] comments; a comment stops in front of its
-   newline. *)
-let rec skip_ws st =
-  let src = st.src and i = st.pos in
-  if i < String.length src then
-    match src.[i] with
-    | '\n' ->
-      st.pos <- i + 1;
-      st.line <- st.line + 1;
-      st.col <- 1;
-      skip_ws st
-    | ' ' | '\t' | '\r' ->
-      skip st 1;
-      skip_ws st
-    | '/' when i + 1 < String.length src && src.[i + 1] = '/' ->
-      skip st (to_eol src i - i);
-      skip_ws st
-    | _ -> ()
-
-let rec scan_end p src i =
-  if i < String.length src && p src.[i] then scan_end p src (i + 1) else i
-
-(* One-character punctuation as shared tokens, indexed by the character
-   ([Teof] for any other character). *)
-let punct =
-  Array.init 256 (fun code ->
-      let c = Char.chr code in
-      if String.contains "<>{}(),;:.^+=" c then Tpunct (String.make 1 c)
-      else Teof)
-
-(* A string literal opening at [i]; its body may span lines. *)
-let string_literal st i =
-  let src = st.src in
-  let j =
-    Option.value ~default:(String.length src)
-      (String.index_from_opt src (i + 1) '"')
-  in
-  for k = i to j - 1 do
-    if src.[k] = '\n' then begin
-      st.line <- st.line + 1;
-      st.col <- 1
-    end
-    else st.col <- st.col + 1
-  done;
-  st.pos <- j;
-  if j = String.length src then error st "unterminated string literal";
-  take st 1 (Tstring (String.sub src (i + 1) (j - i - 1)))
-
-let next_token st =
-  skip_ws st;
-  let src = st.src and i = st.pos in
-  if i >= String.length src then Teof
-  else
-    match src.[i] with
-    | '"' -> string_literal st i
-    | '0' .. '9' -> (
-      let j = scan_end is_digit src i in
-      let text = String.sub src i (j - i) in
-      match int_of_string_opt text with
-      | Some k -> take st (j - i) (Tint k)
-      | None -> error st "integer literal %s is out of range" text)
-    | c when is_id_char c ->
-      let j = scan_end is_id_char src i in
-      take st (j - i) (Tid (String.sub src i (j - i)))
-    | c -> (
-      let c2 = if i + 1 < String.length src then src.[i + 1] else ' ' in
-      match (c, c2) with
-      | '-', '>' -> take st 2 (Tpunct "->")
-      | '=', '=' -> take st 2 (Tpunct "==")
-      | _ -> (
-        match punct.(Char.code c) with
-        | Teof -> error st "unexpected character %c" c
-        | tok -> take st 1 tok))
-
-(* A one-token-lookahead stream. *)
-type stream = { lex : lexer_state; mutable tok : token }
-
-let make_stream src =
-  let lex = { src; pos = 0; line = 1; col = 1 } in
-  { lex; tok = next_token lex }
-
-let shift s = s.tok <- next_token s.lex
-
-let expect_punct s p =
-  match s.tok with
-  | Tpunct q when q = p -> shift s
-  | _ -> error s.lex "expected '%s'" p
-
-let expect_id s =
-  match s.tok with
-  | Tid x ->
-    shift s;
-    x
-  | _ -> error s.lex "expected an identifier"
-
-let accept_punct s p =
-  match s.tok with
-  | Tpunct q when q = p ->
-    shift s;
-    true
-  | _ -> false
-
-let accept_id s word =
-  match s.tok with
-  | Tid x when x = word ->
-    shift s;
-    true
-  | _ -> false
+let syntax =
+  Lex.syntax ~punct:"<>{}(),;:.^+=" ~pairs:[ "->"; "==" ] ~strings:true
+    ~floats:false ~comments:true
 
 (* ------------------------------------------------------------------ *)
 (* Type expressions                                                    *)
@@ -194,23 +51,23 @@ let accept_id s word =
 let rec parse_ty s ~params =
   let atom =
     match s.tok with
-    | Tstring name ->
+    | Str name ->
       shift s;
       Ctype.Named name
-    | Tid name ->
+    | Id name ->
       shift s;
-      if accept_punct s "<" then begin
+      if accept s "<" then begin
         let args = parse_ty_list s ~params in
-        expect_punct s ">";
+        expect s ">";
         Ctype.App (name, args)
       end
       else if List.mem name params then Ctype.Var name
       else Ctype.Named name
-    | _ -> error s.lex "expected a type"
+    | _ -> error s "expected a type"
   in
   let rec projections base =
-    if accept_punct s "." then begin
-      let field = expect_id s in
+    if accept s "." then begin
+      let field = ident s in
       projections (Ctype.Assoc (base, field))
     end
     else base
@@ -219,20 +76,36 @@ let rec parse_ty s ~params =
 
 and parse_ty_list s ~params =
   let first = parse_ty s ~params in
-  if accept_punct s "," then first :: parse_ty_list s ~params
+  if accept s "," then first :: parse_ty_list s ~params
   else [ first ]
 
-let parse_usage s ~params =
+(* [item] ("," [item])* *)
+let rec commas item s =
+  let first = item s in
+  if accept s "," then first :: commas item s else [ first ]
+
+(* ":" [ty ("," ty)*] "->" ty ";" *)
+let parse_signature s ~params =
+  expect s ":";
+  let tys =
+    match s.tok with Punct "->" -> [] | _ -> parse_ty_list s ~params
+  in
+  expect s "->";
+  let ret = parse_ty s ~params in
+  expect s ";";
+  (tys, ret)
+
+let parse_usage ~params s =
   let name =
     match s.tok with
-    | Tid x ->
+    | Id x ->
       shift s;
       x
-    | _ -> error s.lex "expected a concept name"
+    | _ -> error s "expected a concept name"
   in
-  expect_punct s "<";
+  expect s "<";
   let args = parse_ty_list s ~params in
-  expect_punct s ">";
+  expect s ">";
   (name, args)
 
 (* ------------------------------------------------------------------ *)
@@ -241,173 +114,127 @@ let parse_usage s ~params =
 
 let parse_bigO s =
   (match s.tok with
-  | Tid "O" -> shift s
-  | _ -> error s.lex "expected O(...)");
-  expect_punct s "(";
+  | Id "O" -> shift s
+  | _ -> error s "expected O(...)");
+  expect s "(";
   let parse_factor () =
     match s.tok with
-    | Tint 1 ->
+    | Int 1 ->
       shift s;
       Complexity.constant
-    | Tid "log" ->
+    | Id "log" ->
       shift s;
-      let v = expect_id s in
+      let v = ident s in
       Complexity.log_ v
-    | Tid v ->
+    | Id v ->
       shift s;
-      if accept_punct s "^" then begin
+      if accept s "^" then begin
         match s.tok with
-        | Tint k ->
+        | Int k ->
           shift s;
           Complexity.power v k
-        | _ -> error s.lex "expected an exponent"
+        | _ -> error s "expected an exponent"
       end
       else Complexity.linear v
-    | _ -> error s.lex "expected a complexity factor"
+    | _ -> error s "expected a complexity factor"
   in
   let rec parse_term acc =
     match s.tok with
-    | Tint 1 | Tid _ -> parse_term (Complexity.mul acc (parse_factor ()))
+    | Int 1 | Id _ -> parse_term (Complexity.mul acc (parse_factor ()))
     | _ -> acc
   in
-  let rec parse_sum acc =
-    if accept_punct s "+" then
-      parse_sum (Complexity.add acc (parse_term (parse_factor ())))
+  let rec sums acc =
+    if accept s "+" then
+      sums (Complexity.add acc (parse_term (parse_factor ())))
     else acc
   in
-  ignore parse_sum;
-  let first = parse_term (parse_factor ()) in
-  let rec sums acc =
-    match s.tok with
-    | Tpunct "+" ->
-      shift s;
-      sums (Complexity.add acc (parse_term (parse_factor ())))
-    | _ -> acc
-  in
-  let result = sums first in
-  expect_punct s ")";
+  let result = sums (parse_term (parse_factor ())) in
+  expect s ")";
   result
 
 (* ------------------------------------------------------------------ *)
 (* Concepts                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let parse_where_clauses s ~params ~self =
-  (* where models Foo<...>, == ty, ... applied to associated type [self] *)
-  let rec go acc =
-    let clause =
-      if accept_id s "models" then
-        let name, args = parse_usage s ~params in
-        Concept.Models (name, args)
-      else if accept_punct s "==" then
-        let ty = parse_ty s ~params in
-        Concept.Same_type (self, ty)
-      else error s.lex "expected 'models' or '=='"
-    in
-    let acc = clause :: acc in
-    if accept_punct s "," then go acc else List.rev acc
-  in
-  go []
+(* models Foo<...> or == ty, applied to associated type [self] *)
+let parse_where_clause ~params ~self s =
+  if accept_id s "models" then
+    let name, args = parse_usage ~params s in
+    Concept.Models (name, args)
+  else if accept s "==" then Concept.Same_type (self, parse_ty s ~params)
+  else error s "expected 'models' or '=='"
 
 let parse_requirement s ~params ~owner =
   if accept_id s "type" then begin
-    let name = expect_id s in
+    let name = ident s in
     let self = Ctype.Assoc (Ctype.Var owner, name) in
     let constraints =
-      if accept_id s "where" then parse_where_clauses s ~params ~self else []
+      if accept_id s "where" then commas (parse_where_clause ~params ~self) s
+      else []
     in
-    expect_punct s ";";
+    expect s ";";
     Concept.assoc_type ~constraints name
   end
   else if accept_id s "axiom" then begin
-    let name = expect_id s in
+    let name = ident s in
     let vars =
-      if accept_punct s "(" then begin
-        let rec ids acc =
-          let x = expect_id s in
-          if accept_punct s "," then ids (x :: acc) else List.rev (x :: acc)
-        in
-        let vs = ids [] in
-        expect_punct s ")";
+      if accept s "(" then begin
+        let vs = commas ident s in
+        expect s ")";
         vs
       end
       else []
     in
-    expect_punct s ":";
+    expect s ":";
     let statement =
       match s.tok with
-      | Tstring str ->
+      | Str str ->
         shift s;
         str
-      | _ -> error s.lex "expected a quoted axiom statement"
+      | _ -> error s "expected a quoted axiom statement"
     in
-    expect_punct s ";";
+    expect s ";";
     Concept.axiom ~vars name statement
   end
   else if accept_id s "complexity" then begin
-    let op = expect_id s in
+    let op = ident s in
     let bound = parse_bigO s in
     let amortized = accept_id s "amortized" in
-    expect_punct s ";";
+    expect s ";";
     Concept.complexity ~amortized op bound
   end
   else if accept_id s "requires" then begin
-    let name, args = parse_usage s ~params in
-    expect_punct s ";";
+    let name, args = parse_usage ~params s in
+    expect s ";";
     Concept.Constraint (Concept.Models (name, args))
   end
   else if accept_id s "same" then begin
     let a = parse_ty s ~params in
-    expect_punct s "==";
+    expect s "==";
     let b = parse_ty s ~params in
-    expect_punct s ";";
+    expect s ";";
     Concept.Constraint (Concept.Same_type (a, b))
   end
   else begin
     (* operation: name : ty, ty -> ty ; *)
-    let name = expect_id s in
-    expect_punct s ":";
-    let params_tys =
-      match s.tok with
-      | Tpunct "->" -> []
-      | _ ->
-        let rec tys acc =
-          let ty = parse_ty s ~params in
-          if accept_punct s "," then tys (ty :: acc)
-          else List.rev (ty :: acc)
-        in
-        tys []
-    in
-    expect_punct s "->";
-    let ret = parse_ty s ~params in
-    expect_punct s ";";
+    let name = ident s in
+    let params_tys, ret = parse_signature s ~params in
     Concept.signature name params_tys ret
   end
 
 let parse_concept s =
-  let name = expect_id s in
-  expect_punct s "<";
-  let rec param_ids acc =
-    let x = expect_id s in
-    if accept_punct s "," then param_ids (x :: acc) else List.rev (x :: acc)
-  in
-  let params = param_ids [] in
-  expect_punct s ">";
+  let name = ident s in
+  expect s "<";
+  let params = commas ident s in
+  expect s ">";
   let refines =
-    if accept_id s "refines" then begin
-      let rec usages acc =
-        let u = parse_usage s ~params in
-        if accept_punct s "," then usages (u :: acc) else List.rev (u :: acc)
-      in
-      usages []
-    end
-    else []
+    if accept_id s "refines" then commas (parse_usage ~params) s else []
   in
-  expect_punct s "{";
+  expect s "{";
   let owner = List.hd params in
   let rec reqs acc =
     match s.tok with
-    | Tpunct "}" ->
+    | Punct "}" ->
       shift s;
       List.rev acc
     | _ -> reqs (parse_requirement s ~params ~owner :: acc)
@@ -430,76 +257,53 @@ let parse_item s =
   else if accept_id s "type" then begin
     let name =
       match s.tok with
-      | Tid x ->
+      | Id x ->
         shift s;
         x
-      | Tstring x ->
+      | Str x ->
         shift s;
         x
-      | _ -> error s.lex "expected a type name"
+      | _ -> error s "expected a type name"
     in
     let assoc =
-      if accept_punct s "{" then begin
+      if accept s "{" then begin
         let rec fields acc =
           match s.tok with
-          | Tpunct "}" ->
+          | Punct "}" ->
             shift s;
             List.rev acc
           | _ ->
-            let f = expect_id s in
-            expect_punct s "=";
+            let f = ident s in
+            expect s "=";
             let ty = parse_ty s ~params:[] in
-            expect_punct s ";";
+            expect s ";";
             fields ((f, ty) :: acc)
         in
         fields []
       end
       else []
     in
-    ignore (accept_punct s ";");
+    ignore (accept s ";");
     Some (Itype { name; assoc })
   end
   else if accept_id s "op" then begin
-    let name = expect_id s in
-    expect_punct s ":";
-    let params =
-      match s.tok with
-      | Tpunct "->" -> []
-      | _ ->
-        let rec tys acc =
-          let ty = parse_ty s ~params:[] in
-          if accept_punct s "," then tys (ty :: acc)
-          else List.rev (ty :: acc)
-        in
-        tys []
-    in
-    expect_punct s "->";
-    let ret = parse_ty s ~params:[] in
-    expect_punct s ";";
+    let name = ident s in
+    let params, ret = parse_signature s ~params:[] in
     Some (Iop { name; params; ret })
   end
   else if accept_id s "model" then begin
-    let concept, args = parse_usage s ~params:[] in
-    let axioms =
-      if accept_id s "asserting" then begin
-        let rec ids acc =
-          let x = expect_id s in
-          if accept_punct s "," then ids (x :: acc) else List.rev (x :: acc)
-        in
-        ids []
-      end
-      else []
-    in
-    expect_punct s ";";
+    let concept, args = parse_usage ~params:[] s in
+    let axioms = if accept_id s "asserting" then commas ident s else [] in
+    expect s ";";
     Some (Imodel { concept; args; axioms })
   end
   else
     match s.tok with
-    | Teof -> None
-    | _ -> error s.lex "expected 'concept', 'type', 'op' or 'model'"
+    | Eof -> None
+    | _ -> error s "expected 'concept', 'type', 'op' or 'model'"
 
 let parse_string src =
-  let s = make_stream src in
+  let s = make syntax src in
   let rec go acc =
     match parse_item s with
     | Some item -> go (item :: acc)

@@ -19,6 +19,7 @@
     Comments run from [//] to end of line. *)
 
 exception Parse_error of { line : int; col : int; message : string }
+(** {!Lex.Error} under this front end's name. *)
 
 type item =
   | Iconcept of Concept.t

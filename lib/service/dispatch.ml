@@ -230,7 +230,7 @@ let handle_lint t ~caching ~budget ~source =
     Budget.spend budget (1 + List.length messages);
     (Ok payload, hit)
   | _, _ -> assert false (* the lint cache only ever stores [Linted] *)
-  | exception Parser.Parse_error { line; message } ->
+  | exception Parser.Parse_error { line; message; _ } ->
     (err Request.Parse_failure (Printf.sprintf "program:%d: %s" line message), false)
 
 (* Cache keys are built straight into the dispatcher's one scratch
@@ -265,7 +265,9 @@ let handle_optimize t ~caching ~budget ~expr ~certified_only =
     if caching && Lru.mem t.caches.rewrites key then None
     else Some (Sparser.parse expr)
   with
-  | exception Sparser.Parse_error m -> (err Request.Parse_failure m, false)
+  | exception Sparser.Parse_error { line; col; message } ->
+    let detail = Printf.sprintf "expr:%d:%d: %s" line col message in
+    (err Request.Parse_failure detail, false)
   | parsed -> (
     (* Certification is the expensive stage; the engine's only_certified
        mode reads the verdicts the certifier stamped on the rules. *)

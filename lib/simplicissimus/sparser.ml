@@ -10,92 +10,20 @@
 
    Operand carrier types must agree per operation; variables default to
    int unless annotated ("f:float * 1.0"). Binary "-" desugars to
-   x + neg(y) for group carriers, matching the IR's inverse form. *)
+   x + neg(y) for group carriers, matching the IR's inverse form.
 
-exception Parse_error of string
+   The tokens come from [Gp_concepts.Lex] under [syntax] below, one at a
+   time: string literals and floats, no comments ("/" is an operator).
+   A [Parse_error] is [Lex]'s error, at the lexer's line and column. *)
 
-let fail fmt = Fmt.kstr (fun m -> raise (Parse_error m)) fmt
+module Lex = Gp_concepts.Lex
+open Lex
 
-type token =
-  | Tint of int
-  | Tfloat of float
-  | Tstr of string
-  | Tid of string
-  | Top of string
-  | Tlparen
-  | Trparen
-  | Tcolon
-  | Teof
+exception Parse_error = Lex.Error
 
-let tokenize src =
-  let n = String.length src in
-  let toks = ref [] in
-  let i = ref 0 in
-  let peek () = if !i < n then Some src.[!i] else None in
-  let is_digit c = c >= '0' && c <= '9' in
-  let is_id c =
-    (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || is_digit c || c = '_'
-  in
-  while !i < n do
-    match src.[!i] with
-    | ' ' | '\t' | '\n' | '\r' -> incr i
-    | '(' ->
-      toks := Tlparen :: !toks;
-      incr i
-    | ')' ->
-      toks := Trparen :: !toks;
-      incr i
-    | ':' ->
-      toks := Tcolon :: !toks;
-      incr i
-    | '"' ->
-      let b = Buffer.create 8 in
-      incr i;
-      while peek () <> Some '"' && peek () <> None do
-        Buffer.add_char b src.[!i];
-        incr i
-      done;
-      if peek () = None then fail "unterminated string";
-      incr i;
-      toks := Tstr (Buffer.contents b) :: !toks
-    | c when is_digit c ->
-      let start = !i in
-      while (match peek () with Some c -> is_digit c || c = '.' | None -> false) do
-        incr i
-      done;
-      let text = String.sub src start (!i - start) in
-      let tok =
-        match
-          if String.contains text '.' then Tfloat (float_of_string text)
-          else Tint (int_of_string text)
-        with
-        | tok -> tok
-        | exception Failure _ -> fail "malformed number %s" text
-      in
-      toks := tok :: !toks
-    | c when is_id c ->
-      let start = !i in
-      while (match peek () with Some c -> is_id c | None -> false) do
-        incr i
-      done;
-      toks := Tid (String.sub src start (!i - start)) :: !toks
-    | '&' when !i + 1 < n && src.[!i + 1] = '&' ->
-      toks := Top "&&" :: !toks;
-      i := !i + 2
-    | '|' when !i + 1 < n && src.[!i + 1] = '|' ->
-      toks := Top "||" :: !toks;
-      i := !i + 2
-    | ('+' | '-' | '*' | '&' | '|' | '^' | '.' | '/') as c ->
-      toks := Top (String.make 1 c) :: !toks;
-      incr i
-    | c -> fail "unexpected character %c" c
-  done;
-  List.rev (Teof :: !toks)
-
-type stream = { mutable toks : token list }
-
-let peek s = match s.toks with t :: _ -> t | [] -> Teof
-let shift s = match s.toks with _ :: rest -> s.toks <- rest | [] -> ()
+let syntax =
+  Lex.syntax ~punct:"()+-*&|^./:" ~pairs:[ "&&"; "||" ]
+    ~strings:true ~floats:true ~comments:false
 
 let known_types = [ "int"; "float"; "bool"; "string"; "rational"; "matrix";
                     "invertible_matrix"; "bigfloat" ]
@@ -104,10 +32,10 @@ let addops = [ "+"; "-"; "||"; "|" ]
 let mulops = [ "*"; "&&"; "&"; "^"; "."; "/" ]
 
 (* carrier type checking: both operands must share a type *)
-let combine op a b =
+let combine s op a b =
   let ta = Expr.type_of a and tb = Expr.type_of b in
   if ta <> tb then
-    fail "operands of %s have different types (%s vs %s)" op ta tb;
+    error s "operands of %s have different types (%s vs %s)" op ta tb;
   match op with
   | "-" ->
     (* desugar to the IR's inverse form: a + neg(b) *)
@@ -116,76 +44,88 @@ let combine op a b =
 
 let rec parse_expr s =
   let rec go acc =
-    match peek s with
-    | Top op when List.mem op addops ->
+    match s.tok with
+    | Punct op when List.mem op addops ->
       shift s;
-      go (combine op acc (parse_mul s))
+      go (combine s op acc (parse_mul s))
     | _ -> acc
   in
   go (parse_mul s)
 
 and parse_mul s =
   let rec go acc =
-    match peek s with
-    | Top op when List.mem op mulops ->
+    match s.tok with
+    | Punct op when List.mem op mulops ->
       shift s;
-      go (combine op acc (parse_atom s))
+      go (combine s op acc (parse_atom s))
     | _ -> acc
   in
   go (parse_atom s)
 
 and parse_atom s =
-  match peek s with
-  | Tint k ->
+  match s.tok with
+  | Int k ->
     shift s;
     Expr.int k
-  | Tfloat f ->
+  | Float f ->
     shift s;
     Expr.float f
-  | Tstr str ->
+  | Str str ->
     shift s;
     Expr.string str
-  | Tlparen ->
+  | Punct "(" ->
     shift s;
     let e = parse_expr s in
-    (match peek s with
-    | Trparen -> shift s
-    | _ -> fail "expected ')'");
+    expect s ")";
     e
-  | Tid "true" ->
+  | Id "true" ->
     shift s;
     Expr.bool true
-  | Tid "false" ->
+  | Id "false" ->
     shift s;
     Expr.bool false
-  | Tid name -> (
+  | Id name -> (
     shift s;
-    match peek s with
-    | Tlparen ->
+    match s.tok with
+    | Punct "(" ->
       (* unary application: neg(x), inv(x), Inverse(f), ... *)
       shift s;
       let arg = parse_expr s in
-      (match peek s with
-      | Trparen -> shift s
-      | _ -> fail "expected ')'");
+      expect s ")";
       Expr.unop name arg
-    | Tcolon -> (
+    | Punct ":" -> (
       shift s;
-      match peek s with
-      | Tid ty when List.mem ty known_types ->
+      match s.tok with
+      | Id ty when List.mem ty known_types ->
         shift s;
         Expr.Var (name, ty)
-      | Tid ty -> fail "unknown type %s" ty
-      | _ -> fail "expected a type after ':'")
+      | Id ty -> error s "unknown type %s" ty
+      | _ -> error s "expected a type after ':'")
     | _ -> Expr.Var (name, "int"))
-  | Top op -> fail "unexpected operator %s" op
-  | Trparen -> fail "unexpected ')'"
-  | Tcolon -> fail "unexpected ':'"
-  | Teof -> fail "unexpected end of expression"
+  | Punct ")" -> error s "unexpected ')'"
+  | Punct ":" -> error s "unexpected ':'"
+  | Punct op -> error s "unexpected operator %s" op
+  | Eof -> error s "unexpected end of expression"
 
+let rec drain s =
+  match s.tok with
+  | Eof -> ()
+  | _ ->
+    shift s;
+    drain s
+
+(* A malformed token anywhere in the text is reported before a grammar
+   error, so on an error the rest of the text is lexed first: its first
+   malformed token, if any, is the error. *)
 let parse src =
-  let s = { toks = tokenize src } in
-  let e = parse_expr s in
-  match peek s with
-  | Teof -> e
-  | _ -> fail "trailing input after expression"
+  let s = make syntax src in
+  match
+    let e = parse_expr s in
+    match s.tok with
+    | Eof -> e
+    | _ -> error s "trailing input after expression"
+  with
+  | e -> e
+  | exception (Parse_error _ as err) ->
+    drain s;
+    raise err

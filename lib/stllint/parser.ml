@@ -33,140 +33,34 @@
 
    Whether a bare identifier argument is a container range, an iterator,
    or an opaque predicate is resolved against the declarations seen so
-   far — the same contextual typing a real frontend performs. Comments
-   are [// ...]. *)
+   far — the same contextual typing a real frontend performs.
 
-exception Parse_error of { line : int; message : string }
+   The tokens come from [Gp_concepts.Lex] under [syntax] below: [// ...]
+   comments, no strings or floats. A [Parse_error] is [Lex]'s error. *)
 
-type token =
-  | Tid of string
-  | Tint of int
-  | Tp of string (* punctuation *)
-  | Teof
+module Lex = Gp_concepts.Lex
+open Lex
 
-(* The lexer scans [src] in place: [pos] is the next unread byte and
-   [start] the first byte of the token last returned. An identifier or
-   integer is one [String.sub]. *)
-type lexer = {
-  src : string;
-  mutable pos : int;
-  mutable line : int;
-  mutable start : int;
-}
+exception Parse_error = Lex.Error
 
-let error lx fmt =
-  Fmt.kstr (fun message -> raise (Parse_error { line = lx.line; message })) fmt
+let syntax =
+  Lex.syntax ~punct:"(){},;*=.<>"
+    ~pairs:[ "++"; "--"; "!="; "=="; ".." ] ~strings:false ~floats:false
+    ~comments:true
 
-let is_digit c = c >= '0' && c <= '9'
-
-let is_id c =
-  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || is_digit c || c = '_'
-
-let rec to_eol src i =
-  if i < String.length src && src.[i] <> '\n' then to_eol src (i + 1) else i
-
-(* Blanks and [// ...] comments, counting newlines; a comment stops in
-   front of its newline. *)
-let rec skip_ws lx =
-  let src = lx.src and i = lx.pos in
-  if i < String.length src then
-    match src.[i] with
-    | '\n' ->
-      lx.line <- lx.line + 1;
-      lx.pos <- i + 1;
-      skip_ws lx
-    | ' ' | '\t' | '\r' ->
-      lx.pos <- i + 1;
-      skip_ws lx
-    | '/' when i + 1 < String.length src && src.[i + 1] = '/' ->
-      lx.pos <- to_eol src (i + 2);
-      skip_ws lx
-    | _ -> ()
-
-let rec scan_end p src i =
-  if i < String.length src && p src.[i] then scan_end p src (i + 1) else i
-
-(* One-character punctuation as shared tokens, indexed by the character
-   ([Teof] for any other character). *)
-let punct =
-  Array.init 256 (fun code ->
-      let c = Char.chr code in
-      if String.contains "(){},;*=.<>" c then Tp (String.make 1 c) else Teof)
-
-let take lx len tok =
-  lx.pos <- lx.pos + len;
-  tok
-
-let next lx =
-  skip_ws lx;
-  let src = lx.src and i = lx.pos in
-  lx.start <- i;
-  if i >= String.length src then Teof
-  else
-    match src.[i] with
-    | '0' .. '9' -> (
-      let j = scan_end is_digit src i in
-      let text = String.sub src i (j - i) in
-      match int_of_string_opt text with
-      | Some k -> take lx (j - i) (Tint k)
-      | None -> error lx "integer literal %s is out of range" text)
-    | c when is_id c ->
-      let j = scan_end is_id src i in
-      take lx (j - i) (Tid (String.sub src i (j - i)))
-    | c -> (
-      let c2 = if i + 1 < String.length src then src.[i + 1] else ' ' in
-      match (c, c2) with
-      | '+', '+' -> take lx 2 (Tp "++")
-      | '-', '-' -> take lx 2 (Tp "--")
-      | '!', '=' -> take lx 2 (Tp "!=")
-      | '=', '=' -> take lx 2 (Tp "==")
-      | '.', '.' -> take lx 2 (Tp "..")
-      | _ -> (
-        match punct.(Char.code c) with
-        | Teof -> error lx "unexpected character %c" c
-        | tok -> take lx 1 tok))
-
+(* The lexer and the declarations seen so far, which type bare
+   identifiers. *)
 type stream = {
-  lx : lexer;
-  mutable tok : token;
+  lx : Lex.t;
   mutable containers : (string * Ast.container_kind) list;
   mutable iters : string list;
 }
 
-let mk src =
-  let lx = { src; pos = 0; line = 1; start = 0 } in
-  { lx; tok = next lx; containers = []; iters = [] }
-
-let shift s = s.tok <- next s.lx
-
-let expect s p =
-  match s.tok with
-  | Tp q when q = p -> shift s
-  | _ -> error s.lx "expected '%s'" p
-
-let accept s p =
-  match s.tok with
-  | Tp q when q = p ->
-    shift s;
-    true
-  | _ -> false
-
-let ident s =
-  match s.tok with
-  | Tid x ->
-    shift s;
-    x
-  | _ -> error s.lx "expected an identifier"
-
-(* One token of extra lookahead, without consuming. *)
-let peek_ahead s =
-  let lx = s.lx in
-  let pos = lx.pos and line = lx.line and start = lx.start in
-  let t = next lx in
-  lx.pos <- pos;
-  lx.line <- line;
-  lx.start <- start;
-  t
+let mk src = { lx = make syntax src; containers = []; iters = [] }
+let shift s = shift s.lx
+let expect s p = expect s.lx p
+let accept s p = accept s.lx p
+let ident s = ident s.lx
 
 (* the blanks [String.trim] removes *)
 let is_blank = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
@@ -193,41 +87,39 @@ let rec is_container x = function
   | [] -> false
   | (y, _) :: rest -> String.equal x y || is_container x rest
 
+(* [item ("," item)*] ")", after the "(" *)
+let call_args item s =
+  let rec commas () =
+    let first = item s in
+    if accept s "," then first :: commas () else [ first ]
+  in
+  if accept s ")" then []
+  else begin
+    let args = commas () in
+    expect s ")";
+    args
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Expressions                                                         *)
 (* ------------------------------------------------------------------ *)
 
 let rec parse_expr s =
-  match s.tok with
-  | Tint k ->
+  match s.lx.tok with
+  | Int k ->
     shift s;
     Ast.Const k
-  | Tp "*" ->
+  | Punct "*" ->
     shift s;
     Ast.Deref (ident s)
-  | Tid f ->
+  | Id f ->
     shift s;
-    if accept s "(" then begin
-      let args =
-        if accept s ")" then []
-        else begin
-          let rec go acc =
-            let e = parse_expr s in
-            if accept s "," then go (e :: acc) else List.rev (e :: acc)
-          in
-          let args = go [] in
-          expect s ")";
-          args
-        end
-      in
-      Ast.Call (f, args)
-    end
-    else Ast.Var f
+    if accept s "(" then Ast.Call (f, call_args parse_expr s) else Ast.Var f
   | _ -> error s.lx "expected an expression"
 
 let parse_cond s =
-  match s.tok with
-  | Tid a when is_iter a s.iters -> (
+  match s.lx.tok with
+  | Id a when is_iter a s.iters -> (
     let a = ident s in
     if accept s "!=" then Ast.Iter_ne (a, ident s)
     else if accept s "==" then Ast.Iter_eq (a, ident s)
@@ -239,14 +131,14 @@ let parse_cond s =
 (* ------------------------------------------------------------------ *)
 
 let parse_arg s =
-  match s.tok with
-  | Tint k ->
+  match s.lx.tok with
+  | Int k ->
     shift s;
     Ast.A_value (Ast.Const k)
-  | Tp "*" ->
+  | Punct "*" ->
     shift s;
     Ast.A_value (Ast.Deref (ident s))
-  | Tid x ->
+  | Id x ->
     shift s;
     if accept s ".." then
       let y = ident s in
@@ -257,21 +149,8 @@ let parse_arg s =
   | _ -> error s.lx "expected an argument"
 
 let parse_algo_call s name =
-  (* '(' already consumed by caller? no: consume here *)
   expect s "(";
-  let args =
-    if accept s ")" then []
-    else begin
-      let rec go acc =
-        let a = parse_arg s in
-        if accept s "," then go (a :: acc) else List.rev (a :: acc)
-      in
-      let args = go [] in
-      expect s ")";
-      args
-    end
-  in
-  (name, args)
+  (name, call_args parse_arg s)
 
 (* ------------------------------------------------------------------ *)
 (* Statements                                                          *)
@@ -286,11 +165,11 @@ let container_kind_of = function
 
 (* right-hand sides of iterator bindings *)
 let parse_rhs s ~result_name =
-  match s.tok with
-  | Tid "singular" ->
+  match s.lx.tok with
+  | Id "singular" ->
     shift s;
     `Init Ast.Singular_init
-  | Tid x when is_container x s.containers -> (
+  | Id x when is_container x s.containers -> (
     shift s;
     expect s ".";
     let m = ident s in
@@ -316,13 +195,13 @@ let parse_rhs s ~result_name =
       expect s ")";
       `Stmt (Ast.Insert { container = x; at; value = v; result = Some result_name })
     | _ -> error s.lx "container %s has no member %s usable here" x m)
-  | Tid x when is_iter x s.iters ->
+  | Id x when is_iter x s.iters ->
     shift s;
     `Init (Ast.Copy_of x)
-  | Tid algo -> (
+  | Id algo -> (
     shift s;
-    match s.tok with
-    | Tp "(" ->
+    match s.lx.tok with
+    | Punct "(" ->
       let name, args = parse_algo_call s algo in
       `Stmt (Ast.Algo { algo = name; args; result = Some result_name })
     | _ -> error s.lx "unknown name %s on the right of '='" algo)
@@ -331,21 +210,21 @@ let parse_rhs s ~result_name =
 let rec parse_stmt s =
   let start = s.lx.start in
   let finish node = { Ast.label = label_of s.lx.src start s.lx.pos; node } in
-  match s.tok with
-  | Tid kw when Option.is_some (container_kind_of kw) ->
+  match s.lx.tok with
+  | Id kw when Option.is_some (container_kind_of kw) ->
     let kind = Option.get (container_kind_of kw) in
     shift s;
     (* optional template argument: vector<int> *)
     if accept s "<" then begin
-      (match s.tok with Tid _ -> shift s | _ -> ());
+      (match s.lx.tok with Id _ -> shift s | _ -> ());
       expect s ">"
     end;
     let name = ident s in
-    let sorted = (match s.tok with Tid "sorted" -> shift s; true | _ -> false) in
+    let sorted = (match s.lx.tok with Id "sorted" -> shift s; true | _ -> false) in
     expect s ";";
     s.containers <- (name, kind) :: s.containers;
     finish (Ast.Decl_container { name; kind; sorted })
-  | Tid "iter" when not (match peek_ahead s with Tp "=" -> true | _ -> false) -> (
+  | Id "iter" when not (match peek s.lx with Punct "=" -> true | _ -> false) -> (
     (* 'iter' introduces a declaration unless the next token is '=', in
        which case it is an ordinary variable named iter (as in the
        paper's own Fig. 4 listing) *)
@@ -360,7 +239,7 @@ let rec parse_stmt s =
     | `Stmt node ->
       expect s ";";
       finish node)
-  | Tid "while" ->
+  | Id "while" ->
     shift s;
     expect s "(";
     let cond = parse_cond s in
@@ -368,7 +247,7 @@ let rec parse_stmt s =
     expect s "{";
     let body = parse_block s in
     finish (Ast.While (cond, body))
-  | Tid "if" ->
+  | Id "if" ->
     shift s;
     expect s "(";
     let cond = parse_cond s in
@@ -376,25 +255,25 @@ let rec parse_stmt s =
     expect s "{";
     let then_ = parse_block s in
     let else_ =
-      match s.tok with
-      | Tid "else" ->
+      match s.lx.tok with
+      | Id "else" ->
         shift s;
         expect s "{";
         parse_block s
       | _ -> []
     in
     finish (Ast.If (cond, then_, else_))
-  | Tp "++" ->
+  | Punct "++" ->
     shift s;
     let x = ident s in
     expect s ";";
     finish (Ast.Incr x)
-  | Tp "--" ->
+  | Punct "--" ->
     shift s;
     let x = ident s in
     expect s ";";
     finish (Ast.Decr x)
-  | Tp "*" -> (
+  | Punct "*" -> (
     shift s;
     let x = ident s in
     if accept s "=" then begin
@@ -406,7 +285,7 @@ let rec parse_stmt s =
       expect s ";";
       finish (Ast.Deref_read x)
     end)
-  | Tid x when is_container x s.containers -> (
+  | Id x when is_container x s.containers -> (
     shift s;
     expect s ".";
     let m = ident s in
@@ -436,7 +315,7 @@ let rec parse_stmt s =
       expect s ";";
       finish (Ast.Insert { container = x; at; value = v; result = None })
     | _ -> error s.lx "unknown container member %s" m)
-  | Tid x when is_iter x s.iters ->
+  | Id x when is_iter x s.iters ->
     (* iterator reassignment *)
     shift s;
     expect s "=";
@@ -447,10 +326,10 @@ let rec parse_stmt s =
     | `Stmt node ->
       expect s ";";
       finish node)
-  | Tid algo -> (
+  | Id algo -> (
     shift s;
-    match s.tok with
-    | Tp "(" ->
+    match s.lx.tok with
+    | Punct "(" ->
       let name, args = parse_algo_call s algo in
       expect s ";";
       finish (Ast.Algo { algo = name; args; result = None })
@@ -466,8 +345,8 @@ and parse_block s =
 let parse_program src =
   let s = mk src in
   let rec go acc =
-    match s.tok with
-    | Teof -> List.rev acc
+    match s.lx.tok with
+    | Eof -> List.rev acc
     | _ -> go (parse_stmt s :: acc)
   in
   go []

@@ -17,10 +17,11 @@
     [// comments]. Diagnostics carry the first source line of the
     offending statement as their location. *)
 
-exception Parse_error of { line : int; message : string }
+exception Parse_error of { line : int; col : int; message : string }
+(** [Gp_concepts.Lex.Error] under this front end's name. *)
 
 val parse_program : string -> Ast.stmt list
-(** Raises {!Parse_error} with the line number. *)
+(** Raises {!Parse_error} with the line and column. *)
 
 val check_source : string -> Interp.diagnostic list
 (** Parse and check: the complete pipeline. *)

@@ -1,4 +1,5 @@
-(* Mirrors lint_block, lint_source and gpc_source in perfbench/gen.py. *)
+(* Mirrors lint_block, lint_source, gpc_source and optimize_expr in
+   perfbench/gen.py. *)
 
 let period = 180
 
@@ -41,3 +42,16 @@ let lint_source k =
     List.init blocks (fun i -> lint_block i (buggy_every > 0 && i mod buggy_every = 0))
   in
   Printf.sprintf "// bench lint key %d\n%s" k (String.concat "\n" body)
+
+let optimize_expr k =
+  let base, one =
+    match k mod 4 with
+    | 0 -> (Printf.sprintf "x%d * 1 + 0" k, "1")
+    | 1 -> (Printf.sprintf "(f%d:float) * 1.0" k, "1.0")
+    | 2 -> (Printf.sprintf "x%d - x%d" k k, "1")
+    | _ -> (Printf.sprintf "x%d * 0 * 1" k, "1")
+  in
+  let rec wrap depth e =
+    if depth = 0 then e else wrap (depth - 1) (Printf.sprintf "(%s) * %s" e one)
+  in
+  wrap (k mod 3) base

@@ -12,3 +12,8 @@ val lint_source : int -> string
 val gpc_source : int -> string
 (** The [.gpc] defs of a [parse] request or a sandboxed [check]: one
     concept, one type and one op. *)
+
+val optimize_expr : int -> string
+(** The expression of an [optimize] request: one of four redex shapes
+    (by [k mod 4]), wrapped [k mod 3] times in a multiplication by the
+    carrier's one. *)

@@ -334,7 +334,7 @@ let test_dump_server_config () =
       | Ok _ -> Alcotest.failf "header with %s accepted" to_
       | Error e ->
         Alcotest.(check string) (to_ ^ " is a bad server_config")
-          ("bad server_config: bad config: " ^ why) e
+          ("line 1: bad server_config: bad config: " ^ why) e
       | exception ex ->
         Alcotest.failf "header with %s raised %s" to_ (Printexc.to_string ex))
     [ ("\"cache_capacity\":256", "\"cache_capacity\":0",
@@ -460,7 +460,8 @@ let test_dump_malformed_scenario_fields () =
      let p = pos_of bad_header "shed" in
      expect_err
        (rebuild (bad_header :: rest))
-       (Printf.sprintf "at %d: bad field \"shed\" (want a non-negative int)" p)
+       (Printf.sprintf
+          "line 1: at %d: bad field \"shed\" (want a non-negative int)" p)
    | [] -> Alcotest.fail "empty dump");
   (* record: the shed marker must be a bool *)
   match
@@ -483,8 +484,13 @@ let test_dump_malformed_scenario_fields () =
         (List.map (fun l -> if l == shed_line then bad else l) lines)
     in
     let p = pos_of bad "shed" in
+    let rec lineno i = function
+      | [] -> Alcotest.fail "shed record lost"
+      | l :: rest -> if l == shed_line then i else lineno (i + 1) rest
+    in
     expect_err doc
-      (Printf.sprintf "at %d: bad field \"shed\" (want a bool)" p)
+      (Printf.sprintf "line %d: at %d: bad field \"shed\" (want a bool)"
+         (lineno 1 lines) p)
 
 (* ------------------------------------------------------------------ *)
 (* Record ids in an offline audit                                      *)
@@ -521,7 +527,7 @@ let test_dump_repeated_rid () =
   | header :: r0 :: _r1 :: rest ->
     expect_rejected
       (String.concat "\n" (header :: r0 :: r0 :: rest))
-      (Printf.sprintf "at %d: bad field \"rid\" (rid 0 repeated)"
+      (Printf.sprintf "line 3: at %d: bad field \"rid\" (rid 0 repeated)"
          (key_pos r0 "rid"))
   | _ -> Alcotest.fail "short dump"
 
@@ -545,7 +551,8 @@ let test_dump_rid_range () =
     let bad_header = replace_first header ~from:"n" ~to_:"-5" in
     expect_rejected
       (String.concat "\n" (bad_header :: records))
-      (Printf.sprintf "at %d: bad field \"n\" (want a non-negative int)"
+      (Printf.sprintf
+         "line 1: at %d: bad field \"n\" (want a non-negative int)"
          (key_pos bad_header "n"));
     (* a record naming a request outside the workload *)
     let last = List.nth records (List.length records - 1) in
@@ -553,9 +560,20 @@ let test_dump_rid_range () =
     expect_rejected
       (String.concat "\n"
          (header :: List.map (fun l -> if l == last then bad else l) records))
-      (Printf.sprintf "at %d: bad field \"rid\" (want 0 <= rid < 60)"
-         (key_pos bad "rid"))
+      (Printf.sprintf "line %d: at %d: bad field \"rid\" (want 0 <= rid < 60)"
+         (1 + List.length records) (key_pos bad "rid"))
   | [] -> Alcotest.fail "empty dump"
+
+(* An error names its line in the file, blank lines counted: record 3
+   repeats record 2's rid on line 5, after a blank line 3. *)
+let test_dump_error_line () =
+  match quick_dump_lines () with
+  | header :: r0 :: r1 :: _ ->
+    expect_rejected
+      (String.concat "\n" [ header; r0; ""; r1; r1 ])
+      (Printf.sprintf "line 5: at %d: bad field \"rid\" (rid 1 repeated)"
+         (key_pos r1 "rid"))
+  | _ -> Alcotest.fail "short dump"
 
 (* ------------------------------------------------------------------ *)
 (* One tampered fingerprint, three re-serve paths                      *)
@@ -679,6 +697,8 @@ let () =
             test_dump_server_config;
           Alcotest.test_case "malformed scenario fields" `Quick
             test_dump_malformed_scenario_fields;
+          Alcotest.test_case "error names its line" `Quick
+            test_dump_error_line;
           Alcotest.test_case "repeated rid rejected" `Quick
             test_dump_repeated_rid;
           Alcotest.test_case "rid and n ranges rejected" `Quick

@@ -7,7 +7,7 @@
    inflating digit runs to 25 digits and deep nesting; JSON inputs also
    get a member repeated or a number negated. Whatever the input, a call must return: a
    result, or the boundary's documented error — never another
-   exception. *)
+   exception. A front end's error must also lie inside the input. *)
 
 open Gp_stllint
 open Gp_concepts
@@ -37,7 +37,7 @@ let gpc_corpus =
 let expr_corpus =
   [ "y + x*1"; "(y + x) * 1"; "x - y"; "f:float * 1.0"; "neg(x)";
     {|s:string ^ ""|}; "(x*1 + 0) + (0 - x)"; "4611686018427387903 * y";
-    "x + 1.0"; "(x" ]
+    "x + 1.0"; "(x"; "(x * 1\n   + 0) *\n  y" ]
 
 (* The JSON corpora come from the encoders themselves. *)
 let requests = Workload.generate ~seed:3 ~n:6 ()
@@ -181,8 +181,22 @@ let mutate ~corpus ~nestings ~json =
 (* The property                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let fuzz ?(count = 3000) ?(json = false) ~name ~corpus ~nestings ~parse
-    ~documented () =
+(* A position inside [src]: on one of its lines or just past the last,
+   at a column within that line or just past its end. *)
+let in_range src ~line ~col =
+  let lines = Array.of_list (String.split_on_char '\n' src) in
+  let width =
+    if line <= Array.length lines then String.length lines.(line - 1) else 0
+  in
+  1 <= line && line <= Array.length lines + 1 && 1 <= col && col <= width + 1
+
+(* the front ends' one error, [Lex.Error], carries a position *)
+let lex_position = function
+  | Lex.Error { line; col; _ } -> Some (line, col)
+  | _ -> None
+
+let fuzz ?(count = 3000) ?(json = false) ?(position = fun _ -> None) ~name
+    ~corpus ~nestings ~parse ~documented () =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count ~name
        (QCheck.make ~print:(Printf.sprintf "%S")
@@ -190,10 +204,36 @@ let fuzz ?(count = 3000) ?(json = false) ~name ~corpus ~nestings ~parse
        (fun src ->
          match parse src with
          | () -> true
-         | exception e when documented e -> true
+         | exception e when documented e -> (
+           match position e with
+           | Some (line, col) when not (in_range src ~line ~col) ->
+             QCheck.Test.fail_reportf "%s: position %d:%d outside %S"
+               (Printexc.to_string e) line col src
+           | _ -> true)
          | exception e ->
            QCheck.Test.fail_reportf "%s escaped on %S" (Printexc.to_string e)
              src))
+
+(* One error past the first line per front end: the exact line, column
+   and message. *)
+let positioned_errors () =
+  let show parse src =
+    match parse src with
+    | () -> "accepted"
+    | exception Lex.Error { line; col; message } ->
+      Alcotest.(check bool) (src ^ " in range") true (in_range src ~line ~col);
+      Printf.sprintf "%d:%d: %s" line col message
+  in
+  Alcotest.(check string) "stllint" "3:8: unexpected character @"
+    (show
+       (fun src -> ignore (Parser.parse_program src))
+       "vector<int> v;\niter i = v.begin();\n  *i = @;\n");
+  Alcotest.(check string) ".gpc" "3:15: expected an identifier"
+    (show
+       (fun src -> ignore (Lang.parse_string src))
+       "// shapes\nconcept C<T> {\n  axiom a(x, ): \"x\";\n}");
+  Alcotest.(check string) "expression" "2:8: unexpected ')'"
+    (show (fun src -> ignore (Sparser.parse src)) "x +\n  y * )")
 
 let json_nestings = [ ("[", "]"); ({|{"a":|}, "}") ]
 
@@ -298,18 +338,20 @@ let () =
             ~nestings:[ ("while (p(x)) {\n", "}\n"); ("(", ")") ]
             ~parse:(fun src -> ignore (Parser.parse_program src))
             ~documented:(function Parser.Parse_error _ -> true | _ -> false)
-            ();
+            ~position:lex_position ();
           fuzz ~name:".gpc parser: only Parse_error escapes" ~corpus:gpc_corpus
             ~nestings:[ ("op f : A<", ">"); ("(", ")") ]
             ~parse:(fun src -> ignore (Lang.parse_string src))
             ~documented:(function Lang.Parse_error _ -> true | _ -> false)
-            ();
+            ~position:lex_position ();
           fuzz ~name:"expression parser: only Parse_error escapes"
             ~corpus:expr_corpus
             ~nestings:[ ("(", ")"); ("neg(", ")") ]
             ~parse:(fun src -> ignore (Sparser.parse src))
             ~documented:(function Sparser.Parse_error _ -> true | _ -> false)
-            ();
+            ~position:lex_position ();
+          Alcotest.test_case "errors past the first line" `Quick
+            positioned_errors;
         ] );
       ( "json",
         [

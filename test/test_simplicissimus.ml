@@ -251,19 +251,22 @@ let test_sparser_type_mismatch () =
       | exception Sparser.Parse_error _ -> ())
     [ "x + 1.0"; "x:float + 1"; "b:bool + 1"; "x + "; "(x"; "x ~ y" ]
 
-(* an out-of-range integer or a malformed float is a Parse_error naming
-   the literal, never a Failure from the number conversion *)
+(* an out-of-range integer or a malformed float is a Parse_error at the
+   literal, naming it, never a Failure from the number conversion *)
 let test_sparser_numeric_literals () =
   List.iter
-    (fun (src, literal) ->
+    (fun (src, expected) ->
       match Sparser.parse src with
       | e -> Alcotest.failf "accepted %S as %s" src (Expr.to_string e)
-      | exception Sparser.Parse_error m ->
-        Alcotest.(check string) src ("malformed number " ^ literal) m)
-    [ ("x + 99999999999999999999999", "99999999999999999999999");
-      ("x * 1.2.3", "1.2.3");
-      ("f:float * 1.0.", "1.0.");
-      ("4611686018427387904 * y", "4611686018427387904") ];
+      | exception Sparser.Parse_error { line; col; message } ->
+        Alcotest.(check string) src expected
+          (Printf.sprintf "%d:%d: %s" line col message))
+    [ ("x + 99999999999999999999999",
+       "1:5: integer literal 99999999999999999999999 is out of range");
+      ("x * 1.2.3", "1:5: malformed number 1.2.3");
+      ("f:float * 1.0.", "1:11: malformed number 1.0.");
+      ("4611686018427387904 * y",
+       "1:1: integer literal 4611686018427387904 is out of range") ];
   Alcotest.(check string) "max_int still parses" "(4611686018427387903 * y)"
     (Expr.to_string (Sparser.parse "4611686018427387903 * y"))
 

@@ -239,7 +239,7 @@ let front_end_digest src =
        :: List.rev_map (fun l -> "label: " ^ l)
             (List.fold_left labels [] program)
       @ diags)
-  | exception Parser.Parse_error { line; message } ->
+  | exception Parser.Parse_error { line; message; _ } ->
     Printf.sprintf "error line %d: %s" line message
 
 (* Recorded with the lexer that scanned through per-character options
@@ -350,7 +350,7 @@ let test_literal_out_of_range () =
   let src = "vector<int> v;\niter i = v.begin();\n*i = 99999999999999999999;\n" in
   match Parser.parse_program src with
   | _ -> Alcotest.fail "accepted an out-of-range literal"
-  | exception Parser.Parse_error { line; message } ->
+  | exception Parser.Parse_error { line; message; _ } ->
     Alcotest.(check int) "line" 3 line;
     Alcotest.(check string) "message"
       "integer literal 99999999999999999999 is out of range" message
@@ -373,7 +373,7 @@ let test_roundtrip_corpus () =
           (c.Corpus.case_name ^ " same diagnostics")
           (List.map (fun d -> d.Interp.d_message) d1)
           (List.map (fun d -> d.Interp.d_message) d2)
-      | exception Parser.Parse_error { line; message } ->
+      | exception Parser.Parse_error { line; message; _ } ->
         Alcotest.failf "%s: rendered source fails to parse (line %d: %s)\n%s"
           c.Corpus.case_name line message src)
     Corpus.all
