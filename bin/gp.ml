@@ -218,9 +218,12 @@ let optimize_cmd =
   in
   let run certified_only expr_src =
     let open Gp_simplicissimus in
-    List.iter
-      (fun c -> Fmt.pr "%a@." Certify.pp_certification c)
-      (Certify.certify_builtin ());
+    let certs = Certify.certify_builtin () in
+    List.iter (fun c -> Fmt.pr "%a@." Certify.pp_certification c) certs;
+    let rules =
+      if certified_only then Certify.certified certs Rules.standard
+      else Rules.standard
+    in
     let insts = Instances.standard () in
     let demos =
       match expr_src with
@@ -235,10 +238,7 @@ let optimize_cmd =
     Fmt.pr "@.";
     List.iter
       (fun e ->
-        let r =
-          Engine.rewrite ~only_certified:certified_only ~rules:Rules.standard
-            ~insts e
-        in
+        let r = Engine.rewrite ~rules ~insts e in
         Fmt.pr "%a@." Engine.pp_result r;
         List.iter (fun st -> Fmt.pr "  %a@." Engine.pp_step st) r.Engine.steps)
       demos;
@@ -886,6 +886,10 @@ let cluster_run_cmd =
   let run replicas vnodes n seed sim_seed file failures round_robin async
       out do_audit trace_out fleet =
     let open Gp_cluster in
+    if replicas < 1 || replicas > Cluster.max_replicas then begin
+      Fmt.epr "bad --replicas %d: want 1..%d@." replicas Cluster.max_replicas;
+      exit 2
+    end;
     let failures =
       match failures with
       | None -> []

@@ -21,7 +21,6 @@ let of_int n = { num = n; den = 1 }
 let zero = of_int 0
 let one = of_int 1
 let num t = t.num
-let den t = t.den
 let equal a b = a.num = b.num && a.den = b.den
 
 let compare a b = Stdlib.compare (a.num * b.den) (b.num * a.den)

@@ -12,8 +12,6 @@ val zero : t
 val one : t
 
 val num : t -> int
-val den : t -> int
-(** Always positive. *)
 
 val equal : t -> t -> bool
 val compare : t -> t -> int

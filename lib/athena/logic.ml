@@ -65,6 +65,7 @@ let rec free_vars acc = function
 
 let fresh_counter = ref 0
 
+(* A globally fresh variable derived from the base name. *)
 let fresh_var base =
   incr fresh_counter;
   Printf.sprintf "%s'%d" base !fresh_counter

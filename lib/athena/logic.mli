@@ -23,15 +23,10 @@ val const : string -> term
 (** {2 Terms} *)
 
 val term_equal : term -> term -> bool
-val term_vars : string list -> term -> string list
-val term_subst : (string * term) list -> term -> term
 
 (** {2 Propositions} *)
 
 val free_vars : string list -> prop -> string list
-
-val fresh_var : string -> string
-(** A globally fresh variable derived from the given base name. *)
 
 val subst : (string * term) list -> prop -> prop
 (** Capture-avoiding substitution of terms for free variables; binders
@@ -43,7 +38,6 @@ val alpha_equal : prop -> prop -> bool
 
 (** {2 Printing and building} *)
 
-val pp_term : Format.formatter -> term -> unit
 val pp : Format.formatter -> prop -> unit
 val to_string : prop -> string
 

@@ -12,9 +12,6 @@ type theorem = {
 
 val verify : axioms:Theory.axiom list -> theorem -> Deduction.verdict
 
-val trans_chain : Deduction.t list -> Deduction.t
-(** Fold equation deductions a=b, b=c, ... into a=z. *)
-
 (** {2 Fig. 6: Strict Weak Order} *)
 
 val swo_e_reflexive : lt:string -> theorem

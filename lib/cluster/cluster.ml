@@ -132,6 +132,8 @@ let distinct_keys reqs =
     [] reqs
   |> List.rev
 
+let max_replicas = 1024
+
 let run ?(config = default_config) reqs =
   if config.replicas < 1 then invalid_arg "Cluster.run: replicas < 1";
   (match config.arrivals with
@@ -157,6 +159,8 @@ let run ?(config = default_config) reqs =
       (fun acc ev -> max acc ev.Node.el_replica)
       config.replicas elastic
   in
+  if n > max_replicas then
+    invalid_arg "Cluster.run: a replica slot above max_replicas";
   let ring =
     Hash_ring.create ~vnodes:config.vnodes
       ~replicas:(List.init config.replicas (fun i -> i + 1))
@@ -592,27 +596,17 @@ let dump_record ~total ~seen line =
     in
     Some (rid, Flight.Decoded (rid, req), fp)
 
-(* A rejection names its 1-based line in the document, blank lines
-   counted, as [Recorder.of_jsonl] does. *)
-let on_line (lineno, line) f =
-  try f line with Json.Error e -> Json.fail "line %d: %s" lineno e
-
 let audit_dump doc =
-  let lines =
-    String.split_on_char '\n' doc
-    |> List.mapi (fun i line -> (i + 1, line))
-    |> List.filter (fun (_, line) -> String.trim line <> "")
-  in
-  match lines with
+  match Json.lines doc with
   | [] -> Error "empty dump"
   | header :: records -> (
     try
-      let total, config = on_line header dump_header in
+      let total, config = Json.on_line header dump_header in
       (* every record names a distinct request of the workload, so a
          duplicated or foreign record cannot stand in for a missing one *)
       let seen = Hashtbl.create 256 in
       let records =
-        List.map (fun r -> on_line r (dump_record ~total ~seen)) records
+        List.map (fun r -> Json.on_line r (dump_record ~total ~seen)) records
       in
       let shed = List.length (List.filter Option.is_none records) in
       Ok (audit_items ~config ~total ~shed (List.filter_map Fun.id records))

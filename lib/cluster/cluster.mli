@@ -108,6 +108,12 @@ type result = {
           merged cluster-wide by [Gp_tracing.Fleet] *)
 }
 
+val max_replicas : int
+(** The highest replica slot a run may use (1024), initial replicas and
+    elastic joiners alike. {!run} rejects a config above it, and
+    [Gp_tracing.Trace_set.load] a trace dump whose header claims more,
+    so every trace dump a run writes loads again. *)
+
 val run :
   ?config:config ->
   Gp_service.Request.t array ->
@@ -117,9 +123,10 @@ val run :
     request completes (or the safety horizon cuts the run short —
     check [r_completed]). Shed verdicts count as completions: overload
     control rejects, it never hangs. Raises [Invalid_argument] if
-    [config.replicas < 1], if [config.arrivals] is shorter than the
-    workload, or on a malformed elastic schedule (replica < 1,
-    non-positive time, or a join without key affinity). *)
+    [config.replicas < 1], if a replica slot exceeds {!max_replicas},
+    if [config.arrivals] is shorter than the workload, or on a
+    malformed elastic schedule (replica < 1, non-positive time, or a
+    join without key affinity). *)
 
 (** {2 Derived series} *)
 

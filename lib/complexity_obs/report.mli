@@ -21,20 +21,12 @@ type entry = {
   e_ok : bool;  (** verdict matches the operation's expectation *)
 }
 
-val residual_tolerance : float
-(** 0.15 in log space (≈ ±16% systematic deviation) — generous enough
-    for edge effects and lower-order terms, far below the ≥ 0.7 gap a
-    wrong growth class leaves across the ladder. *)
-
 val analyze : Sweep.series -> entry
 
 val fitted_degree : Fit.fitted -> float
 (** Numeric encoding of a fitted single-variable model for gauges and
     bench keys: poly degree + 0.5 per log factor (1 → 0, log n → 0.5,
     n → 1, n log n → 1.5, n² → 2, n³ → 3). *)
-
-val verdict_name : verdict -> string
-(** ["pass"] / ["violation"]. *)
 
 val table : Format.formatter -> entry list -> unit
 (** The per-operation report table plus a one-line summary. *)

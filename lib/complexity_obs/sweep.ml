@@ -21,6 +21,7 @@ type series = { sr_op : op; sr_points : point list; sr_wall_ns : float }
    rung stays ~6M steps. *)
 let ladder = [ 16; 23; 32; 45; 64; 91; 128; 181; 256 ]
 
+(* the size of the optional wall probe *)
 let wall_size = 128
 
 let env_const c _n _var = c

@@ -45,9 +45,6 @@ val ladder : int list
     [16, 23, 32, 45, 64, 91, 128, 181, 256]. Identical in quick and
     full mode — quick only skips the wall probe. *)
 
-val wall_size : int
-(** Size of the optional wall probe (128). *)
-
 val env_const : float -> int -> string -> float
 (** [env_const c] maps every auxiliary variable to [c] at every size —
     for single-variable bounds the env is never consulted. *)

@@ -117,19 +117,6 @@ let pp_report ppf r =
       Fmt.(list ~sep:cut pp_failure)
       r.rep_failures
 
-(* The axiom-proof certification table: (concept, axiom, type-args) triples
-   that have been discharged by a checked proof. gp_simplicissimus's Certify
-   and the athena examples insert into this through [certify_axiom]. *)
-let certified : (string * string * string) list ref = ref []
-
-let axiom_key concept axiom args =
-  ( concept,
-    axiom,
-    String.concat "," (List.map Ctype.to_string args) )
-
-let axiom_certified ~concept ~axiom ~args =
-  List.mem (axiom_key concept axiom args) !certified
-
 let rec check_concept ?(mode = Structural) ~visited reg concept_name args =
   let fail f = ([ f ], []) in
   match Registry.find_concept reg concept_name with
@@ -274,8 +261,8 @@ let rec check_concept ?(mode = Structural) ~visited reg concept_name args =
               | Concept.Axiom a ->
                 let warn =
                   if
-                    axiom_certified ~concept:concept_name ~axiom:a.ax_name
-                      ~args
+                    Registry.axiom_certified reg ~concept:concept_name
+                      ~axiom:a.ax_name ~args
                   then []
                   else
                     match model with
@@ -372,11 +359,11 @@ and check_constraints ~mode ~visited reg env cs =
 (* Verdict memo                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* A verdict is a pure function of (concept, args, mode), the registry's
-   declarations and the certification table. A registry keeps its
-   verdicts in its memo slot, stamped with the generation and the
-   certification list they were derived at, so any declaration, [touch]
-   or certification empties the table on the next check. A fork's own
+(* A verdict is a pure function of (concept, args, mode) and the
+   registry's declarations, its axiom certifications included. A
+   registry keeps its verdicts in its memo slot, stamped with the
+   generation they were derived at, so any declaration (a certification
+   is one) or [touch] empties the table on the next check. A fork's own
    lists hold everything it answers from, and declaring into its parent
    replaces the parent's lists, never the fork's, so the same stamp
    serves a fork. A table is emptied when it reaches [memo_capacity],
@@ -395,38 +382,27 @@ end)
 
 type entry = { e_report : report; mutable e_text : string option }
 
-type memo = {
-  mutable m_generation : int;
-  mutable m_certified : (string * string * string) list;
-      (* [!certified] when stamped: certifying conses a new list *)
-  m_reports : entry Memo_tbl.t;
-}
+type memo = { mutable m_generation : int; m_reports : entry Memo_tbl.t }
 
 type Registry.memo += Verdicts of memo
 
 let memo_capacity = 1024
 
 let new_memo () =
-  Verdicts
-    { m_generation = -1; m_certified = []; m_reports = Memo_tbl.create 8 }
+  Verdicts { m_generation = -1; m_reports = Memo_tbl.create 8 }
 
 let memo_of reg =
   match Registry.memo reg new_memo with
   | Verdicts m ->
     let g = Registry.generation reg in
-    if m.m_generation <> g || m.m_certified != !certified then begin
+    if m.m_generation <> g then begin
       Memo_tbl.reset m.m_reports;
-      m.m_generation <- g;
-      m.m_certified <- !certified
+      m.m_generation <- g
     end;
     m
   | _ -> assert false (* this module is the slot's only client *)
 
 let memo_entries reg = Memo_tbl.length (memo_of reg).m_reports
-
-let certify_axiom ~concept ~axiom ~args =
-  let key = axiom_key concept axiom args in
-  if not (List.mem key !certified) then certified := key :: !certified
 
 let compute mode reg concept args =
   let failures, warnings = check_concept ~mode ~visited:[] reg concept args in

@@ -55,17 +55,21 @@ val check : ?mode:mode -> Registry.t -> string -> Ctype.t list -> report
 (** [check reg concept args]: do the ground types [args] model
     [concept]? Defaults to {!Structural}.
 
+    An axiom of the concept warns unless the registry certifies it
+    ({!Registry.certify_axiom}): {!Axiom_asserted_not_proved} when the
+    declared model asserts it, {!Axiom_not_asserted} otherwise.
+
     The report is memoised per [(concept, args, mode)] in the
     registry's {!Registry.memo} slot, stamped with
-    {!Registry.generation} and the certification list: every
-    declaration or {!Registry.touch}, and every {!certify_axiom},
-    invalidates it, so a repeated check is a table lookup and never a
-    stale verdict. The memo lives and dies with its registry. A fork
-    ({!Registry.fork}) keeps its own memo under the same stamp: its
-    verdicts depend on its own declaration lists, which declaring into
-    the parent never changes. With telemetry on, a memo hit records the
-    same [concepts.check] span and counters as a computed check, and
-    also counts [gp_check_memo_hits_total]. *)
+    {!Registry.generation} alone: every declaration (an axiom
+    certification included) or {!Registry.touch} invalidates it, so a
+    repeated check is a table lookup and never a stale verdict. The
+    memo lives and dies with its registry. A fork ({!Registry.fork})
+    keeps its own memo under the same stamp: its verdicts depend on its
+    own declaration lists, which declaring into the parent never
+    changes. With telemetry on, a memo hit records the same
+    [concepts.check] span and counters as a computed check, and also
+    counts [gp_check_memo_hits_total]. *)
 
 val check_rendered :
   ?mode:mode -> Registry.t -> string -> Ctype.t list -> report * string
@@ -79,18 +83,9 @@ val memo_capacity : int
 
 val memo_entries : Registry.t -> int
 (** Verdicts currently memoised for the registry at its current
-    generation and certification list. *)
+    generation. *)
 
 val models : ?mode:mode -> Registry.t -> string -> Ctype.t list -> bool
-
-(** {2 Axiom certification}
-
-    Semantic axioms cannot be checked structurally; a model either
-    {e asserts} them (producing a warning) or they are {e certified} by a
-    checked proof (see gp_simplicissimus's [Certify] and gp_athena). *)
-
-val certify_axiom : concept:string -> axiom:string -> args:Ctype.t list -> unit
-val axiom_certified : concept:string -> axiom:string -> args:Ctype.t list -> bool
 
 (** {2 Printing} *)
 

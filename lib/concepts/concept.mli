@@ -79,6 +79,5 @@ val is_semantic : t -> bool
 (** {2 Printing} *)
 
 val pp_signature : Format.formatter -> signature -> unit
-val pp_type_constraint : Format.formatter -> type_constraint -> unit
 val pp_requirement : Format.formatter -> requirement -> unit
 val pp : Format.formatter -> t -> unit

@@ -32,8 +32,9 @@
    parsed as parameters; everything else is a named type.
 
    The tokens come from [Lex] under [syntax] below: string literals and
-   [// ...] comments, no floats. A [Parse_error] is [Lex]'s error, at
-   the lexer's line and column. *)
+   [// ...] comments, no floats. A [Parse_error] is [Lex]'s error: at
+   the offending character, or at the first byte of the offending
+   token. *)
 
 open Lex
 

@@ -6,7 +6,9 @@
    The lexer scans [src] in place: [pos] is the next unread byte,
    [start] the first byte of the current token [tok]. An identifier,
    number or string is one [String.sub]; punctuation tokens are shared.
-   [col] counts bytes, a newline resetting it to 1. *)
+   [col] counts bytes, a newline resetting it to 1. A lexical error is
+   raised where the scan stands, at the offending character or literal;
+   a grammar error at [start]. *)
 
 type token =
   | Id of string
@@ -50,11 +52,24 @@ type t = {
 
 exception Error of { line : int; col : int; message : string }
 
-let error lx fmt =
-  Fmt.kstr
-    (fun message ->
-      raise (Error { line = lx.line; col = lx.col; message }))
-    fmt
+let raise_at line col fmt =
+  Fmt.kstr (fun message -> raise (Error { line; col; message })) fmt
+
+let lex_error lx fmt = raise_at lx.line lx.col fmt
+
+(* The line and column of byte [i], counted from the text on error
+   only, so scanning keeps no per-token position. *)
+let error_at lx i fmt =
+  let line = ref 1 and bol = ref 0 in
+  for k = 0 to i - 1 do
+    if lx.src.[k] = '\n' then begin
+      incr line;
+      bol := k + 1
+    end
+  done;
+  raise_at !line (i - !bol + 1) fmt
+
+let error lx fmt = error_at lx lx.start fmt
 
 let is_digit c = c >= '0' && c <= '9'
 
@@ -116,7 +131,7 @@ let string_literal lx i =
     else lx.col <- lx.col + 1
   done;
   lx.pos <- j;
-  if j = String.length src then error lx "unterminated string literal";
+  if j = String.length src then lex_error lx "unterminated string literal";
   take lx 1 (Str (String.sub src (i + 1) (j - i - 1)))
 
 (* A digit run; with floats, dots too, and a run holding a dot is a
@@ -128,11 +143,11 @@ let number lx i =
   if floats && String.contains text '.' then
     match float_of_string_opt text with
     | Some f -> take lx (j - i) (Float f)
-    | None -> error lx "malformed number %s" text
+    | None -> lex_error lx "malformed number %s" text
   else
     match int_of_string_opt text with
     | Some k -> take lx (j - i) (Int k)
-    | None -> error lx "integer literal %s is out of range" text
+    | None -> lex_error lx "integer literal %s is out of range" text
 
 let rec pair c2 = function
   | [] -> Eof
@@ -159,7 +174,7 @@ let next lx =
       match two with
       | Eof -> (
         match lx.syntax.punct.(Char.code c) with
-        | Eof -> error lx "unexpected character %c" c
+        | Eof -> lex_error lx "unexpected character %c" c
         | tok -> take lx 1 tok)
       | tok -> take lx 2 tok)
 

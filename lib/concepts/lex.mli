@@ -6,8 +6,7 @@
     a digit), decimal integers, blanks and newlines alike; its {!syntax}
     adds its punctuation and says whether it also has string literals,
     floats and [//] comments. A lexer holds the current token (one token
-    of lookahead) and its position, and reports errors as {!Error} at
-    that position. *)
+    of lookahead) and where it starts, and reports errors as {!Error}. *)
 
 type token =
   | Id of string
@@ -42,9 +41,10 @@ type t = private {
 }
 
 exception Error of { line : int; col : int; message : string }
-(** The lexer's position when the error was raised: at the offending
-    character or literal for a lexical error; just past the current
-    token for a grammar error raised through {!error}. *)
+(** Where the error lies: at the offending character or literal for a
+    lexical error; at the start of the offending token (its first byte,
+    or the end of the text at {!Eof}) for a grammar error raised through
+    {!error} or {!error_at}. *)
 
 val make : syntax -> string -> t
 (** A lexer over the text, on its first token. *)
@@ -56,7 +56,11 @@ val peek : t -> token
 (** The token after the current one, without moving. *)
 
 val error : t -> ('a, Format.formatter, unit, 'b) format4 -> 'a
-(** Raise {!Error} at the lexer's position. *)
+(** Raise {!Error} at the start of the current token. *)
+
+val error_at : t -> int -> ('a, Format.formatter, unit, 'b) format4 -> 'a
+(** Raise {!Error} at a byte of the text: the [start] of an earlier
+    token, for an error found only once the parse has moved past it. *)
 
 val accept : t -> string -> bool
 (** Shift past the punctuation if it is the current token. *)

@@ -45,6 +45,8 @@ type t = {
   mutable models : model list;
   mutable refinement_edges : (string * string) list;
       (* (refining, refined) pairs, derived from concept definitions *)
+  mutable axioms_certified : (string * string * Ctype.t list) list;
+      (* (concept, axiom, args) discharged by a checked proof *)
   mutable generation : int;
       (* bumped on every declaration; memo caches key on it so a mutated
          registry can never serve a stale closure *)
@@ -83,7 +85,7 @@ let no_derived parent = { parent; index = None; memo = None }
 
 let create () =
   { concepts = []; types = []; ops = []; models = []; refinement_edges = [];
-    generation = 0; derived = no_derived None }
+    axioms_certified = []; generation = 0; derived = no_derived None }
 
 let fork p = { p with derived = no_derived (Some p) }
 
@@ -132,6 +134,19 @@ let declare_model ?(doc = "") ?(axioms = []) ?(complexity = []) t concept args
     }
     :: t.models;
   touch t
+
+let axiom_certified t ~concept ~axiom ~args =
+  List.exists
+    (fun (c, a, g) ->
+      String.equal c concept && String.equal a axiom
+      && List.equal Ctype.equal g args)
+    t.axioms_certified
+
+let certify_axiom t ~concept ~axiom ~args =
+  if not (axiom_certified t ~concept ~axiom ~args) then begin
+    t.axioms_certified <- (concept, axiom, args) :: t.axioms_certified;
+    touch t
+  end
 
 (* [remove_assoc] copies only the cells in front of the type's entry, so
    a fork's list still ends in its parent's cells. *)

@@ -34,6 +34,9 @@ type t = {
   mutable ops : Concept.signature list;
   mutable models : model list;
   mutable refinement_edges : (string * string) list;
+  mutable axioms_certified : (string * string * Ctype.t list) list;
+      (** [(concept, axiom, args)] triples discharged by a checked proof,
+          most recent first *)
   mutable generation : int;
   derived : derived;
 }
@@ -112,6 +115,19 @@ val set_assoc : t -> string -> (string * Ctype.t) list -> unit
     list cells in front of [name]'s entry are copied, so a fork's list
     stays an extension of its parent's. Raises [Not_found] if [name] is
     not declared. *)
+
+val certify_axiom :
+  t -> concept:string -> axiom:string -> args:Ctype.t list -> unit
+(** Declare that the axiom of [concept] holds for the ground [args]
+    because a checked proof discharged it (see gp_simplicissimus's
+    [Certify]). {!Check} then stops warning that the axiom is asserted
+    but not proved. Like every declaration it bumps {!generation}, so
+    memoised verdicts see it; a fork shares the certifications made
+    before it, never those made in its parent afterwards. Certifying a
+    certified axiom again changes nothing. *)
+
+val axiom_certified :
+  t -> concept:string -> axiom:string -> args:Ctype.t list -> bool
 
 (** {2 Lookup} *)
 

@@ -58,7 +58,6 @@ val add_entry :
   node:string ->
   unit
 
-val find_node : t -> string -> node option
 val find_entry : t -> string -> entry option
 
 val record_measurement :

@@ -29,7 +29,6 @@ val mul_real : t -> float -> t
     operation an associated-type Vector Space formulation would
     forbid. *)
 
-val norm2 : t -> float
 val abs : t -> float
 
 val inv : t -> t

@@ -63,7 +63,6 @@ val is_sorted : lt:('a -> 'a -> bool) -> 'a Iter.t * 'a Iter.t -> bool
 val copy : 'a Iter.t * 'a Iter.t -> 'a Iter.t -> 'a Iter.t
 val transform : ('a -> 'b) -> 'a Iter.t * 'a Iter.t -> 'b Iter.t -> 'b Iter.t
 val fill : 'a -> 'a Iter.t * 'a Iter.t -> unit
-val swap_values : 'a Iter.t -> 'a Iter.t -> unit
 
 val replace_if : ('a -> bool) -> with_:'a -> 'a Iter.t * 'a Iter.t -> unit
 val generate : (unit -> 'a) -> 'a Iter.t * 'a Iter.t -> unit

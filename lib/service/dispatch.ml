@@ -22,6 +22,9 @@ type defs = {
   mutable scope : (Registry.t, Request.error) result option;
 }
 
+(* An LRU of any value type, so one table can hold them all. *)
+type cache = Cache : _ Lru.t -> cache
+
 (* Every key is content: the request text itself (defs, lint, optimize)
    or a structural encoding of it, never a digest, so two keys are equal
    exactly when the requests are. *)
@@ -33,56 +36,49 @@ type caches = {
   defs : defs Lru.t; (* parsed .gpc declarations and their sandbox *)
   lint : Request.payload Lru.t; (* Linted payloads by program text *)
   cert : Gp_simplicissimus.Certify.certification list Lru.t;
-      (* certified rewrite rules *)
+      (* the built-in rules' certifications *)
   proofs : (string * bool) list Lru.t; (* checked proof instantiations *)
   rewrites : Request.payload Lru.t;
       (* Optimized payloads by mode and expression text, output
          pre-rendered *)
   numerics : Request.payload Lru.t; (* Computed payloads by (op,triple) *)
+  table : cache array;
+      (* the seven above, in this order: what stats, counters and
+         clearing walk *)
 }
 
 let create_caches ~capacity =
-  { closures = Lru.create ~capacity "closures";
-    defs = Lru.create ~capacity "defs";
-    lint = Lru.create ~capacity "lint";
-    cert = Lru.create ~capacity:4 "cert";
-    proofs = Lru.create ~capacity "proofs";
-    rewrites = Lru.create ~capacity "rewrites";
-    numerics = Lru.create ~capacity "numerics" }
+  let closures = Lru.create ~capacity "closures"
+  and defs = Lru.create ~capacity "defs"
+  and lint = Lru.create ~capacity "lint"
+  and cert = Lru.create ~capacity:4 "cert"
+  and proofs = Lru.create ~capacity "proofs"
+  and rewrites = Lru.create ~capacity "rewrites"
+  and numerics = Lru.create ~capacity "numerics" in
+  { closures; defs; lint; cert; proofs; rewrites; numerics;
+    table =
+      [| Cache closures; Cache defs; Cache lint; Cache cert; Cache proofs;
+         Cache rewrites; Cache numerics |] }
+
+let cache_names =
+  Array.map (fun (Cache lru) -> Lru.name lru) (create_caches ~capacity:1).table
 
 let cache_stats c =
-  [ Lru.stats c.closures; Lru.stats c.defs; Lru.stats c.lint;
-    Lru.stats c.cert; Lru.stats c.proofs; Lru.stats c.rewrites;
-    Lru.stats c.numerics ]
+  Array.fold_right (fun (Cache lru) acc -> Lru.stats lru :: acc) c.table []
 
 (* Allocation-free twin of [cache_stats] for the per-request cache-delta
    snapshot: hit/miss counters written into a caller-owned array
    ([hits.(2i)], [misses.(2i+1)]), one slot pair per cache in
    [cache_names] order. *)
-let cache_names =
-  [| "closures"; "defs"; "lint"; "cert"; "proofs"; "rewrites"; "numerics" |]
-
 let cache_counters_into c (dst : int array) =
-  let put i (lru : _ Lru.t) =
-    dst.(2 * i) <- Lru.hits lru;
-    dst.((2 * i) + 1) <- Lru.misses lru
-  in
-  put 0 c.closures;
-  put 1 c.defs;
-  put 2 c.lint;
-  put 3 c.cert;
-  put 4 c.proofs;
-  put 5 c.rewrites;
-  put 6 c.numerics
+  for i = 0 to Array.length c.table - 1 do
+    match c.table.(i) with
+    | Cache lru ->
+      dst.(2 * i) <- Lru.hits lru;
+      dst.((2 * i) + 1) <- Lru.misses lru
+  done
 
-let clear_caches c =
-  Lru.clear c.closures;
-  Lru.clear c.defs;
-  Lru.clear c.lint;
-  Lru.clear c.cert;
-  Lru.clear c.proofs;
-  Lru.clear c.rewrites;
-  Lru.clear c.numerics
+let clear_caches c = Array.iter (fun (Cache lru) -> Lru.clear lru) c.table
 
 type t = {
   registry : Registry.t;
@@ -120,8 +116,8 @@ let parsed_defs t ~caching ~budget source =
   Budget.spend budget (if hit then 1 else 1 + List.length d.items);
   (d, hit)
 
-(* The certified-rule set, computed once (per eviction) and shared by
-   every optimize request: each built-in rule's backing theorem runs
+(* The built-in rules' certifications, computed once (per eviction) and
+   shared by every optimize request: each rule's backing theorem runs
    through the proof checker — the expensive stage the cache elides. *)
 let certifications t ~caching ~budget =
   let certs, hit =
@@ -269,9 +265,9 @@ let handle_optimize t ~caching ~budget ~expr ~certified_only =
     let detail = Printf.sprintf "expr:%d:%d: %s" line col message in
     (err Request.Parse_failure detail, false)
   | parsed -> (
-    (* Certification is the expensive stage; the engine's only_certified
-       mode reads the verdicts the certifier stamped on the rules. *)
-    let _, cert_hit = certifications t ~caching ~budget in
+    (* Certification is the expensive stage; a certified-only rewrite
+       runs on the rules the certifications prove. *)
+    let certs, cert_hit = certifications t ~caching ~budget in
     match
       Lru.find_or_compute t.caches.rewrites ~enabled:caching key (fun () ->
           let e =
@@ -279,10 +275,11 @@ let handle_optimize t ~caching ~budget ~expr ~certified_only =
             | Some e -> e
             | None -> assert false (* probed present above *)
           in
-          let r =
-            Engine.rewrite ~only_certified:certified_only ~rules:t.rules
-              ~insts:t.insts e
+          let rules =
+            if certified_only then Certify.certified certs t.rules
+            else t.rules
           in
+          let r = Engine.rewrite ~rules ~insts:t.insts e in
           Request.Optimized
             { output = Expr.to_string r.Engine.output;
               steps = List.length r.Engine.steps;

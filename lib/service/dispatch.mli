@@ -20,23 +20,14 @@ type defs
     own verdict memo), or the duplicate-declaration error that stopped
     it. *)
 
-type caches = {
-  closures : string list Lru.t;
-      (** pre-rendered obligation strings — what the [Closed] payload
-          ships, so hits skip per-request rendering *)
-  defs : defs Lru.t;  (** by [.gpc] source text *)
-  lint : Request.payload Lru.t;
-      (** [Linted] payloads by program text, messages pre-rendered *)
-  cert : Gp_simplicissimus.Certify.certification list Lru.t;
-  proofs : (string * bool) list Lru.t;
-  rewrites : Request.payload Lru.t;
-      (** [Optimized] payloads by mode and expression text, output
-          pre-rendered; a hit does not parse *)
-  numerics : Request.payload Lru.t;
-      (** [Computed] payloads keyed by (operation, structure, n, seed) *)
-}
+type caches
+(** The dispatcher's seven LRUs: propagation closures (pre-rendered
+    obligation strings), [.gpc] defs and their sandboxes, [Linted]
+    payloads, the built-in rules' certifications, proof
+    instantiations, [Optimized] payloads (by mode and expression text;
+    a hit does not parse) and [Computed] payloads (by operation,
+    structure, n and seed). *)
 
-val create_caches : capacity:int -> caches
 val cache_stats : caches -> Lru.stats list
 val clear_caches : caches -> unit
 

@@ -11,6 +11,7 @@
 
 module M = Gp_telemetry.Metrics
 module Histogram = Gp_telemetry.Histogram
+module Trace = Gp_telemetry.Trace
 
 let latency_family = "gp_request_latency_ns"
 
@@ -84,13 +85,6 @@ let observe t ~kind ~ok ~error_code ~cached ~ns =
 let requests t = int_of_float (M.total t.reg "gp_requests_total")
 let errors t = int_of_float (M.total t.reg "gp_request_errors_total")
 
-let pp_ns ppf ns =
-  if Float.is_nan ns || ns = infinity then Fmt.string ppf "-"
-  else if ns < 1e3 then Fmt.pf ppf "%.0fns" ns
-  else if ns < 1e6 then Fmt.pf ppf "%.1fus" (ns /. 1e3)
-  else if ns < 1e9 then Fmt.pf ppf "%.2fms" (ns /. 1e6)
-  else Fmt.pf ppf "%.2fs" (ns /. 1e9)
-
 let kind_value t ?(extra = []) name kind =
   int_of_float (M.value t.reg ~labels:(("kind", kind) :: extra) name)
 
@@ -130,10 +124,10 @@ let report ?(cache_stats = []) t =
         (kind_value t "gp_requests_ok_total" kind)
         (kind_errors t kind)
         (kind_value t "gp_requests_cached_total" kind)
-        (Fmt.str "%a" pp_ns (stat Histogram.mean))
-        (Fmt.str "%a" pp_ns (stat (fun h -> Histogram.quantile h 0.50)))
-        (Fmt.str "%a" pp_ns (stat (fun h -> Histogram.quantile h 0.90)))
-        (Fmt.str "%a" pp_ns (stat Histogram.max_value)))
+        (Fmt.str "%a" Trace.pp_dur (stat Histogram.mean))
+        (Fmt.str "%a" Trace.pp_dur (stat (fun h -> Histogram.quantile h 0.50)))
+        (Fmt.str "%a" Trace.pp_dur (stat (fun h -> Histogram.quantile h 0.90)))
+        (Fmt.str "%a" Trace.pp_dur (stat Histogram.max_value)))
     t.kinds;
   let all_errors = errors_by_code t in
   if all_errors <> [] then begin

@@ -39,5 +39,3 @@ val report_json : ?cache_stats:Lru.stats list -> ?gc:string -> t -> string
 
 val to_prometheus : t -> string
 (** Prometheus text exposition of the backing registry. *)
-
-val pp_ns : Format.formatter -> float -> unit

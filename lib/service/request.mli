@@ -116,16 +116,10 @@ val response_canonical : response -> string
     plus the full payload or error, with id/cached/steps excluded.
     Equal strings iff [result_equal]. *)
 
-val response_canonical_into : Buffer.t -> response -> unit
-(** Append the canonical rendering to a caller-owned buffer;
-    [response_canonical] is this into a fresh buffer. *)
-
 val response_fingerprint : response -> string
 (** Digest of {!response_canonical} — the equality flight-recorder
     replay asserts. Streamed: the canonical bytes are digested from a
     reused scratch buffer, the canonical string is never materialized;
     bit-identical to [Digest.string (response_canonical r)]. *)
 
-val pp_payload : Format.formatter -> payload -> unit
-val pp_error : Format.formatter -> error -> unit
 val pp_response : Format.formatter -> response -> unit

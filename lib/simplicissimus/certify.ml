@@ -4,13 +4,14 @@
    and derivable from the axioms governing the Monoid and Group concepts."
    Certify makes that statement executable: each built-in rule names the
    theorem whose equation it implements; the theorem's generic proof is run
-   through gp_athena's checker, and only then is the rule marked certified.
-   The engine's [only_certified] mode refuses to apply anything else.
+   through gp_athena's checker, and the verdicts are a value. [certified]
+   narrows a rule set to what they prove, and a certified-only rewrite
+   hands the engine that set.
 
-   Certification also discharges instance axioms in the gp_concepts
-   world: for every instance mapping with proved axioms, the derived
+   Certification also discharges instance axioms in a gp_concepts
+   registry: for every instance mapping with proved axioms, the derived
    equations (right inverse from the minimal group presentation, etc.) are
-   registered via [Check.certify_axiom], which silences the checker's
+   declared through [Registry.certify_axiom], which silences the checker's
    "asserted but not proved" warnings for those carriers. *)
 
 open Gp_athena
@@ -70,7 +71,7 @@ let axioms_for (r : Rules.t) =
     | Instances.Monoid -> Theory.monoid m
     | Instances.Group | Instances.Abelian_group -> Theory.group_minimal m
 
-(* Certify one rule: check its backing theorem; on success flip the flag. *)
+(* Certify one rule: check its backing theorem. *)
 let certify_rule (r : Rules.t) =
   match theorem_for r with
   | None ->
@@ -81,9 +82,6 @@ let certify_rule (r : Rules.t) =
     }
   | Some thm ->
     let verdict = Theorems.verify ~axioms:(axioms_for r) thm in
-    (match verdict with
-    | Deduction.Proved -> r.Rules.certified := true
-    | _ -> ());
     {
       cert_rule = r.Rules.rule_name;
       cert_theorem = thm.Theorems.thm_name;
@@ -92,10 +90,22 @@ let certify_rule (r : Rules.t) =
 
 let certify_builtin () = List.map certify_rule Rules.builtin
 
-(* Discharge the derived group axioms for every exactly-modeled instance in
-   the gp_concepts certification table: the right_inverse/right_identity
-   axioms asserted by Gp_algebra.Decls become *proved* for these carriers. *)
-let discharge_instance_axioms insts =
+(* User rules are library facts no theorem backs; a concept rule stays
+   when a certification of its name proved. *)
+let certified certs rules =
+  let proved (r : Rules.t) =
+    List.exists
+      (fun c ->
+        String.equal c.cert_rule r.Rules.rule_name
+        && match c.cert_verdict with Deduction.Proved -> true | _ -> false)
+      certs
+  in
+  List.filter (fun (r : Rules.t) -> r.Rules.user_type <> None || proved r) rules
+
+(* Discharge the derived group axioms for every exactly-modeled instance
+   into [reg]: the right_inverse/right_identity axioms asserted by
+   Gp_algebra.Decls become *proved* for these carriers. *)
+let discharge_instance_axioms reg insts =
   List.concat_map
     (fun (e : Instances.entry) ->
       match e.Instances.e_mapping with
@@ -111,7 +121,7 @@ let discharge_instance_axioms insts =
            let thm = Theorems.group_right_inverse m in
            match Theorems.verify ~axioms:(Theory.group_minimal m) thm with
            | Deduction.Proved ->
-             Gp_concepts.Check.certify_axiom ~concept:"Group"
+             Gp_concepts.Registry.certify_axiom reg ~concept:"Group"
                ~axiom:"right_inverse" ~args:[ carrier ];
              discharged := "right_inverse" :: !discharged
            | _ -> ());
@@ -121,7 +131,7 @@ let discharge_instance_axioms insts =
            let thm = Theorems.monoid_right_identity m in
            match Theorems.verify ~axioms:(Theory.monoid m) thm with
            | Deduction.Proved ->
-             Gp_concepts.Check.certify_axiom ~concept:"Monoid"
+             Gp_concepts.Registry.certify_axiom reg ~concept:"Monoid"
                ~axiom:"right_identity" ~args:[ carrier ];
              discharged := "right_identity" :: !discharged
            | _ -> ());

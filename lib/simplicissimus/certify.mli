@@ -2,9 +2,10 @@
     the rules are "directly related to and derivable from the axioms").
 
     Each built-in rule names the theorem whose equation it implements;
-    the theorem's generic proof runs through gp_athena's checker and
-    only then is the rule flagged certified — which the engine's
-    [only_certified] mode enforces. *)
+    the theorem's generic proof runs through gp_athena's checker. The
+    verdicts are a value: {!certified} narrows a rule set to the rules
+    they prove, and a certified-only rewrite runs the engine on that
+    set. Nothing here mutates a rule or any global state. *)
 
 type certification = {
   cert_rule : string;
@@ -12,16 +13,22 @@ type certification = {
   cert_verdict : Gp_athena.Deduction.verdict;
 }
 
-val theorem_for : Rules.t -> Gp_athena.Theorems.theorem option
-(** The backing theorem of a built-in rule ([None] for user rules). *)
-
-val certify_rule : Rules.t -> certification
 val certify_builtin : unit -> certification list
+(** Check the backing theorem of every rule of {!Rules.builtin}, in
+    order. *)
 
-val discharge_instance_axioms : Instances.t -> (string * string) list
-(** For every exactly-modeled instance, register the derived equations
-    (right inverse, right identity) in the gp_concepts certification
-    table, turning "asserted" axiom warnings into certified facts.
+val certified : certification list -> Rules.t list -> Rules.t list
+(** [certified certs rules]: the rules a certified-only rewrite may
+    apply, in their order — every user rule (a library fact, backed by
+    no theorem) and every concept rule that a certification of the same
+    name proved. *)
+
+val discharge_instance_axioms :
+  Gp_concepts.Registry.t -> Instances.t -> (string * string) list
+(** For every exactly-modeled instance, declare the derived equations
+    (right inverse, right identity) certified in the registry
+    ({!Gp_concepts.Registry.certify_axiom}), turning "asserted" axiom
+    warnings into certified facts there and in forks made afterwards.
     Returns (instance, axiom) pairs discharged. *)
 
 val pp_certification : Format.formatter -> certification -> unit

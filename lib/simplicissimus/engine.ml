@@ -46,8 +46,7 @@ type core_stats = { mutable guard_probes : int; mutable guard_hits : int }
    instead). [guard_memo] caches the instance-table part of the guard —
    keyed (ty, op, required level, ring?) — across one whole rewrite, so
    repeated guard checks on the same carrier cost one hash probe. *)
-let try_rule insts ~only_certified ~guard_memo ~stats (r : Rules.t) ~ty ~op
-    node =
+let try_rule insts ~guard_memo ~stats (r : Rules.t) ~ty ~op node =
   let guard_ok =
     match r.Rules.user_type with
     | Some ut ->
@@ -61,21 +60,18 @@ let try_rule insts ~only_certified ~guard_memo ~stats (r : Rules.t) ~ty ~op
         (ty, op, Instances.level_rank r.Rules.guard, r.Rules.requires_ring)
       in
       stats.guard_probes <- stats.guard_probes + 1;
-      let instance_ok =
-        match Hashtbl.find_opt guard_memo key with
-        | Some b ->
-          stats.guard_hits <- stats.guard_hits + 1;
-          b
-        | None ->
-          let b =
-            Instances.models insts ~ty ~op ~required:r.Rules.guard
-            && ((not r.Rules.requires_ring)
-               || Instances.ring_for insts ~ty ~op <> None)
-          in
-          Hashtbl.add guard_memo key b;
-          b
-      in
-      instance_ok && ((not only_certified) || !(r.Rules.certified))
+      match Hashtbl.find_opt guard_memo key with
+      | Some b ->
+        stats.guard_hits <- stats.guard_hits + 1;
+        b
+      | None ->
+        let b =
+          Instances.models insts ~ty ~op ~required:r.Rules.guard
+          && ((not r.Rules.requires_ring)
+             || Instances.ring_for insts ~ty ~op <> None)
+        in
+        Hashtbl.add guard_memo key b;
+        b
   in
   if not guard_ok then None
   else
@@ -135,7 +131,7 @@ let candidates rx o =
     Hashtbl.replace rx.rx_cands o merged;
     merged
 
-let rewrite_core ?(only_certified = false) ~rules ~insts expr =
+let rewrite_core ~rules ~insts expr =
   let steps = ref [] in
   let budget = ref max_steps in
   let exhausted = ref false in
@@ -164,10 +160,7 @@ let rewrite_core ?(only_certified = false) ~rules ~insts expr =
             in
             List.find_map
               (fun (ty, op) ->
-                match
-                  try_rule insts ~only_certified ~guard_memo ~stats r ~ty ~op
-                    node
-                with
+                match try_rule insts ~guard_memo ~stats r ~ty ~op node with
                 | Some after ->
                   Some
                     {
@@ -216,8 +209,8 @@ let rewrite_core ?(only_certified = false) ~rules ~insts expr =
     },
     stats )
 
-let rewrite_uninstrumented ?only_certified ~rules ~insts expr =
-  fst (rewrite_core ?only_certified ~rules ~insts expr)
+let rewrite_uninstrumented ~rules ~insts expr =
+  fst (rewrite_core ~rules ~insts expr)
 
 let head_symbol (e : Expr.t) =
   match e with
@@ -231,12 +224,11 @@ let head_symbol (e : Expr.t) =
    gap); enabled, it opens a span and flushes per-rewrite counters —
    including rules fired per head symbol, recovered from the step trace
    after the core returns so the hot loop never touches telemetry. *)
-let rewrite ?only_certified ~rules ~insts expr =
-  if not (Tel.is_enabled ()) then
-    fst (rewrite_core ?only_certified ~rules ~insts expr)
+let rewrite ~rules ~insts expr =
+  if not (Tel.is_enabled ()) then fst (rewrite_core ~rules ~insts expr)
   else
     Tel.with_span ~name:"simplicissimus.rewrite" (fun () ->
-        let r, stats = rewrite_core ?only_certified ~rules ~insts expr in
+        let r, stats = rewrite_core ~rules ~insts expr in
         Tel.count "gp_engine_rewrites_total" 1;
         Tel.count "gp_engine_steps_total" (List.length r.steps);
         Tel.count "gp_engine_guard_probes_total" stats.guard_probes;

@@ -45,15 +45,9 @@ exception
     rule set). The payload reports how far rewriting got, so a caller
     can diagnose the looping rule from the step trace. *)
 
-val rewrite :
-  ?only_certified:bool ->
-  rules:Rules.t list ->
-  insts:Instances.t ->
-  Expr.t ->
-  result
-(** Normalise to a fixpoint. With [only_certified], concept rules whose
-    backing theorem has not been proof-checked are skipped (user rules
-    are library facts and exempt).
+val rewrite : rules:Rules.t list -> insts:Instances.t -> Expr.t -> result
+(** Normalise to a fixpoint with the given rules. A certified-only
+    rewrite passes the rules {!Certify.certified} keeps.
 
     Internally the rule list is indexed by what each rule's LHS root can
     match ({!Rules.head}), so a node only ever tries rules that could
@@ -69,11 +63,7 @@ val rewrite :
     way. *)
 
 val rewrite_uninstrumented :
-  ?only_certified:bool ->
-  rules:Rules.t list ->
-  insts:Instances.t ->
-  Expr.t ->
-  result
+  rules:Rules.t list -> insts:Instances.t -> Expr.t -> result
 (** The bare indexed engine with no telemetry wrapper at all — the
     honest baseline bench s3 compares {!rewrite} against. Semantically
     identical to {!rewrite}. *)

@@ -61,6 +61,8 @@ let apply ~mat_dim ty op args =
   | _ ->
     fail "no implementation for %s.%s/%d" ty op (List.length args)
 
+(* The concrete identity of a carrier; a matrix identity needs the
+   dimension. *)
 let identity_value ~mat_dim ty op =
   match ty, op with
   | "int", "+" -> VInt 0

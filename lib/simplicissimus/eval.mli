@@ -4,10 +4,6 @@
 
 exception Type_error of string
 
-val identity_value : mat_dim:int -> string -> string -> Expr.value
-(** Concrete identity of a carrier; matrix identities need the
-    dimension. Raises {!Type_error} on unknown carriers. *)
-
 val eval :
   ?mat_dim:int -> env:(string * Expr.value) list -> Expr.t -> Expr.value
 (** Raises {!Type_error} on unbound variables or unknown operations, and

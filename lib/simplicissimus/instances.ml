@@ -3,10 +3,11 @@
    operations — the data behind the "Requirements" column of Fig. 5.
 
    This mirrors the carrier declarations of {!Gp_algebra.Decls} but is keyed
-   the way the rewriter needs: by surface (type, op). Each entry also cross-
-   registers a model in a gp_concepts registry so the engine's guards are
-   genuine concept checks, and records how its axioms are discharged
-   (proved via gp_athena, or merely asserted — floats!). *)
+   the way the rewriter needs: by surface (type, op). The engine's guards
+   read this table alone, never a gp_concepts registry. Each entry records
+   how its axioms are discharged (proved via gp_athena, or merely asserted
+   — floats!); [Certify.discharge_instance_axioms] declares the proved
+   ones into a registry it is given. *)
 
 type level = Semigroup | Monoid | Group | Abelian_group
 

@@ -46,16 +46,6 @@ val add :
   level ->
   unit
 
-val add_ring :
-  t ->
-  ?zero:Expr.value ->
-  ?mapping:Gp_athena.Theory.ring_mapping ->
-  ty:string ->
-  add_op:string ->
-  mul_op:string ->
-  unit ->
-  unit
-
 val find : t -> ty:string -> op:string -> entry option
 (** Indexed (ty, op) lookup; when a carrier was declared more than once,
     the most recent declaration wins. *)

@@ -41,14 +41,11 @@ type t = {
   user_type : string option;
       (* user rules fire only on this carrier type (library-specific) *)
   user_op : string option; (* and only on this root op symbol *)
-  certified : bool ref;
-      (* set by Certify when the rule's equation is proof-checked *)
 }
 
 let make ?user_type ?user_op ?(requires_ring = false) ~name ~guard ~lhs ~rhs
     () =
-  { rule_name = name; guard; requires_ring; lhs; rhs; user_type; user_op;
-    certified = ref false }
+  { rule_name = name; guard; requires_ring; lhs; rhs; user_type; user_op }
 
 (* What the root of the LHS can match — the engine's dispatch key. A
    [P_op] root only ever matches a node whose symbol IS the carrier op
@@ -206,12 +203,3 @@ let lidia_inverse =
     ()
 
 let standard = builtin @ [ lidia_inverse ]
-
-let pp_level ppf l = Fmt.string ppf (Instances.level_name l)
-
-let pp ppf r =
-  Fmt.pf ppf "%s [guard: %a%s]%s" r.rule_name pp_level r.guard
-    (match r.user_type with
-    | Some t -> Printf.sprintf " on %s only" t
-    | None -> "")
-    (if !(r.certified) then " (certified)" else "")

@@ -36,7 +36,6 @@ type t = {
   rhs : template;
   user_type : string option;
   user_op : string option;
-  certified : bool ref;  (** set by Certify after a checked proof *)
 }
 
 val make :
@@ -108,6 +107,3 @@ val lidia_inverse : t
 val standard : t list
 (** {!builtin} plus {!lidia_inverse}: the rule set the service, the CLI,
     the bench and the examples rewrite with. *)
-
-val pp_level : Format.formatter -> Instances.level -> unit
-val pp : Format.formatter -> t -> unit

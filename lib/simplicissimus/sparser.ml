@@ -14,7 +14,8 @@
 
    The tokens come from [Gp_concepts.Lex] under [syntax] below, one at a
    time: string literals and floats, no comments ("/" is an operator).
-   A [Parse_error] is [Lex]'s error, at the lexer's line and column. *)
+   A [Parse_error] is [Lex]'s error: at the offending character, or at
+   the first byte of the offending token. *)
 
 module Lex = Gp_concepts.Lex
 open Lex
@@ -31,11 +32,12 @@ let known_types = [ "int"; "float"; "bool"; "string"; "rational"; "matrix";
 let addops = [ "+"; "-"; "||"; "|" ]
 let mulops = [ "*"; "&&"; "&"; "^"; "."; "/" ]
 
-(* carrier type checking: both operands must share a type *)
-let combine s op a b =
+(* carrier type checking: both operands must share a type; a mismatch
+   is reported at the operator, which starts at byte [at] *)
+let combine s ~at op a b =
   let ta = Expr.type_of a and tb = Expr.type_of b in
   if ta <> tb then
-    error s "operands of %s have different types (%s vs %s)" op ta tb;
+    error_at s at "operands of %s have different types (%s vs %s)" op ta tb;
   match op with
   | "-" ->
     (* desugar to the IR's inverse form: a + neg(b) *)
@@ -46,8 +48,9 @@ let rec parse_expr s =
   let rec go acc =
     match s.tok with
     | Punct op when List.mem op addops ->
+      let at = s.start in
       shift s;
-      go (combine s op acc (parse_mul s))
+      go (combine s ~at op acc (parse_mul s))
     | _ -> acc
   in
   go (parse_mul s)
@@ -56,8 +59,9 @@ and parse_mul s =
   let rec go acc =
     match s.tok with
     | Punct op when List.mem op mulops ->
+      let at = s.start in
       shift s;
-      go (combine s op acc (parse_atom s))
+      go (combine s ~at op acc (parse_atom s))
     | _ -> acc
   in
   go (parse_atom s)

@@ -32,6 +32,5 @@ val errors : diagnostic list -> diagnostic list
 val warnings : diagnostic list -> diagnostic list
 val suggestions : diagnostic list -> diagnostic list
 
-val pp_severity : Format.formatter -> severity -> unit
 val pp_diagnostic : Format.formatter -> diagnostic -> unit
 val pp_report : Format.formatter -> diagnostic list -> unit

@@ -172,6 +172,7 @@ let parse_rhs s ~result_name =
   | Id x when is_container x s.containers -> (
     shift s;
     expect s ".";
+    let at = s.lx.start in
     let m = ident s in
     match m with
     | "begin" ->
@@ -194,17 +195,18 @@ let parse_rhs s ~result_name =
       let v = parse_expr s in
       expect s ")";
       `Stmt (Ast.Insert { container = x; at; value = v; result = Some result_name })
-    | _ -> error s.lx "container %s has no member %s usable here" x m)
+    | _ -> error_at s.lx at "container %s has no member %s usable here" x m)
   | Id x when is_iter x s.iters ->
     shift s;
     `Init (Ast.Copy_of x)
   | Id algo -> (
+    let at = s.lx.start in
     shift s;
     match s.lx.tok with
     | Punct "(" ->
       let name, args = parse_algo_call s algo in
       `Stmt (Ast.Algo { algo = name; args; result = Some result_name })
-    | _ -> error s.lx "unknown name %s on the right of '='" algo)
+    | _ -> error_at s.lx at "unknown name %s on the right of '='" algo)
   | _ -> error s.lx "expected an iterator initialiser"
 
 let rec parse_stmt s =
@@ -288,6 +290,7 @@ let rec parse_stmt s =
   | Id x when is_container x s.containers -> (
     shift s;
     expect s ".";
+    let at = s.lx.start in
     let m = ident s in
     expect s "(";
     match m with
@@ -314,7 +317,7 @@ let rec parse_stmt s =
       expect s ")";
       expect s ";";
       finish (Ast.Insert { container = x; at; value = v; result = None })
-    | _ -> error s.lx "unknown container member %s" m)
+    | _ -> error_at s.lx at "unknown container member %s" m)
   | Id x when is_iter x s.iters ->
     (* iterator reassignment *)
     shift s;
@@ -327,13 +330,14 @@ let rec parse_stmt s =
       expect s ";";
       finish node)
   | Id algo -> (
+    let at = s.lx.start in
     shift s;
     match s.lx.tok with
     | Punct "(" ->
       let name, args = parse_algo_call s algo in
       expect s ";";
       finish (Ast.Algo { algo = name; args; result = None })
-    | _ -> error s.lx "unexpected statement starting with %s" algo)
+    | _ -> error_at s.lx at "unexpected statement starting with %s" algo)
   | _ -> error s.lx "expected a statement"
 
 and parse_block s =

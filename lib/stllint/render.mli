@@ -4,10 +4,4 @@
 
 val to_source : Ast.stmt list -> string
 
-val stmt_equal : Ast.stmt -> Ast.stmt -> bool
-(** Structural equality ignoring source labels. *)
-
 val block_equal : Ast.stmt list -> Ast.stmt list -> bool
-
-val pp_stmt : indent:int -> Format.formatter -> Ast.stmt -> unit
-val pp_block : indent:int -> Format.formatter -> Ast.stmt list -> unit

@@ -36,7 +36,5 @@ val invalidate :
 
 (** {2 Lattice operations (control-flow merges)} *)
 
-val join_sorted : sortedness -> sortedness -> sortedness
-val join_istate : istate -> istate -> istate
 val join : t -> t -> t
 val equal : t -> t -> bool

@@ -22,6 +22,16 @@ exception Error of string
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Error m)) fmt
 
+(* The JSONL loaders' line discipline: non-blank lines numbered from 1,
+   blank ones counted, and a rejection prefixed with its number. *)
+let lines doc =
+  String.split_on_char '\n' doc
+  |> List.mapi (fun i line -> (i + 1, line))
+  |> List.filter (fun (_, line) -> String.trim line <> "")
+
+let on_line (lineno, line) read =
+  try read line with Error e -> fail "line %d: %s" lineno e
+
 (* ------------------------------------------------------------------ *)
 (* Cursor lexer                                                        *)
 (* ------------------------------------------------------------------ *)

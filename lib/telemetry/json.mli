@@ -23,6 +23,16 @@ exception Error of string
 val fail : ('a, unit, string, 'b) format4 -> 'a
 (** Raise {!Error} with a formatted message. *)
 
+(** {2 JSONL documents} *)
+
+val lines : string -> (int * string) list
+(** The non-blank lines of a document, each with its 1-based line
+    number, blank lines counted. *)
+
+val on_line : int * string -> (string -> 'a) -> 'a
+(** [on_line (n, line) read] is [read line], with an {!Error} it raises
+    re-raised as ["line <n>: <message>"]. *)
+
 val parse : string -> t
 (** Exactly one value, with optional surrounding whitespace. A number
     that fits an [int] is an [Int], any other a [Float]. A trailing comma

@@ -178,56 +178,48 @@ let entries name decode j =
 
 let dossier_of_line line =
   match Json.parse line with
-  | exception Json.Error m -> Error ("bad dossier line: " ^ m)
-  | Json.Obj _ as j -> (
-    match
-      let do_id = Json.int_field "id" j in
-      let do_kind = Json.str_field "kind" j in
-      let do_wire = Json.str_field "wire" j in
-      let do_generation = Json.int_field "generation" j in
-      let do_config = Json.str_field "config" j in
-      let do_config_fp = Json.str_field "config_fp" j in
-      let do_outcome = Json.str_field "outcome" j in
-      let do_detail = Json.str_field "detail" j in
-      let do_cached = Json.bool_field "cached" j in
-      let do_steps = Json.int_field "steps" j in
-      let do_dur_ns = Json.num_field "dur_ns" j in
-      let do_response_fp = Json.str_field "response_fp" j in
-      let do_cache_chain =
-        entries "cache_chain"
-          (fun e ->
-            let cache = Json.str_field "cache" e in
-            let hits = Json.int_field "hits" e in
-            (cache, hits, Json.int_field "misses" e))
-          j
-      in
-      let do_metric_deltas =
-        entries "metric_deltas"
-          (fun e ->
-            let name = Json.str_field "name" e in
-            (name, Json.num_field "delta" e))
-          j
-      in
-      let do_spans = entries "spans" Trace.span_of_json j in
-      { do_id; do_kind; do_wire = Lazy.from_val do_wire; do_generation;
-        do_config; do_config_fp; do_outcome; do_detail; do_cached; do_steps;
-        do_dur_ns; do_response_fp = Lazy.from_val do_response_fp;
-        do_cache_chain; do_spans; do_metric_deltas }
-    with
-    | d -> Ok d
-    | exception Json.Error m -> Error m)
-  | _ -> Error "bad dossier line: expected a JSON object"
+  | exception Json.Error m -> Json.fail "bad dossier line: %s" m
+  | Json.Obj _ as j ->
+    let do_id = Json.int_field "id" j in
+    let do_kind = Json.str_field "kind" j in
+    let do_wire = Json.str_field "wire" j in
+    let do_generation = Json.int_field "generation" j in
+    let do_config = Json.str_field "config" j in
+    let do_config_fp = Json.str_field "config_fp" j in
+    let do_outcome = Json.str_field "outcome" j in
+    let do_detail = Json.str_field "detail" j in
+    let do_cached = Json.bool_field "cached" j in
+    let do_steps = Json.int_field "steps" j in
+    let do_dur_ns = Json.num_field "dur_ns" j in
+    let do_response_fp = Json.str_field "response_fp" j in
+    let do_cache_chain =
+      entries "cache_chain"
+        (fun e ->
+          let cache = Json.str_field "cache" e in
+          let hits = Json.int_field "hits" e in
+          (cache, hits, Json.int_field "misses" e))
+        j
+    in
+    let do_metric_deltas =
+      entries "metric_deltas"
+        (fun e ->
+          let name = Json.str_field "name" e in
+          (name, Json.num_field "delta" e))
+        j
+    in
+    let do_spans = entries "spans" Trace.span_of_json j in
+    { do_id; do_kind; do_wire = Lazy.from_val do_wire; do_generation;
+      do_config; do_config_fp; do_outcome; do_detail; do_cached; do_steps;
+      do_dur_ns; do_response_fp = Lazy.from_val do_response_fp;
+      do_cache_chain; do_spans; do_metric_deltas }
+  | _ -> Json.fail "bad dossier line: expected a JSON object"
 
 let of_jsonl contents =
-  let rec go lineno acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest when String.trim line = "" -> go (lineno + 1) acc rest
-    | line :: rest -> (
-      match dossier_of_line line with
-      | Ok d -> go (lineno + 1) (d :: acc) rest
-      | Error m -> Error (Printf.sprintf "line %d: %s" lineno m))
-  in
-  go 1 [] (String.split_on_char '\n' contents)
+  match
+    List.map (fun l -> Json.on_line l dossier_of_line) (Json.lines contents)
+  with
+  | dossiers -> Ok dossiers
+  | exception Json.Error e -> Error e
 
 let load path =
   match In_channel.with_open_text path In_channel.input_all with

@@ -252,7 +252,7 @@ let untagged sps = forest (List.map (fun s -> ((), s)) sps)
 (* ------------------------------------------------------------------ *)
 
 let pp_dur ppf ns =
-  if Float.is_nan ns then Fmt.string ppf "-"
+  if Float.is_nan ns || ns = infinity then Fmt.string ppf "-"
   else if ns < 1e3 then Fmt.pf ppf "%.0fns" ns
   else if ns < 1e6 then Fmt.pf ppf "%.1fus" (ns /. 1e3)
   else if ns < 1e9 then Fmt.pf ppf "%.2fms" (ns /. 1e6)

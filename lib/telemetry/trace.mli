@@ -97,6 +97,8 @@ val forest : ('a * span) list -> 'a tree list
     sorts; spans on a parent cycle are left out. *)
 
 val pp_dur : Format.formatter -> float -> unit
+(** A duration in nanoseconds in the unit that suits it ([812ns],
+    [3.4us], [1.25ms], [2.00s]); [-] for [nan] and [infinity]. *)
 
 val pp_tree : Format.formatter -> span list -> unit
 (** Render the {!forest} of the spans as an indented tree, with

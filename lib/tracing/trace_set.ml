@@ -16,8 +16,13 @@ type t = {
   ts_lanes : (int * Trace.span list) list; (* node order *)
 }
 
+(* Elastic joiners occupy lanes above the initial replicas, so the
+   replica count covers the highest lane: the dump's nodes stay in range
+   when it is loaded. *)
 let of_result (r : Cluster.result) =
-  { ts_replicas = r.Cluster.r_config.Cluster.replicas;
+  { ts_replicas =
+      Int.max r.Cluster.r_config.Cluster.replicas
+        (List.length r.Cluster.r_traces - 1);
     ts_n = Array.length r.Cluster.r_requests;
     ts_seed = r.Cluster.r_config.Cluster.seed;
     ts_lanes = r.Cluster.r_traces }
@@ -76,52 +81,54 @@ let dump ts =
     ts.ts_lanes;
   Buffer.contents buf
 
-let load doc =
-  let lines =
-    String.split_on_char '\n' doc
-    |> List.filter (fun l -> String.trim l <> "")
+(* The header's shape: replicas within [Cluster.max_replicas], so the
+   lanes it sizes are bounded whatever the dump claims. *)
+let trace_header line =
+  let header = Json.parse line in
+  if Json.field "gp_trace" header <> Some (Json.Int 1) then
+    Json.fail "not a gp_trace dump (bad header)";
+  let replicas = Json.int_field "replicas" header in
+  if replicas < 0 then Json.fail "trace dump: negative replicas";
+  if replicas > Cluster.max_replicas then
+    Json.fail "trace dump: replicas %d above %d" replicas Cluster.max_replicas;
+  (replicas, Json.int_field "n" header, Json.int_field "seed" header)
+
+let span_of_line ~replicas line =
+  let obj = Json.parse line in
+  let node = Json.int_field "node" obj in
+  if node < 0 || node > replicas then Json.fail "trace dump: node out of range";
+  let ctx =
+    match Context.of_string (Json.str_field "ctx" obj) with
+    | Some c -> c
+    | None -> Json.fail "trace dump: bad ctx"
   in
-  match lines with
+  let parent = Json.int_field "parent" obj in
+  let attrs =
+    List.map
+      (function
+        | k, Json.Str v -> (k, v)
+        | k, _ -> Json.fail "trace dump: non-string attr %s" k)
+      (Json.obj_field "attrs" obj)
+  in
+  ( node,
+    { Trace.sp_id = Context.span ctx;
+      sp_parent = (if parent = 0 then None else Some parent);
+      sp_name = Json.str_field "name" obj;
+      sp_start_ns = Json.num_field "start" obj *. 1e3;
+      sp_dur_ns = Json.num_field "dur" obj *. 1e3;
+      sp_attrs = ("trace", string_of_int (Context.trace ctx)) :: attrs;
+      sp_gc = None } )
+
+let load doc =
+  match Json.lines doc with
   | [] -> Error "empty trace dump"
   | header :: spans -> (
     try
-      let header = Json.parse header in
-      if Json.field "gp_trace" header <> Some (Json.Int 1) then
-        Json.fail "not a gp_trace dump (bad header)";
-      let replicas = Json.int_field "replicas" header in
-      if replicas < 0 then Json.fail "trace dump: negative replicas";
-      let n = Json.int_field "n" header in
-      let seed = Json.int_field "seed" header in
+      let replicas, n, seed = Json.on_line header trace_header in
       let lanes = Array.make (replicas + 1) [] in
       List.iter
         (fun line ->
-          let obj = Json.parse line in
-          let node = Json.int_field "node" obj in
-          if node < 0 || node > replicas then
-            Json.fail "trace dump: node out of range";
-          let ctx =
-            match Context.of_string (Json.str_field "ctx" obj) with
-            | Some c -> c
-            | None -> Json.fail "trace dump: bad ctx"
-          in
-          let parent = Json.int_field "parent" obj in
-          let attrs =
-            List.map
-              (function
-                | k, Json.Str v -> (k, v)
-                | k, _ -> Json.fail "trace dump: non-string attr %s" k)
-              (Json.obj_field "attrs" obj)
-          in
-          let sp =
-            { Trace.sp_id = Context.span ctx;
-              sp_parent = (if parent = 0 then None else Some parent);
-              sp_name = Json.str_field "name" obj;
-              sp_start_ns = Json.num_field "start" obj *. 1e3;
-              sp_dur_ns = Json.num_field "dur" obj *. 1e3;
-              sp_attrs =
-                ("trace", string_of_int (Context.trace ctx)) :: attrs;
-              sp_gc = None }
-          in
+          let node, sp = Json.on_line line (span_of_line ~replicas) in
           lanes.(node) <- sp :: lanes.(node))
         spans;
       Ok

@@ -12,6 +12,7 @@
 
 type t = {
   ts_replicas : int;
+      (** the highest replica slot: lanes run from 0 (the router) to it *)
   ts_n : int;  (** workload size: trace ids below this are requests *)
   ts_seed : int;
   ts_lanes : (int * Gp_telemetry.Trace.span list) list;  (** node order *)
@@ -19,7 +20,8 @@ type t = {
 
 val of_result : Gp_cluster.Cluster.result -> t
 (** Wrap a traced run's [r_traces] (empty lanes when the run was not
-    traced). *)
+    traced). [ts_replicas] is the highest replica slot of the run, an
+    elastic joiner's included. *)
 
 val journeys : t -> Journey.journey list
 (** Assemble every trace, sorted by trace id. *)
@@ -41,7 +43,10 @@ val dump : t -> string
     dump identical bytes. *)
 
 val load : string -> (t, string) result
-(** Inverse of {!dump}. [Error] describes the first malformed line. *)
+(** Inverse of {!dump}. [Error] describes the first malformed line,
+    prefixed with its 1-based number (["line <n>: "], blank lines
+    counted); a header claiming more than
+    {!Gp_cluster.Cluster.max_replicas} replicas is malformed. *)
 
 (** {2 Chrome export} *)
 

@@ -294,7 +294,7 @@ let carriers_reference insts (node : Expr.t) =
     own @ via_inverse
   | Expr.Var _ | Expr.Lit _ | Expr.Ident _ -> []
 
-let try_rule_reference insts ~only_certified (r : Rules.t) ~ty ~op node =
+let try_rule_reference insts (r : Rules.t) ~ty ~op node =
   let guard_ok =
     match r.Rules.user_type with
     | Some ut ->
@@ -306,7 +306,6 @@ let try_rule_reference insts ~only_certified (r : Rules.t) ~ty ~op node =
       Instances.models insts ~ty ~op ~required:r.Rules.guard
       && ((not r.Rules.requires_ring)
          || Instances.ring_for insts ~ty ~op <> None)
-      && ((not only_certified) || !(r.Rules.certified))
   in
   if not guard_ok then None
   else
@@ -315,7 +314,7 @@ let try_rule_reference insts ~only_certified (r : Rules.t) ~ty ~op node =
       Some (Rules.instantiate insts ~ty ~op bindings r.Rules.rhs)
     | None -> None
 
-let rewrite_reference ?(only_certified = false) ~rules ~insts expr =
+let rewrite_reference ~rules ~insts expr =
   let steps = ref [] in
   let budget = ref Engine.max_steps in
   let exhausted = ref false in
@@ -327,7 +326,7 @@ let rewrite_reference ?(only_certified = false) ~rules ~insts expr =
           (fun r ->
             List.find_map
               (fun (ty, op) ->
-                match try_rule_reference insts ~only_certified r ~ty ~op node with
+                match try_rule_reference insts r ~ty ~op node with
                 | Some after ->
                   Some
                     {

@@ -71,7 +71,6 @@ val closure_reference :
 (** {2 Concept-guarded rewriting} *)
 
 val rewrite_reference :
-  ?only_certified:bool ->
   rules:Gp_simplicissimus.Rules.t list ->
   insts:Gp_simplicissimus.Instances.t ->
   Gp_simplicissimus.Expr.t ->

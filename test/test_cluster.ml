@@ -272,6 +272,30 @@ let test_replicas_required () =
       ignore (run ~config:{ Cluster.default_config with replicas = 0 }
                 (workload 1)))
 
+(* A replica slot above the bound, initial or joining, is rejected before
+   anything is sized by it: every trace dump a run writes loads again. *)
+let test_replicas_bounded () =
+  let too_many = "Cluster.run: a replica slot above max_replicas" in
+  Alcotest.check_raises "replicas above the bound rejected"
+    (Invalid_argument too_many) (fun () ->
+      ignore
+        (run
+           ~config:
+             { Cluster.default_config with
+               replicas = Cluster.max_replicas + 1 }
+           (workload 1)));
+  Alcotest.check_raises "a joiner above the bound rejected"
+    (Invalid_argument too_many) (fun () ->
+      ignore
+        (run
+           ~config:
+             { Cluster.default_config with
+               elastic =
+                 [ { Gp_cluster.Node.el_at = 1.0;
+                     el_replica = Cluster.max_replicas + 1;
+                     el_join = true } ] }
+           (workload 1)))
+
 (* ------------------------------------------------------------------ *)
 (* Determinism, dump, offline audit                                    *)
 (* ------------------------------------------------------------------ *)
@@ -681,6 +705,8 @@ let () =
           Alcotest.test_case "partition" `Quick test_partition_failover;
           Alcotest.test_case "replicas required" `Quick
             test_replicas_required;
+          Alcotest.test_case "replicas bounded" `Quick
+            test_replicas_bounded;
         ] );
       ( "elasticity & overload",
         [

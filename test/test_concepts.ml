@@ -224,9 +224,7 @@ let test_certified_axiom_clears_warning () =
   let reg = Registry.create () in
   Gp_algebra.Decls.declare reg;
   let args = [ n "int[+]" ] in
-  List.iter
-    (fun ax -> Check.certify_axiom ~concept:"Semigroup" ~axiom:ax ~args)
-    [ "associativity" ];
+  Registry.certify_axiom reg ~concept:"Semigroup" ~axiom:"associativity" ~args;
   let report = Check.check reg "Semigroup" [ n "int[+]" ] in
   Alcotest.(check bool) "ok" true (Check.ok report);
   let still_warned =
@@ -996,24 +994,73 @@ let test_memo_failing_verdict_flips () =
   Registry.declare_model reg "Hashable" [ n "key" ];
   Alcotest.(check bool) "holds once the model is declared" true (nominal ())
 
-(* Certification changes verdicts without touching any registry: it
-   must invalidate memoised ones too. *)
+(* Whether [reg]'s verdict on Semigroup<int[*]> still warns that
+   associativity is asserted but not proved. *)
+let assoc_warned reg =
+  List.exists
+    (function
+      | Check.Axiom_asserted_not_proved { axiom = "associativity"; _ } -> true
+      | _ -> false)
+    (Check.check reg "Semigroup" [ n "int[*]" ]).Check.rep_warnings
+
+let certify_assoc reg =
+  Registry.certify_axiom reg ~concept:"Semigroup" ~axiom:"associativity"
+    ~args:[ n "int[*]" ]
+
+(* A certification is a declaration: it moves the generation, so it
+   invalidates the memoised verdict like any other. *)
 let test_memo_certification () =
   let reg = Registry.create () in
   Gp_algebra.Decls.declare reg;
-  let args = [ n "int[*]" ] in
-  let warned () =
-    List.exists
-      (function
-        | Check.Axiom_asserted_not_proved { axiom = "associativity"; _ } -> true
-        | _ -> false)
-      (Check.check reg "Semigroup" args).Check.rep_warnings
-  in
-  Alcotest.(check bool) "warned before" true (warned ());
-  Alcotest.(check bool) "memo hit still warns" true (warned ());
-  Check.certify_axiom ~concept:"Semigroup" ~axiom:"associativity" ~args;
+  Alcotest.(check bool) "warned before" true (assoc_warned reg);
+  Alcotest.(check bool) "memo hit still warns" true (assoc_warned reg);
+  let g = Registry.generation reg in
+  certify_assoc reg;
+  Alcotest.(check bool) "certifying moves the generation" true
+    (Registry.generation reg > g);
   Alcotest.(check bool) "certification clears the memoised warning" false
-    (warned ())
+    (assoc_warned reg);
+  let g = Registry.generation reg in
+  certify_assoc reg;
+  Alcotest.(check int) "certifying again declares nothing" g
+    (Registry.generation reg)
+
+(* A certification belongs to the registry it is declared in: another
+   registry's verdict, memoised or computed afresh, does not move. *)
+let test_certification_per_registry () =
+  let mine = Registry.create () and other = Registry.create () in
+  Gp_algebra.Decls.declare mine;
+  Gp_algebra.Decls.declare other;
+  Alcotest.(check bool) "other warns" true (assoc_warned other);
+  certify_assoc mine;
+  Alcotest.(check bool) "certified where declared" false (assoc_warned mine);
+  Alcotest.(check bool) "other's memoised verdict unchanged" true
+    (assoc_warned other);
+  Registry.touch other;
+  Alcotest.(check bool) "other's fresh verdict unchanged" true
+    (assoc_warned other);
+  Alcotest.(check bool) "other holds no certification" false
+    (Registry.axiom_certified other ~concept:"Semigroup"
+       ~axiom:"associativity" ~args:[ n "int[*]" ])
+
+(* A fork shares the certifications its parent made before the fork, as
+   it shares the parent's models; one made in the parent afterwards
+   stays the parent's. *)
+let test_fork_certifications () =
+  let parent = Registry.create () in
+  Gp_algebra.Decls.declare parent;
+  let before = Registry.fork parent in
+  Alcotest.(check bool) "fork warns" true (assoc_warned before);
+  certify_assoc parent;
+  let after = Registry.fork parent in
+  Alcotest.(check bool) "parent certified" false (assoc_warned parent);
+  Alcotest.(check bool) "fork made before keeps its warning" true
+    (assoc_warned before);
+  Alcotest.(check bool) "fork made after does not warn" false
+    (assoc_warned after);
+  certify_assoc before;
+  Alcotest.(check bool) "a fork certifies for itself" false
+    (assoc_warned before)
 
 let test_memo_bounded () =
   let reg = Gp_standard.Standard.registry () in
@@ -1501,6 +1548,10 @@ let () =
             test_memo_failing_verdict_flips;
           Alcotest.test_case "certification invalidates" `Quick
             test_memo_certification;
+          Alcotest.test_case "certification is per registry" `Quick
+            test_certification_per_registry;
+          Alcotest.test_case "forks share earlier certifications" `Quick
+            test_fork_certifications;
           Alcotest.test_case "bounded by its cap" `Quick test_memo_bounded;
           Alcotest.test_case "telemetry unchanged by hits" `Quick
             test_memo_telemetry;

@@ -66,6 +66,15 @@ let cluster_dump, trace_dump =
   in
   (Cluster.dump r, Trace_set.dump (Trace_set.of_result r))
 
+(* the trace dump, and headers claiming replica counts whose lanes
+   would not fit in memory *)
+let trace_corpus =
+  trace_dump
+  :: List.map
+       (Printf.sprintf
+          {|{"gp_trace":1,"replicas":%d,"n":1,"seed":1,"spans":0}|})
+       [ max_int; 1_000_000_000 ]
+
 let json_corpus =
   request_corpus @ config_corpus
   @ [ List.hd (String.split_on_char '\n' flight_dump);
@@ -215,7 +224,8 @@ let fuzz ?(count = 3000) ?(json = false) ?(position = fun _ -> None) ~name
              src))
 
 (* One error past the first line per front end: the exact line, column
-   and message. *)
+   and message. A lexical error points at the offending character, a
+   grammar error at the first byte of the offending token. *)
 let positioned_errors () =
   let show parse src =
     match parse src with
@@ -228,12 +238,21 @@ let positioned_errors () =
     (show
        (fun src -> ignore (Parser.parse_program src))
        "vector<int> v;\niter i = v.begin();\n  *i = @;\n");
-  Alcotest.(check string) ".gpc" "3:15: expected an identifier"
+  Alcotest.(check string) ".gpc" "3:14: expected an identifier"
     (show
        (fun src -> ignore (Lang.parse_string src))
        "// shapes\nconcept C<T> {\n  axiom a(x, ): \"x\";\n}");
-  Alcotest.(check string) "expression" "2:8: unexpected ')'"
-    (show (fun src -> ignore (Sparser.parse src)) "x +\n  y * )")
+  Alcotest.(check string) "expression" "2:7: unexpected ')'"
+    (show (fun src -> ignore (Sparser.parse src)) "x +\n  y * )");
+  (* errors found after the parse moved past the token they name *)
+  Alcotest.(check string) "stllint member"
+    "3:3: unknown container member frob"
+    (show
+       (fun src -> ignore (Parser.parse_program src))
+       "vector<int> v;\niter i = v.begin();\nv.frob(i);\n");
+  Alcotest.(check string) "expression operand types"
+    "2:5: operands of + have different types (int vs float)"
+    (show (fun src -> ignore (Sparser.parse src)) "x *\n  1 + y:float")
 
 let json_nestings = [ ("[", "]"); ({|{"a":|}, "}") ]
 
@@ -375,7 +394,7 @@ let () =
             ~parse:(fun src -> ignore (Server.config_of_line src))
             ~documented:nothing ();
           fuzz ~json:true ~name:"trace dump loader: nothing escapes"
-            ~count:1000 ~corpus:[ trace_dump ] ~nestings:json_nestings
+            ~count:1000 ~corpus:trace_corpus ~nestings:json_nestings
             ~parse:(fun src -> ignore (Trace_set.load src))
             ~documented:nothing ();
           fuzz ~json:true ~name:"cluster dump audit: nothing escapes"

@@ -874,36 +874,6 @@ let test_sandbox_duplicate_repeats () =
       ("type t;\nconcept A<T> { }\nconcept Container<T> { }",
        "concept Container") ]
 
-(* Certifying an axiom between two identical sandboxed checks changes
-   the second answer exactly as it changes a fresh server's: the cached
-   scope's memo is stamped with the certification list. *)
-let test_sandbox_sees_certification () =
-  let defs =
-    "concept Cq<T> { g : T -> T; axiom cq(x): \"true\"; }\n\
-     type certq;\nop g : certq -> certq;\nmodel Cq<certq>;"
-  in
-  let req =
-    Request.Check
-      { concept = "Cq"; types = [ "certq" ]; nominal = false;
-        defs = Some defs }
-  in
-  let warnings rsp =
-    match rsp.Request.rsp_result with
-    | Ok (Request.Checked { warnings; _ }) -> warnings
-    | _ -> Alcotest.fail "sandboxed check did not succeed"
-  in
-  let server = mkserver () in
-  let before = Server.handle server req in
-  Alcotest.(check int) "unproved axiom warns" 1 (warnings before);
-  Gp_concepts.Check.certify_axiom ~concept:"Cq" ~axiom:"cq"
-    ~args:[ Gp_concepts.Ctype.Named "certq" ];
-  let after = Server.handle server req in
-  Alcotest.(check bool) "defs entry reused" true after.Request.rsp_cached;
-  let fresh = Server.handle (mkserver ()) req in
-  Alcotest.(check int) "certified axiom no longer warns" 0 (warnings after);
-  Alcotest.(check bool) "same answer as a fresh server" true
-    (Request.result_equal after fresh)
-
 (* An expression that does not parse touches no cache: it fails before
    the certifications, cold or warm. *)
 let test_bad_optimize_counts_nothing () =
@@ -2229,8 +2199,6 @@ let () =
           qtest sandbox_scope_prop;
           Alcotest.test_case "duplicate defs fail alike on repeat" `Quick
             test_sandbox_duplicate_repeats;
-          Alcotest.test_case "sandbox sees a later certification" `Quick
-            test_sandbox_sees_certification;
           Alcotest.test_case "bad optimize counts nothing" `Quick
             test_bad_optimize_counts_nothing;
           Alcotest.test_case "prove hit accounting" `Quick

@@ -181,7 +181,7 @@ let test_ring_guard_sound () =
 (* ------------------------------------------------------------------ *)
 
 let test_certification () =
-  let reports = Certify.certify_builtin () in
+  let certs = Certify.certify_builtin () in
   List.iter
     (fun c ->
       match c.Certify.cert_verdict with
@@ -189,41 +189,95 @@ let test_certification () =
       | v ->
         Alcotest.failf "rule %s not certified: %a" c.Certify.cert_rule
           Gp_athena.Deduction.pp_verdict v)
-    reports;
-  Alcotest.(check int) "all builtin rules certified"
-    (List.length Rules.builtin) (List.length reports);
-  List.iter
-    (fun r ->
-      Alcotest.(check bool)
-        (r.Rules.rule_name ^ " flagged certified")
-        true
-        !(r.Rules.certified))
-    Rules.builtin
+    certs;
+  Alcotest.(check (list string)) "one certification per builtin rule"
+    (List.map (fun r -> r.Rules.rule_name) Rules.builtin)
+    (List.map (fun c -> c.Certify.cert_rule) certs);
+  Alcotest.(check bool) "every builtin rule kept" true
+    (List.equal ( == ) Rules.builtin (Certify.certified certs Rules.builtin))
 
+(* A concept rule no certification proves: right identity under a name
+   of its own *)
+let uncertified_rule =
+  Rules.make ~name:"right-identity (uncertified)" ~guard:Instances.Monoid
+    ~lhs:(Rules.P_op [ Rules.P_any "x"; Rules.P_identity ])
+    ~rhs:(Rules.T_var "x") ()
+
+(* A certified-only rewrite runs the engine on what [Certify.certified]
+   keeps: an uncertified concept rule never fires, the same rule fires
+   once a certification of its name proved. *)
 let test_only_certified_mode () =
-  (* fresh, uncertified copies of the rules: nothing may fire *)
-  let fresh_rule =
-    Rules.make ~name:"right-identity (uncertified)" ~guard:Instances.Monoid
-      ~lhs:(Rules.P_op [ Rules.P_any "x"; Rules.P_identity ])
-      ~rhs:(Rules.T_var "x") ()
-  in
   let open Expr in
   let e = binop "*" (ivar "i") (int 1) in
-  let r =
-    Engine.rewrite ~only_certified:true ~rules:[ fresh_rule ] ~insts e
+  let rewrite certs =
+    Expr.to_string
+      (Engine.rewrite
+         ~rules:(Certify.certified certs [ uncertified_rule ])
+         ~insts e)
+        .Engine.output
   in
   Alcotest.(check string) "uncertified rule skipped" (Expr.to_string e)
-    (Expr.to_string r.Engine.output);
-  fresh_rule.Rules.certified := true;
-  let r2 =
-    Engine.rewrite ~only_certified:true ~rules:[ fresh_rule ] ~insts e
+    (rewrite (Certify.certify_builtin ()));
+  let proved =
+    { Certify.cert_rule = uncertified_rule.Rules.rule_name;
+      cert_theorem = "Monoid: right identity";
+      cert_verdict = Gp_athena.Deduction.Proved }
   in
-  Alcotest.(check string) "certified rule fires" "i"
-    (Expr.to_string r2.Engine.output)
+  Alcotest.(check string) "certified rule fires" "i" (rewrite [ proved ])
 
+(* The standard set survives certification whole; a concept rule whose
+   theorem fails, or that no certification names, is dropped. *)
+let test_certified_rule_set () =
+  let certs = Certify.certify_builtin () in
+  let names rules = List.map (fun r -> r.Rules.rule_name) rules in
+  Alcotest.(check (list string)) "every standard rule kept"
+    (names Rules.standard)
+    (names (Certify.certified certs Rules.standard));
+  Alcotest.(check (list string)) "the user rule needs no certification"
+    [ Rules.lidia_inverse.Rules.rule_name ]
+    (names (Certify.certified [] Rules.standard));
+  let failed =
+    List.map
+      (fun c ->
+        if c.Certify.cert_rule = Rules.right_inverse.Rules.rule_name then
+          { c with
+            Certify.cert_verdict = Gp_athena.Deduction.Improper "no proof" }
+        else c)
+      certs
+  in
+  Alcotest.(check bool) "a failed theorem drops its rule" false
+    (List.memq Rules.right_inverse (Certify.certified failed Rules.standard));
+  Alcotest.(check int) "and only that rule"
+    (List.length Rules.standard - 1)
+    (List.length (Certify.certified failed Rules.standard));
+  Alcotest.(check (list string)) "an unnamed concept rule is dropped"
+    (names Rules.standard)
+    (names (Certify.certified certs (Rules.standard @ [ uncertified_rule ])))
+
+(* Discharging declares into the registry it is given, and only there. *)
 let test_discharge_instance_axioms () =
-  let discharged = Certify.discharge_instance_axioms insts in
-  Alcotest.(check bool) "some axioms discharged" true (discharged <> [])
+  let world () =
+    let reg = Gp_concepts.Registry.create () in
+    Gp_algebra.Decls.declare reg;
+    reg
+  in
+  let warned reg =
+    List.exists
+      (function
+        | Gp_concepts.Check.Axiom_asserted_not_proved
+            { axiom = "right_inverse"; _ } ->
+          true
+        | _ -> false)
+      (Gp_concepts.Check.check reg "Group"
+         [ Gp_concepts.Ctype.Named "int[+]" ])
+        .Gp_concepts.Check.rep_warnings
+  in
+  let reg = world () and other = world () in
+  Alcotest.(check bool) "asserted, not proved" true (warned reg);
+  let discharged = Certify.discharge_instance_axioms reg insts in
+  Alcotest.(check bool) "some axioms discharged" true (discharged <> []);
+  Alcotest.(check bool) "int[+] right inverse discharged" false (warned reg);
+  Alcotest.(check bool) "another registry still warns" true (warned other)
 
 (* ------------------------------------------------------------------ *)
 (* Surface syntax                                                      *)
@@ -688,6 +742,8 @@ let () =
           Alcotest.test_case "builtin certified" `Quick test_certification;
           Alcotest.test_case "only-certified mode" `Quick
             test_only_certified_mode;
+          Alcotest.test_case "certified rule set" `Quick
+            test_certified_rule_set;
           Alcotest.test_case "instance axioms discharged" `Quick
             test_discharge_instance_axioms;
         ] );

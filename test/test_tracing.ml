@@ -197,7 +197,12 @@ let test_load_rejects_garbage () =
          {\"node\":9,\"ctx\":\"0/1\",\"parent\":0,\"name\":\"a\",\
          \"start\":0.0,\"dur\":1.0,\"attrs\":{}}\n" );
       ( "negative replicas",
-        "{\"gp_trace\":1,\"replicas\":-3,\"n\":1,\"seed\":0,\"spans\":0}\n" )
+        "{\"gp_trace\":1,\"replicas\":-3,\"n\":1,\"seed\":0,\"spans\":0}\n" );
+      ( "replicas above the bound",
+        "{\"gp_trace\":1,\"replicas\":1025,\"n\":1,\"seed\":0,\"spans\":0}\n" );
+      ( "max_int replicas",
+        "{\"gp_trace\":1,\"replicas\":4611686018427387903,\"n\":1,\
+         \"seed\":1,\"spans\":0}\n" )
     ]
   @ List.map
       (fun ctx ->
@@ -207,6 +212,48 @@ let test_load_rejects_garbage () =
           ^ "\",\"parent\":0,\"name\":\"a\",\"start\":0.0,\"dur\":1.0,\
              \"attrs\":{}}\n" ))
       [ "9223372036854775808/7"; "99999999999999999999/7" ])
+
+(* A joiner's lane lies above the initial replicas: the dump of a traced
+   elastic run loads again. *)
+let test_elastic_dump_loads () =
+  let reqs = Gp_service.Workload.generate ~seed:3 ~n:60 () |> Array.of_list in
+  let r =
+    Cluster.run
+      ~config:
+        { Cluster.default_config with
+          replicas = 2; trace = true;
+          elastic =
+            [ { Gp_cluster.Node.el_at = 5.0; el_replica = 3; el_join = true } ]
+        }
+      reqs
+  in
+  let ts = Trace_set.of_result r in
+  Alcotest.(check int) "the joiner's slot counts" 3 ts.Trace_set.ts_replicas;
+  match Trace_set.load (Trace_set.dump ts) with
+  | Ok ts' ->
+    Alcotest.(check string) "round-trips" (Trace_set.dump ts)
+      (Trace_set.dump ts')
+  | Error e -> Alcotest.fail e
+
+(* A rejection names its line in the document, blank lines counted. *)
+let test_load_names_line () =
+  let header =
+    "{\"gp_trace\":1,\"replicas\":1,\"n\":1,\"seed\":0,\"spans\":2}\n"
+  and span ctx =
+    "{\"node\":0,\"ctx\":\"" ^ ctx
+    ^ "\",\"parent\":0,\"name\":\"a\",\"start\":0.0,\"dur\":1.0,\
+       \"attrs\":{}}\n"
+  in
+  let error doc =
+    match Trace_set.load doc with Error e -> e | Ok _ -> "loaded"
+  in
+  Alcotest.(check string) "span line" "line 4: trace dump: bad ctx"
+    (error (header ^ span "0/1" ^ "\n" ^ span "x"));
+  Alcotest.(check string) "header line"
+    "line 2: trace dump: replicas 1000000000 above 1024"
+    (error
+       ("\n{\"gp_trace\":1,\"replicas\":1000000000,\"n\":1,\"seed\":1,\
+         \"spans\":0}\n"))
 
 (* ------------------------------------------------------------------ *)
 (* Attribution                                                         *)
@@ -361,6 +408,10 @@ let () =
           dump_roundtrip_prop;
           Alcotest.test_case "load rejects garbage" `Quick
             test_load_rejects_garbage;
+          Alcotest.test_case "load errors name their line" `Quick
+            test_load_names_line;
+          Alcotest.test_case "elastic run's dump loads" `Quick
+            test_elastic_dump_loads;
         ] );
       ( "attribution",
         [
