@@ -1214,9 +1214,13 @@ let s5 () =
   Fmt.pr "@.shard-count sweep (no failures):@.";
   Fmt.pr "%-10s %10s %12s %16s@." "replicas" "msgs/req" "miss% keyed"
     "miss% round-robin";
+  let cluster_words = ref 0.0 in
   List.iter
     (fun replicas ->
+      let w0 = Gc.minor_words () in
       let keyed = run replicas in
+      if replicas = 8 then
+        cluster_words := (Gc.minor_words () -. w0) /. float_of_int n;
       let rr = run ~affinity:false replicas in
       assert (keyed.Cluster.r_completed = n && rr.Cluster.r_completed = n);
       let miss r = 100.0 *. (1.0 -. Cluster.hit_ratio r) in
@@ -1229,6 +1233,27 @@ let s5 () =
       record ~experiment:"s5" ("miss_keyed" ^ tag ^ "_pct") (miss keyed);
       record ~experiment:"s5" ("miss_rr" ^ tag ^ "_pct") (miss rr))
     [ 1; 2; 4; 8 ];
+  (* allocation per simulated event of the bare engine (HS on a 256-node
+     asynchronous ring: the algorithm's own states and messages
+     included) and per request of the keyed 8-replica run above — exact
+     counts, so bench-diff holds them to 0.5 % *)
+  let engine_words =
+    let open Gp_distsim in
+    let nodes = 256 in
+    let config =
+      { Engine.default_config with
+        Engine.timing = Engine.Asynchronous { max_delay = 3.0 } }
+    in
+    let uids = Array.init nodes (fun i -> nodes - i) in
+    let w0 = Gc.minor_words () in
+    let r = Algorithms.Hs.run ~config ~uids (Topology.ring nodes) in
+    (Gc.minor_words () -. w0) /. float_of_int r.Engine.metrics.Engine.events
+  in
+  Fmt.pr "@.allocation: %.2f minor words per engine event (HS, async \
+          ring of 256), %.1f per request (keyed, 8 replicas)@."
+    engine_words !cluster_words;
+  record ~experiment:"s5" "engine_minor_words_per_event" engine_words;
+  record ~experiment:"s5" "cluster_minor_words_per_request" !cluster_words;
   (* failover: 20% drops plus a crash of the elected leader, mid-run *)
   let failures = [ Cluster.Drop 0.2; Cluster.Crash_leader { at = 40.0 } ] in
   let r = run ~failures 3 in

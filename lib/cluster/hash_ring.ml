@@ -9,9 +9,10 @@ type t = {
   points : (string * int) array; (* (hash, replica), sorted by hash *)
 }
 
-(* The first 8 digest bytes as a hex string: compares lexicographically
-   like the integer it encodes, which is all ring order needs. *)
-let hash s = String.sub (Digest.to_hex (Digest.string s)) 0 16
+(* The first 8 raw digest bytes: they compare lexicographically like
+   the integer they encode, which is all ring order needs — and in the
+   same order as their hex spelling, so placements match it exactly. *)
+let hash s = String.sub (Digest.string s) 0 8
 
 let create ?(vnodes = 64) ~replicas () =
   if replicas = [] then invalid_arg "Hash_ring.create: no replicas";
@@ -66,14 +67,14 @@ let successors t key =
   let n = Array.length t.points in
   let k = List.length t.replicas in
   let start = locate t (hash key) in
-  let seen = Hashtbl.create 8 in
-  let out = ref [] in
+  (* [out] doubles as the seen set: it holds at most [k] replicas *)
+  let out = ref [] and found = ref 0 in
   let i = ref 0 in
-  while !i < n && Hashtbl.length seen < k do
+  while !i < n && !found < k do
     let r = snd t.points.((start + !i) mod n) in
-    if not (Hashtbl.mem seen r) then begin
-      Hashtbl.add seen r ();
-      out := r :: !out
+    if not (List.mem r !out) then begin
+      out := r :: !out;
+      incr found
     end;
     incr i
   done;

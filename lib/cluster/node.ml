@@ -168,9 +168,17 @@ type router = {
   mutable rt_probe_start : float;
 }
 
+(* A replica's memoized answer to one request. The fingerprint is
+   digested only when a Reply carries it: a serve that just applies a
+   Replicate never pays for one. *)
+type served = {
+  rsp : Request.response;
+  mutable fp : string; (* "" until the first Reply *)
+}
+
 type replica = {
   server : Server.t;
-  served : (int, string * bool * bool) Hashtbl.t; (* rid -> fp, ok, cached *)
+  served : (int, served) Hashtbl.t; (* rid -> first response *)
   mutable busy_until : float; (* end of the serialized service backlog *)
   mutable best : int; (* highest uid seen this election round *)
   mutable rep_leader : int option;
@@ -222,11 +230,16 @@ let serve (ctx : Proto.msg Engine.ctx) w rep rid tc =
       Tel.count
         ~labels:[ ("node", string_of_int ctx.self) ]
         "gp_cluster_serves_total" 1;
-    let r =
-      (Request.response_fingerprint rsp, Request.ok rsp, rsp.Request.rsp_cached)
-    in
+    let r = { rsp; fp = "" } in
     Hashtbl.replace rep.served rid r;
     (r, true)
+
+let reply (ctx : Proto.msg Engine.ctx) rid s tc =
+  if s.fp = "" then s.fp <- Request.response_fingerprint s.rsp;
+  ctx.send 0
+    (Proto.Reply
+       { rid; replica = ctx.self; fp = s.fp; ok = Request.ok s.rsp;
+         cached = s.rsp.Request.rsp_cached; tc })
 
 let start_round (ctx : Proto.msg Engine.ctx) w rep ~tc =
   rep.best <- ctx.self;
@@ -307,7 +320,8 @@ let replica_msg (ctx : Proto.msg Engine.ctx) w rep msg =
       ctx.send 0 (Proto.Shed { rid; replica = ctx.self; tc = stc })
     end
     else begin
-      let (fp, ok, cached), fresh = serve ctx w rep rid tc in
+      let s, fresh = serve ctx w rep rid tc in
+      let cached = s.rsp.Request.rsp_cached in
       (* the serve span is a zero-duration instant: [charge] accounts
          steps without advancing simulated time. Its id is echoed on the
          Reply and parents the Replicate fan-out, so both legs resolve. *)
@@ -336,8 +350,7 @@ let replica_msg (ctx : Proto.msg Engine.ctx) w rep msg =
         else w.tuning.service_time
       in
       if st <= 0.0 && backlog <= 0.0 then begin
-        ctx.send 0
-          (Proto.Reply { rid; replica = ctx.self; fp; ok; cached; tc = stc });
+        reply ctx rid s stc;
         (* first service of a write fans out to the followers; the served
            table makes re-deliveries idempotent on both ends *)
         if fresh && Proto.is_write w.reqs.(rid) then
@@ -387,8 +400,7 @@ let replica_msg (ctx : Proto.msg Engine.ctx) w rep msg =
     (* the deferred reply: the answer was memoized at serve time, the
        timer only models when the serialized server gets to send it *)
     match Hashtbl.find_opt rep.served rid with
-    | Some (fp, ok, cached) ->
-      ctx.send 0 (Proto.Reply { rid; replica = ctx.self; fp; ok; cached; tc })
+    | Some s -> reply ctx rid s tc
     | None -> ())
   | Proto.Join { tc } ->
     if w.trace_on then begin

@@ -95,78 +95,119 @@ type result = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Event queue: binary heap on (time, seq) for determinism             *)
+(* Event queue: an index heap over parallel slot arrays               *)
 (* ------------------------------------------------------------------ *)
 
+(* An event lives in a slot: its time (unboxed in a float array), its
+   sequence number, source, destination and message sit at the same
+   index of five parallel arrays, so scheduling and popping allocate
+   nothing once the arrays have grown. [heap] holds slot indices: its
+   first [len] entries form a binary min-heap on (time, seq), and the
+   entries past [len] are the free slots, so [heap] is always a
+   permutation of [0, capacity). [seq] is unique, so (time, seq) is a
+   total order: every correct heap pops events in the same order, and
+   runs stay reproducible. A negative [src] marks a timer: a local
+   alarm from [dst] to itself, outside the message metrics. *)
 module Eq = struct
-  type 'msg ev = {
-    t : float;
-    seq : int;
-    src : int;
-    dst : int;
-    msg : 'msg;
-    tmr : bool; (* a self-scheduled timer, outside the message metrics *)
+  type 'msg t = {
+    mutable ts : float array;
+    mutable seq : int array;
+    mutable src : int array;
+    mutable dst : int array;
+    mutable msgs : 'msg array;
+    mutable heap : int array;
+    mutable len : int;
   }
 
-  type 'msg t = { mutable a : 'msg ev array; mutable len : int }
+  let create () =
+    { ts = [||]; seq = [||]; src = [||]; dst = [||]; msgs = [||];
+      heap = [||]; len = 0 }
 
-  let create () = { a = [||]; len = 0 }
+  let lt q a b =
+    let ta = q.ts.(a) and tb = q.ts.(b) in
+    ta < tb || (ta = tb && q.seq.(a) < q.seq.(b))
 
-  let lt x y = x.t < y.t || (x.t = y.t && x.seq < y.seq)
+  (* Only called when every slot is live: the new slots are all free. *)
+  let grow q msg =
+    let cap = Array.length q.heap in
+    let cap' = max 16 (2 * cap) in
+    let extend a fill =
+      let a' = Array.make cap' fill in
+      Array.blit a 0 a' 0 cap;
+      a'
+    in
+    q.ts <- extend q.ts 0.0;
+    q.seq <- extend q.seq 0;
+    q.src <- extend q.src 0;
+    q.dst <- extend q.dst 0;
+    q.msgs <- extend q.msgs msg;
+    q.heap <- Array.init cap' (fun i -> if i < cap then q.heap.(i) else i)
 
-  let push q ev =
-    if q.len = Array.length q.a then begin
-      let cap = max 16 (2 * q.len) in
-      let fresh = Array.make cap ev in
-      Array.blit q.a 0 fresh 0 q.len;
-      q.a <- fresh
-    end;
-    q.a.(q.len) <- ev;
+  let[@inline] push q ~t ~seq ~src ~dst msg =
+    if q.len = Array.length q.heap then grow q msg;
+    let s = q.heap.(q.len) in
+    q.ts.(s) <- t;
+    q.seq.(s) <- seq;
+    q.src.(s) <- src;
+    q.dst.(s) <- dst;
+    q.msgs.(s) <- msg;
+    (* sift up: move the hole towards the root, then drop [s] in *)
+    let i = ref q.len in
     q.len <- q.len + 1;
-    let i = ref (q.len - 1) in
     while
       !i > 0
       &&
       let p = (!i - 1) / 2 in
-      lt q.a.(!i) q.a.(p)
+      lt q s q.heap.(p)
     do
       let p = (!i - 1) / 2 in
-      let tmp = q.a.(p) in
-      q.a.(p) <- q.a.(!i);
-      q.a.(!i) <- tmp;
+      q.heap.(!i) <- q.heap.(p);
       i := p
-    done
+    done;
+    q.heap.(!i) <- s
 
+  (* The slot of the earliest event; the queue must be non-empty. *)
+  let top q = q.heap.(0)
+
+  (* Remove the earliest event and return its slot. The slot goes back
+     to the free region, so the caller must read it before the next
+     [push]. *)
   let pop q =
-    if q.len = 0 then None
-    else begin
-      let top = q.a.(0) in
-      q.len <- q.len - 1;
-      if q.len > 0 then begin
-        q.a.(0) <- q.a.(q.len);
-        let i = ref 0 in
-        let continue = ref true in
-        while !continue do
-          let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-          let smallest = ref !i in
-          if l < q.len && lt q.a.(l) q.a.(!smallest) then smallest := l;
-          if r < q.len && lt q.a.(r) q.a.(!smallest) then smallest := r;
-          if !smallest <> !i then begin
-            let tmp = q.a.(!smallest) in
-            q.a.(!smallest) <- q.a.(!i);
-            q.a.(!i) <- tmp;
-            i := !smallest
+    let top = q.heap.(0) in
+    q.len <- q.len - 1;
+    let len = q.len in
+    let last = q.heap.(len) in
+    q.heap.(len) <- top;
+    if len > 0 then begin
+      (* sift down: move the hole towards the leaves, then drop [last] in *)
+      let i = ref 0 in
+      let continue = ref true in
+      while !continue do
+        let l = (2 * !i) + 1 in
+        if l >= len then continue := false
+        else begin
+          let c =
+            if l + 1 < len && lt q q.heap.(l + 1) q.heap.(l) then l + 1 else l
+          in
+          if lt q q.heap.(c) last then begin
+            q.heap.(!i) <- q.heap.(c);
+            i := c
           end
           else continue := false
-        done
-      end;
-      Some top
-    end
+        end
+      done;
+      q.heap.(!i) <- last
+    end;
+    top
 end
 
 (* ------------------------------------------------------------------ *)
 (* Simulation                                                          *)
 (* ------------------------------------------------------------------ *)
+
+(* The simulated clock: an all-float record, so advancing it does not
+   box. *)
+type clock = { mutable now : float }
 
 (* The simulation core is untouched by telemetry: the RNG stream, event
    order and metrics are computed exactly as before, and the wrapper only
@@ -178,7 +219,7 @@ let run_core (type s m) ~(config : m config) (topo : Topology.t)
   let rng = Random.State.make [| config.seed |] in
   let queue : m Eq.t = Eq.create () in
   let seq = ref 0 in
-  let now = ref 0.0 in
+  let clock = { now = 0.0 } in
   let sent = ref 0 and delivered = ref 0 and dropped = ref 0 in
   let events = ref 0 in
   let local = Array.make n 0 in
@@ -190,7 +231,7 @@ let run_core (type s m) ~(config : m config) (topo : Topology.t)
     Array.make n infinity
   in
   let drop_prob = ref 0.0 in
-  let byzantine : (int, m -> m) Hashtbl.t = Hashtbl.create 4 in
+  let byzantine : (m -> m) option array = Array.make n None in
   (* each partition becomes (island-id per node, window): listed groups
      are islands 0..k-1, everyone unlisted shares the implicit island k *)
   let partitions = ref [] in
@@ -199,7 +240,8 @@ let run_core (type s m) ~(config : m config) (topo : Topology.t)
       | Crash { node; at } ->
         if node >= 0 && node < n then crashed_at.(node) <- at
       | Drop_links { prob } -> drop_prob := prob
-      | Byzantine { node; corrupt } -> Hashtbl.replace byzantine node corrupt
+      | Byzantine { node; corrupt } ->
+        if node >= 0 && node < n then byzantine.(node) <- Some corrupt
       | Partition { groups; from_; until } ->
         let island = Array.make n (List.length groups) in
         List.iteri
@@ -210,14 +252,15 @@ let run_core (type s m) ~(config : m config) (topo : Topology.t)
           groups;
         partitions := (island, from_, until) :: !partitions)
     config.failures;
-  let partitioned src dst =
-    List.exists
-      (fun (island, from_, until) ->
-        !now >= from_ && !now < until && island.(src) <> island.(dst))
-      !partitions
+  let partitions = !partitions in
+  let rec partitioned src dst = function
+    | [] -> false
+    | (island, from_, until) :: rest ->
+      (clock.now >= from_ && clock.now < until && island.(src) <> island.(dst))
+      || partitioned src dst rest
   in
-  let is_crashed node = !now >= crashed_at.(node) in
-  let delay () =
+  let is_crashed node = clock.now >= crashed_at.(node) in
+  let[@inline] delay () =
     match config.timing with
     | Synchronous -> 1.0
     | Asynchronous { max_delay } ->
@@ -232,17 +275,16 @@ let run_core (type s m) ~(config : m config) (topo : Topology.t)
       incr sent;
       sent_by.(src) <- sent_by.(src) + 1;
       let msg =
-        match Hashtbl.find_opt byzantine src with
+        match byzantine.(src) with
         | Some corrupt -> corrupt msg
         | None -> msg
       in
-      if partitioned src dst then incr dropped
+      if partitioned src dst partitions then incr dropped
       else if !drop_prob > 0.0 && Random.State.float rng 1.0 < !drop_prob then
         incr dropped
       else begin
         incr seq;
-        Eq.push queue
-          { Eq.t = !now +. delay (); seq = !seq; src; dst; msg; tmr = false }
+        Eq.push queue ~t:(clock.now +. delay ()) ~seq:!seq ~src ~dst msg
       end
     end
   in
@@ -253,45 +295,51 @@ let run_core (type s m) ~(config : m config) (topo : Topology.t)
     if (not (is_crashed i)) && not halted.(i) then begin
       incr seq;
       Eq.push queue
-        { Eq.t = !now +. Float.max 1e-9 delay; seq = !seq; src = i; dst = i;
-          msg; tmr = true }
+        ~t:(clock.now +. Float.max 1e-9 delay)
+        ~seq:!seq ~src:(-1) ~dst:i msg
     end
   in
-  let ctx_of i =
-    {
-      self = i;
-      neighbors = Topology.neighbors topo i;
-      now = (fun () -> !now);
-      send = (fun dst msg -> send_from i dst msg);
-      timer = (fun ~delay msg -> timer_at i delay msg);
-      charge = (fun k -> local.(i) <- local.(i) + k);
-      decide = (fun v -> decisions.(i) <- Some v);
-      halt = (fun () -> halted.(i) <- true);
-    }
+  let now () = clock.now in
+  (* one context per node for the whole run, built before [initial] *)
+  let ctxs =
+    Array.init n (fun i ->
+        {
+          self = i;
+          neighbors = Topology.neighbors topo i;
+          now;
+          send = (fun dst msg -> send_from i dst msg);
+          timer = (fun ~delay msg -> timer_at i delay msg);
+          charge = (fun k -> local.(i) <- local.(i) + k);
+          decide = (fun v -> decisions.(i) <- Some v);
+          halt = (fun () -> halted.(i) <- true);
+        })
   in
   (* initialisation round at time 0 *)
-  let states =
-    Array.init n (fun i -> algo.initial (ctx_of i))
-  in
-  (* main loop *)
-  let continue = ref true in
-  while !continue do
-    match Eq.pop queue with
-    | None -> continue := false
-    | Some ev ->
-      now := ev.Eq.t;
-      incr events;
-      if !now > config.max_time || !events > config.max_events then
-        continue := false
-      else if (not (is_crashed ev.Eq.dst)) && not halted.(ev.Eq.dst) then begin
-        if not ev.Eq.tmr then begin
+  let states = Array.init n (fun i -> algo.initial ctxs.(i)) in
+  (* main loop: an event past either horizon is neither counted nor
+     delivered, and does not advance the clock *)
+  while
+    queue.Eq.len > 0
+    && queue.Eq.ts.(Eq.top queue) <= config.max_time
+    && !events < config.max_events
+  do
+    let slot = Eq.pop queue in
+    (* read the slot out before the handler's pushes can reuse it *)
+    let src = queue.Eq.src.(slot) and dst = queue.Eq.dst.(slot) in
+    let msg = queue.Eq.msgs.(slot) in
+    clock.now <- queue.Eq.ts.(slot);
+    incr events;
+    if (not (is_crashed dst)) && not halted.(dst) then begin
+      let src =
+        if src < 0 then dst
+        else begin
           incr delivered;
-          delivered_to.(ev.Eq.dst) <- delivered_to.(ev.Eq.dst) + 1
-        end;
-        states.(ev.Eq.dst) <-
-          algo.on_message (ctx_of ev.Eq.dst) states.(ev.Eq.dst)
-            ~src:ev.Eq.src ev.Eq.msg
-      end
+          delivered_to.(dst) <- delivered_to.(dst) + 1;
+          src
+        end
+      in
+      states.(dst) <- algo.on_message ctxs.(dst) states.(dst) ~src msg
+    end
   done;
   {
     decisions;
@@ -304,7 +352,7 @@ let run_core (type s m) ~(config : m config) (topo : Topology.t)
         local_steps = local;
         sent_by;
         delivered_to;
-        finish_time = !now;
+        finish_time = clock.now;
         events = !events;
       };
   }

@@ -43,7 +43,12 @@ val default_config : 'msg config
     (a local alarm clock: exempt from drops, corruption and partitions,
     draws no RNG, excluded from the message metrics, but dies with a
     crashed or halted node), [charge] local computation steps, [decide]
-    the node's output, [halt] the node. *)
+    the node's output, [halt] the node.
+
+    A node's context is one value for the whole run: the engine builds
+    it before [initial] and passes that same record to every
+    [on_message], so a handler may keep it, or any of its closures
+    ([now] always reads the current simulated time). *)
 type 'msg ctx = {
   self : int;
   neighbors : int list;
@@ -86,7 +91,10 @@ type result = {
 
 val run :
   ?config:'m config -> Topology.t -> ('s, 'm) algorithm -> result
-(** Simulate until quiescence (or the safety horizon). Crashed and
+(** Simulate until quiescence or a safety horizon. Events pop in
+    (time, scheduling order). An event later than [max_time], or past
+    the first [max_events], is not delivered, not counted in [events]
+    and does not move [finish_time]; the run stops there. Crashed and
     halted nodes neither send nor receive. *)
 
 val pp_metrics : Format.formatter -> metrics -> unit

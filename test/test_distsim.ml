@@ -613,6 +613,73 @@ let test_timer_dies_with_node () =
     None crashed.Engine.decisions.(0)
 
 (* ------------------------------------------------------------------ *)
+(* Horizons and event order                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* One node that re-arms a 1.0 timer on every event: event k fires at
+   time k. An event past a horizon is neither counted nor delivered,
+   and the clock stops at the last delivered event. *)
+let test_horizons () =
+  let rearm =
+    {
+      Engine.algo_name = "rearm";
+      initial = (fun ctx -> ctx.Engine.timer ~delay:1.0 ());
+      on_message = (fun ctx () ~src:_ () -> ctx.Engine.timer ~delay:1.0 ());
+    }
+  in
+  let run config = (Engine.run ~config (Topology.line 1) rearm).Engine.metrics in
+  let m = run { (config ()) with Engine.max_events = 10 } in
+  Alcotest.(check int) "max_events: events" 10 m.Engine.events;
+  Alcotest.(check (float 1e-12)) "max_events: finish" 10.0 m.Engine.finish_time;
+  let m = run { (config ()) with Engine.max_time = 5.5 } in
+  Alcotest.(check int) "max_time: events" 5 m.Engine.events;
+  Alcotest.(check (float 1e-12)) "max_time: finish" 5.0 m.Engine.finish_time
+
+(* One node whose handler arms 0-3 timers with delays from a small set:
+   many tied times, and a queue that grows past several capacities.
+   Deliveries must come in (time, scheduling order), and every timer
+   inside the horizon must be delivered exactly once. *)
+let event_order_prop =
+  qtest
+    (QCheck.Test.make ~name:"events pop in (time, seq) order" ~count:100
+       QCheck.(pair (int_range 0 100_000) (int_range 4 12))
+       (fun (seed, horizon) ->
+         let st = Random.State.make [| seed |] in
+         let delays = [| 0.5; 1.0; 1.0; 2.0 |] in
+         let armed = ref [] and next = ref 0 in
+         let arm (ctx : int Engine.ctx) k =
+           for _ = 1 to k do
+             let delay = delays.(Random.State.int st 4) in
+             armed := (ctx.Engine.now () +. delay, !next) :: !armed;
+             ctx.Engine.timer ~delay !next;
+             incr next
+           done
+         in
+         let log = ref [] in
+         let algo =
+           {
+             Engine.algo_name = "fan-out";
+             initial = (fun ctx -> arm ctx 8);
+             on_message =
+               (fun ctx () ~src:_ id ->
+                 log := (ctx.Engine.now (), id) :: !log;
+                 arm ctx (Random.State.int st 4));
+           }
+         in
+         let max_time = float_of_int horizon in
+         let r =
+           Engine.run
+             ~config:{ (config ()) with Engine.max_time }
+             (Topology.line 1) algo
+         in
+         let delivered = List.rev !log in
+         let expected =
+           List.sort compare (List.filter (fun (t, _) -> t <= max_time) !armed)
+         in
+         delivered = expected
+         && r.Engine.metrics.Engine.events = List.length delivered))
+
+(* ------------------------------------------------------------------ *)
 (* Randomized election, local computation accounting                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -724,6 +791,10 @@ let () =
           Alcotest.test_case "timer dies with node" `Quick
             test_timer_dies_with_node;
         ] );
+      ( "horizons",
+        [ Alcotest.test_case "horizon events are not delivered" `Quick
+            test_horizons;
+          event_order_prop ] );
       ( "accounting",
         [
           Alcotest.test_case "local computation" `Quick
