@@ -1594,6 +1594,18 @@ let s7 () =
       lines
   in
   let serve_bytes, serve_minor = measure (serve_lines server lines) in
+  (* what one warm pass leaves to the major heap, promoted or allocated
+     there: it starts on an empty minor heap and ends by promoting what
+     it left live (the flight recorder's share included), so the count
+     does not depend on where the minor heap stood *)
+  let serve_major =
+    Gc.full_major ();
+    let _, _, j0 = Gc.counters () in
+    serve_lines server lines ();
+    Gc.minor ();
+    let _, _, j1 = Gc.counters () in
+    (j1 -. j0) /. fn
+  in
   (* warm hits by kind: minor words of one served hit, wire parse to
      dossier, recorder on — the cache key, the lookup and the answer it
      hands back, with no rendering left on the path *)
@@ -1667,6 +1679,8 @@ let s7 () =
     "end-to-end serve_line, warm caches" serve_bytes serve_minor;
   Fmt.pr "%-44s %16s %14.1f@." "  of which the flight recorder" ""
     recorder_minor;
+  Fmt.pr "%-44s %16s %14.1f@." "  major words (promoted or major-allocated)"
+    "" serve_major;
   Fmt.pr "@.%-44s %14s@." "warm hit, served (recorder on)" "minor words";
   Fmt.pr "%-44s %14.1f@." "optimize" hit_optimize;
   Fmt.pr "%-44s %14.1f@." "check (no defs)" hit_check;
@@ -1699,6 +1713,7 @@ let s7 () =
   record ~experiment:"s7" "wire_direct_minor_words" direct_minor;
   record ~experiment:"s7" "serve_bytes_per_request" serve_bytes;
   record ~experiment:"s7" "serve_minor_words" serve_minor;
+  record ~experiment:"s7" "serve_major_words" serve_major;
   record ~experiment:"s7" "hit_minor_words_optimize" hit_optimize;
   record ~experiment:"s7" "hit_minor_words_check" hit_check;
   record ~experiment:"s7" "hit_minor_words_closure" hit_closure;

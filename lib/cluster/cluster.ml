@@ -193,6 +193,9 @@ let run ?(config = default_config) reqs =
   let world =
     {
       Node.reqs;
+      keys = Array.make (Array.length reqs) "";
+      key_hashes = Bytes.create (8 * Array.length reqs);
+      hashed = Array.make (Array.length reqs) false;
       ring;
       n_replicas = n;
       active;

@@ -14,18 +14,33 @@ type t = {
    same order as their hex spelling, so placements match it exactly. *)
 let hash s = String.sub (Digest.string s) 0 8
 
+let hash_into key b off = Bytes.blit_string (Digest.string key) 0 b off 8
+
+(* A point's hash against the 8 position bytes at [b.(off)], from byte
+   [i] on, ordered as [compare] orders the strings. Top-level, so a
+   lookup builds no closure. *)
+let rec compare_at s b off i =
+  if i = 8 then 0
+  else
+    let c = Char.compare (String.unsafe_get s i) (Bytes.unsafe_get b (off + i)) in
+    if c <> 0 then c else compare_at s b off (i + 1)
+
+(* The points array is made over a constant pair, which is static data:
+   a fill built at run time would be young, and [Array.make] over 256
+   words with a young fill forces a minor collection. *)
+let no_point = ("", 0)
+
 let create ?(vnodes = 64) ~replicas () =
   if replicas = [] then invalid_arg "Hash_ring.create: no replicas";
   if vnodes < 1 then invalid_arg "Hash_ring.create: vnodes < 1";
   let replicas = List.sort_uniq compare replicas in
-  let points =
-    List.concat_map
-      (fun r ->
-        List.init vnodes (fun v ->
-            (hash (Printf.sprintf "replica-%d#%d" r v), r)))
-      replicas
-    |> Array.of_list
-  in
+  let points = Array.make (vnodes * List.length replicas) no_point in
+  List.iteri
+    (fun k r ->
+      for v = 0 to vnodes - 1 do
+        points.((k * vnodes) + v) <- (hash (Printf.sprintf "replica-%d#%d" r v), r)
+      done)
+    replicas;
   Array.sort compare points;
   { replicas; vnodes; points }
 
@@ -51,22 +66,31 @@ let remove_replica t r =
   | [] -> invalid_arg "Hash_ring.remove_replica: cannot empty the ring"
   | rest -> create ~vnodes:t.vnodes ~replicas:rest ()
 
-(* Index of the first point with hash >= h, wrapping to 0. *)
-let locate t h =
+(* Index of the first point with hash >= the position at [b.(off)],
+   wrapping to 0. *)
+let locate t b off =
   let n = Array.length t.points in
   let lo = ref 0 and hi = ref n in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if fst t.points.(mid) < h then lo := mid + 1 else hi := mid
+    if compare_at (fst t.points.(mid)) b off 0 < 0 then lo := mid + 1
+    else hi := mid
   done;
   if !lo = n then 0 else !lo
 
-let shard t key = snd t.points.(locate t (hash key))
+let position key =
+  let b = Bytes.create 8 in
+  hash_into key b 0;
+  b
 
-let successors t key =
+let shard_at t b off = snd t.points.(locate t b off)
+
+let shard t key = shard_at t (position key) 0
+
+let successors_at t b off =
   let n = Array.length t.points in
   let k = List.length t.replicas in
-  let start = locate t (hash key) in
+  let start = locate t b off in
   (* [out] doubles as the seen set: it holds at most [k] replicas *)
   let out = ref [] and found = ref 0 in
   let i = ref 0 in
@@ -79,6 +103,8 @@ let successors t key =
     incr i
   done;
   List.rev !out
+
+let successors t key = successors_at t (position key) 0
 
 let spread t keys =
   let counts = Hashtbl.create 8 in

@@ -64,6 +64,11 @@ type elastic_event = { el_at : float; el_join : bool; el_replica : int }
 
 type world = {
   reqs : Request.t array;
+  keys : string array;
+      (* per rid: the routing key once the hot-key sketch or a trace
+         label has read it, else "" *)
+  key_hashes : Bytes.t; (* 8 bytes per rid: the key's ring position *)
+  hashed : bool array; (* per rid: [key_hashes] holds its position *)
   mutable ring : Hash_ring.t; (* mutated by elastic membership events *)
   n_replicas : int; (* highest node slot: initial replicas + late joiners *)
   active : bool array; (* per-slot ring membership; index 0 unused *)
@@ -461,19 +466,41 @@ let hk_tick w rt key =
     w.promoted_keys <- key :: w.promoted_keys
   end
 
+(* A request's routing key and ring position are computed once per run.
+   The position, which every read dispatch and retry routes by, is kept
+   from the first read dispatch on, as bytes in one buffer the GC never
+   scans; the key only where something reads it again (the hot-key
+   sketch, the traced key label), since a kept key lives, and is
+   promoted, for the whole run. A key is never empty. *)
+let route_key w rid =
+  let key = w.keys.(rid) in
+  if String.length key > 0 then key
+  else begin
+    let key = Request.key w.reqs.(rid) in
+    if w.trace_on || w.tuning.hot_capacity > 0 then w.keys.(rid) <- key;
+    key
+  end
+
+let route_position w rid =
+  if not w.hashed.(rid) then begin
+    Hash_ring.hash_into (route_key w rid) w.key_hashes (8 * rid);
+    w.hashed.(rid) <- true
+  end;
+  8 * rid
+
 let read_target w rt rid attempt =
   if w.affinity then begin
-    let key = Request.key w.reqs.(rid) in
+    let pos = route_position w rid in
     match
       (* skip the string hash entirely while nothing is promoted *)
       if Hashtbl.length rt.promoted = 0 then None
-      else Hashtbl.find_opt rt.promoted key
+      else Hashtbl.find_opt rt.promoted (route_key w rid)
     with
     | Some rot when w.tuning.hot_spread > 1 ->
       (* a promoted hot key reads from any of the first [hot_spread]
          ring successors, round-robin per fresh dispatch; retries keep
          walking the same rotation so attempt k still lands elsewhere *)
-      let succ = Hash_ring.successors w.ring key in
+      let succ = Hash_ring.successors_at w.ring w.key_hashes pos in
       let k = min w.tuning.hot_spread (List.length succ) in
       let i = (!rot + attempt) mod k in
       if attempt = 0 then incr rot;
@@ -482,9 +509,9 @@ let read_target w rt rid attempt =
       (* first dispatch goes to the shard owner — which is successor 0
          by construction, so skip the full successor walk on the hot
          path (it is O(ring points) and dominates large-fleet runs) *)
-      if attempt = 0 then Hash_ring.shard w.ring key
+      if attempt = 0 then Hash_ring.shard_at w.ring w.key_hashes pos
       else
-        let succ = Hash_ring.successors w.ring key in
+        let succ = Hash_ring.successors_at w.ring w.key_hashes pos in
         List.nth succ (attempt mod List.length succ)
   end
   else 1 + ((rid + attempt) mod w.n_replicas)
@@ -531,7 +558,7 @@ let dispatch (ctx : Proto.msg Engine.ctx) w rt p =
           ~labels:[ ("shard", string_of_int target) ]
           "gp_cluster_shard_dispatch_total";
         Metrics.inc w.node_metrics.(0)
-          ~labels:[ ("key", Request.key w.reqs.(rid)) ]
+          ~labels:[ ("key", route_key w rid) ]
           "gp_cluster_key_dispatch_total";
         Context.v ~trace:rid ~span:p.p_att_span
       end
@@ -552,7 +579,7 @@ let dispatch (ctx : Proto.msg Engine.ctx) w rt p =
       attempt = 0 && w.affinity
       && w.tuning.hot_capacity > 0
       && w.tuning.hot_promote_after > 0
-    then hk_tick w rt (Request.key w.reqs.(rid));
+    then hk_tick w rt (route_key w rid);
     fire (read_target w rt rid attempt)
   end
 

@@ -89,6 +89,17 @@ type elastic_event = {
     here. Build one per run ({!Cluster.run} does). *)
 type world = {
   reqs : Gp_service.Request.t array;
+  keys : string array;
+      (** per rid, the routing key ([Request.key]) once the hot-key
+          sketch or a traced key label has read it; [""] otherwise.
+          Make it [Array.make n ""]. *)
+  key_hashes : Bytes.t;
+      (** 8 bytes per rid: the key's ring position
+          ({!Hash_ring.hash_into} at [8 * rid]), written on the
+          request's first read dispatch. Make it [Bytes.create (8 * n)]. *)
+  hashed : bool array;
+      (** per rid, whether [key_hashes] holds its position yet. Make it
+          [Array.make n false]. *)
   mutable ring : Hash_ring.t;
       (** the routing ring; elastic membership events swap it mid-run *)
   n_replicas : int;

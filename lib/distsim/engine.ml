@@ -127,7 +127,11 @@ module Eq = struct
     let ta = q.ts.(a) and tb = q.ts.(b) in
     ta < tb || (ta = tb && q.seq.(a) < q.seq.(b))
 
-  (* Only called when every slot is live: the new slots are all free. *)
+  (* Only called when every slot is live: the new slots are all free.
+     The messages double by appending the array to itself: a fill of
+     [msg], a young value, would make [Array.make] over 256 words force
+     a minor collection at every growth. The stale copies in the free
+     half are overwritten before they are read. *)
   let grow q msg =
     let cap = Array.length q.heap in
     let cap' = max 16 (2 * cap) in
@@ -140,7 +144,7 @@ module Eq = struct
     q.seq <- extend q.seq 0;
     q.src <- extend q.src 0;
     q.dst <- extend q.dst 0;
-    q.msgs <- extend q.msgs msg;
+    q.msgs <- (if cap = 0 then Array.make cap' msg else Array.append q.msgs q.msgs);
     q.heap <- Array.init cap' (fun i -> if i < cap then q.heap.(i) else i)
 
   let[@inline] push q ~t ~seq ~src ~dst msg =

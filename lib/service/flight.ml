@@ -89,9 +89,7 @@ let replay ?config ds =
     in
     let items =
       List.map
-        (fun d ->
-          ( d, Wire (Lazy.force d.Recorder.do_wire),
-            Lazy.force d.Recorder.do_response_fp ))
+        (fun d -> (d, Wire d.Recorder.do_wire, d.Recorder.do_response_fp))
         ds
     in
     let matched, diverged =
@@ -121,7 +119,7 @@ let pp_divergence ppf dv =
               replayed: %a  fp %s"
     d.Recorder.do_id d.Recorder.do_kind
     "response fingerprint mismatch"
-    (Lazy.force d.Recorder.do_wire)
+    d.Recorder.do_wire
     d.Recorder.do_outcome d.Recorder.do_detail dv.dv_recorded_fp
     Request.pp_response dv.dv_response dv.dv_response_fp;
   if d.Recorder.do_spans <> [] then

@@ -232,12 +232,16 @@ let add_nl_list b = function
     Buffer.add_string b x;
     add_sep_rest b '\n' xs
 
-let response_canonical_into b (r : response) =
+(* The kind's name, or "invalid" for a line that did not parse: the
+   kind field of the canonical form and of a flight dossier. *)
+let response_kind_name (r : response) =
+  match r.rsp_kind with None -> "invalid" | Some k -> kind_name k
+
+let canonical_into b ~kind result =
   (* [Buffer.add_string b] spelled out at each site: binding it as a
      local [add] is a partial application, i.e. one closure per call *)
-  Buffer.add_string b
-    (match r.rsp_kind with None -> "invalid" | Some k -> kind_name k);
-  (match r.rsp_result with
+  Buffer.add_string b kind;
+  (match result with
   | Ok p -> (
     Buffer.add_string b "|ok|";
     match p with
@@ -304,7 +308,7 @@ let response_canonical_into b (r : response) =
 
 let response_canonical (r : response) =
   let b = Buffer.create 128 in
-  response_canonical_into b r;
+  canonical_into b ~kind:(response_kind_name r) r.rsp_result;
   Buffer.contents b
 
 (* The fingerprint streams the canonical form into the digest: the
@@ -317,14 +321,17 @@ let fp_buf = Buffer.create 512
 
 let fp_bytes = ref (Bytes.create 512)
 
-let response_fingerprint r =
+let result_fingerprint ~kind result =
   Buffer.clear fp_buf;
-  response_canonical_into fp_buf r;
+  canonical_into fp_buf ~kind result;
   let len = Buffer.length fp_buf in
   if Bytes.length !fp_bytes < len then
     fp_bytes := Bytes.create (max len (2 * Bytes.length !fp_bytes));
   Buffer.blit fp_buf 0 !fp_bytes 0 len;
   Digest.to_hex (Digest.subbytes !fp_bytes 0 len)
+
+let response_fingerprint r =
+  result_fingerprint ~kind:(response_kind_name r) r.rsp_result
 
 let pp_payload ppf = function
   | Checked { ok; failures; warnings; _ } ->

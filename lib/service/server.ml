@@ -103,21 +103,31 @@ let config_of_line line =
   | exception Json.Error m -> Error ("bad config line: " ^ m)
   | j -> config_of_json j
 
+type flight = (Request.t, (Request.payload, Request.error) result) Recorder.t
+
 type t = {
   config : config;
   dispatch : Dispatch.t;
   metrics : Metrics.t;
-  recorder : Recorder.t option; (* flight recorder; None when disabled *)
+  recorder : flight option; (* flight recorder; None when disabled *)
   config_line : string; (* precomputed: every dossier carries both *)
   config_fp : string;
   out_buf : Buffer.t; (* reused response render buffer (serve_channel) *)
   cc_before : int array; (* reused cache-counter snapshots: hit/miss *)
-  cc_after : int array; (* pairs per cache, Dispatch.cache_names order *)
+  cc_after : int array; (* pairs per cache, Dispatch.cache_names order;
+                           then the request's deltas, the dossier chain *)
   latency_ns : float array;
       (* one slot: the latency [observe] last measured, which an untraced
          dossier reuses as its duration (a float array stores unboxed) *)
   mutable next_id : int;
 }
+
+(* The recorder's slot fills: constant literals, so they are static data
+   and the 512-slot arrays force no collection (see Recorder). *)
+let no_request = Request.Parse { source = "" }
+
+let no_result : (Request.payload, Request.error) result =
+  Error { Request.code = Request.Internal; detail = "" }
 
 let create ?(config = default_config) () =
   (match validate_config config with
@@ -131,7 +141,10 @@ let create ?(config = default_config) () =
       (if config.flight_capacity > 0 then
          Some
            (Recorder.create ~capacity:config.flight_capacity
-              ~slowest:config.flight_slowest ())
+              ~slowest:config.flight_slowest ~caches:Dispatch.cache_names
+              ~request:no_request
+              ~wire:(fun ~id req -> Wire.request_to_line ~id req)
+              ~response:no_result ~fingerprint:Request.result_fingerprint ())
        else None);
     config_line = config_to_line config;
     config_fp = config_fingerprint config;
@@ -229,50 +242,31 @@ let metric_delta before after =
 
 (* The per-request cache chain diffs hit/miss counters around the
    request. The snapshots go through [Dispatch.cache_counters_into] into
-   the server's two reused int arrays — no stats records per request;
-   the chain list itself only materializes the (few) caches the request
-   touched. Per-request sandbox caches (Check-with-defs) never appear
-   here — by design, they are private to one request. *)
-let cache_chain t =
+   the server's two reused int arrays, and the deltas overwrite the
+   after-snapshot, which the recorder copies into its slot — no stats
+   records and no chain list per request. Per-request sandbox caches
+   (Check-with-defs) never appear here — by design, they are private to
+   one request. *)
+let cache_deltas t =
   Dispatch.cache_counters_into (Dispatch.caches t.dispatch) t.cc_after;
-  let rec go i acc =
-    if i < 0 then acc
-    else
-      let dh = t.cc_after.(2 * i) - t.cc_before.(2 * i) in
-      let dm = t.cc_after.((2 * i) + 1) - t.cc_before.((2 * i) + 1) in
-      go (i - 1)
-        (if dh <> 0 || dm <> 0 then (Dispatch.cache_names.(i), dh, dm) :: acc
-         else acc)
-  in
-  go (Array.length Dispatch.cache_names - 1) []
+  for i = 0 to Array.length t.cc_after - 1 do
+    t.cc_after.(i) <- t.cc_after.(i) - t.cc_before.(i)
+  done;
+  t.cc_after
 
-let record_dossier t ~id ~kind ~wire ~spans ~dur_ns ~cache_chain
+let record_dossier recorder t ~id ~kind ~wire ~spans ~dur_ns ~chain
     ~metric_deltas (rsp : Request.response) =
-  match t.recorder with
-  | None -> ()
-  | Some recorder ->
-    let outcome, detail =
-      match rsp.Request.rsp_result with
-      | Ok _ -> ("ok", "")
-      | Error e -> (Request.error_code_name e.Request.code, e.Request.detail)
-    in
-    Recorder.record recorder
-      { Recorder.do_id = id;
-        do_kind = kind;
-        do_wire = wire;
-        do_generation =
-          Gp_concepts.Registry.generation (Gp_standard.Standard.world ());
-        do_config = t.config_line;
-        do_config_fp = t.config_fp;
-        do_outcome = outcome;
-        do_detail = detail;
-        do_cached = rsp.Request.rsp_cached;
-        do_steps = rsp.Request.rsp_steps;
-        do_dur_ns = dur_ns;
-        do_response_fp = lazy (Request.response_fingerprint rsp);
-        do_cache_chain = cache_chain;
-        do_spans = spans;
-        do_metric_deltas = metric_deltas }
+  let result = rsp.Request.rsp_result in
+  Recorder.record recorder ~id ~kind ~wire
+    ~generation:(Gp_concepts.Registry.generation (Gp_standard.Standard.world ()))
+    ~config:t.config_line ~config_fp:t.config_fp
+    ~outcome:
+      (match result with
+      | Ok _ -> "ok"
+      | Error e -> Request.error_code_name e.Request.code)
+    ~detail:(match result with Ok _ -> "" | Error e -> e.Request.detail)
+    ~cached:rsp.Request.rsp_cached ~steps:rsp.Request.rsp_steps ~dur_ns
+    ~response:result ~chain ~spans ~metric_deltas
 
 (* [wire], when given, is the raw line the request arrived on — reused
    verbatim in the dossier instead of re-serializing the request.
@@ -330,11 +324,11 @@ let handle_recorded ?id ?context ?wire t req =
     in
     let wire =
       match wire with
-      | Some line -> Lazy.from_val line
-      | None -> lazy (Wire.request_to_line ~id req)
+      | Some line -> Recorder.Line line
+      | None -> Recorder.Request req
     in
-    record_dossier t ~id ~kind ~wire ~spans ~dur_ns
-      ~cache_chain:(cache_chain t) ~metric_deltas rsp);
+    record_dossier recorder t ~id ~kind ~wire ~spans ~dur_ns
+      ~chain:(cache_deltas t) ~metric_deltas rsp);
   rsp
 
 let handle ?id ?context t req = handle_recorded ?id ?context t req
@@ -350,8 +344,13 @@ let reject_invalid ?(line = "") t detail =
       (Error { Request.code = Request.Bad_request; detail })
       ~cached:false ~steps:0
   in
-  record_dossier t ~id ~kind:"invalid" ~wire:(Lazy.from_val line) ~spans:[]
-    ~dur_ns:t.latency_ns.(0) ~cache_chain:[] ~metric_deltas:[] rsp;
+  (match t.recorder with
+  | None -> ()
+  | Some recorder ->
+    Array.fill t.cc_after 0 (Array.length t.cc_after) 0;
+    record_dossier recorder t ~id ~kind:"invalid" ~wire:(Recorder.Line line)
+      ~spans:[] ~dur_ns:t.latency_ns.(0) ~chain:t.cc_after ~metric_deltas:[]
+      rsp);
   rsp
 
 (* Serve each request to completion, in order: responses come back in

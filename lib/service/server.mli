@@ -59,7 +59,13 @@ val create : ?config:config -> unit -> t
 val config : t -> config
 val metrics : t -> Metrics.t
 
-val flight : t -> Gp_telemetry.Recorder.t option
+type flight =
+  (Request.t, (Request.payload, Request.error) result) Gp_telemetry.Recorder.t
+(** A server's flight recorder: it keeps a request served without its
+    wire line, and each response's result, and serializes and digests
+    them on read. *)
+
+val flight : t -> flight option
 (** The flight recorder, when [config.flight_capacity > 0]. Every
     request served — including unparseable lines — leaves a dossier;
     error/over-budget/timeout and slowest-k dossiers additionally retain

@@ -9,23 +9,35 @@
    only for interesting requests: errors (including over-budget and
    timeout) and the slowest-k seen so far, which are also kept whole
    outside the ring; everything else is stored stripped, so steady-state
-   cost per request is O(1) ring writes plus an O(k) top-k probe with
+   cost per request is O(1) slot writes plus an O(k) top-k probe with
    small constant k.
 
-   The wire line and response digest are lazy: serializing a request
-   and hashing a response are the two measurable per-request costs, and
-   neither is needed until the dossier is exported or replayed — the
-   ring is bounded, so the deferred work is too.
+   The ring is a slot store, not an array of dossier records: each field
+   lives at the slot's index of its own preallocated array — ints and
+   floats unboxed, strings that are static or already old, the wire line
+   copied into a byte ring the slots share, the cache chain as int
+   deltas. Recording a request therefore allocates nothing the ring
+   keeps, so a minor collection has next to nothing of the ring to
+   promote. Dossier records are built only on read. Every slot array is
+   created with an immediate or static fill: [Array.make] over 256 words
+   with a young fill forces a minor collection, before the server has
+   answered anything.
 
-   The recorder is service-agnostic — dossier fields are strings and
-   spans — so it lives here in gp_telemetry, with both directions of the
-   dump format; gp_service fills dossiers in and owns the replay path
+   The service values the recorder cannot interpret stay as the service
+   made them: a request recorded without its wire line, serialized at
+   read, and the response, digested at read — the two measurable
+   per-request costs, deferred to export or replay.
+
+   The recorder is service-agnostic — it is parameterised over the
+   request and response types, and stores strings, ints and spans — so
+   it lives here in gp_telemetry, with both directions of the dump
+   format; gp_service fills slots in and owns the replay path
    (Flight). *)
 
 type dossier = {
   do_id : int; (* the request id the server assigned *)
   do_kind : string; (* request kind, or "invalid" *)
-  do_wire : string Lazy.t; (* re-servable wire line; forced at export *)
+  do_wire : string; (* re-servable wire line *)
   do_generation : int; (* registry generation the request saw *)
   do_config : string; (* canonical server-config line *)
   do_config_fp : string; (* digest of do_config *)
@@ -34,32 +46,67 @@ type dossier = {
   do_cached : bool;
   do_steps : int;
   do_dur_ns : float; (* root-span duration, else the observed latency *)
-  do_response_fp : string Lazy.t; (* digest of the canonical response *)
+  do_response_fp : string; (* digest of the canonical response *)
   do_cache_chain : (string * int * int) list; (* cache, hits Δ, misses Δ *)
   do_spans : Trace.span list; (* full tree, interesting requests only *)
   do_metric_deltas : (string * float) list; (* family totals Δ, ditto *)
 }
 
-type t = {
+type 'q wire = Line of string | Request of 'q
+
+type ('q, 'r) t = {
   capacity : int;
   slowest_k : int;
-  ring : dossier array;
+  caches : string array; (* chain order; a slot keeps 2 ints per cache *)
+  no_request : 'q; (* the static fill of [requests] *)
+  wire_of : id:int -> 'q -> string;
+  fingerprint : kind:string -> 'r -> string;
+  (* the slots: index [i] of every array below is one dossier *)
+  ids : int array;
+  kinds : string array;
+  mutable arena : Bytes.t; (* the retained lines, a byte ring *)
+  mutable head : int; (* absolute arena position past the newest line *)
+  line_pos : int array; (* absolute arena position of the slot's line *)
+  line_lens : int array; (* -1: no line, serialize [requests.(i)] *)
+  requests : 'q array;
+  generations : int array;
+  configs : string array;
+  config_fps : string array;
+  outcomes : string array;
+  details : string array;
+  cached : bool array;
+  steps : int array;
+  durs : float array;
+  responses : 'r array;
+  chains : int array; (* (hits Δ, misses Δ) per cache, per slot *)
+  spans : Trace.span list array;
+  deltas : (string * float) list array;
   mutable recorded : int;
-  mutable slow : dossier list; (* up-to-k slowest dossiers, ascending *)
+  mutable slow : (float * dossier Lazy.t) list;
+      (* up-to-k slowest (duration, dossier), ascending *)
 }
 
-let empty_dossier =
-  { do_id = 0; do_kind = ""; do_wire = Lazy.from_val ""; do_generation = 0;
-    do_config = ""; do_config_fp = ""; do_outcome = ""; do_detail = "";
-    do_cached = false; do_steps = 0; do_dur_ns = 0.0;
-    do_response_fp = Lazy.from_val ""; do_cache_chain = []; do_spans = [];
-    do_metric_deltas = [] }
+(* The arena before the first line: a string literal is static, where
+   [Bytes.empty] is a young value at start-up. A zero-length arena is
+   never written, only replaced. *)
+let no_arena = Bytes.unsafe_of_string ""
 
-let create ?(capacity = 512) ?(slowest = 8) () =
+let create ?(capacity = 512) ?(slowest = 8) ~caches ~request ~wire
+    ~response ~fingerprint () =
   if capacity < 1 then invalid_arg "Recorder.create: capacity < 1";
   if slowest < 0 then invalid_arg "Recorder.create: slowest < 0";
-  { capacity; slowest_k = slowest;
-    ring = Array.make capacity empty_dossier; recorded = 0; slow = [] }
+  let ints () = Array.make capacity 0 and strs () = Array.make capacity "" in
+  { capacity; slowest_k = slowest; caches; no_request = request;
+    wire_of = wire; fingerprint;
+    ids = ints (); kinds = strs (); arena = no_arena; head = 0;
+    line_pos = ints (); line_lens = ints (); requests = Array.make capacity request;
+    generations = ints (); configs = strs (); config_fps = strs ();
+    outcomes = strs (); details = strs ();
+    cached = Array.make capacity false; steps = ints ();
+    durs = Array.make capacity 0.0; responses = Array.make capacity response;
+    chains = Array.make (capacity * 2 * Array.length caches) 0;
+    spans = Array.make capacity []; deltas = Array.make capacity [];
+    recorded = 0; slow = [] }
 
 let capacity t = t.capacity
 let recorded t = t.recorded
@@ -74,17 +121,16 @@ let qualifies_slowest t dur =
   && (List.length t.slow < t.slowest_k
      ||
      match t.slow with
-     | m :: _ -> Float.compare dur m.do_dur_ns > 0
+     | (m, _) :: _ -> Float.compare dur m > 0
      | [] -> true)
 
 (* Insert a qualifying dossier into the ascending list, dropping the
    fastest when the list is full. The list lives outside the ring, so a
    slow dossier keeps its span tree after the ring evicts it. *)
-let note_slow t d =
+let note_slow t dur d =
   let rec insert = function
-    | m :: rest when Float.compare m.do_dur_ns d.do_dur_ns < 0 ->
-      m :: insert rest
-    | l -> d :: l
+    | (m, _) as e :: rest when Float.compare m dur < 0 -> e :: insert rest
+    | l -> (dur, d) :: l
   in
   let l = insert t.slow in
   t.slow <- (if List.length l > t.slowest_k then List.tl l else l)
@@ -95,27 +141,137 @@ let note_slow t d =
 let wants_payload t ~ok ~dur_ns =
   (not ok) || qualifies_slowest t dur_ns
 
-let slowest t = t.slow
-
-(* The slowest-k list changes only when the duration qualifies, and a
-   dossier that carries no payload is stored as it is: the steady-state
-   path allocates nothing here. *)
-let record t d =
-  let slow = qualifies_slowest t d.do_dur_ns in
-  if slow then note_slow t d;
-  let d =
-    match (d.do_spans, d.do_metric_deltas) with
-    | [], [] -> d
-    | _ when slow || d.do_outcome <> "ok" -> d
-    | _ -> { d with do_spans = []; do_metric_deltas = [] }
+(* The chain stored at [chain.(base ..)], as the caches it touched. *)
+let chain_list t chain base =
+  let rec go c acc =
+    if c < 0 then acc
+    else
+      let h = chain.(base + (2 * c)) and m = chain.(base + (2 * c) + 1) in
+      go (c - 1) (if h <> 0 || m <> 0 then (t.caches.(c), h, m) :: acc else acc)
   in
-  t.ring.(t.recorded mod t.capacity) <- d;
+  go (Array.length t.caches - 1) []
+
+(* The wire lines live in one byte ring shared by the slots, not one
+   buffer per slot: a slot's buffer would regrow whenever the slot met a
+   line longer than any it had held, so per-request allocation would
+   depend on where the ring stood. Positions are absolute and only grow;
+   byte [p] sits at [p mod size]. The arena holds at least the retained
+   lines, and doubles (copying them) when the next line would overwrite
+   one of them — a few times in a run, starting at 64 bytes per slot, so
+   each new arena of a full-size ring is allocated straight into the
+   major heap. *)
+let arena_read a pos len =
+  let size = Bytes.length a in
+  let p = pos mod size in
+  let first = Int.min len (size - p) in
+  let out = Bytes.create len in
+  Bytes.blit a p out 0 first;
+  Bytes.blit a 0 out first (len - first);
+  Bytes.unsafe_to_string out
+
+let arena_write a pos s =
+  let size = Bytes.length a and len = String.length s in
+  let p = pos mod size in
+  let first = Int.min len (size - p) in
+  Bytes.blit_string s 0 a p first;
+  Bytes.blit_string s first a 0 (len - first)
+
+(* Append slot [i]'s line. The lines that must survive are those of the
+   slots still retained once [i] is overwritten: from the oldest of
+   them up to [head]. *)
+let store_line t i line =
+  let len = String.length line in
+  let kept = Int.min t.recorded (t.capacity - 1) in
+  let oldest =
+    if kept = 0 then t.head else t.line_pos.((i + t.capacity - kept) mod t.capacity)
+  in
+  let size = Bytes.length t.arena in
+  if t.head + len - oldest > size then begin
+    let rec grow n = if n >= t.head + len - oldest then n else grow (2 * n) in
+    let arena = Bytes.create (grow (Int.max size (64 * t.capacity))) in
+    if t.head > oldest then
+      arena_write arena oldest (arena_read t.arena oldest (t.head - oldest));
+    t.arena <- arena
+  end;
+  if len > 0 then arena_write t.arena t.head line;
+  t.line_pos.(i) <- t.head;
+  t.line_lens.(i) <- len;
+  t.head <- t.head + len
+
+let record t ~id ~kind ~wire ~generation ~config ~config_fp ~outcome ~detail
+    ~cached ~steps ~dur_ns ~response ~chain ~spans ~metric_deltas =
+  let width = 2 * Array.length t.caches in
+  if Array.length chain <> width then
+    invalid_arg "Recorder.record: chain length is not 2 per cache";
+  let slow = qualifies_slowest t dur_ns in
+  let keep = slow || outcome <> "ok" in
+  let spans = if keep then spans else [] in
+  let metric_deltas = if keep then metric_deltas else [] in
+  (* the slowest-k changes only when the duration qualifies; its entry
+     holds the recorded values themselves, so it outlives the slot *)
+  if slow then begin
+    let cache_chain = chain_list t chain 0 in
+    note_slow t dur_ns
+      (lazy
+        { do_id = id; do_kind = kind;
+          do_wire =
+            (match wire with Line l -> l | Request q -> t.wire_of ~id q);
+          do_generation = generation; do_config = config;
+          do_config_fp = config_fp; do_outcome = outcome; do_detail = detail;
+          do_cached = cached; do_steps = steps; do_dur_ns = dur_ns;
+          do_response_fp = t.fingerprint ~kind response; do_cache_chain = cache_chain;
+          do_spans = spans; do_metric_deltas = metric_deltas })
+  end;
+  let i = t.recorded mod t.capacity in
+  t.ids.(i) <- id;
+  t.kinds.(i) <- kind;
+  (match wire with
+  | Line l ->
+    store_line t i l;
+    t.requests.(i) <- t.no_request
+  | Request q ->
+    t.line_pos.(i) <- t.head;
+    t.line_lens.(i) <- -1;
+    t.requests.(i) <- q);
+  t.generations.(i) <- generation;
+  t.configs.(i) <- config;
+  t.config_fps.(i) <- config_fp;
+  t.outcomes.(i) <- outcome;
+  t.details.(i) <- detail;
+  t.cached.(i) <- cached;
+  t.steps.(i) <- steps;
+  t.durs.(i) <- dur_ns;
+  t.responses.(i) <- response;
+  Array.blit chain 0 t.chains (i * width) width;
+  t.spans.(i) <- spans;
+  t.deltas.(i) <- metric_deltas;
   t.recorded <- t.recorded + 1
 
-(* Retained dossiers, oldest first. *)
-let dossiers t =
+(* The dossier in slot [i], built now: its wire line and response
+   digest are computed here, not at record time. *)
+let dossier_at t i =
+  let id = t.ids.(i) and kind = t.kinds.(i) in
+  { do_id = id; do_kind = kind;
+    do_wire =
+      (let len = t.line_lens.(i) in
+       if len < 0 then t.wire_of ~id t.requests.(i)
+       else if len = 0 then ""
+       else arena_read t.arena t.line_pos.(i) len);
+    do_generation = t.generations.(i); do_config = t.configs.(i);
+    do_config_fp = t.config_fps.(i); do_outcome = t.outcomes.(i);
+    do_detail = t.details.(i); do_cached = t.cached.(i); do_steps = t.steps.(i);
+    do_dur_ns = t.durs.(i); do_response_fp = t.fingerprint ~kind t.responses.(i);
+    do_cache_chain = chain_list t t.chains (i * 2 * Array.length t.caches);
+    do_spans = t.spans.(i); do_metric_deltas = t.deltas.(i) }
+
+(* Slot indices of the retained dossiers, oldest first. *)
+let slots t =
   let n = retained t in
-  List.init n (fun i -> t.ring.((t.recorded - n + i) mod t.capacity))
+  List.init n (fun k -> (t.recorded - n + k) mod t.capacity)
+
+let dossiers t = List.map (dossier_at t) (slots t)
+
+let slowest t = List.map (fun (_, d) -> Lazy.force d) t.slow
 
 let clear t =
   t.recorded <- 0;
@@ -149,11 +305,11 @@ let dossier_to_json d =
      \"steps\":%d,\"dur_ns\":%s,\"response_fp\":%s,\"cache_chain\":[%s],\
      \"metric_deltas\":[%s],\"spans\":[%s]}"
     d.do_id (Json.str d.do_kind)
-    (Json.str (Lazy.force d.do_wire))
+    (Json.str d.do_wire)
     d.do_generation (Json.str d.do_config) (Json.str d.do_config_fp)
     (Json.str d.do_outcome) (Json.str d.do_detail) d.do_cached d.do_steps
     (Json.num d.do_dur_ns)
-    (Json.str (Lazy.force d.do_response_fp))
+    (Json.str d.do_response_fp)
     chain deltas spans
 
 let to_jsonl t =
@@ -208,9 +364,8 @@ let dossier_of_line line =
         j
     in
     let do_spans = entries "spans" Trace.span_of_json j in
-    { do_id; do_kind; do_wire = Lazy.from_val do_wire; do_generation;
-      do_config; do_config_fp; do_outcome; do_detail; do_cached; do_steps;
-      do_dur_ns; do_response_fp = Lazy.from_val do_response_fp;
+    { do_id; do_kind; do_wire; do_generation; do_config; do_config_fp;
+      do_outcome; do_detail; do_cached; do_steps; do_dur_ns; do_response_fp;
       do_cache_chain; do_spans; do_metric_deltas }
   | _ -> Json.fail "bad dossier line: expected a JSON object"
 
@@ -227,12 +382,9 @@ let load path =
   | contents -> of_jsonl contents
 
 let pp_summary ppf t =
-  let errors =
-    List.length (List.filter (fun d -> d.do_outcome <> "ok") (dossiers t))
-  in
-  let with_spans =
-    List.length (List.filter (fun d -> d.do_spans <> []) (dossiers t))
-  in
+  let count p = List.length (List.filter p (slots t)) in
+  let errors = count (fun i -> t.outcomes.(i) <> "ok") in
+  let with_spans = count (fun i -> t.spans.(i) <> []) in
   Fmt.pf ppf
     "flight recorder: %d recorded, %d retained (%d dropped), %d error \
      dossier(s), %d with span trees"
@@ -241,7 +393,7 @@ let pp_summary ppf t =
 (* Slowest first: the header, then [#id kind dur] and the span tree of
    each of the k slowest dossiers. *)
 let pp_slowest ppf t =
-  match t.slow with
+  match slowest t with
   | [] -> Fmt.string ppf "slowest requests: empty (no traffic)"
   | slow ->
     Fmt.pf ppf "@[<v>slowest requests";

@@ -2,24 +2,37 @@
     the always-on black box that keeps enough context to explain and
     deterministically re-execute recent requests.
 
-    Steady-state cost is O(1) per request (ring write plus an O(k)
+    Steady-state cost is O(1) per request (slot writes plus an O(k)
     slowest-k probe); the heavyweight payload — full span tree, metric
     deltas — is retained only for {e interesting} requests: any
     non-["ok"] outcome (errors, over-budget, timeout) and the slowest-k
     seen so far, which {!slowest} also keeps whole after the ring evicts
-    them. The recorder stores service-agnostic strings and spans
-    and owns the dump format in both directions; [gp_service] fills
-    dossiers in and owns replay ([Gp_service.Flight]). *)
+    them.
+
+    The ring is a slot store: each dossier field sits in a preallocated
+    per-slot array (ints and floats unboxed, the wire line copied into
+    a byte ring the slots share, the cache chain as int deltas), and
+    dossier records are built only on read ({!dossiers}, {!slowest},
+    {!to_jsonl}). So {!record} leaves the GC nothing of its own to
+    promote, and {!create} forces no collection: every slot array is
+    made with an immediate or static fill. The [request] and [response]
+    fills given to {!create} must therefore be immediate or constant
+    literals (a statically allocated block), never values built at run
+    time.
+
+    The recorder is parameterised over the service's request ['q] and
+    response ['r] values, which it keeps as they are and interprets only
+    on read, through the functions given to {!create}. It owns the dump
+    format in both directions; [gp_service] fills the slots in and owns
+    replay ([Gp_service.Flight]). *)
 
 type dossier = {
   do_id : int;  (** the request id the server assigned *)
   do_kind : string;  (** request kind, or ["invalid"] *)
-  do_wire : string Lazy.t;
+  do_wire : string;
       (** re-servable wire line; the raw input line when served from
           one (or when the request did not parse), a canonical
-          serialization otherwise. Lazy — request serialization is a
-          measurable per-request cost, and the line is only needed at
-          export or replay time *)
+          serialization otherwise *)
   do_generation : int;  (** registry generation the request saw *)
   do_config : string;  (** canonical server-config line *)
   do_config_fp : string;  (** digest of [do_config] *)
@@ -30,58 +43,102 @@ type dossier = {
   do_dur_ns : float;
       (** root-span duration; when telemetry is off, the latency the
           server observed into its histogram *)
-  do_response_fp : string Lazy.t;
+  do_response_fp : string;
       (** digest of the canonical response (kind + result; ids, cache
           provenance and step accounting excluded) — what replay
-          compares. Lazy, like [do_wire] *)
+          compares *)
   do_cache_chain : (string * int * int) list;
-      (** per-cache (name, hits, misses) deltas for this request *)
+      (** per-cache (name, hits, misses) deltas for this request, in the
+          recorder's cache order, caches the request did not touch
+          left out *)
   do_spans : Trace.span list;  (** interesting requests only *)
   do_metric_deltas : (string * float) list;
       (** sink metric family total deltas; interesting requests only *)
 }
 
-type t
+type ('q, 'r) t
 
-val create : ?capacity:int -> ?slowest:int -> unit -> t
-(** Defaults: 512-dossier ring, slowest-k of 8. Raises
-    [Invalid_argument] when [capacity < 1] or [slowest < 0]. *)
+(** How a request is recorded: the raw line it arrived on, copied into
+    the slot, or the request itself, serialized only on read. *)
+type 'q wire = Line of string | Request of 'q
 
-val record : t -> dossier -> unit
-(** Record one dossier, stripping spans and metric deltas unless the
-    outcome is non-ok or the duration ranks among the slowest-k. *)
+val create :
+  ?capacity:int ->
+  ?slowest:int ->
+  caches:string array ->
+  request:'q ->
+  wire:(id:int -> 'q -> string) ->
+  response:'r ->
+  fingerprint:(kind:string -> 'r -> string) ->
+  unit ->
+  ('q, 'r) t
+(** Defaults: 512-dossier ring, slowest-k of 8. [caches] names the
+    caches a chain counts, in chain order. [request] and [response] are
+    the fills of their slot arrays, and must be immediate or static
+    (see above). [wire ~id q] is the wire line of request [q] recorded
+    under id [id]; [fingerprint ~kind r] is the response digest of [r]
+    for a request of kind [kind]. Raises [Invalid_argument] when
+    [capacity < 1] or [slowest < 0]. *)
 
-val wants_payload : t -> ok:bool -> dur_ns:float -> bool
-(** Would {!record} retain the heavyweight payload for a dossier with
+val record :
+  ('q, 'r) t ->
+  id:int ->
+  kind:string ->
+  wire:'q wire ->
+  generation:int ->
+  config:string ->
+  config_fp:string ->
+  outcome:string ->
+  detail:string ->
+  cached:bool ->
+  steps:int ->
+  dur_ns:float ->
+  response:'r ->
+  chain:int array ->
+  spans:Trace.span list ->
+  metric_deltas:(string * float) list ->
+  unit
+(** Record one request; each argument is the {!dossier} field of the
+    same name. [chain] holds the (hits, misses) deltas of each cache, in
+    the order given to {!create}, as consecutive pairs; it is copied,
+    so the caller may reuse it. Spans and metric deltas are kept only
+    when the outcome is non-ok or the duration ranks among the
+    slowest-k. [kind], [outcome], [config] and [config_fp] are stored
+    as they are: on the steady-state path they should be static or
+    long-lived strings. Raises [Invalid_argument] when [chain] does not
+    hold two ints per cache. *)
+
+val wants_payload : ('q, 'r) t -> ok:bool -> dur_ns:float -> bool
+(** Would {!record} retain the heavyweight payload for a request with
     this outcome and duration? Lets the filler skip assembling spans
     and metric deltas that would only be stripped. *)
 
-val slowest : t -> dossier list
+val slowest : ('q, 'r) t -> dossier list
 (** The up-to-k slowest dossiers recorded so far, ascending by
     [do_dur_ns]: the k largest under [Float.compare], which ranks [nan]
     below every number. They are held outside the ring, whole, so their
     span trees survive eviction; the dump ({!to_jsonl}) is the ring
     only. *)
 
-val dossiers : t -> dossier list
+val dossiers : ('q, 'r) t -> dossier list
 (** Retained dossiers, oldest first. *)
 
-val capacity : t -> int
+val capacity : ('q, 'r) t -> int
 
-val recorded : t -> int
+val recorded : ('q, 'r) t -> int
 (** Total dossiers ever recorded. *)
 
-val retained : t -> int
+val retained : ('q, 'r) t -> int
 
-val dropped : t -> int
+val dropped : ('q, 'r) t -> int
 (** Dossiers overwritten by the ring bound. *)
 
-val clear : t -> unit
+val clear : ('q, 'r) t -> unit
 
 val dossier_to_json : dossier -> string
 (** One dossier as a single-line JSON object. *)
 
-val to_jsonl : t -> string
+val to_jsonl : ('q, 'r) t -> string
 (** Retained dossiers as JSONL (one {!dossier_to_json} line each),
     oldest first — the [gp serve --flight] dump and [gp replay] input
     format. *)
@@ -93,8 +150,8 @@ val of_jsonl : string -> (dossier list, string) result
 val load : string -> (dossier list, string) result
 (** {!of_jsonl} on a file's contents; [Error] on I/O failure. *)
 
-val pp_summary : Format.formatter -> t -> unit
+val pp_summary : Format.formatter -> ('q, 'r) t -> unit
 
-val pp_slowest : Format.formatter -> t -> unit
+val pp_slowest : Format.formatter -> ('q, 'r) t -> unit
 (** The {!slowest} dossiers, slowest first: a [slowest requests] header,
     then [#id kind duration] and the span tree of each. *)

@@ -590,3 +590,31 @@ let string_body_reference src pos =
   match go pos with
   | stop -> Ok (Buffer.contents buf, stop)
   | exception Json.Error m -> Error m
+
+(* ------------------------------------------------------------------ *)
+(* The flight recorder                                                 *)
+(* ------------------------------------------------------------------ *)
+
+module Recorder = Gp_telemetry.Recorder
+
+let dossier_recorder ?capacity ?slowest ~caches () =
+  Recorder.create ?capacity ?slowest ~caches ~request:""
+    ~wire:(fun ~id:_ line -> line)
+    ~response:"" ~fingerprint:(fun ~kind:_ fp -> fp) ()
+
+let record_dossier ?(as_request = false) r ~caches (d : Recorder.dossier) =
+  let chain = Array.make (2 * Array.length caches) 0 in
+  List.iter
+    (fun (name, h, m) ->
+      match Array.find_index (String.equal name) caches with
+      | Some c ->
+        chain.(2 * c) <- h;
+        chain.((2 * c) + 1) <- m
+      | None -> bad "record_dossier: cache %s is not the recorder's" name)
+    d.do_cache_chain;
+  Recorder.record r ~id:d.do_id ~kind:d.do_kind
+    ~wire:(if as_request then Recorder.Request d.do_wire else Recorder.Line d.do_wire)
+    ~generation:d.do_generation ~config:d.do_config ~config_fp:d.do_config_fp
+    ~outcome:d.do_outcome ~detail:d.do_detail ~cached:d.do_cached
+    ~steps:d.do_steps ~dur_ns:d.do_dur_ns ~response:d.do_response_fp ~chain
+    ~spans:d.do_spans ~metric_deltas:d.do_metric_deltas

@@ -102,3 +102,26 @@ val string_body_reference : string -> int -> (string * int, string) result
     its contents and the position just past the closing quote, or the
     error text {!Gp_telemetry.Json.string_body} raises there, position
     included. *)
+
+(** {2 The flight recorder} *)
+
+val dossier_recorder :
+  ?capacity:int ->
+  ?slowest:int ->
+  caches:string array ->
+  unit ->
+  (string, string) Gp_telemetry.Recorder.t
+(** A recorder whose requests are wire lines and whose responses are
+    their own fingerprints: {!record_dossier} stores any dossier in it,
+    and reading the slot back rebuilds that dossier. *)
+
+val record_dossier :
+  ?as_request:bool ->
+  (string, string) Gp_telemetry.Recorder.t ->
+  caches:string array ->
+  Gp_telemetry.Recorder.dossier ->
+  unit
+(** Record a dossier field by field. [caches] are the recorder's; every
+    cache of the dossier's chain must be among them. With [as_request]
+    the wire line goes in as a request, serialized on read, instead of
+    as a line copied into the slot. *)

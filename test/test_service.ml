@@ -1434,7 +1434,7 @@ let test_flight_dossiers () =
     Alcotest.(check string) "ok outcome" "ok" ok_d.Recorder.do_outcome;
     Alcotest.(check string) "kind" "optimize" ok_d.Recorder.do_kind;
     Alcotest.(check bool) "wire line is re-servable" true
-      (Result.is_ok (Wire.request_of_line (Lazy.force ok_d.Recorder.do_wire)));
+      (Result.is_ok (Wire.request_of_line ok_d.Recorder.do_wire));
     Alcotest.(check string) "config line embedded"
       (Server.config_to_line config) ok_d.Recorder.do_config;
     Alcotest.(check string) "config fp"
@@ -1458,7 +1458,7 @@ let test_flight_dossiers () =
     Alcotest.(check string) "invalid outcome" "bad-request"
       inv.Recorder.do_outcome;
     Alcotest.(check string) "raw line preserved" "this is not json"
-      (Lazy.force inv.Recorder.do_wire)
+      inv.Recorder.do_wire
   | l -> Alcotest.failf "expected 3 dossiers, got %d" (List.length l));
   Alcotest.(check bool) "flight_capacity = 0 disables the recorder" true
     (Option.is_none
@@ -1498,8 +1498,9 @@ let flight_dump_fixpoint_prop =
              ds
          in
          let to_jsonl ds =
-           let r = Recorder.create ~capacity:n ~slowest:n () in
-           List.iter (Recorder.record r) ds;
+           let caches = Dispatch.cache_names in
+           let r = Oracles.dossier_recorder ~capacity:n ~slowest:n ~caches () in
+           List.iter (Oracles.record_dossier r ~caches) ds;
            Recorder.to_jsonl r
          in
          let dump = to_jsonl ds in
@@ -1552,7 +1553,7 @@ let test_flight_replay () =
     List.mapi
       (fun i d ->
         if i = 3 then
-          { d with Recorder.do_response_fp = Lazy.from_val "0000" }
+          { d with Recorder.do_response_fp = "0000" }
         else d)
       parsed
   in

@@ -657,23 +657,32 @@ let some_spans () =
       Trace.with_span t ~name:"engine.work" (fun () -> ()));
   Trace.spans t
 
+(* Dossiers go through a recorder of lines and fingerprints, field by
+   field (Oracles.record_dossier). *)
+let chain_caches = [| "defs"; "rewrites"; "lint" |]
+
+let recorder ?capacity ?slowest () =
+  Oracles.dossier_recorder ?capacity ?slowest ~caches:chain_caches ()
+
+let record r d = Oracles.record_dossier r ~caches:chain_caches d
+
 let mk_dossier ?(id = 0) ?(outcome = "ok") ?(dur = 1.0) ?(spans = []) () =
   { Recorder.do_id = id; do_kind = "optimize";
-    do_wire = Lazy.from_val {|{"kind":"x"}|};
+    do_wire = {|{"kind":"x"}|};
     do_generation = 3; do_config = "{}"; do_config_fp = "cfp";
     do_outcome = outcome;
     do_detail = (if outcome = "ok" then "" else "it broke");
     do_cached = false; do_steps = 7; do_dur_ns = dur;
-    do_response_fp = Lazy.from_val "rfp";
+    do_response_fp = "rfp";
     do_cache_chain = [ ("rewrites", 1, 2) ]; do_spans = spans;
     do_metric_deltas = [ ("gp_requests_total", 1.0) ] }
 
 let test_recorder_ring_eviction () =
   (* a sustained error burst: every dossier is interesting (spans kept),
      and the ring still only ever holds [capacity] of them *)
-  let r = Recorder.create ~capacity:4 ~slowest:2 () in
+  let r = recorder ~capacity:4 ~slowest:2 () in
   for i = 1 to 10 do
-    Recorder.record r
+    record r
       (mk_dossier ~id:i ~outcome:"over-budget" ~spans:(some_spans ()) ())
   done;
   Alcotest.(check int) "recorded" 10 (Recorder.recorded r);
@@ -690,17 +699,17 @@ let test_recorder_ring_eviction () =
   Recorder.clear r;
   Alcotest.(check int) "cleared" 0 (Recorder.recorded r);
   Alcotest.(check bool) "create validates" true
-    (match Recorder.create ~capacity:0 () with
+    (match recorder ~capacity:0 () with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
 let test_recorder_slowest_k () =
   (* streaming top-k: an ok dossier keeps its spans only if it ranks
      among the k slowest seen so far at the moment it is recorded *)
-  let r = Recorder.create ~capacity:8 ~slowest:1 () in
-  Recorder.record r (mk_dossier ~id:1 ~dur:5.0 ~spans:(some_spans ()) ());
-  Recorder.record r (mk_dossier ~id:2 ~dur:9.0 ~spans:(some_spans ()) ());
-  Recorder.record r (mk_dossier ~id:3 ~dur:3.0 ~spans:(some_spans ()) ());
+  let r = recorder ~capacity:8 ~slowest:1 () in
+  record r (mk_dossier ~id:1 ~dur:5.0 ~spans:(some_spans ()) ());
+  record r (mk_dossier ~id:2 ~dur:9.0 ~spans:(some_spans ()) ());
+  record r (mk_dossier ~id:3 ~dur:3.0 ~spans:(some_spans ()) ());
   (match Recorder.dossiers r with
   | [ a; b; c ] ->
     Alcotest.(check bool) "first qualifies (empty top-k)" true
@@ -711,12 +720,12 @@ let test_recorder_slowest_k () =
       (c.Recorder.do_spans = [] && c.Recorder.do_metric_deltas = []);
     Alcotest.(check bool) "stripped dossier keeps its summary" true
       (c.Recorder.do_cache_chain <> []
-      && Lazy.force c.Recorder.do_response_fp = "rfp")
+      && c.Recorder.do_response_fp = "rfp")
   | l -> Alcotest.failf "expected 3 dossiers, got %d" (List.length l));
   (* slowest:0 disables the top-k path entirely; errors still qualify *)
-  let r0 = Recorder.create ~capacity:8 ~slowest:0 () in
-  Recorder.record r0 (mk_dossier ~id:1 ~dur:99.0 ~spans:(some_spans ()) ());
-  Recorder.record r0
+  let r0 = recorder ~capacity:8 ~slowest:0 () in
+  record r0 (mk_dossier ~id:1 ~dur:99.0 ~spans:(some_spans ()) ());
+  record r0
     (mk_dossier ~id:2 ~outcome:"timeout" ~dur:1.0 ~spans:(some_spans ()) ());
   match Recorder.dossiers r0 with
   | [ ok_d; err_d ] ->
@@ -746,7 +755,7 @@ let recorder_slowest_model_prop =
               ~print:Print.(list float)
               Gen.(list_size (int_range 0 30) dur_gen)))
        (fun (k, durs) ->
-         let r = Recorder.create ~capacity:64 ~slowest:k () in
+         let r = recorder ~capacity:64 ~slowest:k () in
          let largest l =
            List.rev
              (List.filteri
@@ -765,7 +774,7 @@ let recorder_slowest_model_prop =
                in
                let dossier = mk_dossier ~id:i ~dur:d ~spans:(some_spans ()) () in
                recorded := dossier :: !recorded;
-               Recorder.record r dossier;
+               record r dossier;
                let kept =
                  match List.rev (Recorder.dossiers r) with
                  | last :: _ -> last.Recorder.do_spans <> []
@@ -780,16 +789,109 @@ let recorder_slowest_model_prop =
          in
          let slowest = Recorder.slowest r in
          kept_ok
-         && List.for_all (fun d -> List.memq d !recorded) slowest
+         && List.for_all (fun d -> List.mem d !recorded) slowest
          && same (List.map (fun d -> d.Recorder.do_dur_ns) slowest)
               (largest durs)))
 
+(* The slot store reads back what was recorded. Random dossiers go
+   through a small ring (capacity 1-6, so it wraps many times) as lines
+   or as requests serialized on read; the retained window must equal the
+   last [capacity] dossiers, oldest first, each exactly as recorded, its
+   spans and metric deltas stripped unless it failed or ranked among the
+   k slowest so far. Lines carry quotes, backslashes, control and UTF-8
+   bytes at lengths 0-300, so a slot meets lines longer than any it held
+   and the shared line arena grows and wraps; chains span several
+   caches; errors carry detail. *)
+let recorder_slot_store_prop =
+  let open QCheck.Gen in
+  let text max =
+    string_size ~gen:(oneofl [ 'a'; 'z'; '"'; '\\'; '\n'; '\001'; '\xc3'; '\xa9'; ' ' ])
+      (int_range 0 max)
+  in
+  let dossier id =
+    let* outcome = frequency [ (3, return "ok"); (1, oneofl [ "over-budget"; "timeout" ]) ] in
+    let* detail = if outcome = "ok" then return "" else text 20 in
+    let* kind = oneofl [ "check"; "lint"; "invalid" ] in
+    let* wire = text 300 in
+    let* generation = int_range 0 50 in
+    let* config = text 10 in
+    let* config_fp = text 8 in
+    let* cached = bool in
+    let* steps = int_range 0 10_000 in
+    let* dur = frequency [ (1, return Float.nan); (6, map float_of_int (int_range 0 9)) ] in
+    let* response_fp = text 12 in
+    let* chain =
+      map
+        (List.filter_map (fun (c, h, m) -> if h = 0 && m = 0 then None else Some (c, h, m)))
+        (flatten_l
+           (List.map
+              (fun c -> map2 (fun h m -> (c, h, m)) (int_range 0 2) (int_range 0 2))
+              (Array.to_list chain_caches)))
+    in
+    let* spans = bool in
+    let* deltas = list_size (int_range 0 2) (pair (text 6) (map float_of_int small_nat)) in
+    let* as_request = bool in
+    return
+      ( as_request,
+        { Recorder.do_id = id; do_kind = kind; do_wire = wire;
+          do_generation = generation; do_config = config; do_config_fp = config_fp;
+          do_outcome = outcome; do_detail = detail; do_cached = cached;
+          do_steps = steps; do_dur_ns = dur; do_response_fp = response_fp;
+          do_cache_chain = chain; do_spans = (if spans then some_spans () else []);
+          do_metric_deltas = deltas } )
+  in
+  let gen =
+    let* capacity = int_range 1 6 and* k = int_range 0 3 and* n = int_range 0 40 in
+    let* ds = flatten_l (List.init n dossier) in
+    return (capacity, k, ds)
+  in
+  qtest
+    (QCheck.Test.make ~name:"slot store reads back the recorded window" ~count:300
+       (QCheck.make
+          ~print:(fun (c, k, ds) ->
+            Printf.sprintf "capacity %d, k %d, %d dossiers" c k (List.length ds))
+          gen)
+       (fun (capacity, k, ds) ->
+         let r = recorder ~capacity ~slowest:k () in
+         let expected =
+           List.mapi
+             (fun i (as_request, d) ->
+               let before =
+                 List.filteri (fun j _ -> j < i) (List.map (fun (_, d) -> d.Recorder.do_dur_ns) ds)
+               in
+               let slowest =
+                 List.filteri (fun j _ -> j < k)
+                   (List.sort (fun a b -> Float.compare b a) before)
+               in
+               let slow =
+                 k > 0
+                 && (List.length slowest < k
+                    || Float.compare d.Recorder.do_dur_ns (List.nth slowest (k - 1)) > 0)
+               in
+               Oracles.record_dossier ~as_request r ~caches:chain_caches d;
+               if slow || d.Recorder.do_outcome <> "ok" then d
+               else { d with Recorder.do_spans = []; do_metric_deltas = [] })
+             ds
+         in
+         let n = List.length ds in
+         let window = List.filteri (fun i _ -> i >= n - capacity) expected in
+         let got = Recorder.dossiers r in
+         if compare got window <> 0 then
+           QCheck.Test.fail_reportf "read back %d dossiers, ids [%s]; recorded window ids [%s]"
+             (List.length got)
+             (String.concat ";" (List.map (fun d -> string_of_int d.Recorder.do_id) got))
+             (String.concat ";" (List.map (fun d -> string_of_int d.Recorder.do_id) window))
+         else
+           Recorder.retained r = List.length window
+           && Recorder.dropped r = n - List.length window
+           && List.for_all (fun d -> List.mem d expected) (Recorder.slowest r)))
+
 let test_recorder_jsonl () =
-  let r = Recorder.create ~capacity:8 ~slowest:0 () in
-  Recorder.record r
+  let r = recorder ~capacity:8 ~slowest:0 () in
+  record r
     (mk_dossier ~id:1 ~outcome:"over-budget" ~dur:5.5
        ~spans:(some_spans ()) ());
-  Recorder.record r (mk_dossier ~id:2 ~dur:1.0 ());
+  record r (mk_dossier ~id:2 ~dur:1.0 ());
   let lines =
     List.filter (fun l -> l <> "") (String.split_on_char '\n' (Recorder.to_jsonl r))
   in
@@ -1176,6 +1278,7 @@ let () =
           Alcotest.test_case "slowest-k retention" `Quick
             test_recorder_slowest_k;
           recorder_slowest_model_prop;
+          recorder_slot_store_prop;
           Alcotest.test_case "jsonl export parses" `Quick test_recorder_jsonl;
         ] );
       ( "switchboard",
