@@ -1794,8 +1794,8 @@ let s8 () =
        nesting) even under drops + failover;
      - the trace dump itself is deterministic (double-run bit-identical)
        and round-trips through load;
-     - fleet percentiles come off the geometry-checked histogram merge,
-       and the attribution decomposes tail latency into
+     - fleet percentiles come off the run's records, and the
+       attribution decomposes tail latency into
        queueing/retry/election-stall/service.
    Wall-clock probes (trace-off vs trace-on run time) are recorded only
    in full runs; --quick writes null so bench-diff skips them. *)
@@ -1845,18 +1845,15 @@ let s9 () =
     *. float_of_int (List.length v.Trace_set.v_malformed)
     /. float_of_int n);
   record ~experiment:"s9" "aux_traces" (float_of_int v.Trace_set.v_aux);
-  Fmt.pr "@.fleet metrics (merged per-node registries):@.%a"
+  Fmt.pr "@.fleet metrics (read off the run's counts and records):@.%a"
     Fleet.pp_report r;
-  (match Fleet.merged r with
+  (match Fleet.request_percentiles r with
   | None -> assert false
-  | Some m -> (
-    match Fleet.request_percentiles m with
-    | None -> assert false
-    | Some pc ->
-      assert (pc.Fleet.pc_count = n);
-      record ~experiment:"s9" "latency_p50_sim" pc.Fleet.pc_p50;
-      record ~experiment:"s9" "latency_p90_sim" pc.Fleet.pc_p90;
-      record ~experiment:"s9" "latency_p99_sim" pc.Fleet.pc_p99));
+  | Some pc ->
+    assert (pc.Fleet.pc_count = n);
+    record ~experiment:"s9" "latency_p50_sim" pc.Fleet.pc_p50;
+    record ~experiment:"s9" "latency_p90_sim" pc.Fleet.pc_p90;
+    record ~experiment:"s9" "latency_p99_sim" pc.Fleet.pc_p99);
   let sgs = Attribution.of_journeys (Trace_set.journeys ts) in
   assert (List.length sgs = n);
   let su = Attribution.summarize sgs in

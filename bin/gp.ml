@@ -879,9 +879,10 @@ let cluster_run_cmd =
   let fleet =
     Arg.(value & flag
          & info [ "fleet-metrics" ]
-             ~doc:"Collect per-node metric registries and print the \
-                   merged cluster-wide fleet report (latency \
-                   percentiles, per-shard traffic, hot keys).")
+             ~doc:"Print the cluster-wide fleet report, read off the run's \
+                   own counts and records (per-node traffic, latency \
+                   percentiles, per-shard dispatches, hot keys). Needs \
+                   no tracing.")
   in
   let run replicas vnodes n seed sim_seed file failures round_robin async
       out do_audit trace_out fleet =
@@ -923,7 +924,7 @@ let cluster_run_cmd =
           (match async with
           | None -> Gp_distsim.Engine.Synchronous
           | Some max_delay -> Gp_distsim.Engine.Asynchronous { max_delay });
-        trace = trace_out <> None || fleet }
+        trace = trace_out <> None }
     in
     let r = Cluster.run ~config reqs in
     Fmt.pr "%a" Cluster.pp_summary r;

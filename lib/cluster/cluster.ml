@@ -77,8 +77,8 @@ type result = {
   r_peak_inflight : int;
   r_moved_keys : int;
   r_moved_bound : int;
+  r_counts : Node.counts;
   r_traces : (int * Gp_telemetry.Trace.span list) list;
-  r_node_metrics : (int * Gp_telemetry.Metrics.t) list;
 }
 
 (* The initial election is FloodMax over replica ids, so its winner is
@@ -172,22 +172,16 @@ let run ?(config = default_config) reqs =
     | _ -> movement ~ring ~elastic (distinct_keys reqs)
   in
   let active = Array.init (n + 1) (fun i -> i >= 1 && i <= config.replicas) in
-  (* Tracing artifacts: one span ring and one metrics registry per
-     node. Capacity is generous — spans are ~6 per request at the
-     router plus a couple per replica touch — and the ring discipline
-     still bounds memory if a scenario blows past it. Request traces
-     use their rid as trace id; aux traces (elections, probes) start
-     above the workload, with the initial election's ids
-     pre-allocated. *)
+  (* Tracing artifacts: one span ring per node. Capacity is generous —
+     spans are ~6 per request at the router plus a couple per replica
+     touch — and the ring discipline still bounds memory if a scenario
+     blows past it. Request traces use their rid as trace id; aux
+     traces (elections, probes) start above the workload, with the
+     initial election's ids pre-allocated. *)
   let node_traces =
     if config.trace then
       Array.init (n + 1) (fun _ ->
           Gp_telemetry.Trace.create ~capacity:65536 ~clock:(fun () -> 0.0) ())
-    else [||]
-  in
-  let node_metrics =
-    if config.trace then
-      Array.init (n + 1) (fun _ -> Gp_telemetry.Metrics.create ())
     else [||]
   in
   let world =
@@ -218,9 +212,12 @@ let run ?(config = default_config) reqs =
       left = 0;
       handoffs = 0;
       peak_inflight = 0;
+      counts =
+        { Node.serves = 0; replicates = 0; retries = 0;
+          dispatched_to = Array.make (n + 1) 0;
+          rid_dispatches = Array.make (Array.length reqs) 0 };
       trace_on = config.trace;
       node_traces;
-      node_metrics;
       next_span = (if config.trace then 1 else 0);
       next_trace =
         (if config.trace then Array.length reqs + 1 else 0);
@@ -277,14 +274,11 @@ let run ?(config = default_config) reqs =
     r_peak_inflight = world.Node.peak_inflight;
     r_moved_keys = moved_keys;
     r_moved_bound = moved_bound;
+    r_counts = world.Node.counts;
     r_traces =
       (if config.trace then
          List.init (n + 1) (fun i ->
              (i, Gp_telemetry.Trace.spans node_traces.(i)))
-       else []);
-    r_node_metrics =
-      (if config.trace then
-         List.init (n + 1) (fun i -> (i, node_metrics.(i)))
        else []);
   }
 

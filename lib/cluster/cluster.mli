@@ -49,11 +49,11 @@ type config = {
   max_time : float;  (** simulation safety horizon *)
   max_events : int;
   trace : bool;
-      (** collect distributed traces and per-node fleet metrics: one
-          span ring and metric registry per node, causal contexts on
-          every wire message. Changes nothing simulated — no message,
-          RNG draw, or event differs from an untraced run (one flag
-          check per instrumentation site). *)
+      (** collect distributed traces: one span ring per node, causal
+          contexts on every wire message. Changes nothing simulated — no
+          message, RNG draw, or event differs from an untraced run (one
+          flag check per instrumentation site) — and nothing counted:
+          [r_counts] is kept either way. *)
 }
 
 val default_config : config
@@ -97,15 +97,17 @@ type result = {
       (** the minimal-movement allowance: keys on the joiner's new arcs
           or the leaver's old ones. Consistent hashing guarantees
           [r_moved_keys <= r_moved_bound] (in fact equality). *)
+  r_counts : Node.counts;
+      (** the run's traffic counts (serves, replicates, retries,
+          dispatches per target slot and per rid), kept on every run —
+          [Gp_tracing.Fleet] reads its report off them and the
+          records *)
   r_traces : (int * Gp_telemetry.Trace.span list) list;
       (** per-node completed spans, node order ([[]] unless
           [config.trace]): span ids are cluster-global, times are
           simulated units ×1e3, every span carries its trace id in the
           ["trace"] attribute — feed them to
           [Gp_tracing.Journey.assemble] / [Gp_tracing.Trace_set] *)
-  r_node_metrics : (int * Gp_telemetry.Metrics.t) list;
-      (** per-node metric registries ([[]] unless [config.trace]),
-          merged cluster-wide by [Gp_tracing.Fleet] *)
 }
 
 val max_replicas : int

@@ -3,22 +3,21 @@
    unreachable once the run finishes, and the harness (Cluster.run)
    reads completions, elections and failovers from the world instead.
 
-   Distributed tracing rides the same world: when [trace_on] each node
-   owns a span ring and a metrics registry, spans are stamped with a
-   cluster-global id and a trace id, and the (trace, parent span)
-   context crosses the wire inside Proto messages — so the assembler
-   can rebuild each request's causal tree across nodes afterwards.
-   Tracing is ONE flag check per site ([w.trace_on]) and changes no
-   message timing, RNG draw, or event: the simulated transcript with
-   tracing on is identical to the one with it off. *)
+   The world is also the one place that counts the run's traffic
+   ([counts]), on every run, traced or not. Distributed tracing rides
+   the same world: when [trace_on] each node owns a span ring, spans are
+   stamped with a cluster-global id and a trace id, and the (trace,
+   parent span) context crosses the wire inside Proto messages — so the
+   assembler can rebuild each request's causal tree across nodes
+   afterwards. Tracing is ONE flag check per site ([w.trace_on]) and
+   changes no message timing, RNG draw, or event: the simulated
+   transcript with tracing on is identical to the one with it off. *)
 
 module Engine = Gp_distsim.Engine
 module Server = Gp_service.Server
 module Request = Gp_service.Request
-module Tel = Gp_telemetry.Tel
 module Context = Gp_telemetry.Context
 module Trace = Gp_telemetry.Trace
-module Metrics = Gp_telemetry.Metrics
 
 type tuning = {
   arrival_interval : float;
@@ -62,11 +61,19 @@ type record = {
 
 type elastic_event = { el_at : float; el_join : bool; el_replica : int }
 
+type counts = {
+  mutable serves : int;
+  mutable replicates : int;
+  mutable retries : int;
+  dispatched_to : int array; (* per target node slot *)
+  rid_dispatches : int array; (* per rid *)
+}
+
 type world = {
   reqs : Request.t array;
   keys : string array;
-      (* per rid: the routing key once the hot-key sketch or a trace
-         label has read it, else "" *)
+      (* per rid: the routing key once the hot-key sketch has read it,
+         else "" *)
   key_hashes : Bytes.t; (* 8 bytes per rid: the key's ring position *)
   hashed : bool array; (* per rid: [key_hashes] holds its position *)
   mutable ring : Hash_ring.t; (* mutated by elastic membership events *)
@@ -91,14 +98,13 @@ type world = {
   mutable left : int;
   mutable handoffs : int; (* completed writes replayed to joiners *)
   mutable peak_inflight : int;
-  (* distributed tracing: per-node rings/registries, a cluster-global
-     span-id counter and an aux trace-id counter (requests use their rid
-     as trace id; elections and probes draw fresh ids above them). All
-     fields are dead weight unless [trace_on] — one flag check per
-     site. *)
+  counts : counts;
+  (* distributed tracing: per-node span rings, a cluster-global span-id
+     counter and an aux trace-id counter (requests use their rid as trace
+     id; elections and probes draw fresh ids above them). All fields are
+     dead weight unless [trace_on] — one flag check per site. *)
   trace_on : bool;
   node_traces : Trace.t array; (* length n_replicas+1, or [||] when off *)
-  node_metrics : Metrics.t array; (* same *)
   mutable next_span : int;
   mutable next_trace : int;
   el0_trace : int; (* the initial election's pre-allocated trace id *)
@@ -127,6 +133,14 @@ let emit w ~node ~trace ~id ~parent ~name ~start ~stop attrs =
        ~dur_ns:((stop -. start) *. 1e3)
        ~attrs:(("trace", string_of_int trace) :: attrs)
        ())
+
+(* A zero-length span at [now] under ([trace], [parent]), whose own
+   context is handed on to the message it causes, so that message's
+   span resolves its parent. Callers check [w.trace_on] first. *)
+let instant w ~node ~trace ~parent ~name ~now attrs =
+  let sp = fresh_span w in
+  emit w ~node ~trace ~id:sp ~parent ~name ~start:now ~stop:now attrs;
+  Context.v ~trace ~span:sp
 
 (* -------------------------------------------------------------- *)
 (* Node states                                                     *)
@@ -214,27 +228,13 @@ let each_replica w ~except f =
 
 (* Serve [rid], memoized per replica: a retried or re-replicated request
    reuses the first response, so duplicates cannot fork the fingerprint
-   and the work accounting stays honest. Returns [(result, fresh)].
-   [tc] is the inbound wire context, handed to the server so its own
-   root span can name the cluster trace it belongs to. *)
-let serve (ctx : Proto.msg Engine.ctx) w rep rid tc =
+   and the work accounting stays honest. Returns [(result, fresh)]. *)
+let serve (ctx : Proto.msg Engine.ctx) w rep rid =
   match Hashtbl.find_opt rep.served rid with
   | Some r -> (r, false)
   | None ->
-    let rsp =
-      Tel.with_span ~name:"cluster.serve"
-        ~attrs:(fun () ->
-          [ ("node", string_of_int ctx.self); ("rid", string_of_int rid) ])
-        (fun () ->
-          Server.handle ~id:rid
-            ?context:(if w.trace_on then Some tc else None)
-            rep.server w.reqs.(rid))
-    in
+    let rsp = Server.handle ~id:rid rep.server w.reqs.(rid) in
     ctx.charge (max 1 rsp.Request.rsp_steps);
-    if Tel.is_enabled () then
-      Tel.count
-        ~labels:[ ("node", string_of_int ctx.self) ]
-        "gp_cluster_serves_total" 1;
     let r = { rsp; fp = "" } in
     Hashtbl.replace rep.served rid r;
     (r, true)
@@ -311,38 +311,30 @@ let replica_msg (ctx : Proto.msg Engine.ctx) w rep msg =
          verdict for the client instead of waiting on a reply that
          would only arrive later and later *)
       let stc =
-        if w.trace_on then begin
-          let sp = fresh_span w in
-          emit w ~node:ctx.self ~trace:(Context.trace tc) ~id:sp
-            ~parent:(Context.span tc) ~name:"cluster.shed" ~start:now
-            ~stop:now
+        if w.trace_on then
+          instant w ~node:ctx.self ~trace:(Context.trace tc)
+            ~parent:(Context.span tc) ~name:"cluster.shed" ~now
             [ ("node", string_of_int ctx.self); ("rid", string_of_int rid);
-              ("backlog", Printf.sprintf "%.2f" backlog) ];
-          Context.v ~trace:(Context.trace tc) ~span:sp
-        end
+              ("backlog", Printf.sprintf "%.2f" backlog) ]
         else Context.none
       in
       ctx.send 0 (Proto.Shed { rid; replica = ctx.self; tc = stc })
     end
     else begin
-      let s, fresh = serve ctx w rep rid tc in
+      let s, fresh = serve ctx w rep rid in
       let cached = s.rsp.Request.rsp_cached in
+      w.counts.serves <- w.counts.serves + 1;
       (* the serve span is a zero-duration instant: [charge] accounts
          steps without advancing simulated time. Its id is echoed on the
          Reply and parents the Replicate fan-out, so both legs resolve. *)
       let stc =
-        if w.trace_on then begin
-          let sp = fresh_span w in
-          emit w ~node:ctx.self ~trace:(Context.trace tc) ~id:sp
-            ~parent:(Context.span tc) ~name:"cluster.serve" ~start:now
-            ~stop:now
+        if w.trace_on then
+          instant w ~node:ctx.self ~trace:(Context.trace tc)
+            ~parent:(Context.span tc) ~name:"cluster.serve" ~now
             [ ("node", string_of_int ctx.self); ("rid", string_of_int rid);
               ("attempt", string_of_int attempt);
               ("fresh", string_of_bool fresh);
-              ("cached", string_of_bool cached) ];
-          Metrics.inc w.node_metrics.(ctx.self) "gp_cluster_serves_total";
-          Context.v ~trace:(Context.trace tc) ~span:sp
-        end
+              ("cached", string_of_bool cached) ]
         else Context.none
       in
       (* the simulated service cost of this serve: fresh misses pay
@@ -375,28 +367,24 @@ let replica_msg (ctx : Proto.msg Engine.ctx) w rep msg =
       end
     end
   | Proto.Replicate { rid; tc } ->
-    let _, fresh = serve ctx w rep rid tc in
+    let _, fresh = serve ctx w rep rid in
+    w.counts.replicates <- w.counts.replicates + 1;
     if w.trace_on then begin
       let now = ctx.now () in
       emit w ~node:ctx.self ~trace:(Context.trace tc) ~id:(fresh_span w)
         ~parent:(Context.span tc) ~name:"cluster.replicate" ~start:now
         ~stop:now
         [ ("node", string_of_int ctx.self); ("rid", string_of_int rid);
-          ("fresh", string_of_bool fresh) ];
-      Metrics.inc w.node_metrics.(ctx.self) "gp_cluster_replicates_total"
+          ("fresh", string_of_bool fresh) ]
     end
   | Proto.Ping { tc } ->
     if rep.rep_leader = Some ctx.self then begin
       let htc =
-        if w.trace_on then begin
-          let sp = fresh_span w in
-          let now = ctx.now () in
-          emit w ~node:ctx.self ~trace:(Context.trace tc) ~id:sp
-            ~parent:(Context.span tc) ~name:"cluster.heartbeat" ~start:now
-            ~stop:now
-            [ ("node", string_of_int ctx.self) ];
-          Context.v ~trace:(Context.trace tc) ~span:sp
-        end
+        if w.trace_on then
+          instant w ~node:ctx.self ~trace:(Context.trace tc)
+            ~parent:(Context.span tc) ~name:"cluster.heartbeat"
+            ~now:(ctx.now ())
+            [ ("node", string_of_int ctx.self) ]
         else Context.none
       in
       ctx.send 0 (Proto.Heartbeat { uid = ctx.self; tc = htc })
@@ -469,15 +457,15 @@ let hk_tick w rt key =
 (* A request's routing key and ring position are computed once per run.
    The position, which every read dispatch and retry routes by, is kept
    from the first read dispatch on, as bytes in one buffer the GC never
-   scans; the key only where something reads it again (the hot-key
-   sketch, the traced key label), since a kept key lives, and is
-   promoted, for the whole run. A key is never empty. *)
+   scans; the key only for the hot-key sketch, which reads it again,
+   since a kept key lives, and is promoted, for the whole run. A key is
+   never empty. *)
 let route_key w rid =
   let key = w.keys.(rid) in
   if String.length key > 0 then key
   else begin
     let key = Request.key w.reqs.(rid) in
-    if w.trace_on || w.tuning.hot_capacity > 0 then w.keys.(rid) <- key;
+    if w.tuning.hot_capacity > 0 then w.keys.(rid) <- key;
     key
   end
 
@@ -542,11 +530,14 @@ let close_park w p ~stop =
 (* Dispatch the pending request's next attempt. Reads go to the shard
    owner, then walk its ring successors on retry; writes go to the
    leader, or park in [wait_leader] until a coordinator is known (the
-   Coord acceptance flushes the queue). Every dispatch arms its own
-   retry timer. *)
+   Coord acceptance flushes the queue). Every dispatch is counted per
+   target and per rid, and arms its own retry timer. *)
 let dispatch (ctx : Proto.msg Engine.ctx) w rt p =
   let rid = p.p_rid and attempt = p.p_attempt in
   let fire target =
+    let c = w.counts in
+    c.dispatched_to.(target) <- c.dispatched_to.(target) + 1;
+    c.rid_dispatches.(rid) <- c.rid_dispatches.(rid) + 1;
     let tc =
       if w.trace_on then begin
         close_park w p ~stop:(ctx.now ());
@@ -554,12 +545,6 @@ let dispatch (ctx : Proto.msg Engine.ctx) w rt p =
         p.p_att_span <- fresh_span w;
         p.p_att_start <- ctx.now ();
         p.p_att_target <- target;
-        Metrics.inc w.node_metrics.(0)
-          ~labels:[ ("shard", string_of_int target) ]
-          "gp_cluster_shard_dispatch_total";
-        Metrics.inc w.node_metrics.(0)
-          ~labels:[ ("key", route_key w rid) ]
-          "gp_cluster_key_dispatch_total";
         Context.v ~trace:rid ~span:p.p_att_span
       end
       else Context.none
@@ -586,7 +571,6 @@ let dispatch (ctx : Proto.msg Engine.ctx) w rt p =
 let start_election (ctx : Proto.msg Engine.ctx) w rt =
   w.elections <- w.elections + 1;
   rt.last_election <- ctx.now ();
-  if Tel.is_enabled () then Tel.count "gp_cluster_elections_total" 1;
   let tc =
     if w.trace_on then begin
       (* a round that never produced a Coord gets closed as superseded
@@ -599,7 +583,6 @@ let start_election (ctx : Proto.msg Engine.ctx) w rt =
       rt.rt_el_span <- fresh_span w;
       rt.rt_el_trace <- fresh_trace w;
       rt.rt_el_start <- ctx.now ();
-      Metrics.inc w.node_metrics.(0) "gp_cluster_elections_total";
       Context.v ~trace:rt.rt_el_trace ~span:rt.rt_el_span
     end
     else Context.none
@@ -673,11 +656,9 @@ let router_msg (ctx : Proto.msg Engine.ctx) w rt msg =
   | Proto.Retry_check { rid; attempt } ->
     (match Hashtbl.find_opt rt.pending rid with
      | Some p when p.p_attempt = attempt ->
-       if Tel.is_enabled () then Tel.count "gp_cluster_retries_total" 1;
-       if w.trace_on then begin
+       w.counts.retries <- w.counts.retries + 1;
+       if w.trace_on then
          close_attempt w p ~stop:(ctx.now ()) ~outcome:"retry";
-         Metrics.inc w.node_metrics.(0) "gp_cluster_retries_total"
-       end;
        p.p_attempt <- attempt + 1;
        dispatch ctx w rt p
      | Some _ | None -> ())
@@ -694,8 +675,6 @@ let router_msg (ctx : Proto.msg Engine.ctx) w rt msg =
              rc_ok = ok; rc_cached = cached; rc_attempts = p.p_attempt + 1;
              rc_shed = false; rc_arrive = p.p_arrive; rc_done = done_ };
        w.completed <- w.completed + 1;
-       if Tel.is_enabled () then
-         Tel.observe "gp_cluster_request_time" (done_ -. p.p_arrive);
        if w.trace_on then begin
          close_attempt w p ~stop:done_ ~outcome:"ok";
          close_park w p ~stop:done_;
@@ -705,9 +684,7 @@ let router_msg (ctx : Proto.msg Engine.ctx) w rt msg =
              ("kind", Request.kind_name (Request.kind w.reqs.(rid)));
              ("write", string_of_bool p.p_write);
              ("replica", string_of_int replica);
-             ("attempts", string_of_int (p.p_attempt + 1)) ];
-         Metrics.observe w.node_metrics.(0) "gp_cluster_request_time"
-           (done_ -. p.p_arrive)
+             ("attempts", string_of_int (p.p_attempt + 1)) ]
        end;
        finish_if_done ctx w)
   | Proto.Shed { rid; replica; tc = _ } ->
@@ -739,15 +716,10 @@ let router_msg (ctx : Proto.msg Engine.ctx) w rt msg =
         w.active.(r) <- true;
         w.joined <- w.joined + 1;
         let jtc =
-          if w.trace_on then begin
-            let sp = fresh_span w in
-            let tr = fresh_trace w in
-            let now = ctx.now () in
-            emit w ~node:0 ~trace:tr ~id:sp ~parent:0 ~name:"cluster.elastic"
-              ~start:now ~stop:now
-              [ ("event", "join"); ("replica", string_of_int r) ];
-            Context.v ~trace:tr ~span:sp
-          end
+          if w.trace_on then
+            instant w ~node:0 ~trace:(fresh_trace w) ~parent:0
+              ~name:"cluster.elastic" ~now:(ctx.now ())
+              [ ("event", "join"); ("replica", string_of_int r) ]
           else Context.none
         in
         ctx.send r (Proto.Join { tc = jtc });
@@ -773,15 +745,10 @@ let router_msg (ctx : Proto.msg Engine.ctx) w rt msg =
       w.active.(r) <- false;
       w.left <- w.left + 1;
       let ltc =
-        if w.trace_on then begin
-          let sp = fresh_span w in
-          let tr = fresh_trace w in
-          let now = ctx.now () in
-          emit w ~node:0 ~trace:tr ~id:sp ~parent:0 ~name:"cluster.elastic"
-            ~start:now ~stop:now
-            [ ("event", "leave"); ("replica", string_of_int r) ];
-          Context.v ~trace:tr ~span:sp
-        end
+        if w.trace_on then
+          instant w ~node:0 ~trace:(fresh_trace w) ~parent:0
+            ~name:"cluster.elastic" ~now:(ctx.now ())
+            [ ("event", "leave"); ("replica", string_of_int r) ]
         else Context.none
       in
       ctx.send r (Proto.Retire { tc = ltc });
@@ -803,11 +770,6 @@ let router_msg (ctx : Proto.msg Engine.ctx) w rt msg =
       (match rt.detect_at with
        | Some t0 ->
          w.failovers <- (t0, ctx.now ()) :: w.failovers;
-         if Tel.is_enabled () then
-           Tel.observe "gp_cluster_failover_time" (ctx.now () -. t0);
-         if w.trace_on then
-           Metrics.observe w.node_metrics.(0) "gp_cluster_failover_time"
-             (ctx.now () -. t0);
          rt.detect_at <- None
        | None -> ());
       if w.trace_on && rt.rt_el_span <> 0 then begin
@@ -898,8 +860,6 @@ let initial w (ctx : Proto.msg Engine.ctx) =
       w.elastic;
     ctx.timer ~delay:w.tuning.hb_timeout Proto.Hb_check;
     w.elections <- w.elections + 1; (* the initial round, started below *)
-    if w.trace_on then
-      Metrics.inc w.node_metrics.(0) "gp_cluster_elections_total";
     R_router
       { pending = Hashtbl.create 64; wait_leader = Queue.create ();
         hk_slots = Hashtbl.create 16;

@@ -83,6 +83,22 @@ type elastic_event = {
   el_replica : int;  (** node slot, 1-based *)
 }
 
+(** The run's traffic counts, kept on every run, traced or not, as
+    plain counters in the manner of {!Gp_distsim.Engine.metrics}. The
+    per-rid dispatch counts, grouped by [Request.key], give the per-key
+    traffic; Σ [rc_attempts] matches their sum only while no write is
+    answered late with its next attempt parked, and requests still
+    pending at a horizon have no record at all. *)
+type counts = {
+  mutable serves : int;
+      (** [Do_request]s answered, memoised re-serves included *)
+  mutable replicates : int;  (** [Replicate] deliveries *)
+  mutable retries : int;  (** [Retry_check] redispatches *)
+  dispatched_to : int array;
+      (** dispatches per target node slot (length [n_replicas + 1]) *)
+  rid_dispatches : int array;  (** dispatches per rid *)
+}
+
 (** Shared read-only input plus the mutable collection points the
     simulation writes into — the engine's own state is opaque after
     {!Gp_distsim.Engine.run} returns, so the harness reads results from
@@ -91,8 +107,8 @@ type world = {
   reqs : Gp_service.Request.t array;
   keys : string array;
       (** per rid, the routing key ([Request.key]) once the hot-key
-          sketch or a traced key label has read it; [""] otherwise.
-          Make it [Array.make n ""]. *)
+          sketch has read it; [""] otherwise. Make it
+          [Array.make n ""]. *)
   key_hashes : Bytes.t;
       (** 8 bytes per rid: the key's ring position
           ({!Hash_ring.hash_into} at [8 * rid]), written on the
@@ -142,6 +158,8 @@ type world = {
   mutable peak_inflight : int;
       (** high-water mark of the router's pending table — the bounded
           queue's observed depth *)
+  counts : counts;
+      (** the traffic counts; make the arrays over a [0] fill *)
   trace_on : bool;
       (** distributed tracing master switch — every instrumentation
           site is guarded by exactly this one flag check, and tracing
@@ -151,11 +169,6 @@ type world = {
           [trace_on] is false). Span ids are cluster-global, times are
           simulated units stored ×1e3, and every span carries its trace
           id in the ["trace"] attribute. *)
-  node_metrics : Gp_telemetry.Metrics.t array;
-      (** per-node metric registries (request latency/failover
-          histograms, per-shard and per-key dispatch counters, serve /
-          replicate / retry / election counters), merged cluster-wide
-          by [Gp_tracing.Fleet] *)
   mutable next_span : int;  (** cluster-global span-id counter *)
   mutable next_trace : int;
       (** aux trace-id counter: requests use their [rid] as trace id,

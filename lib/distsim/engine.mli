@@ -81,7 +81,6 @@ type metrics = {
 }
 
 val total_local_steps : metrics -> int
-val max_local_steps : metrics -> int
 
 type result = {
   decisions : string option array;

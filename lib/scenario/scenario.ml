@@ -184,7 +184,6 @@ let flood_config ~quick ~seed ~promote n =
   { Cluster.default_config with
     replicas = 9;
     seed;
-    trace = true;
     server_config =
       { Cluster.default_config.server_config with
         Gp_service.Server.cache_capacity = 2 };
@@ -227,27 +226,22 @@ let hotkey_flood =
           let v = ref [] in
           if r.Cluster.r_promotions = 0 then
             v := "flood promoted no hot keys" :: !v;
-          (match Fleet.merged r with
-           | None -> v := "traced run produced no fleet metrics" :: !v
-           | Some m ->
-             let signal = List.map fst (Fleet.hot_keys m) in
-             List.iter
-               (fun k ->
-                 if not (List.mem k r.Cluster.r_promoted_keys) then
-                   v :=
-                     Printf.sprintf
-                       "fleet-hot key %S was never promoted" k
+          let signal = List.map fst (Fleet.hot_keys r) in
+          List.iter
+            (fun k ->
+              if not (List.mem k r.Cluster.r_promoted_keys) then
+                v := Printf.sprintf "fleet-hot key %S was never promoted" k
                      :: !v)
-               signal;
-             match r.Cluster.r_promoted_keys with
-             | first :: _ when not (List.mem first signal) ->
-               v :=
-                 Printf.sprintf
-                   "first promoted key %S absent from the fleet \
-                    hot-key signal"
-                   first
-                 :: !v
-             | _ -> ());
+            signal;
+          (match r.Cluster.r_promoted_keys with
+           | first :: _ when not (List.mem first signal) ->
+             v :=
+               Printf.sprintf
+                 "first promoted key %S absent from the fleet hot-key \
+                  signal"
+                 first
+               :: !v
+           | _ -> ());
           List.rev !v
         in
         base_spec ~config ~reqs:(flood_reqs ~seed n) ~checks ());

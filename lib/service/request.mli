@@ -122,14 +122,11 @@ val response_fingerprint : response -> string
     reused scratch buffer, the canonical string is never materialized;
     bit-identical to [Digest.string (response_canonical r)]. *)
 
-val response_kind_name : response -> string
-(** The request kind's name, or ["invalid"] when the line did not
-    parse. *)
-
 val result_fingerprint :
   kind:string -> (payload, error) result -> string
-(** [response_fingerprint r] from the parts it digests: the
-    {!response_kind_name} and the result. The flight recorder keeps just
+(** [response_fingerprint r] from the parts it digests: the request
+    kind's name (["invalid"] when the line did not parse) and the
+    result. The flight recorder keeps just
     these and digests them at export. *)
 
 val pp_response : Format.formatter -> response -> unit

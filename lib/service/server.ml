@@ -269,11 +269,8 @@ let record_dossier recorder t ~id ~kind ~wire ~spans ~dur_ns ~chain
     ~response:result ~chain ~spans ~metric_deltas
 
 (* [wire], when given, is the raw line the request arrived on — reused
-   verbatim in the dossier instead of re-serializing the request.
-   [context], when given, is the inbound cluster trace context: the root
-   span names the distributed trace and parent span it belongs to, so a
-   node-local service trace can be joined to the cluster-wide tree. *)
-let handle_recorded ?id ?context ?wire t req =
+   verbatim in the dossier instead of re-serializing the request. *)
+let handle_recorded ?id ?wire t req =
   let id = match id with Some id -> id | None -> fresh_id t in
   let kind = Request.kind_name (Request.kind req) in
   let recording = Option.is_some t.recorder in
@@ -287,15 +284,7 @@ let handle_recorded ?id ?context ?wire t req =
       let m = Tel.mark () in
       let rsp =
         Tel.with_span ~name:"service.request"
-          ~attrs:(fun () ->
-            let base = [ ("kind", kind); ("id", string_of_int id) ] in
-            match context with
-            | Some c when not (Gp_telemetry.Context.is_none c) ->
-              ("trace", string_of_int (Gp_telemetry.Context.trace c))
-              :: ("parent_span",
-                  string_of_int (Gp_telemetry.Context.span c))
-              :: base
-            | _ -> base)
+          ~attrs:(fun () -> [ ("kind", kind); ("id", string_of_int id) ])
           (fun () -> handle_core ~id ~t0 t req)
       in
       (rsp, Tel.spans_since m)
@@ -331,7 +320,7 @@ let handle_recorded ?id ?context ?wire t req =
       ~chain:(cache_deltas t) ~metric_deltas rsp);
   rsp
 
-let handle ?id ?context t req = handle_recorded ?id ?context t req
+let handle ?id t req = handle_recorded ?id t req
 
 (* A request line that did not even parse still gets a full response (and
    a metrics entry under kind "invalid", and a dossier carrying the raw

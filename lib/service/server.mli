@@ -76,18 +76,12 @@ val caches : t -> Dispatch.caches
 val cache_stats : t -> Lru.stats list
 val clear_caches : t -> unit
 
-val handle :
-  ?id:int -> ?context:Gp_telemetry.Context.t -> t -> Request.t ->
-  Request.response
-(** Process one request to completion. Never raises. When a telemetry sink is installed
-    ([Gp_telemetry.Tel.install]) each request runs under a
-    [service.request] root span, and the flight recorder ranks the
-    request by that span's duration (else by its observed latency); the
-    response is identical either way. [context], when given and
-    non-{!Gp_telemetry.Context.none}, is the inbound distributed trace
-    context — the root span is stamped with [trace]/[parent_span]
-    attributes so this node's service trace joins the cluster-wide
-    tree. *)
+val handle : ?id:int -> t -> Request.t -> Request.response
+(** Process one request to completion. Never raises. When a telemetry
+    sink is installed ([Gp_telemetry.Tel.install]) each request runs
+    under a [service.request] root span, and the flight recorder ranks
+    the request by that span's duration (else by its observed latency);
+    the response is identical either way. *)
 
 val process : t -> Request.t list -> Request.response list
 (** Serve each request with {!handle}, in order: responses in request

@@ -19,12 +19,6 @@ let level_rank = function
 
 let level_at_least ~required l = level_rank l >= level_rank required
 
-let level_name = function
-  | Semigroup -> "Semigroup"
-  | Monoid -> "Monoid"
-  | Group -> "Group"
-  | Abelian_group -> "AbelianGroup"
-
 type entry = {
   e_type : string; (* carrier element type, e.g. "int" *)
   e_op : string; (* operation symbol, e.g. "+" *)

@@ -8,7 +8,6 @@ type level = Semigroup | Monoid | Group | Abelian_group
 
 val level_rank : level -> int
 val level_at_least : required:level -> level -> bool
-val level_name : level -> string
 
 type entry = {
   e_type : string;

@@ -14,10 +14,6 @@ type diagnostic = {
   d_where : string;  (** the offending statement's label *)
 }
 
-val sorted_linear_search_message : string -> string
-(** The Section 3.2 suggestion text, verbatim, parameterised by the
-    recommended replacement algorithm. *)
-
 val check : Ast.stmt list -> diagnostic list
 (** Execute the program abstractly from the empty state; diagnostics in
     program order, deduplicated. Detects: singular/invalidated/past-end

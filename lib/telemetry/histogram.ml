@@ -100,41 +100,6 @@ let quantile t q =
 let buckets t =
   Array.init (Array.length t.bounds) (fun i -> (t.bounds.(i), t.counts.(i)))
 
-(* Aggregate two series into a fresh histogram. Only meaningful between
-   histograms with identical bucket geometry (same create parameters) —
-   per-bucket counts add exactly, so count/sum/extremes are exact and
-   quantile estimates keep the single-bucket-ratio error bound
-   (property-tested in test_telemetry). *)
-let merge a b =
-  if Array.length a.bounds <> Array.length b.bounds
-     || not (Array.for_all2 (fun x y -> x = y) a.bounds b.bounds)
-  then invalid_arg "Histogram.merge: mismatched bucket geometry";
-  { bounds = Array.copy a.bounds;
-    counts = Array.init (Array.length a.counts) (fun i ->
-        a.counts.(i) + b.counts.(i));
-    count = a.count + b.count;
-    sum = a.sum +. b.sum;
-    vmin = Float.min a.vmin b.vmin;
-    vmax = Float.max a.vmax b.vmax }
-
-let copy t =
-  { bounds = Array.copy t.bounds;
-    counts = Array.copy t.counts;
-    count = t.count;
-    sum = t.sum;
-    vmin = t.vmin;
-    vmax = t.vmax }
-
-(* Fold [merge] over a fleet of per-node histograms. Because merge adds
-   per-bucket counts and float sums of the same observations, the result
-   is order-independent up to float-addition reassociation — exactly so
-   for integer-valued observations (property-tested in
-   test_telemetry). *)
-let merge_all = function
-  | [] -> invalid_arg "Histogram.merge_all: empty list"
-  | [ h ] -> copy h
-  | h :: rest -> List.fold_left merge (copy h) rest
-
 let clear t =
   Array.fill t.counts 0 (Array.length t.counts) 0;
   t.count <- 0;

@@ -38,20 +38,4 @@ val buckets : t -> (float * int) array
 (** [(upper_bound, count)] per bucket, non-cumulative; the last upper
     bound is [infinity]. *)
 
-val merge : t -> t -> t
-(** Aggregate two series into a fresh histogram (neither input is
-    mutated): per-bucket counts add, so count, sum and the observed
-    extremes are exact and quantiles keep the one-bucket-ratio error
-    bound of the merged exact sample. Raises [Invalid_argument] when
-    the bucket geometries differ. *)
-
-val copy : t -> t
-(** An independent snapshot (same geometry, same contents). *)
-
-val merge_all : t list -> t
-(** Geometry-checked fold of {!merge} over a fleet of histograms —
-    order-independent up to float-addition reassociation (exact for
-    integer-valued observations). Raises [Invalid_argument] on an empty
-    list or mismatched geometries. *)
-
 val clear : t -> unit

@@ -120,48 +120,6 @@ let histogram_handle t ?(labels = []) name =
   | Vnum _ -> assert false
 
 (* ------------------------------------------------------------------ *)
-(* Fleet roll-up                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Merge per-node registries into a fresh one: counters and gauges add
-   (a merged gauge is the fleet sum), histogram series fold through the
-   geometry-checked Histogram.merge. Families and series keep first
-   appearance order across the inputs, so the merged exposition is as
-   stable as each node's; totals are order-independent (property-tested
-   in test_telemetry). *)
-let merge_all ts =
-  let out = create () in
-  List.iter
-    (fun src ->
-      List.iter
-        (fun name ->
-          let f = Hashtbl.find src.families name in
-          let g = family out ~kind:f.f_kind ~name in
-          if g.f_help = "" then g.f_help <- f.f_help;
-          List.iter
-            (fun (key, labels) ->
-              match Hashtbl.find_opt f.f_series key with
-              | None -> ()
-              | Some v -> (
-                match (Hashtbl.find_opt g.f_series key, v) with
-                | None, Vnum r ->
-                  Hashtbl.add g.f_series key (Vnum (ref !r));
-                  g.f_order <- g.f_order @ [ (key, labels) ]
-                | None, Vhist h ->
-                  Hashtbl.add g.f_series key (Vhist (Histogram.copy h));
-                  g.f_order <- g.f_order @ [ (key, labels) ]
-                | Some (Vnum o), Vnum r -> o := !o +. !r
-                | Some (Vhist o), Vhist h ->
-                  Hashtbl.replace g.f_series key (Vhist (Histogram.merge o h))
-                | Some _, _ ->
-                  (* the family-level kind check above rules this out *)
-                  assert false))
-            f.f_order)
-        src.order)
-    ts;
-  out
-
-(* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
 (* ------------------------------------------------------------------ *)
 

@@ -39,14 +39,6 @@ val histogram_handle :
   t -> ?labels:(string * string) list -> string -> Histogram.t
 (** Same, for a histogram series. *)
 
-val merge_all : t list -> t
-(** Merge per-node registries into a fresh cluster-wide one: counter and
-    gauge series with equal name+labels add (a merged gauge is the fleet
-    sum), histogram series fold through the geometry-checked
-    {!Histogram.merge}. First-appearance order across the inputs is
-    kept; totals are order-independent. Raises [Invalid_argument] when
-    one name is used with two kinds or histogram geometries differ. *)
-
 val value : t -> ?labels:(string * string) list -> string -> float
 (** Current value of one series (counters/gauges; a histogram yields its
     count). 0 for unknown names/labels. *)

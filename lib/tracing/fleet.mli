@@ -1,16 +1,14 @@
-(** Cluster-wide fleet metrics: merge the per-node registries a traced
-    run collects into one view — summed traffic counters,
-    geometry-checked histogram merges for cluster-wide latency
-    percentiles, per-shard dispatch counts, and a hot-key signal. *)
+(** Cluster-wide fleet metrics, read off a {!Gp_cluster.Cluster.result}:
+    per-node traffic from the engine's counters, request-latency
+    percentiles from the records, traffic totals and per-shard
+    dispatches from the run's counts, and a hot-key signal from its
+    per-rid dispatch counts. Every run keeps these, traced or not. *)
 
-val merged : Gp_cluster.Cluster.result -> Gp_telemetry.Metrics.t option
-(** {!Gp_telemetry.Metrics.merge_all} over the run's [r_node_metrics];
-    [None] when the run was not traced. *)
-
-val hot_keys : Gp_telemetry.Metrics.t -> (string * float) list
+val hot_keys : Gp_cluster.Cluster.result -> (string * int) list
 (** Content keys whose dispatch count is at least twice the mean over
-    all keys, hottest first (key breaks ties — deterministic). Reads
-    the [gp_cluster_key_dispatch_total] family of a merged registry. *)
+    all dispatched keys, hottest first (key breaks ties —
+    deterministic). The per-rid dispatch counts, grouped by
+    [Request.key]. *)
 
 type percentiles = {
   pc_count : int;
@@ -21,13 +19,15 @@ type percentiles = {
 }
 
 val request_percentiles :
-  Gp_telemetry.Metrics.t -> percentiles option
-(** Cluster-wide request-latency percentiles (simulated units) from the
-    merged [gp_cluster_request_time] histogram; [None] when absent or
-    empty. *)
+  Gp_cluster.Cluster.result -> percentiles option
+(** Cluster-wide request-latency percentiles (simulated units): one
+    default-geometry {!Gp_telemetry.Histogram} observing
+    [rc_done -. rc_arrive] for each non-shed record; [None] when there
+    is none. *)
 
 val pp_report : Format.formatter -> Gp_cluster.Cluster.result -> unit
 (** The fleet report: per-node sent/delivered traffic (from the engine's
-    per-node counters), merged latency percentiles, traffic totals,
-    per-shard dispatches, hot keys. Deterministic per (config,
-    workload). *)
+    per-node counters), latency percentiles, traffic totals, per-shard
+    dispatches in ascending replica order, hot keys. Deterministic per
+    (config, workload), and the same for a traced and an untraced
+    run. *)

@@ -112,112 +112,6 @@ let histogram_monotone_prop =
          in
          mono vs))
 
-let test_histogram_merge_known () =
-  let a = Histogram.create () in
-  let b = Histogram.create () in
-  List.iter (Histogram.observe a) [ 100.0; 200.0; 300.0 ];
-  List.iter (Histogram.observe b) [ 1000.0; 2000.0 ];
-  let m = Histogram.merge a b in
-  Alcotest.(check int) "count exact" 5 (Histogram.count m);
-  Alcotest.(check (float 1e-9)) "sum exact" 3600.0 (Histogram.sum m);
-  Alcotest.(check (float 0.0)) "min" 100.0 (Histogram.min_value m);
-  Alcotest.(check (float 0.0)) "max" 2000.0 (Histogram.max_value m);
-  (* inputs untouched *)
-  Alcotest.(check int) "a untouched" 3 (Histogram.count a);
-  Alcotest.(check int) "b untouched" 2 (Histogram.count b);
-  (* mismatched bucket geometry is a programming error *)
-  Alcotest.(check bool) "geometry mismatch raises" true
-    (match
-       Histogram.merge a
-         (Histogram.create ~lo:10.0 ~hi:1000.0 ~buckets_per_decade:1 ())
-     with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
-let histogram_merge_prop =
-  qtest
-    (QCheck.Test.make
-       ~name:
-         "merge: count/sum exact, quantiles within one bucket ratio of the \
-          merged sample"
-       ~count:200
-       QCheck.(
-         pair
-           (list_of_size Gen.(int_range 0 40) sample_gen)
-           (list_of_size Gen.(int_range 0 40) sample_gen))
-       (fun (xs, ys) ->
-         QCheck.assume (xs <> [] || ys <> []);
-         let ha = Histogram.create () in
-         let hb = Histogram.create () in
-         List.iter (Histogram.observe ha) xs;
-         List.iter (Histogram.observe hb) ys;
-         let m = Histogram.merge ha hb in
-         let all = xs @ ys in
-         Histogram.count m = List.length all
-         && Float.abs (Histogram.sum m -. List.fold_left ( +. ) 0.0 all)
-            <= 1e-6 *. Float.max 1.0 (Histogram.sum m)
-         && List.for_all
-              (fun q ->
-                let exact = exact_quantile all q in
-                let est = Histogram.quantile m q in
-                let r = Histogram.ratio m in
-                est <= exact *. r +. 1e-9 && est >= exact /. r -. 1e-9)
-              [ 0.25; 0.5; 0.9; 1.0 ]))
-
-(* Structural equality for merge laws: same geometry, same per-bucket
-   counts, same count/sum/extremes (Stdlib.compare so empty nan
-   extremes compare equal). *)
-let hist_eq a b =
-  Histogram.buckets a = Histogram.buckets b
-  && Histogram.count a = Histogram.count b
-  && Stdlib.compare (Histogram.sum a) (Histogram.sum b) = 0
-  && Stdlib.compare (Histogram.min_value a) (Histogram.min_value b) = 0
-  && Stdlib.compare (Histogram.max_value a) (Histogram.max_value b) = 0
-
-(* Integer-valued samples: float addition over them is exact, so the
-   merge laws hold with = rather than within-epsilon. *)
-let int_samples =
-  QCheck.(list_of_size Gen.(int_range 0 30)
-            (map float_of_int (int_range 1 1_000_000)))
-
-let hist_of samples =
-  let h = Histogram.create () in
-  List.iter (Histogram.observe h) samples;
-  h
-
-let histogram_merge_comm_prop =
-  qtest
-    (QCheck.Test.make ~name:"merge is commutative" ~count:200
-       QCheck.(pair int_samples int_samples)
-       (fun (xs, ys) ->
-         let a = hist_of xs and b = hist_of ys in
-         hist_eq (Histogram.merge a b) (Histogram.merge b a)))
-
-let histogram_merge_assoc_prop =
-  qtest
-    (QCheck.Test.make ~name:"merge is associative; merge_all folds it"
-       ~count:200
-       QCheck.(triple int_samples int_samples int_samples)
-       (fun (xs, ys, zs) ->
-         let a = hist_of xs and b = hist_of ys and c = hist_of zs in
-         let l = Histogram.merge (Histogram.merge a b) c in
-         let r = Histogram.merge a (Histogram.merge b c) in
-         hist_eq l r
-         && hist_eq l (Histogram.merge_all [ a; b; c ])
-         && hist_eq a (Histogram.merge_all [ a ])))
-
-let test_histogram_merge_all_edges () =
-  Alcotest.(check bool) "empty list raises" true
-    (match Histogram.merge_all [] with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
-  (* merge_all [h] is an independent copy, not an alias *)
-  let h = hist_of [ 10.0; 20.0 ] in
-  let c = Histogram.merge_all [ h ] in
-  Histogram.observe h 30.0;
-  Alcotest.(check int) "original grew" 3 (Histogram.count h);
-  Alcotest.(check int) "copy did not" 2 (Histogram.count c)
-
 (* ------------------------------------------------------------------ *)
 (* Trace context (the cluster wire piggyback)                          *)
 (* ------------------------------------------------------------------ *)
@@ -1077,50 +971,6 @@ let test_server_slow_log_and_json () =
       (member "requests" j = Some (Jnum 6.0))
 
 (* ------------------------------------------------------------------ *)
-(* Fleet roll-up: Metrics.merge_all                                    *)
-(* ------------------------------------------------------------------ *)
-
-let test_metrics_merge_all () =
-  let a = Metrics.create () in
-  let b = Metrics.create () in
-  Metrics.declare a ~kind:Metrics.Counter ~name:"serves" ~help:"Serves.";
-  Metrics.inc a ~by:3.0 "serves";
-  Metrics.inc b ~by:4.0 "serves";
-  Metrics.inc b ~labels:[ ("key", "k1") ] "by_key";
-  Metrics.inc a ~labels:[ ("key", "k1") ] ~by:2.0 "by_key";
-  Metrics.inc a ~labels:[ ("key", "k2") ] "by_key";
-  Metrics.observe a "lat" 100.0;
-  Metrics.observe a "lat" 200.0;
-  Metrics.observe b "lat" 1000.0;
-  let m = Metrics.merge_all [ a; b ] in
-  Alcotest.(check (float 0.0)) "counters add" 7.0 (Metrics.value m "serves");
-  Alcotest.(check (float 0.0)) "labelled series add" 3.0
-    (Metrics.value m ~labels:[ ("key", "k1") ] "by_key");
-  Alcotest.(check (float 0.0)) "one-sided series kept" 1.0
-    (Metrics.value m ~labels:[ ("key", "k2") ] "by_key");
-  (match Metrics.find_histogram m "lat" with
-  | None -> Alcotest.fail "merged histogram missing"
-  | Some h ->
-    Alcotest.(check int) "histogram counts add" 3 (Histogram.count h);
-    Alcotest.(check (float 1e-9)) "histogram sums add" 1300.0
-      (Histogram.sum h));
-  (* inputs untouched, merged registry independent *)
-  Metrics.inc m "serves";
-  Alcotest.(check (float 0.0)) "input a untouched" 3.0
-    (Metrics.value a "serves");
-  (* order independence of the totals *)
-  let m2 = Metrics.merge_all [ b; a ] in
-  Alcotest.(check (float 0.0)) "order-independent total" 7.0
-    (Metrics.value m2 "serves");
-  (* kind clash across registries is a programming error *)
-  let c = Metrics.create () in
-  Metrics.set c "serves" 1.0;
-  Alcotest.(check bool) "cross-registry kind clash raises" true
-    (match Metrics.merge_all [ a; c ] with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
-(* ------------------------------------------------------------------ *)
 (* The JSON module and the span codec                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -1226,15 +1076,8 @@ let () =
             test_histogram_known_samples;
           Alcotest.test_case "empty + buckets + overflow" `Quick
             test_histogram_empty_and_buckets;
-          Alcotest.test_case "merge known histograms" `Quick
-            test_histogram_merge_known;
           histogram_bound_prop;
           histogram_monotone_prop;
-          histogram_merge_prop;
-          histogram_merge_comm_prop;
-          histogram_merge_assoc_prop;
-          Alcotest.test_case "merge_all edges" `Quick
-            test_histogram_merge_all_edges;
         ] );
       ( "json",
         [ json_roundtrip_prop; span_fixpoint_prop ] );
@@ -1250,7 +1093,6 @@ let () =
             test_metrics_prometheus;
           Alcotest.test_case "json exposition" `Quick test_metrics_json;
           Alcotest.test_case "family totals" `Quick test_metrics_totals;
-          Alcotest.test_case "fleet merge_all" `Quick test_metrics_merge_all;
         ] );
       ( "trace",
         [

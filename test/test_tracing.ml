@@ -11,22 +11,23 @@
    orphans in aux traces, never silently attach to a root. *)
 
 module Cluster = Gp_cluster.Cluster
+module Node = Gp_cluster.Node
 module Engine = Gp_distsim.Engine
 module Journey = Gp_tracing.Journey
 module Trace = Gp_telemetry.Trace
-module Metrics = Gp_telemetry.Metrics
 module Trace_set = Gp_tracing.Trace_set
 module Attribution = Gp_tracing.Attribution
 module Fleet = Gp_tracing.Fleet
 
 let qtest = QCheck_alcotest.to_alcotest
 
-let run ?(n = 30) ?(seed = 7) ?(replicas = 3) ?(failures = []) () =
+let run ?(n = 30) ?(seed = 7) ?(replicas = 3) ?(failures = [])
+    ?(trace = true) () =
   let reqs = Gp_service.Workload.generate ~seed ~n () |> Array.of_list in
   Cluster.run
     ~config:
       { Cluster.default_config with
-        replicas; failures; seed; trace = true;
+        replicas; failures; seed; trace;
         max_time = 5000.0 }
     reqs
 
@@ -313,49 +314,106 @@ let test_attribution_failover_names_causes () =
 (* Fleet metrics                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let test_fleet_merge_consistency () =
-  let r = run ~n:50 ~seed:5 () in
-  match Fleet.merged r with
-  | None -> Alcotest.fail "traced run has no fleet metrics"
-  | Some m ->
-    (* the merged request-time histogram holds every completed request *)
-    (match Fleet.request_percentiles m with
-    | None -> Alcotest.fail "no request_time percentiles"
-    | Some pc ->
-      Alcotest.(check int) "one observation per completed request"
-        r.Cluster.r_completed pc.Fleet.pc_count;
-      Alcotest.(check bool) "percentiles ordered" true
-        (pc.Fleet.pc_p50 <= pc.Fleet.pc_p90
-        && pc.Fleet.pc_p90 <= pc.Fleet.pc_p99
-        && pc.Fleet.pc_p99 <= pc.Fleet.pc_max +. 1e-9));
-    (* merged totals equal the sum over the per-node registries *)
-    let by_node name =
-      List.fold_left
-        (fun a (_, nm) -> a +. Metrics.total nm name)
-        0.0 r.Cluster.r_node_metrics
-    in
-    List.iter
-      (fun name ->
-        Alcotest.(check (float 1e-9))
-          (name ^ " merged = summed")
-          (by_node name) (Metrics.total m name))
-      [ "gp_cluster_serves_total"; "gp_cluster_retries_total";
-        "gp_cluster_shard_dispatch_total"; "gp_cluster_key_dispatch_total";
-        "gp_cluster_elections_total" ];
-    (* per-node engine traffic: sends sum to the engine total *)
-    let em = r.Cluster.r_metrics in
-    Alcotest.(check int) "sent_by sums to sent" em.Engine.messages_sent
-      (Array.fold_left ( + ) 0 em.Engine.sent_by);
-    Alcotest.(check int) "delivered_to sums to delivered"
-      em.Engine.messages_delivered
-      (Array.fold_left ( + ) 0 em.Engine.delivered_to)
+(* The fleet report is read off the run's own counts and records, so
+   those must agree with what the traced run's spans show: one
+   cluster.serve span per serve, one cluster.replicate per replicate,
+   one retry-closed attempt per retry, and one cluster.attempt per
+   dispatch once every request has completed (an attempt still open at
+   the horizon has no span yet). Tracing changes nothing simulated, so
+   the untraced run's report is the traced run's, byte for byte. *)
+let fleet_accounting_prop =
+  let n = 40 in
+  let arb =
+    QCheck.make
+      ~print:(fun (replicas, fs, seed) ->
+        Printf.sprintf "replicas=%d seed=%d failures=%s" replicas seed
+          (String.concat "," (List.map pp_failure fs)))
+      QCheck.Gen.(
+        int_range 1 8 >>= fun replicas ->
+        map2
+          (fun fs seed -> (replicas, fs, seed))
+          (failure_plan_gen replicas) (int_range 0 1000))
+  in
+  qtest
+    (QCheck.Test.make
+       ~name:"counts equal span counts; untraced report identical"
+       ~count:25 arb
+       (fun (replicas, failures, seed) ->
+         let r = run ~n ~seed ~replicas ~failures () in
+         let r_off = run ~n ~seed ~replicas ~failures ~trace:false () in
+         let spans = List.concat_map snd r.Cluster.r_traces in
+         let spans_named ?outcome name =
+           List.length
+             (List.filter
+                (fun (sp : Trace.span) ->
+                  sp.Trace.sp_name = name
+                  && (outcome = None
+                     || List.assoc_opt "outcome" sp.Trace.sp_attrs = outcome))
+                spans)
+         in
+         let c = r.Cluster.r_counts in
+         let sum = Array.fold_left ( + ) 0 in
+         let em = r.Cluster.r_metrics in
+         let report r = Fmt.str "%a" Fleet.pp_report r in
+         let checks =
+           [ ("serves = cluster.serve spans",
+              c.Node.serves = spans_named "cluster.serve");
+             ("replicates = cluster.replicate spans",
+              c.Node.replicates = spans_named "cluster.replicate");
+             ("retries = retry-closed attempts",
+              c.Node.retries
+              = spans_named ~outcome:"retry" "cluster.attempt");
+             ("shard dispatches = rid dispatches",
+              sum c.Node.dispatched_to
+              = sum c.Node.rid_dispatches);
+             ("rid dispatches = cluster.attempt spans when all completed",
+              r.Cluster.r_completed < n
+              || sum c.Node.rid_dispatches
+                 = spans_named "cluster.attempt");
+             ("one observation per completed request, percentiles ordered",
+              match Fleet.request_percentiles r with
+              | None -> r.Cluster.r_completed = 0
+              | Some pc ->
+                pc.Fleet.pc_count = r.Cluster.r_completed
+                && pc.Fleet.pc_p50 <= pc.Fleet.pc_p90
+                && pc.Fleet.pc_p90 <= pc.Fleet.pc_p99
+                && pc.Fleet.pc_p99 <= pc.Fleet.pc_max +. 1e-9);
+             ("sent_by sums to sent",
+              em.Engine.messages_sent = sum em.Engine.sent_by);
+             ("delivered_to sums to delivered",
+              em.Engine.messages_delivered = sum em.Engine.delivered_to);
+             ("untraced report = traced report",
+              String.equal (report r_off) (report r)) ]
+         in
+         match List.filter (fun (_, ok) -> not ok) checks with
+         | [] -> true
+         | failed ->
+           QCheck.Test.fail_reportf "failed: %s"
+             (String.concat "; " (List.map fst failed))))
+
+(* Shards print by ascending replica id, not as label strings: with 12
+   replicas, 10..12 come after 9. *)
+let test_shards_in_replica_order () =
+  let r = run ~n:400 ~seed:42 ~replicas:12 ~trace:false () in
+  let line =
+    String.split_on_char '\n' (Fmt.str "%a" Fleet.pp_report r)
+    |> List.find (String.starts_with ~prefix:"dispatches by shard:")
+  in
+  let ids =
+    String.split_on_char ' ' line
+    |> List.filter_map (fun w ->
+           match String.index_opt w '=' with
+           | Some i -> int_of_string_opt (String.sub w 0 i)
+           | None -> None)
+  in
+  Alcotest.(check (list int)) "every replica, ascending"
+    (List.init 12 (fun i -> i + 1))
+    ids
 
 let test_untraced_run_collects_nothing () =
   let reqs = Gp_service.Workload.generate ~seed:1 ~n:10 () |> Array.of_list in
   let r = Cluster.run reqs in
-  Alcotest.(check bool) "no lanes" true (r.Cluster.r_traces = []);
-  Alcotest.(check bool) "no registries" true (r.Cluster.r_node_metrics = []);
-  Alcotest.(check bool) "fleet declines" true (Fleet.merged r = None)
+  Alcotest.(check bool) "no lanes" true (r.Cluster.r_traces = [])
 
 (* ------------------------------------------------------------------ *)
 (* Chrome lanes                                                        *)
@@ -421,8 +479,9 @@ let () =
         ] );
       ( "fleet",
         [
-          Alcotest.test_case "merge consistency" `Quick
-            test_fleet_merge_consistency;
+          fleet_accounting_prop;
+          Alcotest.test_case "shards in replica order" `Quick
+            test_shards_in_replica_order;
           Alcotest.test_case "untraced collects nothing" `Quick
             test_untraced_run_collects_nothing;
         ] );
