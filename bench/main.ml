@@ -206,7 +206,7 @@ let f4 () =
 let f5 () =
   section "F5" "Simplicissimus: Fig. 5 rules, certification, rewrite payoff";
   let open Gp_simplicissimus in
-  let insts = Instances.standard () in
+  let insts = Instances.standard (Gp_standard.Standard.world ()) in
   let rules = Rules.standard in
   (* certification status *)
   let reports = Certify.certify_builtin () in
@@ -672,15 +672,17 @@ let a1 () =
     (describe (Overload.resolve reg g [ n "vector<int>::iterator" ]));
   Fmt.pr "  first-match       : %s   <- loses the O(1)-indexed algorithm@."
     (describe (Overload.resolve_first_match reg g [ n "vector<int>::iterator" ]));
-  (* 2. rewriting with a FALSE model declaration: (int, -) asserted a
+  (* 2. rewriting with a FALSE model declaration: (int, -) declared a
      Monoid fires the left-identity rule 0 - x -> x, which is wrong *)
   let open Gp_simplicissimus in
-  Fmt.pr "@.concept guards are load-bearing: assert a false model and \
+  Fmt.pr "@.concept guards are load-bearing: declare a false model and \
           rewriting breaks semantics@.";
-  let honest = Instances.standard () in
-  let bogus = Instances.standard () in
-  Instances.add bogus ~ty:"int" ~op:"-" Instances.Monoid
-    ~identity:(Expr.VInt 0);
+  let world = Gp_standard.Standard.world () in
+  let honest = Instances.standard world in
+  let bogus_reg = Registry.fork world in
+  Gp_algebra.Decls.declare_carrier bogus_reg ~elem:"int" ~op:"-" "Monoid";
+  let bogus = Instances.standard bogus_reg in
+  Instances.add bogus ~ty:"int" ~op:"-" ~identity:(Expr.VInt 0) ();
   let e = Expr.binop "-" (Expr.int 0) (Expr.ivar "x") in
   let env = [ ("x", Expr.VInt 5) ] in
   let show label insts =
@@ -691,8 +693,13 @@ let a1 () =
       (Eval.eval ~env r.Engine.output)
   in
   Fmt.pr "  input: %s with x = 5 (true value -5)@." (Expr.to_string e);
-  show "honest instance table:" honest;
+  show "standard world:" honest;
   show "bogus (int,-) Monoid:" bogus;
+  Fmt.pr "  the checker on the false model (int[-] Monoid):@.";
+  List.iter
+    (fun w -> Fmt.pr "    warning: %a@." Check.pp_warning w)
+    (Check.check ~mode:Check.Nominal bogus_reg "Monoid" [ n "int[-]" ])
+      .Check.rep_warnings;
   Fmt.pr "  (subtraction has a right identity but no left identity; the \
           checker's axiom@.   warnings and the qcheck law tests are what \
           catch such a false declaration)@.";
@@ -806,18 +813,21 @@ let rewrite_world ~quick =
   let open Gp_simplicissimus in
   let nentries = if quick then 60 else 250 in
   let nrules = if quick then 50 else 200 in
-  let insts = Instances.create () in
+  let reg = Gp_concepts.Registry.create () in
+  List.iter
+    (Gp_concepts.Registry.declare_concept reg)
+    Gp_algebra.Decls.all_concepts;
+  let insts = Instances.create reg in
   for i = 0 to nentries - 1 do
-    Instances.add insts
-      ~ty:(Printf.sprintf "u%d" i)
-      ~op:"+" ~identity:(Expr.VInt 0) ~inverse:"neg" Instances.Abelian_group
+    let ty = Printf.sprintf "u%d" i in
+    Gp_algebra.Decls.declare_carrier reg ~elem:ty ~op:"+" "AbelianGroup";
+    Instances.add insts ~ty ~op:"+" ~identity:(Expr.VInt 0) ~inverse:"neg" ()
   done;
   let user_rules =
     List.init nrules (fun i ->
-        Rules.make ~user_type:"u0"
-          ~user_op:(Printf.sprintf "g%d" i)
+        Rules.make
+          ~guard:(Rules.Carrier ("u0", Printf.sprintf "g%d" i))
           ~name:(Printf.sprintf "user-g%d" i)
-          ~guard:Instances.Semigroup
           ~lhs:(Rules.P_exact (Printf.sprintf "g%d" i, [ Rules.P_any "x" ]))
           ~rhs:(Rules.T_var "x") ())
   in

@@ -224,7 +224,7 @@ let optimize_cmd =
       if certified_only then Certify.certified certs Rules.standard
       else Rules.standard
     in
-    let insts = Instances.standard () in
+    let insts = Instances.standard (Standard.world ()) in
     let demos =
       match expr_src with
       | Some src -> (
@@ -667,7 +667,7 @@ let trace_cmd =
     in
     let do_optimize () =
       let open Gp_simplicissimus in
-      let insts = Instances.standard () in
+      let insts = Instances.standard reg in
       List.iter
         (fun e -> ignore (Engine.rewrite ~rules:Rules.standard ~insts e))
         optimize_demos

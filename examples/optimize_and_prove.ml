@@ -24,7 +24,7 @@ let () =
   List.iter (fun c -> Fmt.pr "%a@." Certify.pp_certification c) reports;
   Fmt.pr "@.";
 
-  let insts = Instances.standard () in
+  let insts = Instances.standard (Gp_standard.Standard.world ()) in
   let rules = Rules.standard in
 
   (* 2. Regenerate the Fig. 5 instance table from the two generic rules:

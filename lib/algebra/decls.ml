@@ -97,18 +97,6 @@ let strict_weak_order =
 let all_concepts =
   [ semigroup; monoid; group; abelian_group; ring; field; strict_weak_order ]
 
-(* A carrier declaration: the (type, op) pair "elem[label]". *)
-type carrier = {
-  car_name : string; (* e.g. "int[+]" *)
-  car_elem : string; (* e.g. "int" *)
-  car_concept : string; (* most refined algebraic concept modeled *)
-  car_axioms : string list; (* axioms asserted (all of them, transitively) *)
-}
-
-let carrier ~elem ~label ~concept =
-  { car_name = Printf.sprintf "%s[%s]" elem label; car_elem = elem;
-    car_concept = concept; car_axioms = [] }
-
 let axioms_of_chain = function
   | "Semigroup" -> [ "associativity" ]
   | "Monoid" -> [ "associativity"; "left_identity"; "right_identity" ]
@@ -120,22 +108,23 @@ let axioms_of_chain = function
       "right_inverse"; "commutativity" ]
   | _ -> []
 
-(* The Fig. 5 instances plus the honest exact ones. *)
+(* The Fig. 5 instances plus the honest exact ones: (elem, op, most
+   refined algebraic concept modeled). *)
 let standard_carriers =
   [
-    carrier ~elem:"int" ~label:"+" ~concept:"AbelianGroup";
-    carrier ~elem:"int" ~label:"*" ~concept:"Monoid";
-    carrier ~elem:"int" ~label:"&" ~concept:"Monoid";
-    carrier ~elem:"int" ~label:"|" ~concept:"Monoid";
-    carrier ~elem:"bool" ~label:"&&" ~concept:"Monoid";
-    carrier ~elem:"bool" ~label:"||" ~concept:"Monoid";
-    carrier ~elem:"string" ~label:"^" ~concept:"Monoid";
-    carrier ~elem:"float" ~label:"+" ~concept:"AbelianGroup";
-    carrier ~elem:"float" ~label:"*" ~concept:"Group";
-    carrier ~elem:"rational" ~label:"+" ~concept:"AbelianGroup";
-    carrier ~elem:"rational" ~label:"*" ~concept:"Group";
-    carrier ~elem:"matrix" ~label:"." ~concept:"Monoid";
-    carrier ~elem:"invertible_matrix" ~label:"." ~concept:"Group";
+    ("int", "+", "AbelianGroup");
+    ("int", "*", "Monoid");
+    ("int", "&", "Monoid");
+    ("int", "|", "Monoid");
+    ("bool", "&&", "Monoid");
+    ("bool", "||", "Monoid");
+    ("string", "^", "Monoid");
+    ("float", "+", "AbelianGroup");
+    ("float", "*", "Group");
+    ("rational", "+", "AbelianGroup");
+    ("rational", "*", "Group");
+    ("matrix", ".", "Monoid");
+    ("invertible_matrix", ".", "Group");
   ]
 
 (* Reflexive-transitive refinement among [all_concepts], read from their
@@ -150,6 +139,25 @@ let rec refines a b =
          && List.exists (fun (r, _) -> refines r b) c.Concept.refines)
        all_concepts
 
+let carrier_name ~elem ~op = elem ^ "[" ^ op ^ "]"
+
+let declare_carrier reg ~elem ~op concept =
+  let name = carrier_name ~elem ~op in
+  Registry.declare_type reg name
+    ~assoc:[ ("elem", n elem) ]
+    ~doc:(Printf.sprintf "(%s) as a %s carrier" name concept);
+  let t = n name in
+  Registry.declare_op reg "op" [ t; t ] t;
+  if refines concept "Monoid" then Registry.declare_op reg "id" [] t;
+  if refines concept "Group" then Registry.declare_op reg "inverse" [ t ] t;
+  (* models for the whole refinement chain, asserting axioms *)
+  List.iter
+    (fun cc ->
+      if refines concept cc then
+        Registry.declare_model reg cc [ t ] ~axioms:(axioms_of_chain cc)
+          ~complexity:[ ("op", Complexity.constant) ])
+    [ "Semigroup"; "Monoid"; "Group"; "AbelianGroup" ]
+
 (* Declare the whole algebraic world into [reg]: concepts, element types,
    carrier types with their ops, and checked model declarations. *)
 let declare reg =
@@ -160,27 +168,7 @@ let declare reg =
   in
   List.iter (fun e -> Registry.declare_type reg e) elems;
   List.iter
-    (fun c ->
-      Registry.declare_type reg c.car_name
-        ~assoc:[ ("elem", n c.car_elem) ]
-        ~doc:(Printf.sprintf "(%s) as a %s carrier" c.car_name c.car_concept);
-      let t = n c.car_name in
-      Registry.declare_op reg "op" [ t; t ] t;
-      if refines c.car_concept "Monoid" then
-        Registry.declare_op reg "id" [] t;
-      if refines c.car_concept "Group" then
-        Registry.declare_op reg "inverse" [ t ] t;
-      (* declare models for the whole refinement chain, asserting axioms *)
-      let chain =
-        List.filter
-          (fun cc -> refines c.car_concept cc)
-          [ "Semigroup"; "Monoid"; "Group"; "AbelianGroup" ]
-      in
-      List.iter
-        (fun cc ->
-          Registry.declare_model reg cc [ t ] ~axioms:(axioms_of_chain cc)
-            ~complexity:[ ("op", Complexity.constant) ])
-        chain)
+    (fun (elem, op, concept) -> declare_carrier reg ~elem ~op concept)
     standard_carriers;
   (* strict weak orders on ordered element types *)
   List.iter

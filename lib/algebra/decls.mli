@@ -21,16 +21,17 @@ val all_concepts : Gp_concepts.Concept.t list
 
 (** {2 Carrier declarations} *)
 
-type carrier = {
-  car_name : string;  (** e.g. "int[+]" *)
-  car_elem : string;
-  car_concept : string;  (** most refined concept modeled *)
-  car_axioms : string list;
-}
-
-val carrier : elem:string -> label:string -> concept:string -> carrier
 val axioms_of_chain : string -> string list
-val standard_carriers : carrier list
+
+val carrier_name : elem:string -> op:string -> string
+(** The registry's name for the carrier (elem, op): ["elem[op]"]. *)
+
+val declare_carrier :
+  Gp_concepts.Registry.t -> elem:string -> op:string -> string -> unit
+(** [declare_carrier reg ~elem ~op concept]: the carrier type, its
+    operations and models of [concept] and every algebraic concept it
+    refines, axioms asserted. The algebraic concepts must be declared in
+    [reg] already. *)
 
 val declare : Gp_concepts.Registry.t -> unit
 (** Declare concepts, element types, carriers with their operations, and

@@ -60,9 +60,13 @@ let served_miss_cells op structure n =
    counters scale linearly with the chain length. *)
 let rewrite_counter counter n =
   let open Gp_simplicissimus in
-  let insts = Instances.create () in
+  let reg = Gp_concepts.Registry.create () in
+  List.iter (Gp_concepts.Registry.declare_concept reg)
+    Gp_algebra.Decls.all_concepts;
+  Gp_algebra.Decls.declare_carrier reg ~elem:"u" ~op:"+" "AbelianGroup";
+  let insts = Instances.create reg in
   Instances.add insts ~ty:"u" ~op:"+" ~identity:(Expr.VInt 0) ~inverse:"neg"
-    Instances.Abelian_group;
+    ();
   let rec build k =
     if k = 0 then Expr.Var ("x", "u")
     else Expr.Op ("+", "u", [ build (k - 1); Expr.Ident ("u", "+") ])

@@ -84,16 +84,20 @@ type t = {
   registry : Registry.t;
       (* Standard.world (), shared by every server in the process; never
          mutated here — sandboxes fork it *)
-  insts : Gp_simplicissimus.Instances.t;
+  insts : Gp_simplicissimus.Instances.t; (* answers from [registry] *)
   rules : Gp_simplicissimus.Rules.t list;
   select : Gp_structla.Select.t; (* the three numeric overload generics *)
   caches : caches;
   key_buf : Buffer.t; (* scratch for cache keys; see [key_buf] *)
 }
 
+(* Built once per process, like the world; never mutated. *)
+let standard_insts =
+  lazy (Gp_simplicissimus.Instances.standard (Gp_standard.Standard.world ()))
+
 let create ~cache_capacity () =
   { registry = Gp_standard.Standard.world ();
-    insts = Gp_simplicissimus.Instances.standard ();
+    insts = Lazy.force standard_insts;
     rules = Gp_simplicissimus.Rules.standard;
     select = Gp_structla.Select.create ();
     caches = create_caches ~capacity:cache_capacity;

@@ -67,9 +67,9 @@ let axioms_for (r : Rules.t) =
     Theory.ring { Theory.r_name = "int"; add = Theory.int_add; mul = Theory.int_mul }
   else
     match r.Rules.guard with
-    | Instances.Semigroup -> Theory.semigroup m
-    | Instances.Monoid -> Theory.monoid m
-    | Instances.Group | Instances.Abelian_group -> Theory.group_minimal m
+    | Rules.Concept "Monoid" -> Theory.monoid m
+    | Rules.Concept ("Group" | "AbelianGroup") -> Theory.group_minimal m
+    | Rules.Concept _ | Rules.Carrier _ -> Theory.semigroup m
 
 (* Certify one rule: check its backing theorem. *)
 let certify_rule (r : Rules.t) =
@@ -100,42 +100,40 @@ let certified certs rules =
         && match c.cert_verdict with Deduction.Proved -> true | _ -> false)
       certs
   in
-  List.filter (fun (r : Rules.t) -> r.Rules.user_type <> None || proved r) rules
+  List.filter
+    (fun (r : Rules.t) ->
+      match r.Rules.guard with
+      | Rules.Carrier _ -> true
+      | Rules.Concept _ -> proved r)
+    rules
 
 (* Discharge the derived group axioms for every exactly-modeled instance
    into [reg]: the right_inverse/right_identity axioms asserted by
-   Gp_algebra.Decls become *proved* for these carriers. *)
+   Gp_algebra.Decls become *proved* for the carriers [reg] models as
+   groups and monoids. *)
 let discharge_instance_axioms reg insts =
   List.concat_map
     (fun (e : Instances.entry) ->
       match e.Instances.e_mapping with
       | Some m when e.Instances.e_axioms_proved ->
-        let carrier =
-          Gp_concepts.Ctype.Named
-            (Printf.sprintf "%s[%s]" e.Instances.e_type e.Instances.e_op)
+        let args = e.Instances.e_carrier in
+        let discharge ~concept ~axiom thm axioms =
+          if not (Gp_concepts.Check.(models ~mode:Nominal) reg concept args)
+          then []
+          else
+            match Theorems.verify ~axioms thm with
+            | Deduction.Proved ->
+              Gp_concepts.Registry.certify_axiom reg ~concept ~axiom ~args;
+              [ (Theory.map_name m, axiom) ]
+            | _ -> []
         in
-        let discharged = ref [] in
-        (if Instances.level_at_least ~required:Instances.Group
-              e.Instances.e_level
-         then
-           let thm = Theorems.group_right_inverse m in
-           match Theorems.verify ~axioms:(Theory.group_minimal m) thm with
-           | Deduction.Proved ->
-             Gp_concepts.Registry.certify_axiom reg ~concept:"Group"
-               ~axiom:"right_inverse" ~args:[ carrier ];
-             discharged := "right_inverse" :: !discharged
-           | _ -> ());
-        (if Instances.level_at_least ~required:Instances.Monoid
-              e.Instances.e_level
-         then
-           let thm = Theorems.monoid_right_identity m in
-           match Theorems.verify ~axioms:(Theory.monoid m) thm with
-           | Deduction.Proved ->
-             Gp_concepts.Registry.certify_axiom reg ~concept:"Monoid"
-               ~axiom:"right_identity" ~args:[ carrier ];
-             discharged := "right_identity" :: !discharged
-           | _ -> ());
-        List.map (fun ax -> (Gp_athena.Theory.map_name m, ax)) !discharged
+        let group =
+          discharge ~concept:"Group" ~axiom:"right_inverse"
+            (Theorems.group_right_inverse m) (Theory.group_minimal m)
+        in
+        discharge ~concept:"Monoid" ~axiom:"right_identity"
+          (Theorems.monoid_right_identity m) (Theory.monoid m)
+        @ group
       | _ -> [])
     (Instances.entries insts)
 

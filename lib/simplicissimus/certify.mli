@@ -25,8 +25,9 @@ val certified : certification list -> Rules.t list -> Rules.t list
 
 val discharge_instance_axioms :
   Gp_concepts.Registry.t -> Instances.t -> (string * string) list
-(** For every exactly-modeled instance, declare the derived equations
-    (right inverse, right identity) certified in the registry
+(** For every entry with exactly proved axioms whose carrier the
+    registry models as a Group (Monoid), declare the derived right
+    inverse (right identity) equation certified in the registry
     ({!Gp_concepts.Registry.certify_axiom}), turning "asserted" axiom
     warnings into certified facts there and in forks made afterwards.
     Returns (instance, axiom) pairs discharged. *)

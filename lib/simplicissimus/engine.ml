@@ -3,8 +3,9 @@
 
    "Since concept analysis is a necessary first step for use of a new data
    type with a generic algorithm, optimization via concept-based rewrite
-   rules comes essentially for free": here the guard check is literally a
-   lookup of the modeling relation the instance table already records.
+   rules comes essentially for free": here the guard check is literally
+   the concept checker's verdict on the carrier, which the registry
+   already declares and memoises.
 
    The engine logs every rule application (rule name, carrier, before,
    after) so the Fig. 5 instance table can be *regenerated mechanically*
@@ -42,23 +43,16 @@ let carriers insts (node : Expr.t) =
 type core_stats = { mutable guard_probes : int; mutable guard_hits : int }
 
 (* Try to apply one rule at [node] for carrier (ty, op); the concept guard
-   is checked first (user rules are guarded by their library type
-   instead). [guard_memo] caches the instance-table part of the guard —
-   keyed (ty, op, required level, ring?) — across one whole rewrite, so
-   repeated guard checks on the same carrier cost one hash probe. *)
+   is checked first (user rules are guarded by their library carrier
+   instead). [guard_memo] caches the guard — keyed (ty, op, concept,
+   ring?) — across one whole rewrite, so repeated guard checks on the
+   same carrier cost one hash probe. *)
 let try_rule insts ~guard_memo ~stats (r : Rules.t) ~ty ~op node =
   let guard_ok =
-    match r.Rules.user_type with
-    | Some ut ->
-      (* library-specific rule: fires on its own type/op only *)
-      String.equal ut ty
-      && (match r.Rules.user_op with
-         | Some uo -> String.equal uo op
-         | None -> true)
-    | None ->
-      let key =
-        (ty, op, Instances.level_rank r.Rules.guard, r.Rules.requires_ring)
-      in
+    match r.Rules.guard with
+    | Rules.Carrier (ut, uo) -> String.equal ut ty && String.equal uo op
+    | Rules.Concept concept -> (
+      let key = (ty, op, concept, r.Rules.requires_ring) in
       stats.guard_probes <- stats.guard_probes + 1;
       match Hashtbl.find_opt guard_memo key with
       | Some b ->
@@ -66,12 +60,12 @@ let try_rule insts ~guard_memo ~stats (r : Rules.t) ~ty ~op node =
         b
       | None ->
         let b =
-          Instances.models insts ~ty ~op ~required:r.Rules.guard
+          Instances.models insts ~ty ~op concept
           && ((not r.Rules.requires_ring)
              || Instances.ring_for insts ~ty ~op <> None)
         in
         Hashtbl.add guard_memo key b;
-        b
+        b)
   in
   if not guard_ok then None
   else

@@ -1,10 +1,10 @@
 (** The rewrite engine: bottom-up normalisation to a fixpoint.
 
-    Rules fire wherever their concept guards hold against the instance
-    table — "optimization via concept-based rewrite rules comes
-    essentially for free" once the modeling relation is recorded. Every
-    application is logged, so the Fig. 5 instance table regenerates
-    mechanically from the rules (bench F5). *)
+    Rules fire wherever the registry says their concept guards hold
+    ({!Instances.models}) — "optimization via concept-based rewrite
+    rules comes essentially for free" once the modeling relation is
+    declared. Every application is logged, so the Fig. 5 instance table
+    regenerates mechanically from the rules (bench F5). *)
 
 type step = {
   st_rule : string;
@@ -20,11 +20,6 @@ type result = {
   ops_before : int;
   ops_after : int;
 }
-
-val carriers : Instances.t -> Expr.t -> (string * string) list
-(** Candidate carriers at a node: its own (type, op) plus any carrier
-    whose inverse operation is the node's op (so inv(inv x) finds its
-    owner). *)
 
 val max_steps : int
 (** The step budget of one {!rewrite}: the rule application that would
@@ -51,13 +46,14 @@ val rewrite : rules:Rules.t list -> insts:Instances.t -> Expr.t -> result
 
     Internally the rule list is indexed by what each rule's LHS root can
     match ({!Rules.head}), so a node only ever tries rules that could
-    possibly fire at it; guard checks are memoised per (carrier, level)
+    possibly fire at it; guard checks are memoised per (carrier, concept)
     across the whole call. Firing order is that of trying every rule, in
     list order, at every node (the test oracle does exactly that).
 
     When a telemetry sink is installed ([Gp_telemetry.Tel.install]) each
     call opens a [simplicissimus.rewrite] span and emits step, guard-memo
-    and rules-fired-per-head-symbol counters; with no sink installed the
+    and rules-fired-per-head-symbol counters (a guard-memo miss records
+    the checker's [concepts.check] span beneath it); with no sink the
     instrumentation is a single flag check (bench s3 measures the gap
     against {!rewrite_uninstrumented}). The result is identical either
     way. *)

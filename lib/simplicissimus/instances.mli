@@ -1,20 +1,14 @@
-(** The instance table: which (carrier type, operation symbol) pairs
-    model which algebraic concept — the data behind the "Requirements"
-    column of Fig. 5. Rewrite-rule guards query [models]; identities and
-    inverse operations come from here too. Each entry records whether
-    its axioms are exactly proved or merely asserted (floats). *)
-
-type level = Semigroup | Monoid | Group | Abelian_group
-
-val level_rank : level -> int
-val level_at_least : required:level -> level -> bool
+(** The surface table: per carrier (type, operation symbol), what the
+    rewriter needs beyond the modeling relation — identity literal,
+    inverse symbol, athena mapping, proved or asserted axioms — and the
+    ring pairings, paired with the registry that answers {!models}. *)
 
 type entry = {
   e_type : string;
   e_op : string;
-  e_level : level;
+  e_carrier : Gp_concepts.Ctype.t list;  (** [[Named "ty[op]"]] *)
   e_identity : Expr.value option;  (** concrete identity, if fixed *)
-  e_inverse : string option;  (** inverse op symbol, Group and up *)
+  e_inverse : string option;  (** inverse op symbol *)
   e_axioms_proved : bool;
   e_mapping : Gp_athena.Theory.mapping option;
 }
@@ -27,12 +21,14 @@ type ring_entry = {
   rg_add : string;
   rg_mul : string;
   rg_zero : Expr.value option;
-  rg_mapping : Gp_athena.Theory.ring_mapping option;
 }
 
 type t
 
-val create : unit -> t
+val create : Gp_concepts.Registry.t -> t
+(** An empty table answering {!models} from the registry. *)
+
+val registry : t -> Gp_concepts.Registry.t
 
 val add :
   t ->
@@ -42,7 +38,7 @@ val add :
   ?proved:bool ->
   ty:string ->
   op:string ->
-  level ->
+  unit ->
   unit
 
 val find : t -> ty:string -> op:string -> entry option
@@ -54,27 +50,32 @@ val ring_for : t -> ty:string -> op:string -> ring_entry option
 
 val inverse_carriers : t -> ty:string -> op:string -> (string * string) list
 (** Carriers [(ty, op')] whose declared inverse operation is [op] — the
-    candidates {!Gp_simplicissimus.Engine.carriers} adds at a node whose
+    candidates the rewrite engine adds at a node whose
     root symbol is an inverse (so [inv (inv x)] finds its owner without
     scanning the entry list). Insertion order. *)
 
 val is_ring_zero : t -> ty:string -> op:string -> Expr.t -> bool
 val ring_zero_expr : t -> ty:string -> op:string -> Expr.t
 
-val models : t -> ty:string -> op:string -> required:level -> bool
-(** The question every rewrite-rule guard asks. *)
+val models : t -> ty:string -> op:string -> string -> bool
+(** [models t ~ty ~op concept], the question every rewrite-rule guard
+    asks: {!Gp_concepts.Check.models} in [Nominal] mode on the table's
+    registry about the carrier "ty[op]", entry or not. *)
 
 val is_identity : t -> ty:string -> op:string -> Expr.t -> bool
 (** Symbolic identities match by construction; literals by value. *)
 
 val identity_expr : t -> ty:string -> op:string -> Expr.t
-(** Raises [Invalid_argument] on an unknown carrier. *)
+(** The identity literal, or the symbolic identity [Ident (ty, op)] when
+    the carrier has no entry or no fixed literal. *)
 
 val inverse_op : t -> ty:string -> op:string -> string option
 
-val standard : unit -> t
-(** The ten Fig. 5 instances plus exact rational and boolean/bitwise
-    companions. *)
+val standard : Gp_concepts.Registry.t -> t
+(** The surface facts of the ten Fig. 5 instances plus exact rational
+    and boolean/bitwise companions — the carriers
+    {!Gp_algebra.Decls.declare} declares — over the given registry,
+    which should hold those declarations (the standard world does). *)
 
 val entries : t -> entry list
 (** All entries in insertion (declaration) order. The returned list is

@@ -8,8 +8,9 @@
 
    plus companions (left identity, left inverse, double inverse, identity
    folding) and arbitrary user rules (the LiDIA 1.0/f -> Inverse(f)
-   example). Patterns are nonlinear: the same pattern variable must match
-   structurally equal subexpressions, which is what [x + (-x)] needs. *)
+   example), which fire on one library carrier instead. Patterns are
+   nonlinear: the same pattern variable must match structurally equal
+   subexpressions, which is what [x + (-x)] needs. *)
 
 type pattern =
   | P_any of string (* binds a metavariable; nonlinear *)
@@ -30,22 +31,23 @@ type template =
   | T_exact of string * template list
   | T_ring_zero
 
+type guard =
+  | Concept of string (* the carrier must model this concept *)
+  | Carrier of string * string
+      (* user rules fire only on this library carrier (type, op) *)
+
 type t = {
   rule_name : string;
-  guard : Instances.level; (* concept the carrier must model *)
+  guard : guard;
   requires_ring : bool;
       (* additionally require a registered ring with this carrier as its
          multiplication (the annihilation rules) *)
   lhs : pattern;
   rhs : template;
-  user_type : string option;
-      (* user rules fire only on this carrier type (library-specific) *)
-  user_op : string option; (* and only on this root op symbol *)
 }
 
-let make ?user_type ?user_op ?(requires_ring = false) ~name ~guard ~lhs ~rhs
-    () =
-  { rule_name = name; guard; requires_ring; lhs; rhs; user_type; user_op }
+let make ?(requires_ring = false) ~name ~guard ~lhs ~rhs () =
+  { rule_name = name; guard; requires_ring; lhs; rhs }
 
 (* What the root of the LHS can match — the engine's dispatch key. A
    [P_op] root only ever matches a node whose symbol IS the carrier op
@@ -137,36 +139,36 @@ let rec instantiate insts ~ty ~op bindings = function
 
 (* Fig. 5 row 1: x + 0 -> x, for every Monoid carrier. *)
 let right_identity =
-  make ~name:"right-identity" ~guard:Instances.Monoid
+  make ~name:"right-identity" ~guard:(Concept "Monoid")
     ~lhs:(P_op [ P_any "x"; P_identity ])
     ~rhs:(T_var "x") ()
 
 let left_identity =
-  make ~name:"left-identity" ~guard:Instances.Monoid
+  make ~name:"left-identity" ~guard:(Concept "Monoid")
     ~lhs:(P_op [ P_identity; P_any "x" ])
     ~rhs:(T_var "x") ()
 
 (* Fig. 5 row 2: x + (-x) -> 0, for every Group carrier. Nonlinear. *)
 let right_inverse =
-  make ~name:"right-inverse" ~guard:Instances.Group
+  make ~name:"right-inverse" ~guard:(Concept "Group")
     ~lhs:(P_op [ P_any "x"; P_inverse (P_any "x") ])
     ~rhs:T_identity ()
 
 let left_inverse =
-  make ~name:"left-inverse" ~guard:Instances.Group
+  make ~name:"left-inverse" ~guard:(Concept "Group")
     ~lhs:(P_op [ P_inverse (P_any "x"); P_any "x" ])
     ~rhs:T_identity ()
 
 (* inv(inv x) -> x, certified by the group double-inverse theorem. *)
 let double_inverse =
-  make ~name:"double-inverse" ~guard:Instances.Group
+  make ~name:"double-inverse" ~guard:(Concept "Group")
     ~lhs:(P_inverse (P_inverse (P_any "x")))
     ~rhs:(T_var "x") ()
 
 (* id + id -> id: folding identities (a consequence of either identity
    axiom; keeps normal forms tidy). *)
 let identity_fold =
-  make ~name:"identity-fold" ~guard:Instances.Monoid
+  make ~name:"identity-fold" ~guard:(Concept "Monoid")
     ~lhs:(P_op [ P_identity; P_identity ])
     ~rhs:T_identity ()
 
@@ -174,13 +176,13 @@ let identity_fold =
    match is the ring's multiplication; the zero belongs to its additive
    structure. Certified by the athena ring theorems. *)
 let mul_zero_right =
-  make ~name:"annihilation-right" ~guard:Instances.Semigroup
+  make ~name:"annihilation-right" ~guard:(Concept "Semigroup")
     ~requires_ring:true
     ~lhs:(P_op [ P_any "x"; P_ring_zero ])
     ~rhs:T_ring_zero ()
 
 let mul_zero_left =
-  make ~name:"annihilation-left" ~guard:Instances.Semigroup
+  make ~name:"annihilation-left" ~guard:(Concept "Semigroup")
     ~requires_ring:true
     ~lhs:(P_op [ P_ring_zero; P_any "x" ])
     ~rhs:T_ring_zero ()
@@ -196,8 +198,8 @@ let builtin = [ right_identity; left_identity; right_inverse; left_inverse;
    provides a more efficient Inverse() than the generic 1.0/f; the library
    author registers the specialisation. *)
 let lidia_inverse =
-  make ~name:"lidia: 1.0/f -> f.Inverse()" ~guard:Instances.Semigroup
-    ~user_type:"bigfloat" ~user_op:"/"
+  make ~name:"lidia: 1.0/f -> f.Inverse()"
+    ~guard:(Carrier ("bigfloat", "/"))
     ~lhs:(P_exact ("/", [ P_lit (Expr.VFloat 1.0); P_any "f" ]))
     ~rhs:(T_exact ("Inverse", [ T_var "f" ]))
     ()

@@ -1,6 +1,6 @@
 (** Concept-based rewrite rules (Fig. 5).
 
-    A rule is a pattern -> template pair guarded by a concept level the
+    A rule is a pattern -> template pair guarded by a concept the
     carrier must model. Patterns are nonlinear (the same metavariable
     must match structurally equal subexpressions — needed by
     [x + (-x)]). User rules are library-specific: they fire on a fixed
@@ -26,24 +26,27 @@ type template =
   | T_exact of string * template list
   | T_ring_zero
 
+type guard =
+  | Concept of string
+      (** the carrier (ty, op) must model this concept
+          ({!Instances.models}), e.g. ["Monoid"] *)
+  | Carrier of string * string
+      (** a user rule: fires on this library carrier (type, op) only *)
+
 type t = {
   rule_name : string;
-  guard : Instances.level;
+  guard : guard;
   requires_ring : bool;
       (** additionally require a registered ring whose multiplication is
           the carrier *)
   lhs : pattern;
   rhs : template;
-  user_type : string option;
-  user_op : string option;
 }
 
 val make :
-  ?user_type:string ->
-  ?user_op:string ->
   ?requires_ring:bool ->
   name:string ->
-  guard:Instances.level ->
+  guard:guard ->
   lhs:pattern ->
   rhs:template ->
   unit ->

@@ -45,6 +45,17 @@ let create ?(capacity = 4096) ~clock () =
   { clock; capacity; ring = Array.make capacity dummy; recorded = 0;
     next_id = 0; stack = [] }
 
+(* One value per attribute key, the last write winning: attributes render
+   as a JSON object, which may not repeat a key. *)
+let rec last_write_wins attrs =
+  match attrs with
+  | [] -> attrs
+  | ((k, _) as a) :: rest ->
+    let rest' = last_write_wins rest in
+    if List.mem_assoc k rest then rest'
+    else if rest' == rest then attrs
+    else a :: rest'
+
 let record t sp =
   t.ring.(t.recorded mod t.capacity) <- sp;
   t.recorded <- t.recorded + 1
@@ -67,7 +78,7 @@ let close t o ~error =
   record t
     { sp_id = o.o_id; sp_parent = o.o_parent; sp_name = o.o_name;
       sp_start_ns = o.o_start; sp_dur_ns = Float.max 0.0 (stop -. o.o_start);
-      sp_attrs = attrs; sp_gc = gc }
+      sp_attrs = last_write_wins attrs; sp_gc = gc }
 
 let with_span t ~name ?attrs f =
   t.next_id <- t.next_id + 1;
@@ -111,7 +122,8 @@ let emit t ?id ?parent ~name ~start_ns ~dur_ns ?(attrs = []) () =
   in
   record t
     { sp_id = id; sp_parent = parent; sp_name = name; sp_start_ns = start_ns;
-      sp_dur_ns = Float.max 0.0 dur_ns; sp_attrs = attrs; sp_gc = None };
+      sp_dur_ns = Float.max 0.0 dur_ns; sp_attrs = last_write_wins attrs;
+      sp_gc = None };
   id
 
 let add_attr t key v =
@@ -203,7 +215,8 @@ let to_chrome_json_lanes ?(dropped = 0) lanes =
               | None -> [])
             @ sp.sp_attrs
           in
-          Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) args)
+          Json.Obj
+            (List.map (fun (k, v) -> (k, Json.Str v)) (last_write_wins args))
           |> Json.to_string |> Buffer.add_string buf;
           Buffer.add_char buf '}')
         sps)

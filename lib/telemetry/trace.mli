@@ -29,7 +29,9 @@ val with_span :
   (unit -> 'a) -> 'a
 (** Run the thunk inside a span. [attrs] is evaluated once, at close.
     If the thunk raises, the span is still recorded — tagged with
-    [error=true] — and the exception propagates. *)
+    [error=true] — and the exception propagates. A recorded span holds
+    one value per attribute key: of [attrs], then {!add_attr}'s writes,
+    then the error tag, the last write wins. *)
 
 val add_attr : t -> string -> string -> unit
 (** Attach an attribute to the innermost open span (no-op outside any
@@ -43,7 +45,7 @@ val emit :
     stay open across many simulated deliveries) whose parent is chosen
     explicitly, e.g. from an inbound {!Context}. Returns the span id;
     when [id] is given it is used verbatim and the internal id counter
-    is bumped past it. *)
+    is bumped past it. Repeated [attrs] keys keep their last value. *)
 
 val spans : t -> span list
 (** Retained (up to capacity) completed spans, oldest first. *)

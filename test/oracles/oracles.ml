@@ -276,7 +276,7 @@ module Rules = Gp_simplicissimus.Rules
 
 (* The seed linear-scan engine: candidate carriers by scanning the whole
    entry list at every node, every rule tried at every node, no guard
-   memo. *)
+   memo; a guard asks the surface table's registry directly. *)
 let carriers_reference insts (node : Expr.t) =
   match node with
   | Expr.Op (o, t, _) ->
@@ -296,14 +296,13 @@ let carriers_reference insts (node : Expr.t) =
 
 let try_rule_reference insts (r : Rules.t) ~ty ~op node =
   let guard_ok =
-    match r.Rules.user_type with
-    | Some ut ->
-      String.equal ut ty
-      && (match r.Rules.user_op with
-         | Some uo -> String.equal uo op
-         | None -> true)
-    | None ->
-      Instances.models insts ~ty ~op ~required:r.Rules.guard
+    match r.Rules.guard with
+    | Rules.Carrier (ut, uo) -> String.equal ut ty && String.equal uo op
+    | Rules.Concept concept ->
+      let carrier = Gp_algebra.Decls.carrier_name ~elem:ty ~op in
+      Gp_concepts.Check.models ~mode:Gp_concepts.Check.Nominal
+        (Instances.registry insts) concept
+        [ Gp_concepts.Ctype.Named carrier ]
       && ((not r.Rules.requires_ring)
          || Instances.ring_for insts ~ty ~op <> None)
   in

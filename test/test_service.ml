@@ -671,7 +671,8 @@ let test_direct_library_equivalence () =
   let open Gp_simplicissimus in
   let expr = "x * 1 + 0" in
   let direct =
-    Engine.rewrite ~rules:Rules.standard ~insts:(Instances.standard ())
+    Engine.rewrite ~rules:Rules.standard
+      ~insts:(Instances.standard (Gp_standard.Standard.world ()))
       (Sparser.parse expr)
   in
   (match

@@ -6,7 +6,7 @@ open Gp_simplicissimus
 
 let qtest = QCheck_alcotest.to_alcotest
 
-let insts = Instances.standard ()
+let insts = Instances.standard (Gp_standard.Standard.world ())
 let rules = Rules.standard
 
 let rw e = (Engine.rewrite ~rules ~insts e).Engine.output
@@ -105,6 +105,82 @@ let test_unknown_carrier () =
   Alcotest.(check string) "unknown type untouched" (Expr.to_string e)
     (Expr.to_string (rw e))
 
+(* Guards ask the registry: a carrier declared a Monoid in a fork of the
+   world rewrites against that fork, by its symbolic identity since it
+   has no surface entry, and stays untouched against the world. *)
+let test_guard_asks_registry () =
+  let fork = Gp_concepts.Registry.fork (Instances.registry insts) in
+  Gp_algebra.Decls.declare_carrier fork ~elem:"widget" ~op:"+" "Monoid";
+  let open Expr in
+  let e = Op ("+", "widget", [ Var ("w", "widget"); Ident ("widget", "+") ]) in
+  let out insts =
+    Expr.to_string (Engine.rewrite ~rules ~insts e).Engine.output
+  in
+  Alcotest.(check string) "world: untouched" (Expr.to_string e) (out insts);
+  Alcotest.(check string) "fork: w" "w" (out (Instances.standard fork))
+
+(* ------------------------------------------------------------------ *)
+(* The surface table against the registry                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The standard surface table names no structure the standard world does
+   not declare, and omits no group's inverse: every entry's carrier is a
+   Semigroup, every carrier the world models as a Group has an entry
+   with an inverse symbol, and every ring pairs an AbelianGroup carrier
+   with a Monoid carrier of the same element type. *)
+let test_surface_matches_registry () =
+  let open Gp_concepts in
+  let world = Instances.registry insts in
+  let models concept args =
+    Check.models ~mode:Check.Nominal world concept args
+  in
+  let carrier ty op =
+    [ Ctype.Named (Gp_algebra.Decls.carrier_name ~elem:ty ~op) ]
+  in
+  (* the element type a carrier "elem[op]" binds *)
+  let elem_of = function
+    | [ Ctype.Named name ] -> (
+      match Registry.find_type world name with
+      | Some { Registry.td_assoc; _ } -> (
+        match List.assoc_opt "elem" td_assoc with
+        | Some (Ctype.Named el) when String.starts_with ~prefix:(el ^ "[") name
+          ->
+          Some el
+        | _ -> None)
+      | None -> None)
+    | _ -> None
+  in
+  let entries = Instances.entries insts in
+  List.iter
+    (fun (e : Instances.entry) ->
+      Alcotest.(check bool) (e.e_type ^ "[" ^ e.e_op ^ "] is a Semigroup") true
+        (models "Semigroup" e.e_carrier))
+    entries;
+  let groups =
+    List.filter
+      (fun (m : Registry.model) ->
+        m.mo_concept = "Group" && elem_of m.mo_args <> None)
+      (Registry.models world)
+  in
+  Alcotest.(check int) "group carriers" 6 (List.length groups);
+  List.iter
+    (fun (m : Registry.model) ->
+      Alcotest.(check bool) "the group's entry has an inverse" true
+        (List.exists
+           (fun (e : Instances.entry) ->
+             e.e_carrier = m.mo_args && e.e_inverse <> None)
+           entries))
+    groups;
+  List.iter
+    (fun (r : Instances.ring_entry) ->
+      let add = carrier r.rg_type r.rg_add
+      and mul = carrier r.rg_type r.rg_mul in
+      Alcotest.(check bool) (r.rg_type ^ " ring") true
+        (models "AbelianGroup" add && models "Monoid" mul
+        && elem_of add = Some r.rg_type
+        && elem_of mul = Some r.rg_type))
+    (Instances.rings insts)
+
 (* ------------------------------------------------------------------ *)
 (* Nested and repeated application                                     *)
 (* ------------------------------------------------------------------ *)
@@ -199,7 +275,8 @@ let test_certification () =
 (* A concept rule no certification proves: right identity under a name
    of its own *)
 let uncertified_rule =
-  Rules.make ~name:"right-identity (uncertified)" ~guard:Instances.Monoid
+  Rules.make ~name:"right-identity (uncertified)"
+    ~guard:(Rules.Concept "Monoid")
     ~lhs:(Rules.P_op [ Rules.P_any "x"; Rules.P_identity ])
     ~rhs:(Rules.T_var "x") ()
 
@@ -447,8 +524,7 @@ let telemetry_transparent_prop =
    The engine must stop at its step budget and report how far it got. *)
 let test_budget_exhaustion () =
   let swap =
-    Rules.make ~user_type:"int" ~user_op:"f" ~name:"swap-forever"
-      ~guard:Instances.Semigroup
+    Rules.make ~name:"swap-forever" ~guard:(Rules.Carrier ("int", "f"))
       ~lhs:(Rules.P_exact ("f", [ Rules.P_any "x"; Rules.P_any "y" ]))
       ~rhs:(Rules.T_exact ("f", [ Rules.T_var "y"; Rules.T_var "x" ]))
       ()
@@ -494,15 +570,15 @@ let test_budget_exhaustion () =
 (* ------------------------------------------------------------------ *)
 
 let test_entries_memoised () =
-  let t = Instances.create () in
-  Instances.add t ~ty:"a" ~op:"+" Instances.Monoid;
-  Instances.add t ~ty:"b" ~op:"*" Instances.Monoid;
+  let t = Instances.create (Gp_concepts.Registry.create ()) in
+  Instances.add t ~ty:"a" ~op:"+" ();
+  Instances.add t ~ty:"b" ~op:"*" ();
   let l1 = Instances.entries t in
   Alcotest.(check bool) "same list between mutations (physical)" true
     (Instances.entries t == l1);
   Alcotest.(check (list string)) "insertion order" [ "a"; "b" ]
     (List.map (fun e -> e.Instances.e_type) l1);
-  Instances.add t ~ty:"c" ~op:"." Instances.Semigroup;
+  Instances.add t ~ty:"c" ~op:"." ();
   let l2 = Instances.entries t in
   Alcotest.(check bool) "mutation invalidates the memo" true (not (l1 == l2));
   Alcotest.(check (list string)) "order after mutation" [ "a"; "b"; "c" ]
@@ -512,34 +588,36 @@ let test_entries_memoised () =
 (* Indexed engine == linear-scan reference (property)                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Random instance worlds over a small pool of types/ops, with random
-   levels, identities and inverse ops; random expressions over the same
-   symbols.  The indexed engine must agree with the retained seed
-   implementation step-for-step — including after interleaved table
-   mutations (stale-index detection). *)
+(* Random worlds over a small pool of types/ops: registry carriers
+   declared at random concepts, and surface entries with random
+   identities and inverse ops — a carrier may have either or both.
+   Random expressions run over the same symbols. The indexed engine must
+   agree with the retained seed implementation step-for-step, both
+   asking the world's registry — including after interleaved registry
+   and table mutations (stale-index detection). *)
 
 let world_gen =
   let open QCheck.Gen in
   let tys = [ "int"; "float"; "t0"; "t1"; "t2" ] in
   let ops = [ "+"; "*"; "op0"; "op1"; "op2" ] in
   let invs = [ "neg"; "inv"; "iop0" ] in
-  let level =
+  (* [None]: the registry declares no model of the carrier *)
+  let concept =
     oneofl
-      [ Instances.Semigroup; Instances.Monoid; Instances.Group;
-        Instances.Abelian_group ]
+      [ None; Some "Semigroup"; Some "Monoid"; Some "Group";
+        Some "AbelianGroup" ]
   in
   let decl =
     oneofl tys >>= fun ty ->
     oneofl ops >>= fun op ->
-    level >>= fun lv ->
+    concept >>= fun concept ->
+    frequency [ (4, return true); (1, return false) ] >>= fun surface ->
     oneofl [ None; Some (Expr.VInt 0); Some (Expr.VInt 1) ]
     >>= fun identity ->
-    (match lv with
-    | Instances.Group | Instances.Abelian_group ->
-      map (fun i -> Some i) (oneofl invs)
-    | Instances.Semigroup | Instances.Monoid ->
-      oneofl [ None; Some "neg" ])
-    >>= fun inverse -> return (ty, op, lv, identity, inverse)
+    (match concept with
+    | Some ("Group" | "AbelianGroup") -> map (fun i -> Some i) (oneofl invs)
+    | Some _ | None -> oneofl [ None; Some "neg" ])
+    >>= fun inverse -> return (ty, op, concept, surface, identity, inverse)
   in
   pair (list_size (int_range 1 12) decl) (list_size (int_range 0 4) decl)
 
@@ -574,19 +652,32 @@ let world_expr_gen =
               ])
         (min n 16))
 
-let build_world (decls, _) =
-  let t = Instances.create () in
+(* A carrier's first declaration is its registry model (a registry
+   never retracts one); a surface entry may be redeclared, and the most
+   recent one wins. *)
+let declare t decls =
+  let reg = Instances.registry t in
   List.iter
-    (fun (ty, op, lv, identity, inverse) ->
-      Instances.add t ?identity ?inverse ~ty ~op lv)
-    decls;
+    (fun (ty, op, concept, surface, identity, inverse) ->
+      (match concept with
+      | Some c
+        when not
+               (Gp_concepts.Registry.has_type reg
+                  (Gp_algebra.Decls.carrier_name ~elem:ty ~op)) ->
+        Gp_algebra.Decls.declare_carrier reg ~elem:ty ~op c
+      | Some _ | None -> ());
+      if surface then Instances.add t ?identity ?inverse ~ty ~op ())
+    decls
+
+let build_world (decls, _) =
+  let reg = Gp_concepts.Registry.create () in
+  List.iter (Gp_concepts.Registry.declare_concept reg)
+    Gp_algebra.Decls.all_concepts;
+  let t = Instances.create reg in
+  declare t decls;
   t
 
-let apply_second_batch t (_, extra) =
-  List.iter
-    (fun (ty, op, lv, identity, inverse) ->
-      Instances.add t ?identity ?inverse ~ty ~op lv)
-    extra
+let apply_second_batch t (_, extra) = declare t extra
 
 let step_equal (a : Engine.step) (b : Engine.step) =
   String.equal a.Engine.st_rule b.Engine.st_rule
@@ -615,8 +706,7 @@ let equiv_rules =
   Rules.standard
   @ [
       (* a user rule whose exact head symbol collides with a generated op *)
-      Rules.make ~user_type:"t0" ~user_op:"op0" ~name:"u0-project"
-        ~guard:Instances.Semigroup
+      Rules.make ~name:"u0-project" ~guard:(Rules.Carrier ("t0", "op0"))
         ~lhs:(Rules.P_exact ("op0", [ Rules.P_any "x"; Rules.P_any "y" ]))
         ~rhs:(Rules.T_var "x") ();
     ]
@@ -633,8 +723,9 @@ let engine_equiv_prop =
          let insts = build_world world in
          engines_agree ~rules:equiv_rules ~insts e
          && begin
-              (* mutate the table, then re-check: the indexes (by_key,
-                 by_inverse, entries memo) must track the mutation *)
+              (* mutate the registry and the table, then re-check: the
+                 indexes (by_key, by_inverse, entries memo) and the
+                 registry's verdict memo must track the mutation *)
               apply_second_batch insts world;
               engines_agree ~rules:equiv_rules ~insts e
             end))
@@ -707,6 +798,10 @@ let () =
             test_no_inverse_no_fire;
           Alcotest.test_case "nonlinear pattern" `Quick test_nonlinear_pattern;
           Alcotest.test_case "unknown carrier" `Quick test_unknown_carrier;
+          Alcotest.test_case "guard asks the registry" `Quick
+            test_guard_asks_registry;
+          Alcotest.test_case "surface table matches the registry" `Quick
+            test_surface_matches_registry;
         ] );
       ( "engine",
         [

@@ -1065,6 +1065,34 @@ let span_fixpoint_prop =
          String.equal line
            (Trace.span_to_json (Trace.span_of_json (Json.parse line)))))
 
+(* A span whose attribute key is written twice — by [attrs] and
+   [add_attr], or by [attrs] and the error tag of a raising span —
+   keeps the last write, so its dossier line and its Chrome args load
+   back as JSON objects. *)
+let test_repeated_attr_keys () =
+  let t = manual_trace () in
+  Trace.with_span t ~name:"set"
+    ~attrs:(fun () -> [ ("k", "a") ])
+    (fun () -> Trace.add_attr t "k" "b");
+  (try
+     Trace.with_span t ~name:"raise"
+       ~attrs:(fun () -> [ ("error", "false"); ("x", "1") ])
+       (fun () -> failwith "boom")
+   with Failure _ -> ());
+  let reload sp =
+    (Trace.span_of_json (Json.parse (Trace.span_to_json sp))).Trace.sp_attrs
+  in
+  (match Trace.spans t with
+  | [ set; raised ] ->
+    Alcotest.(check (list (pair string string))) "last add_attr wins"
+      [ ("k", "b") ] (reload set);
+    Alcotest.(check (list (pair string string))) "error tag wins"
+      [ ("x", "1"); ("error", "true") ] (reload raised)
+  | sps -> Alcotest.failf "expected two spans, got %d" (List.length sps));
+  match Json.parse (Trace.to_chrome_json t) with
+  | (_ : Json.t) -> ()
+  | exception Json.Error e -> Alcotest.failf "chrome export: %s" e
+
 let () =
   Alcotest.run "gp_telemetry"
     [
@@ -1080,7 +1108,9 @@ let () =
           histogram_monotone_prop;
         ] );
       ( "json",
-        [ json_roundtrip_prop; span_fixpoint_prop ] );
+        [ json_roundtrip_prop; span_fixpoint_prop;
+          Alcotest.test_case "repeated attr keys reload" `Quick
+            test_repeated_attr_keys ] );
       ( "context",
         [
           context_roundtrip_prop;
