@@ -1616,6 +1616,40 @@ let s7 () =
     let _, _, j1 = Gc.counters () in
     (j1 -. j0) /. fn
   in
+  (* the warm served path a client sees, as [Server.serve_channel] runs
+     it per line: serve_line, then the response rendered into one reused
+     buffer — a hit on an answer entry copies its stored fragment. Exact
+     minor words per request, and wall time per request as the median
+     over [trials] passes with the quartile spread (full runs only:
+     --quick records null, so bench-diff skips the wall keys) *)
+  let render_buf = Buffer.create 1024 in
+  let serve_render () =
+    List.iter
+      (fun line ->
+        match Server.serve_line server line with
+        | None -> ()
+        | Some rsp ->
+          Buffer.clear render_buf;
+          Wire.response_into render_buf rsp)
+      lines
+  in
+  let _, serve_render_minor = measure serve_render in
+  let quick = !quota < 0.5 in
+  let trials = 21 in
+  let render_median, render_iqr =
+    if quick then (nan, nan)
+    else begin
+      let per_request =
+        Array.init trials (fun _ ->
+            let t0 = Unix.gettimeofday () in
+            serve_render ();
+            (Unix.gettimeofday () -. t0) *. 1e9 /. fn)
+      in
+      Array.sort compare per_request;
+      let at q = per_request.(int_of_float (q *. float_of_int (trials - 1))) in
+      (at 0.5, at 0.75 -. at 0.25)
+    end
+  in
   (* warm hits by kind: minor words of one served hit, wire parse to
      dossier, recorder on — the cache key, the lookup and the answer it
      hands back, with no rendering left on the path *)
@@ -1691,6 +1725,13 @@ let s7 () =
     recorder_minor;
   Fmt.pr "%-44s %16s %14.1f@." "  major words (promoted or major-allocated)"
     "" serve_major;
+  Fmt.pr "%-44s %16s %14.1f@." "warm serve_line + render" ""
+    serve_render_minor;
+  if quick then
+    Fmt.pr "  (--quick: the serve_line + render wall probe is skipped)@."
+  else
+    Fmt.pr "  wall per request: median %.0f ns, IQR %.0f ns over %d passes@."
+      render_median render_iqr trials;
   Fmt.pr "@.%-44s %14s@." "warm hit, served (recorder on)" "minor words";
   Fmt.pr "%-44s %14.1f@." "optimize" hit_optimize;
   Fmt.pr "%-44s %14.1f@." "check (no defs)" hit_check;
@@ -1724,6 +1765,11 @@ let s7 () =
   record ~experiment:"s7" "serve_bytes_per_request" serve_bytes;
   record ~experiment:"s7" "serve_minor_words" serve_minor;
   record ~experiment:"s7" "serve_major_words" serve_major;
+  record ~experiment:"s7" "serve_render_minor_words" serve_render_minor;
+  record ~experiment:"s7" "serve_render_ns" render_median;
+  record ~experiment:"s7" "serve_render_iqr_ns" render_iqr;
+  record ~experiment:"s7" "serve_render_trials"
+    (if quick then nan else float_of_int trials);
   record ~experiment:"s7" "hit_minor_words_optimize" hit_optimize;
   record ~experiment:"s7" "hit_minor_words_check" hit_check;
   record ~experiment:"s7" "hit_minor_words_closure" hit_closure;

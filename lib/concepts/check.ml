@@ -371,25 +371,44 @@ and check_constraints ~mode ~visited reg env cs =
 
    An entry also carries the verdict's rendered report once someone has
    asked for it ([check_rendered]), so a memo hit renders nothing. *)
-module Memo_tbl = Hashtbl.Make (struct
-  type t = string * Ctype.t list * mode
+(* The key is a record with the tuple's layout, so it hashes exactly as
+   the tuple [(concept, args, mode)] did. Its fields are mutable so a
+   lookup can probe through one reused key instead of building one. *)
+type key = {
+  mutable k_concept : string;
+  mutable k_args : Ctype.t list;
+  mutable k_mode : mode;
+}
 
-  let equal (c1, a1, m1) (c2, a2, m2) =
-    String.equal c1 c2 && m1 = m2 && List.equal Ctype.equal a1 a2
+module Memo_tbl = Hashtbl.Make (struct
+  type t = key
+
+  let equal k1 k2 =
+    String.equal k1.k_concept k2.k_concept
+    && k1.k_mode = k2.k_mode
+    && List.equal Ctype.equal k1.k_args k2.k_args
 
   let hash = Hashtbl.hash
 end)
 
 type entry = { e_report : report; mutable e_text : string option }
 
-type memo = { mutable m_generation : int; m_reports : entry Memo_tbl.t }
+type memo = {
+  mutable m_generation : int;
+  m_reports : entry Memo_tbl.t;
+  m_probe : key; (* the reused lookup key; emptied after each probe *)
+  mutable m_hit : bool; (* whether the last [verdict] was a memo hit *)
+}
 
 type Registry.memo += Verdicts of memo
 
 let memo_capacity = 1024
 
 let new_memo () =
-  Verdicts { m_generation = -1; m_reports = Memo_tbl.create 8 }
+  Verdicts
+    { m_generation = -1; m_reports = Memo_tbl.create 8;
+      m_probe = { k_concept = ""; k_args = []; k_mode = Structural };
+      m_hit = false }
 
 let memo_of reg =
   match Registry.memo reg new_memo with
@@ -417,24 +436,40 @@ let compute mode reg concept args =
     e_text = None;
   }
 
-(* The verdict, from the memo when there is one, and whether it hit. *)
-let verdict mode reg concept args =
-  let m = memo_of reg in
-  let key = (concept, args, mode) in
-  match Memo_tbl.find_opt m.m_reports key with
-  | Some e -> (e, true)
-  | None ->
+(* The verdict, from memo [m] when there is one; [m.m_hit] says which. A
+   hit allocates nothing: the probe key is reused, [Memo_tbl.find]
+   returns no option, and the hit flag is a field, not a pair. The probe
+   is emptied before [compute], which may ask for verdicts itself, and
+   is never stored: a miss files a key of its own. *)
+let verdict m mode reg concept args =
+  let probe = m.m_probe in
+  probe.k_concept <- concept;
+  probe.k_args <- args;
+  probe.k_mode <- mode;
+  match Memo_tbl.find m.m_reports probe with
+  | e ->
+    probe.k_concept <- "";
+    probe.k_args <- [];
+    m.m_hit <- true;
+    e
+  | exception Not_found ->
+    probe.k_concept <- "";
+    probe.k_args <- [];
     let e = compute mode reg concept args in
     if Memo_tbl.length m.m_reports >= memo_capacity then
       Memo_tbl.reset m.m_reports;
-    Memo_tbl.add m.m_reports key e;
-    (e, false)
+    Memo_tbl.add m.m_reports
+      { k_concept = concept; k_args = args; k_mode = mode }
+      e;
+    m.m_hit <- false;
+    e
 
 (* The verdict's entry, under the [concepts.check] span when telemetry
    is on. *)
 let check_entry mode reg concept args =
   let module Tel = Gp_telemetry.Tel in
-  if not (Tel.is_enabled ()) then fst (verdict mode reg concept args)
+  let m = memo_of reg in
+  if not (Tel.is_enabled ()) then verdict m mode reg concept args
   else
     Tel.with_span ~name:"concepts.check"
       ~attrs:(fun () ->
@@ -445,7 +480,8 @@ let check_entry mode reg concept args =
           ("concept", concept);
         ])
       (fun () ->
-        let e, hit = verdict mode reg concept args in
+        let e = verdict m mode reg concept args in
+        let hit = m.m_hit in
         let report = e.e_report in
         let outcome = if report.rep_failures = [] then "ok" else "failed" in
         Tel.count ~labels:[ ("outcome", outcome) ] "gp_checks_total" 1;

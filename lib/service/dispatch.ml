@@ -29,19 +29,18 @@ type cache = Cache : _ Lru.t -> cache
    or a structural encoding of it, never a digest, so two keys are equal
    exactly when the requests are. *)
 type caches = {
-  closures : string list Lru.t;
-      (* propagation closures, pre-rendered: the cache stores the
-         obligation strings the payload ships, so a hit allocates no
-         per-request rendering *)
+  closures : Request.entry Lru.t;
+      (* Closed answers by concept and arguments: the obligation strings
+         pre-rendered, so a hit allocates no per-request rendering *)
   defs : defs Lru.t; (* parsed .gpc declarations and their sandbox *)
-  lint : Request.payload Lru.t; (* Linted payloads by program text *)
+  lint : Request.entry Lru.t; (* Linted answers by program text *)
   cert : Gp_simplicissimus.Certify.certification list Lru.t;
       (* the built-in rules' certifications *)
-  proofs : (string * bool) list Lru.t; (* checked proof instantiations *)
-  rewrites : Request.payload Lru.t;
-      (* Optimized payloads by mode and expression text, output
+  proofs : Request.entry Lru.t; (* Proved answers by theory and instance *)
+  rewrites : Request.entry Lru.t;
+      (* Optimized answers by mode and expression text, output
          pre-rendered *)
-  numerics : Request.payload Lru.t; (* Computed payloads by (op,triple) *)
+  numerics : Request.entry Lru.t; (* Computed answers by (op,triple) *)
   table : cache array;
       (* the seven above, in this order: what stats, counters and
          clearing walk *)
@@ -89,6 +88,11 @@ type t = {
   select : Gp_structla.Select.t; (* the three numeric overload generics *)
   caches : caches;
   key_buf : Buffer.t; (* scratch for cache keys; see [key_buf] *)
+  mutable cached : bool;
+  mutable entry : Request.entry;
+      (* how the last [handle] was served: whether from the caches, and
+         the answer LRU's entry on a hit (else [Request.no_entry]) —
+         reused fields, so a hit builds no tuple *)
 }
 
 (* Built once per process, like the world; never mutated. *)
@@ -101,9 +105,13 @@ let create ~cache_capacity () =
     rules = Gp_simplicissimus.Rules.standard;
     select = Gp_structla.Select.create ();
     caches = create_caches ~capacity:cache_capacity;
-    key_buf = Buffer.create 256 }
+    key_buf = Buffer.create 256;
+    cached = false;
+    entry = Request.no_entry }
 
 let caches t = t.caches
+let cached t = t.cached
+let entry t = t.entry
 
 let err code detail = Error { Request.code; detail }
 
@@ -163,6 +171,28 @@ let scope t d =
     d.scope <- Some s;
     s
 
+(* The answer LRUs (closures, lint, proofs, rewrites, numerics) share one
+   path. A probe returns the entry, or the static [Request.no_entry] on a
+   miss or with caching off (no lookup, no stats). A hit hands back the
+   entry's answer as it is and leaves the entry in [t.entry], where the
+   response picks it up with its stored fragment and digest; a computed
+   answer becomes a fresh entry. *)
+let lookup ~caching lru key =
+  if caching then Lru.find_or lru key Request.no_entry else Request.no_entry
+
+let served t (e : Request.entry) =
+  t.cached <- true;
+  t.entry <- e;
+  e.Request.e_result
+
+let answer ~caching lru key payload =
+  if caching then begin
+    let e = Request.entry payload in
+    Lru.add lru key e;
+    e.Request.e_result
+  end
+  else Ok payload
+
 let handle_check t ~caching ~budget ~concept ~types ~nominal ~defs =
   let sandbox_result =
     match defs with
@@ -180,7 +210,9 @@ let handle_check t ~caching ~budget ~concept ~types ~nominal ~defs =
                false))
   in
   match sandbox_result with
-  | Error (e, hit) -> (Error e, hit)
+  | Error (e, hit) ->
+    t.cached <- hit;
+    Error e
   | Ok (reg, hit) ->
     let mode = if nominal then Check.Nominal else Check.Structural in
     let args = List.map (fun ty -> Ctype.Named ty) types in
@@ -189,49 +221,52 @@ let handle_check t ~caching ~budget ~concept ~types ~nominal ~defs =
       (5
       + List.length report.Check.rep_failures
       + List.length report.Check.rep_warnings);
-    ( Ok
-        (Request.Checked
-           { ok = Check.ok report;
-             failures = List.length report.Check.rep_failures;
-             warnings = List.length report.Check.rep_warnings;
-             report = text }),
-      hit )
+    t.cached <- hit;
+    Ok
+      (Request.Checked
+         { ok = Check.ok report;
+           failures = List.length report.Check.rep_failures;
+           warnings = List.length report.Check.rep_warnings;
+           report = text })
 
 let handle_parse t ~caching ~budget ~source =
   match parsed_defs t ~caching ~budget source with
   | { items; _ }, hit ->
     let count p = List.length (List.filter p items) in
-    ( Ok
-        (Request.Parsed
-           { items = List.length items;
-             concepts = count (function Lang.Iconcept _ -> true | _ -> false);
-             models = count (function Lang.Imodel _ -> true | _ -> false) }),
-      hit )
+    t.cached <- hit;
+    Ok
+      (Request.Parsed
+         { items = List.length items;
+           concepts = count (function Lang.Iconcept _ -> true | _ -> false);
+           models = count (function Lang.Imodel _ -> true | _ -> false) })
   | exception Lang.Parse_error { line; col; message } ->
-    (err Request.Parse_failure (Printf.sprintf ".gpc:%d:%d: %s" line col message),
-     false)
+    err Request.Parse_failure (Printf.sprintf ".gpc:%d:%d: %s" line col message)
 
 let handle_lint t ~caching ~budget ~source =
   let open Gp_stllint in
+  let e = lookup ~caching t.caches.lint source in
   match
-    Lru.find_or_compute t.caches.lint ~enabled:caching source (fun () ->
-        let program = Parser.parse_program source in
-        Budget.spend budget (List.length program);
-        let ds = Interp.check program in
-        Request.Linted
-          { errors = List.length (Interp.errors ds);
-            warnings = List.length (Interp.warnings ds);
-            suggestions = List.length (Interp.suggestions ds);
-            messages =
-              List.map (fun d -> Fmt.str "%a" Interp.pp_diagnostic d) ds })
+    if e != Request.no_entry then served t e
+    else begin
+      let program = Parser.parse_program source in
+      Budget.spend budget (List.length program);
+      let ds = Interp.check program in
+      answer ~caching t.caches.lint source
+        (Request.Linted
+           { errors = List.length (Interp.errors ds);
+             warnings = List.length (Interp.warnings ds);
+             suggestions = List.length (Interp.suggestions ds);
+             messages =
+               List.map (fun d -> Fmt.str "%a" Interp.pp_diagnostic d) ds })
+    end
   with
-  | (Request.Linted { messages; _ } as payload), hit ->
+  | Ok (Request.Linted { messages; _ }) as result ->
     (* one diagnostic per message, so the budget charge is unchanged *)
     Budget.spend budget (1 + List.length messages);
-    (Ok payload, hit)
-  | _, _ -> assert false (* the lint cache only ever stores [Linted] *)
+    result
+  | _ -> assert false (* the lint cache only ever stores [Linted] *)
   | exception Parser.Parse_error { line; message; _ } ->
-    (err Request.Parse_failure (Printf.sprintf "program:%d: %s" line message), false)
+    err Request.Parse_failure (Printf.sprintf "program:%d: %s" line message)
 
 (* Cache keys are built straight into the dispatcher's one scratch
    buffer: no Format, no digest, no intermediate strings, so a key
@@ -266,36 +301,39 @@ let handle_optimize t ~caching ~budget ~expr ~certified_only =
     else Some (Sparser.parse expr)
   with
   | exception Sparser.Parse_error { line; col; message } ->
-    let detail = Printf.sprintf "expr:%d:%d: %s" line col message in
-    (err Request.Parse_failure detail, false)
+    err Request.Parse_failure (Printf.sprintf "expr:%d:%d: %s" line col message)
   | parsed -> (
     (* Certification is the expensive stage; a certified-only rewrite
        runs on the rules the certifications prove. *)
     let certs, cert_hit = certifications t ~caching ~budget in
+    let e = lookup ~caching t.caches.rewrites key in
     match
-      Lru.find_or_compute t.caches.rewrites ~enabled:caching key (fun () ->
-          let e =
-            match parsed with
-            | Some e -> e
-            | None -> assert false (* probed present above *)
-          in
-          let rules =
-            if certified_only then Certify.certified certs t.rules
-            else t.rules
-          in
-          let r = Engine.rewrite ~rules ~insts:t.insts e in
-          Request.Optimized
-            { output = Expr.to_string r.Engine.output;
-              steps = List.length r.Engine.steps;
-              ops_before = r.Engine.ops_before;
-              ops_after = r.Engine.ops_after })
+      if e != Request.no_entry then served t e
+      else begin
+        let e =
+          match parsed with
+          | Some e -> e
+          | None -> assert false (* probed present above *)
+        in
+        let rules =
+          if certified_only then Certify.certified certs t.rules else t.rules
+        in
+        let r = Engine.rewrite ~rules ~insts:t.insts e in
+        answer ~caching t.caches.rewrites key
+          (Request.Optimized
+             { output = Expr.to_string r.Engine.output;
+               steps = List.length r.Engine.steps;
+               ops_before = r.Engine.ops_before;
+               ops_after = r.Engine.ops_after })
+      end
     with
-    | (Request.Optimized { steps; _ } as payload), hit ->
+    | Ok (Request.Optimized { steps; _ }) as result ->
       Budget.spend budget (1 + steps);
-      (Ok payload, hit && cert_hit)
-    | _, _ -> assert false (* the rewrites cache only ever stores [Optimized] *)
+      t.cached <- t.cached && cert_hit;
+      result
+    | _ -> assert false (* the rewrites cache only ever stores [Optimized] *)
     | exception Engine.Did_not_terminate _ ->
-      (err Request.Over_budget "rewriting exceeded its step budget", false))
+      err Request.Over_budget "rewriting exceeded its step budget")
 
 (* A theory's instances from the one proof catalogue, narrowed to
    [instance] when one is named. *)
@@ -335,10 +373,13 @@ let handle_prove t ~caching ~budget ~theory ~instance =
     else prove_plan theory instance
   in
   match plan with
-  | Error detail -> (err Request.Unknown_name detail, false)
-  | Ok plan -> (
-    match
-      Lru.find_or_compute t.caches.proofs ~enabled:caching key (fun () ->
+  | Error detail -> err Request.Unknown_name detail
+  | Ok plan ->
+    let e = lookup ~caching t.caches.proofs key in
+    let result =
+      if e != Request.no_entry then served t e
+      else begin
+        let verdicts =
           List.concat_map
             (fun (iname, axioms, theorems) ->
               List.map
@@ -349,24 +390,28 @@ let handle_prove t ~caching ~budget ~theory ~instance =
                   ( iname ^ "/" ^ thm.Theorems.thm_name,
                     Theorems.verify ~axioms thm = Deduction.Proved ))
                 theorems)
-            plan)
-    with
-    | verdicts, hit ->
-      Budget.spend budget 1;
-      let failed = List.length (List.filter (fun (_, ok) -> not ok) verdicts) in
-      (Ok (Request.Proved { checked = List.length verdicts; failed }), hit))
+            plan
+        in
+        let failed =
+          List.length (List.filter (fun (_, ok) -> not ok) verdicts)
+        in
+        answer ~caching t.caches.proofs key
+          (Request.Proved { checked = List.length verdicts; failed })
+      end
+    in
+    Budget.spend budget 1;
+    result
 
 let handle_closure t ~caching ~budget ~concept ~types =
   match Registry.find_concept t.registry concept with
-  | None -> (err Request.Unknown_name ("unknown concept " ^ concept), false)
+  | None -> err Request.Unknown_name ("unknown concept " ^ concept)
   | Some con when List.length con.Concept.params <> List.length types ->
-    ( err Request.Bad_request
-        (Fmt.str "%a" Check.pp_failure
-           (Check.Arity_mismatch
-              { concept;
-                expected = List.length con.Concept.params;
-                got = List.length types })),
-      false )
+    err Request.Bad_request
+      (Fmt.str "%a" Check.pp_failure
+         (Check.Arity_mismatch
+            { concept;
+              expected = List.length con.Concept.params;
+              got = List.length types }))
   | Some _ ->
     let args = List.map (fun ty -> Ctype.Named ty) types in
     let key =
@@ -374,16 +419,26 @@ let handle_closure t ~caching ~budget ~concept ~types =
       Propagate.add_request_key buf t.registry concept args;
       Buffer.contents buf
     in
-    let obligations, hit =
+    let e = lookup ~caching t.caches.closures key in
+    if e != Request.no_entry then begin
+      Budget.spend budget 1;
+      served t e
+    end
+    else begin
       (* one rendered string per obligation, so lengths — and therefore
          the budget charge — match the unrendered closure exactly *)
-      Lru.find_or_compute t.caches.closures ~enabled:caching key (fun () ->
-          List.map
-            (fun ob -> Fmt.str "%a" Propagate.pp_obligation ob)
-            (Propagate.closure t.registry concept args))
-    in
-    Budget.spend budget (if hit then 1 else 1 + List.length obligations);
-    (Ok (Request.Closed { size = List.length obligations; obligations }), hit)
+      let obligations =
+        List.map
+          (fun ob -> Fmt.str "%a" Propagate.pp_obligation ob)
+          (Propagate.closure t.registry concept args)
+      in
+      let result =
+        answer ~caching t.caches.closures key
+          (Request.Closed { size = List.length obligations; obligations })
+      in
+      Budget.spend budget (1 + List.length obligations);
+      result
+    end
 
 (* Structure-aware numerics: a miss is Select.miss — regenerate the
    matrix from the request's (structure, n, seed) triple in its packed
@@ -398,14 +453,12 @@ let max_numeric_n = 256
 let handle_numeric t ~caching ~budget ~op ~structure ~n ~seed =
   let open Gp_structla in
   if not (Mat.known_structure structure) then
-    ( err Request.Unknown_name
-        (Printf.sprintf "unknown structure %S (have: %s)" structure
-           (String.concat ", " Mat.structure_names)),
-      false )
+    err Request.Unknown_name
+      (Printf.sprintf "unknown structure %S (have: %s)" structure
+         (String.concat ", " Mat.structure_names))
   else if n < 1 || n > max_numeric_n then
-    ( err Request.Bad_request
-        (Printf.sprintf "n=%d outside 1..%d" n max_numeric_n),
-      false )
+    err Request.Bad_request
+      (Printf.sprintf "n=%d outside 1..%d" n max_numeric_n)
   else begin
     let key =
       let buf = key_buf t in
@@ -418,32 +471,34 @@ let handle_numeric t ~caching ~budget ~op ~structure ~n ~seed =
       Json.add_int buf seed;
       Buffer.contents buf
     in
-    let payload, hit =
-      Lru.find_or_compute t.caches.numerics ~enabled:caching key (fun () ->
-          match Select.miss t.registry t.select ~op ~structure ~n ~seed with
-          | Ok m ->
-            Request.Computed
-              {
-                kernel = m.Select.ms_kernel;
-                detected = m.Select.ms_detected;
-                n;
-                steps = m.Select.ms_steps;
-                checksum = m.Select.ms_checksum;
-              }
-          | Error diag ->
-            (* every carrier has a dense fallback for all three generics,
-               so a resolution failure here is a dispatcher bug: escape
-               and let the server report Internal *)
-            failwith diag)
+    let e = lookup ~caching t.caches.numerics key in
+    let result =
+      if e != Request.no_entry then served t e
+      else
+        match Select.miss t.registry t.select ~op ~structure ~n ~seed with
+        | Ok m ->
+          answer ~caching t.caches.numerics key
+            (Request.Computed
+               { kernel = m.Select.ms_kernel;
+                 detected = m.Select.ms_detected;
+                 n;
+                 steps = m.Select.ms_steps;
+                 checksum = m.Select.ms_checksum })
+        | Error diag ->
+          (* every carrier has a dense fallback for all three generics,
+             so a resolution failure here is a dispatcher bug: escape
+             and let the server report Internal *)
+          failwith diag
     in
-    (match payload with
-    | Request.Computed { steps; _ } -> Budget.spend budget (1 + steps)
+    (match result with
+    | Ok (Request.Computed { steps; _ }) -> Budget.spend budget (1 + steps)
     | _ -> Budget.spend budget 1);
-    (Ok payload, hit)
+    result
   end
 
-let handle t ~caching ~budget (req : Request.t) :
-    (Request.payload, Request.error) result * bool =
+let handle t ~caching ~budget (req : Request.t) =
+  t.cached <- false;
+  t.entry <- Request.no_entry;
   match req with
   | Request.Check { concept; types; nominal; defs } ->
     handle_check t ~caching ~budget ~concept ~types ~nominal ~defs

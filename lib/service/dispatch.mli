@@ -21,12 +21,12 @@ type defs
     it. *)
 
 type caches
-(** The dispatcher's seven LRUs: propagation closures (pre-rendered
-    obligation strings), [.gpc] defs and their sandboxes, [Linted]
-    payloads, the built-in rules' certifications, proof
-    instantiations, [Optimized] payloads (by mode and expression text;
-    a hit does not parse) and [Computed] payloads (by operation,
-    structure, n and seed). *)
+(** The dispatcher's seven LRUs: [.gpc] defs and their sandboxes, the
+    built-in rules' certifications, and five answer LRUs holding one
+    {!Request.entry} per key — [Closed] (pre-rendered obligation
+    strings), [Linted], [Proved], [Optimized] (by mode and expression
+    text; a hit does not parse) and [Computed] (by operation,
+    structure, n and seed) answers. *)
 
 val cache_stats : caches -> Lru.stats list
 val clear_caches : caches -> unit
@@ -55,8 +55,17 @@ val handle :
   caching:bool ->
   budget:Budget.t ->
   Request.t ->
-  (Request.payload, Request.error) result * bool
-(** [(result, served_from_cache)]. May raise {!Budget.Exhausted} (the
-    server maps it to [Over_budget]/[Timeout]); any other escaping
-    exception is a dispatcher bug that the server reports as
-    [Internal]. *)
+  (Request.payload, Request.error) result
+(** The answer; on a hit, the entry's [e_result] itself, not a copy.
+    How it was served is left in {!cached} and {!entry}, so no tuple is
+    built. May raise {!Budget.Exhausted} (the server maps it to
+    [Over_budget]/[Timeout]); any other escaping exception is a
+    dispatcher bug that the server reports as [Internal]. *)
+
+val cached : t -> bool
+(** Whether the last {!handle} that returned was served from the
+    caches. *)
+
+val entry : t -> Request.entry
+(** The answer LRU's entry the last {!handle} that returned served, or
+    {!Request.no_entry}. *)

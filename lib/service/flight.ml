@@ -33,7 +33,7 @@ let blank_line_response =
   { Request.rsp_id = 0; rsp_kind = None;
     rsp_result =
       Error { Request.code = Request.Bad_request; detail = "blank wire line" };
-    rsp_cached = false; rsp_steps = 0 }
+    rsp_cached = false; rsp_steps = 0; rsp_entry = Request.no_entry }
 
 (* One fresh server, its own flight ring off — the loop reads a
    recording, it does not make one. Spans are captured only when the

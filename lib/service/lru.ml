@@ -58,16 +58,27 @@ let push_front t nd =
   (match t.mru with Some m -> m.prev <- Some nd | None -> t.lru <- Some nd);
   t.mru <- Some nd
 
+let hit t nd =
+  t.hits <- t.hits + 1;
+  unlink t nd;
+  push_front t nd;
+  nd.nd_value
+
 let find t key =
   match Hashtbl.find_opt t.tbl key with
-  | Some nd ->
-    t.hits <- t.hits + 1;
-    unlink t nd;
-    push_front t nd;
-    Some nd.nd_value
+  | Some nd -> Some (hit t nd)
   | None ->
     t.misses <- t.misses + 1;
     None
+
+(* [find] without the option: [Hashtbl.find] allocates no [Some] on a
+   hit, and the miss answer is the caller's static sentinel *)
+let find_or t key absent =
+  match Hashtbl.find t.tbl key with
+  | nd -> hit t nd
+  | exception Not_found ->
+    t.misses <- t.misses + 1;
+    absent
 
 let mem t key = Hashtbl.mem t.tbl key
 

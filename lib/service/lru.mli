@@ -26,6 +26,11 @@ val size : _ t -> int
 val find : 'v t -> string -> 'v option
 (** Records a hit or miss; a hit refreshes recency. *)
 
+val find_or : 'v t -> string -> 'v -> 'v
+(** [find_or t key absent]: {!find} without the option — the bound value,
+    or [absent] (a caller's static sentinel, compared with [==]) on a
+    miss. *)
+
 val mem : _ t -> string -> bool
 (** Pure membership probe: no stats traffic, no recency refresh. *)
 

@@ -17,19 +17,37 @@ let latency_family = "gp_request_latency_ns"
 
 (* Per-kind resolved series handles. [M.inc]/[M.observe] re-resolve the
    series on every call (label sort + rendered-key allocation); the
-   per-request path instead resolves each kind's four series once and
-   bumps the cells directly — zero-allocation steady state. *)
+   per-request path instead resolves each kind's four series on its first
+   observation, files them under the kind's slot, and bumps the unboxed
+   cells directly — no allocation and no string compared per request. *)
 type kind_handles = {
-  kh_total : float ref;
-  kh_ok : float ref;
-  kh_cached : float ref;
+  kh_total : M.cell;
+  kh_ok : M.cell;
+  kh_cached : M.cell;
   kh_latency : Histogram.t;
 }
+
+(* one slot per [Request.kind], then one for lines that did not parse *)
+let slot_count = List.length Request.all_kinds + 1
+
+let slot = function
+  | None -> slot_count - 1
+  | Some k -> (
+    match (k : Request.kind) with
+    | Kcheck -> 0
+    | Kparse -> 1
+    | Klint -> 2
+    | Koptimize -> 3
+    | Kprove -> 4
+    | Kclosure -> 5
+    | Kmatvec -> 6
+    | Kmatmul -> 7
+    | Ksolve -> 8)
 
 type t = {
   reg : M.t;
   mutable kinds : string list; (* first-observation order, for the report *)
-  mutable handles : (string * kind_handles) list; (* same order *)
+  handles : kind_handles option array; (* by [slot] *)
 }
 
 let create () =
@@ -48,14 +66,20 @@ let create () =
     ~help:"Request errors, by kind and error code.";
   M.declare reg ~kind:M.Histo ~name:latency_family
     ~help:"Request service time in nanoseconds, by kind.";
-  { reg; kinds = []; handles = [] }
+  { reg; kinds = []; handles = Array.make slot_count None }
 
 let registry t = t.reg
 
+let kind_label = function
+  | None -> "invalid"
+  | Some k -> Request.kind_name k
+
 let handles_for t kind =
-  match List.assoc_opt kind t.handles with
+  let i = slot kind in
+  match t.handles.(i) with
   | Some h -> h
   | None ->
+    let kind = kind_label kind in
     t.kinds <- t.kinds @ [ kind ];
     let labels = [ ("kind", kind) ] in
     let h =
@@ -64,22 +88,24 @@ let handles_for t kind =
         kh_cached = M.counter_handle t.reg ~labels "gp_requests_cached_total";
         kh_latency = M.histogram_handle t.reg ~labels latency_family }
     in
-    t.handles <- t.handles @ [ (kind, h) ];
+    t.handles.(i) <- Some h;
     h
 
-let observe t ~kind ~ok ~error_code ~cached ~ns =
+let observe t ~kind ~(result : (Request.payload, Request.error) result)
+    ~cached ~ns =
   let h = handles_for t kind in
-  h.kh_total := !(h.kh_total) +. 1.0;
-  if ok then h.kh_ok := !(h.kh_ok) +. 1.0;
-  if cached then h.kh_cached := !(h.kh_cached) +. 1.0;
-  (match error_code with
-  | None -> ()
-  | Some code ->
+  h.kh_total.M.v <- h.kh_total.M.v +. 1.0;
+  (match result with
+  | Ok _ -> h.kh_ok.M.v <- h.kh_ok.M.v +. 1.0
+  | Error e ->
     (* error series fan out by (kind, code); errors are off the hot
        path, so resolving per call is fine *)
     M.inc t.reg
-      ~labels:[ ("kind", kind); ("code", code) ]
+      ~labels:
+        [ ("kind", kind_label kind);
+          ("code", Request.error_code_name e.Request.code) ]
       "gp_request_errors_total");
+  if cached then h.kh_cached.M.v <- h.kh_cached.M.v +. 1.0;
   Histogram.observe h.kh_latency ns
 
 let requests t = int_of_float (M.total t.reg "gp_requests_total")

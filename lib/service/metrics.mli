@@ -15,12 +15,15 @@ val registry : t -> Gp_telemetry.Metrics.t
 
 val observe :
   t ->
-  kind:string ->
-  ok:bool ->
-  error_code:string option ->
+  kind:Request.kind option ->
+  result:(Request.payload, Request.error) result ->
   cached:bool ->
   ns:float ->
   unit
+(** Count one served request under its kind ([None]: a line that did
+    not parse, labelled ["invalid"]) and observe its latency. A kind's
+    series are resolved on its first observation; after that a call
+    allocates nothing and compares no strings. *)
 
 val requests : t -> int
 val errors : t -> int

@@ -205,12 +205,28 @@ type payload =
       checksum : string; (* digest of the result's IEEE bit patterns *)
     }
 
+(* What an answer LRU keeps per key: the finished answer, and its wire
+   fragment and fingerprint, each filled the first time a hit needs it.
+   A cached answer cannot change, so it is rendered and digested at most
+   once. *)
+type entry = {
+  e_result : (payload, error) result;
+  mutable e_wire : string; (* "" until a hit renders it *)
+  mutable e_fp : string; (* "" until first digested *)
+}
+
+let entry payload = { e_result = Ok payload; e_wire = ""; e_fp = "" }
+
+let no_entry =
+  { e_result = Error { code = Internal; detail = "" }; e_wire = ""; e_fp = "" }
+
 type response = {
   rsp_id : int;
   rsp_kind : kind option; (* [None] when the request line did not parse *)
   rsp_result : (payload, error) result;
   rsp_cached : bool; (* served from a memo cache *)
   rsp_steps : int; (* budget steps charged *)
+  rsp_entry : entry; (* the entry the answer came from, or [no_entry] *)
 }
 
 let ok rsp = Result.is_ok rsp.rsp_result
@@ -330,8 +346,17 @@ let result_fingerprint ~kind result =
   Buffer.blit fp_buf 0 !fp_bytes 0 len;
   Digest.to_hex (Digest.subbytes !fp_bytes 0 len)
 
+(* An answer LRU holds one kind's answers, so an entry's digest is the
+   fingerprint of every response served from it. *)
 let response_fingerprint r =
-  result_fingerprint ~kind:(response_kind_name r) r.rsp_result
+  let e = r.rsp_entry in
+  if e == no_entry then
+    result_fingerprint ~kind:(response_kind_name r) r.rsp_result
+  else begin
+    if String.length e.e_fp = 0 then
+      e.e_fp <- result_fingerprint ~kind:(response_kind_name r) e.e_result;
+    e.e_fp
+  end
 
 let pp_payload ppf = function
   | Checked { ok; failures; warnings; _ } ->

@@ -96,12 +96,39 @@ type payload =
           (** digest of the result's IEEE bit patterns — replay-stable *)
     }
 
+(** A cached answer: what an answer LRU keeps under one key. It is
+    rendered at most once and digested at most once; every later hit
+    copies the stored bytes. *)
+type entry = {
+  e_result : (payload, error) result;
+      (** the finished [Ok payload], handed back as it is on every hit *)
+  mutable e_wire : string;
+      (** the payload's wire fragment, the fields between
+          [,"status":"ok"] and [,"cached"]; [""] until a hit renders it
+          ({!Wire.response_into}) *)
+  mutable e_fp : string;
+      (** the answer's {!response_fingerprint}; [""] until first
+          digested *)
+}
+
+val entry : payload -> entry
+(** A fresh entry for [payload], fragment and digest empty. *)
+
+val no_entry : entry
+(** The one "not served from an entry" sentinel, compared with [==];
+    nothing is ever stored into it. *)
+
 type response = {
   rsp_id : int;
   rsp_kind : kind option;  (** [None] when the request line did not parse *)
   rsp_result : (payload, error) result;
+      (** on a hit, the entry's [e_result] itself *)
   rsp_cached : bool;
   rsp_steps : int;
+  rsp_entry : entry;
+      (** the cache entry the answer was served from, or {!no_entry}:
+          misses, checks, parses, errors and a cache-off server render
+          and digest afresh *)
 }
 
 val ok : response -> bool
@@ -120,7 +147,9 @@ val response_fingerprint : response -> string
 (** Digest of {!response_canonical} — the equality flight-recorder
     replay asserts. Streamed: the canonical bytes are digested from a
     reused scratch buffer, the canonical string is never materialized;
-    bit-identical to [Digest.string (response_canonical r)]. *)
+    bit-identical to [Digest.string (response_canonical r)]. A response
+    served from an entry reads the entry's digest, computing and keeping
+    it on first use. *)
 
 val result_fingerprint :
   kind:string -> (payload, error) result -> string

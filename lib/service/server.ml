@@ -168,54 +168,42 @@ let fresh_id t =
 (* The request's one end reading of the clock: the latency goes to the
    histogram and into [t.latency_ns] for the dossier. *)
 let observe t ~kind ~id ~t0 (result : (Request.payload, Request.error) result)
-    ~cached ~steps =
+    ~cached ~entry ~steps =
   let ns = (t.config.now () -. t0) *. 1e9 in
   t.latency_ns.(0) <- ns;
-  Metrics.observe t.metrics
-    ~kind:(match kind with Some k -> Request.kind_name k | None -> "invalid")
-    ~ok:(Result.is_ok result)
-    ~error_code:
-      (match result with
-      | Ok _ -> None
-      | Error e -> Some (Request.error_code_name e.Request.code))
-    ~cached ~ns;
+  Metrics.observe t.metrics ~kind ~result ~cached ~ns;
   { Request.rsp_id = id; rsp_kind = kind; rsp_result = result;
-    rsp_cached = cached; rsp_steps = steps }
+    rsp_cached = cached; rsp_steps = steps; rsp_entry = entry }
+
+let failed t ~kind ~id ~t0 ~budget code detail =
+  observe t ~kind ~id ~t0
+    (Error { Request.code; detail })
+    ~cached:false ~entry:Request.no_entry ~steps:(Budget.used budget)
 
 (* Handle one request to completion. Total: budget exhaustion and any
    unexpected exception become structured errors. [t0] is the request's
-   one start reading of the clock. *)
+   one start reading of the clock. How a returned answer was served —
+   from the caches, and from which entry — is read off the dispatcher. *)
 let handle_core ~id ~t0 t req =
   let budget =
     Budget.create ~max_steps:t.config.max_steps
       ?deadline:(Option.map (fun s -> t0 +. s) t.config.timeout)
       ~now:t.config.now ()
   in
-  let result, cached =
-    match Dispatch.handle t.dispatch ~caching:t.config.caching ~budget req with
-    | result -> result
-    | exception Budget.Exhausted Budget.Steps ->
-      ( Error
-          { Request.code = Request.Over_budget;
-            detail =
-              Printf.sprintf "request exceeded its %d-step budget"
-                t.config.max_steps },
-        false )
-    | exception Budget.Exhausted Budget.Deadline ->
-      ( Error
-          { Request.code = Request.Timeout;
-            detail =
-              Printf.sprintf "request exceeded its %.3fs deadline"
-                (Option.value ~default:0.0 t.config.timeout) },
-        false )
-    | exception exn ->
-      ( Error
-          { Request.code = Request.Internal;
-            detail = Printexc.to_string exn },
-        false )
-  in
-  observe t ~kind:(Some (Request.kind req)) ~id ~t0 result ~cached
-    ~steps:(Budget.used budget)
+  let kind = Some (Request.kind req) in
+  match Dispatch.handle t.dispatch ~caching:t.config.caching ~budget req with
+  | result ->
+    observe t ~kind ~id ~t0 result ~cached:(Dispatch.cached t.dispatch)
+      ~entry:(Dispatch.entry t.dispatch) ~steps:(Budget.used budget)
+  | exception Budget.Exhausted Budget.Steps ->
+    failed t ~kind ~id ~t0 ~budget Request.Over_budget
+      (Printf.sprintf "request exceeded its %d-step budget" t.config.max_steps)
+  | exception Budget.Exhausted Budget.Deadline ->
+    failed t ~kind ~id ~t0 ~budget Request.Timeout
+      (Printf.sprintf "request exceeded its %.3fs deadline"
+         (Option.value ~default:0.0 t.config.timeout))
+  | exception exn ->
+    failed t ~kind ~id ~t0 ~budget Request.Internal (Printexc.to_string exn)
 
 (* ------------------------------------------------------------------ *)
 (* Flight-recorder dossier assembly                                    *)
@@ -331,7 +319,7 @@ let reject_invalid ?(line = "") t detail =
   let rsp =
     observe t ~kind:None ~id ~t0
       (Error { Request.code = Request.Bad_request; detail })
-      ~cached:false ~steps:0
+      ~cached:false ~entry:Request.no_entry ~steps:0
   in
   (match t.recorder with
   | None -> ()

@@ -631,7 +631,18 @@ let response_into buf (r : Request.response) =
   (match r.Request.rsp_result with
   | Ok payload ->
     Buffer.add_string buf ",\"status\":\"ok\"";
-    payload_into buf payload
+    (* an answer served from a cache entry is rendered once: the first
+       hit renders straight into [buf] and keeps that slice as the
+       entry's fragment, and every later hit copies it *)
+    let e = r.Request.rsp_entry in
+    if e == Request.no_entry then payload_into buf payload
+    else if String.length e.Request.e_wire > 0 then
+      Buffer.add_string buf e.Request.e_wire
+    else begin
+      let start = Buffer.length buf in
+      payload_into buf payload;
+      e.Request.e_wire <- Buffer.sub buf start (Buffer.length buf - start)
+    end
   | Error e ->
     Buffer.add_string buf ",\"status\":\"error\",\"error\":\"";
     Buffer.add_string buf (Request.error_code_name e.Request.code);

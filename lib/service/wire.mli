@@ -29,7 +29,11 @@ val response_into : Buffer.t -> Request.response -> unit
 (** Append one response line (without the trailing newline) to [buf].
     The buffer is owned by the caller — the server keeps one per
     connection loop and reuses it — and the bytes are those
-    {!Gp_telemetry.Json.to_string} prints for the response's tree. *)
+    {!Gp_telemetry.Json.to_string} prints for the response's tree. A
+    response served from a cache entry ({!Request.entry}) copies the
+    entry's stored fragment; the first such response renders the
+    payload into [buf] and stores that slice. Every other response
+    renders its payload afresh. *)
 
 val response_to_line : Request.response -> string
 (** [response_into] into a fresh buffer; convenience for cold paths. *)

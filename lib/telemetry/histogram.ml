@@ -9,13 +9,19 @@
    [min, max], which pins them within one bucket ratio of the exact
    sample quantile (property-tested in test_telemetry). *)
 
+(* The float totals live in a record of floats only, which OCaml stores
+   flat: an observation updates them without boxing a float. *)
+type moments = {
+  mutable sum : float;
+  mutable vmin : float;
+  mutable vmax : float;
+}
+
 type t = {
   bounds : float array; (* strictly increasing upper bounds; last = +inf *)
   counts : int array;
   mutable count : int;
-  mutable sum : float;
-  mutable vmin : float;
-  mutable vmax : float;
+  m : moments;
 }
 
 (* Default range covers 1ns .. 10s when observations are nanoseconds. *)
@@ -31,9 +37,7 @@ let create ?(lo = 1.0) ?(hi = 1e10) ?(buckets_per_decade = 5) () =
     bounds;
     counts = Array.make (Array.length bounds) 0;
     count = 0;
-    sum = 0.0;
-    vmin = infinity;
-    vmax = neg_infinity;
+    m = { sum = 0.0; vmin = infinity; vmax = neg_infinity };
   }
 
 let ratio t =
@@ -53,15 +57,16 @@ let observe t v =
   let i = bucket_index t v in
   t.counts.(i) <- t.counts.(i) + 1;
   t.count <- t.count + 1;
-  t.sum <- t.sum +. v;
-  if v < t.vmin then t.vmin <- v;
-  if v > t.vmax then t.vmax <- v
+  let m = t.m in
+  m.sum <- m.sum +. v;
+  if v < m.vmin then m.vmin <- v;
+  if v > m.vmax then m.vmax <- v
 
 let count t = t.count
-let sum t = t.sum
-let min_value t = if t.count = 0 then nan else t.vmin
-let max_value t = if t.count = 0 then nan else t.vmax
-let mean t = if t.count = 0 then nan else t.sum /. float_of_int t.count
+let sum t = t.m.sum
+let min_value t = if t.count = 0 then nan else t.m.vmin
+let max_value t = if t.count = 0 then nan else t.m.vmax
+let mean t = if t.count = 0 then nan else t.m.sum /. float_of_int t.count
 
 (* The [q]-quantile (0 < q <= 1) of the observed sample, estimated by
    walking to the bucket holding the ceil(q*n)-th observation and
@@ -86,7 +91,7 @@ let quantile t q =
     let upper = t.bounds.(i) in
     let lower = if i = 0 then t.bounds.(0) /. ratio t else t.bounds.(i - 1) in
     let est =
-      if upper = infinity then t.vmax
+      if upper = infinity then t.m.vmax
       else
         let frac =
           float_of_int (target - cum_before) /. float_of_int t.counts.(i)
@@ -94,7 +99,7 @@ let quantile t q =
         lower *. ((upper /. lower) ** frac)
     in
     (* the sample extremes are known exactly; never estimate past them *)
-    Float.min t.vmax (Float.max t.vmin est)
+    Float.min t.m.vmax (Float.max t.m.vmin est)
   end
 
 let buckets t =
@@ -103,6 +108,6 @@ let buckets t =
 let clear t =
   Array.fill t.counts 0 (Array.length t.counts) 0;
   t.count <- 0;
-  t.sum <- 0.0;
-  t.vmin <- infinity;
-  t.vmax <- neg_infinity
+  t.m.sum <- 0.0;
+  t.m.vmin <- infinity;
+  t.m.vmax <- neg_infinity

@@ -10,8 +10,11 @@
 
 type kind = Counter | Gauge | Histo
 
+(* A record of one float is stored flat, so bumping it boxes nothing *)
+type cell = { mutable v : float }
+
 type value =
-  | Vnum of float ref (* counter or gauge *)
+  | Vnum of cell (* counter or gauge *)
   | Vhist of Histogram.t
 
 type family = {
@@ -81,7 +84,7 @@ let series t ~kind ~name labels =
   | None ->
     let v =
       match kind with
-      | Counter | Gauge -> Vnum (ref 0.0)
+      | Counter | Gauge -> Vnum { v = 0.0 }
       | Histo -> Vhist (t.histogram_of name)
     in
     Hashtbl.add f.f_series key v;
@@ -90,12 +93,12 @@ let series t ~kind ~name labels =
 
 let inc t ?(labels = []) ?(by = 1.0) name =
   match series t ~kind:Counter ~name labels with
-  | Vnum r -> r := !r +. by
+  | Vnum c -> c.v <- c.v +. by
   | Vhist _ -> assert false
 
 let set t ?(labels = []) name v =
   match series t ~kind:Gauge ~name labels with
-  | Vnum r -> r := v
+  | Vnum c -> c.v <- v
   | Vhist _ -> assert false
 
 let observe t ?(labels = []) name v =
@@ -111,7 +114,7 @@ let observe t ?(labels = []) name v =
 
 let counter_handle t ?(labels = []) name =
   match series t ~kind:Counter ~name labels with
-  | Vnum r -> r
+  | Vnum c -> c
   | Vhist _ -> assert false
 
 let histogram_handle t ?(labels = []) name =
@@ -128,7 +131,7 @@ let value t ?(labels = []) name =
   | None -> 0.0
   | Some f -> (
     match Hashtbl.find_opt f.f_series (label_key (canonical_labels labels)) with
-    | Some (Vnum r) -> !r
+    | Some (Vnum c) -> c.v
     | Some (Vhist h) -> float_of_int (Histogram.count h)
     | None -> 0.0)
 
@@ -139,7 +142,7 @@ let total t name =
     Hashtbl.fold
       (fun _ v acc ->
         match v with
-        | Vnum r -> acc +. !r
+        | Vnum c -> acc +. c.v
         | Vhist h -> acc +. float_of_int (Histogram.count h))
       f.f_series 0.0
 
@@ -158,7 +161,7 @@ let counter_series t name =
     List.filter_map
       (fun (key, labels) ->
         match Hashtbl.find_opt f.f_series key with
-        | Some (Vnum r) -> Some (labels, !r)
+        | Some (Vnum c) -> Some (labels, c.v)
         | _ -> None)
       f.f_order
 
@@ -216,9 +219,9 @@ let to_prometheus t =
       List.iter
         (fun (key, labels) ->
           match Hashtbl.find_opt f.f_series key with
-          | Some (Vnum r) ->
+          | Some (Vnum c) ->
             Buffer.add_string buf
-              (Printf.sprintf "%s%s %s\n" name (prom_labels labels) (prom_num !r))
+              (Printf.sprintf "%s%s %s\n" name (prom_labels labels) (prom_num c.v))
           | Some (Vhist h) ->
             let cum = ref 0 in
             Array.iter
@@ -264,10 +267,10 @@ let to_json t =
         (fun j (key, labels) ->
           if j > 0 then Buffer.add_char buf ',';
           match Hashtbl.find_opt f.f_series key with
-          | Some (Vnum r) ->
+          | Some (Vnum c) ->
             Buffer.add_string buf
               (Printf.sprintf "{\"labels\":%s,\"value\":%s}" (json_labels labels)
-                 (Json.num !r))
+                 (Json.num c.v))
           | Some (Vhist h) ->
             Buffer.add_string buf
               (Printf.sprintf

@@ -27,8 +27,12 @@ val set : t -> ?labels:(string * string) list -> string -> float -> unit
 val observe : t -> ?labels:(string * string) list -> string -> float -> unit
 (** Record one observation into a histogram series. *)
 
+type cell = { mutable v : float }
+(** A counter or gauge series' value. A record of one float is stored
+    unboxed, so [c.v <- c.v +. 1.0] allocates nothing. *)
+
 val counter_handle :
-  t -> ?labels:(string * string) list -> string -> float ref
+  t -> ?labels:(string * string) list -> string -> cell
 (** Resolve (creating if absent) a counter/gauge series once and return
     the underlying cell. [inc]/[set] re-resolve the series on every call
     (label sort + key render); hot paths hold the handle instead. The

@@ -178,6 +178,36 @@ let transparency_prop =
               (Array.to_list r.Cluster.r_records)
               bare))
 
+(* Replica answers served from cache entries carry the entries' kept
+   digests. Over small evicting caches, an 8-replica asynchronous cluster
+   under 20 % message drops still audits clean against one bare server,
+   which digests every answer afresh. *)
+let memo_audit_prop =
+  qtest
+    (QCheck.Test.make
+       ~name:"8 replicas, drop 0.2, caches 1-8: audit clean (memoised digests)"
+       ~count:4
+       (* capacity - 1: qcheck shrinks an int range toward 0 *)
+       QCheck.(pair (int_range 0 10_000) (int_range 0 7))
+       (fun (seed, capacity) ->
+         let cache_capacity = capacity + 1 in
+         let reqs =
+           Array.of_list (Workload.generate ~keyspace:6 ~seed ~n:60 ())
+         in
+         let config =
+           { Cluster.default_config with
+             replicas = 8;
+             timing = Gp_distsim.Engine.Asynchronous { max_delay = 3.0 };
+             seed;
+             failures = [ Cluster.Drop 0.2 ];
+             server_config =
+               { Cluster.default_config.Cluster.server_config with
+                 cache_capacity } }
+         in
+         let a = Cluster.audit (run ~config reqs) in
+         Cluster.audit_ok a
+         && a.Cluster.au_compared > 0))
+
 (* ------------------------------------------------------------------ *)
 (* Healthy runs                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -692,7 +722,7 @@ let () =
         ] );
       ("protocol", [ Alcotest.test_case "is_write" `Quick test_is_write ]);
       ( "transparency",
-        [ transparency_prop ] );
+        [ transparency_prop; memo_audit_prop ] );
       ( "serving",
         [
           Alcotest.test_case "healthy run" `Quick test_healthy_run;

@@ -994,6 +994,34 @@ let test_memo_failing_verdict_flips () =
   Registry.declare_model reg "Hashable" [ n "key" ];
   Alcotest.(check bool) "holds once the model is declared" true (nominal ())
 
+(* A memo hit builds nothing: no key tuple, no option, no (entry, hit)
+   pair. [Check.check] with a constant mode and prebuilt arguments
+   allocates nothing once the verdict is memoised, for a holding and a
+   failing verdict alike, and the memo keeps one entry per question. *)
+let test_memo_hit_allocates_nothing () =
+  let reg = Registry.create () in
+  Gp_algebra.Decls.declare reg;
+  let args = [ n "int[*]" ] and bogus = [ n "int[-]" ] in
+  let ask () =
+    ignore (Sys.opaque_identity (Check.check ~mode:Check.Nominal reg "Monoid" args));
+    ignore (Sys.opaque_identity (Check.check ~mode:Check.Nominal reg "Group" args));
+    ignore (Sys.opaque_identity (Check.check reg "Semigroup" bogus))
+  in
+  ask ();
+  let entries = Check.memo_entries reg in
+  let m0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ask ()
+  done;
+  let words = (Gc.minor_words () -. m0) /. 3000.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "0 words per memo hit (measured %.3f)" words)
+    true (words < 0.01);
+  Alcotest.(check int) "hits file no entries" entries (Check.memo_entries reg);
+  Alcotest.(check bool) "verdicts unchanged" true
+    (Check.models ~mode:Check.Nominal reg "Monoid" args
+    && not (Check.models ~mode:Check.Nominal reg "Group" args))
+
 (* Whether [reg]'s verdict on Semigroup<int[*]> still warns that
    associativity is asserted but not proved. *)
 let assoc_warned reg =
@@ -1553,6 +1581,8 @@ let () =
           Alcotest.test_case "forks share earlier certifications" `Quick
             test_fork_certifications;
           Alcotest.test_case "bounded by its cap" `Quick test_memo_bounded;
+          Alcotest.test_case "a hit allocates nothing" `Quick
+            test_memo_hit_allocates_nothing;
           Alcotest.test_case "telemetry unchanged by hits" `Quick
             test_memo_telemetry;
           Alcotest.test_case "roots keep their own index and memo" `Quick

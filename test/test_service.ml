@@ -402,7 +402,7 @@ let gen_response =
   map
     (fun (((id, kind), result), (cached, steps)) ->
       { Request.rsp_id = id; rsp_kind = kind; rsp_result = result;
-        rsp_cached = cached; rsp_steps = steps })
+        rsp_cached = cached; rsp_steps = steps; rsp_entry = Request.no_entry })
     (pair
        (pair (pair small_nat (opt (oneofl Request.all_kinds))) result)
        (pair bool small_nat))
@@ -437,6 +437,72 @@ let wire_response_stream_prop =
       then
         QCheck.Test.fail_reportf "fingerprint leaks provenance on %s" canonical;
       true)
+
+(* A cached answer is rendered and digested once: memo = fresh. Over
+   random streams (errors included), cache capacities 1-8, caching on and
+   off, traced and untraced, every response renders to the bytes of a
+   fresh [payload_into] render and its fingerprint is the digest of its
+   canonical form. A hit hands back its entry's answer itself, and every
+   hit on one entry returns the same fragment and digest, physically. *)
+let memo_equals_fresh_prop =
+  let mix =
+    Workload.default_mix @ Request.[ (Kmatvec, 8); (Kmatmul, 4); (Ksolve, 4) ]
+  in
+  QCheck.Test.make ~name:"cached fragments and digests = fresh renders"
+    ~count:40
+    (* capacity - 1: qcheck shrinks an int range toward 0 *)
+    QCheck.(quad (int_range 0 10_000) (int_range 0 7) bool bool)
+    (fun (seed, capacity, caching, traced) ->
+      let cache_capacity = capacity + 1 in
+      let reqs =
+        Workload.generate ~mix ~keyspace:6 ~errors:0.1 ~seed ~n:80 ()
+      in
+      let lines =
+        List.map (fun r -> Wire.request_to_line r) reqs @ [ "not json" ]
+      in
+      let server =
+        Server.create
+          ~config:{ Server.default_config with caching; cache_capacity } ()
+      in
+      let seen = ref [] in
+      let hits = ref 0 in
+      let serve () =
+        List.iter
+          (fun line ->
+            match Server.serve_line server line with
+            | None -> ()
+            | Some r ->
+              let bytes = Wire.response_to_line r in
+              let fresh =
+                Wire.response_to_line
+                  { r with Request.rsp_entry = Request.no_entry }
+              in
+              if bytes <> fresh then
+                QCheck.Test.fail_reportf "served %s, fresh render %s" bytes
+                  fresh;
+              let fp = Request.response_fingerprint r in
+              if fp <> Digest.to_hex (Digest.string (Request.response_canonical r))
+              then QCheck.Test.fail_reportf "memoised digest diverged on %s" bytes;
+              let e = r.Request.rsp_entry in
+              if e != Request.no_entry then begin
+                incr hits;
+                if not caching then
+                  QCheck.Test.fail_reportf "an entry with caching off: %s" bytes;
+                if r.Request.rsp_result != e.Request.e_result then
+                  QCheck.Test.fail_reportf "a hit copied its answer: %s" bytes;
+                match List.assq_opt e !seen with
+                | None -> seen := (e, (e.Request.e_wire, fp)) :: !seen
+                | Some (wire, fp0) ->
+                  if not (e.Request.e_wire == wire && fp == fp0) then
+                    QCheck.Test.fail_reportf
+                      "a second hit re-rendered or re-digested %s" bytes
+              end)
+          lines
+      in
+      if traced then Gp_telemetry.Tel.with_installed (fun _ -> serve ())
+      else serve ();
+      (* a warm 6-key stream of 80 requests always re-serves some entry *)
+      (not caching) || !hits > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Robustness: the malformed-request corpus                            *)
@@ -506,6 +572,65 @@ let test_numeric_literals_are_parse_failures () =
 
 (* gp serve --stats-json ships GC counter totals next to the request
    metrics, so a stats scrape shows allocation trends. *)
+(* The metric expositions, pinned under an injectable clock: the text
+   report, the JSON report and the Prometheus exposition of a server with
+   two-entry caches over serve-mix.jsonl, byte for byte against
+   metrics-report.expected. That file was produced before the per-kind
+   series were indexed by kind and the counters unboxed, so families,
+   labels, order and values are those of the label-keyed registry. *)
+let test_metrics_golden () =
+  let lines =
+    In_channel.with_open_bin "serve-mix.jsonl" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  let now = ref 0.0 and tick = ref 0 in
+  let clock () =
+    incr tick;
+    now := !now +. (1e-6 *. float_of_int (1 + (13 * (!tick mod 7))));
+    !now
+  in
+  let server =
+    Server.create
+      ~config:{ Server.default_config with now = clock; cache_capacity = 2 }
+      ()
+  in
+  List.iter (fun l -> ignore (Server.serve_line server l)) lines;
+  let m = Server.metrics server in
+  let text =
+    String.concat "\n"
+      [ Server.report server;
+        Metrics.report_json ~cache_stats:(Server.cache_stats server) m;
+        Metrics.to_prometheus m ]
+  in
+  Alcotest.(check string) "report, JSON and Prometheus"
+    (In_channel.with_open_bin "metrics-report.expected" In_channel.input_all)
+    text
+
+(* [Metrics.observe] allocates nothing once a kind's series exist: the
+   kind picks its slot by constructor, and the counters and histogram
+   totals are unboxed floats. *)
+let test_observe_allocates_nothing () =
+  let m = Metrics.create () in
+  let kinds = Array.of_list (None :: List.map Option.some Request.all_kinds) in
+  let ok = Ok (Request.Proved { checked = 1; failed = 0 }) in
+  let ns = Sys.opaque_identity 1234.5 in
+  Array.iter
+    (fun kind -> Metrics.observe m ~kind ~result:ok ~cached:false ~ns)
+    kinds;
+  let m0 = Gc.minor_words () in
+  for i = 0 to 9999 do
+    Metrics.observe m
+      ~kind:kinds.(i mod Array.length kinds)
+      ~result:ok ~cached:(i land 1 = 0) ~ns
+  done;
+  let words = (Gc.minor_words () -. m0) /. 10_000.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "0 words per observe (measured %.3f)" words)
+    true (words < 0.01);
+  Alcotest.(check int) "every observation counted" (10_000 + Array.length kinds)
+    (Metrics.requests m)
+
 let test_report_json_gc () =
   let server = mkserver () in
   ignore (Server.handle server good_request);
@@ -2179,7 +2304,8 @@ let () =
           Alcotest.test_case "direct parser = ast oracle" `Quick
             test_wire_parser_agreement;
           qtest wire_roundtrip_prop;
-          qtest wire_response_stream_prop ] );
+          qtest wire_response_stream_prop;
+          qtest memo_equals_fresh_prop ] );
       ( "robustness",
         [ Alcotest.test_case "malformed corpus" `Quick test_malformed_corpus;
           Alcotest.test_case "numeric literals are parse failures" `Quick
@@ -2192,7 +2318,11 @@ let () =
           Alcotest.test_case "metrics accounting" `Quick
             test_metrics_accounting;
           Alcotest.test_case "gc counters in stats report" `Quick
-            test_report_json_gc ] );
+            test_report_json_gc;
+          Alcotest.test_case "metric expositions golden" `Quick
+            test_metrics_golden;
+          Alcotest.test_case "observe allocates nothing" `Quick
+            test_observe_allocates_nothing ] );
       ( "transparency",
         [ Alcotest.test_case "direct library equivalence" `Quick
             test_direct_library_equivalence;

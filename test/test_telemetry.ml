@@ -866,10 +866,13 @@ let test_service_veneer_report () =
   let m = Metrics.create () in
   (* 100 known latencies for one kind: 1..100 ms *)
   for i = 1 to 100 do
-    Metrics.observe m ~kind:"check" ~ok:true ~error_code:None ~cached:(i <= 25)
+    Metrics.observe m ~kind:(Some Request.Kcheck)
+      ~result:(Ok (Request.Proved { checked = 1; failed = 0 }))
+      ~cached:(i <= 25)
       ~ns:(float_of_int i *. 1e6)
   done;
-  Metrics.observe m ~kind:"lint" ~ok:false ~error_code:(Some "timeout")
+  Metrics.observe m ~kind:(Some Request.Klint)
+    ~result:(Error { Request.code = Request.Timeout; detail = "" })
     ~cached:false ~ns:5e6;
   Alcotest.(check int) "requests" 101 (Metrics.requests m);
   Alcotest.(check int) "errors" 1 (Metrics.errors m);
@@ -905,8 +908,9 @@ let test_service_veneer_report () =
 let test_service_report_json () =
   let open Gp_service in
   let m = Metrics.create () in
-  Metrics.observe m ~kind:"prove" ~ok:true ~error_code:None ~cached:false
-    ~ns:1e6;
+  Metrics.observe m ~kind:(Some Request.Kprove)
+    ~result:(Ok (Request.Proved { checked = 1; failed = 0 }))
+    ~cached:false ~ns:1e6;
   match parse_json (Metrics.report_json m) with
   | exception Bad_json e -> Alcotest.failf "report_json does not parse: %s" e
   | j ->
