@@ -1050,10 +1050,16 @@ let s3 () =
   let r_on, spans_per_call, counters =
     Tel.with_installed (fun sink ->
         let r = Engine.rewrite ~rules ~insts e in
+        let rewrite =
+          List.find
+            (fun sp ->
+              sp.Gp_telemetry.Trace.sp_name = "simplicissimus.rewrite")
+            (Gp_telemetry.Trace.spans sink.Tel.trace)
+        in
         ( r,
           Gp_telemetry.Trace.recorded sink.Tel.trace,
-          Gp_telemetry.Metrics.total sink.Tel.metrics
-            "gp_engine_guard_probes_total" ))
+          float_of_string
+            (List.assoc "guard_probes" rewrite.Gp_telemetry.Trace.sp_attrs) ))
   in
   assert (Expr.equal r_core.Engine.output r_off.Engine.output);
   assert (Expr.equal r_core.Engine.output r_on.Engine.output);

@@ -637,7 +637,15 @@ let trace_cmd =
                    deltas (Chrome args, tree annotations, and the \
                    $(b,--folded) alloc weight).")
   in
+  let metrics =
+    Arg.(value & flag
+         & info [ "metrics" ]
+             ~doc:"Print the run's metric families to stderr \
+                   (Prometheus text), derived from the recorded spans' \
+                   attributes. Exits 1 if the trace ring dropped spans.")
+  in
   let run pipeline out tree folded gc metrics =
+    let rebuilds0 = Gp_concepts.Registry.index_rebuilds () in
     let sink =
       Gp_telemetry.Tel.install ~trace_capacity:65536 ~profile:gc ()
     in
@@ -715,15 +723,24 @@ let trace_cmd =
     if tree then
       Fmt.epr "%a@." Gp_telemetry.Trace.pp_tree
         (Gp_telemetry.Trace.spans sink.Gp_telemetry.Tel.trace);
-    if metrics then
-      Fmt.epr "%s@."
-        (Gp_telemetry.Metrics.to_prometheus sink.Gp_telemetry.Tel.metrics);
-    0
+    if not metrics then 0
+    else
+      match
+        Gp_tracing.Span_metrics.of_trace
+          ~index_rebuilds:(Gp_concepts.Registry.index_rebuilds () - rebuilds0)
+          sink.Gp_telemetry.Tel.trace
+      with
+      | Ok m ->
+        Fmt.epr "%s@." (Gp_telemetry.Metrics.to_prometheus m);
+        0
+      | Error e ->
+        Fmt.epr "gp trace --metrics: %s@." e;
+        1
   in
   Cmd.v
     (Cmd.info "trace"
        ~doc:"Trace a toolchain pipeline and export Chrome trace-event JSON")
-    Term.(const run $ pipeline $ out $ tree $ folded $ gc $ metrics_arg)
+    Term.(const run $ pipeline $ out $ tree $ folded $ gc $ metrics)
 
 (* ------------------------------------------------------------------ *)
 (* gp replay                                                           *)

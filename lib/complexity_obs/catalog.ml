@@ -52,13 +52,14 @@ let served_miss_cells op structure n =
   | Error e -> invalid_arg ("Catalog: " ^ e)
 
 (* ------------------------------------------------------------------ *)
-(* concept engine: rewrite/guard counters via telemetry               *)
+(* concept engine: rewrite/guard counts off the rewrite span          *)
 (* ------------------------------------------------------------------ *)
 
 (* A right-leaning chain of n identity applications: the identity-
    elimination rule fires once per node, so engine step and guard-probe
-   counters scale linearly with the chain length. *)
-let rewrite_counter counter n =
+   counts scale linearly with the chain length. [count] names the
+   attribute of the rewrite's span to read. *)
+let rewrite_counter count n =
   let open Gp_simplicissimus in
   let reg = Gp_concepts.Registry.create () in
   List.iter (Gp_concepts.Registry.declare_concept reg)
@@ -74,7 +75,13 @@ let rewrite_counter counter n =
   let e = build n in
   Gp_telemetry.Tel.with_installed (fun sink ->
       ignore (Engine.rewrite ~rules:Rules.builtin ~insts e);
-      Gp_telemetry.Metrics.total sink.Gp_telemetry.Tel.metrics counter)
+      let sp =
+        List.find
+          (fun sp ->
+            sp.Gp_telemetry.Trace.sp_name = "simplicissimus.rewrite")
+          (Gp_telemetry.Trace.spans sink.Gp_telemetry.Tel.trace)
+      in
+      float_of_string (List.assoc count sp.Gp_telemetry.Trace.sp_attrs))
 
 (* Closure over a refinement chain of height n: the obligation count is
    the explicit-constraint burden Section 2.3 quantifies. *)
@@ -220,9 +227,9 @@ let ops () =
       "served_matvec_triangular_miss"
       (served_miss_cells Gp_structla.Select.Matvec "triangular");
     op ~category:"engine" ~declared:(C.linear "n") "rewrite_steps"
-      (rewrite_counter "gp_engine_steps_total");
+      (rewrite_counter "steps");
     op ~category:"engine" ~declared:(C.linear "n") "rewrite_guard_probes"
-      (rewrite_counter "gp_engine_guard_probes_total");
+      (rewrite_counter "guard_probes");
     op ~category:"concepts" ~declared:(C.linear "n") "closure_obligations"
       closure_obligations;
     op ~category:"concepts" ~declared:(C.linear "n") "registry_scan_linear"

@@ -1,9 +1,9 @@
 (** The registered operations the harness sweeps: structla kernels
     (steps counted on deterministically generated matrices), the
-    concept engine (rewrite/guard-memo counters via telemetry, closure
-    obligations, the retained linear registry scan), the service LRU,
-    and distsim leader election (simulated message counts) — plus one
-    deliberately mis-declared oracle.
+    concept engine (rewrite steps and guard probes read off the rewrite
+    span, closure obligations, the retained linear registry scan), the
+    service LRU, and distsim leader election (simulated message counts)
+    — plus one deliberately mis-declared oracle.
 
     Every measure is an exact count, so catalog sweeps are
     bit-reproducible; declared bounds restate the guarantees the

@@ -484,11 +484,10 @@ let check_entry mode reg concept args =
         let hit = m.m_hit in
         let report = e.e_report in
         let outcome = if report.rep_failures = [] then "ok" else "failed" in
-        Tel.count ~labels:[ ("outcome", outcome) ] "gp_checks_total" 1;
-        if hit then Tel.count "gp_check_memo_hits_total" 1;
-        Tel.count "gp_check_failures_total" (List.length report.rep_failures);
-        Tel.count "gp_check_warnings_total" (List.length report.rep_warnings);
         Tel.attr "outcome" outcome;
+        Tel.attr "failures" (string_of_int (List.length report.rep_failures));
+        Tel.attr "warnings" (string_of_int (List.length report.rep_warnings));
+        Tel.attr "memo_hit" (string_of_bool hit);
         e)
 
 (* Public entry point: check whether ground types [args] model [concept]. *)

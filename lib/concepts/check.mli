@@ -68,8 +68,9 @@ val check : ?mode:mode -> Registry.t -> string -> Ctype.t list -> report
     keeps its own memo under the same stamp: its verdicts depend on its
     own declaration lists, which declaring into the parent never
     changes. With telemetry on, a memo hit records the same
-    [concepts.check] span and counters as a computed check, and also
-    counts [gp_check_memo_hits_total]. *)
+    [concepts.check] span as a computed check, with the same
+    [outcome], [failures] and [warnings] attributes, and
+    [memo_hit=true]. *)
 
 val check_rendered :
   ?mode:mode -> Registry.t -> string -> Ctype.t list -> report * string

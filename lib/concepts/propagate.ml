@@ -57,7 +57,7 @@ let closure_with ?(max_depth = 8) ~lookup concept args =
       let seen = Ob_tbl.create 64 in
       let acc = ref [] in
       (* items ever enqueued on the worklist, duplicates included — one
-         int store per push; flushed to telemetry only when enabled *)
+         int store per push; written to the span only when enabled *)
       let pushed = ref 1 in
       let rec drain = function
         | [] -> ()
@@ -105,11 +105,7 @@ let closure_with ?(max_depth = 8) ~lookup concept args =
       drain [ (0, concept, args) ];
       let obs = List.rev !acc in
       if Tel.is_enabled () then begin
-        let size = List.length obs in
-        Tel.count "gp_closure_calls_total" 1;
-        Tel.count "gp_closure_worklist_pushes_total" !pushed;
-        Tel.observe "gp_closure_size" (float_of_int size);
-        Tel.attr "size" (string_of_int size);
+        Tel.attr "size" (string_of_int (List.length obs));
         Tel.attr "worklist_pushes" (string_of_int !pushed)
       end;
       obs)

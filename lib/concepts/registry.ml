@@ -219,11 +219,11 @@ let build_index t =
   { ix_generation = t.generation; ix_concepts; ix_types; ix_ops; ix_models;
     ix_reachable; ix_parent = None }
 
-(* A root registry's rebuild: its first lookup, or its first since the
-   generation moved. Counted so an operator can spot declare-heavy
-   workloads rebuilding the index. *)
-let count_rebuild () =
-  Gp_telemetry.Tel.count "gp_registry_index_rebuilds_total" 1
+(* A root registry's rebuilds: its first lookup, or its first since the
+   generation moved. Counted process-wide, always, so a declare-heavy
+   workload that rebuilds the index shows without a telemetry sink. *)
+let rebuilds = ref 0
+let index_rebuilds () = !rebuilds
 
 (* A delta index for a fork: only the cells in front of the parent's
    current lists, with misses falling through to the parent. [None]
@@ -318,7 +318,7 @@ and index_of t =
     let ix =
       match d.parent with
       | None ->
-        count_rebuild ();
+        incr rebuilds;
         build_index t
       | Some p -> (
         match delta_index t p with Some ix -> ix | None -> build_index t)

@@ -74,7 +74,12 @@ val generation : t -> int
     are stamped with it, so mutating the registry invalidates cached
     answers without any notification machinery. The index is rebuilt on
     a root's first lookup after the generation moved, and each such
-    rebuild counts [gp_registry_index_rebuilds_total]. *)
+    rebuild counts in {!index_rebuilds}. *)
+
+val index_rebuilds : unit -> int
+(** Root index rebuilds so far in this process, over every registry:
+    monotone and always counted, so a caller measures a stretch of work
+    by the difference of two readings. *)
 
 val touch : t -> unit
 (** Bump {!generation}. Every declaration and {!set_assoc} does; call

@@ -373,21 +373,14 @@ let run ?(config = default_config) topo algo =
     (fun () ->
       let r = run_core ~config topo algo in
       if Tel.is_enabled () then begin
-        let labels = [ ("algorithm", algo.algo_name) ] in
-        Tel.count ~labels "gp_distsim_runs_total" 1;
-        Tel.count ~labels "gp_distsim_events_total" r.metrics.events;
-        Tel.count ~labels "gp_distsim_messages_sent_total"
-          r.metrics.messages_sent;
-        Tel.count ~labels "gp_distsim_messages_delivered_total"
-          r.metrics.messages_delivered;
-        Tel.count ~labels "gp_distsim_messages_dropped_total"
-          r.metrics.messages_dropped;
-        Tel.count ~labels "gp_distsim_local_steps_total"
-          (total_local_steps r.metrics);
-        Tel.observe ~labels "gp_distsim_finish_time"
-          r.metrics.finish_time;
-        Tel.attr "events" (string_of_int r.metrics.events);
-        Tel.attr "finish_time" (Printf.sprintf "%.2f" r.metrics.finish_time)
+        let m = r.metrics in
+        Tel.attr "events" (string_of_int m.events);
+        (* exact, so a reader can histogram it *)
+        Tel.attr "finish_time" (Printf.sprintf "%.17g" m.finish_time);
+        Tel.attr "messages_sent" (string_of_int m.messages_sent);
+        Tel.attr "messages_delivered" (string_of_int m.messages_delivered);
+        Tel.attr "messages_dropped" (string_of_int m.messages_dropped);
+        Tel.attr "local_steps" (string_of_int (total_local_steps m))
       end;
       r)
 

@@ -209,25 +209,6 @@ let handle_core ~id ~t0 t req =
 (* Flight-recorder dossier assembly                                    *)
 (* ------------------------------------------------------------------ *)
 
-module Tmetrics = Gp_telemetry.Metrics
-
-(* Sink metric family totals, or [] when telemetry is off — the dossier
-   then simply records no metric deltas. *)
-let metric_totals () =
-  match Tel.current () with
-  | Some s -> Tmetrics.totals s.Tel.metrics
-  | None -> []
-
-(* New families only ever appear in [after]; totals are monotone, so a
-   missing [before] entry reads as 0. Zero deltas are dropped. *)
-let metric_delta before after =
-  List.filter_map
-    (fun (name, v) ->
-      let prev = Option.value ~default:0.0 (List.assoc_opt name before) in
-      let d = v -. prev in
-      if d <> 0.0 then Some (name, d) else None)
-    after
-
 (* The per-request cache chain diffs hit/miss counters around the
    request. The snapshots go through [Dispatch.cache_counters_into] into
    the server's two reused int arrays, and the deltas overwrite the
@@ -243,7 +224,7 @@ let cache_deltas t =
   t.cc_after
 
 let record_dossier recorder t ~id ~kind ~wire ~spans ~dur_ns ~chain
-    ~metric_deltas (rsp : Request.response) =
+    (rsp : Request.response) =
   let result = rsp.Request.rsp_result in
   Recorder.record recorder ~id ~kind ~wire
     ~generation:(Gp_concepts.Registry.generation (Gp_standard.Standard.world ()))
@@ -254,17 +235,15 @@ let record_dossier recorder t ~id ~kind ~wire ~spans ~dur_ns ~chain
       | Error e -> Request.error_code_name e.Request.code)
     ~detail:(match result with Ok _ -> "" | Error e -> e.Request.detail)
     ~cached:rsp.Request.rsp_cached ~steps:rsp.Request.rsp_steps ~dur_ns
-    ~response:result ~chain ~spans ~metric_deltas
+    ~response:result ~chain ~spans
 
 (* [wire], when given, is the raw line the request arrived on — reused
    verbatim in the dossier instead of re-serializing the request. *)
 let handle_recorded ?id ?wire t req =
   let id = match id with Some id -> id | None -> fresh_id t in
   let kind = Request.kind_name (Request.kind req) in
-  let recording = Option.is_some t.recorder in
-  if recording then
+  if Option.is_some t.recorder then
     Dispatch.cache_counters_into (Dispatch.caches t.dispatch) t.cc_before;
-  let metrics_before = if recording then metric_totals () else [] in
   let t0 = t.config.now () in
   let rsp, spans =
     if not (Tel.is_enabled ()) then (handle_core ~id ~t0 t req, [])
@@ -288,24 +267,13 @@ let handle_recorded ?id ?wire t req =
       | root :: _ -> root.Trace.sp_dur_ns
       | [] -> t.latency_ns.(0)
     in
-    (* the after-snapshot and delta matter only when the recorder will
-       keep the payload (non-ok outcome or slowest-k) — skip both on
-       the steady-state path *)
-    let metric_deltas =
-      if
-        Recorder.wants_payload recorder
-          ~ok:(Result.is_ok rsp.Request.rsp_result)
-          ~dur_ns
-      then metric_delta metrics_before (metric_totals ())
-      else []
-    in
     let wire =
       match wire with
       | Some line -> Recorder.Line line
       | None -> Recorder.Request req
     in
     record_dossier recorder t ~id ~kind ~wire ~spans ~dur_ns
-      ~chain:(cache_deltas t) ~metric_deltas rsp);
+      ~chain:(cache_deltas t) rsp);
   rsp
 
 let handle ?id t req = handle_recorded ?id t req
@@ -326,8 +294,7 @@ let reject_invalid ?(line = "") t detail =
   | Some recorder ->
     Array.fill t.cc_after 0 (Array.length t.cc_after) 0;
     record_dossier recorder t ~id ~kind:"invalid" ~wire:(Recorder.Line line)
-      ~spans:[] ~dur_ns:t.latency_ns.(0) ~chain:t.cc_after ~metric_deltas:[]
-      rsp);
+      ~spans:[] ~dur_ns:t.latency_ns.(0) ~chain:t.cc_after rsp);
   rsp
 
 (* Serve each request to completion, in order: responses come back in

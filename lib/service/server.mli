@@ -69,8 +69,8 @@ val flight : t -> flight option
 (** The flight recorder, when [config.flight_capacity > 0]. Every
     request served — including unparseable lines — leaves a dossier;
     error/over-budget/timeout and slowest-k dossiers additionally retain
-    their span tree and metric deltas. This is the server's one record of
-    its slowest requests ({!Gp_telemetry.Recorder.slowest}). *)
+    their span tree. This is the server's one record of its slowest
+    requests ({!Gp_telemetry.Recorder.slowest}). *)
 
 val caches : t -> Dispatch.caches
 val cache_stats : t -> Lru.stats list

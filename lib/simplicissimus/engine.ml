@@ -215,27 +215,23 @@ let head_symbol (e : Expr.t) =
 
 (* The public entry point. Disabled, it is one flag check and a closure
    away from [rewrite_uninstrumented] (bench s3 measures exactly that
-   gap); enabled, it opens a span and flushes per-rewrite counters —
-   including rules fired per head symbol, recovered from the step trace
-   after the core returns so the hot loop never touches telemetry. *)
+   gap); enabled, it opens a span whose attributes carry the call's
+   counts — including the head symbol of each fired rule, recovered from
+   the step trace after the core returns so the hot loop never touches
+   telemetry. *)
 let rewrite ~rules ~insts expr =
   if not (Tel.is_enabled ()) then fst (rewrite_core ~rules ~insts expr)
   else
     Tel.with_span ~name:"simplicissimus.rewrite" (fun () ->
         let r, stats = rewrite_core ~rules ~insts expr in
-        Tel.count "gp_engine_rewrites_total" 1;
-        Tel.count "gp_engine_steps_total" (List.length r.steps);
-        Tel.count "gp_engine_guard_probes_total" stats.guard_probes;
-        Tel.count "gp_engine_guard_memo_hits_total" stats.guard_hits;
-        List.iter
-          (fun s ->
-            Tel.count
-              ~labels:[ ("head", head_symbol s.st_before) ]
-              "gp_engine_rules_fired_total" 1)
-          r.steps;
         Tel.attr "steps" (string_of_int (List.length r.steps));
         Tel.attr "ops_before" (string_of_int r.ops_before);
         Tel.attr "ops_after" (string_of_int r.ops_after);
+        Tel.attr "guard_probes" (string_of_int stats.guard_probes);
+        Tel.attr "guard_hits" (string_of_int stats.guard_hits);
+        Tel.attr "heads"
+          (String.concat " "
+             (List.map (fun s -> head_symbol s.st_before) r.steps));
         r)
 
 let pp_step ppf s =

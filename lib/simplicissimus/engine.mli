@@ -51,8 +51,9 @@ val rewrite : rules:Rules.t list -> insts:Instances.t -> Expr.t -> result
     list order, at every node (the test oracle does exactly that).
 
     When a telemetry sink is installed ([Gp_telemetry.Tel.install]) each
-    call opens a [simplicissimus.rewrite] span and emits step, guard-memo
-    and rules-fired-per-head-symbol counters (a guard-memo miss records
+    call opens a [simplicissimus.rewrite] span whose attributes carry its
+    [steps], [guard_probes], [guard_hits] and the space-separated
+    [heads] of the fired rules in firing order (a guard-memo miss records
     the checker's [concepts.check] span beneath it); with no sink the
     instrumentation is a single flag check (bench s3 measures the gap
     against {!rewrite_uninstrumented}). The result is identical either

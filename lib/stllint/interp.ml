@@ -461,22 +461,14 @@ let check (program : Ast.stmt list) =
       let _final = exec_block ctx State.empty program in
       let diags = List.rev ctx.diags in
       if Tel.is_enabled () then begin
-        Tel.count "gp_lint_programs_total" 1;
-        Tel.count "gp_lint_symbolic_steps_total" ctx.steps;
-        List.iter
-          (fun d ->
-            let sev =
-              match d.d_severity with
-              | Error -> "error"
-              | Warning -> "warning"
-              | Suggestion -> "suggestion"
-            in
-            Tel.count
-              ~labels:[ ("severity", sev) ]
-              "gp_lint_diagnostics_total" 1)
-          diags;
+        let count sev =
+          List.length (List.filter (fun d -> d.d_severity = sev) diags)
+        in
         Tel.attr "symbolic_steps" (string_of_int ctx.steps);
-        Tel.attr "diagnostics" (string_of_int (List.length diags))
+        Tel.attr "diagnostics" (string_of_int (List.length diags));
+        Tel.attr "errors" (string_of_int (count Error));
+        Tel.attr "warnings" (string_of_int (count Warning));
+        Tel.attr "suggestions" (string_of_int (count Suggestion))
       end;
       diags)
 

@@ -319,8 +319,6 @@ let classify_reads m =
     | Mat.Dense d -> ( match t with To_dense -> m | t -> build t d)
     | _ -> if is_own t m p then m else build t (Mat.to_dense m)
   in
-  Tel.count "gp_structla_detect_total" 1
-    ~labels:[ ("structure", Mat.structure_name r) ];
   Tel.attr "structure" (Mat.structure_name r);
   let rows, cols = Mat.dims m in
   (r, if r == m then reads else reads + (rows * cols))

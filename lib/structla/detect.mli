@@ -37,8 +37,8 @@ val profile : Mat.t -> profile
 (** The exact profile of [Mat.to_dense m], from every stored entry. *)
 
 val classify : Mat.t -> Mat.t
-(** Emits a [structla.detect] telemetry span and a
-    [gp_structla_detect_total] counter labelled by result. *)
+(** Emits a [structla.detect] telemetry span whose [structure]
+    attribute names the result. *)
 
 val classify_reads : Mat.t -> Mat.t * int
 (** [classify] with the number of entries it read: the entries the full

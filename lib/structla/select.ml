@@ -141,8 +141,6 @@ let run op_tag reg t gen_args m =
   match selected reg t op_tag m with
   | Error _ as e -> e
   | Ok c ->
-    Tel.count "gp_structla_kernel_total" 1
-      ~labels:[ ("kernel", c.Overload.cand_name) ];
     Tel.attr "kernel" c.Overload.cand_name;
     Ok (c.Overload.cand_name, c.Overload.cand_impl gen_args)
 

@@ -33,9 +33,9 @@ val matvec :
   Gp_concepts.Registry.t -> t -> Mat.t -> float array ->
   (string * float array, string) result
 (** [Ok (kernel_name, y)]; [Error] renders the resolution diagnostic on
-    ambiguity or no match. Emits a [structla.matvec] span and a
-    [gp_structla_kernel_total] counter labelled by winning kernel (the
-    other operations likewise). *)
+    ambiguity or no match. Emits a [structla.matvec] span whose
+    [kernel] attribute names the winning kernel (the other operations
+    likewise). *)
 
 val matmul :
   Gp_concepts.Registry.t -> t -> Mat.t -> Mat.t -> (string * Mat.t, string) result

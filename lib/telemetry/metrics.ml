@@ -165,16 +165,6 @@ let counter_series t name =
         | _ -> None)
       f.f_order
 
-let families t = t.order
-
-(* Family totals in first-observation order: the cheap whole-registry
-   snapshot the flight recorder diffs around a request. *)
-let totals t = List.map (fun name -> (name, total t name)) t.order
-
-let clear t =
-  Hashtbl.reset t.families;
-  t.order <- []
-
 (* ------------------------------------------------------------------ *)
 (* Prometheus text exposition                                          *)
 (* ------------------------------------------------------------------ *)

@@ -36,8 +36,7 @@ val counter_handle :
 (** Resolve (creating if absent) a counter/gauge series once and return
     the underlying cell. [inc]/[set] re-resolve the series on every call
     (label sort + key render); hot paths hold the handle instead. The
-    cell stays registered — expositions observe every update. Stale after
-    {!clear}. *)
+    cell stays registered — expositions observe every update. *)
 
 val histogram_handle :
   t -> ?labels:(string * string) list -> string -> Histogram.t
@@ -55,15 +54,6 @@ val find_histogram :
 
 val counter_series : t -> string -> ((string * string) list * float) list
 (** All numeric series of a family, first-observation order. *)
-
-val families : t -> string list
-
-val totals : t -> (string * float) list
-(** [(family, total)] for every family, first-observation order — the
-    whole-registry snapshot the flight recorder diffs around a
-    request. *)
-
-val clear : t -> unit
 
 val to_prometheus : t -> string
 (** Prometheus text exposition: [# HELP]/[# TYPE] headers, counters and

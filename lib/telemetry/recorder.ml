@@ -1,16 +1,16 @@
 (* The flight recorder: a bounded ring of per-request dossiers, the
-   always-on black box above the span/metric layer.
+   always-on black box above the span layer.
 
    A dossier is the context needed to explain — and deterministically
    re-execute — one request: the wire line, the registry generation and
    config fingerprint it ran under, the outcome, the root duration, the
    cache hit/miss chain, and a digest of the canonical response. The
-   heavyweight parts (the full span tree, metric deltas) are retained
-   only for interesting requests: errors (including over-budget and
-   timeout) and the slowest-k seen so far, which are also kept whole
-   outside the ring; everything else is stored stripped, so steady-state
-   cost per request is O(1) slot writes plus an O(k) top-k probe with
-   small constant k.
+   heavyweight part, the full span tree (whose attributes carry the
+   libraries' work counts), is retained only for interesting requests:
+   errors (including over-budget and timeout) and the slowest-k seen so
+   far, which are also kept whole outside the ring; everything else is
+   stored stripped, so steady-state cost per request is O(1) slot writes
+   plus an O(k) top-k probe with small constant k.
 
    The ring is a slot store, not an array of dossier records: each field
    lives at the slot's index of its own preallocated array — ints and
@@ -49,7 +49,6 @@ type dossier = {
   do_response_fp : string; (* digest of the canonical response *)
   do_cache_chain : (string * int * int) list; (* cache, hits Δ, misses Δ *)
   do_spans : Trace.span list; (* full tree, interesting requests only *)
-  do_metric_deltas : (string * float) list; (* family totals Δ, ditto *)
 }
 
 type 'q wire = Line of string | Request of 'q
@@ -80,7 +79,6 @@ type ('q, 'r) t = {
   responses : 'r array;
   chains : int array; (* (hits Δ, misses Δ) per cache, per slot *)
   spans : Trace.span list array;
-  deltas : (string * float) list array;
   mutable recorded : int;
   mutable slow : (float * dossier Lazy.t) list;
       (* up-to-k slowest (duration, dossier), ascending *)
@@ -105,7 +103,7 @@ let create ?(capacity = 512) ?(slowest = 8) ~caches ~request ~wire
     cached = Array.make capacity false; steps = ints ();
     durs = Array.make capacity 0.0; responses = Array.make capacity response;
     chains = Array.make (capacity * 2 * Array.length caches) 0;
-    spans = Array.make capacity []; deltas = Array.make capacity [];
+    spans = Array.make capacity [];
     recorded = 0; slow = [] }
 
 let capacity t = t.capacity
@@ -134,12 +132,6 @@ let note_slow t dur d =
   in
   let l = insert t.slow in
   t.slow <- (if List.length l > t.slowest_k then List.tl l else l)
-
-(* Will a dossier with this outcome and duration keep its heavyweight
-   payload? Exposed so the filler can skip assembling spans and metric
-   deltas for requests that would only be stored stripped. *)
-let wants_payload t ~ok ~dur_ns =
-  (not ok) || qualifies_slowest t dur_ns
 
 (* The chain stored at [chain.(base ..)], as the caches it touched. *)
 let chain_list t chain base =
@@ -199,14 +191,13 @@ let store_line t i line =
   t.head <- t.head + len
 
 let record t ~id ~kind ~wire ~generation ~config ~config_fp ~outcome ~detail
-    ~cached ~steps ~dur_ns ~response ~chain ~spans ~metric_deltas =
+    ~cached ~steps ~dur_ns ~response ~chain ~spans =
   let width = 2 * Array.length t.caches in
   if Array.length chain <> width then
     invalid_arg "Recorder.record: chain length is not 2 per cache";
   let slow = qualifies_slowest t dur_ns in
   let keep = slow || outcome <> "ok" in
   let spans = if keep then spans else [] in
-  let metric_deltas = if keep then metric_deltas else [] in
   (* the slowest-k changes only when the duration qualifies; its entry
      holds the recorded values themselves, so it outlives the slot *)
   if slow then begin
@@ -220,7 +211,7 @@ let record t ~id ~kind ~wire ~generation ~config ~config_fp ~outcome ~detail
           do_config_fp = config_fp; do_outcome = outcome; do_detail = detail;
           do_cached = cached; do_steps = steps; do_dur_ns = dur_ns;
           do_response_fp = t.fingerprint ~kind response; do_cache_chain = cache_chain;
-          do_spans = spans; do_metric_deltas = metric_deltas })
+          do_spans = spans })
   end;
   let i = t.recorded mod t.capacity in
   t.ids.(i) <- id;
@@ -244,7 +235,6 @@ let record t ~id ~kind ~wire ~generation ~config ~config_fp ~outcome ~detail
   t.responses.(i) <- response;
   Array.blit chain 0 t.chains (i * width) width;
   t.spans.(i) <- spans;
-  t.deltas.(i) <- metric_deltas;
   t.recorded <- t.recorded + 1
 
 (* The dossier in slot [i], built now: its wire line and response
@@ -262,7 +252,7 @@ let dossier_at t i =
     do_detail = t.details.(i); do_cached = t.cached.(i); do_steps = t.steps.(i);
     do_dur_ns = t.durs.(i); do_response_fp = t.fingerprint ~kind t.responses.(i);
     do_cache_chain = chain_list t t.chains (i * 2 * Array.length t.caches);
-    do_spans = t.spans.(i); do_metric_deltas = t.deltas.(i) }
+    do_spans = t.spans.(i) }
 
 (* Slot indices of the retained dossiers, oldest first. *)
 let slots t =
@@ -290,27 +280,19 @@ let dossier_to_json d =
              (Json.str name) h m)
          d.do_cache_chain)
   in
-  let deltas =
-    String.concat ","
-      (List.map
-         (fun (name, v) ->
-           Printf.sprintf "{\"name\":%s,\"delta\":%s}" (Json.str name)
-             (Json.num v))
-         d.do_metric_deltas)
-  in
   let spans = String.concat "," (List.map Trace.span_to_json d.do_spans) in
   Printf.sprintf
     "{\"id\":%d,\"kind\":%s,\"wire\":%s,\"generation\":%d,\"config\":%s,\
      \"config_fp\":%s,\"outcome\":%s,\"detail\":%s,\"cached\":%b,\
      \"steps\":%d,\"dur_ns\":%s,\"response_fp\":%s,\"cache_chain\":[%s],\
-     \"metric_deltas\":[%s],\"spans\":[%s]}"
+     \"spans\":[%s]}"
     d.do_id (Json.str d.do_kind)
     (Json.str d.do_wire)
     d.do_generation (Json.str d.do_config) (Json.str d.do_config_fp)
     (Json.str d.do_outcome) (Json.str d.do_detail) d.do_cached d.do_steps
     (Json.num d.do_dur_ns)
     (Json.str d.do_response_fp)
-    chain deltas spans
+    chain spans
 
 let to_jsonl t =
   let buf = Buffer.create 4096 in
@@ -356,17 +338,10 @@ let dossier_of_line line =
           (cache, hits, Json.int_field "misses" e))
         j
     in
-    let do_metric_deltas =
-      entries "metric_deltas"
-        (fun e ->
-          let name = Json.str_field "name" e in
-          (name, Json.num_field "delta" e))
-        j
-    in
     let do_spans = entries "spans" Trace.span_of_json j in
     { do_id; do_kind; do_wire; do_generation; do_config; do_config_fp;
       do_outcome; do_detail; do_cached; do_steps; do_dur_ns; do_response_fp;
-      do_cache_chain; do_spans; do_metric_deltas }
+      do_cache_chain; do_spans }
   | _ -> Json.fail "bad dossier line: expected a JSON object"
 
 let of_jsonl contents =

@@ -3,8 +3,9 @@
     deterministically re-execute recent requests.
 
     Steady-state cost is O(1) per request (slot writes plus an O(k)
-    slowest-k probe); the heavyweight payload — full span tree, metric
-    deltas — is retained only for {e interesting} requests: any
+    slowest-k probe); the heavyweight payload — the full span tree,
+    whose attributes carry the libraries' work counts — is retained only
+    for {e interesting} requests: any
     non-["ok"] outcome (errors, over-budget, timeout) and the slowest-k
     seen so far, which {!slowest} also keeps whole after the ring evicts
     them.
@@ -52,8 +53,6 @@ type dossier = {
           recorder's cache order, caches the request did not touch
           left out *)
   do_spans : Trace.span list;  (** interesting requests only *)
-  do_metric_deltas : (string * float) list;
-      (** sink metric family total deltas; interesting requests only *)
 }
 
 type ('q, 'r) t
@@ -96,22 +95,15 @@ val record :
   response:'r ->
   chain:int array ->
   spans:Trace.span list ->
-  metric_deltas:(string * float) list ->
   unit
 (** Record one request; each argument is the {!dossier} field of the
     same name. [chain] holds the (hits, misses) deltas of each cache, in
     the order given to {!create}, as consecutive pairs; it is copied,
-    so the caller may reuse it. Spans and metric deltas are kept only
-    when the outcome is non-ok or the duration ranks among the
-    slowest-k. [kind], [outcome], [config] and [config_fp] are stored
+    so the caller may reuse it. Spans are kept only when the outcome is
+    non-ok or the duration ranks among the slowest-k. [kind], [outcome], [config] and [config_fp] are stored
     as they are: on the steady-state path they should be static or
     long-lived strings. Raises [Invalid_argument] when [chain] does not
     hold two ints per cache. *)
-
-val wants_payload : ('q, 'r) t -> ok:bool -> dur_ns:float -> bool
-(** Would {!record} retain the heavyweight payload for a request with
-    this outcome and duration? Lets the filler skip assembling spans
-    and metric deltas that would only be stripped. *)
 
 val slowest : ('q, 'r) t -> dossier list
 (** The up-to-k slowest dossiers recorded so far, ascending by
@@ -145,7 +137,9 @@ val to_jsonl : ('q, 'r) t -> string
 
 val of_jsonl : string -> (dossier list, string) result
 (** Decode a whole dump; blank lines are skipped, errors carry the
-    1-based line number. *)
+    1-based line number. Keys a dossier line carries beyond the
+    {!dossier} fields are ignored, so dumps written when dossiers still
+    kept metric deltas load as they are. *)
 
 val load : string -> (dossier list, string) result
 (** {!of_jsonl} on a file's contents; [Error] on I/O failure. *)

@@ -3,13 +3,14 @@
     Default state is OFF: every entry point is a single flag check, so
     instrumentation compiled into the engines is ~free until a sink is
     installed (bench s3 measures this). The process is single-threaded;
-    one global sink serves the whole toolchain. *)
+    one global sink serves the whole toolchain.
 
-type sink = {
-  clock : Clock.t;
-  trace : Trace.t;
-  metrics : Metrics.t;
-}
+    The sink records spans only. A library's work counts travel as the
+    attributes of its span (and in its result); a reader that wants
+    them as metric families folds them off the span record
+    ([Gp_tracing.Span_metrics]). *)
+
+type sink = { trace : Trace.t }
 
 val install : ?clock:Clock.t -> ?trace_capacity:int -> ?profile:bool -> unit -> sink
 (** Create a sink, install it globally, enable every call site.
@@ -17,7 +18,6 @@ val install : ?clock:Clock.t -> ?trace_capacity:int -> ?profile:bool -> unit -> 
     GC/allocation delta. *)
 
 val is_enabled : unit -> bool
-val current : unit -> sink option  (** [None] when disabled. *)
 
 val with_installed :
   ?clock:Clock.t -> ?trace_capacity:int -> ?profile:bool -> (sink -> 'a) -> 'a
@@ -38,10 +38,3 @@ val attr : string -> string -> unit
 val mark : unit -> int
 val spans_since : int -> Trace.span list
 (** Per-request span capture; [spans_since (mark ())] brackets. *)
-
-val count : ?labels:(string * string) list -> string -> int -> unit
-(** Add to a counter; no-op when disabled. *)
-
-val gauge : ?labels:(string * string) list -> string -> float -> unit
-val observe : ?labels:(string * string) list -> string -> float -> unit
-(** Histogram observation; no-op when disabled. *)

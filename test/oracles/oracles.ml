@@ -616,4 +616,4 @@ let record_dossier ?(as_request = false) r ~caches (d : Recorder.dossier) =
     ~generation:d.do_generation ~config:d.do_config ~config_fp:d.do_config_fp
     ~outcome:d.do_outcome ~detail:d.do_detail ~cached:d.do_cached
     ~steps:d.do_steps ~dur_ns:d.do_dur_ns ~response:d.do_response_fp ~chain
-    ~spans:d.do_spans ~metric_deltas:d.do_metric_deltas
+    ~spans:d.do_spans

@@ -19,7 +19,7 @@ let run ?(config = Cluster.default_config) reqs =
 (* Hash ring                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let ring_args = QCheck.(triple (int_range 1 12) (int_range 1 96) small_string)
+let ring_args = QCheck.(triple (Bounded.int_range 1 12) (Bounded.int_range 1 96) small_string)
 
 let ring_of n vn = Hash_ring.create ~vnodes:vn ~replicas:(List.init n (fun i -> i + 1)) ()
 
@@ -48,7 +48,7 @@ let ring_minimal_movement_prop =
   qtest
     (QCheck.Test.make ~name:"hash ring: adding a replica moves keys minimally"
        ~count:200
-       QCheck.(triple (int_range 1 10) (int_range 1 64) small_string)
+       QCheck.(triple (Bounded.int_range 1 10) (Bounded.int_range 1 64) small_string)
        (fun (n, vn, key) ->
          let before = Hash_ring.shard (ring_of n vn) key in
          let after = Hash_ring.shard (ring_of (n + 1) vn) key in
@@ -75,7 +75,7 @@ let ring_leave_prop =
     (QCheck.Test.make
        ~name:"hash ring: remove_replica moves only the leaver's keys"
        ~count:200
-       QCheck.(triple (int_range 2 12) (int_range 1 96) small_string)
+       QCheck.(triple (Bounded.int_range 2 12) (Bounded.int_range 1 96) small_string)
        (fun (n, vn, key) ->
          let ring = ring_of n vn in
          let leaver = 1 + (Hashtbl.hash (vn, key) mod n) in
@@ -160,7 +160,7 @@ let transparency_prop =
     (QCheck.Test.make
        ~name:"1 replica, 0 failures: cluster = bare server (fingerprints)"
        ~count:8
-       QCheck.(pair (int_range 0 10_000) (int_range 10 50))
+       QCheck.(pair (int_range 0 10_000) (Bounded.int_range 10 50))
        (fun (seed, n) ->
          let reqs = workload ~n seed in
          let config = { Cluster.default_config with replicas = 1 } in
@@ -187,10 +187,8 @@ let memo_audit_prop =
     (QCheck.Test.make
        ~name:"8 replicas, drop 0.2, caches 1-8: audit clean (memoised digests)"
        ~count:4
-       (* capacity - 1: qcheck shrinks an int range toward 0 *)
-       QCheck.(pair (int_range 0 10_000) (int_range 0 7))
-       (fun (seed, capacity) ->
-         let cache_capacity = capacity + 1 in
+       QCheck.(pair (int_range 0 10_000) (Bounded.int_range 1 8))
+       (fun (seed, cache_capacity) ->
          let reqs =
            Array.of_list (Workload.generate ~keyspace:6 ~seed ~n:60 ())
          in

@@ -1104,11 +1104,11 @@ let test_memo_bounded () =
 
 (* Memo hits are invisible to telemetry: the same queries, repeated on a
    root registry and on a fork of it (each with its own memo), record
-   the same spans, check counters and memo hits, and hits + computed
-   checks = checks. *)
+   the same spans with the same outcome, failure, warning and memo-hit
+   attributes, and hits + computed checks = checks. *)
 let test_memo_telemetry () =
   let module Tel = Gp_telemetry.Tel in
-  let module Metrics = Gp_telemetry.Metrics in
+  let module Trace = Gp_telemetry.Trace in
   let queries =
     List.concat_map
       (fun c -> List.map (fun t -> (c, [ n t ])) [ "int"; "string"; "nope" ])
@@ -1121,29 +1121,33 @@ let test_memo_telemetry () =
         done;
         let spans =
           List.filter
-            (fun sp ->
-              String.equal sp.Gp_telemetry.Trace.sp_name "concepts.check")
-            (Gp_telemetry.Trace.spans sink.Tel.trace)
+            (fun sp -> String.equal sp.Trace.sp_name "concepts.check")
+            (Trace.spans sink.Tel.trace)
         in
-        let m = sink.Tel.metrics in
+        let attr k sp = List.assoc k sp.Trace.sp_attrs in
+        let sum k =
+          List.fold_left (fun a sp -> a + int_of_string (attr k sp)) 0 spans
+        in
         ( List.length spans,
-          Metrics.counter_series m "gp_checks_total",
-          Metrics.total m "gp_check_failures_total",
-          Metrics.total m "gp_check_warnings_total",
-          Metrics.total m "gp_check_memo_hits_total" ))
+          List.map (attr "outcome") spans,
+          sum "failures",
+          sum "warnings",
+          List.length (List.filter (fun sp -> attr "memo_hit" sp = "true") spans)
+        ))
   in
   let root = Gp_standard.Standard.registry () in
-  let spans, checks, failures, warnings, hits = run root in
-  let fspans, fchecks, ffailures, fwarnings, fhits = run (Registry.fork root) in
+  let spans, outcomes, failures, warnings, hits = run root in
+  let fspans, foutcomes, ffailures, fwarnings, fhits = run (Registry.fork root) in
   let total = 3 * List.length queries in
   Alcotest.(check int) "one span per check" total spans;
   Alcotest.(check int) "same spans" fspans spans;
-  Alcotest.(check bool) "same gp_checks_total series" true (checks = fchecks);
-  Alcotest.(check (float 0.0)) "same failures" ffailures failures;
-  Alcotest.(check (float 0.0)) "same warnings" fwarnings warnings;
-  Alcotest.(check (float 0.0)) "a fork hits as its root does" hits fhits;
-  Alcotest.(check (float 0.0)) "hits + computed = checks"
-    (float_of_int (total - List.length queries))
+  Alcotest.(check (list string)) "same outcomes" foutcomes outcomes;
+  Alcotest.(check bool) "some checks fail" true (failures > 0);
+  Alcotest.(check int) "same failures" ffailures failures;
+  Alcotest.(check int) "same warnings" fwarnings warnings;
+  Alcotest.(check int) "a fork hits as its root does" hits fhits;
+  Alcotest.(check int) "hits + computed = checks"
+    (total - List.length queries)
     hits
 
 (* A fork's memo survives declarations into its parent made after the
@@ -1182,16 +1186,13 @@ let fork_memo_prop =
 (* Building the standard world asks no lookup between declarations, so
    its index is built once, by the first lookup after it. *)
 let test_world_indexed_once () =
-  let rebuilds =
-    Gp_telemetry.Tel.with_installed (fun sink ->
-        let reg = Gp_standard.Standard.registry () in
-        ignore (Registry.find_concept reg "Monoid");
-        Gp_telemetry.Metrics.total sink.Gp_telemetry.Tel.metrics
-          "gp_registry_index_rebuilds_total")
-  in
+  let rebuilds0 = Registry.index_rebuilds () in
+  let reg = Gp_standard.Standard.registry () in
+  ignore (Registry.find_concept reg "Monoid");
+  let rebuilds = Registry.index_rebuilds () - rebuilds0 in
   Alcotest.(check bool)
-    (Printf.sprintf "%.0f rebuilds <= 2" rebuilds)
-    true (rebuilds <= 2.0)
+    (Printf.sprintf "%d rebuilds <= 2" rebuilds)
+    true (rebuilds <= 2)
 
 (* Each root keeps its own index and memo, so checking more roots never
    displaces the first one's: its verdict is still memoised, and a check
@@ -1203,15 +1204,11 @@ let test_roots_keep_derived_state () =
   let first = List.hd roots in
   Alcotest.(check bool) "first root's verdict still memoised" true
     (Check.memo_entries first > 0);
-  let rebuilds =
-    Gp_telemetry.Tel.with_installed (fun sink ->
-        ignore (Check.check first "Monoid" args);
-        ignore (Check.check first "Regular" [ n "int" ]);
-        Gp_telemetry.Metrics.total sink.Gp_telemetry.Tel.metrics
-          "gp_registry_index_rebuilds_total")
-  in
-  Alcotest.(check (float 0.0)) "first root's index still current" 0.0
-    rebuilds
+  let rebuilds0 = Registry.index_rebuilds () in
+  ignore (Check.check first "Monoid" args);
+  ignore (Check.check first "Regular" [ n "int" ]);
+  Alcotest.(check int) "first root's index still current" 0
+    (Registry.index_rebuilds () - rebuilds0)
 
 (* Nothing outside a registry holds on to it: once dropped, an indexed
    and checked root is collected along with its index and memo. *)

@@ -73,7 +73,7 @@ let random_topo_connected_prop =
   qtest
     (QCheck.Test.make ~name:"random topology: connected for any (n, seed, p)"
        ~count:80
-       QCheck.(triple (int_range 2 40) (int_range 0 10_000) (int_range 0 50))
+       QCheck.(triple (Bounded.int_range 2 40) (int_range 0 10_000) (int_range 0 50))
        (fun (n, seed, pc) ->
          reaches_all (Topology.random ~seed ~p:(float_of_int pc /. 100.0) n)))
 
@@ -81,7 +81,7 @@ let random_topo_deterministic_prop =
   qtest
     (QCheck.Test.make ~name:"random topology: same seed, same graph"
        ~count:60
-       QCheck.(triple (int_range 2 40) (int_range 0 10_000) (int_range 0 50))
+       QCheck.(triple (Bounded.int_range 2 40) (int_range 0 10_000) (int_range 0 50))
        (fun (n, seed, pc) ->
          let p = float_of_int pc /. 100.0 in
          let a = Topology.random ~seed ~p n in
@@ -96,7 +96,7 @@ let random_topo_degree_prop =
   qtest
     (QCheck.Test.make ~name:"random topology: expected degree and symmetry"
        ~count:60
-       QCheck.(triple (int_range 10 60) (int_range 0 10_000) (int_range 0 50))
+       QCheck.(triple (Bounded.int_range 10 60) (int_range 0 10_000) (int_range 0 50))
        (fun (n, seed, pc) ->
          let p = float_of_int pc /. 100.0 in
          let t = Topology.random ~seed ~p n in
@@ -160,7 +160,7 @@ let lcr_prop =
   qtest
     (QCheck.Test.make ~name:"LCR elects the max uid (async, any seed)"
        ~count:60
-       QCheck.(pair (int_range 3 25) (int_range 0 10_000))
+       QCheck.(pair (Bounded.int_range 3 25) (int_range 0 10_000))
        (fun (n, seed) ->
          let topo = Topology.ring_unidirectional n in
          let uids = permutation ~seed n in
@@ -176,7 +176,7 @@ let telemetry_transparent_prop =
   qtest
     (QCheck.Test.make ~name:"telemetry never changes simulation results"
        ~count:50
-       QCheck.(pair (int_range 3 15) (int_range 0 10_000))
+       QCheck.(pair (Bounded.int_range 3 15) (int_range 0 10_000))
        (fun (n, seed) ->
          let topo = Topology.ring_unidirectional n in
          let uids = permutation ~seed n in
@@ -212,7 +212,7 @@ let test_lcr_message_bounds () =
 let hs_prop =
   qtest
     (QCheck.Test.make ~name:"HS elects the max uid" ~count:50
-       QCheck.(pair (int_range 3 20) (int_range 0 10_000))
+       QCheck.(pair (Bounded.int_range 3 20) (int_range 0 10_000))
        (fun (n, seed) ->
          let topo = Topology.ring n in
          let uids = permutation ~seed n in
@@ -281,7 +281,7 @@ let test_bfs_tree_distances () =
 let bellman_ford_prop =
   qtest
     (QCheck.Test.make ~name:"async Bellman-Ford = BFS distances" ~count:40
-       QCheck.(pair (int_range 5 20) (int_range 0 1000))
+       QCheck.(pair (Bounded.int_range 5 20) (int_range 0 1000))
        (fun (n, seed) ->
          let topo = Topology.random ~seed ~p:0.15 n in
          let sync_r = Algorithms.Bfs_tree.run ~config:(config ()) ~root:0 topo in
@@ -310,7 +310,7 @@ let token_ring_prop =
   qtest
     (QCheck.Test.make ~name:"token ring: mutual exclusion bound holds"
        ~count:40
-       QCheck.(pair (int_range 2 20) (int_range 1 6))
+       QCheck.(pair (Bounded.int_range 2 20) (Bounded.int_range 1 6))
        (fun (n, entries) ->
          let topo = Topology.ring_unidirectional n in
          let r =
@@ -325,7 +325,7 @@ let floodmax_prop =
   qtest
     (QCheck.Test.make ~name:"FloodMax elects the max on arbitrary graphs"
        ~count:40
-       QCheck.(pair (int_range 2 20) (int_range 0 1000))
+       QCheck.(pair (Bounded.int_range 2 20) (int_range 0 1000))
        (fun (n, seed) ->
          let topo = Topology.random ~seed ~p:0.2 n in
          let uids = permutation ~seed:(seed + 1) n in
@@ -642,7 +642,7 @@ let test_horizons () =
 let event_order_prop =
   qtest
     (QCheck.Test.make ~name:"events pop in (time, seq) order" ~count:100
-       QCheck.(pair (int_range 0 100_000) (int_range 4 12))
+       QCheck.(pair (int_range 0 100_000) (Bounded.int_range 4 12))
        (fun (seed, horizon) ->
          let st = Random.State.make [| seed |] in
          let delays = [| 0.5; 1.0; 1.0; 2.0 |] in
@@ -731,9 +731,39 @@ let test_taxonomy_attributes_inherited () =
   Alcotest.(check (option string)) "own timing" (Some "asynchronous")
     (List.assoc_opt "timing" attrs)
 
+(* The sizes above come from Bounded.int_range: a property that always
+   fails is shrunk to the range's low end, and no value qcheck generates
+   or tries while shrinking lies outside the range. *)
+let test_bounded_shrink () =
+  List.iter
+    (fun (lo, hi) ->
+      let tried = ref [] in
+      let cell =
+        QCheck.Test.make_cell ~count:20 (Bounded.int_range lo hi) (fun x ->
+            tried := x :: !tried;
+            false)
+      in
+      (match
+         QCheck.TestResult.get_state
+           (QCheck.Test.check_cell ~rand:(Random.State.make [| lo |]) cell)
+       with
+      | QCheck.TestResult.Failed { instances = [ c ] } ->
+        Alcotest.(check int)
+          (Printf.sprintf "[%d, %d] shrinks to its low end" lo hi)
+          lo c.QCheck.TestResult.instance
+      | _ -> Alcotest.failf "[%d, %d]: expected one counterexample" lo hi);
+      Alcotest.(check (list int))
+        (Printf.sprintf "[%d, %d]: nothing tried outside" lo hi)
+        []
+        (List.filter (fun x -> x < lo || x > hi) !tried))
+    [ (1, 8); (2, 40); (10, 50); (4, 12) ]
+
 let () =
   Alcotest.run "gp_distsim"
     [
+      ( "bounded ints",
+        [ Alcotest.test_case "shrink stays in range" `Quick test_bounded_shrink ]
+      );
       ( "topology",
         [
           Alcotest.test_case "shapes" `Quick test_topologies;

@@ -91,7 +91,7 @@ let random_rmat st m n =
 let gemm_prop =
   qtest
     (QCheck.Test.make ~name:"gemm_mixed = gemm_promoted" ~count:40
-       QCheck.(triple (int_range 1 8) (int_range 1 8) (int_range 1 8))
+       QCheck.(triple (Bounded.int_range 1 8) (Bounded.int_range 1 8) (Bounded.int_range 1 8))
        (fun (m, k, n) ->
          let st = Random.State.make [| m; k; n |] in
          let a = random_cmat st m k in

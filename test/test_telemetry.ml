@@ -242,16 +242,6 @@ let test_metrics_json () =
       Alcotest.(check bool) "has p50" true (member "p50" s <> None)
     | _ -> Alcotest.fail "expected one latency series")
 
-let test_metrics_totals () =
-  let m = Metrics.create () in
-  Metrics.inc m ~labels:[ ("kind", "check") ] "requests";
-  Metrics.inc m ~labels:[ ("kind", "lint") ] ~by:2.0 "requests";
-  Metrics.set m "queue_depth" 7.0;
-  Alcotest.(check (list (pair string (float 0.0))))
-    "totals in first-observation order"
-    [ ("requests", 3.0); ("queue_depth", 7.0) ]
-    (Metrics.totals m)
-
 (* ------------------------------------------------------------------ *)
 (* Trace                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -568,8 +558,7 @@ let mk_dossier ?(id = 0) ?(outcome = "ok") ?(dur = 1.0) ?(spans = []) () =
     do_detail = (if outcome = "ok" then "" else "it broke");
     do_cached = false; do_steps = 7; do_dur_ns = dur;
     do_response_fp = "rfp";
-    do_cache_chain = [ ("rewrites", 1, 2) ]; do_spans = spans;
-    do_metric_deltas = [ ("gp_requests_total", 1.0) ] }
+    do_cache_chain = [ ("rewrites", 1, 2) ]; do_spans = spans }
 
 let test_recorder_ring_eviction () =
   (* a sustained error burst: every dossier is interesting (spans kept),
@@ -611,7 +600,7 @@ let test_recorder_slowest_k () =
     Alcotest.(check bool) "slower still qualifies" true
       (b.Recorder.do_spans <> []);
     Alcotest.(check bool) "fast ok dossier stripped" true
-      (c.Recorder.do_spans = [] && c.Recorder.do_metric_deltas = []);
+      (c.Recorder.do_spans = []);
     Alcotest.(check bool) "stripped dossier keeps its summary" true
       (c.Recorder.do_cache_chain <> []
       && c.Recorder.do_response_fp = "rfp")
@@ -691,7 +680,7 @@ let recorder_slowest_model_prop =
    through a small ring (capacity 1-6, so it wraps many times) as lines
    or as requests serialized on read; the retained window must equal the
    last [capacity] dossiers, oldest first, each exactly as recorded, its
-   spans and metric deltas stripped unless it failed or ranked among the
+   spans stripped unless it failed or ranked among the
    k slowest so far. Lines carry quotes, backslashes, control and UTF-8
    bytes at lengths 0-300, so a slot meets lines longer than any it held
    and the shared line arena grows and wraps; chains span several
@@ -723,7 +712,6 @@ let recorder_slot_store_prop =
               (Array.to_list chain_caches)))
     in
     let* spans = bool in
-    let* deltas = list_size (int_range 0 2) (pair (text 6) (map float_of_int small_nat)) in
     let* as_request = bool in
     return
       ( as_request,
@@ -731,8 +719,7 @@ let recorder_slot_store_prop =
           do_generation = generation; do_config = config; do_config_fp = config_fp;
           do_outcome = outcome; do_detail = detail; do_cached = cached;
           do_steps = steps; do_dur_ns = dur; do_response_fp = response_fp;
-          do_cache_chain = chain; do_spans = (if spans then some_spans () else []);
-          do_metric_deltas = deltas } )
+          do_cache_chain = chain; do_spans = (if spans then some_spans () else []) } )
   in
   let gen =
     let* capacity = int_range 1 6 and* k = int_range 0 3 and* n = int_range 0 40 in
@@ -764,7 +751,7 @@ let recorder_slot_store_prop =
                in
                Oracles.record_dossier ~as_request r ~caches:chain_caches d;
                if slow || d.Recorder.do_outcome <> "ok" then d
-               else { d with Recorder.do_spans = []; do_metric_deltas = [] })
+               else { d with Recorder.do_spans = [] })
              ds
          in
          let n = List.length ds in
@@ -832,23 +819,21 @@ let test_tel_disabled_noops () =
   (* all no-ops, nothing raises, values flow through *)
   Alcotest.(check int) "with_span passthrough" 3
     (Tel.with_span ~name:"x" (fun () -> 3));
-  Tel.count "c" 1;
-  Tel.observe "h" 1.0;
   Tel.attr "k" "v";
   Alcotest.(check (list reject)) "no spans" []
-    (Tel.spans_since (Tel.mark ()));
-  Alcotest.(check bool) "no sink" true (Tel.current () = None)
+    (Tel.spans_since (Tel.mark ()))
 
 let test_tel_with_installed () =
   let captured =
     Tel.with_installed ~clock:(Clock.manual ~step:5.0 ()) (fun sink ->
         Alcotest.(check bool) "enabled inside" true (Tel.is_enabled ());
-        Tel.with_span ~name:"work" (fun () -> Tel.count "c" 2);
-        Alcotest.(check (float 0.0)) "counter visible" 2.0
-          (Metrics.value sink.Tel.metrics "c");
+        Tel.with_span ~name:"work" (fun () -> Tel.attr "c" "2");
         Trace.spans sink.Tel.trace)
   in
   Alcotest.(check int) "span captured" 1 (List.length captured);
+  Alcotest.(check (list (pair string string))) "attr on the span"
+    [ ("c", "2") ]
+    (List.hd captured).Trace.sp_attrs;
   Alcotest.(check bool) "restored off" false (Tel.is_enabled ());
   (* exception-safe restore *)
   (match
@@ -1126,7 +1111,6 @@ let () =
           Alcotest.test_case "prometheus exposition" `Quick
             test_metrics_prometheus;
           Alcotest.test_case "json exposition" `Quick test_metrics_json;
-          Alcotest.test_case "family totals" `Quick test_metrics_totals;
         ] );
       ( "trace",
         [

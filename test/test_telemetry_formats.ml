@@ -267,7 +267,7 @@ let validate_prometheus path =
 let dossier_fields =
   [ "id"; "kind"; "wire"; "generation"; "config"; "config_fp"; "outcome";
     "detail"; "cached"; "steps"; "dur_ns"; "response_fp"; "cache_chain";
-    "metric_deltas"; "spans" ]
+    "spans" ]
 
 let validate_flight path =
   let lines =

@@ -452,9 +452,97 @@ let test_chrome_lane_structure () =
     Alcotest.(check bool) "router lane non-empty" true
       (List.exists (fun e -> pid e = 1.0) spans)
 
+(* ------------------------------------------------------------------ *)
+(* Span metrics: the families gp trace --metrics folds off the spans    *)
+(* ------------------------------------------------------------------ *)
+
+module Tel = Gp_telemetry.Tel
+module Metrics = Gp_telemetry.Metrics
+module Span_metrics = Gp_tracing.Span_metrics
+
+let elect_runs k =
+  let uids = Array.init 8 (fun i -> 8 - i) in
+  List.init k (fun _ ->
+      Gp_distsim.Algorithms.Lcr.run ~uids
+        (Gp_distsim.Topology.ring_unidirectional 8))
+
+(* A ring that overwrote spans would fold into short counts, so the fold
+   refuses it; the same work in a ring that holds it folds whole. *)
+let test_overflowed_ring_refused () =
+  (match
+     Tel.with_installed ~trace_capacity:4 (fun sink ->
+         ignore (elect_runs 6);
+         Span_metrics.of_trace sink.Tel.trace)
+   with
+  | Error e ->
+    Alcotest.(check bool) "names the dropped spans" true
+      (String.starts_with ~prefix:"the trace ring dropped 2 of 6 spans" e)
+  | Ok _ -> Alcotest.fail "a fold over an overflowed ring was accepted");
+  match
+    Tel.with_installed ~trace_capacity:6 (fun sink ->
+        ignore (elect_runs 6);
+        Span_metrics.of_trace sink.Tel.trace)
+  with
+  | Ok m ->
+    Alcotest.(check (float 0.0)) "every run counted" 6.0
+      (Metrics.value m ~labels:[ ("algorithm", "LCR") ] "gp_distsim_runs_total")
+  | Error e -> Alcotest.fail e
+
+(* The folded families carry exactly the counts the libraries return:
+   the election's engine metrics and the rewrite's step trace. *)
+let test_families_equal_results () =
+  let open Gp_simplicissimus in
+  let reg = Gp_standard.Standard.registry () in
+  let insts = Instances.standard reg in
+  let e = Expr.Op ("+", "int", [ Expr.Var ("x", "int"); Expr.Lit (Expr.VInt 0) ]) in
+  let rw, runs, m =
+    Tel.with_installed (fun sink ->
+        let rw = Engine.rewrite ~rules:Rules.standard ~insts e in
+        let runs = elect_runs 2 in
+        match Span_metrics.of_trace sink.Tel.trace with
+        | Ok m -> (rw, runs, m)
+        | Error e -> Alcotest.fail e)
+  in
+  let lcr = [ ("algorithm", "LCR") ] in
+  let sum f =
+    float_of_int (List.fold_left (fun a r -> a + f r.Gp_distsim.Engine.metrics) 0 runs)
+  in
+  let module E = Gp_distsim.Engine in
+  List.iter
+    (fun (family, v) ->
+      Alcotest.(check (float 0.0)) family v (Metrics.value m ~labels:lcr family))
+    [ ("gp_distsim_events_total", sum (fun x -> x.E.events));
+      ("gp_distsim_messages_sent_total", sum (fun x -> x.E.messages_sent));
+      ("gp_distsim_messages_delivered_total",
+       sum (fun x -> x.E.messages_delivered));
+      ("gp_distsim_messages_dropped_total", sum (fun x -> x.E.messages_dropped));
+      ("gp_distsim_local_steps_total", sum E.total_local_steps) ];
+  (match Metrics.find_histogram m ~labels:lcr "gp_distsim_finish_time" with
+  | Some h ->
+    Alcotest.(check (float 0.0)) "finish times, exactly"
+      (List.fold_left (fun a r -> a +. r.E.metrics.E.finish_time) 0.0 runs)
+      (Gp_telemetry.Histogram.sum h)
+  | None -> Alcotest.fail "no finish-time histogram");
+  Alcotest.(check bool) "the rewrite fired" true (rw.Engine.steps <> []);
+  Alcotest.(check (float 0.0)) "one rewrite" 1.0
+    (Metrics.value m "gp_engine_rewrites_total");
+  Alcotest.(check (float 0.0)) "its steps"
+    (float_of_int (List.length rw.Engine.steps))
+    (Metrics.value m "gp_engine_steps_total");
+  Alcotest.(check (float 0.0)) "rules fired per head"
+    (float_of_int (List.length rw.Engine.steps))
+    (Metrics.value m ~labels:[ ("head", "+") ] "gp_engine_rules_fired_total")
+
 let () =
   Alcotest.run "gp_tracing"
     [
+      ( "span metrics",
+        [
+          Alcotest.test_case "overflowed ring refused" `Quick
+            test_overflowed_ring_refused;
+          Alcotest.test_case "families equal results" `Quick
+            test_families_equal_results;
+        ] );
       ( "journeys",
         [
           journeys_well_formed_prop;
