@@ -536,7 +536,7 @@ let test_families_equal_results () =
 let () =
   Alcotest.run "gp_tracing"
     [
-      ( "span metrics",
+      ( "span fold",
         [
           Alcotest.test_case "overflowed ring refused" `Quick
             test_overflowed_ring_refused;
