@@ -703,37 +703,178 @@ let a1 () =
   Fmt.pr "  (subtraction has a right identity but no left identity; the \
           checker's axiom@.   warnings and the qcheck law tests are what \
           catch such a false declaration)@.";
-  (* 3. the cost of checked iterators vs raw array access *)
+  (* 3. the abstraction ledger: one row per rung, the exact minor words
+     it allocates per element (per lookup for lower_bound) and, in full
+     runs, its wall time as a ratio to the same operation written as a
+     loop over the plain int array — the median of [trials] interleaved
+     pairs with the quartile spread. --quick records the ratios as null,
+     so bench-diff gates only the exact counts. *)
   let open Gp_sequence in
-  let nitems = 200_000 in
-  let arr = Array.init nitems (fun i -> i land 1023) in
-  let va = Varray.of_list ~dummy:0 (Array.to_list arr) in
-  let t_raw =
-    time_ns "raw array fold" (fun () ->
-        Sys.opaque_identity (Array.fold_left ( + ) 0 arr))
+  let quick = !quota < 0.5 in
+  let n = 200_000 in
+  let lt (a : int) b = a < b in
+  let arr = Array.init n (fun i -> i land 1023) in
+  let perm = Array.init n (fun i -> i * 7919 mod n) in
+  let scratch = Array.make n 0 in
+  let va = Varray.of_array ~dummy:0 arr in
+  let dq = Deque.of_list ~dummy:0 (Array.to_list arr) in
+  let dl = Dlist.of_list (Array.to_list arr) in
+  let dst = Varray.of_array ~dummy:0 scratch in
+  let unsorted = Varray.of_array ~dummy:0 perm in
+  let asc = Array.init n Fun.id in
+  let ascending = Varray.of_array ~dummy:0 asc in
+  let probes = Array.init 4096 (fun k -> k * (n / 4096)) in
+  let range_of a = (Varray.begin_ a, Varray.end_ a) in
+  let hand_sum () =
+    let s = ref 0 in
+    for i = 0 to n - 1 do
+      s := !s + arr.(i)
+    done;
+    ignore (Sys.opaque_identity !s)
   in
-  let t_iter =
-    time_ns "checked iterator fold" (fun () ->
-        Sys.opaque_identity
-          (Algorithms.fold ( + ) 0 (Varray.begin_ va, Varray.end_ va)))
+  let hand_find () =
+    let i = ref 0 in
+    while !i < n && arr.(!i) >= 0 do
+      incr i
+    done;
+    ignore (Sys.opaque_identity !i)
   in
-  (* minor words per element of one fold, exact *)
-  let words_per_elem f =
+  let hand_copy () =
+    for i = 0 to n - 1 do
+      scratch.(i) <- arr.(i)
+    done
+  in
+  let hand_lower_bound () =
+    Array.iter
+      (fun v ->
+        let lo = ref 0 and hi = ref n in
+        while !lo < !hi do
+          let mid = (!lo + !hi) / 2 in
+          if asc.(mid) < v then lo := mid + 1 else hi := mid
+        done;
+        ignore (Sys.opaque_identity !lo))
+      probes
+  in
+  let hand_sort () =
+    Array.blit perm 0 scratch 0 n;
+    Algorithms.Introsort.sort_indexed ~lt ~get:(Array.get scratch)
+      ~set:(Array.set scratch) n
+  in
+  let reset_unsorted () =
+    for i = 0 to n - 1 do
+      Varray.set unsorted i perm.(i)
+    done
+  in
+  let fold range () =
+    ignore (Sys.opaque_identity (Algorithms.fold ( + ) 0 range))
+  in
+  let rungs =
+    [ ("hand_loop", "hand loop", n, hand_sum, hand_sum);
+      ( "array_fold_left", "Array.fold_left", n,
+        (fun () -> ignore (Sys.opaque_identity (Array.fold_left ( + ) 0 arr))),
+        hand_sum );
+      ("varray_fold", "fold, Varray", n, fold (range_of va), hand_sum);
+      ( "varray_find_if", "find_if, Varray", n,
+        (fun () ->
+          ignore
+            (Sys.opaque_identity
+               (Algorithms.find_if (fun x -> x < 0) (range_of va)))),
+        hand_find );
+      ( "varray_copy", "copy, Varray", n,
+        (fun () ->
+          ignore
+            (Sys.opaque_identity
+               (Algorithms.copy (range_of va) (Varray.begin_ dst)))),
+        hand_copy );
+      ( "varray_lower_bound", "lower_bound, Varray (per lookup)",
+        Array.length probes,
+        (fun () ->
+          Array.iter
+            (fun v ->
+              ignore
+                (Sys.opaque_identity
+                   (Algorithms.lower_bound ~lt v (range_of ascending))))
+            probes),
+        hand_lower_bound );
+      ( "varray_sort", "sort, Varray (introsort)", n,
+        (fun () ->
+          reset_unsorted ();
+          Algorithms.sort ~lt (range_of unsorted)),
+        hand_sort );
+      ( "deque_fold", "fold, Deque", n,
+        fold (Deque.begin_ dq, Deque.end_ dq),
+        hand_sum );
+      ( "dlist_fold", "fold, Dlist", n,
+        fold (Dlist.begin_ dl, Dlist.end_ dl),
+        hand_sum );
+      ( "restrict_forward_sort", "sort, Iter.restrict Forward (mergesort)", n,
+        (fun () ->
+          reset_unsorted ();
+          Algorithms.sort ~lt
+            ( Iter.restrict Iter.Forward (Varray.begin_ unsorted),
+              Iter.restrict Iter.Forward (Varray.end_ unsorted) )),
+        hand_sort );
+      ( "counting_fold", "fold, Iter.counting", n,
+        (fun () ->
+          let c = Iter.counters () in
+          fold (Iter.counting c (Varray.begin_ va), Varray.end_ va) ()),
+        hand_sum ) ]
+  in
+  let words_per_elem per f =
+    f ();
     let w0 = Gc.minor_words () in
-    ignore (Sys.opaque_identity (f ()));
-    (Gc.minor_words () -. w0) /. float_of_int nitems
+    f ();
+    (Gc.minor_words () -. w0) /. float_of_int per
   in
-  let w_raw = words_per_elem (fun () -> Array.fold_left ( + ) 0 arr) in
-  let w_iter =
-    words_per_elem (fun () ->
-        Algorithms.fold ( + ) 0 (Varray.begin_ va, Varray.end_ va))
+  (* wall seconds of one call, repeated to at least a millisecond so the
+     clock's resolution stays under 0.1 % *)
+  let seconds f =
+    let t0 = Unix.gettimeofday () in
+    f ();
+    let once = Unix.gettimeofday () -. t0 in
+    let reps = max 1 (int_of_float (1e-3 /. Float.max once 1e-7)) in
+    fun () ->
+      let t0 = Unix.gettimeofday () in
+      for _ = 1 to reps do
+        f ()
+      done;
+      (Unix.gettimeofday () -. t0) /. float_of_int reps
   in
-  Fmt.pr "@.abstraction cost: summing %d ints@." nitems;
-  Fmt.pr "  raw array          %s  %.1f minor words/elem@." (ns_str t_raw)
-    w_raw;
-  Fmt.pr "  checked iterators  %s  %.1f minor words/elem  (%.1fx: the price \
-          of versioned, category-checked positions)@."
-    (ns_str t_iter) w_iter (t_iter /. t_raw)
+  let trials = 21 in
+  let wall rung hand =
+    if quick then (nan, nan)
+    else begin
+      let time_rung = seconds rung and time_hand = seconds hand in
+      let ratios =
+        Array.init trials (fun _ ->
+            let h = time_hand () in
+            time_rung () /. h)
+      in
+      Array.sort compare ratios;
+      let at q = ratios.(int_of_float (q *. float_of_int (trials - 1))) in
+      (at 0.5, at 0.75 -. at 0.25)
+    end
+  in
+  Fmt.pr "@.the abstraction ledger over %d ints: minor words per element, \
+          wall time against the same loop over the int array@." n;
+  Fmt.pr "  %-42s %12s %22s@." "rung" "minor w/elem" "wall ratio [IQR]";
+  List.iter
+    (fun (key, label, per, rung, hand) ->
+      let words = words_per_elem per rung in
+      let ratio, iqr = wall rung hand in
+      Fmt.pr "  %-42s %12.1f %22s@." label words
+        (if quick then "(--quick)" else Printf.sprintf "%.1fx [%.1f]" ratio iqr);
+      record ~experiment:"a1" (key ^ "_minor_words") words;
+      if key <> "hand_loop" then begin
+        record ~experiment:"a1" (key ^ "_wall_ratio") ratio;
+        record ~experiment:"a1" (key ^ "_wall_ratio_iqr") iqr
+      end)
+    rungs;
+  record ~experiment:"a1" "wall_trials"
+    (if quick then nan else float_of_int trials);
+  if not quick then
+    Fmt.pr "  (medians over %d interleaved trials; the sort rungs' loop is \
+            Introsort.sort_indexed over the array)@." trials
 
 (* ------------------------------------------------------------------ *)
 (* S1: service throughput — cold vs warm caches                        *)
@@ -1071,32 +1212,67 @@ let s3 () =
     (List.length rules) nentries (Expr.op_count e)
     (List.length r_core.Engine.steps)
     spans_per_call counters;
-  let t_core =
-    time_ns "rewrite (uninstrumented core)" (fun () ->
-        Sys.opaque_identity (Engine.rewrite_uninstrumented ~rules ~insts e))
+  (* exact minor words of one rewrite, after a warm-up call, with no sink
+     and with one installed *)
+  let words_per_rewrite () =
+    ignore (Sys.opaque_identity (Engine.rewrite ~rules ~insts e));
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Engine.rewrite ~rules ~insts e));
+    Gc.minor_words () -. w0
   in
-  let t_off =
-    time_ns "rewrite (instrumented, no sink)" (fun () ->
-        Sys.opaque_identity (Engine.rewrite ~rules ~insts e))
+  let disabled_minor = words_per_rewrite () in
+  let enabled_minor = Tel.with_installed (fun _ -> words_per_rewrite ()) in
+  (* the three variants timed interleaved, one block of [reps] rewrites
+     each per trial, so a drift in the machine's speed moves all three
+     alike; the overheads are medians of the per-trial ratios *)
+  let trials = if quick then 5 else 41 and reps = 10 in
+  let block f =
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to reps do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int reps
   in
-  let t_on =
-    Tel.with_installed (fun _sink ->
-        time_ns "rewrite (instrumented, sink installed)" (fun () ->
-            Sys.opaque_identity (Engine.rewrite ~rules ~insts e)))
+  let samples =
+    Array.init trials (fun _ ->
+        let core =
+          block (fun () -> Engine.rewrite_uninstrumented ~rules ~insts e)
+        in
+        let off = block (fun () -> Engine.rewrite ~rules ~insts e) in
+        let on =
+          Tel.with_installed (fun _ ->
+              block (fun () -> Engine.rewrite ~rules ~insts e))
+        in
+        (core, off, on))
   in
-  let pct t = ((t /. t_core) -. 1.0) *. 100.0 in
-  Fmt.pr "@.%-36s %13s %10s@." "variant" "per rewrite" "vs core";
-  let row label t names =
-    Fmt.pr "%-36s %13s %+9.2f%%@." label (ns_str t) (pct t);
-    let t_name, pct_name = names in
-    record ~experiment:"s3" t_name t;
-    if pct_name <> "" then record ~experiment:"s3" pct_name (pct t)
+  let median f =
+    let xs = Array.map f samples in
+    Array.sort compare xs;
+    xs.(trials / 2)
   in
-  row "uninstrumented core" t_core ("uninstrumented_ns", "");
-  row "instrumented, telemetry off" t_off
-    ("disabled_ns", "disabled_overhead_pct");
-  row "instrumented, telemetry on" t_on
-    ("enabled_ns", "enabled_overhead_pct");
+  let pct f =
+    median (fun ((core, _, _) as s) -> ((f s /. core) -. 1.0) *. 100.0)
+  in
+  let off (_, o, _) = o and on (_, _, o) = o in
+  let t_core = median (fun (c, _, _) -> c) in
+  let t_off = median off and pct_off = pct off in
+  let t_on = median on and pct_on = pct on in
+  Fmt.pr "@.%-36s %13s %10s %12s@." "variant" "per rewrite" "vs core"
+    "minor words";
+  Fmt.pr "%-36s %13s %10s %12s@." "uninstrumented core" (ns_str t_core) "" "";
+  Fmt.pr "%-36s %13s %+9.2f%% %12.0f@." "instrumented, telemetry off"
+    (ns_str t_off) pct_off disabled_minor;
+  Fmt.pr "%-36s %13s %+9.2f%% %12.0f@." "instrumented, telemetry on"
+    (ns_str t_on) pct_on enabled_minor;
+  Fmt.pr "(medians over %d interleaved trials of %d rewrites each)@." trials
+    reps;
+  record ~experiment:"s3" "uninstrumented_ns" t_core;
+  record ~experiment:"s3" "disabled_ns" t_off;
+  record ~experiment:"s3" "disabled_overhead_pct" pct_off;
+  record ~experiment:"s3" "disabled_minor_words" disabled_minor;
+  record ~experiment:"s3" "enabled_ns" t_on;
+  record ~experiment:"s3" "enabled_overhead_pct" pct_on;
+  record ~experiment:"s3" "enabled_minor_words" enabled_minor;
   Fmt.pr
     "@.(acceptance: the disabled path — what every caller pays when nobody \
      installed a sink —@. stays within a few percent of the bare core; the \
