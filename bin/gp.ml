@@ -432,9 +432,9 @@ let serve_cmd =
          & opt (some string) None
          & info [ "flight" ]
              ~doc:"When the input ends, dump the flight recorder — one \
-                   JSONL dossier per served request, with span trees and \
-                   metric deltas on error/slowest-k dossiers — to this \
-                   file ($(b,gp replay) input). Installs a telemetry sink \
+                   JSONL dossier per served request, with span trees on \
+                   error/slowest-k dossiers — to this file ($(b,gp replay) \
+                   input). Installs a telemetry sink \
                    like $(b,--trace) so dossiers carry span trees.")
   in
   let run file no_cache cache_capacity max_steps timeout metrics

@@ -9,30 +9,26 @@
    iterator category — the paper's canonical example of concept-based
    overloading (Section 2.1). *)
 
-let same_container (a : 'a Iter.t) (b : 'a Iter.t) =
-  fst a.Iter.ident = fst b.Iter.ident
-
 (* O(1) for random access, O(n) walk otherwise. *)
-let distance (first : 'a Iter.t) (last : 'a Iter.t) =
-  match first.Iter.cat with
-  | Iter.Random_access when same_container first last ->
-    snd last.Iter.ident - snd first.Iter.ident
-  | _ ->
-    let rec go n it = if Iter.equal it last then n else go (n + 1) (Iter.step it) in
+let distance first last =
+  match Iter.difference first last with
+  | Some n -> n
+  | None ->
+    let rec go n it =
+      if Iter.equal it last then n else go (n + 1) (Iter.step it)
+    in
     go 0 first
 
 (* O(1) for random access, O(n) steps otherwise; negative [n] requires
    bidirectional. *)
-let advance (it : 'a Iter.t) n =
-  match it.Iter.jump with
-  | Some j -> j n
-  | None ->
-    if n >= 0 then (
-      let rec fwd it k = if k = 0 then it else fwd (Iter.step it) (k - 1) in
-      fwd it n)
-    else
-      let rec bwd it k = if k = 0 then it else bwd (Iter.back it) (k + 1) in
-      bwd it n
+let advance it n =
+  if Iter.category it = Iter.Random_access then Iter.jump it n
+  else if n >= 0 then (
+    let rec fwd it k = if k = 0 then it else fwd (Iter.step it) (k - 1) in
+    fwd it n)
+  else
+    let rec bwd it k = if k = 0 then it else bwd (Iter.back it) (k + 1) in
+    bwd it n
 
 let for_each f (first, last) =
   let rec go it =
@@ -447,6 +443,15 @@ let set_difference ~lt (f1, l1) (f2, l2) dst =
 (* Sorting with concept-based dispatch                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* Access by offset from [first]: O(1) for random access, by stepping
+   otherwise. *)
+let indexed first =
+  if Iter.category first = Iter.Random_access then
+    (Iter.get_at first, Iter.set_at first)
+  else
+    ( (fun k -> Iter.get (advance first k)),
+      fun k v -> Iter.set (advance first k) v )
+
 (* In-place introsort for random-access ranges: quicksort with
    median-of-three pivots, falling back to heapsort past a depth limit and
    insertion sort on small subranges. All access goes through the iterator
@@ -527,16 +532,9 @@ module Introsort = struct
       insertion 0 (n - 1)
     end
 
-  (* Entry point over a random-access iterator: uses the O(1) indexed
-     capabilities when present (array-speed access), otherwise falls back
-     to jump-based access. *)
-  let sort ~lt (first : 'a Iter.t) n =
-    match first.Iter.ixget, first.Iter.ixset with
-    | Some get, Some set -> sort_indexed ~lt ~get ~set n
-    | _ ->
-      let get k = Iter.get (advance first k) in
-      let set k v = Iter.set (advance first k) v in
-      sort_indexed ~lt ~get ~set n
+  let sort ~lt first n =
+    let get, set = indexed first in
+    sort_indexed ~lt ~get ~set n
 end
 
 (* Stable merge sort for forward ranges: bottom-up on a working list of
@@ -572,7 +570,7 @@ let sort_algorithm_name = function
 (* Concept-dispatched sort: picks introsort for random-access iterators and
    mergesort otherwise, like std::sort vs list::sort selected by concept. *)
 let sort ~lt ((first, last) as range) =
-  match sort_algorithm_for first.Iter.cat with
+  match sort_algorithm_for (Iter.category first) with
   | Introsort_ra ->
     let n = distance first last in
     if n > 1 then Introsort.sort ~lt first n
@@ -585,13 +583,7 @@ let stable_sort ~lt range = forward_sort ~lt range
 let nth_element ~lt (first, last) n =
   let len = distance first last in
   if n < 0 || n >= len then invalid_arg "nth_element: index out of range";
-  let get, set =
-    match first.Iter.ixget, first.Iter.ixset with
-    | Some get, Some set -> (get, set)
-    | _ ->
-      ( (fun k -> Iter.get (advance first k)),
-        fun k v -> Iter.set (advance first k) v )
-  in
+  let get, set = indexed first in
   let rec go lo hi =
     if lo < hi then begin
       let pivot = get (lo + ((hi - lo) / 2)) in

@@ -142,8 +142,8 @@ module Introsort : sig
       finish) over constant-time indexed access. *)
 
   val sort : lt:('a -> 'a -> bool) -> 'a Iter.t -> int -> unit
-  (** Over a random-access iterator; uses the O(1) [ixget]/[ixset]
-      capabilities when present. *)
+  (** Over a random-access iterator, through the O(1) {!Iter.get_at} and
+      {!Iter.set_at}; a weaker iterator is stepped to each offset. *)
 end
 
 val forward_sort : lt:('a -> 'a -> bool) -> 'a Iter.t * 'a Iter.t -> unit

@@ -5,58 +5,20 @@
    either end may reallocate, so any push or pop bumps the version and
    invalidates outstanding iterators. *)
 
-type 'a t = {
-  uid : int;
-  mutable data : 'a array;
-  mutable head : int; (* index of first element *)
-  mutable len : int;
-  mutable version : int;
-  dummy : 'a;
-}
+include Ring
 
-let create ~dummy () =
-  { uid = Iter.fresh_uid (); data = Array.make 8 dummy; head = 0; len = 0;
-    version = 0; dummy }
+let of_list ~dummy xs =
+  Ring.create ~name:"Deque" ~noun:"deque"
+    ~stale:"deque iterator used after a mutation" ~dummy xs
 
-let length t = t.len
-
-let phys_index t i = (t.head + i) mod Array.length t.data
-
-let get t i =
-  if i < 0 || i >= t.len then invalid_arg "Deque.get: index out of bounds";
-  t.data.(phys_index t i)
-
-let set t i v =
-  if i < 0 || i >= t.len then invalid_arg "Deque.set: index out of bounds";
-  t.data.(phys_index t i) <- v
-
-let grow t =
-  let cap = Array.length t.data in
-  let fresh = Array.make (2 * cap) t.dummy in
-  for i = 0 to t.len - 1 do
-    fresh.(i) <- t.data.(phys_index t i)
-  done;
-  t.data <- fresh;
-  t.head <- 0
-
-let push_back t v =
-  if t.len = Array.length t.data then grow t;
-  t.data.(phys_index t t.len) <- v;
-  t.len <- t.len + 1;
-  t.version <- t.version + 1
+let create ~dummy () = of_list ~dummy []
 
 let push_front t v =
-  if t.len = Array.length t.data then grow t;
+  reserve t (t.len + 1);
   let cap = Array.length t.data in
   t.head <- (t.head + cap - 1) mod cap;
   t.data.(t.head) <- v;
   t.len <- t.len + 1;
-  t.version <- t.version + 1
-
-let pop_back t =
-  if t.len = 0 then invalid_arg "Deque.pop_back: empty";
-  t.len <- t.len - 1;
-  t.data.(phys_index t t.len) <- t.dummy;
   t.version <- t.version + 1
 
 let pop_front t =
@@ -65,77 +27,6 @@ let pop_front t =
   t.head <- (t.head + 1) mod Array.length t.data;
   t.len <- t.len - 1;
   t.version <- t.version + 1
-
-let of_list ~dummy xs =
-  let t = create ~dummy () in
-  List.iter (push_back t) xs;
-  t
-
-let to_list t = List.init t.len (get t)
-
-let rec iter_at t v i : 'a Iter.t =
-  let check () =
-    if t.version <> v then
-      raise (Iter.Invalidated "deque iterator used after a mutation")
-  in
-  let in_range () =
-    check ();
-    if i < 0 || i >= t.len then
-      raise (Iter.Singular "dereference of past-the-end deque iterator")
-  in
-  {
-    Iter.cat = Iter.Random_access;
-    ident = (t.uid, i);
-    get =
-      (fun () ->
-        in_range ();
-        get t i);
-    put =
-      Some
-        (fun x ->
-          in_range ();
-          set t i x);
-    step =
-      (fun () ->
-        check ();
-        if i >= t.len then
-          raise (Iter.Singular "increment past the end of a deque");
-        iter_at t v (i + 1));
-    back =
-      Some
-        (fun () ->
-          check ();
-          if i <= 0 then
-            raise (Iter.Singular "decrement before the beginning of a deque");
-          iter_at t v (i - 1));
-    jump =
-      Some
-        (fun n ->
-          check ();
-          let j = i + n in
-          if j < 0 || j > t.len then
-            raise (Iter.Singular "random-access jump outside [begin, end]");
-          iter_at t v j);
-    ixget =
-      Some
-        (fun n ->
-          check ();
-          let j = i + n in
-          if j < 0 || j >= t.len then
-            raise (Iter.Singular "indexed access outside [begin, end)");
-          get t j);
-    ixset =
-      Some
-        (fun n x ->
-          check ();
-          let j = i + n in
-          if j < 0 || j >= t.len then
-            raise (Iter.Singular "indexed access outside [begin, end)");
-          set t j x);
-  }
-
-let begin_ t = iter_at t t.version 0
-let end_ t = iter_at t t.version t.len
 
 let pp pp_elem ppf t =
   Fmt.pf ppf "deque[%a]" Fmt.(list ~sep:(any "; ") pp_elem) (to_list t)

@@ -8,32 +8,54 @@
    gp_stllint keys on. *)
 
 type 'a node = {
-  nid : int;
   mutable value : 'a option; (* None only for the sentinel *)
   mutable prev : 'a node;
   mutable next : 'a node;
   mutable dead : bool;
 }
 
-type 'a t = { uid : int; sentinel : 'a node; mutable len : int }
+(* A position is its node; the sentinel is past-the-end. *)
+type 'a t = {
+  sentinel : 'a node;
+  mutable len : int;
+  ops : ('a, 'a node) Iter.table;
+}
 
 let create () =
   let rec sentinel =
-    { nid = 0; value = None; prev = sentinel; next = sentinel; dead = false }
+    { value = None; prev = sentinel; next = sentinel; dead = false }
   in
-  { uid = Iter.fresh_uid (); sentinel; len = 0 }
+  let ops =
+    Iter.table Iter.Bidirectional
+      ~valid:(fun node _ ->
+        if node.dead then
+          raise (Iter.Invalidated "list iterator to an erased element"))
+      ~read:(fun node ->
+        match node.value with
+        | Some v -> v
+        | None ->
+          raise (Iter.Singular "dereference of past-the-end list iterator"))
+      ~write:(fun node v ->
+        match node.value with
+        | Some _ -> node.value <- Some v
+        | None ->
+          raise (Iter.Singular "write through past-the-end list iterator"))
+      ~next:(fun node ->
+        if node == sentinel then
+          raise (Iter.Singular "increment of past-the-end list iterator");
+        node.next)
+      ~prev:(fun node ->
+        if node.prev == sentinel then
+          raise (Iter.Singular "decrement before the beginning of a list");
+        node.prev)
+  in
+  { sentinel; len = 0; ops }
 
 let length t = t.len
 let is_empty t = t.len = 0
 
-let nid_counter = ref 0
-
-let fresh_node v prev next =
-  incr nid_counter;
-  { nid = !nid_counter; value = Some v; prev; next; dead = false }
-
 let link_before t node v =
-  let fresh = fresh_node v node.prev node in
+  let fresh = { value = Some v; prev = node.prev; next = node; dead = false } in
   node.prev.next <- fresh;
   node.prev <- fresh;
   t.len <- t.len + 1;
@@ -57,60 +79,14 @@ let to_list t =
   in
   go [] t.sentinel.next
 
-let rec iter_at t node : 'a Iter.t =
-  let check () =
-    if node.dead then
-      raise (Iter.Invalidated "list iterator to an erased element")
-  in
-  {
-    Iter.cat = Iter.Bidirectional;
-    ident = (t.uid, node.nid);
-    get =
-      (fun () ->
-        check ();
-        match node.value with
-        | Some v -> v
-        | None -> raise (Iter.Singular "dereference of past-the-end list iterator"));
-    put =
-      Some
-        (fun v ->
-          check ();
-          match node.value with
-          | Some _ -> node.value <- Some v
-          | None ->
-            raise (Iter.Singular "write through past-the-end list iterator"));
-    step =
-      (fun () ->
-        check ();
-        if node == t.sentinel then
-          raise (Iter.Singular "increment of past-the-end list iterator");
-        iter_at t node.next);
-    back =
-      Some
-        (fun () ->
-          check ();
-          if node.prev == t.sentinel && node == t.sentinel then
-            raise (Iter.Singular "decrement before the beginning of a list");
-          iter_at t node.prev);
-    jump = None;
-    ixget = None;
-    ixset = None;
-  }
+let begin_ t = Iter.make t.ops t.sentinel.next
+let end_ t = Iter.make t.ops t.sentinel
 
-let begin_ t = iter_at t t.sentinel.next
-let end_ t = iter_at t t.sentinel
-
-let node_of t (it : 'a Iter.t) =
-  let uid, nid = it.Iter.ident in
-  if uid <> t.uid then invalid_arg "Dlist.node_of: foreign iterator";
-  let rec find node =
-    if node.nid = nid then node
-    else if node.next == t.sentinel then
-      if t.sentinel.nid = nid then t.sentinel
-      else invalid_arg "Dlist.node_of: stale iterator"
-    else find node.next
-  in
-  if t.sentinel.nid = nid then t.sentinel else find t.sentinel.next
+(* The node of an iterator, in O(1); raises if foreign or erased. *)
+let node_of t it =
+  match Iter.position t.ops it with
+  | Some node -> node
+  | None -> invalid_arg "Dlist.node_of: foreign iterator"
 
 (* Erase the element at [it]. Only iterators to this node are invalidated;
    returns an iterator to the following element. *)
@@ -121,13 +97,13 @@ let erase t it =
   node.next.prev <- node.prev;
   node.dead <- true;
   t.len <- t.len - 1;
-  iter_at t node.next
+  Iter.make t.ops node.next
 
 (* Insert [v] before [it]; nothing is invalidated. *)
 let insert t it v =
   let node = node_of t it in
   let fresh = link_before t node v in
-  iter_at t fresh
+  Iter.make t.ops fresh
 
 let pp pp_elem ppf t =
   Fmt.pf ppf "[%a]" Fmt.(list ~sep:(any "; ") pp_elem) (to_list t)

@@ -21,8 +21,10 @@ val begin_ : 'a t -> 'a Iter.t
 val end_ : 'a t -> 'a Iter.t
 
 val erase : 'a t -> 'a Iter.t -> 'a Iter.t
-(** Unlink the element; only its own iterators become invalid; returns
-    an iterator to the following element. *)
+(** Unlink the element in O(1); only its own iterators become invalid;
+    returns an iterator to the following element. Raises
+    [Invalid_argument] on a foreign iterator and {!Iter.Invalidated} on
+    an erased one (as {!insert} does). *)
 
 val insert : 'a t -> 'a Iter.t -> 'a -> 'a Iter.t
 (** Insert before the iterator; nothing is invalidated; returns an

@@ -6,6 +6,14 @@
    available; calling an unsupported operation raises [Category_violation] —
    the runtime analogue of a concept-check failure.
 
+   A position is a record of three fields: its container's operations table,
+   the position proper (an index, a list node, a stream offset) and the
+   container version it was made in. The table is the concept map as a
+   value (Siek and Lumsdaine's dictionary built once per model): one per
+   container, shared by all its positions, so stepping allocates one small
+   record and builds no closures. [restrict] and [counting] copy the table
+   with one field changed, once, not once per step.
+
    Iterators are *checked*: each captures the owning container's version at
    creation, and containers bump their version on invalidating mutations.
    Using an invalidated iterator raises [Invalidated] — the dynamic
@@ -40,157 +48,198 @@ exception Invalidated of string
 exception Singular of string
 exception Multipass_violation of string
 
-type 'a t = {
+type counters = { mutable derefs : int; mutable steps : int }
+
+let counters () = { derefs = 0; steps = 0 }
+
+(* Which operations a table supports follows from [cat]: the generic
+   operations below check it before calling a field, so a field beyond the
+   category is never reached. [key] identifies the container (positions of
+   one container are comparable and extractable); [tally] lists the
+   counters of [counting]. *)
+type ('a, 'p) table = {
   cat : category;
-  ident : int * int; (* (container uid, position token); (-1,-1) = singular *)
-  get : unit -> 'a;
-  put : ('a -> unit) option;
-  step : unit -> 'a t;
-  back : (unit -> 'a t) option;
-  jump : (int -> 'a t) option;
-  (* Constant-time indexed access relative to this iterator — the runtime
-     form of the RandomAccessIterator capability. [ixget]/[ixset] avoid
-     materialising an iterator value per access, which is what lets the
-     dispatched introsort actually run at array speed. Present only on
-     random-access iterators. *)
-  ixget : (int -> 'a) option;
-  ixset : (int -> 'a -> unit) option;
+  key : 'p Type.Id.t;
+  tally : counters list;
+  version : unit -> int;
+  valid : 'p -> int -> unit; (* raises Invalidated on a stale position *)
+  read : 'p -> 'a;
+  write : 'p -> 'a -> unit;
+  next : 'p -> 'p;
+  prev : 'p -> 'p;
+  jump : 'p -> int -> 'p; (* to a position in [begin, end] *)
+  read_at : 'p -> int -> int -> 'a; (* position, version, offset *)
+  write_at : 'p -> int -> int -> 'a -> unit;
+  offset : 'p -> int; (* the index of a random-access position *)
 }
 
-let uid_counter = ref 0
+type 'a t = It : { ops : ('a, 'p) table; pos : 'p; ver : int } -> 'a t
 
-let fresh_uid () =
-  incr uid_counter;
-  !uid_counter
+let beyond _ = invalid_arg "Iter: operation beyond the table's category"
 
-let equal a b = a.ident = b.ident
-let category it = it.cat
+let table ?(version = fun () -> 0) ?(valid = fun _ _ -> ())
+    ?(write = fun _ -> beyond) ?(prev = beyond) ?(jump = fun _ -> beyond)
+    ?(read_at = fun _ _ -> beyond) ?(write_at = fun _ _ _ -> beyond)
+    ?(offset = beyond) cat ~read ~next =
+  { cat; key = Type.Id.make (); tally = []; version; valid; read; write; next;
+    prev; jump; read_at; write_at; offset }
 
-let violation it what =
+let make ops pos = It { ops; pos; ver = ops.version () }
+
+let position (type p) (ops : (_, p) table) (It r) : p option =
+  match Type.Id.provably_equal ops.key r.ops.key with
+  | Some Type.Equal ->
+    r.ops.valid r.pos r.ver;
+    Some r.pos
+  | None -> None
+
+let equal (It a) (It b) =
+  match Type.Id.provably_equal a.ops.key b.ops.key with
+  | Some Type.Equal -> a.pos == b.pos
+  | None -> false
+
+let category (It r) = r.ops.cat
+
+let violation cat what =
   raise
     (Category_violation
-       (Printf.sprintf "%s does not support %s" (category_name it.cat) what))
+       (Printf.sprintf "%s does not support %s" (category_name cat) what))
 
-let get it = it.get ()
+let tick_derefs = function
+  | [] -> ()
+  | cs -> List.iter (fun c -> c.derefs <- c.derefs + 1) cs
 
-let set it v =
-  match it.put with Some p -> p v | None -> violation it "writing"
+let tick_steps = function
+  | [] -> ()
+  | cs -> List.iter (fun c -> c.steps <- c.steps + 1) cs
 
-let step it = it.step ()
+let get (It r) =
+  tick_derefs r.ops.tally;
+  r.ops.valid r.pos r.ver;
+  r.ops.read r.pos
 
-let back it =
-  match it.back with Some b -> b () | None -> violation it "stepping back"
+let set (It r) v =
+  let cat = r.ops.cat in
+  if not (cat = Output || rank cat >= rank Forward) then
+    violation cat "writing";
+  r.ops.valid r.pos r.ver;
+  r.ops.write r.pos v
 
-let jump it n =
-  match it.jump with Some j -> j n | None -> violation it "random access"
+let step (It r) =
+  tick_steps r.ops.tally;
+  r.ops.valid r.pos r.ver;
+  It { r with pos = r.ops.next r.pos }
 
-(* The singular iterator: points nowhere; any use other than assignment
-   raises. Erase results and default-initialised iterators are singular. *)
-let singular : unit -> 'a t =
- fun () ->
-  let fail what () = raise (Singular ("use of a singular iterator: " ^ what)) in
-  {
-    cat = Input;
-    ident = (-1, -1);
-    get = fail "dereference";
-    put = None;
-    step = fail "increment";
-    back = None;
-    jump = None;
-    ixget = None;
-    ixset = None;
-  }
+let back (It r) =
+  if rank r.ops.cat < rank Bidirectional then
+    violation r.ops.cat "stepping back";
+  tick_steps r.ops.tally;
+  r.ops.valid r.pos r.ver;
+  It { r with pos = r.ops.prev r.pos }
 
-let is_singular it = it.ident = (-1, -1)
+let random_only cat = if cat <> Random_access then violation cat "random access"
+
+let jump (It r) n =
+  random_only r.ops.cat;
+  tick_steps r.ops.tally;
+  r.ops.valid r.pos r.ver;
+  It { r with pos = r.ops.jump r.pos n }
+
+(* Partially applied to an iterator, [get_at] and [set_at] check the
+   category once and hand back the table's indexed access itself, so each
+   access costs one call — the array-speed path the dispatched introsort
+   runs on. *)
+let get_at (It r) =
+  random_only r.ops.cat;
+  match r.ops.tally with
+  | [] -> r.ops.read_at r.pos r.ver
+  | tally ->
+    fun n ->
+      tick_derefs tally;
+      r.ops.read_at r.pos r.ver n
+
+let set_at (It r) =
+  random_only r.ops.cat;
+  match r.ops.tally with
+  | [] -> r.ops.write_at r.pos r.ver
+  | tally ->
+    fun n v ->
+      tick_derefs tally;
+      r.ops.write_at r.pos r.ver n v
+
+let difference (It first) (It last) =
+  if first.ops.cat <> Random_access then None
+  else
+    match Type.Id.provably_equal first.ops.key last.ops.key with
+    | Some Type.Equal ->
+      Some (first.ops.offset last.pos - first.ops.offset first.pos)
+    | None -> None
 
 (* Downgrade an iterator's advertised category — used to hand a
    random-access iterator to an algorithm as if it were weaker, which is how
    the dispatch tests and benches compare algorithm variants on identical
-   data. The underlying capabilities are restricted accordingly. *)
-let rec restrict cat it =
-  if rank cat > rank it.cat then
+   data. The capabilities follow the category. *)
+let restrict cat (It r) =
+  if rank cat > rank r.ops.cat then
     invalid_arg "Iter.restrict: cannot strengthen an iterator";
-  {
-    it with
-    cat;
-    step = (fun () -> restrict cat (it.step ()));
-    back =
-      (if rank cat >= rank Bidirectional then
-         Option.map (fun b () -> restrict cat (b ())) it.back
-       else None);
-    jump =
-      (if cat = Random_access then
-         Option.map (fun j n -> restrict cat (j n)) it.jump
-       else None);
-    put = (if cat = Output || rank cat >= rank Forward then it.put else None);
-    ixget = (if cat = Random_access then it.ixget else None);
-    ixset = (if cat = Random_access then it.ixset else None);
-  }
+  It { r with ops = { r.ops with cat } }
+
+(* Instrumented copy: counts dereferences and steps through a shared cell.
+   Used by the benches to report operation counts alongside wall-clock time
+   (the taxonomy work wants "detailed actual performance measurements"). *)
+let counting c (It r) =
+  It { r with ops = { r.ops with tally = c :: r.ops.tally } }
+
+(* The singular iterator: points nowhere; any use other than assignment
+   raises. Erase results and default-initialised iterators are singular.
+   All singular iterators share one table, so they compare equal. *)
+let singular_key : int Type.Id.t = Type.Id.make ()
+
+let singular_ops =
+  { cat = Input; key = singular_key; tally = []; version = (fun () -> 0);
+    valid = (fun _ _ -> ());
+    read =
+      (fun _ -> raise (Singular "use of a singular iterator: dereference"));
+    write = (fun _ -> beyond);
+    next = (fun _ -> raise (Singular "use of a singular iterator: increment"));
+    prev = beyond; jump = (fun _ -> beyond); read_at = (fun _ _ -> beyond);
+    write_at = (fun _ _ _ -> beyond); offset = beyond }
+
+let singular () = It { ops = singular_ops; pos = -1; ver = 0 }
+let is_singular (It r) = Type.Id.uid r.ops.key = Type.Id.uid singular_key
 
 (* A single-pass input iterator over a generator function: the semantic
    archetype of the Input Iterator concept (paper Section 3.1). All copies
    share the stream; once any copy advances past position [p], dereferencing
    another copy at or before [p] raises [Multipass_violation]. STLlint uses
-   exactly this to expose max_element's undeclared multipass requirement. *)
-type 'a stream_state = {
-  src : int -> 'a option; (* None = end of stream *)
-  mutable watermark : int; (* highest position consumed *)
-  suid : int;
-}
-
-let rec stream_at st pos =
-  let eof = st.src pos = None in
-  let ident = (st.suid, if eof then -1 else pos) in
-  {
-    cat = Input;
-    ident;
-    get =
-      (fun () ->
-        if eof then raise (Singular "dereference of past-the-end iterator");
-        if pos < st.watermark then
+   exactly this to expose max_element's undeclared multipass requirement.
+   A position past the end of the stream is -1. *)
+let of_stream src =
+  let watermark = ref 0 in (* highest position consumed *)
+  let at pos = if src pos = None then -1 else pos in
+  let ops =
+    table Input
+      ~read:(fun pos ->
+        if pos < 0 then raise (Singular "dereference of past-the-end iterator");
+        if pos < !watermark then
           raise
             (Multipass_violation
                (Printf.sprintf
                   "input iterator re-reads position %d after the stream \
                    advanced to %d (single-pass)"
-                  pos st.watermark));
-        match st.src pos with Some v -> v | None -> assert false);
-    put = None;
-    step =
-      (fun () ->
-        if eof then raise (Singular "increment of past-the-end iterator");
-        if pos < st.watermark then
+                  pos !watermark));
+        match src pos with Some v -> v | None -> assert false)
+      ~next:(fun pos ->
+        if pos < 0 then raise (Singular "increment of past-the-end iterator");
+        if pos < !watermark then
           raise
             (Multipass_violation
                (Printf.sprintf
                   "input iterator re-traverses position %d (single-pass)" pos));
-        st.watermark <- max st.watermark (pos + 1);
-        stream_at st (pos + 1));
-    back = None;
-    jump = None;
-    ixget = None;
-    ixset = None;
-  }
-
-(* [of_stream f] returns [(first, last)] input iterators over the stream
-   generated by [f]. *)
-let of_stream src =
-  let st = { src; watermark = 0; suid = fresh_uid () } in
-  let eof_ident = (st.suid, -1) in
-  let last =
-    {
-      cat = Input;
-      ident = eof_ident;
-      get = (fun () -> raise (Singular "dereference of past-the-end iterator"));
-      put = None;
-      step = (fun () -> raise (Singular "increment of past-the-end iterator"));
-      back = None;
-      jump = None;
-      ixget = None;
-      ixset = None;
-    }
+        watermark := max !watermark (pos + 1);
+        at (pos + 1))
   in
-  (stream_at st 0, last)
+  (make ops (at 0), make ops (-1))
 
 let of_list xs =
   let arr = Array.of_list xs in
@@ -198,57 +247,12 @@ let of_list xs =
 
 (* An output iterator writing through [sink] — the building block for
    back_inserter and ostream-style iterators. Stepping yields a fresh
-   position token; reading raises (write-only). *)
+   position; reading raises (write-only). *)
 let output_to sink =
-  let uid = fresh_uid () in
-  let rec at pos =
-    {
-      cat = Output;
-      ident = (uid, pos);
-      get =
-        (fun () ->
-          raise (Category_violation "OutputIterator does not support reading"));
-      put = Some sink;
-      step = (fun () -> at (pos + 1));
-      back = None;
-      jump = None;
-      ixget = None;
-      ixset = None;
-    }
-  in
-  at 0
-
-(* Instrumented wrapper: counts dereferences and steps through a shared
-   cell. Used by the benches to report operation counts alongside wall-clock
-   time (the taxonomy work wants "detailed actual performance
-   measurements"). *)
-type counters = { mutable derefs : int; mutable steps : int }
-
-let counters () = { derefs = 0; steps = 0 }
-
-let rec counting c it =
-  {
-    it with
-    get =
-      (fun () ->
-        c.derefs <- c.derefs + 1;
-        it.get ());
-    step =
-      (fun () ->
-        c.steps <- c.steps + 1;
-        counting c (it.step ()));
-    back = Option.map (fun b () -> c.steps <- c.steps + 1; counting c (b ())) it.back;
-    jump = Option.map (fun j n -> c.steps <- c.steps + 1; counting c (j n)) it.jump;
-    ixget =
-      Option.map
-        (fun g n ->
-          c.derefs <- c.derefs + 1;
-          g n)
-        it.ixget;
-    ixset =
-      Option.map
-        (fun s n v ->
-          c.derefs <- c.derefs + 1;
-          s n v)
-        it.ixset;
-  }
+  make
+    (table Output
+       ~read:(fun _ ->
+         raise (Category_violation "OutputIterator does not support reading"))
+       ~write:(fun _ v -> sink v)
+       ~next:succ)
+    0

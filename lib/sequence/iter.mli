@@ -6,6 +6,12 @@
     unsupported operations raise {!Category_violation} — the runtime
     analogue of a concept-check failure.
 
+    An iterator is a small position record pointing at its container's
+    operations {!table}: the concept map as a value, built once per
+    container, holding the category and the read, write, next, prev,
+    jump and validity operations. Making or stepping a position builds
+    no closures.
+
     Iterators are {e checked}: containers version their state and
     iterators capture the version, so use after an invalidating mutation
     raises {!Invalidated} — the dynamic counterpart of gp_stllint's
@@ -27,23 +33,8 @@ exception Invalidated of string
 exception Singular of string
 exception Multipass_violation of string
 
-type 'a t = {
-  cat : category;
-  ident : int * int;
-      (** (container uid, position token); [(-1, -1)] = singular *)
-  get : unit -> 'a;
-  put : ('a -> unit) option;
-  step : unit -> 'a t;
-  back : (unit -> 'a t) option;
-  jump : (int -> 'a t) option;
-  ixget : (int -> 'a) option;
-      (** O(1) indexed read relative to this iterator (random access
-          only): array-speed access without materialising iterators *)
-  ixset : (int -> 'a -> unit) option;
-}
-
-val fresh_uid : unit -> int
-(** A unique container identifier (used by container implementors). *)
+type 'a t
+(** A position in a sequence of ['a]. *)
 
 (** {2 Operations} *)
 
@@ -56,6 +47,18 @@ val set : 'a t -> 'a -> unit
 val step : 'a t -> 'a t
 val back : 'a t -> 'a t
 val jump : 'a t -> int -> 'a t
+
+val get_at : 'a t -> int -> 'a
+(** [get_at it n] reads the element [n] places from [it] in O(1)
+    without materialising an iterator (random access only). [get_at it]
+    checks the category once, so each access through it is one call —
+    what lets the dispatched introsort run at array speed. *)
+
+val set_at : 'a t -> int -> 'a -> unit
+
+val difference : 'a t -> 'a t -> int option
+(** [Some (last - first)] in O(1) when [first] is random access and both
+    are positions in one container; [None] otherwise. *)
 
 (** {2 Special iterators} *)
 
@@ -94,5 +97,42 @@ type counters = { mutable derefs : int; mutable steps : int }
 val counters : unit -> counters
 
 val counting : counters -> 'a t -> 'a t
-(** Wrap an iterator so dereferences and steps are counted — operation
-    counts reported alongside wall-clock time in the benches. *)
+(** Count the iterator's dereferences and steps (and those of every
+    iterator stepped from it) — operation counts reported alongside
+    wall-clock time in the benches. *)
+
+(** {2 Container tables (used by container implementors)} *)
+
+type ('a, 'p) table
+(** The operations of one container over positions of type ['p]. *)
+
+val table :
+  ?version:(unit -> int) ->
+  ?valid:('p -> int -> unit) ->
+  ?write:('p -> 'a -> unit) ->
+  ?prev:('p -> 'p) ->
+  ?jump:('p -> int -> 'p) ->
+  ?read_at:('p -> int -> int -> 'a) ->
+  ?write_at:('p -> int -> int -> 'a -> unit) ->
+  ?offset:('p -> int) ->
+  category ->
+  read:('p -> 'a) ->
+  next:('p -> 'p) ->
+  ('a, 'p) table
+(** A container's table, built once per container. Only the operations
+    its category supports are ever called, so the optional ones may be
+    left out below it. [version ()] is the container's current version
+    ([0] by default) and [valid pos ver] raises {!Invalidated} if a
+    position made in version [ver] is stale. [read], [write], [next],
+    [prev] and [jump pos n] raise {!Singular} off the ends ([jump] may
+    land on [[begin, end]]); [read_at pos ver n] and [write_at] check
+    validity and access the element [n] places from [pos] in
+    [[begin, end)]; [offset pos] is a random-access position's index. *)
+
+val make : ('a, 'p) table -> 'p -> 'a t
+(** The iterator at a position, in the container's current version. *)
+
+val position : ('a, 'p) table -> 'a t -> 'p option
+(** The position of an iterator made over this table (or a
+    {!restrict}ed or {!counting} copy of one); [None] for a foreign
+    iterator. Raises {!Invalidated} if the position is stale. *)

@@ -1,4 +1,5 @@
-(* A growable array ("vector") with checked random-access iterators.
+(* A growable array ("vector") with checked random-access iterators: a ring
+   buffer whose head stays at slot 0.
 
    Invalidation semantics mirror std::vector: any reallocation or erasure
    invalidates all outstanding iterators (we are conservative: push_back
@@ -6,139 +7,28 @@
    may have moved). Iterators capture the version at creation; use after an
    invalidating mutation raises {!Iter.Invalidated}. *)
 
-type 'a t = {
-  uid : int;
-  mutable data : 'a array;
-  mutable len : int;
-  mutable version : int;
-  dummy : 'a; (* fill value for unused slots *)
-}
-
-let create ~dummy () =
-  { uid = Iter.fresh_uid (); data = Array.make 8 dummy; len = 0; version = 0; dummy }
+include Ring
 
 let of_list ~dummy xs =
-  let t = create ~dummy () in
-  let arr = Array.of_list xs in
-  t.data <- (if Array.length arr = 0 then Array.make 8 dummy else arr);
-  t.len <- Array.length arr;
-  t
+  Ring.create ~name:"Varray" ~noun:"vector"
+    ~stale:
+      "vector iterator used after an invalidating mutation \
+       (push_back/erase/insert)"
+    ~dummy xs
 
-let of_array ~dummy arr =
-  of_list ~dummy (Array.to_list arr)
-
-let length t = t.len
+let create ~dummy () = of_list ~dummy []
+let of_array ~dummy arr = of_list ~dummy (Array.to_list arr)
 let capacity t = Array.length t.data
-
-let get t i =
-  if i < 0 || i >= t.len then invalid_arg "Varray.get: index out of bounds";
-  t.data.(i)
-
-let set t i v =
-  if i < 0 || i >= t.len then invalid_arg "Varray.set: index out of bounds";
-  t.data.(i) <- v
-
-let ensure_capacity t n =
-  if n > Array.length t.data then begin
-    let cap = max n (2 * Array.length t.data) in
-    let fresh = Array.make cap t.dummy in
-    Array.blit t.data 0 fresh 0 t.len;
-    t.data <- fresh
-  end
-
-(* Invalidates all iterators (conservatively, like a reallocating
-   std::vector push_back). *)
-let push_back t v =
-  ensure_capacity t (t.len + 1);
-  t.data.(t.len) <- v;
-  t.len <- t.len + 1;
-  t.version <- t.version + 1
-
-let pop_back t =
-  if t.len = 0 then invalid_arg "Varray.pop_back: empty";
-  t.len <- t.len - 1;
-  t.data.(t.len) <- t.dummy;
-  t.version <- t.version + 1
 
 let clear t =
   t.len <- 0;
   t.version <- t.version + 1
 
-let to_list t = List.init t.len (fun i -> t.data.(i))
-
-(* Iterator at index [i] bound to version [v]. *)
-let rec iter_at t v i : 'a Iter.t =
-  let check () =
-    if t.version <> v then
-      raise
-        (Iter.Invalidated
-           "vector iterator used after an invalidating mutation \
-            (push_back/erase/insert)")
-  in
-  let in_range () =
-    check ();
-    if i < 0 || i >= t.len then
-      raise (Iter.Singular "dereference of past-the-end vector iterator")
-  in
-  {
-    Iter.cat = Iter.Random_access;
-    ident = (t.uid, i);
-    get =
-      (fun () ->
-        in_range ();
-        t.data.(i));
-    put =
-      Some
-        (fun x ->
-          in_range ();
-          t.data.(i) <- x);
-    step =
-      (fun () ->
-        check ();
-        if i >= t.len then
-          raise (Iter.Singular "increment past the end of a vector");
-        iter_at t v (i + 1));
-    back =
-      Some
-        (fun () ->
-          check ();
-          if i <= 0 then
-            raise (Iter.Singular "decrement before the beginning of a vector");
-          iter_at t v (i - 1));
-    jump =
-      Some
-        (fun n ->
-          check ();
-          let j = i + n in
-          if j < 0 || j > t.len then
-            raise (Iter.Singular "random-access jump outside [begin, end]");
-          iter_at t v j);
-    ixget =
-      Some
-        (fun n ->
-          check ();
-          let j = i + n in
-          if j < 0 || j >= t.len then
-            raise (Iter.Singular "indexed access outside [begin, end)");
-          t.data.(j));
-    ixset =
-      Some
-        (fun n x ->
-          check ();
-          let j = i + n in
-          if j < 0 || j >= t.len then
-            raise (Iter.Singular "indexed access outside [begin, end)");
-          t.data.(j) <- x);
-  }
-
-let begin_ t = iter_at t t.version 0
-let end_ t = iter_at t t.version t.len
-
-(* Index of an iterator into this vector; raises if foreign. *)
-let index_of t (it : 'a Iter.t) =
-  let uid, i = it.Iter.ident in
-  if uid <> t.uid then invalid_arg "Varray.index_of: foreign iterator";
-  i
+(* Index of an iterator into this vector; raises if foreign or stale. *)
+let index_of t it =
+  match Iter.position (Lazy.force t.ops) it with
+  | Some i -> i
+  | None -> invalid_arg "Varray.index_of: foreign iterator"
 
 (* Erase the element at [it]; like std::vector::erase this shifts the tail
    left and invalidates all iterators. Returns an iterator to the element
@@ -150,19 +40,19 @@ let erase t it =
   t.len <- t.len - 1;
   t.data.(t.len) <- t.dummy;
   t.version <- t.version + 1;
-  iter_at t t.version i
+  iter_at t i
 
 (* Insert [v] before [it]; invalidates all iterators; returns an iterator to
    the inserted element. *)
 let insert t it v =
   let i = index_of t it in
   if i < 0 || i > t.len then invalid_arg "Varray.insert: bad position";
-  ensure_capacity t (t.len + 1);
+  reserve t (t.len + 1);
   Array.blit t.data i t.data (i + 1) (t.len - i);
   t.data.(i) <- v;
   t.len <- t.len + 1;
   t.version <- t.version + 1;
-  iter_at t t.version i
+  iter_at t i
 
 let pp pp_elem ppf t =
   Fmt.pf ppf "[|%a|]" Fmt.(list ~sep:(any "; ") pp_elem) (to_list t)

@@ -30,11 +30,13 @@ val begin_ : 'a t -> 'a Iter.t
 val end_ : 'a t -> 'a Iter.t
 
 val index_of : 'a t -> 'a Iter.t -> int
-(** Raises [Invalid_argument] on a foreign iterator. *)
+(** Raises [Invalid_argument] on a foreign iterator and
+    {!Iter.Invalidated} on a stale one. *)
 
 val erase : 'a t -> 'a Iter.t -> 'a Iter.t
 (** Shift-erase at the iterator; invalidates all iterators; returns an
-    iterator (in the new version) to the element after the erased one. *)
+    iterator (in the new version) to the element after the erased one.
+    Raises like {!index_of}. *)
 
 val insert : 'a t -> 'a Iter.t -> 'a -> 'a Iter.t
 (** Insert before the iterator; invalidates all iterators; returns an

@@ -201,6 +201,239 @@ let test_max_element_ok_on_forward () =
   let it = Algorithms.max_element ~lt (range_of_varray a) in
   Alcotest.(check int) "finds max" 5 (Iter.get it)
 
+(* Decrementing a list's begin raises, as on a vector, instead of
+   wrapping round to end; on a one-element list too. *)
+let test_dlist_back_from_begin () =
+  let raises it =
+    match Iter.back it with
+    | _ -> false
+    | exception Iter.Singular _ -> true
+  in
+  Alcotest.(check bool) "back from begin" true
+    (raises (Dlist.begin_ (Dlist.of_list [ 1; 2; 3 ])));
+  Alcotest.(check bool) "back from the only element" true
+    (raises (Dlist.begin_ (Dlist.of_list [ 1 ])));
+  let l = Dlist.of_list [ 1; 2 ] in
+  Alcotest.(check int) "back from end is the last element" 2
+    (Iter.get (Iter.back (Dlist.end_ l)))
+
+let invalidated f =
+  match f () with _ -> false | exception Iter.Invalidated _ -> true
+
+(* Mutating through a stale iterator raises Invalidated, as every other use
+   of one does; a foreign iterator keeps its Invalid_argument. *)
+let test_mutation_through_stale () =
+  let a = varray_of [ 1; 2; 3 ] in
+  let second = Iter.step (Varray.begin_ a) in
+  Varray.push_back a 4;
+  Alcotest.(check bool) "vector erase" true
+    (invalidated (fun () -> Varray.erase a second));
+  Alcotest.(check bool) "vector insert" true
+    (invalidated (fun () -> Varray.insert a second 9));
+  Alcotest.(check (list int)) "vector untouched" [ 1; 2; 3; 4 ]
+    (Varray.to_list a);
+  Alcotest.check_raises "vector foreign"
+    (Invalid_argument "Varray.index_of: foreign iterator") (fun () ->
+      ignore (Varray.erase a (Varray.begin_ (varray_of [ 1 ]))));
+  let l = Dlist.of_list [ 1; 2; 3 ] in
+  let second = Iter.step (Dlist.begin_ l) in
+  ignore (Dlist.erase l second);
+  Alcotest.(check bool) "list erase of an erased node" true
+    (invalidated (fun () -> Dlist.erase l second));
+  Alcotest.(check bool) "list insert at an erased node" true
+    (invalidated (fun () -> Dlist.insert l second 9));
+  Alcotest.(check (list int)) "list untouched" [ 1; 3 ] (Dlist.to_list l);
+  Alcotest.check_raises "list foreign"
+    (Invalid_argument "Dlist.node_of: foreign iterator") (fun () ->
+      ignore (Dlist.erase l (Dlist.begin_ (Dlist.of_list [ 1 ]))))
+
+(* Random walks over every container kind against a list reference: each
+   move either agrees with the reference or raises the exception the
+   reference names. [Push] appends through the container, which
+   invalidates a vector's or deque's iterators and none of a list's. *)
+type move = Step | Back | Jump of int | Get | Set of int | Push of int
+
+let pp_move = function
+  | Step -> "step"
+  | Back -> "back"
+  | Jump k -> Printf.sprintf "jump %d" k
+  | Get -> "get"
+  | Set v -> Printf.sprintf "set %d" v
+  | Push v -> Printf.sprintf "push %d" v
+
+let move_arb =
+  QCheck.map
+    ~rev:(function
+      | Step -> (0, 0)
+      | Back -> (1, 0)
+      | Jump k -> (2, k + 4)
+      | Get -> (3, 0)
+      | Set v -> (4, v)
+      | Push v -> (5, v))
+    (fun (k, x) ->
+      match k with
+      | 0 -> Step
+      | 1 -> Back
+      | 2 -> Jump (x - 4)
+      | 3 -> Get
+      | 4 -> Set x
+      | _ -> Push x)
+    (QCheck.pair (Bounded.int_range 0 5) (Bounded.int_range 0 8))
+
+(* a fresh container over a list, walked from [it0] *)
+type walker = {
+  it0 : int Iter.t;
+  at : int -> int Iter.t; (* a fresh iterator at an index *)
+  push : int -> unit;
+  contents : unit -> int list;
+  tally : Iter.counters option;
+}
+
+(* each kind: its name, its iterators' category, whether a push keeps
+   them valid, and how to make a walker *)
+let walk_kinds =
+  let of_varray ?(wrap = Fun.id) ?tally xs =
+    let a = varray_of xs in
+    let at p = Algorithms.advance (Varray.begin_ a) p in
+    { it0 = wrap (Varray.begin_ a); at; push = Varray.push_back a;
+      contents = (fun () -> Varray.to_list a); tally }
+  in
+  let of_deque ?(wrap = Fun.id) xs =
+    let d = Deque.of_list ~dummy:0 xs in
+    let at p = Algorithms.advance (Deque.begin_ d) p in
+    { it0 = wrap (Deque.begin_ d); at; push = Deque.push_back d;
+      contents = (fun () -> Deque.to_list d); tally = None }
+  in
+  let of_dlist ?(wrap = Fun.id) ?tally xs =
+    let l = Dlist.of_list xs in
+    let at p = Algorithms.advance (Dlist.begin_ l) p in
+    { it0 = wrap (Dlist.begin_ l); at; push = Dlist.push_back l;
+      contents = (fun () -> Dlist.to_list l); tally }
+  in
+  [ ("vector", Iter.Random_access, false, fun xs -> of_varray xs);
+    ("deque", Iter.Random_access, false, fun xs -> of_deque xs);
+    ("list", Iter.Bidirectional, true, fun xs -> of_dlist xs);
+    ( "vector restricted to Forward", Iter.Forward, false,
+      fun xs -> of_varray ~wrap:(Iter.restrict Iter.Forward) xs );
+    ( "deque restricted to Bidirectional", Iter.Bidirectional, false,
+      fun xs -> of_deque ~wrap:(Iter.restrict Iter.Bidirectional) xs );
+    ( "list restricted to Forward", Iter.Forward, true,
+      fun xs -> of_dlist ~wrap:(Iter.restrict Iter.Forward) xs );
+    ( "counting vector", Iter.Random_access, false,
+      fun xs ->
+        let c = Iter.counters () in
+        of_varray ~wrap:(Iter.counting c) ~tally:c xs );
+    ( "counting list", Iter.Bidirectional, true,
+      fun xs ->
+        let c = Iter.counters () in
+        of_dlist ~wrap:(Iter.counting c) ~tally:c xs ) ]
+
+let exn_name = function
+  | Iter.Singular _ -> "Singular"
+  | Iter.Invalidated _ -> "Invalidated"
+  | Iter.Category_violation _ -> "Category_violation"
+  | Iter.Multipass_violation _ -> "Multipass_violation"
+  | e -> Printexc.to_string e
+
+(* Run one walk on one kind; [Error] describes the first disagreement. *)
+let run_walk (name, cat, linked, make) xs moves =
+  let w = make xs in
+  let reference = ref (Array.of_list xs) in
+  let n () = Array.length !reference in
+  let ra = cat = Iter.Random_access in
+  let bidi = Iter.rank cat >= Iter.rank Iter.Bidirectional in
+  let derefs = ref 0 and steps = ref 0 in
+  let rec go it p stale = function
+    | [] ->
+      let counted =
+        match w.tally with
+        | None -> true
+        | Some c -> c.Iter.derefs = !derefs && c.Iter.steps = !steps
+      in
+      if w.contents () <> Array.to_list !reference then
+        Error (name ^ ": contents differ")
+      else if not counted then Error (name ^ ": counters differ")
+      else Ok ()
+    | move :: rest -> (
+      let fail why =
+        Error (Printf.sprintf "%s, %s: %s" name (pp_move move) why)
+      in
+      let guarded k = if stale then Error "Invalidated" else k in
+      let in_range () = p < n () in
+      (* the reference: the next index, or the exception constructor *)
+      let expected =
+        match move with
+        | Step ->
+          incr steps;
+          guarded (if in_range () then Ok (p + 1) else Error "Singular")
+        | Back when not bidi -> Error "Category_violation"
+        | Back ->
+          incr steps;
+          guarded (if p > 0 then Ok (p - 1) else Error "Singular")
+        | Jump _ when not ra -> Error "Category_violation"
+        | Jump k ->
+          incr steps;
+          guarded
+            (if p + k >= 0 && p + k <= n () then Ok (p + k)
+             else Error "Singular")
+        | Get ->
+          incr derefs;
+          guarded (if in_range () then Ok p else Error "Singular")
+        | Set _ ->
+          guarded (if in_range () then Ok p else Error "Singular")
+        | Push _ -> Ok p
+      in
+      let actual =
+        try
+          match move with
+          | Step -> Ok (Iter.step it)
+          | Back -> Ok (Iter.back it)
+          | Jump k -> Ok (Iter.jump it k)
+          | Get ->
+            let v = Iter.get it in
+            if v = !reference.(p) then Ok it else Error "wrong value"
+          | Set v ->
+            Iter.set it v;
+            !reference.(p) <- v;
+            Ok it
+          | Push v ->
+            w.push v;
+            reference := Array.append !reference [| v |];
+            Ok it
+        with e -> Error (exn_name e)
+      in
+      match (expected, actual, move) with
+      | Ok _, Ok it', Push _ ->
+        (* a list's end follows the new end; a vector's iterators die *)
+        let p = if linked && p = n () - 1 then n () else p in
+        go it' p (stale || not linked) rest
+      | Ok p', Ok it', _ ->
+        if Iter.equal it' (w.at p') then go it' p' stale rest
+        else fail "lands on the wrong position"
+      | Error e, Error a, _ when e = a -> go it p stale rest
+      | Error e, Error a, _ ->
+        fail (Printf.sprintf "raised %s, reference %s" a e)
+      | Error e, Ok _, _ -> fail ("succeeded, reference raises " ^ e)
+      | Ok _, Error a, _ -> fail ("raised " ^ a))
+  in
+  go w.it0 0 false moves
+
+let walk_prop =
+  qtest
+    (QCheck.Test.make ~name:"random walks agree with a list reference"
+       ~count:300
+       (QCheck.pair
+          (QCheck.list_of_size (QCheck.Gen.int_range 0 6)
+             (Bounded.int_range 0 9))
+          (QCheck.list_of_size (QCheck.Gen.int_range 0 24) move_arb))
+       (fun (xs, moves) ->
+         List.for_all
+           (fun kind ->
+             match run_walk kind xs moves with
+             | Ok () -> true
+             | Error why -> QCheck.Test.fail_report why)
+           walk_kinds))
+
 (* ------------------------------------------------------------------ *)
 (* Algorithms vs reference semantics                                   *)
 (* ------------------------------------------------------------------ *)
@@ -670,6 +903,11 @@ let () =
             test_max_element_needs_multipass;
           Alcotest.test_case "max_element forward ok" `Quick
             test_max_element_ok_on_forward;
+          Alcotest.test_case "list back from begin" `Quick
+            test_dlist_back_from_begin;
+          Alcotest.test_case "mutation through a stale iterator" `Quick
+            test_mutation_through_stale;
+          walk_prop;
         ] );
       ( "algorithms",
         [
