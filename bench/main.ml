@@ -43,6 +43,28 @@ let pp_ns ppf ns =
 
 let ns_str ns = Fmt.str "%a" pp_ns ns
 
+(* Wall seconds of one call, repeated to at least a millisecond so the
+   clock's resolution stays under 0.1 %. *)
+let seconds f =
+  let t0 = Unix.gettimeofday () in
+  f ();
+  let once = Unix.gettimeofday () -. t0 in
+  let reps = max 1 (int_of_float (1e-3 /. Float.max once 1e-7)) in
+  fun () ->
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to reps do
+      f ()
+    done;
+    (Unix.gettimeofday () -. t0) /. float_of_int reps
+
+(* The median of [trials] draws of [sample], with its interquartile
+   range. *)
+let median_iqr trials sample =
+  let xs = Array.init trials (fun _ -> sample ()) in
+  Array.sort compare xs;
+  let at q = xs.(int_of_float (q *. float_of_int (trials - 1))) in
+  (at 0.5, at 0.75 -. at 0.25)
+
 let line = String.make 74 '='
 let thin = String.make 74 '-'
 
@@ -287,30 +309,82 @@ let f6 () =
         [ Theorems.swo_e_reflexive; Theorems.swo_e_symmetric;
           Theorems.swo_e_transitive; Theorems.swo_asymmetric ])
     [ "int_lt"; "string_lt"; "rational_lt" ];
-  (* amortisation: one generic group proof, checked per instance *)
   let instances = Theory.group_instances in
   let thm0 = Theorems.group_right_inverse Theory.int_add in
   Fmt.pr "@.group right-inverse proof: %d inference nodes@."
     (Deduction.size thm0.Theorems.proof);
-  let t_one =
-    time_ns "check one instance" (fun () ->
-        Sys.opaque_identity
-          (Theorems.verify
-             ~axioms:(Theory.group_minimal Theory.int_add)
-             thm0))
+  (* the checking ledger: one row per checking job, the exact minor words
+     one run allocates and, in full runs, the median wall time of one run
+     over [trials] samples with the quartile spread. --quick records the
+     times as null, so bench-diff gates only the exact counts. A
+     [prove_*] row is what a served prove miss does: build the theory's
+     instances and check every theorem. *)
+  let quick = !quota < 0.5 in
+  let trials = 21 in
+  let verify_all plan =
+    List.iter
+      (fun (_, axioms, theorems) ->
+        List.iter
+          (fun thm -> ignore (Sys.opaque_identity (Theorems.verify ~axioms thm)))
+          theorems)
+      plan
   in
-  let t_all =
-    time_ns "check all instances" (fun () ->
-        Sys.opaque_identity
-          (Theorems.check_for_instances
-             ~theorem:Theorems.group_right_inverse
-             ~axioms:Theory.group_minimal instances))
+  let rows =
+    [ ( "certify_builtin", "Certify.certify_builtin",
+        fun () ->
+          ignore
+            (Sys.opaque_identity
+               (Gp_simplicissimus.Certify.certify_builtin ())) );
+      ( "group_right_inverse_one", "group right inverse, one instance",
+        fun () ->
+          ignore
+            (Sys.opaque_identity
+               (Theorems.verify
+                  ~axioms:(Theory.group_minimal Theory.int_add)
+                  thm0)) );
+      ( "group_right_inverse_all",
+        Printf.sprintf "group right inverse, all %d instances"
+          (List.length instances),
+        fun () ->
+          ignore
+            (Sys.opaque_identity
+               (Theorems.check_for_instances
+                  ~theorem:Theorems.group_right_inverse
+                  ~axioms:Theory.group_minimal instances)) ) ]
+    @ List.map
+        (fun (theory, build) ->
+          ( "prove_" ^ theory, "gp prove --theory " ^ theory,
+            fun () -> verify_all (build ()) ))
+        Theorems.catalogue
   in
-  Fmt.pr "checking: %s per instance; %s for %d instances (one generic \
-          proof, written once)@."
-    (ns_str t_one) (ns_str t_all) (List.length instances);
+  Fmt.pr "@.the checking ledger: minor words and wall time of one run@.";
+  Fmt.pr "  %-42s %12s %22s@." "job" "minor words" "wall [IQR]";
+  List.iter
+    (fun (key, label, job) ->
+      job ();
+      let w0 = Gc.minor_words () in
+      job ();
+      let words = Gc.minor_words () -. w0 in
+      let us, iqr =
+        if quick then (nan, nan)
+        else
+          let time = seconds job in
+          median_iqr trials (fun () -> time () *. 1e6)
+      in
+      Fmt.pr "  %-42s %12.0f %22s@." label words
+        (if quick then "(--quick)"
+         else Printf.sprintf "%.1f us [%.1f]" us iqr);
+      record ~experiment:"f6" (key ^ "_minor_words") words;
+      record ~experiment:"f6" (key ^ "_us") us;
+      record ~experiment:"f6" (key ^ "_us_iqr") iqr)
+    rows;
+  record ~experiment:"f6" "wall_trials"
+    (if quick then nan else float_of_int trials);
+  if not quick then
+    Fmt.pr "  (medians over %d samples, each the mean of enough runs to \
+            fill a millisecond)@." trials;
   Fmt.pr "(paper: 'it is much more efficient to check a given proof than to \
-          search for [one]'; checking is microseconds)@."
+          search for [one]')@."
 
 (* ------------------------------------------------------------------ *)
 (* C1: concept-dispatched sort                                         *)
@@ -826,33 +900,14 @@ let a1 () =
     f ();
     (Gc.minor_words () -. w0) /. float_of_int per
   in
-  (* wall seconds of one call, repeated to at least a millisecond so the
-     clock's resolution stays under 0.1 % *)
-  let seconds f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    let once = Unix.gettimeofday () -. t0 in
-    let reps = max 1 (int_of_float (1e-3 /. Float.max once 1e-7)) in
-    fun () ->
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to reps do
-        f ()
-      done;
-      (Unix.gettimeofday () -. t0) /. float_of_int reps
-  in
   let trials = 21 in
   let wall rung hand =
     if quick then (nan, nan)
     else begin
       let time_rung = seconds rung and time_hand = seconds hand in
-      let ratios =
-        Array.init trials (fun _ ->
-            let h = time_hand () in
-            time_rung () /. h)
-      in
-      Array.sort compare ratios;
-      let at q = ratios.(int_of_float (q *. float_of_int (trials - 1))) in
-      (at 0.5, at 0.75 -. at 0.25)
+      median_iqr trials (fun () ->
+          let h = time_hand () in
+          time_rung () /. h)
     end
   in
   Fmt.pr "@.the abstraction ledger over %d ints: minor words per element, \
