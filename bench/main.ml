@@ -1767,7 +1767,19 @@ let s7 () =
   let reqs = Workload.generate ~mix ~seed ~n () in
   Fmt.pr "workload: n=%d seed=%d (fixed regardless of quota) mix=[%a]@." n
     seed Workload.pp_mix mix;
-  let config = { Server.default_config with flight_capacity = 2 * n } in
+  (* a clock that advances 2^-20 s (about a microsecond) per reading, so
+     its sums are exact: request durations, and with them the recorder's
+     slowest-k entries, are the same on a loaded host as on an idle one,
+     and every count below is exact. Like the wall clock, a reading boxes
+     one float. *)
+  let ticks = [| 0.0 |] in
+  let now () =
+    ticks.(0) <- ticks.(0) +. 0x1p-20;
+    ticks.(0)
+  in
+  let config =
+    { Server.default_config with flight_capacity = 2 * n; now }
+  in
   let server = Server.create ~config () in
   let lines = List.mapi (fun i r -> Wire.request_to_line ~id:i r) reqs in
   (* one served pass with the flight recorder on: yields the real
@@ -1919,8 +1931,7 @@ let s7 () =
   let hit_lint = hit_minor (function Request.Lint _ -> true | _ -> false) in
   (* the recorder's share: the same warm pass on a server without one *)
   let unrecorded =
-    Server.create
-      ~config:{ Server.default_config with flight_capacity = 0 } ()
+    Server.create ~config:{ config with flight_capacity = 0 } ()
   in
   (* [measure]'s own first pass warms the caches *)
   let _, unrecorded_minor = measure (serve_lines unrecorded lines) in

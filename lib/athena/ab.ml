@@ -16,9 +16,4 @@ let insert p t = if mem p t then t else { props = p :: t.props }
 
 let of_list ps = List.fold_left (fun t p -> insert p t) empty ps
 
-let size t = List.length t.props
-
-let to_list t = List.rev t.props
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>%a@]" Fmt.(list ~sep:cut Logic.pp) (to_list t)
+let exists f t = List.exists f t.props

@@ -11,6 +11,5 @@ val empty : t
 val mem : Logic.prop -> t -> bool
 val insert : Logic.prop -> t -> t
 val of_list : Logic.prop list -> t
-val size : t -> int
-val to_list : t -> Logic.prop list
-val pp : Format.formatter -> t -> unit
+val exists : (Logic.prop -> bool) -> t -> bool
+(** Some proposition of the base satisfies the predicate. *)

@@ -167,20 +167,14 @@ let rec eval ab d =
       | _, _ -> fail "instantiate: %a is not universally quantified" Logic.pp p
     in
     strip (eval ab d) terms
-  | Gen (xs, d) ->
+  | Gen (xs, d) -> (
     (* eigenvariable condition: the generalised variables must not occur
        free in any active assumption *)
-    List.iter
-      (fun x ->
-        if List.exists (fun p -> List.mem x (free_vars [] p)) (Ab.to_list ab)
-        then
-          fail
-            "generalize: variable %s occurs free in the assumption base \
-             (eigenvariable condition)"
-            x)
-      xs;
-    let q = eval ab d in
-    forall_many xs q
+    match List.find_opt (fun x -> Ab.exists (occurs_free x) ab) xs with
+    | Some x ->
+      fail "generalize: variable %s occurs free in the assumption base \
+            (eigenvariable condition)" x
+    | None -> forall_many xs (eval ab d))
   | Seq ds -> (
     let rec go ab last = function
       | [] -> (

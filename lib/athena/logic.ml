@@ -26,51 +26,87 @@ type prop =
 let const c = App (c, [])
 
 (* ------------------------------------------------------------------ *)
-(* Term operations                                                     *)
+(* Prop operations: compared, scanned and substituted in place        *)
 (* ------------------------------------------------------------------ *)
 
-let rec term_equal a b =
-  match a, b with
-  | Var x, Var y -> String.equal x y
-  | App (f, xs), App (g, ys) ->
-    String.equal f g
-    && List.length xs = List.length ys
-    && List.for_all2 term_equal xs ys
-  | (Var _ | App _), _ -> false
+(* [sp], [sq]: each side's binders in scope, innermost first. Variables
+   match when bound at the same depth or free under the same name. Equal
+   binder names share one scope, so [p == q] under it needs no walk. *)
+let rec depth x i = function
+  | [] -> -1
+  | y :: s -> if String.equal x y then i else depth x (i + 1) s
 
-let rec term_vars acc = function
-  | Var x -> if List.mem x acc then acc else x :: acc
-  | App (_, args) -> List.fold_left term_vars acc args
+let rec term_alpha sp sq a b =
+  match a, b with
+  | Var x, Var y ->
+    let i = depth x 0 sp in
+    i = depth y 0 sq && (i >= 0 || String.equal x y)
+  | App (f, xs), App (g, ys) -> String.equal f g && args_alpha sp sq xs ys
+  | _, _ -> false
+
+and args_alpha sp sq xs ys =
+  match xs, ys with
+  | [], [] -> true
+  | a :: xs, b :: ys -> term_alpha sp sq a b && args_alpha sp sq xs ys
+  | _, _ -> false
+
+let term_equal a b = term_alpha [] [] a b
+
+let rec prop_alpha sp sq p q =
+  (p == q && sp == sq)
+  ||
+  match p, q with
+  | True, True | False, False -> true
+  | Atom (r, xs), Atom (s, ys) -> String.equal r s && args_alpha sp sq xs ys
+  | Eq (a, b), Eq (c, d) -> term_alpha sp sq a c && term_alpha sp sq b d
+  | Not a, Not b -> prop_alpha sp sq a b
+  | And (a, b), And (c, d)
+  | Or (a, b), Or (c, d)
+  | Implies (a, b), Implies (c, d)
+  | Iff (a, b), Iff (c, d) ->
+    prop_alpha sp sq a c && prop_alpha sp sq b d
+  | Forall (x, a), Forall (y, b) | Exists (x, a), Exists (y, b) ->
+    let sp' = x :: sp in
+    prop_alpha sp' (if sp == sq && String.equal x y then sp' else y :: sq) a b
+  | _, _ -> false
+
+let alpha_equal p q = prop_alpha [] [] p q
+
+let rec mentions x = function
+  | Var y -> String.equal x y
+  | App (_, args) -> mentions_any x args
+
+and mentions_any x = function
+  | [] -> false
+  | t :: ts -> mentions x t || mentions_any x ts
+
+let rec occurs_free x = function
+  | True | False -> false
+  | Atom (_, args) -> mentions_any x args
+  | Eq (a, b) -> mentions x a || mentions x b
+  | Not p -> occurs_free x p
+  | And (p, q) | Or (p, q) | Implies (p, q) | Iff (p, q) ->
+    occurs_free x p || occurs_free x q
+  | Forall (y, p) | Exists (y, p) -> (not (String.equal x y)) && occurs_free x p
 
 let rec term_subst env = function
   | Var x -> (match List.assoc_opt x env with Some t -> t | None -> Var x)
   | App (f, args) -> App (f, List.map (term_subst env) args)
 
-(* ------------------------------------------------------------------ *)
-(* Prop operations                                                     *)
-(* ------------------------------------------------------------------ *)
+(* Some substituted term of [env] mentions [x]. *)
+let rec captures x = function
+  | [] -> false
+  | (_, t) :: env -> mentions x t || captures x env
 
-let rec free_vars acc = function
-  | True | False -> acc
-  | Atom (_, args) -> List.fold_left term_vars acc args
-  | Eq (a, b) -> term_vars (term_vars acc a) b
-  | Not p -> free_vars acc p
-  | And (p, q) | Or (p, q) | Implies (p, q) | Iff (p, q) ->
-    free_vars (free_vars acc p) q
-  | Forall (x, p) | Exists (x, p) ->
-    let inner = free_vars [] p in
-    List.fold_left
-      (fun acc v -> if v = x || List.mem v acc then acc else v :: acc)
-      acc inner
+(* The first [x'k] free in neither [body] nor a term of [env]: a function
+   of the substitution alone, never of what was checked before. *)
+let fresh_var x env body =
+  let rec go k =
+    let v = x ^ "'" ^ string_of_int k in
+    if occurs_free v body || captures v env then go (k + 1) else v
+  in
+  go 1
 
-let fresh_counter = ref 0
-
-(* A globally fresh variable derived from the base name. *)
-let fresh_var base =
-  incr fresh_counter;
-  Printf.sprintf "%s'%d" base !fresh_counter
-
-(* Capture-avoiding substitution of terms for free variables. *)
 let rec subst env p =
   match p with
   | True | False -> p
@@ -84,40 +120,15 @@ let rec subst env p =
   | Forall (x, body) -> subst_binder env x body (fun x b -> Forall (x, b))
   | Exists (x, body) -> subst_binder env x body (fun x b -> Exists (x, b))
 
+(* A binder a substituted term mentions is renamed in the same pass: [x']
+   is free in neither [body] nor [env], so [x := x'] meets no other entry. *)
 and subst_binder env x body rebuild =
   let env = List.remove_assoc x env in
   if env = [] then rebuild x body
-  else
-    let clashes =
-      List.exists (fun (_, t) -> List.mem x (term_vars [] t)) env
-    in
-    if clashes then begin
-      let x' = fresh_var x in
-      let body' = subst [ (x, Var x') ] body in
-      rebuild x' (subst env body')
-    end
-    else rebuild x (subst env body)
-
-(* Alpha-equality: rename binders to canonical de Bruijn-style names. *)
-let alpha_equal p q =
-  let rec norm depth env p =
-    match p with
-    | True | False -> p
-    | Atom (r, args) -> Atom (r, List.map (term_subst env) args)
-    | Eq (a, b) -> Eq (term_subst env a, term_subst env b)
-    | Not a -> Not (norm depth env a)
-    | And (a, b) -> And (norm depth env a, norm depth env b)
-    | Or (a, b) -> Or (norm depth env a, norm depth env b)
-    | Implies (a, b) -> Implies (norm depth env a, norm depth env b)
-    | Iff (a, b) -> Iff (norm depth env a, norm depth env b)
-    | Forall (x, body) ->
-      let canon = Printf.sprintf "_%d" depth in
-      Forall (canon, norm (depth + 1) ((x, Var canon) :: env) body)
-    | Exists (x, body) ->
-      let canon = Printf.sprintf "_%d" depth in
-      Exists (canon, norm (depth + 1) ((x, Var canon) :: env) body)
-  in
-  norm 0 [] p = norm 0 [] q
+  else if captures x env then
+    let x' = fresh_var x env body in
+    rebuild x' (subst ((x, Var x') :: env) body)
+  else rebuild x (subst env body)
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)
@@ -148,12 +159,6 @@ and pp_atomic ppf p =
   | True | False | Atom _ | Eq _ | Not _ -> pp ppf p
   | _ -> Fmt.pf ppf "(%a)" pp p
 
-let to_string p = Fmt.str "%a" pp p
-
 (* Convenience constructors. *)
 let forall_many vars body =
   List.fold_right (fun x p -> Forall (x, p)) vars body
-
-let conj = function
-  | [] -> True
-  | p :: rest -> List.fold_left (fun a b -> And (a, b)) p rest

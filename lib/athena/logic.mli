@@ -26,20 +26,25 @@ val term_equal : term -> term -> bool
 
 (** {2 Propositions} *)
 
-val free_vars : string list -> prop -> string list
+val occurs_free : string -> prop -> bool
+(** [x] occurs free in the proposition: not bound by an enclosing
+    quantifier of that name. One walk, no list of free variables built. *)
 
 val subst : (string * term) list -> prop -> prop
-(** Capture-avoiding substitution of terms for free variables; binders
-    are renamed when a substituted term would be captured. *)
+(** Capture-avoiding substitution of terms for free variables. A binder
+    that a substituted term mentions is renamed to the first [x'k]
+    (k = 1, 2, ...) free in neither its body nor any substituted term, so
+    the result depends only on the arguments. *)
 
 val alpha_equal : prop -> prop -> bool
 (** Equality up to bound-variable renaming — the equality used for
-    assumption-base membership. *)
+    assumption-base membership. Two variables match when both are bound
+    by binders at the same depth or both are free with the same name; no
+    free name, whatever it is spelled, matches a bound one. One walk over
+    both propositions, without building copies; [p == q] answers at once. *)
 
 (** {2 Printing and building} *)
 
 val pp : Format.formatter -> prop -> unit
-val to_string : prop -> string
 
 val forall_many : string list -> prop -> prop
-val conj : prop list -> prop

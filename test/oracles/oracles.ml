@@ -369,6 +369,68 @@ let rewrite_reference ~rules ~insts expr =
   }
 
 (* ------------------------------------------------------------------ *)
+(* Propositions                                                        *)
+(* ------------------------------------------------------------------ *)
+
+module Logic = Gp_athena.Logic
+
+(* The first free-variable scan: a list built per subformula. *)
+let rec term_vars acc = function
+  | Logic.Var x -> if List.mem x acc then acc else x :: acc
+  | Logic.App (_, args) -> List.fold_left term_vars acc args
+
+let rec free_vars_reference acc = function
+  | Logic.True | Logic.False -> acc
+  | Logic.Atom (_, args) -> List.fold_left term_vars acc args
+  | Logic.Eq (a, b) -> term_vars (term_vars acc a) b
+  | Logic.Not p -> free_vars_reference acc p
+  | Logic.And (p, q) | Logic.Or (p, q) | Logic.Implies (p, q) | Logic.Iff (p, q)
+    ->
+    free_vars_reference (free_vars_reference acc p) q
+  | Logic.Forall (x, p) | Logic.Exists (x, p) ->
+    List.fold_left
+      (fun acc v -> if v = x || List.mem v acc then acc else v :: acc)
+      acc
+      (free_vars_reference [] p)
+
+(* De Bruijn form: binders lose their names, a bound variable becomes the
+   number of binders between it and its own, and a free variable keeps
+   its name under a constructor no bound one shares. *)
+type db_term = Bound of int | Free of string | Fn of string * db_term list
+
+type db_prop =
+  | Const of bool
+  | Rel of string * db_term list
+  | Equal of db_term * db_term
+  | Neg of db_prop
+  | Conn of string * db_prop * db_prop
+  | Quant of string * db_prop
+
+let rec db_term scope = function
+  | Logic.Var x ->
+    let rec find i = function
+      | [] -> Free x
+      | y :: s -> if y = x then Bound i else find (i + 1) s
+    in
+    find 0 scope
+  | Logic.App (f, args) -> Fn (f, List.map (db_term scope) args)
+
+let rec db_prop scope = function
+  | Logic.True -> Const true
+  | Logic.False -> Const false
+  | Logic.Atom (r, args) -> Rel (r, List.map (db_term scope) args)
+  | Logic.Eq (a, b) -> Equal (db_term scope a, db_term scope b)
+  | Logic.Not p -> Neg (db_prop scope p)
+  | Logic.And (p, q) -> Conn ("and", db_prop scope p, db_prop scope q)
+  | Logic.Or (p, q) -> Conn ("or", db_prop scope p, db_prop scope q)
+  | Logic.Implies (p, q) -> Conn ("implies", db_prop scope p, db_prop scope q)
+  | Logic.Iff (p, q) -> Conn ("iff", db_prop scope p, db_prop scope q)
+  | Logic.Forall (x, p) -> Quant ("forall", db_prop (x :: scope) p)
+  | Logic.Exists (x, p) -> Quant ("exists", db_prop (x :: scope) p)
+
+let alpha_equal_reference p q = db_prop [] p = db_prop [] q
+
+(* ------------------------------------------------------------------ *)
 (* The wire format                                                     *)
 (* ------------------------------------------------------------------ *)
 

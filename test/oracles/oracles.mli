@@ -80,6 +80,21 @@ val rewrite_reference :
     rule, no guard memo, and the same {!Gp_simplicissimus.Engine.max_steps}
     budget. Semantically identical to {!Gp_simplicissimus.Engine.rewrite}. *)
 
+(** {2 Propositions} *)
+
+val free_vars_reference :
+  string list -> Gp_athena.Logic.prop -> string list
+(** [free_vars_reference acc p]: [acc] extended with the free variables
+    of [p], gathered into lists subformula by subformula.
+    {!Gp_athena.Logic.occurs_free} [x p] holds exactly when [x] is in
+    [free_vars_reference [] p]. *)
+
+val alpha_equal_reference : Gp_athena.Logic.prop -> Gp_athena.Logic.prop -> bool
+(** Both propositions converted to de Bruijn form (binders unnamed, bound
+    variables numbered by binder distance, free ones kept by name in their
+    own constructor) and compared structurally: the answer
+    {!Gp_athena.Logic.alpha_equal} gives. *)
+
 (** {2 The wire format} *)
 
 val request_of_line_ast :

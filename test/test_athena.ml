@@ -33,7 +33,148 @@ let test_capture_avoiding_subst () =
 
 let test_free_vars () =
   let p = Forall ("x", Atom ("P", [ Var "x"; Var "y" ])) in
-  Alcotest.(check (list string)) "only y free" [ "y" ] (free_vars [] p)
+  Alcotest.(check (list bool)) "only y free" [ false; true; false ]
+    (List.map (fun v -> occurs_free v p) [ "x"; "y"; "z" ])
+
+(* A free variable never matches a bound one, whatever its name: the
+   first alpha-equality renamed binders to _0, _1, ... and so took a free
+   _0 for the outermost binder. *)
+let test_alpha_capture () =
+  let refl = Forall ("x", Eq (Var "x", Var "x")) in
+  let goal = Forall ("y", Eq (Var "y", Var "_0")) in
+  Alcotest.(check bool) "free _0 is not bound" false (alpha_equal refl goal);
+  Alcotest.(check bool) "bound _0 is bound" true
+    (alpha_equal refl (Forall ("_0", Eq (Var "_0", Var "_0"))));
+  List.iter
+    (fun d ->
+      match Deduction.check ~axioms:[ refl ] ~goal d with
+      | Deduction.Proved ->
+        Alcotest.failf "unsound: proved %a from %a" Logic.pp goal Logic.pp
+          refl
+      | Deduction.Wrong_conclusion _ | Deduction.Improper _ -> ())
+    Deduction.[ Claim goal; Claim refl ]
+
+(* Renamed binders are a function of the substitution: checking the same
+   deduction twice prints the same verdict, and the fresh name is the
+   first one not already free. *)
+let test_fresh_names_deterministic () =
+  let pxy = Forall ("x", Forall ("y", Atom ("P", [ Var "x"; Var "y" ]))) in
+  let d = Deduction.(Inst (Claim pxy, [ Var "y" ])) in
+  let verdict () =
+    Fmt.str "@[<h>%a@]" Deduction.pp_verdict
+      (Deduction.check ~axioms:[ pxy ] ~goal:True d)
+  in
+  let first = verdict () in
+  Alcotest.(check string) "first check"
+    "proves (forall y'1. P(y, y'1)) instead of the goal" first;
+  Alcotest.(check string) "second check" first (verdict ());
+  let body = Atom ("P", [ Var "x"; Var "y"; Var "y'1" ]) in
+  Alcotest.(check string) "skips a free y'1"
+    "(forall y'2. P(y, y'2, y'1))"
+    (Fmt.str "@[<h>%a@]" Logic.pp
+       (subst [ ("x", Var "y") ] (Forall ("y", body))))
+
+(* ------------------------------------------------------------------ *)
+(* Properties against the oracles                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Few names, so binders shadow each other and free names collide with
+   bound ones; _0 and _1 are the first alpha-equality's canonical names. *)
+let names = [| "x"; "y"; "z"; "_0"; "_1" |]
+
+let prop_gen =
+  let open QCheck.Gen in
+  let name = oneofa names in
+  let term =
+    fix
+      (fun self n ->
+        if n = 0 then map (fun x -> Var x) name
+        else
+          frequency
+            [ (2, map (fun x -> Var x) name);
+              (1, map (fun ts -> App ("f", ts)) (list_size (int_bound 2) (self (n - 1))))
+            ])
+      2
+  in
+  sized_size (int_bound 6)
+  @@ fix (fun self n ->
+         let leaf =
+           frequency
+             [ (1, return True);
+               (3, map2 (fun a b -> Eq (a, b)) term term);
+               (2, map (fun ts -> Atom ("P", ts)) (list_size (int_bound 2) term)) ]
+         in
+         if n = 0 then leaf
+         else
+           frequency
+             [ (1, leaf);
+               (1, map (fun p -> Not p) (self (n - 1)));
+               (2, map2 (fun p q -> And (p, q)) (self (n / 2)) (self (n / 2)));
+               (1, map2 (fun p q -> Implies (p, q)) (self (n / 2)) (self (n / 2)));
+               (3, map2 (fun x p -> Forall (x, p)) name (self (n - 1)));
+               (2, map2 (fun x p -> Exists (x, p)) name (self (n - 1))) ])
+
+(* [p] with its binders renamed at random, bound occurrences following
+   their binder, and each variable occurrence replaced by a random name
+   with probability [slip] percent: a renaming that may capture, then a near
+   miss. *)
+let variant ~slip p =
+  let open QCheck.Gen in
+  let name = oneofa names in
+  let var env x =
+    map2
+      (fun r y ->
+        if r < slip then Var y
+        else Var (Option.value ~default:x (List.assoc_opt x env)))
+      (int_bound 99) name
+  in
+  let rec term env = function
+    | Var x -> var env x
+    | App (f, ts) -> map (fun ts -> App (f, ts)) (flatten_l (List.map (term env) ts))
+  in
+  let rec go env = function
+    | (True | False) as p -> return p
+    | Atom (r, ts) -> map (fun ts -> Atom (r, ts)) (flatten_l (List.map (term env) ts))
+    | Eq (a, b) -> map2 (fun a b -> Eq (a, b)) (term env a) (term env b)
+    | Not p -> map (fun p -> Not p) (go env p)
+    | And (p, q) -> map2 (fun p q -> And (p, q)) (go env p) (go env q)
+    | Or (p, q) -> map2 (fun p q -> Or (p, q)) (go env p) (go env q)
+    | Implies (p, q) -> map2 (fun p q -> Implies (p, q)) (go env p) (go env q)
+    | Iff (p, q) -> map2 (fun p q -> Iff (p, q)) (go env p) (go env q)
+    | Forall (x, p) ->
+      name >>= fun y -> map (fun p -> Forall (y, p)) (go ((x, y) :: env) p)
+    | Exists (x, p) ->
+      name >>= fun y -> map (fun p -> Exists (y, p)) (go ((x, y) :: env) p)
+  in
+  go [] p
+
+let prop_pair =
+  let open QCheck.Gen in
+  let pair =
+    prop_gen >>= fun p ->
+    frequency
+      [ (1, return p);
+        (1, prop_gen);
+        (3, variant ~slip:0 p);
+        (3, variant ~slip:10 p) ]
+    >|= fun q -> (p, q)
+  in
+  QCheck.make ~print:(fun (p, q) -> Fmt.str "%a  vs  %a" Logic.pp p Logic.pp q) pair
+
+let prop_alpha_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"alpha_equal = de Bruijn reference" ~count:3000
+       prop_pair (fun (p, q) ->
+         alpha_equal p q = Oracles.alpha_equal_reference p q))
+
+let prop_occurs_free_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"occurs_free = free_vars reference" ~count:1000
+       (QCheck.make ~print:(Fmt.str "%a" Logic.pp) prop_gen) (fun p ->
+         Array.for_all
+           (fun x ->
+             occurs_free x p = List.mem x (Oracles.free_vars_reference [] p))
+           names))
 
 (* ------------------------------------------------------------------ *)
 (* Checker soundness: improper deductions                              *)
@@ -330,6 +471,12 @@ let () =
           Alcotest.test_case "capture-avoiding subst" `Quick
             test_capture_avoiding_subst;
           Alcotest.test_case "free vars" `Quick test_free_vars;
+          Alcotest.test_case "alpha: free never matches bound" `Quick
+            test_alpha_capture;
+          Alcotest.test_case "fresh names deterministic" `Quick
+            test_fresh_names_deterministic;
+          prop_alpha_reference;
+          prop_occurs_free_reference;
         ] );
       ( "checker soundness",
         [
