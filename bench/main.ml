@@ -1936,6 +1936,84 @@ let s7 () =
   (* [measure]'s own first pass warms the caches *)
   let _, unrecorded_minor = measure (serve_lines unrecorded lines) in
   let recorder_minor = serve_minor -. unrecorded_minor in
+  (* the warm request by layer: decode (the wire line to a request),
+     dispatch (budget, cache key, lookup, metrics: [Server.handle] on the
+     decoded request, recorder off), record (the flight recorder: a
+     recorded [serve_line] less an unrecorded one) and render (a warm
+     answer into the reused buffer). Exact minor words per request per
+     layer (the record layer's is [recorder_minor]); wall time per
+     request as the median over [layer_trials] trials with its quartile
+     spread, each trial timing every layer once in a shuffled order, so
+     host drift moves all layers alike (full runs only) *)
+  let decoded =
+    List.map
+      (fun line ->
+        match Wire.request_of_line line with
+        | Ok (Some id, req) -> (id, req)
+        | _ -> failwith "s7: a workload line did not decode with its id")
+      lines
+  in
+  let warm_rsps = List.filter_map (Server.serve_line server) lines in
+  let decode_pass () =
+    List.iter
+      (fun line -> ignore (Sys.opaque_identity (Wire.request_of_line line)))
+      lines
+  in
+  let dispatch_pass () =
+    List.iter
+      (fun (id, req) ->
+        ignore (Sys.opaque_identity (Server.handle ~id unrecorded req)))
+      decoded
+  in
+  let render_pass () =
+    List.iter
+      (fun rsp ->
+        Buffer.clear render_buf;
+        Wire.response_into render_buf rsp)
+      warm_rsps
+  in
+  let _, decode_minor = measure decode_pass in
+  let _, dispatch_minor = measure dispatch_pass in
+  let _, render_minor = measure render_pass in
+  let layer_trials = 41 and layer_reps = 8 in
+  let layer_rows =
+    if quick then List.map (fun name -> (name, nan, nan))
+        [ "decode"; "dispatch"; "record"; "render" ]
+    else begin
+      let block f =
+        let t0 = Unix.gettimeofday () in
+        for _ = 1 to layer_reps do
+          f ()
+        done;
+        (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int layer_reps /. fn
+      in
+      let passes =
+        [| decode_pass; dispatch_pass; serve_lines server lines;
+           serve_lines unrecorded lines; render_pass |]
+      in
+      let rng = Random.State.make [| 7 |] in
+      let samples =
+        Array.init layer_trials (fun _ ->
+            let order = Array.init (Array.length passes) Fun.id in
+            for i = Array.length order - 1 downto 1 do
+              let j = Random.State.int rng (i + 1) in
+              let x = order.(i) in
+              order.(i) <- order.(j);
+              order.(j) <- x
+            done;
+            let t = Array.make (Array.length passes) 0.0 in
+            Array.iter (fun p -> t.(p) <- block passes.(p)) order;
+            [| t.(0); t.(1); t.(2) -. t.(3); t.(4) |])
+      in
+      List.mapi
+        (fun i name ->
+          let xs = Array.map (fun s -> s.(i)) samples in
+          Array.sort compare xs;
+          let at q = xs.(int_of_float (q *. float_of_int (layer_trials - 1))) in
+          (name, at 0.5, at 0.75 -. at 0.25))
+        [ "decode"; "dispatch"; "record"; "render" ]
+    end
+  in
   (* the text front ends: minor words of one parse, averaged over the
      perfbench payload shapes (lint programs, .gpc defs and optimize
      expressions) *)
@@ -1980,6 +2058,17 @@ let s7 () =
   else
     Fmt.pr "  wall per request: median %.0f ns, IQR %.0f ns over %d passes@."
       render_median render_iqr trials;
+  Fmt.pr "@.%-44s %14s %12s %10s@." "warm request by layer" "minor words"
+    "ns/request" "IQR ns";
+  List.iter2
+    (fun (name, median, iqr) words ->
+      Fmt.pr "%-44s %14.1f %12.0f %10.0f@." name words median iqr)
+    layer_rows
+    [ decode_minor; dispatch_minor; recorder_minor; render_minor ];
+  if quick then Fmt.pr "  (--quick: the layer wall probe is skipped)@."
+  else
+    Fmt.pr "  (medians over %d shuffled trials of %d passes per layer)@."
+      layer_trials layer_reps;
   Fmt.pr "@.%-44s %14s@." "warm hit, served (recorder on)" "minor words";
   Fmt.pr "%-44s %14.1f@." "optimize" hit_optimize;
   Fmt.pr "%-44s %14.1f@." "check (no defs)" hit_check;
@@ -2024,6 +2113,14 @@ let s7 () =
   record ~experiment:"s7" "hit_minor_words_check_defs" hit_check_defs;
   record ~experiment:"s7" "hit_minor_words_lint" hit_lint;
   record ~experiment:"s7" "recorder_minor_words" recorder_minor;
+  List.iter
+    (fun (name, median, iqr) ->
+      record ~experiment:"s7" ("warm_" ^ name ^ "_ns") median;
+      record ~experiment:"s7" ("warm_" ^ name ^ "_iqr_ns") iqr)
+    layer_rows;
+  record ~experiment:"s7" "warm_decode_minor_words" decode_minor;
+  record ~experiment:"s7" "warm_dispatch_minor_words" dispatch_minor;
+  record ~experiment:"s7" "warm_render_minor_words" render_minor;
   record ~experiment:"s7" "lint_parse_minor_words" lint_parse_minor;
   record ~experiment:"s7" "gpc_parse_minor_words" gpc_parse_minor;
   record ~experiment:"s7" "expr_parse_minor_words" expr_parse_minor;
