@@ -134,17 +134,22 @@ and subst_binder env x body rebuild =
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Arguments are separated by a literal ", ", not [Fmt.comma], whose
+   break hint prints as a newline outside a box; nor do they sit in a
+   box, which itself breaks the line when it opens past the margin. The
+   printer emits no break hint, so a proposition is always one line. *)
 let rec pp_term ppf = function
   | Var x -> Fmt.string ppf x
   | App (f, []) -> Fmt.string ppf f
-  | App (f, args) ->
-    Fmt.pf ppf "%s(%a)" f Fmt.(list ~sep:comma pp_term) args
+  | App (f, args) -> Fmt.pf ppf "%s(%a)" f pp_args args
+
+and pp_args ppf args = Fmt.(list ~sep:(any ", ") pp_term) ppf args
 
 let rec pp ppf = function
   | True -> Fmt.string ppf "true"
   | False -> Fmt.string ppf "false"
   | Atom (r, []) -> Fmt.string ppf r
-  | Atom (r, args) -> Fmt.pf ppf "%s(%a)" r Fmt.(list ~sep:comma pp_term) args
+  | Atom (r, args) -> Fmt.pf ppf "%s(%a)" r pp_args args
   | Eq (a, b) -> Fmt.pf ppf "%a = %a" pp_term a pp_term b
   | Not p -> Fmt.pf ppf "~%a" pp_atomic p
   | And (a, b) -> Fmt.pf ppf "(%a /\\ %a)" pp a pp b

@@ -74,6 +74,23 @@ let test_fresh_names_deterministic () =
     (Fmt.str "@[<h>%a@]" Logic.pp
        (subst [ ("x", Var "y") ] (Forall ("y", body))))
 
+(* The printer never breaks a line: outside any box, [Fmt.comma]'s break
+   hint between arguments used to print as a newline. *)
+let test_pp_one_line () =
+  let pxy = Atom ("P", [ Var "x"; Var "y" ]) in
+  Alcotest.(check string) "P(x, y)" "P(x, y)" (Fmt.str "%a" Logic.pp pxy);
+  let long =
+    Forall
+      ( "a",
+        Implies
+          ( Atom ("int_lt", [ Var "a"; App ("f", [ Var "a"; Var "b" ]) ]),
+            Eq (App ("int_add", [ const "int_zero"; Var "a" ]), Var "a") ) )
+  in
+  Alcotest.(check string) "no newline past the margin"
+    ("claim: " ^ String.make 70 '-'
+   ^ " (forall a. (int_lt(a, f(a, b)) ==> int_add(int_zero, a) = a))")
+    (Fmt.str "claim: %s %a" (String.make 70 '-') Logic.pp long)
+
 (* ------------------------------------------------------------------ *)
 (* Properties against the oracles                                      *)
 (* ------------------------------------------------------------------ *)
@@ -475,6 +492,7 @@ let () =
             test_alpha_capture;
           Alcotest.test_case "fresh names deterministic" `Quick
             test_fresh_names_deterministic;
+          Alcotest.test_case "pp keeps a line" `Quick test_pp_one_line;
           prop_alpha_reference;
           prop_occurs_free_reference;
         ] );
