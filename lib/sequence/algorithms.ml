@@ -39,9 +39,17 @@ let for_each f (first, last) =
   in
   go first
 
+(* The element is read before the step, as a single-pass stream needs:
+   OCaml evaluates arguments right to left, so [go (f acc (Iter.get it))
+   (Iter.step it)] would step first and then re-read a consumed
+   position. *)
 let fold f init (first, last) =
   let rec go acc it =
-    if Iter.equal it last then acc else go (f acc (Iter.get it)) (Iter.step it)
+    if Iter.equal it last then acc
+    else
+      let x = Iter.get it in
+      let next = Iter.step it in
+      go (f acc x) next
   in
   go init first
 
@@ -81,7 +89,9 @@ let inner_product ~add ~mul ~init (f1, l1) (f2, l2) =
   let rec go acc a b =
     if Iter.equal a l1 || Iter.equal b l2 then acc
     else
-      go (add acc (mul (Iter.get a) (Iter.get b))) (Iter.step a) (Iter.step b)
+      let x = Iter.get a and y = Iter.get b in
+      let a = Iter.step a and b = Iter.step b in
+      go (add acc (mul x y)) a b
   in
   go init f1 f2
 

@@ -42,19 +42,22 @@ type caches = {
          pre-rendered *)
   numerics : Request.entry Lru.t; (* Computed answers by (op,triple) *)
   table : cache array;
-      (* the seven above, in this order: what stats, counters and
-         clearing walk *)
+      (* the seven above, in this order: what stats and clearing walk *)
+  counts : int array;
+      (* their hit/miss counters, a pair per cache in table order *)
 }
 
 let create_caches ~capacity =
-  let closures = Lru.create ~capacity "closures"
-  and defs = Lru.create ~capacity "defs"
-  and lint = Lru.create ~capacity "lint"
-  and cert = Lru.create ~capacity:4 "cert"
-  and proofs = Lru.create ~capacity "proofs"
-  and rewrites = Lru.create ~capacity "rewrites"
-  and numerics = Lru.create ~capacity "numerics" in
-  { closures; defs; lint; cert; proofs; rewrites; numerics;
+  let counts = Array.make 14 0 in
+  let lru i = Lru.create ~counts:(counts, 2 * i) in
+  let closures = lru 0 ~capacity "closures"
+  and defs = lru 1 ~capacity "defs"
+  and lint = lru 2 ~capacity "lint"
+  and cert = lru 3 ~capacity:4 "cert"
+  and proofs = lru 4 ~capacity "proofs"
+  and rewrites = lru 5 ~capacity "rewrites"
+  and numerics = lru 6 ~capacity "numerics" in
+  { closures; defs; lint; cert; proofs; rewrites; numerics; counts;
     table =
       [| Cache closures; Cache defs; Cache lint; Cache cert; Cache proofs;
          Cache rewrites; Cache numerics |] }
@@ -66,15 +69,13 @@ let cache_stats c =
   Array.fold_right (fun (Cache lru) acc -> Lru.stats lru :: acc) c.table []
 
 (* Allocation-free twin of [cache_stats] for the per-request cache-delta
-   snapshot: hit/miss counters written into a caller-owned array
+   snapshot: the hit/miss counters copied into a caller-owned array
    ([hits.(2i)], [misses.(2i+1)]), one slot pair per cache in
-   [cache_names] order. *)
+   [cache_names] order. An int loop: the caches count into one shared
+   array, so the copy calls nothing. *)
 let cache_counters_into c (dst : int array) =
-  for i = 0 to Array.length c.table - 1 do
-    match c.table.(i) with
-    | Cache lru ->
-      dst.(2 * i) <- Lru.hits lru;
-      dst.((2 * i) + 1) <- Lru.misses lru
+  for i = 0 to Array.length c.counts - 1 do
+    dst.(i) <- c.counts.(i)
   done
 
 let clear_caches c = Array.iter (fun (Cache lru) -> Lru.clear lru) c.table

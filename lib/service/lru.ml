@@ -1,27 +1,32 @@
 (* A content-keyed LRU memo cache with hit/miss accounting.
 
-   Hashtbl for lookup, intrusive doubly-linked list for recency order.
-   Capacity is a hard bound on entry count; insertion past it evicts the
+   Hashtbl for lookup, a doubly-linked list of slot indices for recency
+   order. Capacity is a hard bound on entry count; insertion past it evicts the
    least-recently-used entry. Keys are canonical content strings (see
    Dispatch's key builders / Propagate.add_request_key), so cache
    identity is data identity — there is nothing to invalidate, only to
    evict. *)
 
-type 'v node = {
-  nd_key : string;
-  nd_value : 'v;
-  mutable prev : 'v node option; (* towards most-recent *)
-  mutable next : 'v node option; (* towards least-recent *)
-}
+(* A hit relinks int slots, never a pointer: the recency list is two int
+   arrays indexed by slot, so no store on the hit path goes through the
+   write barrier or leaves a fresh block behind. A binding is an
+   immutable entry in the table, made once when it is added. *)
+type 'v entry = { value : 'v; slot : int }
 
 type 'v t = {
   name : string;
   capacity : int;
-  tbl : (string, 'v node) Hashtbl.t;
-  mutable mru : 'v node option;
-  mutable lru : 'v node option;
-  mutable hits : int;
-  mutable misses : int;
+  tbl : (string, 'v entry) Hashtbl.t;
+  (* slots 0 .. used - 1 hold the bindings; the arrays grow on demand,
+     over immediate or literal fills, up to [capacity] *)
+  mutable slot_keys : string array; (* the key of each slot, for eviction *)
+  mutable prev : int array; (* towards most-recent; -1 at the head *)
+  mutable next : int array; (* towards least-recent; -1 at the tail *)
+  mutable used : int;
+  mutable mru : int; (* -1 when empty *)
+  mutable lru : int;
+  counts : int array; (* hits at [base], misses at [base + 1] *)
+  base : int;
   mutable evictions : int;
 }
 
@@ -34,70 +39,96 @@ type stats = {
   st_evictions : int;
 }
 
-let create ~capacity name =
+let create ?counts ~capacity name =
   if capacity < 1 then invalid_arg "Lru.create: capacity < 1";
-  { name; capacity; tbl = Hashtbl.create (min capacity 64); mru = None;
-    lru = None; hits = 0; misses = 0; evictions = 0 }
+  let counts, base =
+    match counts with Some c -> c | None -> (Array.make 2 0, 0)
+  in
+  if base < 0 || base + 1 >= Array.length counts then
+    invalid_arg "Lru.create: counts out of range";
+  { name; capacity; tbl = Hashtbl.create (min capacity 64); slot_keys = [||];
+    prev = [||]; next = [||]; used = 0; mru = -1; lru = -1; counts; base;
+    evictions = 0 }
 
 let name t = t.name
 let size t = Hashtbl.length t.tbl
 
-let unlink t nd =
-  (match nd.prev with
-  | Some p -> p.next <- nd.next
-  | None -> t.mru <- nd.next);
-  (match nd.next with
-  | Some n -> n.prev <- nd.prev
-  | None -> t.lru <- nd.prev);
-  nd.prev <- None;
-  nd.next <- None
+let unlink t s =
+  let p = t.prev.(s) and n = t.next.(s) in
+  if p >= 0 then t.next.(p) <- n else t.mru <- n;
+  if n >= 0 then t.prev.(n) <- p else t.lru <- p
 
-let push_front t nd =
-  nd.next <- t.mru;
-  nd.prev <- None;
-  (match t.mru with Some m -> m.prev <- Some nd | None -> t.lru <- Some nd);
-  t.mru <- Some nd
+let push_front t s =
+  t.prev.(s) <- -1;
+  t.next.(s) <- t.mru;
+  if t.mru >= 0 then t.prev.(t.mru) <- s else t.lru <- s;
+  t.mru <- s
 
-let hit t nd =
-  t.hits <- t.hits + 1;
-  unlink t nd;
-  push_front t nd;
-  nd.nd_value
+let hit t e =
+  t.counts.(t.base) <- t.counts.(t.base) + 1;
+  if t.mru <> e.slot then begin
+    unlink t e.slot;
+    push_front t e.slot
+  end;
+  e.value
 
 let find t key =
-  match Hashtbl.find_opt t.tbl key with
-  | Some nd -> Some (hit t nd)
-  | None ->
-    t.misses <- t.misses + 1;
+  match Hashtbl.find t.tbl key with
+  | e -> Some (hit t e)
+  | exception Not_found ->
+    t.counts.(t.base + 1) <- t.counts.(t.base + 1) + 1;
     None
 
-(* [find] without the option: [Hashtbl.find] allocates no [Some] on a
-   hit, and the miss answer is the caller's static sentinel *)
+(* [find] without the option: the miss answer is the caller's static
+   sentinel *)
 let find_or t key absent =
   match Hashtbl.find t.tbl key with
-  | nd -> hit t nd
+  | e -> hit t e
   | exception Not_found ->
-    t.misses <- t.misses + 1;
+    t.counts.(t.base + 1) <- t.counts.(t.base + 1) + 1;
     absent
 
 let mem t key = Hashtbl.mem t.tbl key
 
+(* A fresh slot, growing the arrays (doubling, from 16) when every one
+   is in use. *)
+let fresh_slot t =
+  let size = Array.length t.slot_keys in
+  if t.used = size then begin
+    let grown = Int.min t.capacity (Int.max 16 (2 * size)) in
+    let extend a fill =
+      let b = Array.make grown fill in
+      Array.blit a 0 b 0 size;
+      b
+    in
+    t.slot_keys <- extend t.slot_keys "";
+    t.prev <- extend t.prev (-1);
+    t.next <- extend t.next (-1)
+  end;
+  t.used <- t.used + 1;
+  t.used - 1
+
+(* A replaced binding keeps its slot; past capacity, the new binding
+   takes the least-recently-used one's. *)
 let add t key value =
-  (match Hashtbl.find_opt t.tbl key with
-  | Some old ->
-    unlink t old;
-    Hashtbl.remove t.tbl key
-  | None -> ());
-  if Hashtbl.length t.tbl >= t.capacity then (
-    match t.lru with
-    | Some victim ->
-      unlink t victim;
-      Hashtbl.remove t.tbl victim.nd_key;
-      t.evictions <- t.evictions + 1
-    | None -> ());
-  let nd = { nd_key = key; nd_value = value; prev = None; next = None } in
-  Hashtbl.replace t.tbl key nd;
-  push_front t nd
+  let slot =
+    match Hashtbl.find t.tbl key with
+    | old ->
+      unlink t old.slot;
+      old.slot
+    | exception Not_found ->
+      if t.used < t.capacity then fresh_slot t
+      else begin
+        let victim = t.lru in
+        unlink t victim;
+        Hashtbl.remove t.tbl t.slot_keys.(victim);
+        t.evictions <- t.evictions + 1;
+        victim
+      end
+  in
+  t.slot_keys.(slot) <- key;
+  Hashtbl.replace t.tbl key { value; slot };
+  push_front t slot
 
 (* The memoisation workhorse: [enabled:false] bypasses the cache entirely
    (no stats traffic), so a cache-off server reports all-zero tables
@@ -114,16 +145,14 @@ let find_or_compute t ~enabled key f =
 
 let clear t =
   Hashtbl.reset t.tbl;
-  t.mru <- None;
-  t.lru <- None
+  Array.fill t.slot_keys 0 t.used "";
+  t.used <- 0;
+  t.mru <- -1;
+  t.lru <- -1
 
 let stats t =
   { st_name = t.name; st_capacity = t.capacity; st_size = size t;
-    st_hits = t.hits; st_misses = t.misses; st_evictions = t.evictions }
-
-(* allocation-free counter reads, for per-request snapshot deltas *)
-let hits t = t.hits
-let misses t = t.misses
+    st_hits = t.counts.(t.base); st_misses = t.counts.(t.base + 1); st_evictions = t.evictions }
 
 let hit_ratio st =
   let total = st.st_hits + st.st_misses in
@@ -132,9 +161,8 @@ let hit_ratio st =
 (* Keys from most- to least-recently used; the recency order is part of
    the module's contract and is property-tested. *)
 let keys_mru_first t =
-  let rec go acc = function
-    | None -> List.rev acc
-    | Some nd -> go (nd.nd_key :: acc) nd.next
+  let rec go acc s =
+    if s < 0 then List.rev acc else go (t.slot_keys.(s) :: acc) t.next.(s)
   in
   go [] t.mru
 

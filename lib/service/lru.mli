@@ -17,8 +17,11 @@ type stats = {
   st_evictions : int;
 }
 
-val create : capacity:int -> string -> 'v t
-(** Raises [Invalid_argument] when [capacity < 1]. *)
+val create : ?counts:int array * int -> capacity:int -> string -> 'v t
+(** [counts = (a, i)]: the cache counts its hits in [a.(i)] and its
+    misses in [a.(i + 1)], so the caches of one owner can share an array
+    the owner reads in one pass (by default a private one). Raises
+    [Invalid_argument] when [capacity < 1] or [i] is out of range. *)
 
 val name : _ t -> string
 val size : _ t -> int
@@ -48,12 +51,6 @@ val clear : 'v t -> unit
 
 val stats : _ t -> stats
 val hit_ratio : stats -> float
-
-val hits : _ t -> int
-(** Allocation-free counter read — the per-request cache-delta snapshot
-    uses these instead of materializing {!stats} records. *)
-
-val misses : _ t -> int
 
 val keys_mru_first : _ t -> string list
 (** Recency order, most-recent first — part of the contract, property

@@ -113,9 +113,10 @@ type t = {
   config_line : string; (* precomputed: every dossier carries both *)
   config_fp : string;
   out_buf : Buffer.t; (* reused response render buffer (serve_channel) *)
-  cc_before : int array; (* reused cache-counter snapshots: hit/miss *)
-  cc_after : int array; (* pairs per cache, Dispatch.cache_names order;
-                           then the request's deltas, the dossier chain *)
+  cc_before : int array; (* cache counters after the last request: *)
+  cc_after : int array; (* hit/miss pairs per cache, Dispatch.cache_names
+                           order; then the request's deltas, the dossier
+                           chain *)
   latency_ns : float array;
       (* one slot: the latency [observe] last measured, which an untraced
          dossier reuses as its duration (a float array stores unboxed) *)
@@ -209,17 +210,22 @@ let handle_core ~id ~t0 t req =
 (* Flight-recorder dossier assembly                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* The per-request cache chain diffs hit/miss counters around the
-   request. The snapshots go through [Dispatch.cache_counters_into] into
-   the server's two reused int arrays, and the deltas overwrite the
-   after-snapshot, which the recorder copies into its slot — no stats
-   records and no chain list per request. Per-request sandbox caches
+(* The per-request cache chain: each cache's hit/miss counters less
+   their values at the end of the previous request, written over the
+   server's reused after-snapshot, which the recorder copies into its
+   slot — no stats records and no chain list per request. Only a request
+   moves the counters (the caches are reached through [Dispatch.handle]
+   alone, and a server with a recorder records every request), so one
+   request's after-snapshot is the next one's before-snapshot: one pass
+   over the caches per request. Per-request sandbox caches
    (Check-with-defs) never appear here — by design, they are private to
    one request. *)
 let cache_deltas t =
   Dispatch.cache_counters_into (Dispatch.caches t.dispatch) t.cc_after;
   for i = 0 to Array.length t.cc_after - 1 do
-    t.cc_after.(i) <- t.cc_after.(i) - t.cc_before.(i)
+    let total = t.cc_after.(i) in
+    t.cc_after.(i) <- total - t.cc_before.(i);
+    t.cc_before.(i) <- total
   done;
   t.cc_after
 
@@ -242,8 +248,6 @@ let record_dossier recorder t ~id ~kind ~wire ~spans ~dur_ns ~chain
 let handle_recorded ?id ?wire t req =
   let id = match id with Some id -> id | None -> fresh_id t in
   let kind = Request.kind_name (Request.kind req) in
-  if Option.is_some t.recorder then
-    Dispatch.cache_counters_into (Dispatch.caches t.dispatch) t.cc_before;
   let t0 = t.config.now () in
   let rsp, spans =
     if not (Tel.is_enabled ()) then (handle_core ~id ~t0 t req, [])

@@ -13,497 +13,437 @@
    cached flag and step count. *)
 
 module Json = Gp_telemetry.Json
-open Json
-
-(* The cursor's field accessors, defined here so that they inline: dune's
-   dev profile compiles with -opaque, so a call into Json is never
-   inlined, and these run several times per request field. The lexing
-   itself is Json's. *)
-let has c = c.pos < String.length c.src
-let cur c = String.unsafe_get c.src c.pos
-let advance c = c.pos <- c.pos + 1
 
 (* ------------------------------------------------------------------ *)
-(* Requests: cursor -> typed IR, no AST                                *)
+(* Requests: one pass from the line to the typed IR                    *)
 (* ------------------------------------------------------------------ *)
 
-(* The decoder parses known request shapes straight from the cursor into
-   [Request.t], touching one reused slot record instead of materializing
-   a [json] tree. Steady-state allocation is limited to the strings the
-   request must own (field payloads) and the final record.
+(* The decoder scans known request shapes straight from the line into
+   [Request.t] without materializing a [json] tree. It is one function
+   whose field values live in its own locals, so a line writes no
+   long-lived block (each pointer store into an old block is a
+   [caml_modify]); the byte loops are Wire's own top-level functions,
+   which allocate no closure, and Json is called only off the happy
+   path: a string with escapes, a value decoded generically, a number
+   that is not a plain integer. Steady-state allocation is the strings
+   the request must own and the final record.
 
    It accepts and rejects exactly what "parse the line, then validate
-   the object's fields" would (the test oracle that does so is compared
-   on every qcheck round trip and on the malformed-line corpus).
-   Wrong-typed values in fields a kind does not consume are therefore
-   tolerated: the value is parsed generically and the type error is only
-   raised if the kind actually reads that field. *)
+   the object's fields" would, with the same messages (the test oracle
+   that does so is compared on every qcheck round trip and on the
+   malformed-line corpus). Wrong-typed values in fields a kind does not
+   consume are therefore tolerated: the value is parsed generically and
+   the type error is only raised if the kind actually reads that
+   field. *)
 
-(* known field indices; bit i of the masks below tracks field i *)
+(* Known field indices, grouped by value type; bit i of a mask tracks
+   field i. *)
 let f_id = 0
 
+(* strings *)
 let f_kind = 1
-
 let f_concept = 2
+let f_source = 3
+let f_expr = 4
+let f_theory = 5
+let f_structure = 6
 
-let f_types = 3
+(* strings or null *)
+let f_defs = 7
+let f_instance = 8
 
-let f_nominal = 4
+(* booleans *)
+let f_nominal = 9
+let f_certified_only = 10
 
-let f_defs = 5
+(* integers *)
+let f_n = 11
+let f_seed = 12
 
-let f_source = 6
-
-let f_expr = 7
-
-let f_certified_only = 8
-
-let f_theory = 9
-
-let f_instance = 10
-
-let f_structure = 11
-
-let f_n = 12
-
-let f_seed = 13
+(* an array of strings *)
+let f_types = 13
 
 let known_fields =
-  [| "id"; "kind"; "concept"; "types"; "nominal"; "defs"; "source"; "expr";
-     "certified_only"; "theory"; "instance"; "structure"; "n"; "seed" |]
+  [| "id"; "kind"; "concept"; "source"; "expr"; "theory"; "structure";
+     "defs"; "instance"; "nominal"; "certified_only"; "n"; "seed"; "types" |]
 
-type slots = {
-  mutable s_keys : int; (* fields whose key appeared (duplicate detection) *)
-  mutable s_seen : int; (* fields whose value parsed at the expected type *)
-  mutable s_bad : int; (* fields whose value had the wrong type *)
-  mutable s_unknown : string list; (* unknown keys seen (duplicate detection) *)
-  mutable s_id : int;
-  mutable s_has_id : bool;
-  mutable s_kind : string;
-  mutable s_concept : string;
-  mutable s_types : string list;
-  mutable s_nominal : bool;
-  mutable s_defs : string option;
-  mutable s_source : string;
-  mutable s_expr : string;
-  mutable s_certified_only : bool;
-  mutable s_theory : string;
-  mutable s_instance : string option;
-  mutable s_structure : string;
-  mutable s_n : int;
-  mutable s_seed : int;
-}
+let rec skip_ws src n i =
+  if i < n then
+    match String.unsafe_get src i with
+    | ' ' | '\t' | '\r' | '\n' -> skip_ws src n (i + 1)
+    | _ -> i
+  else i
 
-let slots =
-  { s_keys = 0; s_seen = 0; s_bad = 0; s_unknown = []; s_id = 0;
-    s_has_id = false; s_kind = ""; s_concept = ""; s_types = [];
-    s_nominal = false; s_defs = None; s_source = ""; s_expr = "";
-    s_certified_only = false; s_theory = ""; s_instance = None;
-    s_structure = ""; s_n = 0; s_seed = 0 }
-
-let reset_slots () =
-  slots.s_keys <- 0;
-  slots.s_seen <- 0;
-  slots.s_bad <- 0;
-  slots.s_unknown <- [];
-  slots.s_has_id <- false;
-  slots.s_kind <- "";
-  slots.s_concept <- "";
-  slots.s_types <- [];
-  slots.s_nominal <- false;
-  slots.s_defs <- None;
-  slots.s_source <- "";
-  slots.s_expr <- "";
-  slots.s_certified_only <- false;
-  slots.s_theory <- "";
-  slots.s_instance <- None;
-  slots.s_structure <- ""
-
-let seen i = slots.s_seen land (1 lsl i) <> 0
-
-let mark_seen i = slots.s_seen <- slots.s_seen lor (1 lsl i)
-
-let bad i = slots.s_bad land (1 lsl i) <> 0
-
-let mark_bad i = slots.s_bad <- slots.s_bad lor (1 lsl i)
-
-(* reused cursor for the direct path: zero per-line setup allocation *)
-let dcur = { src = ""; pos = 0 }
-
-(* Match the key in place against the known field names
-   ([Json.region_equals]); top-level recursion, so the scan is
-   allocation-free. *)
-let rec find_field_from src pos len i =
-  if i = Array.length known_fields then -1
-  else if region_equals src pos len known_fields.(i) then i
-  else find_field_from src pos len (i + 1)
-
-let find_field src pos len = find_field_from src pos len 0
-
-(* Parse an int value if the token is a plain integer; anything else —
-   including floats and overflowing digit runs — falls back to
-   [Json.number] so malformed numbers keep its error messages.
-   Returns [None] when the value was valid JSON but not an [Int]. *)
-let parse_int_value c =
-  let src = c.src in
-  let len = String.length src in
-  let start = c.pos in
-  let neg = start < len && String.unsafe_get src start = '-' in
-  let d0 = if neg then start + 1 else start in
-  let i = ref d0 in
-  while
-    !i < len
+(* The index of the first quote or backslash at or after [i], or [n]. *)
+let rec run_end src n i =
+  if
+    i < n
     &&
-    let ch = String.unsafe_get src !i in
-    ch >= '0' && ch <= '9'
-  do
-    incr i
-  done;
-  let ndig = !i - d0 in
-  let clean =
-    ndig >= 1 && ndig <= 18
-    && (!i >= len
-       ||
-       match String.unsafe_get src !i with
-       | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> false
-       | _ -> true)
-  in
-  if clean then begin
-    let v = ref 0 in
-    for j = d0 to !i - 1 do
-      v := (!v * 10) + (Char.code (String.unsafe_get src j) - 48)
-    done;
-    c.pos <- !i;
-    Some (if neg then - !v else !v)
-  end
-  else
-    match number c with Int v -> Some v | _ -> None
+    let ch = String.unsafe_get src i in
+    ch <> '"' && ch <> '\\'
+  then run_end src n (i + 1)
+  else i
 
-(* Generic skip for values we do not decode (unknown keys, wrong-typed
-   values): reuse the generic parser so malformed content fails with
-   exactly its messages. Allocates, but only off the happy path. *)
-let skip_value c = ignore (value c)
+let rec region_eq src pos name i len =
+  i = len
+  || String.unsafe_get src (pos + i) = String.unsafe_get name i
+     && region_eq src pos name (i + 1) len
 
-let parse_direct_string c idx set =
-  skip_ws c;
-  if has c && cur c = '"' then begin
-    advance c;
-    set (string_body c);
-    mark_seen idx
-  end
-  else begin
-    mark_bad idx;
-    skip_value c
-  end
+let known src pos len name f = if region_eq src pos name 0 len then f else -1
 
-let parse_direct_opt_string c idx set =
-  skip_ws c;
-  if has c && cur c = '"' then begin
-    advance c;
-    set (Some (string_body c));
-    mark_seen idx
-  end
-  else if has c && cur c = 'n' then begin
-    literal c "null";
-    set None;
-    mark_seen idx
-  end
-  else begin
-    mark_bad idx;
-    skip_value c
-  end
+(* The field named by the [len] bytes at [pos], or -1: dispatched on the
+   length and the first byte, then compared in place. *)
+let field_index src pos len =
+  match len with
+  | 1 -> known src pos len "n" f_n
+  | 2 -> known src pos len "id" f_id
+  | 4 -> (
+    match String.unsafe_get src pos with
+    | 'k' -> known src pos len "kind" f_kind
+    | 'd' -> known src pos len "defs" f_defs
+    | 'e' -> known src pos len "expr" f_expr
+    | 's' -> known src pos len "seed" f_seed
+    | _ -> -1)
+  | 5 -> known src pos len "types" f_types
+  | 6 -> (
+    match String.unsafe_get src pos with
+    | 's' -> known src pos len "source" f_source
+    | 't' -> known src pos len "theory" f_theory
+    | _ -> -1)
+  | 7 -> (
+    match String.unsafe_get src pos with
+    | 'c' -> known src pos len "concept" f_concept
+    | 'n' -> known src pos len "nominal" f_nominal
+    | _ -> -1)
+  | 8 -> known src pos len "instance" f_instance
+  | 9 -> known src pos len "structure" f_structure
+  | 14 -> known src pos len "certified_only" f_certified_only
+  | _ -> -1
 
-let parse_direct_bool c idx set =
-  skip_ws c;
-  if has c && cur c = 't' then begin
-    literal c "true";
-    set true;
-    mark_seen idx
-  end
-  else if has c && cur c = 'f' then begin
-    literal c "false";
-    set false;
-    mark_seen idx
-  end
-  else begin
-    mark_bad idx;
-    skip_value c
-  end
+let expect src n i ch =
+  if i >= n then Json.fail "at %d: expected %c, found end of input" i ch
+  else if String.unsafe_get src i <> ch then
+    Json.fail "at %d: expected %c, found %c" i ch (String.unsafe_get src i)
+
+let literal_end src n i word =
+  let len = String.length word in
+  if i + len <= n && region_eq src i word 0 len then i + len
+  else Json.fail "at %d: bad literal" i
+
+(* Unknown keys are kept only to reject a repeated one. *)
+let add_unknown kpos key unknown =
+  if List.mem key unknown then
+    Json.fail "at %d: duplicate key %S in object" kpos key;
+  key :: unknown
+
+(* A value the decoder does not read, or one of the wrong type, goes
+   through the generic parser, so a malformed one fails with its
+   message; the position past it. *)
+let skip_value src i =
+  let c = { Json.src; pos = i } in
+  ignore (Json.value c);
+  c.Json.pos
 
 let is_int_start ch = ch = '-' || (ch >= '0' && ch <= '9')
 
-let parse_direct_int c idx set =
-  skip_ws c;
-  if has c && is_int_start (cur c) then begin
-    match parse_int_value c with
-    | Some v ->
-      set v;
-      mark_seen idx
-    | None -> mark_bad idx
-  end
-  else begin
-    mark_bad idx;
-    skip_value c
-  end
+let rec digits_end src n i =
+  if i < n && match String.unsafe_get src i with '0' .. '9' -> true | _ -> false
+  then digits_end src n (i + 1)
+  else i
 
-(* A non-integer "id" is silently ignored. *)
-let parse_direct_id c =
-  skip_ws c;
-  if has c && is_int_start (cur c) then begin
-    match parse_int_value c with
-    | Some v ->
-      slots.s_id <- v;
-      slots.s_has_id <- true
-    | None -> ()
-  end
-  else skip_value c
+(* The end of the plain integer at [i] (an optional minus, 1 to 18
+   digits, no fraction or exponent after them), or -1: anything else,
+   overflowing digit runs included, is read by [Json.number], so a
+   malformed number keeps its message. *)
+let int_end src n i =
+  let d0 = if String.unsafe_get src i = '-' then i + 1 else i in
+  let e = digits_end src n d0 in
+  if
+    e - d0 >= 1 && e - d0 <= 18
+    && (e >= n
+       ||
+       match String.unsafe_get src e with
+       | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> false
+       | _ -> true)
+  then e
+  else -1
 
-(* The elements after a non-empty array's '[' or a ',': a ']' right
-   after a comma is an error, as in [Json.parse]. *)
-let rec str_list_elems c ok acc =
-  skip_ws c;
-  if !ok && has c && cur c = '"' then begin
-    advance c;
-    acc := string_body c :: !acc
-  end
-  else begin
-    ok := false;
-    skip_value c
-  end;
-  skip_ws c;
-  if has c && cur c = ',' then begin
-    advance c;
-    str_list_elems c ok acc
-  end
-  else if has c && cur c = ']' then advance c
-  else fail "at %d: expected , or ] in array" c.pos
+let rec digits_value src i e v =
+  if i = e then v
+  else digits_value src (i + 1) e ((v * 10) + Char.code (String.unsafe_get src i) - 48)
 
-let parse_direct_str_list c idx set =
-  skip_ws c;
-  if has c && cur c = '[' then begin
-    advance c;
-    let ok = ref true in
-    let acc = ref [] in
-    skip_ws c;
-    if has c && cur c = ']' then advance c else str_list_elems c ok acc;
-    if !ok then begin
-      set (List.rev !acc);
-      mark_seen idx
-    end
-    else mark_bad idx
-  end
-  else begin
-    mark_bad idx;
-    skip_value c
-  end
+let int_value src i e =
+  if String.unsafe_get src i = '-' then - digits_value src (i + 1) e 0
+  else digits_value src i e 0
 
-let parse_direct_value c idx =
-  if idx = f_id then parse_direct_id c
-  else if idx = f_kind then parse_direct_string c idx (fun s -> slots.s_kind <- s)
-  else if idx = f_concept then
-    parse_direct_string c idx (fun s -> slots.s_concept <- s)
-  else if idx = f_types then
-    parse_direct_str_list c idx (fun l -> slots.s_types <- l)
-  else if idx = f_nominal then
-    parse_direct_bool c idx (fun b -> slots.s_nominal <- b)
-  else if idx = f_defs then
-    parse_direct_opt_string c idx (fun s -> slots.s_defs <- s)
-  else if idx = f_source then
-    parse_direct_string c idx (fun s -> slots.s_source <- s)
-  else if idx = f_expr then parse_direct_string c idx (fun s -> slots.s_expr <- s)
-  else if idx = f_certified_only then
-    parse_direct_bool c idx (fun b -> slots.s_certified_only <- b)
-  else if idx = f_theory then
-    parse_direct_string c idx (fun s -> slots.s_theory <- s)
-  else if idx = f_instance then
-    parse_direct_opt_string c idx (fun s -> slots.s_instance <- s)
-  else if idx = f_structure then
-    parse_direct_string c idx (fun s -> slots.s_structure <- s)
-  else if idx = f_n then parse_direct_int c idx (fun i -> slots.s_n <- i)
-  else parse_direct_int c idx (fun i -> slots.s_seed <- i)
+(* The validation message for field [f] given the seen and bad masks, or
+   "" when the kind may read it: a field seen at its type is fine, one
+   of the wrong type is an error, and an absent one is an error unless
+   it is optional. *)
+let field_error seen bad f =
+  let bit = 1 lsl f in
+  if seen land bit <> 0 then ""
+  else
+    let name = known_fields.(f) in
+    if bad land bit <> 0 then
+      Printf.sprintf "bad request: field %S must be %s" name
+        (if f <= f_instance then "a string"
+         else if f <= f_certified_only then "a boolean"
+         else if f <= f_seed then "an integer"
+         else "an array of strings")
+    else if f = f_defs || f = f_instance || f = f_nominal
+            || f = f_certified_only || f = f_seed
+    then ""
+    else Printf.sprintf "bad request: missing field %S" name
 
-(* One key/value pair. The key is matched against the known field names in
-   place; only unknown keys and escaped keys are materialized. *)
-let parse_direct_member c =
-  skip_ws c;
-  let kpos = c.pos in
-  expect c '"';
-  let src = c.src in
-  let len = String.length src in
-  let i = ref c.pos in
-  while
-    !i < len
-    &&
-    let ch = String.unsafe_get src !i in
-    ch <> '"' && ch <> '\\'
-  do
-    incr i
-  done;
-  let idx =
-    if !i < len && String.unsafe_get src !i = '"' then begin
-      let idx = find_field src c.pos (!i - c.pos) in
-      if idx >= 0 then begin
-        c.pos <- !i + 1;
-        idx
-      end
-      else begin
-        (* unknown key: materialize for duplicate detection *)
-        let key = String.sub src c.pos (!i - c.pos) in
-        c.pos <- !i + 1;
-        if List.mem key slots.s_unknown then
-          fail "at %d: duplicate key %S in object" kpos key;
-        slots.s_unknown <- key :: slots.s_unknown;
-        -1
-      end
-    end
-    else begin
-      (* escaped key: cold path via the scratch buffer *)
-      let key = string_body c in
-      let rec find j =
-        if j = Array.length known_fields then -1
-        else if String.equal known_fields.(j) key then j
-        else find (j + 1)
-      in
-      let idx = find 0 in
-      if idx < 0 then begin
-        if List.mem key slots.s_unknown then
-          fail "at %d: duplicate key %S in object" kpos key;
-        slots.s_unknown <- key :: slots.s_unknown;
-        -1
-      end
-      else idx
-    end
-  in
-  if idx >= 0 then begin
-    if slots.s_keys land (1 lsl idx) <> 0 then
-      fail "at %d: duplicate key %S in object" kpos known_fields.(idx);
-    slots.s_keys <- slots.s_keys lor (1 lsl idx)
-  end;
-  skip_ws c;
-  expect c ':';
-  if idx >= 0 then parse_direct_value c idx else skip_value c
+(* the fields each kind reads, in the order it reads them *)
+let check_fields = [ f_concept; f_types; f_nominal; f_defs ]
+let source_fields = [ f_source ]
+let optimize_fields = [ f_expr; f_certified_only ]
+let prove_fields = [ f_theory; f_instance ]
+let closure_fields = [ f_concept; f_types ]
+let numeric_fields = [ f_structure; f_n; f_seed ]
 
-let rec parse_direct_members c =
-  parse_direct_member c;
-  skip_ws c;
-  if has c && cur c = ',' then begin
-    advance c;
-    parse_direct_members c
-  end
-  else if has c && cur c = '}' then advance c
-  else fail "at %d: expected , or } in object" c.pos
-
-let parse_direct_object c =
-  (* cursor sits just past '{' *)
-  skip_ws c;
-  if has c && cur c = '}' then advance c else parse_direct_members c
-
-(* Slot -> field validation: the messages, checked in the order each
-   kind reads its fields. *)
-let slot_str idx name k =
-  if seen idx then k ()
-  else if bad idx then
-    Result.error (Printf.sprintf "field %S must be a string" name)
-  else Result.error (Printf.sprintf "missing field %S" name)
-
-let slot_opt_str idx name k =
-  if seen idx || not (bad idx) then k ()
-  else Result.error (Printf.sprintf "field %S must be a string" name)
-
-let slot_bool idx name k =
-  if seen idx || not (bad idx) then k ()
-  else Result.error (Printf.sprintf "field %S must be a boolean" name)
-
-let slot_int ~required idx name k =
-  if seen idx then k ()
-  else if bad idx then
-    Result.error (Printf.sprintf "field %S must be an integer" name)
-  else if required then Result.error (Printf.sprintf "missing field %S" name)
-  else k ()
-
-let slot_str_list idx name k =
-  if seen idx then k ()
-  else if bad idx then
-    Result.error (Printf.sprintf "field %S must be an array of strings" name)
-  else Result.error (Printf.sprintf "missing field %S" name)
-
-let build_direct_request () =
-  slot_str f_kind "kind" @@ fun () ->
-  match Request.kind_of_name slots.s_kind with
-  | None -> Result.error (Printf.sprintf "unknown request kind %S" slots.s_kind)
-  | Some Request.Kcheck ->
-    slot_str f_concept "concept" @@ fun () ->
-    slot_str_list f_types "types" @@ fun () ->
-    slot_bool f_nominal "nominal" @@ fun () ->
-    slot_opt_str f_defs "defs" @@ fun () ->
-    Ok
-      (Request.Check
-         { concept = slots.s_concept; types = slots.s_types;
-           nominal = slots.s_nominal; defs = slots.s_defs })
-  | Some Request.Kparse ->
-    slot_str f_source "source" @@ fun () ->
-    Ok (Request.Parse { source = slots.s_source })
-  | Some Request.Klint ->
-    slot_str f_source "source" @@ fun () ->
-    Ok (Request.Lint { source = slots.s_source })
-  | Some Request.Koptimize ->
-    slot_str f_expr "expr" @@ fun () ->
-    slot_bool f_certified_only "certified_only" @@ fun () ->
-    Ok
-      (Request.Optimize
-         { expr = slots.s_expr; certified_only = slots.s_certified_only })
-  | Some Request.Kprove ->
-    slot_str f_theory "theory" @@ fun () ->
-    slot_opt_str f_instance "instance" @@ fun () ->
-    Ok (Request.Prove { theory = slots.s_theory; instance = slots.s_instance })
-  | Some Request.Kclosure ->
-    slot_str f_concept "concept" @@ fun () ->
-    slot_str_list f_types "types" @@ fun () ->
-    Ok (Request.Closure { concept = slots.s_concept; types = slots.s_types })
-  | Some ((Request.Kmatvec | Request.Kmatmul | Request.Ksolve) as k) ->
-    slot_str f_structure "structure" @@ fun () ->
-    slot_int ~required:true f_n "n" @@ fun () ->
-    slot_int ~required:false f_seed "seed" @@ fun () ->
-    let structure = slots.s_structure in
-    let n = slots.s_n in
-    let seed = if seen f_seed then slots.s_seed else 0 in
-    Ok
-      (match k with
-      | Request.Kmatvec -> Request.Matvec { structure; n; seed }
-      | Request.Kmatmul -> Request.Matmul { structure; n; seed }
-      | _ -> Request.Solve { structure; n; seed })
+let rec first_error seen bad = function
+  | [] -> ""
+  | f :: rest ->
+    let e = field_error seen bad f in
+    if e = "" then first_error seen bad rest else e
 
 let request_of_line line =
-  reset_slots ();
-  let c = dcur in
-  c.src <- line;
-  c.pos <- 0;
-  skip_ws c;
-  let result =
-    if has c && cur c = '{' then begin
-      advance c;
-      match
-        parse_direct_object c;
-        end_of_input c
-      with
-      | () -> (
-        match build_direct_request () with
-        | Ok req ->
-          Ok ((if slots.s_has_id then Some slots.s_id else None), req)
-        | Error m -> Result.error ("bad request: " ^ m))
-      | exception Error m -> Result.error ("bad request line: " ^ m)
-    end
-    else
-      (* not an object: the generic parser positions any syntax error *)
-      match parse line with
-      | exception Error m -> Result.error ("bad request line: " ^ m)
-      | _ -> Result.error "bad request line: expected a JSON object"
-  in
-  c.src <- "";
-  reset_slots ();
-  result
+  let src = line and n = String.length line in
+  let p = ref (skip_ws src n 0) in
+  if !p >= n || String.unsafe_get src !p <> '{' then
+    (* not an object: the generic parser positions any syntax error *)
+    match Json.parse line with
+    | exception Json.Error m -> Error ("bad request line: " ^ m)
+    | _ -> Error "bad request line: expected a JSON object"
+  else begin
+    let keys = ref 0 and seen = ref 0 and bad = ref 0 and unknown = ref [] in
+    let id = ref None and kind = ref "" and concept = ref "" in
+    let source = ref "" and expr = ref "" and theory = ref "" in
+    let structure = ref "" and defs = ref None and instance = ref None in
+    let nominal = ref false and certified_only = ref false in
+    let num = ref 0 and seed = ref 0 and types = ref [] in
+    match
+      p := skip_ws src n (!p + 1);
+      if !p < n && String.unsafe_get src !p = '}' then incr p
+      else begin
+        let members = ref true in
+        while !members do
+          (* the key: matched in place, materialized only when unknown
+             or escaped *)
+          let kpos = skip_ws src n !p in
+          expect src n kpos '"';
+          let j = run_end src n (kpos + 1) in
+          let f =
+            if j < n && String.unsafe_get src j = '"' then begin
+              p := j + 1;
+              let f = field_index src (kpos + 1) (j - kpos - 1) in
+              if f < 0 then
+                unknown :=
+                  add_unknown kpos (String.sub src (kpos + 1) (j - kpos - 1))
+                    !unknown;
+              f
+            end
+            else begin
+              let c = { Json.src; pos = kpos + 1 } in
+              let key = Json.string_body c in
+              p := c.Json.pos;
+              let f = field_index key 0 (String.length key) in
+              if f < 0 then unknown := add_unknown kpos key !unknown;
+              f
+            end
+          in
+          let bit = if f < 0 then 0 else 1 lsl f in
+          if !keys land bit <> 0 then
+            Json.fail "at %d: duplicate key %S in object" kpos known_fields.(f);
+          keys := !keys lor bit;
+          let i = skip_ws src n !p in
+          expect src n i ':';
+          let i = skip_ws src n (i + 1) in
+          let ch = if i < n then String.unsafe_get src i else '\000' in
+          (* the value, at the field's type; a wrong type marks it bad *)
+          if f < 0 then p := skip_value src i
+          else if f = f_id || (f >= f_n && f <= f_seed) then begin
+            (* a non-integer "id" is silently ignored *)
+            if is_int_start ch then begin
+              let e = int_end src n i in
+              let v = ref 0 and is_int = ref true in
+              if e >= 0 then begin
+                v := int_value src i e;
+                p := e
+              end
+              else begin
+                let c = { Json.src; pos = i } in
+                (match Json.number c with
+                | Json.Int x -> v := x
+                | _ -> is_int := false);
+                p := c.Json.pos
+              end;
+              if f = f_id then (if !is_int then id := Some !v)
+              else if !is_int then begin
+                seen := !seen lor bit;
+                if f = f_n then num := !v else seed := !v
+              end
+              else bad := !bad lor bit
+            end
+            else begin
+              if f <> f_id then bad := !bad lor bit;
+              p := skip_value src i
+            end
+          end
+          else if f <= f_instance then begin
+            if ch = '"' then begin
+              let j = run_end src n (i + 1) in
+              let s =
+                if j < n && String.unsafe_get src j = '"' then begin
+                  p := j + 1;
+                  String.sub src (i + 1) (j - i - 1)
+                end
+                else begin
+                  let c = { Json.src; pos = i + 1 } in
+                  let s = Json.string_body c in
+                  p := c.Json.pos;
+                  s
+                end
+              in
+              seen := !seen lor bit;
+              if f = f_kind then kind := s
+              else if f = f_concept then concept := s
+              else if f = f_source then source := s
+              else if f = f_expr then expr := s
+              else if f = f_theory then theory := s
+              else if f = f_structure then structure := s
+              else if f = f_defs then defs := Some s
+              else instance := Some s
+            end
+            else if ch = 'n' && f >= f_defs then begin
+              p := literal_end src n i "null";
+              seen := !seen lor bit;
+              if f = f_defs then defs := None else instance := None
+            end
+            else begin
+              bad := !bad lor bit;
+              p := skip_value src i
+            end
+          end
+          else if f <= f_certified_only then begin
+            if ch = 't' || ch = 'f' then begin
+              let b = ch = 't' in
+              p := literal_end src n i (if b then "true" else "false");
+              seen := !seen lor bit;
+              if f = f_nominal then nominal := b else certified_only := b
+            end
+            else begin
+              bad := !bad lor bit;
+              p := skip_value src i
+            end
+          end
+          else if ch = '[' then begin
+            (* types: after a comma, a ']' is an error, as in Json.parse *)
+            let all_strings = ref true and acc = ref [] in
+            p := skip_ws src n (i + 1);
+            if !p < n && String.unsafe_get src !p = ']' then incr p
+            else begin
+              let elems = ref true in
+              while !elems do
+                let e = skip_ws src n !p in
+                if !all_strings && e < n && String.unsafe_get src e = '"' then begin
+                  let j = run_end src n (e + 1) in
+                  if j < n && String.unsafe_get src j = '"' then begin
+                    acc := String.sub src (e + 1) (j - e - 1) :: !acc;
+                    p := j + 1
+                  end
+                  else begin
+                    let c = { Json.src; pos = e + 1 } in
+                    acc := Json.string_body c :: !acc;
+                    p := c.Json.pos
+                  end
+                end
+                else begin
+                  all_strings := false;
+                  p := skip_value src e
+                end;
+                let e = skip_ws src n !p in
+                if e < n && String.unsafe_get src e = ',' then p := e + 1
+                else if e < n && String.unsafe_get src e = ']' then begin
+                  p := e + 1;
+                  elems := false
+                end
+                else Json.fail "at %d: expected , or ] in array" e
+              done
+            end;
+            if !all_strings then begin
+              types := List.rev !acc;
+              seen := !seen lor bit
+            end
+            else bad := !bad lor bit
+          end
+          else begin
+            bad := !bad lor bit;
+            p := skip_value src i
+          end;
+          let e = skip_ws src n !p in
+          if e < n && String.unsafe_get src e = ',' then p := e + 1
+          else if e < n && String.unsafe_get src e = '}' then begin
+            p := e + 1;
+            members := false
+          end
+          else Json.fail "at %d: expected , or } in object" e
+        done
+      end;
+      let e = skip_ws src n !p in
+      if e < n then
+        Json.fail "at %d: trailing %c after value" e (String.unsafe_get src e)
+    with
+    | exception Json.Error m -> Error ("bad request line: " ^ m)
+    | () -> (
+      let seen = !seen and bad = !bad in
+      let err = field_error seen bad f_kind in
+      if err <> "" then Error err
+      else
+        match Request.kind_of_name !kind with
+        | None ->
+          Error (Printf.sprintf "bad request: unknown request kind %S" !kind)
+        | Some k -> (
+          let err =
+            first_error seen bad
+              (match k with
+              | Request.Kcheck -> check_fields
+              | Request.Kparse | Request.Klint -> source_fields
+              | Request.Koptimize -> optimize_fields
+              | Request.Kprove -> prove_fields
+              | Request.Kclosure -> closure_fields
+              | Request.Kmatvec | Request.Kmatmul | Request.Ksolve ->
+                numeric_fields)
+          in
+          if err <> "" then Error err
+          else
+            let structure = !structure and n = !num and seed = !seed in
+            Ok
+              ( !id,
+                match k with
+                | Request.Kcheck ->
+                  Request.Check
+                    { concept = !concept; types = !types; nominal = !nominal;
+                      defs = !defs }
+                | Request.Kparse -> Request.Parse { source = !source }
+                | Request.Klint -> Request.Lint { source = !source }
+                | Request.Koptimize ->
+                  Request.Optimize
+                    { expr = !expr; certified_only = !certified_only }
+                | Request.Kprove ->
+                  Request.Prove { theory = !theory; instance = !instance }
+                | Request.Kclosure ->
+                  Request.Closure { concept = !concept; types = !types }
+                | Request.Kmatvec -> Request.Matvec { structure; n; seed }
+                | Request.Kmatmul -> Request.Matmul { structure; n; seed }
+                | Request.Ksolve -> Request.Solve { structure; n; seed } )))
+  end
 
 let request_to_line ?id req =
+  let open Json in
   let base =
     match id with None -> [] | Some i -> [ ("id", Int i) ]
   in
@@ -553,14 +493,14 @@ let add_str_field buf name s =
   Buffer.add_string buf ",\"";
   Buffer.add_string buf name;
   Buffer.add_string buf "\":\"";
-  escape_into buf s;
+  Json.escape_into buf s;
   Buffer.add_char buf '"'
 
 let add_int_field buf name i =
   Buffer.add_string buf ",\"";
   Buffer.add_string buf name;
   Buffer.add_string buf "\":";
-  add_int buf i
+  Json.add_int buf i
 
 let add_bool_field buf name b =
   Buffer.add_string buf ",\"";
@@ -574,7 +514,7 @@ let rec add_str_elems buf first = function
   | s :: rest ->
     if not first then Buffer.add_char buf ',';
     Buffer.add_char buf '"';
-    escape_into buf s;
+    Json.escape_into buf s;
     Buffer.add_char buf '"';
     add_str_elems buf false rest
 
@@ -620,7 +560,7 @@ let payload_into buf = function
 
 let response_into buf (r : Request.response) =
   Buffer.add_string buf "{\"id\":";
-  add_int buf r.Request.rsp_id;
+  Json.add_int buf r.Request.rsp_id;
   Buffer.add_string buf ",\"kind\":";
   (match r.Request.rsp_kind with
   | Some k ->

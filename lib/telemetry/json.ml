@@ -5,9 +5,10 @@
    small enough to test exhaustively.
 
    The cursor lexer is exposed because the request decoder
-   (Gp_service.Wire) scans known request shapes straight from the line
-   with it, without materializing a tree; what it cannot decode in place
-   it hands to [value], so both paths share every syntax error. *)
+   (Gp_service.Wire) scans known request shapes straight from the line,
+   without materializing a tree, and hands what it cannot decode in place
+   to [value], [string_body] and [number], so both paths share every
+   syntax error. *)
 
 type t =
   | Null
@@ -165,15 +166,11 @@ let number c =
     | Some f -> Float f
     | None -> fail "bad number %S" s)
 
-(* Compare a region of [src] against [name] in place — no substring.
-   Shared by literal matching and the request decoder's key dispatch. *)
+(* Compare a region of [src] against [word] in place — no substring. *)
 let rec region_eq_from src pos name len i =
   i = len
   || String.unsafe_get src (pos + i) = String.unsafe_get name i
      && region_eq_from src pos name len (i + 1)
-
-let region_equals src pos len name =
-  String.length name = len && region_eq_from src pos name len 0
 
 let literal c word =
   let n = String.length word in
@@ -263,8 +260,13 @@ let parse s =
 
 let hex_digits = "0123456789abcdef"
 
-(* The bytes that need an escape; every other byte is copied as is. *)
-let needs_escape ch = ch = '"' || ch = '\\' || Char.code ch < 0x20
+(* The bytes that need an escape, as a 256-byte table: a byte [b] needs
+   one when [escapes.[b]] is not '\000' — '"', '\\' and the control
+   bytes; every other byte is copied as is. *)
+let escapes =
+  String.init 256 (fun b ->
+      if b < 0x20 || b = Char.code '"' || b = Char.code '\\' then '\001'
+      else '\000')
 
 let add_escape buf = function
   | '"' -> Buffer.add_string buf "\\\""
@@ -278,22 +280,28 @@ let add_escape buf = function
     Buffer.add_char buf hex_digits.[Char.code c lsr 4];
     Buffer.add_char buf hex_digits.[Char.code c land 0xF]
 
-(* Each run between escapes is copied with one [add_substring]. A
-   top-level [let rec] rather than [String.iter f]: the closure passed to
-   [iter] captures [buf] and is a fresh allocation per call on the
-   steady-state render path. *)
-let rec escape_runs buf s n start i =
-  if i = n then Buffer.add_substring buf s start (n - start)
-  else
-    let ch = String.unsafe_get s i in
-    if needs_escape ch then begin
-      Buffer.add_substring buf s start (i - start);
-      add_escape buf ch;
-      escape_runs buf s n (i + 1) (i + 1)
-    end
-    else escape_runs buf s n start (i + 1)
+(* The index of the first byte at or after [i] that needs an escape, or
+   [n]: one table load per byte. *)
+let rec clean_end s n i =
+  if
+    i < n
+    && String.unsafe_get escapes (Char.code (String.unsafe_get s i)) = '\000'
+  then clean_end s n (i + 1)
+  else i
 
-let escape_into buf s = escape_runs buf s (String.length s) 0 0
+(* Each run between escapes is copied with one [add_substring]. Top-level
+   loops rather than [String.iter f]: the closure passed to [iter]
+   captures [buf] and is a fresh allocation per call on the steady-state
+   render path. *)
+let rec escape_runs buf s n i =
+  let j = clean_end s n i in
+  Buffer.add_substring buf s i (j - i);
+  if j < n then begin
+    add_escape buf (String.unsafe_get s j);
+    escape_runs buf s n (j + 1)
+  end
+
+let escape_into buf s = escape_runs buf s (String.length s) 0
 
 let str s =
   let buf = Buffer.create (String.length s + 8) in

@@ -87,26 +87,17 @@ val opt_field : (string -> t -> 'a) -> string -> t -> 'a option
 
 (** {2 Cursor lexer}
 
-    The request decoder scans a line in place with these and hands what
-    it does not decode itself to {!value}, so both share every accept,
-    reject and message. *)
+    The request decoder scans a line in place and hands what it does
+    not decode itself to these, at the position it reached, so both
+    share every accept, reject and message. *)
 
 type cursor = { mutable src : string; mutable pos : int }
 
 val skip_ws : cursor -> unit
-val expect : cursor -> char -> unit
 
 val string_body : cursor -> string
 (** From just past an opening quote to just past the closing one; an
     escape-free string is one [String.sub]. *)
 
 val number : cursor -> t
-val literal : cursor -> string -> unit
-
-val region_equals : string -> int -> int -> string -> bool
-(** [region_equals src pos len name]: compared in place. *)
-
 val value : cursor -> t
-
-val end_of_input : cursor -> unit
-(** Raise unless only whitespace remains. *)

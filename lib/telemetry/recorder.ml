@@ -233,7 +233,11 @@ let record t ~id ~kind ~wire ~generation ~config ~config_fp ~outcome ~detail
   t.steps.(i) <- steps;
   t.durs.(i) <- dur_ns;
   t.responses.(i) <- response;
-  Array.blit chain 0 t.chains (i * width) width;
+  (* an int loop, not [Array.blit]: a blit into an old array goes
+     through the write barrier once per element *)
+  for k = 0 to width - 1 do
+    t.chains.((i * width) + k) <- chain.(k)
+  done;
   t.spans.(i) <- spans;
   t.recorded <- t.recorded + 1
 

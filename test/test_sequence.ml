@@ -196,6 +196,60 @@ let test_max_element_needs_multipass () =
     | _ -> false
     | exception Iter.Multipass_violation _ -> true)
 
+(* The Input archetype over a generator: a fold dereferences and steps
+   each element exactly once and asks the generator only for positions
+   up to the end; afterwards the consumed positions are gone. Algorithms
+   that need Forward or better fail on a stream with these exceptions,
+   constructor and message. *)
+let test_stream_single_pass () =
+  let xs = [| 3; 1; 4; 1; 5 |] in
+  let asked = ref [] in
+  let stream () =
+    Iter.of_stream (fun i ->
+        asked := i :: !asked;
+        if i < Array.length xs then Some xs.(i) else None)
+  in
+  let c = Iter.counters () in
+  let first, last = stream () in
+  let sum =
+    Algorithms.fold ( + ) 0 (Iter.counting c first, Iter.counting c last)
+  in
+  Alcotest.(check int) "fold sums the stream" 14 sum;
+  Alcotest.(check int) "each element read once" 5 c.Iter.derefs;
+  Alcotest.(check int) "each element stepped once" 5 c.Iter.steps;
+  Alcotest.(check bool) "the generator is asked for 0 .. n only" true
+    (List.for_all (fun i -> i >= 0 && i <= Array.length xs) !asked);
+  let outcome f =
+    match f () with
+    | () -> "ok"
+    | exception Iter.Category_violation m -> "Category_violation " ^ m
+    | exception Iter.Multipass_violation m -> "Multipass_violation " ^ m
+    | exception Iter.Singular m -> "Singular " ^ m
+  in
+  let reread k =
+    Printf.sprintf
+      "Multipass_violation input iterator re-reads position 0 after the \
+       stream advanced to %d (single-pass)"
+      k
+  in
+  List.iter
+    (fun (what, expected, f) ->
+      Alcotest.(check string) what expected (outcome f))
+    [ ("re-read after the fold", reread 5, fun () -> ignore (Iter.get first));
+      ( "max_element", reread 1,
+        fun () -> ignore (Algorithms.max_element ~lt (stream ())) );
+      ( "adjacent_find", reread 1,
+        fun () -> ignore (Algorithms.adjacent_find ~eq:( = ) (stream ())) );
+      ( "sort",
+        "Category_violation sort requires at least ForwardIterator (with \
+         writability)",
+        fun () -> Algorithms.sort ~lt (stream ()) );
+      ( "reverse",
+        "Category_violation InputIterator does not support stepping back",
+        fun () -> Algorithms.reverse (stream ()) );
+      ( "past-the-end read", "Singular dereference of past-the-end iterator",
+        fun () -> ignore (Iter.get (snd (stream ()))) ) ]
+
 let test_max_element_ok_on_forward () =
   let a = varray_of [ 3; 1; 4; 1; 5 ] in
   let it = Algorithms.max_element ~lt (range_of_varray a) in
@@ -907,6 +961,8 @@ let () =
             test_dlist_back_from_begin;
           Alcotest.test_case "mutation through a stale iterator" `Quick
             test_mutation_through_stale;
+          Alcotest.test_case "input stream: one pass" `Quick
+            test_stream_single_pass;
           walk_prop;
         ] );
       ( "algorithms",

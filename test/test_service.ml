@@ -261,39 +261,47 @@ let test_wire_hardening () =
   | Ok _ -> ()
   | Error m -> Alcotest.failf "trailing blanks rejected: %s" m
 
+(* Malformed lines, repeated keys and near misses: every outcome of the
+   decoder, acceptances and rejection messages alike. *)
+let wire_corpus =
+  [ "{"; "[1,2]"; "null"; "true"; "42"; {|"str"|};
+    {|{"kind":"frobnicate"}|}; {|{"kind":42}|}; {|{"kind":"check"}|};
+    {|{"kind":"check","concept":"C"}|};
+    {|{"kind":"check","concept":"C","types":"not-a-list"}|};
+    {|{"kind":"check","concept":"C","types":[1]}|};
+    {|{"kind":"prove"}|}; {|{"id":"x","kind":"lint","source":"s"}|};
+    {|{"kind":"parse","kind":"lint","source":"s"}|};
+    {|{"kind":"parse","source":"s"}!|};
+    {|{"kind":"parse","source":"s"}   |};
+    {|{"kind":|}; {|{"kind":"pa|}; {|{"kind":"parse","source":["s",|};
+    {|{"kind":"optimize","expr":"x","certified_only":"yes"}|};
+    {|{"kind":"matvec","structure":"diagonal","n":"big","seed":0}|};
+    {|{"kind":"solve","structure":"banded","n":8,"seed":1}|};
+    {|{"kind":"prove","theory":"group",}|};
+    {|{"kind":"closure","concept":"Monoid","types":["int",]}|};
+    {|{"x":1,"x":2,"kind":"parse","source":"s"}|};
+    {|{"id":1,"id":2,"kind":"parse","source":"s"}|};
+    {|{"kind":"parse","source":"a\nb","ki\u006ed":"lint"}|};
+    {|{"kind":"check","concept":"C","types":["a\"b","c"],"defs":null,"nominal":true,"id":-3}|};
+    {|{"kind":"matvec","structure":"csr","n":1e3,"seed":12345678901234567890}|};
+    {|{"kind":"prove","theory":"group","instance":nul}|} ]
+
 (* The direct cursor parser and the AST oracle must agree byte-for-byte
    on every outcome — acceptances and rejection messages alike. *)
+let show_decoded = function
+  | Ok (id, r) ->
+    Printf.sprintf "Ok %s %s"
+      (match id with Some i -> string_of_int i | None -> "-")
+      (Request.key r)
+  | Error m -> "Error " ^ m
+
 let test_wire_parser_agreement () =
-  let corpus =
-    [ "{"; "[1,2]"; "null"; "true"; "42"; {|"str"|};
-      {|{"kind":"frobnicate"}|}; {|{"kind":42}|}; {|{"kind":"check"}|};
-      {|{"kind":"check","concept":"C"}|};
-      {|{"kind":"check","concept":"C","types":"not-a-list"}|};
-      {|{"kind":"check","concept":"C","types":[1]}|};
-      {|{"kind":"prove"}|}; {|{"id":"x","kind":"lint","source":"s"}|};
-      {|{"kind":"parse","kind":"lint","source":"s"}|};
-      {|{"kind":"parse","source":"s"}!|};
-      {|{"kind":"parse","source":"s"}   |};
-      {|{"kind":|}; {|{"kind":"pa|}; {|{"kind":"parse","source":["s",|};
-      {|{"kind":"optimize","expr":"x","certified_only":"yes"}|};
-      {|{"kind":"matvec","structure":"diagonal","n":"big","seed":0}|};
-      {|{"kind":"solve","structure":"banded","n":8,"seed":1}|};
-      {|{"kind":"prove","theory":"group",}|};
-      {|{"kind":"closure","concept":"Monoid","types":["int",]}|} ]
-  in
-  let show = function
-    | Ok (id, r) ->
-      Printf.sprintf "Ok %s %s"
-        (match id with Some i -> string_of_int i | None -> "-")
-        (Request.key r)
-    | Error m -> "Error " ^ m
-  in
   List.iter
     (fun line ->
       Alcotest.(check string) line
-        (show (Oracles.request_of_line_ast line))
-        (show (Wire.request_of_line line)))
-    corpus
+        (show_decoded (Oracles.request_of_line_ast line))
+        (show_decoded (Wire.request_of_line line)))
+    wire_corpus
 
 (* Generators for the wire qcheck properties: strings lean printable but
    include quotes, backslashes, control bytes and high bytes so the
@@ -348,6 +356,29 @@ let wire_roundtrip_prop =
         true
       | Error m, _ -> QCheck.Test.fail_reportf "direct rejected %s: %s" line m
       | _, Error m -> QCheck.Test.fail_reportf "ast rejected %s: %s" line m)
+
+(* Decoding carries nothing from one line to the next: after any line of
+   the malformed corpus, a second line, well-formed or not, decodes to
+   exactly what the history-free AST oracle gives it. *)
+let wire_history_prop =
+  QCheck.Test.make ~name:"decoding a line after another is history-free"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (a, b) -> Printf.sprintf "A = %s\nB = %s" a b)
+       QCheck.Gen.(
+         pair (oneofl wire_corpus)
+           (oneof
+              [ oneofl wire_corpus;
+                map
+                  (fun (id, r) -> Wire.request_to_line ?id r)
+                  (pair (opt small_nat) gen_request) ])))
+    (fun (a, b) ->
+      ignore (Wire.request_of_line a);
+      let after = show_decoded (Wire.request_of_line b) in
+      let expected = show_decoded (Oracles.request_of_line_ast b) in
+      if after <> expected then
+        QCheck.Test.fail_reportf "after A: %s@.expected: %s" after expected;
+      true)
 
 let gen_response =
   let open QCheck.Gen in
@@ -2301,6 +2332,7 @@ let () =
           Alcotest.test_case "direct parser = ast oracle" `Quick
             test_wire_parser_agreement;
           qtest wire_roundtrip_prop;
+          qtest wire_history_prop;
           qtest wire_response_stream_prop;
           qtest memo_equals_fresh_prop ] );
       ( "robustness",
