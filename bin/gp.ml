@@ -922,7 +922,7 @@ let cluster_run_cmd =
       match file with
       | Some path ->
         In_channel.with_open_text path In_channel.input_lines
-        |> List.filter (fun l -> String.trim l <> "")
+        |> List.filter (fun l -> not (Gp_service.Server.is_blank l))
         |> List.map (fun l ->
                match Gp_service.Wire.request_of_line l with
                | Ok (_, req) -> req

@@ -87,6 +87,10 @@ val process : t -> Request.t list -> Request.response list
 (** Serve each request with {!handle}, in order: responses in request
     order, ids consecutive. *)
 
+val is_blank : string -> bool
+(** Only the blanks [String.trim] strips, tested without copying the
+    line. *)
+
 val serve_line : t -> string -> Request.response option
 (** Decode and serve one wire line ([None] for a blank line). *)
 

@@ -22,11 +22,11 @@ module Json = Gp_telemetry.Json
    [Request.t] without materializing a [json] tree. It is one function
    whose field values live in its own locals, so a line writes no
    long-lived block (each pointer store into an old block is a
-   [caml_modify]); the byte loops are Wire's own top-level functions,
-   which allocate no closure, and Json is called only off the happy
-   path: a string with escapes, a value decoded generically, a number
-   that is not a plain integer. Steady-state allocation is the strings
-   the request must own and the final record.
+   [caml_modify]); the byte loops are Wire's own, inlined where they
+   are not recursive, and Json is called only off the happy path: a
+   string with escapes, a value decoded generically, a number that is
+   not a plain integer. Steady-state allocation is the strings the
+   request must own and the final record.
 
    It accepts and rejects exactly what "parse the line, then validate
    the object's fields" would, with the same messages (the test oracle
@@ -67,29 +67,45 @@ let known_fields =
   [| "id"; "kind"; "concept"; "source"; "expr"; "theory"; "structure";
      "defs"; "instance"; "nominal"; "certified_only"; "n"; "seed"; "types" |]
 
-let rec skip_ws src n i =
-  if i < n then
-    match String.unsafe_get src i with
-    | ' ' | '\t' | '\r' | '\n' -> skip_ws src n (i + 1)
-    | _ -> i
-  else i
+(* The scanning loops are [while] loops, so that they inline. *)
+let[@inline] skip_ws src n i =
+  let i = ref i in
+  while
+    !i < n
+    &&
+    match String.unsafe_get src !i with
+    | ' ' | '\t' | '\r' | '\n' -> true
+    | _ -> false
+  do
+    incr i
+  done;
+  !i
 
 (* The index of the first quote or backslash at or after [i], or [n]. *)
-let rec run_end src n i =
-  if
-    i < n
+let[@inline] run_end src n i =
+  let i = ref i in
+  while
+    !i < n
     &&
-    let ch = String.unsafe_get src i in
+    let ch = String.unsafe_get src !i in
     ch <> '"' && ch <> '\\'
-  then run_end src n (i + 1)
-  else i
+  do
+    incr i
+  done;
+  !i
 
-let rec region_eq src pos name i len =
-  i = len
-  || String.unsafe_get src (pos + i) = String.unsafe_get name i
-     && region_eq src pos name (i + 1) len
+(* Whether the [len] bytes of [src] at [pos] are the first [len] of
+   [name]. *)
+let same src pos name len =
+  let i = ref 0 in
+  while
+    !i < len && String.unsafe_get src (pos + !i) = String.unsafe_get name !i
+  do
+    incr i
+  done;
+  !i = len
 
-let known src pos len name f = if region_eq src pos name 0 len then f else -1
+let known src pos len name f = if same src pos name len then f else -1
 
 (* The field named by the [len] bytes at [pos], or -1: dispatched on the
    length and the first byte, then compared in place. *)
@@ -120,14 +136,14 @@ let field_index src pos len =
   | 14 -> known src pos len "certified_only" f_certified_only
   | _ -> -1
 
-let expect src n i ch =
+let[@inline] expect src n i ch =
   if i >= n then Json.fail "at %d: expected %c, found end of input" i ch
   else if String.unsafe_get src i <> ch then
     Json.fail "at %d: expected %c, found %c" i ch (String.unsafe_get src i)
 
 let literal_end src n i word =
   let len = String.length word in
-  if i + len <= n && region_eq src i word 0 len then i + len
+  if i + len <= n && same src i word len then i + len
   else Json.fail "at %d: bad literal" i
 
 (* Unknown keys are kept only to reject a repeated one. *)

@@ -281,13 +281,33 @@ let add_escape buf = function
     Buffer.add_char buf hex_digits.[Char.code c land 0xF]
 
 (* The index of the first byte at or after [i] that needs an escape, or
-   [n]: one table load per byte. *)
-let rec clean_end s n i =
+   [n]. Eight bytes per step while a whole word remains: a word holds
+   such a byte exactly when it has a byte below 0x20 or one of
+   [w lxor 0x22..] and [w lxor 0x5c..] has a zero byte, and
+   [(x - k * 0x01..) land (lnot x) land 0x80..] tells whether [x] has a
+   byte below [k] (for [k <= 0x80]) without a false positive; then one
+   table load per byte. *)
+let rec clean_end_bytes s n i =
   if
     i < n
     && String.unsafe_get escapes (Char.code (String.unsafe_get s i)) = '\000'
-  then clean_end s n (i + 1)
+  then clean_end_bytes s n (i + 1)
   else i
+
+let clean_end s n i =
+  let i = ref i and words = ref true in
+  while !words && !i + 8 <= n do
+    let w = String.get_int64_le s !i in
+    let q = Int64.logxor w 0x2222222222222222L
+    and b = Int64.logxor w 0x5c5c5c5c5c5c5c5cL in
+    let lo = Int64.logand (Int64.sub w 0x2020202020202020L) (Int64.lognot w)
+    and zq = Int64.logand (Int64.sub q 0x0101010101010101L) (Int64.lognot q)
+    and zb = Int64.logand (Int64.sub b 0x0101010101010101L) (Int64.lognot b) in
+    if Int64.logand (Int64.logor lo (Int64.logor zq zb)) 0x8080808080808080L = 0L
+    then i := !i + 8
+    else words := false
+  done;
+  clean_end_bytes s n !i
 
 (* Each run between escapes is copied with one [add_substring]. Top-level
    loops rather than [String.iter f]: the closure passed to [iter]
