@@ -68,15 +68,7 @@ let cache_names =
 let cache_stats c =
   Array.fold_right (fun (Cache lru) acc -> Lru.stats lru :: acc) c.table []
 
-(* Allocation-free twin of [cache_stats] for the per-request cache-delta
-   snapshot: the hit/miss counters copied into a caller-owned array
-   ([hits.(2i)], [misses.(2i+1)]), one slot pair per cache in
-   [cache_names] order. An int loop: the caches count into one shared
-   array, so the copy calls nothing. *)
-let cache_counters_into c (dst : int array) =
-  for i = 0 to Array.length c.counts - 1 do
-    dst.(i) <- c.counts.(i)
-  done
+let cache_counters c = c.counts
 
 let clear_caches c = Array.iter (fun (Cache lru) -> Lru.clear lru) c.table
 

@@ -34,12 +34,11 @@ val clear_caches : caches -> unit
 val cache_names : string array
 (** Cache names in {!cache_stats} order. *)
 
-val cache_counters_into : caches -> int array -> unit
-(** Allocation-free twin of {!cache_stats} for per-request snapshot
-    deltas: writes hit/miss counters into a caller-owned array —
-    [dst.(2i)] hits, [dst.(2i+1)] misses, one pair per cache in
-    {!cache_names} order (so [dst] must hold at least
-    [2 * Array.length cache_names] slots). *)
+val cache_counters : caches -> int array
+(** The caches' live hit/miss counters, which the caches count into:
+    [.(2i)] hits and [.(2i+1)] misses, one pair per cache in
+    {!cache_names} order. Read it, never write it: the per-request
+    snapshot reads it without allocating or calling. *)
 
 type t
 

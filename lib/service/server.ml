@@ -113,10 +113,10 @@ type t = {
   config_line : string; (* precomputed: every dossier carries both *)
   config_fp : string;
   out_buf : Buffer.t; (* reused response render buffer (serve_channel) *)
-  cc_before : int array; (* cache counters after the last request: *)
-  cc_after : int array; (* hit/miss pairs per cache, Dispatch.cache_names
-                           order; then the request's deltas, the dossier
-                           chain *)
+  cc_before : int array; (* cache counters after the last request, *)
+  cc_after : int array; (* and the last request's deltas, the dossier
+                           chain: hit/miss pairs per cache, in
+                           Dispatch.cache_names order *)
   latency_ns : float array;
       (* one slot: the latency [observe] last measured, which an untraced
          dossier reuses as its duration (a float array stores unboxed) *)
@@ -211,8 +211,8 @@ let handle_core ~id ~t0 t req =
 (* ------------------------------------------------------------------ *)
 
 (* The per-request cache chain: each cache's hit/miss counters less
-   their values at the end of the previous request, written over the
-   server's reused after-snapshot, which the recorder copies into its
+   their values at the end of the previous request, written into the
+   server's reused delta array, which the recorder copies into its
    slot — no stats records and no chain list per request. Only a request
    moves the counters (the caches are reached through [Dispatch.handle]
    alone, and a server with a recorder records every request), so one
@@ -221,9 +221,9 @@ let handle_core ~id ~t0 t req =
    (Check-with-defs) never appear here — by design, they are private to
    one request. *)
 let cache_deltas t =
-  Dispatch.cache_counters_into (Dispatch.caches t.dispatch) t.cc_after;
+  let counts = Dispatch.cache_counters (Dispatch.caches t.dispatch) in
   for i = 0 to Array.length t.cc_after - 1 do
-    let total = t.cc_after.(i) in
+    let total = counts.(i) in
     t.cc_after.(i) <- total - t.cc_before.(i);
     t.cc_before.(i) <- total
   done;

@@ -1032,11 +1032,7 @@ let test_sandbox_duplicate_repeats () =
    the certifications, cold or warm. *)
 let test_bad_optimize_counts_nothing () =
   let server = mkserver () in
-  let counters () =
-    let a = Array.make (2 * Array.length Dispatch.cache_names) 0 in
-    Dispatch.cache_counters_into (Server.caches server) a;
-    a
-  in
+  let counters () = Array.copy (Dispatch.cache_counters (Server.caches server)) in
   let bad = Request.Optimize { expr = "x * * 1"; certified_only = false } in
   let probe what =
     let c0 = counters () in
