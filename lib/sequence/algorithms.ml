@@ -39,10 +39,8 @@ let for_each f (first, last) =
   in
   go first
 
-(* The element is read before the step, as a single-pass stream needs:
-   OCaml evaluates arguments right to left, so [go (f acc (Iter.get it))
-   (Iter.step it)] would step first and then re-read a consumed
-   position. *)
+(* Read, then step, as a single-pass stream needs (arguments are
+   evaluated right to left, so one call could not read first). *)
 let fold f init (first, last) =
   let rec go acc it =
     if Iter.equal it last then acc

@@ -36,31 +36,23 @@ module Json = Gp_telemetry.Json
    the type error is only raised if the kind actually reads that
    field. *)
 
-(* Known field indices, grouped by value type; bit i of a mask tracks
-   field i. *)
+(* Known field indices, grouped by value type so that a type test is a
+   range test: the id; strings (kind .. structure); strings or null
+   (defs, instance); booleans (nominal, certified_only); integers (n,
+   seed); an array of strings (types). Bit i of a mask tracks field i. *)
 let f_id = 0
-
-(* strings *)
 let f_kind = 1
 let f_concept = 2
 let f_source = 3
 let f_expr = 4
 let f_theory = 5
 let f_structure = 6
-
-(* strings or null *)
 let f_defs = 7
 let f_instance = 8
-
-(* booleans *)
 let f_nominal = 9
 let f_certified_only = 10
-
-(* integers *)
 let f_n = 11
 let f_seed = 12
-
-(* an array of strings *)
 let f_types = 13
 
 let known_fields =

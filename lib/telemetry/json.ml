@@ -260,13 +260,8 @@ let parse s =
 
 let hex_digits = "0123456789abcdef"
 
-(* The bytes that need an escape, as a 256-byte table: a byte [b] needs
-   one when [escapes.[b]] is not '\000' — '"', '\\' and the control
-   bytes; every other byte is copied as is. *)
-let escapes =
-  String.init 256 (fun b ->
-      if b < 0x20 || b = Char.code '"' || b = Char.code '\\' then '\001'
-      else '\000')
+(* The bytes that need an escape; every other byte is copied as is. *)
+let needs_escape ch = ch = '"' || ch = '\\' || Char.code ch < 0x20
 
 let add_escape buf = function
   | '"' -> Buffer.add_string buf "\\\""
@@ -281,17 +276,13 @@ let add_escape buf = function
     Buffer.add_char buf hex_digits.[Char.code c land 0xF]
 
 (* The index of the first byte at or after [i] that needs an escape, or
-   [n]. Eight bytes per step while a whole word remains: a word holds
-   such a byte exactly when it has a byte below 0x20 or one of
-   [w lxor 0x22..] and [w lxor 0x5c..] has a zero byte, and
-   [(x - k * 0x01..) land (lnot x) land 0x80..] tells whether [x] has a
-   byte below [k] (for [k <= 0x80]) without a false positive; then one
-   table load per byte. *)
+   [n], eight bytes per step while a word remains. [(x - k * 0x0101..)
+   land (lnot x) land 0x8080..] is non-zero exactly when a byte of [x]
+   is below [k <= 0x80]: a word holds a byte to escape when it has one
+   below 0x20, or [w lxor 0x2222..] or [w lxor 0x5c5c..] has a zero. *)
 let rec clean_end_bytes s n i =
-  if
-    i < n
-    && String.unsafe_get escapes (Char.code (String.unsafe_get s i)) = '\000'
-  then clean_end_bytes s n (i + 1)
+  if i < n && not (needs_escape (String.unsafe_get s i)) then
+    clean_end_bytes s n (i + 1)
   else i
 
 let clean_end s n i =
@@ -309,10 +300,8 @@ let clean_end s n i =
   done;
   clean_end_bytes s n !i
 
-(* Each run between escapes is copied with one [add_substring]. Top-level
-   loops rather than [String.iter f]: the closure passed to [iter]
-   captures [buf] and is a fresh allocation per call on the steady-state
-   render path. *)
+(* Each run between escapes is copied with one [add_substring]; top-level
+   loops, so the render path allocates no closure. *)
 let rec escape_runs buf s n i =
   let j = clean_end s n i in
   Buffer.add_substring buf s i (j - i);
