@@ -88,8 +88,8 @@ val process : t -> Request.t list -> Request.response list
     order, ids consecutive. *)
 
 val is_blank : string -> bool
-(** Only the blanks [String.trim] strips, tested without copying the
-    line. *)
+(** Whether the line holds nothing but the blanks [String.trim] strips;
+    tested in place, without a copy. *)
 
 val serve_line : t -> string -> Request.response option
 (** Decode and serve one wire line ([None] for a blank line). *)
