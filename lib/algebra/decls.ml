@@ -97,35 +97,74 @@ let strict_weak_order =
 let all_concepts =
   [ semigroup; monoid; group; abelian_group; ring; field; strict_weak_order ]
 
-let axioms_of_chain = function
-  | "Semigroup" -> [ "associativity" ]
-  | "Monoid" -> [ "associativity"; "left_identity"; "right_identity" ]
-  | "Group" ->
-    [ "associativity"; "left_identity"; "right_identity"; "left_inverse";
-      "right_inverse" ]
-  | "AbelianGroup" ->
-    [ "associativity"; "left_identity"; "right_identity"; "left_inverse";
-      "right_inverse"; "commutativity" ]
-  | _ -> []
+(* The axioms a model of [name] asserts: those of every concept it
+   refines, root first, then its own. *)
+let rec axioms_of_chain name =
+  match
+    List.find_opt (fun (c : Concept.t) -> String.equal c.name name)
+      all_concepts
+  with
+  | None -> []
+  | Some c ->
+    List.concat_map (fun (r, _) -> axioms_of_chain r) c.refines
+    @ List.map (fun (ax : Concept.axiom) -> ax.ax_name) (Concept.axioms c)
 
-(* The Fig. 5 instances plus the honest exact ones: (elem, op, most
-   refined algebraic concept modeled). *)
-let standard_carriers =
+(* A literal of a standard element type: a carrier's identity, and the
+   values Simplicissimus expressions carry. *)
+type value =
+  | VInt of int
+  | VFloat of float
+  | VBool of bool
+  | VString of string
+  | VRat of Rational.t
+  | VMat of Instances.Qmat.t
+
+type carrier = {
+  c_elem : string;
+  c_op : string;
+  c_concept : string;
+  c_identity : value option;
+  c_inverse : string option;
+  c_exact : bool;
+}
+
+let row ?identity ?inverse ?(exact = true) elem op concept =
+  { c_elem = elem; c_op = op; c_concept = concept; c_identity = identity;
+    c_inverse = inverse; c_exact = exact }
+
+(* The Fig. 5 instances plus the honest exact ones, each declared once:
+   the registry, the rewriter's surface table, the evaluator and the
+   instance certifier all read this table. *)
+let carriers =
   [
-    ("int", "+", "AbelianGroup");
-    ("int", "*", "Monoid");
-    ("int", "&", "Monoid");
-    ("int", "|", "Monoid");
-    ("bool", "&&", "Monoid");
-    ("bool", "||", "Monoid");
-    ("string", "^", "Monoid");
-    ("float", "+", "AbelianGroup");
-    ("float", "*", "Group");
-    ("rational", "+", "AbelianGroup");
-    ("rational", "*", "Group");
-    ("matrix", ".", "Monoid");
-    ("invertible_matrix", ".", "Group");
+    row "int" "+" "AbelianGroup" ~identity:(VInt 0) ~inverse:"neg";
+    row "int" "*" "Monoid" ~identity:(VInt 1);
+    row "int" "&" "Monoid" ~identity:(VInt (-1));
+    row "int" "|" "Monoid" ~identity:(VInt 0);
+    row "bool" "&&" "Monoid" ~identity:(VBool true);
+    row "bool" "||" "Monoid" ~identity:(VBool false);
+    row "string" "^" "Monoid" ~identity:(VString "");
+    (* floats: the axioms hold only approximately, asserted not proved *)
+    row "float" "+" "AbelianGroup" ~identity:(VFloat 0.0) ~inverse:"neg"
+      ~exact:false;
+    row "float" "*" "Group" ~identity:(VFloat 1.0) ~inverse:"inv"
+      ~exact:false;
+    row "rational" "+" "AbelianGroup" ~identity:(VRat Rational.zero)
+      ~inverse:"neg";
+    row "rational" "*" "Group" ~identity:(VRat Rational.one) ~inverse:"inv";
+    (* the matrix identity depends on the dimension: symbolic *)
+    row "matrix" "." "Monoid";
+    row "invertible_matrix" "." "Group" ~inverse:"inv";
   ]
+
+type ring = { r_elem : string; r_add : string; r_mul : string }
+
+(* Rings pair two carriers of [carriers] on one element type; the zero
+   is the additive carrier's identity. *)
+let rings =
+  [ { r_elem = "int"; r_add = "+"; r_mul = "*" };
+    { r_elem = "float"; r_add = "+"; r_mul = "*" };
+    { r_elem = "rational"; r_add = "+"; r_mul = "*" } ]
 
 (* Reflexive-transitive refinement among [all_concepts], read from their
    definitions. [declare] declares exactly these, so the registry would
@@ -163,13 +202,14 @@ let declare_carrier reg ~elem ~op concept =
 let declare reg =
   List.iter (Registry.declare_concept reg) all_concepts;
   let elems =
-    [ "int"; "bool"; "string"; "float"; "rational"; "matrix";
-      "invertible_matrix" ]
+    List.fold_left
+      (fun seen c -> if List.mem c.c_elem seen then seen else c.c_elem :: seen)
+      [] carriers
   in
-  List.iter (fun e -> Registry.declare_type reg e) elems;
+  List.iter (fun e -> Registry.declare_type reg e) (List.rev elems);
   List.iter
-    (fun (elem, op, concept) -> declare_carrier reg ~elem ~op concept)
-    standard_carriers;
+    (fun c -> declare_carrier reg ~elem:c.c_elem ~op:c.c_op c.c_concept)
+    carriers;
   (* strict weak orders on ordered element types *)
   List.iter
     (fun e ->

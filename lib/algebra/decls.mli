@@ -19,9 +19,46 @@ val strict_weak_order : Gp_concepts.Concept.t
 
 val all_concepts : Gp_concepts.Concept.t list
 
-(** {2 Carrier declarations} *)
+(** {2 The standard carriers} *)
 
 val axioms_of_chain : string -> string list
+(** The axiom names a model of the named concept of {!all_concepts}
+    asserts: those of every concept it refines, root first, then its
+    own; [[]] for any other name. *)
+
+(** A literal of a standard element type: a carrier's identity, and the
+    values Simplicissimus expressions carry ([Expr.value]). *)
+type value =
+  | VInt of int
+  | VFloat of float
+  | VBool of bool
+  | VString of string
+  | VRat of Rational.t
+  | VMat of Instances.Qmat.t
+
+(** One standard carrier (element type, operation symbol), declared once:
+    {!declare} registers it, the surface table and the evaluator read its
+    identity and inverse, the instance certifier proves the exact ones. *)
+type carrier = {
+  c_elem : string;  (** element type, e.g. ["int"] *)
+  c_op : string;  (** operation symbol, e.g. ["+"] *)
+  c_concept : string;  (** most refined algebraic concept modeled *)
+  c_identity : value option;
+      (** [None]: symbolic, as a matrix identity depends on the dimension *)
+  c_inverse : string option;  (** inverse operation symbol *)
+  c_exact : bool;  (** [false]: axioms asserted, never proved (floats) *)
+}
+
+val carriers : carrier list
+(** The ten Fig. 5 instances plus the exact rational and
+    boolean/bitwise companions, in declaration order. *)
+
+(** A ring pairs two {!carriers} on one element type: (elem, add) an
+    abelian group, (elem, mul) a monoid; its zero is the additive
+    carrier's identity. *)
+type ring = { r_elem : string; r_add : string; r_mul : string }
+
+val rings : ring list
 
 val carrier_name : elem:string -> op:string -> string
 (** The registry's name for the carrier (elem, op): ["elem[op]"]. *)

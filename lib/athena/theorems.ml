@@ -549,9 +549,7 @@ let catalogue =
           [ monoid_right_identity; monoid_identity_unique ] );
     ( "ring",
       fun () ->
-        let rm =
-          { Theory.r_name = "int"; add = Theory.int_add; mul = Theory.int_mul }
-        in
+        let rm = Theory.int_ring in
         per_instance [ (rm.Theory.r_name, rm) ] Theory.ring
           [ ring_mul_zero; ring_zero_mul ] );
     ( "orders",

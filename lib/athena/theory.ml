@@ -151,6 +151,7 @@ let string_concat = { m_name = "string[^]"; op = "str_concat"; e = "str_empty"; 
 let float_mul = { m_name = "float[*]"; op = "float_mul"; e = "float_one"; inv = "float_inv" }
 let rational_mul = { m_name = "rational[*]"; op = "rat_mul"; e = "rat_one"; inv = "rat_inv" }
 let matrix_mul = { m_name = "matrix[.]"; op = "mat_mul"; e = "mat_identity"; inv = "mat_inverse" }
+let int_ring = { r_name = "int"; add = int_add; mul = int_mul }
 
 let monoid_instances = [ int_mul; float_mul; bool_and; int_band; string_concat; matrix_mul ]
 let group_instances = [ int_add; float_mul; rational_mul; matrix_mul ]

@@ -79,6 +79,7 @@ val string_concat : mapping
 val float_mul : mapping
 val rational_mul : mapping
 val matrix_mul : mapping
+val int_ring : ring_mapping
 
 val monoid_instances : mapping list
 val group_instances : mapping list

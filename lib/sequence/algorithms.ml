@@ -306,7 +306,10 @@ let is_sorted ~lt (first, last) =
         let v = Iter.get it in
         if lt v prev then false else go v (Iter.step it)
     in
-    go (Iter.get first) (Iter.step first)
+    (* read before stepping: arguments evaluate right to left, and an
+       input iterator cannot re-read a position it has stepped past *)
+    let v = Iter.get first in
+    go v (Iter.step first)
 
 (* Binary search trio: O(log n) comparisons for any forward iterator
    (O(log n) steps only for random access; O(n) steps otherwise — the

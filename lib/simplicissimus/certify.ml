@@ -9,10 +9,10 @@
    hands the engine that set.
 
    Certification also discharges instance axioms in a gp_concepts
-   registry: for every instance mapping with proved axioms, the derived
-   equations (right inverse from the minimal group presentation, etc.) are
-   declared through [Registry.certify_axiom], which silences the checker's
-   "asserted but not proved" warnings for those carriers. *)
+   registry: for every exact standard carrier with a Theory mapping, the
+   derived equations (right inverse from the minimal group presentation,
+   etc.) are declared through [Registry.certify_axiom], which silences the
+   checker's "asserted but not proved" warnings for those carriers. *)
 
 open Gp_athena
 
@@ -43,11 +43,9 @@ let theorem_for (r : Rules.t) : Theorems.theorem option =
   else if r == Rules.double_inverse then
     Some (Theorems.group_double_inverse m)
   else if r == Rules.mul_zero_right then
-    let rm = { Theory.r_name = "int"; add = Theory.int_add; mul = Theory.int_mul } in
-    Some (Theorems.ring_mul_zero rm)
+    Some (Theorems.ring_mul_zero Theory.int_ring)
   else if r == Rules.mul_zero_left then
-    let rm = { Theory.r_name = "int"; add = Theory.int_add; mul = Theory.int_mul } in
-    Some (Theorems.ring_zero_mul rm)
+    Some (Theorems.ring_zero_mul Theory.int_ring)
   else if r == Rules.identity_fold then
     (* op(e, e) = e: right identity instantiated at the identity itself *)
     let axs = Theory.monoid m in
@@ -63,8 +61,7 @@ let theorem_for (r : Rules.t) : Theorems.theorem option =
 
 let axioms_for (r : Rules.t) =
   let m = Theory.int_add in
-  if r.Rules.requires_ring then
-    Theory.ring { Theory.r_name = "int"; add = Theory.int_add; mul = Theory.int_mul }
+  if r.Rules.requires_ring then Theory.ring Theory.int_ring
   else
     match r.Rules.guard with
     | Rules.Concept "Monoid" -> Theory.monoid m
@@ -107,16 +104,19 @@ let certified certs rules =
       | Rules.Concept _ -> proved r)
     rules
 
-(* Discharge the derived group axioms for every exactly-modeled instance
-   into [reg]: the right_inverse/right_identity axioms asserted by
-   Gp_algebra.Decls become *proved* for the carriers [reg] models as
-   groups and monoids. *)
-let discharge_instance_axioms reg insts =
+(* Discharge the derived group axioms for every exactly-modeled carrier
+   of Gp_algebra.Decls into [reg]: the right_inverse/right_identity
+   axioms asserted there become *proved* for the carriers [reg] models
+   as groups and monoids. A carrier's operator mapping is the Theory
+   instance of the same name. *)
+let discharge_instance_axioms reg =
   List.concat_map
-    (fun (e : Instances.entry) ->
-      match e.Instances.e_mapping with
-      | Some m when e.Instances.e_axioms_proved ->
-        let args = e.Instances.e_carrier in
+    (fun (c : Gp_algebra.Decls.carrier) ->
+      let name = Gp_algebra.Decls.carrier_name ~elem:c.c_elem ~op:c.c_op in
+      let named m = String.equal (Theory.map_name m) name in
+      match List.find_opt named Theory.(monoid_instances @ group_instances) with
+      | Some m when c.c_exact ->
+        let args = [ Gp_concepts.Ctype.Named name ] in
         let discharge ~concept ~axiom thm axioms =
           if not (Gp_concepts.Check.(models ~mode:Nominal) reg concept args)
           then []
@@ -124,7 +124,7 @@ let discharge_instance_axioms reg insts =
             match Theorems.verify ~axioms thm with
             | Deduction.Proved ->
               Gp_concepts.Registry.certify_axiom reg ~concept ~axiom ~args;
-              [ (Theory.map_name m, axiom) ]
+              [ (name, axiom) ]
             | _ -> []
         in
         let group =
@@ -135,7 +135,7 @@ let discharge_instance_axioms reg insts =
           (Theorems.monoid_right_identity m) (Theory.monoid m)
         @ group
       | _ -> [])
-    (Instances.entries insts)
+    Gp_algebra.Decls.carriers
 
 let pp_certification ppf c =
   Fmt.pf ppf "%-18s <- %-32s : %a" c.cert_rule c.cert_theorem

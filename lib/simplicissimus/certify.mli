@@ -24,12 +24,13 @@ val certified : certification list -> Rules.t list -> Rules.t list
     name proved. *)
 
 val discharge_instance_axioms :
-  Gp_concepts.Registry.t -> Instances.t -> (string * string) list
-(** For every entry with exactly proved axioms whose carrier the
-    registry models as a Group (Monoid), declare the derived right
-    inverse (right identity) equation certified in the registry
-    ({!Gp_concepts.Registry.certify_axiom}), turning "asserted" axiom
-    warnings into certified facts there and in forks made afterwards.
-    Returns (instance, axiom) pairs discharged. *)
+  Gp_concepts.Registry.t -> (string * string) list
+(** For every exact carrier of {!Gp_algebra.Decls.carriers} that has a
+    Theory mapping of its name ([Gp_athena.Theory.monoid_instances] and
+    [group_instances]) and that the registry models as a Group (Monoid),
+    declare the derived right inverse (right identity) equation
+    certified in the registry ({!Gp_concepts.Registry.certify_axiom}),
+    turning "asserted" axiom warnings into certified facts there and in
+    forks made afterwards. Returns (carrier, axiom) pairs discharged. *)
 
 val pp_certification : Format.formatter -> certification -> unit

@@ -61,24 +61,19 @@ let apply ~mat_dim ty op args =
   | _ ->
     fail "no implementation for %s.%s/%d" ty op (List.length args)
 
-(* The concrete identity of a carrier; a matrix identity needs the
-   dimension. *)
+(* The concrete identity of a carrier: its row's literal; the matrix
+   rows' identities are symbolic, resolved at the given dimension. *)
 let identity_value ~mat_dim ty op =
-  match ty, op with
-  | "int", "+" -> VInt 0
-  | "int", "*" -> VInt 1
-  | "int", "&" -> VInt (-1)
-  | "int", "|" -> VInt 0
-  | "bool", "&&" -> VBool true
-  | "bool", "||" -> VBool false
-  | "string", "^" -> VString ""
-  | "float", "+" -> VFloat 0.0
-  | "float", "*" -> VFloat 1.0
-  | "rational", "+" -> VRat Gp_algebra.Rational.zero
-  | "rational", "*" -> VRat Gp_algebra.Rational.one
-  | ("matrix" | "invertible_matrix"), "." ->
+  match
+    List.find_opt
+      (fun (c : Gp_algebra.Decls.carrier) ->
+        String.equal c.c_elem ty && String.equal c.c_op op)
+      Gp_algebra.Decls.carriers
+  with
+  | Some { c_identity = Some v; _ } -> v
+  | Some { c_identity = None; _ } ->
     VMat (Gp_algebra.Instances.Qmat.identity mat_dim)
-  | _ -> fail "no identity for (%s, %s)" ty op
+  | None -> fail "no identity for (%s, %s)" ty op
 
 let rec eval ?(mat_dim = 2) ~env expr =
   match expr with

@@ -10,7 +10,7 @@
    matrices the identity depends on the dimension, so it stays symbolic
    until evaluation. *)
 
-type value =
+type value = Gp_algebra.Decls.value =
   | VInt of int
   | VFloat of float
   | VBool of bool

@@ -5,7 +5,7 @@
     symbolic identity element — matrices resolve theirs to a concrete
     identity only at evaluation, when the dimension is known. *)
 
-type value =
+type value = Gp_algebra.Decls.value =
   | VInt of int
   | VFloat of float
   | VBool of bool

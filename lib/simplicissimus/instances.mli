@@ -1,7 +1,7 @@
 (** The surface table: per carrier (type, operation symbol), what the
-    rewriter needs beyond the modeling relation — identity literal,
-    inverse symbol, athena mapping, proved or asserted axioms — and the
-    ring pairings, paired with the registry that answers {!models}. *)
+    rewriter needs beyond the modeling relation — identity literal and
+    inverse symbol — and the ring pairings, paired with the registry
+    that answers {!models}. *)
 
 type entry = {
   e_type : string;
@@ -9,18 +9,6 @@ type entry = {
   e_carrier : Gp_concepts.Ctype.t list;  (** [[Named "ty[op]"]] *)
   e_identity : Expr.value option;  (** concrete identity, if fixed *)
   e_inverse : string option;  (** inverse op symbol *)
-  e_axioms_proved : bool;
-  e_mapping : Gp_athena.Theory.mapping option;
-}
-
-(** A ring ties two carriers on one element type together: (ty, add) an
-    abelian group and (ty, mul) a monoid, with annihilation by the
-    additive zero available as a checked theorem. *)
-type ring_entry = {
-  rg_type : string;
-  rg_add : string;
-  rg_mul : string;
-  rg_zero : Expr.value option;
 }
 
 type t
@@ -34,8 +22,6 @@ val add :
   t ->
   ?identity:Expr.value ->
   ?inverse:string ->
-  ?mapping:Gp_athena.Theory.mapping ->
-  ?proved:bool ->
   ty:string ->
   op:string ->
   unit ->
@@ -45,7 +31,7 @@ val find : t -> ty:string -> op:string -> entry option
 (** Indexed (ty, op) lookup; when a carrier was declared more than once,
     the most recent declaration wins. *)
 
-val ring_for : t -> ty:string -> op:string -> ring_entry option
+val ring_for : t -> ty:string -> op:string -> Gp_algebra.Decls.ring option
 (** The ring whose multiplication is (ty, op). *)
 
 val inverse_carriers : t -> ty:string -> op:string -> (string * string) list
@@ -72,17 +58,11 @@ val identity_expr : t -> ty:string -> op:string -> Expr.t
 val inverse_op : t -> ty:string -> op:string -> string option
 
 val standard : Gp_concepts.Registry.t -> t
-(** The surface facts of the ten Fig. 5 instances plus exact rational
-    and boolean/bitwise companions — the carriers
-    {!Gp_algebra.Decls.declare} declares — over the given registry,
-    which should hold those declarations (the standard world does). *)
+(** The surface facts of every carrier and ring of
+    {!Gp_algebra.Decls.carriers} and {!Gp_algebra.Decls.rings}, in
+    their order, over the given registry, which should hold
+    {!Gp_algebra.Decls.declare}'s declarations (the standard world
+    does). *)
 
 val entries : t -> entry list
-(** All entries in insertion (declaration) order. The returned list is
-    memoised: repeated calls between mutations return the {e same} list
-    (physical equality), so callers may iterate it freely without
-    paying a fresh allocation per call. *)
-
-val rings : t -> ring_entry list
-(** All ring structures in insertion order (the linear-scan reference
-    oracles in the test suite rebuild {!ring_for} from this). *)
+(** All entries in insertion (declaration) order. *)

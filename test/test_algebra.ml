@@ -243,6 +243,149 @@ let swo_tests =
          (fun (a, b, c) -> S.e_transitive a b c));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The carrier table against the other places a carrier appears        *)
+(* ------------------------------------------------------------------ *)
+
+let row_of ~elem ~op =
+  List.find
+    (fun (c : Decls.carrier) ->
+      String.equal c.c_elem elem && String.equal c.c_op op)
+    Decls.carriers
+
+(* The row's identity literal as a value of the instance's type. *)
+let row_identity ~elem ~op lit =
+  match Option.bind (row_of ~elem ~op).c_identity lit with
+  | Some v -> v
+  | None ->
+    Alcotest.failf "%s: no identity literal" (Decls.carrier_name ~elem ~op)
+
+(* An executable monoid agrees with its row: its [id] is the row's
+   identity, that literal satisfies the identity laws, and the row names
+   no inverse. *)
+let monoid_row (type a) ~elem ~op lit (module M : Sigs.MONOID with type t = a)
+    gen =
+  let name = Decls.carrier_name ~elem ~op in
+  [
+    Alcotest.test_case (name ^ " row") `Quick (fun () ->
+        Alcotest.(check bool) "id is the row's identity" true
+          (M.equal M.id (row_identity ~elem ~op lit));
+        Alcotest.(check bool) "no inverse in the row" true
+          ((row_of ~elem ~op).c_inverse = None));
+    qtest
+      (QCheck.Test.make ~name:(name ^ " row identity laws") ~count:100 gen
+         (fun a ->
+           let row_id = row_identity ~elem ~op lit in
+           let module L = Laws.Monoid (struct
+             include M
+
+             let id = row_id
+           end) in
+           L.left_identity a && L.right_identity a));
+  ]
+
+(* An executable group agrees with its row: as a monoid, and the row
+   names an inverse, under which the row's identity satisfies the
+   inverse laws. *)
+let group_row (type a) ~elem ~op lit (module G : Sigs.GROUP with type t = a)
+    gen =
+  let name = Decls.carrier_name ~elem ~op in
+  [
+    Alcotest.test_case (name ^ " row") `Quick (fun () ->
+        Alcotest.(check bool) "id is the row's identity" true
+          (G.equal G.id (row_identity ~elem ~op lit));
+        Alcotest.(check bool) "an inverse in the row" true
+          ((row_of ~elem ~op).c_inverse <> None));
+    qtest
+      (QCheck.Test.make ~name:(name ^ " row group laws") ~count:100 gen
+         (fun a ->
+           let row_id = row_identity ~elem ~op lit in
+           let module L = Laws.Group (struct
+             include G
+
+             let id = row_id
+           end) in
+           L.left_identity a && L.right_identity a && L.left_inverse a
+           && L.right_inverse a));
+  ]
+
+let int_lit = function Decls.VInt i -> Some i | _ -> None
+let bool_lit = function Decls.VBool b -> Some b | _ -> None
+let string_lit = function Decls.VString s -> Some s | _ -> None
+let float_lit = function Decls.VFloat f -> Some f | _ -> None
+
+(* signed powers of two: float products and inverses stay exact *)
+let float_gen =
+  QCheck.map
+    (fun (neg, k) -> (if neg then -1.0 else 1.0) *. Float.ldexp 1.0 k)
+    (QCheck.pair QCheck.bool (QCheck.int_range (-20) 20))
+
+let row_tests =
+  group_row ~elem:"int" ~op:"+" int_lit (module Instances.Int_add) small_int
+  @ monoid_row ~elem:"int" ~op:"*" int_lit (module Instances.Int_mul) small_int
+  @ monoid_row ~elem:"int" ~op:"&" int_lit (module Instances.Int_band)
+      QCheck.int
+  @ monoid_row ~elem:"int" ~op:"|" int_lit (module Instances.Int_bor)
+      QCheck.int
+  @ monoid_row ~elem:"bool" ~op:"&&" bool_lit (module Instances.Bool_and)
+      QCheck.bool
+  @ monoid_row ~elem:"bool" ~op:"||" bool_lit (module Instances.Bool_or)
+      QCheck.bool
+  @ monoid_row ~elem:"string" ~op:"^" string_lit
+      (module Instances.String_concat)
+      (QCheck.string_of_size (QCheck.Gen.int_range 0 8))
+  @ group_row ~elem:"float" ~op:"+" float_lit (module Instances.Float_add)
+      float_gen
+  @ group_row ~elem:"float" ~op:"*" float_lit (module Instances.Float_mul)
+      float_gen
+
+(* Every proof-side mapping names a row; the rows without one are
+   exactly these five. *)
+let test_theory_mappings_name_rows () =
+  let open Gp_athena in
+  let mapped = Theory.monoid_instances @ Theory.group_instances in
+  let names =
+    List.map
+      (fun (c : Decls.carrier) -> Decls.carrier_name ~elem:c.c_elem ~op:c.c_op)
+      Decls.carriers
+  in
+  List.iter
+    (fun (m : Theory.mapping) ->
+      Alcotest.(check bool) (m.m_name ^ " is a row") true
+        (List.mem m.m_name names))
+    mapped;
+  Alcotest.(check (list string)) "rows without a mapping"
+    [ "int[|]"; "bool[||]"; "float[+]"; "rational[+]"; "invertible_matrix[.]" ]
+    (List.filter
+       (fun n ->
+         not (List.exists (fun (m : Theory.mapping) -> m.m_name = n) mapped))
+       names)
+
+(* Derived from the concept definitions; check reports list these. *)
+let test_axioms_of_chain () =
+  let chain = Decls.axioms_of_chain in
+  Alcotest.(check (list string)) "Semigroup" [ "associativity" ]
+    (chain "Semigroup");
+  Alcotest.(check (list string)) "Monoid"
+    [ "associativity"; "left_identity"; "right_identity" ]
+    (chain "Monoid");
+  Alcotest.(check (list string)) "Group"
+    [ "associativity"; "left_identity"; "right_identity"; "left_inverse";
+      "right_inverse" ]
+    (chain "Group");
+  Alcotest.(check (list string)) "AbelianGroup"
+    [ "associativity"; "left_identity"; "right_identity"; "left_inverse";
+      "right_inverse"; "commutativity" ]
+    (chain "AbelianGroup");
+  Alcotest.(check (list string)) "not an algebraic concept" []
+    (chain "ForwardIterator")
+
+(* Declaring from the table keeps the standard world's declaration
+   sequence, and so every generation-keyed cache key. *)
+let test_world_generation () =
+  Alcotest.(check int) "standard world generation" 310
+    (Gp_concepts.Registry.generation (Gp_standard.Standard.world ()))
+
 let () =
   Alcotest.run "gp_algebra"
     [
@@ -276,4 +419,13 @@ let () =
             test_additive_multiplicative_views;
         ] );
       ("strict weak order", swo_tests);
+      ( "carrier table",
+        row_tests
+        @ [
+            Alcotest.test_case "theory mappings name rows" `Quick
+              test_theory_mappings_name_rows;
+            Alcotest.test_case "axioms of chain" `Quick test_axioms_of_chain;
+            Alcotest.test_case "standard world generation" `Quick
+              test_world_generation;
+          ] );
     ]

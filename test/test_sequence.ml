@@ -240,6 +240,10 @@ let test_stream_single_pass () =
         fun () -> ignore (Algorithms.max_element ~lt (stream ())) );
       ( "adjacent_find", reread 1,
         fun () -> ignore (Algorithms.adjacent_find ~eq:( = ) (stream ())) );
+      ( "is_sorted", "ok",
+        fun () ->
+          Alcotest.(check bool) "is_sorted reads each element once" false
+            (Algorithms.is_sorted ~lt (stream ())) );
       ( "sort",
         "Category_violation sort requires at least ForwardIterator (with \
          writability)",
