@@ -57,13 +57,16 @@ let seconds f =
     done;
     (Unix.gettimeofday () -. t0) /. float_of_int reps
 
+(* The median of the samples [xs], with their interquartile range. *)
+let spread xs =
+  let xs = Array.copy xs in
+  Array.sort compare xs;
+  let at q = xs.(int_of_float (q *. float_of_int (Array.length xs - 1))) in
+  (at 0.5, at 0.75 -. at 0.25)
+
 (* The median of [trials] draws of [sample], with its interquartile
    range. *)
-let median_iqr trials sample =
-  let xs = Array.init trials (fun _ -> sample ()) in
-  Array.sort compare xs;
-  let at q = xs.(int_of_float (q *. float_of_int (trials - 1))) in
-  (at 0.5, at 0.75 -. at 0.25)
+let median_iqr trials sample = spread (Array.init trials (fun _ -> sample ()))
 
 let line = String.make 74 '='
 let thin = String.make 74 '-'
@@ -1461,13 +1464,15 @@ let s5 () =
   Fmt.pr "@.shard-count sweep (no failures):@.";
   Fmt.pr "%-10s %10s %12s %16s@." "replicas" "msgs/req" "miss% keyed"
     "miss% round-robin";
-  let cluster_words = ref 0.0 in
+  let cluster_words = ref 0.0 and heap_peak = ref 0 in
   List.iter
     (fun replicas ->
       let w0 = Gc.minor_words () in
       let keyed = run replicas in
-      if replicas = 8 then
+      if replicas = 8 then begin
         cluster_words := (Gc.minor_words () -. w0) /. float_of_int n;
+        heap_peak := keyed.Cluster.r_metrics.Gp_distsim.Engine.heap_peak
+      end;
       let rr = run ~affinity:false replicas in
       assert (keyed.Cluster.r_completed = n && rr.Cluster.r_completed = n);
       let miss r = 100.0 *. (1.0 -. Cluster.hit_ratio r) in
@@ -1501,6 +1506,57 @@ let s5 () =
     engine_words !cluster_words;
   record ~experiment:"s5" "engine_minor_words_per_event" engine_words;
   record ~experiment:"s5" "cluster_minor_words_per_request" !cluster_words;
+  (* the most events the engine's heap held at once in the keyed
+     8-replica run: an exact count, gated like the allocation counts *)
+  Fmt.pr "engine heap peak: %d events (keyed, 8 replicas)@." !heap_peak;
+  record ~experiment:"s5" "engine_heap_peak_r8" (float_of_int !heap_peak);
+  (* the cluster's wall clock, split in two: the simulated run and the
+     single-node audit replay of its answers, per request, over the
+     perfbench `cluster` shape (the s7 serving mix, 8 asynchronous
+     replicas, seed 1). Medians over [trials] runs with the quartile
+     spread; null under --quick. *)
+  let quick = !quota < 0.5 in
+  let run_us, run_iqr, audit_us, audit_iqr =
+    if quick then (nan, nan, nan, nan)
+    else begin
+      let n = 2000 and trials = 21 in
+      let mix =
+        Gp_service.Workload.default_mix
+        @ Gp_service.Request.[ (Kmatvec, 8); (Kmatmul, 4); (Ksolve, 4) ]
+      in
+      let reqs =
+        Gp_service.Workload.generate ~mix ~seed:1 ~n () |> Array.of_list
+      in
+      let config =
+        { Cluster.default_config with
+          replicas = 8; seed = 1;
+          timing = Gp_distsim.Engine.Asynchronous { max_delay = 3.0 } }
+      in
+      let per_req t0 = (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int n in
+      let pass () =
+        let t0 = Unix.gettimeofday () in
+        let r = Cluster.run ~config reqs in
+        let run_us = per_req t0 in
+        let t0 = Unix.gettimeofday () in
+        assert (Cluster.audit_ok (Cluster.audit r));
+        (run_us, per_req t0)
+      in
+      ignore (pass ());
+      let samples = Array.init trials (fun _ -> pass ()) in
+      let run_us, run_iqr = spread (Array.map fst samples) in
+      let audit_us, audit_iqr = spread (Array.map snd samples) in
+      (run_us, run_iqr, audit_us, audit_iqr)
+    end
+  in
+  Fmt.pr "cluster wall per request (8 async replicas, 2000 requests): \
+          run %s, audit %s@."
+    (if quick then "(--quick)" else Printf.sprintf "%.2f us [%.2f]" run_us run_iqr)
+    (if quick then "(--quick)"
+     else Printf.sprintf "%.2f us [%.2f]" audit_us audit_iqr);
+  record ~experiment:"s5" "cluster_run_us_per_req" run_us;
+  record ~experiment:"s5" "cluster_run_us_per_req_iqr" run_iqr;
+  record ~experiment:"s5" "cluster_audit_us_per_req" audit_us;
+  record ~experiment:"s5" "cluster_audit_us_per_req_iqr" audit_iqr;
   (* failover: 20% drops plus a crash of the elected leader, mid-run *)
   let failures = [ Cluster.Drop 0.2; Cluster.Crash_leader { at = 40.0 } ] in
   let r = run ~failures 3 in

@@ -1321,7 +1321,8 @@ let count_tolerance = 0.005
    higher-better as a ratio, _pct is lower-better in additive percentage
    points, a name containing bytes_per_request, minor_words or
    major_words is an allocation count (deterministic, or within 0.1 %
-   for major words after a warm-up, and quota-independent), held to a
+   for major words after a warm-up, and quota-independent), as is a
+   name containing heap_peak (an exact event count), held to a
    fixed 0.5 % either way: a rise is a regression, a fall is a stale
    baseline that must be re-recorded, _fitted_degree must match exactly
    (a fitted complexity class has no tolerance: growing from O(n) to
@@ -1343,8 +1344,8 @@ let bench_diff_cmd =
              ~doc:"Allowed relative slack per metric (default 0.25 = 25%; \
                    for *_pct metrics, 100x this in additive points). Bench \
                    numbers are noisy; keep this generous. Allocation \
-                   counts (names containing minor_words, major_words or \
-                   bytes_per_request) ignore it: they fail on a move of \
+                   counts (names containing minor_words, major_words, \
+                   bytes_per_request or heap_peak) ignore it: they fail on a move of \
                    more than 0.5% either way.")
   in
   let quick =
@@ -1386,7 +1387,7 @@ let bench_diff_cmd =
     in
     let is_count name =
       contains "minor_words" name || contains "major_words" name
-      || contains "bytes_per_request" name
+      || contains "bytes_per_request" name || contains "heap_peak" name
     in
     match (load old_path, load new_path) with
     | Error m, _ | _, Error m ->

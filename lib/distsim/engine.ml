@@ -83,6 +83,7 @@ type metrics = {
   delivered_to : int array; (* per-node deliveries (timers excluded) *)
   finish_time : float;
   events : int;
+  heap_peak : int; (* the most events the heap held at once *)
 }
 
 let total_local_steps m = Array.fold_left ( + ) 0 m.local_steps
@@ -117,11 +118,12 @@ module Eq = struct
     mutable msgs : 'msg array;
     mutable heap : int array;
     mutable len : int;
+    mutable peak : int; (* the largest [len] so far *)
   }
 
   let create () =
     { ts = [||]; seq = [||]; src = [||]; dst = [||]; msgs = [||];
-      heap = [||]; len = 0 }
+      heap = [||]; len = 0; peak = 0 }
 
   let lt q a b =
     let ta = q.ts.(a) and tb = q.ts.(b) in
@@ -158,6 +160,7 @@ module Eq = struct
     (* sift up: move the hole towards the root, then drop [s] in *)
     let i = ref q.len in
     q.len <- q.len + 1;
+    if q.len > q.peak then q.peak <- q.len;
     while
       !i > 0
       &&
@@ -358,6 +361,7 @@ let run_core (type s m) ~(config : m config) (topo : Topology.t)
         delivered_to;
         finish_time = clock.now;
         events = !events;
+        heap_peak = queue.Eq.peak;
       };
   }
 

@@ -78,6 +78,9 @@ type metrics = {
       (** per-node message deliveries, timers excluded *)
   finish_time : float;
   events : int;
+  heap_peak : int;
+      (** the most events the queue's heap held at once: the in-flight
+          messages and timers *)
 }
 
 val total_local_steps : metrics -> int

@@ -679,6 +679,82 @@ let event_order_prop =
          delivered = expected
          && r.Engine.metrics.Engine.events = List.length delivered))
 
+(* Several nodes mix the engine's traffic shapes: monotone runs of
+   timers armed at once (a fixed-cadence arrival clock), timers and
+   sends with random delays, and integer delays that tie exactly under
+   synchronous timing. Every scheduled event carries its push ordinal;
+   deliveries must come sorted by (time, ordinal), and all of them must
+   arrive. *)
+let mixed_order_prop =
+  qtest
+    (QCheck.Test.make ~name:"timers and sends pop in (time, push) order"
+       ~count:100
+       QCheck.(triple (int_range 0 100_000) (Bounded.int_range 2 6) bool)
+       (fun (seed, n, sync) ->
+         let st = Random.State.make [| seed |] in
+         let pushed = ref 0 and limit = 400 in
+         let stamp () =
+           let k = !pushed in
+           incr pushed;
+           k
+         in
+         let room k = !pushed + k <= limit in
+         let run_of (ctx : int Engine.ctx) =
+           let len = 1 + Random.State.int st 12 in
+           let step = if Random.State.bool st then 1.0 else 0.25 in
+           if room len then
+             for i = 1 to len do
+               ctx.Engine.timer ~delay:(float_of_int i *. step) (stamp ())
+             done
+         in
+         let act (ctx : int Engine.ctx) =
+           match Random.State.int st 4 with
+           | 0 -> run_of ctx
+           | 1 ->
+             if room 1 then
+               ctx.Engine.timer
+                 ~delay:(float_of_int (Random.State.int st 4))
+                 (stamp ())
+           | 2 ->
+             if room 1 then
+               ctx.Engine.timer ~delay:(Random.State.float st 5.0) (stamp ())
+           | _ ->
+             if room 1 then
+               ctx.Engine.send
+                 (List.nth ctx.Engine.neighbors
+                    (Random.State.int st (List.length ctx.Engine.neighbors)))
+                 (stamp ())
+         in
+         let log = ref [] in
+         let algo =
+           {
+             Engine.algo_name = "mixed";
+             initial =
+               (fun ctx ->
+                 run_of ctx;
+                 act ctx);
+             on_message =
+               (fun ctx () ~src:_ k ->
+                 log := (ctx.Engine.now (), k) :: !log;
+                 for _ = 1 to Random.State.int st 3 do
+                   act ctx
+                 done);
+           }
+         in
+         let timing = if sync then Engine.Synchronous else async in
+         let r =
+           Engine.run ~config:(config ~timing ~seed ()) (Topology.complete n)
+             algo
+         in
+         let delivered = List.rev !log in
+         let rec sorted = function
+           | a :: (b :: _ as rest) -> compare a b < 0 && sorted rest
+           | _ -> true
+         in
+         sorted delivered
+         && List.length delivered = !pushed
+         && r.Engine.metrics.Engine.events = !pushed))
+
 (* ------------------------------------------------------------------ *)
 (* Randomized election, local computation accounting                   *)
 (* ------------------------------------------------------------------ *)
@@ -824,7 +900,7 @@ let () =
       ( "horizons",
         [ Alcotest.test_case "horizon events are not delivered" `Quick
             test_horizons;
-          event_order_prop ] );
+          event_order_prop; mixed_order_prop ] );
       ( "accounting",
         [
           Alcotest.test_case "local computation" `Quick
