@@ -96,67 +96,97 @@ type result = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Event queue: an index heap over parallel slot arrays               *)
+(* Event queue: a sorted run beside an index heap                     *)
 (* ------------------------------------------------------------------ *)
 
-(* An event lives in a slot: its time (unboxed in a float array), its
-   sequence number, source, destination and message sit at the same
-   index of five parallel arrays, so scheduling and popping allocate
-   nothing once the arrays have grown. [heap] holds slot indices: its
-   first [len] entries form a binary min-heap on (time, seq), and the
-   entries past [len] are the free slots, so [heap] is always a
-   permutation of [0, capacity). [seq] is unique, so (time, seq) is a
-   total order: every correct heap pops events in the same order, and
-   runs stay reproducible. A negative [src] marks a timer: a local
-   alarm from [dst] to itself, outside the message metrics. *)
+(* An event is ordered by (time, seq). [seq] is unique and grows with
+   every push, so (time, seq) is a total order: every correct queue pops
+   events in the same order, and runs stay reproducible. The queue keeps
+   two parts, and [pop] takes whichever head is earlier:
+   - the run, a FIFO ring of events whose times never decrease from one
+     push to the next. A push at or after the run's last time joins it,
+     and since its [seq] is larger than every earlier one the run stays
+     sorted by (time, seq). A fixed-cadence arrival clock, armed all at
+     once, lives here and costs O(1) per push and pop.
+   - the heap, a binary min-heap for every other event: the messages
+     and timers in flight.
+   An event's fields sit at one index of a lane's five parallel arrays
+   (its time unboxed in a float array), so scheduling and popping
+   allocate nothing once the arrays have grown. A negative [src] marks a
+   timer: a local alarm from [dst] to itself, outside the message
+   metrics. *)
 module Eq = struct
-  type 'msg t = {
+  type 'msg lane = {
     mutable ts : float array;
     mutable seq : int array;
     mutable src : int array;
     mutable dst : int array;
     mutable msgs : 'msg array;
-    mutable heap : int array;
-    mutable len : int;
-    mutable peak : int; (* the largest [len] so far *)
   }
 
+  type 'msg t = {
+    h : 'msg lane; (* the heap's events, by slot *)
+    mutable heap : int array;
+        (* slot indices: the first [len] form the heap on (time, seq),
+           the rest are the free slots, so [heap] is always a
+           permutation of [0, capacity) *)
+    mutable len : int;
+    mutable peak : int; (* the largest [len] so far *)
+    r : 'msg lane; (* the run, a ring: capacity a power of two *)
+    mutable head : int; (* the run's earliest event *)
+    mutable rlen : int;
+  }
+
+  let lane () = { ts = [||]; seq = [||]; src = [||]; dst = [||]; msgs = [||] }
+
   let create () =
-    { ts = [||]; seq = [||]; src = [||]; dst = [||]; msgs = [||];
-      heap = [||]; len = 0; peak = 0 }
+    { h = lane (); heap = [||]; len = 0; peak = 0; r = lane (); head = 0;
+      rlen = 0 }
 
-  let lt q a b =
-    let ta = q.ts.(a) and tb = q.ts.(b) in
-    ta < tb || (ta = tb && q.seq.(a) < q.seq.(b))
+  (* Double a lane by appending each array to itself. A full ring's
+     events, [head] on, then sit in order at [head, head + capacity) of
+     the doubled arrays; a heap's new slots are free, and their stale
+     copies are overwritten before they are read. Appending also keeps
+     [Array.make] off the messages: over 256 words, a fill of [msg], a
+     young value, would force a minor collection at every growth. *)
+  let double l msg =
+    if Array.length l.ts = 0 then begin
+      l.ts <- Array.make 16 0.0;
+      l.seq <- Array.make 16 0;
+      l.src <- Array.make 16 0;
+      l.dst <- Array.make 16 0;
+      l.msgs <- Array.make 16 msg
+    end
+    else begin
+      l.ts <- Array.append l.ts l.ts;
+      l.seq <- Array.append l.seq l.seq;
+      l.src <- Array.append l.src l.src;
+      l.dst <- Array.append l.dst l.dst;
+      l.msgs <- Array.append l.msgs l.msgs
+    end
 
-  (* Only called when every slot is live: the new slots are all free.
-     The messages double by appending the array to itself: a fill of
-     [msg], a young value, would make [Array.make] over 256 words force
-     a minor collection at every growth. The stale copies in the free
-     half are overwritten before they are read. *)
+  let[@inline] set l i ~t ~seq ~src ~dst msg =
+    l.ts.(i) <- t;
+    l.seq.(i) <- seq;
+    l.src.(i) <- src;
+    l.dst.(i) <- dst;
+    l.msgs.(i) <- msg
+
+  let lt h a b =
+    let ta = h.ts.(a) and tb = h.ts.(b) in
+    ta < tb || (ta = tb && h.seq.(a) < h.seq.(b))
+
+  (* Only called when every slot is live: the new slots are all free. *)
   let grow q msg =
     let cap = Array.length q.heap in
-    let cap' = max 16 (2 * cap) in
-    let extend a fill =
-      let a' = Array.make cap' fill in
-      Array.blit a 0 a' 0 cap;
-      a'
-    in
-    q.ts <- extend q.ts 0.0;
-    q.seq <- extend q.seq 0;
-    q.src <- extend q.src 0;
-    q.dst <- extend q.dst 0;
-    q.msgs <- (if cap = 0 then Array.make cap' msg else Array.append q.msgs q.msgs);
-    q.heap <- Array.init cap' (fun i -> if i < cap then q.heap.(i) else i)
+    double q.h msg;
+    q.heap <-
+      Array.init (Array.length q.h.ts) (fun i -> if i < cap then q.heap.(i) else i)
 
-  let[@inline] push q ~t ~seq ~src ~dst msg =
+  let[@inline] heap_push q ~t ~seq ~src ~dst msg =
     if q.len = Array.length q.heap then grow q msg;
     let s = q.heap.(q.len) in
-    q.ts.(s) <- t;
-    q.seq.(s) <- seq;
-    q.src.(s) <- src;
-    q.dst.(s) <- dst;
-    q.msgs.(s) <- msg;
+    set q.h s ~t ~seq ~src ~dst msg;
     (* sift up: move the hole towards the root, then drop [s] in *)
     let i = ref q.len in
     q.len <- q.len + 1;
@@ -165,7 +195,7 @@ module Eq = struct
       !i > 0
       &&
       let p = (!i - 1) / 2 in
-      lt q s q.heap.(p)
+      lt q.h s q.heap.(p)
     do
       let p = (!i - 1) / 2 in
       q.heap.(!i) <- q.heap.(p);
@@ -173,12 +203,39 @@ module Eq = struct
     done;
     q.heap.(!i) <- s
 
-  (* The slot of the earliest event; the queue must be non-empty. *)
-  let top q = q.heap.(0)
+  let[@inline] push q ~t ~seq ~src ~dst msg =
+    let r = q.r in
+    let mask = Array.length r.ts - 1 in
+    if q.rlen = 0 || t >= r.ts.((q.head + q.rlen - 1) land mask) then begin
+      if q.rlen = Array.length r.ts then double r msg;
+      set r ((q.head + q.rlen) land (Array.length r.ts - 1)) ~t ~seq ~src ~dst msg;
+      q.rlen <- q.rlen + 1
+    end
+    else heap_push q ~t ~seq ~src ~dst msg
 
-  (* Remove the earliest event and return its slot. The slot goes back
-     to the free region, so the caller must read it before the next
-     [push]. *)
+  let is_empty q = q.len = 0 && q.rlen = 0
+
+  (* Whether the earliest event is the run's head; the queue must be
+     non-empty. *)
+  let[@inline] run_first q =
+    q.rlen > 0
+    && (q.len = 0
+       ||
+       let r = q.head and s = q.heap.(0) in
+       let tr = q.r.ts.(r) and th = q.h.ts.(s) in
+       tr < th || (tr = th && q.r.seq.(r) < q.h.seq.(s)))
+
+  (* Remove the run's head and return its index in [q.r]. The index
+     stays readable until the next [push]. *)
+  let[@inline] take q =
+    let r = q.head in
+    q.head <- (r + 1) land (Array.length q.r.ts - 1);
+    q.rlen <- q.rlen - 1;
+    r
+
+  (* Remove the heap's earliest event and return its slot in [q.h]. The
+     slot goes back to the free region, so the caller must read it
+     before the next [push]. *)
   let pop q =
     let top = q.heap.(0) in
     q.len <- q.len - 1;
@@ -194,9 +251,9 @@ module Eq = struct
         if l >= len then continue := false
         else begin
           let c =
-            if l + 1 < len && lt q q.heap.(l + 1) q.heap.(l) then l + 1 else l
+            if l + 1 < len && lt q.h q.heap.(l + 1) q.heap.(l) then l + 1 else l
           in
-          if lt q q.heap.(c) last then begin
+          if lt q.h q.heap.(c) last then begin
             q.heap.(!i) <- q.heap.(c);
             i := c
           end
@@ -211,6 +268,16 @@ end
 (* ------------------------------------------------------------------ *)
 (* Simulation                                                          *)
 (* ------------------------------------------------------------------ *)
+
+(* [Random.State.float rng 1.0], bit for bit, without boxing the
+   result: the stdlib's draw is a recursive function, so every call
+   returns a fresh boxed float. *)
+let[@inline] unit_float rng =
+  let n = ref (Int64.shift_right_logical (Random.State.bits64 rng) 11) in
+  while Int64.equal !n 0L do
+    n := Int64.shift_right_logical (Random.State.bits64 rng) 11
+  done;
+  Int64.to_float !n *. 0x1.p-53
 
 (* The simulated clock: an all-float record, so advancing it does not
    box. *)
@@ -271,10 +338,10 @@ let run_core (type s m) ~(config : m config) (topo : Topology.t)
     match config.timing with
     | Synchronous -> 1.0
     | Asynchronous { max_delay } ->
-      let u = Random.State.float rng 1.0 in
+      let u = unit_float rng in
       Float.max 1e-6 (u *. max_delay)
     | Partially_synchronous { bound } ->
-      let u = Random.State.float rng 1.0 in
+      let u = unit_float rng in
       Float.max 1e-6 (u *. bound)
   in
   let send_from src dst msg =
@@ -287,7 +354,7 @@ let run_core (type s m) ~(config : m config) (topo : Topology.t)
         | None -> msg
       in
       if partitioned src dst partitions then incr dropped
-      else if !drop_prob > 0.0 && Random.State.float rng 1.0 < !drop_prob then
+      else if !drop_prob > 0.0 && unit_float rng < !drop_prob then
         incr dropped
       else begin
         incr seq;
@@ -325,16 +392,21 @@ let run_core (type s m) ~(config : m config) (topo : Topology.t)
   let states = Array.init n (fun i -> algo.initial ctxs.(i)) in
   (* main loop: an event past either horizon is neither counted nor
      delivered, and does not advance the clock *)
+  let from_run = ref false in
   while
-    queue.Eq.len > 0
-    && queue.Eq.ts.(Eq.top queue) <= config.max_time
+    (not (Eq.is_empty queue))
+    && (from_run := Eq.run_first queue;
+        (if !from_run then queue.Eq.r.Eq.ts.(queue.Eq.head)
+         else queue.Eq.h.Eq.ts.(queue.Eq.heap.(0)))
+        <= config.max_time)
     && !events < config.max_events
   do
-    let slot = Eq.pop queue in
-    (* read the slot out before the handler's pushes can reuse it *)
-    let src = queue.Eq.src.(slot) and dst = queue.Eq.dst.(slot) in
-    let msg = queue.Eq.msgs.(slot) in
-    clock.now <- queue.Eq.ts.(slot);
+    let lane = if !from_run then queue.Eq.r else queue.Eq.h in
+    let i = if !from_run then Eq.take queue else Eq.pop queue in
+    (* read the event out before the handler's pushes can reuse it *)
+    let src = lane.Eq.src.(i) and dst = lane.Eq.dst.(i) in
+    let msg = lane.Eq.msgs.(i) in
+    clock.now <- lane.Eq.ts.(i);
     incr events;
     if (not (is_crashed dst)) && not halted.(dst) then begin
       let src =
