@@ -187,9 +187,7 @@ let run ?(config = default_config) reqs =
   let world =
     {
       Node.reqs;
-      keys = Array.make (Array.length reqs) "";
-      key_hashes = Bytes.create (8 * Array.length reqs);
-      hashed = Array.make (Array.length reqs) false;
+      routes = Hashtbl.create 64;
       ring;
       n_replicas = n;
       active;

@@ -14,16 +14,9 @@ type t = {
    same order as their hex spelling, so placements match it exactly. *)
 let hash s = String.sub (Digest.string s) 0 8
 
-let hash_into key b off = Bytes.blit_string (Digest.string key) 0 b off 8
+type position = string
 
-(* A point's hash against the 8 position bytes at [b.(off)], from byte
-   [i] on, ordered as [compare] orders the strings. Top-level, so a
-   lookup builds no closure. *)
-let rec compare_at s b off i =
-  if i = 8 then 0
-  else
-    let c = Char.compare (String.unsafe_get s i) (Bytes.unsafe_get b (off + i)) in
-    if c <> 0 then c else compare_at s b off (i + 1)
+let position = hash
 
 (* The points array is made over a constant pair, which is static data:
    a fill built at run time would be young, and [Array.make] over 256
@@ -66,31 +59,25 @@ let remove_replica t r =
   | [] -> invalid_arg "Hash_ring.remove_replica: cannot empty the ring"
   | rest -> create ~vnodes:t.vnodes ~replicas:rest ()
 
-(* Index of the first point with hash >= the position at [b.(off)],
-   wrapping to 0. *)
-let locate t b off =
+(* Index of the first point with hash >= [pos], wrapping to 0. *)
+let locate t pos =
   let n = Array.length t.points in
   let lo = ref 0 and hi = ref n in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if compare_at (fst t.points.(mid)) b off 0 < 0 then lo := mid + 1
+    if String.compare (fst t.points.(mid)) pos < 0 then lo := mid + 1
     else hi := mid
   done;
   if !lo = n then 0 else !lo
 
-let position key =
-  let b = Bytes.create 8 in
-  hash_into key b 0;
-  b
+let shard_at t pos = snd t.points.(locate t pos)
 
-let shard_at t b off = snd t.points.(locate t b off)
+let shard t key = shard_at t (position key)
 
-let shard t key = shard_at t (position key) 0
-
-let successors_at t b off =
+let successors_at t pos =
   let n = Array.length t.points in
   let k = List.length t.replicas in
-  let start = locate t b off in
+  let start = locate t pos in
   (* [out] doubles as the seen set: it holds at most [k] replicas *)
   let out = ref [] and found = ref 0 in
   let i = ref 0 in
@@ -104,7 +91,7 @@ let successors_at t b off =
   done;
   List.rev !out
 
-let successors t key = successors_at t (position key) 0
+let successors t key = successors_at t (position key)
 
 let spread t keys =
   let counts = Hashtbl.create 8 in

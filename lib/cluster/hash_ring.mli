@@ -41,19 +41,18 @@ val successors : t -> string -> int list
     appearing once — the failover walk: entry [0] is {!shard}, entry
     [k] is the k-th distinct replica clockwise from it. *)
 
-val hash_into : string -> Bytes.t -> int -> unit
-(** [hash_into key b off] writes the key's position on the ring, 8 raw
-    digest bytes, at [b.(off)]. Ring membership does not change it, so
-    a caller that routes one key many times computes it once, and can
-    keep many positions in one byte buffer. *)
+type position
+(** A key's place on the ring: 8 raw digest bytes. Ring membership does
+    not change it, so a caller that routes one key many times computes
+    it once. *)
 
-val shard_at : t -> Bytes.t -> int -> int
-(** {!shard} of the key whose position {!hash_into} wrote at
-    [b.(off)]. *)
+val position : string -> position
 
-val successors_at : t -> Bytes.t -> int -> int list
-(** {!successors} of the key whose position {!hash_into} wrote at
-    [b.(off)]. *)
+val shard_at : t -> position -> int
+(** {!shard} of the key at this position. *)
+
+val successors_at : t -> position -> int list
+(** {!successors} of the key at this position. *)
 
 val spread : t -> string list -> (int * int) list
 (** [(replica, keys owned)] for a key population, ascending by replica

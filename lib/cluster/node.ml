@@ -69,13 +69,12 @@ type counts = {
   rid_dispatches : int array; (* per rid *)
 }
 
+(* A read's routing key and the key's ring position. *)
+type route = { ro_key : string; ro_pos : Hash_ring.position }
+
 type world = {
   reqs : Request.t array;
-  keys : string array;
-      (* per rid: the routing key once the hot-key sketch has read it,
-         else "" *)
-  key_hashes : Bytes.t; (* 8 bytes per rid: the key's ring position *)
-  hashed : bool array; (* per rid: [key_hashes] holds its position *)
+  routes : (Request.t, route) Hashtbl.t; (* by request content *)
   mutable ring : Hash_ring.t; (* mutated by elastic membership events *)
   n_replicas : int; (* highest node slot: initial replicas + late joiners *)
   active : bool array; (* per-slot ring membership; index 0 unused *)
@@ -454,41 +453,34 @@ let hk_tick w rt key =
     w.promoted_keys <- key :: w.promoted_keys
   end
 
-(* A request's routing key and ring position are computed once per run.
-   The position, which every read dispatch and retry routes by, is kept
-   from the first read dispatch on, as bytes in one buffer the GC never
-   scans; the key only for the hot-key sketch, which reads it again,
-   since a kept key lives, and is promoted, for the whole run. A key is
-   never empty. *)
-let route_key w rid =
-  let key = w.keys.(rid) in
-  if String.length key > 0 then key
-  else begin
-    let key = Request.key w.reqs.(rid) in
-    if w.tuning.hot_capacity > 0 then w.keys.(rid) <- key;
-    key
-  end
-
-let route_position w rid =
-  if not w.hashed.(rid) then begin
-    Hash_ring.hash_into (route_key w rid) w.key_hashes (8 * rid);
-    w.hashed.(rid) <- true
-  end;
-  8 * rid
+(* A read's route depends on its content alone, so it is computed once
+   per distinct request in the run: [Request.key] digests the embedded
+   sources and [Hash_ring.position] digests the key, and a stream
+   repeats a few hundred requests thousands of times. A key is never
+   empty. *)
+let route w rid =
+  let req = w.reqs.(rid) in
+  match Hashtbl.find w.routes req with
+  | r -> r
+  | exception Not_found ->
+    let key = Request.key req in
+    let r = { ro_key = key; ro_pos = Hash_ring.position key } in
+    Hashtbl.add w.routes req r;
+    r
 
 let read_target w rt rid attempt =
   if w.affinity then begin
-    let pos = route_position w rid in
+    let r = route w rid in
     match
       (* skip the string hash entirely while nothing is promoted *)
       if Hashtbl.length rt.promoted = 0 then None
-      else Hashtbl.find_opt rt.promoted (route_key w rid)
+      else Hashtbl.find_opt rt.promoted r.ro_key
     with
     | Some rot when w.tuning.hot_spread > 1 ->
       (* a promoted hot key reads from any of the first [hot_spread]
          ring successors, round-robin per fresh dispatch; retries keep
          walking the same rotation so attempt k still lands elsewhere *)
-      let succ = Hash_ring.successors_at w.ring w.key_hashes pos in
+      let succ = Hash_ring.successors_at w.ring r.ro_pos in
       let k = min w.tuning.hot_spread (List.length succ) in
       let i = (!rot + attempt) mod k in
       if attempt = 0 then incr rot;
@@ -497,9 +489,9 @@ let read_target w rt rid attempt =
       (* first dispatch goes to the shard owner — which is successor 0
          by construction, so skip the full successor walk on the hot
          path (it is O(ring points) and dominates large-fleet runs) *)
-      if attempt = 0 then Hash_ring.shard_at w.ring w.key_hashes pos
+      if attempt = 0 then Hash_ring.shard_at w.ring r.ro_pos
       else
-        let succ = Hash_ring.successors_at w.ring w.key_hashes pos in
+        let succ = Hash_ring.successors_at w.ring r.ro_pos in
         List.nth succ (attempt mod List.length succ)
   end
   else 1 + ((rid + attempt) mod w.n_replicas)
@@ -564,7 +556,7 @@ let dispatch (ctx : Proto.msg Engine.ctx) w rt p =
       attempt = 0 && w.affinity
       && w.tuning.hot_capacity > 0
       && w.tuning.hot_promote_after > 0
-    then hk_tick w rt (route_key w rid);
+    then hk_tick w rt (route w rid).ro_key;
     fire (read_target w rt rid attempt)
   end
 

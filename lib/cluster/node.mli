@@ -99,23 +99,18 @@ type counts = {
   rid_dispatches : int array;  (** dispatches per rid *)
 }
 
+type route = { ro_key : string; ro_pos : Hash_ring.position }
+(** A read's routing key ([Request.key]) and the key's ring position. *)
+
 (** Shared read-only input plus the mutable collection points the
     simulation writes into — the engine's own state is opaque after
     {!Gp_distsim.Engine.run} returns, so the harness reads results from
     here. Build one per run ({!Cluster.run} does). *)
 type world = {
   reqs : Gp_service.Request.t array;
-  keys : string array;
-      (** per rid, the routing key ([Request.key]) once the hot-key
-          sketch has read it; [""] otherwise. Make it
-          [Array.make n ""]. *)
-  key_hashes : Bytes.t;
-      (** 8 bytes per rid: the key's ring position
-          ({!Hash_ring.hash_into} at [8 * rid]), written on the
-          request's first read dispatch. Make it [Bytes.create (8 * n)]. *)
-  hashed : bool array;
-      (** per rid, whether [key_hashes] holds its position yet. Make it
-          [Array.make n false]. *)
+  routes : (Gp_service.Request.t, route) Hashtbl.t;
+      (** each distinct read's route, by request content, filled on its
+          first read dispatch. Make it empty. *)
   mutable ring : Hash_ring.t;
       (** the routing ring; elastic membership events swap it mid-run *)
   n_replicas : int;
