@@ -370,7 +370,8 @@ and check_constraints ~mode ~visited reg env cs =
    so wire-supplied names cannot grow it.
 
    An entry also carries the verdict's rendered report once someone has
-   asked for it ([check_rendered]), so a memo hit renders nothing. *)
+   asked for it ([check_rendered]), so a memo hit renders nothing, and
+   one client answer built from the two ([check_answer]). *)
 (* The key is a record with the tuple's layout, so it hashes exactly as
    the tuple [(concept, args, mode)] did. Its fields are mutable so a
    lookup can probe through one reused key instead of building one. *)
@@ -391,7 +392,13 @@ module Memo_tbl = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
-type entry = { e_report : report; mutable e_text : string option }
+type answer = ..
+
+type entry = {
+  e_report : report;
+  mutable e_text : string option;
+  mutable e_answer : answer option;
+}
 
 type memo = {
   mutable m_generation : int;
@@ -434,6 +441,7 @@ let compute mode reg concept args =
         rep_warnings = warnings;
       };
     e_text = None;
+    e_answer = None;
   }
 
 (* The verdict, from memo [m] when there is one; [m.m_hit] says which. A
@@ -494,13 +502,25 @@ let check_entry mode reg concept args =
 let check ?(mode = Structural) reg concept args =
   (check_entry mode reg concept args).e_report
 
-let check_rendered ?(mode = Structural) reg concept args =
-  let e = check_entry mode reg concept args in
+let rendered e =
   match e.e_text with
-  | Some text -> (e.e_report, text)
+  | Some text -> text
   | None ->
     let text = Fmt.str "%a" pp_report e.e_report in
     e.e_text <- Some text;
-    (e.e_report, text)
+    text
+
+let check_rendered ?(mode = Structural) reg concept args =
+  let e = check_entry mode reg concept args in
+  (e.e_report, rendered e)
+
+let check_answer ?(mode = Structural) reg concept args make =
+  let e = check_entry mode reg concept args in
+  match e.e_answer with
+  | Some a -> a
+  | None ->
+    let a = make e.e_report (rendered e) in
+    e.e_answer <- Some a;
+    a
 
 let models ?mode reg concept args = ok (check ?mode reg concept args)

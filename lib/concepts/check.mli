@@ -78,6 +78,23 @@ val check_rendered :
     memoised verdict keeps its rendering, so a repeated check renders
     nothing. *)
 
+type answer = ..
+(** A client's answer built from one memoised verdict and kept with it,
+    the way {!Registry.memo} keeps a client's state with a registry.
+    Extensible, so this module need not know the client's types. *)
+
+val check_answer :
+  ?mode:mode ->
+  Registry.t ->
+  string ->
+  Ctype.t list ->
+  (report -> string -> answer) ->
+  answer
+(** [check_answer reg concept args make] is {!check_rendered}'s verdict
+    as the answer kept with its memo entry: [make report text] builds it
+    on first use, and every later check of the same verdict, until the
+    memo drops it, returns that same answer. *)
+
 val memo_capacity : int
 (** The bound on one registry's memo: a table that reaches it is
     emptied before the next insertion. *)

@@ -20,6 +20,8 @@ module Json = Gp_telemetry.Json
 type defs = {
   items : Lang.item list;
   mutable scope : (Registry.t, Request.error) result option;
+  mutable parsed : Request.entry;
+      (* the [Parsed] answer, or [Request.no_entry] until first asked *)
 }
 
 (* An LRU of any value type, so one table can hold them all. *)
@@ -84,7 +86,7 @@ type t = {
   mutable cached : bool;
   mutable entry : Request.entry;
       (* how the last [handle] was served: whether from the caches, and
-         the answer LRU's entry on a hit (else [Request.no_entry]) —
+         the entry it was served from (else [Request.no_entry]) —
          reused fields, so a hit builds no tuple *)
 }
 
@@ -116,7 +118,8 @@ let err code detail = Error { Request.code; detail }
 let parsed_defs t ~caching ~budget source =
   let d, hit =
     Lru.find_or_compute t.caches.defs ~enabled:caching source (fun () ->
-        { items = Lang.parse_string source; scope = None })
+        { items = Lang.parse_string source; scope = None;
+          parsed = Request.no_entry })
   in
   Budget.spend budget (if hit then 1 else 1 + List.length d.items);
   (d, hit)
@@ -186,6 +189,21 @@ let answer ~caching lru key payload =
   end
   else Ok payload
 
+(* A check answer is a function of its verdict alone, so with caching on
+   it is built, rendered and digested once per verdict and kept in the
+   verdict memo's entry. The [cached] flag still says only whether the
+   defs came from the cache. *)
+type Check.answer += Answer of Request.entry
+
+let checked report text =
+  Request.Checked
+    { ok = Check.ok report;
+      failures = List.length report.Check.rep_failures;
+      warnings = List.length report.Check.rep_warnings;
+      report = text }
+
+let checked_answer report text = Answer (Request.entry (checked report text))
+
 let handle_check t ~caching ~budget ~concept ~types ~nominal ~defs =
   let sandbox_result =
     match defs with
@@ -206,32 +224,48 @@ let handle_check t ~caching ~budget ~concept ~types ~nominal ~defs =
   | Error (e, hit) ->
     t.cached <- hit;
     Error e
-  | Ok (reg, hit) ->
+  | Ok (reg, hit) -> (
     let mode = if nominal then Check.Nominal else Check.Structural in
     let args = List.map (fun ty -> Ctype.Named ty) types in
-    let report, text = Check.check_rendered ~mode reg concept args in
-    Budget.spend budget
-      (5
-      + List.length report.Check.rep_failures
-      + List.length report.Check.rep_warnings);
-    t.cached <- hit;
-    Ok
-      (Request.Checked
-         { ok = Check.ok report;
-           failures = List.length report.Check.rep_failures;
-           warnings = List.length report.Check.rep_warnings;
-           report = text })
+    let result =
+      if caching then begin
+        match Check.check_answer ~mode reg concept args checked_answer with
+        | Answer e ->
+          t.entry <- e;
+          e.Request.e_result
+        | _ -> assert false (* the verdict memo keeps only [Answer]s here *)
+      end
+      else
+        let report, text = Check.check_rendered ~mode reg concept args in
+        Ok (checked report text)
+    in
+    match result with
+    | Ok (Request.Checked { failures; warnings; _ }) ->
+      Budget.spend budget (5 + failures + warnings);
+      t.cached <- hit;
+      result
+    | _ -> assert false)
+
+(* A parse answer is a function of the defs alone: with caching on it
+   is kept in the defs entry, built, rendered and digested once. *)
+let parsed items =
+  let count p = List.length (List.filter p items) in
+  Request.Parsed
+    { items = List.length items;
+      concepts = count (function Lang.Iconcept _ -> true | _ -> false);
+      models = count (function Lang.Imodel _ -> true | _ -> false) }
 
 let handle_parse t ~caching ~budget ~source =
   match parsed_defs t ~caching ~budget source with
-  | { items; _ }, hit ->
-    let count p = List.length (List.filter p items) in
+  | d, hit ->
     t.cached <- hit;
-    Ok
-      (Request.Parsed
-         { items = List.length items;
-           concepts = count (function Lang.Iconcept _ -> true | _ -> false);
-           models = count (function Lang.Imodel _ -> true | _ -> false) })
+    if caching then begin
+      if d.parsed == Request.no_entry then
+        d.parsed <- Request.entry (parsed d.items);
+      t.entry <- d.parsed;
+      d.parsed.Request.e_result
+    end
+    else Ok (parsed d.items)
   | exception Lang.Parse_error { line; col; message } ->
     err Request.Parse_failure (Printf.sprintf ".gpc:%d:%d: %s" line col message)
 

@@ -66,5 +66,7 @@ val cached : t -> bool
     caches. *)
 
 val entry : t -> Request.entry
-(** The answer LRU's entry the last {!handle} that returned served, or
-    {!Request.no_entry}. *)
+(** The entry the last {!handle} that returned served its answer from,
+    or {!Request.no_entry}: an answer LRU's entry on a hit, or with
+    caching on the entry a check keeps in its verdict's memo entry, or
+    a parse in its defs entry. *)

@@ -127,8 +127,8 @@ type response = {
   rsp_steps : int;
   rsp_entry : entry;
       (** the cache entry the answer was served from, or {!no_entry}:
-          misses, checks, parses, errors and a cache-off server render
-          and digest afresh *)
+          misses, errors and a cache-off server render and digest
+          afresh *)
 }
 
 val ok : response -> bool

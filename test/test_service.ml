@@ -533,6 +533,43 @@ let memo_equals_fresh_prop =
       (* a warm 6-key stream of 80 requests always re-serves some entry *)
       (not caching) || !hits > 0)
 
+(* A check answer lives in its verdict's memo entry and a parse answer
+   in its defs entry: a repeated request is served from the same entry,
+   with the [cached] flag it always had (a check without defs is never
+   cached; a parse is, once its defs are). A cache-off server serves
+   neither from an entry. *)
+let test_check_parse_entries () =
+  let check = Request.Check
+      { concept = "Monoid"; types = [ "int" ]; nominal = false; defs = None }
+  and parse = Request.Parse { source = "concept C<T> { }" } in
+  let served caching req =
+    let server =
+      mkserver ~config:{ Server.default_config with caching } ()
+    in
+    let a = Server.handle server req in
+    let b = Server.handle server req in
+    (a, b)
+  in
+  let a, b = served true check in
+  Alcotest.(check bool) "check: one entry" true
+    (a.Request.rsp_entry != Request.no_entry
+    && a.Request.rsp_entry == b.Request.rsp_entry);
+  Alcotest.(check (pair bool bool)) "check: never cached" (false, false)
+    (a.Request.rsp_cached, b.Request.rsp_cached);
+  let a, b = served true parse in
+  Alcotest.(check bool) "parse: one entry" true
+    (a.Request.rsp_entry != Request.no_entry
+    && a.Request.rsp_entry == b.Request.rsp_entry);
+  Alcotest.(check (pair bool bool)) "parse: cached once parsed" (false, true)
+    (a.Request.rsp_cached, b.Request.rsp_cached);
+  List.iter
+    (fun req ->
+      let a, b = served false req in
+      Alcotest.(check bool) "cache off: no entry" true
+        (a.Request.rsp_entry == Request.no_entry
+        && b.Request.rsp_entry == Request.no_entry))
+    [ check; parse ]
+
 (* ------------------------------------------------------------------ *)
 (* Robustness: the malformed-request corpus                            *)
 (* ------------------------------------------------------------------ *)
@@ -2330,7 +2367,9 @@ let () =
           qtest wire_roundtrip_prop;
           qtest wire_history_prop;
           qtest wire_response_stream_prop;
-          qtest memo_equals_fresh_prop ] );
+          qtest memo_equals_fresh_prop;
+          Alcotest.test_case "check, parse answers in entries"
+            `Quick test_check_parse_entries ] );
       ( "robustness",
         [ Alcotest.test_case "malformed corpus" `Quick test_malformed_corpus;
           Alcotest.test_case "numeric literals are parse failures" `Quick
