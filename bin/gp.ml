@@ -1329,8 +1329,10 @@ let count_tolerance = 0.005
    O(n log n) is the regression s8 exists to catch — and an improvement
    means the declared bound should be tightened, deliberately),
    _residual is lower-better with additive tolerance (fit quality in
-   log space, where 0 is exact), and everything else — the _ns times —
-   is lower-better as a ratio. *)
+   log space, where 0 is exact), a name containing _iqr is a quartile
+   spread, itself too noisy to gate: it is reported when it moves beyond
+   the tolerance either way, never failed, and everything else — the
+   _ns times — is lower-better as a ratio. *)
 let bench_diff_cmd =
   let old_arg =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"OLD.json")
@@ -1397,6 +1399,7 @@ let bench_diff_cmd =
       let compared = ref 0 in
       let regressions = ref 0 in
       let stale = ref 0 in
+      let spreads = ref 0 in
       List.iter
         (fun (sec, metrics) ->
           match (metrics, List.assoc_opt sec old_sections) with
@@ -1404,6 +1407,15 @@ let bench_diff_cmd =
             List.iter
               (fun (name, _) ->
                 match (metric name metrics, metric name old) with
+                | Some nv, Some ov when contains "_iqr" name ->
+                  incr compared;
+                  if nv > ov *. (1.0 +. tolerance)
+                     || nv < ov *. (1.0 -. tolerance)
+                  then begin
+                    incr spreads;
+                    Fmt.pr "SPREAD %s/%s: %.1f -> %.1f (reported, not gated)@."
+                      sec name ov nv
+                  end
                 | Some nv, Some ov ->
                   incr compared;
                   let regressed, msg =
@@ -1460,10 +1472,13 @@ let bench_diff_cmd =
       end
       else begin
         let failed = !regressions + !stale > 0 in
-        Fmt.pr "bench-diff: %d metric(s) compared, %d regression(s)%s \
+        Fmt.pr "bench-diff: %d metric(s) compared, %d regression(s)%s%s \
                 (tolerance %.0f%%)%s@."
           !compared !regressions
           (if !stale > 0 then Printf.sprintf ", %d stale count(s)" !stale
+           else "")
+          (if !spreads > 0 then
+             Printf.sprintf ", %d spread(s) moved" !spreads
            else "")
           (tolerance *. 100.0)
           (if quick && failed then " [quick: not gating]" else "");
@@ -1474,7 +1489,8 @@ let bench_diff_cmd =
     (Cmd.info "bench-diff"
        ~doc:"Compare two bench --json result files and fail (exit 1) on \
              per-metric perf regressions beyond the tolerance, or on \
-             allocation counts that fell (a stale baseline)")
+             allocation counts that fell (a stale baseline); quartile \
+             spreads (names containing _iqr) are reported, never gated")
     Term.(const run $ old_arg $ new_arg $ tolerance $ quick)
 
 let () =
