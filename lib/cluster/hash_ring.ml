@@ -3,20 +3,18 @@
    the key's own hash. Digest (MD5) keeps placement deterministic across
    processes — no Hashtbl.hash, whose layout is not a contract. *)
 
-type t = {
-  replicas : int list; (* ascending *)
-  vnodes : int;
-  points : (string * int) array; (* (hash, replica), sorted by hash *)
-}
-
 (* The first 8 raw digest bytes: they compare lexicographically like
    the integer they encode, which is all ring order needs — and in the
    same order as their hex spelling, so placements match it exactly. *)
-let hash s = String.sub (Digest.string s) 0 8
-
 type position = string
 
-let position = hash
+let position s = String.sub (Digest.string s) 0 8
+
+type t = {
+  replicas : int list; (* ascending *)
+  vnodes : int;
+  points : (position * int) array; (* (hash, replica), sorted by hash *)
+}
 
 (* The points array is made over a constant pair, which is static data:
    a fill built at run time would be young, and [Array.make] over 256
@@ -31,7 +29,8 @@ let create ?(vnodes = 64) ~replicas () =
   List.iteri
     (fun k r ->
       for v = 0 to vnodes - 1 do
-        points.((k * vnodes) + v) <- (hash (Printf.sprintf "replica-%d#%d" r v), r)
+        points.((k * vnodes) + v) <-
+          (position (Printf.sprintf "replica-%d#%d" r v), r)
       done)
     replicas;
   Array.sort compare points;
