@@ -1510,53 +1510,93 @@ let s5 () =
      8-replica run: an exact count, gated like the allocation counts *)
   Fmt.pr "engine heap peak: %d events (keyed, 8 replicas)@." !heap_peak;
   record ~experiment:"s5" "engine_heap_peak_r8" (float_of_int !heap_peak);
-  (* the cluster's wall clock, split in two: the simulated run and the
-     single-node audit replay of its answers, per request, over the
-     perfbench `cluster` shape (the s7 serving mix, 8 asynchronous
-     replicas, seed 1). Medians over [trials] runs with the quartile
-     spread; null under --quick. *)
+  (* the perfbench `cluster` shape: the s7 serving mix with the numeric
+     kinds, 2 000 requests rendered to wire lines and loaded the way
+     `gp cluster run --file` loads them, run through 8 asynchronous
+     replicas (seed 1), then audited on one server. The minor words per
+     request of the load, the run and the audit are exact counts, taken
+     under --quick too. The wall clock is split three ways, per request:
+     medians over [trials] passes with the quartile spread, null under
+     --quick. *)
   let quick = !quota < 0.5 in
-  let run_us, run_iqr, audit_us, audit_iqr =
-    if quick then (nan, nan, nan, nan)
+  let n_shape = 2000 in
+  let lines =
+    let mix =
+      Gp_service.Workload.default_mix
+      @ Gp_service.Request.[ (Kmatvec, 8); (Kmatmul, 4); (Ksolve, 4) ]
+    in
+    Gp_service.Workload.generate ~mix ~seed:1 ~n:n_shape ()
+    |> List.map (fun req -> Gp_service.Wire.request_to_line req)
+  in
+  let load () =
+    lines
+    |> List.filter (fun l -> not (Gp_service.Server.is_blank l))
+    |> List.map (fun l ->
+           match Gp_service.Wire.request_of_line l with
+           | Ok (_, req) -> req
+           | Error e -> failwith e)
+    |> Array.of_list
+  in
+  let config =
+    { Cluster.default_config with
+      replicas = 8; seed = 1;
+      timing = Gp_distsim.Engine.Asynchronous { max_delay = 3.0 } }
+  in
+  let per_req_words f =
+    let w0 = Gc.minor_words () in
+    let x = f () in
+    (x, (Gc.minor_words () -. w0) /. float_of_int n_shape)
+  in
+  let reqs, load_words = per_req_words load in
+  let r, run_words = per_req_words (fun () -> Cluster.run ~config reqs) in
+  let a, audit_words = per_req_words (fun () -> Cluster.audit r) in
+  assert (r.Cluster.r_completed = n_shape && Cluster.audit_ok a);
+  Fmt.pr "perfbench cluster shape (8 async replicas, %d requests): minor \
+          words per request %.1f load, %.1f run, %.1f audit@."
+    n_shape load_words run_words audit_words;
+  record ~experiment:"s5" "cluster_load_minor_words_per_req" load_words;
+  record ~experiment:"s5" "cluster_run_minor_words_per_req" run_words;
+  record ~experiment:"s5" "cluster_audit_minor_words_per_req" audit_words;
+  let walls =
+    if quick then Array.make 6 nan
     else begin
-      let n = 2000 and trials = 21 in
-      let mix =
-        Gp_service.Workload.default_mix
-        @ Gp_service.Request.[ (Kmatvec, 8); (Kmatmul, 4); (Ksolve, 4) ]
+      let trials = 21 in
+      let per_req t0 =
+        (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int n_shape
       in
-      let reqs =
-        Gp_service.Workload.generate ~mix ~seed:1 ~n () |> Array.of_list
-      in
-      let config =
-        { Cluster.default_config with
-          replicas = 8; seed = 1;
-          timing = Gp_distsim.Engine.Asynchronous { max_delay = 3.0 } }
-      in
-      let per_req t0 = (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int n in
       let pass () =
+        let t0 = Unix.gettimeofday () in
+        let reqs = load () in
+        let load_us = per_req t0 in
         let t0 = Unix.gettimeofday () in
         let r = Cluster.run ~config reqs in
         let run_us = per_req t0 in
         let t0 = Unix.gettimeofday () in
         assert (Cluster.audit_ok (Cluster.audit r));
-        (run_us, per_req t0)
+        (load_us, run_us, per_req t0)
       in
       ignore (pass ());
       let samples = Array.init trials (fun _ -> pass ()) in
-      let run_us, run_iqr = spread (Array.map fst samples) in
-      let audit_us, audit_iqr = spread (Array.map snd samples) in
-      (run_us, run_iqr, audit_us, audit_iqr)
+      let load_us, load_iqr = spread (Array.map (fun (l, _, _) -> l) samples) in
+      let run_us, run_iqr = spread (Array.map (fun (_, r, _) -> r) samples) in
+      let audit_us, audit_iqr =
+        spread (Array.map (fun (_, _, a) -> a) samples)
+      in
+      [| load_us; load_iqr; run_us; run_iqr; audit_us; audit_iqr |]
     end
   in
-  Fmt.pr "cluster wall per request (8 async replicas, 2000 requests): \
-          run %s, audit %s@."
-    (if quick then "(--quick)" else Printf.sprintf "%.2f us [%.2f]" run_us run_iqr)
-    (if quick then "(--quick)"
-     else Printf.sprintf "%.2f us [%.2f]" audit_us audit_iqr);
-  record ~experiment:"s5" "cluster_run_us_per_req" run_us;
-  record ~experiment:"s5" "cluster_run_us_per_req_iqr" run_iqr;
-  record ~experiment:"s5" "cluster_audit_us_per_req" audit_us;
-  record ~experiment:"s5" "cluster_audit_us_per_req_iqr" audit_iqr;
+  let us i =
+    if quick then "(--quick)"
+    else Printf.sprintf "%.2f us [%.2f]" walls.(i) walls.(i + 1)
+  in
+  Fmt.pr "cluster wall per request: load %s, run %s, audit %s@." (us 0)
+    (us 2) (us 4);
+  List.iteri
+    (fun i key ->
+      record ~experiment:"s5" key walls.(2 * i);
+      record ~experiment:"s5" (key ^ "_iqr") walls.((2 * i) + 1))
+    [ "cluster_load_us_per_req"; "cluster_run_us_per_req";
+      "cluster_audit_us_per_req" ];
   (* failover: 20% drops plus a crash of the elected leader, mid-run *)
   let failures = [ Cluster.Drop 0.2; Cluster.Crash_leader { at = 40.0 } ] in
   let r = run ~failures 3 in
