@@ -1529,13 +1529,9 @@ let s5 () =
     |> List.map (fun req -> Gp_service.Wire.request_to_line req)
   in
   let load () =
-    lines
-    |> List.filter (fun l -> not (Gp_service.Server.is_blank l))
-    |> List.map (fun l ->
-           match Gp_service.Wire.request_of_line l with
-           | Ok (_, req) -> req
-           | Error e -> failwith e)
-    |> Array.of_list
+    match Gp_service.Wire.requests_of_lines lines with
+    | Ok reqs -> reqs
+    | Error e -> failwith e
   in
   let config =
     { Cluster.default_config with

@@ -920,16 +920,15 @@ let cluster_run_cmd =
     in
     let reqs =
       match file with
-      | Some path ->
-        In_channel.with_open_text path In_channel.input_lines
-        |> List.filter (fun l -> not (Gp_service.Server.is_blank l))
-        |> List.map (fun l ->
-               match Gp_service.Wire.request_of_line l with
-               | Ok (_, req) -> req
-               | Error e ->
-                 Fmt.epr "%s: bad request line: %s@." path e;
-                 exit 2)
-        |> Array.of_list
+      | Some path -> (
+        match
+          Gp_service.Wire.requests_of_lines
+            (In_channel.with_open_text path In_channel.input_lines)
+        with
+        | Ok reqs -> reqs
+        | Error e ->
+          Fmt.epr "%s: bad request line: %s@." path e;
+          exit 2)
       | None ->
         Gp_service.Workload.generate ~seed ~n () |> Array.of_list
     in

@@ -198,6 +198,7 @@ let run ?(config = default_config) reqs =
       server_config = config.server_config;
       servers = Array.make (n + 1) None;
       records = Array.make (Array.length reqs) None;
+      served = Array.make (Array.length reqs) [];
       completed = 0;
       elections = 0;
       failovers = [];
@@ -430,21 +431,18 @@ let audit_items ~config ~total ~shed items =
     au_divergences = divergences }
 
 let audit r =
-  let shed = ref 0 in
-  let items =
-    List.filter_map
-      (function
-        | None -> None
-        | Some rc when rc.Node.rc_shed ->
-          incr shed;
-          None
-        | Some rc ->
-          let rid = rc.Node.rc_rid in
-          Some (rid, Flight.Decoded (rid, r.r_requests.(rid)), rc.Node.rc_fp))
-      (Array.to_list r.r_records)
-  in
+  let shed = ref 0 and items = ref [] in
+  for rid = Array.length r.r_records - 1 downto 0 do
+    match r.r_records.(rid) with
+    | None -> ()
+    | Some rc when rc.Node.rc_shed -> incr shed
+    | Some rc ->
+      items :=
+        (rid, Flight.Decoded (rid, r.r_requests.(rid)), rc.Node.rc_fp)
+        :: !items
+  done;
   audit_items ~config:r.r_config.server_config
-    ~total:(Array.length r.r_requests) ~shed:!shed items
+    ~total:(Array.length r.r_requests) ~shed:!shed !items
 
 let pp_audit ppf a =
   Fmt.pf ppf "audit: %d/%d compared, %d missing, %s%d divergent@." a.au_compared

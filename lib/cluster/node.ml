@@ -69,8 +69,23 @@ type counts = {
   rid_dispatches : int array; (* per rid *)
 }
 
-(* A read's routing key and the key's ring position. *)
-type route = { ro_key : string; ro_pos : Hash_ring.position }
+(* A read's routing key, the key's ring position, and the shard owner
+   last read off [ro_ring] at that position. *)
+type route = {
+  ro_key : string;
+  ro_pos : Hash_ring.position;
+  mutable ro_ring : Hash_ring.t;
+  mutable ro_shard : int;
+}
+
+(* A replica's memoized answer to one request. The fingerprint is
+   digested only when a Reply carries it: a serve that just applies a
+   Replicate never pays for one. *)
+type served = {
+  sv_replica : int;
+  rsp : Request.response;
+  mutable fp : string; (* "" until the first Reply *)
+}
 
 type world = {
   reqs : Request.t array;
@@ -85,6 +100,7 @@ type world = {
   server_config : Server.config;
   servers : Server.t option array;
   records : record option array;
+  served : served list array; (* by rid: each replica's first response *)
   mutable completed : int;
   mutable elections : int;
   mutable failovers : (float * float) list;
@@ -160,8 +176,16 @@ type pending = {
   mutable p_park_since : float;
 }
 
+(* The empty slot of the router's [pending] table. It is never
+   written: every read of a slot compares it with this first. *)
+let no_pending =
+  { p_rid = -1; p_write = false; p_arrive = nan; p_attempt = 0;
+    p_req_span = 0; p_att_span = 0; p_att_start = nan; p_att_target = 0;
+    p_park_since = nan }
+
 type router = {
-  pending : (int, pending) Hashtbl.t;
+  pending : pending array; (* by rid: in flight, else [no_pending] *)
+  mutable n_pending : int; (* slots not [no_pending] *)
   wait_leader : int Queue.t; (* writes parked until a leader is known *)
   (* hot-key detection: a space-saving (Misra-Gries family) top-k table
      over read dispatch keys. Keys whose counter crosses the promotion
@@ -186,17 +210,9 @@ type router = {
   mutable rt_probe_start : float;
 }
 
-(* A replica's memoized answer to one request. The fingerprint is
-   digested only when a Reply carries it: a serve that just applies a
-   Replicate never pays for one. *)
-type served = {
-  rsp : Request.response;
-  mutable fp : string; (* "" until the first Reply *)
-}
-
 type replica = {
   server : Server.t;
-  served : (int, served) Hashtbl.t; (* rid -> first response *)
+  mutable n_served : int; (* distinct rids this replica has served *)
   mutable busy_until : float; (* end of the serialized service backlog *)
   mutable best : int; (* highest uid seen this election round *)
   mutable rep_leader : int option;
@@ -225,18 +241,26 @@ let each_replica w ~except f =
 (* Replica machine                                                 *)
 (* -------------------------------------------------------------- *)
 
+(* Replica [j]'s entry in a rid's [served] list. A read's list holds
+   the replica that served it (more only after retries), a write's one
+   entry per replica. *)
+let rec served_by j = function
+  | [] -> raise_notrace Not_found
+  | s :: rest -> if s.sv_replica = j then s else served_by j rest
+
 (* Serve [rid], memoized per replica: a retried or re-replicated request
    reuses the first response, so duplicates cannot fork the fingerprint
    and the work accounting stays honest. Returns [(result, fresh)]. *)
 let serve (ctx : Proto.msg Engine.ctx) w rep rid =
-  match Hashtbl.find_opt rep.served rid with
-  | Some r -> (r, false)
-  | None ->
+  match served_by ctx.self w.served.(rid) with
+  | s -> (s, false)
+  | exception Not_found ->
     let rsp = Server.handle ~id:rid rep.server w.reqs.(rid) in
     ctx.charge (max 1 rsp.Request.rsp_steps);
-    let r = { rsp; fp = "" } in
-    Hashtbl.replace rep.served rid r;
-    (r, true)
+    let s = { sv_replica = ctx.self; rsp; fp = "" } in
+    w.served.(rid) <- s :: w.served.(rid);
+    rep.n_served <- rep.n_served + 1;
+    (s, true)
 
 let reply (ctx : Proto.msg Engine.ctx) rid s tc =
   if s.fp = "" then s.fp <- Request.response_fingerprint s.rsp;
@@ -298,7 +322,11 @@ let replica_msg (ctx : Proto.msg Engine.ctx) w rep msg =
   | Proto.Start_election { tc } -> start_round ctx w rep ~tc
   | Proto.Do_request { rid; attempt; tc } ->
     let now = ctx.now () in
-    let already = Hashtbl.mem rep.served rid in
+    let already =
+      match served_by ctx.self w.served.(rid) with
+      | _ -> true
+      | exception Not_found -> false
+    in
     let backlog = Float.max 0.0 (rep.busy_until -. now) in
     if
       (not already)
@@ -391,9 +419,9 @@ let replica_msg (ctx : Proto.msg Engine.ctx) w rep msg =
   | Proto.Reply_due { rid; tc } -> (
     (* the deferred reply: the answer was memoized at serve time, the
        timer only models when the serialized server gets to send it *)
-    match Hashtbl.find_opt rep.served rid with
-    | Some s -> reply ctx rid s tc
-    | None -> ())
+    match served_by ctx.self w.served.(rid) with
+    | s -> reply ctx rid s tc
+    | exception Not_found -> ())
   | Proto.Join { tc } ->
     if w.trace_on then begin
       let now = ctx.now () in
@@ -402,7 +430,7 @@ let replica_msg (ctx : Proto.msg Engine.ctx) w rep msg =
         [ ("node", string_of_int ctx.self) ]
     end
   | Proto.Retire { tc = _ } | Proto.Shutdown { tc = _ } ->
-    ctx.decide (string_of_int (Hashtbl.length rep.served));
+    ctx.decide (string_of_int rep.n_served);
     ctx.halt ()
   | Proto.Arrive _ | Proto.Reply _ | Proto.Retry_check _ | Proto.Hb_check
   | Proto.Heartbeat _ | Proto.Shed _ | Proto.Elastic _ ->
@@ -464,9 +492,23 @@ let route w rid =
   | r -> r
   | exception Not_found ->
     let key = Request.key req in
-    let r = { ro_key = key; ro_pos = Hash_ring.position key } in
+    let pos = Hash_ring.position key in
+    let r =
+      { ro_key = key; ro_pos = pos; ro_ring = w.ring;
+        ro_shard = Hash_ring.shard_at w.ring pos }
+    in
     Hashtbl.add w.routes req r;
     r
+
+(* The route's shard owner, read off each ring once: elastic join and
+   leave replace [w.ring], so a physically different ring invalidates
+   the memo. *)
+let shard_owner w r =
+  if r.ro_ring != w.ring then begin
+    r.ro_ring <- w.ring;
+    r.ro_shard <- Hash_ring.shard_at w.ring r.ro_pos
+  end;
+  r.ro_shard
 
 let read_target w rt rid attempt =
   if w.affinity then begin
@@ -489,7 +531,7 @@ let read_target w rt rid attempt =
       (* first dispatch goes to the shard owner — which is successor 0
          by construction, so skip the full successor walk on the hot
          path (it is O(ring points) and dominates large-fleet runs) *)
-      if attempt = 0 then Hash_ring.shard_at w.ring r.ro_pos
+      if attempt = 0 then shard_owner w r
       else
         let succ = Hash_ring.successors_at w.ring r.ro_pos in
         List.nth succ (attempt mod List.length succ)
@@ -613,11 +655,21 @@ let shed_record w rid ~write ~replica ~attempts ~arrive ~done_ =
         rc_done = done_ };
   w.completed <- w.completed + 1
 
+(* Take [rid] out of the router's in-flight table: its pending request,
+   or [no_pending] if it was already settled. *)
+let settle rt rid =
+  let p = rt.pending.(rid) in
+  if p != no_pending then begin
+    rt.pending.(rid) <- no_pending;
+    rt.n_pending <- rt.n_pending - 1
+  end;
+  p
+
 let router_msg (ctx : Proto.msg Engine.ctx) w rt msg =
   match msg with
   | Proto.Arrive rid ->
     schedule_next_arrival ctx w rid;
-    let inflight = Hashtbl.length rt.pending in
+    let inflight = rt.n_pending in
     if w.tuning.queue_bound > 0 && inflight >= w.tuning.queue_bound then begin
       (* admission control: the router queue is full, shed at the door —
          a typed zero-latency rejection, never a hang *)
@@ -641,24 +693,23 @@ let router_msg (ctx : Proto.msg Engine.ctx) w rt msg =
           p_att_span = 0; p_att_start = 0.0; p_att_target = 0;
           p_park_since = nan }
       in
-      Hashtbl.replace rt.pending rid p;
+      rt.pending.(rid) <- p;
+      rt.n_pending <- inflight + 1;
       if inflight + 1 > w.peak_inflight then w.peak_inflight <- inflight + 1;
       dispatch ctx w rt p
     end
   | Proto.Retry_check { rid; attempt } ->
-    (match Hashtbl.find_opt rt.pending rid with
-     | Some p when p.p_attempt = attempt ->
-       w.counts.retries <- w.counts.retries + 1;
-       if w.trace_on then
-         close_attempt w p ~stop:(ctx.now ()) ~outcome:"retry";
-       p.p_attempt <- attempt + 1;
-       dispatch ctx w rt p
-     | Some _ | None -> ())
+    let p = rt.pending.(rid) in
+    if p != no_pending && p.p_attempt = attempt then begin
+      w.counts.retries <- w.counts.retries + 1;
+      if w.trace_on then close_attempt w p ~stop:(ctx.now ()) ~outcome:"retry";
+      p.p_attempt <- attempt + 1;
+      dispatch ctx w rt p
+    end
   | Proto.Reply { rid; replica; fp; ok; cached; tc = _ } ->
-    (match Hashtbl.find_opt rt.pending rid with
-     | None -> () (* duplicate reply from a retried request *)
-     | Some p ->
-       Hashtbl.remove rt.pending rid;
+    let p = settle rt rid in
+    (* a settled rid: a duplicate reply from a retried request *)
+    if p != no_pending then begin
        let done_ = ctx.now () in
        w.records.(rid) <-
          Some
@@ -678,12 +729,12 @@ let router_msg (ctx : Proto.msg Engine.ctx) w rt msg =
              ("replica", string_of_int replica);
              ("attempts", string_of_int (p.p_attempt + 1)) ]
        end;
-       finish_if_done ctx w)
+       finish_if_done ctx w
+    end
   | Proto.Shed { rid; replica; tc = _ } ->
-    (match Hashtbl.find_opt rt.pending rid with
-     | None -> () (* a racing Reply settled it first *)
-     | Some p ->
-       Hashtbl.remove rt.pending rid;
+    let p = settle rt rid in
+    (* a settled rid: a racing Reply settled it first *)
+    if p != no_pending then begin
        let done_ = ctx.now () in
        shed_record w rid ~write:p.p_write ~replica
          ~attempts:(p.p_attempt + 1) ~arrive:p.p_arrive ~done_;
@@ -700,7 +751,8 @@ let router_msg (ctx : Proto.msg Engine.ctx) w rt msg =
              ("attempts", string_of_int (p.p_attempt + 1));
              ("shed", "overload") ]
        end;
-       finish_if_done ctx w)
+       finish_if_done ctx w
+    end
   | Proto.Elastic { join; replica = r } ->
     if join then begin
       if r >= 1 && r <= w.n_replicas && not w.active.(r) then begin
@@ -772,10 +824,8 @@ let router_msg (ctx : Proto.msg Engine.ctx) w rt msg =
       end;
       (* a leader exists again: release the parked writes *)
       while not (Queue.is_empty rt.wait_leader) do
-        let rid = Queue.pop rt.wait_leader in
-        match Hashtbl.find_opt rt.pending rid with
-        | Some p -> dispatch ctx w rt p
-        | None -> ()
+        let p = rt.pending.(Queue.pop rt.wait_leader) in
+        if p != no_pending then dispatch ctx w rt p
       done
     end
   | Proto.Heartbeat { uid; tc } ->
@@ -814,7 +864,7 @@ let router_msg (ctx : Proto.msg Engine.ctx) w rt msg =
        in
        ctx.send l (Proto.Ping { tc })
      | None
-       when Hashtbl.length rt.pending > 0
+       when rt.n_pending > 0
             && ctx.now () -. rt.last_election > w.tuning.hb_timeout ->
        (* an election round went fully missing (dropped Elects/Coords);
           kick off another rather than stalling the parked writes *)
@@ -853,7 +903,8 @@ let initial w (ctx : Proto.msg Engine.ctx) =
     ctx.timer ~delay:w.tuning.hb_timeout Proto.Hb_check;
     w.elections <- w.elections + 1; (* the initial round, started below *)
     R_router
-      { pending = Hashtbl.create 64; wait_leader = Queue.create ();
+      { pending = Array.make (Array.length w.reqs) no_pending; n_pending = 0;
+        wait_leader = Queue.create ();
         hk_slots = Hashtbl.create 16;
         hk_keys = Array.make (max 1 w.tuning.hot_capacity) "";
         hk_counts = Array.make (max 1 w.tuning.hot_capacity) 0;
@@ -869,7 +920,7 @@ let initial w (ctx : Proto.msg Engine.ctx) =
     let server = Server.create ~config () in
     w.servers.(ctx.self) <- Some server;
     let rep =
-      { server; served = Hashtbl.create 64; busy_until = 0.0;
+      { server; n_served = 0; busy_until = 0.0;
         best = ctx.self;
         rep_leader = None; electing = false; rep_round_span = 0;
         rep_round_trace = 0; rep_round_parent = 0; rep_round_start = 0.0 }

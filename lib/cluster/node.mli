@@ -99,8 +99,12 @@ type counts = {
   rid_dispatches : int array;  (** dispatches per rid *)
 }
 
-type route = { ro_key : string; ro_pos : Hash_ring.position }
-(** A read's routing key ([Request.key]) and the key's ring position. *)
+type route
+(** A read's routing key ([Request.key]), the key's ring position, and
+    its shard owner on the ring it was last read off. *)
+
+type served
+(** One replica's memoized response to one request. *)
 
 (** Shared read-only input plus the mutable collection points the
     simulation writes into — the engine's own state is opaque after
@@ -134,6 +138,9 @@ type world = {
   servers : Gp_service.Server.t option array;
       (** filled at node init, indexed by node id (0 stays [None]) *)
   records : record option array;  (** indexed by rid, filled on completion *)
+  served : served list array;
+      (** indexed by rid: each replica's first response, one entry per
+          replica that served the rid. Make it over a [[]] fill. *)
   mutable completed : int;
   mutable elections : int;  (** election rounds, counting the initial one *)
   mutable failovers : (float * float) list;

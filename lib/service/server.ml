@@ -310,20 +310,8 @@ let process t reqs = List.map (fun req -> handle t req) reqs
 (* Line-oriented serving                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* same whitespace set [String.trim] strips, without copying the line *)
-let is_blank line =
-  let n = String.length line in
-  let rec go i =
-    i >= n
-    ||
-    match String.unsafe_get line i with
-    | ' ' | '\t' | '\n' | '\r' | '\012' -> go (i + 1)
-    | _ -> false
-  in
-  go 0
-
 let serve_line t line =
-  if is_blank line then None
+  if Wire.is_blank line then None
   else
     let decoded =
       (* a dedicated span so [Trace.folded --gc] attributes wire-parse

@@ -87,10 +87,6 @@ val process : t -> Request.t list -> Request.response list
 (** Serve each request with {!handle}, in order: responses in request
     order, ids consecutive. *)
 
-val is_blank : string -> bool
-(** Whether the line holds nothing but the blanks [String.trim] strips;
-    tested in place, without a copy. *)
-
 val serve_line : t -> string -> Request.response option
 (** Decode and serve one wire line ([None] for a blank line). *)
 

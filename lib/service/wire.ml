@@ -450,6 +450,39 @@ let request_of_line line =
                 | Request.Ksolve -> Request.Solve { structure; n; seed } )))
   end
 
+(* same whitespace set [String.trim] strips, without copying the line *)
+let is_blank line =
+  let n = String.length line in
+  let rec go i =
+    i >= n
+    ||
+    match String.unsafe_get line i with
+    | ' ' | '\t' | '\n' | '\r' | '\012' -> go (i + 1)
+    | _ -> false
+  in
+  go 0
+
+(* A workload repeats a few hundred distinct lines thousands of times:
+   each distinct line is decoded once and its request shared by every
+   repeat, so later content comparisons of two repeats stop at physical
+   equality. *)
+let requests_of_lines lines =
+  let decoded = Hashtbl.create 256 in
+  let rec go acc = function
+    | [] -> Ok (Array.of_list (List.rev acc))
+    | line :: rest when is_blank line -> go acc rest
+    | line :: rest -> (
+      match Hashtbl.find decoded line with
+      | req -> go (req :: acc) rest
+      | exception Not_found -> (
+        match request_of_line line with
+        | Ok (_, req) ->
+          Hashtbl.add decoded line req;
+          go (req :: acc) rest
+        | Error _ as e -> e))
+  in
+  go [] lines
+
 let request_to_line ?id req =
   let open Json in
   let base =

@@ -22,6 +22,17 @@ val request_of_line : string -> (int option * Request.t, string) result
     comma, in the object or in a string list, is rejected with
     [Json.parse]'s message. *)
 
+val is_blank : string -> bool
+(** Whether the line holds nothing but the blanks [String.trim] strips;
+    tested in place, without a copy. *)
+
+val requests_of_lines : string list -> (Request.t array, string) result
+(** Decode a workload, one request per non-blank line, in order; the
+    ids the lines carry are dropped. Equal lines yield one shared
+    (physically equal) request, decoded once. [Error] is
+    {!request_of_line}'s reason for the first line that does not
+    decode. *)
+
 val request_to_line : ?id:int -> Request.t -> string
 (** Encode a request; [request_of_line (request_to_line r)] round-trips. *)
 

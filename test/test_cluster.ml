@@ -430,6 +430,65 @@ let test_elastic_run () =
   Alcotest.(check bool) "audit clean" true
     (Cluster.audit_ok (Cluster.audit r))
 
+(* A workload loaded from wire lines shares one request per distinct
+   line; the cluster must not depend on that sharing. Under each failure
+   plan (drops, a leader crash, a partition, a join and a leave) a run
+   over shared requests prints, dumps and audits exactly like a run over
+   fresh structural copies of them. *)
+let shared_requests_prop =
+  let plans =
+    [| { Cluster.default_config with failures = [ Cluster.Drop 0.2 ] };
+       faulty_config;
+       { Cluster.default_config with
+         failures =
+           [ Cluster.Partition
+               { groups = [ [ 3 ] ]; from_ = 10.0; until = 60.0 } ] };
+       { Cluster.default_config with
+         elastic =
+           [ { Node.el_at = 20.0; el_join = true; el_replica = 4 };
+             { Node.el_at = 45.0; el_join = false; el_replica = 1 } ] } |]
+  in
+  qtest
+    (QCheck.Test.make
+       ~name:"shared requests = fresh copies (summary, dump, audit)"
+       ~count:12
+       QCheck.(pair (int_range 0 10_000) (Bounded.int_range 0 3))
+       (fun (seed, plan) ->
+         let lines =
+           Array.to_list (Array.map Wire.request_to_line (workload ~n:80 seed))
+         in
+         let shared =
+           match Wire.requests_of_lines lines with
+           | Ok reqs -> reqs
+           | Error e -> QCheck.Test.fail_reportf "loader rejected: %s" e
+         in
+         let copies =
+           Array.map
+             (fun l ->
+               match Wire.request_of_line l with
+               | Ok (_, req) -> req
+               | Error e -> QCheck.Test.fail_reportf "decode: %s" e)
+             (Array.of_list lines)
+         in
+         let repeats =
+           List.length (List.sort_uniq String.compare lines)
+           < List.length lines
+         in
+         let config =
+           { plans.(plan) with
+             timing = Gp_distsim.Engine.Asynchronous { max_delay = 3.0 };
+             seed }
+         in
+         let show reqs =
+           let r = run ~config reqs in
+           ( Fmt.str "%a" Cluster.pp_summary r,
+             Cluster.dump r,
+             Fmt.str "%a" Cluster.pp_audit (Cluster.audit r) )
+         in
+         (* every 80-request workload repeats a line, so [shared] holds
+            one request at two or more rids *)
+         repeats && show shared = show copies))
+
 (* Slow serves behind a bounded router queue and a replica backlog
    limit: the cluster sheds typed verdicts instead of queueing without
    bound, and the shed column closes the offline audit's accounting
@@ -740,6 +799,7 @@ let () =
         [
           Alcotest.test_case "join and leave mid-run" `Quick
             test_elastic_run;
+          shared_requests_prop;
           Alcotest.test_case "shed round-trip" `Quick test_shed_roundtrip;
         ] );
       ( "dump & audit",

@@ -438,6 +438,60 @@ let gen_response =
        (pair (pair small_nat (opt (oneofl Request.all_kinds))) result)
        (pair bool small_nat))
 
+(* The workload loader against the per-line decode it replaces: over
+   line lists drawn with repeats from a small pool of rendered requests
+   (some carrying ids), blank lines and malformed lines, it returns the
+   same requests in order, one physical request per distinct line, or
+   the same first error. *)
+let per_line_decode lines =
+  let rec go acc = function
+    | [] -> Ok (Array.of_list (List.rev acc))
+    | line :: rest when String.trim line = "" -> go acc rest
+    | line :: rest -> (
+      match Wire.request_of_line line with
+      | Ok (_, req) -> go (req :: acc) rest
+      | Error e -> Error e)
+  in
+  go [] lines
+
+let loader_prop =
+  let open QCheck.Gen in
+  let pool_line =
+    frequency
+      [ (6, map (fun (id, r) -> Wire.request_to_line ?id r)
+              (pair (opt small_nat) gen_request));
+        (2, oneofl [ ""; "  "; "\t"; " \r" ]);
+        (1, oneofl wire_corpus) ]
+  in
+  let gen_lines =
+    list_size (int_range 1 6) pool_line >>= fun pool ->
+    list_size (int_bound 30) (oneofl pool)
+  in
+  QCheck.Test.make ~name:"requests_of_lines = per-line decode, shared"
+    ~count:500
+    (QCheck.make ~print:(String.concat "\n") gen_lines)
+    (fun lines ->
+      match (Wire.requests_of_lines lines, per_line_decode lines) with
+      | Ok got, Ok want ->
+        if got <> want then QCheck.Test.fail_report "requests differ";
+        let kept =
+          Array.of_list (List.filter (fun l -> String.trim l <> "") lines)
+        in
+        Array.iteri
+          (fun i li ->
+            Array.iteri
+              (fun j lj ->
+                if String.equal li lj && got.(i) != got.(j) then
+                  QCheck.Test.fail_reportf "lines %d and %d not shared" i j)
+              kept)
+          kept;
+        true
+      | Error a, Error b ->
+        if a <> b then QCheck.Test.fail_reportf "error %S, want %S" a b;
+        true
+      | Ok _, Error e -> QCheck.Test.fail_reportf "accepted; want %S" e
+      | Error e, Ok _ -> QCheck.Test.fail_reportf "rejected with %S" e)
+
 (* Streaming digest ≡ materialize-then-digest, the renderer ≡ its AST
    oracle, and the fingerprint ignores provenance (id, cache-hit flag,
    step count) exactly as [result_equal] does. *)
@@ -2366,6 +2420,7 @@ let () =
             test_wire_parser_agreement;
           qtest wire_roundtrip_prop;
           qtest wire_history_prop;
+          qtest loader_prop;
           qtest wire_response_stream_prop;
           qtest memo_equals_fresh_prop;
           Alcotest.test_case "check, parse answers in entries"
