@@ -1553,46 +1553,43 @@ let s5 () =
   record ~experiment:"s5" "cluster_load_minor_words_per_req" load_words;
   record ~experiment:"s5" "cluster_run_minor_words_per_req" run_words;
   record ~experiment:"s5" "cluster_audit_minor_words_per_req" audit_words;
+  (* one pass: the load, the run and the audit, each timed *)
+  let pass () =
+    let per_req t0 =
+      (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int n_shape
+    in
+    let t0 = Unix.gettimeofday () in
+    let reqs = load () in
+    let load_us = per_req t0 in
+    let t0 = Unix.gettimeofday () in
+    let r = Cluster.run ~config reqs in
+    let run_us = per_req t0 in
+    let t0 = Unix.gettimeofday () in
+    assert (Cluster.audit_ok (Cluster.audit r));
+    [| load_us; run_us; per_req t0 |]
+  in
+  let stages = [ "load"; "run"; "audit" ] in
   let walls =
-    if quick then Array.make 6 nan
+    if quick then List.map (fun _ -> (nan, nan)) stages
     else begin
-      let trials = 21 in
-      let per_req t0 =
-        (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int n_shape
-      in
-      let pass () =
-        let t0 = Unix.gettimeofday () in
-        let reqs = load () in
-        let load_us = per_req t0 in
-        let t0 = Unix.gettimeofday () in
-        let r = Cluster.run ~config reqs in
-        let run_us = per_req t0 in
-        let t0 = Unix.gettimeofday () in
-        assert (Cluster.audit_ok (Cluster.audit r));
-        (load_us, run_us, per_req t0)
-      in
       ignore (pass ());
-      let samples = Array.init trials (fun _ -> pass ()) in
-      let load_us, load_iqr = spread (Array.map (fun (l, _, _) -> l) samples) in
-      let run_us, run_iqr = spread (Array.map (fun (_, r, _) -> r) samples) in
-      let audit_us, audit_iqr =
-        spread (Array.map (fun (_, _, a) -> a) samples)
-      in
-      [| load_us; load_iqr; run_us; run_iqr; audit_us; audit_iqr |]
+      let samples = Array.init 21 (fun _ -> pass ()) in
+      List.mapi (fun i _ -> spread (Array.map (fun s -> s.(i)) samples)) stages
     end
   in
-  let us i =
-    if quick then "(--quick)"
-    else Printf.sprintf "%.2f us [%.2f]" walls.(i) walls.(i + 1)
-  in
-  Fmt.pr "cluster wall per request: load %s, run %s, audit %s@." (us 0)
-    (us 2) (us 4);
-  List.iteri
-    (fun i key ->
-      record ~experiment:"s5" key walls.(2 * i);
-      record ~experiment:"s5" (key ^ "_iqr") walls.((2 * i) + 1))
-    [ "cluster_load_us_per_req"; "cluster_run_us_per_req";
-      "cluster_audit_us_per_req" ];
+  Fmt.pr "cluster wall per request:%s@."
+    (String.concat ","
+       (List.map2
+          (fun stage (us, iqr) ->
+            if quick then Printf.sprintf " %s (--quick)" stage
+            else Printf.sprintf " %s %.2f us [%.2f]" stage us iqr)
+          stages walls));
+  List.iter2
+    (fun stage (us, iqr) ->
+      let key = "cluster_" ^ stage ^ "_us_per_req" in
+      record ~experiment:"s5" key us;
+      record ~experiment:"s5" (key ^ "_iqr") iqr)
+    stages walls;
   (* failover: 20% drops plus a crash of the elected leader, mid-run *)
   let failures = [ Cluster.Drop 0.2; Cluster.Crash_leader { at = 40.0 } ] in
   let r = run ~failures 3 in

@@ -38,8 +38,6 @@ let create ?(vnodes = 64) ~replicas () =
 
 let replicas t = t.replicas
 
-let vnodes t = t.vnodes
-
 (* Elasticity: membership changes rebuild the ring from the new replica
    set. Point hashes depend only on (replica, vnode), so the rebuilt
    ring is bit-identical to [create] over the same set — and minimal

@@ -17,9 +17,6 @@ val create : ?vnodes:int -> replicas:int list -> unit -> t
 val replicas : t -> int list
 (** The replica ids, ascending. *)
 
-val vnodes : t -> int
-(** Points per replica, as given to {!create}. *)
-
 val add_replica : t -> int -> t
 (** The ring with one more replica, at the same [vnodes]. Identical to
     {!create} over the union — so only the keys on the newcomer's arcs

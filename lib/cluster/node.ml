@@ -561,6 +561,20 @@ let close_park w p ~stop =
     p.p_park_since <- nan
   end
 
+(* Close a settled request's open attempt and parking spans, then emit
+   its root span. *)
+let close_request w p ~stop ~outcome ~replica extra =
+  close_attempt w p ~stop ~outcome;
+  close_park w p ~stop;
+  emit w ~node:0 ~trace:p.p_rid ~id:p.p_req_span ~parent:0
+    ~name:"cluster.request" ~start:p.p_arrive ~stop
+    ([ ("rid", string_of_int p.p_rid);
+       ("kind", Request.kind_name (Request.kind w.reqs.(p.p_rid)));
+       ("write", string_of_bool p.p_write);
+       ("replica", string_of_int replica);
+       ("attempts", string_of_int (p.p_attempt + 1)) ]
+    @ extra)
+
 (* Dispatch the pending request's next attempt. Reads go to the shard
    owner, then walk its ring successors on retry; writes go to the
    leader, or park in [wait_leader] until a coordinator is known (the
@@ -708,50 +722,32 @@ let router_msg (ctx : Proto.msg Engine.ctx) w rt msg =
     end
   | Proto.Reply { rid; replica; fp; ok; cached; tc = _ } ->
     let p = settle rt rid in
-    (* a settled rid: a duplicate reply from a retried request *)
+    (* already settled: a duplicate reply from a retried request *)
     if p != no_pending then begin
-       let done_ = ctx.now () in
-       w.records.(rid) <-
-         Some
-           { rc_rid = rid; rc_kind = Request.kind w.reqs.(rid);
-             rc_write = p.p_write; rc_replica = replica; rc_fp = fp;
-             rc_ok = ok; rc_cached = cached; rc_attempts = p.p_attempt + 1;
-             rc_shed = false; rc_arrive = p.p_arrive; rc_done = done_ };
-       w.completed <- w.completed + 1;
-       if w.trace_on then begin
-         close_attempt w p ~stop:done_ ~outcome:"ok";
-         close_park w p ~stop:done_;
-         emit w ~node:0 ~trace:rid ~id:p.p_req_span ~parent:0
-           ~name:"cluster.request" ~start:p.p_arrive ~stop:done_
-           [ ("rid", string_of_int rid);
-             ("kind", Request.kind_name (Request.kind w.reqs.(rid)));
-             ("write", string_of_bool p.p_write);
-             ("replica", string_of_int replica);
-             ("attempts", string_of_int (p.p_attempt + 1)) ]
-       end;
-       finish_if_done ctx w
+      let done_ = ctx.now () in
+      w.records.(rid) <-
+        Some
+          { rc_rid = rid; rc_kind = Request.kind w.reqs.(rid);
+            rc_write = p.p_write; rc_replica = replica; rc_fp = fp;
+            rc_ok = ok; rc_cached = cached; rc_attempts = p.p_attempt + 1;
+            rc_shed = false; rc_arrive = p.p_arrive; rc_done = done_ };
+      w.completed <- w.completed + 1;
+      if w.trace_on then
+        close_request w p ~stop:done_ ~outcome:"ok" ~replica [];
+      finish_if_done ctx w
     end
   | Proto.Shed { rid; replica; tc = _ } ->
     let p = settle rt rid in
-    (* a settled rid: a racing Reply settled it first *)
+    (* already settled: a racing Reply came first *)
     if p != no_pending then begin
-       let done_ = ctx.now () in
-       shed_record w rid ~write:p.p_write ~replica
-         ~attempts:(p.p_attempt + 1) ~arrive:p.p_arrive ~done_;
-       w.shed_overload <- w.shed_overload + 1;
-       if w.trace_on then begin
-         close_attempt w p ~stop:done_ ~outcome:"shed";
-         close_park w p ~stop:done_;
-         emit w ~node:0 ~trace:rid ~id:p.p_req_span ~parent:0
-           ~name:"cluster.request" ~start:p.p_arrive ~stop:done_
-           [ ("rid", string_of_int rid);
-             ("kind", Request.kind_name (Request.kind w.reqs.(rid)));
-             ("write", string_of_bool p.p_write);
-             ("replica", string_of_int replica);
-             ("attempts", string_of_int (p.p_attempt + 1));
-             ("shed", "overload") ]
-       end;
-       finish_if_done ctx w
+      let done_ = ctx.now () in
+      shed_record w rid ~write:p.p_write ~replica
+        ~attempts:(p.p_attempt + 1) ~arrive:p.p_arrive ~done_;
+      w.shed_overload <- w.shed_overload + 1;
+      if w.trace_on then
+        close_request w p ~stop:done_ ~outcome:"shed" ~replica
+          [ ("shed", "overload") ];
+      finish_if_done ctx w
     end
   | Proto.Elastic { join; replica = r } ->
     if join then begin

@@ -40,45 +40,3 @@ let is_write req =
   match Gp_service.Request.kind req with
   | Gp_service.Request.Kparse -> true
   | _ -> false
-
-let context = function
-  | Arrive _ | Retry_check _ | Election_settle | Hb_check | Elastic _ ->
-    Context.none
-  (* Reply_due is a local alarm: its embedded [tc] is payload for the
-     Reply it will send, not a wire context of its own *)
-  | Reply_due _ -> Context.none
-  | Do_request { tc; _ } | Replicate { tc; _ } | Reply { tc; _ }
-  | Elect { tc; _ } | Coord { tc; _ } | Start_election { tc }
-  | Ping { tc } | Heartbeat { tc; _ } | Shutdown { tc }
-  | Shed { tc; _ } | Join { tc } | Retire { tc } ->
-    tc
-
-let pp_tc ppf tc =
-  if not (Context.is_none tc) then Fmt.pf ppf " [%a]" Context.pp tc
-
-let pp ppf = function
-  | Arrive rid -> Fmt.pf ppf "arrive#%d" rid
-  | Do_request { rid; attempt; tc } ->
-    Fmt.pf ppf "do#%d/try%d%a" rid attempt pp_tc tc
-  | Replicate { rid; tc } -> Fmt.pf ppf "replicate#%d%a" rid pp_tc tc
-  | Reply { rid; replica; ok; tc; _ } ->
-    Fmt.pf ppf "reply#%d from n%d (%s)%a" rid replica
-      (if ok then "ok" else "err")
-      pp_tc tc
-  | Retry_check { rid; attempt } ->
-    Fmt.pf ppf "retry-check#%d/try%d" rid attempt
-  | Elect { uid; tc } -> Fmt.pf ppf "elect %d%a" uid pp_tc tc
-  | Election_settle -> Fmt.string ppf "election-settle"
-  | Coord { uid; tc } -> Fmt.pf ppf "coord %d%a" uid pp_tc tc
-  | Start_election { tc } -> Fmt.pf ppf "start-election%a" pp_tc tc
-  | Ping { tc } -> Fmt.pf ppf "ping%a" pp_tc tc
-  | Heartbeat { uid; tc } -> Fmt.pf ppf "heartbeat %d%a" uid pp_tc tc
-  | Hb_check -> Fmt.string ppf "hb-check"
-  | Shutdown { tc } -> Fmt.pf ppf "shutdown%a" pp_tc tc
-  | Shed { rid; replica; tc } ->
-    Fmt.pf ppf "shed#%d from n%d%a" rid replica pp_tc tc
-  | Reply_due { rid; tc } -> Fmt.pf ppf "reply-due#%d%a" rid pp_tc tc
-  | Join { tc } -> Fmt.pf ppf "join%a" pp_tc tc
-  | Retire { tc } -> Fmt.pf ppf "retire%a" pp_tc tc
-  | Elastic { join; replica } ->
-    Fmt.pf ppf "elastic-%s n%d" (if join then "join" else "leave") replica

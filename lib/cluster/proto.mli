@@ -76,9 +76,3 @@ val is_write : Gp_service.Request.t -> bool
 (** Registry-mutating requests — the ones that must serialize through
     the leader and replicate to every node. [Parse] loads definitions,
     so it is the write path; every other pipeline is a read. *)
-
-val context : msg -> Gp_telemetry.Context.t
-(** The trace context a message carries ({!Gp_telemetry.Context.none}
-    for self-timers). *)
-
-val pp : Format.formatter -> msg -> unit
