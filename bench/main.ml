@@ -1516,7 +1516,7 @@ let s5 () =
      replicas (seed 1), then audited on one server. The minor words per
      request of the load, the run and the audit are exact counts, taken
      under --quick too. The wall clock is split three ways, per request:
-     medians over [trials] passes with the quartile spread, null under
+     medians over 21 passes with the quartile spread, null under
      --quick. *)
   let quick = !quota < 0.5 in
   let n_shape = 2000 in
