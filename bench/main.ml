@@ -1,38 +1,17 @@
-(* The benchmark harness: one section per figure/claim of the paper
-   (experiment ids from DESIGN.md). Each timed comparison is a Bechamel
-   Test.make; shape-only experiments print the series the paper implies.
+(* The benchmark: one section per figure/claim of the paper (experiment
+   ids from DESIGN.md). Every wall number and allocation count comes
+   from [Harness]: wall keys are medians over shuffled trials with their
+   quartile spread, null under --quick; counts are exact either way.
+   Shape-only experiments print the series the paper implies.
    EXPERIMENTS.md records paper-statement vs the numbers printed here.
 
-     dune exec bench/main.exe            # everything
-     dune exec bench/main.exe -- f5 c1   # selected experiments *)
+     dune exec bench/main.exe                      # everything
+     dune exec bench/main.exe -- f5 c1             # selected experiments
+     dune exec bench/main.exe -- --quick --json F  # no timing; results to F *)
 
-open Bechamel
-open Toolkit
-
-(* ------------------------------------------------------------------ *)
-(* Timing helpers                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let quota = ref 0.5
-
-(* ns/run for a thunk, via Bechamel OLS on the monotonic clock. *)
-let time_ns name f =
-  let test = Test.make ~name (Staged.stage f) in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second !quota) ~kde:(Some 10) ()
-  in
-  let raw = Benchmark.all cfg instances test in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  match Hashtbl.fold (fun _ r acc -> r :: acc) results [] with
-  | [ r ] -> (
-    match Analyze.OLS.estimates r with
-    | Some [ e ] -> e
-    | _ -> nan)
-  | _ -> nan
+let record = Harness.record
+let record_wall = Harness.record_wall
+let job = Harness.job
 
 let pp_ns ppf ns =
   if Float.is_nan ns then Fmt.string ppf "n/a"
@@ -43,78 +22,19 @@ let pp_ns ppf ns =
 
 let ns_str ns = Fmt.str "%a" pp_ns ns
 
-(* Wall seconds of one call, repeated to at least a millisecond so the
-   clock's resolution stays under 0.1 %. *)
-let seconds f =
-  let t0 = Unix.gettimeofday () in
-  f ();
-  let once = Unix.gettimeofday () -. t0 in
-  let reps = max 1 (int_of_float (1e-3 /. Float.max once 1e-7)) in
-  fun () ->
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    (Unix.gettimeofday () -. t0) /. float_of_int reps
+(* A wall value and its spread through [fmt], or "(--quick)" when it
+   was not measured. *)
+let wall_str fmt (median, iqr) =
+  if Float.is_nan median then "(--quick)" else Printf.sprintf fmt median iqr
 
-(* The median of the samples [xs], with their interquartile range. *)
-let spread xs =
-  let xs = Array.copy xs in
-  Array.sort compare xs;
-  let at q = xs.(int_of_float (q *. float_of_int (Array.length xs - 1))) in
-  (at 0.5, at 0.75 -. at 0.25)
-
-(* The median of [trials] draws of [sample], with its interquartile
-   range. *)
-let median_iqr trials sample = spread (Array.init trials (fun _ -> sample ()))
+(* The median ns of job [k] in [w]. *)
+let ns w k = fst (Harness.get w k)
 
 let line = String.make 74 '='
 let thin = String.make 74 '-'
 
 let section id title =
   Fmt.pr "@.%s@.%s — %s@.%s@." line id title thin
-
-(* ------------------------------------------------------------------ *)
-(* Machine-readable results (--json FILE)                              *)
-(* ------------------------------------------------------------------ *)
-
-(* Sections record named scalar results (ns/op, speedups); at exit the
-   driver writes them as one JSON object keyed by experiment id, so CI
-   can diff measured numbers across commits without scraping stdout. *)
-let json_path : string option ref = ref None
-let metrics : (string * string * float) list ref = ref []
-
-let record ~experiment name v = metrics := (experiment, name, v) :: !metrics
-
-(* Written via a temp file + rename, so a crash mid-write never leaves
-   a truncated JSON for bench-diff to choke on. *)
-let write_json path =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  let all = List.rev !metrics in
-  let secs =
-    List.fold_left
-      (fun acc (s, _, _) -> if List.mem s acc then acc else acc @ [ s ])
-      [] all
-  in
-  Printf.fprintf oc "{\n  \"sections\": {\n";
-  List.iteri
-    (fun i sec ->
-      Printf.fprintf oc "    %S: {\n" sec;
-      let rows = List.filter (fun (s, _, _) -> String.equal s sec) all in
-      List.iteri
-        (fun j (_, name, v) ->
-          let value =
-            if Float.is_nan v then "null" else Printf.sprintf "%.3f" v
-          in
-          Printf.fprintf oc "      %S: %s%s\n" name value
-            (if j = List.length rows - 1 then "" else ","))
-        rows;
-      Printf.fprintf oc "    }%s\n" (if i = List.length secs - 1 then "" else ","))
-    secs;
-  Printf.fprintf oc "  }\n}\n";
-  close_out oc;
-  Sys.rename tmp path
 
 (* ------------------------------------------------------------------ *)
 (* F1/F2: graph concepts (Figs. 1 and 2)                               *)
@@ -140,12 +60,14 @@ let f1_f2 () =
     checks;
   Fmt.pr "negative: adjacency_list vs AdjacencyMatrixGraph -> %b@."
     (Check.models reg "AdjacencyMatrixGraph" [ n "adjacency_list" ]);
-  let t =
-    time_ns "incidence-graph check" (fun () ->
-        Sys.opaque_identity
-          (Check.models reg "IncidenceGraph" [ n "adjacency_list" ]))
+  let w =
+    Harness.trials
+      [ ( "check",
+          job (fun () ->
+              Check.models reg "IncidenceGraph" [ n "adjacency_list" ]) ) ]
   in
-  Fmt.pr "@.full structural check of IncidenceGraph: %s per check@." (ns_str t)
+  Fmt.pr "@.full structural check of IncidenceGraph: %s per check@."
+    (ns_str (ns w "check"))
 
 (* ------------------------------------------------------------------ *)
 (* F3: CLACRM mixed precision (Fig. 3 / Section 2.4)                   *)
@@ -166,15 +88,14 @@ let f3 () =
             Complexf.make (Random.State.float st 1.0) (Random.State.float st 1.0))
       in
       let b = Dense.rmat_init sz sz (fun _ _ -> Random.State.float st 1.0) in
-      let t_mixed =
-        time_ns (Printf.sprintf "gemm_mixed %d" sz) (fun () ->
-            Sys.opaque_identity (Dense.gemm_mixed a b))
+      let w =
+        Harness.trials
+          ~derive:[ ("speedup", fun t -> t "promoted" /. t "mixed") ]
+          [ ("mixed", job (fun () -> Dense.gemm_mixed a b));
+            ("promoted", job (fun () -> Dense.gemm_promoted a b)) ]
       in
-      let t_promoted =
-        time_ns (Printf.sprintf "gemm_promoted %d" sz) (fun () ->
-            Sys.opaque_identity (Dense.gemm_promoted a b))
-      in
-      Fmt.pr "%6d %14s %14s %8.2fx %11.1fx@." sz (ns_str t_mixed) (ns_str t_promoted) (t_promoted /. t_mixed)
+      Fmt.pr "%6d %14s %14s %8.2fx %11.1fx@." sz (ns_str (ns w "mixed"))
+        (ns_str (ns w "promoted")) (ns w "speedup")
         (float_of_int (Dense.flops_promoted ~m:sz ~k:sz ~n:sz)
         /. float_of_int (Dense.flops_mixed ~m:sz ~k:sz ~n:sz)))
     [ 16; 32; 64; 128 ];
@@ -216,12 +137,11 @@ let f4 () =
     (fun blocks ->
       let program = Corpus.generate ~blocks ~buggy_every:4 in
       let count = List.length (Interp.check program) in
-      let t =
-        time_ns
-          (Printf.sprintf "lint %d blocks" blocks)
-          (fun () -> Sys.opaque_identity (Interp.check program))
+      let w =
+        Harness.trials
+          [ ("lint", job (fun () -> Interp.check program)) ]
       in
-      Fmt.pr "%-10d %12d %14s@." blocks count (ns_str t))
+      Fmt.pr "%-10d %12d %14s@." blocks count (ns_str (ns w "lint")))
     [ 10; 50; 250 ]
 
 (* ------------------------------------------------------------------ *)
@@ -274,23 +194,20 @@ let f5 () =
   let e = build 8 in
   let simplified = (Engine.rewrite ~rules ~insts e).Engine.output in
   let env = [ ("x", VInt 21); ("y", VInt (-3)) ] in
-  let t_before =
-    time_ns "eval original" (fun () -> Sys.opaque_identity (Eval.eval ~env e))
-  in
-  let t_after =
-    time_ns "eval simplified" (fun () ->
-        Sys.opaque_identity (Eval.eval ~env simplified))
+  let w =
+    Harness.trials
+      ~derive:[ ("speedup", fun t -> t "before" /. t "after") ]
+      [ ("before", job (fun () -> Eval.eval ~env e));
+        ("after", job (fun () -> Eval.eval ~env simplified));
+        (* rewriting throughput *)
+        ("rewrite", job (fun () -> Engine.rewrite ~rules ~insts e)) ]
   in
   Fmt.pr "@.redex-heavy expression: %d ops -> %d ops@." (Expr.op_count e)
     (Expr.op_count simplified);
-  Fmt.pr "evaluation: %s -> %s (%.1fx)@." (ns_str t_before) (ns_str t_after)
-    (t_before /. t_after);
-  (* rewriting throughput *)
-  let t_rw =
-    time_ns "rewrite pass" (fun () ->
-        Sys.opaque_identity (Engine.rewrite ~rules ~insts e))
-  in
-  Fmt.pr "one full rewrite pass over that expression: %s@." (ns_str t_rw)
+  Fmt.pr "evaluation: %s -> %s (%.1fx)@." (ns_str (ns w "before"))
+    (ns_str (ns w "after")) (ns w "speedup");
+  Fmt.pr "one full rewrite pass over that expression: %s@."
+    (ns_str (ns w "rewrite"))
 
 (* ------------------------------------------------------------------ *)
 (* F6 + C7: Athena proofs (Fig. 6 / Section 3.3)                       *)
@@ -317,13 +234,9 @@ let f6 () =
   Fmt.pr "@.group right-inverse proof: %d inference nodes@."
     (Deduction.size thm0.Theorems.proof);
   (* the checking ledger: one row per checking job, the exact minor words
-     one run allocates and, in full runs, the median wall time of one run
-     over [trials] samples with the quartile spread. --quick records the
-     times as null, so bench-diff gates only the exact counts. A
-     [prove_*] row is what a served prove miss does: build the theory's
-     instances and check every theorem. *)
-  let quick = !quota < 0.5 in
-  let trials = 21 in
+     one run allocates and the wall time of one run. A [prove_*] row is
+     what a served prove miss does: build the theory's instances and
+     check every theorem. *)
   let verify_all plan =
     List.iter
       (fun (_, axioms, theorems) ->
@@ -360,32 +273,22 @@ let f6 () =
             fun () -> verify_all (build ()) ))
         Theorems.catalogue
   in
+  let words = List.map (fun (_, _, job) -> Harness.minor_words job) rows in
+  let w =
+    Harness.trials ~unit:1e3
+      (List.map (fun (key, _, job) -> (key ^ "_us", job)) rows)
+  in
   Fmt.pr "@.the checking ledger: minor words and wall time of one run@.";
   Fmt.pr "  %-42s %12s %22s@." "job" "minor words" "wall [IQR]";
-  List.iter
-    (fun (key, label, job) ->
-      job ();
-      let w0 = Gc.minor_words () in
-      job ();
-      let words = Gc.minor_words () -. w0 in
-      let us, iqr =
-        if quick then (nan, nan)
-        else
-          let time = seconds job in
-          median_iqr trials (fun () -> time () *. 1e6)
-      in
+  List.iter2
+    (fun (key, label, _) words ->
       Fmt.pr "  %-42s %12.0f %22s@." label words
-        (if quick then "(--quick)"
-         else Printf.sprintf "%.1f us [%.1f]" us iqr);
+        (wall_str "%.1f us [%.1f]" (Harness.get w (key ^ "_us")));
       record ~experiment:"f6" (key ^ "_minor_words") words;
-      record ~experiment:"f6" (key ^ "_us") us;
-      record ~experiment:"f6" (key ^ "_us_iqr") iqr)
-    rows;
-  record ~experiment:"f6" "wall_trials"
-    (if quick then nan else float_of_int trials);
-  if not quick then
-    Fmt.pr "  (medians over %d samples, each the mean of enough runs to \
-            fill a millisecond)@." trials;
+      record_wall ~experiment:"f6" w (key ^ "_us"))
+    rows words;
+  Fmt.pr "  (medians over %d shuffled trials, each sample the mean of \
+          enough runs to fill a millisecond)@." w.Harness.trials;
   Fmt.pr "(paper: 'it is much more efficient to check a given proof than to \
           search for [one]')@."
 
@@ -402,30 +305,25 @@ let c1 () =
   List.iter
     (fun n ->
       let data = List.init n (fun i -> (i * 7919) mod n) in
-      let t_vec =
-        time_ns
-          (Printf.sprintf "introsort %d" n)
-          (fun () ->
-            let a = Varray.of_list ~dummy:0 data in
-            Algorithms.sort ~lt:( < ) (Varray.begin_ a, Varray.end_ a))
+      let w =
+        Harness.trials
+          [ ( "vector",
+              fun () ->
+                let a = Varray.of_list ~dummy:0 data in
+                Algorithms.sort ~lt:( < ) (Varray.begin_ a, Varray.end_ a) );
+            ( "list",
+              fun () ->
+                let l = Dlist.of_list data in
+                Algorithms.sort ~lt:( < ) (Dlist.begin_ l, Dlist.end_ l) );
+            ( "forward",
+              fun () ->
+                let a = Varray.of_list ~dummy:0 data in
+                Algorithms.sort ~lt:( < )
+                  ( Iter.restrict Iter.Forward (Varray.begin_ a),
+                    Iter.restrict Iter.Forward (Varray.end_ a) ) ) ]
       in
-      let t_list =
-        time_ns
-          (Printf.sprintf "list mergesort %d" n)
-          (fun () ->
-            let l = Dlist.of_list data in
-            Algorithms.sort ~lt:( < ) (Dlist.begin_ l, Dlist.end_ l))
-      in
-      let t_fwd =
-        time_ns
-          (Printf.sprintf "restricted forward %d" n)
-          (fun () ->
-            let a = Varray.of_list ~dummy:0 data in
-            Algorithms.sort ~lt:( < )
-              ( Iter.restrict Iter.Forward (Varray.begin_ a),
-                Iter.restrict Iter.Forward (Varray.end_ a) ))
-      in
-      Fmt.pr "%8d %16s %16s %18s@." n (ns_str t_vec) (ns_str t_list) (ns_str t_fwd))
+      Fmt.pr "%8d %16s %16s %18s@." n (ns_str (ns w "vector"))
+        (ns_str (ns w "list")) (ns_str (ns w "forward")))
     [ 1_000; 10_000; 100_000; 300_000 ];
   Fmt.pr "(dispatch picks the in-place introsort where random access is \
           modeled and the\n collecting mergesort otherwise; the random-access \
@@ -447,17 +345,17 @@ let c2 () =
     (fun n ->
       let a = Varray.of_list ~dummy:0 (List.init n (fun i -> i)) in
       let target = n - 1 in
-      let t_find =
-        time_ns (Printf.sprintf "find %d" n) (fun () ->
-            Sys.opaque_identity
-              (Algorithms.find ~eq:Int.equal target
-                 (Varray.begin_ a, Varray.end_ a)))
-      in
-      let t_lb =
-        time_ns (Printf.sprintf "lower_bound %d" n) (fun () ->
-            Sys.opaque_identity
-              (Algorithms.lower_bound ~lt:( < ) target
-                 (Varray.begin_ a, Varray.end_ a)))
+      let w =
+        Harness.trials
+          ~derive:[ ("speedup", fun t -> t "find" /. t "lower_bound") ]
+          [ ( "find",
+              job (fun () ->
+                  Algorithms.find ~eq:Int.equal target
+                    (Varray.begin_ a, Varray.end_ a)) );
+            ( "lower_bound",
+              job (fun () ->
+                  Algorithms.lower_bound ~lt:( < ) target
+                    (Varray.begin_ a, Varray.end_ a)) ) ]
       in
       let count_ops f =
         let c = Iter.counters () in
@@ -467,8 +365,8 @@ let c2 () =
       in
       let d_find = count_ops (Algorithms.find ~eq:Int.equal target) in
       let d_lb = count_ops (Algorithms.lower_bound ~lt:( < ) target) in
-      Fmt.pr "%9d %13s %13s %8.0fx %12d %12d@." n (ns_str t_find) (ns_str t_lb)
-        (t_find /. t_lb) d_find d_lb)
+      Fmt.pr "%9d %13s %13s %8.0fx %12d %12d@." n (ns_str (ns w "find"))
+        (ns_str (ns w "lower_bound")) (ns w "speedup") d_find d_lb)
     [ 1_000; 10_000; 100_000; 1_000_000 ];
   Fmt.pr "(the STLlint suggestion converts O(n) searches into O(log n): an \
           asymptotic win, growing with n)@."
@@ -633,59 +531,50 @@ let c6 () =
        chunked execution is min(domains, cores) = 1, so the rows below \
        measure pure domain overhead. On a multicore host the same harness \
        shows near-linear scaling for this compute-bound kernel.@.";
-  let t_seq =
-    time_ns "seq count primes" (fun () ->
-        Sys.opaque_identity (Datapar.Seq_exec.count is_prime a))
+  (* memory-bound contrast: plain sum and scan barely gain — an honest
+     limit of chunked parallelism on bandwidth-bound kernels *)
+  let m = 2_000_000 in
+  let b = Array.init m (fun i -> (i * 131) mod 1000) in
+  let module P2 = Datapar.Par_exec (struct
+    let domains = 2
+  end) in
+  let module P4 = Datapar.Par_exec (struct
+    let domains = 4
+  end) in
+  let speedup name seq par = (name, fun t -> t seq /. t par) in
+  let w =
+    Harness.trials
+      ~derive:
+        [ speedup "par2_speedup" "seq" "par2";
+          speedup "par4_speedup" "seq" "par4";
+          speedup "sum_speedup" "sum_seq" "sum_par";
+          speedup "scan_speedup" "scan_seq" "scan_par" ]
+      [ ("seq", job (fun () -> Datapar.Seq_exec.count is_prime a));
+        ("par2", job (fun () -> P2.count is_prime a));
+        ("par4", job (fun () -> P4.count is_prime a));
+        ("sum_seq", job (fun () -> Datapar.Seq_exec.reduce Datapar.int_sum b));
+        ("sum_par", job (fun () -> P4.reduce Datapar.int_sum b));
+        ("scan_seq", job (fun () -> Datapar.Seq_exec.scan Datapar.int_sum b));
+        ("scan_par", job (fun () -> P4.scan Datapar.int_sum b)) ]
   in
   Fmt.pr "@.count primes by trial division over %d candidates \
           (compute-bound):@."
     n;
   Fmt.pr "%12s %14s %9s@." "executor" "time" "speedup";
-  Fmt.pr "%12s %14s %9s@." "sequential" (ns_str t_seq) "1.00x";
+  Fmt.pr "%12s %14s %9s@." "sequential" (ns_str (ns w "seq")) "1.00x";
   List.iter
     (fun d ->
-      let module P = Datapar.Par_exec (struct
-        let domains = d
-      end) in
-      let t =
-        time_ns
-          (Printf.sprintf "par%d count primes" d)
-          (fun () -> Sys.opaque_identity (P.count is_prime a))
-      in
+      let key = Printf.sprintf "par%d" d in
       Fmt.pr "%12s %14s %8.2fx@."
         (Printf.sprintf "%d domains" d)
-        (ns_str t) (t_seq /. t))
+        (ns_str (ns w key)) (ns w (key ^ "_speedup")))
     [ 2; 4 ];
-  (* memory-bound contrast: plain sum and scan barely gain — an honest
-     limit of chunked parallelism on bandwidth-bound kernels *)
-  let m = 2_000_000 in
-  let b = Array.init m (fun i -> (i * 131) mod 1000) in
-  let t_sum_seq =
-    time_ns "seq reduce" (fun () ->
-        Sys.opaque_identity (Datapar.Seq_exec.reduce Datapar.int_sum b))
-  in
-  let module P4 = Datapar.Par_exec (struct
-    let domains = 4
-  end) in
-  let t_sum_par =
-    time_ns "par reduce" (fun () ->
-        Sys.opaque_identity (P4.reduce Datapar.int_sum b))
-  in
-  let t_scan_seq =
-    time_ns "seq scan" (fun () ->
-        Sys.opaque_identity (Datapar.Seq_exec.scan Datapar.int_sum b))
-  in
-  let t_scan_par =
-    time_ns "par scan" (fun () ->
-        Sys.opaque_identity (P4.scan Datapar.int_sum b))
-  in
   Fmt.pr
     "@.memory-bound contrast over %d ints (4 domains): reduce %s -> %s \
      (%.2fx), scan %s -> %s (%.2fx)@."
-    m (ns_str t_sum_seq) (ns_str t_sum_par)
-    (t_sum_seq /. t_sum_par)
-    (ns_str t_scan_seq) (ns_str t_scan_par)
-    (t_scan_seq /. t_scan_par)
+    m (ns_str (ns w "sum_seq")) (ns_str (ns w "sum_par")) (ns w "sum_speedup")
+    (ns_str (ns w "scan_seq")) (ns_str (ns w "scan_par"))
+    (ns w "scan_speedup")
 
 (* ------------------------------------------------------------------ *)
 (* C4/C8: archetypes and diagnostics quality                           *)
@@ -781,13 +670,10 @@ let a1 () =
           checker's axiom@.   warnings and the qcheck law tests are what \
           catch such a false declaration)@.";
   (* 3. the abstraction ledger: one row per rung, the exact minor words
-     it allocates per element (per lookup for lower_bound) and, in full
-     runs, its wall time as a ratio to the same operation written as a
-     loop over the plain int array — the median of [trials] interleaved
-     pairs with the quartile spread. --quick records the ratios as null,
-     so bench-diff gates only the exact counts. *)
+     it allocates per element (per lookup for lower_bound) and its wall
+     time as a ratio to the same operation written as a loop over the
+     plain int array, both timed in the same trial *)
   let open Gp_sequence in
-  let quick = !quota < 0.5 in
   let n = 200_000 in
   let lt (a : int) b = a < b in
   let arr = Array.init n (fun i -> i land 1023) in
@@ -845,24 +731,29 @@ let a1 () =
   let fold range () =
     ignore (Sys.opaque_identity (Algorithms.fold ( + ) 0 range))
   in
+  let hands =
+    [ ("hand_sum", hand_sum); ("hand_find", hand_find);
+      ("hand_copy", hand_copy); ("hand_lower_bound", hand_lower_bound);
+      ("hand_sort", hand_sort) ]
+  in
   let rungs =
-    [ ("hand_loop", "hand loop", n, hand_sum, hand_sum);
+    [ ("hand_loop", "hand loop", n, hand_sum, "hand_sum");
       ( "array_fold_left", "Array.fold_left", n,
         (fun () -> ignore (Sys.opaque_identity (Array.fold_left ( + ) 0 arr))),
-        hand_sum );
-      ("varray_fold", "fold, Varray", n, fold (range_of va), hand_sum);
+        "hand_sum" );
+      ("varray_fold", "fold, Varray", n, fold (range_of va), "hand_sum");
       ( "varray_find_if", "find_if, Varray", n,
         (fun () ->
           ignore
             (Sys.opaque_identity
                (Algorithms.find_if (fun x -> x < 0) (range_of va)))),
-        hand_find );
+        "hand_find" );
       ( "varray_copy", "copy, Varray", n,
         (fun () ->
           ignore
             (Sys.opaque_identity
                (Algorithms.copy (range_of va) (Varray.begin_ dst)))),
-        hand_copy );
+        "hand_copy" );
       ( "varray_lower_bound", "lower_bound, Varray (per lookup)",
         Array.length probes,
         (fun () ->
@@ -872,67 +763,61 @@ let a1 () =
                 (Sys.opaque_identity
                    (Algorithms.lower_bound ~lt v (range_of ascending))))
             probes),
-        hand_lower_bound );
+        "hand_lower_bound" );
       ( "varray_sort", "sort, Varray (introsort)", n,
         (fun () ->
           reset_unsorted ();
           Algorithms.sort ~lt (range_of unsorted)),
-        hand_sort );
+        "hand_sort" );
       ( "deque_fold", "fold, Deque", n,
         fold (Deque.begin_ dq, Deque.end_ dq),
-        hand_sum );
+        "hand_sum" );
       ( "dlist_fold", "fold, Dlist", n,
         fold (Dlist.begin_ dl, Dlist.end_ dl),
-        hand_sum );
+        "hand_sum" );
       ( "restrict_forward_sort", "sort, Iter.restrict Forward (mergesort)", n,
         (fun () ->
           reset_unsorted ();
           Algorithms.sort ~lt
             ( Iter.restrict Iter.Forward (Varray.begin_ unsorted),
               Iter.restrict Iter.Forward (Varray.end_ unsorted) )),
-        hand_sort );
+        "hand_sort" );
       ( "counting_fold", "fold, Iter.counting", n,
         (fun () ->
           let c = Iter.counters () in
           fold (Iter.counting c (Varray.begin_ va), Varray.end_ va) ()),
-        hand_sum ) ]
+        "hand_sum" ) ]
   in
-  let words_per_elem per f =
-    f ();
-    let w0 = Gc.minor_words () in
-    f ();
-    (Gc.minor_words () -. w0) /. float_of_int per
+  let words =
+    List.map (fun (_, _, per, rung, _) -> Harness.minor_words ~per rung) rungs
   in
-  let trials = 21 in
-  let wall rung hand =
-    if quick then (nan, nan)
-    else begin
-      let time_rung = seconds rung and time_hand = seconds hand in
-      median_iqr trials (fun () ->
-          let h = time_hand () in
-          time_rung () /. h)
-    end
+  let ratios = List.tl rungs in
+  let w =
+    Harness.trials
+      ~derive:
+        (List.map
+           (fun (key, _, _, _, hand) ->
+             (key ^ "_wall_ratio", fun t -> t key /. t hand))
+           ratios)
+      (hands @ List.map (fun (key, _, _, rung, _) -> (key, rung)) ratios)
   in
   Fmt.pr "@.the abstraction ledger over %d ints: minor words per element, \
           wall time against the same loop over the int array@." n;
   Fmt.pr "  %-42s %12s %22s@." "rung" "minor w/elem" "wall ratio [IQR]";
-  List.iter
-    (fun (key, label, per, rung, hand) ->
-      let words = words_per_elem per rung in
-      let ratio, iqr = wall rung hand in
+  List.iter2
+    (fun (key, label, _, _, _) words ->
+      let ratio =
+        if key = "hand_loop" then None else Some (key ^ "_wall_ratio")
+      in
       Fmt.pr "  %-42s %12.1f %22s@." label words
-        (if quick then "(--quick)" else Printf.sprintf "%.1fx [%.1f]" ratio iqr);
+        (match ratio with
+         | None -> ""
+         | Some k -> wall_str "%.1fx [%.1f]" (Harness.get w k));
       record ~experiment:"a1" (key ^ "_minor_words") words;
-      if key <> "hand_loop" then begin
-        record ~experiment:"a1" (key ^ "_wall_ratio") ratio;
-        record ~experiment:"a1" (key ^ "_wall_ratio_iqr") iqr
-      end)
-    rungs;
-  record ~experiment:"a1" "wall_trials"
-    (if quick then nan else float_of_int trials);
-  if not quick then
-    Fmt.pr "  (medians over %d interleaved trials; the sort rungs' loop is \
-            Introsort.sort_indexed over the array)@." trials
+      Option.iter (record_wall ~experiment:"a1" w) ratio)
+    rungs words;
+  Fmt.pr "  (medians over %d shuffled trials; the sort rungs' loop is \
+          Introsort.sort_indexed over the array)@." w.Harness.trials
 
 (* ------------------------------------------------------------------ *)
 (* S1: service throughput — cold vs warm caches                        *)
@@ -942,7 +827,7 @@ let s1 () =
   section "S1" "gp_service throughput: cold vs warm caches under a Zipf \
                 workload";
   let open Gp_service in
-  let n = if !quota < 0.5 then 150 else 600 in
+  let n = 600 in
   let seed = 42 in
   let reqs = Workload.generate ~seed ~n () in
   let replay = Workload.generate ~seed ~n () in
@@ -951,47 +836,57 @@ let s1 () =
     Workload.default_mix;
   Fmt.pr "fingerprint: %s (replay deterministic: verified)@."
     (Workload.fingerprint reqs);
-  let run server =
-    let t0 = Unix.gettimeofday () in
-    let rsps = Server.process server reqs in
-    let dt = Unix.gettimeofday () -. t0 in
-    let ok = List.length (List.filter Request.ok rsps) in
-    (dt, float_of_int n /. dt, ok)
+  (* every server reads a ticking clock, so the flight recorder's
+     slowest-k list, and with it the minor words, do not depend on the
+     host's load *)
+  let config = { Server.default_config with now = Harness.ticking_clock () } in
+  let pass server () = ignore (Server.process server reqs) in
+  (* no-cache: every request recomputed from scratch; cold: a fresh
+     server's LRU caches start empty, so a pass pays every LRU miss (the
+     process-wide verdict memo on the shared world may already be warm);
+     warm: one server replays the identical stream against populated
+     caches *)
+  let server = Server.create ~config () in
+  let served_ok () =
+    List.length (List.filter Request.ok (Server.process server reqs))
   in
-  (* no-cache baseline: every request recomputed from scratch *)
-  let nocache =
-    Server.create
-      ~config:{ Server.default_config with caching = false } ()
+  let cold_ok = served_ok () in
+  let warm_ok = served_ok () in
+  let passes =
+    [ ( "nocache",
+        fun () ->
+          pass (Server.create ~config:{ config with caching = false } ()) () );
+      ("cold", fun () -> pass (Server.create ~config ()) ());
+      ("warm", pass server) ]
   in
-  let base_dt, base_rps, base_ok = run nocache in
-  (* cold: the server's LRU caches start empty, so the first pass pays
-     every LRU miss (the process-wide verdict memo on the shared world
-     may already be warm); warm: the same server replays the identical
-     stream against populated caches *)
-  let server = Server.create () in
-  let cold_dt, cold_rps, cold_ok = run server in
-  let warm_dt, warm_rps, warm_ok = run server in
-  Fmt.pr "@.%-10s %10s %12s %6s@." "pass" "wall" "req/s" "ok";
-  let row name dt rps ok =
-    Fmt.pr "%-10s %9.1fms %12.0f %6d@." name (dt *. 1e3) rps ok
+  let words = List.map (fun (_, p) -> Harness.minor_words ~per:n p) passes in
+  let speedup name slow = (name, fun t -> t (slow ^ "_ns") /. t "warm_ns") in
+  let w =
+    Harness.trials ~per:n
+      ~derive:
+        [ speedup "warm_cold_speedup" "cold";
+          speedup "warm_nocache_speedup" "nocache" ]
+      (List.map (fun (name, p) -> (name ^ "_ns", p)) passes)
   in
-  row "no-cache" base_dt base_rps base_ok;
-  row "cold" cold_dt cold_rps cold_ok;
-  row "warm" warm_dt warm_rps warm_ok;
-  Fmt.pr "@.warm/cold speedup: %.2fx   warm/no-cache: %.2fx   %s@."
-    (warm_rps /. cold_rps)
-    (warm_rps /. base_rps)
-    (if warm_rps > cold_rps then "(warm strictly faster: yes)"
-     else "(WARM NOT FASTER — cache regression?)");
-  let per_request dt = dt *. 1e9 /. float_of_int n in
-  record ~experiment:"s1" "nocache_ns" (per_request base_dt);
-  record ~experiment:"s1" "cold_ns" (per_request cold_dt);
-  record ~experiment:"s1" "warm_ns" (per_request warm_dt);
-  record ~experiment:"s1" "warm_cold_speedup" (warm_rps /. cold_rps);
-  record ~experiment:"s1" "warm_nocache_speedup" (warm_rps /. base_rps);
+  Fmt.pr "@.%-10s %16s %14s@." "pass" "ns/request [IQR]" "minor w/req";
+  List.iter2
+    (fun (name, _) words ->
+      Fmt.pr "%-10s %16s %14.1f@." name
+        (wall_str "%.0f [%.0f]" (Harness.get w (name ^ "_ns")))
+        words;
+      record_wall ~experiment:"s1" w (name ^ "_ns");
+      record ~experiment:"s1" (name ^ "_minor_words") words)
+    passes words;
+  Fmt.pr "@.warm/cold speedup: %s   warm/no-cache: %s   (ok: cold %d, warm \
+          %d of %d)@."
+    (wall_str "%.2fx [%.2f]" (Harness.get w "warm_cold_speedup"))
+    (wall_str "%.2fx [%.2f]" (Harness.get w "warm_nocache_speedup"))
+    cold_ok warm_ok n;
+  record_wall ~experiment:"s1" w "warm_cold_speedup";
+  record_wall ~experiment:"s1" w "warm_nocache_speedup";
   Fmt.pr "@.%s@." (Server.report server);
-  Fmt.pr "(the report aggregates both passes; hit ratios mix the cold \
-          misses with the warm hits)@."
+  Fmt.pr "(the report aggregates every pass of the warm server: a cold \
+          pass's misses with the warm hits)@."
 
 (* ------------------------------------------------------------------ *)
 (* S2: indexed dispatch vs the seed linear scans                       *)
@@ -1008,10 +903,10 @@ let s1 () =
    instance entries, [nrules] user rules on top of the builtins, and a
    deep expression carrying a redex at every level. Returns
    (insts, rules, expr, nentries). *)
-let rewrite_world ~quick =
+let rewrite_world () =
   let open Gp_simplicissimus in
-  let nentries = if quick then 60 else 250 in
-  let nrules = if quick then 50 else 200 in
+  let nentries = 250 in
+  let nrules = 200 in
   let reg = Gp_concepts.Registry.create () in
   List.iter
     (Gp_concepts.Registry.declare_concept reg)
@@ -1048,7 +943,7 @@ let rewrite_world ~quick =
                         Expr.Op ("neg", "u0", [ Expr.Var ("y", "u0") ]) ] )
                 ] ) ] )
   in
-  let e = build (if quick then 12 else 40) in
+  let e = build 40 in
   (insts, rules, e, nentries)
 
 let s2 () =
@@ -1056,11 +951,10 @@ let s2 () =
     "indexed dispatch: registry lookups, rule indexing, worklist closure \
      vs the seed linear scans";
   let open Gp_concepts in
-  let quick = !quota < 0.5 in
   let n x = Ctype.Named x in
   (* -------- registry: hundreds of types/concepts/ops/models -------- *)
-  let ntypes = if quick then 60 else 300 in
-  let nconcepts = if quick then 40 else 120 in
+  let ntypes = 300 in
+  let nconcepts = 120 in
   let reg = Registry.create () in
   for i = 0 to ntypes - 1 do
     Registry.declare_type reg (Printf.sprintf "T%d" i)
@@ -1129,20 +1023,9 @@ let s2 () =
     probe ~find_model:(Registry.find_model reg)
       ~refines:(Registry.refines reg) ()
     = probe ~find_model:find_model_ref ~refines:refines_ref ());
-  let t_reg_ix =
-    time_ns "registry lookups (indexed)" (fun () ->
-        Sys.opaque_identity
-          (probe ~find_model:(Registry.find_model reg)
-             ~refines:(Registry.refines reg) ()))
-  in
-  let t_reg_ref =
-    time_ns "registry lookups (linear)" (fun () ->
-        Sys.opaque_identity
-          (probe ~find_model:find_model_ref ~refines:refines_ref ()))
-  in
   (* -------- propagation: a wide refinement fan-out ----------------- *)
-  let mids = if quick then 10 else 50 in
-  let leaves = if quick then 10 else 50 in
+  let mids = 50 in
+  let leaves = 50 in
   let preg = Registry.create () in
   Registry.declare_type preg "P";
   for m = 0 to mids - 1 do
@@ -1175,17 +1058,9 @@ let s2 () =
     && List.for_all2 Propagate.obligation_equal obs obs_ref);
   Fmt.pr "propagation fan-out: %d obligations in the closure@."
     (List.length obs);
-  let t_prop =
-    time_ns "closure (worklist)" (fun () ->
-        Sys.opaque_identity (Propagate.closure preg "Root" [ n "P" ]))
-  in
-  let t_prop_ref =
-    time_ns "closure (quadratic reference)" (fun () ->
-        Sys.opaque_identity (Oracles.closure_reference preg "Root" [ n "P" ]))
-  in
   (* -------- cold rewrite throughput -------------------------------- *)
   let open Gp_simplicissimus in
-  let insts2, rules2, e, nentries = rewrite_world ~quick in
+  let insts2, rules2, e, nentries = rewrite_world () in
   let r_ix = Engine.rewrite ~rules:rules2 ~insts:insts2 e in
   let r_ref = Oracles.rewrite_reference ~rules:rules2 ~insts:insts2 e in
   assert (Expr.equal r_ix.Engine.output r_ref.Engine.output);
@@ -1195,36 +1070,65 @@ let s2 () =
      steps fired@."
     (List.length rules2) nentries (Expr.op_count e)
     (List.length r_ix.Engine.steps);
-  let t_rw =
-    time_ns "cold rewrite (indexed)" (fun () ->
-        Sys.opaque_identity (Engine.rewrite ~rules:rules2 ~insts:insts2 e))
-  in
-  let t_rw_ref =
-    time_ns "cold rewrite (linear reference)" (fun () ->
-        Sys.opaque_identity
-          (Oracles.rewrite_reference ~rules:rules2 ~insts:insts2 e))
-  in
   (* -------- table + machine-readable record ------------------------ *)
+  let rows =
+    [ ( "registry find_model + refines", "registry",
+        ("linear", job (probe ~find_model:find_model_ref ~refines:refines_ref)),
+        ( "indexed",
+          job
+            (probe ~find_model:(Registry.find_model reg)
+               ~refines:(Registry.refines reg)) ) );
+      ( Printf.sprintf "propagation closure (%d obs)" (List.length obs),
+        "closure",
+        ( "reference",
+          job (fun () -> Oracles.closure_reference preg "Root" [ n "P" ]) ),
+        ("worklist", job (fun () -> Propagate.closure preg "Root" [ n "P" ]))
+      );
+      ( Printf.sprintf "cold rewrite (%d rules)" (List.length rules2),
+        "rewrite",
+        ( "reference",
+          job (fun () ->
+              Oracles.rewrite_reference ~rules:rules2 ~insts:insts2 e) ),
+        ( "indexed",
+          job (fun () -> Engine.rewrite ~rules:rules2 ~insts:insts2 e) ) ) ]
+  in
+  let jobs =
+    List.concat_map
+      (fun (_, path, (ref_side, ref_job), (ix_side, ix_job)) ->
+        [ (path ^ "_" ^ ref_side, ref_job); (path ^ "_" ^ ix_side, ix_job) ])
+      rows
+  in
+  let words = List.map (fun (_, j) -> Harness.minor_words j) jobs in
+  let w =
+    Harness.trials
+      ~derive:
+        (List.map
+           (fun (_, path, (ref_side, _), (ix_side, _)) ->
+             ( path ^ "_speedup",
+               fun t ->
+                 t (path ^ "_" ^ ref_side ^ "_ns")
+                 /. t (path ^ "_" ^ ix_side ^ "_ns") ))
+           rows)
+      (List.map (fun (k, j) -> (k ^ "_ns", j)) jobs)
+  in
   Fmt.pr "@.%-36s %13s %13s %9s@." "hot path" "linear scan" "indexed"
     "speedup";
-  let row label t_ref t_ix names =
-    Fmt.pr "%-36s %13s %13s %8.1fx@." label (ns_str t_ref) (ns_str t_ix)
-      (t_ref /. t_ix);
-    let ref_name, ix_name, sp_name = names in
-    record ~experiment:"s2" ref_name t_ref;
-    record ~experiment:"s2" ix_name t_ix;
-    record ~experiment:"s2" sp_name (t_ref /. t_ix)
-  in
-  row "registry find_model + refines" t_reg_ref t_reg_ix
-    ("registry_linear_ns", "registry_indexed_ns", "registry_speedup");
-  row
-    (Printf.sprintf "propagation closure (%d obs)" (List.length obs))
-    t_prop_ref t_prop
-    ("closure_reference_ns", "closure_worklist_ns", "closure_speedup");
-  row
-    (Printf.sprintf "cold rewrite (%d rules)" (List.length rules2))
-    t_rw_ref t_rw
-    ("rewrite_reference_ns", "rewrite_indexed_ns", "rewrite_speedup");
+  List.iter
+    (fun (label, path, (ref_side, _), (ix_side, _)) ->
+      let t side = ns w (path ^ "_" ^ side ^ "_ns") in
+      Fmt.pr "%-36s %13s %13s %8.1fx@." label
+        (ns_str (t ref_side)) (ns_str (t ix_side))
+        (ns w (path ^ "_speedup"));
+      record_wall ~experiment:"s2" w (path ^ "_" ^ ref_side ^ "_ns");
+      record_wall ~experiment:"s2" w (path ^ "_" ^ ix_side ^ "_ns");
+      record_wall ~experiment:"s2" w (path ^ "_speedup"))
+    rows;
+  Fmt.pr "@.%-36s %13s@." "one run of each timed job" "minor words";
+  List.iter2
+    (fun (k, _) words ->
+      Fmt.pr "%-36s %13.0f@." k words;
+      record ~experiment:"s2" (k ^ "_minor_words") words)
+    jobs words;
   Fmt.pr
     "@.(acceptance: cold rewrite >= 3x over the linear-scan reference; the \
      qcheck@. equivalence suite pins both engines to identical outputs and \
@@ -1240,8 +1144,7 @@ let s3 () =
      instrumented with no sink (the shipped default) vs a full sink";
   let open Gp_simplicissimus in
   let module Tel = Gp_telemetry.Tel in
-  let quick = !quota < 0.5 in
-  let insts, rules, e, nentries = rewrite_world ~quick in
+  let insts, rules, e, nentries = rewrite_world () in
   assert (not (Tel.is_enabled ()));
   (* all three paths must produce the same result before we time them *)
   let r_core = Engine.rewrite_uninstrumented ~rules ~insts e in
@@ -1272,64 +1175,52 @@ let s3 () =
     spans_per_call counters;
   (* exact minor words of one rewrite, after a warm-up call, with no sink
      and with one installed *)
-  let words_per_rewrite () =
-    ignore (Sys.opaque_identity (Engine.rewrite ~rules ~insts e));
-    let w0 = Gc.minor_words () in
-    ignore (Sys.opaque_identity (Engine.rewrite ~rules ~insts e));
-    Gc.minor_words () -. w0
+  let rewrite () = Engine.rewrite ~rules ~insts e in
+  let disabled_minor = Harness.minor_words rewrite in
+  let enabled_minor =
+    Tel.with_installed (fun _ -> Harness.minor_words rewrite)
   in
-  let disabled_minor = words_per_rewrite () in
-  let enabled_minor = Tel.with_installed (fun _ -> words_per_rewrite ()) in
-  (* the three variants timed interleaved, one block of [reps] rewrites
-     each per trial, so a drift in the machine's speed moves all three
-     alike; the overheads are medians of the per-trial ratios *)
-  let trials = if quick then 5 else 41 and reps = 10 in
-  let block f =
-    let t0 = Unix.gettimeofday () in
+  (* the three variants timed in one trial set, a block of [reps]
+     rewrites per call, the enabled one inside one installed sink; the
+     overheads are medians of the per-trial ratios *)
+  let reps = 10 in
+  let block f () =
     for _ = 1 to reps do
       ignore (Sys.opaque_identity (f ()))
-    done;
-    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int reps
+    done
   in
-  let samples =
-    Array.init trials (fun _ ->
-        let core =
-          block (fun () -> Engine.rewrite_uninstrumented ~rules ~insts e)
-        in
-        let off = block (fun () -> Engine.rewrite ~rules ~insts e) in
-        let on =
-          Tel.with_installed (fun _ ->
-              block (fun () -> Engine.rewrite ~rules ~insts e))
-        in
-        (core, off, on))
+  let overhead name variant =
+    ( name,
+      fun t -> ((t variant /. t "uninstrumented_ns") -. 1.0) *. 100.0 )
   in
-  let median f =
-    let xs = Array.map f samples in
-    Array.sort compare xs;
-    xs.(trials / 2)
+  let w =
+    Harness.trials ~n:41 ~per:reps
+      ~derive:
+        [ overhead "disabled_overhead_pct" "disabled_ns";
+          overhead "enabled_overhead_pct" "enabled_ns" ]
+      [ ( "uninstrumented_ns",
+          block (fun () -> Engine.rewrite_uninstrumented ~rules ~insts e) );
+        ("disabled_ns", block rewrite);
+        ("enabled_ns", fun () -> Tel.with_installed (fun _ -> block rewrite ()))
+      ]
   in
-  let pct f =
-    median (fun ((core, _, _) as s) -> ((f s /. core) -. 1.0) *. 100.0)
-  in
-  let off (_, o, _) = o and on (_, _, o) = o in
-  let t_core = median (fun (c, _, _) -> c) in
-  let t_off = median off and pct_off = pct off in
-  let t_on = median on and pct_on = pct on in
+  let wall k = ns_str (ns w k) and pct k = ns w k in
   Fmt.pr "@.%-36s %13s %10s %12s@." "variant" "per rewrite" "vs core"
     "minor words";
-  Fmt.pr "%-36s %13s %10s %12s@." "uninstrumented core" (ns_str t_core) "" "";
+  Fmt.pr "%-36s %13s %10s %12s@." "uninstrumented core"
+    (wall "uninstrumented_ns") "" "";
   Fmt.pr "%-36s %13s %+9.2f%% %12.0f@." "instrumented, telemetry off"
-    (ns_str t_off) pct_off disabled_minor;
+    (wall "disabled_ns") (pct "disabled_overhead_pct") disabled_minor;
   Fmt.pr "%-36s %13s %+9.2f%% %12.0f@." "instrumented, telemetry on"
-    (ns_str t_on) pct_on enabled_minor;
-  Fmt.pr "(medians over %d interleaved trials of %d rewrites each)@." trials
-    reps;
-  record ~experiment:"s3" "uninstrumented_ns" t_core;
-  record ~experiment:"s3" "disabled_ns" t_off;
-  record ~experiment:"s3" "disabled_overhead_pct" pct_off;
+    (wall "enabled_ns") (pct "enabled_overhead_pct") enabled_minor;
+  Fmt.pr "(medians over %d shuffled trials of %d rewrites each)@."
+    w.Harness.trials reps;
+  record_wall ~experiment:"s3" w "uninstrumented_ns";
+  record_wall ~experiment:"s3" w "disabled_ns";
+  record_wall ~experiment:"s3" w "disabled_overhead_pct";
   record ~experiment:"s3" "disabled_minor_words" disabled_minor;
-  record ~experiment:"s3" "enabled_ns" t_on;
-  record ~experiment:"s3" "enabled_overhead_pct" pct_on;
+  record_wall ~experiment:"s3" w "enabled_ns";
+  record_wall ~experiment:"s3" w "enabled_overhead_pct";
   record ~experiment:"s3" "enabled_minor_words" enabled_minor;
   Fmt.pr
     "@.(acceptance: the disabled path — what every caller pays when nobody \
@@ -1347,8 +1238,7 @@ let s4 () =
   let open Gp_service in
   let module Tel = Gp_telemetry.Tel in
   let module Recorder = Gp_telemetry.Recorder in
-  let quick = !quota < 0.5 in
-  let n = if quick then 60 else 200 in
+  let n = 200 in
   let seed = 11 in
   let errors = 0.2 in
   let reqs = Workload.generate ~seed ~errors ~n () in
@@ -1363,33 +1253,33 @@ let s4 () =
   (* Overhead: telemetry enabled on both sides (the s3 "enabled"
      regime), so the only delta is the recorder's per-request dossier
      work. Caches warmed by a throwaway pass on each server. *)
-  let t_off, t_on =
+  let w =
     Tel.with_installed ~trace_capacity:65536 (fun _sink ->
-        let off = Server.create ~config:base_config () in
-        ignore (Server.process off reqs);
-        let t_off =
-          time_ns "serve stream (recorder off)" (fun () ->
-              Sys.opaque_identity (Server.process off reqs))
+        let serve config =
+          let server = Server.create ~config () in
+          ignore (Server.process server reqs);
+          job (fun () -> Server.process server reqs)
         in
-        let on = Server.create ~config:on_config () in
-        ignore (Server.process on reqs);
-        let t_on =
-          time_ns "serve stream (recorder on)" (fun () ->
-              Sys.opaque_identity (Server.process on reqs))
-        in
-        (t_off, t_on))
+        Harness.trials
+          ~derive:
+            [ ( "recorder_overhead_pct",
+                fun t ->
+                  ((t "recorder_on_ns" /. t "recorder_off_ns") -. 1.0) *. 100.0
+              ) ]
+          [ ("recorder_off_ns", serve base_config);
+            ("recorder_on_ns", serve on_config) ])
   in
-  let overhead_pct = ((t_on /. t_off) -. 1.0) *. 100.0 in
+  let t_off = ns w "recorder_off_ns" and t_on = ns w "recorder_on_ns" in
   Fmt.pr "@.%-34s %13s %13s@." "variant" "per stream" "per request";
   Fmt.pr "%-34s %13s %13s@." "telemetry on, recorder off" (ns_str t_off)
     (ns_str (t_off /. float_of_int n));
   Fmt.pr "%-34s %13s %13s@." "telemetry on, recorder on" (ns_str t_on)
     (ns_str (t_on /. float_of_int n));
   Fmt.pr "recorder overhead: %+.2f%%  (acceptance target: < 5%%)@."
-    overhead_pct;
-  record ~experiment:"s4" "recorder_off_ns" t_off;
-  record ~experiment:"s4" "recorder_on_ns" t_on;
-  record ~experiment:"s4" "recorder_overhead_pct" overhead_pct;
+    (ns w "recorder_overhead_pct");
+  record_wall ~experiment:"s4" w "recorder_off_ns";
+  record_wall ~experiment:"s4" w "recorder_on_ns";
+  record_wall ~experiment:"s4" w "recorder_overhead_pct";
   (* Deterministic replay: one fresh recorded pass, round-tripped
      through the JSONL dump format (exactly what gp replay reads), then
      re-executed from cold caches. Every fingerprint must match. *)
@@ -1435,10 +1325,11 @@ let s4 () =
 (* S5: the simulated serving cluster — sharding, failover, audit       *)
 (* ------------------------------------------------------------------ *)
 
-(* Everything in this section is simulated time inside gp_distsim, so
-   the numbers are bit-identical across runs and machines: no quotas,
-   no wall clock, and bench-diff can gate them exactly. Two series plus
-   the consistency audit:
+(* Everything in this section but the wall rows of the perfbench
+   cluster shape is simulated time inside gp_distsim or an exact count,
+   so the numbers are bit-identical across runs and machines and
+   bench-diff can gate them exactly. Two series plus the consistency
+   audit:
      - messages/request and cache miss ratio vs shard count, with
        key-affinity sharding against a round-robin contrast arm;
      - failover latency and completion under 20% message drops plus a
@@ -1452,8 +1343,7 @@ let s5 () =
   let reqs =
     Gp_service.Workload.generate ~seed ~n () |> Array.of_list
   in
-  Fmt.pr "workload: n=%d seed=%d — all numbers simulated, quick = full@." n
-    seed;
+  Fmt.pr "workload: n=%d seed=%d — simulated time@." n seed;
   let run ?(failures = []) ?(affinity = true) replicas =
     Cluster.run
       ~config:{ Cluster.default_config with replicas; affinity; failures } reqs
@@ -1467,10 +1357,9 @@ let s5 () =
   let cluster_words = ref 0.0 and heap_peak = ref 0 in
   List.iter
     (fun replicas ->
-      let w0 = Gc.minor_words () in
-      let keyed = run replicas in
+      let keyed, words = Harness.allocated (fun () -> run replicas) in
       if replicas = 8 then begin
-        cluster_words := (Gc.minor_words () -. w0) /. float_of_int n;
+        cluster_words := words /. float_of_int n;
         heap_peak := keyed.Cluster.r_metrics.Gp_distsim.Engine.heap_peak
       end;
       let rr = run ~affinity:false replicas in
@@ -1497,9 +1386,11 @@ let s5 () =
         Engine.timing = Engine.Asynchronous { max_delay = 3.0 } }
     in
     let uids = Array.init nodes (fun i -> nodes - i) in
-    let w0 = Gc.minor_words () in
-    let r = Algorithms.Hs.run ~config ~uids (Topology.ring nodes) in
-    (Gc.minor_words () -. w0) /. float_of_int r.Engine.metrics.Engine.events
+    let r, words =
+      Harness.allocated (fun () ->
+          Algorithms.Hs.run ~config ~uids (Topology.ring nodes))
+    in
+    words /. float_of_int r.Engine.metrics.Engine.events
   in
   Fmt.pr "@.allocation: %.2f minor words per engine event (HS, async \
           ring of 256), %.1f per request (keyed, 8 replicas)@."
@@ -1514,11 +1405,8 @@ let s5 () =
      kinds, 2 000 requests rendered to wire lines and loaded the way
      `gp cluster run --file` loads them, run through 8 asynchronous
      replicas (seed 1), then audited on one server. The minor words per
-     request of the load, the run and the audit are exact counts, taken
-     under --quick too. The wall clock is split three ways, per request:
-     medians over 21 passes with the quartile spread, null under
-     --quick. *)
-  let quick = !quota < 0.5 in
+     request of the load, the run and the audit are exact counts, and
+     the wall clock is split the same three ways, per request. *)
   let n_shape = 2000 in
   let lines =
     let mix =
@@ -1539,9 +1427,8 @@ let s5 () =
       timing = Gp_distsim.Engine.Asynchronous { max_delay = 3.0 } }
   in
   let per_req_words f =
-    let w0 = Gc.minor_words () in
-    let x = f () in
-    (x, (Gc.minor_words () -. w0) /. float_of_int n_shape)
+    let x, words = Harness.allocated f in
+    (x, words /. float_of_int n_shape)
   in
   let reqs, load_words = per_req_words load in
   let r, run_words = per_req_words (fun () -> Cluster.run ~config reqs) in
@@ -1553,43 +1440,26 @@ let s5 () =
   record ~experiment:"s5" "cluster_load_minor_words_per_req" load_words;
   record ~experiment:"s5" "cluster_run_minor_words_per_req" run_words;
   record ~experiment:"s5" "cluster_audit_minor_words_per_req" audit_words;
-  (* one pass: the load, the run and the audit, each timed *)
-  let pass () =
-    let per_req t0 =
-      (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int n_shape
-    in
-    let t0 = Unix.gettimeofday () in
-    let reqs = load () in
-    let load_us = per_req t0 in
-    let t0 = Unix.gettimeofday () in
-    let r = Cluster.run ~config reqs in
-    let run_us = per_req t0 in
-    let t0 = Unix.gettimeofday () in
-    assert (Cluster.audit_ok (Cluster.audit r));
-    [| load_us; run_us; per_req t0 |]
+  let stages =
+    [ ("load", job load);
+      ("run", job (fun () -> Cluster.run ~config reqs));
+      ("audit", fun () -> assert (Cluster.audit_ok (Cluster.audit r))) ]
   in
-  let stages = [ "load"; "run"; "audit" ] in
-  let walls =
-    if quick then List.map (fun _ -> (nan, nan)) stages
-    else begin
-      ignore (pass ());
-      let samples = Array.init 21 (fun _ -> pass ()) in
-      List.mapi (fun i _ -> spread (Array.map (fun s -> s.(i)) samples)) stages
-    end
+  let key stage = "cluster_" ^ stage ^ "_us_per_req" in
+  let w =
+    Harness.trials ~per:n_shape ~unit:1e3
+      (List.map (fun (stage, job) -> (key stage, job)) stages)
   in
   Fmt.pr "cluster wall per request:%s@."
     (String.concat ","
-       (List.map2
-          (fun stage (us, iqr) ->
-            if quick then Printf.sprintf " %s (--quick)" stage
-            else Printf.sprintf " %s %.2f us [%.2f]" stage us iqr)
-          stages walls));
-  List.iter2
-    (fun stage (us, iqr) ->
-      let key = "cluster_" ^ stage ^ "_us_per_req" in
-      record ~experiment:"s5" key us;
-      record ~experiment:"s5" (key ^ "_iqr") iqr)
-    stages walls;
+       (List.map
+          (fun (stage, _) ->
+            Printf.sprintf " %s %s" stage
+              (wall_str "%.2f us [%.2f]" (Harness.get w (key stage))))
+          stages));
+  List.iter
+    (fun (stage, _) -> record_wall ~experiment:"s5" w (key stage))
+    stages;
   (* failover: 20% drops plus a crash of the elected leader, mid-run *)
   let failures = [ Cluster.Drop 0.2; Cluster.Crash_leader { at = 40.0 } ] in
   let r = run ~failures 3 in
@@ -1629,16 +1499,13 @@ let s5 () =
 (* The paper's central bet, applied to linear algebra: a generic
    interface need not cost performance, because concept refinement lets
    the library select the algorithm the structure admits. Exact step
-   counts (one per stored-element visit) are quota-independent and
-   bit-identical across machines, so bench-diff hard-gates the
-   *_step_speedup metrics even against a --quick regeneration; the
-   wall-clock confirmations and the dispatch-overhead probe are only
-   measured in full runs (recorded as null under --quick, which
-   bench-diff skips). *)
+   counts (one per stored-element visit) are bit-identical across
+   machines, so bench-diff hard-gates the *_step_speedup metrics; the
+   wall-clock confirmations and the dispatch-overhead probe are wall
+   keys. *)
 let s6 () =
   section "S6" "gp_structla: concept-guided kernel selection vs forced dense";
   let open Gp_structla in
-  let quick = !quota < 0.5 in
   let reg = Gp_concepts.Registry.create () in
   Decls.declare reg;
   let sel = Select.create () in
@@ -1715,16 +1582,15 @@ let s6 () =
           matvec steps) — ok@."
     (step_ratio "diagonal") (step_ratio "banded");
   (* Resolution allocation: minor words per resolve over a fixed loop
-     after one warm-up resolve, an exact count under --quick too *)
+     after a warm-up loop, an exact count *)
   let resolve_words =
     get "diagonal" (fun _ m ->
         let loops = 1000 in
-        ignore (Sys.opaque_identity (Select.resolve reg sel Select.Matvec m));
-        let w0 = Gc.minor_words () in
-        for _ = 1 to loops do
-          ignore (Sys.opaque_identity (Select.resolve reg sel Select.Matvec m))
-        done;
-        (Gc.minor_words () -. w0) /. float_of_int loops)
+        Harness.minor_words ~per:loops (fun () ->
+            for _ = 1 to loops do
+              ignore
+                (Sys.opaque_identity (Select.resolve reg sel Select.Matvec m))
+            done))
   in
   Fmt.pr "dispatch resolve alone (diagonal matvec): %.1f minor words@."
     resolve_words;
@@ -1733,7 +1599,7 @@ let s6 () =
      generate, classify, step count, select, kernel, checksum) over
      every structure and op at a fixed order, after one warm-up pass:
      minor and major words per miss, counts that repeat exactly (minor)
-     or to within 0.1 % (major) under --quick too *)
+     or to within 0.1 % (major) *)
   let miss_n = 40 in
   let misses =
     List.concat_map
@@ -1748,93 +1614,59 @@ let s6 () =
         | Error e -> failwith e)
       misses
   in
-  miss_pass ();
-  (* Gc.counters leaves out the minor words of the live minor heap;
-     Gc.minor_words counts them *)
-  let minor0 = Gc.minor_words () and _, _, major0 = Gc.counters () in
-  miss_pass ();
-  let minor1 = Gc.minor_words () and _, _, major1 = Gc.counters () in
-  let per_miss w = w /. float_of_int (List.length misses) in
-  let miss_words = per_miss (minor1 -. minor0)
-  and miss_major = per_miss (major1 -. major0) in
+  let miss_words, miss_major =
+    Harness.words ~per:(List.length misses) miss_pass
+  in
   Fmt.pr "numeric miss at n=%d (generate -> checksum, %d shapes): %.1f minor \
           and %.1f major words per miss@." miss_n (List.length misses)
     miss_words miss_major;
   record ~experiment:"s6" "numeric_miss_minor_words" miss_words;
   record ~experiment:"s6" "numeric_miss_major_words" miss_major;
-  (* wall-clock confirmation + dispatch overhead, full runs only *)
-  let wall_metrics =
-    [ "matvec_dense_ns"; "matvec_diagonal_ns"; "matvec_banded_ns";
-      "matvec_csr_ns"; "solve_dense_ns"; "solve_diagonal_ns";
-      "resolve_matvec_ns" ]
+  (* wall-clock confirmation + dispatch overhead *)
+  let dispatch op structure = get structure (fun _ m -> job (fun () -> op m)) in
+  let matvec m = Select.matvec reg sel m x in
+  let solve m = Select.solve reg sel m x in
+  let w =
+    Harness.trials
+      [ ( "matvec_dense_ns",
+          get "diagonal" (fun d _ -> job (fun () -> matvec (Mat.Dense d))) );
+        ("matvec_diagonal_ns", dispatch matvec "diagonal");
+        ("matvec_banded_ns", dispatch matvec "banded");
+        ("matvec_csr_ns", dispatch matvec "csr");
+        ("solve_dense_ns", dispatch solve "dense");
+        ("solve_diagonal_ns", dispatch solve "diagonal");
+        ( "resolve_matvec_ns",
+          dispatch (Select.resolve reg sel Select.Matvec) "diagonal" ) ]
   in
-  if quick then begin
-    List.iter (fun k -> record ~experiment:"s6" k nan) wall_metrics;
-    Fmt.pr "@.(--quick: wall-clock and dispatch-overhead probes skipped — \
-            the step metrics above are exact either way)@."
-  end
-  else begin
-    let run_matvec structure =
-      get structure (fun _ m ->
-          time_ns
-            (Printf.sprintf "matvec via dispatch (%s)" structure)
-            (fun () -> Sys.opaque_identity (Select.matvec reg sel m x)))
-    in
-    let forced_dense =
-      get "diagonal" (fun d _ ->
-          time_ns "matvec via dispatch (diagonal forced dense)" (fun () ->
-              Sys.opaque_identity (Select.matvec reg sel (Mat.Dense d) x)))
-    in
-    let t_diag = run_matvec "diagonal" in
-    let t_band = run_matvec "banded" in
-    let t_csr = run_matvec "csr" in
-    let t_solve_dense =
-      get "dense" (fun _ m ->
-          time_ns "solve via dispatch (dense)" (fun () ->
-              Sys.opaque_identity (Select.solve reg sel m x)))
-    in
-    let t_solve_diag =
-      get "diagonal" (fun _ m ->
-          time_ns "solve via dispatch (diagonal)" (fun () ->
-              Sys.opaque_identity (Select.solve reg sel m x)))
-    in
-    let t_resolve =
-      get "diagonal" (fun _ m ->
-          time_ns "resolve only (diagonal matvec)" (fun () ->
-              Sys.opaque_identity (Select.resolve reg sel Select.Matvec m)))
-    in
-    Fmt.pr "@.%-40s %12s@." "wall clock (dispatch included)" "ns/op";
-    let prow name v = Fmt.pr "%-40s %12s@." name (ns_str v) in
-    prow "matvec diagonal, forced dense" forced_dense;
-    prow "matvec diagonal, selected" t_diag;
-    prow "matvec banded, selected" t_band;
-    prow "matvec csr, selected" t_csr;
-    prow "solve dense" t_solve_dense;
-    prow "solve diagonal, selected" t_solve_diag;
-    prow "dispatch resolve alone" t_resolve;
-    Fmt.pr "wall speedups: diagonal %.1fx, banded %.1fx, csr %.1fx; \
-            dispatch is %.1f%% of the diagonal matvec@."
-      (forced_dense /. t_diag) (forced_dense /. t_band)
-      (forced_dense /. t_csr)
-      (100.0 *. t_resolve /. t_diag);
-    record ~experiment:"s6" "matvec_dense_ns" forced_dense;
-    record ~experiment:"s6" "matvec_diagonal_ns" t_diag;
-    record ~experiment:"s6" "matvec_banded_ns" t_band;
-    record ~experiment:"s6" "matvec_csr_ns" t_csr;
-    record ~experiment:"s6" "solve_dense_ns" t_solve_dense;
-    record ~experiment:"s6" "solve_diagonal_ns" t_solve_diag;
-    record ~experiment:"s6" "resolve_matvec_ns" t_resolve
-  end
+  Fmt.pr "@.%-40s %12s@." "wall clock (dispatch included)" "ns/op";
+  List.iter
+    (fun (label, k) ->
+      Fmt.pr "%-40s %12s@." label (ns_str (ns w k));
+      record_wall ~experiment:"s6" w k)
+    [ ("matvec diagonal, forced dense", "matvec_dense_ns");
+      ("matvec diagonal, selected", "matvec_diagonal_ns");
+      ("matvec banded, selected", "matvec_banded_ns");
+      ("matvec csr, selected", "matvec_csr_ns");
+      ("solve dense", "solve_dense_ns");
+      ("solve diagonal, selected", "solve_diagonal_ns");
+      ("dispatch resolve alone", "resolve_matvec_ns") ];
+  let forced_dense = ns w "matvec_dense_ns"
+  and t_diag = ns w "matvec_diagonal_ns" in
+  Fmt.pr "wall speedups: diagonal %.1fx, banded %.1fx, csr %.1fx; \
+          dispatch is %.1f%% of the diagonal matvec@."
+    (forced_dense /. t_diag)
+    (forced_dense /. ns w "matvec_banded_ns")
+    (forced_dense /. ns w "matvec_csr_ns")
+    (100.0 *. ns w "resolve_matvec_ns" /. t_diag)
 
 (* ------------------------------------------------------------------ *)
 (* S7: zero-allocation wire path — bytes per request                   *)
 (* ------------------------------------------------------------------ *)
 
 (* Allocation counts (Gc.allocated_bytes / minor_words deltas) are
-   deterministic for a fixed workload, unlike wall clock, so this
-   section uses a fixed n regardless of --quick and bench-diff gates
-   the committed numbers strictly. The tentpole ratio is measured on
-   the isolated wire path — parse + render + digest over the real
+   deterministic for a fixed workload, unlike wall clock, so bench-diff
+   gates the committed numbers strictly. The tentpole ratio is measured
+   on the isolated wire path — parse + render + digest over the real
    (line, response) pairs of one served workload — because the
    end-to-end serve shares its dispatch cost between both variants and
    would dilute the comparison. *)
@@ -1854,20 +1686,14 @@ let s7 () =
     @ Request.[ (Kmatvec, 8); (Kmatmul, 4); (Ksolve, 4) ]
   in
   let reqs = Workload.generate ~mix ~seed ~n () in
-  Fmt.pr "workload: n=%d seed=%d (fixed regardless of quota) mix=[%a]@." n
-    seed Workload.pp_mix mix;
-  (* a clock that advances 2^-20 s (about a microsecond) per reading, so
-     its sums are exact: request durations, and with them the recorder's
+  Fmt.pr "workload: n=%d seed=%d mix=[%a]@." n seed Workload.pp_mix mix;
+  (* on a ticking clock, request durations, and with them the recorder's
      slowest-k entries, are the same on a loaded host as on an idle one,
-     and every count below is exact. Like the wall clock, a reading boxes
-     one float. *)
-  let ticks = [| 0.0 |] in
-  let now () =
-    ticks.(0) <- ticks.(0) +. 0x1p-20;
-    ticks.(0)
-  in
+     so every count below is exact *)
   let config =
-    { Server.default_config with flight_capacity = 2 * n; now }
+    { Server.default_config with
+      flight_capacity = 2 * n;
+      now = Harness.ticking_clock () }
   in
   let server = Server.create ~config () in
   let lines = List.mapi (fun i r -> Wire.request_to_line ~id:i r) reqs in
@@ -1888,18 +1714,13 @@ let s7 () =
   (* Warm-up settles shared-buffer growth; then allocation deltas over
      one full pass, divided per request. On this runtime (OCaml 5.1)
      [Gc.quick_stat]/[Gc.allocated_bytes] lag the current domain's
-     minor counter, so the accurate [Gc.minor_words] primitive is the
-     source of truth; every allocation on these paths is far below the
-     direct-to-major-heap threshold, so minor words x word-size is the
-     full allocation story. *)
+     minor counter, so the accurate minor-words primitive the harness
+     reads is the source of truth; every allocation on these paths is
+     far below the direct-to-major-heap threshold, so minor words x
+     word-size is the full allocation story. *)
   let word_bytes = float_of_int (Sys.word_size / 8) in
   let measure f =
-    f ();
-    Gc.full_major ();
-    let m0 = Gc.minor_words () in
-    f ();
-    let m1 = Gc.minor_words () in
-    let words = (m1 -. m0) /. fn in
+    let words = Harness.minor_words ~per:n f in
     (words *. word_bytes, words)
   in
   (* legacy wire path: json AST parse, Obj-tree render, digest of the
@@ -1946,20 +1767,11 @@ let s7 () =
      there: it starts on an empty minor heap and ends by promoting what
      it left live (the flight recorder's share included), so the count
      does not depend on where the minor heap stood *)
-  let serve_major =
-    Gc.full_major ();
-    let _, _, j0 = Gc.counters () in
-    serve_lines server lines ();
-    Gc.minor ();
-    let _, _, j1 = Gc.counters () in
-    (j1 -. j0) /. fn
-  in
+  let serve_major = Harness.promoted_words ~per:n (serve_lines server lines) in
   (* the warm served path a client sees, as [Server.serve_channel] runs
      it per line: serve_line, then the response rendered into one reused
      buffer — a hit on an answer entry copies its stored fragment. Exact
-     minor words per request, and wall time per request as the median
-     over [trials] passes with the quartile spread (full runs only:
-     --quick records null, so bench-diff skips the wall keys) *)
+     minor words per request, and wall time per request *)
   let render_buf = Buffer.create 1024 in
   let serve_render () =
     List.iter
@@ -1972,22 +1784,6 @@ let s7 () =
       lines
   in
   let _, serve_render_minor = measure serve_render in
-  let quick = !quota < 0.5 in
-  let trials = 21 in
-  let render_median, render_iqr =
-    if quick then (nan, nan)
-    else begin
-      let per_request =
-        Array.init trials (fun _ ->
-            let t0 = Unix.gettimeofday () in
-            serve_render ();
-            (Unix.gettimeofday () -. t0) *. 1e9 /. fn)
-      in
-      Array.sort compare per_request;
-      let at q = per_request.(int_of_float (q *. float_of_int (trials - 1))) in
-      (at 0.5, at 0.75 -. at 0.25)
-    end
-  in
   (* warm hits by kind: minor words of one served hit, wire parse to
      dossier, recorder on — the cache key, the lookup and the answer it
      hands back, with no rendering left on the path *)
@@ -1997,11 +1793,7 @@ let s7 () =
         (fun (r, line) -> if keep r then Some line else None)
         (List.combine reqs lines)
     in
-    let pass = serve_lines server mine in
-    pass ();
-    let m0 = Gc.minor_words () in
-    pass ();
-    (Gc.minor_words () -. m0) /. float_of_int (List.length mine)
+    Harness.minor_words ~per:(List.length mine) (serve_lines server mine)
   in
   let hit_optimize =
     hit_minor (function Request.Optimize _ -> true | _ -> false)
@@ -2031,9 +1823,8 @@ let s7 () =
      recorded [serve_line] less an unrecorded one) and render (a warm
      answer into the reused buffer). Exact minor words per request per
      layer (the record layer's is [recorder_minor]); wall time per
-     request as the median over [layer_trials] trials with its quartile
-     spread, each trial timing every layer once in a shuffled order, so
-     host drift moves all layers alike (full runs only) *)
+     request per layer, timed in the same trials as the serve_line +
+     render pass *)
   let decoded =
     List.map
       (fun line ->
@@ -2064,56 +1855,24 @@ let s7 () =
   let _, decode_minor = measure decode_pass in
   let _, dispatch_minor = measure dispatch_pass in
   let _, render_minor = measure render_pass in
-  let layer_trials = 41 and layer_reps = 8 in
-  let layer_rows =
-    if quick then List.map (fun name -> (name, nan, nan))
-        [ "decode"; "dispatch"; "record"; "render" ]
-    else begin
-      let block f =
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to layer_reps do
-          f ()
-        done;
-        (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int layer_reps /. fn
-      in
-      let passes =
-        [| decode_pass; dispatch_pass; serve_lines server lines;
-           serve_lines unrecorded lines; render_pass |]
-      in
-      let rng = Random.State.make [| 7 |] in
-      let samples =
-        Array.init layer_trials (fun _ ->
-            let order = Array.init (Array.length passes) Fun.id in
-            for i = Array.length order - 1 downto 1 do
-              let j = Random.State.int rng (i + 1) in
-              let x = order.(i) in
-              order.(i) <- order.(j);
-              order.(j) <- x
-            done;
-            let t = Array.make (Array.length passes) 0.0 in
-            Array.iter (fun p -> t.(p) <- block passes.(p)) order;
-            [| t.(0); t.(1); t.(2) -. t.(3); t.(4) |])
-      in
-      List.mapi
-        (fun i name ->
-          let xs = Array.map (fun s -> s.(i)) samples in
-          Array.sort compare xs;
-          let at q = xs.(int_of_float (q *. float_of_int (layer_trials - 1))) in
-          (name, at 0.5, at 0.75 -. at 0.25))
-        [ "decode"; "dispatch"; "record"; "render" ]
-    end
+  let layers = [ "decode"; "dispatch"; "record"; "render" ] in
+  let w =
+    Harness.trials ~n:41 ~per:n
+      ~derive:
+        [ ("warm_record_ns", fun t -> t "recorded" -. t "unrecorded") ]
+      [ ("serve_render_ns", serve_render);
+        ("warm_decode_ns", decode_pass);
+        ("warm_dispatch_ns", dispatch_pass);
+        ("recorded", serve_lines server lines);
+        ("unrecorded", serve_lines unrecorded lines);
+        ("warm_render_ns", render_pass) ]
   in
   (* the text front ends: minor words of one parse, averaged over the
      perfbench payload shapes (lint programs, .gpc defs and optimize
      expressions) *)
   let parse_minor parse srcs =
-    let pass () =
-      Array.iter (fun src -> ignore (Sys.opaque_identity (parse src))) srcs
-    in
-    pass ();
-    let m0 = Gc.minor_words () in
-    pass ();
-    (Gc.minor_words () -. m0) /. float_of_int (Array.length srcs)
+    Harness.minor_words ~per:(Array.length srcs) (fun () ->
+        Array.iter (fun src -> ignore (Sys.opaque_identity (parse src))) srcs)
   in
   let shapes f = Array.init Perf_shapes.period f in
   let lint_parse_minor =
@@ -2142,22 +1901,17 @@ let s7 () =
     "" serve_major;
   Fmt.pr "%-44s %16s %14.1f@." "warm serve_line + render" ""
     serve_render_minor;
-  if quick then
-    Fmt.pr "  (--quick: the serve_line + render wall probe is skipped)@."
-  else
-    Fmt.pr "  wall per request: median %.0f ns, IQR %.0f ns over %d passes@."
-      render_median render_iqr trials;
+  Fmt.pr "  wall per request: %s@."
+    (wall_str "median %.0f ns, IQR %.0f ns" (Harness.get w "serve_render_ns"));
   Fmt.pr "@.%-44s %14s %12s %10s@." "warm request by layer" "minor words"
     "ns/request" "IQR ns";
   List.iter2
-    (fun (name, median, iqr) words ->
+    (fun name words ->
+      let median, iqr = Harness.get w ("warm_" ^ name ^ "_ns") in
       Fmt.pr "%-44s %14.1f %12.0f %10.0f@." name words median iqr)
-    layer_rows
+    layers
     [ decode_minor; dispatch_minor; recorder_minor; render_minor ];
-  if quick then Fmt.pr "  (--quick: the layer wall probe is skipped)@."
-  else
-    Fmt.pr "  (medians over %d shuffled trials of %d passes per layer)@."
-      layer_trials layer_reps;
+  Fmt.pr "  (medians over %d shuffled trials)@." w.Harness.trials;
   Fmt.pr "@.%-44s %14s@." "warm hit, served (recorder on)" "minor words";
   Fmt.pr "%-44s %14.1f@." "optimize" hit_optimize;
   Fmt.pr "%-44s %14.1f@." "check (no defs)" hit_check;
@@ -2192,10 +1946,7 @@ let s7 () =
   record ~experiment:"s7" "serve_minor_words" serve_minor;
   record ~experiment:"s7" "serve_major_words" serve_major;
   record ~experiment:"s7" "serve_render_minor_words" serve_render_minor;
-  record ~experiment:"s7" "serve_render_ns" render_median;
-  record ~experiment:"s7" "serve_render_iqr_ns" render_iqr;
-  record ~experiment:"s7" "serve_render_trials"
-    (if quick then nan else float_of_int trials);
+  record_wall ~experiment:"s7" w "serve_render_ns";
   record ~experiment:"s7" "hit_minor_words_optimize" hit_optimize;
   record ~experiment:"s7" "hit_minor_words_check" hit_check;
   record ~experiment:"s7" "hit_minor_words_closure" hit_closure;
@@ -2203,10 +1954,8 @@ let s7 () =
   record ~experiment:"s7" "hit_minor_words_lint" hit_lint;
   record ~experiment:"s7" "recorder_minor_words" recorder_minor;
   List.iter
-    (fun (name, median, iqr) ->
-      record ~experiment:"s7" ("warm_" ^ name ^ "_ns") median;
-      record ~experiment:"s7" ("warm_" ^ name ^ "_iqr_ns") iqr)
-    layer_rows;
+    (fun name -> record_wall ~experiment:"s7" w ("warm_" ^ name ^ "_ns"))
+    layers;
   record ~experiment:"s7" "warm_decode_minor_words" decode_minor;
   record ~experiment:"s7" "warm_dispatch_minor_words" dispatch_minor;
   record ~experiment:"s7" "warm_render_minor_words" render_minor;
@@ -2224,21 +1973,24 @@ let s7 () =
 
 (* Sweep the gp_complexity_obs catalog, fit growth models to the exact
    step/message counts, and record the fitted degree and residual per
-   operation. Every gated number is an exact count over a fixed ladder
-   — quota-independent and identical under --quick — so BENCH_s8.json
-   is hard-gated by bench-diff like s5/s6/s7 (_fitted_degree keys must
-   match exactly; _residual keys may only shrink). The per-catalog wall
-   probe is the one non-deterministic extra: null under --quick,
-   advisory otherwise. *)
+   operation. Every gated number is an exact count over a fixed ladder,
+   so BENCH_s8.json is hard-gated by bench-diff like s5/s6/s7
+   (_fitted_degree keys must match exactly; _residual keys may only
+   shrink). Each operation's wall time at one rung (n = 128) rides
+   along as a wall key. *)
 let s8 () =
   section "S8"
     "empirical asymptotics: fitted growth vs declared Complexity bounds";
   let open Gp_complexity_obs in
-  let quick = !quota < 0.5 in
   let entries =
-    List.map
-      (fun op -> Report.analyze (Sweep.run ~wall:(not quick) op))
-      (Catalog.ops ())
+    List.map (fun op -> Report.analyze (Sweep.run op)) (Catalog.ops ())
+  in
+  let wall_key op = op.Sweep.op_name ^ "_wall_ns" in
+  let w =
+    Harness.trials
+      (List.map
+         (fun op -> (wall_key op, job (fun () -> op.Sweep.op_measure 128)))
+         (Catalog.ops ()))
   in
   Report.table Fmt.stdout entries;
   (* the harness must agree with itself: genuine operations pass, the
@@ -2262,9 +2014,7 @@ let s8 () =
         (Report.fitted_degree e.Report.e_best);
       record ~experiment:"s8" (name ^ "_residual")
         e.Report.e_best.Fit.f_residual;
-      record ~experiment:"s8"
-        (name ^ "_wall_ns")
-        e.Report.e_series.Sweep.sr_wall_ns)
+      record_wall ~experiment:"s8" w (wall_key e.Report.e_series.Sweep.sr_op))
     entries;
   record ~experiment:"s8" "unexpected_verdicts_pct"
     (100.0 *. float_of_int unexpected /. float_of_int (List.length entries))
@@ -2287,8 +2037,8 @@ let s8 () =
      - fleet percentiles come off the run's records, and the
        attribution decomposes tail latency into
        queueing/retry/election-stall/service.
-   Wall-clock probes (trace-off vs trace-on run time) are recorded only
-   in full runs; --quick writes null so bench-diff skips them. *)
+   Wall-clock probes (trace-off vs trace-on run time) ride along as wall
+   keys. *)
 let s9 () =
   section "S9" "gp_tracing: cluster-wide distributed tracing and \
                 tail-latency attribution";
@@ -2362,29 +2112,22 @@ let s9 () =
         ("dominant_" ^ Attribution.cause_name c ^ "_pct")
         (100.0 *. float_of_int k /. float_of_int n))
     su.Attribution.su_by_cause;
-  (* wall-clock overhead probes: meaningless under --quick quotas, so
-     null there (bench-diff skips null) *)
-  if !quota < 0.45 then begin
-    Fmt.pr "@.overhead probe skipped under --quick (recorded as null)@.";
-    record ~experiment:"s9" "run_untraced_ns" nan;
-    record ~experiment:"s9" "run_traced_ns" nan;
-    record ~experiment:"s9" "trace_overhead_ratio" nan
-  end
-  else begin
-    let t_off =
-      time_ns "cluster run, tracing off" (fun () ->
-          Sys.opaque_identity (run ~trace:false ()))
-    in
-    let t_on =
-      time_ns "cluster run, tracing on" (fun () ->
-          Sys.opaque_identity (run ~trace:true ()))
-    in
-    Fmt.pr "@.wall clock: untraced %s, traced %s per run (%.2fx)@."
-      (ns_str t_off) (ns_str t_on) (t_on /. t_off);
-    record ~experiment:"s9" "run_untraced_ns" t_off;
-    record ~experiment:"s9" "run_traced_ns" t_on;
-    record ~experiment:"s9" "trace_overhead_ratio" (t_on /. t_off)
-  end
+  (* wall-clock overhead probes *)
+  let w =
+    Harness.trials
+      ~derive:
+        [ ( "trace_overhead_ratio",
+            fun t -> t "run_traced_ns" /. t "run_untraced_ns" ) ]
+      [ ("run_untraced_ns", job (run ~trace:false));
+        ("run_traced_ns", job (run ~trace:true)) ]
+  in
+  Fmt.pr "@.wall clock: untraced %s, traced %s per run (%.2fx)@."
+    (ns_str (ns w "run_untraced_ns"))
+    (ns_str (ns w "run_traced_ns"))
+    (ns w "trace_overhead_ratio");
+  record_wall ~experiment:"s9" w "run_untraced_ns";
+  record_wall ~experiment:"s9" w "run_traced_ns";
+  record_wall ~experiment:"s9" w "trace_overhead_ratio"
 
 let s10 () =
   section "S10" "gp_scenario: elastic cluster scenarios — open-loop \
@@ -2398,11 +2141,9 @@ let s10 () =
     | Some t -> t
     | None -> failwith ("s10: no scenario named " ^ name)
   in
-  (* Every scenario below runs at FULL scale regardless of --quick:
-     all gated numbers are simulated time and exact counts, so the
-     committed baseline must reproduce under quick quotas too. Only
-     the wall probes at the end are quota-dependent (null under
-     --quick; bench-diff skips null). *)
+  (* Every scenario below runs at full scale: all gated numbers are
+     simulated time and exact counts. Only the wall probe at the end
+     reads a clock. *)
 
   (* -- hot-key flood: the mitigation's measured win ---------------- *)
   let n = Scenario.flood_n ~quick:false in
@@ -2486,9 +2227,8 @@ let s10 () =
   (* -- the headline: a million simulated users ----------------------- *)
   Fmt.pr "@.million: 1e6 open-loop requests across 32 replicas, every \
           answer audited against a single node...@.";
-  let t0 = Unix.gettimeofday () in
-  let mo = Scenario.run ~seed ~audit:true (scenario "million") in
-  let wall = Unix.gettimeofday () -. t0 in
+  let million () = Scenario.run ~seed ~audit:true (scenario "million") in
+  let mo = million () in
   Fmt.pr "%a" Scenario.pp_outcome mo;
   assert (Scenario.ok mo);
   assert (mo.Scenario.o_requests >= 1_000_000);
@@ -2520,22 +2260,21 @@ let s10 () =
     (100.0 *. mo.Scenario.o_hit_ratio);
   record ~experiment:"s10" "million_peak_queue"
     (float_of_int mo.Scenario.o_peak_queue);
-  (* wall-clock probes: meaningless under --quick quotas, null there
-     (bench-diff skips null) *)
-  if !quota < 0.45 then begin
-    Fmt.pr "@.wall probe skipped under --quick (recorded as null)@.";
-    record ~experiment:"s10" "million_wall_ns" nan;
-    record ~experiment:"s10" "million_req_per_wall_sec" nan
-  end
-  else begin
-    Fmt.pr "@.wall clock: %.1f s for the audited million (%.0f req/s \
-            including the single-node replay)@."
-      wall
-      (float_of_int mo.Scenario.o_requests /. wall);
-    record ~experiment:"s10" "million_wall_ns" (wall *. 1e9);
-    record ~experiment:"s10" "million_req_per_wall_sec"
-      (float_of_int mo.Scenario.o_requests /. wall)
-  end
+  (* the wall probe *)
+  let requests = float_of_int mo.Scenario.o_requests in
+  let w =
+    Harness.trials
+      ~derive:
+        [ ( "million_req_per_wall_sec",
+            fun t -> requests /. (t "million_wall_ns" *. 1e-9) ) ]
+      [ ("million_wall_ns", job million) ]
+  in
+  Fmt.pr "@.wall clock: %s for the audited million (%.0f req/s including \
+          the single-node replay)@."
+    (ns_str (ns w "million_wall_ns"))
+    (ns w "million_req_per_wall_sec");
+  record_wall ~experiment:"s10" w "million_wall_ns";
+  record_wall ~experiment:"s10" w "million_req_per_wall_sec"
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
@@ -2548,11 +2287,13 @@ let experiments =
     ("s5", s5); ("s6", s6); ("s7", s7); ("s8", s8); ("s9", s9);
     ("s10", s10) ]
 
+let json_path = ref None
+
 let () =
   let rec parse = function
     | [] -> []
     | "--quick" :: rest ->
-      quota := 0.1;
+      Harness.quick := true;
       parse rest
     | "--json" :: path :: rest ->
       json_path := Some path;
@@ -2571,10 +2312,10 @@ let () =
   Fmt.pr "experiments: %a@."
     Fmt.(list ~sep:sp string)
     (List.map fst todo);
-  List.iter (fun (_, f) -> f ()) todo;
+  List.iter (fun (_, f) -> Harness.isolated f) todo;
   Fmt.pr "@.%s@.all experiments complete.@." line;
   match !json_path with
   | Some path ->
-    write_json path;
+    Harness.write_json path;
     Fmt.pr "results written to %s@." path
   | None -> ()

@@ -1254,14 +1254,7 @@ let complexity_cmd =
              ~doc:"Emit the fitted-exponent/residual gauges as a Prometheus \
                    exposition on stdout.")
   in
-  let quick =
-    Arg.(value & flag
-         & info [ "quick" ]
-             ~doc:"Skip the wall-clock probes. The gated numbers — step \
-                   counts and fits — are exact either way; quick only \
-                   nulls the advisory wall column.")
-  in
-  let run only json prometheus quick =
+  let run only json prometheus =
     let open Gp_complexity_obs in
     let catalog = Catalog.ops () in
     let selected =
@@ -1286,7 +1279,7 @@ let complexity_cmd =
     else begin
       let entries =
         List.map
-          (fun op -> Report.analyze (Sweep.run ~wall:(not quick) op))
+          (fun op -> Report.analyze (Sweep.run op))
           selected
       in
       if json then print_string (Report.to_json entries)
@@ -1305,7 +1298,7 @@ let complexity_cmd =
              operations across a size ladder, fit growth models to exact \
              step counts, and flag implementations growing faster than their \
              declared O-bound")
-    Term.(const run $ ops_arg $ json $ prometheus $ quick)
+    Term.(const run $ ops_arg $ json $ prometheus)
 
 (* ------------------------------------------------------------------ *)
 (* gp bench-diff                                                       *)
@@ -1316,13 +1309,13 @@ let complexity_cmd =
 let count_tolerance = 0.005
 
 (* The perf-regression guard over two `bench --json` result files.
-   Metric names carry their own direction: the _speedup suffix is
-   higher-better as a ratio, _pct is lower-better in additive percentage
-   points, a name containing bytes_per_request, minor_words or
-   major_words is an allocation count (deterministic, or within 0.1 %
-   for major words after a warm-up, and quota-independent), as is a
-   name containing heap_peak (an exact event count), held to a
-   fixed 0.5 % either way: a rise is a regression, a fall is a stale
+   Metric names carry their own direction: the _speedup and
+   _per_wall_sec suffixes are higher-better as a ratio, _pct is
+   lower-better in additive percentage points, a name containing
+   bytes_per_request, minor_words or major_words is an allocation count
+   (deterministic, or within 0.1 % for major words after a warm-up, and
+   independent of timing), as is a name containing heap_peak (an exact
+   event count), held to a fixed 0.5 % either way: a rise is a regression, a fall is a stale
    baseline that must be re-recorded, _fitted_degree must match exactly
    (a fitted complexity class has no tolerance: growing from O(n) to
    O(n log n) is the regression s8 exists to catch — and an improvement
@@ -1331,7 +1324,10 @@ let count_tolerance = 0.005
    log space, where 0 is exact), a name containing _iqr is a quartile
    spread, itself too noisy to gate: it is reported when it moves beyond
    the tolerance either way, never failed, and everything else — the
-   _ns times — is lower-better as a ratio. *)
+   _ns times — is lower-better as a ratio. An exact key of OLD (a count
+   or a _fitted_degree) that NEW drops, renames or leaves null is
+   MISSING, and so is a whole section of OLD that NEW lacks: both fail,
+   since a gate that loses its key would otherwise pass silently. *)
 let bench_diff_cmd =
   let old_arg =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"OLD.json")
@@ -1349,15 +1345,7 @@ let bench_diff_cmd =
                    bytes_per_request or heap_peak) ignore it: they fail on a move of \
                    more than 0.5% either way.")
   in
-  let quick =
-    Arg.(value & flag
-         & info [ "quick" ]
-             ~doc:"Smoke mode: report regressions but exit 0 anyway — for \
-                   CI runs comparing against freshly regenerated \
-                   $(b,--quick) bench numbers, whose short quotas are too \
-                   noisy to gate on.")
-  in
-  let run old_path new_path tolerance quick =
+  let run old_path new_path tolerance =
     let module Json = Gp_telemetry.Json in
     let load path =
       match In_channel.with_open_text path In_channel.input_all with
@@ -1421,6 +1409,10 @@ let bench_diff_cmd =
                     if ends_with "_speedup" name then
                       ( nv < ov *. (1.0 -. tolerance),
                         Printf.sprintf "%.2fx -> %.2fx" ov nv )
+                    else if ends_with "_per_wall_sec" name then
+                      (* a throughput: higher-better as a ratio *)
+                      ( nv < ov *. (1.0 -. tolerance),
+                        Printf.sprintf "%.0f/s -> %.0f/s" ov nv )
                     else if ends_with "_fitted_degree" name then
                       ( nv <> ov,
                         Printf.sprintf "degree %.1f -> %.1f" ov nv )
@@ -1465,32 +1457,54 @@ let bench_diff_cmd =
               names
           | _ -> () (* section absent from the old run: skip *))
         new_sections;
-      if !compared = 0 then begin
+      let missing = ref 0 in
+      let report_missing what =
+        incr missing;
+        Fmt.pr "MISSING %s@." what
+      in
+      List.iter
+        (fun (sec, old) ->
+          match (old, List.assoc_opt sec new_sections) with
+          | _, None -> report_missing sec
+          | Json.Obj names, Some metrics ->
+            List.iter
+              (fun (name, _) ->
+                if
+                  (is_count name || ends_with "_fitted_degree" name)
+                  && Option.is_some (metric name old)
+                  && Option.is_none (metric name metrics)
+                then report_missing (sec ^ "/" ^ name))
+              names
+          | _ -> ())
+        old_sections;
+      if !compared = 0 && !missing = 0 then begin
         Fmt.epr "no comparable metrics between %s and %s@." old_path new_path;
         2
       end
       else begin
-        let failed = !regressions + !stale > 0 in
-        Fmt.pr "bench-diff: %d metric(s) compared, %d regression(s)%s%s \
-                (tolerance %.0f%%)%s@."
+        Fmt.pr "bench-diff: %d metric(s) compared, %d regression(s)%s%s%s \
+                (tolerance %.0f%%)@."
           !compared !regressions
           (if !stale > 0 then Printf.sprintf ", %d stale count(s)" !stale
+           else "")
+          (if !missing > 0 then Printf.sprintf ", %d missing" !missing
            else "")
           (if !spreads > 0 then
              Printf.sprintf ", %d spread(s) moved" !spreads
            else "")
-          (tolerance *. 100.0)
-          (if quick && failed then " [quick: not gating]" else "");
-        if failed && not quick then 1 else 0
+          (tolerance *. 100.0);
+        if !regressions + !stale + !missing > 0 then 1 else 0
       end
   in
   Cmd.v
     (Cmd.info "bench-diff"
        ~doc:"Compare two bench --json result files and fail (exit 1) on \
-             per-metric perf regressions beyond the tolerance, or on \
-             allocation counts that fell (a stale baseline); quartile \
-             spreads (names containing _iqr) are reported, never gated")
-    Term.(const run $ old_arg $ new_arg $ tolerance $ quick)
+             per-metric perf regressions beyond the tolerance, on \
+             allocation counts that fell (a stale baseline), or on exact \
+             keys and sections of the old file missing from the new one; \
+             quartile spreads (names containing _iqr) are reported, never \
+             gated")
+    Term.(const run $ old_arg $ new_arg $ tolerance)
 
 let () =
   let doc = "generic programming and high-performance libraries, reproduced" in

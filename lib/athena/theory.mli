@@ -73,13 +73,11 @@ val ring : ring_mapping -> axiom list
 
 val int_add : mapping
 val int_mul : mapping
-val bool_and : mapping
-val int_band : mapping
-val string_concat : mapping
-val float_mul : mapping
-val rational_mul : mapping
-val matrix_mul : mapping
 val int_ring : ring_mapping
 
 val monoid_instances : mapping list
+(** [int_mul] and the float, bool [&&], int [&], string and matrix
+    products. *)
+
 val group_instances : mapping list
+(** [int_add] and the float, rational and matrix products. *)

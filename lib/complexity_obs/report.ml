@@ -116,8 +116,7 @@ let to_json entries =
            "    {\"op\": %s, \"subsystem\": %s, \"declared\": %s, \
             \"best_fit\": %s, \"coeff\": %s, \"residual\": %s, \
             \"declared_residual\": %s, \"fitted_degree\": %s, \"slope\": %s, \
-            \"wall_ns\": %s, \"verdict\": \"%s\", \"expected\": \"%s\", \
-            \"points\": [%s]}"
+            \"verdict\": \"%s\", \"expected\": \"%s\", \"points\": [%s]}"
            (Json.str op.Sweep.op_name)
            (Json.str op.Sweep.op_category)
            (Json.str (Complexity.to_string op.Sweep.op_declared))
@@ -127,7 +126,6 @@ let to_json entries =
            (json_float e.e_declared.Fit.f_residual)
            (json_float (fitted_degree e.e_best))
            (json_float e.e_slope)
-           (json_float e.e_series.Sweep.sr_wall_ns)
            (verdict_name e.e_verdict)
            (expectation_name op)
            (String.concat ", "

@@ -33,7 +33,7 @@ val table : Format.formatter -> entry list -> unit
 
 val to_json : entry list -> string
 (** One JSON object: per-op fits, residuals, verdicts, expectations,
-    wall probes (null when skipped), and a top-level ["ok"]. *)
+    and a top-level ["ok"]. *)
 
 val export_metrics : Gp_telemetry.Metrics.t -> entry list -> unit
 (** Set [gp_complexity_fitted_degree], [gp_complexity_residual] and

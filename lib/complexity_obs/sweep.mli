@@ -5,9 +5,7 @@
     Measures are exact counts — kernel inner-loop steps, engine rewrite
     steps, closure obligations, simulated messages — never wall-clock,
     so a sweep is bit-reproducible and the fits downstream can be
-    hard-gated by bench-diff. One optional wall-clock probe per
-    operation (a single run at a fixed size) rides along as a non-gating
-    extra and is skipped entirely in quick mode. *)
+    hard-gated by bench-diff. The sweep reads no clock. *)
 
 type op = {
   op_name : string;  (** unique key, also the bench-metric prefix *)
@@ -36,20 +34,15 @@ type point = {
 type series = {
   sr_op : op;
   sr_points : point list;  (** one per ladder rung, ascending *)
-  sr_wall_ns : float;  (** single-run probe at {!wall_size}; nan unless
-                           requested *)
 }
 
 val ladder : int list
 (** The deterministic size ladder, roughly geometric with ratio √2:
-    [16, 23, 32, 45, 64, 91, 128, 181, 256]. Identical in quick and
-    full mode — quick only skips the wall probe. *)
+    [16, 23, 32, 45, 64, 91, 128, 181, 256]. *)
 
 val env_const : float -> int -> string -> float
 (** [env_const c] maps every auxiliary variable to [c] at every size —
     for single-variable bounds the env is never consulted. *)
 
-val run : ?wall:bool -> op -> series
-(** Sweep the ladder. With [wall:true] also time one
-    [op_measure wall_size] call with the wall clock; default is no
-    probe ([sr_wall_ns = nan]). *)
+val run : op -> series
+(** Sweep the ladder. *)

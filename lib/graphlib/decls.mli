@@ -2,19 +2,10 @@
     transcribed into the engine, concrete graph types as checked models,
     and the concept-dispatched [has_edge] generic. *)
 
-val graph_edge : Gp_concepts.Concept.t
-(** Fig. 1. *)
-
-val incidence_graph : Gp_concepts.Concept.t
-(** Fig. 2, including the associated-type and same-type constraints. *)
-
-val vertex_list_graph : Gp_concepts.Concept.t
-val adjacency_matrix_concept : Gp_concepts.Concept.t
-val weighted_graph : Gp_concepts.Concept.t
 val all_concepts : Gp_concepts.Concept.t list
-
-val declare_graph_type :
-  Gp_concepts.Registry.t -> name:string -> with_matrix:bool -> unit
+(** GraphEdge (Fig. 1), IncidenceGraph (Fig. 2, including the
+    associated-type and same-type constraints), VertexListGraph,
+    AdjacencyMatrixGraph and WeightedGraph. *)
 
 val declare : Gp_concepts.Registry.t -> unit
 (** Declares the concepts (and a minimal InputIterator if absent) plus

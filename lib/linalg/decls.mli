@@ -1,14 +1,9 @@
 (** The Fig. 3 Vector Space concept: genuinely multi-type (V and S are
-    both parameters), with BOTH models declared on complex vectors —
+    both parameters; it refines AbelianGroup<V> and Field<S>, with mult
+    both ways), with BOTH models declared on complex vectors —
     (cvec, complex) and (cvec, real) — which the associated-type
-    anti-pattern {!vector_space_assoc} cannot express. Requires the
-    algebraic concepts ([Gp_algebra.Decls.declare]) to be present. *)
-
-val vector_space : Gp_concepts.Concept.t
-(** Fig. 3: refines AbelianGroup<V> and Field<S>; mult both ways. *)
-
-val vector_space_assoc : Gp_concepts.Concept.t
-(** The flawed single-type alternative (scalar as associated type),
-    declared so experiments can show what it cannot express. *)
+    anti-pattern (the scalar as an associated type, also declared)
+    cannot express. Requires the algebraic concepts
+    ([Gp_algebra.Decls.declare]) to be present. *)
 
 val declare : Gp_concepts.Registry.t -> unit
