@@ -1174,11 +1174,14 @@ let s3 () =
     (List.length r_core.Engine.steps)
     spans_per_call counters;
   (* exact minor words of one rewrite, after a warm-up call, with no sink
-     and with one installed *)
+     and with one installed; that sink reads a manual clock, as what it
+     allocates depends on the durations it records *)
   let rewrite () = Engine.rewrite ~rules ~insts e in
   let disabled_minor = Harness.minor_words rewrite in
   let enabled_minor =
-    Tel.with_installed (fun _ -> Harness.minor_words rewrite)
+    Tel.with_installed
+      ~clock:(Gp_telemetry.Clock.manual ~step:1000.0 ())
+      (fun _ -> Harness.minor_words rewrite)
   in
   (* the three variants timed in one trial set, a block of [reps]
      rewrites per call, the enabled one inside one installed sink; the

@@ -216,6 +216,5 @@ let declare reg =
       let t = n e in
       Registry.declare_op reg "lt" [ t; t ] (n "bool");
       Registry.declare_model reg "StrictWeakOrder" [ t ]
-        ~axioms:
-          [ "irreflexivity"; "transitivity"; "equivalence_transitivity" ])
+        ~axioms:(axioms_of_chain "StrictWeakOrder"))
     [ "int"; "string"; "rational" ]

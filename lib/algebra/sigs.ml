@@ -7,8 +7,8 @@
    proofs can reason about it.
 
    Every module type carries the semantic axioms in its documentation; the
-   corresponding machine-checkable statements live in gp_athena's theories
-   and the executable law predicates in {!Laws}. *)
+   corresponding statements are {!Decls}' axioms, which gp_athena's
+   theories parse into propositions and the tests evaluate on values. *)
 
 module type EQ = sig
   type t

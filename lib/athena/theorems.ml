@@ -67,7 +67,6 @@ let swo_asymmetric ~lt =
   let trans = Theory.find axioms "transitivity" in
   let va = Var "a" and vb = Var "b" in
   let ab_ = Theory.lt_atom lt va vb and ba = Theory.lt_atom lt vb va in
-  let _aa = Theory.lt_atom lt va va in
   {
     thm_name = "SWO: < is asymmetric";
     goal = forall_many [ "a"; "b" ] (Implies (ab_, Not ba));

@@ -6,9 +6,16 @@
    of op, e, inverse, <, ...) to a named axiom list. Instantiating the same
    theory for (int,+,0,-), (rational,*,1,inv) or (matrix,.,I,inverse) is
    just calling the function with a different mapping — the proof-level
-   analogue of instantiating a generic algorithm. *)
+   analogue of instantiating a generic algorithm.
+
+   The algebraic and order axioms are [Gp_algebra.Decls]' statements,
+   parsed once per process into propositions over the concept's symbols
+   (op, id, inverse, lt, add, ...), which a theory renames. *)
 
 open Logic
+module Lex = Gp_concepts.Lex
+module Concept = Gp_concepts.Concept
+module Decls = Gp_algebra.Decls
 
 type mapping = {
   m_name : string; (* instance label, e.g. "int[+]" *)
@@ -24,13 +31,8 @@ let ( %. ) m (a, b) = App (m.op, [ a; b ])
 let e_of m = const m.e
 let inv_of m t = App (m.inv, [ t ])
 
-let a = Var "a"
-let b = Var "b"
-let c = Var "c"
-
 type axiom = { ax_name : string; ax_prop : prop }
 
-let axiom ax_name ax_prop = { ax_name; ax_prop }
 let props axs = List.map (fun ax -> ax.ax_prop) axs
 let find axs name =
   match List.find_opt (fun ax -> ax.ax_name = name) axs with
@@ -38,44 +40,164 @@ let find axs name =
   | None -> invalid_arg ("Theory.find: no axiom " ^ name)
 
 (* ------------------------------------------------------------------ *)
+(* Axiom statements                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* [p] with every symbol [f] renamed [sym env f], variables shared: with
+   [sym] a toplevel function, the copy is all it allocates. *)
+let rec rename sym env p =
+  match p with
+  | True | False | Iff _ | Exists _ -> p (* never parsed *)
+  | Atom (r, ts) -> Atom (sym env r, rename_terms sym env ts)
+  | Eq (x, y) -> Eq (rename_term sym env x, rename_term sym env y)
+  | Not q -> Not (rename sym env q)
+  | And (q, r) -> And (rename sym env q, rename sym env r)
+  | Or (q, r) -> Or (rename sym env q, rename sym env r)
+  | Implies (q, r) -> Implies (rename sym env q, rename sym env r)
+  | Forall (x, q) -> Forall (x, rename sym env q)
+
+and rename_term sym env t =
+  match t with
+  | Var _ -> t
+  | App (f, ts) -> App (sym env f, rename_terms sym env ts)
+
+and rename_terms sym env = function
+  | [] -> []
+  | t :: ts -> rename_term sym env t :: rename_terms sym env ts
+
+let syntax =
+  Lex.syntax ~punct:"(),=" ~pairs:[ "<>"; "->"; ":=" ] ~strings:false
+    ~floats:false ~comments:false
+
+(* The grammar of theory.mli, by recursive descent. A variable is its
+   binder's string, so the checker compares the two by one pointer test;
+   [macro] is the [where] clause, parsed first. *)
+let rec term s vars =
+  let at = s.Lex.start in
+  let f = Lex.ident s in
+  match List.find_opt (String.equal f) vars with
+  | None -> App (f, if Lex.accept s "(" then args s vars else [])
+  | Some x when s.tok = Punct "(" ->
+    Lex.error_at s at "the variable %s is applied" x
+  | Some x -> Var x
+
+and args s vars =
+  let t = term s vars in
+  if Lex.accept s "," then t :: args s vars else (Lex.expect s ")"; [ t ])
+
+let rec imp s cx vars =
+  let p = disj s cx vars (conj s cx vars (unary s cx vars)) in
+  if Lex.accept s "->" then Implies (p, imp s cx vars) else p
+
+and disj s cx vars p =
+  if Lex.accept_id s "or" then
+    disj s cx vars (Or (p, conj s cx vars (unary s cx vars)))
+  else p
+
+and conj s cx vars p =
+  if Lex.accept_id s "and" then conj s cx vars (And (p, unary s cx vars)) else p
+
+and unary s ((relations, (f, xs, def)) as cx) vars =
+  if Lex.accept_id s "not" then Not (unary s cx vars)
+  else
+    let at = s.start in
+    match term s vars with
+    | App (r, ts) when List.mem r relations -> Atom (r, ts)
+    | App (g, ts) when String.equal g f ->
+      if List.compare_lengths xs ts = 0 then subst (List.combine xs ts) def
+      else Lex.error_at s at "%s takes %d arguments" f (List.length xs)
+    | x when Lex.accept s "=" -> Eq (x, term s vars)
+    | x when Lex.accept s "<>" -> Not (Eq (x, term s vars))
+    | _ -> Lex.error s "expected '=' or '<>'"
+
+let of_statement (c : Concept.t) (ax : Concept.axiom) =
+  let relations =
+    List.filter_map (fun (o : Concept.signature) ->
+        if o.op_return = Named "bool" then Some o.op_name else None)
+      (Concept.operations c)
+  in
+  let text = ax.ax_statement and vars = ax.ax_vars in
+  let s = Lex.make syntax text in
+  let rec macro () =
+    match s.tok with
+    | Lex.Eof -> ("", [], True)
+    | Id "where" ->
+      Lex.shift s;
+      let f = Lex.ident s in
+      Lex.expect s "(";
+      let rec params () =
+        let x = Lex.ident s in
+        if Lex.accept s "," then x :: params () else [ x ]
+      in
+      let xs = params () in
+      Lex.expect s ")";
+      Lex.expect s ":=";
+      (f, xs, imp s (relations, ("", [], True)) (xs @ vars))
+    | _ ->
+      Lex.shift s;
+      macro ()
+  in
+  let cx = (relations, macro ()) in
+  if s.tok <> Lex.Eof then Lex.error s "trailing input after the statement";
+  let s = Lex.make syntax text in
+  let body = imp s cx vars in
+  if s.tok <> Lex.Eof && s.tok <> Id "where" then
+    Lex.error s "trailing input after the statement";
+  forall_many vars body
+
+let rec assoc name = function
+  | [] -> raise Not_found
+  | (n, axs) :: rest -> if String.equal n name then axs else assoc name rest
+
+(* Every algebraic concept's axioms after those of the concepts it
+   refines, root first, each statement parsed once ([Decls.all_concepts]
+   lists a concept after those it refines). *)
+let chains =
+  lazy
+    (List.fold_left
+       (fun chains (c : Concept.t) ->
+         let parse (ax : Concept.axiom) =
+           { ax_name = ax.ax_name; ax_prop = of_statement c ax }
+         in
+         let inherited = List.concat_map (fun (r, _) -> assoc r chains) in
+         (c.name, inherited c.refines @ List.map parse (Concept.axioms c))
+         :: chains)
+       [] Decls.all_concepts)
+
+let chain name = assoc name (Lazy.force chains)
+
+(* The theory [axs] with its symbols renamed, names prefixed. *)
+let rec instantiate prefix sym env = function
+  | [] -> []
+  | ax :: axs ->
+    { ax_name = (if prefix = "" then ax.ax_name else prefix ^ ax.ax_name);
+      ax_prop = rename sym env ax.ax_prop }
+    :: instantiate prefix sym env axs
+
+let op_symbols m = function
+  | "op" -> m.op
+  | "id" -> m.e
+  | "inverse" -> m.inv
+  | s -> s
+
+(* ------------------------------------------------------------------ *)
 (* Algebraic theories                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let semigroup m =
-  [
-    axiom "associativity"
-      (forall_many [ "a"; "b"; "c" ]
-         (Eq (m %. (m %. (a, b), c), m %. (a, m %. (b, c)))));
-  ]
+let semigroup m = instantiate "" op_symbols m (chain "Semigroup")
+let monoid m = instantiate "" op_symbols m (chain "Monoid")
 
-let monoid m =
-  semigroup m
-  @ [
-      axiom "left_identity" (Forall ("a", Eq (m %. (e_of m, a), a)));
-      axiom "right_identity" (Forall ("a", Eq (m %. (a, e_of m), a)));
-    ]
+(* The *minimal* group presentation: right identity and right inverse are
+   theorems, derived generically in {!Theorems}, which is how the checker
+   certifies the Fig. 5 Group rewrite rule from first principles. *)
+let minimal =
+  lazy
+    (List.filter
+       (fun ax -> not (List.mem ax.ax_name [ "right_identity"; "right_inverse" ]))
+       (chain "Group"))
 
-(* The *minimal* group presentation: associativity, left identity, left
-   inverse. Right identity and right inverse are theorems — derived
-   generically in {!Theorems}, which is how the checker certifies the
-   Fig. 5 Group rewrite rule from first principles. *)
-let group_minimal m =
-  semigroup m
-  @ [
-      axiom "left_identity" (Forall ("a", Eq (m %. (e_of m, a), a)));
-      axiom "left_inverse" (Forall ("a", Eq (m %. (inv_of m a, a), e_of m)));
-    ]
-
-let group m =
-  group_minimal m
-  @ [
-      axiom "right_identity" (Forall ("a", Eq (m %. (a, e_of m), a)));
-      axiom "right_inverse" (Forall ("a", Eq (m %. (a, inv_of m a), e_of m)));
-    ]
-
-let abelian_group m =
-  group m
-  @ [ axiom "commutativity" (forall_many [ "a"; "b" ] (Eq (m %. (a, b), m %. (b, a)))) ]
+let group_minimal m = instantiate "" op_symbols m (Lazy.force minimal)
+let abelian_group m = instantiate "" op_symbols m (chain "AbelianGroup")
 
 (* ------------------------------------------------------------------ *)
 (* Order theories                                                      *)
@@ -87,16 +209,16 @@ let lt_atom lt x y = Atom (lt, [ x; y ])
 
 let equiv lt x y = And (Not (lt_atom lt x y), Not (lt_atom lt y x))
 
+let lt_symbol lt s = if String.equal s "lt" then lt else s
+
 let strict_weak_order ~lt =
-  [
-    axiom "irreflexivity" (Forall ("a", Not (lt_atom lt a a)));
-    axiom "transitivity"
-      (forall_many [ "a"; "b"; "c" ]
-         (Implies (And (lt_atom lt a b, lt_atom lt b c), lt_atom lt a c)));
-    axiom "equivalence_transitivity"
-      (forall_many [ "a"; "b"; "c" ]
-         (Implies (And (equiv lt a b, equiv lt b c), equiv lt a c)));
-  ]
+  instantiate "" lt_symbol lt (chain "StrictWeakOrder")
+
+(* No registry concept states these: written here. *)
+let axiom ax_name ax_prop = { ax_name; ax_prop }
+let a = Var "a"
+let b = Var "b"
+let c = Var "c"
 
 let partial_order ~leq =
   let le x y = Atom (leq, [ x; y ]) in
@@ -120,24 +242,20 @@ let total_order ~leq =
 
 type ring_mapping = { r_name : string; add : mapping; mul : mapping }
 
+let ring_symbols rm = function
+  | "add" -> rm.add.op
+  | "mul" -> rm.mul.op
+  | "zero" -> rm.add.e
+  | "one" -> rm.mul.e
+  | "neg" -> rm.add.inv
+  | s -> s
+
+(* The additive abelian group's axioms as add_*, the multiplicative
+   monoid's as mul_*, then Ring's own. *)
 let ring rm =
-  let dress prefix axs =
-    List.map (fun ax -> { ax with ax_name = prefix ^ "_" ^ ax.ax_name }) axs
-  in
-  dress "add" (abelian_group rm.add)
-  @ dress "mul" (monoid rm.mul)
-  @ [
-      axiom "left_distributivity"
-        (forall_many [ "a"; "b"; "c" ]
-           (Eq
-              ( rm.mul %. (a, rm.add %. (b, c)),
-                rm.add %. (rm.mul %. (a, b), rm.mul %. (a, c)) )));
-      axiom "right_distributivity"
-        (forall_many [ "a"; "b"; "c" ]
-           (Eq
-              ( rm.mul %. (rm.add %. (a, b), c),
-                rm.add %. (rm.mul %. (a, c), rm.mul %. (b, c)) )));
-    ]
+  instantiate "add_" op_symbols rm.add (chain "AbelianGroup")
+  @ instantiate "mul_" op_symbols rm.mul (chain "Monoid")
+  @ instantiate "" ring_symbols rm (chain "Ring")
 
 (* ------------------------------------------------------------------ *)
 (* Standard instance mappings (the Fig. 5 instances)                   *)

@@ -24,30 +24,43 @@ val ( %. ) : mapping -> Logic.term * Logic.term -> Logic.term
 val e_of : mapping -> Logic.term
 val inv_of : mapping -> Logic.term -> Logic.term
 
-val a : Logic.term
-val b : Logic.term
-val c : Logic.term
-
 (** {2 Axioms} *)
 
 type axiom = { ax_name : string; ax_prop : Logic.prop }
 
-val axiom : string -> Logic.prop -> axiom
 val props : axiom list -> Logic.prop list
 val find : axiom list -> string -> Logic.prop
 (** Raises [Invalid_argument] on an unknown axiom name. *)
 
-(** {2 Algebraic theories} *)
+(** {2 Axiom statements}
+
+    Grammar: applications [f(t, ...)], constants [f], [=], [<>], [not],
+    [and], [or], [->] (loosest, to the right), and one trailing macro [where F(x, ...) := body] whose uses expand in place.
+    A name among the axiom's variables is a variable, never applied;
+    an operation of the concept returning [bool] forms atoms; every other
+    name is a symbol. The variables are quantified universally, in
+    order. *)
+
+val of_statement :
+  Gp_concepts.Concept.t -> Gp_concepts.Concept.axiom -> Logic.prop
+(** Raises {!Gp_concepts.Lex.Error}, positioned in the statement, on one
+    outside the grammar (a prose axiom). *)
+
+val chain : string -> axiom list
+(** A concept of {!Gp_algebra.Decls.all_concepts}: the axioms of those
+    it refines, root first, then its own, over its own symbols ([op],
+    [id], [lt], [add], ...), each statement parsed once per process on
+    first use. Raises [Not_found] on any other name. *)
+
+(** {2 Algebraic theories: chains with [op], [id], [inverse] renamed} *)
 
 val semigroup : mapping -> axiom list
 val monoid : mapping -> axiom list
 
 val group_minimal : mapping -> axiom list
-(** The minimal presentation {associativity, left identity, left
-    inverse}; right identity/inverse are theorems (see
-    {!Theorems.group_right_inverse}). *)
+(** The Group chain without right identity and right inverse, which are
+    theorems (see {!Theorems.group_right_inverse}). *)
 
-val group : mapping -> axiom list
 val abelian_group : mapping -> axiom list
 
 (** {2 Order theories} *)
@@ -68,6 +81,8 @@ val total_order : leq:string -> axiom list
 type ring_mapping = { r_name : string; add : mapping; mul : mapping }
 
 val ring : ring_mapping -> axiom list
+(** [add]'s abelian group as [add_*], [mul]'s monoid as [mul_*], then
+    Ring's own axioms. *)
 
 (** {2 Standard instance mappings (the Fig. 5 carriers)} *)
 

@@ -26,8 +26,9 @@ let syntax =
   Lex.syntax ~punct:"()+-*&|^./:" ~pairs:[ "&&"; "||" ]
     ~strings:true ~floats:true ~comments:false
 
-let known_types = [ "int"; "float"; "bool"; "string"; "rational"; "matrix";
-                    "invertible_matrix"; "bigfloat" ]
+(* the carrier rows' element types, and the LiDIA rule's bigfloat *)
+let known_types = "bigfloat" :: List.sort_uniq compare
+    (List.map (fun c -> c.Gp_algebra.Decls.c_elem) Gp_algebra.Decls.carriers)
 
 let addops = [ "+"; "-"; "||"; "|" ]
 let mulops = [ "*"; "&&"; "&"; "^"; "."; "/" ]

@@ -431,6 +431,144 @@ let rec db_prop scope = function
 let alpha_equal_reference p q = db_prop [] p = db_prop [] q
 
 (* ------------------------------------------------------------------ *)
+(* Theories                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* The axiom lists as Gp_athena.Theory wrote them by hand, before it
+   parsed the registry's statements; the abelian group's in the
+   refinement chain's order. *)
+
+module Theory = Gp_athena.Theory
+
+let axiom ax_name ax_prop = { Theory.ax_name; ax_prop }
+let va = Logic.Var "a"
+let vb = Logic.Var "b"
+let vc = Logic.Var "c"
+let ( %. ) = Theory.( %. )
+
+let semigroup_reference m =
+  [ axiom "associativity"
+      (Logic.forall_many [ "a"; "b"; "c" ]
+         (Eq (m %. (m %. (va, vb), vc), m %. (va, m %. (vb, vc))))) ]
+
+let identity side m =
+  let e = Theory.e_of m in
+  axiom (side ^ "_identity")
+    (Forall ("a", Eq ((if side = "left" then m %. (e, va) else m %. (va, e)), va)))
+
+let inverse side m =
+  let i = Theory.inv_of m va in
+  axiom (side ^ "_inverse")
+    (Forall
+       ( "a",
+         Eq ((if side = "left" then m %. (i, va) else m %. (va, i)), Theory.e_of m)
+       ))
+
+let monoid_reference m =
+  semigroup_reference m @ [ identity "left" m; identity "right" m ]
+
+let group_minimal_reference m =
+  semigroup_reference m @ [ identity "left" m; inverse "left" m ]
+
+let abelian_group_reference m =
+  monoid_reference m
+  @ [ inverse "left" m; inverse "right" m;
+      axiom "commutativity"
+        (Logic.forall_many [ "a"; "b" ] (Eq (m %. (va, vb), m %. (vb, va)))) ]
+
+let strict_weak_order_reference ~lt =
+  let lt_ = Theory.lt_atom lt and e = Theory.equiv lt in
+  let abc = Logic.forall_many [ "a"; "b"; "c" ] in
+  [ axiom "irreflexivity" (Forall ("a", Not (lt_ va va)));
+    axiom "transitivity"
+      (abc (Implies (And (lt_ va vb, lt_ vb vc), lt_ va vc)));
+    axiom "equivalence_transitivity"
+      (abc (Implies (And (e va vb, e vb vc), e va vc))) ]
+
+let ring_reference (rm : Theory.ring_mapping) =
+  let dress prefix =
+    List.map (fun (ax : Theory.axiom) ->
+        { ax with ax_name = prefix ^ "_" ^ ax.ax_name })
+  in
+  let add = rm.add and mul = rm.mul in
+  let abc = Logic.forall_many [ "a"; "b"; "c" ] in
+  dress "add" (abelian_group_reference add)
+  @ dress "mul" (monoid_reference mul)
+  @ [ axiom "left_distributivity"
+        (abc
+           (Eq
+              ( mul %. (va, add %. (vb, vc)),
+                add %. (mul %. (va, vb), mul %. (va, vc)) )));
+      axiom "right_distributivity"
+        (abc
+           (Eq
+              ( mul %. (add %. (va, vb), vc),
+                add %. (mul %. (va, vc), mul %. (vb, vc)) ))) ]
+
+(* ------------------------------------------------------------------ *)
+(* Axioms on values                                                    *)
+(* ------------------------------------------------------------------ *)
+
+module Decls = Gp_algebra.Decls
+module Eval = Gp_simplicissimus.Eval
+
+let holds interp p values =
+  let rec term env = function
+    | Logic.Var x -> List.assoc x env
+    | Logic.App (f, args) -> interp f (List.map (term env) args)
+  in
+  let rec prop env = function
+    | Logic.True -> true
+    | Logic.False -> false
+    | Logic.Atom (r, args) ->
+      Expr.value_equal (interp r (List.map (term env) args)) (Decls.VBool true)
+    | Logic.Eq (x, y) -> Expr.value_equal (term env x) (term env y)
+    | Logic.Not q -> not (prop env q)
+    | Logic.And (q, r) -> prop env q && prop env r
+    | Logic.Or (q, r) -> prop env q || prop env r
+    | Logic.Implies (q, r) -> (not (prop env q)) || prop env r
+    | Logic.Iff (q, r) -> prop env q = prop env r
+    | Logic.Forall _ | Logic.Exists _ ->
+      invalid_arg "holds: a quantifier inside the body"
+  in
+  let rec bind env p values =
+    match (p, values) with
+    | Logic.Forall (x, q), v :: values -> bind ((x, v) :: env) q values
+    | Logic.Forall _, [] | _, _ :: _ ->
+      invalid_arg "holds: one value per leading quantifier"
+    | p, [] -> prop env p
+  in
+  bind [] p values
+
+(* Eval's meaning of the row: an operation applied to literals, the
+   identity symbolic. *)
+let row_interpretation ?(mat_dim = 2) (c : Decls.carrier) f args =
+  let apply op = Eval.eval ~mat_dim ~env:[] (Expr.Op (op, c.c_elem, List.map (fun v -> Expr.Lit v) args)) in
+  match (f, c.c_inverse, args) with
+  | "op", _, _ -> apply c.c_op
+  | "inverse", Some inv, _ -> apply inv
+  | "id", _, [] -> Eval.eval ~mat_dim ~env:[] (Expr.Ident (c.c_elem, c.c_op))
+  | _ -> invalid_arg ("row_interpretation: " ^ f)
+
+let ring_interpretation (r : Decls.ring) =
+  let row op =
+    row_interpretation
+      (List.find
+         (fun (c : Decls.carrier) -> c.c_elem = r.r_elem && c.c_op = op)
+         Decls.carriers)
+  in
+  let add = row r.r_add and mul = row r.r_mul in
+  fun f args ->
+    match f with
+    | "add" -> add "op" args
+    | "zero" -> add "id" args
+    | "neg" -> add "inverse" args
+    | "mul" -> mul "op" args
+    | "one" -> mul "id" args
+    | "inv" -> mul "inverse" args
+    | _ -> invalid_arg ("ring_interpretation: " ^ f)
+
+(* ------------------------------------------------------------------ *)
 (* The wire format                                                     *)
 (* ------------------------------------------------------------------ *)
 

@@ -95,6 +95,63 @@ val alpha_equal_reference : Gp_athena.Logic.prop -> Gp_athena.Logic.prop -> bool
     own constructor) and compared structurally: the answer
     {!Gp_athena.Logic.alpha_equal} gives. *)
 
+(** {2 Theories}
+
+    The axiom lists {!Gp_athena.Theory} wrote by hand before it parsed
+    the registry's statements: what the derived theories must equal,
+    name for name, in order, proposition for proposition. The abelian
+    group lists its axioms in the refinement chain's order (the monoid's,
+    then both inverses, then commutativity). *)
+
+val semigroup_reference : Gp_athena.Theory.mapping -> Gp_athena.Theory.axiom list
+val monoid_reference : Gp_athena.Theory.mapping -> Gp_athena.Theory.axiom list
+
+val group_minimal_reference :
+  Gp_athena.Theory.mapping -> Gp_athena.Theory.axiom list
+
+val abelian_group_reference :
+  Gp_athena.Theory.mapping -> Gp_athena.Theory.axiom list
+
+val strict_weak_order_reference : lt:string -> Gp_athena.Theory.axiom list
+val ring_reference : Gp_athena.Theory.ring_mapping -> Gp_athena.Theory.axiom list
+
+(** {2 Axioms on values} *)
+
+val holds :
+  (string -> Gp_algebra.Decls.value list -> Gp_algebra.Decls.value) ->
+  Gp_athena.Logic.prop ->
+  Gp_algebra.Decls.value list ->
+  bool
+(** [holds interp p values]: [p]'s leading universal quantifiers bound
+    to [values], in order, and its body evaluated, every symbol applied
+    through [interp]. An atom holds when [interp] answers [VBool true],
+    an equation when {!Gp_simplicissimus.Expr.value_equal} does; [->]
+    evaluates its conclusion only when its hypothesis holds. Raises
+    [Invalid_argument] unless there is one value per leading quantifier
+    and no quantifier below them. *)
+
+val row_interpretation :
+  ?mat_dim:int ->
+  Gp_algebra.Decls.carrier ->
+  string ->
+  Gp_algebra.Decls.value list ->
+  Gp_algebra.Decls.value
+(** A carrier row's meaning of the algebraic concepts' symbols, as
+    {!Gp_simplicissimus.Eval} evaluates the row's expressions: [op] and
+    [inverse] are the row's operation and inverse applied to literals,
+    [id] the row's identity (matrices of dimension [mat_dim], default
+    2). Raises [Invalid_argument] on another symbol, or on [inverse] for
+    a row without one. *)
+
+val ring_interpretation :
+  Gp_algebra.Decls.ring ->
+  string ->
+  Gp_algebra.Decls.value list ->
+  Gp_algebra.Decls.value
+(** A ring's meaning of Ring's and Field's symbols, read from its two
+    rows: [add], [zero] and [neg] are the additive row's [op], [id] and
+    [inverse]; [mul], [one] and [inv] the multiplicative row's. *)
+
 (** {2 The wire format} *)
 
 val request_of_line_ast :

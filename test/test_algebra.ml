@@ -1,40 +1,15 @@
-(* Tests for gp_algebra: law properties per instance (qcheck), rationals,
+(* Tests for gp_algebra: every axiom of each carrier row's and ring's
+   refinement chain evaluated on generated values (qcheck), rationals,
    matrices, power functors. *)
 
 open Gp_algebra
+module Theory = Gp_athena.Theory
 
 let qtest = QCheck_alcotest.to_alcotest
 
 (* ------------------------------------------------------------------ *)
-(* Law properties per instance                                         *)
+(* The registry's axioms on each row's values                          *)
 (* ------------------------------------------------------------------ *)
-
-let monoid_laws (type a) name (module M : Sigs.MONOID with type t = a) gen =
-  let module L = Laws.Monoid (M) in
-  [
-    qtest
-      (QCheck.Test.make ~name:(name ^ " associativity") ~count:200
-         (QCheck.triple gen gen gen)
-         (fun (a, b, c) -> L.associative a b c));
-    qtest
-      (QCheck.Test.make ~name:(name ^ " left identity") ~count:200 gen
-         L.left_identity);
-    qtest
-      (QCheck.Test.make ~name:(name ^ " right identity") ~count:200 gen
-         L.right_identity);
-  ]
-
-let group_laws (type a) name (module G : Sigs.GROUP with type t = a) gen =
-  let module L = Laws.Group (G) in
-  monoid_laws name (module G) gen
-  @ [
-      qtest
-        (QCheck.Test.make ~name:(name ^ " left inverse") ~count:200 gen
-           L.left_inverse);
-      qtest
-        (QCheck.Test.make ~name:(name ^ " right inverse") ~count:200 gen
-           L.right_inverse);
-    ]
 
 let small_int = QCheck.int_range (-1000) 1000
 
@@ -44,53 +19,127 @@ let rational_gen =
     (QCheck.pair (QCheck.int_range (-50) 50)
        (QCheck.int_range (-50) 50))
 
-let instance_tests =
-  monoid_laws "(int,+)" (module Instances.Int_add) small_int
-  @ group_laws "(int,+) group" (module Instances.Int_add) small_int
-  @ monoid_laws "(int,*)"
-      (module Instances.Int_mul)
-      (QCheck.int_range (-30) 30)
-  @ monoid_laws "(int,&)" (module Instances.Int_band) QCheck.int
-  @ monoid_laws "(int,|)" (module Instances.Int_bor) QCheck.int
-  @ monoid_laws "(bool,&&)" (module Instances.Bool_and) QCheck.bool
-  @ monoid_laws "(bool,||)" (module Instances.Bool_or) QCheck.bool
-  @ monoid_laws "(string,^)"
-      (module Instances.String_concat)
+(* signed powers of two: float sums of three, products and inverses stay
+   exact *)
+let float_gen =
+  QCheck.map
+    (fun (neg, k) -> (if neg then -1.0 else 1.0) *. Float.ldexp 1.0 k)
+    (QCheck.pair QCheck.bool (QCheck.int_range (-20) 20))
+
+let qmat_gen n =
+  QCheck.map
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      Instances.Qmat.init n (fun _ _ ->
+          Rational.of_int (Random.State.int st 7 - 3)))
+    QCheck.int
+
+(* L * U with L unit lower and U upper triangular over a nonzero
+   diagonal: invertible *)
+let invertible_gen n =
+  QCheck.map
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let q () = Rational.of_int (Random.State.int st 7 - 3) in
+      let l = Instances.Qmat.init n (fun i j ->
+          if i = j then Rational.one else if i > j then q () else Rational.zero)
+      and u = Instances.Qmat.init n (fun i j ->
+          if i = j then Rational.of_int (1 + Random.State.int st 3)
+          else if i < j then q () else Rational.zero)
+      in
+      Instances.Qmat.mul l u)
+    QCheck.int
+
+let values gen inj =
+  QCheck.set_print
+    (Fmt.to_to_string Gp_simplicissimus.Expr.pp_value)
+    (QCheck.map inj gen)
+
+(* A row's values: exact rows over their element type, the
+   multiplicative groups without the values they cannot invert, floats
+   on powers of two where their axioms hold exactly. *)
+let row_gen (c : Decls.carrier) =
+  match (c.c_elem, c.c_op) with
+  | "int", _ -> values QCheck.int (fun i -> Decls.VInt i)
+  | "bool", _ -> values QCheck.bool (fun b -> Decls.VBool b)
+  | "string", _ ->
+    values
       (QCheck.string_of_size (QCheck.Gen.int_range 0 8))
-  @ monoid_laws "(rational,+)"
-      (module struct
-        include Rational.Field
+      (fun s -> Decls.VString s)
+  | "float", _ -> values float_gen (fun f -> Decls.VFloat f)
+  | "rational", "+" -> values rational_gen (fun r -> Decls.VRat r)
+  | "rational", _ ->
+    values
+      (QCheck.map
+         (fun r -> if Rational.equal r Rational.zero then Rational.one else r)
+         rational_gen)
+      (fun r -> Decls.VRat r)
+  | "matrix", _ -> values (qmat_gen 3) (fun m -> Decls.VMat m)
+  | _ -> values (invertible_gen 3) (fun m -> Decls.VMat m)
 
-        let op = add
-        let id = zero
-      end)
-      rational_gen
-  @ group_laws "(rational,+) group"
-      (module struct
-        include Rational.Field
+let rec arity = function Gp_athena.Logic.Forall (_, p) -> 1 + arity p | _ -> 0
 
-        let op = add
-        let id = zero
-        let inverse = neg
-      end)
-      rational_gen
+(* The axiom on the first of [vs], as many as it quantifies. *)
+let holds_on interp vs (ax : Theory.axiom) =
+  Oracles.holds interp ax.ax_prop
+    (List.filteri (fun i _ -> i < arity ax.ax_prop) vs)
 
-(* Field laws for rationals. *)
+let words name = String.map (function '_' -> ' ' | ch -> ch) name
+
+let law ?(count = 200) name gen interp axioms =
+  qtest
+    (QCheck.Test.make ~name ~count (QCheck.triple gen gen gen)
+       (fun (a, b, c) -> List.for_all (holds_on interp [ a; b; c ]) axioms))
+
+(* Every row as a monoid, and a group row also as the group it is. *)
+let instance_tests =
+  List.concat_map
+    (fun (c : Decls.carrier) ->
+      let gen = row_gen c
+      and interp = Oracles.row_interpretation ~mat_dim:3 c in
+      let view prefix concept =
+        List.map
+          (fun (ax : Theory.axiom) ->
+            law
+              (Printf.sprintf "(%s,%s)%s %s" c.c_elem c.c_op prefix
+                 (words ax.ax_name))
+              gen interp [ ax ])
+          (Theory.chain concept)
+      in
+      view "" "Monoid"
+      @ if c.c_inverse = None then [] else view " group" c.c_concept)
+    Decls.carriers
+
+(* Each ring's Ring axioms, and a field's (a ring whose product is a
+   group) Field axioms too, grouped under their labels. *)
 let field_tests =
-  let module L = Laws.Field (Rational.Field) in
-  [
-    qtest
-      (QCheck.Test.make ~name:"rational distributivity" ~count:200
-         (QCheck.triple rational_gen rational_gen rational_gen)
-         (fun (a, b, c) -> L.left_distributive a b c && L.right_distributive a b c));
-    qtest
-      (QCheck.Test.make ~name:"rational mul inverse" ~count:200 rational_gen
-         L.multiplicative_inverse);
-    qtest
-      (QCheck.Test.make ~name:"rational mul commutative" ~count:200
-         (QCheck.pair rational_gen rational_gen)
-         (fun (a, b) -> L.mul_commutative a b));
-  ]
+  let label = function
+    | "left_distributivity" | "right_distributivity" -> "distributivity"
+    | "mul_commutativity" -> "mul commutative"
+    | name -> words name
+  in
+  List.concat_map
+    (fun (r : Decls.ring) ->
+      let row op =
+        List.find
+          (fun (c : Decls.carrier) -> c.c_elem = r.r_elem && c.c_op = op)
+          Decls.carriers
+      in
+      let field = (row r.r_mul).c_inverse <> None in
+      let axioms = Theory.chain (if field then "Field" else "Ring") in
+      let labels =
+        List.sort_uniq compare
+          (List.map (fun (ax : Theory.axiom) -> label ax.ax_name) axioms)
+      in
+      List.map
+        (fun l ->
+          law (r.r_elem ^ " " ^ l) (row_gen (row r.r_add))
+            (Oracles.ring_interpretation r)
+            (List.filter
+               (fun (ax : Theory.axiom) -> label ax.ax_name = l)
+               axioms))
+        labels)
+    Decls.rings
 
 (* ------------------------------------------------------------------ *)
 (* Rational basics                                                     *)
@@ -215,32 +264,27 @@ let test_additive_multiplicative_views () =
   Alcotest.(check bool) "units inverse" true
     (Rational.equal (U.inverse (Rational.make 2 3)) (Rational.make 3 2))
 
-(* SWO laws on int and on a reversed order. *)
+(* The parsed Fig. 6 axioms, and the goals of the theorems derived from
+   them, on ints. *)
 let swo_tests =
-  let module S = Laws.Strict_weak_order (struct
-    type t = int
-
-    let lt = ( < )
-  end) in
+  let open Gp_athena in
+  let lt = "lt" in
+  let axioms = Theory.strict_weak_order ~lt in
+  let interp f args =
+    match (f, args) with
+    | "lt", [ Decls.VInt a; Decls.VInt b ] -> Decls.VBool (a < b)
+    | _ -> invalid_arg f
+  in
+  let law name p =
+    law name (values small_int (fun i -> Decls.VInt i)) interp
+      [ { Theory.ax_name = name; ax_prop = p } ]
+  in
   [
-    qtest
-      (QCheck.Test.make ~name:"int < irreflexive" ~count:200 QCheck.int
-         S.irreflexive);
-    qtest
-      (QCheck.Test.make ~name:"int < transitive" ~count:200
-         (QCheck.triple small_int small_int small_int)
-         (fun (a, b, c) -> S.lt_transitive a b c));
-    qtest
-      (QCheck.Test.make ~name:"equivalence symmetric (derived)" ~count:200
-         (QCheck.pair small_int small_int)
-         (fun (a, b) -> S.e_symmetric a b));
-    qtest
-      (QCheck.Test.make ~name:"equivalence reflexive (derived)" ~count:200
-         small_int S.e_reflexive);
-    qtest
-      (QCheck.Test.make ~name:"equivalence transitive" ~count:200
-         (QCheck.triple small_int small_int small_int)
-         (fun (a, b, c) -> S.e_transitive a b c));
+    law "int < irreflexive" (Theory.find axioms "irreflexivity");
+    law "int < transitive" (Theory.find axioms "transitivity");
+    law "equivalence symmetric (derived)" (Theorems.swo_e_symmetric ~lt).goal;
+    law "equivalence reflexive (derived)" (Theorems.swo_e_reflexive ~lt).goal;
+    law "equivalence transitive" (Theorems.swo_e_transitive ~lt).goal;
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -253,91 +297,60 @@ let row_of ~elem ~op =
       String.equal c.c_elem elem && String.equal c.c_op op)
     Decls.carriers
 
-(* The row's identity literal as a value of the instance's type. *)
-let row_identity ~elem ~op lit =
-  match Option.bind (row_of ~elem ~op).c_identity lit with
-  | Some v -> v
-  | None ->
-    Alcotest.failf "%s: no identity literal" (Decls.carrier_name ~elem ~op)
-
-(* An executable monoid agrees with its row: its [id] is the row's
-   identity, that literal satisfies the identity laws, and the row names
-   no inverse. *)
-let monoid_row (type a) ~elem ~op lit (module M : Sigs.MONOID with type t = a)
-    gen =
+(* An executable instance agrees with its row: its [id] is the row's
+   identity, it has an inverse exactly when the row names one, and with
+   the row's identity its operations satisfy every axiom of the row's
+   concept (the Monoid chain for a monoid row). *)
+let module_row (type a) ~elem ~op lit inj
+    (module M : Sigs.MONOID with type t = a) ?inverse () =
+  let row = row_of ~elem ~op in
   let name = Decls.carrier_name ~elem ~op in
+  let row_id = Option.get row.c_identity in
+  let prj v =
+    match lit v with Some x -> x | None -> Alcotest.failf "%s: a stray value" name
+  in
+  let interp f args =
+    match (f, List.map prj args, inverse) with
+    | "op", [ a; b ], _ -> inj (M.op a b)
+    | "inverse", [ a ], Some inv -> inj (inv a)
+    | "id", [], _ -> row_id
+    | _ -> invalid_arg f
+  in
   [
     Alcotest.test_case (name ^ " row") `Quick (fun () ->
         Alcotest.(check bool) "id is the row's identity" true
-          (M.equal M.id (row_identity ~elem ~op lit));
-        Alcotest.(check bool) "no inverse in the row" true
-          ((row_of ~elem ~op).c_inverse = None));
-    qtest
-      (QCheck.Test.make ~name:(name ^ " row identity laws") ~count:100 gen
-         (fun a ->
-           let row_id = row_identity ~elem ~op lit in
-           let module L = Laws.Monoid (struct
-             include M
-
-             let id = row_id
-           end) in
-           L.left_identity a && L.right_identity a));
-  ]
-
-(* An executable group agrees with its row: as a monoid, and the row
-   names an inverse, under which the row's identity satisfies the
-   inverse laws. *)
-let group_row (type a) ~elem ~op lit (module G : Sigs.GROUP with type t = a)
-    gen =
-  let name = Decls.carrier_name ~elem ~op in
-  [
-    Alcotest.test_case (name ^ " row") `Quick (fun () ->
-        Alcotest.(check bool) "id is the row's identity" true
-          (G.equal G.id (row_identity ~elem ~op lit));
-        Alcotest.(check bool) "an inverse in the row" true
-          ((row_of ~elem ~op).c_inverse <> None));
-    qtest
-      (QCheck.Test.make ~name:(name ^ " row group laws") ~count:100 gen
-         (fun a ->
-           let row_id = row_identity ~elem ~op lit in
-           let module L = Laws.Group (struct
-             include G
-
-             let id = row_id
-           end) in
-           L.left_identity a && L.right_identity a && L.left_inverse a
-           && L.right_inverse a));
+          (M.equal M.id (prj row_id));
+        Alcotest.(check bool) "an inverse exactly when the row has one" true
+          (Option.is_some row.c_inverse = Option.is_some inverse));
+    law ~count:100
+      (name ^ if inverse = None then " row identity laws" else " row group laws")
+      (row_gen row) interp (Theory.chain row.c_concept);
   ]
 
 let int_lit = function Decls.VInt i -> Some i | _ -> None
 let bool_lit = function Decls.VBool b -> Some b | _ -> None
 let string_lit = function Decls.VString s -> Some s | _ -> None
 let float_lit = function Decls.VFloat f -> Some f | _ -> None
-
-(* signed powers of two: float products and inverses stay exact *)
-let float_gen =
-  QCheck.map
-    (fun (neg, k) -> (if neg then -1.0 else 1.0) *. Float.ldexp 1.0 k)
-    (QCheck.pair QCheck.bool (QCheck.int_range (-20) 20))
+let vint i = Decls.VInt i
+let vbool b = Decls.VBool b
+let vfloat f = Decls.VFloat f
 
 let row_tests =
-  group_row ~elem:"int" ~op:"+" int_lit (module Instances.Int_add) small_int
-  @ monoid_row ~elem:"int" ~op:"*" int_lit (module Instances.Int_mul) small_int
-  @ monoid_row ~elem:"int" ~op:"&" int_lit (module Instances.Int_band)
-      QCheck.int
-  @ monoid_row ~elem:"int" ~op:"|" int_lit (module Instances.Int_bor)
-      QCheck.int
-  @ monoid_row ~elem:"bool" ~op:"&&" bool_lit (module Instances.Bool_and)
-      QCheck.bool
-  @ monoid_row ~elem:"bool" ~op:"||" bool_lit (module Instances.Bool_or)
-      QCheck.bool
-  @ monoid_row ~elem:"string" ~op:"^" string_lit
-      (module Instances.String_concat)
-      (QCheck.string_of_size (QCheck.Gen.int_range 0 8))
-  @ group_row ~elem:"float" ~op:"+" float_lit (module Instances.Float_add)
-      float_gen
-  @ group_row ~elem:"float" ~op:"*" float_lit (module Instances.Float_mul)
-      float_gen
+  let open Instances in
+  module_row ~elem:"int" ~op:"+" int_lit vint (module Int_add)
+    ~inverse:Int_add.inverse ()
+  @ module_row ~elem:"int" ~op:"*" int_lit vint (module Int_mul) ()
+  @ module_row ~elem:"int" ~op:"&" int_lit vint (module Int_band) ()
+  @ module_row ~elem:"int" ~op:"|" int_lit vint (module Int_bor) ()
+  @ module_row ~elem:"bool" ~op:"&&" bool_lit vbool (module Bool_and) ()
+  @ module_row ~elem:"bool" ~op:"||" bool_lit vbool (module Bool_or) ()
+  @ module_row ~elem:"string" ~op:"^" string_lit
+      (fun s -> Decls.VString s)
+      (module String_concat) ()
+  @ module_row ~elem:"float" ~op:"+" float_lit vfloat (module Float_add)
+      ~inverse:Float_add.inverse ()
+  @ module_row ~elem:"float" ~op:"*" float_lit vfloat (module Float_mul)
+      ~inverse:Float_mul.inverse ()
 
 (* Every proof-side mapping names a row; the rows without one are
    exactly these five. *)
@@ -360,6 +373,14 @@ let test_theory_mappings_name_rows () =
        (fun n ->
          not (List.exists (fun (m : Theory.mapping) -> m.m_name = n) mapped))
        names)
+
+(* The evaluator is not vacuous: string concatenation does not commute. *)
+let test_evaluator_refutes () =
+  let row = row_of ~elem:"string" ~op:"^" in
+  let commutativity = Theory.find (Theory.chain "AbelianGroup") "commutativity" in
+  Alcotest.(check bool) "\"a\" ^ \"b\" <> \"b\" ^ \"a\"" false
+    (Oracles.holds (Oracles.row_interpretation row) commutativity
+       [ Decls.VString "a"; Decls.VString "b" ])
 
 (* Derived from the concept definitions; check reports list these. *)
 let test_axioms_of_chain () =
@@ -425,6 +446,8 @@ let () =
             Alcotest.test_case "theory mappings name rows" `Quick
               test_theory_mappings_name_rows;
             Alcotest.test_case "axioms of chain" `Quick test_axioms_of_chain;
+            Alcotest.test_case "evaluator refutes" `Quick
+              test_evaluator_refutes;
             Alcotest.test_case "standard world generation" `Quick
               test_world_generation;
           ] );

@@ -474,6 +474,120 @@ let test_ring_theory_shape () =
   Alcotest.(check bool) "has distributivity" true
     (List.exists (fun ax -> ax.Theory.ax_name = "left_distributivity") axs)
 
+(* ------------------------------------------------------------------ *)
+(* Axiom statements: the registry's text read as propositions          *)
+(* ------------------------------------------------------------------ *)
+
+module Concept = Gp_concepts.Concept
+
+(* Derived and hand-written agree: the same names, in the same order,
+   with structurally equal propositions. *)
+let agree what derived reference =
+  let names = List.map (fun ax -> ax.Theory.ax_name) in
+  Alcotest.(check (list string)) (what ^ " names") (names reference)
+    (names derived);
+  List.iter2
+    (fun d r ->
+      if d.Theory.ax_prop <> r.Theory.ax_prop then
+        Alcotest.failf "%s %s: %a, not %a" what d.Theory.ax_name pp d.ax_prop
+          pp r.ax_prop)
+    derived reference
+
+let test_derived_theories () =
+  List.iter
+    (fun m ->
+      let what theory = theory ^ " " ^ Theory.map_name m in
+      agree (what "semigroup") (Theory.semigroup m) (Oracles.semigroup_reference m);
+      agree (what "monoid") (Theory.monoid m) (Oracles.monoid_reference m);
+      agree (what "group_minimal") (Theory.group_minimal m)
+        (Oracles.group_minimal_reference m);
+      agree (what "abelian_group") (Theory.abelian_group m)
+        (Oracles.abelian_group_reference m))
+    (Theory.monoid_instances @ Theory.group_instances);
+  agree "ring int" (Theory.ring Theory.int_ring)
+    (Oracles.ring_reference Theory.int_ring);
+  List.iter
+    (fun lt ->
+      agree ("swo " ^ lt) (Theory.strict_weak_order ~lt)
+        (Oracles.strict_weak_order_reference ~lt))
+    [ "int_lt"; "string_lt" ]
+
+(* Which of the standard world's axioms are statements: the algebraic
+   ones, and two equations of the matrix and vector-space concepts. Every
+   other is prose and gets a positioned error. *)
+let test_standard_statements () =
+  let parsed = ref [] in
+  List.iter
+    (fun (c : Concept.t) ->
+      List.iter
+        (fun (ax : Concept.axiom) ->
+          match Theory.of_statement c ax with
+          | _ -> parsed := (c.name ^ "." ^ ax.ax_name) :: !parsed
+          | exception Gp_concepts.Lex.Error { line; col; _ } ->
+            Alcotest.(check bool)
+              (ax.ax_statement ^ ": error on its line") true
+              (line = 1 && col >= 1
+              && col <= String.length ax.ax_statement + 1))
+        (Concept.axioms c))
+    (Gp_concepts.Registry.concepts (Gp_standard.Standard.world ()));
+  Alcotest.(check (list string)) "the statements that parse"
+    [ "AbelianGroup.commutativity"; "DenseMatrix.solve_inverts";
+      "Field.mul_commutativity"; "Field.mul_inverse"; "Group.left_inverse";
+      "Group.right_inverse"; "Monoid.left_identity"; "Monoid.right_identity";
+      "Ring.left_distributivity"; "Ring.right_distributivity";
+      "Semigroup.associativity"; "StrictWeakOrder.equivalence_transitivity";
+      "StrictWeakOrder.irreflexivity"; "StrictWeakOrder.transitivity";
+      "VectorSpace.unit_scalar" ]
+    (List.sort compare !parsed)
+
+(* Precedence (not, and, or, then -> to the right), the macro, and the
+   grammar's positioned errors. *)
+let test_statement_grammar () =
+  let parse text =
+    Theory.of_statement Gp_algebra.Decls.strict_weak_order
+      { Concept.ax_name = "t"; ax_statement = text; ax_vars = [ "a"; "b"; "c" ] }
+  in
+  let lt x y = Atom ("lt", [ Var x; Var y ]) in
+  Alcotest.(check bool) "precedence" true
+    (parse "not lt(a,b) and lt(b,c) or lt(a,c) -> lt(c,a) -> op(a) <> id"
+    = forall_many [ "a"; "b"; "c" ]
+        (Implies
+           ( Or (And (Not (lt "a" "b"), lt "b" "c"), lt "a" "c"),
+             Implies
+               (lt "c" "a", Not (Eq (App ("op", [ Var "a" ]), App ("id", []))))
+           )));
+  Alcotest.(check bool) "macro" true
+    (parse "F(a,b) or a = c where F(x,y) := lt(y,x)"
+    = forall_many [ "a"; "b"; "c" ] (Or (lt "b" "a", Eq (Var "a", Var "c"))));
+  let error text =
+    match parse text with
+    | _ -> "parsed"
+    | exception Gp_concepts.Lex.Error { line; col; message } ->
+      Printf.sprintf "%d:%d: %s" line col message
+  in
+  Alcotest.(check (list string)) "errors"
+    [ "1:1: F takes 2 arguments"; "1:1: the variable a is applied";
+      "1:6: expected '=' or '<>'"; "1:7: trailing input after the statement";
+      "1:6: unexpected character +" ]
+    (List.map error
+       [ "F(a) where F(x,y) := lt(x,y)"; "a(b) = c"; "op(a)"; "a = b c";
+         "a = b+c" ])
+
+(* A .gpc concept whose axioms are Monoid's words reads as Monoid. *)
+let test_gpc_statements () =
+  let module Decls = Gp_algebra.Decls in
+  let reg = Gp_concepts.Registry.create () in
+  Gp_concepts.Lang.load_string reg
+    (Gp_concepts.Lang.to_source Decls.semigroup
+    ^ Gp_concepts.Lang.to_source Decls.monoid);
+  let loaded = Option.get (Gp_concepts.Registry.find_concept reg "Monoid") in
+  Alcotest.(check int) "two axioms" 2 (List.length (Concept.axioms loaded));
+  List.iter2
+    (fun ax ax' ->
+      Alcotest.(check bool) (ax.Concept.ax_name ^ " reads the same") true
+        (Theory.of_statement loaded ax = Theory.of_statement Decls.monoid ax'))
+    (Concept.axioms loaded) (Concept.axioms Decls.monoid)
+
 let test_proof_size () =
   let thm = Theorems.group_right_inverse Theory.int_add in
   Alcotest.(check bool) "non-trivial proof" true
@@ -550,5 +664,15 @@ let () =
             test_tampered_proof_rejected;
           Alcotest.test_case "ring shape" `Quick test_ring_theory_shape;
           Alcotest.test_case "proof size" `Quick test_proof_size;
+        ] );
+      ( "axiom statements",
+        [
+          Alcotest.test_case "derived theories = hand-written" `Quick
+            test_derived_theories;
+          Alcotest.test_case "standard world statements" `Quick
+            test_standard_statements;
+          Alcotest.test_case "statement grammar" `Quick
+            test_statement_grammar;
+          Alcotest.test_case ".gpc statements" `Quick test_gpc_statements;
         ] );
     ]

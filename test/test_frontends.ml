@@ -39,6 +39,33 @@ let expr_corpus =
     {|s:string ^ ""|}; "(x*1 + 0) + (0 - x)"; "4611686018427387903 * y";
     "x + 1.0"; "(x"; "(x * 1\n   + 0) *\n  y" ]
 
+(* Every axiom statement of the standard world, prose ones included. *)
+let statement_corpus =
+  List.concat_map
+    (fun c -> List.map (fun (ax : Concept.axiom) -> ax.ax_statement) (Concept.axioms c))
+    (Registry.concepts (Gp_standard.Standard.world ()))
+
+(* A statement read as an axiom of StrictWeakOrder (so [lt] is a
+   relation) over the variables a, b and c. *)
+let parse_statement src =
+  ignore
+    (Gp_athena.Theory.of_statement Gp_algebra.Decls.strict_weak_order
+       { Concept.ax_name = "fuzzed"; ax_statement = src;
+         ax_vars = [ "a"; "b"; "c" ] })
+
+(* Random bytes, and random runs of the statement grammar's tokens and
+   near misses. *)
+let random_statement =
+  let tokens =
+    [ "("; ")"; ","; "="; "<>"; "->"; ":="; "not"; "and"; "or"; "where";
+      "a"; "b"; "c"; "op"; "lt"; "id"; "E"; "-"; "<"; ":"; "1"; "@" ]
+  in
+  QCheck.Gen.(
+    frequency
+      [ (1, string_size (int_range 0 20));
+        (3, map (String.concat " ") (list_size (int_range 0 16) (oneofl tokens)))
+      ])
+
 (* The JSON corpora come from the encoders themselves. *)
 let requests = Workload.generate ~seed:3 ~n:6 ()
 
@@ -369,6 +396,20 @@ let () =
             ~parse:(fun src -> ignore (Sparser.parse src))
             ~documented:(function Sparser.Parse_error _ -> true | _ -> false)
             ~position:lex_position ();
+          fuzz ~name:"axiom statements: only Lex.Error escapes"
+            ~corpus:statement_corpus
+            ~nestings:[ ("not ", ""); ("op(", ")") ]
+            ~parse:parse_statement
+            ~documented:(function Lex.Error _ -> true | _ -> false)
+            ~position:lex_position ();
+          QCheck_alcotest.to_alcotest
+            (QCheck.Test.make ~count:3000
+               ~name:"axiom statements: random text, only Lex.Error escapes"
+               (QCheck.make ~print:(Printf.sprintf "%S") random_statement)
+               (fun src ->
+                 match parse_statement src with
+                 | () -> true
+                 | exception Lex.Error _ -> true));
           Alcotest.test_case "errors past the first line" `Quick
             positioned_errors;
         ] );
