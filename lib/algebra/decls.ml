@@ -97,17 +97,21 @@ let strict_weak_order =
 let all_concepts =
   [ semigroup; monoid; group; abelian_group; ring; field; strict_weak_order ]
 
-(* The axioms a model of [name] asserts: those of every concept it
-   refines, root first, then its own. *)
-let rec axioms_of_chain name =
+(* The axioms a model of [name] asserts, each with the concept that
+   states it: those of every concept it refines, root first, then its
+   own. *)
+let rec chain name =
   match
     List.find_opt (fun (c : Concept.t) -> String.equal c.name name)
       all_concepts
   with
   | None -> []
   | Some c ->
-    List.concat_map (fun (r, _) -> axioms_of_chain r) c.refines
-    @ List.map (fun (ax : Concept.axiom) -> ax.ax_name) (Concept.axioms c)
+    List.concat_map (fun (r, _) -> chain r) c.refines
+    @ List.map (fun ax -> (c, ax)) (Concept.axioms c)
+
+let axioms_of_chain name =
+  List.map (fun (_, (ax : Concept.axiom)) -> ax.ax_name) (chain name)
 
 (* A literal of a standard element type: a carrier's identity, and the
    values Simplicissimus expressions carry. *)

@@ -21,10 +21,13 @@ val all_concepts : Gp_concepts.Concept.t list
 
 (** {2 The standard carriers} *)
 
+val chain : string -> (Gp_concepts.Concept.t * Gp_concepts.Concept.axiom) list
+(** The axioms a model of the named concept of {!all_concepts} asserts,
+    each with the concept that states it: those of every concept it
+    refines, root first, then its own; [[]] for any other name. *)
+
 val axioms_of_chain : string -> string list
-(** The axiom names a model of the named concept of {!all_concepts}
-    asserts: those of every concept it refines, root first, then its
-    own; [[]] for any other name. *)
+(** The names of {!chain}'s axioms. *)
 
 (** A literal of a standard element type: a carrier's identity, and the
     values Simplicissimus expressions carry ([Expr.value]). *)

@@ -126,13 +126,14 @@ let monoid_identity_unique (m : Theory.mapping) =
 (* presentation {associativity, left identity, left inverse}           *)
 (* ------------------------------------------------------------------ *)
 
+(* An axiom of the minimal presentation, as a claim. *)
+let minimal m name = Claim (Theory.find (Theory.group_minimal m) name)
+
 (* forall x. op(x, inv x) = e — certifies the Fig. 5 rule
    x + (-x) -> 0 from first principles rather than by assertion. *)
 let group_right_inverse (m : Theory.mapping) =
-  let axioms = Theory.group_minimal m in
-  let assoc = Claim (Theory.find axioms "associativity") in
-  let left_id = Claim (Theory.find axioms "left_identity") in
-  let left_inv = Claim (Theory.find axioms "left_inverse") in
+  let assoc = minimal m "associativity" and left_id = minimal m "left_identity"
+  and left_inv = minimal m "left_inverse" in
   let open Theory in
   let x = Var "x" in
   let y = inv_of m x in
@@ -172,10 +173,8 @@ let group_right_inverse (m : Theory.mapping) =
    via the right-inverse theorem (proved inline and added to the base by
    the Seq). *)
 let group_right_identity (m : Theory.mapping) =
-  let axioms = Theory.group_minimal m in
-  let assoc = Claim (Theory.find axioms "associativity") in
-  let left_id = Claim (Theory.find axioms "left_identity") in
-  let left_inv = Claim (Theory.find axioms "left_inverse") in
+  let assoc = minimal m "associativity" and left_id = minimal m "left_identity"
+  and left_inv = minimal m "left_inverse" in
   let ri = group_right_inverse m in
   let open Theory in
   let x = Var "x" in
@@ -204,10 +203,8 @@ let group_right_identity (m : Theory.mapping) =
    . x) = (inv(inv x) . inv x) . x = e . x = x. Uses the right-identity
    theorem. *)
 let group_double_inverse (m : Theory.mapping) =
-  let axioms = Theory.group_minimal m in
-  let assoc = Claim (Theory.find axioms "associativity") in
-  let left_id = Claim (Theory.find axioms "left_identity") in
-  let left_inv = Claim (Theory.find axioms "left_inverse") in
+  let assoc = minimal m "associativity" and left_id = minimal m "left_identity"
+  and left_inv = minimal m "left_inverse" in
   let rid = group_right_identity m in
   let open Theory in
   let x = Var "x" in
@@ -238,10 +235,8 @@ let group_double_inverse (m : Theory.mapping) =
    from the minimal presentation. The workhorse for the ring annihilation
    theorem below. *)
 let group_left_cancellation (m : Theory.mapping) =
-  let axioms = Theory.group_minimal m in
-  let assoc = Claim (Theory.find axioms "associativity") in
-  let left_id = Claim (Theory.find axioms "left_identity") in
-  let left_inv = Claim (Theory.find axioms "left_inverse") in
+  let assoc = minimal m "associativity" and left_id = minimal m "left_identity"
+  and left_inv = minimal m "left_inverse" in
   let open Theory in
   let va = Var "a" and vb = Var "b" and vc = Var "c" in
   let ia = inv_of m va in
@@ -509,7 +504,7 @@ let check_for_instances ~theorem ~axioms instances =
   List.map
     (fun m ->
       let thm = theorem m in
-      (Theory.map_name m, verify ~axioms:(axioms m) thm))
+      (m.Theory.m_name, verify ~axioms:(axioms m) thm))
     instances
 
 (* The proof catalogue: each theory's instances, the axioms each is
@@ -522,7 +517,7 @@ let catalogue =
       (fun (name, m) -> (name, axioms m, List.map (fun f -> f m) theorems))
       instances
   in
-  let mappings = List.map (fun m -> (Theory.map_name m, m)) in
+  let mappings = List.map (fun m -> (m.Theory.m_name, m)) in
   let named = List.map (fun n -> (n, n)) in
   [ ( "swo",
       fun () ->

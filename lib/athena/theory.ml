@@ -24,8 +24,6 @@ type mapping = {
   inv : string; (* inverse function symbol *)
 }
 
-let map_name m = m.m_name
-
 (* term builders under a mapping *)
 let ( %. ) m (a, b) = App (m.op, [ a; b ])
 let e_of m = const m.e
@@ -43,35 +41,39 @@ let find axs name =
 (* Axiom statements                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* [p] with every symbol [f] renamed [sym env f], variables shared: with
-   [sym] a toplevel function, the copy is all it allocates. *)
-let rec rename sym env p =
+(* [p] with the symbol [f] of every application renamed [sym f] and
+   every atom [r(ts)] replaced by [atom r ts]: a theory's renaming, and
+   the expansion of a statement's macro. Variables are shared. *)
+let rec map_prop sym atom p =
   match p with
   | True | False | Iff _ | Exists _ -> p (* never parsed *)
-  | Atom (r, ts) -> Atom (sym env r, rename_terms sym env ts)
-  | Eq (x, y) -> Eq (rename_term sym env x, rename_term sym env y)
-  | Not q -> Not (rename sym env q)
-  | And (q, r) -> And (rename sym env q, rename sym env r)
-  | Or (q, r) -> Or (rename sym env q, rename sym env r)
-  | Implies (q, r) -> Implies (rename sym env q, rename sym env r)
-  | Forall (x, q) -> Forall (x, rename sym env q)
+  | Atom (r, ts) -> atom r (map_terms sym ts)
+  | Eq (x, y) -> Eq (map_term sym x, map_term sym y)
+  | Not q -> Not (map_prop sym atom q)
+  | And (q, r) -> And (map_prop sym atom q, map_prop sym atom r)
+  | Or (q, r) -> Or (map_prop sym atom q, map_prop sym atom r)
+  | Implies (q, r) -> Implies (map_prop sym atom q, map_prop sym atom r)
+  | Forall (x, q) -> Forall (x, map_prop sym atom q)
 
-and rename_term sym env t =
+and map_term sym t =
   match t with
   | Var _ -> t
-  | App (f, ts) -> App (sym env f, rename_terms sym env ts)
+  | App (f, ts) -> App (sym f, map_terms sym ts)
 
-and rename_terms sym env = function
+and map_terms sym = function
   | [] -> []
-  | t :: ts -> rename_term sym env t :: rename_terms sym env ts
+  | t :: ts -> map_term sym t :: map_terms sym ts
 
 let syntax =
   Lex.syntax ~punct:"(),=" ~pairs:[ "<>"; "->"; ":=" ] ~strings:false
     ~floats:false ~comments:false
 
 (* The grammar of theory.mli, by recursive descent. A variable is its
-   binder's string, so the checker compares the two by one pointer test;
-   [macro] is the [where] clause, parsed first. *)
+   binder's string, so the checker compares the two by one pointer test.
+   An application in a proposition's place that no [bool] operation
+   names is a use of the [where] macro, which follows the body (and
+   none is in it): [uses] keeps each one's symbol, arity, start and the
+   offset after it. *)
 let rec term s vars =
   let at = s.Lex.start in
   let f = Lex.ident s in
@@ -97,17 +99,17 @@ and disj s cx vars p =
 and conj s cx vars p =
   if Lex.accept_id s "and" then conj s cx vars (And (p, unary s cx vars)) else p
 
-and unary s ((relations, (f, xs, def)) as cx) vars =
+and unary s ((relations, uses) as cx) vars =
   if Lex.accept_id s "not" then Not (unary s cx vars)
   else
     let at = s.start in
-    match term s vars with
-    | App (r, ts) when List.mem r relations -> Atom (r, ts)
-    | App (g, ts) when String.equal g f ->
-      if List.compare_lengths xs ts = 0 then subst (List.combine xs ts) def
-      else Lex.error_at s at "%s takes %d arguments" f (List.length xs)
-    | x when Lex.accept s "=" -> Eq (x, term s vars)
-    | x when Lex.accept s "<>" -> Not (Eq (x, term s vars))
+    match (term s vars, uses) with
+    | App (r, ts), _ when List.mem r relations -> Atom (r, ts)
+    | x, _ when Lex.accept s "=" -> Eq (x, term s vars)
+    | x, _ when Lex.accept s "<>" -> Not (Eq (x, term s vars))
+    | App (f, ts), Some uses ->
+      uses := (f, List.length ts, at, s.start) :: !uses;
+      Atom (f, ts)
     | _ -> Lex.error s "expected '=' or '<>'"
 
 let of_statement (c : Concept.t) (ax : Concept.axiom) =
@@ -116,13 +118,11 @@ let of_statement (c : Concept.t) (ax : Concept.axiom) =
         if o.op_return = Named "bool" then Some o.op_name else None)
       (Concept.operations c)
   in
-  let text = ax.ax_statement and vars = ax.ax_vars in
-  let s = Lex.make syntax text in
-  let rec macro () =
-    match s.tok with
-    | Lex.Eof -> ("", [], True)
-    | Id "where" ->
-      Lex.shift s;
+  let s = Lex.make syntax ax.ax_statement and uses = ref [] in
+  let body = imp s (relations, Some uses) ax.ax_vars in
+  let f, xs, def =
+    if not (Lex.accept_id s "where") then ("", [], True)
+    else
       let f = Lex.ident s in
       Lex.expect s "(";
       let rec params () =
@@ -132,47 +132,50 @@ let of_statement (c : Concept.t) (ax : Concept.axiom) =
       let xs = params () in
       Lex.expect s ")";
       Lex.expect s ":=";
-      (f, xs, imp s (relations, ("", [], True)) (xs @ vars))
-    | _ ->
-      Lex.shift s;
-      macro ()
+      (f, xs, imp s (relations, None) (xs @ ax.ax_vars))
   in
-  let cx = (relations, macro ()) in
+  (* every use is of the macro, with its arity *)
+  List.iter
+    (fun (g, n, at, after) ->
+      if not (String.equal g f) then Lex.error_at s after "expected '=' or '<>'"
+      else if n <> List.length xs then
+        Lex.error_at s at "%s takes %d arguments" f (List.length xs))
+    (List.rev !uses);
   if s.tok <> Lex.Eof then Lex.error s "trailing input after the statement";
-  let s = Lex.make syntax text in
-  let body = imp s cx vars in
-  if s.tok <> Lex.Eof && s.tok <> Id "where" then
-    Lex.error s "trailing input after the statement";
-  forall_many vars body
+  let use g ts =
+    if String.equal g f then subst (List.combine xs ts) def else Atom (g, ts)
+  in
+  forall_many ax.ax_vars (map_prop Fun.id use body)
 
-let rec assoc name = function
-  | [] -> raise Not_found
-  | (n, axs) :: rest -> if String.equal n name then axs else assoc name rest
-
-(* Every algebraic concept's axioms after those of the concepts it
-   refines, root first, each statement parsed once ([Decls.all_concepts]
-   lists a concept after those it refines). *)
-let chains =
-  lazy
-    (List.fold_left
-       (fun chains (c : Concept.t) ->
-         let parse (ax : Concept.axiom) =
-           { ax_name = ax.ax_name; ax_prop = of_statement c ax }
-         in
-         let inherited = List.concat_map (fun (r, _) -> assoc r chains) in
-         (c.name, inherited c.refines @ List.map parse (Concept.axioms c))
-         :: chains)
-       [] Decls.all_concepts)
-
-let chain name = assoc name (Lazy.force chains)
-
-(* The theory [axs] with its symbols renamed, names prefixed. *)
-let rec instantiate prefix sym env = function
-  | [] -> []
-  | ax :: axs ->
-    { ax_name = (if prefix = "" then ax.ax_name else prefix ^ ax.ax_name);
-      ax_prop = rename sym env ax.ax_prop }
-    :: instantiate prefix sym env axs
+(* The refinement chain of concept [name] ([Decls.chain]) without the
+   axioms [drop], parsed on first use and names prefixed, as a theory:
+   its symbols renamed by [sym] for an instance. The theorems checked on
+   an instance each ask for its theory again, so the last instance's
+   axioms are kept and returned while that physical instance is asked
+   for. *)
+let theory ?(prefix = "") ?(drop = []) sym name =
+  let axs =
+    lazy
+      (List.filter_map
+         (fun (c, (ax : Concept.axiom)) ->
+           if List.mem ax.ax_name drop then None
+           else Some (prefix ^ ax.ax_name, of_statement c ax))
+         (Decls.chain name))
+  in
+  let last = Atomic.make None in
+  fun env ->
+    match Atomic.get last with
+    | Some (env', th) when env' == env -> th
+    | _ ->
+      let sym = sym env in
+      let atom r ts = Atom (sym r, ts) in
+      let th =
+        List.map
+          (fun (ax_name, p) -> { ax_name; ax_prop = map_prop sym atom p })
+          (Lazy.force axs)
+      in
+      Atomic.set last (Some (env, th));
+      th
 
 let op_symbols m = function
   | "op" -> m.op
@@ -184,20 +187,16 @@ let op_symbols m = function
 (* Algebraic theories                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let semigroup m = instantiate "" op_symbols m (chain "Semigroup")
-let monoid m = instantiate "" op_symbols m (chain "Monoid")
+let semigroup = theory op_symbols "Semigroup"
+let monoid = theory op_symbols "Monoid"
 
 (* The *minimal* group presentation: right identity and right inverse are
    theorems, derived generically in {!Theorems}, which is how the checker
    certifies the Fig. 5 Group rewrite rule from first principles. *)
-let minimal =
-  lazy
-    (List.filter
-       (fun ax -> not (List.mem ax.ax_name [ "right_identity"; "right_inverse" ]))
-       (chain "Group"))
+let group_minimal =
+  theory ~drop:[ "right_identity"; "right_inverse" ] op_symbols "Group"
 
-let group_minimal m = instantiate "" op_symbols m (Lazy.force minimal)
-let abelian_group m = instantiate "" op_symbols m (chain "AbelianGroup")
+let abelian_group = theory op_symbols "AbelianGroup"
 
 (* ------------------------------------------------------------------ *)
 (* Order theories                                                      *)
@@ -211,8 +210,8 @@ let equiv lt x y = And (Not (lt_atom lt x y), Not (lt_atom lt y x))
 
 let lt_symbol lt s = if String.equal s "lt" then lt else s
 
-let strict_weak_order ~lt =
-  instantiate "" lt_symbol lt (chain "StrictWeakOrder")
+let swo = theory lt_symbol "StrictWeakOrder"
+let strict_weak_order ~lt = swo lt
 
 (* No registry concept states these: written here. *)
 let axiom ax_name ax_prop = { ax_name; ax_prop }
@@ -252,10 +251,10 @@ let ring_symbols rm = function
 
 (* The additive abelian group's axioms as add_*, the multiplicative
    monoid's as mul_*, then Ring's own. *)
-let ring rm =
-  instantiate "add_" op_symbols rm.add (chain "AbelianGroup")
-  @ instantiate "mul_" op_symbols rm.mul (chain "Monoid")
-  @ instantiate "" ring_symbols rm (chain "Ring")
+let ring_add = theory ~prefix:"add_" op_symbols "AbelianGroup"
+let ring_mul = theory ~prefix:"mul_" op_symbols "Monoid"
+let ring_own = theory ring_symbols "Ring"
+let ring rm = ring_add rm.add @ ring_mul rm.mul @ ring_own rm
 
 (* ------------------------------------------------------------------ *)
 (* Standard instance mappings (the Fig. 5 instances)                   *)

@@ -14,8 +14,6 @@ type mapping = {
   inv : string;
 }
 
-val map_name : mapping -> string
-
 (** {2 Term builders} *)
 
 val ( %. ) : mapping -> Logic.term * Logic.term -> Logic.term
@@ -35,24 +33,24 @@ val find : axiom list -> string -> Logic.prop
 (** {2 Axiom statements}
 
     Grammar: applications [f(t, ...)], constants [f], [=], [<>], [not],
-    [and], [or], [->] (loosest, to the right), and one trailing macro [where F(x, ...) := body] whose uses expand in place.
-    A name among the axiom's variables is a variable, never applied;
-    an operation of the concept returning [bool] forms atoms; every other
-    name is a symbol. The variables are quantified universally, in
-    order. *)
+    [and], [or], [->] (loosest, to the right), and one trailing macro
+    [where F(x, ...) := body] whose uses expand in place. A name among
+    the axiom's variables is a variable, never applied; an operation of
+    the concept returning [bool] forms atoms; every other name is a
+    symbol. The variables are quantified universally, in order. *)
 
 val of_statement :
   Gp_concepts.Concept.t -> Gp_concepts.Concept.axiom -> Logic.prop
 (** Raises {!Gp_concepts.Lex.Error}, positioned in the statement, on one
     outside the grammar (a prose axiom). *)
 
-val chain : string -> axiom list
-(** A concept of {!Gp_algebra.Decls.all_concepts}: the axioms of those
-    it refines, root first, then its own, over its own symbols ([op],
-    [id], [lt], [add], ...), each statement parsed once per process on
-    first use. Raises [Not_found] on any other name. *)
+(** {2 Algebraic theories: chains with [op], [id], [inverse] renamed}
 
-(** {2 Algebraic theories: chains with [op], [id], [inverse] renamed} *)
+    A theory is a refinement chain of {!Gp_algebra.Decls.chain}, its
+    statements parsed once per process on first use. These and
+    {!strict_weak_order} keep the axioms of the last instance each was
+    asked for, and return that list while the same physical instance is
+    asked for again. *)
 
 val semigroup : mapping -> axiom list
 val monoid : mapping -> axiom list

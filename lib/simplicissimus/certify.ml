@@ -113,7 +113,7 @@ let discharge_instance_axioms reg =
   List.concat_map
     (fun (c : Gp_algebra.Decls.carrier) ->
       let name = Gp_algebra.Decls.carrier_name ~elem:c.c_elem ~op:c.c_op in
-      let named m = String.equal (Theory.map_name m) name in
+      let named m = String.equal m.Theory.m_name name in
       match List.find_opt named Theory.(monoid_instances @ group_instances) with
       | Some m when c.c_exact ->
         let args = [ Gp_concepts.Ctype.Named name ] in

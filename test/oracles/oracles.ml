@@ -440,6 +440,12 @@ let alpha_equal_reference p q = db_prop [] p = db_prop [] q
 
 module Theory = Gp_athena.Theory
 
+let chain name =
+  List.map
+    (fun (c, (ax : Concept.axiom)) ->
+      { Theory.ax_name = ax.ax_name; ax_prop = Theory.of_statement c ax })
+    (Gp_algebra.Decls.chain name)
+
 let axiom ax_name ax_prop = { Theory.ax_name; ax_prop }
 let va = Logic.Var "a"
 let vb = Logic.Var "b"
@@ -541,13 +547,14 @@ let holds interp p values =
   bind [] p values
 
 (* Eval's meaning of the row: an operation applied to literals, the
-   identity symbolic. *)
-let row_interpretation ?(mat_dim = 2) (c : Decls.carrier) f args =
-  let apply op = Eval.eval ~mat_dim ~env:[] (Expr.Op (op, c.c_elem, List.map (fun v -> Expr.Lit v) args)) in
+   identity symbolic, of the dimension test_algebra's matrices have. *)
+let row_interpretation (c : Decls.carrier) f args =
+  let eval = Eval.eval ~mat_dim:3 ~env:[] in
+  let apply op = eval (Expr.Op (op, c.c_elem, List.map (fun v -> Expr.Lit v) args)) in
   match (f, c.c_inverse, args) with
   | "op", _, _ -> apply c.c_op
   | "inverse", Some inv, _ -> apply inv
-  | "id", _, [] -> Eval.eval ~mat_dim ~env:[] (Expr.Ident (c.c_elem, c.c_op))
+  | "id", _, [] -> eval (Expr.Ident (c.c_elem, c.c_op))
   | _ -> invalid_arg ("row_interpretation: " ^ f)
 
 let ring_interpretation (r : Decls.ring) =

@@ -103,6 +103,10 @@ val alpha_equal_reference : Gp_athena.Logic.prop -> Gp_athena.Logic.prop -> bool
     group lists its axioms in the refinement chain's order (the monoid's,
     then both inverses, then commutativity). *)
 
+val chain : string -> Gp_athena.Theory.axiom list
+(** {!Gp_algebra.Decls.chain}'s statements parsed, over the concepts'
+    own symbols ([op], [id], [lt], [add], ...). *)
+
 val semigroup_reference : Gp_athena.Theory.mapping -> Gp_athena.Theory.axiom list
 val monoid_reference : Gp_athena.Theory.mapping -> Gp_athena.Theory.axiom list
 
@@ -131,7 +135,6 @@ val holds :
     and no quantifier below them. *)
 
 val row_interpretation :
-  ?mat_dim:int ->
   Gp_algebra.Decls.carrier ->
   string ->
   Gp_algebra.Decls.value list ->
@@ -139,9 +142,9 @@ val row_interpretation :
 (** A carrier row's meaning of the algebraic concepts' symbols, as
     {!Gp_simplicissimus.Eval} evaluates the row's expressions: [op] and
     [inverse] are the row's operation and inverse applied to literals,
-    [id] the row's identity (matrices of dimension [mat_dim], default
-    2). Raises [Invalid_argument] on another symbol, or on [inverse] for
-    a row without one. *)
+    [id] the row's identity (3x3 on the matrix rows, the dimension of
+    test_algebra's matrices). Raises [Invalid_argument] on another
+    symbol, or on [inverse] for a row without one. *)
 
 val ring_interpretation :
   Gp_algebra.Decls.ring ->

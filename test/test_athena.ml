@@ -496,7 +496,7 @@ let agree what derived reference =
 let test_derived_theories () =
   List.iter
     (fun m ->
-      let what theory = theory ^ " " ^ Theory.map_name m in
+      let what theory = theory ^ " " ^ m.Theory.m_name in
       agree (what "semigroup") (Theory.semigroup m) (Oracles.semigroup_reference m);
       agree (what "monoid") (Theory.monoid m) (Oracles.monoid_reference m);
       agree (what "group_minimal") (Theory.group_minimal m)
