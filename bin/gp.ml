@@ -274,7 +274,7 @@ let prove_cmd =
             Fmt.pr "%-44s %a@." thm.Theorems.thm_name Deduction.pp_verdict
               verdict)
           theorems)
-      ((List.assoc theory catalogue) ());
+      (Theorems.build_all (List.assoc theory catalogue));
     if !failures > 0 then 1 else 0
   in
   Cmd.v

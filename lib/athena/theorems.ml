@@ -509,49 +509,53 @@ let check_for_instances ~theorem ~axioms instances =
 
 (* The proof catalogue: each theory's instances, the axioms each is
    checked against, and its theorems, in checking order. One table for
-   the CLI and the served prove kind; an entry builds its proofs when
-   applied. *)
+   the CLI and the served prove kind; an instance builds its proofs when
+   its builder is applied, so a request for one instance builds that
+   one alone. *)
 let catalogue =
   let per_instance instances axioms theorems =
     List.map
-      (fun (name, m) -> (name, axioms m, List.map (fun f -> f m) theorems))
+      (fun (name, m) ->
+        (name, fun () -> (axioms m, List.map (fun f -> f m) theorems)))
       instances
   in
   let mappings = List.map (fun m -> (m.Theory.m_name, m)) in
   let named = List.map (fun n -> (n, n)) in
   [ ( "swo",
-      fun () ->
-        per_instance
-          (named [ "int_lt"; "string_lt" ])
-          (fun lt -> Theory.strict_weak_order ~lt)
-          (List.map
-             (fun f lt -> f ~lt)
-             [ swo_e_reflexive; swo_e_symmetric; swo_e_transitive;
-               swo_asymmetric ]) );
+      per_instance
+        (named [ "int_lt"; "string_lt" ])
+        (fun lt -> Theory.strict_weak_order ~lt)
+        (List.map
+           (fun f lt -> f ~lt)
+           [ swo_e_reflexive; swo_e_symmetric; swo_e_transitive;
+             swo_asymmetric ]) );
     ( "group",
-      fun () ->
-        per_instance
-          (mappings Theory.group_instances)
-          Theory.group_minimal
-          [ group_right_inverse; group_right_identity; group_double_inverse;
-            group_left_cancellation ] );
+      per_instance
+        (mappings Theory.group_instances)
+        Theory.group_minimal
+        [ group_right_inverse; group_right_identity; group_double_inverse;
+          group_left_cancellation ] );
     ( "monoid",
-      fun () ->
-        per_instance
-          (mappings Theory.monoid_instances)
-          Theory.monoid
-          [ monoid_right_identity; monoid_identity_unique ] );
+      per_instance
+        (mappings Theory.monoid_instances)
+        Theory.monoid
+        [ monoid_right_identity; monoid_identity_unique ] );
     ( "ring",
-      fun () ->
-        let rm = Theory.int_ring in
-        per_instance [ (rm.Theory.r_name, rm) ] Theory.ring
-          [ ring_mul_zero; ring_zero_mul ] );
+      let rm = Theory.int_ring in
+      per_instance [ (rm.Theory.r_name, rm) ] Theory.ring
+        [ ring_mul_zero; ring_zero_mul ] );
     ( "orders",
-      fun () ->
-        per_instance
-          (named [ "int_le"; "string_le"; "rational_le" ])
-          (fun leq -> Theory.total_order ~leq)
-          (List.map
-             (fun f leq -> f ~leq)
-             [ strict_irreflexive; strict_transitive;
-               strict_equiv_transitive ]) ) ]
+      per_instance
+        (named [ "int_le"; "string_le"; "rational_le" ])
+        (fun leq -> Theory.total_order ~leq)
+        (List.map
+           (fun f leq -> f ~leq)
+           [ strict_irreflexive; strict_transitive;
+             strict_equiv_transitive ]) ) ]
+
+let build_all instances =
+  List.map
+    (fun (name, build) ->
+      let axioms, theorems = build () in
+      (name, axioms, theorems))
+    instances

@@ -78,8 +78,16 @@ val check_for_instances :
 (** {2 The proof catalogue} *)
 
 val catalogue :
-  (string * (unit -> (string * Theory.axiom list * theorem list) list)) list
-(** Theory name → its instances, each as (instance name, the axioms it
-    is checked against, its theorems), in checking order: [swo], [group],
-    [monoid], [ring], [orders]. The one table behind [gp prove] and the
-    served [prove] kind. Applying an entry builds its proofs. *)
+  (string * (string * (unit -> Theory.axiom list * theorem list)) list) list
+(** Theory name → its instances in checking order, each as (instance
+    name, a builder of the axioms it is checked against and its
+    theorems); the theories are [swo], [group], [monoid], [ring],
+    [orders]. The one table behind [gp prove] and the served [prove]
+    kind. Applying an instance's builder builds that instance's proofs
+    alone. *)
+
+val build_all :
+  (string * (unit -> Theory.axiom list * theorem list)) list ->
+  (string * Theory.axiom list * theorem list) list
+(** Apply every builder of a {!catalogue} entry, in order: each
+    instance's name, axioms and theorems. *)

@@ -363,22 +363,25 @@ let handle_optimize t ~caching ~budget ~expr ~certified_only =
       err Request.Over_budget "rewriting exceeded its step budget")
 
 (* A theory's instances from the one proof catalogue, narrowed to
-   [instance] when one is named. *)
+   [instance] when one is named: only the instances asked for are
+   built. *)
 let prove_plan theory instance =
-  match List.assoc_opt theory Gp_athena.Theorems.catalogue with
+  let open Gp_athena in
+  match List.assoc_opt theory Theorems.catalogue with
   | None -> Error ("unknown theory " ^ theory)
-  | Some build -> (
-    let all = build () in
+  | Some instances -> (
     match instance with
-    | None -> Ok all
+    | None -> Ok (Theorems.build_all instances)
     | Some name -> (
-      match List.filter (fun (n, _, _) -> n = name) all with
-      | [] ->
+      match List.assoc_opt name instances with
+      | None ->
         Error
           (Printf.sprintf "theory %s has no instance %s (have: %s)" theory
              name
-             (String.concat ", " (List.map (fun (n, _, _) -> n) all)))
-      | some -> Ok some))
+             (String.concat ", " (List.map fst instances)))
+      | Some build ->
+        let axioms, theorems = build () in
+        Ok [ (name, axioms, theorems) ]))
 
 let handle_prove t ~caching ~budget ~theory ~instance =
   let open Gp_athena in

@@ -120,6 +120,9 @@ type t = {
   latency_ns : float array;
       (* one slot: the latency [observe] last measured, which an untraced
          dossier reuses as its duration (a float array stores unboxed) *)
+  mutable lines : Line_memo.t option;
+      (* the decoded-line table, made by the first [serve_line]: a
+         server that is only handed requests never pays for it *)
   mutable next_id : int;
 }
 
@@ -153,6 +156,7 @@ let create ?(config = default_config) () =
     cc_before = Array.make (2 * Array.length Dispatch.cache_names) 0;
     cc_after = Array.make (2 * Array.length Dispatch.cache_names) 0;
     latency_ns = [| 0.0 |];
+    lines = None;
     next_id = 0 }
 
 let config t = t.config
@@ -310,15 +314,24 @@ let process t reqs = List.map (fun req -> handle t req) reqs
 (* Line-oriented serving                                               *)
 (* ------------------------------------------------------------------ *)
 
+let line_memo t =
+  match t.lines with
+  | Some memo -> memo
+  | None ->
+    let memo = Line_memo.create () in
+    t.lines <- Some memo;
+    memo
+
 let serve_line t line =
   if Wire.is_blank line then None
   else
+    let memo = line_memo t in
     let decoded =
       (* a dedicated span so [Trace.folded --gc] attributes wire-parse
          allocation separately from dispatch *)
       if Tel.is_enabled () then
-        Tel.with_span ~name:"wire.parse" (fun () -> Wire.request_of_line line)
-      else Wire.request_of_line line
+        Tel.with_span ~name:"wire.parse" (fun () -> Line_memo.decode memo line)
+      else Line_memo.decode memo line
     in
     match decoded with
     | Ok (id, req) ->

@@ -88,7 +88,10 @@ val process : t -> Request.t list -> Request.response list
     order, ids consecutive. *)
 
 val serve_line : t -> string -> Request.response option
-(** Decode and serve one wire line ([None] for a blank line). *)
+(** Decode and serve one wire line ([None] for a blank line). The
+    server decodes through its own {!Line_memo}, made on the first
+    call, so a line it has seen twice before is not decoded again; the
+    response is the one a fresh decode would give. *)
 
 val serve_channel : t -> in_channel -> out_channel -> int
 (** Serve request lines from a channel until EOF, writing one response

@@ -465,7 +465,9 @@ let is_blank line =
 (* A workload repeats a few hundred distinct lines thousands of times:
    each distinct line is decoded once and its request shared by every
    repeat, so later content comparisons of two repeats stop at physical
-   equality. *)
+   equality. The file is finite, so every distinct line is kept from its
+   first sighting: a server's [Line_memo] admits a line only on its
+   second, which here would decode each distinct line twice. *)
 let requests_of_lines lines =
   let decoded = Hashtbl.create 256 in
   let rec go acc = function

@@ -18,7 +18,7 @@ let theorems () =
     (fun (_, instances) ->
       List.concat_map
         (fun (_, axioms, thms) -> List.map (fun t -> (axioms, t)) thms)
-        (instances ()))
+        (Theorems.build_all instances))
     Theorems.catalogue
 
 let () =

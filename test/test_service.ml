@@ -492,6 +492,117 @@ let loader_prop =
       | Ok _, Error e -> QCheck.Test.fail_reportf "accepted; want %S" e
       | Error e, Ok _ -> QCheck.Test.fail_reportf "rejected with %S" e)
 
+(* The decoded-line table: a line is admitted on its second sighting
+   and then answered with the value decoded then, a line that does not
+   decode is never kept, and the table is emptied when it fills. *)
+let test_line_memo () =
+  let memo = Line_memo.create () in
+  let line i = Printf.sprintf {|{"id":%d,"kind":"prove","theory":"ring"}|} i in
+  let decode l =
+    let got = Line_memo.decode memo l in
+    Alcotest.(check string) l
+      (show_decoded (Wire.request_of_line l))
+      (show_decoded got);
+    got
+  in
+  let held n = Alcotest.(check int) "lines held" n (Line_memo.length memo) in
+  ignore (decode (line 0));
+  held 0;
+  let second = decode (line 0) in
+  held 1;
+  if decode (line 0) != second then
+    Alcotest.fail "a held line is not answered with its admitted value";
+  List.iter
+    (fun bad ->
+      for _ = 1 to 3 do
+        ignore (decode bad)
+      done)
+    (List.filter (fun l -> Result.is_error (Wire.request_of_line l))
+       wire_corpus);
+  held 1;
+  for i = 1 to Line_memo.capacity - 1 do
+    ignore (decode (line i));
+    ignore (decode (line i))
+  done;
+  held Line_memo.capacity;
+  ignore (decode (line Line_memo.capacity));
+  ignore (decode (line Line_memo.capacity));
+  held 1;
+  ignore (decode (line 0));
+  ignore (decode (line 0));
+  held 2
+
+(* A server decodes through its decoded-line table. Over streams that
+   repeat lines (blank and malformed ones included), each line it
+   serves answers exactly as the line decoded afresh and handed to
+   [Server.handle] on a second server: the same response bytes (ids,
+   cached flags and step charges included) and the same cache
+   statistics, with caching on and off; and [Flight.re_serve] of the
+   lines as [Wire] items reproduces every fresh answer's fingerprint. A
+   line that does not decode goes to [serve_line] on both servers: no
+   table keeps such a line, so both decode it afresh. *)
+let served_equals_decoded_prop =
+  let open QCheck.Gen in
+  let pool_line =
+    frequency
+      [ (4,
+         map
+           (fun (seed, id) ->
+             Wire.request_to_line ?id
+               (List.hd (Workload.generate ~seed ~n:1 ())))
+           (pair (int_bound 10_000) (opt small_nat)));
+        (2, map (fun (id, r) -> Wire.request_to_line ?id r)
+              (pair (opt small_nat) gen_request));
+        (1, oneofl [ ""; "  "; "\t" ]);
+        (1, oneofl wire_corpus) ]
+  in
+  let gen =
+    pair bool
+      (list_size (int_range 1 8) pool_line >>= fun pool ->
+       list_size (int_range 1 40) (oneofl pool))
+  in
+  QCheck.Test.make ~name:"served line = line decoded afresh" ~count:40
+    (QCheck.make
+       ~print:(fun (caching, lines) ->
+         Printf.sprintf "caching %b\n%s" caching (String.concat "\n" lines))
+       gen)
+    (fun (caching, lines) ->
+      let config = { Server.default_config with caching } in
+      let served = mkserver ~config () and fresh = mkserver ~config () in
+      let decoded_afresh line =
+        if Wire.is_blank line then None
+        else
+          match Wire.request_of_line line with
+          | Ok (id, req) -> Some (Server.handle ?id fresh req)
+          | Error _ -> Server.serve_line fresh line
+      in
+      let render = Option.map Wire.response_to_line in
+      List.iter
+        (fun line ->
+          let want = decoded_afresh line in
+          let got = Server.serve_line served line in
+          if render got <> render want then
+            QCheck.Test.fail_reportf "%s@.served: %s@.afresh: %s" line
+              (Option.value ~default:"-" (render got))
+              (Option.value ~default:"-" (render want)))
+        lines;
+      if Server.cache_stats served <> Server.cache_stats fresh then
+        QCheck.Test.fail_report "cache statistics differ";
+      let items =
+        List.filter_map
+          (fun line ->
+            Option.map
+              (fun rsp ->
+                (line, Flight.Wire line, Request.response_fingerprint rsp))
+              (decoded_afresh line))
+          lines
+      in
+      let matched, diverged = Flight.re_serve config items in
+      if diverged <> [] || matched <> List.length items then
+        QCheck.Test.fail_reportf "re_serve: %d of %d matched" matched
+          (List.length items);
+      true)
+
 (* Streaming digest ≡ materialize-then-digest, the renderer ≡ its AST
    oracle, and the fingerprint ignores provenance (id, cache-hit flag,
    step count) exactly as [result_equal] does. *)
@@ -1319,6 +1430,9 @@ let test_warm_hit_allocation () =
         (fun l -> ignore (Sys.opaque_identity (Server.serve_line server l)))
         mine
     in
+    (* two warm passes: the second sighting of a line admits it to the
+       server's decoded-line table, so the measured pass decodes none *)
+    pass ();
     pass ();
     let m0 = Gc.minor_words () in
     pass ();
@@ -2421,6 +2535,7 @@ let () =
           qtest wire_roundtrip_prop;
           qtest wire_history_prop;
           qtest loader_prop;
+          Alcotest.test_case "decoded-line table" `Quick test_line_memo;
           qtest wire_response_stream_prop;
           qtest memo_equals_fresh_prop;
           Alcotest.test_case "check, parse answers in entries"
@@ -2466,6 +2581,7 @@ let () =
           Alcotest.test_case "prove key tells * from every instance" `Quick
             test_prove_key_wildcard;
           qtest colliding_transparency_prop;
+          qtest served_equals_decoded_prop;
           Alcotest.test_case "warm hit allocation ceilings" `Quick
             test_warm_hit_allocation ] );
       ( "workload",
